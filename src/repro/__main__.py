@@ -19,7 +19,7 @@ Commands:
 * ``bench``       — crypto fast-path benchmark (single vs batch verification
   throughput per primitive) — see ``docs/PERFORMANCE.md``;
 * ``profile``     — hot-path profile harness: per-crypto-backend batch
-  verification, heap-vs-calendar event queue, cross-height flush stats,
+  verification, heap-vs-calendar event queue,
   whole-run bit-identity checks (``--cprofile`` for function-level
   hotspots) — see ``docs/PERFORMANCE.md``;
 * ``bench-runner`` — experiment-suite wall-clock benchmark (serial vs
@@ -563,7 +563,7 @@ def main(argv: list[str] | None = None) -> None:
 
     profile = sub.add_parser(
         "profile",
-        help="hot-path profile: crypto backends, event queues, flushing",
+        help="hot-path profile: crypto backends, event queues",
     )
     profile.add_argument("--json", metavar="PATH", default=None)
     profile.add_argument(

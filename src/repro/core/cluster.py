@@ -48,21 +48,6 @@ class ClusterConfig:
     seed: int = 0
     crypto_backend: str = "fast"
     group_profile: str = "test"
-    #: Lazy RLC batch verification in the message pools (see
-    #: repro.core.pool).  Off = eager per-message verification; experiment
-    #: outputs are bit-identical either way.
-    crypto_batch: bool = True
-    #: Cross-height batch flushing in the message pools (see
-    #: repro.core.pool): queries flush only the pending shares they
-    #: observe, so RLC batches fill across heights at low traffic.  Query
-    #: results are bit-identical on or off.
-    crypto_flush_across_heights: bool = True
-    #: Flush a pool's pending shares of one kind once this many are
-    #: queued (0 = no size trigger).
-    crypto_flush_min_batch: int = 0
-    #: Flush once the oldest pending share of a kind is older than this
-    #: many simulated seconds (None = no deadline trigger).
-    crypto_flush_deadline: float | None = None
     max_rounds: int | None = None
     gc_depth: int | None = None  # pool pruning depth; None keeps everything
     delay_model: DelayModel | None = None  # default FixedDelay(0.1)
@@ -124,14 +109,6 @@ class ClusterConfig:
         if self.namespace is not None and ("/" in self.namespace or not self.namespace):
             raise ValueError(
                 f"namespace must be non-empty and '/'-free: {self.namespace!r}"
-            )
-        if self.crypto_flush_min_batch < 0:
-            raise ValueError(
-                f"crypto_flush_min_batch must be >= 0, got {self.crypto_flush_min_batch}"
-            )
-        if self.crypto_flush_deadline is not None and self.crypto_flush_deadline < 0:
-            raise ValueError(
-                f"crypto_flush_deadline must be >= 0, got {self.crypto_flush_deadline}"
             )
 
 
@@ -332,10 +309,6 @@ def build_cluster(config: ClusterConfig, sim: Simulation | None = None) -> Clust
                 payload_source=config.payload_source,
                 **config.extra_party_kwargs,
             )
-            party.pool.batch_verify = config.crypto_batch
-            party.pool.flush_across_heights = config.crypto_flush_across_heights
-            party.pool.flush_min_batch = config.crypto_flush_min_batch
-            party.pool.flush_deadline = config.crypto_flush_deadline
             party.pool.payload_verifier = config.payload_verifier
             parties.append(party)
             network.attach(party)

@@ -16,36 +16,10 @@ recursive through parents, the pool propagates state changes through a
 child index rather than re-scanning (a notarization arriving for a parent
 may make a whole subtree of buffered children valid).
 
-Share verification is *lazy and batched* by default (``batch_verify``):
-arriving notarization/finalization/beacon shares pass cheap structural
-checks eagerly (signer-index consistency, duplicate detection against
-stored ∪ pending) but their signature crypto is queued and verified in one
-RLC batch (:mod:`repro.crypto.api` / :mod:`repro.crypto.fastpath`) the next
-time a query needs the answer.  Every query that observes shares flushes
-what it observes first, so observable pool state is identical to the
-eager path.  The only divergences are forgery-only (and simulated
-adversaries never forge — see :mod:`repro.crypto.keyring`): ``add`` returns
-True for a queued share that a later flush drops, and re-adding a forged
-share before its flush counts as a duplicate rather than a second invalid.
-Set ``batch_verify=False`` (or ``ClusterConfig.crypto_batch=False``) to
-verify eagerly per message; experiment outputs are bit-identical either
-way.  Each flush emits a ``crypto.batch_verify`` trace event.
-
-**Cross-height flushing** (``flush_across_heights``, default on): queries
-flush only the pending shares they actually observe — per block hash for
-notarization/finalization shares, per round for beacon shares — so
-stragglers for *other* heights keep accumulating and are verified later in
-one larger RLC combination instead of many tiny ones.  This is what lets
-batches fill across heights at low traffic, where a height rarely has more
-than a handful of unverified shares at any query point.  Two safety valves
-bound the accumulation, both ``ClusterConfig``-tunable: ``flush_min_batch``
-(flush a share kind once that many shares are pending, 0 = off) and
-``flush_deadline`` (flush once the oldest pending share of a kind is older
-than this many simulated seconds, None = off).  Both triggers fire inside
-``add`` — never from a timer — so the event schedule, and therefore the
-whole run, stays deterministic.  Query results are bit-identical with the
-feature on or off: RLC verification accepts exactly the per-item oracle's
-set regardless of how shares are grouped into batches.
+Every message is verified in ``add``, except that a share whose aggregate is
+already held (notarization, finalization or beacon value) is dropped unverified
+and counted as ``superseded``.  That is safe because a share is only ever read
+to build the aggregate that already exists.
 """
 
 from __future__ import annotations
@@ -76,17 +50,17 @@ class PoolStats:
 
     invalid_dropped: int = 0
     duplicates: int = 0
+    superseded: int = 0
     buffered_beacon_shares: int = 0
 
 
 class MessagePool:
     """Verified message store for one party."""
 
-    def __init__(self, keyring: Keyring, batch_verify: bool = True) -> None:
+    def __init__(self, keyring: Keyring) -> None:
         self._keys = keyring
         self.n = keyring.n
         self.t = keyring.t
-        self.batch_verify = batch_verify
         #: Optional payload batch-admission hook: ``verifier(block) -> bool``.
         #: Called once per *new* block; a False verdict drops the block as
         #: invalid.  The load pipeline installs
@@ -96,27 +70,6 @@ class MessagePool:
         #: notarized block.  See ``ClusterConfig.payload_verifier``.
         self.payload_verifier = None
         self.stats = PoolStats()
-
-        #: Cross-height flushing knobs (see the module docstring).  Wired
-        #: from ``ClusterConfig.crypto_flush_*`` by ``build_cluster``.
-        self.flush_across_heights = True
-        self.flush_min_batch = 0
-        self.flush_deadline: float | None = None
-
-        # Shares whose structural checks passed but whose signature crypto
-        # is deferred to the next flush (batch_verify mode only).  The
-        # ``_pending_*_count`` mirrors track total pending shares per kind
-        # (size trigger); ``_pending_*_since`` is the queue-time of the
-        # oldest pending share (deadline trigger), None when empty.
-        self._pending_notar: dict[bytes, dict[int, NotarizationShare]] = defaultdict(dict)
-        self._pending_final: dict[bytes, dict[int, FinalizationShare]] = defaultdict(dict)
-        self._pending_beacon: dict[int, dict[int, BeaconShare]] = defaultdict(dict)
-        self._pending_notar_count = 0
-        self._pending_final_count = 0
-        self._pending_beacon_count = 0
-        self._pending_notar_since: float | None = None
-        self._pending_final_since: float | None = None
-        self._pending_beacon_since: float | None = None
 
         # Trace wiring (see repro.obs): the owning party binds its tracer
         # so verification drops and GC sweeps are attributable to a party.
@@ -144,7 +97,9 @@ class MessagePool:
         # Random-beacon state.  beacon value of round 0 is the genesis value.
         self.beacon_values: dict[int, bytes] = {0: GENESIS_BEACON}
         self._beacon_shares: dict[int, dict[int, BeaconShare]] = defaultdict(dict)
-        self._pending_beacon_shares: dict[int, list[BeaconShare]] = defaultdict(list)
+        # Shares for a round whose previous beacon value is still unknown,
+        # by round then signer; verified when set_beacon_value reveals it.
+        self._buffered_beacon_shares: dict[int, dict[int, BeaconShare]] = defaultdict(dict)
 
     # -- ingestion ---------------------------------------------------------
 
@@ -163,23 +118,21 @@ class MessagePool:
         before = self.stats.invalid_dropped
         changed = self._add(message)
         if self.stats.invalid_dropped > before:
-            if self._meter.enabled:
-                self._meter.count(
-                    "pool.invalid", self.stats.invalid_dropped - before
-                )
-            if self._tracer.enabled:
-                self._emit_rejected(message)
+            self._report_invalid(message)
         return changed
 
-    def _emit_rejected(self, message: object) -> None:
-        self._tracer.emit(
-            time=self._trace_sim.now if self._trace_sim is not None else 0.0,
-            party=self._trace_party,
-            protocol=self._trace_protocol,
-            round=getattr(message, "round", None),
-            kind="pool.invalid",
-            payload={"artifact": type(message).__name__},
-        )
+    def _report_invalid(self, message: object) -> None:
+        if self._meter.enabled:
+            self._meter.count("pool.invalid")
+        if self._tracer.enabled:
+            self._tracer.emit(
+                time=self._trace_sim.now if self._trace_sim is not None else 0.0,
+                party=self._trace_party,
+                protocol=self._trace_protocol,
+                round=getattr(message, "round", None),
+                kind="pool.invalid",
+                payload={"artifact": type(message).__name__},
+            )
 
     def _add(self, message: object) -> bool:
         if isinstance(message, Block):
@@ -230,21 +183,16 @@ class MessagePool:
 
     def _add_notar_share(self, share: NotarizationShare) -> bool:
         h = share.block_hash
-        if share.signer in self._notar_shares[h] or share.signer in self._pending_notar.get(h, ()):
+        if h in self._notarizations:
+            self.stats.superseded += 1
+            return False
+        if share.signer in self._notar_shares[h]:
             self.stats.duplicates += 1
             return False
         if self._keys.share_index(share.share) != share.signer:
             self.stats.invalid_dropped += 1
             return False
-        if self.batch_verify:
-            self._pending_notar[h][share.signer] = share
-            self._pending_notar_count += 1
-            if self._pending_notar_since is None:
-                self._pending_notar_since = self._now()
-            if self._flush_due(self._pending_notar_count, self._pending_notar_since):
-                self._flush_notar()
-            return True
-        signed = msg.notarization_message(share.round, share.proposer, share.block_hash)
+        signed = msg.notarization_message(share.round, share.proposer, h)
         if not self._keys.verify_notary_share(signed, share.share):
             self.stats.invalid_dropped += 1
             return False
@@ -267,21 +215,16 @@ class MessagePool:
 
     def _add_final_share(self, share: FinalizationShare) -> bool:
         h = share.block_hash
-        if share.signer in self._final_shares[h] or share.signer in self._pending_final.get(h, ()):
+        if h in self._finalizations:
+            self.stats.superseded += 1
+            return False
+        if share.signer in self._final_shares[h]:
             self.stats.duplicates += 1
             return False
         if self._keys.share_index(share.share) != share.signer:
             self.stats.invalid_dropped += 1
             return False
-        if self.batch_verify:
-            self._pending_final[h][share.signer] = share
-            self._pending_final_count += 1
-            if self._pending_final_since is None:
-                self._pending_final_since = self._now()
-            if self._flush_due(self._pending_final_count, self._pending_final_since):
-                self._flush_final()
-            return True
-        signed = msg.finalization_message(share.round, share.proposer, share.block_hash)
+        signed = msg.finalization_message(share.round, share.proposer, h)
         if not self._keys.verify_final_share(signed, share.share):
             self.stats.invalid_dropped += 1
             return False
@@ -306,16 +249,17 @@ class MessagePool:
         if share.round < 1:
             self.stats.invalid_dropped += 1
             return False
-        if (
-            share.signer in self._beacon_shares[share.round]
-            or share.signer in self._pending_beacon.get(share.round, ())
-        ):
+        if share.round in self.beacon_values:
+            self.stats.superseded += 1
+            return False
+        buffered = self._buffered_beacon_shares.get(share.round, ())
+        if share.signer in self._beacon_shares[share.round] or share.signer in buffered:
             self.stats.duplicates += 1
             return False
         previous = self.beacon_values.get(share.round - 1)
         if previous is None:
             # Cannot verify until R_{k-1} is known; buffer for later.
-            self._pending_beacon_shares[share.round].append(share)
+            self._buffered_beacon_shares[share.round][share.signer] = share
             self.stats.buffered_beacon_shares += 1
             return True
         return self._verify_and_store_beacon_share(share, previous)
@@ -324,165 +268,12 @@ class MessagePool:
         if self._keys.share_index(share.share) != share.signer:
             self.stats.invalid_dropped += 1
             return False
-        if self.batch_verify:
-            self._pending_beacon[share.round][share.signer] = share
-            self._pending_beacon_count += 1
-            if self._pending_beacon_since is None:
-                self._pending_beacon_since = self._now()
-            if self._flush_due(self._pending_beacon_count, self._pending_beacon_since):
-                self._flush_beacon()
-            return True
         signed = msg.beacon_message(share.round, previous)
         if not self._keys.verify_beacon_share(signed, share.share):
             self.stats.invalid_dropped += 1
             return False
         self._beacon_shares[share.round][share.signer] = share
         return True
-
-
-    # -- deferred batch verification ---------------------------------------
-
-    def _now(self) -> float:
-        return self._trace_sim.now if self._trace_sim is not None else 0.0
-
-    def _flush_due(self, count: int, since: float) -> bool:
-        """Size / deadline safety valves for cross-height accumulation."""
-        if self.flush_min_batch and count >= self.flush_min_batch:
-            return True
-        return (
-            self.flush_deadline is not None
-            and self._now() - since >= self.flush_deadline
-        )
-
-    @staticmethod
-    def _take_pending(pending: dict, keys, across: bool) -> list:
-        """Remove and return the pending shares a query is about to observe.
-
-        ``keys=None`` (or cross-height flushing disabled) drains the whole
-        dict; otherwise only the given keys are drained and shares for
-        other heights/rounds keep accumulating.  The caller passes keys in
-        a deterministic order — batch transcripts must not depend on set
-        iteration order.
-        """
-        if keys is None or not across:
-            buckets = list(pending.values())
-            pending.clear()
-        else:
-            buckets = [pending.pop(k) for k in keys if k in pending]
-        return [s for bucket in buckets for s in bucket.values()]
-
-    def _emit_invalid(self, artifact: object, round: int | None) -> None:
-        if self._meter.enabled:
-            self._meter.count("pool.invalid")
-        if self._tracer.enabled:
-            self._tracer.emit(
-                time=self._trace_sim.now if self._trace_sim is not None else 0.0,
-                party=self._trace_party,
-                protocol=self._trace_protocol,
-                round=round,
-                kind="pool.invalid",
-                payload={"artifact": type(artifact).__name__},
-            )
-
-    def _emit_batch(self, scheme: str, stats) -> None:
-        if self._meter.enabled and stats.count:
-            self._meter.observe("crypto.batch.size", stats.count)
-        if self._tracer.enabled:
-            self._tracer.emit(
-                time=self._trace_sim.now if self._trace_sim is not None else 0.0,
-                party=self._trace_party,
-                protocol=self._trace_protocol,
-                round=None,
-                kind="crypto.batch_verify",
-                payload={
-                    "scheme": scheme,
-                    "count": stats.count,
-                    "invalid": stats.invalid,
-                    "cache_hits": stats.cache_hits,
-                    "cache_misses": stats.cache_misses,
-                    "bisections": stats.bisections,
-                },
-            )
-
-    def _flush_notar(self, keys=None) -> None:
-        if not self._pending_notar:
-            return
-        shares = self._take_pending(self._pending_notar, keys, self.flush_across_heights)
-        if self._pending_notar:
-            self._pending_notar_count -= len(shares)
-        else:
-            self._pending_notar_count = 0
-            self._pending_notar_since = None
-        if not shares:
-            return
-        items = [
-            (msg.notarization_message(s.round, s.proposer, s.block_hash), s.share)
-            for s in shares
-        ]
-        report = self._keys.verify_notary_share_batch(items)
-        for share, ok in zip(shares, report.results):
-            if ok:
-                self._notar_shares[share.block_hash][share.signer] = share
-            else:
-                self.stats.invalid_dropped += 1
-                self._emit_invalid(share, share.round)
-        self._emit_batch("notary", report.stats)
-
-    def _flush_final(self, keys=None) -> None:
-        if not self._pending_final:
-            return
-        shares = self._take_pending(self._pending_final, keys, self.flush_across_heights)
-        if self._pending_final:
-            self._pending_final_count -= len(shares)
-        else:
-            self._pending_final_count = 0
-            self._pending_final_since = None
-        if not shares:
-            return
-        items = [
-            (msg.finalization_message(s.round, s.proposer, s.block_hash), s.share)
-            for s in shares
-        ]
-        report = self._keys.verify_final_share_batch(items)
-        for share, ok in zip(shares, report.results):
-            if ok:
-                self._final_shares[share.block_hash][share.signer] = share
-            else:
-                self.stats.invalid_dropped += 1
-                self._emit_invalid(share, share.round)
-        self._emit_batch("final", report.stats)
-
-    def _flush_beacon(self, rounds=None) -> None:
-        if not self._pending_beacon:
-            return
-        shares = self._take_pending(self._pending_beacon, rounds, self.flush_across_heights)
-        if self._pending_beacon:
-            self._pending_beacon_count -= len(shares)
-        else:
-            self._pending_beacon_count = 0
-            self._pending_beacon_since = None
-        if not shares:
-            return
-        # Only shares whose previous beacon value was known are ever queued,
-        # so the message reconstruction below cannot miss.
-        items = [
-            (msg.beacon_message(s.round, self.beacon_values[s.round - 1]), s.share)
-            for s in shares
-        ]
-        report = self._keys.verify_beacon_share_batch(items)
-        for share, ok in zip(shares, report.results):
-            if ok:
-                self._beacon_shares[share.round][share.signer] = share
-            else:
-                self.stats.invalid_dropped += 1
-                self._emit_invalid(share, share.round)
-        self._emit_batch("beacon", report.stats)
-
-    def flush_pending(self) -> None:
-        """Run all deferred share verification now (a no-op when empty)."""
-        self._flush_notar()
-        self._flush_final()
-        self._flush_beacon()
 
     # -- state propagation ----------------------------------------------------
 
@@ -559,24 +350,19 @@ class MessagePool:
         return self._finalizations.get(h)
 
     def notar_share_count(self, h: bytes) -> int:
-        self._flush_notar((h,))
         return len(self._notar_shares.get(h, ()))
 
     def notar_shares(self, h: bytes) -> list[NotarizationShare]:
-        self._flush_notar((h,))
         return list(self._notar_shares.get(h, {}).values())
 
     def final_share_count(self, h: bytes) -> int:
-        self._flush_final((h,))
         return len(self._final_shares.get(h, ()))
 
     def final_shares(self, h: bytes) -> list[FinalizationShare]:
-        self._flush_final((h,))
         return list(self._final_shares.get(h, {}).values())
 
     def combinable_notarization(self, round: int, quorum: int) -> Block | None:
         """A valid, non-notarized round-k block with >= quorum notar shares."""
-        self._flush_notar(sorted(self._blocks_by_round.get(round, ())))
         for h in self._blocks_by_round.get(round, ()):
             if h in self._valid and h not in self._notarized:
                 if len(self._notar_shares.get(h, ())) >= quorum:
@@ -585,7 +371,6 @@ class MessagePool:
 
     def combinable_finalization(self, round: int, quorum: int) -> Block | None:
         """A valid, non-finalized round-k block with >= quorum final shares."""
-        self._flush_final(sorted(self._blocks_by_round.get(round, ())))
         for h in self._blocks_by_round.get(round, ()):
             if h in self._valid and h not in self._finalized:
                 if len(self._final_shares.get(h, ())) >= quorum:
@@ -594,7 +379,6 @@ class MessagePool:
 
     def rounds_with_final_activity(self) -> list[int]:
         """Rounds that have any finalization or finalization share."""
-        self._flush_final()
         rounds = {
             self.blocks[h].round
             for h in self._finalized
@@ -634,11 +418,9 @@ class MessagePool:
     # -- beacon ---------------------------------------------------------------
 
     def beacon_share_count(self, round: int) -> int:
-        self._flush_beacon((round,))
         return len(self._beacon_shares.get(round, ()))
 
     def beacon_shares_for(self, round: int) -> list[BeaconShare]:
-        self._flush_beacon((round,))
         return list(self._beacon_shares.get(round, {}).values())
 
     def set_beacon_value(self, round: int, value: bytes) -> None:
@@ -646,17 +428,9 @@ class MessagePool:
         if round in self.beacon_values:
             return
         self.beacon_values[round] = value
-        pending = self._pending_beacon_shares.pop(round + 1, [])
-        for share in pending:
-            if (
-                share.signer not in self._beacon_shares[share.round]
-                and share.signer not in self._pending_beacon.get(share.round, ())
-            ):
-                self._verify_and_store_beacon_share(share, value)
-        if pending:
-            # Verify the whole reveal in one batch right away so buffered
-            # garbage is counted at reveal time, as on the eager path.
-            self._flush_beacon((round + 1,))
+        for share in self._buffered_beacon_shares.pop(round + 1, {}).values():
+            if not self._verify_and_store_beacon_share(share, value):
+                self._report_invalid(share)
 
     def beacon_value(self, round: int) -> bytes | None:
         return self.beacon_values.get(round)
@@ -709,7 +483,6 @@ class MessagePool:
         rounds (a new block's parent is at its own round - 1).  Returns the
         number of blocks removed.
         """
-        self.flush_pending()
         doomed = [
             h
             for round, hashes in self._blocks_by_round.items()
@@ -733,8 +506,8 @@ class MessagePool:
             del self._blocks_by_round[round]
         for round in [r for r in self._beacon_shares if r < before_round]:
             del self._beacon_shares[round]
-        for round in [r for r in self._pending_beacon_shares if r < before_round]:
-            del self._pending_beacon_shares[round]
+        for round in [r for r in self._buffered_beacon_shares if r < before_round]:
+            del self._buffered_beacon_shares[round]
         if self._tracer.enabled and doomed:
             self._tracer.emit(
                 time=self._trace_sim.now if self._trace_sim is not None else 0.0,
@@ -748,7 +521,6 @@ class MessagePool:
 
     def artifact_count(self) -> int:
         """Rough pool size (for memory-boundedness tests)."""
-        self.flush_pending()
         return (
             len(self.blocks)
             + len(self._authenticators)

@@ -1,6 +1,6 @@
-"""Hot-path profile harness: crypto backends, event queues, flushing.
+"""Hot-path profile harness: crypto backends and event queues.
 
-The three hot paths attacked by the profile-guided optimisation pass, each
+The two hot paths attacked by the profile-guided optimisation pass, each
 benchmarked against its reference implementation:
 
 * **Crypto backends** — default-profile RLC batch verification through
@@ -11,11 +11,10 @@ benchmarked against its reference implementation:
 * **Event queue** — a seeded schedule/pop/cancel workload on the legacy
   :class:`repro.sim.events.HeapEventQueue` vs the calendar-queue default,
   with the pop orders compared entry by entry.
-* **Cross-height flushing** — pool flush counts and mean batch sizes with
-  :attr:`ClusterConfig.crypto_flush_across_heights` on vs off, plus
-  whole-cluster bit-identity checks: the same seeded deployment must
-  commit the identical chain under every backend, under both event
-  queues, and with flushing on or off (``results_identical``).
+
+Whole-cluster bit-identity checks ride along: the same seeded deployment
+must commit the identical chain under every backend and under both event
+queues (``results_identical``).
 
 ``python -m repro profile --json BENCH_hotpath.json`` writes the snapshot
 checked into the repository root; ``tools/bench_gate.py`` re-runs it in
@@ -183,8 +182,6 @@ def _run_cluster(
     *,
     backend: str | None = None,
     event_queue=None,
-    flush_across: bool = True,
-    meter=None,
 ):
     """One small seeded deployment on the real crypto backend.
 
@@ -197,8 +194,7 @@ def _run_cluster(
     config = ClusterConfig(
         n=4, t=1, delta_bound=0.3, epsilon=0.01,
         delay_model=FixedDelay(0.05), max_rounds=6, seed=seed,
-        crypto_backend="real", crypto_flush_across_heights=flush_across,
-        meter=meter,
+        crypto_backend="real",
     )
     sim = Simulation(seed=config.seed, event_queue=event_queue) if event_queue else None
 
@@ -219,15 +215,8 @@ def _run_cluster(
     return build_and_run()
 
 
-def check_chains_identical(seed: int) -> tuple[dict, bool]:
-    """Whole-run bit-identity across backends, queues and flush modes.
-
-    Also returns the pool flush statistics (flush count and mean batch
-    size) for the flushing-on and flushing-off runs, read from the
-    ``crypto.batch.size`` histogram.
-    """
-    from ..obs.metrics import Meter
-
+def check_chains_identical(seed: int) -> bool:
+    """Whole-run bit-identity across backends and event queues."""
     reference = _run_cluster(seed, backend=BASELINE_BACKEND)
     identical = True
     for name in backend_names():
@@ -235,23 +224,7 @@ def check_chains_identical(seed: int) -> tuple[dict, bool]:
             continue
         identical &= _run_cluster(seed, backend=name) == reference
     identical &= _run_cluster(seed, event_queue=HeapEventQueue()) == reference
-
-    across_meter, within_meter = Meter(), Meter()
-    identical &= _run_cluster(seed, flush_across=True, meter=across_meter) == reference
-    identical &= _run_cluster(seed, flush_across=False, meter=within_meter) == reference
-
-    pool: dict[str, dict] = {}
-    for key, meter in (("across_heights", across_meter), ("within_height", within_meter)):
-        hist = meter.histogram("crypto.batch.size")
-        count = hist.count if hist is not None else 0
-        total = int(hist.total) if hist is not None else 0
-        mean = total / count if count else 0.0
-        pool[key] = {
-            "flushes": count,
-            "shares_verified": total,
-            "mean_batch": round(mean, 2),
-        }
-    return pool, identical
+    return identical
 
 
 def profile_hotspots(seed: int, top: int = 12) -> list[str]:
@@ -286,12 +259,9 @@ def run_profile(
     }
     best_backend = max(measured, key=lambda name: measured[name]["speedup"])
     event_queue, queue_identical = bench_event_queue(min_seconds, seed)
-    pool, chains_identical = check_chains_identical(seed)
+    chains_identical = check_chains_identical(seed)
     return {
-        "benchmark": (
-            "hot-path profile: crypto backends, calendar event queue, "
-            "cross-height batch flushing"
-        ),
+        "benchmark": "hot-path profile: crypto backends, calendar event queue",
         "profile": profile,
         "group_bits": {"p": group.p.bit_length(), "q": group.q.bit_length()},
         "batch_size": batch_size,
@@ -300,7 +270,6 @@ def run_profile(
         "best_backend": best_backend,
         "best_speedup": measured[best_backend]["speedup"],
         "event_queue": event_queue,
-        "pool": pool,
         "results_identical": bool(
             backends_identical and queue_identical and chains_identical
         ),
@@ -325,13 +294,6 @@ def _print_report(report: dict) -> None:
         f"event queue: heap {queue['heap_ops_per_sec']:.0f} ops/s, "
         f"calendar {queue['calendar_ops_per_sec']:.0f} ops/s "
         f"({queue['speedup']:.2f}x)"
-    )
-    pool = report["pool"]
-    print(
-        f"pool: within-height {pool['within_height']['flushes']} flushes / "
-        f"{pool['within_height']['shares_verified']} shares verified, "
-        f"across-heights {pool['across_heights']['flushes']} flushes / "
-        f"{pool['across_heights']['shares_verified']} shares verified"
     )
     print(f"results identical: {report['results_identical']}")
 
@@ -376,7 +338,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.check:
         failures = []
         if report["results_identical"] is not True:
-            failures.append("results differ across backends/queues/flush modes")
+            failures.append("results differ across backends/queues")
         if report["best_speedup"] < 1.0:
             failures.append(
                 f"best backend {report['best_backend']} slower than pure "

@@ -217,21 +217,6 @@ class LiveParty:
 
     # -- results --------------------------------------------------------------
 
-    def _pool_depth(self) -> int:
-        """Artifacts currently buffered in the message pool (non-mutating
-        — unlike ``MessagePool.artifact_count`` this must not flush
-        pending batches from a monitoring probe)."""
-        pool = self.party.pool
-        return (
-            len(pool.blocks)
-            + len(pool._authenticators)
-            + len(pool._notarizations)
-            + len(pool._finalizations)
-            + sum(len(v) for v in pool._notar_shares.values())
-            + sum(len(v) for v in pool._final_shares.values())
-            + sum(len(v) for v in pool._beacon_shares.values())
-        )
-
     def stat_snapshot(self) -> dict:
         """The JSON answer to a STAT frame: this party right now.
 
@@ -248,7 +233,7 @@ class LiveParty:
             "run_id": self.run_id,
             "cluster_id": self.config.cluster_id,
             "height": self.party.k_max,
-            "pool_depth": self._pool_depth(),
+            "pool_depth": self.party.pool.artifact_count(),
             "link_backlog": sum(
                 link.queued for link in self.network._links.values()
             ),

@@ -149,12 +149,6 @@ register_metric(
     "pool.invalid", "counter", "repro.core.pool",
     "Messages dropped by cryptographic or structural verification.",
 )
-register_metric(
-    "crypto.batch.size", "histogram", "repro.core.pool",
-    "Shares per deferred batch-verification flush (one sample per "
-    "crypto.batch_verify trace event).",
-    buckets=COUNT_BUCKETS,
-)
 
 # -- ICC protocol core --------------------------------------------------------
 

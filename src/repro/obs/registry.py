@@ -105,13 +105,6 @@ register(
     "Garbage collection discarded all artifacts below `before_round`.",
     ("before_round", "removed"),
 )
-register(
-    "crypto.batch_verify", "repro.core.pool",
-    "One deferred share-verification batch was flushed through the "
-    "keyring's batch API (scheme = notary/final/beacon from the message "
-    "pool, vote from baseline replicas).",
-    ("scheme", "count", "invalid", "cache_hits", "cache_misses", "bisections"),
-)
 
 # -- random beacon ------------------------------------------------------------
 
@@ -230,6 +223,12 @@ register(
     "baseline.commit", "repro.baselines.common",
     "A baseline replica (PBFT/HotStuff/Tendermint) committed a batch.",
     ("batch", "proposer"),
+)
+register(
+    "crypto.batch_verify", "repro.baselines.common",
+    "A baseline replica verified one same-instant batch of votes through "
+    "the keyring's batch API (scheme = vote).",
+    ("scheme", "count", "invalid", "cache_hits", "cache_misses", "bisections"),
 )
 register(
     "hotstuff.propose", "repro.baselines.hotstuff",

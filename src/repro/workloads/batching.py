@@ -338,6 +338,7 @@ class RequestBatcher:
         self.auth_bisections = 0
         self.latencies: list[float] = []
         self.committed_ids: list[bytes] = []
+        self._committed: set[bytes] = set()
 
         self._sim = None
         self._tracer = NULL_TRACER
@@ -376,7 +377,7 @@ class RequestBatcher:
         authenticated in **one** RLC batch; forged requests are dropped
         (and isolated by bisection) without costing the honest ones their
         slot.  Survivors then pass admission control: duplicates of an
-        already-pending or already-submitted id are distilled away, and
+        already-pending or already-committed id are distilled away, and
         arrivals beyond ``queue_cap`` are shed.
         """
         if not batch:
@@ -401,7 +402,7 @@ class RequestBatcher:
             if not ok:
                 continue
             rid = request.request_id
-            if rid in self._pending or rid in self._submitted_at:
+            if rid in self._pending or rid in self._committed:
                 self.duplicates += 1
                 continue
             if len(self._pending) >= self.spec.queue_cap:
@@ -520,17 +521,23 @@ class RequestBatcher:
             if not is_load_command(command):
                 continue
             rid = command[:REQUEST_ID_LEN]
-            submitted = self._submitted_at.get(rid)
+            if rid in self._committed:
+                continue
+            self._committed.add(rid)
+            self.committed_ids.append(rid)
+            self.completed += 1
+            if self._meter.enabled:
+                self._meter.count("load.committed")
+            self._pending.pop(rid, None)
+            # A block can finalize here before this party's own ingress has
+            # admitted its requests (live, epsilon=0): the id still counts as
+            # committed, but there is no local submit time to measure from.
+            submitted = self._submitted_at.pop(rid, None)
             if submitted is None:
                 continue
             latency = now - submitted
-            self.completed += 1
             self.latencies.append(latency)
-            self.committed_ids.append(rid)
-            self._pending.pop(rid, None)
-            del self._submitted_at[rid]
             if self._meter.enabled:
-                self._meter.count("load.committed")
                 self._meter.observe("load.latency", latency)
             for hook in self._completion_hooks:
                 hook(rid, latency)

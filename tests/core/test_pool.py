@@ -25,8 +25,8 @@ from repro.crypto.keyring import generate_keyrings
 class Forge:
     """Produces correctly-signed artifacts for tests (n=4, t=1)."""
 
-    def __init__(self, seed=0):
-        self.rings = generate_keyrings(4, 1, seed=seed, backend="fast")
+    def __init__(self, seed=0, backend="fast"):
+        self.rings = generate_keyrings(4, 1, seed=seed, backend=backend)
 
     def block(self, round=1, proposer=1, parent=ROOT_HASH, payload=EMPTY_PAYLOAD):
         return Block(round=round, proposer=proposer, parent_hash=parent, payload=payload)

@@ -29,7 +29,7 @@ def report():
     """One quick harness run shared by the shape/identity tests.
 
     The test group profile keeps the crypto leg cheap; the identity
-    checks inside always run the full backend/queue/flush matrix.
+    checks inside always run the full backend/queue matrix.
     """
     return profile_hotpath.run_profile(
         profile="test", batch_size=8, min_seconds=0.02, seed=0
@@ -47,7 +47,7 @@ class TestRunProfile:
         assert queue["speedup"] == pytest.approx(
             queue["calendar_ops_per_sec"] / queue["heap_ops_per_sec"], rel=0.01
         )
-        assert {"within_height", "across_heights"} <= set(report["pool"])
+        assert "pool" not in report
 
     def test_unavailable_backends_marked_skipped(self, report):
         if importlib.util.find_spec("gmpy2") is not None:
@@ -56,14 +56,6 @@ class TestRunProfile:
 
     def test_results_identical(self, report):
         assert report["results_identical"] is True
-
-    def test_cross_height_flushing_saves_verifications(self, report):
-        pool = report["pool"]
-        assert (
-            pool["across_heights"]["shares_verified"]
-            <= pool["within_height"]["shares_verified"]
-        )
-        assert pool["within_height"]["flushes"] > 0
 
     def test_queue_workload_identical_across_queues(self):
         from repro.sim.events import CalendarEventQueue, HeapEventQueue

@@ -407,6 +407,7 @@ class TestCommittedSnapshots:
         with open(bench_gate.HOTPATH_BASELINE, encoding="utf-8") as handle:
             report = json.load(handle)
         assert report["results_identical"] is True
+        assert "pool" not in report
         assert report["best_speedup"] >= 2.0
         assert report["event_queue"]["speedup"] >= 1.0
         # Gating the committed snapshot against itself must pass.

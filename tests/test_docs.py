@@ -41,3 +41,20 @@ class TestDocs:
     def test_cli_scan_sees_live_subcommands(self):
         module = load_checker()
         assert {"serve", "live"} <= set(module.cli_subcommands())
+
+    def test_stale_config_knobs_are_flagged(self, tmp_path, monkeypatch):
+        """A removed ClusterConfig option named in prose must fail the
+        check; a live field, or the baselines' own knob, must not."""
+        module = load_checker()
+        assert "crypto_backend" in module.config_fields()["ClusterConfig"]
+        (tmp_path / "README.md").write_text(
+            "Tune `crypto_flush_deadline` or ClusterConfig.crypto_batch;\n"
+            "`BaselineClusterConfig.crypto_batch` and `crypto_backend` exist.\n",
+            encoding="utf-8",
+        )
+        monkeypatch.setattr(module, "REPO", tmp_path)
+        problems: list[str] = []
+        module.check_config_docs(problems)
+        assert len(problems) == 2
+        assert "ClusterConfig.crypto_batch" in problems[0]
+        assert "crypto_flush_deadline" in problems[1]

@@ -208,3 +208,30 @@ def test_warm_bases_builds_tables():
     built = ctx.warm_bases(publics)
     assert built == 4
     assert ctx.warm_bases(publics) == 0  # already cached
+
+
+def test_commit_before_local_admission_still_counts():
+    """A block can finalize before this party's ingress admitted its
+    requests (live, epsilon=0): the ids are committed all the same, and
+    their late admission is a duplicate, not a queue entry."""
+    auth = FastClientAuth(seed=6)
+    requests = [_request(auth, client=c, seq=1, key=c) for c in range(4)]
+    block = Block(
+        round=1, proposer=1, parent_hash=b"\x00" * 32,
+        payload=Payload(commands=tuple(r.wire() for r in requests)),
+    )
+    arrivals = [(r, 0.0) for r in requests]
+
+    admitted_first = RequestBatcher(BatchSpec(), seed=6)
+    admitted_first.admit_batch(arrivals)
+    admitted_first._on_commit(block)
+
+    committed_first = RequestBatcher(BatchSpec(), seed=6)
+    committed_first._on_commit(block)
+    assert committed_first.admit_batch(arrivals) == 0
+
+    assert committed_first.committed_digest() == admitted_first.committed_digest()
+    assert committed_first.completed == admitted_first.completed == 4
+    assert committed_first.queue_depth == 0
+    assert committed_first.duplicates == 4
+    assert committed_first.latencies == []  # no local submit time to measure from

@@ -7,8 +7,8 @@ The repository commits six benchmark snapshots — ``BENCH_crypto.json``
 --json``), ``BENCH_load.json`` (load/batching pipeline, ``python -m
 repro load --bench --json``), ``BENCH_shard.json`` (multi-subnet
 sharding, ``python -m repro shard --bench --json``),
-``BENCH_hotpath.json`` (crypto backends / event queue / cross-height
-flushing, ``python -m repro profile --json``) and ``BENCH_live.json``
+``BENCH_hotpath.json`` (crypto backends / event queue,
+``python -m repro profile --json``) and ``BENCH_live.json``
 (real-TCP localhost cluster, ``python -m repro live --bench``).  This
 gate re-runs the benchmarks in ``--quick`` mode and compares the *ratio*
 metrics (batch-verification speedups, runner speedup, setup-cache
@@ -214,10 +214,9 @@ def gate_hotpath(committed: dict, fresh: dict, tolerance: float) -> list[str]:
 
     ``results_identical`` is a correctness bit — it asserts the same
     seeded deployment commits the identical chain under every crypto
-    backend, under both event-queue implementations, and with
-    cross-height flushing on or off; False in either snapshot fails
-    outright.  The backend and event-queue speedups are wall-clock
-    ratios and get the usual tolerance band; a fresh speedup below 1
+    backend and under both event-queue implementations; False in either
+    snapshot fails outright.  The backend and event-queue speedups are
+    wall-clock ratios and get the usual tolerance band; a fresh speedup below 1
     (the optimised path losing to its own baseline) always fails.  The
     committed snapshot must additionally keep the paper-the-cost claim
     honest: best backend at least 2x over ``pure``.
@@ -225,10 +224,7 @@ def gate_hotpath(committed: dict, fresh: dict, tolerance: float) -> list[str]:
     failures: list[str] = []
     for report, origin in ((committed, "committed"), (fresh, "fresh")):
         if report.get("results_identical") is not True:
-            failures.append(
-                f"hotpath[{origin}]: results differ across backends/queues/"
-                "flush modes"
-            )
+            failures.append(f"hotpath[{origin}]: results differ across backends/queues")
     committed_best = committed.get("best_speedup")
     if isinstance(committed_best, (int, float)) and committed_best < 2.0:
         failures.append(

@@ -33,7 +33,11 @@ Checks every ``*.md`` file in the repo root and ``docs/``:
   ``docs/TRANSPORT.md``, the live transport's reference page;
 * the observability CLI surface (``trace``, ``collect``, ``top``) is
   shown as ``python -m repro <name>`` invocations in
-  ``docs/OBSERVABILITY.md``, not just the README.
+  ``docs/OBSERVABILITY.md``, not just the README;
+* every ``ClusterConfig.<field>`` / ``BaselineClusterConfig.<field>`` and
+  every bare ``crypto_*`` knob named in any checked markdown file is a
+  field of that dataclass (textual scan of the class
+  bodies), so a removed option cannot linger in prose.
 
 Exit status 0 when clean, 1 with one line per problem otherwise.  CI runs
 this plus the test-suite; ``tests/test_docs.py`` runs it in-process.
@@ -319,6 +323,57 @@ def check_live_docs(problems: list[str]) -> None:
             )
 
 
+#: The cluster config dataclasses and the modules that define them.
+CONFIG_CLASSES = {
+    "ClusterConfig": REPO / "src" / "repro" / "core" / "cluster.py",
+    "BaselineClusterConfig": REPO / "src" / "repro" / "baselines" / "cluster.py",
+}
+#: Annotated field lines directly inside a class body.
+FIELD_RE = re.compile(r"^    ([a-z_][a-z0-9_]*):", re.MULTILINE)
+#: ``ClusterConfig.field`` / ``BaselineClusterConfig.field`` mentions.
+CONFIG_ATTR_RE = re.compile(r"\b(\w*ClusterConfig)\.([a-z_][a-z0-9_]*)")
+#: Bare ``crypto_*`` option names (not path or module components).
+CRYPTO_KNOB_RE = re.compile(r"(?<![\w./])crypto_[a-z0-9_]+\b(?![./])")
+
+
+def config_fields() -> dict[str, set[str]]:
+    """Field names of each cluster config dataclass (textual scan)."""
+    fields: dict[str, set[str]] = {}
+    for name, module in CONFIG_CLASSES.items():
+        if not module.is_file():
+            continue
+        match = re.search(
+            rf"^class {name}\b.*?(?=^\S)", module.read_text(encoding="utf-8"),
+            re.MULTILINE | re.DOTALL,
+        )
+        if match:
+            fields[name] = set(FIELD_RE.findall(match.group(0)))
+    return fields
+
+
+def check_config_docs(problems: list[str]) -> None:
+    """Config options named in the docs must exist on the dataclasses."""
+    fields = config_fields()
+    if not fields:
+        return
+    known = set().union(*fields.values())
+    for path in doc_files():
+        # Prose only: drop fenced and indented code blocks (module trees,
+        # shell transcripts), where crypto_* words are file names.
+        text = re.sub(r"```.*?```", "", path.read_text(encoding="utf-8"), flags=re.DOTALL)
+        text = re.sub(r"^ {4,}.*$", "", text, flags=re.MULTILINE)
+        for owner, attr in CONFIG_ATTR_RE.findall(text):
+            if owner in fields and attr not in fields[owner]:
+                problems.append(
+                    f"{path.relative_to(REPO)}: {owner}.{attr} is not a field of {owner}"
+                )
+        for knob in sorted(set(CRYPTO_KNOB_RE.findall(text)) - known):
+            problems.append(
+                f"{path.relative_to(REPO)}: option {knob!r} is not a field of "
+                f"{' or '.join(sorted(fields))}"
+            )
+
+
 def run() -> list[str]:
     problems: list[str] = []
     for path in doc_files():
@@ -333,6 +388,7 @@ def run() -> list[str]:
     check_live_docs(problems)
     check_bench_docs(problems)
     check_backend_docs(problems)
+    check_config_docs(problems)
     return problems
 
 
