@@ -309,6 +309,7 @@ class CatchupMixin:
         """Adopt ``anchor`` as the new committed tip without its ancestry."""
         self.k_max = anchor.round - 1
         self._committed_tip = anchor.parent_hash
+        self.pool.set_committed_floor(self.k_max)
 
 
 class CatchupParty(CatchupMixin, ICC0Party):

@@ -490,7 +490,7 @@ class ICC0Party:
             finalization: Finalization | None = None
             combined_here = False
             for k in self.pool.rounds_with_final_activity():
-                if k <= self.k_max:
+                if k <= self.k_max:  # Figure 2: "k > k_max"
                     continue
                 done = self.pool.finalized_blocks(k)
                 if done:
@@ -577,6 +577,7 @@ class ICC0Party:
                     )
         self._committed_tip = block.hash
         self.k_max = k
+        self.pool.set_committed_floor(k)
         # Garbage collection (Section 3.1 notes real implementations prune;
         # laggards farther back than gc_depth need state transfer, which is
         # out of the protocol's scope).

@@ -20,6 +20,23 @@ Every message is verified in ``add``, except that a share whose aggregate is
 already held (notarization, finalization or beacon value) is dropped unverified
 and counted as ``superseded``.  That is safe because a share is only ever read
 to build the aggregate that already exists.
+
+The paper presents the pool as append-only and notes that a practical one
+discards what is no longer relevant (Section 3.1).  Two floors, both raised
+by the owning party and never lowered, say what that is here:
+
+* the **committed floor** (:meth:`MessagePool.set_committed_floor`) is the
+  party's ``k_max``.  Figure 2 only ever waits on rounds ``k > k_max``, so
+  the pool keeps the set of rounds *above* the floor that have a finalized
+  block or a stored finalization share up to date as artifacts arrive, and
+  :meth:`MessagePool.rounds_with_final_activity` reads it: the finalization
+  watcher's cost does not depend on the length of the chain.  Nothing is
+  discarded at this floor.
+* the **prune floor** (:meth:`MessagePool.prune`, only with
+  ``ProtocolParams.gc_depth``) is where storage ends: every artifact whose own
+  ``round`` is below it is discarded, and ``add`` drops a late one unverified,
+  counted as ``stale``.  It drags the committed floor along: what cannot be
+  stored cannot be finalization activity.
 """
 
 from __future__ import annotations
@@ -51,7 +68,18 @@ class PoolStats:
     invalid_dropped: int = 0
     duplicates: int = 0
     superseded: int = 0
+    stale: int = 0
     buffered_beacon_shares: int = 0
+
+
+def _names(auth: Authenticator, block: Block) -> bool:
+    """Whether ``auth`` is an authenticator *for* ``block``.  The signature
+    covers the round and proposer the authenticator claims, so one that
+    claims another round is validly signed and still not about this block;
+    accepting it would let its signer choose at which prune floor it goes."""
+    return (auth.block_hash, auth.round, auth.proposer) == (
+        block.hash, block.round, block.proposer
+    )
 
 
 class MessagePool:
@@ -94,6 +122,12 @@ class MessagePool:
         self._notar_shares: dict[bytes, dict[int, NotarizationShare]] = defaultdict(dict)
         self._final_shares: dict[bytes, dict[int, FinalizationShare]] = defaultdict(dict)
 
+        # The two floors (module docstring), and the rounds above the
+        # committed one that have a finalized block or a finalization share.
+        self._committed_floor = 0
+        self._prune_floor = 0
+        self._final_activity: set[int] = set()
+
         # Random-beacon state.  beacon value of round 0 is the genesis value.
         self.beacon_values: dict[int, bytes] = {0: GENESIS_BEACON}
         self._beacon_shares: dict[int, dict[int, BeaconShare]] = defaultdict(dict)
@@ -135,6 +169,11 @@ class MessagePool:
             )
 
     def _add(self, message: object) -> bool:
+        # Every artifact carries its round; anything else falls through to
+        # the TypeError below.
+        if getattr(message, "round", self._prune_floor) < self._prune_floor:
+            self.stats.stale += 1
+            return False
         if isinstance(message, Block):
             return self._add_block(message)
         if isinstance(message, Authenticator):
@@ -162,6 +201,11 @@ class MessagePool:
         if self.payload_verifier is not None and not self.payload_verifier(block):
             self.stats.invalid_dropped += 1
             return False
+        early = self._authenticators.get(h)
+        if early is not None and not _names(early, block):
+            del self._authenticators[h]
+            self._authentic.discard(h)
+            self.stats.invalid_dropped += 1
         self.blocks[h] = block
         self._blocks_by_round[block.round].add(h)
         self._children[block.parent_hash].add(h)
@@ -171,6 +215,10 @@ class MessagePool:
     def _add_authenticator(self, auth: Authenticator) -> bool:
         if auth.block_hash in self._authentic:
             self.stats.duplicates += 1
+            return False
+        block = self.blocks.get(auth.block_hash)
+        if block is not None and not _names(auth, block):
+            self.stats.invalid_dropped += 1
             return False
         signed = msg.authenticator_message(auth.round, auth.proposer, auth.block_hash)
         if not self._keys.verify_auth(auth.proposer, signed, auth.signature):
@@ -229,6 +277,8 @@ class MessagePool:
             self.stats.invalid_dropped += 1
             return False
         self._final_shares[h][share.signer] = share
+        if share.round > self._committed_floor:
+            self._final_activity.add(share.round)
         return True
 
     def _add_finalization(self, finalization: Finalization) -> bool:
@@ -300,6 +350,9 @@ class MessagePool:
         if h in self._finalized or h not in self._valid or h not in self._finalizations:
             return
         self._finalized.add(h)
+        round = self.blocks[h].round
+        if round > self._committed_floor:
+            self._final_activity.add(round)
 
     # -- predicates (Section 3.4) ------------------------------------------------
 
@@ -378,14 +431,16 @@ class MessagePool:
         return None
 
     def rounds_with_final_activity(self) -> list[int]:
-        """Rounds that have any finalization or finalization share."""
-        rounds = {
-            self.blocks[h].round
-            for h in self._finalized
-            if h != ROOT_HASH
-        }
-        rounds.update(s.round for shares in self._final_shares.values() for s in shares.values())
-        return sorted(rounds)
+        """Rounds above the committed floor that have a finalized block or a
+        stored finalization share, ascending: what Figure 2 can act on."""
+        return sorted(self._final_activity)
+
+    def set_committed_floor(self, round: int) -> None:
+        """The owning party has committed through ``round`` (its ``k_max``):
+        Figure 2 never looks at or below it again."""
+        if round > self._committed_floor:
+            self._committed_floor = round
+            self._final_activity = {r for r in self._final_activity if r > round}
 
     def chain(self, h: bytes) -> list[Block]:
         """Blocks from root (exclusive) to the block with hash ``h``."""
@@ -450,7 +505,7 @@ class MessagePool:
         """
         if block.round < 1 or not 1 <= block.proposer <= self.n:
             return False
-        if auth.block_hash != block.hash or notarization.block_hash != block.hash:
+        if not _names(auth, block) or notarization.block_hash != block.hash:
             return False
         signed_auth = msg.authenticator_message(block.round, block.proposer, block.hash)
         if not self._keys.verify_auth(block.proposer, signed_auth, auth.signature):
@@ -474,40 +529,51 @@ class MessagePool:
     # -- garbage collection ------------------------------------------------------
 
     def prune(self, before_round: int) -> int:
-        """Discard all artifacts for rounds < ``before_round``.
+        """Raise the prune floor: discard every artifact whose own round is
+        < ``before_round`` and have ``add`` drop such artifacts from now on.
 
-        The paper keeps pools append-only for presentation and notes that a
-        practical implementation discards messages that are no longer
-        relevant (Section 3.1).  Safe once the caller has committed through
-        ``before_round``: predicates for live rounds never consult pruned
-        rounds (a new block's parent is at its own round - 1).  Returns the
+        Safe once the caller has committed through ``before_round``:
+        predicates for live rounds never consult pruned rounds (a new block's
+        parent is at its own round - 1).  Reclaiming goes by each artifact's
+        own ``round``, not through its block, so shares and aggregates whose
+        block never arrived, or left in an earlier sweep, go too.  Returns the
         number of blocks removed.
         """
+        if before_round <= self._prune_floor:
+            return 0  # already swept, and add has dropped every late arrival
+        self._prune_floor = before_round
         doomed = [
             h
-            for round, hashes in self._blocks_by_round.items()
-            if round < before_round
-            for h in hashes
+            for round in [r for r in self._blocks_by_round if r < before_round]
+            for h in self._blocks_by_round.pop(round)
         ]
         for h in doomed:
             block = self.blocks.pop(h)
             self._children.pop(h, None)
-            self._children.get(block.parent_hash, set()).discard(h)
-            self._authentic.discard(h)
+            siblings = self._children.get(block.parent_hash)
+            if siblings is not None:
+                siblings.discard(h)
+                if not siblings:
+                    del self._children[block.parent_hash]
             self._valid.discard(h)
             self._notarized.discard(h)
             self._finalized.discard(h)
-            self._authenticators.pop(h, None)
-            self._notarizations.pop(h, None)
-            self._finalizations.pop(h, None)
-            self._notar_shares.pop(h, None)
-            self._final_shares.pop(h, None)
-        for round in [r for r in self._blocks_by_round if r < before_round]:
-            del self._blocks_by_round[round]
-        for round in [r for r in self._beacon_shares if r < before_round]:
-            del self._beacon_shares[round]
-        for round in [r for r in self._buffered_beacon_shares if r < before_round]:
-            del self._buffered_beacon_shares[round]
+        for h in [h for h, a in self._authenticators.items() if a.round < before_round]:
+            del self._authenticators[h]
+            self._authentic.discard(h)
+        for aggregates in (self._notarizations, self._finalizations):
+            for h in [h for h, a in aggregates.items() if a.round < before_round]:
+                del aggregates[h]
+        for by_block in (self._notar_shares, self._final_shares):
+            for h, shares in list(by_block.items()):
+                for signer in [i for i, s in shares.items() if s.round < before_round]:
+                    del shares[signer]
+                if not shares:
+                    del by_block[h]
+        for by_round in (self._beacon_shares, self._buffered_beacon_shares):
+            for round in [r for r in by_round if r < before_round]:
+                del by_round[round]
+        self.set_committed_floor(before_round - 1)  # nothing is stored below: no activity
         if self._tracer.enabled and doomed:
             self._tracer.emit(
                 time=self._trace_sim.now if self._trace_sim is not None else 0.0,

@@ -101,6 +101,8 @@ class LiveParty:
         # -- client load (optional, the PR 6 pipeline) -----------------------
         self.batcher: RequestBatcher | None = None
         self._load_queue: list[SignedRequest] = []
+        self._load_cursor = 0  # next request of the queue to admit
+        self._load_start = 0.0  # instant of the first pump: chunk 0 is due here
         payload_source = empty_payload_source
         payload_verifier = None
         if config.load_requests > 0:
@@ -182,16 +184,24 @@ class LiveParty:
         self._started = True
 
     def _pump_load(self) -> None:
-        """Admit the next chunk of the deterministic request set."""
-        chunk = self._load_queue[: self.config.load_batch]
-        del self._load_queue[: self.config.load_batch]
+        """Admit the next chunk of the deterministic request set.
+
+        Open loop: chunk *k* is due at ``first pump + k * load_tick`` whatever
+        the earlier chunks cost to admit, so the offered rate is the
+        configured one.  A pump that falls behind runs the late chunks back
+        to back (``schedule_at`` runs a past instant as soon as possible).
+        """
+        batch = self.config.load_batch
+        now = self.clock.now
+        if self._load_cursor == 0:
+            self._load_start = now
+        chunk = self._load_queue[self._load_cursor : self._load_cursor + batch]
+        self._load_cursor += batch
         if chunk and self.batcher is not None:
-            now = self.clock.now
             self.batcher.admit_batch([(request, now) for request in chunk])
-        if self._load_queue:
-            self._load_handle = self.clock.schedule(
-                self.config.load_tick, self._pump_load
-            )
+        if self._load_cursor < len(self._load_queue):
+            due = self._load_start + (self._load_cursor // batch) * self.config.load_tick
+            self._load_handle = self.clock.schedule_at(due, self._pump_load)
         else:
             self._load_handle = None
 

@@ -41,7 +41,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-from ..core.messages import Block, Payload, ROOT_HASH
+from ..core.messages import Block, Payload
 from ..crypto import api, schnorr
 from ..crypto.group import Group, group_for_profile
 from ..crypto.hashing import tagged_hash
@@ -322,9 +322,6 @@ class RequestBatcher:
         self.auth = client_auth(spec.auth, seed, spec.group_profile)
         self._pending: dict[bytes, bytes] = {}  # request id -> wire bytes
         self._submitted_at: dict[bytes, float] = {}
-        self._included_cache: dict[bytes, frozenset[bytes]] = {
-            ROOT_HASH: frozenset()
-        }
         self._block_auth_memo: dict[bytes, bool] = {}
         self._completion_hooks: list = []  # called with (request_id, latency)
 
@@ -339,6 +336,7 @@ class RequestBatcher:
         self.latencies: list[float] = []
         self.committed_ids: list[bytes] = []
         self._committed: set[bytes] = set()
+        self._committed_blocks: set[bytes] = set()  # hashes _on_commit has seen
 
         self._sim = None
         self._tracer = NULL_TRACER
@@ -426,29 +424,32 @@ class RequestBatcher:
 
     # -- block packing (getPayload) ---------------------------------------
 
-    def _included_upto(self, chain: list[Block]) -> frozenset[bytes]:
-        """Load-request ids already included along ``chain`` (cached)."""
-        if not chain:
-            return self._included_cache[ROOT_HASH]
-        tip = chain[-1]
-        cached = self._included_cache.get(tip.hash)
-        if cached is not None:
-            return cached
-        parent = (
-            self._included_upto(chain[:-1])
-            if len(chain) > 1
-            else self._included_cache[ROOT_HASH]
-        )
-        cached = parent | {
-            c[:REQUEST_ID_LEN] for c in tip.payload.commands if is_load_command(c)
-        }
-        self._included_cache[tip.hash] = cached
-        return cached
-
     def payload_source(self, party, round: int, chain: list[Block]) -> Payload:
         """getPayload: pack up to ``batch_max`` pending requests not already
-        on the chain being extended (Section 3.3 dedup)."""
-        included = self._included_upto(chain)
+        on the chain being extended (Section 3.3 dedup).
+
+        Only the uncommitted suffix of ``chain`` is read: the walk goes back
+        from the tip and stops at the first block ``_on_commit`` has seen.
+        The payload is the one a check against every id on ``chain`` gives.
+        A party commits a block only after all its ancestors, so that block
+        and everything below it on ``chain`` have been through ``_on_commit``,
+        which took their ids out of ``_pending`` and put them in
+        ``_committed``; ``admit_batch`` never re-admits a committed id; so
+        none of them is pending now and there is nothing to leave out for
+        them.  The stop is on the block *hash*, not on a round number: a fork
+        block that was notarized but not finalized sits at or below the
+        committed height without being committed, its ids can still be
+        pending, and a proposal extending it must leave them out — it is
+        read, because only a committed hash ends the walk.  An unbound
+        batcher sees no commit and reads the whole chain.
+        """
+        included: set[bytes] = set()
+        for block in reversed(chain):
+            if block.hash in self._committed_blocks:
+                break
+            included.update(
+                c[:REQUEST_ID_LEN] for c in block.payload.commands if is_load_command(c)
+            )
         commands: list[bytes] = []
         for rid, wire in self._pending.items():
             if rid in included:
@@ -516,6 +517,7 @@ class RequestBatcher:
     # -- completion --------------------------------------------------------
 
     def _on_commit(self, block: Block) -> None:
+        self._committed_blocks.add(block.hash)
         now = self._sim.now if self._sim is not None else 0.0
         for command in block.payload.commands:
             if not is_load_command(command):

@@ -64,6 +64,41 @@ class TestBeaconPipeliningAcrossParties:
 
 class TestPoolQueries:
     def test_rounds_with_final_activity(self):
+        """Rounds *above the committed floor* with a finalized block or a
+        stored finalization share, ascending; the floor only moves up."""
+        from tests.core.test_pool import Forge
+
+        forge = Forge()
+        pool = forge.pool()
+        parent = ROOT_HASH
+        chain = []
+        for round in (1, 2, 3, 4):
+            block = forge.block(round=round, proposer=round, parent=parent)
+            for artifact in (block, forge.auth(block), forge.notarization(block)):
+                assert pool.add(artifact)
+            chain.append(block)
+            parent = block.hash
+        assert pool.rounds_with_final_activity() == []
+        pool.add(forge.final_share(chain[3], 1))
+        pool.add(forge.finalization(chain[1]))
+        pool.add(forge.final_share(chain[0], 2))
+        assert pool.rounds_with_final_activity() == [1, 2, 4]
+        pool.set_committed_floor(2)
+        assert pool.rounds_with_final_activity() == [4]
+        # A late share at or below the floor is stored but is no activity.
+        assert pool.add(forge.final_share(chain[0], 3))
+        assert pool.final_share_count(chain[0].hash) == 2
+        assert pool.add(forge.finalization(chain[0]))
+        assert pool.is_finalized(chain[0].hash)
+        assert pool.rounds_with_final_activity() == [4]
+        pool.set_committed_floor(1)  # never lowered
+        fork = forge.block(round=2, proposer=3, parent=chain[0].hash)
+        assert pool.add(forge.final_share(fork, 4))
+        assert pool.rounds_with_final_activity() == [4]
+        pool.add(forge.final_share(chain[2], 4))
+        assert pool.rounds_with_final_activity() == [3, 4]
+
+    def test_final_activity_stays_above_k_max_in_a_run(self):
         config = ClusterConfig(
             n=4, t=1, delta_bound=0.5, epsilon=0.01,
             delay_model=FixedDelay(0.05), max_rounds=5, seed=1,
@@ -71,9 +106,9 @@ class TestPoolQueries:
         cluster = build_cluster(config)
         cluster.start()
         cluster.run_until_all_committed_round(4, timeout=60)
-        pool = cluster.party(1).pool
-        active = pool.rounds_with_final_activity()
-        assert set(active) >= {1, 2, 3, 4}
+        for party in cluster.parties:
+            assert party.k_max >= 4
+            assert all(k > party.k_max for k in party.pool.rounds_with_final_activity())
 
     def test_finalized_blocks_query(self):
         config = ClusterConfig(

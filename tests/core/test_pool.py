@@ -201,6 +201,31 @@ class TestRejection:
         assert not pool.add(wrong_signer)
         assert pool.stats.invalid_dropped == 1
 
+    @pytest.mark.parametrize("block_first", (True, False))
+    def test_authenticator_claiming_another_round_is_not_for_this_block(
+        self, forge, block_first
+    ):
+        """Validly signed by the proposer, but over round 7: under pruning its
+        signer could otherwise pick the floor at which the pool forgets it."""
+        pool = forge.pool()
+        block = forge.block(round=1, proposer=1)
+        signed = msg.authenticator_message(7, 1, block.hash)
+        lying = Authenticator(
+            round=7, proposer=1, block_hash=block.hash,
+            signature=forge.rings[0].sign_auth(signed),
+        )
+        if block_first:
+            assert pool.add(block)
+            assert not pool.add(lying)
+        else:
+            assert pool.add(lying)
+            assert pool.add(block)
+        assert pool.stats.invalid_dropped == 1
+        assert not pool.is_authentic(block.hash) and not pool.is_valid(block.hash)
+        assert pool.authenticator_of(block.hash) is None
+        assert pool.add(forge.auth(block))  # the real one is no duplicate
+        assert pool.is_valid(block.hash)
+
     def test_bad_round_block_dropped(self, forge):
         pool = forge.pool()
         assert not pool.add(forge.block(round=0))

@@ -37,6 +37,18 @@ def build_chain_messages(forge: Forge, depth: int):
     return blocks, messages
 
 
+def stored_rounds(pool) -> list[int]:
+    """The own round of every artifact the pool holds (root aside)."""
+    rounds = [b.round for h, b in pool.blocks.items() if h != ROOT_HASH]
+    for by_hash in (pool._authenticators, pool._notarizations, pool._finalizations):
+        rounds.extend(a.round for a in by_hash.values())
+    for by_hash in (pool._notar_shares, pool._final_shares):
+        rounds.extend(s.round for shares in by_hash.values() for s in shares.values())
+    for by_round in (pool._blocks_by_round, pool._beacon_shares, pool._buffered_beacon_shares):
+        rounds.extend(by_round)
+    return rounds
+
+
 class TestOrderIndependence:
     @given(st.randoms(use_true_random=False))
     @settings(max_examples=25, deadline=None)
@@ -124,6 +136,41 @@ class TestPruneProperties:
                 assert block.hash not in pool.blocks
             else:
                 assert pool.is_finalized(block.hash)
+
+    @given(
+        st.randoms(use_true_random=False),
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=0, max_value=40),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_nothing_below_the_floor_survives(self, pyrng, cutoff, held_back):
+        """Artifacts go by their *own* round: a share or aggregate whose block
+        never arrived (here: any artifact the shuffle holds back) is reclaimed
+        like the rest, and the ones held back are refused afterwards."""
+        forge = Forge()
+        blocks, messages = build_chain_messages(forge, depth=5)
+        for block in blocks:
+            messages.append(forge.final_share(block, 2))
+            # Round 1 verifies against the genesis value; later rounds stay
+            # buffered, their previous value being unknown to this pool.
+            messages.append(forge.beacon_share(block.round, 3))
+        shuffled = list(messages)
+        pyrng.shuffle(shuffled)
+        cut = len(shuffled) - min(held_back, len(shuffled))
+        pool = forge.pool()
+        for message in shuffled[:cut]:
+            pool.add(message)
+        pool.prune(cutoff)
+        for message in shuffled[cut:]:
+            stored = pool.add(message)
+            assert not (stored and message.round < cutoff)
+        assert all(round >= cutoff for round in stored_rounds(pool))
+        assert pool._authentic - {ROOT_HASH} == set(pool._authenticators)
+        assert pool._valid | pool._notarized | pool._finalized <= set(pool.blocks)
+        assert all(
+            child in pool.blocks for children in pool._children.values() for child in children
+        )
+        assert all(k >= cutoff for k in pool.rounds_with_final_activity())
 
     def test_prune_is_idempotent(self):
         forge = Forge()

@@ -2,8 +2,9 @@
 
 The contract (see ``repro.core.pool``'s docstring): every share is verified
 inside ``add`` — a forgery never enters the pool — except a share whose
-aggregate the pool already holds, which is dropped without touching the
-keyring.  Queries, ``artifact_count`` and ``prune`` are pure reads.
+aggregate the pool already holds, or whose round is below the prune floor,
+which is dropped without touching the keyring.  Queries, ``artifact_count``
+and ``prune`` are pure reads.
 """
 
 from __future__ import annotations
@@ -137,6 +138,53 @@ class TestSupersededSharesDropped:
         assert keys.share_verifications == 1
         assert pool.notar_share_count(block.hash) == 1
         assert pool.stats.superseded == 0
+
+
+class TestStaleArtifactsDropped:
+    """Below the prune floor nothing is verified and nothing is stored."""
+
+    def test_late_share_for_a_pruned_round_costs_no_verification(self):
+        forge = Forge()
+        pool, keys = _counting_pool(forge)
+        block = forge.block()
+        pool.add(block)
+        assert pool.add(forge.notar_share(block, 1))
+        verified = keys.share_verifications
+        assert pool.prune(before_round=2) == 1
+        before = pool.artifact_count()
+        late = (
+            forge.notar_share(block, 2), forge.final_share(block, 2),
+            forge.beacon_share(1, 2), _forged(forge, "final", block, signer=3),
+            block, forge.auth(block), forge.notarization(block), forge.finalization(block),
+        )
+        for resend in (1, 2):  # stale again, never a duplicate
+            assert [pool.add(artifact) for artifact in late] == [False] * len(late)
+            assert pool.stats.stale == resend * len(late)
+        assert keys.share_verifications == verified
+        assert pool.artifact_count() == before
+        assert pool.stats.invalid_dropped == pool.stats.duplicates == 0
+        assert pool.rounds_with_final_activity() == []
+
+    def test_rounds_at_and_above_the_floor_are_unaffected(self):
+        forge = Forge()
+        pool, keys = _counting_pool(forge)
+        first = forge.block()
+        second = forge.block(round=2, proposer=2, parent=first.hash)
+        for artifact in (first, forge.auth(first), forge.notarization(first)):
+            pool.add(artifact)
+        pool.prune(before_round=2)
+        for artifact in (second, forge.auth(second), forge.notar_share(second, 1)):
+            assert pool.add(artifact)
+        assert pool.stats.stale == 0
+        assert keys.share_verifications == 1
+        assert pool.is_authentic(second.hash)
+
+    def test_unknown_type_still_raises_above_a_floor(self):
+        forge = Forge()
+        pool = forge.pool()
+        pool.prune(before_round=3)
+        with pytest.raises(TypeError):
+            pool.add("what is this")
 
 
 class TestBufferedBeaconShares:
