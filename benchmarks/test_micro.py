@@ -10,12 +10,16 @@ from __future__ import annotations
 import os
 from random import Random
 
+import pytest
+
 from repro.crypto import schnorr, threshold
 from repro.crypto.api import verifiers_for
+from repro.crypto.backend import available_backends, use_backend
 from repro.crypto.group import test_group as make_test_group
 from repro.crypto.keyring import generate_keyrings
 from repro.erasure.merkle import MerkleTree
 from repro.erasure.reed_solomon import CodecParams, decode, encode
+from repro.sim.events import CalendarEventQueue, HeapEventQueue
 from repro.sim.simulator import Simulation
 
 
@@ -53,7 +57,8 @@ class TestCryptoMicro:
 
 
 class TestBatchVerifyMicro:
-    """Single vs RLC-batch verification (see ``python -m repro bench``)."""
+    """Single vs RLC-batch verification, the batch under every available
+    modexp backend (``pure`` is the plain-``pow`` baseline)."""
 
     BATCH = 32
 
@@ -75,10 +80,12 @@ class TestBatchVerifyMicro:
         group, _, items = self._schnorr_items()
         benchmark(lambda: [fastpath.verify_schnorr_single(group, *item) for item in items])
 
-    def test_schnorr_verify_batch(self, benchmark):
-        _, suite, items = self._schnorr_items()
-        assert all(suite.schnorr.verify_batch(items))  # warm the tables
-        benchmark(lambda: suite.schnorr.verify_batch(items))
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_schnorr_verify_batch(self, benchmark, backend):
+        with use_backend(backend):
+            _, suite, items = self._schnorr_items()
+            assert all(suite.schnorr.verify_batch(items))  # warm the tables
+            benchmark(lambda: suite.schnorr.verify_batch(items))
 
     def test_threshold_share_verify_batch(self, benchmark):
         from repro.crypto.api import verifiers_for
@@ -121,9 +128,10 @@ class TestErasureMicro:
 
 
 class TestSimulatorMicro:
-    def test_event_dispatch_rate(self, benchmark):
+    @pytest.mark.parametrize("queue_cls", (CalendarEventQueue, HeapEventQueue))
+    def test_event_dispatch_rate(self, benchmark, queue_cls):
         def run_10k_events():
-            sim = Simulation()
+            sim = Simulation(event_queue=queue_cls())
             remaining = [10_000]
 
             def tick():

@@ -10,26 +10,20 @@ Commands:
   print latency/message summaries — see ``docs/OBSERVABILITY.md``;
 * ``chaos``       — seeded fault-scenario sweep with safety/liveness
   invariant checking across the ICC variants — see ``docs/FAULTS.md``;
+* ``report``      — metrics + critical-path report for a seeded run suite
+  (``--live`` for a collected live run) — see ``docs/OBSERVABILITY.md``;
 * ``load``        — batched load harness: sweep offered load and chart the
-  throughput-vs-latency saturation curve at n=13/31/100 (``--bench`` for
-  the BENCH_load legs) — see ``docs/LOAD.md``;
+  throughput-vs-latency saturation curve at n=13/31/100 — see
+  ``docs/LOAD.md``;
 * ``shard``       — multi-subnet sharding harness: K embedded clusters over
-  certified xnet streams, aggregate-throughput-vs-K sweep (``--bench`` for
-  the BENCH_shard legs) — see ``docs/SHARDING.md``;
-* ``bench``       — crypto fast-path benchmark (single vs batch verification
-  throughput per primitive) — see ``docs/PERFORMANCE.md``;
-* ``profile``     — hot-path profile harness: per-crypto-backend batch
-  verification, heap-vs-calendar event queue,
-  whole-run bit-identity checks (``--cprofile`` for function-level
-  hotspots) — see ``docs/PERFORMANCE.md``;
-* ``bench-runner`` — experiment-suite wall-clock benchmark (serial vs
-  parallel runner, setup-cache hit rates) — see ``docs/PERFORMANCE.md``;
+  certified xnet streams, aggregate-throughput-vs-K sweep — see
+  ``docs/SHARDING.md``;
 * ``serve``       — one live protocol party over real TCP (the per-process
   binary ``live`` spawns; config file names peers/ports/keys) — see
   ``docs/TRANSPORT.md``;
 * ``live``        — orchestrate an n-party localhost TCP cluster, drive
   client load through the batching pipeline, record wall-clock
-  finalization (``--bench`` for the BENCH_live leg, ``--check`` for the
+  finalization (``--json PATH`` for the run summary, ``--check`` for the
   CI smoke leg, ``--trace-dir DIR`` to trace every process and collect
   the run) — see ``docs/TRANSPORT.md``;
 * ``collect``     — merge a live run's per-process traces/meters: align
@@ -40,11 +34,19 @@ Commands:
   render a per-party metrics table (height, pool depth, backlog,
   reconnects, request percentiles) — see ``docs/OBSERVABILITY.md``;
 * ``versions``    — substrate self-check (group parameters, codec, sizes).
+
+Performance is measured by ``python3 bench/run.py`` (``BENCHMARK.json``,
+``docs/PERFORMANCE.md``), not by a subcommand.  ``experiments``,
+``report``, ``load`` and ``shard`` declare their flags in their own
+module (``add_arguments(parser)``) next to the ``run(args) -> int`` that
+reads them; :func:`_mount` hands each its subparser, so a flag has one
+declaration and one default.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 
 
@@ -83,17 +85,6 @@ def _cmd_table1(args: argparse.Namespace) -> None:
     from repro.experiments import table1
 
     table1.main(duration=300.0 if args.full else 60.0)
-
-
-def _cmd_experiments(args: argparse.Namespace) -> None:
-    from repro.experiments import run_all
-
-    argv = ["--quick"] if args.quick else []
-    if args.trace is not None:
-        argv += ["--trace", args.trace]
-    if args.jobs is not None:
-        argv += ["--jobs", str(args.jobs)]
-    run_all.main(argv)
 
 
 def _cmd_trace(args: argparse.Namespace) -> None:
@@ -174,134 +165,6 @@ def _cmd_chaos(args: argparse.Namespace) -> None:
         sys.exit(1)
 
 
-def _cmd_report(args: argparse.Namespace) -> None:
-    if args.suite:
-        from repro.experiments import report
-
-        argv = [args.output or "EXPERIMENTS-generated.md"]
-        if args.quick:
-            argv.append("--quick")
-        report.main(argv)
-        return
-    from repro.experiments import run_report
-
-    argv = [args.output or "REPORT.md"]
-    for flag, value in (
-        ("--protocol", args.protocol),
-        ("--n", args.n),
-        ("--t", args.t),
-        ("--delta", args.delta),
-        ("--rounds", args.rounds),
-        ("--seed", args.seed),
-        ("--jobs", args.jobs),
-        ("--trace-dir", args.trace_dir),
-    ):
-        if value is not None:
-            argv += [flag, str(value)]
-    if args.runs is not None:
-        argv += ["--runs", str(args.runs)]
-    for flag, on in (
-        ("--quick", args.quick),
-        ("--load", args.load),
-        ("--html", args.html),
-        ("--live", args.live),
-    ):
-        if on:
-            argv.append(flag)
-    status = run_report.main(argv)
-    if status:
-        sys.exit(status)
-
-
-def _cmd_load(args: argparse.Namespace) -> None:
-    from repro.experiments import load
-
-    argv = ["--ns", args.ns, "--loads", args.loads,
-            "--duration", str(args.duration), "--batch-max", str(args.batch_max),
-            "--auth", args.auth, "--seed", str(args.seed),
-            "--jobs", str(args.jobs)]
-    if args.bench:
-        argv.append("--bench")
-    if args.json is not None:
-        argv += ["--json", args.json]
-    if args.quick:
-        argv.append("--quick")
-    if args.check:
-        argv.append("--check")
-    status = load.main(argv)
-    if status:
-        sys.exit(status)
-
-
-def _cmd_shard(args: argparse.Namespace) -> None:
-    from repro.experiments import sharding
-
-    argv = ["--ks", args.ks, "--n", str(args.n),
-            "--offered", str(args.offered), "--xfrac", str(args.xfrac),
-            "--duration", str(args.duration), "--seed", str(args.seed),
-            "--jobs", str(args.jobs)]
-    if args.bench:
-        argv.append("--bench")
-    if args.json is not None:
-        argv += ["--json", args.json]
-    if args.quick:
-        argv.append("--quick")
-    if args.check:
-        argv.append("--check")
-    status = sharding.main(argv)
-    if status:
-        sys.exit(status)
-
-
-def _cmd_bench(args: argparse.Namespace) -> None:
-    from repro.experiments import crypto_bench
-
-    argv = ["--profile", args.profile, "--batch-size", str(args.batch_size),
-            "--seed", str(args.seed)]
-    if args.json is not None:
-        argv += ["--json", args.json]
-    if args.quick:
-        argv.append("--quick")
-    if args.check:
-        argv.append("--check")
-    status = crypto_bench.main(argv)
-    if status:
-        sys.exit(status)
-
-
-def _cmd_profile(args: argparse.Namespace) -> None:
-    from repro.experiments import profile_hotpath
-
-    argv = ["--profile", args.profile, "--batch-size", str(args.batch_size),
-            "--seed", str(args.seed)]
-    if args.json is not None:
-        argv += ["--json", args.json]
-    if args.quick:
-        argv.append("--quick")
-    if args.cprofile:
-        argv.append("--cprofile")
-    if args.check:
-        argv.append("--check")
-    status = profile_hotpath.main(argv)
-    if status:
-        sys.exit(status)
-
-
-def _cmd_bench_runner(args: argparse.Namespace) -> None:
-    from repro.experiments import runner_bench
-
-    argv = ["--jobs", str(args.jobs)] if args.jobs is not None else []
-    if args.json is not None:
-        argv += ["--json", args.json]
-    if args.quick:
-        argv.append("--quick")
-    if args.check:
-        argv.append("--check")
-    status = runner_bench.main(argv)
-    if status:
-        sys.exit(status)
-
-
 def _cmd_versions(args: argparse.Namespace) -> None:
     import repro
     from repro.crypto.group import default_group, test_group
@@ -341,6 +204,21 @@ def _cmd_top(args: argparse.Namespace) -> None:
     sys.exit(top(args))
 
 
+def _mount(parser: argparse.ArgumentParser, module_name: str) -> None:
+    """Make ``parser`` the subcommand implemented by ``module_name``: the
+    module's ``add_arguments`` declares the flags, its ``run(args) -> int``
+    is the command and a non-zero return value the exit status."""
+    module = importlib.import_module(module_name)
+    module.add_arguments(parser)
+
+    def command(args: argparse.Namespace) -> None:
+        status = module.run(args)
+        if status:
+            sys.exit(status)
+
+    parser.set_defaults(func=command)
+
+
 def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -360,16 +238,7 @@ def main(argv: list[str] | None = None) -> None:
     table1.set_defaults(func=_cmd_table1)
 
     experiments = sub.add_parser("experiments", help="run the full evaluation")
-    experiments.add_argument("--quick", action="store_true")
-    experiments.add_argument(
-        "--trace", metavar="DIR", default=None,
-        help="export one trace JSONL per ICC run into DIR",
-    )
-    experiments.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="worker processes for the simulation suite (default: all cores)",
-    )
-    experiments.set_defaults(func=_cmd_experiments)
+    _mount(experiments, "repro.experiments.run_all")
 
     trace = sub.add_parser(
         "trace", help="trace a simulation and summarize the event stream"
@@ -426,179 +295,20 @@ def main(argv: list[str] | None = None) -> None:
         "report",
         help="metrics + critical-path report for a seeded run suite",
     )
-    report.add_argument(
-        "output", nargs="?", default=None,
-        help="output path (default REPORT.md; EXPERIMENTS-generated.md "
-        "with --suite)",
-    )
-    report.add_argument(
-        "--quick", action="store_true", help="tiny single-run report (CI smoke)"
-    )
-    report.add_argument(
-        "--suite", action="store_true",
-        help="legacy suite-wide evaluation report instead",
-    )
-    report.add_argument(
-        "--protocol", choices=["icc0", "icc1", "icc2"], default=None
-    )
-    report.add_argument("--n", type=int, default=None)
-    report.add_argument("--t", type=int, default=None)
-    report.add_argument("--delta", type=float, default=None)
-    report.add_argument("--rounds", type=int, default=None)
-    report.add_argument(
-        "--runs", type=int, default=None, help="seeded runs to aggregate"
-    )
-    report.add_argument("--seed", type=int, default=None, help="base seed")
-    report.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="worker processes for the run suite",
-    )
-    report.add_argument(
-        "--trace-dir", metavar="DIR", default=None,
-        help="keep traces and metrics.json here (temp dir otherwise)",
-    )
-    report.add_argument(
-        "--load", action="store_true",
-        help="render from an existing --trace-dir without simulating",
-    )
-    report.add_argument(
-        "--html", action="store_true", help="write self-contained HTML"
-    )
-    report.add_argument(
-        "--live", action="store_true",
-        help="render the live-cluster latency breakdown from a collected "
-             "run directory (--trace-dir) instead of simulating",
-    )
-    report.set_defaults(func=_cmd_report)
+    _mount(report, "repro.experiments.run_report")
 
     load = sub.add_parser(
         "load",
         help="batched load harness: throughput-vs-latency saturation sweep",
     )
-    load.add_argument(
-        "--ns", default=",".join(str(n) for n in (13, 31, 100)),
-        help="comma-separated subnet sizes to sweep",
-    )
-    load.add_argument(
-        "--loads", default="250,1000,2000,4000",
-        help="comma-separated offered loads (requests/second)",
-    )
-    load.add_argument("--duration", type=float, default=4.0,
-                      help="arrival window per point (simulated seconds)")
-    load.add_argument("--batch-max", type=int, default=256,
-                      help="load requests packed per block")
-    load.add_argument("--auth", choices=["fast", "real"], default="fast",
-                      help="client authenticator backend")
-    load.add_argument("--seed", type=int, default=1)
-    load.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes (results identical at any N)",
-    )
-    load.add_argument(
-        "--bench", action="store_true",
-        help="run the BENCH_load legs instead of the sweep",
-    )
-    load.add_argument("--json", metavar="PATH", default=None,
-                      help="write the bench report as JSON (implies --bench)")
-    load.add_argument("--quick", action="store_true",
-                      help="short wall-clock timing windows (CI smoke)")
-    load.add_argument(
-        "--check", action="store_true",
-        help="with --bench: fail unless batching wins and request sets match",
-    )
-    load.set_defaults(func=_cmd_load)
+    _mount(load, "repro.experiments.load")
 
     shard = sub.add_parser(
         "shard",
         help="multi-subnet sharding harness: aggregate throughput vs K "
              "over certified xnet streams",
     )
-    shard.add_argument(
-        "--ks", default="1,2,4",
-        help="comma-separated shard counts to sweep",
-    )
-    shard.add_argument("--n", type=int, default=4, help="parties per shard")
-    shard.add_argument("--offered", type=float, default=200.0,
-                       help="offered load per shard (requests/second)")
-    shard.add_argument("--xfrac", type=float, default=0.0,
-                       help="fraction of requests addressed cross-shard")
-    shard.add_argument("--duration", type=float, default=2.0,
-                       help="arrival window (simulated seconds)")
-    shard.add_argument("--seed", type=int, default=0)
-    shard.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes (results identical at any N)",
-    )
-    shard.add_argument(
-        "--bench", action="store_true",
-        help="run the BENCH_shard legs instead of the sweep",
-    )
-    shard.add_argument("--json", metavar="PATH", default=None,
-                       help="write the bench report as JSON (implies --bench)")
-    shard.add_argument("--quick", action="store_true",
-                       help="accepted for CI symmetry; all legs are simulated")
-    shard.add_argument(
-        "--check", action="store_true",
-        help="fail unless goodput scales with K, the cross-shard penalty "
-             "is reported, forged streams are rejected, and "
-             "serial == parallel",
-    )
-    shard.set_defaults(func=_cmd_shard)
-
-    bench = sub.add_parser(
-        "bench", help="crypto fast-path benchmark (single vs batch verification)"
-    )
-    bench.add_argument("--json", metavar="PATH", default=None)
-    bench.add_argument(
-        "--profile", choices=["test", "default", "strong"], default="default"
-    )
-    bench.add_argument("--batch-size", type=int, default=32)
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--quick", action="store_true", help="short timing windows")
-    bench.add_argument(
-        "--check", action="store_true",
-        help="fail unless batch >= single throughput for every primitive",
-    )
-    bench.set_defaults(func=_cmd_bench)
-
-    profile = sub.add_parser(
-        "profile",
-        help="hot-path profile: crypto backends, event queues",
-    )
-    profile.add_argument("--json", metavar="PATH", default=None)
-    profile.add_argument(
-        "--profile", choices=["test", "default", "strong"], default="default"
-    )
-    profile.add_argument("--batch-size", type=int, default=32)
-    profile.add_argument("--seed", type=int, default=0)
-    profile.add_argument("--quick", action="store_true", help="short timing windows")
-    profile.add_argument(
-        "--cprofile", action="store_true",
-        help="print cProfile hotspots of one representative deployment",
-    )
-    profile.add_argument(
-        "--check", action="store_true",
-        help="fail unless results are bit-identical and the fast paths win",
-    )
-    profile.set_defaults(func=_cmd_profile)
-
-    bench_runner = sub.add_parser(
-        "bench-runner",
-        help="experiment-suite benchmark (serial vs parallel runner)",
-    )
-    bench_runner.add_argument("--json", metavar="PATH", default=None)
-    bench_runner.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="parallel job count to benchmark (default: all cores)",
-    )
-    bench_runner.add_argument(
-        "--quick", action="store_true", help="trimmed suite (seconds, not minutes)"
-    )
-    bench_runner.add_argument(
-        "--check", action="store_true",
-        help="fail if the parallel runner is slower than serial beyond noise",
-    )
-    bench_runner.set_defaults(func=_cmd_bench_runner)
+    _mount(shard, "repro.experiments.sharding")
 
     serve = sub.add_parser(
         "serve",
@@ -662,12 +372,10 @@ def main(argv: list[str] | None = None) -> None:
              "verify liveness + the prefix property",
     )
     live.add_argument(
-        "--bench", action="store_true",
-        help="write the run's summary as the BENCH_live.json snapshot "
-             "(traces the run to compute the latency breakdown)",
+        "--json", metavar="PATH", default=None,
+        help="write the run's summary JSON here (traces the run to "
+             "compute the latency breakdown)",
     )
-    live.add_argument("--json", metavar="PATH", default=None,
-                      help="write the summary JSON here as well")
     live.add_argument(
         "--trace-dir", metavar="DIR", default=None,
         help="trace every process into DIR and collect the run afterwards "

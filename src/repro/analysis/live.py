@@ -16,8 +16,9 @@ Because stage boundaries come from *different processes' clocks*, every
 number carries the run's clock-alignment uncertainty; the report and the
 consistency line annotate it.  Spans still telescope exactly (clamping
 guarantees it), so the identity "stage sums == finalization latency"
-remains checkable — that check plus a reported uncertainty is the
-``live_latency_breakdown`` correctness bit gated in ``BENCH_live.json``.
+remains checkable: ``live_latency_breakdown`` reports it as
+``spans_telescope`` next to the uncertainty, and ``repro collect --check``
+fails without it.
 """
 
 from __future__ import annotations
@@ -86,10 +87,10 @@ def live_latency_breakdown(
     clock_uncertainty: float = 0.0,
     tick: float = TICK,
 ) -> dict:
-    """The BENCH_live latency-breakdown block: per-stage means over the
-    collected run plus the two correctness bits the bench gate checks —
-    spans telescope to measured finalization latency (within ``tick``)
-    and a finite clock-uncertainty bound is reported."""
+    """The latency-breakdown block of a live run's summary: per-stage means
+    over the collected run plus two correctness bits — spans telescope to
+    measured finalization latency within ``tick`` (what ``collect --check``
+    tests) and a finite clock-uncertainty bound is reported."""
     paths = live_critical_paths(events, quorum)
     residuals = [
         abs(path.total - (path.finalized - path.entered)) for path in paths

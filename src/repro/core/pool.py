@@ -19,7 +19,10 @@ may make a whole subtree of buffered children valid).
 Every message is verified in ``add``, except that a share whose aggregate is
 already held (notarization, finalization or beacon value) is dropped unverified
 and counted as ``superseded``.  That is safe because a share is only ever read
-to build the aggregate that already exists.
+to build the aggregate that already exists.  An authenticator or share must
+also claim the round and proposer of the block whose hash it carries: one that
+does not is dropped as invalid, in ``add`` when the block is known and when the
+block arrives otherwise.
 
 The paper presents the pool as append-only and notes that a practical one
 discards what is no longer relevant (Section 3.1).  Two floors, both raised
@@ -72,12 +75,16 @@ class PoolStats:
     buffered_beacon_shares: int = 0
 
 
-def _names(auth: Authenticator, block: Block) -> bool:
-    """Whether ``auth`` is an authenticator *for* ``block``.  The signature
-    covers the round and proposer the authenticator claims, so one that
-    claims another round is validly signed and still not about this block;
-    accepting it would let its signer choose at which prune floor it goes."""
-    return (auth.block_hash, auth.round, auth.proposer) == (
+def _names(
+    artifact: Authenticator | NotarizationShare | FinalizationShare, block: Block
+) -> bool:
+    """Whether ``artifact`` is *about* ``block``.  The signature covers the
+    round and proposer the artifact claims, so one that claims another round
+    is validly signed and still not about this block: accepting it would let
+    its signer choose at which prune floor it goes, and a share over another
+    message counts towards the quorum and then spoils the aggregate combined
+    from it."""
+    return (artifact.block_hash, artifact.round, artifact.proposer) == (
         block.hash, block.round, block.proposer
     )
 
@@ -206,11 +213,35 @@ class MessagePool:
             del self._authenticators[h]
             self._authentic.discard(h)
             self.stats.invalid_dropped += 1
+        self._drop_misnamed_shares(block)
         self.blocks[h] = block
         self._blocks_by_round[block.round].add(h)
         self._children[block.parent_hash].add(h)
         self._try_validate(h)
         return True
+
+    def _drop_misnamed_shares(self, block: Block) -> None:
+        """Shares that arrived before ``block`` were stored under its hash
+        unchecked against it: drop those that claim another round or proposer."""
+        for by_block in (self._notar_shares, self._final_shares):
+            shares = by_block.get(block.hash)
+            if not shares:
+                continue
+            lying = [i for i, s in shares.items() if not _names(s, block)]
+            for signer in lying:
+                del shares[signer]
+            self.stats.invalid_dropped += len(lying)
+            if lying and by_block is self._final_shares:
+                self._recount_final_activity()
+
+    def _recount_final_activity(self) -> None:
+        """Rebuild the index from storage: the slow path, taken only when a
+        share leaves other than through a floor."""
+        rounds = {self.blocks[h].round for h in self._finalized if h != ROOT_HASH}
+        rounds.update(
+            s.round for shares in self._final_shares.values() for s in shares.values()
+        )
+        self._final_activity = {r for r in rounds if r > self._committed_floor}
 
     def _add_authenticator(self, auth: Authenticator) -> bool:
         if auth.block_hash in self._authentic:
@@ -236,6 +267,10 @@ class MessagePool:
             return False
         if share.signer in self._notar_shares[h]:
             self.stats.duplicates += 1
+            return False
+        block = self.blocks.get(h)
+        if block is not None and not _names(share, block):
+            self.stats.invalid_dropped += 1
             return False
         if self._keys.share_index(share.share) != share.signer:
             self.stats.invalid_dropped += 1
@@ -268,6 +303,10 @@ class MessagePool:
             return False
         if share.signer in self._final_shares[h]:
             self.stats.duplicates += 1
+            return False
+        block = self.blocks.get(h)
+        if block is not None and not _names(share, block):
+            self.stats.invalid_dropped += 1
             return False
         if self._keys.share_index(share.share) != share.signer:
             self.stats.invalid_dropped += 1
@@ -514,6 +553,7 @@ class MessagePool:
         if not self._keys.verify_notary(signed_notz, notarization.aggregate):
             return False
         h = block.hash
+        self._drop_misnamed_shares(block)
         self.blocks[h] = block
         self._blocks_by_round[block.round].add(h)
         self._children[block.parent_hash].add(h)

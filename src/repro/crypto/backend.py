@@ -1,6 +1,6 @@
 """Pluggable modular-exponentiation backends for the discrete-log substrate.
 
-Profiling (see ``python -m repro profile`` and docs/PERFORMANCE.md) shows
+Profiling (``sim_n7_real`` of ``bench/run.py``, docs/PERFORMANCE.md) shows
 that at realistic group sizes nearly all crypto wall-clock time is modular
 exponentiation.  This module makes the modexp primitive a *selectable
 backend* so optimizations land as alternatives that can be benchmarked

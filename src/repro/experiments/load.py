@@ -7,26 +7,17 @@ load until block capacity (``batch_max`` requests every 2δ round), then
 flattens while latency climbs and admission control starts shedding — the
 scaling story docs/LOAD.md walks through.
 
-Two entry points share this module:
-
-* the **sweep** (default CLI mode, parallelized via
-  :mod:`repro.experiments.runner` with one ``load.run_point`` spec per
-  (n, offered) cell);
-* the **bench** (``--bench``), which backs the committed
-  ``BENCH_load.json`` snapshot gated by ``tools/bench_gate.py``:
-  a *deterministic, simulated* batching-gain leg (goodput with batching
-  vs a one-request-per-block baseline — simulation time, so the ratio is
-  bit-identical on every machine), a wall-clock batch-authentication leg
-  (RLC batch verify vs the per-item oracle, same shape as
-  ``crypto_bench``), and a batched-vs-unbatched request-set equality
-  check (order-insensitive digests must match).
+The sweep is parallelized via :mod:`repro.experiments.runner` with one
+``load.run_point`` spec per (n, offered) cell.  Every number is simulated
+time, so a point is bit-identical on every machine:
+``tests/experiments/test_load.py`` pins the batching gain (goodput at
+``batch_max`` 64 vs one request per block) and the equality of the batched
+and unbatched committed request sets exactly.
 """
 
 from __future__ import annotations
 
-import json
 import sys
-import time
 from dataclasses import dataclass
 
 from ..core.cluster import ClusterConfig, build_cluster
@@ -190,104 +181,12 @@ def tabulate(specs: list[runner.RunSpec], results: list[LoadPoint]) -> list[Load
     return results
 
 
-# ---------------------------------------------------------------------- bench
-
-
-def _throughput(fn, items_per_call: int, min_seconds: float) -> float:
-    """Call ``fn`` until ``min_seconds`` elapse; return items/second."""
-    fn()  # warm-up: tables and memos populate outside the clock
-    calls = 0
-    start = time.perf_counter()
-    deadline = start + min_seconds
-    while True:
-        fn()
-        calls += 1
-        now = time.perf_counter()
-        if now >= deadline:
-            return calls * items_per_call / (now - start)
-
-
-#: Fixed config for the simulated bench legs.  Deliberately tiny — and
-#: deliberately *identical* in --quick and full runs: the legs measure
-#: simulation time, which is bit-identical on every machine, so the CI
-#: quick pass reproduces the committed numbers exactly.
-_SIM_LEG = dict(n=4, duration=2.0, drain=1.0, delta=0.05, payload_bytes=64)
-
-
-def bench(seed: int = 0, min_seconds: float = 0.4) -> dict:
-    """Produce the ``BENCH_load.json`` report (see module docstring)."""
-    # Leg 1 (simulated, deterministic): goodput with batching vs the
-    # one-request-per-block baseline at an offered load far above the
-    # baseline's capacity (1 request per 2δ round = 10/s here).
-    offered = 400.0
-    batched = run_point(offered=offered, seed=seed, batch_max=64, **_SIM_LEG)
-    unbatched = run_point(offered=offered, seed=seed, batch_max=1, **_SIM_LEG)
-    sim_leg = {
-        "offered_per_sec": offered,
-        "batched_goodput": batched.goodput,
-        "unbatched_goodput": unbatched.goodput,
-        "batching_gain": round(batched.goodput / unbatched.goodput, 2),
-    }
-
-    # Leg 2 (simulated, deterministic): batched and unbatched runs at a
-    # load both can finish must finalize the *same request set*.
-    low = 8.0
-    set_a = run_point(offered=low, seed=seed, batch_max=64, **_SIM_LEG)
-    set_b = run_point(offered=low, seed=seed, batch_max=1, **_SIM_LEG)
-    request_sets_match = (
-        set_a.digest == set_b.digest and set_a.committed == set_a.submitted
-    )
-
-    # Leg 3 (wall clock): batch authentication amortization — RLC batch
-    # verify of client Schnorr signatures vs the per-item oracle.
-    from ..crypto import fastpath
-    from ..crypto.api import verifiers_for
-    from ..workloads.batching import RealClientAuth, signed_message
-
-    auth = RealClientAuth(seed=seed, group_profile="test")
-    batch_size = 32
-    # Build the batch directly: one signed request per client.
-    items = []
-    for client in range(batch_size):
-        body = b"bench/load/%d" % client
-        sig = auth.sign(client, 0, client, body)
-        items.append((auth.public(client), signed_message(client, 0, client, body), auth._decode(sig)))
-    suite = verifiers_for(auth.group)
-    auth.warm(batch_size)
-
-    def single() -> None:
-        for pk, message, sig in items:
-            assert fastpath.verify_schnorr_single(auth.group, pk, message, sig)
-
-    def batch_fn() -> None:
-        assert all(suite.schnorr.verify_batch(items))
-
-    single_ops = _throughput(single, batch_size, min_seconds)
-    batch_ops = _throughput(batch_fn, batch_size, min_seconds)
-    auth_leg = {
-        "scheme": "schnorr (client request auth, profile=test)",
-        "batch_size": batch_size,
-        "single_ops_per_sec": round(single_ops, 1),
-        "batch_ops_per_sec": round(batch_ops, 1),
-        "speedup": round(batch_ops / single_ops, 2),
-    }
-
-    return {
-        "benchmark": "load pipeline: batched ingress vs per-request baseline",
-        "seed": seed,
-        "sim": sim_leg,
-        "auth": auth_leg,
-        "request_sets_match": request_sets_match,
-    }
-
-
 # ------------------------------------------------------------------------ CLI
 
 
-def main(argv: list[str] | None = None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(prog="python -m repro load")
+def add_arguments(parser) -> None:
+    """The ``python -m repro load`` flags, declared once (``repro.__main__``
+    hands its subparser here)."""
     parser.add_argument(
         "--ns", default=",".join(str(n) for n in DEFAULT_NS),
         help="comma-separated subnet sizes to sweep",
@@ -296,7 +195,7 @@ def main(argv: list[str] | None = None) -> int:
         "--loads", default=",".join(f"{r:.0f}" for r in DEFAULT_LOADS),
         help="comma-separated offered loads (requests/second)",
     )
-    parser.add_argument("--duration", type=float, default=2.0,
+    parser.add_argument("--duration", type=float, default=4.0,
                         help="arrival window per point (simulated seconds); "
                              "n=100 points cost minutes of wall clock per "
                              "simulated second on one core")
@@ -307,52 +206,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="worker processes (results identical at any N)")
-    parser.add_argument("--bench", action="store_true",
-                        help="run the BENCH_load legs instead of the sweep")
-    parser.add_argument("--json", metavar="PATH", default=None,
-                        help="write the bench report as JSON (implies --bench)")
-    parser.add_argument("--quick", action="store_true",
-                        help="short wall-clock timing windows (CI smoke)")
-    parser.add_argument(
-        "--check", action="store_true",
-        help="with --bench: fail unless batching wins and request sets match",
-    )
-    args = parser.parse_args(argv)
 
-    if args.bench or args.json is not None:
-        report = bench(seed=args.seed, min_seconds=0.05 if args.quick else 0.4)
-        sim, auth = report["sim"], report["auth"]
-        print(
-            f"simulated batching gain: {sim['batching_gain']:.2f}x "
-            f"({sim['batched_goodput']:.0f}/s batched vs "
-            f"{sim['unbatched_goodput']:.0f}/s unbatched at "
-            f"{sim['offered_per_sec']:.0f}/s offered)"
-        )
-        print(
-            f"batch auth speedup: {auth['speedup']:.2f}x "
-            f"({auth['batch_ops_per_sec']:.1f} vs "
-            f"{auth['single_ops_per_sec']:.1f} ops/s, "
-            f"batch={auth['batch_size']})"
-        )
-        print(f"request sets match: {report['request_sets_match']}")
-        if args.json is not None:
-            with open(args.json, "w", encoding="utf-8") as handle:
-                json.dump(report, handle, indent=2)
-                handle.write("\n")
-            print(f"wrote {args.json}")
-        if args.check:
-            failures = []
-            if sim["batching_gain"] < 1.0:
-                failures.append("batching loses to the per-request baseline")
-            if auth["speedup"] < 1.0:
-                failures.append("batch authentication slower than per-item")
-            if not report["request_sets_match"]:
-                failures.append("batched and unbatched request sets differ")
-            if failures:
-                print("FAIL: " + "; ".join(failures), file=sys.stderr)
-                return 1
-        return 0
 
+def run(args) -> int:
     ns = tuple(int(x) for x in args.ns.split(",") if x.strip())
     loads = tuple(float(x) for x in args.loads.split(",") if x.strip())
     suite = specs(
@@ -365,6 +221,14 @@ def main(argv: list[str] | None = None) -> int:
     )
     tabulate(suite, runner.execute(suite, jobs=args.jobs))
     return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    import argparse
+
+    parser = argparse.ArgumentParser(prog="python -m repro load")
+    add_arguments(parser)
+    return run(parser.parse_args(argv))
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -36,11 +36,9 @@ from . import (
 )
 
 
-def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
-    parser = argparse.ArgumentParser(
-        prog="repro.experiments.run_all",
-        description="Run every experiment and print the paper's tables.",
-    )
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    """The ``python -m repro experiments`` flags, declared once
+    (``repro.__main__`` hands its subparser here)."""
     parser.add_argument(
         "--quick",
         action="store_true",
@@ -59,7 +57,6 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
         metavar="N",
         help="worker processes for the simulation suite (default: all cores)",
     )
-    return parser.parse_args(argv)
 
 
 def suite(quick: bool) -> list[tuple[object, list[runner.RunSpec]]]:
@@ -74,8 +71,7 @@ def suite(quick: bool) -> list[tuple[object, list[runner.RunSpec]]]:
     ]
 
 
-def main(argv: list[str] | None = None) -> None:
-    args = parse_args(argv)
+def run(args: argparse.Namespace) -> int:
     jobs = args.jobs if args.jobs is not None else runner.default_jobs()
 
     groups = suite(args.quick)
@@ -108,6 +104,16 @@ def main(argv: list[str] | None = None) -> None:
         ablations.tabulate(*sliced[ablations])
     finally:
         flush_pending_trace()
+    return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(
+        prog="repro.experiments.run_all",
+        description="Run every experiment and print the paper's tables.",
+    )
+    add_arguments(parser)
+    return run(parser.parse_args(argv))
 
 
 if __name__ == "__main__":

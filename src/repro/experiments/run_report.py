@@ -17,8 +17,6 @@ renders one self-contained Markdown (or HTML) report combining:
 The trace files and the merged ``metrics.json`` are left in
 ``--trace-dir`` (a temporary directory otherwise), and a previously
 written directory can be re-rendered without simulating via ``--load``.
-The legacy suite-wide report (EXPERIMENTS-generated.md) remains
-available behind ``--suite``.
 """
 
 from __future__ import annotations
@@ -508,11 +506,9 @@ def build_report(args) -> str:
             tmp.cleanup()
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro report",
-        description="per-run metrics / critical-path report",
-    )
+def add_arguments(parser) -> None:
+    """The ``python -m repro report`` flags, declared once
+    (``repro.__main__`` hands its subparser here)."""
     parser.add_argument("output", nargs="?", default="REPORT.md")
     parser.add_argument("--quick", action="store_true",
                         help="tiny single-run ICC1 report (CI smoke)")
@@ -525,22 +521,34 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--runs", type=int, default=3,
                         help="number of seeded runs to aggregate")
     parser.add_argument("--seed", type=int, default=0, help="base seed")
-    parser.add_argument("--jobs", type=int, default=None,
+    parser.add_argument("--jobs", type=int, default=None, metavar="N",
                         help="runner worker processes")
     parser.add_argument("--trace-dir", default=None, metavar="DIR",
-                        help="keep traces + metrics.json here")
+                        help="keep traces + metrics.json here (temp dir "
+                             "otherwise)")
     parser.add_argument("--load", action="store_true",
                         help="render from an existing --trace-dir, no runs")
     parser.add_argument("--html", action="store_true",
                         help="write a self-contained HTML page instead")
     parser.add_argument("--live", action="store_true",
-                        help="render a collected live run (--trace-dir) "
+                        help="render the live-cluster latency breakdown from "
+                             "a collected run directory (--trace-dir) "
                              "instead of simulating")
-    args = parser.parse_args(argv)
 
+
+def run(args) -> int:
     markdown = build_live_report(args) if args.live else build_report(args)
     content = to_html(markdown) if args.html else markdown
     with open(args.output, "w") as fh:
         fh.write(content)
     print(f"wrote {args.output}")
     return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro report",
+        description="per-run metrics / critical-path report",
+    )
+    add_arguments(parser)
+    return run(parser.parse_args(argv))

@@ -7,25 +7,18 @@ aggregate finalized-request throughput scales with K and what latency
 penalty cross-shard requests pay for their extra consensus hop plus
 stream transfer.
 
-Two entry points share this module:
-
-* the **sweep** (default CLI mode): one ``shard.run_deployment`` spec per
-  K, fanned across the parallel runner's process pool — whole
-  deployments are the unit of work, and results are bit-identical at any
-  ``--jobs`` because every deployment is internally deterministic;
-* the **bench** (``--bench``), which backs the committed
-  ``BENCH_shard.json`` snapshot gated by ``tools/bench_gate.py``.  Every
-  leg is *simulated and deterministic* (fixed delays, hash-MAC auth,
-  seeded populations), so CI reproduces the committed numbers exactly:
-  a scaling leg (goodput at K = 1/2/4, must be monotone), a cross-shard
-  leg (latency penalty at K = 2, xfrac = 0.25), a stream-certification
-  leg (a forged envelope must be dropped and counted), and a
-  serial-vs-parallel identity check through the runner.
+One ``shard.run_deployment`` spec per K is fanned across the parallel
+runner's process pool — whole deployments are the unit of work, and
+results are bit-identical at any ``--jobs`` because every deployment is
+internally deterministic (fixed delays, hash-MAC auth, seeded
+populations).  ``tests/smr/test_sharding.py`` pins the numbers exactly:
+goodput at K = 1/2/4, the cross-shard latency penalty at K = 2 with a
+quarter of the traffic crossing, and the rejection of a forged stream
+envelope.
 """
 
 from __future__ import annotations
 
-import json
 import sys
 
 from ..smr.sharding import ShardResult, ShardSpec, ShardedDeployment
@@ -128,86 +121,12 @@ def tabulate(
     return results
 
 
-# ---------------------------------------------------------------------- bench
-
-#: Fixed config for the bench legs.  Deliberately tiny — and deliberately
-#: *identical* in --quick and full runs: every leg measures simulation
-#: time, which is bit-identical on every machine, so the CI quick pass
-#: reproduces the committed numbers exactly.
-_BENCH_LEG = dict(n=4, offered=200.0, duration=2.0, delta=0.05)
-
-
-def bench(seed: int = 0, jobs: int = 2) -> dict:
-    """Produce the ``BENCH_shard.json`` report (see module docstring)."""
-    # Leg 1 (simulated, deterministic): aggregate goodput at K = 1/2/4
-    # with purely local traffic — the headline scaling claim.
-    ks = list(DEFAULT_KS)
-    by_k = {
-        k: run_deployment(shards=k, xfrac=0.0, seed=seed, **_BENCH_LEG) for k in ks
-    }
-    goodputs = [by_k[k].goodput for k in ks]
-    scaling = {
-        "ks": ks,
-        "goodput_by_k": {str(k): by_k[k].goodput for k in ks},
-        "scaling_gain": round(goodputs[-1] / goodputs[0], 2),
-        "monotonic": all(a < b for a, b in zip(goodputs, goodputs[1:])),
-    }
-
-    # Leg 2 (simulated, deterministic): the cross-shard latency penalty —
-    # origin finalization + certified transfer + destination finalization
-    # vs a single local commit.
-    cross = run_deployment(shards=2, xfrac=0.25, seed=seed, **_BENCH_LEG)
-    cross_leg = {
-        "xfrac": 0.25,
-        "cross_committed": cross.committed_cross,
-        "mean_local_latency": round(cross.mean_local_latency, 6),
-        "mean_cross_latency": round(cross.mean_cross_latency, 6),
-        "latency_penalty": round(cross.latency_penalty, 2),
-        "transfers": cross.transfers,
-        "rejected": cross.rejected,
-    }
-
-    # Leg 3 (deterministic): stream certification at ingress — a forged
-    # cross-shard envelope must be dropped and counted, never delivered.
-    from ..smr.xnet import XNET_STREAM_VERSION, StreamMessage
-
-    probe = ShardedDeployment(ShardSpec(shards=2, n=4, seed=seed))
-    forged = StreamMessage(
-        version=XNET_STREAM_VERSION,
-        source="shard0",
-        destination="shard1",
-        seq=0,
-        cert=b"\x00" * 32,
-        body=b"forged cross-shard command",
-    )
-    delivered = probe.xnet.ingress(forged)
-    forged_rejected = (not delivered) and probe.xnet.rejected == 1
-
-    # Leg 4 (deterministic): serial-vs-parallel identity through the
-    # runner — the same K=2 deployment spec executed in this process and
-    # across worker processes must produce byte-identical results.
-    suite = specs(ks=(2,), xfrac=0.25, seed=seed)
-    serial = [runner.run_spec(s) for s in suite]
-    parallel = runner.execute(suite, jobs=jobs)
-    results_identical = serial == parallel
-
-    return {
-        "benchmark": "multi-subnet sharding over xnet certified streams",
-        "seed": seed,
-        "scaling": scaling,
-        "cross": cross_leg,
-        "forged_rejected": forged_rejected,
-        "results_identical": results_identical,
-    }
-
-
 # ------------------------------------------------------------------------ CLI
 
 
-def main(argv: list[str] | None = None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(prog="python -m repro shard")
+def add_arguments(parser) -> None:
+    """The ``python -m repro shard`` flags, declared once (``repro.__main__``
+    hands its subparser here)."""
     parser.add_argument(
         "--ks", default=",".join(str(k) for k in DEFAULT_KS),
         help="comma-separated shard counts to sweep",
@@ -223,60 +142,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="worker processes (results identical at any N)")
-    parser.add_argument("--bench", action="store_true",
-                        help="run the BENCH_shard legs instead of the sweep")
-    parser.add_argument("--json", metavar="PATH", default=None,
-                        help="write the bench report as JSON (implies --bench)")
-    parser.add_argument("--quick", action="store_true",
-                        help="accepted for CLI symmetry; every leg is "
-                             "simulated, so quick and full runs are identical")
-    parser.add_argument(
-        "--check", action="store_true",
-        help="fail unless goodput scales monotonically with K, the "
-             "cross-shard penalty is reported, forged streams are "
-             "rejected, and serial == parallel (implies --bench)",
-    )
-    args = parser.parse_args(argv)
 
-    if args.bench or args.check or args.json is not None:
-        report = bench(seed=args.seed, jobs=max(2, args.jobs))
-        scaling, cross = report["scaling"], report["cross"]
-        by_k = ", ".join(
-            f"K={k}: {g:.0f}/s" for k, g in scaling["goodput_by_k"].items()
-        )
-        print(
-            f"scaling: {by_k} (gain {scaling['scaling_gain']:.2f}x, "
-            f"monotonic={scaling['monotonic']})"
-        )
-        print(
-            f"cross-shard penalty: {cross['latency_penalty']:.2f}x "
-            f"({cross['mean_cross_latency'] * 1000:.0f} ms cross vs "
-            f"{cross['mean_local_latency'] * 1000:.0f} ms local, "
-            f"{cross['cross_committed']} cross commits, "
-            f"{cross['rejected']} rejected)"
-        )
-        print(f"forged stream rejected: {report['forged_rejected']}")
-        print(f"serial == parallel: {report['results_identical']}")
-        if args.json is not None:
-            with open(args.json, "w", encoding="utf-8") as handle:
-                json.dump(report, handle, indent=2)
-                handle.write("\n")
-            print(f"wrote {args.json}")
-        if args.check:
-            failures = []
-            if not scaling["monotonic"]:
-                failures.append("goodput does not scale monotonically with K")
-            if not cross["latency_penalty"] or cross["latency_penalty"] < 1.0:
-                failures.append("cross-shard latency penalty missing or < 1")
-            if not report["forged_rejected"]:
-                failures.append("forged stream message was not rejected")
-            if not report["results_identical"]:
-                failures.append("serial and parallel runner results differ")
-            if failures:
-                print("FAIL: " + "; ".join(failures), file=sys.stderr)
-                return 1
-        return 0
 
+def run(args) -> int:
     ks = tuple(int(x) for x in args.ks.split(",") if x.strip())
     suite = specs(
         ks=ks,
@@ -288,6 +156,14 @@ def main(argv: list[str] | None = None) -> int:
     )
     tabulate(suite, runner.execute(suite, jobs=args.jobs))
     return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    import argparse
+
+    parser = argparse.ArgumentParser(prog="python -m repro shard")
+    add_arguments(parser)
+    return run(parser.parse_args(argv))
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -30,8 +30,8 @@ On top of those two substitutions:
   mirroring :func:`repro.core.cluster.embed_cluster` for the simulator);
 * :mod:`repro.net.live` — the ``python -m repro serve`` / ``python -m
   repro live`` entry points: spawn one OS process per party, drive
-  client load through the batching pipeline, record the
-  ``BENCH_live.json`` wall-clock leg.
+  client load through the batching pipeline, report wall-clock
+  finalization.
 
 Fault injection (:meth:`repro.sim.network.Network.install_faults`) is
 **simulator-only**: :class:`TcpNetwork` raises

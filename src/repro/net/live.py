@@ -7,10 +7,9 @@ trace JSONL (``--trace``) and a meter snapshot (``--meter``).  ``live``
 is the orchestrator: allocate ports, write the config, spawn one
 ``serve`` process per party, collect the per-party records, check the
 paper's prefix property across them, and report wall-clock finalization
-results — optionally as the ``BENCH_live.json`` leg that
-:mod:`tools.bench_gate` gates.
+results — optionally as a JSON document (``--json PATH``).
 
-With ``--trace-dir D`` (or ``--bench``/``--json``, which imply tracing)
+With ``--trace-dir D`` (or ``--json``, which implies tracing)
 every process traces into the run directory and the orchestrator
 automatically **collects** the run afterwards
 (:func:`repro.obs.collect_run`): clocks aligned, traces merged, meters
@@ -20,11 +19,11 @@ step standalone.
 
 The quick in-process mode (``--inproc``, implied by ``--check``) runs
 the same protocol/transport stack on one event loop via
-:class:`~repro.net.cluster.LiveCluster` — fast enough for CI smoke runs
-and for :func:`run_live_inproc`, which ``tools/bench_gate.py --live-fresh``
-calls to re-measure the committed snapshot.  Even in-process, each party
-gets its *own* tracer and meter (its own timeline), so collection works
-identically in both modes.
+:class:`~repro.net.cluster.LiveCluster` — fast enough for CI smoke runs.
+Even in-process, each party gets its *own* tracer and meter (its own
+timeline), so collection works identically in both modes.  Wall-clock
+performance of this stack is measured by the ``live_n4_sat`` and
+``live_n4_load`` workloads of ``python3 bench/run.py``, not here.
 """
 
 from __future__ import annotations
@@ -144,7 +143,7 @@ def _prefix_consistent(chains: list[list[str]]) -> bool:
 def summarize(
     config: LiveConfig, results: list[dict], breakdown: dict | None = None
 ) -> dict:
-    """Aggregate per-party serve records into the BENCH_live ``live`` block."""
+    """Aggregate per-party serve records into the summary's ``live`` block."""
     heights = [r["height"] for r in results]
     min_height = min(heights, default=0)
     live_ok = bool(results) and all(r.get("reached_target") for r in results)
@@ -170,8 +169,8 @@ def summarize(
     return block
 
 
-def bench_snapshot(config: LiveConfig, live_block: dict) -> dict:
-    """The full BENCH_live.json document (see docs/PERFORMANCE.md)."""
+def summary_document(config: LiveConfig, live_block: dict) -> dict:
+    """The document ``--json PATH`` writes (see docs/TRANSPORT.md)."""
     return {
         "benchmark": (
             "live TCP transport: localhost cluster, wall-clock finalization"
@@ -240,7 +239,7 @@ def _breakdown_from_tracers(
 
 def run_live_inproc(config: LiveConfig) -> dict:
     """One in-process live run, summarized with its latency breakdown
-    (the bench-gate fresh probe)."""
+    (the ``--check`` leg)."""
     results, tracers, _meters = asyncio.run(_run_inproc(config, observe=True))
     return summarize(config, results, _breakdown_from_tracers(config, tracers))
 
@@ -416,9 +415,9 @@ def live(args) -> int:
     )
     config = dataclasses.replace(config, run_id=_fresh_run_id(config))
     trace_dir = getattr(args, "trace_dir", None)
-    # --bench / --json publish a latency breakdown, which needs traces;
-    # without an explicit --trace-dir they trace into a temp dir.
-    want_trace = bool(trace_dir or args.bench or args.json)
+    # --json publishes a latency breakdown, which needs traces; without
+    # an explicit --trace-dir it traces into a temp dir.
+    want_trace = bool(trace_dir or args.json)
     breakdown: dict | None = None
     if trace_dir:
         os.makedirs(trace_dir, exist_ok=True)
@@ -441,24 +440,18 @@ def live(args) -> int:
             breakdown = _collect_breakdown(config, workdir)
     live_block = summarize(config, results, breakdown)
     _print_summary(config, live_block)
-    snapshot = bench_snapshot(config, live_block)
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(snapshot, fh, indent=1, sort_keys=True)
+            json.dump(summary_document(config, live_block), fh, indent=1, sort_keys=True)
             fh.write("\n")
         print(f"  wrote {args.json}")
-    if args.bench:
-        with open("BENCH_live.json", "w", encoding="utf-8") as fh:
-            json.dump(snapshot, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        print("  wrote BENCH_live.json")
     return 0 if live_block["live_ok"] and live_block["safety_ok"] else 1
 
 
 __all__ = [
-    "bench_snapshot",
     "live",
     "run_live_inproc",
     "serve",
     "summarize",
+    "summary_document",
 ]

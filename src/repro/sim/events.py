@@ -19,8 +19,7 @@ Two implementations share one contract (and one handle/counter substrate):
   :class:`_QueuedEvent` dataclasses, kept as the reference
   implementation: the property tests in ``tests/sim/test_event_queue.py``
   pin that both queues pop identical (time, seq) orders, and
-  ``python -m repro profile`` measures the calendar queue's ops/sec win
-  against it.
+  ``benchmarks/test_micro.py`` times event dispatch under each.
 
 **Ordering correctness of the calendar queue** does not depend on float
 arithmetic being exact.  An event's bucket is a *monotone* function of its

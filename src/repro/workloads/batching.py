@@ -28,7 +28,7 @@ Two authenticator backends mirror the :mod:`repro.crypto.keyring` split:
 :class:`FastClientAuth` is a hash MAC simulation for large-scale load runs,
 :class:`RealClientAuth` signs with per-client Schnorr keys and batch-checks
 through the RLC verifier (the configuration the forged-request tests and
-``BENCH_load.json``'s amortization leg exercise).
+the benchmark's ``live_n4_load`` workload exercise).
 
 Determinism: this module draws **no randomness at all** — signing nonces
 are derived Fiat-Shamir style from the key and message — so installing the

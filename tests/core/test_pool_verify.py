@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core import messages as msg
 from repro.core.messages import BeaconShare, FinalizationShare, NotarizationShare
 from repro.core.pool import MessagePool
 from repro.obs import Tracer
@@ -103,6 +104,97 @@ class TestForgedShareRejectedAtAdd:
         assert not pool.add(forge.notar_share(block, 2))
         assert pool.stats.duplicates == 1
         assert {s.signer for s in pool.notar_shares(block.hash)} == {1, 2}
+
+
+def _lying(forge, kind, block, signer, round=7, proposer=2):
+    """A share validly signed by ``signer`` over another round and proposer,
+    carrying ``block``'s hash."""
+    ring = forge.rings[signer - 1]
+    cls, sign, message = {
+        "notar": (NotarizationShare, ring.sign_notary_share, msg.notarization_message),
+        "final": (FinalizationShare, ring.sign_final_share, msg.finalization_message),
+    }[kind]
+    return cls(
+        round=round, proposer=proposer, block_hash=block.hash, signer=signer,
+        share=sign(message(round, proposer, block.hash)),
+    )
+
+
+class TestShareMustNameItsBlock:
+    """A share's claimed ``(round, proposer)`` is bound to its block's: a
+    validly signed share over another round must not count towards the
+    block's quorum, where it would spoil the aggregate combined from it."""
+
+    @pytest.mark.parametrize("backend", ("fast", "real"))
+    @pytest.mark.parametrize("block_first", (True, False), ids=("block-first", "share-first"))
+    @pytest.mark.parametrize("kind", ("notar", "final"))
+    def test_dropped_and_the_remaining_aggregate_verifies(self, kind, block_first, backend):
+        forge = Forge(seed=7, backend=backend)
+        pool, keys = _counting_pool(forge)
+        block = forge.block()
+        honest = {"notar": forge.notar_share, "final": forge.final_share}[kind]
+        combinable = {
+            "notar": pool.combinable_notarization, "final": pool.combinable_finalization,
+        }[kind]
+        lying = _lying(forge, kind, block, signer=4)
+        if block_first:
+            pool.add(block)
+            assert pool.add(lying) is False
+            assert keys.share_verifications == 0  # before any signature check
+        else:
+            assert pool.add(lying)  # nothing to hold it against yet
+            if kind == "final":
+                assert pool.rounds_with_final_activity() == [7]
+            assert pool.add(block)
+        assert pool.stats.invalid_dropped == 1
+        assert _share_count(pool, kind, block) == 0
+        assert pool.rounds_with_final_activity() == []
+        pool.add(forge.auth(block))
+        assert pool.add(honest(block, 1)) and pool.add(honest(block, 2))
+        assert combinable(1, 3) is None  # two shares, not three
+        assert pool.add(honest(block, 3))
+        assert combinable(1, 3) == block
+        ring = forge.rings[0]
+        message, shares, combine, verify = {
+            "notar": (msg.notarization_message, pool.notar_shares,
+                      ring.combine_notary, ring.verify_notary),
+            "final": (msg.finalization_message, pool.final_shares,
+                      ring.combine_final, ring.verify_final),
+        }[kind]
+        signed = message(block.round, block.proposer, block.hash)
+        assert verify(signed, combine(signed, [s.share for s in shares(block.hash)]))
+
+    def test_honest_share_of_the_same_signer_still_lands(self):
+        forge = Forge()
+        pool = forge.pool()
+        block = forge.block()
+        pool.add(block)
+        assert not pool.add(_lying(forge, "notar", block, signer=4))
+        assert pool.add(forge.notar_share(block, 4))
+        assert {s.signer for s in pool.notar_shares(block.hash)} == {4}
+
+    def test_purge_keeps_other_activity_in_the_claimed_round(self):
+        """The lying round leaves the finalization index only if nothing
+        else is stored there."""
+        forge = Forge()
+        pool = forge.pool()
+        first = forge.block()
+        seventh = forge.block(round=7, proposer=2)
+        assert pool.add(_lying(forge, "final", first, signer=4))
+        assert pool.add(forge.final_share(seventh, 3))
+        assert pool.add(first)
+        assert pool.rounds_with_final_activity() == [7]
+        assert pool.final_share_count(first.hash) == 0
+        assert pool.final_share_count(seventh.hash) == 1
+
+    def test_anchor_install_purges_too(self):
+        forge = Forge()
+        pool = forge.pool()
+        block = forge.block()
+        assert pool.add(_lying(forge, "final", block, signer=4))
+        assert pool.install_anchor(block, forge.auth(block), forge.notarization(block))
+        assert pool.final_share_count(block.hash) == 0
+        assert pool.stats.invalid_dropped == 1
 
 
 class TestSupersededSharesDropped:

@@ -1,4 +1,4 @@
-"""Cross-cutting runs: WAN delays × protocols × crypto backends."""
+"""Cross-cutting runs: WAN delays × protocols × crypto backends × event queues."""
 
 from __future__ import annotations
 
@@ -7,8 +7,11 @@ import pytest
 from repro.core import ClusterConfig, build_cluster
 from repro.core.icc1 import ICC1Party
 from repro.core.icc2 import ICC2Party
+from repro.crypto.backend import available_backends, use_backend
 from repro.gossip import GossipParams, build_overlay
+from repro.sim import FixedDelay, Simulation
 from repro.sim.delays import WanDelay
+from repro.sim.events import HeapEventQueue
 
 
 def wan_config(party="ICC0", n=7, seed=1, backend="fast", max_rounds=10, **overrides):
@@ -83,3 +86,38 @@ class TestRealCryptoBackend:
             cluster.check_safety()
             runs[backend] = [b.round for b in cluster.party(1).output_log]
         assert runs["fast"][:4] == runs["real"][:4] == [1, 2, 3, 4]
+
+
+class TestRunsIdenticalAcrossBackendsAndQueues:
+    """Which modexp backend computes the group operations and which event
+    queue orders the events are implementation choices: the same seeded
+    real-crypto cluster must commit the identical chain, to the identical
+    round, at the identical simulated instant, under all of them."""
+
+    @staticmethod
+    def _fingerprint(event_queue=None):
+        config = ClusterConfig(
+            n=4, t=1, delta_bound=0.3, epsilon=0.01,
+            delay_model=FixedDelay(0.05), max_rounds=6, seed=0,
+            crypto_backend="real",
+        )
+        sim = Simulation(seed=config.seed, event_queue=event_queue)
+        cluster = build_cluster(config, sim=sim)
+        cluster.start()
+        cluster.run_until_all_committed_round(5, timeout=120)
+        cluster.check_safety()
+        return (
+            cluster.party(1).committed_hashes,
+            cluster.min_committed_round(),
+            cluster.sim.now,
+        )
+
+    def test_same_chain_round_and_clock(self):
+        runs = {"heap-queue": self._fingerprint(event_queue=HeapEventQueue())}
+        for name in available_backends():
+            with use_backend(name):
+                runs[name] = self._fingerprint()
+        assert {"pure", "window", "heap-queue"} <= set(runs)
+        reference = runs["pure"]
+        assert len(reference[0]) >= 5 and reference[1] >= 5
+        assert all(run == reference for run in runs.values()), runs

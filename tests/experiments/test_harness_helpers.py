@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments.common import make_icc_config, mean, percentile, print_table
-from repro.experiments.report import _md_table
 
 
 class TestStats:
@@ -39,10 +38,6 @@ class TestPrinters:
     def test_print_table_empty_rows(self, capsys):
         print_table("empty", ["x"], [])
         assert "empty" in capsys.readouterr().out
-
-    def test_md_table(self):
-        text = _md_table(["a", "b"], [(1, 2)])
-        assert text.splitlines() == ["| a | b |", "|---|---|", "| 1 | 2 |"]
 
 
 class TestConfigFactory:

@@ -14,14 +14,17 @@ import os
 
 import pytest
 
-from repro.experiments import intermittent, robustness, runner, run_all, throughput_latency
+from repro.experiments import (
+    intermittent, robustness, runner, run_all, sharding, throughput_latency,
+)
 
-#: Trimmed but heterogeneous suite: three executor kinds, ~seconds total.
+#: Trimmed but heterogeneous suite: four executor kinds, ~seconds total.
 def _suite() -> list[runner.RunSpec]:
     return (
         throughput_latency.specs(deltas=(0.05,), protocols=("ICC0", "ICC2"), rounds=8)
         + robustness.specs(n=7, duration=20.0)
         + intermittent.specs(duration=40.0)
+        + sharding.specs(ks=(2,), xfrac=0.25)  # a whole deployment per worker
     )
 
 

@@ -1,10 +1,11 @@
-"""Tests for multi-subnet sharding (versioned certified streams +
-ShardedDeployment)."""
+"""Tests for multi-subnet sharding (versioned certified streams,
+ShardedDeployment, and the ``repro shard`` sweep with its pinned numbers)."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.experiments import sharding
 from repro.obs import Meter, Tracer
 from repro.smr.sharding import ShardResult, ShardSpec, ShardedDeployment
 from repro.smr.xnet import (
@@ -176,3 +177,36 @@ class TestShardedDeployment:
     def test_bad_spec_rejected(self):
         with pytest.raises(ValueError):
             ShardSpec(shards=0)
+
+
+class TestPinnedNumbers:
+    """The numbers docs/SHARDING.md quotes (n=4, 200 req/s per shard, 2 s,
+    δ = 50 ms, seed 0).  All simulated time: exact on every machine."""
+
+    def test_goodput_by_shard_count(self):
+        goodput = {
+            k: sharding.run_deployment(shards=k, seed=0).goodput for k in (1, 2, 4)
+        }
+        assert goodput == {1: 200.0, 2: 400.0, 4: 800.0}
+
+    def test_cross_shard_penalty(self):
+        result = sharding.run_deployment(shards=2, xfrac=0.25, seed=0)
+        assert round(result.latency_penalty, 2) == 2.42
+        assert result.committed_cross == result.transfers == 208
+        assert result.rejected == 0
+
+
+class TestSweepCli:
+    def test_tiny_sweep(self, capsys):
+        status = sharding.main([
+            "--ks", "1,2", "--n", "4", "--duration", "1.0", "--jobs", "1",
+        ])
+        assert status == 0
+        out = capsys.readouterr().out
+        assert "goodput" in out
+        assert "200/s" in out and "400/s" in out
+
+    def test_specs_labels_and_kinds(self):
+        suite = sharding.specs(ks=(1, 2), xfrac=0.25)
+        assert [s.kind for s in suite] == ["shard.run_deployment"] * 2
+        assert [s.label for s in suite] == ["shard-k1-n4-x25", "shard-k2-n4-x25"]

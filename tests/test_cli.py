@@ -46,26 +46,34 @@ class TestCli:
         # Same event stream -> identical summary block.
         assert exported.split("\n\n")[1] == reloaded.split("\n\n")[1]
 
-    def test_bench_quick_check(self, capsys, tmp_path):
-        import json
+    def test_load_flags_have_one_declaration(self, capsys, monkeypatch):
+        """``python -m repro load`` and ``repro.experiments.load.main`` are
+        the same parser: they used to declare every flag twice, and
+        ``--duration`` had drifted (4.0 here, 2.0 there)."""
+        from inspect import signature
 
-        path = str(tmp_path / "bench.json")
-        main([
-            "bench", "--profile", "test", "--batch-size", "8",
-            "--quick", "--check", "--json", path,
-        ])
-        out = capsys.readouterr().out
-        assert "speedup" in out
-        assert "schnorr" in out
-        with open(path, encoding="utf-8") as handle:
-            report = json.load(handle)
-        assert report["profile"] == "test"
-        assert report["batch_size"] == 8
-        primitives = {row["primitive"] for row in report["results"]}
-        assert primitives == {"schnorr", "dleq", "threshold-share", "multisig-share"}
-        # --check passed, so batching never lost to the single path
-        for row in report["results"]:
-            assert row["batch_ops_per_sec"] >= row["single_ops_per_sec"]
+        from repro.experiments import load
+
+        seen = []
+        monkeypatch.setattr(load, "specs", lambda **kwargs: seen.append(kwargs) or [])
+        main(["load"])
+        assert load.main([]) == 0
+        through_cli, through_module = seen
+        assert through_cli == through_module
+        assert through_cli["duration"] == 4.0
+        assert signature(load.run_point).parameters["duration"].default == 4.0
+
+    @pytest.mark.parametrize("argv", [
+        ["bench"], ["profile"],
+        ["load", "--bench"], ["load", "--check"], ["load", "--quick"],
+        ["shard", "--bench"], ["shard", "--check"], ["shard", "--quick"],
+        ["live", "--bench"], ["report", "--suite"],
+    ], ids=" ".join)
+    def test_second_measuring_stack_is_gone(self, argv, capsys):
+        """Performance is measured by ``python3 bench/run.py`` alone."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2  # argparse usage error
 
     def test_live_check(self, capsys):
         """The CI smoke leg: a tiny in-process TCP cluster to height 5."""

@@ -58,3 +58,30 @@ class TestDocs:
         assert len(problems) == 2
         assert "ClusterConfig.crypto_batch" in problems[0]
         assert "crypto_flush_deadline" in problems[1]
+
+    def test_removed_snapshots_and_subcommands_are_flagged(self, tmp_path, monkeypatch):
+        """A snapshot file or subcommand the docs still point at after its
+        removal must fail the check; patterns, the benchmark's own manifest
+        and the exempt history file must not."""
+        module = load_checker()
+        cli = tmp_path / "src" / "repro" / "__main__.py"
+        cli.parent.mkdir(parents=True)
+        cli.write_text('sub.add_parser("demo", help="...")\n', encoding="utf-8")
+        (tmp_path / "BENCH_kept.json").write_text("{}\n", encoding="utf-8")
+        (tmp_path / "README.md").write_text(
+            "See `BENCH_gone.json` and BENCH_kept.json; run `python -m\n"
+            "repro frobnicate` or `python -m repro demo`.  The six\n"
+            "`BENCH_*.json` files and BENCHMARK.json are not names;\n"
+            "`python -m repro.experiments.run_all` is not a subcommand.\n",
+            encoding="utf-8",
+        )
+        (tmp_path / "ROADMAP.md").write_text(
+            "PR 9 added BENCH_old.json and `python -m repro bench`.\n",
+            encoding="utf-8",
+        )
+        monkeypatch.setattr(module, "REPO", tmp_path)
+        problems: list[str] = []
+        module.check_removed_names(problems)
+        assert len(problems) == 2
+        assert "README.md" in problems[0] and "BENCH_gone.json" in problems[0]
+        assert "README.md" in problems[1] and "frobnicate" in problems[1]

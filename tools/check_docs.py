@@ -21,8 +21,9 @@ Checks every ``*.md`` file in the repo root and ``docs/``:
   import);
 * every event kind registered in ``src/repro/obs/registry.py`` is
   documented in ``docs/OBSERVABILITY.md``;
-* every committed ``BENCH_*.json`` snapshot in the repo root is
-  described in ``docs/PERFORMANCE.md``;
+* every concrete ``BENCH_<name>.json`` a checked file names exists, and
+  every ``python -m repro <name>`` it shows is a registered subcommand
+  (ROADMAP.md records history and is exempt from this one check);
 * every crypto backend registered in ``src/repro/crypto/backend.py`` is
   documented in ``docs/PERFORMANCE.md`` (textual scan of
   ``register_backend(...)`` calls);
@@ -217,25 +218,33 @@ def check_shard_docs(problems: list[str]) -> None:
             )
 
 
-def bench_snapshots() -> list[str]:
-    """Committed ``BENCH_*.json`` snapshot files in the repo root."""
-    return sorted(p.name for p in REPO.glob("BENCH_*.json"))
+#: A concrete snapshot file name (``BENCH_*.json`` and ``BENCH_{a,b}.json``
+#: are patterns, not names) and a CLI invocation, as they appear in prose.
+BENCH_FILE_RE = re.compile(r"\bBENCH_[A-Za-z0-9]+\.json\b")
+INVOCATION_RE = re.compile(r"python -m repro ([a-z][a-z0-9-]*)")
+#: ROADMAP.md records history: it may name files and commands that are gone.
+HISTORY = {"ROADMAP.md"}
 
 
-def check_bench_docs(problems: list[str]) -> None:
-    """Every committed bench snapshot must be described in PERFORMANCE.md."""
-    doc = REPO / "docs" / "PERFORMANCE.md"
-    if not doc.is_file():
-        if bench_snapshots():
+def check_removed_names(problems: list[str]) -> None:
+    """A ``BENCH_<name>.json`` the docs name must exist and a ``python -m
+    repro <name>`` they show must be a registered subcommand: what the docs
+    point a reader at cannot have been removed."""
+    registered = set(cli_subcommands())
+    for path in doc_files():
+        if path.name in HISTORY:
+            continue
+        # Collapse whitespace so invocations wrapped across lines still match.
+        text = re.sub(r"\s+", " ", path.read_text(encoding="utf-8"))
+        for name in sorted(set(BENCH_FILE_RE.findall(text))):
+            if not (REPO / name).is_file():
+                problems.append(
+                    f"{path.relative_to(REPO)}: names {name}, which does not exist"
+                )
+        for name in sorted(set(INVOCATION_RE.findall(text)) - registered):
             problems.append(
-                "docs/PERFORMANCE.md: missing (cannot check bench snapshot docs)"
-            )
-        return
-    text = doc.read_text(encoding="utf-8")
-    for name in bench_snapshots():
-        if name not in text:
-            problems.append(
-                f"docs/PERFORMANCE.md: bench snapshot {name!r} is undocumented"
+                f"{path.relative_to(REPO)}: shows `python -m repro {name}`, "
+                f"which is not a registered subcommand"
             )
 
 
@@ -386,7 +395,7 @@ def run() -> list[str]:
     check_event_docs(problems)
     check_shard_docs(problems)
     check_live_docs(problems)
-    check_bench_docs(problems)
+    check_removed_names(problems)
     check_backend_docs(problems)
     check_config_docs(problems)
     return problems
