@@ -7,11 +7,13 @@ Commands:
 * ``experiments`` — the entire evaluation suite (``--quick``, ``--trace DIR``,
   ``--jobs N`` for the parallel runner);
 * ``trace``       — run a traced simulation (or load a JSONL export) and
-  print latency/message summaries — see ``docs/OBSERVABILITY.md``;
+  print its summary and per-height critical paths — see
+  ``docs/OBSERVABILITY.md``;
 * ``chaos``       — seeded fault-scenario sweep with safety/liveness
   invariant checking across the ICC variants — see ``docs/FAULTS.md``;
-* ``report``      — metrics + critical-path report for a seeded run suite
-  (``--live`` for a collected live run) — see ``docs/OBSERVABILITY.md``;
+* ``report``      — metrics + critical-path report for a seeded run suite,
+  or (``--load``) for a run directory written earlier, a collected live
+  run included — see ``docs/OBSERVABILITY.md``;
 * ``load``        — batched load harness: sweep offered load and chart the
   throughput-vs-latency saturation curve at n=13/31/100 — see
   ``docs/LOAD.md``;
@@ -28,8 +30,8 @@ Commands:
   the run) — see ``docs/TRANSPORT.md``;
 * ``collect``     — merge a live run's per-process traces/meters: align
   the n monotonic clocks, pair send/recv wire spans, write the merged
-  trace + meter + alignment (``--report`` for the latency-breakdown
-  markdown, ``--check`` for CI) — see ``docs/OBSERVABILITY.md``;
+  trace + meter + alignment (``--report`` for the run report of that
+  directory, ``--check`` for CI) — see ``docs/OBSERVABILITY.md``;
 * ``top``         — poll a running live cluster's STAT endpoints and
   render a per-party metrics table (height, pool depth, backlog,
   reconnects, request percentiles) — see ``docs/OBSERVABILITY.md``;
@@ -37,10 +39,10 @@ Commands:
 
 Performance is measured by ``python3 bench/run.py`` (``BENCHMARK.json``,
 ``docs/PERFORMANCE.md``), not by a subcommand.  ``experiments``,
-``report``, ``load`` and ``shard`` declare their flags in their own
-module (``add_arguments(parser)``) next to the ``run(args) -> int`` that
-reads them; :func:`_mount` hands each its subparser, so a flag has one
-declaration and one default.
+``trace``, ``report``, ``load``, ``shard`` and ``collect`` declare their
+flags in their own module (``add_arguments(parser)``) next to the
+``run(args) -> int`` that reads them; :func:`_mount` hands each its
+subparser, so a flag has one declaration and one default.
 """
 
 from __future__ import annotations
@@ -85,65 +87,6 @@ def _cmd_table1(args: argparse.Namespace) -> None:
     from repro.experiments import table1
 
     table1.main(duration=300.0 if args.full else 60.0)
-
-
-def _cmd_trace(args: argparse.Namespace) -> None:
-    from repro.analysis.trace import (
-        format_summary,
-        round_breakdown,
-        summarize,
-    )
-    from repro.obs import Tracer, read_jsonl, write_jsonl
-
-    if args.input is not None:
-        events = read_jsonl(args.input)
-        print(f"loaded {len(events)} events from {args.input}")
-    else:
-        from repro.experiments.common import make_icc_config, run_icc
-        from repro.sim import FixedDelay
-
-        tracer = Tracer()
-        config = make_icc_config(
-            args.protocol,
-            n=args.n,
-            t=(args.n - 1) // 3,
-            delta_bound=args.delta * 6,
-            delay_model=FixedDelay(args.delta),
-            epsilon=args.delta / 5,
-            seed=args.seed,
-            max_rounds=args.rounds,
-        )
-        config.tracer = tracer
-        cluster = run_icc(config, duration=args.rounds * args.delta * 8)
-        events = tracer.export_events()
-        print(
-            f"{args.protocol.upper()} n={args.n} δ={args.delta * 1000:.0f} ms "
-            f"seed={args.seed}: {cluster.min_committed_round()} rounds committed, "
-            f"{len(events)} events traced"
-        )
-        if tracer.dropped:
-            print(f"warning: ring buffer dropped {tracer.dropped} events")
-    print()
-    print(format_summary(summarize(events)))
-    breakdown = round_breakdown(events)
-    if breakdown:
-        print()
-        print("round  enter->propose  propose->notarize  notarize->finalize  msgs")
-        for entry in breakdown.values():
-            gaps = entry.phase_durations()
-
-            def cell(key: str) -> str:
-                value = gaps[key]
-                return "-" if value is None else f"{value:.3f}s"
-
-            print(
-                f"{entry.round:5d}  {cell('enter->propose'):>14s}  "
-                f"{cell('propose->notarize'):>17s}  "
-                f"{cell('notarize->finalize'):>18s}  {entry.messages:4d}"
-            )
-    if args.export is not None:
-        count = write_jsonl(events, args.export)
-        print(f"\nwrote {count} events to {args.export}")
 
 
 def _cmd_chaos(args: argparse.Namespace) -> None:
@@ -192,12 +135,6 @@ def _cmd_live(args: argparse.Namespace) -> None:
     sys.exit(live_mod.live(args))
 
 
-def _cmd_collect(args: argparse.Namespace) -> None:
-    from repro.analysis.live import collect_main
-
-    sys.exit(collect_main(args))
-
-
 def _cmd_top(args: argparse.Namespace) -> None:
     from repro.net.stat import top
 
@@ -243,21 +180,7 @@ def main(argv: list[str] | None = None) -> None:
     trace = sub.add_parser(
         "trace", help="trace a simulation and summarize the event stream"
     )
-    trace.add_argument(
-        "--protocol", choices=["icc0", "icc1", "icc2"], default="icc0"
-    )
-    trace.add_argument("--n", type=int, default=4)
-    trace.add_argument("--rounds", type=int, default=8)
-    trace.add_argument("--delta", type=float, default=0.05)
-    trace.add_argument("--seed", type=int, default=42)
-    trace.add_argument(
-        "--export", metavar="PATH", default=None, help="write events as JSONL"
-    )
-    trace.add_argument(
-        "--input", metavar="PATH", default=None,
-        help="summarize an existing JSONL export instead of running",
-    )
-    trace.set_defaults(func=_cmd_trace)
+    _mount(trace, "repro.analysis.trace")
 
     chaos = sub.add_parser(
         "chaos",
@@ -389,26 +312,7 @@ def main(argv: list[str] | None = None) -> None:
              "causal wire spans, merged trace/meter — see "
              "docs/OBSERVABILITY.md",
     )
-    collect.add_argument(
-        "run_dir",
-        help="directory holding trace-*.jsonl / meter-*.json / "
-             "result-*.json from one `repro live --trace-dir` run",
-    )
-    collect.add_argument(
-        "--quorum", type=int, default=None, metavar="Q",
-        help="notarization quorum for the critical path (default: n−t "
-             "from the run's cluster.json)",
-    )
-    collect.add_argument(
-        "--report", metavar="PATH", default=None,
-        help="also write the live latency-breakdown report (markdown)",
-    )
-    collect.add_argument(
-        "--check", action="store_true",
-        help="fail unless heights finalized and the per-height stage "
-             "spans telescope to the measured latency",
-    )
-    collect.set_defaults(func=_cmd_collect)
+    _mount(collect, "repro.obs.distributed")
 
     top = sub.add_parser(
         "top",

@@ -1,11 +1,17 @@
 """Causal critical-path reconstruction from trace events.
 
-Given a trace (a list of :class:`repro.obs.TraceEvent`, live or loaded
-via :func:`repro.obs.read_jsonl`), rebuild the causal chain that gates
-each finalized height and attribute its latency to protocol stages:
+Given a trace (a list of :class:`repro.obs.TraceEvent` — from a simulator
+``Tracer``, a JSONL export, or the merged, clock-aligned trace
+:func:`repro.obs.collect_run` writes for a live TCP cluster), rebuild the
+causal chain that gates each finalized height and attribute its latency
+to protocol stages:
 
 * ``propose_wait``          — round entered -> winning block proposed
-* ``gossip_transit``        — proposal -> quorum-th notarization share cast
+* ``notary_delay``          — proposal -> ``not_before`` of the share that
+                              completed the quorum: the configured wait
+                              Δntry(rank) = 2Δbnd·rank + ε of Figure 1 (c)
+* ``block_transit``         — the rest of proposal -> quorum-th share cast:
+                              what the network (and the host) imposed
 * ``notarization_quorum``   — quorum-th share cast -> first notarization
                               assembled (``icc.round.done``)
 * ``finalization_quorum``   — notarization -> first finalization combined
@@ -13,8 +19,10 @@ each finalized height and attribute its latency to protocol stages:
 Stage boundaries are taken from the earliest matching event and clamped
 to be monotone, so the per-height stage durations *telescope*: their sum
 is exactly the finalization latency ``first(icc.finalization) -
-first(icc.round.enter)`` for that height.  Reports lean on this identity
-(it is also asserted in the test-suite).
+first(icc.round.enter)`` for that height.  :func:`latency_breakdown`
+reports the identity (``spans_telescope``) next to the clock-alignment
+uncertainty a collected live run's boundaries carry; reports, ``repro
+collect --check`` and the test-suite lean on it.
 
 Baseline protocols (PBFT / HotStuff / Tendermint) commit batches rather
 than notarize blocks; :func:`baseline_paths` reconstructs their simpler
@@ -33,10 +41,18 @@ from dataclasses import dataclass
 #: Stage names of an ICC critical path, in causal order.
 ICC_STAGES = (
     "propose_wait",
-    "gossip_transit",
+    "notary_delay",
+    "block_transit",
     "notarization_quorum",
     "finalization_quorum",
 )
+
+#: One tick: the tolerance (seconds) of the stage-sum consistency check.
+TICK = 1e-9
+
+#: ``not_before`` of a share traced without one: before everything, so the
+#: monotone clamp gives ``notary_delay`` = 0.
+_UNRECORDED = float("-inf")
 
 #: Stage names of a baseline (PBFT/HotStuff/Tendermint) critical path.
 BASELINE_STAGES = ("propose_wait", "commit_quorum")
@@ -103,28 +119,22 @@ def _spans_from_boundaries(names, boundaries) -> tuple[Span, ...]:
     )
 
 
-def critical_paths(
-    events,
-    quorum: int | None = None,
-    stages: tuple[str, str, str, str] = ICC_STAGES,
-) -> list[CriticalPath]:
+def critical_paths(events, quorum: int | None = None) -> list[CriticalPath]:
     """Reconstruct the critical path of every finalized ICC height.
 
     ``quorum`` is the notarization quorum ``n - t``; when None it is
     inferred as the number of distinct parties that entered rounds (the
     fault-free ``n``, i.e. ``t = 0`` is assumed).  Rounds that never
-    finalized within the trace are skipped.  ``stages`` renames the four
-    spans (the live mode labels the second stage ``wire_transit``, since
-    over real sockets that interval is wire transmission rather than
-    simulated gossip).
+    finalized within the trace are skipped.  A trace whose shares carry
+    no ``not_before`` gives ``notary_delay`` = 0 (all of the interval is
+    ``block_transit``) and telescopes all the same.
     """
-    if len(stages) != len(ICC_STAGES):
-        raise ValueError(f"expected {len(ICC_STAGES)} stage names, got {stages!r}")
     entered: dict[int, float] = {}
     finalized: dict[int, tuple[float, str | None]] = {}
     notarized: dict[int, float] = {}
     proposed: dict[tuple[int, str], float] = {}
-    shares: dict[tuple[int, str], list[float]] = defaultdict(list)
+    #: (cast time, not_before) of every notarization share on a block.
+    shares: dict[tuple[int, str], list[tuple[float, float]]] = defaultdict(list)
     parties: set[int] = set()
     protocols: dict[int, str] = {}
 
@@ -146,7 +156,9 @@ def critical_paths(
             if key not in proposed or event.time < proposed[key]:
                 proposed[key] = event.time
         elif kind == "icc.share.notarization":
-            shares[(rnd, event.payload.get("block"))].append(event.time)
+            shares[(rnd, event.payload.get("block"))].append(
+                (event.time, event.payload.get("not_before", _UNRECORDED))
+            )
         elif kind == "icc.round.done":
             if rnd not in notarized or event.time < notarized[rnd]:
                 notarized[rnd] = event.time
@@ -165,18 +177,25 @@ def critical_paths(
         t_final, block = finalized[rnd]
         t_notarized = notarized.get(rnd, t_final)
         t_propose = proposed.get((rnd, block), t_enter)
-        cast_times = sorted(shares.get((rnd, block), ()))
-        if cast_times:
+        t_quorum, t_not_before = t_notarized, _UNRECORDED
+        cast = sorted(shares.get((rnd, block), ()))
+        if cast:
             # The quorum-completing share was necessarily cast before the
             # notarization it enabled was assembled.
-            t_quorum = min(
-                cast_times[min(quorum, len(cast_times)) - 1], t_notarized
-            )
-        else:
-            t_quorum = t_notarized
+            t_cast, t_not_before = cast[min(quorum, len(cast)) - 1]
+            t_quorum = min(t_cast, t_notarized)
         spans = _spans_from_boundaries(
-            stages,
-            (t_enter, t_propose, t_quorum, t_notarized, t_final),
+            ICC_STAGES,
+            (
+                t_enter,
+                t_propose,
+                # Clamped into proposal -> quorum-th share: a share is cast
+                # no earlier than the instant clause (c) held it to.
+                min(t_not_before, t_quorum),
+                t_quorum,
+                t_notarized,
+                t_final,
+            ),
         )
         paths.append(
             CriticalPath(
@@ -250,6 +269,84 @@ def stage_means(paths) -> dict[str, float]:
         return {}
     count = len(paths)
     return {name: total / count for name, total in stage_totals(paths).items()}
+
+
+def wire_transit_stats(events) -> dict:
+    """Matched ``net.wire.send``/``net.wire.recv`` span statistics.
+
+    Only a live TCP trace has such events, and they must be *aligned*
+    (one timeline); returns count/mean/p50/p99 of first-send to
+    first-delivery transit in seconds, ``{"spans": 0}`` without any.
+    """
+    sends: dict[tuple[int, int, int], float] = {}
+    spans: list[float] = []
+    for event in events:
+        if event.kind == "net.wire.send":
+            sends[
+                (event.party, int(event.payload["dst"]), int(event.payload["seq"]))
+            ] = event.time
+    for event in events:
+        if event.kind == "net.wire.recv":
+            key = (int(event.payload["src"]), event.party, int(event.payload["seq"]))
+            t_send = sends.get(key)
+            if t_send is not None:
+                spans.append(event.time - t_send)
+    if not spans:
+        return {"spans": 0}
+    spans.sort()
+
+    def pct(q: float) -> float:
+        return spans[min(len(spans) - 1, int(q * len(spans)))]
+
+    return {
+        "spans": len(spans),
+        "mean_s": sum(spans) / len(spans),
+        "p50_s": pct(0.50),
+        "p99_s": pct(0.99),
+    }
+
+
+def latency_breakdown(
+    paths, events=(), clock_uncertainty: float | None = None
+) -> dict:
+    """The latency breakdown of one run: per-stage means over ``paths``,
+    whether every path telescopes to its measured finalization latency
+    within :data:`TICK`, the matched wire spans of ``events`` and — for a
+    collected live run — the clock-alignment bound the numbers carry."""
+    worst = max(
+        (abs(path.total - (path.finalized - path.entered)) for path in paths),
+        default=0.0,
+    )
+    means = stage_means(paths)
+    return {
+        "heights": len(paths),
+        "spans_telescope": bool(paths) and worst <= TICK,
+        "max_residual_s": worst,
+        "clock_uncertainty_s": clock_uncertainty,
+        "finalization_latency_mean_s": sum(means.values(), 0.0),
+        "stage_means_s": means,
+        "wire_transit": wire_transit_stats(events),
+    }
+
+
+def consistency_line(breakdown: dict) -> str:
+    """The human-readable telescoping check of a :func:`latency_breakdown`,
+    annotated with the clock uncertainty when the run has one."""
+    if not breakdown["heights"]:
+        status = "VIOLATED (no finalized heights in trace)"
+    else:
+        status = "OK" if breakdown["spans_telescope"] else "VIOLATED"
+    line = (
+        "Consistency: stage sums match measured finalization latency within "
+        f"{breakdown['max_residual_s']:.2e}s ({status}, tolerance 1 tick = "
+        f"{TICK:.0e}s)"
+    )
+    if breakdown["clock_uncertainty_s"] is None:
+        return line + "."
+    return (
+        f"{line}; cross-process clock uncertainty "
+        f"±{breakdown['clock_uncertainty_s']:.2e}s."
+    )
 
 
 def format_paths(paths) -> str:

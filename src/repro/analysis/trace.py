@@ -3,15 +3,19 @@
 The functions here are the consumers of :mod:`repro.obs`: given the list
 of :class:`~repro.obs.TraceEvent` records a run produced (from a live
 ``Tracer`` or re-loaded from a JSONL export), they rebuild the quantities
-the paper's experiments report — per-round latency breakdowns
-(propose → notarize → finalize → commit), message complexity per round,
-and adversary-activation timelines.
+the paper's experiments report — commit latencies, message complexity per
+round, and adversary-activation timelines.  The per-height latency
+decomposition is :mod:`repro.analysis.critical_path`.
 
 Everything operates on plain event lists, so analyses compose: filter a
 list first (by party, by protocol, by round window) and feed the slice to
 any function below.  Each function documents which event kinds it reads;
 all kinds are defined in :mod:`repro.obs.registry` and documented in
 ``docs/OBSERVABILITY.md``.
+
+``python -m repro trace`` (:func:`add_arguments` / :func:`run`) prints
+:func:`summarize` and the critical paths of a fresh traced simulation or
+of a JSONL export.
 """
 
 from __future__ import annotations
@@ -20,7 +24,9 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from ..obs.tracer import TraceEvent
+from ..obs.export import read_jsonl, write_jsonl
+from ..obs.tracer import TraceEvent, Tracer
+from .critical_path import critical_paths, format_paths
 
 #: Event kinds counted as network transmissions, with the payload field
 #: giving the number of point-to-point messages each event represents.
@@ -130,73 +136,6 @@ def bytes_sent(events: Sequence[TraceEvent]) -> int:
     return total
 
 
-@dataclass
-class RoundBreakdown:
-    """Phase timeline of one ICC round, aggregated over parties.
-
-    Each field is the earliest trace timestamp at which *any* party
-    reached that phase (``None`` when the phase never happened — e.g. no
-    finalization in a round whose winning rank was disqualified).
-    """
-
-    round: int
-    entered: float | None = None  #: first icc.round.enter
-    proposed: float | None = None  #: first icc.block.proposed
-    notarized: float | None = None  #: first icc.round.done (notarization seen)
-    finalized: float | None = None  #: first icc.finalization
-    committed: float | None = None  #: first icc.block.committed
-    messages: int = 0  #: point-to-point messages attributed to the round
-
-    def phase_durations(self) -> dict[str, float | None]:
-        """Deltas between consecutive phases that both occurred."""
-
-        def gap(a: float | None, b: float | None) -> float | None:
-            return None if a is None or b is None else b - a
-
-        return {
-            "enter->propose": gap(self.entered, self.proposed),
-            "propose->notarize": gap(self.proposed, self.notarized),
-            "notarize->finalize": gap(self.notarized, self.finalized),
-            "finalize->commit": gap(self.finalized, self.committed),
-            "propose->commit": gap(self.proposed, self.committed),
-        }
-
-
-_PHASE_KINDS = {
-    "icc.round.enter": "entered",
-    "icc.block.proposed": "proposed",
-    "icc.round.done": "notarized",
-    "icc.finalization": "finalized",
-    "icc.block.committed": "committed",
-}
-
-
-def round_breakdown(events: Sequence[TraceEvent]) -> dict[int, RoundBreakdown]:
-    """Per-round phase timelines for an ICC-family run.
-
-    Reads the ``icc.*`` phase events plus the ``net.*`` message events;
-    returns ``{round: RoundBreakdown}`` sorted by round number.
-    """
-    rounds: dict[int, RoundBreakdown] = {}
-
-    def slot(round: int) -> RoundBreakdown:
-        if round not in rounds:
-            rounds[round] = RoundBreakdown(round=round)
-        return rounds[round]
-
-    for event in events:
-        attr = _PHASE_KINDS.get(event.kind)
-        if attr is not None and event.round is not None:
-            entry = slot(event.round)
-            current = getattr(entry, attr)
-            if current is None or event.time < current:
-                setattr(entry, attr, event.time)
-    for round, count in message_counts(events).items():
-        if round is not None:
-            slot(round).messages = count
-    return dict(sorted(rounds.items()))
-
-
 @dataclass(frozen=True)
 class AdversaryActivation:
     """One adversarial action: when, who, what."""
@@ -303,3 +242,67 @@ def format_summary(summary: TraceSummary) -> str:
     for kind, count in summary.kinds.items():
         lines.append(f"  {kind:28s} {count}")
     return "\n".join(lines)
+
+
+# ----------------------------------------------------------------------- cli
+
+
+def add_arguments(parser) -> None:
+    """The ``python -m repro trace`` flags, declared once
+    (``repro.__main__`` hands its subparser here)."""
+    parser.add_argument(
+        "--protocol", choices=["icc0", "icc1", "icc2"], default="icc0"
+    )
+    parser.add_argument("--n", type=int, default=4)
+    parser.add_argument("--rounds", type=int, default=8)
+    parser.add_argument("--delta", type=float, default=0.05)
+    parser.add_argument("--seed", type=int, default=42)
+    parser.add_argument(
+        "--export", metavar="PATH", default=None, help="write events as JSONL"
+    )
+    parser.add_argument(
+        "--input", metavar="PATH", default=None,
+        help="summarize an existing JSONL export instead of running",
+    )
+
+
+def run(args) -> int:
+    """Trace one fixed-delay simulation (or load ``--input``) and print the
+    summary and the per-height critical paths.  The quorum is inferred from
+    the trace in both modes, so an export re-loads to the same tables."""
+    if args.input is not None:
+        events = read_jsonl(args.input)
+        print(f"loaded {len(events)} events from {args.input}")
+    else:
+        from ..experiments.common import make_icc_config, run_icc
+        from ..sim import FixedDelay
+
+        tracer = Tracer()
+        config = make_icc_config(
+            args.protocol,
+            n=args.n,
+            t=(args.n - 1) // 3,
+            delta_bound=args.delta * 6,
+            delay_model=FixedDelay(args.delta),
+            epsilon=args.delta / 5,
+            seed=args.seed,
+            max_rounds=args.rounds,
+        )
+        config.tracer = tracer
+        cluster = run_icc(config, duration=args.rounds * args.delta * 8)
+        events = tracer.export_events()
+        print(
+            f"{args.protocol.upper()} n={args.n} δ={args.delta * 1000:.0f} ms "
+            f"seed={args.seed}: {cluster.min_committed_round()} rounds committed, "
+            f"{len(events)} events traced"
+        )
+        if tracer.dropped:
+            print(f"warning: ring buffer dropped {tracer.dropped} events")
+    print()
+    print(format_summary(summarize(events)))
+    print()
+    print(format_paths(critical_paths(events)))
+    if args.export is not None:
+        count = write_jsonl(events, args.export)
+        print(f"\nwrote {count} events to {args.export}")
+    return 0

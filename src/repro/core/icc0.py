@@ -475,8 +475,12 @@ class ICC0Party:
         self._broadcast(nshare)
         self.metrics.count("notarization-shares-sent")
         if self.tracer.enabled:
+            # not_before: the instant clause (c) held this share to (delay
+            # functions are per party, so no analysis can rebuild it).
+            not_before = self.round_start + self.delays.ntry(self._block_rank(block))
             self._trace(
-                "icc.share.notarization", round=block.round, block=short_id(block.hash)
+                "icc.share.notarization", round=block.round,
+                block=short_id(block.hash), not_before=not_before,
             )
 
     # -- Figure 2: the Finalization subprotocol ---------------------------------

@@ -1,8 +1,13 @@
 """Per-run evaluation reports: ``python -m repro report``.
 
 Runs a small suite of seeded ICC simulations through the parallel runner
-(:mod:`repro.experiments.runner`) with tracing and metering on, then
-renders one self-contained Markdown (or HTML) report combining:
+(:mod:`repro.experiments.runner`) with tracing and metering on, leaves
+the traces, the merged ``metrics.json`` and the per-run ``results.json``
+in ``--trace-dir`` (a temporary directory otherwise), and renders that
+directory (:func:`load_run`, :func:`generate`) as one self-contained
+Markdown (or HTML) report.  ``--load`` renders a directory written
+earlier, which may equally be one collected live TCP run (``repro live
+--trace-dir``).  Sections:
 
 * per-height **critical paths** (:mod:`repro.analysis.critical_path`)
   with the telescoping consistency check — stage durations must sum to
@@ -12,32 +17,40 @@ renders one self-contained Markdown (or HTML) report combining:
   bounds (:mod:`repro.analysis.theory`);
 * the merged **metric snapshot** (:mod:`repro.obs.metrics`) aggregated
   across all runs — counters, gauges and histogram tables;
-* **trace health** — events captured and ring-buffer drops per run.
-
-The trace files and the merged ``metrics.json`` are left in
-``--trace-dir`` (a temporary directory otherwise), and a previously
-written directory can be re-rendered without simulating via ``--load``.
+* **trace health** — events captured and ring-buffer drops per run;
+* the **clock alignment** and the matched **wire transit** spans, when
+  the loaded run has an alignment / such events (a collected live run) —
+  decided from the input, never from a flag.
 """
 
 from __future__ import annotations
 
-import argparse
+import contextlib
 import json
 import os
 import tempfile
 
 from ..analysis import theory
-from ..analysis.critical_path import critical_paths, stage_means
+from ..analysis.critical_path import (
+    ICC_STAGES,
+    consistency_line,
+    critical_paths,
+    latency_breakdown,
+)
 from ..analysis.trace import message_counts, summarize
-from ..obs import Meter, merge_meters, read_jsonl
+from ..obs import (
+    ClockAlignment,
+    Meter,
+    collect_run,
+    merge_meters,
+    read_jsonl,
+    read_jsonl_with_header,
+)
 from . import runner
 from .common import mean
 
-#: One simulated-time tick: the tolerance used by the stage-sum
-#: consistency check (the acceptance bar is "±1 tick").
-TICK = 1e-9
-
-_QUICK = dict(protocol="icc1", n=4, t=1, delta=0.05, rounds=5)
+#: The suite run without flags; each key is a flag, a ``run_traced``
+#: keyword and a column of ``results.json``.
 _DEFAULT = dict(protocol="icc1", n=4, t=1, delta=0.05, rounds=8)
 
 
@@ -80,6 +93,7 @@ def run_traced(
         "n": n,
         "t": t,
         "delta": delta,
+        "rounds": rounds,
         "seed": seed,
         "rounds_committed": cluster.min_committed_round(),
         "commit_latency_mean": mean(latencies) if latencies else None,
@@ -88,18 +102,11 @@ def run_traced(
     }
 
 
-def specs(protocol: str, n: int, t: int, delta: float, rounds: int, seeds) -> list:
+def specs(suite: dict, seeds) -> list:
+    """One ``report.run_traced`` spec per seed; ``suite`` holds the other
+    keyword arguments (the keys of :data:`_DEFAULT`)."""
     return [
-        runner.spec(
-            "report",
-            "report.run_traced",
-            protocol=protocol,
-            n=n,
-            t=t,
-            delta=delta,
-            rounds=rounds,
-            seed=seed,
-        )
+        runner.spec("report", "report.run_traced", **suite, seed=seed)
         for seed in seeds
     ]
 
@@ -123,54 +130,97 @@ def _fmt(value, digits: int = 4) -> str:
     return str(value)
 
 
-def _critical_path_section(traces, quorum: int) -> list[str]:
-    lines = ["## Critical paths", ""]
-    all_paths = []
+def _alignment_section(alignment: ClockAlignment) -> list[str]:
+    lines = [
+        "## Clock alignment",
+        "",
+        f"Reference party: {alignment.reference}; worst per-party bound "
+        f"±{alignment.max_uncertainty:.2e}s.",
+        "",
+    ]
+    lines += _md_table(
+        ["party", "offset (s)", "drift (s/s)", "uncertainty (s)"],
+        [
+            [p, f"{m.offset:.6e}", f"{m.drift:.3e}", f"{m.uncertainty:.2e}"]
+            for p, m in sorted(alignment.offsets.items())
+        ],
+    )
+    return lines
+
+
+def analyse(traces, params, alignment=None) -> list[tuple]:
+    """``(label, paths, breakdown)`` per run, at the quorum ``n - t`` and —
+    for a collected live run — under its alignment's clock uncertainty."""
+    uncertainty = None if alignment is None else alignment.max_uncertainty
+    analysed = []
     for label, events in traces:
-        paths = critical_paths(events, quorum=quorum)
-        all_paths.append((label, paths))
-    if not any(paths for _, paths in all_paths):
+        paths = critical_paths(events, quorum=params["n"] - params["t"])
+        analysed.append((label, paths, latency_breakdown(paths, events, uncertainty)))
+    return analysed
+
+
+def _critical_path_section(analysed) -> list[str]:
+    lines = ["## Critical paths", ""]
+    finalized = [run for run in analysed if run[1]]
+    if not finalized:
         lines.append("No finalized heights found in the traces.")
         return lines
 
-    label, paths = next((lp for lp in all_paths if lp[1]), all_paths[0])
-    stages = [span.stage for span in paths[0].spans]
+    label, paths, _ = finalized[0]
     lines.append(f"Per-height breakdown for `{label}` (seconds):")
     lines.append("")
-    rows = []
-    worst_residual = 0.0
-    for path in paths:
-        measured = path.finalized - path.entered
-        worst_residual = max(worst_residual, abs(path.total - measured))
-        rows.append(
+    lines += _md_table(
+        ["height", "block", *ICC_STAGES, "stage sum", "measured"],
+        [
             [
                 path.round,
                 f"`{(path.block or '-')[:8]}`",
                 *(_fmt(span.duration) for span in path.spans),
                 _fmt(path.total),
-                _fmt(measured),
+                _fmt(path.finalized - path.entered),
             ]
-        )
-    lines += _md_table(
-        ["height", "block", *stages, "stage sum", "measured"], rows
+            for path in paths
+        ],
     )
     lines.append("")
-    ok = worst_residual <= TICK
+    # One line for all runs: the one that telescopes worst speaks for them.
     lines.append(
-        f"Consistency: stage sums match measured finalization latency "
-        f"within {worst_residual:.2e}s "
-        f"({'OK' if ok else 'VIOLATED'}, tolerance 1 tick = {TICK:.0e}s)."
+        consistency_line(
+            max(
+                (b for _, _, b in analysed),
+                key=lambda b: (not b["spans_telescope"], b["max_residual_s"]),
+            )
+        )
     )
 
     lines += ["", "Mean per-height stage latency across all runs (seconds):", ""]
-    per_run_means = [
-        (label, stage_means(paths)) for label, paths in all_paths if paths
+    lines += _md_table(
+        ["run", *ICC_STAGES],
+        [
+            [label, *(_fmt(b["stage_means_s"][stage]) for stage in ICC_STAGES)]
+            for label, _, b in finalized
+        ],
+    )
+    return lines
+
+
+def _wire_section(wired) -> list[str]:
+    """``wired``: ``(label, wire_transit stats)`` of runs with matched spans."""
+    lines = [
+        "## Wire transit",
+        "",
+        "Matched `net.wire.send`/`net.wire.recv` spans in milliseconds, first "
+        "send to first delivery (a reconnect's retransmit wait included):",
+        "",
     ]
-    rows = [
-        [label, *(_fmt(means.get(stage)) for stage in stages)]
-        for label, means in per_run_means
-    ]
-    lines += _md_table(["run", *stages], rows)
+    lines += _md_table(
+        ["run", "spans", "mean", "p50", "p99"],
+        [
+            [label, w["spans"],
+             *(_fmt(w[key] * 1e3, 2) for key in ("mean_s", "p50_s", "p99_s"))]
+            for label, w in wired
+        ],
+    )
     return lines
 
 
@@ -227,10 +277,10 @@ def _theory_section(traces, n: int) -> list[str]:
     return lines
 
 
-def _metrics_section(meter: Meter | None) -> list[str]:
+def _metrics_section(meter: Meter) -> list[str]:
     lines = ["## Metrics", ""]
-    if meter is None or not meter.names():
-        lines.append("No metric snapshot available (trace-dir had no metrics.json).")
+    if not meter.names():
+        lines.append("No metric snapshot available.")
         return lines
     snapshot = meter.to_dict()
     counters = snapshot.get("counters", {})
@@ -297,9 +347,12 @@ def _health_section(traces) -> list[str]:
     return lines
 
 
-def generate(traces, meter, params, results=None) -> str:
-    """Render the full Markdown report from loaded traces and metrics."""
-    n, t = params["n"], params["t"]
+def generate(traces, meter, params, results=None, alignment=None) -> str:
+    """Render the full Markdown report from loaded traces and metrics.
+
+    ``alignment`` is the :class:`~repro.obs.ClockAlignment` of a collected
+    live run (None for simulator traces, which share one clock).
+    """
     lines = [
         "# Run report",
         "",
@@ -328,9 +381,20 @@ def generate(traces, meter, params, results=None) -> str:
             ],
         )
     lines.append("")
-    lines += _critical_path_section(traces, quorum=n - t)
+    if alignment is not None:
+        lines += _alignment_section(alignment)
+        lines.append("")
+    analysed = analyse(traces, params, alignment)
+    lines += _critical_path_section(analysed)
     lines.append("")
-    lines += _theory_section(traces, n)
+    wired = [
+        (label, b["wire_transit"]) for label, _, b in analysed
+        if b["wire_transit"]["spans"]
+    ]
+    if wired:
+        lines += _wire_section(wired)
+        lines.append("")
+    lines += _theory_section(traces, params["n"])
     lines.append("")
     lines += _metrics_section(meter)
     lines.append("")
@@ -411,99 +475,106 @@ def to_html(markdown: str, title: str = "Run report") -> str:
 # ---------------------------------------------------------------------- main
 
 
-def _load_traces(trace_dir: str) -> list[tuple[str, list]]:
-    names = sorted(
-        f
-        for f in os.listdir(trace_dir)
-        if f.endswith(".jsonl") and f != "runner.jsonl"
-    )
-    return [
+def _read_json(trace_dir: str, name: str):
+    with open(os.path.join(trace_dir, name), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def load_run(trace_dir: str) -> dict:
+    """The keyword arguments of :func:`generate` for a run directory, which
+    is the source of everything the report states: a ``repro report
+    --trace-dir`` suite describes itself in ``results.json``, a ``repro live
+    --trace-dir`` run in ``cluster.json`` — and is rendered in its collected
+    form (collected here first if need be): one run on one aligned timeline,
+    never the n unaligned per-party traces."""
+
+    def has(name: str) -> bool:
+        return os.path.exists(os.path.join(trace_dir, name))
+
+    if has("cluster.json"):
+        if not has("merged-trace.jsonl"):
+            collect_run(trace_dir)
+        header, events = read_jsonl_with_header(
+            os.path.join(trace_dir, "merged-trace.jsonl")
+        )
+        cluster = _read_json(trace_dir, "cluster.json")
+        return dict(
+            traces=[("merged-trace", events)],
+            meter=Meter.read_json(os.path.join(trace_dir, "merged-meter.json")),
+            params={
+                "protocol": cluster["protocol"],
+                "n": cluster["n"],
+                "t": cluster["t"],
+                "epsilon": cluster["epsilon"],
+                "runs": 1,
+                "run id": header["run_id"],
+            },
+            alignment=ClockAlignment.from_dict(
+                _read_json(trace_dir, "alignment.json")
+            ),
+        )
+    if not has("results.json"):
+        raise SystemExit(
+            f"{trace_dir}: neither results.json (report --trace-dir) nor "
+            "cluster.json (live --trace-dir) there to say what was run"
+        )
+    results = _read_json(trace_dir, "results.json")
+    traces = [
         (name[: -len(".jsonl")], read_jsonl(os.path.join(trace_dir, name)))
-        for name in names
+        for name in sorted(os.listdir(trace_dir))
+        if name.endswith(".jsonl") and name != "runner.jsonl"
     ]
-
-
-def _load_meter(trace_dir: str) -> Meter | None:
-    path = os.path.join(trace_dir, "metrics.json")
-    if not os.path.exists(path):
-        return None
-    return Meter.read_json(path)
-
-
-def build_live_report(args) -> str:
-    """``--live``: render the latency breakdown of a collected live run.
-
-    The run directory (``--trace-dir``) is one ``repro live --trace-dir``
-    run; if ``repro collect`` has not been run on it yet, collection
-    happens here (alignment + merge are idempotent).
-    """
-    import pathlib
-
-    from ..analysis.live import _run_quorum, load_collected, render_live_report
-
-    if args.trace_dir is None:
-        raise SystemExit("--live requires --trace-dir (the live run directory)")
-    collected = load_collected(args.trace_dir)
-    quorum = _run_quorum(pathlib.Path(args.trace_dir))
-    return render_live_report(collected, quorum=quorum)
+    return dict(
+        traces=traces,
+        meter=Meter.read_json(os.path.join(trace_dir, "metrics.json")),
+        # Every row of one suite has the same configuration.
+        params={
+            **{key: results[0][key] for key in _DEFAULT if key in results[0]},
+            "runs": len(traces),
+        },
+        results=results,
+    )
 
 
 def build_report(args) -> str:
     """Run (or load) the suite and return the rendered Markdown."""
-    base = dict(_QUICK) if args.quick else dict(_DEFAULT)
-    if args.protocol is not None:
-        base["protocol"] = args.protocol
-    if args.n is not None:
-        base["n"] = args.n
-        base["t"] = (args.n - 1) // 3
-    if args.t is not None:
-        base["t"] = args.t
-    if args.delta is not None:
-        base["delta"] = args.delta
-    if args.rounds is not None:
-        base["rounds"] = args.rounds
-    runs = 1 if args.quick else args.runs
-
+    given = {
+        flag: getattr(args, flag)
+        for flag in _DEFAULT
+        if getattr(args, flag) is not None
+    }
     if args.load:
+        # These flags describe a suite to run; the directory describes itself.
+        if given:
+            raise SystemExit(
+                f"--{next(iter(given))} describes a suite to run; --load renders "
+                "what --trace-dir holds and takes its configuration from there"
+            )
         if args.trace_dir is None:
             raise SystemExit("--load requires --trace-dir")
-        traces = _load_traces(args.trace_dir)
-        if not traces:
-            raise SystemExit(f"no trace files in {args.trace_dir}")
-        meter = _load_meter(args.trace_dir)
-        params = {**base, "runs": len(traces), "source": args.trace_dir}
-        return generate(traces, meter, params)
+        return generate(**load_run(args.trace_dir))
 
-    tmp = None
-    trace_dir = args.trace_dir
-    if trace_dir is None:
-        tmp = tempfile.TemporaryDirectory(prefix="repro-report-")
-        trace_dir = tmp.name
-    try:
-        suite = specs(
-            base["protocol"],
-            base["n"],
-            base["t"],
-            base["delta"],
-            base["rounds"],
-            seeds=range(args.seed, args.seed + runs),
+    suite = dict(_DEFAULT, rounds=5) if args.quick else dict(_DEFAULT)
+    if "n" in given:
+        suite["t"] = (args.n - 1) // 3
+    suite.update(given)
+    runs = 1 if args.quick else args.runs
+
+    with contextlib.ExitStack() as stack:
+        trace_dir = args.trace_dir or stack.enter_context(
+            tempfile.TemporaryDirectory(prefix="repro-report-")
         )
-        results = runner.execute(suite, jobs=args.jobs, trace_dir=trace_dir)
-        meter = merge_meters(Meter.from_dict(r["meter"]) for r in results)
-        meter.write_json(os.path.join(trace_dir, "metrics.json"))
+        results = runner.execute(
+            specs(suite, range(args.seed, args.seed + runs)),
+            jobs=args.jobs, trace_dir=trace_dir,
+        )
+        merge_meters(Meter.from_dict(r["meter"]) for r in results).write_json(
+            os.path.join(trace_dir, "metrics.json")
+        )
         with open(os.path.join(trace_dir, "results.json"), "w") as fh:
             json.dump(results, fh, indent=2, sort_keys=True)
-        traces = _load_traces(trace_dir)
-        params = {
-            **base,
-            "runs": runs,
-            "base seed": args.seed,
-            "jobs": args.jobs or runner.default_jobs(),
-        }
-        return generate(traces, meter, params, results=results)
-    finally:
-        if tmp is not None:
-            tmp.cleanup()
+        # Render what was just written, the way --load will render it again.
+        return generate(**load_run(trace_dir))
 
 
 def add_arguments(parser) -> None:
@@ -527,28 +598,17 @@ def add_arguments(parser) -> None:
                         help="keep traces + metrics.json here (temp dir "
                              "otherwise)")
     parser.add_argument("--load", action="store_true",
-                        help="render from an existing --trace-dir, no runs")
+                        help="render the run directory --trace-dir (a report "
+                             "suite or a `repro live --trace-dir` run) as it "
+                             "is, no runs")
     parser.add_argument("--html", action="store_true",
                         help="write a self-contained HTML page instead")
-    parser.add_argument("--live", action="store_true",
-                        help="render the live-cluster latency breakdown from "
-                             "a collected run directory (--trace-dir) "
-                             "instead of simulating")
 
 
 def run(args) -> int:
-    markdown = build_live_report(args) if args.live else build_report(args)
+    markdown = build_report(args)
     content = to_html(markdown) if args.html else markdown
     with open(args.output, "w") as fh:
         fh.write(content)
     print(f"wrote {args.output}")
     return 0
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro report",
-        description="per-run metrics / critical-path report",
-    )
-    add_arguments(parser)
-    return run(parser.parse_args(argv))

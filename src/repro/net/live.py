@@ -9,19 +9,21 @@ is the orchestrator: allocate ports, write the config, spawn one
 paper's prefix property across them, and report wall-clock finalization
 results — optionally as a JSON document (``--json PATH``).
 
-With ``--trace-dir D`` (or ``--json``, which implies tracing)
-every process traces into the run directory and the orchestrator
-automatically **collects** the run afterwards
+With ``--trace-dir D`` (or ``--json`` / ``--check``, which imply tracing
+into a temporary directory) every process traces into the run directory
+and the orchestrator automatically **collects** the run afterwards
 (:func:`repro.obs.collect_run`): clocks aligned, traces merged, meters
-merged, and the live critical-path latency breakdown computed and
-embedded in the summary.  ``python -m repro collect D`` re-runs that
-step standalone.
+merged, and the critical-path latency breakdown
+(:func:`repro.analysis.critical_path.latency_breakdown`, the same one the
+simulator's reports use) computed and embedded in the summary.  ``python
+-m repro collect D`` re-runs that step standalone.
 
 The quick in-process mode (``--inproc``, implied by ``--check``) runs
 the same protocol/transport stack on one event loop via
 :class:`~repro.net.cluster.LiveCluster` — fast enough for CI smoke runs.
 Even in-process, each party gets its *own* tracer and meter (its own
-timeline), so collection works identically in both modes.  Wall-clock
+timeline) and the run is written in the per-process layout, so there is
+one collection path for both modes.  Wall-clock
 performance of this stack is measured by the ``live_n4_sat`` and
 ``live_n4_load`` workloads of ``python3 bench/run.py``, not here.
 """
@@ -40,16 +42,13 @@ import sys
 import tempfile
 import time
 
-from ..analysis.live import consistency_line, live_latency_breakdown
-from ..obs import (
-    Meter,
-    Tracer,
-    align_events,
-    collect_run,
-    estimate_alignment,
-    trace_header,
-    write_jsonl,
+from ..analysis.critical_path import (
+    ICC_STAGES,
+    consistency_line,
+    critical_paths,
+    latency_breakdown,
 )
+from ..obs import Meter, Tracer, collect_run, trace_header, write_jsonl
 from .cluster import LiveCluster
 from .config import LiveConfig, load_live_config, local_live_config
 from .party import LiveParty
@@ -89,6 +88,20 @@ async def _serve(config: LiveConfig, index: int, tracer, meter) -> dict:
     return result
 
 
+def _write_trace(config: LiveConfig, index: int, tracer: Tracer, path: str) -> None:
+    """Export one party's trace.  The header makes it self-identifying: the
+    collector refuses headerless traces and mixed run_ids."""
+    write_jsonl(
+        tracer.export_events(),
+        path,
+        header=trace_header(
+            run_id=config.effective_run_id(),
+            party=index,
+            cluster_id=config.cluster_id,
+        ),
+    )
+
+
 def serve(args) -> int:
     """``python -m repro serve --config cluster.json --index 2``."""
     config = load_live_config(args.config)
@@ -101,18 +114,8 @@ def serve(args) -> int:
                      "live.frames.rejected", "net.messages")
     }
     if args.trace:
-        # The header makes the export self-identifying: the collector
-        # refuses headerless traces and mixed run_ids.
-        write_jsonl(
-            tracer.export_events(),
-            args.trace,
-            header=trace_header(
-                run_id=config.effective_run_id(),
-                party=args.index,
-                cluster_id=config.cluster_id,
-            ),
-        )
-    if getattr(args, "meter", None):
+        _write_trace(config, args.index, tracer, args.trace)
+    if args.meter:
         meter.write_json(args.meter)
     payload = json.dumps(result, indent=1, sort_keys=True)
     if args.result:
@@ -193,20 +196,19 @@ def _fresh_run_id(config: LiveConfig) -> str:
     return f"{config.cluster_id}-{config.seed}-{os.getpid()}-{int(time.time() * 1000)}"
 
 
-async def _run_inproc(
-    config: LiveConfig, observe: bool = False
-) -> tuple[list[dict], dict[int, Tracer], dict[int, Meter]]:
-    """One in-process run; with ``observe`` each party gets its own
-    tracer/meter (its own timeline), mirroring separate processes."""
-    tracers: dict[int, Tracer] = {}
-    meters: dict[int, Meter] = {}
-    per_party = None
-    if observe:
-        for i in range(1, config.n + 1):
-            tracers[i] = Tracer()
-            meters[i] = Meter()
-        per_party = lambda i: (tracers[i], meters[i])  # noqa: E731
-    async with LiveCluster(config, per_party=per_party) as cluster:
+async def _run_inproc(config: LiveConfig, workdir: str | None) -> list[dict]:
+    """One in-process run.  Given a ``workdir`` each party gets its own
+    tracer/meter (its own timeline), mirroring separate processes, and the
+    run is written there in the per-process layout ``_spawn_cluster``
+    leaves and ``repro collect`` expects."""
+    observed = (
+        {i: (Tracer(), Meter()) for i in range(1, config.n + 1)}
+        if workdir
+        else None
+    )
+    async with LiveCluster(
+        config, per_party=observed.__getitem__ if observed else None
+    ) as cluster:
         reached = await cluster.wait_for_height(
             config.target_height, config.timeout
         )
@@ -221,54 +223,17 @@ async def _run_inproc(
         except AssertionError:
             for record in results:
                 record["committed"] = record["committed"] or ["<diverged>"]
-        return results, tracers, meters
-
-
-def _breakdown_from_tracers(
-    config: LiveConfig, tracers: dict[int, Tracer]
-) -> dict:
-    """Align the per-party in-memory traces and compute the breakdown."""
-    events_by_party = {i: t.export_events() for i, t in tracers.items()}
-    alignment = estimate_alignment(events_by_party)
-    return live_latency_breakdown(
-        align_events(events_by_party, alignment),
-        quorum=config.n - config.t,
-        clock_uncertainty=alignment.max_uncertainty,
-    )
-
-
-def run_live_inproc(config: LiveConfig) -> dict:
-    """One in-process live run, summarized with its latency breakdown
-    (the ``--check`` leg)."""
-    results, tracers, _meters = asyncio.run(_run_inproc(config, observe=True))
-    return summarize(config, results, _breakdown_from_tracers(config, tracers))
-
-
-def _write_inproc_run(
-    config: LiveConfig,
-    workdir: str,
-    results: list[dict],
-    tracers: dict[int, Tracer],
-    meters: dict[int, Meter],
-) -> None:
-    """Persist an observed in-process run in the exact per-process layout
-    ``repro collect`` expects."""
-    config.save(os.path.join(workdir, "cluster.json"))
-    run_id = config.effective_run_id()
-    for i in range(1, config.n + 1):
-        write_jsonl(
-            tracers[i].export_events(),
-            os.path.join(workdir, f"trace-{i}.jsonl"),
-            header=trace_header(
-                run_id=run_id, party=i, cluster_id=config.cluster_id
-            ),
-        )
-        meters[i].write_json(os.path.join(workdir, f"meter-{i}.json"))
-    for record in results:
-        path = os.path.join(workdir, f"result-{record['index']}.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(record, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+    if observed:
+        config.save(os.path.join(workdir, "cluster.json"))
+        for i, (tracer, meter) in observed.items():
+            _write_trace(config, i, tracer, os.path.join(workdir, f"trace-{i}.jsonl"))
+            meter.write_json(os.path.join(workdir, f"meter-{i}.json"))
+        for record in results:
+            path = os.path.join(workdir, f"result-{record['index']}.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(record, fh, indent=1, sort_keys=True)
+                fh.write("\n")
+    return results
 
 
 def _spawn_cluster(
@@ -343,10 +308,10 @@ def _collect_breakdown(config: LiveConfig, workdir: str) -> dict | None:
     except Exception as exc:
         print(f"  collect     : FAILED ({exc})")
         return None
-    breakdown = live_latency_breakdown(
+    breakdown = latency_breakdown(
+        critical_paths(collected.events, quorum=config.n - config.t),
         collected.events,
-        quorum=config.n - config.t,
-        clock_uncertainty=collected.alignment.max_uncertainty,
+        collected.alignment.max_uncertainty,
     )
     print(f"  collected   : {collected.merged_trace_path}")
     print(f"  {consistency_line(breakdown)}")
@@ -376,10 +341,9 @@ def _print_summary(config: LiveConfig, live_block: dict) -> None:
         )
     breakdown = live_block.get("latency_breakdown")
     if breakdown and breakdown.get("heights"):
-        stages = breakdown.get("stage_means_s", {})
+        stages = breakdown["stage_means_s"]
         rendered = " + ".join(
-            f"{stage.split('_')[0]} {stages.get(stage, 0.0) * 1000:.0f}ms"
-            for stage in sorted(stages)
+            f"{stage} {stages[stage] * 1000:.0f}ms" for stage in ICC_STAGES
         )
         print(
             f"  breakdown   : {breakdown['heights']} heights, mean "
@@ -397,28 +361,23 @@ def live(args) -> int:
             epsilon=0.02, target_height=5, timeout=30.0,
             load_requests=40, load_batch=8,
         )
-        config = dataclasses.replace(config, run_id=_fresh_run_id(config))
-        live_block = run_live_inproc(config)
-        _print_summary(config, live_block)
-        return 0 if live_block["live_ok"] and live_block["safety_ok"] else 1
-
-    config = local_live_config(
-        args.n,
-        t=(args.n - 1) // 3,
-        seed=args.seed,
-        protocol=args.protocol,
-        epsilon=args.epsilon,
-        target_height=args.heights,
-        timeout=args.timeout,
-        load_requests=args.load,
-        load_batch=16,
-    )
+    else:
+        config = local_live_config(
+            args.n,
+            t=(args.n - 1) // 3,
+            seed=args.seed,
+            protocol=args.protocol,
+            epsilon=args.epsilon,
+            target_height=args.heights,
+            timeout=args.timeout,
+            load_requests=args.load,
+            load_batch=16,
+        )
     config = dataclasses.replace(config, run_id=_fresh_run_id(config))
-    trace_dir = getattr(args, "trace_dir", None)
-    # --json publishes a latency breakdown, which needs traces; without
-    # an explicit --trace-dir it traces into a temp dir.
-    want_trace = bool(trace_dir or args.json)
-    breakdown: dict | None = None
+    trace_dir = args.trace_dir
+    # --json and --check publish a latency breakdown, which needs traces;
+    # without an explicit --trace-dir they trace into a temp dir.
+    want_trace = bool(trace_dir or args.json or args.check)
     if trace_dir:
         os.makedirs(trace_dir, exist_ok=True)
         _clear_run_artifacts(trace_dir)
@@ -428,16 +387,13 @@ def live(args) -> int:
     else:
         workdir_ctx = tempfile.TemporaryDirectory(prefix="repro-live-")
     with workdir_ctx as workdir:
-        if args.inproc:
-            results, tracers, meters = asyncio.run(
-                _run_inproc(config, observe=want_trace)
+        if args.inproc or args.check:
+            results = asyncio.run(
+                _run_inproc(config, workdir if want_trace else None)
             )
-            if want_trace:
-                _write_inproc_run(config, workdir, results, tracers, meters)
         else:
             results = _spawn_cluster(config, workdir, trace=want_trace)
-        if want_trace:
-            breakdown = _collect_breakdown(config, workdir)
+        breakdown = _collect_breakdown(config, workdir) if want_trace else None
     live_block = summarize(config, results, breakdown)
     _print_summary(config, live_block)
     if args.json:
@@ -450,7 +406,6 @@ def live(args) -> int:
 
 __all__ = [
     "live",
-    "run_live_inproc",
     "serve",
     "summarize",
     "summary_document",

@@ -42,7 +42,8 @@ into one:
    ``merged-meter.json`` and ``alignment.json``.  The merged trace is a
    normal trace: every existing analysis (critical paths, trace queries,
    reports) runs on it unchanged, with :class:`ClockAlignment` supplying
-   the uncertainty annotation.
+   the uncertainty annotation.  ``python -m repro collect``
+   (:func:`add_arguments` / :func:`run`) is that step as a command.
 """
 
 from __future__ import annotations
@@ -448,10 +449,17 @@ def align_events(
     events_by_party: dict[int, list[TraceEvent]], alignment: ClockAlignment
 ) -> list[TraceEvent]:
     """Shift every party's events onto the reference timeline and merge,
-    sorted by aligned time."""
+    sorted by aligned time.  ``not_before`` (``icc.share.notarization``) is
+    an instant on the same party's clock, so it moves with its event."""
     merged: list[TraceEvent] = []
     for party, events in events_by_party.items():
         for event in events:
+            payload = event.payload
+            if "not_before" in payload:
+                payload = {
+                    **payload,
+                    "not_before": alignment.shift(party, payload["not_before"]),
+                }
             merged.append(
                 TraceEvent(
                     time=alignment.shift(party, event.time),
@@ -459,7 +467,7 @@ def align_events(
                     protocol=event.protocol,
                     round=event.round,
                     kind=event.kind,
-                    payload=event.payload,
+                    payload=payload,
                 )
             )
     merged.sort(key=lambda e: e.time)
@@ -582,3 +590,57 @@ def collect_run(run_dir: str | pathlib.Path, *, write: bool = True) -> Collected
         collected.merged_meter_path = str(merged_meter)
         collected.alignment_path = str(alignment_path)
     return collected
+
+
+# ----------------------------------------------------------------------- cli
+
+
+def add_arguments(parser) -> None:
+    """The ``python -m repro collect`` flags, declared once
+    (``repro.__main__`` hands its subparser here)."""
+    parser.add_argument(
+        "run_dir",
+        help="directory holding cluster.json and the trace-*.jsonl / "
+             "meter-*.json / result-*.json of one `repro live --trace-dir` run",
+    )
+    parser.add_argument(
+        "--report", metavar="PATH", default=None,
+        help="also write the run report (markdown; what `repro report "
+             "--load --trace-dir RUN_DIR` renders)",
+    )
+    parser.add_argument(
+        "--check", action="store_true",
+        help="fail unless heights finalized and the per-height stage "
+             "spans telescope to the measured latency",
+    )
+
+
+def run(args) -> int:
+    """Merge + align one run directory, then judge it the way its report
+    does: same loader, same quorum (``n - t`` of ``cluster.json``)."""
+    from ..analysis.critical_path import consistency_line
+    from ..experiments import run_report
+
+    collected = collect_run(args.run_dir)
+    loaded = run_report.load_run(args.run_dir)
+    [(_, _, breakdown)] = run_report.analyse(
+        loaded["traces"], loaded["params"], loaded["alignment"]
+    )
+    print(
+        f"collected run {collected.run_id!r}: {len(collected.parties)} parties, "
+        f"{len(collected.events)} events, {breakdown['heights']} finalized "
+        "heights"
+    )
+    print(f"merged trace: {collected.merged_trace_path}")
+    print(f"merged meter: {collected.merged_meter_path}")
+    print(f"alignment:    {collected.alignment_path}")
+    print(consistency_line(breakdown))
+    if args.report:
+        pathlib.Path(args.report).write_text(
+            run_report.generate(**loaded), encoding="utf-8"
+        )
+        print(f"report:       {args.report}")
+    if args.check and not breakdown["spans_telescope"]:
+        print("collect --check FAILED: spans do not telescope (or no heights)")
+        return 1
+    return 0

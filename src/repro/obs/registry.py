@@ -141,7 +141,7 @@ register(
 register(
     "icc.share.notarization", "repro.core.icc0",
     "A party broadcast its notarization share for a block.",
-    ("block",),
+    ("block", "not_before"),
 )
 register(
     "icc.share.finalization", "repro.core.icc0",

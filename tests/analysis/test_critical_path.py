@@ -8,6 +8,7 @@ from repro.analysis import theory
 from repro.analysis.critical_path import (
     BASELINE_STAGES,
     ICC_STAGES,
+    TICK,
     baseline_paths,
     critical_paths,
     format_paths,
@@ -18,16 +19,14 @@ from repro.analysis.trace import message_counts
 from repro.baselines import BaselineClusterConfig, HotStuffParty, build_baseline_cluster
 from repro.core import build_cluster
 from repro.experiments.common import make_icc_config
-from repro.obs import Tracer
+from repro.obs import TraceEvent, Tracer
 from repro.sim.delays import FixedDelay, UniformDelay
 
 N, T = 4, 1
 DELTA = 0.05
+EPSILON = DELTA / 5
 ROUNDS = 8
 QUORUM = N - T
-
-#: "1 tick": the acceptance tolerance for the telescoping identity.
-TICK = 1e-9
 
 
 def run_traced(protocol: str, delay_model=None) -> Tracer:
@@ -38,7 +37,7 @@ def run_traced(protocol: str, delay_model=None) -> Tracer:
         t=T,
         delta_bound=DELTA * 6,
         delay_model=delay_model or FixedDelay(DELTA),
-        epsilon=0.01,
+        epsilon=EPSILON,
         seed=7,
         max_rounds=ROUNDS + 2,
     )
@@ -68,17 +67,42 @@ class TestTelescoping:
 
     def test_fixed_delay_matches_paper_stage_structure(self):
         """With a fixed delay δ and instant proposals, notarization takes
-        2δ (block hop + share hop) and finalization one more δ."""
+        2δ (block hop + share hop) and finalization one more δ; of the block
+        hop, ε is the governor Δntry(0) and δ − ε is left to the network."""
         tracer = run_traced("icc0")
         paths = critical_paths(tracer.events(), quorum=QUORUM)
         steady = [p for p in paths if 2 <= p.round <= ROUNDS - 1]
         assert steady
         for path in steady:
-            gossip = path.stage("gossip_transit")
-            notar = path.stage("notarization_quorum")
-            final = path.stage("finalization_quorum")
-            assert abs(gossip.duration + notar.duration - 2 * DELTA) < TICK
-            assert abs(final.duration - DELTA) < TICK
+            delay = path.stage("notary_delay").duration
+            transit = path.stage("block_transit").duration
+            notar = path.stage("notarization_quorum").duration
+            assert abs(delay - EPSILON) < TICK
+            assert abs(transit - (DELTA - EPSILON)) < TICK
+            assert abs(delay + transit + notar - 2 * DELTA) < TICK
+            assert abs(path.stage("finalization_quorum").duration - DELTA) < TICK
+
+    def test_trace_without_not_before_still_telescopes(self):
+        """A trace recorded before shares carried ``not_before`` puts the
+        whole proposal -> quorum interval into ``block_transit``."""
+        full = run_traced("icc0").events()
+        stripped = [
+            TraceEvent(
+                time=e.time, party=e.party, protocol=e.protocol, round=e.round,
+                kind=e.kind,
+                payload={k: v for k, v in e.payload.items() if k != "not_before"},
+            )
+            for e in full
+        ]
+        references = critical_paths(full, quorum=QUORUM)
+        paths = critical_paths(stripped, quorum=QUORUM)
+        assert len(paths) == len(references) >= ROUNDS - 1
+        for path, reference in zip(paths, references):
+            assert path.stage("notary_delay").duration == 0.0
+            assert path.stage("block_transit").start == reference.stage("notary_delay").start
+            assert path.stage("block_transit").end == reference.stage("block_transit").end
+            assert abs(path.total - (path.finalized - path.entered)) <= TICK
+            assert path.total == reference.total
 
 
 class TestTheoryBounds:
@@ -136,7 +160,8 @@ class TestHelpers:
         tracer = run_traced("icc0")
         paths = critical_paths(tracer.events(), quorum=QUORUM)
         text = format_paths(paths)
-        assert "gossip_transit" in text
+        for stage in ICC_STAGES:
+            assert stage in text
         assert str(paths[0].round) in text
         assert format_paths([]) == "no finalized heights in trace"
 

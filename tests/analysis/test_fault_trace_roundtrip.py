@@ -16,7 +16,6 @@ from repro.analysis.critical_path import baseline_paths, critical_paths
 from repro.analysis.trace import (
     adversary_timeline,
     message_counts,
-    round_breakdown,
     summarize,
 )
 from repro.obs import EVENT_KINDS, TraceEvent, read_jsonl, write_jsonl
@@ -78,7 +77,6 @@ class TestSyntheticFaultRoundTrip:
         assert summary.events == len(events)
         assert summary.blocks_committed == 0
         assert message_counts(events) == {}
-        assert round_breakdown(events) == {}
         assert adversary_timeline(events) == []
         assert critical_paths(events) == []
         assert baseline_paths(events) == []
@@ -122,7 +120,6 @@ class TestChaosTraceRoundTrip:
         for kind in summary.kinds:
             assert kind in EVENT_KINDS
         message_counts(events)
-        round_breakdown(events)
         adversary_timeline(events)
         for path in critical_paths(events):
             assert abs(path.total - (path.finalized - path.entered)) <= 1e-9

@@ -206,6 +206,26 @@ class TestPairEstimation:
                 transit = e.time - t_send
                 assert -0.001 <= transit <= 0.01
 
+    def test_align_events_shifts_not_before_with_its_event(self):
+        """``not_before`` is an instant on the emitting party's clock; left
+        unshifted, the critical path would compare two different clocks."""
+        events = two_party_run(theta=0.030)
+        events[2].append(TraceEvent(
+            time=1.25, party=2, protocol="ICC0", round=3,
+            kind="icc.share.notarization",
+            payload={"block": "ab", "not_before": 1.2},
+        ))
+        alignment = estimate_alignment(events)
+        [share] = [
+            e for e in align_events(events, alignment)
+            if e.kind == "icc.share.notarization"
+        ]
+        assert share.time == alignment.shift(2, 1.25)
+        assert share.payload["not_before"] == alignment.shift(2, 1.2)
+        assert share.time - share.payload["not_before"] == pytest.approx(0.05)
+        assert abs(share.time - 1.25) > 0.02  # the shift is not a no-op here
+        assert events[2][-1].payload["not_before"] == 1.2  # input untouched
+
     def test_alignment_dict_round_trip(self):
         alignment = estimate_alignment(two_party_run())
         clone = ClockAlignment.from_dict(

@@ -19,7 +19,6 @@ from repro.analysis.trace import (
     bytes_sent,
     commit_latencies,
     message_counts,
-    round_breakdown,
     summarize,
 )
 from repro.baselines import BaselineClusterConfig, HotStuffParty, build_baseline_cluster
@@ -139,20 +138,6 @@ class TestMetricsEquivalence:
 
 
 class TestBreakdownAndTimeline:
-    def test_round_breakdown_reflects_paper_latencies(self):
-        tracer = Tracer()
-        run_icc0(tracer=tracer)
-        breakdown = round_breakdown(tracer.events())
-        # Steady-state rounds: propose->notarize = 2δ, notarize->finalize = δ.
-        steady = [b for b in breakdown.values() if 2 <= b.round <= ROUNDS - 2]
-        assert steady
-        for entry in steady:
-            gaps = entry.phase_durations()
-            assert abs(gaps["propose->notarize"] - 2 * DELTA) < 1e-9
-            assert abs(gaps["notarize->finalize"] - DELTA) < 1e-9
-            assert abs(gaps["propose->commit"] - 3 * DELTA) < 1e-9
-            assert entry.messages > 0
-
     def test_adversary_timeline_captures_withholding(self):
         tracer = Tracer()
         withholder = corrupt_class(ICC0Party, WithholdFinalizationMixin)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.__main__ import main
+from repro.analysis import ICC_STAGES
 
 
 class TestCli:
@@ -33,7 +34,8 @@ class TestCli:
         out = capsys.readouterr().out
         assert "events traced" in out
         assert "icc.block.committed" in out
-        assert "propose->notarize" in out
+        header = next(line for line in out.splitlines() if "propose_wait" in line)
+        assert header.split() == ["round", "block", *ICC_STAGES, "total"]
 
     def test_trace_export_and_reload(self, capsys, tmp_path):
         path = str(tmp_path / "trace.jsonl")
@@ -67,10 +69,11 @@ class TestCli:
         ["bench"], ["profile"],
         ["load", "--bench"], ["load", "--check"], ["load", "--quick"],
         ["shard", "--bench"], ["shard", "--check"], ["shard", "--quick"],
-        ["live", "--bench"], ["report", "--suite"],
+        ["live", "--bench"], ["report", "--suite"], ["report", "--live"],
     ], ids=" ".join)
     def test_second_measuring_stack_is_gone(self, argv, capsys):
-        """Performance is measured by ``python3 bench/run.py`` alone."""
+        """Performance is measured by ``python3 bench/run.py`` alone (and a
+        live run is reported by ``report --load``, like any other)."""
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2  # argparse usage error
