@@ -7,6 +7,7 @@ on the substrate.
 
 from __future__ import annotations
 
+import itertools
 import os
 from random import Random
 
@@ -54,6 +55,51 @@ class TestCryptoMicro:
     def test_fast_backend_notary_share(self, benchmark):
         rings = generate_keyrings(13, 4, backend="fast")
         benchmark(lambda: rings[0].sign_notary_share(b"message"))
+
+
+class TestKeyringMicro:
+    """The calls ``sim_n7_real`` makes, at its sizes: n = 7, the 512-bit
+    ``default`` group, through the keyring (signers over the cluster's fast
+    path, verdict cache).  ``TestCryptoMicro`` times module-level functions
+    on the 128-bit test group, where a 1.1 ms primality proof inside a
+    0.06 ms signature went unseen."""
+
+    @pytest.fixture(scope="class")
+    def rings(self):
+        return generate_keyrings(7, 2, seed=1, backend="real", group_profile="default")
+
+    def test_sign_notary_share(self, benchmark, rings):
+        benchmark(lambda: rings[0].sign_notary_share(b"message"))
+
+    def test_sign_beacon_share(self, benchmark, rings):
+        benchmark(lambda: rings[0].sign_beacon_share(b"beacon"))
+
+    def test_combine_beacon(self, benchmark, rings):
+        shares = [ring.sign_beacon_share(b"beacon") for ring in rings[:3]]  # t + 1
+        benchmark(lambda: rings[0].combine_beacon(b"beacon", shares))
+
+    def test_verify_notary_own_aggregate(self, benchmark, rings):
+        # What a party does once per height: it verified the n - t shares as
+        # they arrived and then puts its own aggregate into its own pool.
+        fresh = (b"own/%d" % i for i in itertools.count())
+
+        def just_combined():
+            message = next(fresh)
+            shares = [ring.sign_notary_share(message) for ring in rings[:5]]
+            assert rings[0].verify_notary_share_batch([(message, s) for s in shares]).all_valid()
+            return (message, rings[0].combine_notary(message, shares)), {}
+
+        assert benchmark.pedantic(rings[0].verify_notary, setup=just_combined, rounds=30)
+
+    def test_verify_notary_share_foreign(self, benchmark, rings):
+        # A share never seen before, so the verdict cache cannot answer.
+        fresh = (b"foreign/%d" % i for i in itertools.count())
+
+        def unseen():
+            message = next(fresh)
+            return (message, rings[1].sign_notary_share(message)), {}
+
+        assert benchmark.pedantic(rings[0].verify_notary_share, setup=unseen, rounds=30)
 
 
 class TestBatchVerifyMicro:

@@ -11,9 +11,9 @@ surface:
     verify_batch(items)      -> list[bool]      # items: (pk, message, sig)
 
 plus ``verify_batch_report`` returning a :class:`BatchResult` with the
-counters the ``crypto.batch_verify`` trace event wants.  All verifiers are
-backed by the shared :class:`repro.crypto.fastpath.FastPath` context for
-their group (fixed-base tables, membership/H2 caches, RLC batching), so
+counters the ``crypto.batch_verify`` trace event wants.  All verifiers of a
+suite are backed by one :class:`repro.crypto.fastpath.FastPath` context
+(fixed-base tables, membership/H2 caches, RLC batching), so
 call sites never see the fast/slow split; the per-item oracles in
 :mod:`repro.crypto.fastpath` remain the reference semantics.
 
@@ -23,9 +23,11 @@ raw DLEQ proofs (message is ignored — the statement is the message), and
 the scheme public key (``ThresholdPublicKey`` / ``MultisigPublicKey``) for
 shares and aggregates.
 
-Obtain verifiers through :func:`verifiers_for` (one cached suite per
-group).  The scheme modules keep keygen/sign/combine and their wire
-formats; verification lives here, where batching can amortize it.
+Obtain verifiers through :func:`verifiers_for` (one process-wide suite per
+group) or, for a cluster that should take its tables with it when it goes,
+:meth:`VerifierSuite.over` a :class:`~repro.crypto.fastpath.FastPath` of its
+own.  The scheme modules keep keygen/sign/combine and their wire formats;
+verification lives here, where batching can amortize it.
 """
 
 from __future__ import annotations
@@ -397,28 +399,18 @@ class VerifierSuite:
     multisig_share: MultisigShareVerifier
     multisig: MultisigVerifier
 
-
-_SUITES: dict[tuple[int, int, int, str], VerifierSuite] = {}
-
-
-def verifiers_for(group: Group) -> VerifierSuite:
-    """The cached :class:`VerifierSuite` for ``group``.
-
-    Keyed per (group, active crypto backend): under
-    :func:`repro.crypto.backend.use_backend` each backend gets its own
-    suite whose fastpath context was built by that backend, so per-backend
-    benchmarks never share precomputations.
-    """
-    backend = active_backend()
-    key = (group.p, group.q, group.g, backend.name)
-    suite = _SUITES.get(key)
-    if suite is None:
-        ctx = fastpath.for_group(group, backend)
+    @classmethod
+    def over(cls, ctx: fastpath.FastPath) -> "VerifierSuite":
+        """The seven verifiers wired over ``ctx``; whoever holds the suite
+        owns the context's tables and caches (a cluster's keyrings through
+        :func:`repro.crypto.keyring.generate_keyrings`, or the process
+        through :func:`verifiers_for`)."""
+        group = ctx.group
         schnorr_v = SchnorrVerifier(group, ctx)
         dleq_v = DleqVerifier(group, ctx)
         share_v = ThresholdShareVerifier(group, ctx, dleq_v)
         ms_share_v = MultisigShareVerifier(group, ctx, schnorr_v)
-        suite = VerifierSuite(
+        return cls(
             group=group,
             ctx=ctx,
             schnorr=schnorr_v,
@@ -429,5 +421,24 @@ def verifiers_for(group: Group) -> VerifierSuite:
             multisig_share=ms_share_v,
             multisig=MultisigVerifier(group, ctx, ms_share_v),
         )
-        _SUITES[key] = suite
+
+
+_SUITES: dict[tuple[int, int, int, str], VerifierSuite] = {}
+
+
+def verifiers_for(group: Group) -> VerifierSuite:
+    """The process-wide :class:`VerifierSuite` for ``group``, for callers
+    with no cluster to own one (client authentication, key ceremonies,
+    tests).  It lives as long as the process does.
+
+    Keyed per (group, active crypto backend): under
+    :func:`repro.crypto.backend.use_backend` each backend gets its own
+    suite whose fastpath context was built by that backend, so per-backend
+    benchmarks never share precomputations.
+    """
+    backend = active_backend()
+    key = (group.p, group.q, group.g, backend.name)
+    suite = _SUITES.get(key)
+    if suite is None:
+        suite = _SUITES[key] = VerifierSuite.over(fastpath.for_group(group, backend))
     return suite

@@ -9,13 +9,15 @@ against each other on the same inputs, instead of one-way rewrites:
 * ``pure``   — the reference implementation: Python's built-in ``pow``
   for every exponentiation, no precomputation, no caches.  This is the
   baseline every other backend is benchmarked against.
-* ``window`` — fixed-window (comb) precomputation for long-lived bases.
-  Repeated exponentiations of the same base (the generator ``g``, public
-  keys, H2 points) are served from a :class:`FixedBaseTable` built after
-  the base has been seen a few times; one-shot bases still use ``pow``.
-  This generalizes the comb tables :mod:`repro.crypto.fastpath` has
-  always kept for the generator and public keys to *every* ``Group``
-  exponentiation, and is the default backend.
+* ``window`` — fixed-window (comb) precomputation for long-lived bases,
+  and the default backend.  ``fixed_power`` builds a
+  :class:`FixedBaseTable` for a base the caller *declares* long-lived (the
+  generator ``g`` and public keys, through
+  :class:`repro.crypto.fastpath.FastPath`); ``powmod`` is Python's ``pow``
+  exactly as in ``pure``.  The backend keeps no per-base state and never
+  guesses which bases will come back: a 512-bit table needs ≥ 16 further
+  uses to repay its build and an ephemeral base (a beacon share value, a
+  commitment) gets a handful (docs/PERFORMANCE.md).
 * ``gmpy2``  — GMP-accelerated big integers, auto-detected: registered
   only when the optional ``gmpy2`` package imports.  When absent the
   backend reports itself unavailable and every consumer skips it (the
@@ -57,7 +59,7 @@ class FixedBaseTable:
     no squarings at exponentiation time.  Build cost is
     ⌈max_bits/w⌉·(2^w - 1) multiplications, which pays for itself after a
     handful of exponentiations; callers cache tables per long-lived base
-    (see :class:`WindowBackend` and :class:`repro.crypto.fastpath.FastPath`).
+    (see :class:`repro.crypto.fastpath.FastPath`).
     """
 
     __slots__ = ("p", "window", "max_bits", "_mask", "_rows")
@@ -130,46 +132,14 @@ class PureBackend(CryptoBackend):
 
 
 class WindowBackend(CryptoBackend):
-    """Fixed-window precomputation for bases that keep coming back.
+    """Comb tables for the bases a caller declares long-lived.
 
-    ``powmod`` counts (base, modulus) pairs and promotes a pair to a comb
-    table once it has been seen ``promote_after`` times; until then (and
-    for one-shot bases forever) it is plain ``pow``.  The table cache is
-    bounded so adversarial base churn cannot grow memory without bound.
-    ``fixed_power`` skips the bookkeeping: the caller has already promised
-    the base is long-lived, so it gets a table immediately.
+    Differs from ``pure`` in ``fixed_power`` only: the caller has promised
+    to reuse the base, so it gets a :class:`FixedBaseTable` immediately.
+    One-shot exponentiations (``powmod``) are the base class's ``pow``.
     """
 
     name = "window"
-
-    def __init__(self, *, window: int = DEFAULT_WINDOW, table_cache: int = 64,
-                 promote_after: int = 3, count_cache: int = 4096) -> None:
-        self._window = window
-        self._table_cache = table_cache
-        self._promote_after = promote_after
-        self._count_cache = count_cache
-        self._tables: dict[tuple[int, int], FixedBaseTable] = {}
-        self._counts: dict[tuple[int, int], int] = {}
-
-    def powmod(self, base: int, exponent: int, modulus: int) -> int:
-        if exponent < 0:
-            return pow(base, exponent, modulus)
-        key = (base, modulus)
-        table = self._tables.get(key)
-        if table is None:
-            seen = self._counts.get(key, 0) + 1
-            if seen >= self._promote_after and len(self._tables) < self._table_cache:
-                self._counts.pop(key, None)
-                table = FixedBaseTable(modulus, base, modulus.bit_length(), self._window)
-                self._tables[key] = table
-            else:
-                if len(self._counts) >= self._count_cache:
-                    self._counts.clear()  # churn guard; affects speed only
-                self._counts[key] = seen
-                return pow(base, exponent, modulus)
-        if exponent.bit_length() > table.max_bits:  # pragma: no cover - defensive
-            return pow(base, exponent, modulus)
-        return table.power(exponent)
 
     def fixed_power(self, base: int, modulus: int, max_bits: int,
                     window: int = DEFAULT_WINDOW) -> Callable[[int], int]:

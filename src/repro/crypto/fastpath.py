@@ -174,11 +174,19 @@ class _BoundedCache(OrderedDict):
 
 
 class FastPath:
-    """Per-group caches and precomputed tables for the verification fast path.
+    """Caches and precomputed tables for the verification fast path.
 
-    One instance per :class:`Group` (see :func:`for_group`); it is shared by
-    every verifier over that group, so public-key tables and membership
-    results amortize across parties, rounds and schemes.
+    One instance per *owner*, shared by every verifier and signer the owner
+    wires over it, so public-key tables, membership results and H2 points
+    amortize across parties, rounds and schemes for as long as the owner
+    lives.  A cluster owns one (:func:`repro.crypto.keyring.generate_keyrings`
+    builds it and hands it to its n keyrings), and its tables go when the
+    cluster goes; :func:`for_group` keeps a process-wide one per group for
+    callers with no cluster (client authentication, ceremonies, tests).
+
+    Tables exist only for bases a caller declares long-lived — ``g`` here,
+    public keys through :meth:`power_base`/:meth:`warm_bases`; everything
+    else is the backend's one-shot ``powmod``.
     """
 
     def __init__(
@@ -287,9 +295,11 @@ _CONTEXTS: dict[tuple[int, int, int, str], FastPath] = {}
 
 
 def for_group(group: Group, backend: CryptoBackend | None = None) -> FastPath:
-    """The shared :class:`FastPath` context for ``group`` under a backend.
+    """The process-wide :class:`FastPath` context for ``group`` under a backend.
 
-    One context per (group, backend) pair: switching backends with
+    It is never freed, so it is for standalone callers; a cluster builds its
+    own (see :class:`FastPath`).  One context per (group, backend) pair:
+    switching backends with
     :func:`repro.crypto.backend.use_backend` transparently switches to a
     context whose precomputations were built by that backend, so cached
     tables never leak across strategies being benchmarked against each

@@ -67,8 +67,11 @@ class Group:
     def cofactor(self) -> int:
         return (self.p - 1) // self.q
 
-    @property
+    @cached_property
     def scalar_field(self) -> PrimeField:
+        """The field Z_q, built once per group: ``PrimeField`` proves its
+        modulus prime on construction (13 Miller–Rabin rounds, ≈ 1 ms at 256
+        bits), which every signature and every ``combine`` used to pay."""
         return PrimeField(self.q)
 
     @cached_property

@@ -32,8 +32,8 @@ from dataclasses import dataclass
 from random import Random
 from typing import Protocol, Sequence
 
-from . import api, multisig, schnorr, setup_cache, threshold
-from .fastpath import _BoundedCache
+from . import api, dleq, multisig, schnorr, setup_cache, threshold
+from .fastpath import FastPath, _BoundedCache
 from .group import Group, group_for_profile
 from .hashing import tagged_hash
 
@@ -93,24 +93,92 @@ class Keyring(Protocol):
 
 @dataclass
 class _SharedPublic:
-    """Public material common to all parties (one per simulation)."""
+    """Public material common to all parties (one per simulation), and the
+    verifier suite they share: its :class:`~repro.crypto.fastpath.FastPath`
+    (public-key tables, membership cache, H2 memo) belongs to this cluster
+    and is freed with it."""
 
     group: Group
     auth_publics: tuple[int, ...]
     notary_pk: multisig.MultisigPublicKey
     final_pk: multisig.MultisigPublicKey
     beacon_pk: threshold.ThresholdPublicKey
+    suite: api.VerifierSuite
+
+
+# Signature objects arrive from peers (pickle on the wire), so their shape is
+# checked before anything reads a field or hashes them into the verdict cache.
+
+
+def _ints(*values) -> bool:
+    return all(type(v) is int for v in values)
+
+
+def _is_schnorr(sig) -> bool:
+    return isinstance(sig, schnorr.SchnorrSignature) and _ints(sig.commitment, sig.response)
+
+
+def _is_multisig_share(share) -> bool:
+    return (
+        isinstance(share, multisig.MultisigShare)
+        and _ints(share.index)
+        and _is_schnorr(share.signature)
+    )
+
+
+def _is_multisig(agg) -> bool:
+    return (
+        isinstance(agg, multisig.Multisignature)
+        and isinstance(agg.shares, tuple)
+        and all(map(_is_multisig_share, agg.shares))
+    )
+
+
+def _is_beacon_share(share) -> bool:
+    if not isinstance(share, threshold.SignatureShare):
+        return False
+    proof = share.proof
+    return (
+        _ints(share.index, share.value)
+        and isinstance(proof, dleq.DleqProof)
+        and _ints(proof.commitment1, proof.commitment2, proof.response)
+    )
+
+
+def _is_beacon_signature(sig) -> bool:
+    return (
+        isinstance(sig, threshold.ThresholdSignature)
+        and _ints(sig.value)
+        and isinstance(sig.shares, tuple)
+        and all(map(_is_beacon_share, sig.shares))
+    )
 
 
 class RealKeyring:
     """Discrete-log instantiation of the :class:`Keyring` interface.
 
-    All signing and verification goes through :mod:`repro.crypto.api`.
-    Verification results are memoized in a bounded LRU keyed by
-    ``(kind, signer, message, sig)`` — the message slot doubles as the
-    message-hash of the ISSUE wording because protocol messages are already
-    fixed-width digests.  Signatures are frozen dataclasses and therefore
-    hashable; verification is deterministic, so both verdicts are cacheable.
+    All signing and verification goes through :mod:`repro.crypto.api`, over
+    the suite the cluster's keyrings share (``shared.suite``).
+
+    Verdicts are memoized in a bounded LRU keyed by ``(kind, signer,
+    message, sig)`` — protocol messages are fixed-width digests, signatures
+    are frozen dataclasses and therefore hashable, and verification is
+    deterministic, so both verdicts are cacheable.  The same LRU is how a
+    party does each piece of work once:
+
+    * every ``sign_*`` records its output as valid under the key ``verify_*``
+      will look up, so a party's own share or authenticator coming back
+      through its pool (Section 3.1: a broadcast reaches the sender too)
+      costs a lookup.  Only this party's secret key can have produced that
+      object; a forgery that claims this party's index is a *different*
+      object, misses, and is checked like any other.
+    * ``verify_notary``/``verify_final`` hold no verdict per aggregate: an
+      aggregate is valid iff it names ≥ h distinct signatories and every
+      share it carries is valid, and the shares go through the LRU one by
+      one.  An aggregate this party combined from shares it verified on
+      arrival costs no exponentiation, a foreign one costs only the shares
+      not seen before (in one RLC batch), and nothing is accepted that was
+      not signed here or verified here.
     """
 
     #: Bound on the per-party verification-result cache.
@@ -137,7 +205,7 @@ class RealKeyring:
         self._final_key = final_key
         self._beacon_key = beacon_key
         self._rng = rng
-        suite = api.verifiers_for(shared.group)
+        suite = shared.suite
         self._suite = suite
         self._auth_signer = api.SchnorrSigner(shared.group, auth_secret, suite.ctx)
         self._notary_signer = api.MultisigShareSigner(shared.notary_pk, notary_key, suite.ctx)
@@ -148,6 +216,11 @@ class RealKeyring:
         self.cache_misses = 0
 
     # -- result cache ------------------------------------------------------
+
+    def _signed(self, kind: str, message: bytes, sig):
+        """Record ``sig``, just made with this party's own key, as valid."""
+        self._results.put((kind, self.index, message, sig), True)
+        return sig
 
     def _cached(self, kind: str, signer: int, message: bytes, sig, check) -> bool:
         key = (kind, signer, message, sig)
@@ -161,176 +234,169 @@ class RealKeyring:
         self._results.put(key, verdict)
         return verdict
 
-    def _batch_cached(self, kind: str, verifier, pk, items) -> api.BatchResult:
-        """Batch verify (message, share) pairs through the result cache."""
-        results: list = [None] * len(items)
-        hits = misses = 0
-        keys: list = []
-        todo_idx: list[int] = []
+    def _batch_cached(self, kind: str, verifier, entries: list) -> api.BatchResult:
+        """Batch verify through the result cache.
+
+        ``entries`` holds one ``(signer, pk, message, sig)`` per item, or
+        ``None`` for an item its caller has already found malformed, which
+        is invalid without reaching the cache or the verifier.
+        """
+        results: list = [None] * len(entries)
+        hits = 0
+        pending: list[tuple[int, tuple]] = []  # (position, cache key) per todo item
         todo: list[tuple] = []
-        for i, (message, share) in enumerate(items):
-            key = (kind, share.index, message, share)
-            keys.append(key)
+        for i, entry in enumerate(entries):
+            if entry is None:
+                results[i] = False
+                continue
+            signer, pk, message, sig = entry
+            key = (kind, signer, message, sig)
             verdict = self._results.get(key, _MISS)
             if verdict is not _MISS:
                 self._results.touch(key)
                 hits += 1
                 results[i] = verdict
             else:
-                misses += 1
-                todo_idx.append(i)
-                todo.append((pk, message, share))
+                pending.append((i, key))
+                todo.append((pk, message, sig))
         bisections = 0
         if len(todo) == 1:
             # A singleton batch gains nothing from the RLC combination;
             # the single-item verifier is strictly cheaper.
-            i = todo_idx[0]
-            ok = verifier.verify(*todo[0])
-            results[i] = ok
-            self._results.put(keys[i], ok)
+            verdicts = [verifier.verify(*todo[0])]
         elif todo:
             report = verifier.verify_batch_report(todo)
             bisections = report.stats.bisections
-            for i, ok in zip(todo_idx, report.results):
-                results[i] = ok
-                self._results.put(keys[i], ok)
+            verdicts = report.results
+        else:
+            verdicts = []
+        for (i, key), ok in zip(pending, verdicts):
+            results[i] = ok
+            self._results.put(key, ok)
         self.cache_hits += hits
-        self.cache_misses += misses
+        self.cache_misses += len(todo)
         stats = api.BatchStats(
-            count=len(items),
+            count=len(entries),
             invalid=results.count(False),
             cache_hits=hits,
-            cache_misses=misses,
+            cache_misses=len(todo),
             bisections=bisections,
         )
         return api.BatchResult(results=results, stats=stats)
 
+    def _share_batch(self, kind: str, verifier, pk, is_share, items) -> api.BatchResult:
+        return self._batch_cached(
+            kind,
+            verifier,
+            [(s.index, pk, m, s) if is_share(s) else None for m, s in items],
+        )
+
+    def _verify_aggregate(self, kind: str, pk, message: bytes, agg) -> bool:
+        """The verdict of ``suite.multisig.verify``, share by share through
+        the result cache (class docstring)."""
+        if not _is_multisig(agg) or len(set(agg.signatories)) < pk.threshold:
+            return False
+        return self._batch_cached(
+            kind, self._suite.multisig_share, [(s.index, pk, message, s) for s in agg.shares]
+        ).all_valid()
+
     # S_auth
     def sign_auth(self, message: bytes):
-        return self._auth_signer.sign(message, self._rng)
+        return self._signed("auth", message, self._auth_signer.sign(message, self._rng))
+
+    def _auth_public(self, signer, sig) -> int | None:
+        if type(signer) is not int or not 1 <= signer <= self.n or not _is_schnorr(sig):
+            return None
+        return self._shared.auth_publics[signer - 1]
 
     def verify_auth(self, signer: int, message: bytes, sig) -> bool:
-        if not 1 <= signer <= self.n:
+        public = self._auth_public(signer, sig)
+        if public is None:
             return False
-        public = self._shared.auth_publics[signer - 1]
         return self._cached(
             "auth", signer, message, sig,
             lambda: self._suite.schnorr.verify(public, message, sig),
         )
 
     def verify_auth_batch(self, items: Sequence[tuple[int, bytes, object]]) -> api.BatchResult:
-        results: list = [None] * len(items)
-        hits = misses = 0
-        keys: list = []
-        todo_idx: list[int] = []
-        todo: list[tuple] = []
-        for i, (signer, message, sig) in enumerate(items):
-            if not 1 <= signer <= self.n:
-                results[i] = False
-                keys.append(None)
-                continue
-            key = ("auth", signer, message, sig)
-            keys.append(key)
-            verdict = self._results.get(key, _MISS)
-            if verdict is not _MISS:
-                self._results.touch(key)
-                hits += 1
-                results[i] = verdict
-            else:
-                misses += 1
-                todo_idx.append(i)
-                todo.append((self._shared.auth_publics[signer - 1], message, sig))
-        bisections = 0
-        if len(todo) == 1:
-            i = todo_idx[0]
-            ok = self._suite.schnorr.verify(*todo[0])
-            results[i] = ok
-            self._results.put(keys[i], ok)
-            todo = []
-        if todo:
-            report = self._suite.schnorr.verify_batch_report(todo)
-            bisections = report.stats.bisections
-            for i, ok in zip(todo_idx, report.results):
-                results[i] = ok
-                self._results.put(keys[i], ok)
-        self.cache_hits += hits
-        self.cache_misses += misses
-        stats = api.BatchStats(
-            count=len(items),
-            invalid=results.count(False),
-            cache_hits=hits,
-            cache_misses=misses,
-            bisections=bisections,
-        )
-        return api.BatchResult(results=results, stats=stats)
+        entries: list = []
+        for signer, message, sig in items:
+            public = self._auth_public(signer, sig)
+            entries.append(None if public is None else (signer, public, message, sig))
+        return self._batch_cached("auth", self._suite.schnorr, entries)
 
     # S_notary
     def sign_notary_share(self, message: bytes):
-        return self._notary_signer.sign(message, self._rng)
+        return self._signed("notary-share", message, self._notary_signer.sign(message, self._rng))
 
     def verify_notary_share(self, message: bytes, share) -> bool:
+        if not _is_multisig_share(share):
+            return False
         return self._cached(
             "notary-share", share.index, message, share,
             lambda: self._suite.multisig_share.verify(self._shared.notary_pk, message, share),
         )
 
     def verify_notary_share_batch(self, items: Sequence[tuple[bytes, object]]) -> api.BatchResult:
-        return self._batch_cached(
-            "notary-share", self._suite.multisig_share, self._shared.notary_pk, list(items)
+        return self._share_batch(
+            "notary-share", self._suite.multisig_share, self._shared.notary_pk,
+            _is_multisig_share, items,
         )
 
     def combine_notary(self, message: bytes, shares):
         return multisig.combine(self._shared.notary_pk, message, list(shares))
 
     def verify_notary(self, message: bytes, agg) -> bool:
-        return self._cached(
-            "notary-agg", 0, message, agg,
-            lambda: self._suite.multisig.verify(self._shared.notary_pk, message, agg),
-        )
+        return self._verify_aggregate("notary-share", self._shared.notary_pk, message, agg)
 
     # S_final
     def sign_final_share(self, message: bytes):
-        return self._final_signer.sign(message, self._rng)
+        return self._signed("final-share", message, self._final_signer.sign(message, self._rng))
 
     def verify_final_share(self, message: bytes, share) -> bool:
+        if not _is_multisig_share(share):
+            return False
         return self._cached(
             "final-share", share.index, message, share,
             lambda: self._suite.multisig_share.verify(self._shared.final_pk, message, share),
         )
 
     def verify_final_share_batch(self, items: Sequence[tuple[bytes, object]]) -> api.BatchResult:
-        return self._batch_cached(
-            "final-share", self._suite.multisig_share, self._shared.final_pk, list(items)
+        return self._share_batch(
+            "final-share", self._suite.multisig_share, self._shared.final_pk,
+            _is_multisig_share, items,
         )
 
     def combine_final(self, message: bytes, shares):
         return multisig.combine(self._shared.final_pk, message, list(shares))
 
     def verify_final(self, message: bytes, agg) -> bool:
-        return self._cached(
-            "final-agg", 0, message, agg,
-            lambda: self._suite.multisig.verify(self._shared.final_pk, message, agg),
-        )
+        return self._verify_aggregate("final-share", self._shared.final_pk, message, agg)
 
     # S_beacon
     def sign_beacon_share(self, message: bytes):
-        return self._beacon_signer.sign(message, self._rng)
+        return self._signed("beacon-share", message, self._beacon_signer.sign(message, self._rng))
 
     def verify_beacon_share(self, message: bytes, share) -> bool:
+        if not _is_beacon_share(share):
+            return False
         return self._cached(
             "beacon-share", share.index, message, share,
             lambda: self._suite.threshold_share.verify(self._shared.beacon_pk, message, share),
         )
 
     def verify_beacon_share_batch(self, items: Sequence[tuple[bytes, object]]) -> api.BatchResult:
-        return self._batch_cached(
-            "beacon-share", self._suite.threshold_share, self._shared.beacon_pk, list(items)
+        return self._share_batch(
+            "beacon-share", self._suite.threshold_share, self._shared.beacon_pk,
+            _is_beacon_share, items,
         )
 
     def combine_beacon(self, message: bytes, shares):
         return threshold.combine(self._shared.beacon_pk, message, list(shares))
 
     def verify_beacon(self, message: bytes, sig) -> bool:
+        if not _is_beacon_signature(sig):
+            return False
         return self._cached(
             "beacon-agg", 0, message, sig,
             lambda: self._suite.threshold.verify(self._shared.beacon_pk, message, sig),
@@ -343,7 +409,10 @@ class RealKeyring:
         )
 
     def share_index(self, share) -> int:
-        return share.index
+        """The index a share names, or 0 (no party) for anything else."""
+        if isinstance(share, (multisig.MultisigShare, threshold.SignatureShare)):
+            return share.index
+        return 0
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +555,7 @@ class FastKeyring:
         return tagged_hash("ICC/fast/beacon-value", sig.digest)
 
     def share_index(self, share) -> int:
-        return share.index
+        return share.index if isinstance(share, FastShare) else 0
 
 
 # ---------------------------------------------------------------------------
@@ -582,6 +651,13 @@ def generate_keyrings(
     Per-keyring RNG state is *not* cached — every call returns fresh
     :class:`RealKeyring` objects with fresh signing RNGs, so cached and
     uncached paths behave identically.
+
+    Each call also builds one :class:`~repro.crypto.fastpath.FastPath` and
+    one verifier suite over it, under the crypto backend active at the time,
+    and hands them to all n keyrings: the public-key tables, membership
+    cache and H2 memo are shared by the cluster's parties and freed with
+    them, not kept in the process-wide registry of
+    :func:`repro.crypto.api.verifiers_for`.
     """
     if n < 1:
         raise ValueError("need at least one party")
@@ -606,6 +682,7 @@ def generate_keyrings(
         notary_pk=material.notary_pk,
         final_pk=material.final_pk,
         beacon_pk=material.beacon_pk,
+        suite=api.VerifierSuite.over(FastPath(material.group)),
     )
     return [
         RealKeyring(

@@ -234,13 +234,13 @@ class RealClientAuth:
         return sig.to_bytes(group)
 
     def _decode(self, auth: bytes) -> schnorr.SchnorrSignature | None:
-        group = self.group
-        p_len = group.element_width
+        p_len = self.group.element_width
         if len(auth) != self._sig_len:
             return None
-        try:
-            commitment = group.element_from_bytes(auth[:p_len])
-        except ValueError:
+        # Membership is proved here, once, through the context's cache: the
+        # batch verifier asks the same question and gets a lookup.
+        commitment = int.from_bytes(auth[:p_len], "big")
+        if not self._suite.ctx.is_member(commitment):
             return None
         response = int.from_bytes(auth[p_len:], "big")
         return schnorr.SchnorrSignature(commitment=commitment, response=response)

@@ -147,12 +147,16 @@ class TestBitIdentity:
 
 
 class TestWindowBackend:
-    def test_promotes_repeated_bases(self, group):
-        b = WindowBackend(promote_after=3)
+    def test_powmod_keeps_no_per_base_state(self, group):
+        """Tables exist only for bases a caller declares (``fixed_power``):
+        a base that keeps coming back through ``powmod`` leaves nothing
+        behind, however often it comes."""
+        b = WindowBackend()
         base = group.power_g(1234)
         for _ in range(5):
             assert b.powmod(base, 99, group.p) == pow(base, 99, group.p)
-        assert (base, group.p) in b._tables
+        assert vars(b) == {}
+        assert WindowBackend.powmod is CryptoBackend.powmod
 
     def test_negative_exponent_falls_back_to_pow(self, group):
         b = WindowBackend()

@@ -5,6 +5,7 @@ import pytest
 from repro.core.cluster import ClusterConfig, build_cluster
 from repro.core.messages import Block, Payload
 from repro.crypto import fastpath
+from repro.crypto.backend import CryptoBackend
 from repro.crypto.group import group_for_profile
 from repro.sim.delays import FixedDelay
 from repro.smr.client import strip_client_envelope
@@ -90,6 +91,31 @@ def test_rlc_batch_auth_isolates_forgery_via_bisection():
     report = auth.verify_batch(requests)
     assert [i for i, ok in enumerate(report.results) if not ok] == [5]
     assert ctx.stats.bisections > before  # RLC failed, bisection localized it
+
+
+def test_client_commitment_membership_is_proved_once(monkeypatch):
+    """Decoding admits the commitment through the context's membership cache,
+    so the batch verifier's own membership question is a lookup; a commitment
+    outside the order-q subgroup is still ``False``."""
+    auth = RealClientAuth(seed=6, group_profile="test")
+    group = auth.group
+    width = group.element_width
+    requests = [_request(auth, client=c, seq=c, key=c) for c in range(5)]
+    outside = (group.p - 1).to_bytes(width, "big") + requests[0].auth[width:]  # order 2
+    requests.append(
+        SignedRequest(client=0, seq=0, key=0, auth=outside, body=requests[0].body)
+    )
+    commitments = [int.from_bytes(r.auth[:width], "big") for r in requests]
+    proved = []
+
+    def powmod(base, exponent, modulus):
+        if exponent == group.q and base in commitments:
+            proved.append(base)
+        return pow(base, exponent, modulus)
+
+    monkeypatch.setattr(CryptoBackend, "powmod", staticmethod(powmod))
+    assert auth.verify_batch(requests).results == [True] * 5 + [False]
+    assert sorted(proved) == sorted(commitments)
 
 
 def test_forged_request_in_block_rejected_by_pool():
