@@ -15,13 +15,13 @@ import pytest
 
 from repro.crypto import schnorr, threshold
 from repro.crypto.api import verifiers_for
-from repro.crypto.backend import available_backends, use_backend
 from repro.crypto.group import test_group as make_test_group
 from repro.crypto.keyring import generate_keyrings
 from repro.erasure.merkle import MerkleTree
 from repro.erasure.reed_solomon import CodecParams, decode, encode
 from repro.sim.events import CalendarEventQueue, HeapEventQueue
 from repro.sim.simulator import Simulation
+from repro.workloads.batching import RealClientAuth, SignedRequest
 
 
 class TestCryptoMicro:
@@ -86,7 +86,7 @@ class TestKeyringMicro:
         def just_combined():
             message = next(fresh)
             shares = [ring.sign_notary_share(message) for ring in rings[:5]]
-            assert rings[0].verify_notary_share_batch([(message, s) for s in shares]).all_valid()
+            assert all(rings[0].verify_notary_share(message, s) for s in shares)
             return (message, rings[0].combine_notary(message, shares)), {}
 
         assert benchmark.pedantic(rings[0].verify_notary, setup=just_combined, rounds=30)
@@ -102,57 +102,43 @@ class TestKeyringMicro:
         assert benchmark.pedantic(rings[0].verify_notary_share, setup=unseen, rounds=30)
 
 
-class TestBatchVerifyMicro:
-    """Single vs RLC-batch verification, the batch under every available
-    modexp backend (``pure`` is the plain-``pow`` baseline)."""
+    def test_verify_notary_foreign_aggregate(self, benchmark, rings):
+        # n - t = 5 shares, none seen before: five challenge-form checks from
+        # comb tables.  (The batch verifier this replaced cost 3-5x as much
+        # per share; docs/PERFORMANCE.md has the table.)
+        fresh = (b"aggregate/%d" % i for i in itertools.count())
 
-    BATCH = 32
+        def unseen():
+            message = next(fresh)
+            shares = [ring.sign_notary_share(message) for ring in rings[1:6]]
+            return (message, rings[1].combine_notary(message, shares)), {}
 
-    def _schnorr_items(self):
-        from repro.crypto.api import verifiers_for
+        assert benchmark.pedantic(rings[0].verify_notary, setup=unseen, rounds=30)
 
-        group = make_test_group()
-        rng = Random(1)
-        items = []
-        for i in range(self.BATCH):
-            pair = schnorr.keygen(group, rng)
-            message = b"micro/%d" % i
-            items.append((pair.public, message, schnorr.sign(group, pair.secret, message, rng)))
-        return group, verifiers_for(group), items
+    def test_verify_beacon_share_foreign(self, benchmark, rings):
+        # One exponentiation by q (sigma_i's membership), one Shamir walk,
+        # two table powers.
+        fresh = (b"beacon/%d" % i for i in itertools.count())
 
-    def test_schnorr_verify_single_oracle(self, benchmark):
-        from repro.crypto import fastpath
+        def unseen():
+            message = next(fresh)
+            return (message, rings[1].sign_beacon_share(message)), {}
 
-        group, _, items = self._schnorr_items()
-        benchmark(lambda: [fastpath.verify_schnorr_single(group, *item) for item in items])
+        assert benchmark.pedantic(rings[0].verify_beacon_share, setup=unseen, rounds=30)
 
-    @pytest.mark.parametrize("backend", available_backends())
-    def test_schnorr_verify_batch(self, benchmark, backend):
-        with use_backend(backend):
-            _, suite, items = self._schnorr_items()
-            assert all(suite.schnorr.verify_batch(items))  # warm the tables
-            benchmark(lambda: suite.schnorr.verify_batch(items))
-
-    def test_threshold_share_verify_batch(self, benchmark):
-        from repro.crypto.api import verifiers_for
-
-        group = make_test_group()
-        rng = Random(1)
-        pk, keys = threshold.keygen(group, threshold=17, n=self.BATCH, rng=rng)
-        items = [(pk, b"beacon", threshold.sign_share(pk, k, b"beacon", rng)) for k in keys]
-        suite = verifiers_for(group)
-        assert all(suite.threshold_share.verify_batch(items))
-        benchmark(lambda: suite.threshold_share.verify_batch(items))
-
-    def test_notary_share_batch_through_keyring(self, benchmark):
-        # The production path: batch + the keyring's verification-result
-        # cache, so steady-state repeats are nearly free.
-        rings = generate_keyrings(13, 4, backend="real", group_profile="test")
-        items = [
-            (b"message", rings[i].sign_notary_share(b"message")) for i in range(13)
+    def test_client_auth_batch(self, benchmark):
+        # ``live_n4_load``'s shape: one broker tick of 30 requests over 8
+        # client keys on the 128-bit group, keys warm.
+        auth = RealClientAuth(seed=1, group_profile="test")
+        requests = [
+            SignedRequest(
+                client=i % 8, seq=i // 8, key=i, body=b"micro/%d" % i,
+                auth=auth.sign(i % 8, i // 8, i, b"micro/%d" % i),
+            )
+            for i in range(30)
         ]
-        assert rings[0].verify_notary_share_batch(items).all_valid()
-        benchmark(lambda: rings[0].verify_notary_share_batch(items))
+        assert auth.verify_batch(requests).all_valid()
+        benchmark(lambda: auth.verify_batch(requests))
 
 
 class TestErasureMicro:

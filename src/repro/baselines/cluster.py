@@ -23,10 +23,6 @@ class BaselineClusterConfig:
     delay_model: DelayModel | None = None
     payload_source: object = None
     crypto_backend: str = "fast"
-    #: Same-instant RLC batch verification of arriving votes (see
-    #: BaselineParty.enqueue_vote).  Off = eager per-vote verification;
-    #: commits and metrics are identical either way.
-    crypto_batch: bool = True
     #: index -> replacement class (None = crash failure)
     corrupt: dict[int, type | None] = dc_field(default_factory=dict)
     party_kwargs: dict = dc_field(default_factory=dict)
@@ -119,7 +115,6 @@ def build_baseline_cluster(config: BaselineClusterConfig) -> BaselineCluster:
             payload_source=config.payload_source,
             **config.party_kwargs,
         )
-        party.batch_votes = config.crypto_batch
         parties.append(party)
         network.attach(party)
     for index, cls in config.corrupt.items():

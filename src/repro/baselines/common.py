@@ -114,16 +114,6 @@ class BaselineParty:
         self.payload_source = payload_source
         self.output_log: list[Batch] = []
         self.committed_digests: set[bytes] = set()
-        #: Same-instant vote coalescing: arriving votes queue here and are
-        #: verified as one RLC batch through the keyring's batch API (see
-        #: repro.crypto.api) in a zero-delay flush event.  Under the fixed
-        #: delay models, all n broadcast votes for a phase arrive at the
-        #: same simulated instant, so real batches of ~n form.  Turning
-        #: this off restores eager per-vote verification; commits and
-        #: metrics are identical either way.
-        self.batch_votes = True
-        self._vote_inbox: list[Vote] = []
-        self._vote_flush_scheduled = False
 
     @property
     def quorum(self) -> int:
@@ -160,62 +150,11 @@ class BaselineParty:
             and self.keys.verify_notary_share(signed, vote.share)
         )
 
-    def votes_are_valid(self, votes: list[Vote]) -> list[bool]:
-        """Batch variant of :meth:`vote_is_valid` (one RLC batch).
-
-        The structural voter/share-index check stays eager and per-vote;
-        only the signature checks are combined through
-        ``Keyring.verify_notary_share_batch``.  Results match
-        ``[self.vote_is_valid(v) for v in votes]`` exactly.
-        """
-        results = [False] * len(votes)
-        live: list[int] = []
-        items: list[tuple[bytes, object]] = []
-        for i, vote in enumerate(votes):
-            if self.keys.share_index(vote.share) != vote.voter:
-                continue
-            signed = vote_message(vote.protocol, vote.phase, vote.view, vote.height, vote.digest)
-            live.append(i)
-            items.append((signed, vote.share))
-        if items:
-            report = self.keys.verify_notary_share_batch(items)
-            for i, ok in zip(live, report.results):
-                results[i] = ok
-            if self.tracer.enabled:
-                self._trace(
-                    "crypto.batch_verify",
-                    scheme="vote",
-                    count=report.stats.count,
-                    invalid=report.stats.invalid,
-                    cache_hits=report.stats.cache_hits,
-                    cache_misses=report.stats.cache_misses,
-                    bisections=report.stats.bisections,
-                )
-        return results
-
     def enqueue_vote(self, vote: Vote) -> None:
-        """Admit a vote: verify now (eager) or queue for the batch flush.
-
-        Protocol subclasses implement :meth:`_accept_vote`, which receives
-        each vote that passed verification.  With ``batch_votes`` on, the
-        acceptance happens in a zero-delay event at the same simulated
-        instant, so quorum timing and commits are unchanged.
-        """
-        if not self.batch_votes:
-            if self.vote_is_valid(vote):
-                self._accept_vote(vote)
-            return
-        self._vote_inbox.append(vote)
-        if not self._vote_flush_scheduled:
-            self._vote_flush_scheduled = True
-            self.sim.schedule(0.0, self._flush_votes)
-
-    def _flush_votes(self) -> None:
-        self._vote_flush_scheduled = False
-        votes, self._vote_inbox = self._vote_inbox, []
-        for vote, ok in zip(votes, self.votes_are_valid(votes)):
-            if ok:
-                self._accept_vote(vote)
+        """Admit a vote: protocol subclasses implement :meth:`_accept_vote`,
+        which receives each vote that passed verification."""
+        if self.vote_is_valid(vote):
+            self._accept_vote(vote)
 
     def _accept_vote(self, vote: Vote) -> None:
         raise NotImplementedError  # pragma: no cover - protocol-specific

@@ -1,21 +1,20 @@
 """Unified signer/verifier API over every signature scheme in the package.
 
-Before this module, each scheme exposed its own free-function signature —
-``schnorr.verify(group, public, msg, sig)`` vs ``threshold.verify(pk, msg,
-sig)`` vs keyring methods — and callers had no batch entry point at all.
-(Those free functions are gone now; this module is the only verification
-surface.)  This module gives every scheme the same two-method verifier
-surface:
+Every scheme has the same two-method verifier surface, and this module is
+the only verification surface (the scheme modules keep keygen/sign/combine
+and their wire formats):
 
     verify(pk, message, sig) -> bool
     verify_batch(items)      -> list[bool]      # items: (pk, message, sig)
 
-plus ``verify_batch_report`` returning a :class:`BatchResult` with the
-counters the ``crypto.batch_verify`` trace event wants.  All verifiers of a
+``verify_batch`` is the loop over ``verify``: signatures travel in
+challenge form (c, s), whose check is two table look-ups and a hash, and a
+loop of those outran the random-linear-combination batch verifier that used
+to sit here at every batch size (docs/PERFORMANCE.md).  All verifiers of a
 suite are backed by one :class:`repro.crypto.fastpath.FastPath` context
-(fixed-base tables, membership/H2 caches, RLC batching), so
-call sites never see the fast/slow split; the per-item oracles in
-:mod:`repro.crypto.fastpath` remain the reference semantics.
+(fixed-base tables, membership/H2 caches), so call sites never see the
+fast/slow split; the per-item oracles in :mod:`repro.crypto.fastpath`
+remain the reference semantics.
 
 The ``pk`` slot is whatever identifies the signer for that scheme: a bare
 group element for Schnorr, a :class:`~repro.crypto.dleq.DleqStatement` for
@@ -26,8 +25,7 @@ shares and aggregates.
 Obtain verifiers through :func:`verifiers_for` (one process-wide suite per
 group) or, for a cluster that should take its tables with it when it goes,
 :meth:`VerifierSuite.over` a :class:`~repro.crypto.fastpath.FastPath` of its
-own.  The scheme modules keep keygen/sign/combine and their wire formats;
-verification lives here, where batching can amortize it.
+own.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Protocol, Sequence, runtime_checkable
 
-from . import dleq, fastpath, multisig, schnorr, shamir, threshold, unique
+from . import dleq, fastpath, multisig, schnorr, threshold, unique
 from .backend import active_backend
 from .dleq import DleqStatement
 from .group import Group
@@ -48,25 +46,22 @@ from .group import Group
 
 @dataclass
 class BatchStats:
-    """Counters for one batch call, feeding ``crypto.batch_verify`` events.
-
-    ``cache_hits``/``cache_misses`` are filled in by the keyring layer
-    (its verification-result cache sits above the verifiers).
-    """
+    """Counters for one batch of verdicts."""
 
     count: int = 0
     invalid: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    bisections: int = 0
 
 
 @dataclass
 class BatchResult:
-    """Per-item verdicts plus the stats for the batch that produced them."""
+    """Per-item verdicts plus their counts."""
 
     results: list[bool]
     stats: BatchStats
+
+    @classmethod
+    def of(cls, results: list[bool]) -> "BatchResult":
+        return cls(results, BatchStats(count=len(results), invalid=results.count(False)))
 
     def all_valid(self) -> bool:
         return all(self.results)
@@ -98,124 +93,88 @@ class Verifier(Protocol):
 # ---------------------------------------------------------------------------
 
 
-class _BatchVerifier:
-    """Shared plumbing: batch reports measured off the fastpath context."""
+class _Verifier:
+    """Shared plumbing: the fast-path context, and the batch as a loop."""
 
     def __init__(self, group: Group, ctx: fastpath.FastPath) -> None:
         self.group = group
         self.ctx = ctx
 
-    def _verify_batch(self, items: list[tuple]) -> list[bool]:  # pragma: no cover
-        raise NotImplementedError
-
     def verify_batch(self, items: Sequence[tuple]) -> list[bool]:
-        return self._verify_batch(list(items))
-
-    def verify_batch_report(self, items: Sequence[tuple]) -> BatchResult:
-        items = list(items)
-        before = self.ctx.stats.bisections
-        results = self._verify_batch(items)
-        stats = BatchStats(
-            count=len(items),
-            invalid=results.count(False),
-            bisections=self.ctx.stats.bisections - before,
-        )
-        return BatchResult(results=results, stats=stats)
+        return [self.verify(*item) for item in items]
 
 
-class SchnorrVerifier(_BatchVerifier):
-    """``pk`` is the signer's public key (a group element)."""
+class SchnorrVerifier(_Verifier):
+    """``pk`` is the signer's public key (a group element).
+
+    Recomputes R = g**s · pk**(-c) from the two comb tables and accepts iff
+    it hashes back to c: no exponentiation outside the tables.
+    """
 
     def verify(self, pk: int, message: bytes, sig: schnorr.SchnorrSignature) -> bool:
         group, ctx = self.group, self.ctx
-        if not 0 <= sig.response < group.q:
+        c, s = sig.challenge, sig.response
+        if not (0 <= c < group.q and 0 <= s < group.q) or not ctx.is_member(pk):
             return False
-        if not ctx.is_member(pk) or not ctx.is_member(sig.commitment):
-            return False
-        c = schnorr._challenge(group, pk, sig.commitment, message)
-        return ctx.power_g(sig.response) == group.mul(sig.commitment, ctx.power_base(pk, c))
-
-    def _verify_batch(self, items: list[tuple]) -> list[bool]:
-        return fastpath.batch_verify_schnorr(self.ctx, items)
+        commitment = group.mul(ctx.power_g(s), ctx.power_base(pk, -c))
+        return schnorr._challenge(group, pk, commitment, message) == c
 
 
-class DleqVerifier(_BatchVerifier):
-    """``pk`` is the :class:`DleqStatement`; ``message`` is ignored."""
+class DleqVerifier(_Verifier):
+    """``pk`` is the :class:`DleqStatement`; ``message`` is ignored.
+
+    Of the four statement elements only B (a share value) is new to the
+    membership cache, and its proof is the one exponentiation of an element
+    a peer chose; :mod:`repro.crypto.dleq` says why it cannot go.
+    """
 
     def verify(self, pk: DleqStatement, message: bytes, sig: dleq.DleqProof) -> bool:
         group, ctx = self.group, self.ctx
-        if not 0 <= sig.response < group.q:
+        c, s = sig.challenge, sig.response
+        if not (0 <= c < group.q and 0 <= s < group.q):
             return False
         g1, a, g2, b = pk
-        t1, t2 = sig.commitment1, sig.commitment2
-        if not all(map(ctx.is_member, (g1, a, g2, b, t1, t2))):
+        if not all(map(ctx.is_member, (g1, a, g2, b))):
             return False
-        c = dleq._challenge(group, g1, a, g2, b, t1, t2)
-        s = sig.response
-        lhs1 = ctx.power_g(s) if g1 == group.g else group.power(g1, s)
-        if lhs1 != group.mul(t1, ctx.power_base(a, c)):
-            return False
-        # Second equation g2**s == t2·B**c via Shamir's trick, rearranged to
-        # g2**s · B**(-c) == t2 (B is a checked subgroup member, so the
-        # negated exponent reduces mod q).
-        return fastpath.simultaneous_power(group.p, g2, s, b, (-c) % group.q, ctx.backend) == t2
-
-    def _verify_batch(self, items: list[tuple]) -> list[bool]:
-        return fastpath.batch_verify_dleq(self.ctx, [(pk, sig) for pk, _, sig in items])
+        t1 = group.mul(
+            ctx.power_g(s) if g1 == group.g else group.power(g1, s), ctx.power_base(a, -c)
+        )
+        # B is a checked subgroup member, so the negated exponent reduces mod q.
+        t2 = fastpath.simultaneous_power(group.p, g2, s, b, (-c) % group.q, ctx.backend)
+        return dleq._challenge(group, g1, a, g2, b, t1, t2) == c
 
 
-class UniqueVerifier(_BatchVerifier):
+class UniqueVerifier(_Verifier):
     """``pk`` is the signer's public key; H2(message) comes from the memo."""
 
     def __init__(self, group: Group, ctx: fastpath.FastPath, dleq_verifier: DleqVerifier) -> None:
         super().__init__(group, ctx)
         self._dleq = dleq_verifier
 
-    def _statement(self, pk: int, message: bytes, sig: unique.UniqueSignature) -> DleqStatement:
-        return DleqStatement(self.group.g, pk, self.ctx.message_point(message), sig.value)
-
     def verify(self, pk: int, message: bytes, sig: unique.UniqueSignature) -> bool:
-        return self._dleq.verify(self._statement(pk, message, sig), b"", sig.proof)
-
-    def _verify_batch(self, items: list[tuple]) -> list[bool]:
-        ditems = [(self._statement(pk, m, sig), sig.proof) for pk, m, sig in items]
-        return fastpath.batch_verify_dleq(self.ctx, ditems)
+        statement = DleqStatement(self.group.g, pk, self.ctx.message_point(message), sig.value)
+        return self._dleq.verify(statement, b"", sig.proof)
 
 
-class ThresholdShareVerifier(_BatchVerifier):
+class ThresholdShareVerifier(_Verifier):
     """``pk`` is the :class:`~repro.crypto.threshold.ThresholdPublicKey`."""
 
     def __init__(self, group: Group, ctx: fastpath.FastPath, dleq_verifier: DleqVerifier) -> None:
         super().__init__(group, ctx)
         self._dleq = dleq_verifier
 
-    def _statement(self, pk, message: bytes, share) -> DleqStatement:
-        return DleqStatement(
-            self.group.g, pk.share_public(share.index), self.ctx.message_point(message), share.value
-        )
-
     def verify(self, pk, message: bytes, share: threshold.SignatureShare) -> bool:
         if not 1 <= share.index <= pk.n:
             return False
-        return self._dleq.verify(self._statement(pk, message, share), b"", share.proof)
-
-    def _verify_batch(self, items: list[tuple]) -> list[bool]:
-        results = [False] * len(items)
-        live: list[int] = []
-        ditems: list[tuple] = []
-        for i, (pk, message, share) in enumerate(items):
-            if not 1 <= share.index <= pk.n:
-                continue
-            ditems.append((self._statement(pk, message, share), share.proof))
-            live.append(i)
-        if ditems:
-            for i, ok in zip(live, fastpath.batch_verify_dleq(self.ctx, ditems)):
-                results[i] = ok
-        return results
+        statement = DleqStatement(
+            self.group.g, pk.share_public(share.index), self.ctx.message_point(message), share.value
+        )
+        return self._dleq.verify(statement, b"", share.proof)
 
 
-class ThresholdSignatureVerifier(_BatchVerifier):
-    """Combined threshold signatures: batch-verifies the carried shares."""
+class ThresholdSignatureVerifier(_Verifier):
+    """Combined threshold signatures: the carried shares are valid and
+    recombine to the claimed value."""
 
     def __init__(
         self, group: Group, ctx: fastpath.FastPath, share_verifier: ThresholdShareVerifier
@@ -224,33 +183,15 @@ class ThresholdSignatureVerifier(_BatchVerifier):
         self._shares = share_verifier
 
     def verify(self, pk, message: bytes, sig: threshold.ThresholdSignature) -> bool:
-        return self._verify_batch([(pk, message, sig)])[0]
-
-    def _verify_batch(self, items: list[tuple]) -> list[bool]:
-        results = [False] * len(items)
-        plan: list[tuple[int, object, list, int]] = []
-        share_items: list[tuple] = []
-        for i, (pk, message, sig) in enumerate(items):
-            chosen = threshold._dedupe_by_index(list(sig.shares))
-            if len(chosen) < pk.threshold:
-                continue
-            chosen = chosen[: pk.threshold]
-            plan.append((i, pk, chosen, len(share_items)))
-            share_items.extend((pk, message, s) for s in chosen)
-        share_ok = self._shares._verify_batch(share_items) if share_items else []
-        for i, pk, chosen, start in plan:
-            if not all(share_ok[start : start + len(chosen)]):
-                continue
-            group = pk.group
-            lams = shamir.lagrange_at_zero(group.scalar_field, [s.index for s in chosen])
-            value = 1
-            for lam, share in zip(lams, chosen):
-                value = group.mul(value, group.power(share.value, lam))
-            results[i] = value == items[i][2].value
-        return results
+        chosen = threshold._dedupe_by_index(list(sig.shares))[: pk.threshold]
+        if len(chosen) < pk.threshold:
+            return False
+        if not all(self._shares.verify(pk, message, share) for share in chosen):
+            return False
+        return threshold.combine(pk, message, chosen).value == sig.value
 
 
-class MultisigShareVerifier(_BatchVerifier):
+class MultisigShareVerifier(_Verifier):
     """``pk`` is the :class:`~repro.crypto.multisig.MultisigPublicKey`."""
 
     def __init__(
@@ -264,22 +205,8 @@ class MultisigShareVerifier(_BatchVerifier):
             return False
         return self._schnorr.verify(pk.public(share.index), message, share.signature)
 
-    def _verify_batch(self, items: list[tuple]) -> list[bool]:
-        results = [False] * len(items)
-        live: list[int] = []
-        sitems: list[tuple] = []
-        for i, (pk, message, share) in enumerate(items):
-            if not 1 <= share.index <= pk.n:
-                continue
-            sitems.append((pk.public(share.index), message, share.signature))
-            live.append(i)
-        if sitems:
-            for i, ok in zip(live, fastpath.batch_verify_schnorr(self.ctx, sitems)):
-                results[i] = ok
-        return results
 
-
-class MultisigVerifier(_BatchVerifier):
+class MultisigVerifier(_Verifier):
     """Aggregates: h distinct signatories and every carried share valid."""
 
     def __init__(
@@ -289,21 +216,9 @@ class MultisigVerifier(_BatchVerifier):
         self._shares = share_verifier
 
     def verify(self, pk, message: bytes, sig: multisig.Multisignature) -> bool:
-        return self._verify_batch([(pk, message, sig)])[0]
-
-    def _verify_batch(self, items: list[tuple]) -> list[bool]:
-        results = [False] * len(items)
-        plan: list[tuple[int, int, int]] = []
-        share_items: list[tuple] = []
-        for i, (pk, message, sig) in enumerate(items):
-            if len(set(sig.signatories)) < pk.threshold:
-                continue
-            plan.append((i, len(share_items), len(sig.shares)))
-            share_items.extend((pk, message, s) for s in sig.shares)
-        share_ok = self._shares._verify_batch(share_items) if share_items else []
-        for i, start, count in plan:
-            results[i] = all(share_ok[start : start + count])
-        return results
+        if len(set(sig.signatories)) < pk.threshold:
+            return False
+        return all(self._shares.verify(pk, message, share) for share in sig.shares)
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +243,7 @@ class SchnorrSigner:
         commitment = self.ctx.power_g(nonce)
         c = schnorr._challenge(group, self.public, commitment, message)
         return schnorr.SchnorrSignature(
-            commitment=commitment, response=(nonce + c * self._secret) % group.q
+            challenge=c, response=(nonce + c * self._secret) % group.q
         )
 
 
@@ -360,7 +275,7 @@ class _DleqSigner:
         t2 = group.power(h2, nonce)
         c = dleq._challenge(group, group.g, self.public, h2, value, t1, t2)
         s = (nonce + c * self._secret) % group.q
-        return value, dleq.DleqProof(commitment1=t1, commitment2=t2, response=s)
+        return value, dleq.DleqProof(challenge=c, response=s)
 
 
 class UniqueSigner(_DleqSigner):

@@ -10,13 +10,19 @@ scheme in :mod:`repro.crypto.unique`: a signature share H2(m)**sk_i is
 accompanied by a DLEQ proof against the share public key g**sk_i.  This is
 the pairing-free substitute for BLS share verification (DESIGN.md §2).
 
-Proofs are carried in *commitment form* (t1, t2, s) rather than the more
-compact challenge form (c, s): with the commitments explicit, verification
-is two group equations (g1**s == t1·A**c and g2**s == t2·B**c, with c
-recomputed by hashing) that are linear in the exponent — exactly the shape
-the random-linear-combination batch verifier in
-:mod:`repro.crypto.fastpath` needs.  Challenge-form proofs would force the
-verifier to reconstruct t1/t2 per proof, defeating batching.
+Proofs are carried in *challenge form* (c, s): the verifier recomputes the
+nonce commitments t1 = g1**s · A**(-c) and t2 = g2**s · B**(-c) and accepts
+iff they hash back to c.  The commitments themselves never travel, so they
+need no subgroup-membership proof — which, as (t1, t2, s), cost two of the
+three exponentiations-by-q a share check paid (docs/PERFORMANCE.md).  Of
+everything a peer chooses, only B is ever exponentiated, and B's own
+membership check **must** stay: B is the share value σ_i that is multiplied
+into the beacon value.  Were it skipped, a prover could send B = σ_i·ω with
+ω of small order d outside the subgroup and commit to t2 = g2**k · ω**j;
+the recomputed t2 picks up ω**(q-c), which equals ω**j whenever
+c ≡ q - j (mod d), so each grind of the nonce passes with probability 1/d
+and two valid-looking shares of one party would carry different values —
+the uniqueness the beacon rests on (paper §2.3) would be gone.
 """
 
 from __future__ import annotations
@@ -40,41 +46,17 @@ class DleqStatement(NamedTuple):
 class DleqProof:
     """Non-interactive proof that log_g1(A) == log_g2(B).
 
-    ``commitment1``/``commitment2`` are the prover's nonce commitments
-    t1 = g1**k, t2 = g2**k; ``response`` is s = k + c·x with the
-    Fiat–Shamir challenge c = H(g1, A, g2, B, t1, t2).
+    ``challenge`` is the Fiat–Shamir challenge c = H(g1, A, g2, B, t1, t2)
+    over the prover's nonce commitments t1 = g1**k, t2 = g2**k;
+    ``response`` is s = k + c·x.
     """
 
-    commitment1: int  # t1, a group element
-    commitment2: int  # t2, a group element
+    challenge: int  # c, a scalar
     response: int  # s, a scalar
 
     def to_bytes(self, group: Group) -> bytes:
         width = group.scalar_width
-        return (
-            group.element_to_bytes(self.commitment1)
-            + group.element_to_bytes(self.commitment2)
-            + self.response.to_bytes(width, "big")
-        )
-
-
-def proof_from_bytes(group: Group, data: bytes) -> DleqProof:
-    """Decode a proof, admitting commitments via ``Group.decode_element``.
-
-    The subgroup check here upholds the exponent-reduction invariant of
-    :meth:`Group.power` for untrusted wire input (see DESIGN.md §2).
-    Raises :class:`ValueError` on malformed or out-of-subgroup input.
-    """
-    p_width = group.element_width
-    q_width = group.scalar_width
-    if len(data) != 2 * p_width + q_width:
-        raise ValueError(f"DLEQ proof encoding must be {2 * p_width + q_width} bytes")
-    t1 = group.element_from_bytes(data[:p_width])
-    t2 = group.element_from_bytes(data[p_width : 2 * p_width])
-    s = int.from_bytes(data[2 * p_width :], "big")
-    if not 0 <= s < group.q:
-        raise ValueError("DLEQ response out of scalar range")
-    return DleqProof(commitment1=t1, commitment2=t2, response=s)
+        return self.challenge.to_bytes(width, "big") + self.response.to_bytes(width, "big")
 
 
 def _challenge(group: Group, g1: int, a: int, g2: int, b: int, t1: int, t2: int) -> int:
@@ -93,4 +75,4 @@ def prove(group: Group, secret: int, g1: int, g2: int, rng) -> DleqProof:
     t2 = group.power(g2, nonce)
     c = _challenge(group, g1, a, g2, b, t1, t2)
     s = (nonce + c * secret) % group.q
-    return DleqProof(commitment1=t1, commitment2=t2, response=s)
+    return DleqProof(challenge=c, response=s)

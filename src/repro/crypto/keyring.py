@@ -37,8 +37,6 @@ from .fastpath import FastPath, _BoundedCache
 from .group import Group, group_for_profile
 from .hashing import tagged_hash
 
-#: Batch items are (message, share) pairs; auth batches are
-#: (signer, message, sig) triples.  Both return :class:`api.BatchResult`.
 _MISS = object()
 
 
@@ -52,33 +50,21 @@ class Keyring(Protocol):
     # S_auth ---------------------------------------------------------------
     def sign_auth(self, message: bytes) -> object: ...
     def verify_auth(self, signer: int, message: bytes, sig: object) -> bool: ...
-    def verify_auth_batch(
-        self, items: Sequence[tuple[int, bytes, object]]
-    ) -> api.BatchResult: ...
 
     # S_notary / S_final ----------------------------------------------------
     def sign_notary_share(self, message: bytes) -> object: ...
     def verify_notary_share(self, message: bytes, share: object) -> bool: ...
-    def verify_notary_share_batch(
-        self, items: Sequence[tuple[bytes, object]]
-    ) -> api.BatchResult: ...
     def combine_notary(self, message: bytes, shares: Sequence[object]) -> object: ...
     def verify_notary(self, message: bytes, agg: object) -> bool: ...
 
     def sign_final_share(self, message: bytes) -> object: ...
     def verify_final_share(self, message: bytes, share: object) -> bool: ...
-    def verify_final_share_batch(
-        self, items: Sequence[tuple[bytes, object]]
-    ) -> api.BatchResult: ...
     def combine_final(self, message: bytes, shares: Sequence[object]) -> object: ...
     def verify_final(self, message: bytes, agg: object) -> bool: ...
 
     # S_beacon ---------------------------------------------------------------
     def sign_beacon_share(self, message: bytes) -> object: ...
     def verify_beacon_share(self, message: bytes, share: object) -> bool: ...
-    def verify_beacon_share_batch(
-        self, items: Sequence[tuple[bytes, object]]
-    ) -> api.BatchResult: ...
     def combine_beacon(self, message: bytes, shares: Sequence[object]) -> object: ...
     def verify_beacon(self, message: bytes, sig: object) -> bool: ...
     def beacon_value(self, sig: object) -> bytes: ...
@@ -115,7 +101,7 @@ def _ints(*values) -> bool:
 
 
 def _is_schnorr(sig) -> bool:
-    return isinstance(sig, schnorr.SchnorrSignature) and _ints(sig.commitment, sig.response)
+    return isinstance(sig, schnorr.SchnorrSignature) and _ints(sig.challenge, sig.response)
 
 
 def _is_multisig_share(share) -> bool:
@@ -141,7 +127,7 @@ def _is_beacon_share(share) -> bool:
     return (
         _ints(share.index, share.value)
         and isinstance(proof, dleq.DleqProof)
-        and _ints(proof.commitment1, proof.commitment2, proof.response)
+        and _ints(proof.challenge, proof.response)
     )
 
 
@@ -177,8 +163,8 @@ class RealKeyring:
       share it carries is valid, and the shares go through the LRU one by
       one.  An aggregate this party combined from shares it verified on
       arrival costs no exponentiation, a foreign one costs only the shares
-      not seen before (in one RLC batch), and nothing is accepted that was
-      not signed here or verified here.
+      not seen before, and nothing is accepted that was not signed here or
+      verified here.
     """
 
     #: Bound on the per-party verification-result cache.
@@ -234,61 +220,10 @@ class RealKeyring:
         self._results.put(key, verdict)
         return verdict
 
-    def _batch_cached(self, kind: str, verifier, entries: list) -> api.BatchResult:
-        """Batch verify through the result cache.
-
-        ``entries`` holds one ``(signer, pk, message, sig)`` per item, or
-        ``None`` for an item its caller has already found malformed, which
-        is invalid without reaching the cache or the verifier.
-        """
-        results: list = [None] * len(entries)
-        hits = 0
-        pending: list[tuple[int, tuple]] = []  # (position, cache key) per todo item
-        todo: list[tuple] = []
-        for i, entry in enumerate(entries):
-            if entry is None:
-                results[i] = False
-                continue
-            signer, pk, message, sig = entry
-            key = (kind, signer, message, sig)
-            verdict = self._results.get(key, _MISS)
-            if verdict is not _MISS:
-                self._results.touch(key)
-                hits += 1
-                results[i] = verdict
-            else:
-                pending.append((i, key))
-                todo.append((pk, message, sig))
-        bisections = 0
-        if len(todo) == 1:
-            # A singleton batch gains nothing from the RLC combination;
-            # the single-item verifier is strictly cheaper.
-            verdicts = [verifier.verify(*todo[0])]
-        elif todo:
-            report = verifier.verify_batch_report(todo)
-            bisections = report.stats.bisections
-            verdicts = report.results
-        else:
-            verdicts = []
-        for (i, key), ok in zip(pending, verdicts):
-            results[i] = ok
-            self._results.put(key, ok)
-        self.cache_hits += hits
-        self.cache_misses += len(todo)
-        stats = api.BatchStats(
-            count=len(entries),
-            invalid=results.count(False),
-            cache_hits=hits,
-            cache_misses=len(todo),
-            bisections=bisections,
-        )
-        return api.BatchResult(results=results, stats=stats)
-
-    def _share_batch(self, kind: str, verifier, pk, is_share, items) -> api.BatchResult:
-        return self._batch_cached(
-            kind,
-            verifier,
-            [(s.index, pk, m, s) if is_share(s) else None for m, s in items],
+    def _verify_multisig_share(self, kind: str, pk, message: bytes, share) -> bool:
+        return self._cached(
+            kind, share.index, message, share,
+            lambda: self._suite.multisig_share.verify(pk, message, share),
         )
 
     def _verify_aggregate(self, kind: str, pk, message: bytes, agg) -> bool:
@@ -296,51 +231,28 @@ class RealKeyring:
         the result cache (class docstring)."""
         if not _is_multisig(agg) or len(set(agg.signatories)) < pk.threshold:
             return False
-        return self._batch_cached(
-            kind, self._suite.multisig_share, [(s.index, pk, message, s) for s in agg.shares]
-        ).all_valid()
+        return all(self._verify_multisig_share(kind, pk, message, s) for s in agg.shares)
 
     # S_auth
     def sign_auth(self, message: bytes):
         return self._signed("auth", message, self._auth_signer.sign(message, self._rng))
 
-    def _auth_public(self, signer, sig) -> int | None:
-        if type(signer) is not int or not 1 <= signer <= self.n or not _is_schnorr(sig):
-            return None
-        return self._shared.auth_publics[signer - 1]
-
     def verify_auth(self, signer: int, message: bytes, sig) -> bool:
-        public = self._auth_public(signer, sig)
-        if public is None:
+        if type(signer) is not int or not 1 <= signer <= self.n or not _is_schnorr(sig):
             return False
+        public = self._shared.auth_publics[signer - 1]
         return self._cached(
             "auth", signer, message, sig,
             lambda: self._suite.schnorr.verify(public, message, sig),
         )
-
-    def verify_auth_batch(self, items: Sequence[tuple[int, bytes, object]]) -> api.BatchResult:
-        entries: list = []
-        for signer, message, sig in items:
-            public = self._auth_public(signer, sig)
-            entries.append(None if public is None else (signer, public, message, sig))
-        return self._batch_cached("auth", self._suite.schnorr, entries)
 
     # S_notary
     def sign_notary_share(self, message: bytes):
         return self._signed("notary-share", message, self._notary_signer.sign(message, self._rng))
 
     def verify_notary_share(self, message: bytes, share) -> bool:
-        if not _is_multisig_share(share):
-            return False
-        return self._cached(
-            "notary-share", share.index, message, share,
-            lambda: self._suite.multisig_share.verify(self._shared.notary_pk, message, share),
-        )
-
-    def verify_notary_share_batch(self, items: Sequence[tuple[bytes, object]]) -> api.BatchResult:
-        return self._share_batch(
-            "notary-share", self._suite.multisig_share, self._shared.notary_pk,
-            _is_multisig_share, items,
+        return _is_multisig_share(share) and self._verify_multisig_share(
+            "notary-share", self._shared.notary_pk, message, share
         )
 
     def combine_notary(self, message: bytes, shares):
@@ -354,17 +266,8 @@ class RealKeyring:
         return self._signed("final-share", message, self._final_signer.sign(message, self._rng))
 
     def verify_final_share(self, message: bytes, share) -> bool:
-        if not _is_multisig_share(share):
-            return False
-        return self._cached(
-            "final-share", share.index, message, share,
-            lambda: self._suite.multisig_share.verify(self._shared.final_pk, message, share),
-        )
-
-    def verify_final_share_batch(self, items: Sequence[tuple[bytes, object]]) -> api.BatchResult:
-        return self._share_batch(
-            "final-share", self._suite.multisig_share, self._shared.final_pk,
-            _is_multisig_share, items,
+        return _is_multisig_share(share) and self._verify_multisig_share(
+            "final-share", self._shared.final_pk, message, share
         )
 
     def combine_final(self, message: bytes, shares):
@@ -383,12 +286,6 @@ class RealKeyring:
         return self._cached(
             "beacon-share", share.index, message, share,
             lambda: self._suite.threshold_share.verify(self._shared.beacon_pk, message, share),
-        )
-
-    def verify_beacon_share_batch(self, items: Sequence[tuple[bytes, object]]) -> api.BatchResult:
-        return self._share_batch(
-            "beacon-share", self._suite.threshold_share, self._shared.beacon_pk,
-            _is_beacon_share, items,
         )
 
     def combine_beacon(self, message: bytes, shares):
@@ -454,11 +351,13 @@ class FastKeyring:
         return FastShare(scheme=scheme, index=index, digest=digest)
 
     def _verify_share(self, scheme: str, message: bytes, share: FastShare) -> bool:
+        # Fields of an unpickled share have whatever type a peer chose.
         if not isinstance(share, FastShare) or share.scheme != scheme:
             return False
-        if not 1 <= share.index <= self.n:
+        index = share.index
+        if type(index) is not int or type(share.digest) is not bytes or not 1 <= index <= self.n:
             return False
-        return share == self._share(scheme, share.index, message)
+        return share == self._share(scheme, index, message)
 
     def _combine(self, scheme: str, h: int, message: bytes, shares) -> FastAggregate:
         indices: list[int] = []
@@ -474,17 +373,13 @@ class FastKeyring:
         digest = tagged_hash("ICC/fast/agg", self._master, scheme.encode(), message)
         return FastAggregate(scheme=scheme, digest=digest, signatories=tuple(indices))
 
-    def _loop_batch(self, results: list[bool]) -> api.BatchResult:
-        """The hash backend has no RLC structure; batches are plain loops."""
-        return api.BatchResult(
-            results=results,
-            stats=api.BatchStats(count=len(results), invalid=results.count(False)),
-        )
-
     def _verify_agg(self, scheme: str, h: int, message: bytes, agg: FastAggregate) -> bool:
         if not isinstance(agg, FastAggregate) or agg.scheme != scheme:
             return False
-        if len(set(agg.signatories)) < h:
+        signatories = agg.signatories
+        if type(signatories) is not tuple or not _ints(*signatories):
+            return False
+        if type(agg.digest) is not bytes or len(set(signatories)) < h:
             return False
         expected = tagged_hash("ICC/fast/agg", self._master, scheme.encode(), message)
         return agg.digest == expected
@@ -500,18 +395,12 @@ class FastKeyring:
             and self._verify_share("auth", message, sig)
         )
 
-    def verify_auth_batch(self, items: Sequence[tuple[int, bytes, object]]) -> api.BatchResult:
-        return self._loop_batch([self.verify_auth(s, m, sig) for s, m, sig in items])
-
     # S_notary
     def sign_notary_share(self, message: bytes):
         return self._share("notary", self.index, message)
 
     def verify_notary_share(self, message: bytes, share) -> bool:
         return self._verify_share("notary", message, share)
-
-    def verify_notary_share_batch(self, items: Sequence[tuple[bytes, object]]) -> api.BatchResult:
-        return self._loop_batch([self.verify_notary_share(m, s) for m, s in items])
 
     def combine_notary(self, message: bytes, shares):
         return self._combine("notary", self.n - self.t, message, shares)
@@ -526,9 +415,6 @@ class FastKeyring:
     def verify_final_share(self, message: bytes, share) -> bool:
         return self._verify_share("final", message, share)
 
-    def verify_final_share_batch(self, items: Sequence[tuple[bytes, object]]) -> api.BatchResult:
-        return self._loop_batch([self.verify_final_share(m, s) for m, s in items])
-
     def combine_final(self, message: bytes, shares):
         return self._combine("final", self.n - self.t, message, shares)
 
@@ -541,9 +427,6 @@ class FastKeyring:
 
     def verify_beacon_share(self, message: bytes, share) -> bool:
         return self._verify_share("beacon", message, share)
-
-    def verify_beacon_share_batch(self, items: Sequence[tuple[bytes, object]]) -> api.BatchResult:
-        return self._loop_batch([self.verify_beacon_share(m, s) for m, s in items])
 
     def combine_beacon(self, message: bytes, shares):
         return self._combine("beacon", self.t + 1, message, shares)

@@ -14,15 +14,21 @@ from .group import Group
 
 @dataclass(frozen=True)
 class SchnorrSignature:
-    """A Schnorr signature (R = g**k, s = k + c·sk)."""
+    """A Schnorr signature in challenge form: (c, s) with c = H(pk, g**k, m)
+    and s = k + c·sk.
 
-    commitment: int  # R, a group element
+    The nonce commitment R = g**k is not carried: the verifier recomputes
+    it as g**s · pk**(-c) from two bases it holds comb tables for and
+    accepts iff it hashes back to ``c``, so nothing a peer chose is ever
+    exponentiated (see :class:`repro.crypto.api.SchnorrVerifier`).
+    """
+
+    challenge: int  # c, a scalar
     response: int  # s, a scalar
 
     def to_bytes(self, group: Group) -> bytes:
-        return group.element_to_bytes(self.commitment) + self.response.to_bytes(
-            group.scalar_width, "big"
-        )
+        width = group.scalar_width
+        return self.challenge.to_bytes(width, "big") + self.response.to_bytes(width, "big")
 
 
 @dataclass(frozen=True)
@@ -59,22 +65,20 @@ def sign(group: Group, secret: int, message: bytes, rng) -> SchnorrSignature:
     public = group.power_g(secret)
     c = _challenge(group, public, commitment, message)
     response = (nonce + c * secret) % group.q
-    return SchnorrSignature(commitment=commitment, response=response)
+    return SchnorrSignature(challenge=c, response=response)
 
 
 def signature_from_bytes(group: Group, data: bytes) -> SchnorrSignature:
-    """Decode a signature, admitting R via ``Group.element_from_bytes``.
+    """Decode :meth:`SchnorrSignature.to_bytes` output from untrusted input.
 
-    The subgroup check upholds the exponent-reduction invariant of
-    :meth:`Group.power` for untrusted wire input.  Raises
-    :class:`ValueError` on malformed or out-of-subgroup input.
+    Raises :class:`ValueError` unless ``data`` is exactly two scalars of
+    ``group.scalar_width`` bytes, each below q.
     """
-    p_width = group.element_width
-    q_width = group.scalar_width
-    if len(data) != p_width + q_width:
-        raise ValueError(f"Schnorr signature encoding must be {p_width + q_width} bytes")
-    commitment = group.element_from_bytes(data[:p_width])
-    response = int.from_bytes(data[p_width:], "big")
-    if not 0 <= response < group.q:
-        raise ValueError("Schnorr response out of scalar range")
-    return SchnorrSignature(commitment=commitment, response=response)
+    width = group.scalar_width
+    if len(data) != 2 * width:
+        raise ValueError(f"Schnorr signature encoding must be {2 * width} bytes")
+    challenge = int.from_bytes(data[:width], "big")
+    response = int.from_bytes(data[width:], "big")
+    if challenge >= group.q or response >= group.q:
+        raise ValueError("Schnorr challenge or response out of scalar range")
+    return SchnorrSignature(challenge=challenge, response=response)

@@ -48,7 +48,7 @@ class LoadPoint:
     mean_latency: float  # seconds, arrival -> finalization
     p99_latency: float
     rounds: int  # rounds committed by the slowest honest party
-    auth_batches: int  # RLC batch-verification passes
+    auth_batches: int  # batch authentication passes
     queue_final: int  # requests still queued when the run ended
     digest: str  # order-insensitive sha256 of the committed request set
 

@@ -191,7 +191,7 @@ register_metric(
 register_metric(
     "load.auth.invalid", "counter", "repro.workloads.batching",
     "Client requests dropped at ingress because batch authentication "
-    "flagged them forged (isolated by RLC bisection).",
+    "flagged them forged.",
 )
 register_metric(
     "load.committed", "counter", "repro.workloads.batching",

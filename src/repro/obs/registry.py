@@ -225,12 +225,6 @@ register(
     ("batch", "proposer"),
 )
 register(
-    "crypto.batch_verify", "repro.baselines.common",
-    "A baseline replica verified one same-instant batch of votes through "
-    "the keyring's batch API (scheme = vote).",
-    ("scheme", "count", "invalid", "cache_hits", "cache_misses", "bisections"),
-)
-register(
     "hotstuff.propose", "repro.baselines.hotstuff",
     "A HotStuff leader proposed a node for its view.",
     ("view", "batch"),
@@ -332,10 +326,9 @@ register(
 register(
     "load.batch.auth", "repro.workloads.batching",
     "One batch authentication pass (ingress admission or pool block "
-    "admission) verified `count` client requests in a single RLC "
-    "combination; `invalid` were forged, isolated by `bisections` "
-    "bisection probes.",
-    ("count", "invalid", "bisections"),
+    "admission) verified `count` client requests, one check per request; "
+    "`invalid` were forged.",
+    ("count", "invalid"),
 )
 register(
     "load.admission.reject", "repro.workloads.batching",

@@ -8,7 +8,7 @@ coordinating :class:`~repro.sim.simulator.Simulation`, and couples them
 through :class:`~repro.smr.xnet.XNet` certified streams:
 
 * each shard runs the full PR-6 load pipeline (per-shard
-  :class:`~repro.workloads.batching.RequestBatcher` ingress, RLC batch
+  :class:`~repro.workloads.batching.RequestBatcher` ingress, batch
   authentication, block packing, per-block re-authentication);
 * a :class:`~repro.workloads.sharding.ShardPopulation` offers every shard
   its own open-loop request stream, a fraction of which addresses remote

@@ -13,22 +13,22 @@ Network Limit* (see PAPERS.md and docs/LOAD.md):
   deduplicates against the chain being extended (Section 3.3 of the ICC
   paper), so a request is finalized exactly once however many parties saw
   it.
-* **Batch authentication** — every client request carries a signature.
-  Rather than verifying one signature per request, the whole batch is
-  checked in a single random-linear-combination (RLC) pass through the
-  existing crypto fast path (:mod:`repro.crypto.fastpath` via
-  :mod:`repro.crypto.api`), with bisection isolating exactly the forged
-  requests on failure.  Verification happens twice per request, both times
-  amortized: once at ingress admission (so forged requests never occupy
-  queue space or block capacity) and once per proposed *block* at pool
-  admission (so a Byzantine proposer cannot smuggle forged requests into a
-  batch — see ``payload_verifier`` in :mod:`repro.core.pool`).
+* **Batch authentication** — every client request carries a signature,
+  and a tick's or a block's requests are authenticated in one call.  The
+  check itself is per request (a challenge-form Schnorr check is two table
+  look-ups and a hash; see docs/PERFORMANCE.md), so a forged request costs
+  the honest ones nothing and is the only ``False``.  Verification happens
+  twice per request: once at ingress admission (so forged requests never
+  occupy queue space or block capacity) and once per proposed *block* at
+  pool admission, memoized per block hash (so a Byzantine proposer cannot
+  smuggle forged requests into a batch — see ``payload_verifier`` in
+  :mod:`repro.core.pool`).
 
 Two authenticator backends mirror the :mod:`repro.crypto.keyring` split:
 :class:`FastClientAuth` is a hash MAC simulation for large-scale load runs,
-:class:`RealClientAuth` signs with per-client Schnorr keys and batch-checks
-through the RLC verifier (the configuration the forged-request tests and
-the benchmark's ``live_n4_load`` workload exercise).
+:class:`RealClientAuth` signs with per-client Schnorr keys (the
+configuration the forged-request tests and the benchmark's ``live_n4_load``
+workload exercise).
 
 Determinism: this module draws **no randomness at all** — signing nonces
 are derived Fiat-Shamir style from the key and message — so installing the
@@ -161,25 +161,21 @@ class FastClientAuth:
         )
 
     def verify_batch(self, requests: list[SignedRequest]) -> api.BatchResult:
-        results = [
-            r.auth == self.sign(r.client, r.seq, r.key, r.body) for r in requests
-        ]
-        return api.BatchResult(
-            results=results,
-            stats=api.BatchStats(count=len(results), invalid=results.count(False)),
+        return api.BatchResult.of(
+            [r.auth == self.sign(r.client, r.seq, r.key, r.body) for r in requests]
         )
 
 
 class RealClientAuth:
-    """Per-client Schnorr keys, batch-verified via the RLC fast path.
+    """Per-client Schnorr keys, verified through the crypto fast path.
 
     Client key material is derived deterministically from a master seed, so
     every party (and every worker process) agrees on the key of client *i*
     without a registration protocol.  Signing nonces are derived from the
     secret and message (deterministic Schnorr), keeping the whole load
-    pipeline free of RNG draws.  Verification runs through
-    :meth:`repro.crypto.api.SchnorrVerifier.verify_batch_report`: one RLC
-    combination per batch, bisection pinpointing forged requests exactly.
+    pipeline free of RNG draws.  Verification is one
+    :meth:`repro.crypto.api.SchnorrVerifier.verify` per request, from the
+    comb tables of ``g`` and the client's key.
     """
 
     scheme = "real"
@@ -190,7 +186,6 @@ class RealClientAuth:
         self._master = tagged_hash("ICC/load/auth-master", seed.to_bytes(8, "big"))
         self._secrets: dict[int, int] = {}
         self._publics: dict[int, int] = {}
-        self._sig_len = self.group.element_width + self.group.scalar_width
 
     def _secret(self, client: int) -> int:
         secret = self._secrets.get(client)
@@ -229,44 +224,25 @@ class RealClientAuth:
         commitment = self._suite.ctx.power_g(nonce)
         c = schnorr._challenge(group, self.public(client), commitment, message)
         sig = schnorr.SchnorrSignature(
-            commitment=commitment, response=(nonce + c * secret) % group.q
+            challenge=c, response=(nonce + c * secret) % group.q
         )
         return sig.to_bytes(group)
 
     def _decode(self, auth: bytes) -> schnorr.SchnorrSignature | None:
-        p_len = self.group.element_width
-        if len(auth) != self._sig_len:
+        try:
+            return schnorr.signature_from_bytes(self.group, auth)
+        except ValueError:
             return None
-        # Membership is proved here, once, through the context's cache: the
-        # batch verifier asks the same question and gets a lookup.
-        commitment = int.from_bytes(auth[:p_len], "big")
-        if not self._suite.ctx.is_member(commitment):
-            return None
-        response = int.from_bytes(auth[p_len:], "big")
-        return schnorr.SchnorrSignature(commitment=commitment, response=response)
 
     def verify_batch(self, requests: list[SignedRequest]) -> api.BatchResult:
-        items: list[tuple] = []
-        live: list[int] = []
-        results = [False] * len(requests)
-        for i, r in enumerate(requests):
+        verify = self._suite.schnorr.verify
+        results = []
+        for r in requests:
             sig = self._decode(r.auth)
-            if sig is None:
-                continue
-            items.append((self.public(r.client), r.signed_message(), sig))
-            live.append(i)
-        if not items:
-            return api.BatchResult(
-                results=results,
-                stats=api.BatchStats(count=len(requests), invalid=len(requests)),
+            results.append(
+                sig is not None and verify(self.public(r.client), r.signed_message(), sig)
             )
-        report = self._suite.schnorr.verify_batch_report(items)
-        for i, ok in zip(live, report.results):
-            results[i] = ok
-        stats = report.stats
-        stats.count = len(requests)
-        stats.invalid = results.count(False)
-        return api.BatchResult(results=results, stats=stats)
+        return api.BatchResult.of(results)
 
 
 def client_auth(scheme: str, seed: int = 0, group_profile: str = "test"):
@@ -332,7 +308,6 @@ class RequestBatcher:
         self.duplicates = 0  # distilled duplicate submissions
         self.completed = 0
         self.auth_batches = 0
-        self.auth_bisections = 0
         self.latencies: list[float] = []
         self.committed_ids: list[bytes] = []
         self._committed: set[bytes] = set()
@@ -372,17 +347,15 @@ class RequestBatcher:
         """Admit one broker tick's arrivals; returns how many were accepted.
 
         ``batch`` holds (request, arrival_time) pairs.  The whole tick is
-        authenticated in **one** RLC batch; forged requests are dropped
-        (and isolated by bisection) without costing the honest ones their
-        slot.  Survivors then pass admission control: duplicates of an
-        already-pending or already-committed id are distilled away, and
-        arrivals beyond ``queue_cap`` are shed.
+        authenticated in one call; forged requests are dropped without
+        costing the honest ones their slot.  Survivors then pass admission
+        control: duplicates of an already-pending or already-committed id
+        are distilled away, and arrivals beyond ``queue_cap`` are shed.
         """
         if not batch:
             return 0
         report = self.auth.verify_batch([r for r, _ in batch])
         self.auth_batches += 1
-        self.auth_bisections += report.stats.bisections
         if report.stats.invalid:
             self.auth_invalid += report.stats.invalid
             if self._meter.enabled:
@@ -392,7 +365,6 @@ class RequestBatcher:
                 "load.batch.auth",
                 count=report.stats.count,
                 invalid=report.stats.invalid,
-                bisections=report.stats.bisections,
             )
         accepted = 0
         shed = 0
@@ -480,11 +452,10 @@ class RequestBatcher:
 
         Called by every party's :class:`~repro.core.pool.MessagePool` when
         a block arrives; the verdict is memoized per block hash, so the
-        whole cluster pays one RLC batch check per distinct block — the
-        per-request cost a Byzantine proposer could otherwise inflict is
-        amortized to ~one multiplication.  A block carrying any forged or
-        malformed load request is rejected wholesale (the honest proposers
-        only pack ingress-verified requests, so honest blocks never fail).
+        whole cluster checks each distinct block's requests once.  A block
+        carrying any forged or malformed load request is rejected wholesale
+        (the honest proposers only pack ingress-verified requests, so honest
+        blocks never fail).
         """
         verdict = self._block_auth_memo.get(block.hash)
         if verdict is not None:
@@ -502,14 +473,12 @@ class RequestBatcher:
         if verdict and requests:
             report = self.auth.verify_batch(requests)
             self.auth_batches += 1
-            self.auth_bisections += report.stats.bisections
             verdict = report.stats.invalid == 0
             if self._tracer.enabled:
                 self._emit(
                     "load.batch.auth",
                     count=report.stats.count,
                     invalid=report.stats.invalid,
-                    bisections=report.stats.bisections,
                 )
         self._block_auth_memo[block.hash] = verdict
         return verdict

@@ -17,7 +17,7 @@ modelling the *population*, not individual sockets:
   Zipf(s) distribution over ``key_space`` keys, the standard skewed-access
   model for user-facing stores.
 * **Broker ticks** — arrivals are aggregated into ``tick``-second windows
-  and admitted as one batch per window (one simulator event, one RLC
+  and admitted as one batch per window (one simulator event, one
   authentication pass), modelling Chop Chop's brokers: clients never hit
   consensus directly, an untrusted aggregation layer does.  True arrival
   timestamps are preserved, so latency measurements include the time a

@@ -1,6 +1,13 @@
-"""Tests for the baselines' same-instant batched vote verification."""
+"""Tests for the baselines' vote admission (``BaselineParty.enqueue_vote``).
+
+Votes used to be coalesced per simulated instant and verified in one
+deferred flush event; that path is gone (each vote is verified as it
+arrives).  The hashes both paths committed are pinned below.
+"""
 
 from __future__ import annotations
+
+import hashlib
 
 import pytest
 
@@ -12,56 +19,44 @@ from repro.baselines import (
     build_baseline_cluster,
 )
 from repro.crypto.keyring import generate_keyrings
-from repro.obs import Tracer
 from repro.sim.delays import FixedDelay
 
-
-def _run(party_class, crypto_batch, seed=2, tracer=None, duration=20.0):
-    config = BaselineClusterConfig(
-        party_class=party_class,
-        n=4, t=1, seed=seed,
-        delay_model=FixedDelay(0.05),
-        crypto_batch=crypto_batch,
-        tracer=tracer,
-    )
-    cluster = build_baseline_cluster(config)
-    cluster.start()
-    cluster.run_for(duration)
-    cluster.check_safety()
-    return cluster
+#: (heights, sha256 over the committed hashes in order) of party 1 after 20
+#: simulated seconds at n=4, t=1, seed=2, δ=0.05 — recorded at the last
+#: commit that had both the deferred-flush and the eager path, where
+#: ``test_commits_identical_with_and_without_batching`` held them equal.
+COMMITTED = {
+    PBFTParty: (133, "9ecfdb0dc2f258a255e89227271f8484370c3f31ef20121265db5efe3391f45b"),
+    HotStuffParty: (197, "d8615fc0c8b308c6a00aff12f66f33471e3759a3a5353f4541621ae0e82ffb7e"),
+    TendermintParty: (18, "ac1c3f64dbb8605857e635a6c3d30b10ad01b9127885c54ebe6b533c8fd7a202"),
+}
 
 
 class TestBatchedVotesParity:
     @pytest.mark.parametrize("party_class", [PBFTParty, HotStuffParty, TendermintParty])
     def test_commits_identical_with_and_without_batching(self, party_class):
-        on = _run(party_class, crypto_batch=True)
-        off = _run(party_class, crypto_batch=False)
-        assert on.party(1).committed_hashes == off.party(1).committed_hashes
-        assert on.party(1).committed_hashes  # progress was actually made
-        assert on.min_committed_height() == off.min_committed_height()
-
-    def test_batches_actually_form(self):
-        # Under FixedDelay all n broadcast votes arrive at the same instant,
-        # so flushes should see multi-vote batches, traced per flush.
-        tracer = Tracer()
-        _run(PBFTParty, crypto_batch=True, tracer=tracer, duration=10.0)
-        batch_events = [e for e in tracer.events() if e.kind == "crypto.batch_verify"]
-        assert batch_events
-        assert all(e.payload["scheme"] == "vote" for e in batch_events)
-        assert max(e.payload["count"] for e in batch_events) > 1
+        config = BaselineClusterConfig(
+            party_class=party_class, n=4, t=1, seed=2, delay_model=FixedDelay(0.05),
+        )
+        cluster = build_baseline_cluster(config)
+        cluster.start()
+        cluster.run_for(20.0)
+        cluster.check_safety()
+        hashes = cluster.party(1).committed_hashes
+        heights, digest = COMMITTED[party_class]
+        assert len(hashes) == cluster.min_committed_height() == heights
+        assert hashlib.sha256(b"".join(hashes)).hexdigest() == digest
 
 
 class TestVoteHelpers:
-    def _party(self, crypto_batch=True):
+    def _parties(self):
         config = BaselineClusterConfig(
-            party_class=PBFTParty, n=4, t=1, seed=5,
-            delay_model=FixedDelay(0.05), crypto_batch=crypto_batch,
+            party_class=PBFTParty, n=4, t=1, seed=5, delay_model=FixedDelay(0.05),
         )
-        return build_baseline_cluster(config)
+        return build_baseline_cluster(config).parties
 
     def test_votes_are_valid_matches_single(self):
-        cluster = self._party()
-        parties = cluster.parties
+        parties = self._parties()
         votes = [
             parties[i].make_vote("pbft", "prepare", 1, 1, b"\x07" * 32)
             for i in range(4)
@@ -71,32 +66,30 @@ class TestVoteHelpers:
             protocol="pbft", phase="prepare", view=1, height=1,
             digest=b"\x07" * 32, voter=1, share=votes[1].share,
         )
-        mixed = votes + [forged]
         checker = parties[3]
-        assert checker.votes_are_valid(mixed) == [
-            checker.vote_is_valid(v) for v in mixed
-        ]
-        assert checker.votes_are_valid(mixed) == [True] * 4 + [False]
+        assert [checker.vote_is_valid(v) for v in votes + [forged]] == [True] * 4 + [False]
+        accepted = []
+        checker._accept_vote = accepted.append
+        for vote in votes + [forged]:
+            checker.enqueue_vote(vote)
+        assert accepted == votes
 
     def test_forged_vote_never_accepted(self):
-        cluster = self._party()
-        party = cluster.parties[0]
+        party = self._parties()[0]
         rings = generate_keyrings(4, 1, seed=99, backend="fast")  # wrong keys
         forged = party.make_vote("pbft", "prepare", 1, 1, b"\x01" * 32).__class__(
             protocol="pbft", phase="prepare", view=1, height=1,
             digest=b"\x01" * 32, voter=2, share=rings[1].sign_notary_share(b"junk"),
         )
         accepted = []
-        party._accept_vote = lambda vote: accepted.append(vote)
+        party._accept_vote = accepted.append
         party.enqueue_vote(forged)
-        party.sim.run(until=party.sim.now + 0.001)  # run the flush event
         assert accepted == []
 
     def test_eager_mode_accepts_immediately(self):
-        cluster = self._party(crypto_batch=False)
-        parties = cluster.parties
+        parties = self._parties()
         vote = parties[1].make_vote("pbft", "prepare", 1, 1, b"\x02" * 32)
         accepted = []
-        parties[0]._accept_vote = lambda v: accepted.append(v)
+        parties[0]._accept_vote = accepted.append
         parties[0].enqueue_vote(vote)
-        assert accepted == [vote]  # no deferral when batching is off
+        assert accepted == [vote]  # in the call itself, not in a later event

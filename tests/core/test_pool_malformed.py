@@ -132,8 +132,49 @@ class TestSameBugOneLevelDown:
     def test_batches_answer_false_for_the_malformed_item_only(self, real):
         ring = real.rings[0]
         good = real.rings[1].sign_notary_share(b"m")
-        report = ring.verify_notary_share_batch([(b"m", good), (b"m", None), (b"m", [1])])
-        assert report.results == [True, False, False]
+        shares = [good, None, [1], good]
+        assert [ring.verify_notary_share(b"m", s) for s in shares] == [True, False, False, True]
         auth = real.rings[1].sign_auth(b"m")
-        report = ring.verify_auth_batch([(2, b"m", auth), (2, b"m", [1, 2]), ("2", b"m", auth)])
-        assert report.results == [True, False, False]
+        items = [(2, auth), (2, [1, 2]), ("2", auth), (2, auth)]
+        assert [ring.verify_auth(signer, b"m", sig) for signer, sig in items] == [
+            True, False, False, True,
+        ]
+
+
+class TestFastKeyringReadsNoFieldUnchecked:
+    """The hash keyring compares and hashes the fields of what was unpickled,
+    and the two live workloads run on it: a field of the wrong type is an
+    invalid signature there too.  One case per line of the bug report; the
+    ``bytearray`` digests compare equal to the genuine ``bytes`` and would be
+    stored, unhashable."""
+
+    @pytest.fixture(scope="class")
+    def fast(self):
+        return Forge(seed=2, backend="fast")
+
+    @pytest.mark.parametrize("index", ["3", None, 2.0], ids=["str", "none", "float"])
+    def test_share_index(self, fast, index):
+        block = fast.block()
+        genuine = fast.notar_share(block, signer=3)
+        # The message names the same signer, so the pool's own index check passes.
+        forged = replace(genuine, signer=index, share=replace(genuine.share, index=index))
+        assert _dropped_as_invalid(fast, forged, block)
+
+    @pytest.mark.parametrize(
+        "signatories", [None, 5, ([1], [2], [3]), [1, 2, 3]], ids=["none", "int", "lists", "list"]
+    )
+    def test_aggregate_signatories(self, fast, signatories):
+        block = fast.block()
+        genuine = fast.notarization(block)
+        forged = replace(genuine, aggregate=replace(genuine.aggregate, signatories=signatories))
+        assert _dropped_as_invalid(fast, forged, block)
+
+    def test_digest_that_only_compares_equal(self, fast):
+        block = fast.block()
+        share = fast.notar_share(block, signer=3)
+        forged = replace(share, share=replace(share.share, digest=bytearray(share.share.digest)))
+        assert _dropped_as_invalid(fast, forged, block)
+        agg = fast.notarization(block)
+        forged = replace(agg, aggregate=replace(agg.aggregate, digest=bytearray(agg.aggregate.digest)))
+        assert _dropped_as_invalid(fast, forged, block)
+        assert fast.pool().add(share) and fast.pool().add(agg)

@@ -51,16 +51,18 @@ class TestSchnorrVerifier:
         suite = _suite(group)
         pair = schnorr.keygen(group, rng)
         sig = schnorr.sign(group, pair.secret, b"m", rng)
-        bad = schnorr.SchnorrSignature(sig.commitment, sig.response + group.q)
+        bad = schnorr.SchnorrSignature(sig.challenge, sig.response + group.q)
+        assert not suite.schnorr.verify(pair.public, b"m", bad)
+        bad = schnorr.SchnorrSignature(sig.challenge + group.q, sig.response)
         assert not suite.schnorr.verify(pair.public, b"m", bad)
 
     def test_batch_report_counts(self, group, rng):
         suite = _suite(group)
         pair = schnorr.keygen(group, rng)
         good = schnorr.sign(group, pair.secret, b"m", rng)
-        bad = schnorr.SchnorrSignature(good.commitment, (good.response + 1) % group.q)
-        report = suite.schnorr.verify_batch_report(
-            [(pair.public, b"m", good), (pair.public, b"m", bad)]
+        bad = schnorr.SchnorrSignature(good.challenge, (good.response + 1) % group.q)
+        report = api.BatchResult.of(
+            suite.schnorr.verify_batch([(pair.public, b"m", good), (pair.public, b"m", bad)])
         )
         assert report.results == [True, False]
         assert report.stats.count == 2

@@ -125,9 +125,9 @@ class TestBitIdentity:
             items.append(
                 (pair.public, message, schnorr.sign(group, pair.secret, message, rng))
             )
-        # Forge one item so the bisection path runs under each backend too.
+        # Forge one item so the rejecting path runs under each backend too.
         pk, message, sig = items[3]
-        items[3] = (pk, message, type(sig)(sig.commitment, (sig.response + 1) % group.q))
+        items[3] = (pk, message, type(sig)(sig.challenge, (sig.response + 1) % group.q))
         verdicts = []
         for name in available_backends():
             with use_backend(name):

@@ -7,9 +7,18 @@ the fast backend (DESIGN.md §2).
 
 from __future__ import annotations
 
-import pytest
+from dataclasses import replace
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.crypto import fastpath
+from repro.crypto.dleq import DleqStatement
 from repro.crypto.keyring import generate_keyrings
+from repro.crypto.unique import message_point
+
+from .test_fastpath import _scalar_forgeries
 
 
 @pytest.fixture(params=["fast", "real"], scope="module")
@@ -124,44 +133,105 @@ class TestFactory:
 
 
 class TestBatchVerification:
-    """Both backends expose the batch API; results match the single path."""
+    """Several items at once.  The keyring has no batch entry point (a loop
+    of challenge-form checks outran the batch verifier at every size,
+    docs/PERFORMANCE.md); what the batch tests pinned holds of the loop and
+    of an aggregate's carried shares: a forged item among valid ones is the
+    only ``False``, on both backends."""
 
     def test_auth_batch(self, rings):
         items = [(i, b"m%d" % i, rings[i - 1].sign_auth(b"m%d" % i)) for i in (1, 2, 3)]
         items.append((2, b"m1", items[0][2]))  # signer-1 sig claimed by 2
-        report = rings[0].verify_auth_batch(items)
-        assert report.results == [True, True, True, False]
-        assert report.stats.count == 4 and report.stats.invalid == 1
+        assert [rings[0].verify_auth(*item) for item in items] == [True, True, True, False]
 
     def test_notary_share_batch_matches_single(self, rings):
-        items = [(b"msg", rings[i].sign_notary_share(b"msg")) for i in range(4)]
-        items.append((b"other", items[0][1]))  # valid share, wrong message
-        report = rings[0].verify_notary_share_batch(items)
-        assert report.results == [
-            rings[0].verify_notary_share(m, s) for m, s in items
-        ]
-        assert report.results == [True] * 4 + [False]
+        shares = [ring.sign_notary_share(b"msg") for ring in rings]
+        assert all(rings[0].verify_notary_share(b"msg", s) for s in shares)
+        assert not rings[0].verify_notary_share(b"other", shares[0])  # wrong message
+        # An aggregate's verdict is that of its shares, one by one.
+        assert rings[0].verify_notary(b"msg", rings[1].combine_notary(b"msg", shares[1:]))
+        assert not rings[0].verify_notary(b"other", rings[1].combine_notary(b"msg", shares[1:]))
 
     def test_final_share_batch(self, rings):
-        items = [(b"msg", rings[i].sign_final_share(b"msg")) for i in range(3)]
-        assert rings[0].verify_final_share_batch(items).all_valid()
+        shares = [rings[i].sign_final_share(b"msg") for i in range(3)]
+        assert all(rings[0].verify_final_share(b"msg", s) for s in shares)
         # final and notary are independent scheme instances
-        cross = [(b"msg", rings[0].sign_notary_share(b"msg"))]
-        assert rings[0].verify_final_share_batch(cross).results == [False]
+        assert not rings[0].verify_final_share(b"msg", rings[0].sign_notary_share(b"msg"))
 
     def test_beacon_share_batch(self, rings):
-        items = [(b"beacon", rings[i].sign_beacon_share(b"beacon")) for i in range(4)]
-        bad = (b"beacon", rings[0].sign_beacon_share(b"not-beacon"))
-        report = rings[0].verify_beacon_share_batch(items + [bad])
-        assert report.results == [True] * 4 + [False]
+        shares = [rings[i].sign_beacon_share(b"beacon") for i in range(4)]
+        shares.append(rings[0].sign_beacon_share(b"not-beacon"))
+        verdicts = [rings[0].verify_beacon_share(b"beacon", s) for s in shares]
+        assert verdicts == [True] * 4 + [False]
 
     def test_empty_batch(self, rings):
-        report = rings[0].verify_notary_share_batch([])
-        assert report.results == [] and report.all_valid()
+        aggregate = rings[0].combine_notary(b"m", [r.sign_notary_share(b"m") for r in rings])
+        carried = "shares" if hasattr(aggregate, "shares") else "signatories"
+        assert not rings[0].verify_notary(b"m", replace(aggregate, **{carried: ()}))
 
     def test_singleton_batch(self, rings):
         share = rings[1].sign_notary_share(b"solo")
-        assert rings[0].verify_notary_share_batch([(b"solo", share)]).results == [True]
+        assert rings[0].verify_notary_share(b"solo", share)
+        with pytest.raises(ValueError):  # one share is under the n - t quorum
+            rings[0].combine_notary(b"solo", [share])
+
+
+class TestRealKeyringAgainstTheOracle:
+    """A forged share gets the verdict of the cache-free per-item oracle, on
+    the 128-bit and the 512-bit group."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(profile=st.sampled_from(["test", "default"]), seed=st.integers(0, 2**16))
+    def test_notary_share(self, profile, seed):
+        rings = generate_keyrings(4, 1, seed=5, backend="real", group_profile=profile)
+        shared, message = rings[0]._shared, b"notary/%d" % seed
+        share, other = (ring.sign_notary_share(message) for ring in rings[1:3])
+        sig = share.signature
+        forged = [
+            replace(share, signature=replace(sig, challenge=c, response=s))
+            for c, s in _scalar_forgeries(shared.group.q, sig.challenge, sig.response)
+        ]
+        forged.append(replace(share, index=other.index))  # wrong key
+        forged.append(replace(share, signature=other.signature))  # another share's (c, s)
+        cases = [(message, c) for c in [share, other] + forged] + [(b"other", share)]
+        oracle = [
+            fastpath.verify_schnorr_single(
+                shared.group, shared.notary_pk.public(c.index), m, c.signature
+            )
+            for m, c in cases
+        ]
+        assert [rings[0].verify_notary_share(m, c) for m, c in cases] == oracle
+        assert oracle == [True, True] + [False] * (len(forged) + 1)
+
+    @settings(max_examples=10, deadline=None)
+    @given(profile=st.sampled_from(["test", "default"]), seed=st.integers(0, 2**16))
+    def test_beacon_share(self, profile, seed):
+        rings = generate_keyrings(4, 1, seed=5, backend="real", group_profile=profile)
+        shared, message = rings[0]._shared, b"beacon/%d" % seed
+        group = shared.group
+        share, other = (ring.sign_beacon_share(message) for ring in rings[1:3])
+        proof = share.proof
+        forged = [
+            replace(share, proof=replace(proof, challenge=c, response=s))
+            for c, s in _scalar_forgeries(group.q, proof.challenge, proof.response)
+        ]
+        forged.append(replace(share, index=other.index))  # wrong key
+        forged.append(replace(share, proof=other.proof))  # another share's (c, s)
+        forged.append(replace(share, value=share.value * (group.p - 1) % group.p))  # off the subgroup
+        forged.append(replace(share, value=other.value))  # another member
+        cases = [(message, c) for c in [share, other] + forged] + [(b"other", share)]
+        oracle = [
+            fastpath.verify_dleq_single(
+                group,
+                DleqStatement(
+                    group.g, shared.beacon_pk.share_public(c.index), message_point(group, m), c.value
+                ),
+                c.proof,
+            )
+            for m, c in cases
+        ]
+        assert [rings[0].verify_beacon_share(m, c) for m, c in cases] == oracle
+        assert oracle == [True, True] + [False] * (len(forged) + 1)
 
 
 class TestResultCache:
@@ -177,15 +247,16 @@ class TestResultCache:
         assert ring.cache_misses == misses
 
     def test_batch_uses_cache(self):
+        # The shares an aggregate carries go through the verdict cache.
         rings = generate_keyrings(4, 1, seed=5, backend="real", group_profile="test")
         ring = rings[0]
-        items = [(b"msg", rings[i].sign_notary_share(b"msg")) for i in range(4)]
-        first = ring.verify_notary_share_batch(items)
-        assert first.all_valid()
-        second = ring.verify_notary_share_batch(items)
-        assert second.all_valid()
-        assert second.stats.cache_hits == 4
-        assert second.stats.cache_misses == 0
+        shares = [rings[i].sign_notary_share(b"msg") for i in range(1, 4)]
+        aggregate = rings[1].combine_notary(b"msg", shares)
+        hits, misses = ring.cache_hits, ring.cache_misses
+        assert ring.verify_notary(b"msg", aggregate)
+        assert (ring.cache_hits, ring.cache_misses) == (hits, misses + 3)
+        assert ring.verify_notary(b"msg", aggregate)
+        assert (ring.cache_hits, ring.cache_misses) == (hits + 3, misses + 3)
 
     def test_negative_verdicts_cached_too(self):
         rings = generate_keyrings(4, 1, seed=5, backend="real", group_profile="test")

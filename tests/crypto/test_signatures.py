@@ -10,10 +10,13 @@ from __future__ import annotations
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.crypto import dleq, schnorr, unique
 from repro.crypto.api import verifiers_for
 from repro.crypto.dleq import DleqStatement
+from repro.crypto.group import default_group
 
 
 @pytest.fixture(scope="module")
@@ -41,25 +44,29 @@ class TestSchnorr:
     def test_tampered_response_rejected(self, group, rng, suite):
         keys = schnorr.keygen(group, rng)
         sig = schnorr.sign(group, keys.secret, b"m", rng)
-        bad = schnorr.SchnorrSignature(sig.commitment, (sig.response + 1) % group.q)
+        bad = schnorr.SchnorrSignature(sig.challenge, (sig.response + 1) % group.q)
         assert not suite.schnorr.verify(keys.public, b"m", bad)
 
     def test_tampered_commitment_rejected(self, group, rng, suite):
+        # The commitment is not carried; its hash is.  A challenge taken over
+        # any other commitment does not match the one the verifier recomputes.
         keys = schnorr.keygen(group, rng)
         sig = schnorr.sign(group, keys.secret, b"m", rng)
-        bad = schnorr.SchnorrSignature(group.power_g(3), sig.response)
+        other = schnorr._challenge(group, keys.public, group.power_g(3), b"m")
+        bad = schnorr.SchnorrSignature(other, sig.response)
         assert not suite.schnorr.verify(keys.public, b"m", bad)
 
     def test_out_of_range_values_rejected(self, group, rng, suite):
         keys = schnorr.keygen(group, rng)
         sig = schnorr.sign(group, keys.secret, b"m", rng)
-        assert not suite.schnorr.verify(
-            keys.public, b"m",
-            schnorr.SchnorrSignature(sig.commitment, group.q + sig.response),
-        )
-        assert not suite.schnorr.verify(
-            keys.public, b"m", schnorr.SchnorrSignature(0, sig.response)
-        )
+        for bad in (
+            schnorr.SchnorrSignature(sig.challenge, group.q + sig.response),
+            schnorr.SchnorrSignature(group.q + sig.challenge, sig.response),
+            schnorr.SchnorrSignature(sig.challenge, -1),
+            schnorr.SchnorrSignature(-1, sig.response),
+        ):
+            assert not suite.schnorr.verify(keys.public, b"m", bad)
+        assert not suite.schnorr.verify(0, b"m", sig)  # the key is not an element
 
     def test_signatures_are_randomized(self, group, rng, suite):
         keys = schnorr.keygen(group, rng)
@@ -72,9 +79,33 @@ class TestSchnorr:
     def test_to_bytes_length(self, group, rng):
         keys = schnorr.keygen(group, rng)
         sig = schnorr.sign(group, keys.secret, b"m", rng)
-        q_width = (group.q.bit_length() + 7) // 8
-        p_width = (group.p.bit_length() + 7) // 8
-        assert len(sig.to_bytes(group)) == q_width + p_width
+        assert len(sig.to_bytes(group)) == 2 * group.scalar_width
+        assert 2 * default_group().scalar_width == 64
+
+
+class TestSchnorrDecoder:
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**16), message=st.binary(max_size=40))
+    def test_round_trip(self, group, seed, message):
+        rng = Random(seed)
+        sig = schnorr.sign(group, group.random_scalar(rng), message, rng)
+        assert schnorr.signature_from_bytes(group, sig.to_bytes(group)) == sig
+
+    def test_malformed_input_raises(self, group, rng):
+        width = group.scalar_width
+        sig = schnorr.sign(group, group.random_scalar(rng), b"m", rng)
+        data = sig.to_bytes(group)
+        q_bytes = group.q.to_bytes(width, "big")
+        for bad in (
+            b"",
+            data[:-1],  # truncated
+            data + b"\x00",  # over-long
+            q_bytes + data[width:],  # c == q
+            data[:width] + q_bytes,  # s == q
+            b"\xff" * (2 * width),
+        ):
+            with pytest.raises(ValueError):
+                schnorr.signature_from_bytes(group, bad)
 
 
 class TestDleq:
@@ -99,12 +130,11 @@ class TestDleq:
         g2 = group.hash_to_group("base2", b"x")
         proof = dleq.prove(group, x, group.g, g2, rng)
         statement = DleqStatement(group.g, group.power_g(x), g2, group.power(g2, x))
-        bad = dleq.DleqProof(
-            proof.commitment1, proof.commitment2, (proof.response + 1) % group.q
-        )
+        bad = dleq.DleqProof(proof.challenge, (proof.response + 1) % group.q)
         assert not suite.dleq.verify(statement, b"", bad)
-        swapped = dleq.DleqProof(proof.commitment2, proof.commitment1, proof.response)
+        swapped = dleq.DleqProof(proof.response, proof.challenge)
         assert not suite.dleq.verify(statement, b"", swapped)
+        assert len(proof.to_bytes(group)) == 2 * group.scalar_width
 
     def test_non_element_inputs_rejected(self, group, rng, suite):
         x = group.random_scalar(rng)

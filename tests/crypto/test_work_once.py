@@ -2,9 +2,10 @@
 
 Exact counts, no wall clock: how often q is proved prime, how many
 exponentiations a party spends on what it made itself, what the verdict
-cache may and may not answer, and who owns the comb tables.  The modexp
-counts come from a counting backend installed with ``use_backend`` — every
-``Group``/``FastPath`` exponentiation routes through the active backend.
+cache may and may not answer, what a challenge-form check exponentiates, and
+who owns the comb tables.  The modexp counts come from a counting backend
+installed with ``use_backend`` — every ``Group``/``FastPath`` exponentiation
+routes through the active backend.
 """
 
 from __future__ import annotations
@@ -68,6 +69,17 @@ def counting():
 def forge(counting):
     """Real-backend artifacts whose every exponentiation ``counting`` sees."""
     return Forge(seed=3, backend="real")
+
+
+@pytest.fixture
+def warm(counting):
+    """``sim_n7_real``'s keyrings, every public key's membership proof and
+    comb table already paid for (once per cluster, on first use)."""
+    rings = generate_keyrings(7, 2, seed=3, backend="real")
+    for ring in rings[1:]:
+        assert rings[0].verify_notary_share(b"warm", ring.sign_notary_share(b"warm"))
+        assert rings[0].verify_beacon_share(b"warm", ring.sign_beacon_share(b"warm"))
+    return rings
 
 
 def _real_cluster(seed=1, max_rounds=5):
@@ -197,19 +209,44 @@ class TestNothingTrustedUnverified:
     def test_foreign_aggregate_of_seen_shares_costs_nothing(self, forge, counting):
         ring = forge.rings[0]
         foreign = self._shares(forge)[1:]
-        assert ring.verify_notary_share_batch([(self.M, s) for s in foreign]).all_valid()
+        assert all(ring.verify_notary_share(self.M, s) for s in foreign)
         aggregate = forge.rings[1].combine_notary(self.M, foreign)
         before = (counting.exponentiations, ring.cache_misses)
         assert ring.verify_notary(self.M, aggregate)
         assert (counting.exponentiations, ring.cache_misses) == before
 
-    def test_foreign_aggregate_of_unseen_shares_is_one_batch(self, forge):
-        ring = forge.rings[0]
-        aggregate = forge.rings[1].combine_notary(self.M, self._shares(forge)[1:])
-        batches, misses = ring._suite.ctx.stats.batches, ring.cache_misses
+    def test_foreign_aggregate_of_unseen_shares_is_five_checks_and_no_powmod(self, warm, counting):
+        ring = warm[0]
+        aggregate = warm[1].combine_notary(self.M, [r.sign_notary_share(self.M) for r in warm[1:6]])
+        before = (counting.powmods, ring.cache_misses)
         assert ring.verify_notary(self.M, aggregate)
-        assert ring._suite.ctx.stats.batches == batches + 1
-        assert ring.cache_misses == misses + 3
+        assert (counting.powmods, ring.cache_misses) == (before[0], before[1] + 5)
+
+
+# -- (d) no element a peer chose is exponentiated, except sigma_i ------------
+
+
+class TestChallengeFormExponentiatesNothingUntrusted:
+    """``powmod`` is the exponentiation of a base with no table, which is
+    what anything off the wire is.  If one of these counts rises, a
+    membership proof of a peer-chosen element has crept back."""
+
+    def test_unseen_notarization_share_costs_no_powmod(self, warm, counting):
+        share = warm[1].sign_notary_share(b"m")
+        before = counting.powmods
+        assert warm[0].verify_notary_share(b"m", share)
+        assert counting.powmods == before
+
+    def test_unseen_beacon_share_costs_the_membership_of_sigma_once_per_cluster(
+        self, warm, counting
+    ):
+        share = warm[1].sign_beacon_share(b"m")
+        before = counting.powmods
+        assert warm[0].verify_beacon_share(b"m", share)
+        assert counting.powmods == before + 1
+        # A second party of the cluster finds sigma_i in the shared cache.
+        assert warm[2].verify_beacon_share(b"m", share)
+        assert counting.powmods == before + 1
 
 
 _RINGS = generate_keyrings(4, 1, seed=11, backend="real")
@@ -236,7 +273,7 @@ def test_aggregate_verdict_equals_the_suite_verifier(shares, message):
     )
 
 
-# -- (d) the cluster owns its tables ----------------------------------------
+# -- (e) the cluster owns its tables ----------------------------------------
 
 
 class TestClusterOwnsItsContext:

@@ -44,12 +44,12 @@ class TestDocs:
 
     def test_stale_config_knobs_are_flagged(self, tmp_path, monkeypatch):
         """A removed ClusterConfig option named in prose must fail the
-        check; a live field, or the baselines' own knob, must not."""
+        check; a live field of either config class must not."""
         module = load_checker()
         assert "crypto_backend" in module.config_fields()["ClusterConfig"]
         (tmp_path / "README.md").write_text(
             "Tune `crypto_flush_deadline` or ClusterConfig.crypto_batch;\n"
-            "`BaselineClusterConfig.crypto_batch` and `crypto_backend` exist.\n",
+            "`BaselineClusterConfig.party_kwargs` and `crypto_backend` exist.\n",
             encoding="utf-8",
         )
         monkeypatch.setattr(module, "REPO", tmp_path)

@@ -4,9 +4,7 @@ import pytest
 
 from repro.core.cluster import ClusterConfig, build_cluster
 from repro.core.messages import Block, Payload
-from repro.crypto import fastpath
 from repro.crypto.backend import CryptoBackend
-from repro.crypto.group import group_for_profile
 from repro.sim.delays import FixedDelay
 from repro.smr.client import strip_client_envelope
 from repro.smr.replica import attach_replicas, check_replica_agreement
@@ -77,45 +75,50 @@ def test_batch_auth_accepts_valid_rejects_tampered(scheme):
     assert report.stats.invalid == 1
 
 
-def test_rlc_batch_auth_isolates_forgery_via_bisection():
-    """The real backend pinpoints a forged request with bisection probes."""
+def test_batch_auth_isolates_a_tampered_body():
+    """A request whose body changed under a valid key is the only ``False``."""
     auth = RealClientAuth(seed=4, group_profile="test")
-    ctx = fastpath.for_group(group_for_profile("test"))
     requests = [_request(auth, client=c, seq=c, key=c) for c in range(8)]
     tampered = SignedRequest(
         client=requests[5].client, seq=requests[5].seq, key=requests[5].key,
         auth=requests[5].auth, body=requests[5].body + b"!",
     )
     requests[5] = tampered
-    before = ctx.stats.bisections
     report = auth.verify_batch(requests)
     assert [i for i, ok in enumerate(report.results) if not ok] == [5]
-    assert ctx.stats.bisections > before  # RLC failed, bisection localized it
+    assert (report.stats.count, report.stats.invalid) == (8, 1)
 
 
 def test_client_commitment_membership_is_proved_once(monkeypatch):
-    """Decoding admits the commitment through the context's membership cache,
-    so the batch verifier's own membership question is a lookup; a commitment
-    outside the order-q subgroup is still ``False``."""
+    """The nonce commitment is recomputed by the verifier, not carried: an
+    authenticator is two scalars and nothing in it can be a base.  The only
+    exponentiations outside the comb tables are the membership proofs of the
+    client keys, which the verifier derives itself, once each.  A scalar out
+    of range is ``False`` at decoding."""
     auth = RealClientAuth(seed=6, group_profile="test")
     group = auth.group
-    width = group.element_width
+    width = group.scalar_width
     requests = [_request(auth, client=c, seq=c, key=c) for c in range(5)]
-    outside = (group.p - 1).to_bytes(width, "big") + requests[0].auth[width:]  # order 2
-    requests.append(
-        SignedRequest(client=0, seq=0, key=0, auth=outside, body=requests[0].body)
-    )
-    commitments = [int.from_bytes(r.auth[:width], "big") for r in requests]
-    proved = []
+    assert all(len(r.auth) == 2 * width for r in requests)
+    for bad in (
+        group.q.to_bytes(width, "big") + requests[0].auth[width:],  # c == q
+        requests[0].auth[:width] + b"\xff" * width,  # s >= q
+        requests[0].auth[:-1],
+        requests[0].auth + b"\x00",
+    ):
+        requests.append(SignedRequest(client=0, seq=0, key=0, auth=bad, body=requests[0].body))
+    bases = []
 
     def powmod(base, exponent, modulus):
-        if exponent == group.q and base in commitments:
-            proved.append(base)
+        bases.append(base)
         return pow(base, exponent, modulus)
 
     monkeypatch.setattr(CryptoBackend, "powmod", staticmethod(powmod))
-    assert auth.verify_batch(requests).results == [True] * 5 + [False]
-    assert sorted(proved) == sorted(commitments)
+    assert auth.verify_batch(requests).results == [True] * 5 + [False] * 4
+    assert set(bases) <= {auth.public(c) for c in range(5)}
+    del bases[:]
+    assert auth.verify_batch(requests).results == [True] * 5 + [False] * 4
+    assert bases == []
 
 
 def test_forged_request_in_block_rejected_by_pool():
