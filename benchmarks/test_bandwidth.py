@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
-from repro.experiments.bandwidth import run
+from repro.experiments import bandwidth, runner
 
 
 class TestE11Bottleneck:
     def test_gossip_and_rbc_beat_naive_broadcast(self, once):
-        results = {r.protocol: r for r in once(run, block_bytes=500_000, uplink_mbps=50.0, n=13)}
+        results = {
+            r.protocol: r
+            for r in once(
+                runner.run_experiment, bandwidth,
+                block_bytes=500_000, uplink_mbps=50.0, n=13,
+            )
+        }
         icc0 = results["ICC0"].round_time
         icc1 = results["ICC1"].round_time
         icc2 = results["ICC2"].round_time

@@ -9,12 +9,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.comparison import run
+from repro.experiments import comparison, runner
 
 
 class TestComparisonTable:
     def test_all_rows_match_paper(self, once):
-        rows = {r.protocol: r for r in once(run, delta=0.05, n=7, blocks=25)}
+        rows = {
+            r.protocol: r
+            for r in once(runner.run_experiment, comparison, delta=0.05, n=7, blocks=25)
+        }
 
         assert rows["ICC0"].block_time_in_delta == pytest.approx(2.0, rel=0.1)
         assert rows["ICC0"].latency_in_delta == pytest.approx(3.0, rel=0.1)

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.ablations import (
-    ablate_epsilon,
-    ablate_gossip_degree,
-    ablate_proposer_stagger,
-    ablate_rbc_fill_delay,
-)
-from repro.experiments.intermittent import run as run_intermittent
+from repro.experiments import ablations, runner
+from repro.experiments.intermittent import run_schedule as run_intermittent
+
+
+def ablation(once, point: str) -> list[ablations.AblationRow]:
+    """One ablation's rows at the suite's own sweep defaults."""
+    suite = [s for s in ablations.specs() if s.kind == f"ablations.{point}"]
+    return once(runner.execute, suite, jobs=1)
 
 
 class TestE10IntermittentSynchrony:
@@ -26,7 +27,7 @@ class TestE10IntermittentSynchrony:
 
 class TestA1Epsilon:
     def test_governor_paces_rounds(self, once):
-        rows = once(ablate_epsilon)
+        rows = ablation(once, "epsilon_point")
         for row in rows:
             assert row.metrics["round_time"] == pytest.approx(
                 row.metrics["predicted"], rel=0.05
@@ -35,7 +36,7 @@ class TestA1Epsilon:
 
 class TestA2Stagger:
     def test_stagger_suppresses_proposal_flood(self, once):
-        staggered, flooded = once(ablate_proposer_stagger)
+        staggered, flooded = ablation(once, "stagger_point")
         assert staggered.metrics["proposals_per_round"] < 1.5
         assert flooded.metrics["proposals_per_round"] > 8
         assert (
@@ -46,7 +47,7 @@ class TestA2Stagger:
 
 class TestA3GossipDegree:
     def test_degree_knee(self, once):
-        rows = {int(r.value): r.metrics for r in once(ablate_gossip_degree)}
+        rows = {int(r.value): r.metrics for r in ablation(once, "gossip_degree_point")}
         # Sparse overlays pay latency; d>=3 converges.
         assert rows[2]["round_time"] > rows[4]["round_time"]
         # Leader egress stays a small multiple of S at every degree —
@@ -57,7 +58,7 @@ class TestA3GossipDegree:
 
 class TestA4FillDelay:
     def test_grace_period_removes_redundant_fills(self, once):
-        rows = {r.value: r.metrics for r in once(ablate_rbc_fill_delay)}
+        rows = {r.value: r.metrics for r in ablation(once, "fill_delay_point")}
         assert rows[0.0]["fill_bytes"] > 10 * max(1, rows[0.25]["fill_bytes"])
         # Progress unaffected.
         done = {v["rounds_done"] for v in rows.values()}

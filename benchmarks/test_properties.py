@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-from repro.experiments.properties import run_liveness_intermittent, run_safety_sweep
+from repro.experiments import properties, runner
 
 
 class TestProperties:
     def test_safety_sweep(self, once):
-        verdict = once(run_safety_sweep, trials=8)
-        assert verdict.ok
+        (verdict,) = once(runner.run_experiment, properties, trials=8, liveness_trials=0)
+        assert verdict.trials == 8 and verdict.ok
 
     def test_liveness_intermittent_synchrony(self, once):
-        verdict = once(run_liveness_intermittent, trials=4)
-        assert verdict.ok
+        (verdict,) = once(runner.run_experiment, properties, trials=0, liveness_trials=4)
+        assert verdict.trials == 4 and verdict.ok

@@ -8,14 +8,14 @@ parties' proposals fill in after Δntry.
 
 from __future__ import annotations
 
-from repro.experiments.robustness import run
+from repro.experiments import robustness, runner
 
 
 class TestSlowLeaderAttack:
     def test_icc_retains_pbft_collapses(self, once):
         results = {
             (r.protocol, r.scenario): r.blocks_per_second
-            for r in once(run, n=10, duration=90.0)
+            for r in once(runner.run_experiment, robustness, n=10, duration=90.0)
         }
         icc_clean = results[("ICC0", "fault-free")]
         icc_attacked = results[("ICC0", "slow-leader attack")]

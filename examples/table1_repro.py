@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import sys
 
-from repro.experiments.table1 import main as table1_main
+from repro.experiments import runner, table1
 
 if __name__ == "__main__":
     duration = 300.0 if "--full" in sys.argv[1:] else 60.0
     print(f"measurement window: {duration:.0f}s per cell "
           f"({'paper setting' if duration == 300 else 'quick mode, pass --full for 300s'})")
-    table1_main(duration=duration)
+    runner.run_experiment(table1, duration=duration)

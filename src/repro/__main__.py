@@ -39,8 +39,8 @@ Commands:
 
 Performance is measured by ``python3 bench/run.py`` (``BENCHMARK.json``,
 ``docs/PERFORMANCE.md``), not by a subcommand.  ``experiments``,
-``trace``, ``report``, ``load``, ``shard`` and ``collect`` declare their
-flags in their own module (``add_arguments(parser)``) next to the
+``trace``, ``chaos``, ``report``, ``load``, ``shard`` and ``collect`` declare
+their flags in their own module (``add_arguments(parser)``) next to the
 ``run(args) -> int`` that reads them; :func:`_mount` hands each its
 subparser, so a flag has one declaration and one default.
 """
@@ -84,28 +84,9 @@ def _cmd_demo(args: argparse.Namespace) -> None:
 
 
 def _cmd_table1(args: argparse.Namespace) -> None:
-    from repro.experiments import table1
+    from repro.experiments import runner, table1
 
-    table1.main(duration=300.0 if args.full else 60.0)
-
-
-def _cmd_chaos(args: argparse.Namespace) -> None:
-    from repro.experiments import chaos, runner
-
-    seeds = range(args.seed, args.seed + args.count)
-    protocols = tuple(p.strip().upper() for p in args.protocols.split(",") if p.strip())
-    suite = chaos.specs(
-        seeds=seeds,
-        protocols=protocols,
-        n=args.n,
-        duration=args.duration,
-        intensity=args.intensity,
-    )
-    results = chaos.tabulate(
-        suite, runner.execute(suite, jobs=args.jobs, trace_dir=args.trace)
-    )
-    if any(not r.ok for r in results):
-        sys.exit(1)
+    runner.run_experiment(table1, duration=300.0 if args.full else 60.0)
 
 
 def _cmd_versions(args: argparse.Namespace) -> None:
@@ -186,33 +167,7 @@ def main(argv: list[str] | None = None) -> None:
         "chaos",
         help="seeded fault-scenario sweep with invariant checking",
     )
-    chaos.add_argument(
-        "--seed", type=int, default=0,
-        help="first scenario seed (each seed fully determines its scenario)",
-    )
-    chaos.add_argument(
-        "--count", type=int, default=1, metavar="K",
-        help="number of consecutive scenario seeds to sweep",
-    )
-    chaos.add_argument(
-        "--protocols", default="icc0,icc1,icc2",
-        help="comma-separated ICC variants to run each scenario against",
-    )
-    chaos.add_argument("--n", type=int, default=7)
-    chaos.add_argument("--duration", type=float, default=40.0)
-    chaos.add_argument(
-        "--intensity", type=float, default=1.0,
-        help="scales how many faults each scenario draws",
-    )
-    chaos.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes (results are identical at any job count)",
-    )
-    chaos.add_argument(
-        "--trace", metavar="DIR", default=None,
-        help="export one trace JSONL per run into DIR",
-    )
-    chaos.set_defaults(func=_cmd_chaos)
+    _mount(chaos, "repro.experiments.chaos")
 
     report = sub.add_parser(
         "report",

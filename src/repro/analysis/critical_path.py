@@ -38,6 +38,8 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 
+from ..obs.metrics import percentile
+
 #: Stage names of an ICC critical path, in causal order.
 ICC_STAGES = (
     "propose_wait",
@@ -294,15 +296,11 @@ def wire_transit_stats(events) -> dict:
     if not spans:
         return {"spans": 0}
     spans.sort()
-
-    def pct(q: float) -> float:
-        return spans[min(len(spans) - 1, int(q * len(spans)))]
-
     return {
         "spans": len(spans),
         "mean_s": sum(spans) / len(spans),
-        "p50_s": pct(0.50),
-        "p99_s": pct(0.99),
+        "p50_s": percentile(spans, 0.50),
+        "p99_s": percentile(spans, 0.99),
     }
 
 

@@ -140,7 +140,7 @@ class DleqVerifier(_Verifier):
             ctx.power_g(s) if g1 == group.g else group.power(g1, s), ctx.power_base(a, -c)
         )
         # B is a checked subgroup member, so the negated exponent reduces mod q.
-        t2 = fastpath.simultaneous_power(group.p, g2, s, b, (-c) % group.q, ctx.backend)
+        t2 = fastpath.simultaneous_power(group.p, g2, s, b, (-c) % group.q)
         return dleq._challenge(group, g1, a, g2, b, t1, t2) == c
 
 

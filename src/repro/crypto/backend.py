@@ -18,32 +18,23 @@ against each other on the same inputs, instead of one-way rewrites:
   guesses which bases will come back: a 512-bit table needs ≥ 16 further
   uses to repay its build and an ephemeral base (a beacon share value, a
   commitment) gets a handful (docs/PERFORMANCE.md).
-* ``gmpy2``  — GMP-accelerated big integers, auto-detected: registered
-  only when the optional ``gmpy2`` package imports.  When absent the
-  backend reports itself unavailable and every consumer skips it (the
-  container used for CI does not ship it; nothing may ``pip install``).
 
 Every backend computes **bit-identical results** — these are alternative
 evaluation strategies for the same mathematical function, and
 ``tests/crypto/test_backend.py`` pins equality on every group operation
 and on whole batch-verification transcripts.  Selection is per run:
-:func:`use_backend` scopes a backend to a ``with`` block, or export
-``REPRO_CRYPTO_BACKEND`` to pick the process default.
+:func:`use_backend` scopes a backend to a ``with`` block.
 
 The backend surface is deliberately small:
 
 * ``powmod(base, exp, mod)``  — one-shot exponentiation;
 * ``invmod(a, mod)``          — modular inverse;
 * ``fixed_power(base, mod, max_bits)`` — a callable ``exp -> int`` for a
-  base the caller promises to reuse (the fast path's table slot);
-* ``wrap``/``unwrap``         — convert operands into the backend's
-  native integer type for multiplication chains (Straus/Shamir walks),
-  identity for the pure-Python backends, ``mpz`` for gmpy2.
+  base the caller promises to reuse (the fast path's table slot).
 """
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from typing import Callable
 
@@ -119,10 +110,6 @@ class CryptoBackend:
         """
         return lambda exponent: pow(base, exponent, modulus)
 
-    #: Operand conversion for multiplication chains; identity here.
-    wrap = staticmethod(lambda x: x)
-    unwrap = staticmethod(lambda x: x)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         return f"<{type(self).__name__} {self.name!r}>"
 
@@ -146,114 +133,50 @@ class WindowBackend(CryptoBackend):
         return FixedBaseTable(modulus, base, max_bits, window).power
 
 
-class Gmpy2Backend(CryptoBackend):
-    """GMP-backed modexp via the optional ``gmpy2`` package."""
-
-    name = "gmpy2"
-
-    def __init__(self) -> None:
-        import gmpy2  # noqa: F401 - availability gate ran already
-
-        self._gmpy2 = gmpy2
-        self._mpz = gmpy2.mpz
-
-    def powmod(self, base: int, exponent: int, modulus: int) -> int:
-        return int(self._gmpy2.powmod(base, exponent, modulus))
-
-    def invmod(self, a: int, modulus: int) -> int:
-        return int(self._gmpy2.invert(a, modulus))
-
-    def fixed_power(self, base: int, modulus: int, max_bits: int,
-                    window: int = DEFAULT_WINDOW) -> Callable[[int], int]:
-        powmod, b, m = self._gmpy2.powmod, self._mpz(base), self._mpz(modulus)
-        return lambda exponent: int(powmod(b, exponent, m))
-
-    @property
-    def wrap(self):
-        return self._mpz
-
-    @property
-    def unwrap(self):
-        return int
-
-
-def _gmpy2_available() -> bool:
-    import importlib.util
-
-    return importlib.util.find_spec("gmpy2") is not None
-
-
 # ---------------------------------------------------------------------------
 # Registry and per-run selection
 # ---------------------------------------------------------------------------
 
-#: name -> (factory, availability probe).  Ordered: ``pure`` first so the
-#: comparison baseline is always listed first in tables.
-_REGISTRY: dict[str, tuple[Callable[[], CryptoBackend], Callable[[], bool]]] = {}
+#: name -> factory.  Ordered: ``pure`` first so the comparison baseline is
+#: always listed first in tables.
+_REGISTRY: dict[str, Callable[[], CryptoBackend]] = {}
 _INSTANCES: dict[str, CryptoBackend] = {}
 
 
-def register_backend(
-    name: str,
-    factory: Callable[[], CryptoBackend],
-    available: Callable[[], bool] = lambda: True,
-) -> None:
+def register_backend(name: str, factory: Callable[[], CryptoBackend]) -> None:
     """Register a backend under ``name`` (last registration wins)."""
-    _REGISTRY[name] = (factory, available)
+    _REGISTRY[name] = factory
     _INSTANCES.pop(name, None)
 
 
 register_backend("pure", PureBackend)
 register_backend("window", WindowBackend)
-register_backend("gmpy2", Gmpy2Backend, _gmpy2_available)
 
 #: The process default; ``window`` preserves the pre-backend behaviour
 #: (comb tables for long-lived bases) and is safe everywhere.
 DEFAULT_BACKEND = "window"
 
 
-def backend_names() -> list[str]:
-    """All registered backend names, available or not (registration order)."""
+def available_backends() -> list[str]:
+    """The registered backend names (registration order)."""
     return list(_REGISTRY)
 
 
-def backend_available(name: str) -> bool:
-    """Whether ``name`` is registered and its availability probe passes."""
-    entry = _REGISTRY.get(name)
-    return entry is not None and entry[1]()
-
-
-def available_backends() -> list[str]:
-    """Registered backend names whose availability probe passes."""
-    return [name for name in _REGISTRY if backend_available(name)]
-
-
 def get_backend(name: str) -> CryptoBackend:
-    """The shared instance for ``name``; raises for unknown/unavailable."""
+    """The shared instance for ``name``; raises for an unknown name."""
     instance = _INSTANCES.get(name)
     if instance is not None:
         return instance
-    entry = _REGISTRY.get(name)
-    if entry is None:
+    factory = _REGISTRY.get(name)
+    if factory is None:
         raise ValueError(
             f"unknown crypto backend {name!r} (registered: {', '.join(_REGISTRY)})"
         )
-    factory, available = entry
-    if not available():
-        raise ValueError(f"crypto backend {name!r} is not available on this machine")
     instance = _INSTANCES[name] = factory()
     return instance
 
 
-def _initial_backend() -> CryptoBackend:
-    name = os.environ.get("REPRO_CRYPTO_BACKEND", DEFAULT_BACKEND)
-    try:
-        return get_backend(name)
-    except ValueError:  # pragma: no cover - mis-set env var
-        return get_backend(DEFAULT_BACKEND)
-
-
-_ACTIVE: CryptoBackend = _initial_backend()
+_ACTIVE: CryptoBackend = get_backend(DEFAULT_BACKEND)
 
 
 def active_backend() -> CryptoBackend:
@@ -286,10 +209,7 @@ __all__ = [
     "CryptoBackend",
     "PureBackend",
     "WindowBackend",
-    "Gmpy2Backend",
     "register_backend",
-    "backend_names",
-    "backend_available",
     "available_backends",
     "get_backend",
     "active_backend",

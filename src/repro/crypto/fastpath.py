@@ -57,33 +57,25 @@ from .unique import message_point
 # the ``window`` backend); it is re-exported above for compatibility.
 
 
-def simultaneous_power(
-    p: int, b1: int, e1: int, b2: int, e2: int, backend: CryptoBackend | None = None
-) -> int:
+def simultaneous_power(p: int, b1: int, e1: int, b2: int, e2: int) -> int:
     """b1^e1 · b2^e2 mod p via Shamir's trick (one shared squaring chain).
 
     The two-base product g2**s · B**(-c) of a DLEQ check, where neither
     base has a table; roughly halves the squarings of computing the two
     powers separately.
     """
-    if backend is None:
-        backend = active_backend()
-    wrap = backend.wrap
-    pm = wrap(p)
-    b1 = wrap(b1)
-    b2 = wrap(b2)
-    b12 = b1 * b2 % pm
-    acc = wrap(1)
+    b12 = b1 * b2 % p
+    acc = 1
     for bit in range(max(e1.bit_length(), e2.bit_length()) - 1, -1, -1):
-        acc = acc * acc % pm
+        acc = acc * acc % p
         pick = ((e1 >> bit) & 1) | (((e2 >> bit) & 1) << 1)
         if pick == 3:
-            acc = acc * b12 % pm
+            acc = acc * b12 % p
         elif pick == 1:
-            acc = acc * b1 % pm
+            acc = acc * b1 % p
         elif pick == 2:
-            acc = acc * b2 % pm
-    return backend.unwrap(acc)
+            acc = acc * b2 % p
+    return acc
 
 
 # ---------------------------------------------------------------------------

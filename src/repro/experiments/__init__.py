@@ -1,7 +1,9 @@
 """Experiment harness: one module per table/figure/claim (see DESIGN.md §3).
 
-Every module exposes ``run(...) -> structured results`` and ``main()``
-which prints the same rows the paper reports.  Run everything with::
+Every module exposes its point function(s), ``specs(**sweep)`` and
+``tabulate(specs, results)``, which prints the rows the paper reports;
+:func:`repro.experiments.runner.run_experiment` runs one module's sweep.
+Run everything with::
 
     python -m repro.experiments.run_all
 """

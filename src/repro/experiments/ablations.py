@@ -60,16 +60,6 @@ def epsilon_point(
     )
 
 
-def ablate_epsilon(
-    epsilons: tuple[float, ...] = (0.0, 0.05, 0.2, 0.5),
-    delta: float = 0.05,
-    n: int = 7,
-    rounds: int = 15,
-) -> list[AblationRow]:
-    """A1: ε paces rounds; commit latency per round is unaffected."""
-    return [epsilon_point(e, delta=delta, n=n, rounds=rounds) for e in epsilons]
-
-
 def stagger_point(
     stagger: bool, delta: float = 0.05, n: int = 10, rounds: int = 12
 ) -> AblationRow:
@@ -104,16 +94,6 @@ def stagger_point(
     )
 
 
-def ablate_proposer_stagger(
-    delta: float = 0.05, n: int = 10, rounds: int = 12
-) -> list[AblationRow]:
-    """A2: disabling Δprop floods the network with competing proposals."""
-    return [
-        stagger_point(True, delta=delta, n=n, rounds=rounds),
-        stagger_point(False, delta=delta, n=n, rounds=rounds),
-    ]
-
-
 def gossip_degree_point(
     degree: int, n: int = 13, block_bytes: int = 200_000, rounds: int = 6
 ) -> AblationRow:
@@ -141,19 +121,6 @@ def gossip_degree_point(
             / block_bytes,
         },
     )
-
-
-def ablate_gossip_degree(
-    degrees: tuple[int, ...] = (2, 3, 4, 6, 8),
-    n: int = 13,
-    block_bytes: int = 200_000,
-    rounds: int = 6,
-) -> list[AblationRow]:
-    """A3: leader egress vs propagation latency across overlay degrees."""
-    return [
-        gossip_degree_point(d, n=n, block_bytes=block_bytes, rounds=rounds)
-        for d in degrees
-    ]
 
 
 def fill_delay_point(
@@ -192,19 +159,6 @@ def fill_delay_point(
     )
 
 
-def ablate_rbc_fill_delay(
-    fill_delays: tuple[float, ...] = (0.0, 0.05, 0.1, 0.25),
-    n: int = 10,
-    block_bytes: int = 100_000,
-    rounds: int = 6,
-) -> list[AblationRow]:
-    """A4: eager fills duplicate traffic; a grace period removes it."""
-    return [
-        fill_delay_point(f, n=n, block_bytes=block_bytes, rounds=rounds)
-        for f in fill_delays
-    ]
-
-
 def specs(
     epsilons: tuple[float, ...] = (0.0, 0.05, 0.2, 0.5),
     degrees: tuple[int, ...] = (2, 3, 4, 6, 8),
@@ -240,9 +194,7 @@ def specs(
 
 
 def tabulate(specs: list[runner.RunSpec], results: list[AblationRow]) -> dict:
-    by_kind: dict[str, list[AblationRow]] = {}
-    for spec, row in zip(specs, results):
-        by_kind.setdefault(spec.kind, []).append(row)
+    by_kind = runner.by_kind(specs, results)
     eps = by_kind.get("ablations.epsilon_point", [])
     print_table(
         "A1: the ε governor paces rounds exactly as max(ε, δ) + δ predicts",
@@ -293,12 +245,3 @@ def tabulate(specs: list[runner.RunSpec], results: list[AblationRow]) -> dict:
         ],
     )
     return {"epsilon": eps, "stagger": stagger, "degree": degree, "fill": fill}
-
-
-def main(jobs: int = 1) -> dict:
-    suite = specs()
-    return tabulate(suite, runner.execute(suite, jobs=jobs))
-
-
-if __name__ == "__main__":
-    main()

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from ..core.cluster import build_cluster
 from ..sim.delays import FixedDelay
 from ..workloads import fixed_size_source
+from . import runner
 from .common import make_icc_config, mean, print_table
 
 
@@ -78,17 +79,22 @@ def run_one(
     )
 
 
-def run(
-    protocols: tuple[str, ...] = ("ICC0", "ICC1", "ICC2"),
-    block_bytes: int = 500_000,
-    uplink_mbps: float = 50.0,
-    n: int = 13,
+def specs(
+    protocols: tuple[str, ...] = ("ICC0", "ICC1", "ICC2"), **point
+) -> list[runner.RunSpec]:
+    """One RunSpec per protocol; ``point`` overrides ``run_one`` defaults."""
+    return [
+        runner.spec(
+            "bandwidth", "bandwidth.run_one",
+            label=f"bandwidth-{p}", protocol=p, **point,
+        )
+        for p in protocols
+    ]
+
+
+def tabulate(
+    specs: list[runner.RunSpec], results: list[BandwidthResult]
 ) -> list[BandwidthResult]:
-    return [run_one(p, block_bytes=block_bytes, uplink_mbps=uplink_mbps, n=n) for p in protocols]
-
-
-def main() -> list[BandwidthResult]:
-    results = run()
     rows = []
     for r in results:
         rows.append(
@@ -108,7 +114,3 @@ def main() -> list[BandwidthResult]:
         rows,
     )
     return results
-
-
-if __name__ == "__main__":
-    main()

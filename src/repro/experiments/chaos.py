@@ -194,15 +194,48 @@ def tabulate(
     return results
 
 
-def run(seeds=range(3), protocols=("ICC0", "ICC1", "ICC2")) -> list[ChaosResult]:
-    suite = specs(seeds=seeds, protocols=protocols)
-    return [runner.run_spec(s) for s in suite]
+def add_arguments(parser) -> None:
+    """The ``python -m repro chaos`` flags, declared once
+    (``repro.__main__`` hands its subparser here)."""
+    parser.add_argument(
+        "--seed", type=int, default=0,
+        help="first scenario seed (each seed fully determines its scenario)",
+    )
+    parser.add_argument(
+        "--count", type=int, default=1, metavar="K",
+        help="number of consecutive scenario seeds to sweep",
+    )
+    parser.add_argument(
+        "--protocols", default="icc0,icc1,icc2",
+        help="comma-separated ICC variants to run each scenario against",
+    )
+    parser.add_argument("--n", type=int, default=7)
+    parser.add_argument("--duration", type=float, default=40.0)
+    parser.add_argument(
+        "--intensity", type=float, default=1.0,
+        help="scales how many faults each scenario draws",
+    )
+    parser.add_argument(
+        "--jobs", type=int, default=1, metavar="N",
+        help="worker processes (results are identical at any job count)",
+    )
+    parser.add_argument(
+        "--trace", metavar="DIR", default=None,
+        help="export one trace JSONL per run into DIR",
+    )
 
 
-def main(jobs: int = 1, **kwargs) -> list[ChaosResult]:
-    suite = specs(**kwargs)
-    return tabulate(suite, runner.execute(suite, jobs=jobs))
-
-
-if __name__ == "__main__":
-    main()
+def run(args) -> int:
+    suite = specs(
+        seeds=range(args.seed, args.seed + args.count),
+        protocols=tuple(
+            p.strip().upper() for p in args.protocols.split(",") if p.strip()
+        ),
+        n=args.n,
+        duration=args.duration,
+        intensity=args.intensity,
+    )
+    results = tabulate(
+        suite, runner.execute(suite, jobs=args.jobs, trace_dir=args.trace)
+    )
+    return 0 if all(r.ok for r in results) else 1

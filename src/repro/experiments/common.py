@@ -1,14 +1,17 @@
 """Shared helpers for the experiment harness.
 
-Each experiment module exposes ``run(...) -> dict`` returning structured
-results plus a ``main()`` that prints the same rows the paper reports.
-These helpers keep protocol construction uniform across experiments.
+An experiment module is its point function(s) — keyword arguments in, a
+picklable result out — plus ``specs(**sweep)`` and ``tabulate(specs,
+results)`` (see :mod:`repro.experiments.runner`).  These helpers keep
+protocol construction, tracing and table printing uniform across them.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Sequence
+from contextlib import contextmanager
+from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 from ..core.cluster import Cluster, ClusterConfig, build_cluster
 from ..core.icc0 import ICC0Party
@@ -19,94 +22,61 @@ from ..obs import Tracer, write_jsonl
 from ..sim.delays import DelayModel
 
 # ---------------------------------------------------------------------- tracing
-# Opt-in structured tracing for the whole harness (the --trace flag).
-# When enabled, every cluster built through make_icc_config gets a fresh
-# Tracer and run_icc exports its events to a numbered JSONL file.
-#
-# Two naming modes share the one-file-per-run convention:
-#
-# * sequential (default): files are numbered by a global counter in
-#   cluster-construction order — fine for a single in-process run.
-# * spec mode (begin_spec_trace/end_spec_trace): the parallel runner
-#   (repro.experiments.runner) assigns each run its deterministic index
-#   from the RunSpec order *before* execution, so file names never
-#   depend on worker scheduling and workers never share a file.
-
-_TRACE_DIR: str | None = None
-_TRACE_SEQ = 0
-#: When not None, runner spec mode: (run index, clusters traced so far).
-_SPEC: tuple[int, int] | None = None
-#: Tracer attached to the most recent config; flushed by run_icc or by
-#: the next enable/attach cycle so experiments that drive clusters
-#: manually still get their export.
-_PENDING: tuple[Tracer, str] | None = None
+# Opt-in structured tracing for the whole harness (the --trace flag).  The
+# runner opens one trace_scope per run; inside it every cluster built
+# through make_icc_config gets a fresh Tracer whose events are exported to
+# ``{index:04d}-{label}.jsonl``.  The index is the run's position in the
+# RunSpec list, assigned *before* execution, so file names never depend on
+# worker scheduling and workers never share a file.
 
 
-def enable_tracing(directory: str | None, start: int = 0) -> None:
-    """Turn harness-wide tracing on (a directory path) or off (``None``).
+@dataclass
+class _TraceScope:
+    directory: str
+    index: int
+    clusters: int = 0
+    #: The tracer handed to the most recent config and not yet written
+    #: out.  Flushed by the next attach or when the scope closes, so point
+    #: functions that drive build_cluster by hand still get their export.
+    pending: tuple[Tracer, str] | None = None
 
-    ``start`` seeds the sequential file counter — the suite driver uses
-    it to number inline runs after the runner-managed ones.
-    """
-    global _TRACE_DIR, _TRACE_SEQ
-    flush_pending_trace()
-    _TRACE_DIR = directory
-    _TRACE_SEQ = start
-    if directory is not None:
-        os.makedirs(directory, exist_ok=True)
-
-
-def tracing_enabled() -> bool:
-    return _TRACE_DIR is not None
-
-
-def begin_spec_trace(index: int) -> None:
-    """Route subsequent cluster traces to run-``index`` file names."""
-    global _SPEC
-    flush_pending_trace()
-    _SPEC = (index, 0)
-
-
-def end_spec_trace() -> None:
-    """Leave spec naming mode (flushes any outstanding tracer)."""
-    global _SPEC
-    flush_pending_trace()
-    _SPEC = None
-
-
-def _next_trace_path(label: str) -> str:
-    global _TRACE_SEQ, _SPEC
-    if _SPEC is not None:
-        index, sub = _SPEC
-        _SPEC = (index, sub + 1)
-        # One file per run: the first (normally only) cluster of a spec
+    def attach(self, config: ClusterConfig, label: str) -> None:
+        self.flush()
+        # One file per run: the first (normally only) cluster of a run
         # gets the bare index; extra clusters get a `.k` suffix.
-        stem = f"{index:04d}" if sub == 0 else f"{index:04d}.{sub}"
-    else:
-        stem = f"{_TRACE_SEQ:04d}"
-        _TRACE_SEQ += 1
-    return os.path.join(_TRACE_DIR, f"{stem}-{label}.jsonl")
+        stem = f"{self.index:04d}" + (f".{self.clusters}" if self.clusters else "")
+        self.clusters += 1
+        config.tracer = Tracer()
+        self.pending = (
+            config.tracer, os.path.join(self.directory, f"{stem}-{label}.jsonl")
+        )
+
+    def flush(self) -> None:
+        if self.pending is not None:
+            tracer, path = self.pending
+            self.pending = None
+            # export_events() appends a trace.dropped summary event if the
+            # ring buffer wrapped, so truncation is visible in the file.
+            write_jsonl(tracer.export_events(), path)
 
 
-def _attach_tracer(config: ClusterConfig, label: str) -> None:
-    global _PENDING
-    flush_pending_trace()
-    tracer = Tracer()
-    config.tracer = tracer
-    _PENDING = (tracer, _next_trace_path(label))
+_SCOPE: _TraceScope | None = None
 
 
-def flush_pending_trace() -> str | None:
-    """Export the most recent run's events, if a tracer is outstanding."""
-    global _PENDING
-    if _PENDING is None:
-        return None
-    tracer, path = _PENDING
-    _PENDING = None
-    # export_events() appends a trace.dropped summary event if the ring
-    # buffer wrapped, so truncation is visible in the file itself.
-    write_jsonl(tracer.export_events(), path)
-    return path
+@contextmanager
+def trace_scope(directory: str | None, index: int) -> Iterator[None]:
+    """Trace every cluster built inside the block into ``directory`` under
+    run-``index`` file names; ``directory=None`` traces nothing."""
+    global _SCOPE
+    if directory is None:
+        yield
+        return
+    _SCOPE = scope = _TraceScope(directory, index)
+    try:
+        yield
+    finally:
+        _SCOPE = None
+        scope.flush()
 
 
 def make_icc_config(
@@ -151,8 +121,8 @@ def make_icc_config(
     if corrupt is not None:
         kwargs["corrupt"] = corrupt
     config = ClusterConfig(**kwargs)
-    if tracing_enabled():
-        _attach_tracer(config, f"{protocol.lower()}-n{n}-seed{seed}")
+    if _SCOPE is not None:
+        _SCOPE.attach(config, f"{protocol.lower()}-n{n}-seed{seed}")
     return config
 
 
@@ -162,8 +132,6 @@ def run_icc(config: ClusterConfig, duration: float) -> Cluster:
     cluster.start()
     cluster.run_for(duration)
     cluster.check_safety()
-    if _PENDING is not None and _PENDING[0] is config.tracer:
-        flush_pending_trace()
     return cluster
 
 
@@ -186,11 +154,3 @@ def print_table(title: str, headers: Sequence[str], rows: Sequence[Sequence]) ->
 def mean(values: Sequence[float]) -> float:
     values = list(values)
     return sum(values) / len(values) if values else float("nan")
-
-
-def percentile(values: Sequence[float], p: float) -> float:
-    ordered = sorted(values)
-    if not ordered:
-        return float("nan")
-    idx = min(len(ordered) - 1, int(p * len(ordered)))
-    return ordered[idx]

@@ -152,10 +152,6 @@ def specs(delta: float = 0.05, n: int = 7, blocks: int = 30, seed: int = 17) -> 
     return out
 
 
-def run(delta: float = 0.05, n: int = 7, blocks: int = 30, seed: int = 17) -> list[ComparisonRow]:
-    return [runner.run_spec(s) for s in specs(delta=delta, n=n, blocks=blocks, seed=seed)]
-
-
 def tabulate(specs: list[runner.RunSpec], results: list[ComparisonRow]) -> list[ComparisonRow]:
     table_rows = []
     for r in results:
@@ -177,12 +173,3 @@ def tabulate(specs: list[runner.RunSpec], results: list[ComparisonRow]) -> list[
         table_rows,
     )
     return results
-
-
-def main(jobs: int = 1) -> list[ComparisonRow]:
-    suite = specs()
-    return tabulate(suite, runner.execute(suite, jobs=jobs))
-
-
-if __name__ == "__main__":
-    main()

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 from ..sim.delays import FixedDelay
 from ..workloads import fixed_size_source
+from . import runner
 from .common import make_icc_config, print_table, run_icc
 
 
@@ -76,16 +77,27 @@ def run_one(
     )
 
 
-def run(
+def specs(
     block_sizes: tuple[int, ...] = (10_000, 100_000, 1_000_000),
     protocols: tuple[str, ...] = ("ICC0", "ICC1", "ICC2"),
-    n: int = 13,
+    **point,
+) -> list[runner.RunSpec]:
+    """One RunSpec per (protocol, block size); ``point`` overrides
+    ``run_one`` defaults."""
+    return [
+        runner.spec(
+            "dissemination", "dissemination.run_one",
+            label=f"dissemination-{p}-{size // 1000}KB",
+            protocol=p, block_bytes=size, **point,
+        )
+        for p in protocols
+        for size in block_sizes
+    ]
+
+
+def tabulate(
+    specs: list[runner.RunSpec], results: list[DisseminationResult]
 ) -> list[DisseminationResult]:
-    return [run_one(p, s, n=n) for p in protocols for s in block_sizes]
-
-
-def main() -> list[DisseminationResult]:
-    results = run()
     rows = [
         (
             r.protocol,
@@ -102,7 +114,3 @@ def main() -> list[DisseminationResult]:
         rows,
     )
     return results
-
-
-if __name__ == "__main__":
-    main()

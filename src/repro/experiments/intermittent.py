@@ -51,7 +51,7 @@ class IntermittentResult:
         return self.total_rounds_committed / self.duration
 
 
-def run(
+def run_schedule(
     period: float = 20.0,
     sync_len: float = 5.0,
     duration: float = 120.0,
@@ -108,7 +108,7 @@ def specs(
     return [
         runner.spec(
             "intermittent",
-            "intermittent.run",
+            "intermittent.run_schedule",
             label=f"intermittent-n{n}-seed{seed}",
             period=period,
             sync_len=sync_len,
@@ -138,12 +138,3 @@ def tabulate(
         f"({result.commits_per_second:.2f}/s — backlog flushed every sync window)"
     )
     return result
-
-
-def main(jobs: int = 1) -> IntermittentResult:
-    suite = specs()
-    return tabulate(suite, runner.execute(suite, jobs=jobs))
-
-
-if __name__ == "__main__":
-    main()

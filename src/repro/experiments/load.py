@@ -25,7 +25,8 @@ from ..sim.delays import FixedDelay
 from ..workloads.batching import BatchSpec, RequestBatcher
 from ..workloads.population import ClientPopulation, PopulationSpec
 from . import runner
-from .common import mean, percentile, print_table
+from ..obs.metrics import percentile
+from .common import mean, print_table
 
 #: Default sweep shape: the paper's subnet sizes, offered loads chosen so
 #: the curve crosses block capacity (batch_max requests per 2δ round).

@@ -30,6 +30,7 @@ from ..adversary import (
 from ..core.cluster import build_cluster
 from ..core.icc0 import ICC0Party
 from ..sim.delays import FixedDelay, IntermittentSynchrony, UniformDelay
+from . import runner
 from .common import make_icc_config, print_table
 
 
@@ -62,8 +63,8 @@ def check_p2_on_cluster(cluster) -> None:
                 )
 
 
-def run_safety_sweep(trials: int = 10, n: int = 10, rounds: int = 20) -> PropertyVerdict:
-    """P1+P2 under randomized Byzantine mixes and jittery delays."""
+def safety_trial(trial: int, n: int = 10, rounds: int = 20) -> bool:
+    """P1+P2 under one randomized Byzantine mix and jittery delays."""
     attackers = [
         corrupt_class(ICC0Party, AggressiveByzantineMixin),
         corrupt_class(ICC0Party, EquivocatingProposerMixin),
@@ -72,86 +73,84 @@ def run_safety_sweep(trials: int = 10, n: int = 10, rounds: int = 20) -> Propert
         None,  # crash
     ]
     t = (n - 1) // 3
-    passed = 0
-    for trial in range(trials):
-        corrupt = {
-            i + 1: attackers[(trial + i) % len(attackers)] for i in range(t)
-        }
-        config = make_icc_config(
-            "ICC0",
-            n=n,
-            t=t,
-            delta_bound=0.3,
-            epsilon=0.02,
-            delay_model=UniformDelay(0.01, 0.15),
-            seed=100 + trial,
-            max_rounds=rounds,
-            corrupt=corrupt,
-        )
-        cluster = build_cluster(config)
-        cluster.start()
-        cluster.run_for(rounds * 3.0 + 30)
-        cluster.check_safety()
-        check_p2_on_cluster(cluster)
-        # P1: every honest party finished every round.
-        if all(p.round >= rounds for p in cluster.honest_parties):
-            passed += 1
-    return PropertyVerdict(name="P1+P2 Byzantine sweep", trials=trials, passed=passed)
+    corrupt = {i + 1: attackers[(trial + i) % len(attackers)] for i in range(t)}
+    config = make_icc_config(
+        "ICC0",
+        n=n,
+        t=t,
+        delta_bound=0.3,
+        epsilon=0.02,
+        delay_model=UniformDelay(0.01, 0.15),
+        seed=100 + trial,
+        max_rounds=rounds,
+        corrupt=corrupt,
+    )
+    cluster = build_cluster(config)
+    cluster.start()
+    cluster.run_for(rounds * 3.0 + 30)
+    cluster.check_safety()
+    check_p2_on_cluster(cluster)
+    # P1: every honest party finished every round.
+    return all(p.round >= rounds for p in cluster.honest_parties)
 
 
-def run_liveness_intermittent(trials: int = 5, n: int = 7) -> PropertyVerdict:
+def liveness_trial(trial: int, n: int = 7) -> bool:
     """P3 under intermittent synchrony: commits resume in sync windows."""
-    t = (n - 1) // 3
-    passed = 0
-    for trial in range(trials):
-        delay = IntermittentSynchrony(
-            base=FixedDelay(0.05), period=20.0, sync_len=5.0
-        )
-        config = make_icc_config(
-            "ICC0",
-            n=n,
-            t=t,
-            delta_bound=0.2,
-            epsilon=0.02,
-            delay_model=delay,
-            seed=200 + trial,
-        )
-        cluster = build_cluster(config)
-        cluster.start()
-        cluster.run_for(100.0, max_events=20_000_000)
-        cluster.check_safety()
-        # Commits must land in (at least) each of the later sync windows,
-        # and every round in between must eventually commit (throughput
-        # holds across asynchronous stretches, Section 3.3).
-        observer = cluster.honest_parties[0]
-        commit_times = sorted(
-            c.time for c in cluster.metrics.commits_of(observer.index)
-        )
-        windows_hit = {int(ct // 20.0) for ct in commit_times if (ct % 20.0) <= 6.0}
-        rounds_contiguous = [b.round for b in observer.output_log] == list(
-            range(1, len(observer.output_log) + 1)
-        )
-        if len(windows_hit) >= 4 and rounds_contiguous and observer.k_max > 0:
-            passed += 1
-    return PropertyVerdict(name="P3 intermittent synchrony", trials=trials, passed=passed)
+    delay = IntermittentSynchrony(base=FixedDelay(0.05), period=20.0, sync_len=5.0)
+    config = make_icc_config(
+        "ICC0",
+        n=n,
+        t=(n - 1) // 3,
+        delta_bound=0.2,
+        epsilon=0.02,
+        delay_model=delay,
+        seed=200 + trial,
+    )
+    cluster = build_cluster(config)
+    cluster.start()
+    cluster.run_for(100.0, max_events=20_000_000)
+    cluster.check_safety()
+    # Commits must land in (at least) each of the later sync windows,
+    # and every round in between must eventually commit (throughput
+    # holds across asynchronous stretches, Section 3.3).
+    observer = cluster.honest_parties[0]
+    commit_times = sorted(c.time for c in cluster.metrics.commits_of(observer.index))
+    windows_hit = {int(ct // 20.0) for ct in commit_times if (ct % 20.0) <= 6.0}
+    rounds_contiguous = [b.round for b in observer.output_log] == list(
+        range(1, len(observer.output_log) + 1)
+    )
+    return len(windows_hit) >= 4 and rounds_contiguous and observer.k_max > 0
 
 
-def run(trials: int = 10) -> list[PropertyVerdict]:
+#: Verdict row name per trial function.
+VERDICTS = {
+    "properties.safety_trial": "P1+P2 Byzantine sweep",
+    "properties.liveness_trial": "P3 intermittent synchrony",
+}
+
+
+def specs(trials: int = 10, liveness_trials: int = 5) -> list[runner.RunSpec]:
+    """One RunSpec per trial: the safety sweep, then the liveness sweep."""
+    sweeps = (("safety_trial", trials), ("liveness_trial", liveness_trials))
     return [
-        run_safety_sweep(trials=trials),
-        run_liveness_intermittent(trials=max(3, trials // 2)),
+        runner.spec(
+            "properties", f"properties.{fn}",
+            label=f"properties-{fn}-{trial}", trial=trial,
+        )
+        for fn, count in sweeps
+        for trial in range(count)
     ]
 
 
-def main() -> list[PropertyVerdict]:
-    verdicts = run()
+def tabulate(specs: list[runner.RunSpec], passed: list[bool]) -> list[PropertyVerdict]:
+    """Fold the per-trial outcomes into one verdict row per property."""
+    verdicts = [
+        PropertyVerdict(name=VERDICTS[kind], trials=len(oks), passed=sum(oks))
+        for kind, oks in runner.by_kind(specs, passed).items()
+    ]
     print_table(
         "E8: protocol properties P1/P2/P3 under adversarial conditions",
         ["property", "trials", "passed", "verdict"],
         [(v.name, v.trials, v.passed, "OK" if v.ok else "FAIL") for v in verdicts],
     )
     return verdicts
-
-
-if __name__ == "__main__":
-    main()

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 from ..baselines import BaselineClusterConfig, TendermintParty, build_baseline_cluster
 from ..sim.delays import FixedDelay
+from . import runner
 from .common import make_icc_config, print_table, run_icc
 
 DELTA_BOUND = 1.0  # the conservative bound both protocols must tolerate
@@ -78,12 +79,22 @@ def run_point(delta: float, n: int = 7, blocks: int = 20, seed: int = 11) -> Res
     )
 
 
-def run(deltas: tuple[float, ...] = (0.005, 0.02, 0.05, 0.1, 0.2)) -> list[ResponsivenessResult]:
-    return [run_point(d) for d in deltas]
+def specs(
+    deltas: tuple[float, ...] = (0.005, 0.02, 0.05, 0.1, 0.2), **point
+) -> list[runner.RunSpec]:
+    """One RunSpec per actual delay δ; ``point`` overrides ``run_point`` defaults."""
+    return [
+        runner.spec(
+            "responsiveness", "responsiveness.run_point",
+            label=f"responsiveness-d{d * 1000:g}ms", delta=d, **point,
+        )
+        for d in deltas
+    ]
 
 
-def main() -> list[ResponsivenessResult]:
-    results = run()
+def tabulate(
+    specs: list[runner.RunSpec], results: list[ResponsivenessResult]
+) -> list[ResponsivenessResult]:
     rows = [
         (
             f"{r.delta * 1000:.0f} ms",
@@ -100,7 +111,3 @@ def main() -> list[ResponsivenessResult]:
         rows,
     )
     return results
-
-
-if __name__ == "__main__":
-    main()

@@ -159,11 +159,6 @@ def _as_results(specs: list[runner.RunSpec], values: list[float]) -> list[Robust
     return results
 
 
-def run(n: int = 10, duration: float = 120.0) -> list[RobustnessResult]:
-    suite = specs(n=n, duration=duration)
-    return _as_results(suite, [runner.run_spec(s) for s in suite])
-
-
 def tabulate(specs: list[runner.RunSpec], values: list[float]) -> list[RobustnessResult]:
     results = _as_results(specs, values)
     by_protocol: dict[str, dict[str, float]] = {}
@@ -183,12 +178,3 @@ def tabulate(specs: list[runner.RunSpec], values: list[float]) -> list[Robustnes
         rows,
     )
     return results
-
-
-def main(jobs: int = 1) -> list[RobustnessResult]:
-    suite = specs()
-    return tabulate(suite, runner.execute(suite, jobs=jobs))
-
-
-if __name__ == "__main__":
-    main()

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from ..adversary import AggressiveByzantineMixin, WithholdFinalizationMixin, corrupt_class
 from ..core.icc0 import ICC0Party
 from ..sim.delays import FixedDelay
+from . import runner
 from .common import make_icc_config, mean, print_table, run_icc
 
 
@@ -92,12 +93,20 @@ def run_one(n: int, rounds: int = 120, seed: int = 5) -> RoundComplexityResult:
     )
 
 
-def run(ns: tuple[int, ...] = (7, 13, 25, 40), rounds: int = 120) -> list[RoundComplexityResult]:
-    return [run_one(n, rounds=rounds) for n in ns]
+def specs(ns: tuple[int, ...] = (7, 13, 25, 40), **point) -> list[runner.RunSpec]:
+    """One RunSpec per subnet size; ``point`` overrides ``run_one`` defaults."""
+    return [
+        runner.spec(
+            "round_complexity", "round_complexity.run_one",
+            label=f"round-complexity-n{n}", n=n, **point,
+        )
+        for n in ns
+    ]
 
 
-def main() -> list[RoundComplexityResult]:
-    results = run()
+def tabulate(
+    specs: list[runner.RunSpec], results: list[RoundComplexityResult]
+) -> list[RoundComplexityResult]:
     rows = [
         (
             r.n,
@@ -116,7 +125,3 @@ def main() -> list[RoundComplexityResult]:
         rows,
     )
     return results
-
-
-if __name__ == "__main__":
-    main()

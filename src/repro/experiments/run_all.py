@@ -8,9 +8,9 @@ Usage::
 minutes to 60 seconds (everything else is already fast).  ``--trace DIR``
 turns on structured tracing (:mod:`repro.obs`) for every ICC cluster the
 experiments build, exporting one JSONL file per run into ``DIR`` — see
-``docs/OBSERVABILITY.md``.  ``--jobs N`` fans the enumerable simulations
-across ``N`` worker processes (default: all cores); ``--jobs 1`` keeps
-the fully in-process serial path.  Tables print in the same order, with
+``docs/OBSERVABILITY.md``.  ``--jobs N`` fans every simulation of the
+suite across ``N`` worker processes (default: all cores); ``--jobs 1``
+runs them in-process.  Tables print in the same order, with
 byte-identical content, at any job count.
 """
 
@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 
 from . import runner
-from .common import enable_tracing, flush_pending_trace
 from . import (
     ablations,
     bandwidth,
@@ -60,50 +59,37 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def suite(quick: bool) -> list[tuple[object, list[runner.RunSpec]]]:
-    """The runner-enumerable portion of the suite, in table order."""
+    """Every experiment module with its specs, in table order."""
     return [
         (table1, table1.specs(duration=60.0 if quick else 300.0)),
         (throughput_latency, throughput_latency.specs()),
+        (message_complexity, message_complexity.specs()),
+        (round_complexity, round_complexity.specs()),
         (robustness, robustness.specs()),
+        (responsiveness, responsiveness.specs()),
+        (dissemination, dissemination.specs()),
         (comparison, comparison.specs()),
+        (properties, properties.specs()),
         (intermittent, intermittent.specs()),
+        (bandwidth, bandwidth.specs()),
         (ablations, ablations.specs()),
     ]
 
 
-def run(args: argparse.Namespace) -> int:
-    jobs = args.jobs if args.jobs is not None else runner.default_jobs()
-
-    groups = suite(args.quick)
-    all_specs = [s for _, group in groups for s in group]
-    results = runner.execute(all_specs, jobs=jobs, trace_dir=args.trace)
-
-    # Slice flat results back into per-module lists, preserving order.
-    sliced: dict[object, tuple[list[runner.RunSpec], list]] = {}
+def tabulate(groups: list[tuple[object, list[runner.RunSpec]]], results: list) -> None:
+    """Print every module's table from the suite's flat result list."""
     offset = 0
     for module, group in groups:
-        sliced[module] = (group, results[offset : offset + len(group)])
+        module.tabulate(group, results[offset : offset + len(group)])
         offset += len(group)
 
-    # Inline experiments (not yet RunSpec-enumerable) run in-process during
-    # the print phase; their trace files are numbered after the runner's.
-    if args.trace is not None:
-        enable_tracing(args.trace, start=len(all_specs))
-    try:
-        table1.tabulate(*sliced[table1])
-        throughput_latency.tabulate(*sliced[throughput_latency])
-        message_complexity.main()
-        round_complexity.main()
-        robustness.tabulate(*sliced[robustness])
-        responsiveness.main()
-        dissemination.main()
-        comparison.tabulate(*sliced[comparison])
-        properties.main()
-        intermittent.tabulate(*sliced[intermittent])
-        bandwidth.main()
-        ablations.tabulate(*sliced[ablations])
-    finally:
-        flush_pending_trace()
+
+def run(args: argparse.Namespace) -> int:
+    groups = suite(args.quick)
+    results = runner.execute(
+        [s for _, group in groups for s in group], jobs=args.jobs, trace_dir=args.trace
+    )
+    tabulate(groups, results)
     return 0
 
 

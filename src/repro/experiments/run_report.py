@@ -67,9 +67,8 @@ def run_traced(
 ) -> dict:
     """Run one metered ICC simulation; returns a picklable result row.
 
-    Registered in :data:`repro.experiments.runner.EXECUTORS` as
-    ``report.run_traced`` so reports fan across cores and trace files get
-    deterministic spec-index names.
+    Specs name it ``run_report.run_traced``, so reports fan across cores
+    and trace files get deterministic spec-index names.
     """
     from ..sim.delays import UniformDelay
     from .common import make_icc_config, run_icc
@@ -103,10 +102,10 @@ def run_traced(
 
 
 def specs(suite: dict, seeds) -> list:
-    """One ``report.run_traced`` spec per seed; ``suite`` holds the other
+    """One ``run_report.run_traced`` spec per seed; ``suite`` holds the other
     keyword arguments (the keys of :data:`_DEFAULT`)."""
     return [
-        runner.spec("report", "report.run_traced", **suite, seed=seed)
+        runner.spec("report", "run_report.run_traced", **suite, seed=seed)
         for seed in seeds
     ]
 

@@ -2,18 +2,22 @@
 
 Every experiment in the suite is a collection of *independent, seeded*
 simulation runs — the only sequential part is printing the tables.  This
-module makes that structure explicit:
+module makes that structure explicit, and it is the one way a sweep runs:
 
+* An experiment module is its point function(s) — keyword arguments in, a
+  picklable result out — plus ``specs(**sweep) -> list[RunSpec]``, the
+  only place its sweep defaults are written, and ``tabulate(specs,
+  results)``, which prints the table and returns the rows.
+  :func:`run_experiment` is ``tabulate(specs, execute(specs))``.
 * :class:`RunSpec` describes one simulation run in plain, picklable data
-  (an executor name plus keyword arguments), so a run can execute in the
-  parent process or in a ``multiprocessing`` worker with identical
-  results.
-* :func:`execute` runs a list of specs either strictly in-process
-  (``jobs=1`` — today's sequential path, unchanged) or across a worker
-  pool (``jobs=N``), returning results **in spec order** regardless of
-  completion order.  Determinism is per-run (each run carries its own
-  seed), so serial and parallel execution produce bit-identical results;
-  ``tests/experiments/test_runner.py`` pins this.
+  (the point function's name plus keyword arguments), so a run can
+  execute in the parent process or in a ``multiprocessing`` worker with
+  identical results.
+* :func:`execute` runs a list of specs in-process (``jobs=1``) or across
+  a worker pool (``jobs=N``), returning results **in spec order**
+  regardless of completion order.  Determinism is per-run (each run
+  carries its own seed), so serial and parallel execution produce
+  bit-identical results; ``tests/experiments/test_runner.py`` pins this.
 
 Tracing: when ``trace_dir`` is given, every run exports its structured
 trace (see :mod:`repro.obs`) to ``{index:04d}-{label}.jsonl`` where
@@ -42,37 +46,19 @@ from typing import Any, Callable, Sequence
 
 from ..crypto import setup_cache
 from ..obs import Tracer, write_jsonl
-
-#: Executor registry: RunSpec.kind -> (module, attribute).  Executors are
-#: referenced by name, never by object, so specs stay picklable and
-#: self-describing under both fork and spawn start methods.
-EXECUTORS: dict[str, tuple[str, str]] = {
-    "table1.run_cell": ("repro.experiments.table1", "run_cell"),
-    "throughput_latency.run_one": ("repro.experiments.throughput_latency", "run_one"),
-    "robustness.run_icc0": ("repro.experiments.robustness", "run_icc0"),
-    "robustness.run_pbft": ("repro.experiments.robustness", "run_pbft"),
-    "comparison.run_icc_row": ("repro.experiments.comparison", "run_icc_row"),
-    "comparison.baseline_row": ("repro.experiments.comparison", "baseline_row"),
-    "intermittent.run": ("repro.experiments.intermittent", "run"),
-    "chaos.run_scenario": ("repro.experiments.chaos", "run_scenario"),
-    "shard.run_deployment": ("repro.experiments.sharding", "run_deployment"),
-    "load.run_point": ("repro.experiments.load", "run_point"),
-    "report.run_traced": ("repro.experiments.run_report", "run_traced"),
-    "ablations.epsilon_point": ("repro.experiments.ablations", "epsilon_point"),
-    "ablations.stagger_point": ("repro.experiments.ablations", "stagger_point"),
-    "ablations.gossip_degree_point": ("repro.experiments.ablations", "gossip_degree_point"),
-    "ablations.fill_delay_point": ("repro.experiments.ablations", "fill_delay_point"),
-}
+from .common import trace_scope
 
 
 @dataclass(frozen=True)
 class RunSpec:
     """One self-describing simulation run.
 
-    ``kind`` names an entry in :data:`EXECUTORS`; ``params`` are its
-    keyword arguments as a sorted tuple of items (hashable, picklable,
-    order-independent).  ``index`` is the run's position in the suite,
-    assigned by :func:`execute`; ``label`` names trace files.
+    ``kind`` is ``"<module>.<function>"`` under :mod:`repro.experiments`
+    (resolved by import, never carried as an object, so specs stay
+    picklable and self-describing under fork and spawn); ``params`` are
+    the function's keyword arguments as a sorted tuple of items (hashable,
+    picklable, order-independent).  ``index`` is the run's position in the
+    suite, assigned by :func:`execute`; ``label`` names trace files.
     """
 
     experiment: str
@@ -92,8 +78,7 @@ class RunSpec:
 
 def spec(experiment: str, kind: str, label: str | None = None, **params) -> RunSpec:
     """Build a :class:`RunSpec`; params are normalized to sorted items."""
-    if kind not in EXECUTORS:
-        raise ValueError(f"unknown run kind {kind!r} (not in runner.EXECUTORS)")
+    resolve(kind)
     if label is None:
         label = "-".join(
             [experiment] + [f"{k}{v}" for k, v in sorted(params.items())]
@@ -105,12 +90,23 @@ def spec(experiment: str, kind: str, label: str | None = None, **params) -> RunS
 
 
 def resolve(kind: str) -> Callable[..., Any]:
-    """The executor callable for a spec kind (lazy import, no cycles)."""
+    """The point function a spec kind names (lazy import, no cycles)."""
+    module_name, _, attr = kind.rpartition(".")
     try:
-        module_name, attr = EXECUTORS[kind]
-    except KeyError:
-        raise ValueError(f"unknown run kind {kind!r} (not in runner.EXECUTORS)") from None
-    return getattr(importlib.import_module(module_name), attr)
+        return getattr(importlib.import_module(f"{__package__}.{module_name}"), attr)
+    except (ImportError, AttributeError):
+        raise ValueError(
+            f"unknown run kind {kind!r} (not '<module>.<function>' under {__package__})"
+        ) from None
+
+
+def by_kind(specs: Sequence[RunSpec], results: Sequence[Any]) -> dict[str, list]:
+    """Results grouped by their spec's kind, each group in spec order —
+    how a ``tabulate`` with several point functions splits its tables."""
+    groups: dict[str, list] = {}
+    for run, result in zip(specs, results):
+        groups.setdefault(run.kind, []).append(result)
+    return groups
 
 
 def run_spec(run: RunSpec) -> Any:
@@ -144,17 +140,8 @@ def _worker_init(trace_dir: str | None, cache_dir: str | None, cache_enabled: bo
 
 def _run_traced(run: RunSpec, trace_dir: str | None) -> Any:
     """Run one spec with its trace routed to the index-named file."""
-    from . import common  # local import: common imports nothing from runner
-
-    if trace_dir is None:
+    with trace_scope(trace_dir, run.index):
         return run_spec(run)
-    common.enable_tracing(trace_dir)
-    common.begin_spec_trace(run.index)
-    try:
-        return run_spec(run)
-    finally:
-        common.end_spec_trace()
-        common.enable_tracing(None)
 
 
 def _worker_run(run: RunSpec) -> tuple[int, Any, float]:
@@ -204,10 +191,9 @@ def execute(
 ) -> list[Any]:
     """Run every spec and return results in spec order.
 
-    ``jobs=1`` executes in-process, sequentially, in spec order — the
-    exact code path the suite ran before this module existed.  ``jobs>1``
-    fans specs across a ``multiprocessing`` pool; per-run seeding makes
-    the results identical either way.  ``jobs=None`` uses
+    ``jobs=1`` executes in-process, sequentially, in spec order;
+    ``jobs>1`` fans specs across a ``multiprocessing`` pool; per-run
+    seeding makes the results identical either way.  ``jobs=None`` uses
     :func:`default_jobs` (``os.cpu_count()``).
     """
     jobs = default_jobs() if jobs is None else jobs
@@ -248,3 +234,12 @@ def execute(
     if trace is not None:
         trace.write(trace_dir)
     return results
+
+
+def run_experiment(
+    module: Any, jobs: int | None = 1, trace_dir: str | None = None, **sweep
+) -> Any:
+    """Run one experiment module's sweep and print its table: the rows
+    ``module.tabulate`` returns for ``module.specs(**sweep)``."""
+    suite = module.specs(**sweep)
+    return module.tabulate(suite, execute(suite, jobs=jobs, trace_dir=trace_dir))

@@ -7,7 +7,7 @@ aggregate finalized-request throughput scales with K and what latency
 penalty cross-shard requests pay for their extra consensus hop plus
 stream transfer.
 
-One ``shard.run_deployment`` spec per K is fanned across the parallel
+One ``sharding.run_deployment`` spec per K is fanned across the parallel
 runner's process pool — whole deployments are the unit of work, and
 results are bit-identical at any ``--jobs`` because every deployment is
 internally deterministic (fixed delays, hash-MAC auth, seeded
@@ -73,7 +73,7 @@ def specs(
     return [
         runner.spec(
             "shard",
-            "shard.run_deployment",
+            "sharding.run_deployment",
             label=f"shard-k{k}-n{n}-x{int(xfrac * 100)}",
             shards=k,
             n=n,

@@ -109,7 +109,6 @@ def run_cell(
     cluster = build_cluster(config)
     if workload is not None:
         workload.install(cluster, duration=duration, ingress_degree=4)
-        workload.attach_commit_pruning(cluster)
     cluster.start()
     cluster.run_for(duration, max_events=50_000_000)
     cluster.check_safety()
@@ -155,14 +154,6 @@ def specs(
     ]
 
 
-def run(duration: float = 300.0, subnets: tuple[int, ...] = (13, 40), seed: int = 7) -> list[Table1Cell]:
-    cells = []
-    for subnet in subnets:
-        for scenario in SCENARIOS:
-            cells.append(run_cell(subnet, scenario, duration=duration, seed=seed))
-    return cells
-
-
 def tabulate(specs: list[runner.RunSpec], cells: list[Table1Cell]) -> list[Table1Cell]:
     """Print the table from already-computed cells (runner result phase)."""
     rows = [
@@ -182,12 +173,3 @@ def tabulate(specs: list[runner.RunSpec], cells: list[Table1Cell]) -> list[Table
         rows,
     )
     return cells
-
-
-def main(duration: float = 300.0, jobs: int = 1) -> list[Table1Cell]:
-    suite = specs(duration=duration)
-    return tabulate(suite, runner.execute(suite, jobs=jobs))
-
-
-if __name__ == "__main__":
-    main()

@@ -106,15 +106,6 @@ def specs(
     ]
 
 
-def run(
-    deltas: tuple[float, ...] = (0.02, 0.05, 0.1, 0.2),
-    protocols: tuple[str, ...] = ("ICC0", "ICC1", "ICC2"),
-    n: int = 7,
-    rounds: int = 30,
-) -> list[ThroughputLatencyResult]:
-    return [run_one(p, d, n=n, rounds=rounds) for p in protocols for d in deltas]
-
-
 def tabulate(
     specs: list[runner.RunSpec], results: list[ThroughputLatencyResult]
 ) -> list[ThroughputLatencyResult]:
@@ -137,12 +128,3 @@ def tabulate(
         rows,
     )
     return results
-
-
-def main(jobs: int = 1) -> list[ThroughputLatencyResult]:
-    suite = specs()
-    return tabulate(suite, runner.execute(suite, jobs=jobs))
-
-
-if __name__ == "__main__":
-    main()

@@ -49,6 +49,7 @@ from ..analysis.critical_path import (
     latency_breakdown,
 )
 from ..obs import Meter, Tracer, collect_run, trace_header, write_jsonl
+from ..obs.metrics import percentile
 from .cluster import LiveCluster
 from .config import LiveConfig, load_live_config, local_live_config
 from .party import LiveParty
@@ -129,14 +130,6 @@ def serve(args) -> int:
 # ---------------------------------------------------------------------- live
 
 
-def _percentile(values: list[float], q: float) -> float:
-    if not values:
-        return 0.0
-    values = sorted(values)
-    pos = min(len(values) - 1, max(0, round(q * (len(values) - 1))))
-    return values[pos]
-
-
 def _prefix_consistent(chains: list[list[str]]) -> bool:
     """The paper's safety property over the reported committed chains."""
     reference = max(chains, key=len, default=[])
@@ -164,8 +157,8 @@ def summarize(
         "wall_seconds": round(wall, 3),
         "heights_per_sec": round(min_height / wall, 2) if wall > 0 else 0.0,
         "requests_completed": results[0].get("requests_completed", 0) if results else 0,
-        "request_latency_p50": round(_percentile(latencies, 0.50), 4),
-        "request_latency_p90": round(_percentile(latencies, 0.90), 4),
+        "request_latency_p50": round(percentile(latencies, 0.50), 4) if latencies else 0.0,
+        "request_latency_p90": round(percentile(latencies, 0.90), 4) if latencies else 0.0,
     }
     if breakdown is not None:
         block["latency_breakdown"] = breakdown

@@ -30,6 +30,7 @@ from ..core.icc2 import ICC2Party
 from ..core.params import ProtocolParams, StandardDelays
 from ..crypto.keyring import generate_keyrings
 from ..gossip import GossipParams, build_overlay
+from ..obs.metrics import percentile
 from ..workloads.batching import BatchSpec, RequestBatcher, SignedRequest
 from .clock import WallClock
 from .config import LiveConfig
@@ -233,11 +234,7 @@ class LiveParty:
         Everything ``repro top`` renders comes from here; it must stay
         cheap and side-effect-free (it runs inside the acceptor loop).
         """
-        latencies = sorted(self.batcher.latencies) if self.batcher else []
-
-        def pct(q: float) -> float:
-            return latencies[min(len(latencies) - 1, int(q * len(latencies)))]
-
+        latencies = self.batcher.latencies if self.batcher else []
         return {
             "index": self.index,
             "run_id": self.run_id,
@@ -256,8 +253,8 @@ class LiveParty:
             else 0,
             "frames_rejected": self.network.frames_rejected,
             "requests_completed": self.batcher.completed if self.batcher else 0,
-            "request_p50_s": pct(0.50) if latencies else None,
-            "request_p99_s": pct(0.99) if latencies else None,
+            "request_p50_s": percentile(latencies, 0.50) if latencies else None,
+            "request_p99_s": percentile(latencies, 0.99) if latencies else None,
             "net_messages": sum(self.network.metrics.msgs_sent.values()),
             "net_bytes": sum(self.network.metrics.bytes_sent.values()),
             "wall_seconds": round(self.clock.now, 6),

@@ -44,7 +44,7 @@ from collections import deque
 from typing import Iterable
 
 from ..sim.metrics import Metrics
-from ..sim.network import Receiver, message_kind, wire_size
+from ..sim.network import Receiver, account_transmission, message_kind
 from .clock import WallClock
 from .framing import (
     DEFAULT_MAX_FRAME,
@@ -403,20 +403,10 @@ class TcpNetwork:
     def broadcast(self, sender: int, message: object, round: int | None = None) -> None:
         """Same-message-to-everyone, self-delivery included (Section 3.1)."""
         self._require_local(sender)
-        size = wire_size(message)
-        self.metrics.on_broadcast(sender, size, message_kind(message), round)
-        tracer = self.tracer
-        if tracer.enabled:
-            tracer.emit(
-                time=self.clock.now, party=sender, protocol="net", round=round,
-                kind="net.broadcast",
-                payload={"kind": message_kind(message), "bytes": size, "copies": self.n},
-            )
-        meter = self.meter
-        if meter.enabled:
-            meter.count("net.messages", self.n)
-            meter.count("net.bytes", size * (self.n - 1))
-            meter.observe("net.message.bytes", size)
+        account_transmission(
+            self, self.clock.now, sender, message, round,
+            "net.broadcast", self.n, self.n - 1, "copies", self.n,
+        )
         for link in self._links.values():
             link.enqueue(message)
         self._loopback(message)
@@ -424,20 +414,10 @@ class TcpNetwork:
     def send(self, sender: int, receiver: int, message: object, round: int | None = None) -> None:
         """Point-to-point send (gossip, ICC2 fragments)."""
         self._require_local(sender)
-        size = wire_size(message)
-        self.metrics.on_send(sender, size, message_kind(message), round)
-        tracer = self.tracer
-        if tracer.enabled:
-            tracer.emit(
-                time=self.clock.now, party=sender, protocol="net", round=round,
-                kind="net.send",
-                payload={"kind": message_kind(message), "bytes": size, "receiver": receiver},
-            )
-        meter = self.meter
-        if meter.enabled:
-            meter.count("net.messages")
-            meter.count("net.bytes", size)
-            meter.observe("net.message.bytes", size)
+        account_transmission(
+            self, self.clock.now, sender, message, round,
+            "net.send", 1, 1, "receiver", receiver,
+        )
         if receiver == sender:
             self._loopback(message)
             return
@@ -451,22 +431,11 @@ class TcpNetwork:
         """Same message to a subset (the gossip overlay's fan-out)."""
         self._require_local(sender)
         receivers = list(receivers)
-        size = wire_size(message)
-        tracer = self.tracer
-        if tracer.enabled:
-            tracer.emit(
-                time=self.clock.now, party=sender, protocol="net", round=round,
-                kind="net.multicast",
-                payload={"kind": message_kind(message), "bytes": size,
-                         "receivers": len(receivers)},
-            )
-        meter = self.meter
-        if meter.enabled:
-            meter.count("net.messages", len(receivers))
-            meter.count("net.bytes", size * len(receivers))
-            meter.observe("net.message.bytes", size)
+        account_transmission(
+            self, self.clock.now, sender, message, round,
+            "net.multicast", len(receivers), len(receivers), "receivers", len(receivers),
+        )
         for receiver in receivers:
-            self.metrics.on_send(sender, size, message_kind(message), round)
             if receiver == sender:
                 self._loopback(message)
                 continue

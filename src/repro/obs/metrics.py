@@ -293,6 +293,17 @@ register_metric(
 # ---------------------------------------------------------------- instruments
 
 
+def percentile(values: Sequence[float], q: float) -> float:
+    """The nearest-rank ``q``-quantile of raw samples: element
+    ``int(q·len)`` of the sorted values (the upper middle for an even
+    count at q = 0.5), ``nan`` when there are none.  The one convention
+    every reported p50/p90/p99 in this repository uses."""
+    ordered = sorted(values)
+    if not ordered:
+        return float("nan")
+    return ordered[min(len(ordered) - 1, int(q * len(ordered)))]
+
+
 @dataclass
 class Histogram:
     """Fixed-bucket histogram; bucket ``i`` counts samples <= bounds[i],

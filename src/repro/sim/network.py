@@ -70,6 +70,38 @@ def message_kind(message: object) -> str:
     return type(message).__name__
 
 
+def account_transmission(
+    net, now: float, sender: int, message: object, round: int | None,
+    event: str, messages: int, byte_copies: int, field: str, value: int,
+) -> int:
+    """The one accounting of a transmission, for :class:`Network` and
+    ``repro.net.transport.TcpNetwork`` alike: ``net.metrics`` (the paper's
+    conventions, see :mod:`repro.sim.metrics`), the ``event`` trace event
+    and the three ``net.*`` meters.  ``messages`` is what the transmission
+    counts as, ``byte_copies`` how many copies cross the wire (a broadcast
+    is n messages and n − 1 copies), ``field``/``value`` the payload entry
+    that differs per event kind.  Returns the message's wire size."""
+    size = wire_size(message)
+    kind = message_kind(message)
+    if event == "net.broadcast":
+        net.metrics.on_broadcast(sender, size, kind, round)
+    else:
+        for _ in range(messages):
+            net.metrics.on_send(sender, size, kind, round)
+    tracer = net.tracer
+    if tracer.enabled:
+        tracer.emit(
+            time=now, party=sender, protocol="net", round=round, kind=event,
+            payload={"kind": kind, "bytes": size, field: value},
+        )
+    meter = net.meter
+    if meter.enabled:
+        meter.count("net.messages", messages)
+        meter.count("net.bytes", size * byte_copies)
+        meter.observe("net.message.bytes", size)
+    return size
+
+
 class Network:
     """Delay-model-driven message fabric for up to ``n`` parties."""
 
@@ -259,20 +291,10 @@ class Network:
         """
         if sender in self._crashed:
             return
-        size = wire_size(message)
-        self.metrics.on_broadcast(sender, size, message_kind(message), round)
-        tracer = self.tracer
-        if tracer.enabled:
-            tracer.emit(
-                time=self.sim.now, party=sender, protocol="net", round=round,
-                kind="net.broadcast",
-                payload={"kind": message_kind(message), "bytes": size, "copies": self.n},
-            )
-        meter = self.meter
-        if meter.enabled:
-            meter.count("net.messages", self.n)
-            meter.count("net.bytes", size * (self.n - 1))
-            meter.observe("net.message.bytes", size)
+        size = account_transmission(
+            self, self.sim.now, sender, message, round,
+            "net.broadcast", self.n, self.n - 1, "copies", self.n,
+        )
         for receiver in range(1, self.n + 1):
             if receiver == sender:
                 self._deliver(sender, receiver, message)
@@ -287,20 +309,10 @@ class Network:
         """Point-to-point send (gossip, ICC2 fragments, Byzantine equivocation)."""
         if sender in self._crashed:
             return
-        size = wire_size(message)
-        self.metrics.on_send(sender, size, message_kind(message), round)
-        tracer = self.tracer
-        if tracer.enabled:
-            tracer.emit(
-                time=self.sim.now, party=sender, protocol="net", round=round,
-                kind="net.send",
-                payload={"kind": message_kind(message), "bytes": size, "receiver": receiver},
-            )
-        meter = self.meter
-        if meter.enabled:
-            meter.count("net.messages")
-            meter.count("net.bytes", size)
-            meter.observe("net.message.bytes", size)
+        size = account_transmission(
+            self, self.sim.now, sender, message, round,
+            "net.send", 1, 1, "receiver", receiver,
+        )
         sent_at = None
         if receiver != sender:
             sent_at = self._transmission_done_at(sender, size)
@@ -310,22 +322,11 @@ class Network:
         """Send the same message to a subset (used by the gossip overlay)."""
         if sender in self._crashed:
             return
-        size = wire_size(message)
-        tracer = self.tracer
-        if tracer.enabled:
-            tracer.emit(
-                time=self.sim.now, party=sender, protocol="net", round=round,
-                kind="net.multicast",
-                payload={"kind": message_kind(message), "bytes": size,
-                         "receivers": len(receivers)},
-            )
-        meter = self.meter
-        if meter.enabled:
-            meter.count("net.messages", len(receivers))
-            meter.count("net.bytes", size * len(receivers))
-            meter.observe("net.message.bytes", size)
+        size = account_transmission(
+            self, self.sim.now, sender, message, round,
+            "net.multicast", len(receivers), len(receivers), "receivers", len(receivers),
+        )
         for receiver in receivers:
-            self.metrics.on_send(sender, size, message_kind(message), round)
             sent_at = None
             if receiver != sender:
                 sent_at = self._transmission_done_at(sender, size)

@@ -101,10 +101,10 @@ class ClientFrontend:
     def bind(self, cluster, observer: int = 1) -> None:
         self._cluster = cluster
         self._observer = cluster.party(observer)
-        for index in range(1, cluster.params.n + 1):
-            self._workload._pending.setdefault(index, {})
         self._observer.commit_listeners.append(self._on_commit)
-        self._workload.attach_commit_pruning(cluster)
+        # Rate 0: no arrivals are scheduled; this creates the per-party
+        # mempools submit() fills and prunes them on commit.
+        self._workload.install(cluster, duration=0.0)
 
     # -- submission ---------------------------------------------------------------
 

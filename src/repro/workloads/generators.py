@@ -69,6 +69,9 @@ class MempoolWorkload:
         paper's Table 1 traffic includes this "messages exchanged with the
         clients" component.)  Delivery into mempools is immediate either
         way — ingress latency is far below round time.
+
+        Each party drops a command from its mempool when it commits it, so
+        pending stays bounded by what is in flight.
         """
         sim = cluster.sim
         # Dedicated seeded stream, NOT forked from sim.rng: forking draws
@@ -77,11 +80,16 @@ class MempoolWorkload:
         # bit-identical consensus runs.  Same isolation pattern as the
         # fault-decision RNG in repro.faults.inject.
         rng = Random(f"workload/{self.seed}")
-        n = cluster.params.n
         self._metrics = cluster.metrics
         self._ingress_copies = ingress_degree / 2.0
-        for index in range(1, n + 1):
-            self._pending.setdefault(index, {})
+        for party in cluster.parties:
+            pending = self._pending.setdefault(party.index, {})
+
+            def prune(block: Block, pending=pending) -> None:
+                for command in block.payload.commands:
+                    pending.pop(command[:12], None)
+
+            party.commit_listeners.append(prune)
         rate = self.spec.rate_per_second
         if rate <= 0:
             return
@@ -147,17 +155,6 @@ class MempoolWorkload:
         return Payload(
             commands=tuple(commands), filler_bytes=self.spec.management_bytes
         )
-
-    def attach_commit_pruning(self, cluster) -> None:
-        """Drop committed commands from mempools (keeps memory bounded)."""
-        for party in cluster.parties:
-            pending = self._pending.setdefault(party.index, {})
-
-            def prune(block: Block, pending=pending) -> None:
-                for command in block.payload.commands:
-                    pending.pop(command[:12], None)
-
-            party.commit_listeners.append(prune)
 
 
 def management_only_source(management_bytes: int = 256):

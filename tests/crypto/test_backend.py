@@ -2,9 +2,7 @@
 
 The contract under test: every backend computes bit-identical values for
 every operation the group and fast path route through it, so backend
-choice is purely a performance decision.  ``gmpy2`` is exercised only
-when the library is importable — it must be reported unavailable, never
-installed.
+choice is purely a performance decision.
 """
 
 from __future__ import annotations
@@ -20,8 +18,6 @@ from repro.crypto.backend import (
     WindowBackend,
     active_backend,
     available_backends,
-    backend_available,
-    backend_names,
     get_backend,
     register_backend,
     set_backend,
@@ -32,38 +28,24 @@ from random import Random
 
 class TestRegistry:
     def test_builtin_backends_registered(self):
-        assert {"pure", "window", "gmpy2"} <= set(backend_names())
+        assert available_backends()[:2] == ["pure", "window"]
 
     def test_pure_and_window_always_available(self):
-        assert backend_available("pure")
-        assert backend_available("window")
-        assert {"pure", "window"} <= set(available_backends())
-
-    def test_available_backends_excludes_missing_gmpy2(self):
-        import importlib.util
-
-        present = importlib.util.find_spec("gmpy2") is not None
-        assert backend_available("gmpy2") == present
-        assert ("gmpy2" in available_backends()) == present
+        for name in ("pure", "window"):
+            assert get_backend(name).name == name
 
     def test_get_backend_unknown_name(self):
         with pytest.raises(ValueError, match="unknown"):
             get_backend("quantum")
-
-    def test_get_backend_unavailable(self):
-        if backend_available("gmpy2"):
-            pytest.skip("gmpy2 installed in this environment")
-        with pytest.raises(ValueError, match="not available"):
-            get_backend("gmpy2")
 
     def test_get_backend_is_cached(self):
         assert get_backend("window") is get_backend("window")
 
     def test_register_custom_backend(self):
         name = "test-registry-custom"
-        register_backend(name, CryptoBackend, available=lambda: True)
+        register_backend(name, CryptoBackend)
         try:
-            assert name in backend_names()
+            assert name in available_backends()
             assert isinstance(get_backend(name), CryptoBackend)
         finally:
             backend_mod._REGISTRY.pop(name, None)
@@ -71,12 +53,7 @@ class TestRegistry:
 
     def test_default_backend_is_window(self):
         assert DEFAULT_BACKEND == "window"
-
-    def test_env_selects_initial_backend(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CRYPTO_BACKEND", "pure")
-        assert backend_mod._initial_backend().name == "pure"
-        monkeypatch.delenv("REPRO_CRYPTO_BACKEND")
-        assert backend_mod._initial_backend().name == DEFAULT_BACKEND
+        assert active_backend().name == DEFAULT_BACKEND
 
     def test_use_backend_scopes_and_restores(self):
         before = active_backend()

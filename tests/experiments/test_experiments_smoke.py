@@ -16,6 +16,7 @@ from repro.experiments import (
     responsiveness,
     robustness,
     round_complexity,
+    runner,
     table1,
     throughput_latency,
 )
@@ -38,13 +39,13 @@ class TestThroughputLatency:
 
 class TestMessageComplexity:
     def test_synchronous_quadratic(self):
-        points = message_complexity.run_synchronous(ns=(4, 10), rounds=6)
+        points = [message_complexity.synchronous_point(n, rounds=6) for n in (4, 10)]
         # msgs/n² stays flat while msgs/n³ halves: quadratic scaling.
         assert points[0].per_n2 == pytest.approx(points[1].per_n2, rel=0.15)
         assert points[1].per_n3 < points[0].per_n3
 
     def test_worst_case_cubic(self):
-        points = message_complexity.run_worst_case(ns=(4, 10), rounds=4)
+        points = [message_complexity.worst_case_point(n, rounds=4) for n in (4, 10)]
         # msgs/n² grows with n (super-quadratic) under the adversary.
         assert points[1].per_n2 > points[0].per_n2 * 1.5
 
@@ -60,7 +61,7 @@ class TestRoundComplexity:
 class TestRobustness:
     def test_icc_degrades_gracefully_pbft_collapses(self):
         results = {(r.protocol, r.scenario): r.blocks_per_second
-                   for r in robustness.run(n=10, duration=40.0)}
+                   for r in runner.run_experiment(robustness, n=10, duration=40.0)}
         icc_retention = (
             results[("ICC0", "slow-leader attack")] / results[("ICC0", "fault-free")]
         )
@@ -92,7 +93,8 @@ class TestDissemination:
 
 class TestComparison:
     def test_ordering_matches_paper(self):
-        rows = {r.protocol: r for r in comparison.run(delta=0.05, n=4, blocks=15)}
+        rows = {r.protocol: r
+                for r in runner.run_experiment(comparison, delta=0.05, n=4, blocks=15)}
         assert rows["ICC0"].block_time_in_delta == pytest.approx(2.0, rel=0.1)
         assert rows["PBFT"].block_time_in_delta == pytest.approx(3.0, rel=0.1)
         assert rows["HotStuff"].latency_in_delta > rows["ICC0"].latency_in_delta
@@ -101,7 +103,8 @@ class TestComparison:
 
 class TestProperties:
     def test_sweeps_pass(self):
-        verdicts = properties.run(trials=3)
+        verdicts = runner.run_experiment(properties, trials=3, liveness_trials=3)
+        assert [v.trials for v in verdicts] == [3, 3]
         assert all(v.ok for v in verdicts)
 
 

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.common import make_icc_config, mean, percentile, print_table
+from repro.experiments.common import make_icc_config, mean, print_table
+from repro.obs.metrics import percentile
 
 
 class TestStats:
@@ -20,6 +21,10 @@ class TestStats:
         values = list(range(100))
         assert percentile(values, 0.5) == 50
         assert percentile(values, 0.99) == 99
+        # Nearest rank, no rounding mode: an even count's median is the
+        # upper middle, whatever the parity of len // 2.
+        assert percentile([1, 2, 3, 4], 0.5) == 3
+        assert percentile([6, 5, 4, 3, 2, 1], 0.5) == 4
 
     def test_percentile_empty(self):
         import math

@@ -4,11 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.ablations import (
-    ablate_epsilon,
-    ablate_proposer_stagger,
-)
-from repro.experiments.intermittent import run as run_intermittent
+from repro.experiments.ablations import epsilon_point, stagger_point
+from repro.experiments.intermittent import run_schedule as run_intermittent
 
 
 class TestIntermittent:
@@ -26,14 +23,13 @@ class TestIntermittent:
 
 class TestAblations:
     def test_epsilon_model(self):
-        rows = ablate_epsilon(epsilons=(0.0, 0.3), rounds=8)
-        for row in rows:
+        for row in (epsilon_point(e, rounds=8) for e in (0.0, 0.3)):
             assert row.metrics["round_time"] == pytest.approx(
                 row.metrics["predicted"], rel=0.1
             )
 
     def test_stagger_effect(self):
-        staggered, flooded = ablate_proposer_stagger(n=7, rounds=8)
+        staggered, flooded = (stagger_point(s, n=7, rounds=8) for s in (True, False))
         assert (
             flooded.metrics["proposals_per_round"]
             > 3 * staggered.metrics["proposals_per_round"]

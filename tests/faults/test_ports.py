@@ -65,7 +65,7 @@ class TestIntermittentPort:
         ]
 
     def test_experiment_module_uses_the_scenario(self):
-        result = intermittent.run(duration=60.0, n=4)
+        result = intermittent.run_schedule(duration=60.0, n=4)
         assert result.total_rounds_committed > 0
         assert result.windows  # commits bucketed per window
 

@@ -12,6 +12,7 @@ from repro.net.cluster import LiveCluster
 from repro.net.config import local_live_config
 from repro.net.live import summarize
 from repro.net.party import LiveParty, generate_load_requests
+from repro.obs.metrics import percentile
 from repro.obs import (
     Meter,
     Tracer,
@@ -71,13 +72,18 @@ class TestLiveCluster:
                     assert loop.time() < deadline, "load did not drain"
                     await asyncio.sleep(0.01)
                 cluster.check_safety()
-                return cluster.results()
+                return cluster.results(), observer.stat_snapshot()
 
-        results = asyncio.run(scenario())
+        results, snapshot = asyncio.run(scenario())
         assert results[0]["requests_completed"] == 24
         latencies = results[0]["request_latencies"]
         assert len(latencies) == 24
         assert all(v > 0 for v in latencies)
+        # `repro top` (the STAT snapshot) and `repro live --json` (the
+        # summary block) read the same p50 off the same latency list.
+        p50 = percentile(latencies, 0.50)  # of the list as reported, 6 decimals
+        assert round(snapshot["request_p50_s"], 6) == p50
+        assert summarize(config, results)["request_latency_p50"] == round(p50, 4)
 
     def test_summary_block(self):
         config = quick_config(load_requests=16, load_batch=8)
@@ -90,6 +96,20 @@ class TestLiveCluster:
         assert block["parties_reporting"] == 4
         assert block["min_height"] >= config.target_height
         assert block["heights_per_sec"] > 0
+
+    def test_summary_percentiles_are_nearest_rank(self):
+        """One convention everywhere (`repro.obs.metrics.percentile`): the
+        median of six samples is the fourth, where `round(q·(len−1))` under
+        banker's rounding used to report the third."""
+        record = {
+            "height": 3, "committed": ["a", "b", "c"], "wall_seconds": 1.0,
+            "reached_target": True, "requests_completed": 6,
+            "request_latencies": [0.06, 0.05, 0.04, 0.03, 0.02, 0.01],
+        }
+        block = summarize(quick_config(), [record])
+        assert block["request_latency_p50"] == 0.04
+        assert block["request_latency_p90"] == 0.06
+        assert summarize(quick_config(), [])["request_latency_p50"] == 0.0
 
 
 class TestTraceExport:

@@ -208,5 +208,5 @@ class TestSweepCli:
 
     def test_specs_labels_and_kinds(self):
         suite = sharding.specs(ks=(1, 2), xfrac=0.25)
-        assert [s.kind for s in suite] == ["shard.run_deployment"] * 2
+        assert [s.kind for s in suite] == ["sharding.run_deployment"] * 2
         assert [s.label for s in suite] == ["shard-k1-n4-x25", "shard-k2-n4-x25"]

@@ -85,3 +85,28 @@ class TestDocs:
         assert len(problems) == 2
         assert "README.md" in problems[0] and "BENCH_gone.json" in problems[0]
         assert "README.md" in problems[1] and "frobnicate" in problems[1]
+
+    def test_experiment_outside_the_suite_is_flagged(self, tmp_path, monkeypatch):
+        """A thirteenth experiment DESIGN.md tabulates but `run_all.suite`
+        does not enumerate (a private `main()` beside the runner) fails."""
+        module = load_checker()
+        assert module.suite_modules()[0] == "table1" and len(module.suite_modules()) == 12
+        run_all = tmp_path / "src" / "repro" / "experiments" / "run_all.py"
+        run_all.parent.mkdir(parents=True)
+        run_all.write_text(
+            "def suite(quick):\n    return [\n"
+            "        (table1, table1.specs(duration=60.0)),\n"
+            "        (bandwidth, bandwidth.specs()),\n    ]\n",
+            encoding="utf-8",
+        )
+        (tmp_path / "DESIGN.md").write_text(
+            "| Exp id | claim | Modules |\n|---|---|---|\n"
+            "| T1 | Table 1 | `repro.experiments.table1`, ICC1 |\n"
+            "| E12 | new | `repro.experiments.thirteenth` |\n"
+            "\nElsewhere `repro.experiments.load` is a CLI module.\n",
+            encoding="utf-8",
+        )
+        monkeypatch.setattr(module, "REPO", tmp_path)
+        problems: list[str] = []
+        module.check_experiment_docs(problems)
+        assert len(problems) == 1 and "thirteenth" in problems[0]

@@ -45,7 +45,6 @@ class TestMempoolWorkload:
         wl = MempoolWorkload(WorkloadSpec(rate_per_second=40, payload_bytes=64), seed=1)
         cluster = make_cluster(wl)
         wl.install(cluster, duration=1.5)
-        wl.attach_commit_pruning(cluster)
         cluster.start()
         cluster.run_for(20.0)
         cluster.check_safety()
@@ -119,7 +118,6 @@ class TestMempoolWorkload:
         wl = MempoolWorkload(WorkloadSpec(rate_per_second=40, payload_bytes=64), seed=7)
         cluster = make_cluster(wl)
         wl.install(cluster, duration=1.5)
-        wl.attach_commit_pruning(cluster)
         cluster.start()
         cluster.run_for(20.0)
         # All committed commands were pruned from every mempool.

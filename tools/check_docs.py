@@ -27,6 +27,9 @@ Checks every ``*.md`` file in the repo root and ``docs/``:
 * every crypto backend registered in ``src/repro/crypto/backend.py`` is
   documented in ``docs/PERFORMANCE.md`` (textual scan of
   ``register_backend(...)`` calls);
+* every ``repro.experiments.<module>`` named in DESIGN.md's experiment
+  table is a module ``run_all.suite`` enumerates (textual scan), so an
+  experiment with a private entry point cannot sit beside the suite;
 * every ``shard.*`` metric and event kind additionally appears in
   ``docs/SHARDING.md`` (the sharding subsystem's own page must not
   drift from the registries either);
@@ -281,6 +284,49 @@ def check_backend_docs(problems: list[str]) -> None:
             )
 
 
+#: ``(module, module.specs(`` entries of ``run_all.suite``.
+SUITE_ENTRY_RE = re.compile(r"\(\s*(\w+),\s*\1\.specs\(")
+EXPERIMENT_MODULE_RE = re.compile(r"`repro\.experiments\.(\w+)`")
+
+
+def suite_modules() -> list[str]:
+    """Experiment modules ``run_all.suite`` enumerates, in table order."""
+    module = REPO / "src" / "repro" / "experiments" / "run_all.py"
+    if not module.is_file():
+        return []
+    return SUITE_ENTRY_RE.findall(module.read_text(encoding="utf-8"))
+
+
+def design_experiment_modules(text: str) -> list[str]:
+    """``repro.experiments.<module>`` names in the rows of the table whose
+    header starts ``| Exp id``."""
+    names: list[str] = []
+    in_table = False
+    for line in text.splitlines():
+        if line.startswith("| Exp id"):
+            in_table = True
+        elif in_table and not line.startswith("|"):
+            break
+        elif in_table:
+            names.extend(EXPERIMENT_MODULE_RE.findall(line))
+    return names
+
+
+def check_experiment_docs(problems: list[str]) -> None:
+    """Every experiment DESIGN.md tabulates runs through the one suite."""
+    doc = REPO / "DESIGN.md"
+    enumerated = suite_modules()
+    if not doc.is_file() or not enumerated:
+        return
+    for name in design_experiment_modules(doc.read_text(encoding="utf-8")):
+        if name not in enumerated:
+            problems.append(
+                f"DESIGN.md: experiment module `repro.experiments.{name}` is not "
+                f"enumerated by run_all.suite (every experiment is specs() + "
+                f"tabulate() on the runner)"
+            )
+
+
 #: Observability CLI surface: these subcommands must be shown (as a
 #: ``python -m repro <name>`` invocation) in docs/OBSERVABILITY.md, the
 #: tracing/metrics reference page, not just in the README.
@@ -397,6 +443,7 @@ def run() -> list[str]:
     check_live_docs(problems)
     check_removed_names(problems)
     check_backend_docs(problems)
+    check_experiment_docs(problems)
     check_config_docs(problems)
     return problems
 
