@@ -22,6 +22,12 @@ def hash_bytes(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
 
 
+#: tag -> a SHA-256 state that has absorbed ``sha256(tag) || sha256(tag)``.
+#: Tags are a small fixed set of literals, so each is hashed once per process
+#: and every call starts from a copy.
+_TAG_PREFIXES: dict[str, "hashlib._Hash"] = {}
+
+
 def tagged_hash(tag: str, *parts: bytes) -> bytes:
     """Domain-separated hash of ``parts``.
 
@@ -30,10 +36,11 @@ def tagged_hash(tag: str, *parts: bytes) -> bytes:
     construction), so distinct ``(tag, parts)`` tuples can only collide if
     SHA-256 itself is broken.
     """
-    tag_digest = hashlib.sha256(tag.encode("ascii")).digest()
-    h = hashlib.sha256()
-    h.update(tag_digest)
-    h.update(tag_digest)
+    prefix = _TAG_PREFIXES.get(tag)
+    if prefix is None:
+        tag_digest = hashlib.sha256(tag.encode("ascii")).digest()
+        prefix = _TAG_PREFIXES[tag] = hashlib.sha256(tag_digest + tag_digest)
+    h = prefix.copy()
     for part in parts:
         h.update(len(part).to_bytes(8, "big"))
         h.update(part)

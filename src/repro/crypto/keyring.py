@@ -92,8 +92,11 @@ class _SharedPublic:
     suite: api.VerifierSuite
 
 
-# Signature objects arrive from peers (pickle on the wire), so their shape is
-# checked before anything reads a field or hashes them into the verdict cache.
+# Signature objects arrive from peers.  The wire codec fixes the type of every
+# field but not which of its seven signature objects sits in a given message,
+# and an in-process Byzantine behaviour hands over whatever it likes, so their
+# shape is checked before anything reads a field or hashes them into the
+# verdict cache.
 
 
 def _ints(*values) -> bool:
@@ -351,7 +354,8 @@ class FastKeyring:
         return FastShare(scheme=scheme, index=index, digest=digest)
 
     def _verify_share(self, scheme: str, message: bytes, share: FastShare) -> bool:
-        # Fields of an unpickled share have whatever type a peer chose.
+        # A share from a peer (or an in-process Byzantine behaviour) may be
+        # any object, with fields of any type.
         if not isinstance(share, FastShare) or share.scheme != scheme:
             return False
         index = share.index

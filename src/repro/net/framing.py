@@ -8,12 +8,14 @@ layout table and the rationale):
     frame := length (4 bytes, big-endian, = len(body)) || body
     body  := type (1 byte) || payload
 
-    type 0x01  HELLO       payload = sender index (4 bytes, big-endian)
+    type 0x01  HELLO       payload = codec version (1 byte)
+                                     || sender index (4 bytes, big-endian)
+                                     || sender incarnation (8 bytes)
                                      || sender send-time (8 bytes, ns)
                                      || cluster id (UTF-8, rest of frame)
     type 0x02  MSG         payload = link sequence number (8 bytes, big-endian)
                                      || sender send-time (8 bytes, ns)
-                                     || one pickled protocol message
+                                     || one protocol message (repro.net.codec)
     type 0x03  ACK         payload = cumulative sequence number (8 bytes)
                                      || echo of peer send-time (8 bytes, ns)
                                      || our receive-time (8 bytes, ns)
@@ -22,12 +24,15 @@ layout table and the rationale):
     type 0x05  STAT_REPLY  payload = one JSON object (UTF-8)
 
 A connection opens with exactly one HELLO (so the acceptor knows which
-party is talking and that it belongs to the same cluster), then carries
-MSG frames until it closes; the acceptor answers with ACK frames on the
-same (full-duplex) connection.  Anything else — unknown type byte, a
-body longer than ``max_frame``, a zero-length body, a payload that fails
-to decode — is a :class:`FrameError`; the transport closes the
-connection and counts ``live.frames.rejected``.
+party is talking, that it belongs to the same cluster and speaks the same
+codec version, and which *incarnation* of that party it is — a restarted
+process draws a new one, which is how the acceptor knows the peer's link
+sequence numbers begin again at 1), then carries MSG frames until it
+closes; the acceptor answers with ACK frames on the same (full-duplex)
+connection.  Anything else — unknown type byte, a body longer than
+``max_frame``, a zero-length body, a payload that fails to decode — is a
+:class:`FrameError`; the transport closes the connection and counts
+``live.frames.rejected``.
 
 Timestamps are party-local monotonic nanoseconds (``WallClock.now`` in
 ns), the same timeline trace events use.  Each ACK echoes the newest
@@ -49,62 +54,66 @@ handed to the party exactly once per link.  (A retransmitted MSG carries
 its original send-time; the resulting stale clock samples are discarded
 by the collector's minimum-RTT filter.)
 
-Message payloads are encoded with :mod:`pickle`.  That is an explicit
-trust statement, not an oversight: every signature object in
-:mod:`repro.crypto` is an arbitrary Python dataclass (the whole point of
-the pluggable backends), and the live transport connects the *configured
-peer set only* — the same trust boundary under which the simulator hands
-Python objects between parties directly.  A deployment hardening pass
-would replace the codec (the one function below) with a schema'd
-encoding; nothing else in the transport would change.  Oversized-frame
-rejection still bounds memory against a misbehaving peer, and every
-protocol message a frame delivers goes through the message pool's full
-cryptographic verification exactly as in the simulator.
+A MSG frame's message is the bytes :func:`repro.net.codec.encode` made of
+it, and the caller passes them in already encoded: a broadcast is encoded
+once and framed once per link.  :func:`decode_payload` hands them to
+:func:`repro.net.codec.decode`, which returns an instance of one of the
+codec table's types — fields only, canonical, every count checked, nothing
+executed — or raises :class:`FrameError`.  What the codec leaves open
+(whether an index is within 1..n, a signature verifies, a hash names a known
+block) is decided where it always was: every protocol message a frame
+delivers goes through the message pool's full cryptographic verification
+exactly as in the simulator.  Oversized-frame rejection bounds what one
+peer can make us buffer.
 """
 
 from __future__ import annotations
 
 import json
-import pickle
+import struct
+
+from . import codec
+from .codec import FrameError
 
 #: Frame body length cap (bytes).  The paper's "a block's payload may
 #: typically be a few megabytes" sets the scale; 16 MiB leaves headroom
-#: for a large block plus pickle overhead while bounding what one peer
-#: can make us buffer.
+#: for a large block while bounding what one peer can make us buffer.
 DEFAULT_MAX_FRAME = 16 * 1024 * 1024
 
-_LEN_SIZE = 4
 _TYPE_HELLO = 0x01
 _TYPE_MSG = 0x02
 _TYPE_ACK = 0x03
 _TYPE_STAT = 0x04
 _TYPE_STAT_REPLY = 0x05
-_SEQ_SIZE = 8
-_TS_SIZE = 8
 
-
-class FrameError(ValueError):
-    """A malformed frame or payload (connection-fatal)."""
+_LENGTH = struct.Struct(">I")
+_HELLO = struct.Struct(">BBIQQ")  # type, codec version, index, incarnation, send-time
+_MSG = struct.Struct(">BQQ")  # type, sequence number, send-time
+_ACK = struct.Struct(">BQQQQ")  # type, sequence number, echo, receive, send times
 
 
 class OversizedFrame(FrameError):
     """A frame whose declared body length exceeds the cap."""
 
 
+def _check_size(size: int, max_frame: int) -> None:
+    if size > max_frame:
+        raise OversizedFrame(
+            f"frame body of {size} bytes exceeds the {max_frame}-byte cap"
+        )
+
+
 def encode_frame(body: bytes, max_frame: int = DEFAULT_MAX_FRAME) -> bytes:
     """Wrap a body in the length prefix (refusing oversized bodies)."""
     if not body:
         raise FrameError("refusing to encode an empty frame body")
-    if len(body) > max_frame:
-        raise OversizedFrame(
-            f"frame body of {len(body)} bytes exceeds the {max_frame}-byte cap"
-        )
-    return len(body).to_bytes(_LEN_SIZE, "big") + body
+    _check_size(len(body), max_frame)
+    return _LENGTH.pack(len(body)) + body
 
 
-def _ts_bytes(ts_ns: int) -> bytes:
-    """Encode a local-monotonic-ns timestamp (clamped to be encodable)."""
-    return max(0, int(ts_ns)).to_bytes(_TS_SIZE, "big")
+def _ts(ts_ns: int) -> int:
+    """A local-monotonic-ns timestamp, clamped to be encodable."""
+    return max(0, int(ts_ns))
 
 
 def hello_frame(
@@ -113,38 +122,33 @@ def hello_frame(
     max_frame: int = DEFAULT_MAX_FRAME,
     *,
     ts_ns: int = 0,
+    incarnation: int = 0,
 ) -> bytes:
     """The handshake frame a connector sends first (``ts_ns`` is the
-    sender's local send-time, the ``t1`` of the first clock sample)."""
+    sender's local send-time, the ``t1`` of the first clock sample;
+    ``incarnation`` names this run of the sending process)."""
     if index < 1:
         raise FrameError(f"party index {index} is not positive")
-    body = (
-        bytes([_TYPE_HELLO])
-        + index.to_bytes(4, "big")
-        + _ts_bytes(ts_ns)
-        + cluster_id.encode("utf-8")
-    )
+    body = _HELLO.pack(
+        _TYPE_HELLO, codec.VERSION, index, incarnation, _ts(ts_ns)
+    ) + cluster_id.encode("utf-8")
     return encode_frame(body, max_frame)
 
 
 def message_frame(
     seq: int,
-    message: object,
+    body: bytes,
     max_frame: int = DEFAULT_MAX_FRAME,
     *,
     ts_ns: int = 0,
 ) -> bytes:
-    """Encode one protocol message as a MSG frame with link sequence
-    ``seq`` and sender send-time ``ts_ns``."""
+    """Frame one already-encoded protocol message (``codec.encode``) as a
+    MSG with link sequence ``seq`` and sender send-time ``ts_ns``."""
     if seq < 1:
         raise FrameError(f"MSG sequence numbers start at 1, got {seq}")
-    body = (
-        bytes([_TYPE_MSG])
-        + seq.to_bytes(_SEQ_SIZE, "big")
-        + _ts_bytes(ts_ns)
-        + pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
-    )
-    return encode_frame(body, max_frame)
+    size = _MSG.size + len(body)
+    _check_size(size, max_frame)
+    return b"".join((_LENGTH.pack(size), _MSG.pack(_TYPE_MSG, seq, _ts(ts_ns)), body))
 
 
 def ack_frame(
@@ -163,14 +167,9 @@ def ack_frame(
     """
     if seq < 0:
         raise FrameError(f"ACK sequence must be >= 0, got {seq}")
-    body = (
-        bytes([_TYPE_ACK])
-        + seq.to_bytes(_SEQ_SIZE, "big")
-        + _ts_bytes(echo_ns)
-        + _ts_bytes(recv_ns)
-        + _ts_bytes(send_ns)
+    return encode_frame(
+        _ACK.pack(_TYPE_ACK, seq, _ts(echo_ns), _ts(recv_ns), _ts(send_ns)), max_frame
     )
-    return encode_frame(body, max_frame)
 
 
 def stat_frame(max_frame: int = DEFAULT_MAX_FRAME) -> bytes:
@@ -187,50 +186,40 @@ def stat_reply_frame(snapshot: dict, max_frame: int = DEFAULT_MAX_FRAME) -> byte
 
 
 def decode_payload(body: bytes) -> tuple[str, object]:
-    """Decode one frame body into ``("hello", (index, cluster_id, ts_ns))``,
-    ``("msg", (seq, ts_ns, message))``, ``("ack", (seq, echo_ns, recv_ns,
-    send_ns))``, ``("stat", None)`` or ``("stat_reply", snapshot)``;
-    raises :class:`FrameError` on malformed input."""
+    """Decode one frame body into ``("hello", (index, cluster_id, ts_ns,
+    incarnation))``, ``("msg", (seq, ts_ns, message))``, ``("ack", (seq,
+    echo_ns, recv_ns, send_ns))``, ``("stat", None)`` or ``("stat_reply",
+    snapshot)``; raises :class:`FrameError` on malformed input."""
     if not body:
         raise FrameError("empty frame body")
     frame_type = body[0]
-    if frame_type == _TYPE_HELLO:
-        if len(body) < 1 + 4 + _TS_SIZE:
-            raise FrameError("truncated HELLO frame")
-        index = int.from_bytes(body[1:5], "big")
-        ts_ns = int.from_bytes(body[5 : 5 + _TS_SIZE], "big")
+    if frame_type == _TYPE_MSG:
+        if len(body) <= _MSG.size:
+            raise FrameError("truncated MSG frame")
+        _, seq, ts_ns = _MSG.unpack_from(body)
         try:
-            cluster_id = body[5 + _TS_SIZE :].decode("utf-8")
+            return "msg", (seq, ts_ns, codec.decode(body, _MSG.size))
+        except FrameError as exc:
+            raise FrameError(f"undecodable MSG payload: {exc}") from None
+    if frame_type == _TYPE_ACK:
+        if len(body) != _ACK.size:
+            raise FrameError("malformed ACK frame")
+        return "ack", _ACK.unpack(body)[1:]
+    if frame_type == _TYPE_HELLO:
+        if len(body) < _HELLO.size:
+            raise FrameError("truncated HELLO frame")
+        _, version, index, incarnation, ts_ns = _HELLO.unpack_from(body)
+        if version != codec.VERSION:
+            raise FrameError(
+                f"HELLO speaks codec version {version}, this party {codec.VERSION}"
+            )
+        try:
+            cluster_id = body[_HELLO.size :].decode("utf-8")
         except UnicodeDecodeError as exc:
             raise FrameError(f"HELLO cluster id is not UTF-8: {exc}") from exc
         if index < 1:
             raise FrameError(f"HELLO carries invalid party index {index}")
-        return "hello", (index, cluster_id, ts_ns)
-    if frame_type == _TYPE_MSG:
-        if len(body) < 1 + _SEQ_SIZE + _TS_SIZE + 1:
-            raise FrameError("truncated MSG frame")
-        seq = int.from_bytes(body[1 : 1 + _SEQ_SIZE], "big")
-        ts_ns = int.from_bytes(body[1 + _SEQ_SIZE : 1 + _SEQ_SIZE + _TS_SIZE], "big")
-        try:
-            return "msg", (
-                seq,
-                ts_ns,
-                pickle.loads(body[1 + _SEQ_SIZE + _TS_SIZE :]),
-            )
-        except Exception as exc:  # pickle raises a zoo of types
-            raise FrameError(f"undecodable MSG payload: {exc}") from exc
-    if frame_type == _TYPE_ACK:
-        if len(body) != 1 + _SEQ_SIZE + 3 * _TS_SIZE:
-            raise FrameError("malformed ACK frame")
-        seq = int.from_bytes(body[1 : 1 + _SEQ_SIZE], "big")
-        stamps = tuple(
-            int.from_bytes(
-                body[1 + _SEQ_SIZE + i * _TS_SIZE : 1 + _SEQ_SIZE + (i + 1) * _TS_SIZE],
-                "big",
-            )
-            for i in range(3)
-        )
-        return "ack", (seq, *stamps)
+        return "hello", (index, cluster_id, ts_ns, incarnation)
     if frame_type == _TYPE_STAT:
         if len(body) != 1:
             raise FrameError("malformed STAT frame")
@@ -261,13 +250,20 @@ class FrameDecoder:
         self._buffer = bytearray()
 
     def feed(self, data: bytes) -> list[bytes]:
-        """Absorb ``data``; return every frame body completed by it."""
-        self._buffer.extend(data)
+        """Absorb ``data``; return every frame body completed by it.
+
+        A chunk usually carries several whole frames and finds the buffer
+        empty: those are cut straight out of ``data``, and only what is left
+        after the last whole frame is buffered — once per call.
+        """
+        buffer = self._buffer
+        if buffer:
+            buffer += data
+            data = buffer
         bodies: list[bytes] = []
-        while True:
-            if len(self._buffer) < _LEN_SIZE:
-                return bodies
-            length = int.from_bytes(self._buffer[:_LEN_SIZE], "big")
+        pos, end = 0, len(data)
+        while end - pos >= _LENGTH.size:
+            (length,) = _LENGTH.unpack_from(data, pos)
             if length == 0:
                 raise FrameError("zero-length frame")
             if length > self.max_frame:
@@ -275,10 +271,16 @@ class FrameDecoder:
                     f"peer declared a {length}-byte frame "
                     f"(cap {self.max_frame})"
                 )
-            if len(self._buffer) < _LEN_SIZE + length:
-                return bodies
-            bodies.append(bytes(self._buffer[_LEN_SIZE : _LEN_SIZE + length]))
-            del self._buffer[: _LEN_SIZE + length]
+            start = pos + _LENGTH.size
+            if end - start < length:
+                break
+            bodies.append(bytes(data[start : start + length]))
+            pos = start + length
+        if data is buffer:
+            del buffer[:pos]
+        else:
+            buffer += data[pos:]
+        return bodies
 
     @property
     def pending_bytes(self) -> int:

@@ -13,22 +13,26 @@ the inbound one.  That keeps connection ownership trivial (no tie-break
 protocol for simultaneous dials) at the cost of one extra socket per
 pair, which is irrelevant at consensus committee sizes.
 
-Outbound path: per-peer FIFO of sequence-numbered frames drained by a
-sender task that dials the peer, sends a HELLO, then writes frames while
-reading cumulative ACKs off the same connection.  A frame stays buffered
-until an ACK covers it — a successful ``drain()`` proves nothing about
-delivery (the kernel buffers it; the peer may die first) — and on
-reconnect (exponential backoff, jittered, capped) the whole unACKed tail
-is retransmitted.  The receiver deduplicates by sequence number, so the
-link gives in-order exactly-once delivery to the party even though the
-wire is at-least-once.
+Outbound path: a message is encoded once (:mod:`repro.net.codec`) however
+many links it goes to; each link frames the body under its own sequence
+number into a per-peer FIFO drained by a sender task that dials the peer,
+sends a HELLO, then writes — everything not yet written, in one ``write``
+per wakeup — while reading cumulative ACKs off the same connection.  A
+frame stays buffered until an ACK covers it — a successful ``drain()``
+proves nothing about delivery (the kernel buffers it; the peer may die
+first) — and on reconnect (exponential backoff, jittered, capped) the whole
+unACKed tail is retransmitted.  The receiver deduplicates by sequence
+number, so the link gives in-order exactly-once delivery to the party even
+though the wire is at-least-once.
 
 Inbound path: the acceptor requires a HELLO naming a configured peer of
 the same cluster before any message frame.  A duplicate connection from
 a peer supersedes the previous one (newest wins — the peer evidently
 reconnected); the per-peer delivery sequence survives the swap, so
-retransmitted frames from either connection dedup correctly.  Malformed,
-oversized or undecodable frames close the connection and count
+retransmitted frames from either connection dedup correctly — unless the
+HELLO names a new *incarnation* of the peer (its process restarted and
+numbers its frames from 1 again), which resets it.  Malformed, oversized
+or undecodable frames close the connection and count
 ``live.frames.rejected``.
 
 Fault injection, crashes and partitions are **simulator-only** concepts
@@ -40,11 +44,14 @@ corresponding methods raise :class:`SimulatorOnlyFeature` — see
 from __future__ import annotations
 
 import asyncio
+import os
 from collections import deque
+from itertools import islice
 from typing import Iterable
 
 from ..sim.metrics import Metrics
 from ..sim.network import Receiver, account_transmission, message_kind
+from . import codec
 from .clock import WallClock
 from .framing import (
     DEFAULT_MAX_FRAME,
@@ -127,12 +134,11 @@ class _PeerLink:
         self.connected = False
         self.connects = 0  # successful dials (>= 2 means it reconnected)
 
-    def enqueue(self, message: object) -> None:
+    def enqueue(self, message: object, body: bytes, ts_ns: int) -> None:
+        """Queue ``message``, already encoded as ``body``, for this peer."""
         seq = self.next_seq
         self.next_seq += 1
-        frame = message_frame(
-            seq, message, self.net.max_frame, ts_ns=self.net.now_ns()
-        )
+        frame = message_frame(seq, body, self.net.max_frame, ts_ns=ts_ns)
         self.unacked.append((seq, frame))
         tracer = self.net.tracer
         if tracer.enabled:
@@ -179,7 +185,7 @@ class _PeerLink:
                 writer.write(
                     hello_frame(
                         self.net.index, self.net.cluster_id, self.net.max_frame,
-                        ts_ns=self.net.now_ns(),
+                        ts_ns=self.net.now_ns(), incarnation=self.net.incarnation,
                     )
                 )
                 await writer.drain()
@@ -213,23 +219,24 @@ class _PeerLink:
             await asyncio.gather(*tasks, return_exceptions=True)
 
     async def _write_loop(self, writer: asyncio.StreamWriter) -> None:
-        while not self.net._closing:
-            frame = self._next_unsent()
-            if frame is None:
-                self.wakeup.clear()
-                if self._next_unsent() is None:  # re-check: no lost wakeups
-                    await self.wakeup.wait()
-                continue
-            seq, payload = frame
-            writer.write(payload)
-            await writer.drain()
-            self._wire_seq = seq
+        """Each wakeup writes every frame beyond ``_wire_seq`` at once.
 
-    def _next_unsent(self) -> tuple[int, bytes] | None:
-        for seq, frame in self.unacked:
-            if seq > self._wire_seq:
-                return seq, frame
-        return None
+        ``unacked`` holds consecutive sequence numbers ending at
+        ``next_seq - 1``, so the unwritten frames are its last ``pending``
+        entries — nothing is scanned.
+        """
+        while not self.net._closing:
+            last = self.next_seq - 1
+            pending = last - max(self._wire_seq, self.acked)
+            if not pending:
+                self.wakeup.clear()
+                await self.wakeup.wait()
+                continue
+            frames = [frame for _, frame in islice(reversed(self.unacked), pending)]
+            frames.reverse()
+            self._wire_seq = last
+            writer.write(b"".join(frames))
+            await writer.drain()
 
     async def _read_acks(self, reader: asyncio.StreamReader) -> None:
         decoder = FrameDecoder(self.net.max_frame)
@@ -252,7 +259,9 @@ class _PeerLink:
 
     def _on_ack(self, seq: int) -> None:
         if seq > self.acked:
-            self.acked = seq
+            # Never beyond what was sent: frames not yet framed would be
+            # dropped from ``unacked`` the moment they were enqueued.
+            self.acked = min(seq, self.next_seq - 1)
         while self.unacked and self.unacked[0][0] <= self.acked:
             self.unacked.popleft()
 
@@ -316,6 +325,13 @@ class TcpNetwork:
         #: (not the connection) so it survives reconnects and duplicate
         #: connections — it is what makes retransmission exactly-once.
         self._delivered_seq: dict[int, int] = {}
+        #: Names this run of the party in every HELLO.  Drawn from the OS,
+        #: not the seeded clock RNG: a restarted process must differ.
+        self.incarnation = int.from_bytes(os.urandom(8), "big")
+        #: The incarnation each peer last introduced itself with; a HELLO
+        #: naming another restarts that peer's ``_delivered_seq`` at 0,
+        #: because the restarted peer numbers its frames from 1 again.
+        self._peer_incarnation: dict[int, int] = {}
         self.frames_rejected = 0
         #: Plain connection counters (mirroring the ``live.connects`` /
         #: ``live.reconnects`` meters but always on — the STAT endpoint
@@ -403,17 +419,20 @@ class TcpNetwork:
     def broadcast(self, sender: int, message: object, round: int | None = None) -> None:
         """Same-message-to-everyone, self-delivery included (Section 3.1)."""
         self._require_local(sender)
+        body = codec.encode(message)
         account_transmission(
             self, self.clock.now, sender, message, round,
             "net.broadcast", self.n, self.n - 1, "copies", self.n,
         )
+        ts_ns = self.now_ns()
         for link in self._links.values():
-            link.enqueue(message)
+            link.enqueue(message, body, ts_ns)
         self._loopback(message)
 
     def send(self, sender: int, receiver: int, message: object, round: int | None = None) -> None:
         """Point-to-point send (gossip, ICC2 fragments)."""
         self._require_local(sender)
+        body = codec.encode(message)
         account_transmission(
             self, self.clock.now, sender, message, round,
             "net.send", 1, 1, "receiver", receiver,
@@ -424,17 +443,19 @@ class TcpNetwork:
         link = self._links.get(receiver)
         if link is None:
             raise ValueError(f"unknown receiver {receiver}")
-        link.enqueue(message)
+        link.enqueue(message, body, self.now_ns())
 
     def multicast(self, sender: int, receivers: Iterable[int], message: object,
                   round: int | None = None) -> None:
         """Same message to a subset (the gossip overlay's fan-out)."""
         self._require_local(sender)
         receivers = list(receivers)
+        body = codec.encode(message)
         account_transmission(
             self, self.clock.now, sender, message, round,
             "net.multicast", len(receivers), len(receivers), "receivers", len(receivers),
         )
+        ts_ns = self.now_ns()
         for receiver in receivers:
             if receiver == sender:
                 self._loopback(message)
@@ -442,7 +463,7 @@ class TcpNetwork:
             link = self._links.get(receiver)
             if link is None:
                 raise ValueError(f"unknown receiver {receiver}")
-            link.enqueue(message)
+            link.enqueue(message, body, ts_ns)
 
     def _require_local(self, sender: int) -> None:
         if sender != self.index:
@@ -488,6 +509,8 @@ class TcpNetwork:
                     break
                 if not data:
                     break  # EOF
+                if peer_index is not None and self._inbound_writers.get(peer_index) is not writer:
+                    break  # superseded: whatever is still buffered here is resent there
                 arrival_ns = self.now_ns()
                 try:
                     bodies = decoder.feed(data)
@@ -577,7 +600,7 @@ class TcpNetwork:
         """Validate the first frame of an inbound connection."""
         if kind != "hello":
             raise FrameError("first frame was not HELLO")
-        index, cluster_id, _ts_ns = payload  # type: ignore[misc]
+        index, cluster_id, _ts_ns, incarnation = payload  # type: ignore[misc]
         if cluster_id != self.cluster_id:
             raise FrameError(
                 f"HELLO from cluster {cluster_id!r} (expected {self.cluster_id!r})"
@@ -593,6 +616,9 @@ class TcpNetwork:
             if self.meter.enabled:
                 self.meter.count("live.dup_connections")
         self._inbound_writers[index] = writer
+        if self._peer_incarnation.get(index) != incarnation:
+            self._peer_incarnation[index] = incarnation
+            self._delivered_seq[index] = 0
         self._on_peer_connect(index, "in", reconnect=previous is not None)
         return index
 

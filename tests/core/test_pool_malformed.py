@@ -1,8 +1,9 @@
 """A signature field of the wrong type is an invalid signature, not a crash.
 
-Messages are unpickled off the wire, so a peer chooses the type of every
-field.  Whatever it puts where a share, an aggregate or an authenticator
-signature belongs, ``MessagePool.add`` must answer ``False`` and count
+A peer chooses which signature object sits in a message (the wire codec
+admits any of its seven in any signature field) and an in-process Byzantine
+behaviour chooses the type of every field.  Whatever is put where a share,
+an aggregate or an authenticator signature belongs, ``MessagePool.add`` must answer ``False`` and count
 ``invalid_dropped`` — on both keyring backends — and no exception may leave
 ``on_receive``.
 """
@@ -142,7 +143,7 @@ class TestSameBugOneLevelDown:
 
 
 class TestFastKeyringReadsNoFieldUnchecked:
-    """The hash keyring compares and hashes the fields of what was unpickled,
+    """The hash keyring compares and hashes the fields of what it was handed,
     and the two live workloads run on it: a field of the wrong type is an
     invalid signature there too.  One case per line of the bug report; the
     ``bytearray`` digests compare equal to the genuine ``bytes`` and would be

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.messages import ROOT_HASH, Block, Payload
+from repro.net import codec
 from repro.net.framing import (
     DEFAULT_MAX_FRAME,
     FrameDecoder,
@@ -18,50 +20,66 @@ from repro.net.framing import (
     stat_reply_frame,
 )
 
+from .wire import body, msg
+
 
 class TestEncode:
     def test_round_trip_message(self):
-        frame = message_frame(9, {"hello": 1, "world": [2, 3]})
+        frame = message_frame(9, body(7))
         decoder = FrameDecoder()
-        (body,) = decoder.feed(frame)
-        kind, payload = decode_payload(body)
+        (framed,) = decoder.feed(frame)
+        kind, payload = decode_payload(framed)
         assert kind == "msg"
-        assert payload == (9, 0, {"hello": 1, "world": [2, 3]})
+        assert payload == (9, 0, msg(7))
+        assert payload[2].share == msg(7).share
+
+    def test_message_frame_is_header_plus_the_given_body(self):
+        """The caller encodes; framing adds length, type, seq and time and
+        nothing else — which is what lets a broadcast encode once."""
+        frame = message_frame(9, body(7), ts_ns=5)
+        assert frame.endswith(body(7))
+        assert len(frame) == 4 + 1 + 8 + 8 + len(body(7))
+        assert message_frame(10, body(7), ts_ns=5)[21:] == frame[21:]
 
     def test_round_trip_message_timestamp(self):
-        frame = message_frame(9, "m", ts_ns=123_456_789)
-        (body,) = FrameDecoder().feed(frame)
-        assert decode_payload(body) == ("msg", (9, 123_456_789, "m"))
+        frame = message_frame(9, body(1), ts_ns=123_456_789)
+        (framed,) = FrameDecoder().feed(frame)
+        assert decode_payload(framed) == ("msg", (9, 123_456_789, msg(1)))
 
     def test_round_trip_hello(self):
         frame = hello_frame(7, "cluster-x")
-        (body,) = FrameDecoder().feed(frame)
-        assert decode_payload(body) == ("hello", (7, "cluster-x", 0))
+        (framed,) = FrameDecoder().feed(frame)
+        assert decode_payload(framed) == ("hello", (7, "cluster-x", 0, 0))
 
     def test_round_trip_hello_timestamp(self):
         frame = hello_frame(7, "cluster-x", ts_ns=42)
-        (body,) = FrameDecoder().feed(frame)
-        assert decode_payload(body) == ("hello", (7, "cluster-x", 42))
+        (framed,) = FrameDecoder().feed(frame)
+        assert decode_payload(framed) == ("hello", (7, "cluster-x", 42, 0))
+
+    def test_round_trip_hello_incarnation(self):
+        frame = hello_frame(7, "cluster-x", incarnation=2**64 - 1)
+        (framed,) = FrameDecoder().feed(frame)
+        assert decode_payload(framed) == ("hello", (7, "cluster-x", 0, 2**64 - 1))
 
     def test_round_trip_ack(self):
-        (body,) = FrameDecoder().feed(ack_frame(41))
-        assert decode_payload(body) == ("ack", (41, 0, 0, 0))
+        (framed,) = FrameDecoder().feed(ack_frame(41))
+        assert decode_payload(framed) == ("ack", (41, 0, 0, 0))
 
     def test_round_trip_ack_clock_sample(self):
         """ACKs piggyback the NTP-style sample: echoed peer send time,
         local receive time, ACK send time."""
         frame = ack_frame(41, echo_ns=111, recv_ns=222, send_ns=333)
-        (body,) = FrameDecoder().feed(frame)
-        assert decode_payload(body) == ("ack", (41, 111, 222, 333))
+        (framed,) = FrameDecoder().feed(frame)
+        assert decode_payload(framed) == ("ack", (41, 111, 222, 333))
 
     def test_round_trip_stat(self):
-        (body,) = FrameDecoder().feed(stat_frame())
-        assert decode_payload(body) == ("stat", None)
+        (framed,) = FrameDecoder().feed(stat_frame())
+        assert decode_payload(framed) == ("stat", None)
 
     def test_round_trip_stat_reply(self):
         snapshot = {"index": 3, "height": 17, "clock_sync": {"2": {}}}
-        (body,) = FrameDecoder().feed(stat_reply_frame(snapshot))
-        assert decode_payload(body) == ("stat_reply", snapshot)
+        (framed,) = FrameDecoder().feed(stat_reply_frame(snapshot))
+        assert decode_payload(framed) == ("stat_reply", snapshot)
 
     def test_empty_body_rejected(self):
         with pytest.raises(FrameError):
@@ -77,7 +95,7 @@ class TestEncode:
 
     def test_non_positive_msg_seq_rejected(self):
         with pytest.raises(FrameError, match="start at 1"):
-            message_frame(0, "m")
+            message_frame(0, body(1))
 
     def test_negative_ack_rejected(self):
         with pytest.raises(FrameError):
@@ -86,8 +104,13 @@ class TestEncode:
     def test_negative_timestamp_clamped(self):
         """Monotonic clocks never go negative; a bogus caller value is
         clamped rather than crashing the wire."""
-        (body,) = FrameDecoder().feed(message_frame(1, "m", ts_ns=-5))
-        assert decode_payload(body) == ("msg", (1, 0, "m"))
+        (framed,) = FrameDecoder().feed(message_frame(1, body(1), ts_ns=-5))
+        assert decode_payload(framed) == ("msg", (1, 0, msg(1)))
+
+    def test_oversized_message_rejected_at_encode(self):
+        with pytest.raises(OversizedFrame):
+            message_frame(1, body(1), max_frame=17 + len(body(1)) - 1)
+        message_frame(1, body(1), max_frame=17 + len(body(1)))
 
 
 class TestDecodePayload:
@@ -103,12 +126,26 @@ class TestDecodePayload:
         with pytest.raises(FrameError, match="truncated MSG"):
             decode_payload(b"\x02\x00\x00\x00\x00")
 
-    def test_undecodable_pickle(self):
+    def test_wrong_codec_version_in_hello(self):
+        frame = bytearray(hello_frame(7, "cluster-x"))
+        assert frame[5] == codec.VERSION
+        frame[5] ^= 0xFF
+        with pytest.raises(FrameError, match="codec version"):
+            decode_payload(bytes(frame[4:]))
+
+    def test_undecodable_message(self):
+        header = b"\x02" + (1).to_bytes(8, "big") + (0).to_bytes(8, "big")
+        for payload in (b"not-a-message", body(1)[:-1], body(1) + b"\x00"):
+            with pytest.raises(FrameError, match="undecodable MSG"):
+                decode_payload(header + payload)
+
+    def test_pickle_is_not_a_message(self):
+        """What the transport used to carry is now just an unknown tag."""
+        import pickle
+
+        header = b"\x02" + (1).to_bytes(8, "big") + (0).to_bytes(8, "big")
         with pytest.raises(FrameError, match="undecodable MSG"):
-            decode_payload(
-                b"\x02" + (1).to_bytes(8, "big") + (0).to_bytes(8, "big")
-                + b"not-a-pickle"
-            )
+            decode_payload(header + pickle.dumps(msg(1)))
 
     def test_malformed_ack(self):
         with pytest.raises(FrameError, match="malformed ACK"):
@@ -134,24 +171,24 @@ class TestDecodePayload:
 class TestFrameDecoder:
     def test_byte_by_byte_partial_delivery(self):
         """TCP gives no boundaries: one byte at a time must still parse."""
-        frame = message_frame(1, ("block", 42))
+        frame = message_frame(1, body(42))
         decoder = FrameDecoder()
         bodies = []
         for i in range(len(frame)):
             bodies += decoder.feed(frame[i : i + 1])
         assert len(bodies) == 1
-        assert decode_payload(bodies[0]) == ("msg", (1, 0, ("block", 42)))
+        assert decode_payload(bodies[0]) == ("msg", (1, 0, msg(42)))
         assert decoder.pending_bytes == 0
 
     def test_glued_frames_split(self):
-        frames = message_frame(1, "a") + message_frame(2, "b") + message_frame(3, "c")
+        frames = message_frame(1, body(1)) + message_frame(2, body(2)) + message_frame(3, body(3))
         bodies = FrameDecoder().feed(frames)
         assert [decode_payload(b)[1] for b in bodies] == [
-            (1, 0, "a"), (2, 0, "b"), (3, 0, "c"),
+            (1, 0, msg(1)), (2, 0, msg(2)), (3, 0, msg(3)),
         ]
 
     def test_frame_split_across_feeds(self):
-        f1, f2 = message_frame(1, "a" * 100), message_frame(2, "b")
+        f1, f2 = message_frame(1, body(1)), message_frame(2, body(2))
         stream = f1 + f2
         decoder = FrameDecoder()
         cut = len(f1) - 3  # first frame still incomplete after chunk 1
@@ -160,8 +197,23 @@ class TestFrameDecoder:
         assert decoder.pending_bytes == cut
         bodies = decoder.feed(stream[cut:])
         assert [decode_payload(b)[1] for b in bodies] == [
-            (1, 0, "a" * 100), (2, 0, "b"),
+            (1, 0, msg(1)), (2, 0, msg(2)),
         ]
+        assert decoder.pending_bytes == 0
+
+    def test_whole_frames_then_a_partial_one_in_one_chunk(self):
+        """The usual chunk now that a wakeup is one write: several whole
+        frames and the head of the next; only the head is buffered."""
+        frames = [message_frame(i, body(i)) for i in (1, 2, 3, 4)]
+        stream = b"".join(frames)
+        cut = len(stream) - 10
+        decoder = FrameDecoder()
+        first = decoder.feed(stream[:cut])
+        assert [decode_payload(b)[1][0] for b in first] == [1, 2, 3]
+        assert decoder.pending_bytes == len(frames[3]) - 10
+        second = decoder.feed(stream[cut:] + frames[0])
+        assert [decode_payload(b)[1][0] for b in second] == [4, 1]
+        assert decoder.pending_bytes == 0
 
     def test_oversized_rejected_before_body_arrives(self):
         """The cap triggers on the declared length — no buffering of the
@@ -176,8 +228,11 @@ class TestFrameDecoder:
             FrameDecoder().feed(b"\x00\x00\x00\x00")
 
     def test_default_cap_accepts_large_block(self):
-        payload = b"p" * (4 * 1024 * 1024)  # a "few megabytes" block
-        frame = message_frame(1, payload)
+        block = Block(  # a "few megabytes" block
+            round=1, proposer=1, parent_hash=ROOT_HASH,
+            payload=Payload(commands=(b"p" * (4 * 1024 * 1024),)),
+        )
+        frame = message_frame(1, codec.encode(block))
         assert len(frame) < DEFAULT_MAX_FRAME
-        (body,) = FrameDecoder().feed(frame)
-        assert decode_payload(body)[1] == (1, 0, payload)
+        (framed,) = FrameDecoder().feed(frame)
+        assert decode_payload(framed)[1] == (1, 0, block)

@@ -56,6 +56,21 @@ class TestLiveCluster:
         assert shortest >= 3
         assert len({tuple(c[:shortest]) for c in chains}) == 1
 
+    @pytest.mark.parametrize(
+        "protocol, backend",
+        [("icc0", "fast"), ("icc1", "fast"), ("icc2", "fast"), ("icc0", "real")],
+    )
+    def test_every_protocol_and_backend_crosses_the_codec(self, protocol, backend):
+        """Gossip envelopes, erasure-coded fragments and discrete-log
+        signature objects all have codec rows; pickle carried them untested."""
+        config = quick_config(
+            protocol=protocol, crypto_backend=backend, group_profile="test"
+        )
+        ok, results = run_cluster(config)
+        assert ok
+        assert all(r["height"] >= 3 for r in results)
+        assert [r["frames_rejected"] for r in results] == [0, 0, 0, 0]
+
     def test_client_load_commits_through_batching_pipeline(self):
         config = quick_config(
             target_height=4, load_requests=24, load_batch=8, seed=2,

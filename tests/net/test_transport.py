@@ -11,6 +11,7 @@ import asyncio
 
 import pytest
 
+from repro.net import codec
 from repro.net.clock import WallClock
 from repro.net.config import free_local_ports
 from repro.net.framing import (
@@ -20,8 +21,10 @@ from repro.net.framing import (
     hello_frame,
     message_frame,
 )
-from repro.net.transport import SimulatorOnlyFeature, TcpNetwork
+from repro.net.transport import SimulatorOnlyFeature, TcpNetwork, _PeerLink
 from repro.obs import Meter
+
+from .wire import body, msg
 
 
 class StubReceiver:
@@ -73,7 +76,7 @@ class TestDelivery:
             peers = peer_map(3)
             nets = [await make_net(i, peers) for i in (1, 2, 3)]
             try:
-                nets[0][0].broadcast(1, b"round-1-payload")
+                nets[0][0].broadcast(1, msg(1))
                 await until(
                     lambda: all(len(r.received) == 1 for _, r in nets)
                 )
@@ -82,22 +85,22 @@ class TestDelivery:
                 for net, _ in nets:
                     await net.stop()
 
-        assert run(scenario()) == [b"round-1-payload"] * 3
+        assert run(scenario()) == [msg(1)] * 3
 
     def test_send_is_point_to_point(self):
         async def scenario():
             peers = peer_map(3)
             nets = [await make_net(i, peers) for i in (1, 2, 3)]
             try:
-                nets[0][0].send(1, 3, b"direct")
-                await until(lambda: nets[2][1].received == [b"direct"])
+                nets[0][0].send(1, 3, msg(1))
+                await until(lambda: nets[2][1].received == [msg(1)])
                 await asyncio.sleep(0.02)  # grace: nothing leaks to party 2
                 return [r.received for _, r in nets]
             finally:
                 for net, _ in nets:
                     await net.stop()
 
-        assert run(scenario()) == [[], [], [b"direct"]]
+        assert run(scenario()) == [[], [], [msg(1)]]
 
     def test_metrics_follow_simulator_conventions(self):
         """Broadcast counts n messages but n-1 wire copies, exactly like
@@ -108,7 +111,7 @@ class TestDelivery:
             meter = Meter()
             net, _ = await make_net(1, peers, meter=meter)
             try:
-                message = b"y" * 10
+                message = msg(1)
                 net.broadcast(1, message)
                 from repro.sim.network import wire_size
 
@@ -133,7 +136,7 @@ class TestDelivery:
             net, _ = await make_net(1, peers)
             try:
                 with pytest.raises(ValueError, match="cannot send as"):
-                    net.broadcast(2, "spoof")
+                    net.broadcast(2, msg(1))
             finally:
                 await net.stop()
 
@@ -149,24 +152,24 @@ class TestReconnect:
             peers = peer_map(2)
             a, _ = await make_net(1, peers)
             b, rb = await make_net(2, peers)
-            a.broadcast(1, b"first")
-            await until(lambda: b"first" in rb.received)
+            a.broadcast(1, msg(1))
+            await until(lambda: msg(1) in rb.received)
 
             await b.stop()  # peer crashes mid-run
-            a.broadcast(1, b"second")
-            a.broadcast(1, b"third")
+            a.broadcast(1, msg(2))
+            a.broadcast(1, msg(3))
             await asyncio.sleep(0.03)  # a few failed redial cycles
 
             b2, rb2 = await make_net(2, peers)  # peer restarts, same port
             try:
-                await until(lambda: rb2.received == [b"second", b"third"])
+                await until(lambda: rb2.received == [msg(2), msg(3)])
                 return a.metrics.msgs_sent, rb2.received
             finally:
                 await a.stop()
                 await b2.stop()
 
         _, redelivered = run(scenario())
-        assert redelivered == [b"second", b"third"]
+        assert redelivered == [msg(2), msg(3)]
 
     def test_reconnect_counted(self):
         async def scenario():
@@ -174,14 +177,14 @@ class TestReconnect:
             meter = Meter()
             a, _ = await make_net(1, peers, meter=meter)
             b, rb = await make_net(2, peers)
-            a.broadcast(1, b"one")
-            await until(lambda: rb.received == [b"one"])
+            a.broadcast(1, msg(1))
+            await until(lambda: rb.received == [msg(1)])
             await b.stop()
             await asyncio.sleep(0.03)
             b2, rb2 = await make_net(2, peers)
-            a.broadcast(1, b"two")
+            a.broadcast(1, msg(2))
             try:
-                await until(lambda: rb2.received == [b"two"])
+                await until(lambda: rb2.received == [msg(2)])
                 return meter.counter_value("live.reconnects")
             finally:
                 await a.stop()
@@ -190,12 +193,176 @@ class TestReconnect:
         assert run(scenario()) >= 1
 
 
+class TestRestart:
+    def test_restarted_party_is_heard_again(self):
+        """A restarted process numbers its frames from 1 again.  Its HELLO
+        names a new incarnation, so the peer's delivered mark (3 here) must
+        not swallow the new frames nor ACK them away unseen."""
+
+        async def scenario():
+            peers = peer_map(2)
+            a, _ = await make_net(1, peers)
+            b, rb = await make_net(2, peers)
+            try:
+                for i in (1, 2, 3):
+                    a.broadcast(1, msg(i))
+                await until(lambda: len(rb.received) == 3)
+                await a.stop()
+
+                a2, _ = await make_net(1, peers)  # same index, same port
+                try:
+                    assert a2.incarnation != a.incarnation
+                    a2.broadcast(1, msg(4))
+                    await until(lambda: len(rb.received) >= 4)
+                    await until(lambda: a2._links[2].queued == 0)
+                    await asyncio.sleep(0.02)  # grace: no late duplicates
+                    return rb.received
+                finally:
+                    await a2.stop()
+            finally:
+                await b.stop()
+
+        assert run(scenario()) == [msg(1), msg(2), msg(3), msg(4)]
+
+
+class SpyWriter:
+    """A StreamWriter stand-in that records each ``write`` and can kill
+    the connection right after the first one."""
+
+    def __init__(self, writer, writes: list, kill_first: bool) -> None:
+        self._writer = writer
+        self._writes = writes
+        self._kill_first = kill_first
+
+    def write(self, data: bytes) -> None:
+        self._writes.append(data)
+        self._writer.write(data)
+        if self._kill_first and len(self._writes) == 1:
+            self._writer.transport.abort()
+
+    async def drain(self) -> None:
+        await self._writer.drain()
+
+
+def spy_on_writes(monkeypatch, writes: list, kill_first: bool = False) -> None:
+    original = _PeerLink._write_loop
+
+    async def spied(self, writer):
+        await original(self, SpyWriter(writer, writes, kill_first))
+
+    monkeypatch.setattr(_PeerLink, "_write_loop", spied)
+
+
+def seqs_in(data: bytes) -> list[int]:
+    return [decode_payload(f)[1][0] for f in FrameDecoder().feed(data)]
+
+
+class TestSendPath:
+    def test_broadcast_encodes_once(self, monkeypatch):
+        """One ``codec.encode`` per broadcast / multicast / send; the n − 1
+        frames differ only in their header."""
+        calls = []
+        real_encode = codec.encode
+
+        def counting(message):
+            calls.append(message)
+            return real_encode(message)
+
+        monkeypatch.setattr(codec, "encode", counting)
+
+        async def scenario():
+            peers = peer_map(4)
+            net, _ = await make_net(1, peers)  # peers down: frames just queue
+            try:
+                net.broadcast(1, msg(1))
+                after_broadcast = len(calls)
+                frames = [link.unacked[-1][1] for link in net._links.values()]
+                net.multicast(1, [2, 3], msg(2))
+                after_multicast = len(calls)
+                net.send(1, 4, msg(3))
+                return after_broadcast, after_multicast, len(calls), frames
+            finally:
+                await net.stop()
+
+        after_broadcast, after_multicast, after_send, frames = run(scenario())
+        assert (after_broadcast, after_multicast, after_send) == (1, 2, 3)
+        assert len(frames) == 3
+        header = 4 + 1 + 8 + 8
+        assert {frame[header:] for frame in frames} == {real_encode(msg(1))}
+        assert {len(frame) for frame in frames} == {header + len(body(1))}
+
+    def test_unencodable_message_raises_at_the_sender(self):
+        async def scenario():
+            peers = peer_map(2)
+            net, receiver = await make_net(1, peers)
+            try:
+                with pytest.raises(TypeError, match="wire codec"):
+                    net.broadcast(1, {"not": "a protocol message"})
+                await asyncio.sleep(0.01)
+                return net._links[2].queued, receiver.received
+            finally:
+                await net.stop()
+
+        assert run(scenario()) == (0, [])
+
+    def test_parked_writer_backlog_is_one_write(self, monkeypatch):
+        writes: list[bytes] = []
+        spy_on_writes(monkeypatch, writes)
+
+        async def scenario():
+            peers = peer_map(2)
+            a, _ = await make_net(1, peers)
+            b, rb = await make_net(2, peers)
+            try:
+                link = a._links[2]
+                await until(lambda: link.connected)
+                await asyncio.sleep(0.02)  # the write loop parks on its event
+                for i in range(1, 6):
+                    a.broadcast(1, msg(i))
+                await until(lambda: len(rb.received) == 5)
+                await until(lambda: link.queued == 0)
+                return rb.received
+            finally:
+                await a.stop()
+                await b.stop()
+
+        assert run(scenario()) == [msg(i) for i in range(1, 6)]
+        assert [seqs_in(data) for data in writes] == [[1, 2, 3, 4, 5]]
+
+    def test_connection_killed_after_the_write_resends_the_tail(self, monkeypatch):
+        """The one write reaches the kernel, then the connection dies before
+        any ACK: on reconnect the whole un-ACKed tail goes out again (one
+        write), and the receiver still delivers each message exactly once."""
+        writes: list[bytes] = []
+        spy_on_writes(monkeypatch, writes, kill_first=True)
+
+        async def scenario():
+            peers = peer_map(2)
+            a, _ = await make_net(1, peers)
+            b, rb = await make_net(2, peers)
+            try:
+                link = a._links[2]
+                await until(lambda: link.connected)
+                await asyncio.sleep(0.02)
+                for i in range(1, 6):
+                    a.broadcast(1, msg(i))
+                await until(lambda: link.connects >= 2 and link.queued == 0)
+                await asyncio.sleep(0.02)  # grace: no late duplicates
+                return rb.received
+            finally:
+                await a.stop()
+                await b.stop()
+
+        assert run(scenario()) == [msg(i) for i in range(1, 6)]
+        assert [seqs_in(data) for data in writes] == [[1, 2, 3, 4, 5]] * 2
+
+
 class TestInbound:
     async def _raw_connect(self, net: TcpNetwork, index: int = 1,
-                           cluster_id: str = "t"):
+                           cluster_id: str = "t", incarnation: int = 0):
         host, port = net.peers[net.index]
         reader, writer = await asyncio.open_connection(host, port)
-        writer.write(hello_frame(index, cluster_id))
+        writer.write(hello_frame(index, cluster_id, incarnation=incarnation))
         await writer.drain()
         return reader, writer
 
@@ -206,14 +373,14 @@ class TestInbound:
             b, rb = await make_net(2, peers, meter=meter)
             try:
                 r1, w1 = await self._raw_connect(b)
-                w1.write(message_frame(1, "via-first"))
+                w1.write(message_frame(1, body(1)))
                 await w1.drain()
-                await until(lambda: rb.received == ["via-first"])
+                await until(lambda: rb.received == [msg(1)])
 
                 _r2, w2 = await self._raw_connect(b)  # duplicate from party 1
-                w2.write(message_frame(2, "via-second"))
+                w2.write(message_frame(2, body(2)))
                 await w2.drain()
-                await until(lambda: rb.received == ["via-first", "via-second"])
+                await until(lambda: rb.received == [msg(1), msg(2)])
                 # The superseded connection is closed server-side: it got
                 # its ACK for seq 1, then EOF.
                 tail = await asyncio.wait_for(r1.read(), 2.0)
@@ -226,8 +393,8 @@ class TestInbound:
         assert dups == 1
         # EOF, possibly after ACKs (timestamp fields vary): every frame
         # still on the superseded connection must be an ACK for seq 1.
-        for body in FrameDecoder().feed(tail):
-            kind, payload = decode_payload(body)
+        for framed in FrameDecoder().feed(tail):
+            kind, payload = decode_payload(framed)
             assert kind == "ack" and payload[0] == 1
 
     def test_retransmitted_duplicates_deduped(self):
@@ -239,12 +406,12 @@ class TestInbound:
             b, rb = await make_net(2, peers)
             try:
                 _r, w = await self._raw_connect(b)
-                w.write(message_frame(1, "m1"))
-                w.write(message_frame(2, "m2"))
+                w.write(message_frame(1, body(1)))
+                w.write(message_frame(2, body(2)))
                 # Sender never saw the ACK: it retransmits 1..3.
-                w.write(message_frame(1, "m1"))
-                w.write(message_frame(2, "m2"))
-                w.write(message_frame(3, "m3"))
+                w.write(message_frame(1, body(1)))
+                w.write(message_frame(2, body(2)))
+                w.write(message_frame(3, body(3)))
                 await w.drain()
                 await until(lambda: len(rb.received) == 3)
                 await asyncio.sleep(0.02)  # grace: no late duplicates
@@ -253,7 +420,65 @@ class TestInbound:
             finally:
                 await b.stop()
 
-        assert run(scenario()) == ["m1", "m2", "m3"]
+        assert run(scenario()) == [msg(1), msg(2), msg(3)]
+
+    def test_incarnation_decides_whether_the_mark_survives(self):
+        """A reconnect of the same incarnation keeps the delivered mark
+        (retransmissions dedup); a HELLO naming a new incarnation means the
+        peer restarted and numbers from 1 again, so the mark resets."""
+
+        async def scenario():
+            peers = peer_map(2)
+            b, rb = await make_net(2, peers)
+            try:
+                _r, w1 = await self._raw_connect(b, incarnation=5)
+                w1.write(message_frame(1, body(1)))
+                await w1.drain()
+                await until(lambda: rb.received == [msg(1)])
+
+                _r, w2 = await self._raw_connect(b, incarnation=5)
+                w2.write(message_frame(1, body(1)) + message_frame(2, body(2)))
+                await w2.drain()
+                await until(lambda: rb.received == [msg(1), msg(2)])
+
+                r3, w3 = await self._raw_connect(b, incarnation=6)
+                handshake_ack = await asyncio.wait_for(r3.read(4096), 2.0)
+                w3.write(message_frame(1, body(3)))
+                await w3.drain()
+                await until(lambda: rb.received == [msg(1), msg(2), msg(3)])
+                for w in (w1, w2, w3):
+                    w.close()
+                return seqs_in(handshake_ack)
+            finally:
+                await b.stop()
+
+        # The handshake ACK already carries the reset mark, not the old 2.
+        assert run(scenario()) == [0]
+
+    def test_undecodable_message_closes_connection(self):
+        """A MSG whose body is not in the codec table is rejected exactly
+        as an undecodable pickle was: connection closed, one count."""
+
+        async def scenario():
+            peers = peer_map(2)
+            meter = Meter()
+            b, rb = await make_net(2, peers, meter=meter)
+            try:
+                reader, writer = await self._raw_connect(b)
+                writer.write(message_frame(1, body(1)) + message_frame(2, b"\xffjunk"))
+                await writer.drain()
+                tail = await asyncio.wait_for(reader.read(), 2.0)
+                return (
+                    rb.received, b.frames_rejected,
+                    meter.counter_value("live.frames.rejected"), tail,
+                )
+            finally:
+                await b.stop()
+
+        received, rejected, metered, _tail = run(scenario())
+        assert received == [msg(1)]
+        assert rejected == 1
+        assert metered == 1
 
     def test_oversized_frame_closes_connection(self):
         async def scenario():
@@ -282,7 +507,7 @@ class TestInbound:
                 reader, writer = await self._raw_connect(
                     b, cluster_id="other-cluster"
                 )
-                writer.write(message_frame(1, "smuggled"))
+                writer.write(message_frame(1, body(1)))
                 await writer.drain()
                 eof = await asyncio.wait_for(reader.read(1), 2.0)
                 return eof, b.frames_rejected, rb.received
@@ -301,7 +526,7 @@ class TestInbound:
             try:
                 host, port = peers[2]
                 reader, writer = await asyncio.open_connection(host, port)
-                writer.write(message_frame(1, "anonymous"))
+                writer.write(message_frame(1, body(1)))
                 await writer.drain()
                 eof = await asyncio.wait_for(reader.read(1), 2.0)
                 return eof, rb.received

@@ -42,6 +42,27 @@ class TestDocs:
         module = load_checker()
         assert {"serve", "live"} <= set(module.cli_subcommands())
 
+    def test_codec_scan_sees_the_whole_table(self, tmp_path, monkeypatch):
+        """The textual scan and the imported table agree row for row, and a
+        tag whose layout is not written down fails the check."""
+        from repro.net.codec import _TABLE
+
+        module = load_checker()
+        assert module.codec_table() == [
+            (f"0x{tag:02x}", cls.__name__) for tag, (cls, _, _) in _TABLE.items()
+        ]
+        (tmp_path / "docs").mkdir()
+        (tmp_path / "docs" / "TRANSPORT.md").write_text(
+            "| `0x01` | `Block` | fields |\n`0x02` and `Authenticator` in prose only\n",
+            encoding="utf-8",
+        )
+        table = module.codec_table()
+        monkeypatch.setattr(module, "codec_table", lambda: table[:2])
+        monkeypatch.setattr(module, "REPO", tmp_path)
+        problems: list[str] = []
+        module.check_codec_docs(problems)
+        assert len(problems) == 1 and "0x02 (Authenticator)" in problems[0]
+
     def test_stale_config_knobs_are_flagged(self, tmp_path, monkeypatch):
         """A removed ClusterConfig option named in prose must fail the
         check; a live field of either config class must not."""

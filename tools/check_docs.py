@@ -35,6 +35,10 @@ Checks every ``*.md`` file in the repo root and ``docs/``:
   drift from the registries either);
 * every ``live.*`` metric and event kind additionally appears in
   ``docs/TRANSPORT.md``, the live transport's reference page;
+* every tag of the wire codec's table (``src/repro/net/codec.py``, textual
+  scan) has a row in ``docs/TRANSPORT.md``'s layout table naming the tag
+  and its type, so a kind cannot be added to the wire without its layout
+  being written down;
 * the observability CLI surface (``trace``, ``collect``, ``top``) is
   shown as ``python -m repro <name>`` invocations in
   ``docs/OBSERVABILITY.md``, not just the README;
@@ -378,6 +382,38 @@ def check_live_docs(problems: list[str]) -> None:
             )
 
 
+#: Rows of the wire codec's table: ``    0x01: (Block, ...`` or
+#: ``    0x02: _certificate(Authenticator, ...``.
+CODEC_ROW_RE = re.compile(
+    r"^    (0x[0-9a-f]{2}): \(?(?:_\w+\()?([A-Z]\w+)", re.MULTILINE
+)
+
+
+def codec_table() -> list[tuple[str, str]]:
+    """``(tag, type name)`` of every row of ``repro.net.codec._TABLE``
+    (textual scan, no import)."""
+    module = REPO / "src" / "repro" / "net" / "codec.py"
+    if not module.is_file():
+        return []
+    return CODEC_ROW_RE.findall(module.read_text(encoding="utf-8"))
+
+
+def check_codec_docs(problems: list[str]) -> None:
+    """A kind cannot be on the wire without its byte layout written down:
+    every codec tag has a row naming it and its type in TRANSPORT.md."""
+    table = codec_table()
+    doc = REPO / "docs" / "TRANSPORT.md"
+    if not table or not doc.is_file():
+        return
+    rows = [line for line in doc.read_text(encoding="utf-8").splitlines() if line.startswith("|")]
+    for tag, name in table:
+        if not any(f"`{tag}`" in row and f"`{name}`" in row for row in rows):
+            problems.append(
+                f"docs/TRANSPORT.md: wire codec tag {tag} ({name}) has no row in "
+                f"the layout table (no table line with `{tag}` and `{name}`)"
+            )
+
+
 #: The cluster config dataclasses and the modules that define them.
 CONFIG_CLASSES = {
     "ClusterConfig": REPO / "src" / "repro" / "core" / "cluster.py",
@@ -441,6 +477,7 @@ def run() -> list[str]:
     check_event_docs(problems)
     check_shard_docs(problems)
     check_live_docs(problems)
+    check_codec_docs(problems)
     check_removed_names(problems)
     check_backend_docs(problems)
     check_experiment_docs(problems)
