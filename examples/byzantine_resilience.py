@@ -21,7 +21,7 @@ from repro.adversary import (
     SlowProposerMixin,
     corrupt_class,
 )
-from repro.baselines import BaselineClusterConfig, PBFTParty, build_baseline_cluster
+from repro.baselines import PBFTParty
 from repro.core import ClusterConfig, build_cluster
 from repro.core.icc0 import ICC0Party
 from repro.experiments.robustness import SlowPrimaryPBFT
@@ -58,12 +58,12 @@ def run_pbft(attack: bool) -> float:
     if attack:
         SlowPrimaryPBFT.propose_lag = 3.0
         corrupt = {1: SlowPrimaryPBFT}  # the view-1 primary
-    config = BaselineClusterConfig(
+    config = ClusterConfig(
         party_class=PBFTParty, n=N, t=T, seed=3,
         delay_model=FixedDelay(DELTA), corrupt=corrupt,
-        party_kwargs=dict(view_timeout=4.0),
+        extra_party_kwargs=dict(view_timeout=4.0),
     )
-    cluster = build_baseline_cluster(config)
+    cluster = build_cluster(config)
     cluster.start()
     cluster.run_for(DURATION)
     cluster.check_safety()

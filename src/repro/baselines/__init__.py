@@ -1,15 +1,11 @@
 """Baseline protocols the paper compares against, on the shared substrate."""
 
-from .cluster import BaselineCluster, BaselineClusterConfig, build_baseline_cluster
 from .common import Batch, BaselineParty, GENESIS_DIGEST, Vote
 from .hotstuff import HotStuffParty
 from .pbft import PBFTParty
 from .tendermint import TendermintParty
 
 __all__ = [
-    "BaselineCluster",
-    "BaselineClusterConfig",
-    "build_baseline_cluster",
     "Batch",
     "BaselineParty",
     "GENESIS_DIGEST",

@@ -12,6 +12,11 @@ them blocks) produced by the shared ``PayloadSource`` interface, and
 reports commits through the same :class:`~repro.sim.metrics.Metrics`
 channel, so `blocks_per_second`, commit latency and per-node traffic are
 directly comparable across all five protocols.
+
+A baseline is built like any other party: ``build_cluster(ClusterConfig(
+party_class=PBFTParty, extra_party_kwargs=...))``.  Of the
+:class:`~repro.core.params.ProtocolParams` it is handed it reads ``n`` and
+``t``; its timeouts are constructor keywords of the protocol class.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from ..sim.metrics import Metrics
 from ..sim.network import Network
 from ..sim.simulator import Simulation
 from ..core.messages import Payload, SIG_SIZE
+from ..core.params import ProtocolParams
 
 
 @dataclass(frozen=True)
@@ -94,10 +100,9 @@ class BaselineParty:
         self,
         index: int,
         keyring: Keyring,
+        params: ProtocolParams,
         sim: Simulation,
         network: Network,
-        n: int,
-        t: int,
         payload_source=None,
     ) -> None:
         self.index = index
@@ -109,8 +114,8 @@ class BaselineParty:
         #: before building parties.
         self.tracer = sim.tracer
         self.meter = sim.meter
-        self.n = n
-        self.t = t
+        self.n = params.n
+        self.t = params.t
         self.payload_source = payload_source
         self.output_log: list[Batch] = []
         self.committed_digests: set[bytes] = set()

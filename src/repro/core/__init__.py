@@ -10,7 +10,6 @@ from .beacon import RankAssignment, permutation_from_beacon
 from .cluster import (
     Cluster,
     ClusterConfig,
-    ClusterHandle,
     build_cluster,
     embed_cluster,
     run_happy_path,
@@ -38,7 +37,6 @@ __all__ = [
     "permutation_from_beacon",
     "Cluster",
     "ClusterConfig",
-    "ClusterHandle",
     "build_cluster",
     "embed_cluster",
     "run_happy_path",

@@ -1,14 +1,22 @@
-"""Cluster assembly: wire parties, keys, network and simulator together.
+"""Cluster assembly: wire parties, keys, network and clock together.
 
-Every test, example and benchmark builds its runs through
-:func:`build_cluster`, so experiment setup is uniform and fully seeded.
+This module is the only place a party is assembled.  A
+:class:`ClusterConfig` names the protocol (any of the three ICC variants,
+a baseline, an adversarial subclass), :func:`derive_material` turns it
+into the cluster-wide keyrings and :class:`ProtocolParams`, and
+:func:`build_party` constructs one party on whatever clock and network it
+is handed.  :func:`build_cluster` loops that over a simulated
+:class:`~repro.sim.network.Network`; a :class:`~repro.net.party.LiveParty`
+calls it once with a wall clock and a TCP transport
+(:meth:`repro.net.config.LiveConfig.cluster_config` maps the JSON file to
+the same config), so simulator, baselines and sockets run one wiring.
 
 A cluster is an **embeddable component**, not a process-wide singleton:
 nothing here touches module-level state, and several clusters can coexist
 in one process — or in one :class:`~repro.sim.simulator.Simulation` — at
 once.  :func:`embed_cluster` builds a cluster inside an existing
-Simulation behind an explicit :class:`ClusterHandle`: the cluster gets its
-own namespace prefix on every trace/metric stream (``"<name>/..."``, via
+Simulation: the cluster gets its own namespace prefix on every
+trace/metric stream (``"<name>/..."``, via
 :func:`repro.obs.namespaced_tracer` / :func:`repro.obs.namespaced_meter`)
 and its own seeded delay-sampling RNG stream, so K embedded clusters are
 observably separable and bit-identical to K standalone runs with the same
@@ -24,6 +32,7 @@ from random import Random
 from typing import Callable, Sequence
 
 from ..crypto.keyring import Keyring, generate_keyrings
+from ..gossip import GossipParams, build_overlay
 from ..obs.metrics import MeterLike, namespaced_meter
 from ..obs.tracer import TraceEvent, TracerLike, namespaced_tracer
 from ..sim.delays import DelayModel, FixedDelay
@@ -31,15 +40,54 @@ from ..sim.metrics import Metrics
 from ..sim.network import Network
 from ..sim.simulator import Simulation
 from .icc0 import ICC0Party, PayloadSource, empty_payload_source
+from .icc1 import ICC1Party
+from .icc2 import ICC2Party
 from .params import DelayPolicy, ProtocolParams, StandardDelays
 
-#: Builds one party; adversarial behaviours provide alternatives.
+#: Builds one party; adversarial behaviours and the baselines provide
+#: alternatives.
 PartyFactory = Callable[..., ICC0Party]
+
+#: The paper's three protocols by name: the one table every name → class
+#: lookup (experiments, chaos, live configs, ``live --protocol``) reads.
+PROTOCOLS: dict[str, PartyFactory] = {
+    "icc0": ICC0Party,
+    "icc1": ICC1Party,
+    "icc2": ICC2Party,
+}
+
+
+def protocol_party(
+    protocol: str,
+    n: int,
+    seed: int = 0,
+    gossip_degree: int = 4,
+    gossip_params: GossipParams | None = None,
+) -> tuple[PartyFactory, dict]:
+    """``(party_class, extra_party_kwargs)`` for a protocol name (any case).
+
+    ICC1 additionally needs the seeded overlay every party must agree on
+    and its gossip parameters; the other two take no extra arguments.
+    """
+    name = protocol.lower()
+    if name not in PROTOCOLS:
+        raise ValueError(
+            f"unknown ICC protocol {protocol!r} (expected one of {tuple(PROTOCOLS)})"
+        )
+    extra: dict = {}
+    if name == "icc1":
+        extra["overlay"] = build_overlay(n, gossip_degree, seed=seed)
+        extra["gossip_params"] = (
+            gossip_params if gossip_params is not None else GossipParams(degree=gossip_degree)
+        )
+    return PROTOCOLS[name], extra
 
 
 @dataclass
 class ClusterConfig:
-    """Declarative description of one simulation run."""
+    """Declarative description of one cluster: a whole simulated run, or
+    the protocol half of a live one (the observability and embedding fields
+    below are read by :func:`build_cluster` only)."""
 
     n: int
     t: int = 0
@@ -112,6 +160,16 @@ class ClusterConfig:
             )
 
 
+def prefix_consistent(logs: Sequence[Sequence]) -> bool:
+    """The paper's safety property over a set of output logs.
+
+    "if one party has output a sequence s and another has output s',
+    then s must be a prefix of s', or vice versa" (Section 1).
+    """
+    reference = max(logs, key=len, default=[])
+    return all(log == reference[: len(log)] for log in logs)
+
+
 class Cluster:
     """A built, ready-to-run simulation of n parties."""
 
@@ -123,6 +181,9 @@ class Cluster:
         parties: list[ICC0Party],
         params: ProtocolParams,
         keyrings: list[Keyring],
+        tracer: TracerLike,
+        meter: MeterLike,
+        rng: Random | None = None,
     ) -> None:
         self.config = config
         self.sim = sim
@@ -130,8 +191,16 @@ class Cluster:
         self.parties = parties
         self.params = params
         self.keyrings = keyrings
-        #: Set by :func:`build_cluster`; the embeddable face of this cluster.
-        self.handle: ClusterHandle | None = None
+        #: How callers address one cluster among many in a shared Simulation.
+        self.name = (
+            config.namespace if config.namespace is not None else f"cluster{config.seed}"
+        )
+        #: The (namespaced, when embedded) sinks every party and the network
+        #: cached at build time.
+        self.tracer = tracer
+        self.meter = meter
+        #: The cluster-private delay stream (None: the cluster shares ``sim.rng``).
+        self.rng = rng
 
     @property
     def metrics(self) -> Metrics:
@@ -171,16 +240,9 @@ class Cluster:
     # -- correctness checks used throughout the test-suite ---------------------
 
     def check_safety(self) -> None:
-        """Assert the prefix property over all honest parties' outputs.
-
-        "if one party has output a sequence s and another has output s',
-        then s must be a prefix of s', or vice versa" (Section 1).
-        """
-        logs = [p.committed_hashes for p in self.honest_parties]
-        reference = max(logs, key=len, default=[])
-        for log in logs:
-            if log != reference[: len(log)]:
-                raise AssertionError("safety violated: committed logs diverge")
+        """Assert the prefix property over all honest parties' outputs."""
+        if not prefix_consistent([p.committed_hashes for p in self.honest_parties]):
+            raise AssertionError("safety violated: committed logs diverge")
 
     def min_committed_round(self) -> int:
         return min((p.k_max for p in self.honest_parties), default=0)
@@ -188,46 +250,7 @@ class Cluster:
     def max_committed_round(self) -> int:
         return max((p.k_max for p in self.honest_parties), default=0)
 
-
-@dataclass
-class ClusterHandle:
-    """The explicit face of one (possibly embedded) cluster.
-
-    Bundles the cluster with the exact observability views and RNG stream
-    its components were wired to at build time: ``tracer``/``meter`` are
-    the (namespaced, when embedded) sinks every party and the network
-    cached, and ``rng`` is the cluster-private delay stream (None when the
-    cluster shares ``sim.rng``).  Holding a handle is how callers address
-    one cluster among many in a shared Simulation without any global
-    lookup.
-    """
-
-    name: str
-    cluster: Cluster
-    tracer: TracerLike
-    meter: MeterLike
-    rng: Random | None = None
-
-    # -- delegation conveniences ------------------------------------------
-
-    @property
-    def config(self) -> ClusterConfig:
-        return self.cluster.config
-
-    @property
-    def sim(self) -> Simulation:
-        return self.cluster.sim
-
-    @property
-    def network(self) -> Network:
-        return self.cluster.network
-
-    @property
-    def parties(self) -> list[ICC0Party]:
-        return self.cluster.parties
-
-    def start(self) -> None:
-        self.cluster.start()
+    # -- this cluster's slice of the shared observability sinks ----------------
 
     def events(self, kind: str | None = None) -> list[TraceEvent]:
         """This cluster's slice of the trace (namespace-filtered when
@@ -238,6 +261,60 @@ class ClusterHandle:
         """This cluster's slice of a counter metric (bare registry name)."""
         value = getattr(self.meter, "counter_value", None)
         return int(value(name)) if value is not None else 0
+
+
+def derive_material(config: ClusterConfig) -> tuple[list[Keyring], ProtocolParams]:
+    """The two cluster-wide inputs of every party: all n keyrings (party i
+    holds ``keyrings[i - 1]``) and the protocol parameters.  Deterministic
+    in the config, so separate processes given the same config derive key
+    material that lines up."""
+    keyrings = generate_keyrings(
+        config.n,
+        config.t,
+        seed=config.seed,
+        backend=config.crypto_backend,
+        group_profile=config.group_profile,
+    )
+    delays = config.protocol_delays
+    if delays is None:
+        delays = StandardDelays(delta_bound=config.delta_bound, epsilon=config.epsilon)
+    params = ProtocolParams(
+        n=config.n,
+        t=config.t,
+        delays=delays,
+        max_rounds=config.max_rounds,
+        gc_depth=config.gc_depth,
+    )
+    return keyrings, params
+
+
+def build_party(
+    config: ClusterConfig,
+    index: int,
+    keyring: Keyring,
+    params: ProtocolParams,
+    clock,
+    network,
+) -> ICC0Party:
+    """Construct party ``index`` of ``config`` on the given clock and network
+    with its payload hooks installed.  ``clock`` is a
+    :class:`~repro.sim.simulator.Simulation` or a
+    :class:`~repro.net.clock.WallClock`; the party cannot tell which."""
+    factory = config.corrupt.get(index)
+    if factory is None:  # honest, or a crash failure: a stub that stays silent
+        factory = config.party_class
+    party = factory(
+        index=index,
+        keyring=keyring,
+        params=params,
+        sim=clock,
+        network=network,
+        payload_source=config.payload_source,
+        **config.extra_party_kwargs,
+    )
+    if config.payload_verifier is not None:  # a baseline has no pool
+        party.pool.payload_verifier = config.payload_verifier
+    return party
 
 
 def build_cluster(config: ClusterConfig, sim: Simulation | None = None) -> Cluster:
@@ -278,38 +355,10 @@ def build_cluster(config: ClusterConfig, sim: Simulation | None = None) -> Clust
             meter=cluster_meter if config.namespace is not None else None,
             rng=cluster_rng,
         )
-        keyrings = generate_keyrings(
-            config.n,
-            config.t,
-            seed=config.seed,
-            backend=config.crypto_backend,
-            group_profile=config.group_profile,
-        )
-        delays = config.protocol_delays
-        if delays is None:
-            delays = StandardDelays(delta_bound=config.delta_bound, epsilon=config.epsilon)
-        params = ProtocolParams(
-            n=config.n,
-            t=config.t,
-            delays=delays,
-            max_rounds=config.max_rounds,
-            gc_depth=config.gc_depth,
-        )
+        keyrings, params = derive_material(config)
         parties: list[ICC0Party] = []
         for i in range(1, config.n + 1):
-            factory = config.corrupt.get(i, config.party_class)
-            if factory is None:  # crash failure: attach a stub that stays silent
-                factory = config.party_class
-            party = factory(
-                index=i,
-                keyring=keyrings[i - 1],
-                params=params,
-                sim=sim,
-                network=network,
-                payload_source=config.payload_source,
-                **config.extra_party_kwargs,
-            )
-            party.pool.payload_verifier = config.payload_verifier
+            party = build_party(config, i, keyrings[i - 1], params, sim, network)
             parties.append(party)
             network.attach(party)
         for index, factory in config.corrupt.items():
@@ -320,18 +369,13 @@ def build_cluster(config: ClusterConfig, sim: Simulation | None = None) -> Clust
             # Scoped install: an embedded build leaves the shared
             # Simulation's sinks exactly as it found them.
             sim.tracer, sim.meter = prev_tracer, prev_meter
-    cluster = Cluster(config, sim, network, parties, params, keyrings)
-    cluster.handle = ClusterHandle(
-        name=config.namespace if config.namespace is not None else f"cluster{config.seed}",
-        cluster=cluster,
-        tracer=cluster_tracer,
-        meter=cluster_meter,
-        rng=cluster_rng,
+    return Cluster(
+        config, sim, network, parties, params, keyrings,
+        tracer=cluster_tracer, meter=cluster_meter, rng=cluster_rng,
     )
-    return cluster
 
 
-def embed_cluster(name: str, config: ClusterConfig, sim: Simulation) -> ClusterHandle:
+def embed_cluster(name: str, config: ClusterConfig, sim: Simulation) -> Cluster:
     """Build ``config`` as an embedded component of an existing ``sim``.
 
     The cluster gets ``name`` as its trace/metric namespace and (unless
@@ -349,9 +393,7 @@ def embed_cluster(name: str, config: ClusterConfig, sim: Simulation) -> ClusterH
             else f"cluster/{name}/{config.seed}"
         ),
     )
-    cluster = build_cluster(config, sim=sim)
-    assert cluster.handle is not None
-    return cluster.handle
+    return build_cluster(config, sim=sim)
 
 
 def run_happy_path(

@@ -25,12 +25,10 @@ across repeated runs and at any ``--jobs`` count
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from ..core.catchup import CatchupMixin
-from ..core.cluster import build_cluster
-from ..core.icc0 import ICC0Party
-from ..core.icc1 import ICC1Party
-from ..core.icc2 import ICC2Party
+from ..core.cluster import PROTOCOLS, build_cluster
 from ..faults import (
     check_invariants,
     generate_scenario,
@@ -42,19 +40,11 @@ from . import runner
 from .common import make_icc_config, print_table
 
 
-class ChaosICC0(CatchupMixin, ICC0Party):
-    """ICC0 with state sync — the chaos-run configuration."""
-
-
-class ChaosICC1(CatchupMixin, ICC1Party):
-    """ICC1 (gossip) with state sync."""
-
-
-class ChaosICC2(CatchupMixin, ICC2Party):
-    """ICC2 (reliable broadcast) with state sync."""
-
-
-PARTY_CLASSES = {"ICC0": ChaosICC0, "ICC1": ChaosICC1, "ICC2": ChaosICC2}
+@cache
+def with_catchup(party_class: type) -> type:
+    """``party_class`` with state sync composed in — the chaos-run
+    configuration of whichever ICC variant the config names."""
+    return type(f"Chaos{party_class.__name__}", (CatchupMixin, party_class), {})
 
 
 @dataclass(frozen=True)
@@ -102,7 +92,7 @@ def run_scenario(
     scenario = generate_scenario(
         scenario_seed, n, t, duration, intensity=intensity
     )
-    party_class = PARTY_CLASSES[protocol]
+    party_class = with_catchup(PROTOCOLS[protocol.lower()])
     config = make_icc_config(
         protocol,
         n=n,

@@ -13,11 +13,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from ..core.cluster import Cluster, ClusterConfig, build_cluster
-from ..core.icc0 import ICC0Party
-from ..core.icc1 import ICC1Party
-from ..core.icc2 import ICC2Party
-from ..gossip import GossipParams, build_overlay
+from ..core.cluster import Cluster, ClusterConfig, build_cluster, protocol_party
+from ..gossip import GossipParams
 from ..obs import Tracer, write_jsonl
 from ..sim.delays import DelayModel
 
@@ -95,16 +92,9 @@ def make_icc_config(
     gossip_params: GossipParams | None = None,
 ) -> ClusterConfig:
     """Build a ClusterConfig for any of the three ICC protocols."""
-    protocol = protocol.upper()
-    classes = {"ICC0": ICC0Party, "ICC1": ICC1Party, "ICC2": ICC2Party}
-    if protocol not in classes:
-        raise ValueError(f"unknown ICC protocol {protocol!r}")
-    extra: dict = {}
-    if protocol == "ICC1":
-        extra["overlay"] = build_overlay(n, gossip_degree, seed=seed)
-        extra["gossip_params"] = (
-            gossip_params if gossip_params is not None else GossipParams(degree=gossip_degree)
-        )
+    party_class, extra = protocol_party(
+        protocol, n, seed=seed, gossip_degree=gossip_degree, gossip_params=gossip_params
+    )
     kwargs = dict(
         n=n,
         t=t,
@@ -113,7 +103,7 @@ def make_icc_config(
         seed=seed,
         max_rounds=max_rounds,
         delay_model=delay_model,
-        party_class=classes[protocol],
+        party_class=party_class,
         extra_party_kwargs=extra,
     )
     if payload_source is not None:

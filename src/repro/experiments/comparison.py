@@ -23,13 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..baselines import (
-    BaselineClusterConfig,
-    HotStuffParty,
-    PBFTParty,
-    TendermintParty,
-    build_baseline_cluster,
-)
+from ..baselines import HotStuffParty, PBFTParty, TendermintParty
+from ..core.cluster import ClusterConfig, build_cluster
 from . import runner
 from .common import make_icc_config, mean, print_table, run_icc
 from ..sim.delays import FixedDelay
@@ -76,17 +71,17 @@ def run_icc_row(protocol: str, delta: float, n: int, blocks: int, seed: int) -> 
 
 
 def run_baseline_row(cls, kwargs: dict, delta: float, n: int, blocks: int, seed: int) -> ComparisonRow:
-    config = BaselineClusterConfig(
+    config = ClusterConfig(
         party_class=cls,
         n=n,
         t=(n - 1) // 3,
         seed=seed,
         delay_model=FixedDelay(delta),
-        party_kwargs={**kwargs, "max_heights": blocks},
+        extra_party_kwargs={**kwargs, "max_heights": blocks},
     )
-    cluster = build_baseline_cluster(config)
+    cluster = build_cluster(config)
     cluster.start()
-    cluster.run_until_all_committed_height(blocks, timeout=blocks * 100 * delta + 200)
+    cluster.run_until_all_committed_round(blocks, timeout=blocks * 100 * delta + 200)
     cluster.check_safety()
     # Steady-state block time: drop the first few heights (pipeline fill).
     observer = cluster.honest_parties[0]

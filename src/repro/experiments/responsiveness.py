@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..baselines import BaselineClusterConfig, TendermintParty, build_baseline_cluster
+from ..baselines import TendermintParty
+from ..core.cluster import ClusterConfig, build_cluster
 from ..sim.delays import FixedDelay
 from . import runner
 from .common import make_icc_config, print_table, run_icc
@@ -56,24 +57,24 @@ def run_point(delta: float, n: int = 7, blocks: int = 20, seed: int = 11) -> Res
     icc_block_time = sum(steady) / len(steady) if steady else float("nan")
 
     # Tendermint with timeout_commit at the same conservative bound.
-    tm_config = BaselineClusterConfig(
+    tm_config = ClusterConfig(
         party_class=TendermintParty,
         n=n,
         t=t,
         seed=seed,
         delay_model=FixedDelay(delta),
-        party_kwargs=dict(
+        extra_party_kwargs=dict(
             timeout_propose=DELTA_BOUND * 3,
             timeout_step=DELTA_BOUND * 3,
             timeout_commit=DELTA_BOUND,
             max_heights=blocks,
         ),
     )
-    tm = build_baseline_cluster(tm_config)
+    tm = build_cluster(tm_config)
     tm.start()
-    tm.run_until_all_committed_height(blocks, timeout=blocks * (DELTA_BOUND + 4 * delta) * 3)
+    tm.run_until_all_committed_round(blocks, timeout=blocks * (DELTA_BOUND + 4 * delta) * 3)
     tm.check_safety()
-    tm_block_time = tm.sim.now / max(1, tm.min_committed_height())
+    tm_block_time = tm.sim.now / max(1, tm.min_committed_round())
     return ResponsivenessResult(
         delta=delta, icc0_block_time=icc_block_time, tendermint_block_time=tm_block_time
     )

@@ -23,7 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..adversary import SlowProposerMixin
-from ..baselines import BaselineClusterConfig, PBFTParty, build_baseline_cluster
+from ..baselines import PBFTParty
+from ..core.cluster import ClusterConfig, build_cluster
 from ..core.icc0 import ICC0Party
 from ..faults import ByzantineFault, Scenario, register_behavior, scenario_corrupt
 from ..sim.delays import FixedDelay
@@ -107,16 +108,16 @@ def run_pbft(n: int, t: int, attack: bool, duration: float, seed: int = 9) -> fl
     corrupt = {}
     if attack:
         corrupt = scenario_corrupt(attack_scenario("PBFT", t), PBFTParty)
-    config = BaselineClusterConfig(
+    config = ClusterConfig(
         party_class=PBFTParty,
         n=n,
         t=t,
         seed=seed,
         delay_model=FixedDelay(delta),
         corrupt=corrupt,
-        party_kwargs=dict(view_timeout=4.0),
+        extra_party_kwargs=dict(view_timeout=4.0),
     )
-    cluster = build_baseline_cluster(config)
+    cluster = build_cluster(config)
     cluster.start()
     cluster.run_for(duration)
     cluster.check_safety()

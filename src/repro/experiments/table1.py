@@ -173,3 +173,15 @@ def tabulate(specs: list[runner.RunSpec], cells: list[Table1Cell]) -> list[Table
         rows,
     )
     return cells
+
+
+def add_arguments(parser) -> None:
+    """The ``python -m repro table1`` flags (``repro.__main__`` hands its
+    subparser here)."""
+    parser.add_argument("--full", action="store_true", help="300 s windows")
+
+
+def run(args) -> int:
+    suite = specs(duration=300.0 if args.full else 60.0)
+    tabulate(suite, runner.execute(suite))
+    return 0

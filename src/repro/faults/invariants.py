@@ -19,9 +19,13 @@ run must uphold (the paper's P2/P3 under the fault model of
   too short to contain the deadline, liveness is reported as *not
   assessable* instead of silently passing.
 
-Works for ICC clusters (:class:`repro.core.cluster.Cluster`) and the
-baseline clusters — both expose ``honest_parties``, per-party output
-logs, ``network`` and ``metrics``.
+Works for anything :mod:`repro.core.cluster` assembled — a simulated
+:class:`~repro.core.cluster.Cluster` of ICC or baseline parties, or a
+:class:`~repro.net.cluster.LiveCluster` over TCP: the checker walks
+``honest_parties`` and reads each party's own output log, ``network`` and
+``metrics`` (one shared object each in the simulator, one per party on
+sockets), plus the config's ``delta_bound``.  Fault *injection* is still
+simulator-only (``docs/FAULTS.md``).
 """
 
 from __future__ import annotations
@@ -113,18 +117,18 @@ def check_invariants(
     # -- bounded liveness after the last transient fault clears --------------
     clear = scenario.clear_time()
     if round_time is None:
-        round_time = getattr(cluster.config, "delta_bound", 1.0)
+        round_time = cluster.config.delta_bound
     deadline = clear + liveness_rounds * round_time
     liveness_checked = duration >= deadline
     checked: list[int] = []
     if liveness_checked:
         for party in honest:
-            if cluster.network.is_crashed(party.index):
+            if party.network.is_crashed(party.index):
                 continue  # crashed at end of run: excluded by design
             checked.append(party.index)
             after = [
                 record.time
-                for record in cluster.metrics.commits_of(party.index)
+                for record in party.metrics.commits_of(party.index)
                 if record.time >= clear
             ]
             if not after:

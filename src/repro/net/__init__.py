@@ -52,7 +52,7 @@ from .framing import (
     message_frame,
 )
 from .transport import SimulatorOnlyFeature, TcpNetwork
-from .party import LiveParty, build_live_party
+from .party import LiveParty
 from .cluster import LiveCluster
 
 __all__ = [
@@ -71,6 +71,5 @@ __all__ = [
     "SimulatorOnlyFeature",
     "TcpNetwork",
     "LiveParty",
-    "build_live_party",
     "LiveCluster",
 ]

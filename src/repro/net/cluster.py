@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import asyncio
 
+from ..core.cluster import prefix_consistent
 from .config import LiveConfig
 from .party import LiveParty
 
@@ -98,13 +99,17 @@ class LiveCluster:
     def min_height(self) -> int:
         return min((live.party.k_max for live in self.parties), default=0)
 
+    @property
+    def honest_parties(self) -> list:
+        """The protocol parties (a live config declares none corrupt) — what
+        :func:`repro.faults.check_invariants` walks, so it takes this
+        cluster as it takes a simulated one."""
+        return [live.party for live in self.parties]
+
     def check_safety(self) -> None:
         """Assert the paper's prefix property across all parties' outputs."""
-        logs = [live.party.committed_hashes for live in self.parties]
-        reference = max(logs, key=len, default=[])
-        for log in logs:
-            if log != reference[: len(log)]:
-                raise AssertionError("safety violated: committed logs diverge")
+        if not prefix_consistent([p.committed_hashes for p in self.honest_parties]):
+            raise AssertionError("safety violated: committed logs diverge")
 
     def results(self) -> list[dict]:
         return [live.result() for live in self.parties]

@@ -35,9 +35,8 @@ import json
 import socket
 from dataclasses import asdict, dataclass, replace
 
+from ..core.cluster import PROTOCOLS, ClusterConfig, protocol_party
 from .framing import DEFAULT_MAX_FRAME
-
-PROTOCOLS = ("icc0", "icc1", "icc2")
 
 
 @dataclass(frozen=True)
@@ -53,9 +52,10 @@ class PeerSpec:
 class LiveConfig:
     """Declarative description of one live (TCP) cluster.
 
-    The protocol-parameter fields (``t``, ``delta_bound``, ``epsilon``,
-    ``seed``, ``crypto_backend``, ``group_profile``, ``max_rounds``)
-    mean exactly what they mean on
+    The protocol fields (``n``, ``t``, ``delta_bound``, ``epsilon``,
+    ``seed``, ``crypto_backend``, ``group_profile``, ``max_rounds``, and
+    ``protocol`` with its ``gossip_degree``) are what
+    :meth:`cluster_config` carries over to a
     :class:`repro.core.cluster.ClusterConfig`; the rest are live-only.
     """
 
@@ -106,7 +106,7 @@ class LiveConfig:
             raise ValueError(f"n must be positive, got {self.n}")
         if self.protocol not in PROTOCOLS:
             raise ValueError(
-                f"unknown protocol {self.protocol!r} (expected one of {PROTOCOLS})"
+                f"unknown protocol {self.protocol!r} (expected one of {tuple(PROTOCOLS)})"
             )
         if len(self.peers) != self.n:
             raise ValueError(
@@ -121,6 +121,28 @@ class LiveConfig:
             raise ValueError(f"target_height must be >= 1, got {self.target_height}")
 
     # -- views ---------------------------------------------------------------
+
+    def cluster_config(self) -> ClusterConfig:
+        """The protocol this file describes, as the config
+        :func:`repro.core.cluster.build_cluster` takes: the one mapping from
+        the JSON fields to a party.  The same object builds the simulated
+        cluster (give it a ``delay_model``) and each live party (which adds
+        its payload hooks when the config carries client load)."""
+        party_class, extra = protocol_party(
+            self.protocol, self.n, seed=self.seed, gossip_degree=self.gossip_degree
+        )
+        return ClusterConfig(
+            n=self.n,
+            t=self.t,
+            delta_bound=self.delta_bound,
+            epsilon=self.epsilon,
+            seed=self.seed,
+            crypto_backend=self.crypto_backend,
+            group_profile=self.group_profile,
+            max_rounds=self.max_rounds,
+            party_class=party_class,
+            extra_party_kwargs=extra,
+        )
 
     def peer_table(self) -> dict[int, tuple[str, int]]:
         """The index -> (host, port) map the transport is built from."""
@@ -210,7 +232,6 @@ def with_ports(config: LiveConfig, ports: list[int]) -> LiveConfig:
 __all__ = [
     "LiveConfig",
     "PeerSpec",
-    "PROTOCOLS",
     "free_local_ports",
     "load_live_config",
     "local_live_config",

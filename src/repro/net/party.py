@@ -1,20 +1,21 @@
 """One live protocol party: unmodified ``repro.core`` objects on sockets.
 
-:class:`LiveParty` performs exactly the wiring :func:`repro.core.cluster
-.build_cluster` performs for the simulator — derive the keyring, build
-the protocol params, construct the party, install the payload hooks —
-except the ``sim`` it hands the party is a :class:`~repro.net.clock
-.WallClock` and the ``network`` is a :class:`~repro.net.transport
-.TcpNetwork`.  Nothing under :mod:`repro.core` is imported in a modified
-form; the party class cannot tell which world it is in.
+:class:`LiveParty` is a clock, a transport and *the same assembly* the
+simulator runs: :meth:`~repro.net.config.LiveConfig.cluster_config` maps
+the shared file to a :class:`~repro.core.cluster.ClusterConfig`, and
+:func:`repro.core.cluster.build_party` constructs the party from it —
+except the ``sim`` it is handed is a :class:`~repro.net.clock.WallClock`
+and the ``network`` a :class:`~repro.net.transport.TcpNetwork`.  Nothing
+under :mod:`repro.core` is imported in a modified form; the party class
+cannot tell which world it is in.
 
 Client load rides the PR 6 batching pipeline unchanged: each process
 builds a :class:`~repro.workloads.batching.RequestBatcher`, derives the
 *same* deterministic signed-request set from the shared config seed
 (every party would admit the identical ingress — the shared-ingress
 shortcut the simulator's load harness also takes), and wires
-``payload_source`` / ``payload_verifier`` / commit listeners exactly as
-:class:`~repro.core.cluster.ClusterConfig` does.  Chain-level dedup in
+``payload_source`` / ``payload_verifier`` through that
+:class:`~repro.core.cluster.ClusterConfig`.  Chain-level dedup in
 ``payload_source`` keeps a request from being packed twice even though
 every party holds a copy.
 """
@@ -24,19 +25,12 @@ from __future__ import annotations
 import asyncio
 from random import Random
 
-from ..core.icc0 import ICC0Party, empty_payload_source
-from ..core.icc1 import ICC1Party
-from ..core.icc2 import ICC2Party
-from ..core.params import ProtocolParams, StandardDelays
-from ..crypto.keyring import generate_keyrings
-from ..gossip import GossipParams, build_overlay
+from ..core.cluster import build_party, derive_material
 from ..obs.metrics import percentile
 from ..workloads.batching import BatchSpec, RequestBatcher, SignedRequest
 from .clock import WallClock
 from .config import LiveConfig
 from .transport import TcpNetwork
-
-_PARTY_CLASSES = {"icc0": ICC0Party, "icc1": ICC1Party, "icc2": ICC2Party}
 
 
 def generate_load_requests(config: LiveConfig, batcher: RequestBatcher) -> list[SignedRequest]:
@@ -64,8 +58,8 @@ def generate_load_requests(config: LiveConfig, batcher: RequestBatcher) -> list[
 class LiveParty:
     """One party of a live cluster: clock + transport + protocol + load.
 
-    Build it inside a running event loop (``build_live_party`` or
-    :class:`~repro.net.cluster.LiveCluster` handle that), then::
+    Build it inside a running event loop
+    (:class:`~repro.net.cluster.LiveCluster` handles that), then::
 
         await live.start()
         ok = await live.wait_for_height(20, timeout=60)
@@ -104,8 +98,7 @@ class LiveParty:
         self._load_queue: list[SignedRequest] = []
         self._load_cursor = 0  # next request of the queue to admit
         self._load_start = 0.0  # instant of the first pump: chunk 0 is due here
-        payload_source = empty_payload_source
-        payload_verifier = None
+        cluster_config = config.cluster_config()
         if config.load_requests > 0:
             self.batcher = RequestBatcher(
                 BatchSpec(
@@ -115,49 +108,19 @@ class LiveParty:
                 ),
                 seed=config.seed,
             )
-            # Manual bind: there is no Cluster object here.  Same wiring,
-            # one party instead of "the first honest party".
-            self.batcher._sim = self.clock
-            self.batcher._tracer = self.clock.tracer
-            self.batcher._meter = self.clock.meter
             self._load_queue = generate_load_requests(config, self.batcher)
-            payload_source = self.batcher.payload_source
-            payload_verifier = self.batcher.verify_block
+            cluster_config.payload_source = self.batcher.payload_source
+            cluster_config.payload_verifier = self.batcher.verify_block
 
         # -- the unmodified protocol party -----------------------------------
-        keyrings = generate_keyrings(
-            config.n,
-            config.t,
-            seed=config.seed,
-            backend=config.crypto_backend,
-            group_profile=config.group_profile,
+        keyrings, params = derive_material(cluster_config)
+        self.party = build_party(
+            cluster_config, index, keyrings[index - 1], params, self.clock, self.network
         )
-        params = ProtocolParams(
-            n=config.n,
-            t=config.t,
-            delays=StandardDelays(
-                delta_bound=config.delta_bound, epsilon=config.epsilon
-            ),
-            max_rounds=config.max_rounds,
-        )
-        extra: dict = {}
-        if config.protocol == "icc1":
-            extra["overlay"] = build_overlay(
-                config.n, config.gossip_degree, seed=config.seed
-            )
-            extra["gossip_params"] = GossipParams(degree=config.gossip_degree)
-        self.party = _PARTY_CLASSES[config.protocol](
-            index=index,
-            keyring=keyrings[index - 1],
-            params=params,
-            sim=self.clock,
-            network=self.network,
-            payload_source=payload_source,
-            **extra,
-        )
-        self.party.pool.payload_verifier = payload_verifier
         if self.batcher is not None:
-            self.party.commit_listeners.append(self.batcher._on_commit)
+            self.batcher.attach(
+                self.clock, self.party, self.clock.tracer, self.clock.meter
+            )
 
         self._height_event = asyncio.Event()
         self.party.commit_listeners.append(lambda _block: self._height_event.set())
@@ -241,16 +204,10 @@ class LiveParty:
             "cluster_id": self.config.cluster_id,
             "height": self.party.k_max,
             "pool_depth": self.party.pool.artifact_count(),
-            "link_backlog": sum(
-                link.queued for link in self.network._links.values()
-            ),
+            "link_backlog": self.network.link_backlog(),
             "connects": self.network.connects_total,
             "reconnects": self.network.reconnects_total,
-            "dup_connections": self.network.meter.counter_value(
-                "live.dup_connections"
-            )
-            if self.network.meter.enabled
-            else 0,
+            "dup_connections": self.network.dup_connections_total,
             "frames_rejected": self.network.frames_rejected,
             "requests_completed": self.batcher.completed if self.batcher else 0,
             "request_p50_s": percentile(latencies, 0.50) if latencies else None,
@@ -278,16 +235,4 @@ class LiveParty:
         }
 
 
-def build_live_party(
-    config: LiveConfig,
-    index: int,
-    *,
-    loop: asyncio.AbstractEventLoop | None = None,
-    tracer=None,
-    meter=None,
-) -> LiveParty:
-    """Construct (but do not start) one live party."""
-    return LiveParty(config, index, loop=loop, tracer=tracer, meter=meter)
-
-
-__all__ = ["LiveParty", "build_live_party", "generate_load_requests"]
+__all__ = ["LiveParty", "generate_load_requests"]

@@ -107,6 +107,25 @@ def render_table(stats: dict[int, dict | None]) -> str:
     return "\n".join(lines)
 
 
+def add_top_arguments(parser) -> None:
+    """The ``python -m repro top`` flags (``repro.__main__`` hands its
+    subparser here)."""
+    parser.add_argument(
+        "--config", required=True, metavar="PATH",
+        help="the cluster config JSON the parties were launched with",
+    )
+    parser.add_argument("--interval", type=float, default=2.0,
+                        help="seconds between polls")
+    parser.add_argument(
+        "--iterations", type=int, default=0, metavar="K",
+        help="stop after K polls (0 = until interrupted)",
+    )
+    parser.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT,
+                        help="per-peer connect+reply budget (seconds)")
+    parser.add_argument("--json", action="store_true",
+                        help="also print each poll as one JSON line")
+
+
 def top(args) -> int:
     """``python -m repro top --config cluster.json [--interval 2]``."""
     config = load_live_config(args.config)
@@ -135,4 +154,4 @@ def top(args) -> int:
     return 0 if reachable_ever else 1
 
 
-__all__ = ["DEFAULT_TIMEOUT", "fetch_stats", "render_table", "top"]
+__all__ = ["DEFAULT_TIMEOUT", "add_top_arguments", "fetch_stats", "render_table", "top"]

@@ -334,10 +334,12 @@ class TcpNetwork:
         self._peer_incarnation: dict[int, int] = {}
         self.frames_rejected = 0
         #: Plain connection counters (mirroring the ``live.connects`` /
-        #: ``live.reconnects`` meters but always on — the STAT endpoint
-        #: reports them even when no Meter is installed).
+        #: ``live.reconnects`` / ``live.dup_connections`` meters but always
+        #: on — the STAT endpoint reports them even when no Meter is
+        #: installed).
         self.connects_total = 0
         self.reconnects_total = 0
+        self.dup_connections_total = 0
         #: NTP-style per-peer offset samples from timestamped ACKs.
         self.clock_sync = ClockSync()
         #: When set, STAT frames are answered with this callable's dict
@@ -487,6 +489,10 @@ class TcpNetwork:
     def delivered_count(self) -> int:
         return self._delivered
 
+    def link_backlog(self) -> int:
+        """Frames sent or queued on any outbound link and not yet acknowledged."""
+        return sum(link.queued for link in self._links.values())
+
     # -- inbound -------------------------------------------------------------
 
     async def _accept(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
@@ -613,6 +619,7 @@ class TcpNetwork:
             # lingered).  Newest wins; closing the old transport makes its
             # read loop see EOF and exit.
             previous.close()
+            self.dup_connections_total += 1
             if self.meter.enabled:
                 self.meter.count("live.dup_connections")
         self._inbound_writers[index] = writer
@@ -724,6 +731,11 @@ class TcpNetwork:
         raise SimulatorOnlyFeature(
             "fault injection is simulator-only: nothing to clear on TcpNetwork"
         )
+
+    def is_crashed(self, index: int) -> bool:
+        """Nothing can be crashed through this object (:meth:`crash`
+        raises), so the answer the invariant checker asks for is no."""
+        return False
 
     def crash(self, index: int) -> None:
         raise SimulatorOnlyFeature(

@@ -32,7 +32,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-from ..core.cluster import Cluster, ClusterConfig, ClusterHandle, embed_cluster
+from ..core.cluster import Cluster, ClusterConfig, embed_cluster
 from ..crypto.hashing import tagged_hash
 from ..sim.delays import FixedDelay
 from ..sim.simulator import Simulation
@@ -133,7 +133,7 @@ class ShardedDeployment:
             certifier=StreamCertifier(secret),
         )
         self.names = [f"shard{k}" for k in range(spec.shards)]
-        self.handles: dict[str, ClusterHandle] = {}
+        self.clusters: dict[str, Cluster] = {}
         self.batchers: dict[str, RequestBatcher] = {}
         self.population = ShardPopulation(
             ShardLoadSpec(
@@ -174,17 +174,17 @@ class ShardedDeployment:
             payload_source=batcher.payload_source,
             payload_verifier=batcher.verify_block,
         )
-        handle = embed_cluster(name, config, self.sim)
-        batcher.bind(handle.cluster, tracer=handle.tracer, meter=handle.meter)
+        cluster = embed_cluster(name, config, self.sim)
+        batcher.bind(cluster, tracer=cluster.tracer, meter=cluster.meter)
         batcher.on_complete(
             lambda rid, latency, name=name: self._on_complete(name, rid, latency)
         )
         self.xnet.register(
             name,
-            handle.cluster,
+            cluster,
             submit=lambda message, name=name: self._gateway(name, message),
         )
-        self.handles[name] = handle
+        self.clusters[name] = cluster
         self.batchers[name] = batcher
 
     # -- the gateway: certified stream -> destination ingress --------------
@@ -237,11 +237,11 @@ class ShardedDeployment:
             duration=spec.duration,
             envelope=make_envelope,
         )
-        for handle in self.handles.values():
-            handle.start()
+        for cluster in self.clusters.values():
+            cluster.start()
         self.sim.run(until=spec.duration + spec.drain, max_events=50_000_000)
-        for handle in self.handles.values():
-            handle.cluster.check_safety()
+        for cluster in self.clusters.values():
+            cluster.check_safety()
         result = self.result()
         tracer = self.sim.tracer
         if tracer.enabled:
@@ -290,7 +290,7 @@ class ShardedDeployment:
             rejected=self.xnet.rejected,
             undeliverable=self.xnet.undeliverable,
             min_committed_round=min(
-                (self.handles[n].cluster.min_committed_round() for n in self.names),
+                (self.clusters[n].min_committed_round() for n in self.names),
                 default=0,
             ),
             digest=digest,

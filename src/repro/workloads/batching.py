@@ -320,16 +320,23 @@ class RequestBatcher:
     # -- wiring ------------------------------------------------------------
 
     def bind(self, cluster, *, tracer=None, meter=None) -> None:
-        """Attach to a built cluster: observe commits on the first honest
-        party (completion, latency) and pick up the trace/metric sinks.
+        """Attach to a built cluster: its first honest party is the
+        observer, its simulation the clock.  ``tracer``/``meter`` override
+        the simulation-level sinks — embedded clusters pass their own
+        namespaced views so per-shard load metrics stay namespaced."""
+        sim = cluster.sim
+        self.attach(
+            sim, cluster.honest_parties[0],
+            sim.tracer if tracer is None else tracer, sim.meter if meter is None else meter,
+        )
 
-        ``tracer``/``meter`` override the simulation-level sinks — embedded
-        clusters pass their :class:`~repro.core.cluster.ClusterHandle`
-        views here so per-shard load metrics stay namespaced."""
-        self._sim = cluster.sim
-        self._tracer = tracer if tracer is not None else cluster.sim.tracer
-        self._meter = meter if meter is not None else cluster.sim.meter
-        observer = cluster.honest_parties[0]
+    def attach(self, clock, observer, tracer, meter) -> None:
+        """Wire to one party: read time from ``clock``, observe commits on
+        ``observer`` (completion, latency), report to ``tracer``/``meter``.
+        A live party, which has no cluster object, calls this directly."""
+        self._sim = clock
+        self._tracer = tracer
+        self._meter = meter
         observer.commit_listeners.append(self._on_commit)
 
     def on_complete(self, hook) -> None:

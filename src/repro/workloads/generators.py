@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from random import Random
 
 from ..core.icc0 import ICC0Party
-from ..core.messages import Block, Payload, ROOT_HASH
+from ..core.messages import Block, Payload
 
 
 @dataclass(frozen=True)
@@ -48,9 +48,6 @@ class MempoolWorkload:
         self.spec = spec
         self.seed = seed
         self._pending: dict[int, dict[bytes, bytes]] = {}
-        self._included_cache: dict[bytes, frozenset[bytes]] = {
-            ROOT_HASH: frozenset()
-        }
         self.submitted = 0
         self._metrics = None
         self._ingress_copies = 0.0
@@ -124,27 +121,21 @@ class MempoolWorkload:
 
     # -- payload construction ---------------------------------------------------------
 
-    def _included_upto(self, chain: list[Block]) -> frozenset[bytes]:
-        """Set of command keys already included along ``chain`` (cached)."""
-        if not chain:
-            return self._included_cache[ROOT_HASH]
-        tip = chain[-1]
-        cached = self._included_cache.get(tip.hash)
-        if cached is not None:
-            return cached
-        parent_included = (
-            self._included_upto(chain[:-1])
-            if len(chain) > 1
-            else self._included_cache[ROOT_HASH]
-        )
-        cached = parent_included | {c[:12] for c in tip.payload.commands}
-        self._included_cache[tip.hash] = cached
-        return cached
-
     def payload_source(self, party: ICC0Party, round: int, chain: list[Block]) -> Payload:
-        """getPayload: pack pending commands not already in the chain."""
+        """getPayload: pack pending commands not already in the chain.
+
+        Only the uncommitted suffix of ``chain`` is read — its blocks of a
+        round above ``party.k_max``.  Everything at or below is the party's
+        committed prefix (a finalized round has one notarized block, and
+        every later notarized block extends it), and ``install`` took those
+        commands out of this party's ``pending`` when it committed them.
+        """
         pending = self._pending.setdefault(party.index, {})
-        included = self._included_upto(chain)
+        included: set[bytes] = set()
+        for block in reversed(chain):
+            if block.round <= party.k_max:
+                break
+            included.update(c[:12] for c in block.payload.commands)
         commands = []
         for key, command in pending.items():
             if key in included:

@@ -16,8 +16,8 @@ from repro.analysis.critical_path import (
     stage_totals,
 )
 from repro.analysis.trace import message_counts
-from repro.baselines import BaselineClusterConfig, HotStuffParty, build_baseline_cluster
-from repro.core import build_cluster
+from repro.baselines import HotStuffParty
+from repro.core import ClusterConfig, build_cluster
 from repro.experiments.common import make_icc_config
 from repro.obs import TraceEvent, Tracer
 from repro.sim.delays import FixedDelay, UniformDelay
@@ -126,18 +126,18 @@ class TestTheoryBounds:
 class TestBaselinePaths:
     def test_hotstuff_paths_telescope(self):
         tracer = Tracer()
-        config = BaselineClusterConfig(
+        config = ClusterConfig(
             party_class=HotStuffParty,
             n=N,
             t=T,
             seed=7,
             delay_model=FixedDelay(DELTA),
-            party_kwargs={"max_heights": 6},
+            extra_party_kwargs={"max_heights": 6},
             tracer=tracer,
         )
-        cluster = build_baseline_cluster(config)
+        cluster = build_cluster(config)
         cluster.start()
-        cluster.run_until_all_committed_height(5, timeout=300.0)
+        cluster.run_until_all_committed_round(5, timeout=300.0)
         paths = baseline_paths(tracer.events())
         assert len(paths) >= 5
         for path in paths:

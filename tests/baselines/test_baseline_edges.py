@@ -4,15 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.baselines import (
-    BaselineClusterConfig,
-    HotStuffParty,
-    PBFTParty,
-    TendermintParty,
-    build_baseline_cluster,
-)
+from repro.baselines import HotStuffParty, PBFTParty, TendermintParty
 from repro.baselines.common import Batch, GENESIS_DIGEST
 from repro.baselines.pbft import PrePrepare
+from repro.core import ClusterConfig, build_cluster
 from repro.core.messages import Payload
 from repro.sim.delays import FixedDelay, UniformDelay
 
@@ -45,13 +40,13 @@ class TestPBFTEdges:
                         if chosen:
                             self._send(receiver, PrePrepare(view=self.view, batch=batch))
 
-        config = BaselineClusterConfig(
+        config = ClusterConfig(
             party_class=PBFTParty,
             n=4, t=1, seed=1, delay_model=FixedDelay(0.05),
             corrupt={1: EquivocatingPrimary},
-            party_kwargs=dict(view_timeout=2.0),
+            extra_party_kwargs=dict(view_timeout=2.0),
         )
-        cluster = build_baseline_cluster(config)
+        cluster = build_cluster(config)
         cluster.start()
         cluster.run_for(30.0)
         # No two honest replicas commit different batches at one height.
@@ -64,14 +59,14 @@ class TestPBFTEdges:
     def test_view_change_carries_prepared_batch(self):
         """A batch prepared (but not committed) before the view change is
         re-proposed by the new primary, not lost."""
-        config = BaselineClusterConfig(
+        config = ClusterConfig(
             party_class=PBFTParty,
             n=4, t=1, seed=2, delay_model=FixedDelay(0.05),
-            party_kwargs=dict(view_timeout=1.5),
+            extra_party_kwargs=dict(view_timeout=1.5),
         )
-        cluster = build_baseline_cluster(config)
+        cluster = build_cluster(config)
         cluster.start()
-        cluster.run_until_all_committed_height(2, timeout=60)
+        cluster.run_until_all_committed_round(2, timeout=60)
         # Crash the primary right before it would commit height 3.
         cluster.network.crash(1)
         cluster.run_for(30.0)
@@ -82,40 +77,40 @@ class TestPBFTEdges:
 class TestHotStuffEdges:
     def test_orphan_proposals_buffered(self):
         """Proposals arriving before their parents are held, not dropped."""
-        config = BaselineClusterConfig(
+        config = ClusterConfig(
             party_class=HotStuffParty,
             n=4, t=1, seed=3,
             delay_model=UniformDelay(0.01, 0.2),  # heavy reordering
-            party_kwargs=dict(base_timeout=3.0),
+            extra_party_kwargs=dict(base_timeout=3.0),
         )
-        cluster = build_baseline_cluster(config)
+        cluster = build_cluster(config)
         cluster.start()
-        assert cluster.run_until_all_committed_height(10, timeout=300)
+        assert cluster.run_until_all_committed_round(10, timeout=300)
         cluster.check_safety()
 
     def test_locked_qc_advances(self):
-        config = BaselineClusterConfig(
+        config = ClusterConfig(
             party_class=HotStuffParty,
             n=4, t=1, seed=4, delay_model=FixedDelay(0.05),
-            party_kwargs=dict(base_timeout=3.0),
+            extra_party_kwargs=dict(base_timeout=3.0),
         )
-        cluster = build_baseline_cluster(config)
+        cluster = build_cluster(config)
         cluster.start()
-        cluster.run_until_all_committed_height(8, timeout=100)
+        cluster.run_until_all_committed_round(8, timeout=100)
         assert all(p.locked_qc.view > 0 for p in cluster.parties)
 
     def test_vote_relay_recovers_crashed_successor(self):
         """Votes swallowed by a crashed next-leader are recovered from the
         NewView messages (the LibraBFT-style last-vote relay)."""
-        config = BaselineClusterConfig(
+        config = ClusterConfig(
             party_class=HotStuffParty,
             n=4, t=1, seed=5, delay_model=FixedDelay(0.05),
             corrupt={2: None},
-            party_kwargs=dict(base_timeout=1.5),
+            extra_party_kwargs=dict(base_timeout=1.5),
         )
-        cluster = build_baseline_cluster(config)
+        cluster = build_cluster(config)
         cluster.start()
-        assert cluster.run_until_all_committed_height(5, timeout=300)
+        assert cluster.run_until_all_committed_round(5, timeout=300)
         cluster.check_safety()
 
 
@@ -123,15 +118,15 @@ class TestTendermintEdges:
     def test_nil_round_then_progress(self):
         """A crashed proposer's round ends in nil precommits; the next
         round (new proposer) decides."""
-        config = BaselineClusterConfig(
+        config = ClusterConfig(
             party_class=TendermintParty,
             n=4, t=1, seed=6, delay_model=FixedDelay(0.05),
             corrupt={1: None},
-            party_kwargs=dict(timeout_propose=1.0, timeout_step=1.0, timeout_commit=0.2),
+            extra_party_kwargs=dict(timeout_propose=1.0, timeout_step=1.0, timeout_commit=0.2),
         )
-        cluster = build_baseline_cluster(config)
+        cluster = build_cluster(config)
         cluster.start()
-        assert cluster.run_until_all_committed_height(4, timeout=300)
+        assert cluster.run_until_all_committed_round(4, timeout=300)
         cluster.check_safety()
         # Height 4's proposer rotation means party 1 was proposer at least
         # once; those heights took the nil-round detour.
@@ -140,13 +135,13 @@ class TestTendermintEdges:
     def test_round_number_grows_under_repeated_failure(self):
         """With the proposer crashed, replicas walk rounds r=1,2,... at
         the same height until a live proposer's turn."""
-        config = BaselineClusterConfig(
+        config = ClusterConfig(
             party_class=TendermintParty,
             n=4, t=1, seed=7, delay_model=FixedDelay(0.05),
             corrupt={1: None},
-            party_kwargs=dict(timeout_propose=0.5, timeout_step=0.5, timeout_commit=0.1),
+            extra_party_kwargs=dict(timeout_propose=0.5, timeout_step=0.5, timeout_commit=0.1),
         )
-        cluster = build_baseline_cluster(config)
+        cluster = build_cluster(config)
         cluster.start()
-        cluster.run_until_all_committed_height(6, timeout=300)
+        cluster.run_until_all_committed_round(6, timeout=300)
         cluster.check_safety()

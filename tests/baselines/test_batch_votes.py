@@ -11,13 +11,8 @@ import hashlib
 
 import pytest
 
-from repro.baselines import (
-    BaselineClusterConfig,
-    HotStuffParty,
-    PBFTParty,
-    TendermintParty,
-    build_baseline_cluster,
-)
+from repro.baselines import HotStuffParty, PBFTParty, TendermintParty
+from repro.core import ClusterConfig, build_cluster
 from repro.crypto.keyring import generate_keyrings
 from repro.sim.delays import FixedDelay
 
@@ -35,25 +30,61 @@ COMMITTED = {
 class TestBatchedVotesParity:
     @pytest.mark.parametrize("party_class", [PBFTParty, HotStuffParty, TendermintParty])
     def test_commits_identical_with_and_without_batching(self, party_class):
-        config = BaselineClusterConfig(
+        config = ClusterConfig(
             party_class=party_class, n=4, t=1, seed=2, delay_model=FixedDelay(0.05),
         )
-        cluster = build_baseline_cluster(config)
+        cluster = build_cluster(config)
         cluster.start()
         cluster.run_for(20.0)
         cluster.check_safety()
         hashes = cluster.party(1).committed_hashes
         heights, digest = COMMITTED[party_class]
-        assert len(hashes) == cluster.min_committed_height() == heights
+        assert len(hashes) == cluster.min_committed_round() == heights
         assert hashlib.sha256(b"".join(hashes)).hexdigest() == digest
+
+
+#: (sha256 over every honest party's committed hashes, messages sent) at
+#: n=4, t=1, seed=1, δ=0.05 with one crashed party, five heights — recorded
+#: from the baselines' own builder at the commit before ``build_cluster``
+#: took them over.
+CRASHED = {
+    PBFTParty: (
+        dict(view_timeout=2.0), 1,
+        "34dca8fc3a5dd6f6bd2ce9919dcc443b0e4117776f86d12d3ae8a5e83ce2021a", 156,
+    ),
+    HotStuffParty: (
+        dict(base_timeout=2.0), 2,
+        "fca77cb92983fe87da78d5a627662c49ca4549848eb5fd70b0a37b236f0de14f", 57,
+    ),
+    TendermintParty: (
+        dict(timeout_propose=1.0, timeout_step=1.0, timeout_commit=0.2), 1,
+        "ee1cbe116802fb0b1189b16d2d51cb8ab268fedef1d38bf6218612069ee57e22", 188,
+    ),
+}
+
+
+class TestOneAssemblyIsBitIdentical:
+    @pytest.mark.parametrize("party_class", [PBFTParty, HotStuffParty, TendermintParty])
+    def test_crashed_party_run_matches_the_dedicated_builder(self, party_class):
+        kwargs, crashed, digest, messages = CRASHED[party_class]
+        cluster = build_cluster(ClusterConfig(
+            party_class=party_class, n=4, t=1, seed=1, delay_model=FixedDelay(0.05),
+            corrupt={crashed: None}, extra_party_kwargs=kwargs,
+        ))
+        cluster.start()
+        assert cluster.run_until_all_committed_round(5, timeout=300)
+        cluster.check_safety()
+        hashes = [h for p in cluster.honest_parties for h in p.committed_hashes]
+        assert hashlib.sha256(b"".join(hashes)).hexdigest() == digest
+        assert sum(cluster.metrics.msgs_sent.values()) == messages
 
 
 class TestVoteHelpers:
     def _parties(self):
-        config = BaselineClusterConfig(
+        config = ClusterConfig(
             party_class=PBFTParty, n=4, t=1, seed=5, delay_model=FixedDelay(0.05),
         )
-        return build_baseline_cluster(config).parties
+        return build_cluster(config).parties
 
     def test_votes_are_valid_matches_single(self):
         parties = self._parties()

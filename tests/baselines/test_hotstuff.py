@@ -4,28 +4,29 @@ from __future__ import annotations
 
 import pytest
 
-from repro.baselines import BaselineClusterConfig, HotStuffParty, build_baseline_cluster
+from repro.baselines import HotStuffParty
+from repro.core import ClusterConfig, build_cluster
 from repro.sim.delays import FixedDelay
 
 
 def hotstuff_cluster(n=4, t=1, delay=0.05, seed=1, corrupt=None, **kwargs):
-    config = BaselineClusterConfig(
+    config = ClusterConfig(
         party_class=HotStuffParty,
         n=n,
         t=t,
         seed=seed,
         delay_model=FixedDelay(delay),
         corrupt=corrupt or {},
-        party_kwargs={"base_timeout": 2.0, **kwargs},
+        extra_party_kwargs={"base_timeout": 2.0, **kwargs},
     )
-    return build_baseline_cluster(config)
+    return build_cluster(config)
 
 
 class TestHappyPath:
     def test_commits(self):
         c = hotstuff_cluster()
         c.start()
-        assert c.run_until_all_committed_height(10, timeout=100)
+        assert c.run_until_all_committed_round(10, timeout=100)
         c.check_safety()
 
     def test_throughput_two_delta(self):
@@ -33,7 +34,7 @@ class TestHappyPath:
         delta = 0.05
         c = hotstuff_cluster(delay=delta)
         c.start()
-        c.run_until_all_committed_height(15, timeout=100)
+        c.run_until_all_committed_round(15, timeout=100)
         records = c.metrics.commits_of(1)
         times = sorted(r.time for r in records)
         gaps = [b - a for a, b in zip(times[3:], times[4:])]
@@ -47,7 +48,7 @@ class TestHappyPath:
         delta = 0.05
         c = hotstuff_cluster(delay=delta)
         c.start()
-        c.run_until_all_committed_height(15, timeout=100)
+        c.run_until_all_committed_round(15, timeout=100)
         latencies = c.metrics.commit_latencies()
         steady = latencies[len(latencies) // 2 :]
         for latency in steady:
@@ -56,14 +57,14 @@ class TestHappyPath:
     def test_leader_rotates_every_view(self):
         c = hotstuff_cluster()
         c.start()
-        c.run_until_all_committed_height(8, timeout=100)
+        c.run_until_all_committed_round(8, timeout=100)
         proposers = [b.proposer for b in c.party(1).output_log]
         assert len(set(proposers)) == 4  # all parties led some view
 
     def test_chain_links(self):
         c = hotstuff_cluster()
         c.start()
-        c.run_until_all_committed_height(6, timeout=100)
+        c.run_until_all_committed_round(6, timeout=100)
         log = c.party(1).output_log
         for parent, child in zip(log, log[1:]):
             assert child.parent_digest == parent.digest
@@ -74,14 +75,14 @@ class TestPacemaker:
     def test_crashed_leader_skipped_by_timeout(self):
         c = hotstuff_cluster(corrupt={2: None})
         c.start()
-        assert c.run_until_all_committed_height(6, timeout=300)
+        assert c.run_until_all_committed_round(6, timeout=300)
         c.check_safety()
         assert c.metrics.counters["hotstuff-timeouts"] >= 1
 
     def test_two_crashes_in_seven(self):
         c = hotstuff_cluster(n=7, t=2, corrupt={2: None, 5: None})
         c.start()
-        assert c.run_until_all_committed_height(8, timeout=600)
+        assert c.run_until_all_committed_round(8, timeout=600)
         c.check_safety()
 
     def test_silence_costs_whole_views(self):
@@ -89,7 +90,7 @@ class TestPacemaker:
         pays O(timeout) per faulty leader, unlike ICC's Δntry fallback."""
         c = hotstuff_cluster(corrupt={2: None})
         c.start()
-        c.run_until_all_committed_height(6, timeout=300)
+        c.run_until_all_committed_round(6, timeout=300)
         records = c.metrics.commits_of(1)
         times = sorted(r.time for r in records)
         gaps = [b - a for a, b in zip(times, times[1:])]

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.baselines import BaselineClusterConfig, PBFTParty, build_baseline_cluster
+from repro.baselines import PBFTParty
+from repro.core import ClusterConfig, build_cluster
 from repro.core.messages import Payload
 from repro.sim.delays import FixedDelay
 
 
 def pbft_cluster(n=4, t=1, delay=0.05, seed=1, corrupt=None, payload_source=None, **kwargs):
-    config = BaselineClusterConfig(
+    config = ClusterConfig(
         party_class=PBFTParty,
         n=n,
         t=t,
@@ -18,23 +19,23 @@ def pbft_cluster(n=4, t=1, delay=0.05, seed=1, corrupt=None, payload_source=None
         delay_model=FixedDelay(delay),
         corrupt=corrupt or {},
         payload_source=payload_source,
-        party_kwargs={"view_timeout": 2.0, **kwargs},
+        extra_party_kwargs={"view_timeout": 2.0, **kwargs},
     )
-    return build_baseline_cluster(config)
+    return build_cluster(config)
 
 
 class TestHappyPath:
     def test_commits(self):
         c = pbft_cluster()
         c.start()
-        assert c.run_until_all_committed_height(10, timeout=100)
+        assert c.run_until_all_committed_round(10, timeout=100)
         c.check_safety()
 
     def test_latency_three_delta(self):
         delta = 0.05
         c = pbft_cluster(delay=delta)
         c.start()
-        c.run_until_all_committed_height(8, timeout=100)
+        c.run_until_all_committed_round(8, timeout=100)
         for latency in c.metrics.commit_latencies():
             assert latency == pytest.approx(3 * delta, rel=0.05)
 
@@ -42,7 +43,7 @@ class TestHappyPath:
         """Without faults the primary never changes."""
         c = pbft_cluster()
         c.start()
-        c.run_until_all_committed_height(10, timeout=100)
+        c.run_until_all_committed_round(10, timeout=100)
         assert c.metrics.counters.get("pbft-view-changes-installed", 0) == 0
         proposers = {b.proposer for b in c.party(2).output_log}
         assert proposers == {1}
@@ -53,14 +54,14 @@ class TestHappyPath:
 
         c = pbft_cluster(payload_source=source)
         c.start()
-        c.run_until_all_committed_height(5, timeout=100)
+        c.run_until_all_committed_round(5, timeout=100)
         commands = [cmd for b in c.party(2).output_log for cmd in b.payload.commands]
         assert commands[:3] == [b"h1", b"h2", b"h3"]
 
     def test_chain_links(self):
         c = pbft_cluster()
         c.start()
-        c.run_until_all_committed_height(6, timeout=100)
+        c.run_until_all_committed_round(6, timeout=100)
         log = c.party(1).output_log
         for parent, child in zip(log, log[1:]):
             assert child.parent_digest == parent.digest
@@ -76,7 +77,7 @@ class TestViewChange:
     def test_crashed_primary_replaced(self):
         c = pbft_cluster(corrupt={1: None})
         c.start()
-        assert c.run_until_all_committed_height(5, timeout=200)
+        assert c.run_until_all_committed_round(5, timeout=200)
         c.check_safety()
         assert c.metrics.counters["pbft-view-changes-installed"] >= 1
         proposers = {b.proposer for b in c.party(2).output_log}
@@ -85,7 +86,7 @@ class TestViewChange:
     def test_mid_run_crash_recovers(self):
         c = pbft_cluster(n=7, t=2)
         c.start()
-        c.run_until_all_committed_height(3, timeout=100)
+        c.run_until_all_committed_round(3, timeout=100)
         c.network.crash(1)  # kill the primary mid-run
         c.run_for(60.0)
         # The crashed node is frozen; all others must keep committing.

@@ -4,46 +4,43 @@ from __future__ import annotations
 
 import pytest
 
-from repro.baselines import (
-    BaselineClusterConfig,
-    TendermintParty,
-    build_baseline_cluster,
-)
+from repro.baselines import TendermintParty
+from repro.core import ClusterConfig, build_cluster
 from repro.sim.delays import FixedDelay
 
 
 def tendermint_cluster(
     n=4, t=1, delay=0.05, seed=1, corrupt=None, timeout_commit=0.5, **kwargs
 ):
-    config = BaselineClusterConfig(
+    config = ClusterConfig(
         party_class=TendermintParty,
         n=n,
         t=t,
         seed=seed,
         delay_model=FixedDelay(delay),
         corrupt=corrupt or {},
-        party_kwargs={
+        extra_party_kwargs={
             "timeout_propose": 2.0,
             "timeout_step": 2.0,
             "timeout_commit": timeout_commit,
             **kwargs,
         },
     )
-    return build_baseline_cluster(config)
+    return build_cluster(config)
 
 
 class TestHappyPath:
     def test_commits(self):
         c = tendermint_cluster()
         c.start()
-        assert c.run_until_all_committed_height(8, timeout=100)
+        assert c.run_until_all_committed_round(8, timeout=100)
         c.check_safety()
 
     def test_decide_latency_three_delta(self):
         delta = 0.05
         c = tendermint_cluster(delay=delta)
         c.start()
-        c.run_until_all_committed_height(6, timeout=100)
+        c.run_until_all_committed_round(6, timeout=100)
         for latency in c.metrics.commit_latencies():
             assert latency == pytest.approx(3 * delta, rel=0.05)
 
@@ -53,7 +50,7 @@ class TestHappyPath:
         timeout_commit = 1.0
         c = tendermint_cluster(delay=delta, timeout_commit=timeout_commit)
         c.start()
-        c.run_until_all_committed_height(5, timeout=100)
+        c.run_until_all_committed_round(5, timeout=100)
         records = c.metrics.commits_of(1)
         times = sorted(r.time for r in records)
         gaps = [b - a for a, b in zip(times, times[1:])]
@@ -64,7 +61,7 @@ class TestHappyPath:
     def test_proposer_rotates(self):
         c = tendermint_cluster()
         c.start()
-        c.run_until_all_committed_height(8, timeout=100)
+        c.run_until_all_committed_round(8, timeout=100)
         proposers = [b.proposer for b in c.party(1).output_log]
         assert len(set(proposers)) == 4
 
@@ -73,7 +70,7 @@ class TestFaults:
     def test_crashed_proposer_round_advances(self):
         c = tendermint_cluster(corrupt={1: None})
         c.start()
-        assert c.run_until_all_committed_height(5, timeout=300)
+        assert c.run_until_all_committed_round(5, timeout=300)
         c.check_safety()
         proposers = {b.proposer for b in c.party(2).output_log}
         assert 1 not in proposers
@@ -81,13 +78,13 @@ class TestFaults:
     def test_two_crashes_in_seven(self):
         c = tendermint_cluster(n=7, t=2, corrupt={1: None, 4: None})
         c.start()
-        assert c.run_until_all_committed_height(6, timeout=600)
+        assert c.run_until_all_committed_round(6, timeout=600)
         c.check_safety()
 
     def test_crashed_proposer_heights_cost_timeouts(self):
         c = tendermint_cluster(corrupt={1: None})
         c.start()
-        c.run_until_all_committed_height(5, timeout=300)
+        c.run_until_all_committed_round(5, timeout=300)
         records = c.metrics.commits_of(2)
         times = sorted(r.time for r in records)
         gaps = [b - a for a, b in zip(times, times[1:])]
@@ -101,7 +98,7 @@ class TestLocking:
         so no two different batches can commit at one height."""
         c = tendermint_cluster(n=4, t=1)
         c.start()
-        c.run_until_all_committed_height(6, timeout=100)
+        c.run_until_all_committed_round(6, timeout=100)
         by_height: dict[int, set[bytes]] = {}
         for p in c.honest_parties:
             for b in p.output_log:

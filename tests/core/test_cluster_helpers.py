@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import ast
+import pathlib
+
 import pytest
 
+import repro
 from repro.core import ClusterConfig, build_cluster, run_happy_path
 from repro.sim.delays import FixedDelay, UniformDelay
 
@@ -50,6 +54,26 @@ class TestClusterHelpers:
         msgs_by_party = sum(cluster.metrics.msgs_sent.values())
         msgs_by_kind = sum(cluster.metrics.msgs_by_kind.values())
         assert msgs_by_party == msgs_by_kind
+
+
+class TestOneAssembly:
+    def test_only_core_cluster_derives_keys_and_params(self):
+        """A party is assembled in one place: under ``src/repro`` nothing but
+        ``core/cluster.py`` calls ``generate_keyrings`` or constructs
+        ``ProtocolParams``, so a second wiring cannot appear unnoticed."""
+        package = pathlib.Path(repro.__file__).parent
+        callers = set()
+        for path in sorted(package.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if not isinstance(node, ast.Call):
+                    continue
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name in ("generate_keyrings", "ProtocolParams"):
+                    callers.add((path.relative_to(package).as_posix(), name))
+        assert callers == {
+            ("core/cluster.py", "generate_keyrings"),
+            ("core/cluster.py", "ProtocolParams"),
+        }
 
 
 class TestSoak:

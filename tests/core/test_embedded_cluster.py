@@ -1,4 +1,4 @@
-"""Tests for the embeddable cluster API (ClusterHandle / embed_cluster).
+"""Tests for the embeddable cluster API (embed_cluster).
 
 The pin the sharding subsystem stands on: two clusters embedded in ONE
 Simulation must produce exactly the finalized chains each would produce
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import ClusterConfig, ClusterHandle, build_cluster, embed_cluster
+from repro.core import Cluster, ClusterConfig, build_cluster, embed_cluster
 from repro.obs import Meter, Tracer
 from repro.sim.delays import FixedDelay, UniformDelay
 from repro.sim.simulator import Simulation
@@ -46,18 +46,18 @@ class TestBitIdenticalEmbedding:
     )
     def test_two_embedded_equal_two_standalone(self, delay_model_factory):
         sim = Simulation(seed=999)
-        handles = {}
+        clusters = {}
         for name, seed in (("alpha", 11), ("beta", 22)):
-            handles[name] = embed_cluster(
+            clusters[name] = embed_cluster(
                 name, _config(seed, delay_model_factory()), sim
             )
-            handles[name].start()
+            clusters[name].start()
         sim.run(until=120.0)
-        for handle in handles.values():
-            handle.cluster.check_safety()
+        for cluster in clusters.values():
+            cluster.check_safety()
 
         for name, seed in (("alpha", 11), ("beta", 22)):
-            embedded = _committed_hashes(handles[name].cluster)
+            embedded = _committed_hashes(clusters[name])
             standalone = _standalone_chain(seed, delay_model_factory())
             assert embedded, f"{name}: no commits"
             assert embedded == standalone, (
@@ -70,14 +70,14 @@ class TestBitIdenticalEmbedding:
 
         def run(names_seeds):
             sim = Simulation(seed=5)
-            handles = {}
+            clusters = {}
             for name, seed in names_seeds:
-                handles[name] = embed_cluster(
+                clusters[name] = embed_cluster(
                     name, _config(seed, UniformDelay(0.01, 0.12)), sim
                 )
-                handles[name].start()
+                clusters[name].start()
             sim.run(until=120.0)
-            return {n: _committed_hashes(h.cluster) for n, h in handles.items()}
+            return {n: _committed_hashes(c) for n, c in clusters.items()}
 
         two = run([("alpha", 11), ("beta", 22)])
         three = run([("alpha", 11), ("beta", 22), ("gamma", 33)])
@@ -101,7 +101,7 @@ class TestNamespacedStreams:
         assert a_commits and b_commits
         assert all(e.protocol.startswith("alpha/") for e in a_commits)
         assert all(e.protocol.startswith("beta/") for e in b_commits)
-        # Each handle sees only its own slice of the shared sink.
+        # Each cluster sees only its own slice of the shared sink.
         assert len(a_commits) + len(b_commits) == len(
             sim.tracer.events("icc.block.committed")
         )
@@ -123,12 +123,13 @@ class TestNamespacedStreams:
 
     def test_handle_delegation(self):
         sim = Simulation(seed=1)
-        handle = embed_cluster("alpha", _config(11, FixedDelay(0.05)), sim)
-        assert isinstance(handle, ClusterHandle)
-        assert handle.name == "alpha"
-        assert handle.sim is sim
-        assert handle.config.namespace == "alpha"
-        assert handle.cluster.handle is handle
+        cluster = embed_cluster("alpha", _config(11, FixedDelay(0.05)), sim)
+        assert isinstance(cluster, Cluster)
+        assert cluster.name == "alpha"
+        assert cluster.sim is sim
+        assert cluster.config.namespace == "alpha"
+        assert cluster.rng is not None  # the private delay stream
+        assert build_cluster(_config(11, FixedDelay(0.05))).name == "cluster11"
 
 
 class TestConfigValidation:

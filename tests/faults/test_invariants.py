@@ -28,6 +28,8 @@ class Commit:
 class FakeParty:
     index: int
     output_log: list
+    network: object = None
+    metrics: object = None
 
 
 @dataclass
@@ -54,8 +56,11 @@ class FakeConfig:
 class FakeCluster:
     def __init__(self, parties, commits, crashed=(), safety_error=None):
         self.honest_parties = parties
-        self.network = FakeNetwork(set(crashed))
-        self.metrics = FakeMetrics(commits)
+        # The checker reads each party's own network and metrics: one
+        # shared object each, as in the simulator.
+        network, metrics = FakeNetwork(set(crashed)), FakeMetrics(commits)
+        for party in parties:
+            party.network, party.metrics = network, metrics
         self.config = FakeConfig()
         self._safety_error = safety_error
 

@@ -7,7 +7,9 @@ import warnings
 
 import pytest
 
+from repro.core import build_cluster
 from repro.core.icc0 import ICC0Party
+from repro.faults import Scenario, check_invariants
 from repro.net.cluster import LiveCluster
 from repro.net.config import local_live_config
 from repro.net.live import summarize
@@ -20,6 +22,7 @@ from repro.obs import (
     trace_header,
     write_jsonl,
 )
+from repro.sim.delays import FixedDelay
 
 
 def quick_config(**overrides):
@@ -125,6 +128,51 @@ class TestLiveCluster:
         assert block["request_latency_p50"] == 0.04
         assert block["request_latency_p90"] == 0.06
         assert summarize(quick_config(), [])["request_latency_p50"] == 0.0
+
+
+class TestOneConfigBuildsSimAndLive:
+    """``LiveConfig.cluster_config()`` is the config of both worlds: the
+    simulator builds a cluster from it, every live party its own party."""
+
+    @pytest.mark.parametrize("n, seed", [(4, 1), (4, 2), (7, 1), (7, 2)])
+    def test_sim_and_live_commit_the_same_chain(self, n, seed):
+        """Empty payloads and nothing late: the leader is a function of the
+        beacon, the beacon of the seed, so the first six blocks are
+        bit-identical under a simulated delay and over localhost TCP."""
+        config = local_live_config(
+            n, t=(n - 1) // 3, seed=seed, epsilon=0.01, delta_bound=1.0,
+            target_height=6, timeout=60.0, cluster_id="sim-live",
+        )
+        sim_config = config.cluster_config()
+        sim_config.delay_model = FixedDelay(0.01)
+        simulated = build_cluster(sim_config)
+        simulated.start()
+        assert simulated.run_until_all_committed_round(6, timeout=60.0)
+        expected = [h.hex() for h in simulated.party(1).committed_hashes[:6]]
+
+        ok, results = run_cluster(config)
+        assert ok
+        assert [r["committed"][:6] for r in results] == [expected] * n
+
+    def test_check_invariants_takes_a_live_cluster(self):
+        """Safety and bounded liveness over real sockets, by the checker the
+        chaos sweeps use — and it sees a divergence planted in one log."""
+        config = quick_config(target_height=5)
+        quiet = Scenario(name="no faults")
+
+        async def scenario():
+            async with LiveCluster(config) as cluster:
+                assert await cluster.wait_for_height(5, config.timeout)
+                clean = check_invariants(cluster, quiet, config.timeout)
+                first, second = cluster.parties[0].party, cluster.parties[1].party
+                first.output_log[1] = second.output_log[2]
+                return clean, check_invariants(cluster, quiet, config.timeout)
+
+        clean, planted = asyncio.run(scenario())
+        assert clean.ok and clean.liveness_checked
+        assert clean.parties_checked == (1, 2, 3, 4)
+        assert planted.liveness_ok and not planted.safety_ok
+        assert any("diverge" in v.detail for v in planted.violations)
 
 
 class TestTraceExport:

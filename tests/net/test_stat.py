@@ -12,6 +12,7 @@ from types import SimpleNamespace
 
 from repro.net.cluster import LiveCluster
 from repro.net.config import local_live_config
+from repro.net.framing import hello_frame
 from repro.net.stat import fetch_stats, render_table, top
 
 
@@ -69,6 +70,36 @@ class TestFetchStats:
             assert snap["connects"] <= connects  # never invented
             assert snap["connects"] >= 3  # dialled every other party
             assert snap["net_messages"] > 0
+
+    def test_superseded_connection_is_counted_without_a_meter(self):
+        """``dup_connections`` is the transport's own counter, like
+        ``connects`` and ``reconnects``: a cluster built without a Meter (the
+        programmatic API) used to report 0 whatever happened."""
+
+        async def scenario():
+            config = stat_config(load_requests=0)
+            async with LiveCluster(config) as cluster:
+                sender, target = cluster.parties[0], cluster.parties[1]
+                assert not target.network.meter.enabled
+                await cluster.wait_for_height(1, 30.0)  # party 1's link to 2 is up
+                host, port = config.peer_table()[target.index]
+                _reader, writer = await asyncio.open_connection(host, port)
+                writer.write(hello_frame(
+                    sender.index, config.cluster_id,
+                    incarnation=sender.network.incarnation,
+                ))
+                await writer.drain()
+                deadline = asyncio.get_running_loop().time() + 10.0
+                while target.network.dup_connections_total == 0:
+                    assert asyncio.get_running_loop().time() < deadline
+                    await asyncio.sleep(0.01)
+                polled = (await fetch_stats(config, timeout=5.0))[target.index]
+                writer.close()
+                return polled, target.network.dup_connections_total
+
+        polled, counted = asyncio.run(scenario())
+        assert 1 <= polled["dup_connections"] <= counted
+        assert polled["link_backlog"] >= 0
 
     def test_unreachable_cluster_reports_none(self):
         async def scenario():

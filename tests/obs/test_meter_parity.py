@@ -4,7 +4,7 @@ and the meter's aggregates agree with Metrics / the trace stream."""
 
 from __future__ import annotations
 
-from repro.baselines import BaselineClusterConfig, HotStuffParty, build_baseline_cluster
+from repro.baselines import HotStuffParty
 from repro.core import ClusterConfig, Payload, build_cluster
 from repro.obs import Meter, Tracer
 from repro.sim.delays import FixedDelay
@@ -34,18 +34,18 @@ def run_icc0(meter=None, tracer=None):
 
 
 def run_hotstuff(meter=None):
-    config = BaselineClusterConfig(
+    config = ClusterConfig(
         party_class=HotStuffParty,
         n=4,
         t=1,
         seed=7,
         delay_model=FixedDelay(DELTA),
-        party_kwargs={"max_heights": 6},
+        extra_party_kwargs={"max_heights": 6},
         meter=meter,
     )
-    cluster = build_baseline_cluster(config)
+    cluster = build_cluster(config)
     cluster.start()
-    cluster.run_until_all_committed_height(5, timeout=300.0)
+    cluster.run_until_all_committed_round(5, timeout=300.0)
     cluster.check_safety()
     return cluster
 

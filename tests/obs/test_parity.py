@@ -21,7 +21,7 @@ from repro.analysis.trace import (
     message_counts,
     summarize,
 )
-from repro.baselines import BaselineClusterConfig, HotStuffParty, build_baseline_cluster
+from repro.baselines import HotStuffParty
 from repro.core import ClusterConfig, Payload, build_cluster
 from repro.core.icc0 import ICC0Party
 from repro.obs import Tracer
@@ -52,18 +52,18 @@ def run_icc0(tracer=None, corrupt=None):
 
 
 def run_hotstuff(tracer=None):
-    config = BaselineClusterConfig(
+    config = ClusterConfig(
         party_class=HotStuffParty,
         n=4,
         t=1,
         seed=7,
         delay_model=FixedDelay(DELTA),
-        party_kwargs={"max_heights": 6},
+        extra_party_kwargs={"max_heights": 6},
         tracer=tracer,
     )
-    cluster = build_baseline_cluster(config)
+    cluster = build_cluster(config)
     cluster.start()
-    cluster.run_until_all_committed_height(5, timeout=300.0)
+    cluster.run_until_all_committed_round(5, timeout=300.0)
     cluster.check_safety()
     return cluster
 

@@ -65,12 +65,12 @@ class TestDocs:
 
     def test_stale_config_knobs_are_flagged(self, tmp_path, monkeypatch):
         """A removed ClusterConfig option named in prose must fail the
-        check; a live field of either config class must not."""
+        check; a live field must not."""
         module = load_checker()
         assert "crypto_backend" in module.config_fields()["ClusterConfig"]
         (tmp_path / "README.md").write_text(
             "Tune `crypto_flush_deadline` or ClusterConfig.crypto_batch;\n"
-            "`BaselineClusterConfig.party_kwargs` and `crypto_backend` exist.\n",
+            "`ClusterConfig.extra_party_kwargs` and `crypto_backend` exist.\n",
             encoding="utf-8",
         )
         monkeypatch.setattr(module, "REPO", tmp_path)
@@ -79,6 +79,35 @@ class TestDocs:
         assert len(problems) == 2
         assert "ClusterConfig.crypto_batch" in problems[0]
         assert "crypto_flush_deadline" in problems[1]
+
+    def test_cluster_names_outside_the_source_are_flagged(self, tmp_path, monkeypatch):
+        """A page that still shows a second cluster config, a second builder
+        or a wrapper around the one cluster fails; the names that exist, file
+        names and the exempt history file do not."""
+        module = load_checker()
+        source = tmp_path / "src" / "repro" / "core" / "cluster.py"
+        source.parent.mkdir(parents=True)
+        source.write_text(
+            "class ClusterConfig:\n    n: int\n\nclass Cluster:\n"
+            "    def check_safety(self): ...\n\ndef build_cluster(config): ...\n",
+            encoding="utf-8",
+        )
+        (tmp_path / "README.md").write_text(
+            "`build_cluster(ClusterConfig(...))` returns a `Cluster`; see\n"
+            "`tests/net/test_live_cluster.py`.\n```python\n"
+            "cluster = build_ghost_cluster(GhostClusterConfig(n=4))\n```\n"
+            "The `ClusterWrapper` delegates.\n",
+            encoding="utf-8",
+        )
+        (tmp_path / "ROADMAP.md").write_text(
+            "PR 24 folded GhostClusterConfig into ClusterConfig.\n", encoding="utf-8"
+        )
+        monkeypatch.setattr(module, "REPO", tmp_path)
+        problems: list[str] = []
+        module.check_cluster_names(problems)
+        assert [p.split(" names ")[1].split(",")[0] for p in problems] == [
+            "ClusterWrapper", "GhostClusterConfig", "build_ghost_cluster",
+        ]
 
     def test_removed_snapshots_and_subcommands_are_flagged(self, tmp_path, monkeypatch):
         """A snapshot file or subcommand the docs still point at after its

@@ -42,10 +42,13 @@ Checks every ``*.md`` file in the repo root and ``docs/``:
 * the observability CLI surface (``trace``, ``collect``, ``top``) is
   shown as ``python -m repro <name>`` invocations in
   ``docs/OBSERVABILITY.md``, not just the README;
-* every ``ClusterConfig.<field>`` / ``BaselineClusterConfig.<field>`` and
-  every bare ``crypto_*`` knob named in any checked markdown file is a
-  field of that dataclass (textual scan of the class
-  bodies), so a removed option cannot linger in prose.
+* every ``ClusterConfig.<field>`` and every bare ``crypto_*`` knob named in
+  any checked markdown file is a field of that dataclass (textual scan of
+  the class body), so a removed option cannot linger in prose;
+* every cluster class (``...Cluster...``) or builder (``build_*cluster``,
+  ``embed_*cluster``) a checked file names is defined under ``src/repro``
+  (textual scan; ROADMAP.md is exempt), so prose cannot keep pointing at an
+  assembly that was folded into ``build_cluster``.
 
 Exit status 0 when clean, 1 with one line per problem otherwise.  CI runs
 this plus the test-suite; ``tests/test_docs.py`` runs it in-process.
@@ -414,14 +417,13 @@ def check_codec_docs(problems: list[str]) -> None:
             )
 
 
-#: The cluster config dataclasses and the modules that define them.
+#: The cluster config dataclass and the module that defines it.
 CONFIG_CLASSES = {
     "ClusterConfig": REPO / "src" / "repro" / "core" / "cluster.py",
-    "BaselineClusterConfig": REPO / "src" / "repro" / "baselines" / "cluster.py",
 }
 #: Annotated field lines directly inside a class body.
 FIELD_RE = re.compile(r"^    ([a-z_][a-z0-9_]*):", re.MULTILINE)
-#: ``ClusterConfig.field`` / ``BaselineClusterConfig.field`` mentions.
+#: ``ClusterConfig.field`` mentions.
 CONFIG_ATTR_RE = re.compile(r"\b(\w*ClusterConfig)\.([a-z_][a-z0-9_]*)")
 #: Bare ``crypto_*`` option names (not path or module components).
 CRYPTO_KNOB_RE = re.compile(r"(?<![\w./])crypto_[a-z0-9_]+\b(?![./])")
@@ -465,6 +467,29 @@ def check_config_docs(problems: list[str]) -> None:
             )
 
 
+#: A cluster class or a cluster builder, as prose and code samples name one.
+CLUSTER_NAME_RE = re.compile(r"\b(\w*Cluster\w*|(?:build|embed)_\w*cluster)\b")
+DEFINITION_RE = re.compile(r"^\s*(?:class|def) (\w+)", re.MULTILINE)
+
+
+def check_cluster_names(problems: list[str]) -> None:
+    """A cluster class or builder the docs name must be defined under
+    ``src/repro``: there is one assembly, and a page that still shows a
+    second one (or a wrapper around the first) points at nothing."""
+    defined: set[str] = set()
+    for module in (REPO / "src" / "repro").rglob("*.py"):
+        defined.update(DEFINITION_RE.findall(module.read_text(encoding="utf-8")))
+    for path in doc_files():
+        if path.name in HISTORY:
+            continue
+        text = path.read_text(encoding="utf-8")
+        for name in sorted(set(CLUSTER_NAME_RE.findall(text)) - defined):
+            problems.append(
+                f"{path.relative_to(REPO)}: names {name}, which is not defined "
+                f"under src/repro"
+            )
+
+
 def run() -> list[str]:
     problems: list[str] = []
     for path in doc_files():
@@ -482,6 +507,7 @@ def run() -> list[str]:
     check_backend_docs(problems)
     check_experiment_docs(problems)
     check_config_docs(problems)
+    check_cluster_names(problems)
     return problems
 
 
