@@ -46,7 +46,7 @@ process's meters and state.
 
 MSG sequence numbers are per *directed peer link* (they survive
 reconnects) and make delivery reliable without trusting TCP's write
-buffer: a ``drain()`` that succeeds just before the peer dies proves
+buffer: a write the kernel accepted just before the peer died proves
 nothing, so the sender retains every frame until the receiver's
 cumulative ACK covers it and retransmits the tail on reconnect.  The
 receiver deduplicates by sequence number, so each protocol message is

@@ -195,7 +195,7 @@ class LiveParty:
         """The JSON answer to a STAT frame: this party right now.
 
         Everything ``repro top`` renders comes from here; it must stay
-        cheap and side-effect-free (it runs inside the acceptor loop).
+        cheap and side-effect-free (it runs inside the acceptor's read callback).
         """
         latencies = self.batcher.latencies if self.batcher else []
         return {
@@ -205,6 +205,7 @@ class LiveParty:
             "height": self.party.k_max,
             "pool_depth": self.party.pool.artifact_count(),
             "link_backlog": self.network.link_backlog(),
+            "links_paused": self.network.links_paused(),
             "connects": self.network.connects_total,
             "reconnects": self.network.reconnects_total,
             "dup_connections": self.network.dup_connections_total,

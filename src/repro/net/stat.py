@@ -5,8 +5,9 @@ frame (type ``0x04``) with a STAT_REPLY (``0x05``) carrying the party's
 current :meth:`~repro.net.party.LiveParty.stat_snapshot` as JSON — no
 handshake required, so this tool never has to impersonate a party.
 ``top`` connects to each peer in the cluster config, asks once, renders
-one table row per party (height, pool depth, link backlog, reconnects,
-request latency percentiles), and repeats every ``--interval`` seconds.
+one table row per party (height, pool depth, link backlog, paused links,
+reconnects, request latency percentiles), and repeats every ``--interval``
+seconds.
 
 The same fetch path is importable (:func:`fetch_stats`) so tests can
 poll an in-process :class:`~repro.net.cluster.LiveCluster`.
@@ -85,7 +86,7 @@ def _fmt_ms(value) -> str:
 def render_table(stats: dict[int, dict | None]) -> str:
     """One fixed-width table: a row per party, '-' for unreachable ones."""
     header = (
-        f"{'party':>5} {'height':>6} {'pool':>5} {'backlog':>7} "
+        f"{'party':>5} {'height':>6} {'pool':>5} {'backlog':>7} {'paused':>6} "
         f"{'conn':>4} {'reconn':>6} {'reqs':>5} {'p50ms':>7} {'p99ms':>7} "
         f"{'msgs':>7} {'bytes':>10}"
     )
@@ -98,6 +99,7 @@ def render_table(stats: dict[int, dict | None]) -> str:
         lines.append(
             f"{snap.get('index', index):>5} {snap.get('height', 0):>6} "
             f"{snap.get('pool_depth', 0):>5} {snap.get('link_backlog', 0):>7} "
+            f"{snap.get('links_paused', 0):>6} "
             f"{snap.get('connects', 0):>4} {snap.get('reconnects', 0):>6} "
             f"{snap.get('requests_completed', 0):>5} "
             f"{_fmt_ms(snap.get('request_p50_s'))} "

@@ -13,27 +13,28 @@ the inbound one.  That keeps connection ownership trivial (no tie-break
 protocol for simultaneous dials) at the cost of one extra socket per
 pair, which is irrelevant at consensus committee sizes.
 
-Outbound path: a message is encoded once (:mod:`repro.net.codec`) however
-many links it goes to; each link frames the body under its own sequence
-number into a per-peer FIFO drained by a sender task that dials the peer,
-sends a HELLO, then writes — everything not yet written, in one ``write``
-per wakeup — while reading cumulative ACKs off the same connection.  A
-frame stays buffered until an ACK covers it — a successful ``drain()``
-proves nothing about delivery (the kernel buffers it; the peer may die
-first) — and on reconnect (exponential backoff, jittered, capped) the whole
-unACKed tail is retransmitted.  The receiver deduplicates by sequence
-number, so the link gives in-order exactly-once delivery to the party even
-though the wire is at-least-once.
+Both ends of a connection are :class:`asyncio.Protocol` callbacks; the
+only task is one dialer per outbound link.  Outbound: a message is encoded
+once (:mod:`repro.net.codec`) however many links it goes to; each link
+frames it under its own sequence number and marks itself dirty, and once
+per loop turn every dirty link writes its unwritten frames in one
+``transport.write``.  A frame stays buffered until a cumulative ACK covers
+it — a write the kernel took proves nothing about delivery — and every
+(re)connection retransmits the unACKed tail.  Redials back off
+(exponential, jittered, capped); only a connection whose HELLO the peer
+ACKed resets the backoff.  The receiver deduplicates by sequence number,
+so each link delivers in order and exactly once over an at-least-once wire.
 
-Inbound path: the acceptor requires a HELLO naming a configured peer of
-the same cluster before any message frame.  A duplicate connection from
-a peer supersedes the previous one (newest wins — the peer evidently
-reconnected); the per-peer delivery sequence survives the swap, so
-retransmitted frames from either connection dedup correctly — unless the
-HELLO names a new *incarnation* of the peer (its process restarted and
-numbers its frames from 1 again), which resets it.  Malformed, oversized
-or undecodable frames close the connection and count
-``live.frames.rejected``.
+Inbound: the acceptor requires a HELLO naming a configured peer of the
+same cluster before any message frame and ACKs once per chunk.  A
+duplicate connection from a peer supersedes the previous one (newest
+wins); the per-peer delivery mark survives the swap unless the HELLO names
+a new *incarnation* of the peer (its process restarted and numbers its
+frames from 1 again).  Malformed, oversized or undecodable frames, in
+either direction, close the connection and count ``live.frames.rejected``.
+Flow control: a link above the kernel buffer's high-water mark writes
+nothing until it drains, and an acceptor whose ACKs are not being read
+stops reading, so no peer can make us buffer without bound.
 
 Fault injection, crashes and partitions are **simulator-only** concepts
 (they manipulate virtual delivery the transport does not control); the
@@ -112,8 +113,71 @@ class ClockSync:
         }
 
 
+class _OutboundConnection(asyncio.Protocol):
+    """One dialled connection of a :class:`_PeerLink`: HELLO out, ACKs in.
+
+    ``accepted`` turns true with the first ACK (the peer took our HELLO);
+    ``closed`` resolves when the connection ends, which is what the
+    link's dialer waits for.
+    """
+
+    def __init__(self, link: "_PeerLink") -> None:
+        self.link = link
+        self.transport: asyncio.Transport | None = None
+        self.decoder = FrameDecoder(link.net.max_frame)
+        self.paused = False
+        self.accepted = False
+        self.closed: asyncio.Future = link.net.clock.loop.create_future()
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self.transport = transport
+        link = self.link
+        net = link.net
+        link.conn = self
+        link.connects += 1
+        net._on_peer_connect(link.peer, "out", reconnect=link.connects > 1)
+        transport.write(hello_frame(
+            net.index, net.cluster_id, net.max_frame,
+            ts_ns=net.now_ns(), incarnation=net.incarnation,
+        ))
+        link._wire_seq = link.acked  # rewind: retransmit the unACKed tail
+        net._mark_dirty(link)
+
+    def data_received(self, data: bytes) -> None:
+        link = self.link
+        net = link.net
+        try:
+            for body in self.decoder.feed(data):
+                kind, payload = decode_payload(body)
+                if kind != "ack":
+                    raise FrameError(f"expected ACK on the outbound connection, got {kind}")
+                seq, echo_ns, recv_ns, send_ns = payload  # type: ignore[misc]
+                self.accepted = True
+                link.on_ack(seq)
+                if echo_ns and recv_ns:
+                    net._record_clock_sample(
+                        link.peer, echo_ns, recv_ns, send_ns, net.now_ns()
+                    )
+        except FrameError as exc:
+            net._reject_frame(link.peer, exc)
+            self.transport.close()
+
+    def pause_writing(self) -> None:
+        self.paused = True
+
+    def resume_writing(self) -> None:
+        self.paused = False
+        self.link.net._mark_dirty(self.link)
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self.link.conn = None
+        self.link.net._on_peer_disconnect(self.link.peer, "out")
+        if not self.closed.done():  # cancelled if stop() cancelled the dialer
+            self.closed.set_result(None)
+
+
 class _PeerLink:
-    """Outbound side of one peer: unACKed frame buffer + reconnecting sender.
+    """Outbound side of one peer: unACKed frame buffer + reconnecting dialer.
 
     Frames carry per-link sequence numbers and stay in ``unacked`` until
     the peer's cumulative ACK covers them; every (re)connection rewinds
@@ -129,10 +193,18 @@ class _PeerLink:
         self.next_seq = 1
         self.acked = 0
         self._wire_seq = 0  # highest seq written on the current connection
-        self.wakeup = asyncio.Event()
+        self.conn: _OutboundConnection | None = None
         self.task: asyncio.Task | None = None
-        self.connected = False
         self.connects = 0  # successful dials (>= 2 means it reconnected)
+
+    @property
+    def connected(self) -> bool:
+        return self.conn is not None
+
+    @property
+    def queued(self) -> int:
+        """Frames awaiting acknowledgement (for tests/metrics)."""
+        return len(self.unacked)
 
     def enqueue(self, message: object, body: bytes, ts_ns: int) -> None:
         """Queue ``message``, already encoded as ``body``, for this peer."""
@@ -149,115 +221,32 @@ class _PeerLink:
             tracer.emit(
                 time=self.net.clock.now, party=self.net.index, protocol="net",
                 round=None, kind="net.wire.send",
-                payload={
-                    "dst": self.peer,
-                    "seq": seq,
-                    "kind": message_kind(message),
-                    "bytes": len(frame),
-                },
+                payload={"dst": self.peer, "seq": seq, "bytes": len(frame),
+                         "kind": message_kind(message)},
             )
-        self.wakeup.set()
+        self.net._mark_dirty(self)
 
-    @property
-    def queued(self) -> int:
-        """Frames awaiting acknowledgement (for tests/metrics)."""
-        return len(self.unacked)
-
-    def start(self) -> None:
-        self.task = self.net.clock.loop.create_task(
-            self._run(), name=f"icc-net-out-{self.net.index}->{self.peer}"
-        )
-
-    async def _run(self) -> None:
-        backoff = self.net.backoff_base
-        while not self.net._closing:
-            try:
-                reader, writer = await asyncio.open_connection(self.host, self.port)
-            except OSError:
-                await asyncio.sleep(self._jitter(backoff))
-                backoff = min(backoff * 2.0, self.net.backoff_cap)
-                continue
-            backoff = self.net.backoff_base
-            self.connected = True
-            self.connects += 1
-            self.net._on_peer_connect(self.peer, "out", reconnect=self.connects > 1)
-            try:
-                writer.write(
-                    hello_frame(
-                        self.net.index, self.net.cluster_id, self.net.max_frame,
-                        ts_ns=self.net.now_ns(), incarnation=self.net.incarnation,
-                    )
-                )
-                await writer.drain()
-                await self._converse(reader, writer)
-            except (ConnectionError, OSError):
-                pass  # fall through to reconnect; unACKed frames stay buffered
-            finally:
-                self.connected = False
-                self.net._on_peer_disconnect(self.peer, "out")
-                writer.close()
-                try:
-                    await writer.wait_closed()
-                except (ConnectionError, OSError):
-                    pass
-
-    async def _converse(self, reader: asyncio.StreamReader,
-                        writer: asyncio.StreamWriter) -> None:
-        """Run the write and ACK-read loops until either side of the
-        connection fails; whichever loop notices first ends both."""
-        self._wire_seq = self.acked  # rewind: retransmit the unACKed tail
-        loop = self.net.clock.loop
-        tasks = {
-            loop.create_task(self._write_loop(writer)),
-            loop.create_task(self._read_acks(reader)),
-        }
-        try:
-            await asyncio.wait(tasks, return_when=asyncio.FIRST_COMPLETED)
-        finally:
-            for task in tasks:
-                task.cancel()
-            await asyncio.gather(*tasks, return_exceptions=True)
-
-    async def _write_loop(self, writer: asyncio.StreamWriter) -> None:
-        """Each wakeup writes every frame beyond ``_wire_seq`` at once.
+    def flush(self) -> None:
+        """Write every frame beyond the cursor in one ``transport.write``.
 
         ``unacked`` holds consecutive sequence numbers ending at
         ``next_seq - 1``, so the unwritten frames are its last ``pending``
-        entries — nothing is scanned.
+        entries — nothing is scanned.  A paused or closing connection
+        writes nothing; ``resume_writing`` or the next connect flushes.
         """
-        while not self.net._closing:
-            last = self.next_seq - 1
-            pending = last - max(self._wire_seq, self.acked)
-            if not pending:
-                self.wakeup.clear()
-                await self.wakeup.wait()
-                continue
-            frames = [frame for _, frame in islice(reversed(self.unacked), pending)]
-            frames.reverse()
-            self._wire_seq = last
-            writer.write(b"".join(frames))
-            await writer.drain()
+        conn = self.conn
+        if conn is None or conn.paused or conn.transport.is_closing():
+            return
+        last = self.next_seq - 1
+        pending = last - max(self._wire_seq, self.acked)
+        if not pending:
+            return
+        frames = [frame for _, frame in islice(reversed(self.unacked), pending)]
+        frames.reverse()
+        self._wire_seq = last
+        conn.transport.write(b"".join(frames))
 
-    async def _read_acks(self, reader: asyncio.StreamReader) -> None:
-        decoder = FrameDecoder(self.net.max_frame)
-        while True:
-            data = await reader.read(65536)
-            if not data:
-                return  # EOF — peer closed; _converse reconnects
-            for body in decoder.feed(data):
-                kind, payload = decode_payload(body)
-                if kind != "ack":
-                    raise FrameError(
-                        f"expected ACK on the outbound connection, got {kind}"
-                    )
-                seq, echo_ns, recv_ns, send_ns = payload  # type: ignore[misc]
-                self._on_ack(seq)
-                if echo_ns and recv_ns:
-                    self.net._record_clock_sample(
-                        self.peer, echo_ns, recv_ns, send_ns, self.net.now_ns()
-                    )
-
-    def _on_ack(self, seq: int) -> None:
+    def on_ack(self, seq: int) -> None:
         if seq > self.acked:
             # Never beyond what was sent: frames not yet framed would be
             # dropped from ``unacked`` the moment they were enqueued.
@@ -265,16 +254,111 @@ class _PeerLink:
         while self.unacked and self.unacked[0][0] <= self.acked:
             self.unacked.popleft()
 
-    def _jitter(self, backoff: float) -> float:
-        return backoff * (0.5 + 0.5 * self.net.clock.rng.random())
+    async def run(self) -> None:
+        """Dial, wait for the connection to end, dial again.
 
-    async def stop(self) -> None:
-        if self.task is not None:
-            self.task.cancel()
+        Only a connection the peer accepted (it ACKed our HELLO) resets the
+        backoff and is redialled at once; a refused dial and a connection
+        that ends before any ACK — wrong cluster id, a non-ACK frame — both
+        wait out a growing backoff.
+        """
+        net = self.net
+        backoff = net.backoff_base
+        while not net._closing:
             try:
-                await self.task
-            except (asyncio.CancelledError, Exception):
+                _, conn = await net.clock.loop.create_connection(
+                    lambda: _OutboundConnection(self), self.host, self.port
+                )
+            except OSError:
                 pass
+            else:
+                await conn.closed
+                if conn.accepted:
+                    backoff = net.backoff_base
+                    continue
+            await asyncio.sleep(backoff * (0.5 + 0.5 * net.clock.rng.random()))
+            backoff = min(backoff * 2.0, net.backoff_cap)
+
+
+class _InboundConnection(asyncio.Protocol):
+    """One accepted connection: STAT replies, then HELLO, MSGs in, ACKs out."""
+
+    def __init__(self, net: "TcpNetwork") -> None:
+        self.net = net
+        self.transport: asyncio.Transport | None = None
+        self.peer: int | None = None
+        self.decoder = FrameDecoder(net.max_frame)
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self.transport = transport
+        self.net._inbound.add(self)
+
+    def data_received(self, data: bytes) -> None:
+        # A superseded connection needs no check here: closing its
+        # transport stopped its reads.
+        net = self.net
+        peer = self.peer
+        arrival_ns = net.now_ns()
+        # The newest peer send-time in this chunk, echoed in its ACK with
+        # our arrival time: the peer gets a four-timestamp clock sample.
+        echo_ns = None
+        try:
+            for body in self.decoder.feed(data):
+                kind, payload = decode_payload(body)
+                if kind == "msg" and peer is not None:
+                    seq, echo_ns, message = payload  # type: ignore[misc]
+                    if seq > net._delivered_seq[peer]:
+                        net._delivered_seq[peer] = seq
+                        tracer = net.tracer
+                        if tracer.enabled:
+                            tracer.emit(
+                                time=net.clock.now, party=net.index, protocol="net",
+                                round=None, kind="net.wire.recv",
+                                payload={"src": peer, "seq": seq, "bytes": len(body) + 4,
+                                         "kind": message_kind(message)},
+                            )
+                        net._hand_over(message)
+                elif kind == "stat":
+                    # Monitoring probe (repro top): answer with a snapshot;
+                    # no HELLO required, and the connection stays a plain
+                    # query channel.
+                    self.transport.write(
+                        stat_reply_frame(net._stat_payload(), net.max_frame)
+                    )
+                elif peer is None:
+                    peer = self.peer = net._handshake(kind, payload)
+                    # ACK at once: no new cumulative progress, but a clock
+                    # sample on every (re)connect, and word that we accepted.
+                    echo_ns = payload[2]  # type: ignore[index]
+                else:
+                    raise FrameError(
+                        f"unexpected {kind.upper()} frame on an open inbound connection"
+                    )
+        except FrameError as exc:
+            net._reject_frame(peer, exc)
+            self.transport.close()
+            return
+        if echo_ns is not None:
+            # One cumulative ACK per chunk releases the sender's retransmit
+            # buffer (ACKed even when every frame was a duplicate — the peer
+            # may have missed the earlier ACK).
+            self.transport.write(ack_frame(
+                net._delivered_seq[peer], echo_ns=echo_ns, recv_ns=arrival_ns,
+                send_ns=net.now_ns(),
+            ))
+
+    def pause_writing(self) -> None:
+        # Our ACKs are not being read: read no more MSGs until they are,
+        # so the peer's own write buffer fills and it stops sending.
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self.transport.resume_reading()
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self.net._inbound.discard(self)
+        if self.peer is not None:
+            self.net._on_peer_disconnect(self.peer, "in")
 
 
 class TcpNetwork:
@@ -316,9 +400,12 @@ class TcpNetwork:
         self.backoff_cap = backoff_cap
         self._party: Receiver | None = None
         self._links: dict[int, _PeerLink] = {}
+        #: Links with frames to write, flushed together once per loop turn.
+        self._dirty: dict[_PeerLink, None] = {}
         self._server: asyncio.AbstractServer | None = None
-        self._inbound_writers: dict[int, asyncio.StreamWriter] = {}
-        self._accept_tasks: set[asyncio.Task] = set()
+        #: Every open inbound connection; ``conn.peer`` is set once its HELLO
+        #: is accepted and cleared when a newer connection supersedes it.
+        self._inbound: set[_InboundConnection] = set()
         self._closing = False
         self._delivered = 0
         #: Highest MSG sequence delivered per peer.  Lives on the network
@@ -380,17 +467,22 @@ class TcpNetwork:
         self._party = party
 
     async def start(self) -> None:
-        """Bind the listening socket and start the per-peer sender tasks."""
+        """Bind the listening socket and start one dialer per peer."""
         if self._server is not None:
             raise RuntimeError("transport already started")
+        loop = self.clock.loop
         host, port = self.peers[self.index]
-        self._server = await asyncio.start_server(self._accept, host, port)
+        self._server = await loop.create_server(
+            lambda: _InboundConnection(self), host, port
+        )
         for peer, (peer_host, peer_port) in sorted(self.peers.items()):
             if peer == self.index:
                 continue
             link = _PeerLink(self, peer, peer_host, peer_port)
             self._links[peer] = link
-            link.start()
+            link.task = loop.create_task(
+                link.run(), name=f"icc-net-out-{self.index}->{peer}"
+            )
 
     @property
     def bound_port(self) -> int:
@@ -400,21 +492,21 @@ class TcpNetwork:
         return self._server.sockets[0].getsockname()[1]
 
     async def stop(self) -> None:
-        """Tear everything down: listener, acceptor tasks, sender tasks."""
+        """Tear everything down: listener, connections, dialer tasks."""
         self._closing = True
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
-        for task in list(self._accept_tasks):
-            task.cancel()
+        for conn in list(self._inbound):
+            conn.transport.close()
         for link in self._links.values():
-            link.wakeup.set()  # unblock queue waits so tasks observe _closing
-            await link.stop()
-        for writer in list(self._inbound_writers.values()):
-            writer.close()
-        if self._accept_tasks:
-            await asyncio.gather(*self._accept_tasks, return_exceptions=True)
-        self._accept_tasks.clear()
+            if link.conn is not None:
+                link.conn.transport.close()
+            link.task.cancel()
+        await asyncio.gather(
+            *(link.task for link in self._links.values()), return_exceptions=True
+        )
+        if self._server is not None:
+            await self._server.wait_closed()
 
     # -- transmission (the surface the protocol objects call) ----------------
 
@@ -473,6 +565,19 @@ class TcpNetwork:
                 f"transport for party {self.index} cannot send as party {sender}"
             )
 
+    def _mark_dirty(self, link: _PeerLink) -> None:
+        """Have ``link`` flush at the end of this loop turn: whatever the
+        handlers running now enqueue goes out in one write per link."""
+        dirty = self._dirty
+        if not dirty:
+            self.clock.loop.call_soon(self._flush)
+        dirty[link] = None
+
+    def _flush(self) -> None:
+        dirty, self._dirty = self._dirty, {}
+        for link in dirty:
+            link.flush()
+
     def _loopback(self, message: object) -> None:
         """Self-delivery: scheduled, never reentrant (mirrors the simulator,
         where a party's own messages arrive as a separate zero-delay event)."""
@@ -493,116 +598,15 @@ class TcpNetwork:
         """Frames sent or queued on any outbound link and not yet acknowledged."""
         return sum(link.queued for link in self._links.values())
 
+    def links_paused(self) -> int:
+        """Outbound links whose kernel write buffer is above the high-water
+        mark: the peer is not reading what we send."""
+        links = self._links.values()
+        return sum(link.conn is not None and link.conn.paused for link in links)
+
     # -- inbound -------------------------------------------------------------
 
-    async def _accept(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._accept_tasks.add(task)
-            task.add_done_callback(self._accept_tasks.discard)
-        peer_index: int | None = None
-        decoder = FrameDecoder(self.max_frame)
-        # Newest peer send-time seen on this connection and its local
-        # arrival time: echoed back in every ACK so the peer gets a full
-        # four-timestamp clock sample per ACK.
-        ping_echo_ns = 0
-        ping_recv_ns = 0
-        try:
-            while not self._closing:
-                try:
-                    data = await reader.read(65536)
-                except (ConnectionError, OSError):
-                    break
-                if not data:
-                    break  # EOF
-                if peer_index is not None and self._inbound_writers.get(peer_index) is not writer:
-                    break  # superseded: whatever is still buffered here is resent there
-                arrival_ns = self.now_ns()
-                try:
-                    bodies = decoder.feed(data)
-                    ack_due = False
-                    for body in bodies:
-                        kind, payload = decode_payload(body)
-                        if kind == "stat":
-                            # Monitoring probe (repro top): answer with a
-                            # snapshot; no HELLO required, and the
-                            # connection stays a plain query channel.
-                            try:
-                                writer.write(
-                                    stat_reply_frame(
-                                        self._stat_payload(), self.max_frame
-                                    )
-                                )
-                                await writer.drain()
-                            except (ConnectionError, OSError):
-                                break
-                        elif peer_index is None:
-                            peer_index = self._handshake(kind, payload, writer)
-                            ping_echo_ns = payload[2]  # type: ignore[index]
-                            ping_recv_ns = arrival_ns
-                            # ACK immediately: carries no new cumulative
-                            # progress but gives the dialler a clock
-                            # sample on every (re)connect.
-                            ack_due = True
-                        elif kind == "msg":
-                            seq, send_ns, message = payload  # type: ignore[misc]
-                            ping_echo_ns = send_ns
-                            ping_recv_ns = arrival_ns
-                            if seq > self._delivered_seq.get(peer_index, 0):
-                                self._delivered_seq[peer_index] = seq
-                                tracer = self.tracer
-                                if tracer.enabled:
-                                    tracer.emit(
-                                        time=self.clock.now, party=self.index,
-                                        protocol="net", round=None,
-                                        kind="net.wire.recv",
-                                        payload={
-                                            "src": peer_index,
-                                            "seq": seq,
-                                            "kind": message_kind(message),
-                                            "bytes": len(body) + 4,
-                                        },
-                                    )
-                                self._hand_over(message)
-                            ack_due = True
-                        else:
-                            raise FrameError(
-                                f"unexpected {kind.upper()} frame on an open "
-                                "inbound connection"
-                            )
-                except FrameError as exc:
-                    self._reject_frame(peer_index, exc)
-                    break
-                if ack_due and peer_index is not None:
-                    # One cumulative ACK per read chunk releases the
-                    # sender's retransmit buffer (ACKed even when every
-                    # frame was a duplicate — the peer may have missed
-                    # the earlier ACK).
-                    try:
-                        writer.write(
-                            ack_frame(
-                                self._delivered_seq.get(peer_index, 0),
-                                echo_ns=ping_echo_ns,
-                                recv_ns=ping_recv_ns,
-                                send_ns=self.now_ns(),
-                            )
-                        )
-                        await writer.drain()
-                    except (ConnectionError, OSError):
-                        break
-        except asyncio.CancelledError:
-            pass
-        finally:
-            if peer_index is not None and self._inbound_writers.get(peer_index) is writer:
-                del self._inbound_writers[peer_index]
-                self._on_peer_disconnect(peer_index, "in")
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    def _handshake(self, kind: str, payload: object, writer: asyncio.StreamWriter) -> int:
+    def _handshake(self, kind: str, payload: object) -> int:
         """Validate the first frame of an inbound connection."""
         if kind != "hello":
             raise FrameError("first frame was not HELLO")
@@ -613,16 +617,16 @@ class TcpNetwork:
             )
         if index == self.index or index not in self.peers:
             raise FrameError(f"HELLO from unknown party index {index}")
-        previous = self._inbound_writers.get(index)
+        previous = next((conn for conn in self._inbound if conn.peer == index), None)
         if previous is not None:
             # Duplicate connection: the peer reconnected (or a stale socket
-            # lingered).  Newest wins; closing the old transport makes its
-            # read loop see EOF and exit.
-            previous.close()
+            # lingered).  Newest wins; the old one is closed and, no longer
+            # naming a peer, reports no disconnect.
+            previous.peer = None
+            previous.transport.close()
             self.dup_connections_total += 1
             if self.meter.enabled:
                 self.meter.count("live.dup_connections")
-        self._inbound_writers[index] = writer
         if self._peer_incarnation.get(index) != incarnation:
             self._peer_incarnation[index] = incarnation
             self._delivered_seq[index] = 0

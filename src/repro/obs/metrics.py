@@ -276,8 +276,9 @@ register_metric(
 )
 register_metric(
     "live.frames.rejected", "counter", "repro.net.transport",
-    "Inbound frames rejected as malformed/oversized/undecodable (each "
-    "closes its connection).",
+    "Frames rejected as malformed/oversized/undecodable, inbound, or as "
+    "anything but an ACK on an outbound connection (each closes its "
+    "connection).",
 )
 register_metric(
     "live.clock.samples", "counter", "repro.net.transport",

@@ -435,9 +435,9 @@ register(
 )
 register(
     "live.frame.rejected", "repro.net.transport",
-    "An inbound connection delivered a malformed, oversized or "
-    "undecodable frame (`reason`) and was closed; `peer` is None when it "
-    "failed before a valid HELLO.",
+    "A connection delivered a malformed, oversized or undecodable frame, "
+    "or a dialled one anything but an ACK (`reason`), and was closed; "
+    "`peer` is None when an inbound one failed before a valid HELLO.",
     ("peer", "reason"),
 )
 register(

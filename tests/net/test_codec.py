@@ -385,6 +385,18 @@ class TestOnlyFieldsTravel:
                     offenders.append(path.name)
         assert offenders == []
 
+    def test_transport_is_callbacks_not_streams(self):
+        """The transport runs on ``asyncio.Protocol`` callbacks; a stream
+        API creeping back would bring a task per connection with it."""
+        path = pathlib.Path(repro.net.__file__).parent / "transport.py"
+        banned = {"open_connection", "start_server", "StreamReader", "StreamWriter"}
+        used = {
+            node.attr if isinstance(node, ast.Attribute) else node.id
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, (ast.Attribute, ast.Name))
+        }
+        assert used & banned == set()
+
 
 class TestSerializeBlockUnchanged:
     """ICC2's Merkle roots are over these bytes: the shared encoder must

@@ -10,6 +10,7 @@ import pytest
 from repro.core import build_cluster
 from repro.core.icc0 import ICC0Party
 from repro.faults import Scenario, check_invariants
+from repro.net import transport
 from repro.net.cluster import LiveCluster
 from repro.net.config import local_live_config
 from repro.net.live import summarize
@@ -128,6 +129,37 @@ class TestLiveCluster:
         assert block["request_latency_p50"] == 0.04
         assert block["request_latency_p90"] == 0.06
         assert summarize(quick_config(), [])["request_latency_p50"] == 0.0
+
+
+class TestTransportShape:
+    def test_one_task_per_directed_link(self):
+        """Everything on a connection is a protocol callback: a connected
+        n = 4 cluster runs one transport task per directed link, its dialer
+        — n(n−1) = 12, where the stream design ran four per link (48)."""
+        config = quick_config()
+
+        def connected(cluster) -> bool:
+            return all(
+                len(live.network._inbound) == config.n - 1
+                and all(link.connected for link in live.network._links.values())
+                for live in cluster.parties
+            )
+
+        async def scenario():
+            async with LiveCluster(config) as cluster:
+                assert await cluster.wait_for_height(1, config.timeout)
+                loop = asyncio.get_running_loop()
+                deadline = loop.time() + config.timeout
+                while not connected(cluster):
+                    assert loop.time() < deadline, "cluster never fully connected"
+                    await asyncio.sleep(0.01)
+                return [
+                    task for task in asyncio.all_tasks()
+                    if task.get_coro().cr_code.co_filename == transport.__file__
+                ]
+
+        tasks = asyncio.run(scenario())
+        assert len(tasks) == 4 * 3
 
 
 class TestOneConfigBuildsSimAndLive:

@@ -101,6 +101,30 @@ class TestFetchStats:
         assert 1 <= polled["dup_connections"] <= counted
         assert polled["link_backlog"] >= 0
 
+    def test_paused_link_is_reported(self):
+        """``links_paused`` counts outbound links whose write buffer is
+        above the high-water mark — a transport counter, so a party without
+        a Meter reports it too."""
+
+        async def scenario():
+            config = stat_config(load_requests=0)
+            async with LiveCluster(config) as cluster:
+                live = cluster.parties[0]
+                assert not live.network.meter.enabled
+                link = live.network._links[2]
+                deadline = asyncio.get_running_loop().time() + 10.0
+                while not link.connected:
+                    assert asyncio.get_running_loop().time() < deadline
+                    await asyncio.sleep(0.01)
+                before = (await fetch_stats(config, timeout=5.0))[live.index]
+                link.conn.pause_writing()
+                during = (await fetch_stats(config, timeout=5.0))[live.index]
+                link.conn.resume_writing()
+                after = live.stat_snapshot()
+                return [s["links_paused"] for s in (before, during, after)]
+
+        assert asyncio.run(scenario()) == [0, 1, 0]
+
     def test_unreachable_cluster_reports_none(self):
         async def scenario():
             config = stat_config()  # ports allocated but nobody listening
@@ -114,7 +138,8 @@ class TestRenderTable:
     def test_rows_for_reachable_and_unreachable(self):
         stats = {
             1: {"index": 1, "height": 7, "pool_depth": 3, "link_backlog": 0,
-                "connects": 3, "reconnects": 1, "requests_completed": 12,
+                "links_paused": 1, "connects": 3, "reconnects": 1,
+                "requests_completed": 12,
                 "request_p50_s": 0.025, "request_p99_s": 0.060,
                 "net_messages": 240, "net_bytes": 50000},
             2: None,
@@ -122,11 +147,11 @@ class TestRenderTable:
         table = render_table(stats)
         lines = table.splitlines()
         assert lines[0].split() == [
-            "party", "height", "pool", "backlog", "conn", "reconn",
+            "party", "height", "pool", "backlog", "paused", "conn", "reconn",
             "reqs", "p50ms", "p99ms", "msgs", "bytes",
         ]
         assert lines[1].split() == [
-            "1", "7", "3", "0", "3", "1", "12", "25.0", "60.0",
+            "1", "7", "3", "0", "1", "3", "1", "12", "25.0", "60.0",
             "240", "50000",
         ]
         assert "(unreachable)" in lines[2]

@@ -2,7 +2,8 @@
 
 Every test runs a scenario coroutine under ``asyncio.run``; transports
 are built with ``backoff_base=0.01`` so reconnect paths resolve in tens
-of milliseconds, not the production 50 ms-to-2 s ladder.
+of milliseconds, not the production 50 ms-to-2 s ladder — except in
+``TestRedialBackoff``, which measures that ladder.
 """
 
 from __future__ import annotations
@@ -21,7 +22,13 @@ from repro.net.framing import (
     hello_frame,
     message_frame,
 )
-from repro.net.transport import SimulatorOnlyFeature, TcpNetwork, _PeerLink
+from repro.net.transport import (
+    BACKOFF_BASE,
+    BACKOFF_CAP,
+    SimulatorOnlyFeature,
+    TcpNetwork,
+    _OutboundConnection,
+)
 from repro.obs import Meter
 
 from .wire import body, msg
@@ -46,14 +53,15 @@ async def until(predicate, timeout: float = 5.0) -> None:
 
 
 async def make_net(
-    index: int, peers: dict, *, cluster_id: str = "t", meter=None
+    index: int, peers: dict, *, cluster_id: str = "t", meter=None,
+    backoff: tuple[float, float] = (0.01, 0.05),
 ) -> tuple[TcpNetwork, StubReceiver]:
     clock = WallClock(loop=asyncio.get_running_loop(), seed=index)
     if meter is not None:
         clock.meter = meter
     net = TcpNetwork(
         clock, index, peers, cluster_id=cluster_id,
-        backoff_base=0.01, backoff_cap=0.05,
+        backoff_base=backoff[0], backoff_cap=backoff[1],
     )
     receiver = StubReceiver(index)
     await net.start()
@@ -225,32 +233,34 @@ class TestRestart:
         assert run(scenario()) == [msg(1), msg(2), msg(3), msg(4)]
 
 
-class SpyWriter:
-    """A StreamWriter stand-in that records each ``write`` and can kill
-    the connection right after the first one."""
+class SpyTransport:
+    """An outbound transport stand-in that records each ``write`` and can
+    kill the connection right after the first one."""
 
-    def __init__(self, writer, writes: list, kill_first: bool) -> None:
-        self._writer = writer
+    def __init__(self, transport, writes: list, kill_first: bool) -> None:
+        self._transport = transport
         self._writes = writes
         self._kill_first = kill_first
 
     def write(self, data: bytes) -> None:
         self._writes.append(data)
-        self._writer.write(data)
+        self._transport.write(data)
         if self._kill_first and len(self._writes) == 1:
-            self._writer.transport.abort()
+            self._transport.abort()
 
-    async def drain(self) -> None:
-        await self._writer.drain()
+    def __getattr__(self, name):
+        return getattr(self._transport, name)
 
 
 def spy_on_writes(monkeypatch, writes: list, kill_first: bool = False) -> None:
-    original = _PeerLink._write_loop
+    """Record what outbound connections write after their HELLO."""
+    original = _OutboundConnection.connection_made
 
-    async def spied(self, writer):
-        await original(self, SpyWriter(writer, writes, kill_first))
+    def spied(self, transport):
+        original(self, transport)
+        self.transport = SpyTransport(transport, writes, kill_first)
 
-    monkeypatch.setattr(_PeerLink, "_write_loop", spied)
+    monkeypatch.setattr(_OutboundConnection, "connection_made", spied)
 
 
 def seqs_in(data: bytes) -> list[int]:
@@ -316,7 +326,7 @@ class TestSendPath:
             try:
                 link = a._links[2]
                 await until(lambda: link.connected)
-                await asyncio.sleep(0.02)  # the write loop parks on its event
+                await asyncio.sleep(0.02)  # connected and idle
                 for i in range(1, 6):
                     a.broadcast(1, msg(i))
                 await until(lambda: len(rb.received) == 5)
@@ -355,6 +365,129 @@ class TestSendPath:
 
         assert run(scenario()) == [msg(i) for i in range(1, 6)]
         assert [seqs_in(data) for data in writes] == [[1, 2, 3, 4, 5]] * 2
+
+
+class TestFlowControl:
+    def test_paused_link_writes_nothing_until_resumed(self, monkeypatch):
+        """Above the high-water mark a link writes nothing; what queued
+        meanwhile goes out in one write when the kernel buffer drains."""
+        writes: list[bytes] = []
+        spy_on_writes(monkeypatch, writes)
+
+        async def scenario():
+            peers = peer_map(2)
+            a, _ = await make_net(1, peers)
+            b, rb = await make_net(2, peers)
+            try:
+                link = a._links[2]
+                await until(lambda: link.connected)
+                await asyncio.sleep(0.02)
+                link.conn.pause_writing()
+                for i in range(1, 6):
+                    a.broadcast(1, msg(i))
+                await asyncio.sleep(0.02)
+                while_paused = (list(writes), a.links_paused())
+                link.conn.resume_writing()
+                await until(lambda: len(rb.received) == 5)
+                return while_paused, a.links_paused(), rb.received
+            finally:
+                await a.stop()
+                await b.stop()
+
+        while_paused, after, received = run(scenario())
+        assert while_paused == ([], 1)
+        assert after == 0
+        assert received == [msg(i) for i in range(1, 6)]
+        assert [seqs_in(data) for data in writes] == [[1, 2, 3, 4, 5]]
+
+    def test_inbound_stops_reading_while_its_acks_are_not_read(self):
+        """The acceptor's own writes (ACKs) paused means the sender is not
+        reading them: stop reading its MSGs until it does."""
+
+        async def scenario():
+            peers = peer_map(2)
+            a, _ = await make_net(1, peers)
+            b, rb = await make_net(2, peers)
+            try:
+                await until(lambda: any(conn.peer == 1 for conn in b._inbound))
+                conn = next(conn for conn in b._inbound if conn.peer == 1)
+                conn.pause_writing()
+                reading_while_paused = conn.transport.is_reading()
+                a.broadcast(1, msg(1))
+                await asyncio.sleep(0.05)
+                held = list(rb.received)
+                conn.resume_writing()
+                reading_after = conn.transport.is_reading()
+                await until(lambda: rb.received == [msg(1)])
+                return reading_while_paused, held, reading_after
+            finally:
+                await a.stop()
+                await b.stop()
+
+        assert run(scenario()) == (False, [], True)
+
+
+class TestRedialBackoff:
+    """Production backoff (50 ms doubling to 2 s): the parent redialled a
+    peer that accepted the TCP connection and then hung up at once, about
+    1,700 times per second."""
+
+    production = (BACKOFF_BASE, BACKOFF_CAP)
+
+    def test_mismatched_clusters_back_off(self):
+        """Each side hangs up on the other's HELLO.  No ACK means no
+        connection was accepted, so each one counts as a failed dial."""
+
+        async def scenario():
+            peers = peer_map(2)
+            a, _ = await make_net(1, peers, cluster_id="left", backoff=self.production)
+            b, _ = await make_net(2, peers, cluster_id="right", backoff=self.production)
+            try:
+                await asyncio.sleep(1.0)
+                return (
+                    a._links[2].connects, b._links[1].connects,
+                    a.frames_rejected, b.frames_rejected,
+                )
+            finally:
+                await a.stop()
+                await b.stop()
+
+        dials_a, dials_b, rejected_a, rejected_b = run(scenario())
+        assert 1 <= dials_a <= 20
+        assert 1 <= dials_b <= 20
+        assert rejected_a >= 1 and rejected_b >= 1
+
+    def test_non_ack_frame_on_the_outbound_connection_is_rejected(self):
+        """A peer that answers the HELLO with a MSG: every connection is
+        one rejected frame, counted like an inbound one, then a backoff."""
+
+        async def scenario():
+            peers = peer_map(2)
+            connections = []
+
+            async def impostor(reader, writer):
+                connections.append(writer)
+                writer.write(message_frame(1, body(1)))  # a MSG where an ACK belongs
+                await writer.drain()
+                await reader.read()  # until the dialler hangs up
+                writer.close()
+
+            host, port = peers[2]
+            server = await asyncio.start_server(impostor, host, port)
+            meter = Meter()
+            a, _ = await make_net(1, peers, meter=meter, backoff=self.production)
+            try:
+                await until(lambda: a.frames_rejected >= 3)
+                return (
+                    len(connections), a._links[2].connects, a.frames_rejected,
+                    meter.counter_value("live.frames.rejected"),
+                )
+            finally:
+                await a.stop()
+                server.close()
+                await server.wait_closed()
+
+        assert run(scenario()) == (3, 3, 3, 3)
 
 
 class TestInbound:
