@@ -20,9 +20,10 @@ Stage boundaries are taken from the earliest matching event and clamped
 to be monotone, so the per-height stage durations *telescope*: their sum
 is exactly the finalization latency ``first(icc.finalization) -
 first(icc.round.enter)`` for that height.  :func:`latency_breakdown`
-reports the identity (``spans_telescope``) next to the clock-alignment
-uncertainty a collected live run's boundaries carry; reports, ``repro
-collect --check`` and the test-suite lean on it.
+reports the identity (``spans_telescope``); reports, ``repro collect
+--check`` and the test-suite lean on it.  A collected live run's
+processes share one host clock, so its boundaries are as exact as a
+simulator's.
 
 Baseline protocols (PBFT / HotStuff / Tendermint) commit batches rather
 than notarize blocks; :func:`baseline_paths` reconstructs their simpler
@@ -273,15 +274,15 @@ def stage_means(paths) -> dict[str, float]:
     return {name: total / count for name, total in stage_totals(paths).items()}
 
 
-def wire_transit_stats(events) -> dict:
-    """Matched ``net.wire.send``/``net.wire.recv`` span statistics.
+def wire_spans(events) -> dict[tuple[int, int, int], float]:
+    """Matched ``net.wire.send`` → ``net.wire.recv`` spans, keyed by
+    ``(src, dst, seq)``: first send to first delivery, in seconds.
 
     Only a live TCP trace has such events, and they must be *aligned*
-    (one timeline); returns count/mean/p50/p99 of first-send to
-    first-delivery transit in seconds, ``{"spans": 0}`` without any.
+    (one timeline) — on which no span is negative.
     """
     sends: dict[tuple[int, int, int], float] = {}
-    spans: list[float] = []
+    spans: dict[tuple[int, int, int], float] = {}
     for event in events:
         if event.kind == "net.wire.send":
             sends[
@@ -292,10 +293,16 @@ def wire_transit_stats(events) -> dict:
             key = (int(event.payload["src"]), event.party, int(event.payload["seq"]))
             t_send = sends.get(key)
             if t_send is not None:
-                spans.append(event.time - t_send)
+                spans[key] = event.time - t_send
+    return spans
+
+
+def wire_transit_stats(events) -> dict:
+    """Count/mean/p50/p99 of :func:`wire_spans` in seconds, ``{"spans":
+    0}`` without any."""
+    spans = sorted(wire_spans(events).values())
     if not spans:
         return {"spans": 0}
-    spans.sort()
     return {
         "spans": len(spans),
         "mean_s": sum(spans) / len(spans),
@@ -304,13 +311,10 @@ def wire_transit_stats(events) -> dict:
     }
 
 
-def latency_breakdown(
-    paths, events=(), clock_uncertainty: float | None = None
-) -> dict:
+def latency_breakdown(paths, events=()) -> dict:
     """The latency breakdown of one run: per-stage means over ``paths``,
     whether every path telescopes to its measured finalization latency
-    within :data:`TICK`, the matched wire spans of ``events`` and — for a
-    collected live run — the clock-alignment bound the numbers carry."""
+    within :data:`TICK`, and the matched wire spans of ``events``."""
     worst = max(
         (abs(path.total - (path.finalized - path.entered)) for path in paths),
         default=0.0,
@@ -320,7 +324,6 @@ def latency_breakdown(
         "heights": len(paths),
         "spans_telescope": bool(paths) and worst <= TICK,
         "max_residual_s": worst,
-        "clock_uncertainty_s": clock_uncertainty,
         "finalization_latency_mean_s": sum(means.values(), 0.0),
         "stage_means_s": means,
         "wire_transit": wire_transit_stats(events),
@@ -328,22 +331,15 @@ def latency_breakdown(
 
 
 def consistency_line(breakdown: dict) -> str:
-    """The human-readable telescoping check of a :func:`latency_breakdown`,
-    annotated with the clock uncertainty when the run has one."""
+    """The human-readable telescoping check of a :func:`latency_breakdown`."""
     if not breakdown["heights"]:
         status = "VIOLATED (no finalized heights in trace)"
     else:
         status = "OK" if breakdown["spans_telescope"] else "VIOLATED"
-    line = (
+    return (
         "Consistency: stage sums match measured finalization latency within "
         f"{breakdown['max_residual_s']:.2e}s ({status}, tolerance 1 tick = "
-        f"{TICK:.0e}s)"
-    )
-    if breakdown["clock_uncertainty_s"] is None:
-        return line + "."
-    return (
-        f"{line}; cross-process clock uncertainty "
-        f"±{breakdown['clock_uncertainty_s']:.2e}s."
+        f"{TICK:.0e}s)."
     )
 
 

@@ -133,28 +133,24 @@ def _alignment_section(alignment: ClockAlignment) -> list[str]:
     lines = [
         "## Clock alignment",
         "",
-        f"Reference party: {alignment.reference}; worst per-party bound "
-        f"±{alignment.max_uncertainty:.2e}s.",
+        f"Exact one-host alignment: reference party {alignment.reference}, "
+        f"host `{alignment.host}`; each offset is that party's clock epoch "
+        "minus the reference's.",
         "",
     ]
     lines += _md_table(
-        ["party", "offset (s)", "drift (s/s)", "uncertainty (s)"],
-        [
-            [p, f"{m.offset:.6e}", f"{m.drift:.3e}", f"{m.uncertainty:.2e}"]
-            for p, m in sorted(alignment.offsets.items())
-        ],
+        ["party", "offset (s)"],
+        [[p, f"{offset:.9f}"] for p, offset in sorted(alignment.offsets.items())],
     )
     return lines
 
 
-def analyse(traces, params, alignment=None) -> list[tuple]:
-    """``(label, paths, breakdown)`` per run, at the quorum ``n - t`` and —
-    for a collected live run — under its alignment's clock uncertainty."""
-    uncertainty = None if alignment is None else alignment.max_uncertainty
+def analyse(traces, params) -> list[tuple]:
+    """``(label, paths, breakdown)`` per run, at the quorum ``n - t``."""
     analysed = []
     for label, events in traces:
         paths = critical_paths(events, quorum=params["n"] - params["t"])
-        analysed.append((label, paths, latency_breakdown(paths, events, uncertainty)))
+        analysed.append((label, paths, latency_breakdown(paths, events)))
     return analysed
 
 
@@ -383,7 +379,7 @@ def generate(traces, meter, params, results=None, alignment=None) -> str:
     if alignment is not None:
         lines += _alignment_section(alignment)
         lines.append("")
-    analysed = analyse(traces, params, alignment)
+    analysed = analyse(traces, params)
     lines += _critical_path_section(analysed)
     lines.append("")
     wired = [

@@ -10,7 +10,11 @@ documents):
 
 * ``now`` is **monotonic wall time in seconds since the clock was
   created** (``loop.time() - epoch``), not virtual time.  It advances on
-  its own; nothing "runs" the clock.
+  its own; nothing "runs" the clock.  ``loop.time()`` reads the host's
+  ``CLOCK_MONOTONIC``, which every process on the host shares, so two
+  parties' timelines differ by exactly the difference of their
+  :attr:`WallClock.epoch` values — :func:`host_id` names which clock that
+  is, and a trace header records both (:mod:`repro.obs.distributed`).
 * ``schedule``/``schedule_at`` map to ``loop.call_later`` — callbacks fire
   *at or after* the requested time, never exactly at it, and never
   reentrantly (asyncio only runs callbacks between await points).
@@ -28,10 +32,33 @@ live transport demonstrates.
 from __future__ import annotations
 
 import asyncio
+import os
+import platform
 from random import Random
 from typing import Callable
 
 from ..obs import NULL_METER, NULL_TRACER
+
+
+def host_id() -> str:
+    """Names the monotonic clock this process reads.
+
+    Processes reporting the same id read one ``CLOCK_MONOTONIC``: the boot
+    id changes with every boot, and a time namespace shifts the clock, so
+    its ``/proc/self/ns/time`` link is part of the id where it exists.
+    Where ``/proc`` has neither, the host name stands in.
+    """
+    parts = []
+    try:
+        with open("/proc/sys/kernel/random/boot_id", encoding="ascii") as fh:
+            parts.append(fh.read().strip())
+    except OSError:
+        pass
+    try:
+        parts.append(os.readlink("/proc/self/ns/time"))
+    except OSError:
+        pass
+    return " ".join(parts) or platform.node()
 
 
 class WallClock:
@@ -44,7 +71,9 @@ class WallClock:
 
     def __init__(self, loop: asyncio.AbstractEventLoop | None = None, seed: int = 0) -> None:
         self.loop = loop if loop is not None else asyncio.get_event_loop()
-        self._epoch = self.loop.time()
+        #: The ``loop.time()`` reading ``now`` counts from: this party's
+        #: instant zero on the host's monotonic clock.
+        self.epoch = self.loop.time()
         self.rng = Random(seed)
         #: Same install-before-build rule as the simulator: parties cache
         #: these references at construction.
@@ -56,7 +85,7 @@ class WallClock:
     @property
     def now(self) -> float:
         """Seconds of monotonic wall time since this clock was created."""
-        return self.loop.time() - self._epoch
+        return self.loop.time() - self.epoch
 
     def schedule(self, delay: float, action: Callable[[], None]) -> asyncio.TimerHandle:
         """Run ``action`` after ``delay`` wall-clock seconds (>= 0)."""

@@ -58,8 +58,9 @@ from ..erasure.merkle import MerkleProof
 from ..gossip.protocol import Advert, ArtifactDelivery, ArtifactRequest, Push
 from ..rbc.protocol import Fragment, RbcMessage
 
-#: Carried in HELLO; peers with different tables must not talk.
-VERSION = 1
+#: Carried in HELLO; peers with different tables or frame layouts must not
+#: talk.  2: HELLO, MSG and ACK carry no timestamps.
+VERSION = 2
 
 
 class FrameError(ValueError):

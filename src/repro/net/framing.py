@@ -11,15 +11,10 @@ layout table and the rationale):
     type 0x01  HELLO       payload = codec version (1 byte)
                                      || sender index (4 bytes, big-endian)
                                      || sender incarnation (8 bytes)
-                                     || sender send-time (8 bytes, ns)
                                      || cluster id (UTF-8, rest of frame)
     type 0x02  MSG         payload = link sequence number (8 bytes, big-endian)
-                                     || sender send-time (8 bytes, ns)
                                      || one protocol message (repro.net.codec)
     type 0x03  ACK         payload = cumulative sequence number (8 bytes)
-                                     || echo of peer send-time (8 bytes, ns)
-                                     || our receive-time (8 bytes, ns)
-                                     || our ACK send-time (8 bytes, ns)
     type 0x04  STAT        payload = empty (the 1-byte type is the body)
     type 0x05  STAT_REPLY  payload = one JSON object (UTF-8)
 
@@ -34,12 +29,9 @@ connection.  Anything else — unknown type byte, a body longer than
 :class:`FrameError`; the transport closes the connection and counts
 ``live.frames.rejected``.
 
-Timestamps are party-local monotonic nanoseconds (``WallClock.now`` in
-ns), the same timeline trace events use.  Each ACK echoes the newest
-peer send-time it saw alongside its local receive/send times, giving the
-sender a full NTP-style four-timestamp sample ``(t1, t2, t3, t4)`` per
-ACK at zero extra round trips; :mod:`repro.obs.distributed` turns these
-into cross-process clock alignment.  A STAT frame may be sent *instead
+No frame carries a time: a party only ever reads its own clock, and
+traces from one host line up from their headers' clock epochs
+(:mod:`repro.obs.distributed`).  A STAT frame may be sent *instead
 of* a HELLO by a monitoring client (``python -m repro top``); the
 acceptor answers with one STAT_REPLY carrying a JSON snapshot of the
 process's meters and state.
@@ -50,9 +42,7 @@ buffer: a write the kernel accepted just before the peer died proves
 nothing, so the sender retains every frame until the receiver's
 cumulative ACK covers it and retransmits the tail on reconnect.  The
 receiver deduplicates by sequence number, so each protocol message is
-handed to the party exactly once per link.  (A retransmitted MSG carries
-its original send-time; the resulting stale clock samples are discarded
-by the collector's minimum-RTT filter.)
+handed to the party exactly once per link.
 
 A MSG frame's message is the bytes :func:`repro.net.codec.encode` made of
 it, and the caller passes them in already encoded: a broadcast is encoded
@@ -87,9 +77,8 @@ _TYPE_STAT = 0x04
 _TYPE_STAT_REPLY = 0x05
 
 _LENGTH = struct.Struct(">I")
-_HELLO = struct.Struct(">BBIQQ")  # type, codec version, index, incarnation, send-time
-_MSG = struct.Struct(">BQQ")  # type, sequence number, send-time
-_ACK = struct.Struct(">BQQQQ")  # type, sequence number, echo, receive, send times
+_HELLO = struct.Struct(">BBIQ")  # type, codec version, index, incarnation
+_SEQ = struct.Struct(">BQ")  # type, sequence number: a MSG's header, an ACK's body
 
 
 class OversizedFrame(FrameError):
@@ -111,65 +100,38 @@ def encode_frame(body: bytes, max_frame: int = DEFAULT_MAX_FRAME) -> bytes:
     return _LENGTH.pack(len(body)) + body
 
 
-def _ts(ts_ns: int) -> int:
-    """A local-monotonic-ns timestamp, clamped to be encodable."""
-    return max(0, int(ts_ns))
-
-
 def hello_frame(
     index: int,
     cluster_id: str,
     max_frame: int = DEFAULT_MAX_FRAME,
     *,
-    ts_ns: int = 0,
     incarnation: int = 0,
 ) -> bytes:
-    """The handshake frame a connector sends first (``ts_ns`` is the
-    sender's local send-time, the ``t1`` of the first clock sample;
-    ``incarnation`` names this run of the sending process)."""
+    """The handshake frame a connector sends first (``incarnation`` names
+    this run of the sending process)."""
     if index < 1:
         raise FrameError(f"party index {index} is not positive")
     body = _HELLO.pack(
-        _TYPE_HELLO, codec.VERSION, index, incarnation, _ts(ts_ns)
+        _TYPE_HELLO, codec.VERSION, index, incarnation
     ) + cluster_id.encode("utf-8")
     return encode_frame(body, max_frame)
 
 
-def message_frame(
-    seq: int,
-    body: bytes,
-    max_frame: int = DEFAULT_MAX_FRAME,
-    *,
-    ts_ns: int = 0,
-) -> bytes:
+def message_frame(seq: int, body: bytes, max_frame: int = DEFAULT_MAX_FRAME) -> bytes:
     """Frame one already-encoded protocol message (``codec.encode``) as a
-    MSG with link sequence ``seq`` and sender send-time ``ts_ns``."""
+    MSG with link sequence ``seq``."""
     if seq < 1:
         raise FrameError(f"MSG sequence numbers start at 1, got {seq}")
-    size = _MSG.size + len(body)
+    size = _SEQ.size + len(body)
     _check_size(size, max_frame)
-    return b"".join((_LENGTH.pack(size), _MSG.pack(_TYPE_MSG, seq, _ts(ts_ns)), body))
+    return b"".join((_LENGTH.pack(size), _SEQ.pack(_TYPE_MSG, seq), body))
 
 
-def ack_frame(
-    seq: int,
-    max_frame: int = DEFAULT_MAX_FRAME,
-    *,
-    echo_ns: int = 0,
-    recv_ns: int = 0,
-    send_ns: int = 0,
-) -> bytes:
-    """Cumulative acknowledgement: every MSG up to ``seq`` was delivered.
-
-    ``echo_ns`` echoes the newest peer send-time this side saw (``t1``),
-    ``recv_ns`` is when it arrived here (``t2``), ``send_ns`` is when
-    this ACK left (``t3``) — the receiver supplies its own ``t4``.
-    """
+def ack_frame(seq: int, max_frame: int = DEFAULT_MAX_FRAME) -> bytes:
+    """Cumulative acknowledgement: every MSG up to ``seq`` was delivered."""
     if seq < 0:
         raise FrameError(f"ACK sequence must be >= 0, got {seq}")
-    return encode_frame(
-        _ACK.pack(_TYPE_ACK, seq, _ts(echo_ns), _ts(recv_ns), _ts(send_ns)), max_frame
-    )
+    return encode_frame(_SEQ.pack(_TYPE_ACK, seq), max_frame)
 
 
 def stat_frame(max_frame: int = DEFAULT_MAX_FRAME) -> bytes:
@@ -186,29 +148,29 @@ def stat_reply_frame(snapshot: dict, max_frame: int = DEFAULT_MAX_FRAME) -> byte
 
 
 def decode_payload(body: bytes) -> tuple[str, object]:
-    """Decode one frame body into ``("hello", (index, cluster_id, ts_ns,
-    incarnation))``, ``("msg", (seq, ts_ns, message))``, ``("ack", (seq,
-    echo_ns, recv_ns, send_ns))``, ``("stat", None)`` or ``("stat_reply",
-    snapshot)``; raises :class:`FrameError` on malformed input."""
+    """Decode one frame body into ``("hello", (index, cluster_id,
+    incarnation))``, ``("msg", (seq, message))``, ``("ack", seq)``,
+    ``("stat", None)`` or ``("stat_reply", snapshot)``; raises
+    :class:`FrameError` on malformed input."""
     if not body:
         raise FrameError("empty frame body")
     frame_type = body[0]
     if frame_type == _TYPE_MSG:
-        if len(body) <= _MSG.size:
+        if len(body) <= _SEQ.size:
             raise FrameError("truncated MSG frame")
-        _, seq, ts_ns = _MSG.unpack_from(body)
+        _, seq = _SEQ.unpack_from(body)
         try:
-            return "msg", (seq, ts_ns, codec.decode(body, _MSG.size))
+            return "msg", (seq, codec.decode(body, _SEQ.size))
         except FrameError as exc:
             raise FrameError(f"undecodable MSG payload: {exc}") from None
     if frame_type == _TYPE_ACK:
-        if len(body) != _ACK.size:
+        if len(body) != _SEQ.size:
             raise FrameError("malformed ACK frame")
-        return "ack", _ACK.unpack(body)[1:]
+        return "ack", _SEQ.unpack(body)[1]
     if frame_type == _TYPE_HELLO:
         if len(body) < _HELLO.size:
             raise FrameError("truncated HELLO frame")
-        _, version, index, incarnation, ts_ns = _HELLO.unpack_from(body)
+        _, version, index, incarnation = _HELLO.unpack_from(body)
         if version != codec.VERSION:
             raise FrameError(
                 f"HELLO speaks codec version {version}, this party {codec.VERSION}"
@@ -219,7 +181,7 @@ def decode_payload(body: bytes) -> tuple[str, object]:
             raise FrameError(f"HELLO cluster id is not UTF-8: {exc}") from exc
         if index < 1:
             raise FrameError(f"HELLO carries invalid party index {index}")
-        return "hello", (index, cluster_id, ts_ns, incarnation)
+        return "hello", (index, cluster_id, incarnation)
     if frame_type == _TYPE_STAT:
         if len(body) != 1:
             raise FrameError("malformed STAT frame")

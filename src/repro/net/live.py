@@ -12,8 +12,9 @@ results — optionally as a JSON document (``--json PATH``).
 With ``--trace-dir D`` (or ``--json`` / ``--check``, which imply tracing
 into a temporary directory) every process traces into the run directory
 and the orchestrator automatically **collects** the run afterwards
-(:func:`repro.obs.collect_run`): clocks aligned, traces merged, meters
-merged, and the critical-path latency breakdown
+(:func:`repro.obs.collect_run`): timelines aligned exactly by the
+processes' clock epochs, traces merged, meters merged, and the
+critical-path latency breakdown
 (:func:`repro.analysis.critical_path.latency_breakdown`, the same one the
 simulator's reports use) computed and embedded in the summary.  ``python
 -m repro collect D`` re-runs that step standalone.
@@ -51,6 +52,7 @@ from ..analysis.critical_path import (
 from ..obs import Meter, Tracer, collect_run, trace_header, write_jsonl
 from ..core.cluster import PROTOCOLS, prefix_consistent
 from ..obs.metrics import percentile
+from .clock import host_id
 from .cluster import LiveCluster
 from .config import LiveConfig, load_live_config, local_live_config
 from .party import LiveParty
@@ -63,7 +65,7 @@ KILL_GRACE = 10.0
 # --------------------------------------------------------------------- serve
 
 
-async def _serve(config: LiveConfig, index: int, tracer, meter) -> dict:
+async def _serve(config: LiveConfig, index: int, tracer, meter) -> tuple[LiveParty, dict]:
     loop = asyncio.get_running_loop()
     live = LiveParty(config, index, loop=loop, tracer=tracer, meter=meter)
     stop_requested = asyncio.Event()
@@ -87,18 +89,21 @@ async def _serve(config: LiveConfig, index: int, tracer, meter) -> dict:
     result = live.result()
     result["reached_target"] = bool(reached)
     result["target_height"] = config.target_height
-    return result
+    return live, result
 
 
-def _write_trace(config: LiveConfig, index: int, tracer: Tracer, path: str) -> None:
-    """Export one party's trace.  The header makes it self-identifying: the
-    collector refuses headerless traces and mixed run_ids."""
+def _write_trace(config: LiveConfig, live: LiveParty, path: str) -> None:
+    """Export one party's trace.  The header makes it self-identifying and
+    places its timeline: the collector refuses headerless traces, mixed
+    run_ids and mixed hosts, and aligns the rest by their clock epochs."""
     write_jsonl(
-        tracer.export_events(),
+        live.clock.tracer.export_events(),
         path,
         header=trace_header(
             run_id=config.effective_run_id(),
-            party=index,
+            party=live.index,
+            clock_epoch_s=live.clock.epoch,
+            host=host_id(),
             cluster_id=config.cluster_id,
         ),
     )
@@ -135,14 +140,14 @@ def serve(args) -> int:
     config = load_live_config(args.config)
     tracer = Tracer() if args.trace else None
     meter = Meter()
-    result = asyncio.run(_serve(config, args.index, tracer, meter))
+    live, result = asyncio.run(_serve(config, args.index, tracer, meter))
     result["meter"] = {
         name: meter.counter_value(name)
         for name in ("live.connects", "live.reconnects", "live.dup_connections",
                      "live.frames.rejected", "net.messages")
     }
     if args.trace:
-        _write_trace(config, args.index, tracer, args.trace)
+        _write_trace(config, live, args.trace)
     if args.meter:
         meter.write_json(args.meter)
     payload = json.dumps(result, indent=1, sort_keys=True)
@@ -215,13 +220,8 @@ async def _run_inproc(config: LiveConfig, workdir: str | None) -> list[dict]:
     tracer/meter (its own timeline), mirroring separate processes, and the
     run is written there in the per-process layout ``_spawn_cluster``
     leaves and ``repro collect`` expects."""
-    observed = (
-        {i: (Tracer(), Meter()) for i in range(1, config.n + 1)}
-        if workdir
-        else None
-    )
     async with LiveCluster(
-        config, per_party=observed.__getitem__ if observed else None
+        config, per_party=(lambda _: (Tracer(), Meter())) if workdir else None
     ) as cluster:
         reached = await cluster.wait_for_height(
             config.target_height, config.timeout
@@ -232,11 +232,12 @@ async def _run_inproc(config: LiveConfig, workdir: str | None) -> list[dict]:
                 reached or record["height"] >= config.target_height
             )
             record["target_height"] = config.target_height
-    if observed:
+    if workdir:
         config.save(os.path.join(workdir, "cluster.json"))
-        for i, (tracer, meter) in observed.items():
-            _write_trace(config, i, tracer, os.path.join(workdir, f"trace-{i}.jsonl"))
-            meter.write_json(os.path.join(workdir, f"meter-{i}.json"))
+        for live in cluster.parties:
+            i = live.index
+            _write_trace(config, live, os.path.join(workdir, f"trace-{i}.jsonl"))
+            live.clock.meter.write_json(os.path.join(workdir, f"meter-{i}.json"))
         for record in results:
             path = os.path.join(workdir, f"result-{record['index']}.json")
             with open(path, "w", encoding="utf-8") as fh:
@@ -320,7 +321,6 @@ def _collect_breakdown(config: LiveConfig, workdir: str) -> dict | None:
     breakdown = latency_breakdown(
         critical_paths(collected.events, quorum=config.n - config.t),
         collected.events,
-        collected.alignment.max_uncertainty,
     )
     print(f"  collected   : {collected.merged_trace_path}")
     print(f"  {consistency_line(breakdown)}")
@@ -357,8 +357,7 @@ def _print_summary(config: LiveConfig, live_block: dict) -> None:
         print(
             f"  breakdown   : {breakdown['heights']} heights, mean "
             f"{breakdown['finalization_latency_mean_s'] * 1000:.0f} ms "
-            f"finalization (clock uncertainty "
-            f"±{breakdown['clock_uncertainty_s'] * 1e6:.0f} µs; {rendered})"
+            f"finalization ({rendered})"
         )
 
 
@@ -399,7 +398,7 @@ def add_live_arguments(parser) -> None:
     parser.add_argument(
         "--trace-dir", metavar="DIR", default=None,
         help="trace every process into DIR and collect the run afterwards "
-             "(clock alignment + merged trace + latency breakdown)",
+             "(exact clock alignment + merged trace + latency breakdown)",
     )
 
 

@@ -216,7 +216,6 @@ class LiveParty:
             "net_messages": sum(self.network.metrics.msgs_sent.values()),
             "net_bytes": sum(self.network.metrics.bytes_sent.values()),
             "wall_seconds": round(self.clock.now, 6),
-            "clock_sync": self.network.clock_sync.summary(),
         }
 
     def result(self) -> dict:

@@ -24,6 +24,7 @@ it — a write the kernel took proves nothing about delivery — and every
 (exponential, jittered, capped); only a connection whose HELLO the peer
 ACKed resets the backoff.  The receiver deduplicates by sequence number,
 so each link delivers in order and exactly once over an at-least-once wire.
+No frame carries a clock reading: a party reads only its own clock.
 
 Inbound: the acceptor requires a HELLO naming a configured peer of the
 same cluster before any message frame and ACKs once per chunk.  A
@@ -78,41 +79,6 @@ class SimulatorOnlyFeature(RuntimeError):
     drop packets with tc/iptables) instead."""
 
 
-class ClockSync:
-    """Per-peer NTP-style sample aggregator for the timestamped ACK path.
-
-    Every ACK carries ``(t1=echoed peer send-time, t2=peer receive-time,
-    t3=peer ACK send-time)`` and arrives at local ``t4``; this records the
-    instantaneous offset ``theta = ((t2-t1)+(t3-t4))/2`` (peer clock minus
-    ours, seconds) and keeps the minimum-RTT sample per peer — the one
-    whose offset estimate is tightest (error is bounded by ``rtt/2``).
-    The collector (:mod:`repro.obs.distributed`) does the real alignment
-    offline from ``live.clock.sample`` trace events; this summary feeds
-    the STAT endpoint.
-    """
-
-    def __init__(self) -> None:
-        self.samples: dict[int, int] = {}
-        self.best: dict[int, tuple[float, float]] = {}  # peer -> (theta, rtt)
-
-    def add(self, peer: int, theta: float, rtt: float) -> None:
-        self.samples[peer] = self.samples.get(peer, 0) + 1
-        current = self.best.get(peer)
-        if current is None or rtt < current[1]:
-            self.best[peer] = (theta, rtt)
-
-    def summary(self) -> dict:
-        """JSON-safe per-peer summary: best offset estimate + bound."""
-        return {
-            str(peer): {
-                "theta_s": self.best[peer][0],
-                "uncertainty_s": self.best[peer][1] / 2.0,
-                "samples": self.samples[peer],
-            }
-            for peer in sorted(self.best)
-        }
-
-
 class _OutboundConnection(asyncio.Protocol):
     """One dialled connection of a :class:`_PeerLink`: HELLO out, ACKs in.
 
@@ -137,29 +103,22 @@ class _OutboundConnection(asyncio.Protocol):
         link.connects += 1
         net._on_peer_connect(link.peer, "out", reconnect=link.connects > 1)
         transport.write(hello_frame(
-            net.index, net.cluster_id, net.max_frame,
-            ts_ns=net.now_ns(), incarnation=net.incarnation,
+            net.index, net.cluster_id, net.max_frame, incarnation=net.incarnation,
         ))
         link._wire_seq = link.acked  # rewind: retransmit the unACKed tail
         net._mark_dirty(link)
 
     def data_received(self, data: bytes) -> None:
         link = self.link
-        net = link.net
         try:
             for body in self.decoder.feed(data):
-                kind, payload = decode_payload(body)
+                kind, seq = decode_payload(body)
                 if kind != "ack":
                     raise FrameError(f"expected ACK on the outbound connection, got {kind}")
-                seq, echo_ns, recv_ns, send_ns = payload  # type: ignore[misc]
                 self.accepted = True
-                link.on_ack(seq)
-                if echo_ns and recv_ns:
-                    net._record_clock_sample(
-                        link.peer, echo_ns, recv_ns, send_ns, net.now_ns()
-                    )
+                link.on_ack(seq)  # type: ignore[arg-type]
         except FrameError as exc:
-            net._reject_frame(link.peer, exc)
+            link.net._reject_frame(link.peer, exc)
             self.transport.close()
 
     def pause_writing(self) -> None:
@@ -206,11 +165,11 @@ class _PeerLink:
         """Frames awaiting acknowledgement (for tests/metrics)."""
         return len(self.unacked)
 
-    def enqueue(self, message: object, body: bytes, ts_ns: int) -> None:
+    def enqueue(self, message: object, body: bytes) -> None:
         """Queue ``message``, already encoded as ``body``, for this peer."""
         seq = self.next_seq
         self.next_seq += 1
-        frame = message_frame(seq, body, self.net.max_frame, ts_ns=ts_ns)
+        frame = message_frame(seq, body, self.net.max_frame)
         self.unacked.append((seq, frame))
         tracer = self.net.tracer
         if tracer.enabled:
@@ -298,15 +257,13 @@ class _InboundConnection(asyncio.Protocol):
         # transport stopped its reads.
         net = self.net
         peer = self.peer
-        arrival_ns = net.now_ns()
-        # The newest peer send-time in this chunk, echoed in its ACK with
-        # our arrival time: the peer gets a four-timestamp clock sample.
-        echo_ns = None
+        ack = False
         try:
             for body in self.decoder.feed(data):
                 kind, payload = decode_payload(body)
                 if kind == "msg" and peer is not None:
-                    seq, echo_ns, message = payload  # type: ignore[misc]
+                    seq, message = payload  # type: ignore[misc]
+                    ack = True
                     if seq > net._delivered_seq[peer]:
                         net._delivered_seq[peer] = seq
                         tracer = net.tracer
@@ -327,9 +284,9 @@ class _InboundConnection(asyncio.Protocol):
                     )
                 elif peer is None:
                     peer = self.peer = net._handshake(kind, payload)
-                    # ACK at once: no new cumulative progress, but a clock
-                    # sample on every (re)connect, and word that we accepted.
-                    echo_ns = payload[2]  # type: ignore[index]
+                    # ACK at once: the dialer's word that we accepted, on
+                    # which its backoff resets.
+                    ack = True
                 else:
                     raise FrameError(
                         f"unexpected {kind.upper()} frame on an open inbound connection"
@@ -338,14 +295,11 @@ class _InboundConnection(asyncio.Protocol):
             net._reject_frame(peer, exc)
             self.transport.close()
             return
-        if echo_ns is not None:
+        if ack:
             # One cumulative ACK per chunk releases the sender's retransmit
             # buffer (ACKed even when every frame was a duplicate — the peer
             # may have missed the earlier ACK).
-            self.transport.write(ack_frame(
-                net._delivered_seq[peer], echo_ns=echo_ns, recv_ns=arrival_ns,
-                send_ns=net.now_ns(),
-            ))
+            self.transport.write(ack_frame(net._delivered_seq[peer]))
 
     def pause_writing(self) -> None:
         # Our ACKs are not being read: read no more MSGs until they are,
@@ -427,8 +381,6 @@ class TcpNetwork:
         self.connects_total = 0
         self.reconnects_total = 0
         self.dup_connections_total = 0
-        #: NTP-style per-peer offset samples from timestamped ACKs.
-        self.clock_sync = ClockSync()
         #: When set, STAT frames are answered with this callable's dict
         #: (``LiveParty`` installs its snapshot builder here); otherwise a
         #: minimal transport-level snapshot is returned.
@@ -447,12 +399,6 @@ class TcpNetwork:
     @property
     def rng(self):
         return self.clock.rng
-
-    def now_ns(self) -> int:
-        """The local monotonic timeline in nanoseconds — the same clock
-        trace events are stamped with, so wire timestamps and trace times
-        are directly comparable."""
-        return int(self.clock.now * 1e9)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -518,9 +464,8 @@ class TcpNetwork:
             self, self.clock.now, sender, message, round,
             "net.broadcast", self.n, self.n - 1, "copies", self.n,
         )
-        ts_ns = self.now_ns()
         for link in self._links.values():
-            link.enqueue(message, body, ts_ns)
+            link.enqueue(message, body)
         self._loopback(message)
 
     def send(self, sender: int, receiver: int, message: object, round: int | None = None) -> None:
@@ -537,7 +482,7 @@ class TcpNetwork:
         link = self._links.get(receiver)
         if link is None:
             raise ValueError(f"unknown receiver {receiver}")
-        link.enqueue(message, body, self.now_ns())
+        link.enqueue(message, body)
 
     def multicast(self, sender: int, receivers: Iterable[int], message: object,
                   round: int | None = None) -> None:
@@ -549,7 +494,6 @@ class TcpNetwork:
             self, self.clock.now, sender, message, round,
             "net.multicast", len(receivers), len(receivers), "receivers", len(receivers),
         )
-        ts_ns = self.now_ns()
         for receiver in receivers:
             if receiver == sender:
                 self._loopback(message)
@@ -557,7 +501,7 @@ class TcpNetwork:
             link = self._links.get(receiver)
             if link is None:
                 raise ValueError(f"unknown receiver {receiver}")
-            link.enqueue(message, body, ts_ns)
+            link.enqueue(message, body)
 
     def _require_local(self, sender: int) -> None:
         if sender != self.index:
@@ -610,7 +554,7 @@ class TcpNetwork:
         """Validate the first frame of an inbound connection."""
         if kind != "hello":
             raise FrameError("first frame was not HELLO")
-        index, cluster_id, _ts_ns, incarnation = payload  # type: ignore[misc]
+        index, cluster_id, incarnation = payload  # type: ignore[misc]
         if cluster_id != self.cluster_id:
             raise FrameError(
                 f"HELLO from cluster {cluster_id!r} (expected {self.cluster_id!r})"
@@ -644,32 +588,7 @@ class TcpNetwork:
                 payload={"peer": peer_index, "reason": str(exc)},
             )
 
-    # -- clock samples + STAT endpoint ----------------------------------------
-
-    def _record_clock_sample(
-        self, peer: int, t1_ns: int, t2_ns: int, t3_ns: int, t4_ns: int
-    ) -> None:
-        """Record one NTP four-timestamp sample for ``peer``.
-
-        ``t1`` our send-time (echoed), ``t2`` peer receive-time, ``t3``
-        peer ACK send-time, ``t4`` our ACK receive-time; ``theta`` is the
-        peer clock minus ours, ``rtt`` the round trip net of the peer's
-        hold time.  Retransmitted frames echo stale send-times and show
-        up as huge RTTs — downstream minimum filters discard them.
-        """
-        rtt = ((t4_ns - t1_ns) - (t3_ns - t2_ns)) * 1e-9
-        if rtt < 0:
-            return  # stale echo ordering artefact; not a usable sample
-        theta = ((t2_ns - t1_ns) + (t3_ns - t4_ns)) * 0.5e-9
-        self.clock_sync.add(peer, theta, rtt)
-        if self.meter.enabled:
-            self.meter.count("live.clock.samples")
-        if self.tracer.enabled:
-            self.tracer.emit(
-                time=self.clock.now, party=self.index, protocol="net", round=None,
-                kind="live.clock.sample",
-                payload={"peer": peer, "theta": theta, "rtt": rtt},
-            )
+    # -- STAT endpoint ---------------------------------------------------------
 
     def _stat_payload(self) -> dict:
         """The STAT answer: the installed provider's snapshot, or a
@@ -689,7 +608,6 @@ class TcpNetwork:
             "delivered": self._delivered,
             "connects": self.connects_total,
             "reconnects": self.reconnects_total,
-            "clock_sync": self.clock_sync.summary(),
         }
 
     # -- connection observability --------------------------------------------

@@ -27,13 +27,8 @@ from .distributed import (
     ClockAlignment,
     CollectError,
     CollectedRun,
-    PairOffset,
-    PartyOffset,
     align_events,
     collect_run,
-    estimate_alignment,
-    estimate_pair,
-    pair_deltas,
     trace_header,
 )
 from .export import read_jsonl, read_jsonl_with_header, write_jsonl
@@ -84,8 +79,6 @@ __all__ = [
     "NamespacedTracer",
     "NullMeter",
     "NullTracer",
-    "PairOffset",
-    "PartyOffset",
     "SCHEMA_VERSION",
     "TraceEvent",
     "Tracer",
@@ -94,13 +87,10 @@ __all__ = [
     "UnknownMetric",
     "align_events",
     "collect_run",
-    "estimate_alignment",
-    "estimate_pair",
     "format_meter",
     "merge_meters",
     "namespaced_meter",
     "namespaced_tracer",
-    "pair_deltas",
     "read_jsonl",
     "read_jsonl_with_header",
     "register",

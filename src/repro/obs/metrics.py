@@ -281,11 +281,6 @@ register_metric(
     "connection).",
 )
 register_metric(
-    "live.clock.samples", "counter", "repro.net.transport",
-    "NTP-style clock-offset samples recorded from timestamped ACK frames "
-    "(inputs to distributed-trace clock alignment).",
-)
-register_metric(
     "live.stat.requests", "counter", "repro.net.transport",
     "STAT frames answered with a meter/state snapshot (`repro top` polls).",
 )

@@ -457,15 +457,6 @@ register(
     ("src", "seq", "kind", "bytes"),
 )
 register(
-    "live.clock.sample", "repro.net.transport",
-    "An NTP-style ping sample for `peer` completed over the HELLO/ACK "
-    "exchange: `theta` is the instantaneous offset estimate "
-    "(peer clock minus ours, seconds), `rtt` the round-trip time minus "
-    "remote hold time; the distributed-trace collector feeds these into "
-    "clock alignment.",
-    ("peer", "theta", "rtt"),
-)
-register(
     "live.stat.request", "repro.net.transport",
     "This process answered a STAT frame with its current meter/state "
     "snapshot (the `repro top` polling endpoint).",

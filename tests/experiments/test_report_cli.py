@@ -13,9 +13,10 @@ from repro.analysis.critical_path import (
     ICC_STAGES,
     critical_paths,
     latency_breakdown,
+    wire_spans,
 )
 from repro.experiments import run_report
-from repro.obs import Meter, read_jsonl
+from repro.obs import Meter, read_jsonl, read_jsonl_with_header
 
 
 def section(text: str, title: str) -> str:
@@ -184,12 +185,32 @@ class TestLiveRunDirectory:
         for row in ("| protocol | icc0 |", "| n | 4 |", "| t | 1 |", "| runs | 1 |"):
             assert row in text
         assert "## Clock alignment" in text
+        assert "\nExact one-host alignment: reference party 1, host `" in text
         assert "## Wire transit" in text
         assert "`net.messages`" in text  # merged-meter.json was found
         consistency = next(
             line for line in text.splitlines() if line.startswith("Consistency:")
         )
-        assert "(OK," in consistency and "clock uncertainty" in consistency
+        assert "(OK," in consistency and "±" not in consistency
+
+    def test_offsets_are_the_headers_epoch_differences(self, live_run):
+        """In-process parties share a loop, hence a clock: each alignment
+        offset is the difference of two header fields, bit for bit, and no
+        matched wire span runs backwards."""
+        headers = {
+            header["party"]: header
+            for header, _ in map(read_jsonl_with_header,
+                                 map(str, live_run.glob("trace-*.jsonl")))
+        }
+        alignment = json.loads((live_run / "alignment.json").read_text())
+        reference = headers[alignment["reference"]]["clock_epoch_s"]
+        assert alignment["offsets_s"] == {
+            str(p): h["clock_epoch_s"] - reference for p, h in headers.items()
+        }
+        assert len({h["host"] for h in headers.values()}) == 1
+        [(_, events)] = run_report.load_run(str(live_run))["traces"]
+        spans = wire_spans(events)
+        assert spans and min(spans.values()) >= 0
 
     def test_same_stages_as_a_simulator_trace(self, live_run, tmp_path, capsys):
         main(["trace", "--n", "4", "--rounds", "3", "--export", str(tmp_path / "t.jsonl")])

@@ -6,7 +6,7 @@ import asyncio
 
 import pytest
 
-from repro.net.clock import WallClock
+from repro.net.clock import WallClock, host_id
 from repro.obs import NULL_METER, NULL_TRACER
 
 
@@ -25,6 +25,22 @@ class TestWallClock:
         first, later = run(scenario())
         assert first == pytest.approx(0.0, abs=0.005)
         assert later > first
+
+    def test_epoch_places_now_on_the_host_clock(self):
+        """Two clocks of one host differ by exactly their epochs: what
+        trace alignment relies on."""
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            early = WallClock(loop=loop)
+            await asyncio.sleep(0.01)
+            late = WallClock(loop=loop)
+            return early.now, late.now, early.epoch, late.epoch, loop.time()
+
+        early_now, late_now, early_epoch, late_epoch, host_now = run(scenario())
+        assert early_epoch < late_epoch < host_now
+        assert early_now - late_now == pytest.approx(late_epoch - early_epoch, abs=1e-3)
+        assert host_id() == host_id() != ""
 
     def test_schedule_runs_action(self):
         async def scenario():

@@ -30,54 +30,41 @@ class TestEncode:
         (framed,) = decoder.feed(frame)
         kind, payload = decode_payload(framed)
         assert kind == "msg"
-        assert payload == (9, 0, msg(7))
-        assert payload[2].share == msg(7).share
+        assert payload == (9, msg(7))
+        assert payload[1].share == msg(7).share
 
     def test_message_frame_is_header_plus_the_given_body(self):
-        """The caller encodes; framing adds length, type, seq and time and
+        """The caller encodes; framing adds length, type and seq and
         nothing else — which is what lets a broadcast encode once."""
-        frame = message_frame(9, body(7), ts_ns=5)
+        frame = message_frame(9, body(7))
         assert frame.endswith(body(7))
-        assert len(frame) == 4 + 1 + 8 + 8 + len(body(7))
-        assert message_frame(10, body(7), ts_ns=5)[21:] == frame[21:]
-
-    def test_round_trip_message_timestamp(self):
-        frame = message_frame(9, body(1), ts_ns=123_456_789)
-        (framed,) = FrameDecoder().feed(frame)
-        assert decode_payload(framed) == ("msg", (9, 123_456_789, msg(1)))
+        assert len(frame) == 4 + 1 + 8 + len(body(7))
+        assert message_frame(10, body(7))[13:] == frame[13:]
 
     def test_round_trip_hello(self):
         frame = hello_frame(7, "cluster-x")
         (framed,) = FrameDecoder().feed(frame)
-        assert decode_payload(framed) == ("hello", (7, "cluster-x", 0, 0))
-
-    def test_round_trip_hello_timestamp(self):
-        frame = hello_frame(7, "cluster-x", ts_ns=42)
-        (framed,) = FrameDecoder().feed(frame)
-        assert decode_payload(framed) == ("hello", (7, "cluster-x", 42, 0))
+        assert decode_payload(framed) == ("hello", (7, "cluster-x", 0))
+        assert len(frame) == 4 + 1 + 1 + 4 + 8 + len("cluster-x")
 
     def test_round_trip_hello_incarnation(self):
         frame = hello_frame(7, "cluster-x", incarnation=2**64 - 1)
         (framed,) = FrameDecoder().feed(frame)
-        assert decode_payload(framed) == ("hello", (7, "cluster-x", 0, 2**64 - 1))
+        assert decode_payload(framed) == ("hello", (7, "cluster-x", 2**64 - 1))
 
     def test_round_trip_ack(self):
-        (framed,) = FrameDecoder().feed(ack_frame(41))
-        assert decode_payload(framed) == ("ack", (41, 0, 0, 0))
-
-    def test_round_trip_ack_clock_sample(self):
-        """ACKs piggyback the NTP-style sample: echoed peer send time,
-        local receive time, ACK send time."""
-        frame = ack_frame(41, echo_ns=111, recv_ns=222, send_ns=333)
+        """An ACK is its type and the cumulative sequence number: 9 bytes."""
+        frame = ack_frame(41)
+        assert len(frame) == 4 + 9
         (framed,) = FrameDecoder().feed(frame)
-        assert decode_payload(framed) == ("ack", (41, 111, 222, 333))
+        assert decode_payload(framed) == ("ack", 41)
 
     def test_round_trip_stat(self):
         (framed,) = FrameDecoder().feed(stat_frame())
         assert decode_payload(framed) == ("stat", None)
 
     def test_round_trip_stat_reply(self):
-        snapshot = {"index": 3, "height": 17, "clock_sync": {"2": {}}}
+        snapshot = {"index": 3, "height": 17, "links_paused": 0, "request_p50_s": None}
         (framed,) = FrameDecoder().feed(stat_reply_frame(snapshot))
         assert decode_payload(framed) == ("stat_reply", snapshot)
 
@@ -101,16 +88,10 @@ class TestEncode:
         with pytest.raises(FrameError):
             ack_frame(-1)
 
-    def test_negative_timestamp_clamped(self):
-        """Monotonic clocks never go negative; a bogus caller value is
-        clamped rather than crashing the wire."""
-        (framed,) = FrameDecoder().feed(message_frame(1, body(1), ts_ns=-5))
-        assert decode_payload(framed) == ("msg", (1, 0, msg(1)))
-
     def test_oversized_message_rejected_at_encode(self):
         with pytest.raises(OversizedFrame):
-            message_frame(1, body(1), max_frame=17 + len(body(1)) - 1)
-        message_frame(1, body(1), max_frame=17 + len(body(1)))
+            message_frame(1, body(1), max_frame=9 + len(body(1)) - 1)
+        message_frame(1, body(1), max_frame=9 + len(body(1)))
 
 
 class TestDecodePayload:
@@ -134,7 +115,7 @@ class TestDecodePayload:
             decode_payload(bytes(frame[4:]))
 
     def test_undecodable_message(self):
-        header = b"\x02" + (1).to_bytes(8, "big") + (0).to_bytes(8, "big")
+        header = b"\x02" + (1).to_bytes(8, "big")
         for payload in (b"not-a-message", body(1)[:-1], body(1) + b"\x00"):
             with pytest.raises(FrameError, match="undecodable MSG"):
                 decode_payload(header + payload)
@@ -143,7 +124,7 @@ class TestDecodePayload:
         """What the transport used to carry is now just an unknown tag."""
         import pickle
 
-        header = b"\x02" + (1).to_bytes(8, "big") + (0).to_bytes(8, "big")
+        header = b"\x02" + (1).to_bytes(8, "big")
         with pytest.raises(FrameError, match="undecodable MSG"):
             decode_payload(header + pickle.dumps(msg(1)))
 
@@ -177,14 +158,14 @@ class TestFrameDecoder:
         for i in range(len(frame)):
             bodies += decoder.feed(frame[i : i + 1])
         assert len(bodies) == 1
-        assert decode_payload(bodies[0]) == ("msg", (1, 0, msg(42)))
+        assert decode_payload(bodies[0]) == ("msg", (1, msg(42)))
         assert decoder.pending_bytes == 0
 
     def test_glued_frames_split(self):
         frames = message_frame(1, body(1)) + message_frame(2, body(2)) + message_frame(3, body(3))
         bodies = FrameDecoder().feed(frames)
         assert [decode_payload(b)[1] for b in bodies] == [
-            (1, 0, msg(1)), (2, 0, msg(2)), (3, 0, msg(3)),
+            (1, msg(1)), (2, msg(2)), (3, msg(3)),
         ]
 
     def test_frame_split_across_feeds(self):
@@ -197,7 +178,7 @@ class TestFrameDecoder:
         assert decoder.pending_bytes == cut
         bodies = decoder.feed(stream[cut:])
         assert [decode_payload(b)[1] for b in bodies] == [
-            (1, 0, msg(1)), (2, 0, msg(2)),
+            (1, msg(1)), (2, msg(2)),
         ]
         assert decoder.pending_bytes == 0
 
@@ -235,4 +216,4 @@ class TestFrameDecoder:
         frame = message_frame(1, codec.encode(block))
         assert len(frame) < DEFAULT_MAX_FRAME
         (framed,) = FrameDecoder().feed(frame)
-        assert decode_payload(framed)[1] == (1, 0, block)
+        assert decode_payload(framed)[1] == (1, block)

@@ -242,7 +242,8 @@ class TestTraceExport:
             }
             path = str(tmp_path / f"trace-{index}.jsonl")
             header = trace_header(
-                run_id="ring-run", party=index, cluster_id=config.cluster_id
+                run_id="ring-run", party=index, clock_epoch_s=0.0, host="h",
+                cluster_id=config.cluster_id,
             )
             write_jsonl(exported, path, header=header)
             loaded_header, loaded = read_jsonl_with_header(path)

@@ -9,6 +9,7 @@ of milliseconds, not the production 50 ms-to-2 s ladder — except in
 from __future__ import annotations
 
 import asyncio
+import struct
 
 import pytest
 
@@ -264,7 +265,9 @@ def spy_on_writes(monkeypatch, writes: list, kill_first: bool = False) -> None:
 
 
 def seqs_in(data: bytes) -> list[int]:
-    return [decode_payload(f)[1][0] for f in FrameDecoder().feed(data)]
+    """The sequence number of every MSG or ACK frame in ``data``."""
+    decoded = [decode_payload(f) for f in FrameDecoder().feed(data)]
+    return [payload if kind == "ack" else payload[0] for kind, payload in decoded]
 
 
 class TestSendPath:
@@ -297,7 +300,7 @@ class TestSendPath:
         after_broadcast, after_multicast, after_send, frames = run(scenario())
         assert (after_broadcast, after_multicast, after_send) == (1, 2, 3)
         assert len(frames) == 3
-        header = 4 + 1 + 8 + 8
+        header = 4 + 1 + 8
         assert {frame[header:] for frame in frames} == {real_encode(msg(1))}
         assert {len(frame) for frame in frames} == {header + len(body(1))}
 
@@ -524,11 +527,10 @@ class TestInbound:
 
         dups, tail = run(scenario())
         assert dups == 1
-        # EOF, possibly after ACKs (timestamp fields vary): every frame
-        # still on the superseded connection must be an ACK for seq 1.
+        # EOF, possibly after ACKs: every frame still on the superseded
+        # connection must be an ACK for seq 1.
         for framed in FrameDecoder().feed(tail):
-            kind, payload = decode_payload(framed)
-            assert kind == "ack" and payload[0] == 1
+            assert decode_payload(framed) == ("ack", 1)
 
     def test_retransmitted_duplicates_deduped(self):
         """The receiver delivers each link sequence number once — a
@@ -651,6 +653,31 @@ class TestInbound:
         assert eof == b""
         assert rejected == 1
         assert received == []
+
+    def test_version_1_hello_rejected(self):
+        """A peer still framing timestamps (codec version 1) is refused at
+        its HELLO and counted, before any MSG of its layout is misread."""
+
+        async def scenario():
+            peers = peer_map(2)
+            meter = Meter()
+            b, rb = await make_net(2, peers, meter=meter)
+            try:
+                host, port = peers[2]
+                reader, writer = await asyncio.open_connection(host, port)
+                hello_v1 = struct.pack(">BBIQQ", 0x01, 1, 1, 0, 123_456) + b"t"
+                writer.write(len(hello_v1).to_bytes(4, "big") + hello_v1)
+                await writer.drain()
+                eof = await asyncio.wait_for(reader.read(1), 2.0)
+                return (
+                    eof, b.frames_rejected,
+                    meter.counter_value("live.frames.rejected"), rb.received,
+                )
+            finally:
+                await b.stop()
+
+        assert codec.VERSION == 2
+        assert run(scenario()) == (b"", 1, 1, [])
 
     def test_message_before_hello_rejected(self):
         async def scenario():

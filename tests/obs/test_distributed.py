@@ -1,32 +1,35 @@
 """Clock alignment and distributed-trace collection (repro.obs.distributed).
 
-The alignment tests build synthetic two/three-party timelines with a
-*known* ground-truth clock relation, then check the estimator recovers
-it within its own reported uncertainty — including the adversarial case
-(asymmetric link delay) where a correct estimator must widen its bound
-rather than silently mis-align.
+The alignment tests build synthetic runs on one host clock: each party
+stamps its events ``host time - its epoch`` and records that epoch in its
+trace header, exactly as a live party does.  Alignment must then recover
+the host timeline exactly, whatever the link delays were.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
-import math
 
 import pytest
 
+from repro.analysis.critical_path import wire_spans
 from repro.obs import (
     ClockAlignment,
     CollectError,
     Meter,
     TraceEvent,
     collect_run,
-    estimate_alignment,
-    pair_deltas,
     read_jsonl_with_header,
     trace_header,
     write_jsonl,
 )
-from repro.obs.distributed import SCHEMA_VERSION, align_events, estimate_pair
+from repro.obs import distributed
+from repro.obs.distributed import SCHEMA_VERSION, align_events
+
+#: Monotonic readings as a live party's ``WallClock.epoch`` would hold them.
+EPOCHS = {1: 5123.456789, 2: 5123.501234, 3: 5122.9}
+HOST = "272f3dad-e662-4783-9214-c673578d8314 time:[4026531834]"
 
 
 def wire_pair(src, dst, seq, t_send, t_recv, nbytes=64):
@@ -45,215 +48,122 @@ def wire_pair(src, dst, seq, t_send, t_recv, nbytes=64):
     return send, recv
 
 
-def two_party_run(
-    theta=0.030, fwd_delay=0.005, back_delay=0.005,
-    count=20, spacing=0.05, drift=0.0,
-):
-    """Synthetic exchange between parties 1 and 2.
-
-    Party 1's clock IS true time; party 2 reads ``true + theta + drift *
-    true``.  Returns ``{1: events, 2: events}``.
-    """
-
-    def clock2(true):
-        return true + theta + drift * true
-
-    ev1, ev2 = [], []
-    for k in range(count):
-        t = spacing * (k + 1)
-        # forward leg 1 -> 2
-        send, recv = wire_pair(1, 2, k + 1, t, clock2(t + fwd_delay))
-        ev1.append(send)
-        ev2.append(recv)
-        # backward leg 2 -> 1 (sent half a slot later)
-        t_back = t + spacing / 2.0
+def exchange(legs, epochs=EPOCHS):
+    """Per-party events of wire ``legs`` — ``(src, dst, sent, delay)`` in
+    host-clock seconds — each party stamping ``host time - its epoch``."""
+    events = {p: [] for leg in legs for p in leg[:2]}
+    for seq, (src, dst, sent, delay) in enumerate(legs, 1):
         send, recv = wire_pair(
-            2, 1, k + 1, clock2(t_back), t_back + back_delay
+            src, dst, seq, sent - epochs[src], sent + delay - epochs[dst]
         )
-        ev2.append(send)
-        ev1.append(recv)
-    return {1: ev1, 2: ev2}
+        events[src].append(send)
+        events[dst].append(recv)
+    return events
 
 
-class TestPairEstimation:
-    def test_known_offset_recovered_within_reported_uncertainty(self):
-        theta = 0.030
-        events = two_party_run(theta=theta)
-        alignment = estimate_alignment(events)
+def ping_pong(fwd=0.005, back=0.005, count=20, start=5124.0):
+    """Parties 1 and 2 trade ``count`` messages each way."""
+    legs = []
+    for k in range(count):
+        t = start + 0.05 * k
+        legs += [(1, 2, t, fwd), (2, 1, t + 0.025, back)]
+    return exchange(legs)
+
+
+def write_run(run_dir, events, epochs=EPOCHS, overrides=None):
+    """One headered ``trace-<party>.jsonl`` per party; ``overrides`` maps
+    a party to header fields that differ from the run's."""
+    for party, party_events in events.items():
+        header = trace_header(
+            run_id="run-A", party=party, clock_epoch_s=epochs[party],
+            host=HOST, cluster_id="c",
+        )
+        header.update((overrides or {}).get(party, {}))
+        write_jsonl(party_events, str(run_dir / f"trace-{party}.jsonl"), header=header)
+    return run_dir
+
+
+class TestHeaderAlignment:
+    def test_known_offset_recovered_exactly(self, tmp_path):
+        alignment = collect_run(write_run(tmp_path, ping_pong())).alignment
         assert alignment.reference == 1
-        model = alignment.offsets[2]
-        assert abs(model.offset - theta) <= model.uncertainty + 1e-9
-        # Symmetric 5 ms links: the min-filter bound is the one-way delay.
-        assert model.uncertainty <= 0.006
+        assert alignment.host == HOST
+        assert alignment.offsets == {1: 0.0, 2: EPOCHS[2] - EPOCHS[1]}
 
-    def test_known_drift_recovered(self):
-        theta, drift = 0.030, 2e-4
-        events = two_party_run(
-            theta=theta, drift=drift, fwd_delay=0.002, back_delay=0.002,
-            count=60, spacing=1.0,
-        )
-        model = estimate_alignment(events).offsets[2]
-        assert abs(model.drift - drift) < 5e-5
-        for t in (0.0, 30.0, 60.0):
-            true_theta = theta + drift * t
-            assert abs(model.at(t) - true_theta) <= model.uncertainty + 1e-6
+    def test_asymmetric_delay_does_not_move_the_alignment(self, tmp_path):
+        """1 ms out / 21 ms back: a min-filter estimator had to widen its
+        bound by half the asymmetry; the headers do not see the links."""
+        (tmp_path / "a").mkdir()
+        (tmp_path / "s").mkdir()
+        asymmetric = collect_run(write_run(tmp_path / "a", ping_pong(0.001, 0.021)))
+        symmetric = collect_run(write_run(tmp_path / "s", ping_pong(0.001, 0.001)))
+        assert asymmetric.alignment == symmetric.alignment
+        spans = wire_spans(asymmetric.events)
+        assert {round(spans[(1, 2, seq)], 9) for seq in range(1, 40, 2)} == {0.001}
+        assert {round(spans[(2, 1, seq)], 9) for seq in range(2, 41, 2)} == {0.021}
 
-    def test_jitter_does_not_masquerade_as_drift(self):
-        """Drift-free clocks with noisy delays must fit drift ~ 0 (the
-        4x-rms acceptance guard)."""
-        import random
-
-        rng = random.Random(7)
-        ev1, ev2 = [], []
-        for k in range(40):
-            t = 0.5 * (k + 1)
-            send, recv = wire_pair(1, 2, k + 1, t, t + 0.01 + rng.uniform(0, 0.004))
-            ev1.append(send)
-            ev2.append(recv)
-            send, recv = wire_pair(2, 1, k + 1, t + 0.25, t + 0.26 + rng.uniform(0, 0.004))
-            ev2.append(send)
-            ev1.append(recv)
-        model = estimate_alignment({1: ev1, 2: ev2}).offsets[2]
-        assert model.drift == 0.0
-        assert abs(model.offset) <= model.uncertainty
-
-    def test_asymmetric_delay_widens_bound_instead_of_misaligning(self):
-        """1 ms out / 21 ms back: a naive midpoint estimator reports a
-        confident -10 ms offset; the bound must cover the truth (0)."""
-        asymmetric = estimate_alignment(
-            two_party_run(theta=0.0, fwd_delay=0.001, back_delay=0.021)
-        ).offsets[2]
-        symmetric = estimate_alignment(
-            two_party_run(theta=0.0, fwd_delay=0.001, back_delay=0.001)
-        ).offsets[2]
-        # Truth stays inside the reported bound...
-        assert abs(asymmetric.offset - 0.0) <= asymmetric.uncertainty
-        # ...because the bound widened to (at least) half the asymmetry.
-        assert asymmetric.uncertainty >= 0.009
-        assert symmetric.uncertainty < asymmetric.uncertainty
-
-    def test_clock_sample_events_alone_suffice(self):
-        """live.clock.sample events decompose back into both one-way
-        directions, so a ping-only trace still aligns."""
-        theta, rtt = 0.030, 0.010
-        samples = [
-            TraceEvent(
-                time=0.1 * (k + 1), party=1, protocol="net", round=None,
-                kind="live.clock.sample",
-                payload={"peer": 2, "theta": theta, "rtt": rtt},
-            )
-            for k in range(5)
+    def test_three_parties(self, tmp_path):
+        legs = [
+            (a, b, 5124.0 + 0.01 * k, 0.004)
+            for k, (a, b) in enumerate([(1, 2), (2, 3), (3, 1), (3, 2), (1, 3)])
         ]
-        model = estimate_alignment({1: samples, 2: []}).offsets[2]
-        assert abs(model.offset - theta) <= model.uncertainty + 1e-9
-        assert model.uncertainty <= rtt / 2.0 + 1e-9
-
-    def test_unmatched_directions_yield_no_pair(self):
-        send, recv = wire_pair(1, 2, 1, 0.0, 0.01)
-        deltas = pair_deltas({1: [send], 2: [recv]})
-        fwd, back = deltas[(1, 2)]
-        assert len(fwd) == 1 and len(back) == 0
-        assert estimate_pair(1, 2, fwd, back) is None
-
-    def test_three_party_graph_solve(self):
-        offsets = {1: 0.0, 2: 0.010, 3: -0.020}
-
-        def local(p, true):
-            return true + offsets[p]
-
-        events = {1: [], 2: [], 3: []}
-        seq = 0
-        for a, b in ((1, 2), (2, 3), (1, 3)):
-            for k in range(10):
-                seq += 1
-                t = 0.05 * seq
-                send, recv = wire_pair(a, b, seq, local(a, t), local(b, t + 0.004))
-                events[a].append(send)
-                events[b].append(recv)
-                send, recv = wire_pair(b, a, seq, local(b, t + 0.01), local(a, t + 0.014))
-                events[b].append(send)
-                events[a].append(recv)
-        alignment = estimate_alignment(events)
-        for party in (2, 3):
-            model = alignment.offsets[party]
-            assert abs(model.offset - offsets[party]) <= model.uncertainty + 1e-9
-            assert model.uncertainty <= 0.005
-        assert alignment.max_uncertainty < float("inf")
-
-    def test_disconnected_party_gets_infinite_uncertainty(self):
-        events = two_party_run()
-        events[3] = []  # no samples linking party 3 to anyone
-        alignment = estimate_alignment(events)
-        assert alignment.offsets[3].offset == 0.0
-        assert math.isinf(alignment.offsets[3].uncertainty)
-        assert math.isinf(alignment.max_uncertainty)
+        collected = collect_run(write_run(tmp_path, exchange(legs)))
+        assert collected.alignment.reference == 1
+        assert collected.alignment.offsets == {
+            p: EPOCHS[p] - EPOCHS[1] for p in (1, 2, 3)
+        }
+        assert [round(span, 9) for span in wire_spans(collected.events).values()] == (
+            [0.004] * 5
+        )
 
     def test_align_events_shifts_onto_reference_timeline(self):
-        theta = 0.030
-        events = two_party_run(theta=theta, fwd_delay=0.002, back_delay=0.002)
-        alignment = estimate_alignment(events)
+        events = ping_pong(0.002, 0.003)
+        alignment = ClockAlignment(
+            reference=1, host=HOST, offsets={1: 0.0, 2: EPOCHS[2] - EPOCHS[1]}
+        )
         merged = align_events(events, alignment)
         assert [e.time for e in merged] == sorted(e.time for e in merged)
-        # After alignment every wire span is causal: recv after send,
-        # by roughly the true transit delay.
-        sends = {
-            (e.party, e.payload["dst"], e.payload["seq"]): e.time
-            for e in merged if e.kind == "net.wire.send"
-        }
-        for e in merged:
-            if e.kind == "net.wire.recv":
-                t_send = sends[(e.payload["src"], e.party, e.payload["seq"])]
-                transit = e.time - t_send
-                assert -0.001 <= transit <= 0.01
+        # On the reference timeline every event sits at host time - epoch_1.
+        assert merged[0].time == pytest.approx(5124.0 - EPOCHS[1], abs=1e-9)
+        assert merged[-1].time == pytest.approx(
+            5124.0 + 0.05 * 19 + 0.025 + 0.003 - EPOCHS[1], abs=1e-9
+        )
+        assert sorted({round(s, 9) for s in wire_spans(merged).values()}) == [0.002, 0.003]
 
     def test_align_events_shifts_not_before_with_its_event(self):
         """``not_before`` is an instant on the emitting party's clock; left
         unshifted, the critical path would compare two different clocks."""
-        events = two_party_run(theta=0.030)
+        events = ping_pong()
         events[2].append(TraceEvent(
             time=1.25, party=2, protocol="ICC0", round=3,
             kind="icc.share.notarization",
             payload={"block": "ab", "not_before": 1.2},
         ))
-        alignment = estimate_alignment(events)
+        alignment = ClockAlignment(
+            reference=1, host=HOST, offsets={1: 0.0, 2: EPOCHS[2] - EPOCHS[1]}
+        )
         [share] = [
             e for e in align_events(events, alignment)
             if e.kind == "icc.share.notarization"
         ]
-        assert share.time == alignment.shift(2, 1.25)
+        assert share.time == alignment.shift(2, 1.25) == 1.25 + alignment.offsets[2]
         assert share.payload["not_before"] == alignment.shift(2, 1.2)
         assert share.time - share.payload["not_before"] == pytest.approx(0.05)
-        assert abs(share.time - 1.25) > 0.02  # the shift is not a no-op here
         assert events[2][-1].payload["not_before"] == 1.2  # input untouched
 
-    def test_alignment_dict_round_trip(self):
-        alignment = estimate_alignment(two_party_run())
-        clone = ClockAlignment.from_dict(
-            json.loads(json.dumps(alignment.to_dict()))
-        )
-        assert clone.reference == alignment.reference
-        for t in (0.0, 1.0, 7.5):
-            assert clone.shift(2, t) == pytest.approx(alignment.shift(2, t))
-        assert clone.max_uncertainty == pytest.approx(alignment.max_uncertainty)
+    def test_alignment_dict_round_trip(self, tmp_path):
+        collected = collect_run(write_run(tmp_path, ping_pong()))
+        on_disk = json.loads((tmp_path / "alignment.json").read_text())
+        clone = ClockAlignment.from_dict(on_disk)
+        assert clone == collected.alignment
+        # Bit for bit: JSON floats round-trip, so the file holds the
+        # headers' epoch difference itself.
+        assert on_disk["offsets_s"]["2"] == EPOCHS[2] - EPOCHS[1]
 
 
 class TestCollectRun:
-    def write_run(self, tmp_path, run_id="run-A", schemas=None, parties=(1, 2)):
-        events = two_party_run()
-        for party in parties:
-            header = trace_header(
-                run_id=run_id, party=party, cluster_id="c",
-                schema=(schemas or {}).get(party, SCHEMA_VERSION),
-            )
-            write_jsonl(
-                events.get(party, []),
-                str(tmp_path / f"trace-{party}.jsonl"),
-                header=header,
-            )
-        return tmp_path
-
     def test_merges_traces_meters_and_results(self, tmp_path):
-        self.write_run(tmp_path)
+        write_run(tmp_path, ping_pong())
         meter = Meter()
         meter.count("net.messages", 5)
         meter.write_json(str(tmp_path / "meter-1.json"))
@@ -270,48 +180,74 @@ class TestCollectRun:
         assert [e.time for e in collected.events] == sorted(
             e.time for e in collected.events
         )
-        # The merged trace is itself a headered, attributable export.
+        # The merged trace is itself a headered, attributable export, on
+        # the reference party's clock.
         header, events = read_jsonl_with_header(collected.merged_trace_path)
         assert header["run_id"] == "run-A"
         assert header["merged"] is True
         assert header["parties"] == [1, 2]
+        assert (header["clock_epoch_s"], header["host"]) == (EPOCHS[1], HOST)
         assert len(events) == len(collected.events)
         assert (tmp_path / "merged-meter.json").exists()
         alignment = json.loads((tmp_path / "alignment.json").read_text())
         assert alignment["reference"] == 1
-        assert "2" in alignment["offsets"]
+        assert "2" in alignment["offsets_s"]
 
     def test_write_false_leaves_directory_untouched(self, tmp_path):
-        self.write_run(tmp_path)
+        write_run(tmp_path, ping_pong())
         collected = collect_run(tmp_path, write=False)
         assert collected.merged_trace_path == ""
         assert not (tmp_path / "merged-trace.jsonl").exists()
         assert not (tmp_path / "alignment.json").exists()
 
     def test_mixed_run_ids_refused(self, tmp_path):
-        self.write_run(tmp_path, run_id="run-A", parties=(1,))
-        self.write_run(tmp_path, run_id="run-B", parties=(2,))
-        with pytest.raises(CollectError, match="mixed run_ids"):
+        write_run(tmp_path, ping_pong(), overrides={2: {"run_id": "run-B"}})
+        with pytest.raises(CollectError, match=r"trace-2\.jsonl: mixed run_ids"):
+            collect_run(tmp_path)
+
+    def test_mixed_hosts_refused(self, tmp_path):
+        """Another host's monotonic clock has nothing to do with ours."""
+        write_run(tmp_path, ping_pong(), overrides={2: {"host": "another-boot"}})
+        with pytest.raises(CollectError, match=r"trace-2\.jsonl: mixed hosts"):
+            collect_run(tmp_path)
+
+    def test_mixed_cluster_ids_refused(self, tmp_path):
+        """These once merged silently, under whichever id came first."""
+        write_run(tmp_path, ping_pong(), overrides={2: {"cluster_id": "other"}})
+        with pytest.raises(CollectError, match=r"trace-2\.jsonl: mixed cluster_ids"):
             collect_run(tmp_path)
 
     def test_headerless_trace_refused(self, tmp_path):
-        events = two_party_run()
-        write_jsonl(events[1], str(tmp_path / "trace-1.jsonl"))
+        write_jsonl(ping_pong()[1], str(tmp_path / "trace-1.jsonl"))
         with pytest.raises(CollectError, match="no trace header"):
             collect_run(tmp_path)
 
     def test_unsupported_schema_refused(self, tmp_path):
-        self.write_run(tmp_path, schemas={2: SCHEMA_VERSION + 1})
+        write_run(tmp_path, ping_pong(), overrides={2: {"schema": SCHEMA_VERSION + 1}})
         with pytest.raises(CollectError, match="unsupported trace schema"):
             collect_run(tmp_path)
 
+    def test_schema_1_refused(self, tmp_path):
+        """A schema-1 header has no clock epoch to align by."""
+        events = ping_pong()
+        write_run(tmp_path, {1: events[1]})
+        write_jsonl(
+            events[2], str(tmp_path / "trace-2.jsonl"),
+            header={"schema": 1, "run_id": "run-A", "party": 2, "cluster_id": "c"},
+        )
+        with pytest.raises(CollectError, match="trace-2.jsonl: unsupported trace schema 1"):
+            collect_run(tmp_path)
+
     def test_duplicate_party_refused(self, tmp_path):
-        self.write_run(tmp_path, parties=(1, 2))
-        events = two_party_run()
+        events = ping_pong()
+        write_run(tmp_path, events)
         write_jsonl(
             events[1],
             str(tmp_path / "trace-1-retry.jsonl"),
-            header=trace_header(run_id="run-A", party=1, cluster_id="c"),
+            header=trace_header(
+                run_id="run-A", party=1, clock_epoch_s=EPOCHS[1], host=HOST,
+                cluster_id="c",
+            ),
         )
         with pytest.raises(CollectError, match="duplicate trace for party 1"):
             collect_run(tmp_path)
@@ -321,9 +257,42 @@ class TestCollectRun:
             collect_run(tmp_path)
 
     def test_result_from_other_run_refused(self, tmp_path):
-        self.write_run(tmp_path)
+        write_run(tmp_path, ping_pong())
         (tmp_path / "result-1.json").write_text(
             json.dumps({"index": 1, "run_id": "run-Z", "height": 3})
         )
         with pytest.raises(CollectError, match="does not match"):
             collect_run(tmp_path)
+
+
+class TestCausalityCheck:
+    """``collect --check`` holds the aligned timeline to causality, which
+    only an exact alignment makes a sound check."""
+
+    def check(self, run_dir, capsys) -> tuple[int, str]:
+        (run_dir / "cluster.json").write_text(json.dumps(
+            {"protocol": "icc0", "n": 2, "t": 0, "epsilon": 0.0}
+        ))
+        status = distributed.run(
+            argparse.Namespace(run_dir=str(run_dir), report=None, check=True)
+        )
+        return status, capsys.readouterr().out
+
+    def test_true_epochs_are_causal(self, tmp_path, capsys):
+        status, out = self.check(write_run(tmp_path, ping_pong()), capsys)
+        assert "received before sent" not in out
+        assert status == 1  # nothing finalized: the telescoping check fails
+        assert "spans do not telescope" in out
+
+    def test_planted_wrong_epoch_is_named(self, tmp_path, capsys):
+        """Party 2's header claims an epoch 10 ms early: its receipts of
+        party 1's 5 ms messages land before they were sent."""
+        planted = {**EPOCHS, 2: EPOCHS[2] - 0.010}
+        run_dir = write_run(tmp_path, ping_pong(), epochs=EPOCHS)
+        write_run(run_dir, {2: ping_pong()[2]}, epochs=planted)
+        status, out = self.check(run_dir, capsys)
+        assert status == 1
+        assert (
+            "20 wire spans received before sent on the aligned timeline, "
+            "first (src, dst, seq) = (1, 2, 1)"
+        ) in out

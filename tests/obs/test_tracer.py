@@ -136,8 +136,8 @@ class TestRegistry:
 
 class TestWireKindsRoundTrip:
     """Every registered ``net.*``/``live.*`` kind — including the causal
-    wire-span pair and the clock/STAT events — survives a headered JSONL
-    export byte-for-byte."""
+    wire-span pair and the STAT event — survives a headered JSONL export
+    byte-for-byte."""
 
     def sample_event(self, index, spec):
         payload = {name: k for k, name in enumerate(spec.fields)}
@@ -153,8 +153,7 @@ class TestWireKindsRoundTrip:
         ]
         # The PR's new kinds must be part of this sweep, not just legacy.
         names = {spec.name for spec in specs}
-        assert {"net.wire.send", "net.wire.recv",
-                "live.clock.sample", "live.stat.request"} <= names
+        assert {"net.wire.send", "net.wire.recv", "live.stat.request"} <= names
 
         tracer = Tracer()
         events = []
@@ -170,7 +169,9 @@ class TestWireKindsRoundTrip:
         from repro.obs import read_jsonl_with_header, trace_header
 
         buffer = io.StringIO()
-        header = trace_header(run_id="rt", party=1, cluster_id="c")
+        header = trace_header(
+            run_id="rt", party=1, clock_epoch_s=812.5, host="h", cluster_id="c"
+        )
         assert write_jsonl(events, buffer, header=header) == len(events)
         buffer.seek(0)
         loaded_header, loaded = read_jsonl_with_header(buffer)
