@@ -8,7 +8,7 @@ See DESIGN.md §2 for the BLS → DLEQ substitution rationale.
 """
 
 from . import api, backend, fastpath
-from .backend import available_backends, use_backend
+from .backend import use_backend
 from .dkg import DkgResult, run_dkg
 from .group import Group, default_group, generate_group, strong_group, test_group
 from .hashing import DIGEST_SIZE, hash_bytes, tagged_hash
@@ -19,7 +19,6 @@ __all__ = [
     "api",
     "backend",
     "fastpath",
-    "available_backends",
     "use_backend",
     "DkgResult",
     "run_dkg",

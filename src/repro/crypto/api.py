@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Protocol, Sequence, runtime_checkable
 
 from . import dleq, fastpath, multisig, schnorr, threshold, unique
-from .backend import active_backend
+from .backend import CryptoBackend, active_backend
 from .dleq import DleqStatement
 from .group import Group
 
@@ -338,7 +338,7 @@ class VerifierSuite:
         )
 
 
-_SUITES: dict[tuple[int, int, int, str], VerifierSuite] = {}
+_SUITES: dict[tuple[int, int, int, CryptoBackend], VerifierSuite] = {}
 
 
 def verifiers_for(group: Group) -> VerifierSuite:
@@ -346,13 +346,13 @@ def verifiers_for(group: Group) -> VerifierSuite:
     with no cluster to own one (client authentication, key ceremonies,
     tests).  It lives as long as the process does.
 
-    Keyed per (group, active crypto backend): under
-    :func:`repro.crypto.backend.use_backend` each backend gets its own
-    suite whose fastpath context was built by that backend, so per-backend
-    benchmarks never share precomputations.
+    Keyed per (group, active backend instance): under
+    :func:`repro.crypto.backend.use_backend` a substituted backend gets a
+    suite of its own over :func:`repro.crypto.fastpath.for_group`'s context
+    for it, so it sees every exponentiation the suite makes.
     """
     backend = active_backend()
-    key = (group.p, group.q, group.g, backend.name)
+    key = (group.p, group.q, group.g, backend)
     suite = _SUITES.get(key)
     if suite is None:
         suite = _SUITES[key] = VerifierSuite.over(fastpath.for_group(group, backend))

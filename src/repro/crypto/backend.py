@@ -1,29 +1,21 @@
-"""Pluggable modular-exponentiation backends for the discrete-log substrate.
+"""The modular-exponentiation strategy of the discrete-log substrate.
 
 Profiling (``sim_n7_real`` of ``bench/run.py``, docs/PERFORMANCE.md) shows
 that at realistic group sizes nearly all crypto wall-clock time is modular
-exponentiation.  This module makes the modexp primitive a *selectable
-backend* so optimizations land as alternatives that can be benchmarked
-against each other on the same inputs, instead of one-way rewrites:
+exponentiation.  Every exponentiation in this package goes through one
+:class:`CryptoBackend`: Python's ``pow`` for one-shot powers, and a
+fixed-window (comb) :class:`FixedBaseTable` for a base the caller
+*declares* long-lived (the generator ``g`` and public keys, through
+:class:`repro.crypto.fastpath.FastPath`).  The backend keeps no per-base
+state and never guesses which bases will come back: a 512-bit table needs
+≥ 16 further uses to repay its build and an ephemeral base (a beacon share
+value, a commitment) gets a handful (docs/PERFORMANCE.md).
 
-* ``pure``   — the reference implementation: Python's built-in ``pow``
-  for every exponentiation, no precomputation, no caches.  This is the
-  baseline every other backend is benchmarked against.
-* ``window`` — fixed-window (comb) precomputation for long-lived bases,
-  and the default backend.  ``fixed_power`` builds a
-  :class:`FixedBaseTable` for a base the caller *declares* long-lived (the
-  generator ``g`` and public keys, through
-  :class:`repro.crypto.fastpath.FastPath`); ``powmod`` is Python's ``pow``
-  exactly as in ``pure``.  The backend keeps no per-base state and never
-  guesses which bases will come back: a 512-bit table needs ≥ 16 further
-  uses to repay its build and an ephemeral base (a beacon share value, a
-  commitment) gets a handful (docs/PERFORMANCE.md).
-
-Every backend computes **bit-identical results** — these are alternative
-evaluation strategies for the same mathematical function, and
-``tests/crypto/test_backend.py`` pins equality on every group operation
-and on whole batch-verification transcripts.  Selection is per run:
-:func:`use_backend` scopes a backend to a ``with`` block.
+:func:`use_backend` scopes another instance to a ``with`` block.  That is
+the seam through which tests substitute a subclass — one that counts
+``powmod`` calls (``tests/crypto/test_work_once.py``), or a bare-``pow``
+oracle with no tables (``tests/crypto/test_backend.py``) that must give
+bit-identical results on every group operation and whole protocol runs.
 
 The backend surface is deliberately small:
 
@@ -88,9 +80,10 @@ class FixedBaseTable:
 
 
 class CryptoBackend:
-    """Base class: the ``pure`` strategy, and the interface contract."""
+    """``pow`` for one-shot powers, comb tables for declared long-lived bases."""
 
-    name = "pure"
+    #: Stamped into benchmark reports; a substitute names itself.
+    name = "window"
 
     @staticmethod
     def powmod(base: int, exponent: int, modulus: int) -> int:
@@ -102,81 +95,15 @@ class CryptoBackend:
 
     def fixed_power(self, base: int, modulus: int, max_bits: int,
                     window: int = DEFAULT_WINDOW) -> Callable[[int], int]:
-        """A fresh ``exp -> base**exp mod modulus`` for a long-lived base.
-
-        The pure backend deliberately returns a bare ``pow`` closure — no
-        tables anywhere — so benchmarks against it measure the full win
-        of precomputation, not just the generic-call-site share.
-        """
-        return lambda exponent: pow(base, exponent, modulus)
+        """A fresh ``exp -> base**exp mod modulus`` for a long-lived base:
+        the caller has promised to reuse it, so it gets a table at once."""
+        return FixedBaseTable(modulus, base, max_bits, window).power
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         return f"<{type(self).__name__} {self.name!r}>"
 
 
-class PureBackend(CryptoBackend):
-    """Alias of the base class, registered under ``pure``."""
-
-
-class WindowBackend(CryptoBackend):
-    """Comb tables for the bases a caller declares long-lived.
-
-    Differs from ``pure`` in ``fixed_power`` only: the caller has promised
-    to reuse the base, so it gets a :class:`FixedBaseTable` immediately.
-    One-shot exponentiations (``powmod``) are the base class's ``pow``.
-    """
-
-    name = "window"
-
-    def fixed_power(self, base: int, modulus: int, max_bits: int,
-                    window: int = DEFAULT_WINDOW) -> Callable[[int], int]:
-        return FixedBaseTable(modulus, base, max_bits, window).power
-
-
-# ---------------------------------------------------------------------------
-# Registry and per-run selection
-# ---------------------------------------------------------------------------
-
-#: name -> factory.  Ordered: ``pure`` first so the comparison baseline is
-#: always listed first in tables.
-_REGISTRY: dict[str, Callable[[], CryptoBackend]] = {}
-_INSTANCES: dict[str, CryptoBackend] = {}
-
-
-def register_backend(name: str, factory: Callable[[], CryptoBackend]) -> None:
-    """Register a backend under ``name`` (last registration wins)."""
-    _REGISTRY[name] = factory
-    _INSTANCES.pop(name, None)
-
-
-register_backend("pure", PureBackend)
-register_backend("window", WindowBackend)
-
-#: The process default; ``window`` preserves the pre-backend behaviour
-#: (comb tables for long-lived bases) and is safe everywhere.
-DEFAULT_BACKEND = "window"
-
-
-def available_backends() -> list[str]:
-    """The registered backend names (registration order)."""
-    return list(_REGISTRY)
-
-
-def get_backend(name: str) -> CryptoBackend:
-    """The shared instance for ``name``; raises for an unknown name."""
-    instance = _INSTANCES.get(name)
-    if instance is not None:
-        return instance
-    factory = _REGISTRY.get(name)
-    if factory is None:
-        raise ValueError(
-            f"unknown crypto backend {name!r} (registered: {', '.join(_REGISTRY)})"
-        )
-    instance = _INSTANCES[name] = factory()
-    return instance
-
-
-_ACTIVE: CryptoBackend = get_backend(DEFAULT_BACKEND)
+_ACTIVE = CryptoBackend()
 
 
 def active_backend() -> CryptoBackend:
@@ -184,35 +111,21 @@ def active_backend() -> CryptoBackend:
     return _ACTIVE
 
 
-def set_backend(backend: str | CryptoBackend) -> CryptoBackend:
-    """Install ``backend`` as active; returns the previous one (for restore)."""
-    global _ACTIVE
-    previous = _ACTIVE
-    _ACTIVE = get_backend(backend) if isinstance(backend, str) else backend
-    return previous
-
-
 @contextmanager
-def use_backend(backend: str | CryptoBackend):
-    """Scope a backend to a ``with`` block (the per-run selection hook)."""
-    previous = set_backend(backend)
+def use_backend(backend: CryptoBackend):
+    """Route every exponentiation to ``backend`` for a ``with`` block."""
+    global _ACTIVE
+    previous, _ACTIVE = _ACTIVE, backend
     try:
-        yield _ACTIVE
+        yield backend
     finally:
-        set_backend(previous)
+        _ACTIVE = previous
 
 
 __all__ = [
     "DEFAULT_WINDOW",
-    "DEFAULT_BACKEND",
     "FixedBaseTable",
     "CryptoBackend",
-    "PureBackend",
-    "WindowBackend",
-    "register_backend",
-    "available_backends",
-    "get_backend",
     "active_backend",
-    "set_backend",
     "use_backend",
 ]

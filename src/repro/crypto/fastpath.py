@@ -39,12 +39,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 from . import dleq, schnorr
-from .backend import (
-    DEFAULT_WINDOW,
-    CryptoBackend,
-    FixedBaseTable,  # noqa: F401 - re-exported; moved to repro.crypto.backend
-    active_backend,
-)
+from .backend import DEFAULT_WINDOW, CryptoBackend, active_backend
 from .group import Group
 from .unique import message_point
 
@@ -52,9 +47,6 @@ from .unique import message_point
 # ---------------------------------------------------------------------------
 # Exponentiation primitives
 # ---------------------------------------------------------------------------
-#
-# FixedBaseTable lives in repro.crypto.backend now (it is the substrate of
-# the ``window`` backend); it is re-exported above for compatibility.
 
 
 def simultaneous_power(p: int, b1: int, e1: int, b2: int, e2: int) -> int:
@@ -175,10 +167,9 @@ class FastPath:
         """base**exponent via a cached per-base fixed-power callable.
 
         Intended for long-lived bases (public keys, per-message H2 points);
-        the first call builds the backend's precomputation (a comb table
-        for ``window``, a bare closure for ``pure``), later calls amortize
-        it.  The caller must guarantee ``base`` is a subgroup member
-        (exponent is reduced mod q).
+        the first call builds the backend's ``fixed_power`` (a comb table),
+        later calls amortize it.  The caller must guarantee ``base`` is a
+        subgroup member (exponent is reduced mod q).
         """
         power = self._tables.get(base)
         if power is None:
@@ -231,23 +222,20 @@ class FastPath:
         return point
 
 
-_CONTEXTS: dict[tuple[int, int, int, str], FastPath] = {}
+_CONTEXTS: dict[tuple[int, int, int, CryptoBackend], FastPath] = {}
 
 
 def for_group(group: Group, backend: CryptoBackend | None = None) -> FastPath:
     """The process-wide :class:`FastPath` context for ``group`` under a backend.
 
     It is never freed, so it is for standalone callers; a cluster builds its
-    own (see :class:`FastPath`).  One context per (group, backend) pair:
-    switching backends with
-    :func:`repro.crypto.backend.use_backend` transparently switches to a
-    context whose precomputations were built by that backend, so cached
-    tables never leak across strategies being benchmarked against each
-    other.
+    own (see :class:`FastPath`).  One context per (group, backend instance):
+    a backend substituted with :func:`repro.crypto.backend.use_backend` gets
+    a context of its own, whose every exponentiation it sees.
     """
     if backend is None:
         backend = active_backend()
-    key = (group.p, group.q, group.g, backend.name)
+    key = (group.p, group.q, group.g, backend)
     ctx = _CONTEXTS.get(key)
     if ctx is None:
         ctx = _CONTEXTS[key] = FastPath(group, backend=backend)

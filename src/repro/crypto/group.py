@@ -234,11 +234,14 @@ def strong_group() -> Group:
     return _cached_group(2048, 256)
 
 
+#: Named security profiles: name -> group constructor (each builds once).
+GROUP_PROFILES = {"test": test_group, "default": default_group, "strong": strong_group}
+
+
 def group_for_profile(profile: str) -> Group:
     """Resolve a named security profile to a group instance."""
-    profiles = {"test": test_group, "default": default_group, "strong": strong_group}
     try:
-        return profiles[profile]()
+        return GROUP_PROFILES[profile]()
     except KeyError:
         raise ValueError(f"unknown group profile {profile!r}") from None
 
@@ -249,6 +252,7 @@ __all__ = [
     "test_group",
     "default_group",
     "strong_group",
+    "GROUP_PROFILES",
     "group_for_profile",
     "int_to_bytes",
 ]

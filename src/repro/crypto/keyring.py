@@ -32,9 +32,9 @@ from dataclasses import dataclass
 from random import Random
 from typing import Protocol, Sequence
 
-from . import api, dleq, multisig, schnorr, setup_cache, threshold
+from . import api, dleq, multisig, schnorr, threshold
 from .fastpath import FastPath, _BoundedCache
-from .group import Group, group_for_profile
+from .group import GROUP_PROFILES, Group, group_for_profile
 from .hashing import tagged_hash
 
 _MISS = object()
@@ -450,66 +450,6 @@ class FastKeyring:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _RealSetup:
-    """The deterministic derivation products of one real-backend setup.
-
-    Everything here is a function of ``(group_profile, setup, n, t,
-    seed)`` alone — no RNG state, no per-party mutable caches — which is
-    what makes it safe to share between cluster builds and to persist in
-    :mod:`repro.crypto.setup_cache`.  Keyrings built from a cached bundle
-    are bit-identical to keyrings built from a fresh derivation.
-    """
-
-    group: Group
-    auth_secrets: tuple[int, ...]
-    auth_publics: tuple[int, ...]
-    notary_pk: multisig.MultisigPublicKey
-    notary_keys: tuple[multisig.MultisigKeyShare, ...]
-    final_pk: multisig.MultisigPublicKey
-    final_keys: tuple[multisig.MultisigKeyShare, ...]
-    beacon_pk: threshold.ThresholdPublicKey
-    beacon_keys: tuple[threshold.ThresholdKeyShare, ...]
-
-
-def _derive_real_setup(
-    group_profile: str, setup: str, n: int, t: int, seed: int
-) -> _RealSetup:
-    """Run the actual keygen/dealer/DKG derivation (the cache's miss path)."""
-    group = group_for_profile(group_profile)
-    rng = Random(seed)
-    auth_pairs = [schnorr.keygen(group, rng) for _ in range(n)]
-    notary_pk, notary_keys = multisig.keygen(group, n - t, n, rng)
-    final_pk, final_keys = multisig.keygen(group, n - t, n, rng)
-    if setup == "dealer":
-        beacon_pk, beacon_keys = threshold.keygen(group, t + 1, n, rng)
-    elif setup == "dkg":
-        from .dkg import run_dkg
-
-        result = run_dkg(group, t + 1, n, rng)
-        beacon_pk, beacon_keys = result.public, result.key_shares
-    else:
-        raise ValueError(f"unknown key setup {setup!r}")
-    return _RealSetup(
-        group=group,
-        auth_secrets=tuple(p.secret for p in auth_pairs),
-        auth_publics=tuple(p.public for p in auth_pairs),
-        notary_pk=notary_pk,
-        notary_keys=tuple(notary_keys),
-        final_pk=final_pk,
-        final_keys=tuple(final_keys),
-        beacon_pk=beacon_pk,
-        beacon_keys=tuple(beacon_keys),
-    )
-
-
-def real_setup_cache_key(
-    group_profile: str, setup: str, n: int, t: int, seed: int
-) -> tuple:
-    """The setup-cache key for one real-backend derivation bundle."""
-    return ("keyring-real-setup", group_profile, setup, n, t, seed)
-
-
 def generate_keyrings(
     n: int,
     t: int,
@@ -528,20 +468,17 @@ def generate_keyrings(
     (Section 3.1: "a trusted party or a secure distributed key generation
     protocol"): ``"dealer"`` uses the trusted dealer of
     :mod:`repro.crypto.threshold`; ``"dkg"`` runs the Pedersen/Feldman DKG
-    of :mod:`repro.crypto.dkg` (real backend only).
+    of :mod:`repro.crypto.dkg` (real backend only).  ``group_profile`` names
+    the group of :func:`~repro.crypto.group.group_for_profile`; both names
+    are checked on either backend.
 
-    Real-backend derivations are served through
-    :mod:`repro.crypto.setup_cache`: the bundle of key material is a pure
-    function of ``(group_profile, setup, n, t, seed)``, so repeated
-    builds of the same cluster shape reuse one keygen/dealer/DKG
-    computation (set ``REPRO_NO_SETUP_CACHE=1`` to derive every time).
-    Per-keyring RNG state is *not* cached — every call returns fresh
-    :class:`RealKeyring` objects with fresh signing RNGs, so cached and
-    uncached paths behave identically.
-
-    Each call also builds one :class:`~repro.crypto.fastpath.FastPath` and
-    one verifier suite over it, under the crypto backend active at the time,
-    and hands them to all n keyrings: the public-key tables, membership
+    Every real-backend call derives its key material afresh from
+    ``Random(seed)`` — a few milliseconds on the ``test`` group, tens on
+    ``default`` (docs/PERFORMANCE.md) — so equal arguments give
+    bit-identical keys.  Each call also builds one
+    :class:`~repro.crypto.fastpath.FastPath` and one verifier suite over it,
+    under the crypto backend active at the time, and hands them to all n
+    keyrings: the public-key tables, membership
     cache and H2 memo are shared by the cluster's parties and freed with
     them, not kept in the process-wide registry of
     :func:`repro.crypto.api.verifiers_for`.
@@ -551,25 +488,37 @@ def generate_keyrings(
     if t < 0 or (t > 0 and 3 * t >= n):
         # The protocol tolerates t < n/3; permit t == 0 for degenerate tests.
         raise ValueError(f"require t < n/3 (got n={n}, t={t})")
+    if setup not in ("dealer", "dkg"):
+        raise ValueError(f"unknown key setup {setup!r}")
+    if group_profile not in GROUP_PROFILES:
+        raise ValueError(f"unknown group profile {group_profile!r}")
     if backend == "fast":
+        if setup == "dkg":
+            raise ValueError("the dkg setup needs the real backend")
         master = tagged_hash("ICC/fast/master", seed.to_bytes(8, "big"), n.to_bytes(4, "big"))
         return [FastKeyring(index=i, n=n, t=t, master=master) for i in range(1, n + 1)]
     if backend != "real":
         raise ValueError(f"unknown crypto backend {backend!r}")
-    if setup not in ("dealer", "dkg"):
-        raise ValueError(f"unknown key setup {setup!r}")
 
-    material: _RealSetup = setup_cache.get_or_derive(
-        real_setup_cache_key(group_profile, setup, n, t, seed),
-        lambda: _derive_real_setup(group_profile, setup, n, t, seed),
-    )
+    group = group_for_profile(group_profile)
+    rng = Random(seed)
+    auth_pairs = [schnorr.keygen(group, rng) for _ in range(n)]
+    notary_pk, notary_keys = multisig.keygen(group, n - t, n, rng)
+    final_pk, final_keys = multisig.keygen(group, n - t, n, rng)
+    if setup == "dealer":
+        beacon_pk, beacon_keys = threshold.keygen(group, t + 1, n, rng)
+    else:
+        from .dkg import run_dkg
+
+        result = run_dkg(group, t + 1, n, rng)
+        beacon_pk, beacon_keys = result.public, result.key_shares
     shared = _SharedPublic(
-        group=material.group,
-        auth_publics=material.auth_publics,
-        notary_pk=material.notary_pk,
-        final_pk=material.final_pk,
-        beacon_pk=material.beacon_pk,
-        suite=api.VerifierSuite.over(FastPath(material.group)),
+        group=group,
+        auth_publics=tuple(pair.public for pair in auth_pairs),
+        notary_pk=notary_pk,
+        final_pk=final_pk,
+        beacon_pk=beacon_pk,
+        suite=api.VerifierSuite.over(FastPath(group)),
     )
     return [
         RealKeyring(
@@ -577,10 +526,10 @@ def generate_keyrings(
             n=n,
             t=t,
             shared=shared,
-            auth_secret=material.auth_secrets[i],
-            notary_key=material.notary_keys[i],
-            final_key=material.final_keys[i],
-            beacon_key=material.beacon_keys[i],
+            auth_secret=auth_pairs[i].secret,
+            notary_key=notary_keys[i],
+            final_key=final_keys[i],
+            beacon_key=beacon_keys[i],
             rng=Random(seed * 1_000_003 + i + 1),
         )
         for i in range(n)

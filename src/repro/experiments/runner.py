@@ -28,11 +28,6 @@ runner additionally writes its own orchestration events
 same directory; their ``time`` field is wall-clock seconds since
 :func:`execute` started (not simulation time) and is therefore not
 deterministic across machines.
-
-Workers warm the deterministic setup cache
-(:mod:`repro.crypto.setup_cache`) in their pool initializer, so key
-material derived once — by any process — is shared through the on-disk
-layer instead of being re-derived per worker.
 """
 
 from __future__ import annotations
@@ -44,7 +39,6 @@ from dataclasses import dataclass, field, replace
 from time import perf_counter
 from typing import Any, Callable, Sequence
 
-from ..crypto import setup_cache
 from ..obs import Tracer, write_jsonl
 from .common import trace_scope
 
@@ -131,11 +125,9 @@ def _pool_context() -> multiprocessing.context.BaseContext:
 _WORKER_TRACE_DIR: str | None = None
 
 
-def _worker_init(trace_dir: str | None, cache_dir: str | None, cache_enabled: bool) -> None:
+def _worker_init(trace_dir: str | None) -> None:
     global _WORKER_TRACE_DIR
     _WORKER_TRACE_DIR = trace_dir
-    cache = setup_cache.configure(directory=cache_dir, enabled=cache_enabled)
-    cache.warm()
 
 
 def _run_traced(run: RunSpec, trace_dir: str | None) -> Any:
@@ -217,13 +209,8 @@ def execute(
             if trace is not None:
                 trace.run_end(run, (perf_counter() - start) * 1000.0)
     else:
-        cache = setup_cache.default_cache()
         ctx = _pool_context()
-        with ctx.Pool(
-            processes=jobs,
-            initializer=_worker_init,
-            initargs=(trace_dir, cache.directory, cache.enabled),
-        ) as pool:
+        with ctx.Pool(processes=jobs, initializer=_worker_init, initargs=(trace_dir,)) as pool:
             if trace is not None:
                 for run in specs:
                     trace.run_start(run)

@@ -10,31 +10,8 @@ from random import Random
 
 import pytest
 
-from repro.crypto import setup_cache
 from repro.crypto.group import test_group
 from repro.crypto.keyring import generate_keyrings
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _isolated_setup_cache(tmp_path_factory):
-    """Point the setup cache at a per-session tmp dir, never ~/.cache.
-
-    Both the live configuration and the environment override are set, so
-    tests that call ``setup_cache.reset()`` (re-reading the environment)
-    still land in the tmp dir.
-    """
-    import os
-
-    directory = str(tmp_path_factory.mktemp("setup-cache"))
-    previous = os.environ.get("REPRO_SETUP_CACHE_DIR")
-    os.environ["REPRO_SETUP_CACHE_DIR"] = directory
-    setup_cache.configure(directory=directory)
-    yield
-    if previous is None:
-        os.environ.pop("REPRO_SETUP_CACHE_DIR", None)
-    else:
-        os.environ["REPRO_SETUP_CACHE_DIR"] = previous
-    setup_cache.reset()
 
 
 @pytest.fixture(scope="session")

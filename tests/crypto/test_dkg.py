@@ -159,7 +159,6 @@ class TestKeyringIntegration:
         cluster.check_safety()
 
     def test_dkg_setup_rejected_for_fast_backend(self):
-        # The fast backend has no real key material; setup is ignored there
-        # by construction (documented) — but an explicit bad name fails.
-        with pytest.raises(ValueError):
-            generate_keyrings(4, 1, backend="real", setup="quantum")
+        # The fast backend has no real key material for a DKG to produce.
+        with pytest.raises(ValueError, match="real backend"):
+            generate_keyrings(4, 1, backend="fast", setup="dkg")

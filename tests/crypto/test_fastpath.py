@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto import api, dleq, fastpath, schnorr, unique
+from repro.crypto.backend import FixedBaseTable
 from repro.crypto.dleq import DleqStatement
 from repro.crypto.group import group_for_profile
 from repro.crypto.unique import message_point
@@ -28,20 +29,20 @@ from repro.crypto.unique import message_point
 
 class TestFixedBaseTable:
     def test_matches_pow(self, group, rng):
-        table = fastpath.FixedBaseTable(group.p, group.g, group.q.bit_length())
+        table = FixedBaseTable(group.p, group.g, group.q.bit_length())
         for _ in range(20):
             e = rng.randrange(group.q)
             assert table.power(e) == pow(group.g, e, group.p)
 
     def test_zero_and_max(self, group):
         bits = group.q.bit_length()
-        table = fastpath.FixedBaseTable(group.p, group.g, bits)
+        table = FixedBaseTable(group.p, group.g, bits)
         assert table.power(0) == 1
         top = (1 << bits) - 1
         assert table.power(top) == pow(group.g, top, group.p)
 
     def test_exponent_out_of_range(self, group):
-        table = fastpath.FixedBaseTable(group.p, group.g, 16)
+        table = FixedBaseTable(group.p, group.g, 16)
         with pytest.raises(ValueError):
             table.power(1 << 16)
 

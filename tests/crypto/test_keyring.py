@@ -7,6 +7,7 @@ the fast backend (DESIGN.md §2).
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import replace
 
 import pytest
@@ -120,6 +121,50 @@ class TestFactory:
     def test_unknown_backend(self):
         with pytest.raises(ValueError):
             generate_keyrings(4, 1, backend="quantum")
+
+    @pytest.mark.parametrize("backend", ["fast", "real"])
+    @pytest.mark.parametrize(
+        "bad, match",
+        [({"setup": "quantum"}, "key setup"), ({"group_profile": "nope"}, "group profile")],
+    )
+    def test_unknown_setup_or_profile_rejected_on_either_backend(self, backend, bad, match):
+        with pytest.raises(ValueError, match=match):
+            generate_keyrings(4, 1, backend=backend, **bad)
+
+    @pytest.mark.parametrize(
+        "n, t, seed, profile, setup, digest",
+        [
+            (4, 1, 42, "test", "dealer", "470226edf13829ed420bd7282a107b39c81642ad48d20f6458b18ab0d1b6ec01"),
+            (4, 1, 42, "test", "dkg", "c8f2538dfa180613eed85c01192f871e86fe0e3347df5f25540895e8a8e26235"),
+            (7, 2, 1, "default", "dealer", "6b32e18a0548d52bf1c1f29eefe4f02fc6399660fbdfdab5fdc8e3a7388e9394"),
+            (7, 2, 1, "default", "dkg", "d4a2637e333ea5a9126b148167e1da8b527911f40dd476824349301e9a79e115"),
+        ],
+    )
+    def test_derivation_pinned(self, n, t, seed, profile, setup, digest):
+        """Every public key and every party's secret material, bit for bit:
+        ``Random(seed)`` is consumed in the same order by every version."""
+        rings = generate_keyrings(
+            n, t, seed=seed, backend="real", group_profile=profile, setup=setup
+        )
+        shared = rings[0]._shared
+        beacon = shared.beacon_pk
+        public = [
+            shared.group.p, shared.group.q, shared.group.g, *shared.auth_publics,
+            shared.notary_pk.threshold, *shared.notary_pk.publics,
+            shared.final_pk.threshold, *shared.final_pk.publics,
+            beacon.threshold, beacon.master_public, *beacon.share_publics,
+        ]
+        secret = [
+            value
+            for ring in rings
+            for value in (
+                ring._auth_secret,
+                ring._notary_key.index, ring._notary_key.secret,
+                ring._final_key.index, ring._final_key.secret,
+                ring._beacon_key.index, ring._beacon_key.secret,
+            )
+        ]
+        assert hashlib.sha256(repr((public, secret)).encode()).hexdigest() == digest
 
     def test_deterministic_per_seed(self):
         a = generate_keyrings(4, 1, seed=1)

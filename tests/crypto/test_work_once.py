@@ -23,16 +23,17 @@ from repro.core import messages as msg
 from repro.core.messages import Finalization, Notarization
 from repro.core.pool import MessagePool
 from repro.crypto import api, fastpath, field
-from repro.crypto.backend import DEFAULT_WINDOW, WindowBackend, use_backend
+from repro.crypto.backend import DEFAULT_WINDOW, CryptoBackend, use_backend
 from repro.crypto.keyring import generate_keyrings
 from repro.crypto.multisig import Multisignature
 from repro.sim import FixedDelay
+from repro.workloads.batching import RealClientAuth, SignedRequest
 
 from ..core.test_pool import Forge
 
 
-class CountingBackend(WindowBackend):
-    """``window`` with a count of every exponentiation it is asked for."""
+class CountingBackend(CryptoBackend):
+    """The comb strategy with a count of every exponentiation it is asked for."""
 
     name = "counting"
 
@@ -112,8 +113,8 @@ def test_primality_proof_at_most_once_per_group(monkeypatch):
     cluster.start()
     assert cluster.run_until_all_committed_round(3, timeout=300)
     # Every sign_* and combine_beacon reads group.scalar_field: ≥ 3 proofs
-    # per party per round before it was cached, none after (one if the
-    # setup cache handed out a freshly unpickled Group).
+    # per party per round before it was cached, none after (one if nothing
+    # earlier in the process has read it).
     assert len(calls) <= 1
 
 
@@ -296,3 +297,31 @@ class TestClusterOwnsItsContext:
         assert a.run_until_all_committed_round(2, timeout=300)
         assert len(_context(a)._tables) > 0
         assert len(_context(b)._tables) == 0
+
+
+# -- (f) a substituted backend gets the process-wide contexts of its own -----
+
+
+class TestContextPerBackendInstance:
+    def test_two_instances_get_two_contexts(self, group):
+        contexts = []
+        for backend in (CountingBackend(), CountingBackend()):  # one name, two instances
+            with use_backend(backend):
+                ctx = fastpath.for_group(group)
+                assert ctx.backend is backend
+                assert api.verifiers_for(group).ctx is ctx
+                contexts.append(ctx)
+        assert contexts[0] is not contexts[1]
+
+    def test_counting_backend_sees_client_auth(self, counting):
+        auth = RealClientAuth(seed=17, group_profile="test")
+        body = b"put\x1fk\x1fv"
+        requests = [
+            SignedRequest(client=c, seq=1, key=c, auth=auth.sign(c, 1, c, body), body=body)
+            for c in range(4)
+        ]
+        counting.powmods = counting.fixed_calls = 0
+        assert auth.verify_batch(requests).results == [True] * 4
+        # One membership proof per fresh client key, then g**s and pk**(-c)
+        # from the two comb tables per request.
+        assert (counting.powmods, counting.fixed_calls) == (4, 8)

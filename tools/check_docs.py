@@ -21,12 +21,10 @@ Checks every ``*.md`` file in the repo root and ``docs/``:
   import);
 * every event kind registered in ``src/repro/obs/registry.py`` is
   documented in ``docs/OBSERVABILITY.md``;
-* every concrete ``BENCH_<name>.json`` a checked file names exists, and
-  every ``python -m repro <name>`` it shows is a registered subcommand
-  (ROADMAP.md records history and is exempt from this one check);
-* every crypto backend registered in ``src/repro/crypto/backend.py`` is
-  documented in ``docs/PERFORMANCE.md`` (textual scan of
-  ``register_backend(...)`` calls);
+* every concrete ``BENCH_<name>.json`` a checked file names exists, every
+  ``python -m repro <name>`` it shows is a registered subcommand, and every
+  ``REPRO_*`` environment variable it shows appears somewhere under
+  ``src/`` (ROADMAP.md records history and is exempt from this one check);
 * every ``repro.experiments.<module>`` named in DESIGN.md's experiment
   table is a module ``run_all.suite`` enumerates (textual scan), so an
   experiment with a private entry point cannot sit beside the suite;
@@ -232,15 +230,20 @@ def check_shard_docs(problems: list[str]) -> None:
 #: are patterns, not names) and a CLI invocation, as they appear in prose.
 BENCH_FILE_RE = re.compile(r"\bBENCH_[A-Za-z0-9]+\.json\b")
 INVOCATION_RE = re.compile(r"python -m repro ([a-z][a-z0-9-]*)")
+ENV_VAR_RE = re.compile(r"\bREPRO_[A-Z_]+\b")
 #: ROADMAP.md records history: it may name files and commands that are gone.
 HISTORY = {"ROADMAP.md"}
 
 
 def check_removed_names(problems: list[str]) -> None:
-    """A ``BENCH_<name>.json`` the docs name must exist and a ``python -m
-    repro <name>`` they show must be a registered subcommand: what the docs
-    point a reader at cannot have been removed."""
+    """A ``BENCH_<name>.json`` the docs name must exist, a ``python -m
+    repro <name>`` they show must be a registered subcommand and a
+    ``REPRO_*`` environment variable they show must appear under ``src/``:
+    what the docs point a reader at cannot have been removed."""
     registered = set(cli_subcommands())
+    source = "".join(
+        module.read_text(encoding="utf-8") for module in (REPO / "src").rglob("*.py")
+    )
     for path in doc_files():
         if path.name in HISTORY:
             continue
@@ -256,39 +259,12 @@ def check_removed_names(problems: list[str]) -> None:
                 f"{path.relative_to(REPO)}: shows `python -m repro {name}`, "
                 f"which is not a registered subcommand"
             )
-
-
-#: ``register_backend("name", ...)`` registrations in the backend module.
-BACKEND_RE = re.compile(r"""register_backend\(\s*\n?\s*["']([a-z0-9_]+)["']""")
-
-
-def registered_backends() -> list[str]:
-    """Backend names registered in ``src/repro/crypto/backend.py``."""
-    module = REPO / "src" / "repro" / "crypto" / "backend.py"
-    if not module.is_file():
-        return []
-    return sorted(set(BACKEND_RE.findall(module.read_text(encoding="utf-8"))))
-
-
-def check_backend_docs(problems: list[str]) -> None:
-    """Every registered crypto backend must appear backticked in
-    PERFORMANCE.md, the hot-path reference page."""
-    names = registered_backends()
-    if not names:
-        return
-    doc = REPO / "docs" / "PERFORMANCE.md"
-    if not doc.is_file():
-        problems.append(
-            "docs/PERFORMANCE.md: missing (cannot check crypto backend docs)"
-        )
-        return
-    text = doc.read_text(encoding="utf-8")
-    for name in names:
-        if f"`{name}`" not in text:
-            problems.append(
-                f"docs/PERFORMANCE.md: crypto backend {name!r} is undocumented "
-                f"(no `{name}` mention found)"
-            )
+        for name in sorted(set(ENV_VAR_RE.findall(text))):
+            if name not in source:
+                problems.append(
+                    f"{path.relative_to(REPO)}: shows {name}, which nothing under "
+                    f"src/ reads"
+                )
 
 
 #: ``(module, module.specs(`` entries of ``run_all.suite``.
@@ -504,7 +480,6 @@ def run() -> list[str]:
     check_live_docs(problems)
     check_codec_docs(problems)
     check_removed_names(problems)
-    check_backend_docs(problems)
     check_experiment_docs(problems)
     check_config_docs(problems)
     check_cluster_names(problems)
