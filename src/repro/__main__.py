@@ -28,9 +28,9 @@ Commands:
   finalization (``--json PATH`` for the run summary, ``--check`` for the
   CI smoke leg, ``--trace-dir DIR`` to trace every process and collect
   the run) — see ``docs/TRANSPORT.md``;
-* ``collect``     — merge a live run's per-process traces/meters: align
-  the n monotonic clocks, pair send/recv wire spans, write the merged
-  trace + meter + alignment (``--report`` for the run report of that
+* ``collect``     — merge a live run's per-process traces: align the n
+  monotonic clocks, pair send/recv wire spans, write the merged trace +
+  alignment (``--report`` for the run report of that
   directory, ``--check`` for CI) — see ``docs/OBSERVABILITY.md``;
 * ``top``         — poll a running live cluster's STAT endpoints and
   render a per-party metrics table (height, pool depth, backlog,
@@ -139,7 +139,7 @@ def main(argv: list[str] | None = None) -> None:
     collect = sub.add_parser(
         "collect",
         help="merge one live run's per-process traces: clock alignment, "
-             "causal wire spans, merged trace/meter — see "
+             "causal wire spans, merged trace — see "
              "docs/OBSERVABILITY.md",
     )
     _mount(collect, "repro.obs.distributed")

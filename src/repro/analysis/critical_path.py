@@ -39,7 +39,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 
-from ..obs.metrics import percentile
+from ..sim.metrics import percentile
 
 #: Stage names of an ICC critical path, in causal order.
 ICC_STAGES = (

@@ -113,7 +113,6 @@ class BaselineParty:
         #: Trace sink (repro.obs); install a Tracer on the Simulation
         #: before building parties.
         self.tracer = sim.tracer
-        self.meter = sim.meter
         self.n = params.n
         self.t = params.t
         self.payload_source = payload_source
@@ -197,13 +196,6 @@ class BaselineParty:
             payload_bytes=batch.payload.wire_size(),
             proposed_at=self.metrics.proposed_at.get(batch.digest, -1.0),
         )
-        if self.meter.enabled:
-            self.meter.count("baseline.commits")
-            proposed_at = self.metrics.proposed_at.get(batch.digest)
-            if proposed_at is not None:
-                self.meter.observe(
-                    "baseline.commit.latency", self.sim.now - proposed_at
-                )
 
     def build_payload(self, height: int, chain: list) -> Payload:
         if self.payload_source is None:

@@ -16,11 +16,11 @@ nothing here touches module-level state, and several clusters can coexist
 in one process — or in one :class:`~repro.sim.simulator.Simulation` — at
 once.  :func:`embed_cluster` builds a cluster inside an existing
 Simulation: the cluster gets its own namespace prefix on every
-trace/metric stream (``"<name>/..."``, via
-:func:`repro.obs.namespaced_tracer` / :func:`repro.obs.namespaced_meter`)
-and its own seeded delay-sampling RNG stream, so K embedded clusters are
-observably separable and bit-identical to K standalone runs with the same
-seeds (pinned by ``tests/core/test_embedded_cluster.py``).  This is the
+trace stream (``"<name>/..."``, via :func:`repro.obs.namespaced_tracer`),
+its own :class:`~repro.sim.metrics.Metrics` and its own seeded
+delay-sampling RNG stream, so K embedded clusters are observably
+separable and bit-identical to K standalone runs with the same seeds
+(pinned by ``tests/core/test_embedded_cluster.py``).  This is the
 substrate :mod:`repro.smr.sharding` composes into multi-subnet
 deployments.
 """
@@ -33,7 +33,6 @@ from typing import Callable, Sequence
 
 from ..crypto.keyring import Keyring, generate_keyrings
 from ..gossip import GossipParams, build_overlay
-from ..obs.metrics import MeterLike, namespaced_meter
 from ..obs.tracer import TraceEvent, TracerLike, namespaced_tracer
 from ..sim.delays import DelayModel, FixedDelay
 from ..sim.metrics import Metrics
@@ -115,12 +114,9 @@ class ClusterConfig:
     #: ``namespace`` the install is scoped to this cluster's build instead
     #: of mutating the Simulation for good.
     tracer: TracerLike | None = None
-    #: Optional :class:`repro.obs.Meter` (counters/gauges/histograms);
-    #: installed on the Simulation under the same before-build rule.
-    meter: MeterLike | None = None
-    #: Embeddability: prefix every trace event's protocol label and every
-    #: metric name with ``"<namespace>/"`` so several clusters can share
-    #: one Simulation's sinks with separable streams.  None (default) =
+    #: Embeddability: prefix every trace event's protocol label with
+    #: ``"<namespace>/"`` so several clusters can share one Simulation's
+    #: tracer with separable streams.  None (default) =
     #: the classic standalone behaviour.
     namespace: str | None = None
     #: Embeddability: seed string for a cluster-private delay-sampling RNG
@@ -146,13 +142,6 @@ class ClusterConfig:
             raise TypeError(
                 "tracer must implement TracerLike (enabled + emit), got "
                 f"{type(self.tracer).__name__}"
-            )
-        if self.meter is not None and not (
-            isinstance(self.meter, MeterLike) and hasattr(self.meter, "enabled")
-        ):
-            raise TypeError(
-                "meter must implement MeterLike (enabled + count/gauge/observe), "
-                f"got {type(self.meter).__name__}"
             )
         if self.namespace is not None and ("/" in self.namespace or not self.namespace):
             raise ValueError(
@@ -182,7 +171,6 @@ class Cluster:
         params: ProtocolParams,
         keyrings: list[Keyring],
         tracer: TracerLike,
-        meter: MeterLike,
         rng: Random | None = None,
     ) -> None:
         self.config = config
@@ -195,10 +183,9 @@ class Cluster:
         self.name = (
             config.namespace if config.namespace is not None else f"cluster{config.seed}"
         )
-        #: The (namespaced, when embedded) sinks every party and the network
-        #: cached at build time.
+        #: The (namespaced, when embedded) tracer every party and the
+        #: network cached at build time.
         self.tracer = tracer
-        self.meter = meter
         #: The cluster-private delay stream (None: the cluster shares ``sim.rng``).
         self.rng = rng
 
@@ -250,17 +237,10 @@ class Cluster:
     def max_committed_round(self) -> int:
         return max((p.k_max for p in self.honest_parties), default=0)
 
-    # -- this cluster's slice of the shared observability sinks ----------------
-
     def events(self, kind: str | None = None) -> list[TraceEvent]:
         """This cluster's slice of the trace (namespace-filtered when
         embedded)."""
         return self.tracer.events(kind)
-
-    def counter(self, name: str) -> int:
-        """This cluster's slice of a counter metric (bare registry name)."""
-        value = getattr(self.meter, "counter_value", None)
-        return int(value(name)) if value is not None else 0
 
 
 def derive_material(config: ClusterConfig) -> tuple[list[Keyring], ProtocolParams]:
@@ -323,26 +303,22 @@ def build_cluster(config: ClusterConfig, sim: Simulation | None = None) -> Clust
     Pass an existing ``sim`` to co-schedule several clusters in one
     simulation (e.g. multiple subnets coupled by :mod:`repro.smr.xnet`);
     with ``config.namespace`` set the build never mutates the shared
-    Simulation's tracer/meter permanently — the namespaced views are
-    installed only while parties are constructed (they cache the sinks)
-    and the network keeps explicit overrides.  :func:`embed_cluster` is
+    Simulation's tracer permanently — the namespaced view is installed
+    only while parties are constructed (they cache it) and the network
+    keeps an explicit override.  :func:`embed_cluster` is
     the one-call wrapper for that mode.
     """
     if sim is None:
         sim = Simulation(seed=config.seed)
     base_tracer = config.tracer if config.tracer is not None else sim.tracer
-    base_meter = config.meter if config.meter is not None else sim.meter
     if config.namespace is not None:
         cluster_tracer = namespaced_tracer(base_tracer, config.namespace)
-        cluster_meter = namespaced_meter(base_meter, config.namespace)
     else:
         cluster_tracer = base_tracer
-        cluster_meter = base_meter
     cluster_rng = Random(config.rng_stream) if config.rng_stream is not None else None
-    prev_tracer, prev_meter = sim.tracer, sim.meter
-    # Before Network/parties are built: they cache the sinks they see here.
+    prev_tracer = sim.tracer
+    # Before Network/parties are built: they cache the tracer they see here.
     sim.tracer = cluster_tracer
-    sim.meter = cluster_meter
     try:
         delay_model = config.delay_model if config.delay_model is not None else FixedDelay(0.1)
         metrics = Metrics(n=config.n)
@@ -352,7 +328,6 @@ def build_cluster(config: ClusterConfig, sim: Simulation | None = None) -> Clust
             delay_model,
             metrics,
             tracer=cluster_tracer if config.namespace is not None else None,
-            meter=cluster_meter if config.namespace is not None else None,
             rng=cluster_rng,
         )
         keyrings, params = derive_material(config)
@@ -367,18 +342,18 @@ def build_cluster(config: ClusterConfig, sim: Simulation | None = None) -> Clust
     finally:
         if config.namespace is not None:
             # Scoped install: an embedded build leaves the shared
-            # Simulation's sinks exactly as it found them.
-            sim.tracer, sim.meter = prev_tracer, prev_meter
+            # Simulation's tracer exactly as it found it.
+            sim.tracer = prev_tracer
     return Cluster(
         config, sim, network, parties, params, keyrings,
-        tracer=cluster_tracer, meter=cluster_meter, rng=cluster_rng,
+        tracer=cluster_tracer, rng=cluster_rng,
     )
 
 
 def embed_cluster(name: str, config: ClusterConfig, sim: Simulation) -> Cluster:
     """Build ``config`` as an embedded component of an existing ``sim``.
 
-    The cluster gets ``name`` as its trace/metric namespace and (unless
+    The cluster gets ``name`` as its trace namespace and (unless
     the config pins one) a private delay-RNG stream derived from
     ``(name, config.seed)`` — so the same config embedded next to any
     number of siblings, or standalone in a fresh Simulation, finalizes

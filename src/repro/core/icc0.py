@@ -91,8 +91,6 @@ class ICC0Party:
         #: Cached trace sink — install a Tracer on the Simulation *before*
         #: constructing parties (build_cluster does; see repro.obs).
         self.tracer = sim.tracer
-        #: Cached metric sink (same install-before-build rule).
-        self.meter = sim.meter
         self.payload_source = payload_source
         self.pool = MessagePool(keyring)
         self.pool.bind_tracing(self.tracer, sim, index, self.protocol_name)
@@ -323,9 +321,6 @@ class ICC0Party:
         self.round = k + 1
         self.waiting_beacon = True
         self.metrics.count("rounds-finished")
-        if self.meter.enabled:
-            self.meter.count("icc.rounds.finished")
-            self.meter.observe("icc.round.duration", self.sim.now - self.round_start)
         return True
 
     def _send_finalization_share(self, block: Block) -> None:
@@ -387,8 +382,6 @@ class ICC0Party:
                 parent=short_id(parent.hash), payload_bytes=payload.wire_size(),
                 rank=self.my_rank,
             )
-        if self.meter.enabled:
-            self.meter.count("icc.blocks.proposed")
         self.proposed = True
         return True
 
@@ -572,13 +565,6 @@ class ICC0Party:
                 payload_bytes=committed.payload.wire_size(),
                 proposed_at=self.metrics.proposed_at.get(committed.hash, -1.0),
             )
-            if self.meter.enabled:
-                self.meter.count("icc.blocks.committed")
-                proposed_at = self.metrics.proposed_at.get(committed.hash)
-                if proposed_at is not None:
-                    self.meter.observe(
-                        "icc.commit.latency", self.sim.now - proposed_at
-                    )
         self._committed_tip = block.hash
         self.k_max = k
         self.pool.set_committed_floor(k)

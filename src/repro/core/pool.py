@@ -48,7 +48,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 
 from ..crypto.keyring import Keyring
-from ..obs import NULL_METER, NULL_TRACER
+from ..obs import NULL_TRACER
 from . import messages as msg
 from .messages import (
     Authenticator,
@@ -109,7 +109,6 @@ class MessagePool:
         # Trace wiring (see repro.obs): the owning party binds its tracer
         # so verification drops and GC sweeps are attributable to a party.
         self._tracer = NULL_TRACER
-        self._meter = NULL_METER
         self._trace_sim = None
         self._trace_party = 0
         self._trace_protocol = "pool"
@@ -147,14 +146,13 @@ class MessagePool:
     def bind_tracing(self, tracer, sim, party: int, protocol: str) -> None:
         """Attach a trace sink (called by the owning party at construction)."""
         self._tracer = tracer
-        self._meter = sim.meter if sim is not None else NULL_METER
         self._trace_sim = sim
         self._trace_party = party
         self._trace_protocol = protocol
 
     def add(self, message: object) -> bool:
         """Verify and store a message; returns True if it changed the pool."""
-        if not (self._tracer.enabled or self._meter.enabled):
+        if not self._tracer.enabled:
             return self._add(message)
         before = self.stats.invalid_dropped
         changed = self._add(message)
@@ -163,8 +161,6 @@ class MessagePool:
         return changed
 
     def _report_invalid(self, message: object) -> None:
-        if self._meter.enabled:
-            self._meter.count("pool.invalid")
         if self._tracer.enabled:
             self._tracer.emit(
                 time=self._trace_sim.now if self._trace_sim is not None else 0.0,

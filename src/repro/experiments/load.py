@@ -22,10 +22,10 @@ from dataclasses import dataclass
 
 from ..core.cluster import ClusterConfig, build_cluster
 from ..sim.delays import FixedDelay
+from ..sim.metrics import percentile
 from ..workloads.batching import BatchSpec, RequestBatcher
 from ..workloads.population import ClientPopulation, PopulationSpec
 from . import runner
-from ..obs.metrics import percentile
 from .common import mean, print_table
 
 #: Default sweep shape: the paper's subnet sizes, offered loads chosen so

@@ -1,13 +1,12 @@
 """Per-run evaluation reports: ``python -m repro report``.
 
 Runs a small suite of seeded ICC simulations through the parallel runner
-(:mod:`repro.experiments.runner`) with tracing and metering on, leaves
-the traces, the merged ``metrics.json`` and the per-run ``results.json``
-in ``--trace-dir`` (a temporary directory otherwise), and renders that
-directory (:func:`load_run`, :func:`generate`) as one self-contained
-Markdown (or HTML) report.  ``--load`` renders a directory written
-earlier, which may equally be one collected live TCP run (``repro live
---trace-dir``).  Sections:
+(:mod:`repro.experiments.runner`) with tracing on, leaves the traces and
+the per-run ``results.json`` in ``--trace-dir`` (a temporary directory
+otherwise), and renders that directory (:func:`load_run`,
+:func:`generate`) as one self-contained Markdown (or HTML) report.
+``--load`` renders a directory written earlier, which may equally be one
+collected live TCP run (``repro live --trace-dir``).  Sections:
 
 * per-height **critical paths** (:mod:`repro.analysis.critical_path`)
   with the telescoping consistency check — stage durations must sum to
@@ -15,8 +14,9 @@ earlier, which may equally be one collected live TCP run (``repro live
 * **message complexity vs theory** — measured messages per round against
   the paper's ``8n^2`` synchronous-case and ``2n^3 + 4n^2`` worst-case
   bounds (:mod:`repro.analysis.theory`);
-* the merged **metric snapshot** (:mod:`repro.obs.metrics`) aggregated
-  across all runs — counters, gauges and histogram tables;
+* the **metrics** — each run's :meth:`repro.sim.metrics.Metrics.summary`
+  counters summed across runs, or, for a live run, the counts each party
+  reported in its ``result-<i>.json``;
 * **trace health** — events captured and ring-buffer drops per run;
 * the **clock alignment** and the matched **wire transit** spans, when
   the loaded run has an alignment / such events (a collected live run) —
@@ -29,6 +29,7 @@ import contextlib
 import json
 import os
 import tempfile
+from collections import Counter
 
 from ..analysis import theory
 from ..analysis.critical_path import (
@@ -38,14 +39,7 @@ from ..analysis.critical_path import (
     latency_breakdown,
 )
 from ..analysis.trace import message_counts, summarize
-from ..obs import (
-    ClockAlignment,
-    Meter,
-    collect_run,
-    merge_meters,
-    read_jsonl,
-    read_jsonl_with_header,
-)
+from ..obs import ClockAlignment, collect_run, read_jsonl, read_jsonl_with_header
 from . import runner
 from .common import mean
 
@@ -65,7 +59,7 @@ def run_traced(
     rounds: int = 8,
     seed: int = 0,
 ) -> dict:
-    """Run one metered ICC simulation; returns a picklable result row.
+    """Run one traced ICC simulation; returns a picklable result row.
 
     Specs name it ``run_report.run_traced``, so reports fan across cores
     and trace files get deterministic spec-index names.
@@ -73,7 +67,6 @@ def run_traced(
     from ..sim.delays import UniformDelay
     from .common import make_icc_config, run_icc
 
-    meter = Meter()
     config = make_icc_config(
         protocol,
         n=n,
@@ -84,7 +77,6 @@ def run_traced(
         seed=seed,
         max_rounds=rounds + 2,
     )
-    config.meter = meter
     cluster = run_icc(config, duration=rounds * delta * 8)
     latencies = cluster.metrics.commit_latencies()
     return {
@@ -97,7 +89,7 @@ def run_traced(
         "rounds_committed": cluster.min_committed_round(),
         "commit_latency_mean": mean(latencies) if latencies else None,
         "messages_sent": sum(cluster.metrics.msgs_sent.values()),
-        "meter": meter.to_dict(),
+        "summary": cluster.metrics.summary(cluster.sim.now),
     }
 
 
@@ -272,44 +264,29 @@ def _theory_section(traces, n: int) -> list[str]:
     return lines
 
 
-def _metrics_section(meter: Meter) -> list[str]:
+def _metrics_section(results, party_results) -> list[str]:
     lines = ["## Metrics", ""]
-    if not meter.names():
-        lines.append("No metric snapshot available.")
+    if party_results:
+        fields = sorted(
+            key for key, value in party_results[0].items()
+            if isinstance(value, (int, float)) and key != "index"
+        )
+        lines += ["What each party reported in its `result-<i>.json`:", ""]
+        lines += _md_table(
+            ["field", *(f"party {r['index']}" for r in party_results)],
+            [[f"`{key}`", *(_fmt(r.get(key)) for r in party_results)] for key in fields],
+        )
         return lines
-    snapshot = meter.to_dict()
-    counters = snapshot.get("counters", {})
-    gauges = snapshot.get("gauges", {})
-    histograms = snapshot.get("histograms", {})
-    if counters:
-        lines += ["Counters (summed across runs):", ""]
-        lines += _md_table(
-            ["metric", "value"],
-            [[f"`{k}`", v] for k, v in sorted(counters.items())],
-        )
-        lines.append("")
-    if gauges:
-        lines += ["Gauges (max across runs):", ""]
-        lines += _md_table(
-            ["metric", "value"],
-            [[f"`{k}`", _fmt(v)] for k, v in sorted(gauges.items())],
-        )
-        lines.append("")
-    for name in sorted(histograms):
-        hist = meter.histogram(name)
-        if hist.count == 0:
-            continue
-        lines += [f"Histogram `{name}` (count={hist.count}, "
-                  f"mean={_fmt(hist.mean)}, min={_fmt(hist.min)}, "
-                  f"max={_fmt(hist.max)}):", ""]
-        rows = []
-        for i, bound in enumerate(hist.bounds):
-            if hist.counts[i]:
-                rows.append([f"<= {bound:g}", hist.counts[i]])
-        if hist.counts[-1]:
-            rows.append([f"> {hist.bounds[-1]:g}", hist.counts[-1]])
-        lines += _md_table(["bucket", "count"], rows)
-        lines.append("")
+    counters: Counter = Counter()
+    for row in results or ():
+        counters.update(row.get("summary", {}).get("counters", {}))
+    if not counters:
+        lines.append("No counters recorded.")
+        return lines
+    lines += ["`Metrics.summary()` counters, summed across runs:", ""]
+    lines += _md_table(
+        ["counter", "value"], [[f"`{k}`", v] for k, v in sorted(counters.items())]
+    )
     return lines
 
 
@@ -342,11 +319,12 @@ def _health_section(traces) -> list[str]:
     return lines
 
 
-def generate(traces, meter, params, results=None, alignment=None) -> str:
-    """Render the full Markdown report from loaded traces and metrics.
+def generate(traces, params, results=None, alignment=None, party_results=None) -> str:
+    """Render the full Markdown report from loaded traces and records.
 
-    ``alignment`` is the :class:`~repro.obs.ClockAlignment` of a collected
-    live run (None for simulator traces, which share one clock).
+    ``results`` are a report suite's ``results.json`` rows; ``alignment``
+    and ``party_results`` (the ``result-<i>.json`` records) belong to a
+    collected live run (None for simulator traces, which share one clock).
     """
     lines = [
         "# Run report",
@@ -391,7 +369,7 @@ def generate(traces, meter, params, results=None, alignment=None) -> str:
         lines.append("")
     lines += _theory_section(traces, params["n"])
     lines.append("")
-    lines += _metrics_section(meter)
+    lines += _metrics_section(results, party_results)
     lines.append("")
     lines += _health_section(traces)
     lines.append("")
@@ -493,9 +471,14 @@ def load_run(trace_dir: str) -> dict:
             os.path.join(trace_dir, "merged-trace.jsonl")
         )
         cluster = _read_json(trace_dir, "cluster.json")
+        party_results = sorted(
+            (_read_json(trace_dir, name) for name in os.listdir(trace_dir)
+             if name.startswith("result-") and name.endswith(".json")),
+            key=lambda record: record["index"],
+        )
         return dict(
             traces=[("merged-trace", events)],
-            meter=Meter.read_json(os.path.join(trace_dir, "merged-meter.json")),
+            party_results=party_results,
             params={
                 "protocol": cluster["protocol"],
                 "n": cluster["n"],
@@ -521,7 +504,6 @@ def load_run(trace_dir: str) -> dict:
     ]
     return dict(
         traces=traces,
-        meter=Meter.read_json(os.path.join(trace_dir, "metrics.json")),
         # Every row of one suite has the same configuration.
         params={
             **{key: results[0][key] for key in _DEFAULT if key in results[0]},
@@ -563,9 +545,6 @@ def build_report(args) -> str:
             specs(suite, range(args.seed, args.seed + runs)),
             jobs=args.jobs, trace_dir=trace_dir,
         )
-        merge_meters(Meter.from_dict(r["meter"]) for r in results).write_json(
-            os.path.join(trace_dir, "metrics.json")
-        )
         with open(os.path.join(trace_dir, "results.json"), "w") as fh:
             json.dump(results, fh, indent=2, sort_keys=True)
         # Render what was just written, the way --load will render it again.
@@ -590,7 +569,7 @@ def add_arguments(parser) -> None:
     parser.add_argument("--jobs", type=int, default=None, metavar="N",
                         help="runner worker processes")
     parser.add_argument("--trace-dir", default=None, metavar="DIR",
-                        help="keep traces + metrics.json here (temp dir "
+                        help="keep traces + results.json here (temp dir "
                              "otherwise)")
     parser.add_argument("--load", action="store_true",
                         help="render the run directory --trace-dir (a report "

@@ -152,7 +152,6 @@ class GossipNode:
         self.network = network
         self.sim = network.sim
         self.tracer = network.sim.tracer
-        self.meter = network.sim.meter
         self.neighbors = list(neighbors)
         self.params = params
         self.deliver = deliver
@@ -216,8 +215,6 @@ class GossipNode:
         self._have[message.artifact_id] = message.artifact
         if self.tracer.enabled:
             self._trace_deliver(message.artifact_id, message.artifact, via="push")
-        if self.meter.enabled:
-            self.meter.count("gossip.delivered")
         self.deliver(message.artifact)
         self._propagate(message.artifact_id, message.artifact, exclude=None)
 
@@ -301,7 +298,5 @@ class GossipNode:
         self._requested.pop(aid, None)
         if self.tracer.enabled:
             self._trace_deliver(aid, delivery.artifact, via="request")
-        if self.meter.enabled:
-            self.meter.count("gossip.delivered")
         self.deliver(delivery.artifact)
         self._propagate(aid, delivery.artifact, exclude=None)

@@ -9,9 +9,9 @@ to at construction time:
 
 * :class:`~repro.net.clock.WallClock` stands in for
   :class:`repro.sim.simulator.Simulation` — same ``now`` /
-  ``schedule`` / ``schedule_at`` / ``tracer`` / ``meter`` / ``rng``
-  surface, but backed by the asyncio event loop's monotonic clock
-  instead of virtual time;
+  ``schedule`` / ``schedule_at`` / ``tracer`` / ``rng`` surface, but
+  backed by the asyncio event loop's monotonic clock instead of virtual
+  time;
 * :class:`~repro.net.transport.TcpNetwork` stands in for
   :class:`repro.sim.network.Network` — same ``attach`` / ``broadcast`` /
   ``send`` / ``multicast`` surface and the same

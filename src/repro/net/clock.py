@@ -3,7 +3,7 @@
 The protocol parties never import the simulator *class* — they only call a
 handful of attributes on the ``sim`` object they are constructed with:
 ``now``, ``schedule``, ``schedule_at``, ``fork_rng``, ``tracer``,
-``meter``, ``rng``.  :class:`WallClock` implements exactly that surface on
+``rng``.  :class:`WallClock` implements exactly that surface on
 top of an asyncio event loop, so the identical party objects run in real
 time.  The differences that matter (and that ``docs/TRANSPORT.md``
 documents):
@@ -37,7 +37,7 @@ import platform
 from random import Random
 from typing import Callable
 
-from ..obs import NULL_METER, NULL_TRACER
+from ..obs import NULL_TRACER
 
 
 def host_id() -> str:
@@ -76,9 +76,8 @@ class WallClock:
         self.epoch = self.loop.time()
         self.rng = Random(seed)
         #: Same install-before-build rule as the simulator: parties cache
-        #: these references at construction.
+        #: this reference at construction.
         self.tracer = NULL_TRACER
-        self.meter = NULL_METER
 
     # -- the Simulation surface the parties use -----------------------------
 

@@ -35,28 +35,19 @@ from .party import LiveParty
 class LiveCluster:
     """All parties of one live config, co-hosted on the current loop."""
 
-    def __init__(
-        self, config: LiveConfig, *, tracer=None, meter=None, per_party=None
-    ) -> None:
-        """``tracer``/``meter`` are shared by every party (handy for an
-        embedded view of aggregate activity); ``per_party`` instead maps
-        an index (1..n) to a ``(tracer, meter)`` pair, giving each party
-        its own private timeline exactly as separate processes would —
-        what distributed-trace collection needs.  ``per_party`` wins when
-        both are given."""
+    def __init__(self, config: LiveConfig, *, tracer=None, per_party=None) -> None:
+        """``tracer`` is shared by every party (handy for an embedded view
+        of aggregate activity); ``per_party`` instead maps an index (1..n)
+        to a tracer, giving each party its own private timeline exactly as
+        separate processes would — what distributed-trace collection needs.
+        ``per_party`` wins when both are given."""
         self.config = config
         self._tracer = tracer
-        self._meter = meter
         self._per_party = per_party
         self.parties: list[LiveParty] = []
         self._started = False
 
     # -- lifecycle ------------------------------------------------------------
-
-    def _observability(self, index: int) -> tuple:
-        if self._per_party is not None:
-            return self._per_party(index)
-        return self._tracer, self._meter
 
     async def start(self) -> None:
         if self._started:
@@ -64,10 +55,8 @@ class LiveCluster:
         loop = asyncio.get_running_loop()
         self.parties = []
         for i in range(1, self.config.n + 1):
-            tracer, meter = self._observability(i)
-            self.parties.append(
-                LiveParty(self.config, i, loop=loop, tracer=tracer, meter=meter)
-            )
+            tracer = self._per_party(i) if self._per_party is not None else self._tracer
+            self.parties.append(LiveParty(self.config, i, loop=loop, tracer=tracer))
         for live in self.parties:
             await live.start()
         self._started = True

@@ -27,14 +27,14 @@ closes; the acceptor answers with ACK frames on the same (full-duplex)
 connection.  Anything else — unknown type byte, a body longer than
 ``max_frame``, a zero-length body, a payload that fails to decode — is a
 :class:`FrameError`; the transport closes the connection and counts
-``live.frames.rejected``.
+it in ``TcpNetwork.frames_rejected``.
 
 No frame carries a time: a party only ever reads its own clock, and
 traces from one host line up from their headers' clock epochs
 (:mod:`repro.obs.distributed`).  A STAT frame may be sent *instead
 of* a HELLO by a monitoring client (``python -m repro top``); the
 acceptor answers with one STAT_REPLY carrying a JSON snapshot of the
-process's meters and state.
+process's counters and state.
 
 MSG sequence numbers are per *directed peer link* (they survive
 reconnects) and make delivery reliable without trusting TCP's write

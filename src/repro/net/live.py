@@ -3,7 +3,7 @@
 ``serve`` is the party binary: load the shared cluster config, become
 party ``--index``, run until the target height (or timeout / SIGTERM),
 then write a JSON result record — plus, when asked, a self-identifying
-trace JSONL (``--trace``) and a meter snapshot (``--meter``).  ``live``
+trace JSONL (``--trace``).  ``live``
 is the orchestrator: allocate ports, write the config, spawn one
 ``serve`` process per party, collect the per-party records, check the
 paper's prefix property across them, and report wall-clock finalization
@@ -13,7 +13,7 @@ With ``--trace-dir D`` (or ``--json`` / ``--check``, which imply tracing
 into a temporary directory) every process traces into the run directory
 and the orchestrator automatically **collects** the run afterwards
 (:func:`repro.obs.collect_run`): timelines aligned exactly by the
-processes' clock epochs, traces merged, meters merged, and the
+processes' clock epochs, traces merged, and the
 critical-path latency breakdown
 (:func:`repro.analysis.critical_path.latency_breakdown`, the same one the
 simulator's reports use) computed and embedded in the summary.  ``python
@@ -22,9 +22,9 @@ simulator's reports use) computed and embedded in the summary.  ``python
 The quick in-process mode (``--inproc``, implied by ``--check``) runs
 the same protocol/transport stack on one event loop via
 :class:`~repro.net.cluster.LiveCluster` — fast enough for CI smoke runs.
-Even in-process, each party gets its *own* tracer and meter (its own
-timeline) and the run is written in the per-process layout, so there is
-one collection path for both modes.  Wall-clock
+Even in-process, each party gets its *own* tracer (its own timeline)
+and the run is written in the per-process layout, so there is one
+collection path for both modes.  Wall-clock
 performance of this stack is measured by the ``live_n4_sat`` and
 ``live_n4_load`` workloads of ``python3 bench/run.py``, not here.
 """
@@ -49,9 +49,9 @@ from ..analysis.critical_path import (
     critical_paths,
     latency_breakdown,
 )
-from ..obs import Meter, Tracer, collect_run, trace_header, write_jsonl
 from ..core.cluster import PROTOCOLS, prefix_consistent
-from ..obs.metrics import percentile
+from ..obs import Tracer, collect_run, trace_header, write_jsonl
+from ..sim.metrics import percentile
 from .clock import host_id
 from .cluster import LiveCluster
 from .config import LiveConfig, load_live_config, local_live_config
@@ -65,9 +65,9 @@ KILL_GRACE = 10.0
 # --------------------------------------------------------------------- serve
 
 
-async def _serve(config: LiveConfig, index: int, tracer, meter) -> tuple[LiveParty, dict]:
+async def _serve(config: LiveConfig, index: int, tracer) -> tuple[LiveParty, dict]:
     loop = asyncio.get_running_loop()
-    live = LiveParty(config, index, loop=loop, tracer=tracer, meter=meter)
+    live = LiveParty(config, index, loop=loop, tracer=tracer)
     stop_requested = asyncio.Event()
     for signum in (signal.SIGTERM, signal.SIGINT):
         try:
@@ -129,27 +129,15 @@ def add_serve_arguments(parser) -> None:
         help="export this party's trace events as JSONL (self-identifying "
              "header: run_id + party index + schema version)",
     )
-    parser.add_argument(
-        "--meter", metavar="PATH", default=None,
-        help="write this party's full meter snapshot as JSON",
-    )
 
 
 def serve(args) -> int:
     """``python -m repro serve --config cluster.json --index 2``."""
     config = load_live_config(args.config)
     tracer = Tracer() if args.trace else None
-    meter = Meter()
-    live, result = asyncio.run(_serve(config, args.index, tracer, meter))
-    result["meter"] = {
-        name: meter.counter_value(name)
-        for name in ("live.connects", "live.reconnects", "live.dup_connections",
-                     "live.frames.rejected", "net.messages")
-    }
+    live, result = asyncio.run(_serve(config, args.index, tracer))
     if args.trace:
         _write_trace(config, live, args.trace)
-    if args.meter:
-        meter.write_json(args.meter)
     payload = json.dumps(result, indent=1, sort_keys=True)
     if args.result:
         with open(args.result, "w", encoding="utf-8") as fh:
@@ -217,11 +205,11 @@ def _fresh_run_id(config: LiveConfig) -> str:
 
 async def _run_inproc(config: LiveConfig, workdir: str | None) -> list[dict]:
     """One in-process run.  Given a ``workdir`` each party gets its own
-    tracer/meter (its own timeline), mirroring separate processes, and the
+    tracer (its own timeline), mirroring separate processes, and the
     run is written there in the per-process layout ``_spawn_cluster``
     leaves and ``repro collect`` expects."""
     async with LiveCluster(
-        config, per_party=(lambda _: (Tracer(), Meter())) if workdir else None
+        config, per_party=(lambda _: Tracer()) if workdir else None
     ) as cluster:
         reached = await cluster.wait_for_height(
             config.target_height, config.timeout
@@ -235,9 +223,7 @@ async def _run_inproc(config: LiveConfig, workdir: str | None) -> list[dict]:
     if workdir:
         config.save(os.path.join(workdir, "cluster.json"))
         for live in cluster.parties:
-            i = live.index
-            _write_trace(config, live, os.path.join(workdir, f"trace-{i}.jsonl"))
-            live.clock.meter.write_json(os.path.join(workdir, f"meter-{i}.json"))
+            _write_trace(config, live, os.path.join(workdir, f"trace-{live.index}.jsonl"))
         for record in results:
             path = os.path.join(workdir, f"result-{record['index']}.json")
             with open(path, "w", encoding="utf-8") as fh:
@@ -264,10 +250,7 @@ def _spawn_cluster(
             "--result", result_path,
         ]
         if trace:
-            argv += [
-                "--trace", os.path.join(workdir, f"trace-{i}.jsonl"),
-                "--meter", os.path.join(workdir, f"meter-{i}.json"),
-            ]
+            argv += ["--trace", os.path.join(workdir, f"trace-{i}.jsonl")]
         procs.append(
             subprocess.Popen(
                 argv,
@@ -302,8 +285,7 @@ def _clear_run_artifacts(workdir: str) -> None:
     """Remove a previous run's per-process/merged artifacts so a reused
     ``--trace-dir`` cannot mix two runs (the collector would refuse)."""
     patterns = (
-        "trace-*.jsonl", "meter-*.json", "result-*.json",
-        "merged-trace.jsonl", "merged-meter.json", "alignment.json",
+        "trace-*.jsonl", "result-*.json", "merged-trace.jsonl", "alignment.json",
     )
     for pattern in patterns:
         for path in glob.glob(os.path.join(workdir, pattern)):

@@ -26,7 +26,7 @@ import asyncio
 from random import Random
 
 from ..core.cluster import build_party, derive_material
-from ..obs.metrics import percentile
+from ..sim.metrics import percentile
 from ..workloads.batching import BatchSpec, RequestBatcher, SignedRequest
 from .clock import WallClock
 from .config import LiveConfig
@@ -74,7 +74,6 @@ class LiveParty:
         *,
         loop: asyncio.AbstractEventLoop | None = None,
         tracer=None,
-        meter=None,
     ) -> None:
         if not 1 <= index <= config.n:
             raise ValueError(f"index {index} out of range 1..{config.n}")
@@ -83,8 +82,6 @@ class LiveParty:
         self.clock = WallClock(loop=loop, seed=config.seed * 7919 + index)
         if tracer is not None:
             self.clock.tracer = tracer
-        if meter is not None:
-            self.clock.meter = meter
         self.network = TcpNetwork(
             self.clock,
             index,
@@ -118,9 +115,7 @@ class LiveParty:
             cluster_config, index, keyrings[index - 1], params, self.clock, self.network
         )
         if self.batcher is not None:
-            self.batcher.attach(
-                self.clock, self.party, self.clock.tracer, self.clock.meter
-            )
+            self.batcher.attach(self.clock, self.party, self.clock.tracer)
 
         self._height_event = asyncio.Event()
         self.party.commit_listeners.append(lambda _block: self._height_event.set())
@@ -231,6 +226,9 @@ class LiveParty:
             "request_latencies": [round(v, 6) for v in latencies],
             "net_messages": sum(self.network.metrics.msgs_sent.values()),
             "net_bytes": sum(self.network.metrics.bytes_sent.values()),
+            "connects": self.network.connects_total,
+            "reconnects": self.network.reconnects_total,
+            "dup_connections": self.network.dup_connections_total,
             "frames_rejected": self.network.frames_rejected,
         }
 

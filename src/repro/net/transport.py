@@ -4,7 +4,7 @@ One :class:`TcpNetwork` serves one party.  It implements the exact
 transmission surface the protocol objects use — ``attach`` /
 ``broadcast`` / ``send`` / ``multicast``, plus the same
 :class:`repro.sim.metrics.Metrics` traffic accounting and the same
-``net.*`` meter counters — so an :class:`~repro.core.icc0.ICC0Party`
+``net.*`` trace events — so an :class:`~repro.core.icc0.ICC0Party`
 (or ICC1/ICC2) cannot tell it is talking to sockets.
 
 Topology: every pair of parties is connected by **two TCP connections,
@@ -32,7 +32,7 @@ duplicate connection from a peer supersedes the previous one (newest
 wins); the per-peer delivery mark survives the swap unless the HELLO names
 a new *incarnation* of the peer (its process restarted and numbers its
 frames from 1 again).  Malformed, oversized or undecodable frames, in
-either direction, close the connection and count ``live.frames.rejected``.
+either direction, close the connection and count in ``frames_rejected``.
 Flow control: a link above the kernel buffer's high-water mark writes
 nothing until it drains, and an acceptor whose ACKs are not being read
 stops reading, so no peer can make us buffer without bound.
@@ -373,11 +373,9 @@ class TcpNetwork:
         #: naming another restarts that peer's ``_delivered_seq`` at 0,
         #: because the restarted peer numbers its frames from 1 again.
         self._peer_incarnation: dict[int, int] = {}
+        #: Always-on counters: the STAT endpoint and ``LiveParty.result()``
+        #: report them.
         self.frames_rejected = 0
-        #: Plain connection counters (mirroring the ``live.connects`` /
-        #: ``live.reconnects`` / ``live.dup_connections`` meters but always
-        #: on — the STAT endpoint reports them even when no Meter is
-        #: installed).
         self.connects_total = 0
         self.reconnects_total = 0
         self.dup_connections_total = 0
@@ -391,10 +389,6 @@ class TcpNetwork:
     @property
     def tracer(self):
         return self.clock.tracer
-
-    @property
-    def meter(self):
-        return self.clock.meter
 
     @property
     def rng(self):
@@ -462,7 +456,7 @@ class TcpNetwork:
         body = codec.encode(message)
         account_transmission(
             self, self.clock.now, sender, message, round,
-            "net.broadcast", self.n, self.n - 1, "copies", self.n,
+            "net.broadcast", self.n, "copies", self.n,
         )
         for link in self._links.values():
             link.enqueue(message, body)
@@ -474,7 +468,7 @@ class TcpNetwork:
         body = codec.encode(message)
         account_transmission(
             self, self.clock.now, sender, message, round,
-            "net.send", 1, 1, "receiver", receiver,
+            "net.send", 1, "receiver", receiver,
         )
         if receiver == sender:
             self._loopback(message)
@@ -492,7 +486,7 @@ class TcpNetwork:
         body = codec.encode(message)
         account_transmission(
             self, self.clock.now, sender, message, round,
-            "net.multicast", len(receivers), len(receivers), "receivers", len(receivers),
+            "net.multicast", len(receivers), "receivers", len(receivers),
         )
         for receiver in receivers:
             if receiver == sender:
@@ -569,8 +563,6 @@ class TcpNetwork:
             previous.peer = None
             previous.transport.close()
             self.dup_connections_total += 1
-            if self.meter.enabled:
-                self.meter.count("live.dup_connections")
         if self._peer_incarnation.get(index) != incarnation:
             self._peer_incarnation[index] = incarnation
             self._delivered_seq[index] = 0
@@ -579,8 +571,6 @@ class TcpNetwork:
 
     def _reject_frame(self, peer_index: int | None, exc: FrameError) -> None:
         self.frames_rejected += 1
-        if self.meter.enabled:
-            self.meter.count("live.frames.rejected")
         if self.tracer.enabled:
             self.tracer.emit(
                 time=self.clock.now, party=self.index, protocol="net", round=None,
@@ -593,8 +583,6 @@ class TcpNetwork:
     def _stat_payload(self) -> dict:
         """The STAT answer: the installed provider's snapshot, or a
         transport-level fallback when no party is wired in."""
-        if self.meter.enabled:
-            self.meter.count("live.stat.requests")
         if self.tracer.enabled:
             self.tracer.emit(
                 time=self.clock.now, party=self.index, protocol="net", round=None,
@@ -616,10 +604,6 @@ class TcpNetwork:
         self.connects_total += 1
         if reconnect:
             self.reconnects_total += 1
-        if self.meter.enabled:
-            self.meter.count("live.connects")
-            if reconnect:
-                self.meter.count("live.reconnects")
         if self.tracer.enabled:
             self.tracer.emit(
                 time=self.clock.now, party=self.index, protocol="net", round=None,

@@ -32,21 +32,6 @@ from .distributed import (
     trace_header,
 )
 from .export import read_jsonl, read_jsonl_with_header, write_jsonl
-from .metrics import (
-    METRICS,
-    NULL_METER,
-    Histogram,
-    Meter,
-    MeterLike,
-    MetricSpec,
-    NamespacedMeter,
-    NullMeter,
-    UnknownMetric,
-    format_meter,
-    merge_meters,
-    namespaced_meter,
-    register_metric,
-)
 from .registry import EVENT_KINDS, EventKind, register
 from .tracer import (
     DEFAULT_CAPACITY,
@@ -68,33 +53,20 @@ __all__ = [
     "DEFAULT_CAPACITY",
     "EVENT_KINDS",
     "EventKind",
-    "Histogram",
-    "METRICS",
-    "Meter",
-    "MeterLike",
-    "MetricSpec",
-    "NULL_METER",
     "NULL_TRACER",
-    "NamespacedMeter",
     "NamespacedTracer",
-    "NullMeter",
     "NullTracer",
     "SCHEMA_VERSION",
     "TraceEvent",
     "Tracer",
     "TracerLike",
     "UnknownEventKind",
-    "UnknownMetric",
     "align_events",
     "collect_run",
-    "format_meter",
-    "merge_meters",
-    "namespaced_meter",
     "namespaced_tracer",
     "read_jsonl",
     "read_jsonl_with_header",
     "register",
-    "register_metric",
     "short_id",
     "trace_header",
     "write_jsonl",

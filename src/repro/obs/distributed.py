@@ -1,7 +1,7 @@
 """Distributed trace collection and clock alignment for live clusters.
 
-A live cluster run (:mod:`repro.net.live`) produces one trace JSONL, one
-meter JSON and one result JSON *per process*, each stamped on that
+A live cluster run (:mod:`repro.net.live`) produces one trace JSONL and
+one result JSON *per process*, each stamped on that
 process's private timeline (``WallClock.now`` counts seconds from the
 process's own epoch).  This module turns those n private timelines into
 one:
@@ -25,8 +25,8 @@ one:
 3. **Collection** — :func:`collect_run` reads every per-process file in
    a run directory, refuses headers that disagree on ``run_id``,
    ``cluster_id`` or ``host`` (or predate schema 2), shifts all events
-   onto the reference party's timeline and writes ``merged-trace.jsonl``,
-   ``merged-meter.json`` and ``alignment.json``.  The merged trace is a
+   onto the reference party's timeline and writes ``merged-trace.jsonl``
+   and ``alignment.json``.  The merged trace is a
    normal trace: every existing analysis (critical paths, trace queries,
    reports) runs on it unchanged.  ``python -m repro collect``
    (:func:`add_arguments` / :func:`run`) is that step as a command; its
@@ -41,7 +41,6 @@ import pathlib
 from dataclasses import dataclass
 
 from .export import read_jsonl_with_header, write_jsonl
-from .metrics import Meter, merge_meters
 from .tracer import TraceEvent
 
 #: Version of the per-process JSONL layout (header line + event lines).
@@ -150,23 +149,20 @@ class CollectedRun:
     parties: list[int]
     alignment: ClockAlignment
     events: list[TraceEvent]
-    meter: Meter
     results: dict[int, dict]
     merged_trace_path: str = ""
-    merged_meter_path: str = ""
     alignment_path: str = ""
 
 
 def collect_run(run_dir: str | pathlib.Path, *, write: bool = True) -> CollectedRun:
-    """Merge one run directory's per-process traces and meters.
+    """Merge one run directory's per-process traces.
 
     Expects ``trace-<i>.jsonl`` files (with headers) plus optional
-    ``meter-<i>.json`` and ``result-<i>.json``; refuses headerless
-    traces, schemas other than :data:`SCHEMA_VERSION`, duplicate parties
-    and headers that disagree on ``run_id``, ``cluster_id`` or ``host``.
-    When ``write`` is true the aligned artefacts (``merged-trace.jsonl``,
-    ``merged-meter.json``, ``alignment.json``) are written back into the
-    directory.
+    ``result-<i>.json``; refuses headerless traces, schemas other than
+    :data:`SCHEMA_VERSION`, duplicate parties and headers that disagree on
+    ``run_id``, ``cluster_id`` or ``host``.  When ``write`` is true the
+    aligned artefacts (``merged-trace.jsonl``, ``alignment.json``) are
+    written back into the directory.
     """
     run_dir = pathlib.Path(run_dir)
     trace_files = sorted(run_dir.glob("trace-*.jsonl"))
@@ -216,11 +212,6 @@ def collect_run(run_dir: str | pathlib.Path, *, write: bool = True) -> Collected
             )
         results[int(data.get("index", -1))] = data
 
-    meters = [
-        Meter.read_json(str(path)) for path in sorted(run_dir.glob("meter-*.json"))
-    ]
-    meter = merge_meters(meters) if meters else Meter()
-
     reference = min(epochs)
     alignment = ClockAlignment(
         reference=reference,
@@ -235,7 +226,6 @@ def collect_run(run_dir: str | pathlib.Path, *, write: bool = True) -> Collected
         parties=sorted(events_by_party),
         alignment=alignment,
         events=events,
-        meter=meter,
         results=results,
     )
     if write:
@@ -253,15 +243,12 @@ def collect_run(run_dir: str | pathlib.Path, *, write: bool = True) -> Collected
                 parties=collected.parties,
             ),
         )
-        merged_meter = run_dir / "merged-meter.json"
-        meter.write_json(str(merged_meter))
         alignment_path = run_dir / "alignment.json"
         alignment_path.write_text(
             json.dumps(alignment.to_dict(), indent=2, sort_keys=True) + "\n",
             encoding="utf-8",
         )
         collected.merged_trace_path = str(merged_trace)
-        collected.merged_meter_path = str(merged_meter)
         collected.alignment_path = str(alignment_path)
     return collected
 
@@ -275,7 +262,7 @@ def add_arguments(parser) -> None:
     parser.add_argument(
         "run_dir",
         help="directory holding cluster.json and the trace-*.jsonl / "
-             "meter-*.json / result-*.json of one `repro live --trace-dir` run",
+             "result-*.json of one `repro live --trace-dir` run",
     )
     parser.add_argument(
         "--report", metavar="PATH", default=None,
@@ -305,7 +292,6 @@ def run(args) -> int:
         "heights"
     )
     print(f"merged trace: {collected.merged_trace_path}")
-    print(f"merged meter: {collected.merged_meter_path}")
     print(f"alignment:    {collected.alignment_path}")
     print(consistency_line(breakdown))
     if args.report:

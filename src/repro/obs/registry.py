@@ -458,7 +458,7 @@ register(
 )
 register(
     "live.stat.request", "repro.net.transport",
-    "This process answered a STAT frame with its current meter/state "
+    "This process answered a STAT frame with its current counter/state "
     "snapshot (the `repro top` polling endpoint).",
     (),
 )

@@ -17,7 +17,7 @@ from .delays import (
     UniformDelay,
     WanDelay,
 )
-from .metrics import CommitRecord, Metrics, NullMetrics
+from .metrics import CommitRecord, Metrics, percentile
 from .network import Network, Receiver, message_kind, wire_size
 from .simulator import Simulation
 
@@ -32,7 +32,7 @@ __all__ = [
     "WanDelay",
     "CommitRecord",
     "Metrics",
-    "NullMetrics",
+    "percentile",
     "Network",
     "Receiver",
     "message_kind",

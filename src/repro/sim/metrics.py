@@ -16,8 +16,20 @@ bytes are charged for the n-1 actual transmissions.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
+from typing import Sequence
+
+
+def percentile(values: Sequence[float], q: float) -> float:
+    """The nearest-rank ``q``-quantile of raw samples: element
+    ``int(q·len)`` of the sorted values (the upper middle for an even
+    count at q = 0.5), ``nan`` when there are none.  The one convention
+    every reported p50/p90/p99 in this repository uses."""
+    ordered = sorted(values)
+    if not ordered:
+        return float("nan")
+    return ordered[min(len(ordered) - 1, int(q * len(ordered)))]
 
 
 @dataclass(frozen=True)
@@ -163,25 +175,3 @@ class Metrics:
             "total_messages": sum(self.msgs_sent.values()),
             "counters": dict(self.counters),
         }
-
-
-class NullMetrics(Metrics):
-    """Metrics sink that records nothing (for micro-benchmarks)."""
-
-    def __init__(self) -> None:  # noqa: D107 - trivial
-        super().__init__(n=0)
-
-    def on_broadcast(self, *args, **kwargs) -> None:  # noqa: D102
-        pass
-
-    def on_send(self, *args, **kwargs) -> None:  # noqa: D102
-        pass
-
-    def count(self, *args, **kwargs) -> None:  # noqa: D102
-        pass
-
-    def on_commit(self, *args, **kwargs) -> None:  # noqa: D102
-        pass
-
-    def on_round_entry(self, *args, **kwargs) -> None:  # noqa: D102
-        pass

@@ -72,15 +72,15 @@ def message_kind(message: object) -> str:
 
 def account_transmission(
     net, now: float, sender: int, message: object, round: int | None,
-    event: str, messages: int, byte_copies: int, field: str, value: int,
+    event: str, messages: int, field: str, value: int,
 ) -> int:
     """The one accounting of a transmission, for :class:`Network` and
     ``repro.net.transport.TcpNetwork`` alike: ``net.metrics`` (the paper's
-    conventions, see :mod:`repro.sim.metrics`), the ``event`` trace event
-    and the three ``net.*`` meters.  ``messages`` is what the transmission
-    counts as, ``byte_copies`` how many copies cross the wire (a broadcast
-    is n messages and n − 1 copies), ``field``/``value`` the payload entry
-    that differs per event kind.  Returns the message's wire size."""
+    conventions, see :mod:`repro.sim.metrics`) and the ``event`` trace
+    event.  ``messages`` is what a send or multicast counts as (a broadcast
+    is always n messages and n − 1 wire copies), ``field``/``value`` the
+    payload entry that differs per event kind.  Returns the message's wire
+    size."""
     size = wire_size(message)
     kind = message_kind(message)
     if event == "net.broadcast":
@@ -94,11 +94,6 @@ def account_transmission(
             time=now, party=sender, protocol="net", round=round, kind=event,
             payload={"kind": kind, "bytes": size, field: value},
         )
-    meter = net.meter
-    if meter.enabled:
-        meter.count("net.messages", messages)
-        meter.count("net.bytes", size * byte_copies)
-        meter.observe("net.message.bytes", size)
     return size
 
 
@@ -114,7 +109,6 @@ class Network:
         uplink_bps: float | None = None,
         *,
         tracer: object | None = None,
-        meter: object | None = None,
         rng: object | None = None,
     ) -> None:
         """``uplink_bps`` (optional) models each node's finite upload
@@ -125,12 +119,12 @@ class Network:
         bottleneck effect [35] measures and the reason ICC1/ICC2 exist.
         None = infinite bandwidth (pure propagation-delay model).
 
-        ``tracer``/``meter``/``rng`` (keyword-only) override the
-        simulation-level defaults for this network only.  Embedded
-        clusters use them to keep namespaced observability streams and a
-        private delay-sampling RNG, so K networks sharing one Simulation
-        stay independent of each other's draws; ``None`` (the default)
-        resolves to ``sim.tracer`` / ``sim.meter`` / ``sim.rng`` live,
+        ``tracer``/``rng`` (keyword-only) override the simulation-level
+        defaults for this network only.  Embedded clusters use them to keep
+        a namespaced trace stream and a private delay-sampling RNG, so K
+        networks sharing one Simulation stay independent of each other's
+        draws; ``None`` (the default) resolves to ``sim.tracer`` /
+        ``sim.rng`` live,
         exactly the pre-override behaviour.
         """
         self.sim = sim
@@ -139,12 +133,7 @@ class Network:
         self.metrics = metrics if metrics is not None else Metrics(n=n)
         self.uplink_bps = uplink_bps
         self._tracer_override = tracer
-        self._meter_override = meter
         self._rng_override = rng
-        #: Probability a transmission is delivered twice (transport-level
-        #: retries / gossip re-sends).  Protocol state must be idempotent
-        #: under duplication — the pool's dedup guarantees it.
-        self.duplicate_prob: float = 0.0
         self._uplink_free_at: dict[int, float] = {}
         self._parties: dict[int, Receiver] = {}
         self._crashed: set[int] = set()
@@ -161,11 +150,6 @@ class Network:
     def tracer(self):
         """The tracer this network emits through (override or ``sim.tracer``)."""
         return self._tracer_override if self._tracer_override is not None else self.sim.tracer
-
-    @property
-    def meter(self):
-        """The meter this network records through (override or ``sim.meter``)."""
-        return self._meter_override if self._meter_override is not None else self.sim.meter
 
     @property
     def rng(self):
@@ -293,7 +277,7 @@ class Network:
             return
         size = account_transmission(
             self, self.sim.now, sender, message, round,
-            "net.broadcast", self.n, self.n - 1, "copies", self.n,
+            "net.broadcast", self.n, "copies", self.n,
         )
         for receiver in range(1, self.n + 1):
             if receiver == sender:
@@ -311,7 +295,7 @@ class Network:
             return
         size = account_transmission(
             self, self.sim.now, sender, message, round,
-            "net.send", 1, 1, "receiver", receiver,
+            "net.send", 1, "receiver", receiver,
         )
         sent_at = None
         if receiver != sender:
@@ -324,7 +308,7 @@ class Network:
             return
         size = account_transmission(
             self, self.sim.now, sender, message, round,
-            "net.multicast", len(receivers), len(receivers), "receivers", len(receivers),
+            "net.multicast", len(receivers), "receivers", len(receivers),
         )
         for receiver in receivers:
             sent_at = None
@@ -361,8 +345,7 @@ class Network:
                 plan = self._faults.intercept(sender, receiver, message, delay)
                 if plan is not None:
                     # The interceptor replaced this delivery (drop / delay /
-                    # corrupt / duplicate); scenario-level duplication owns
-                    # the hops, so the duplicate_prob path below is skipped.
+                    # corrupt / duplicate).
                     for hop_delay, hop_message in plan:
                         self.sim.schedule(
                             hop_delay,
@@ -370,14 +353,6 @@ class Network:
                         )
                     return
         self.sim.schedule(delay, lambda: self._hand_over(receiver, message))
-        if (
-            receiver != sender
-            and self.duplicate_prob > 0.0
-            and self.rng.random() < self.duplicate_prob
-        ):
-            # The duplicate trails the original by a fresh delay sample.
-            extra = self.delay_model.sample(sender, receiver, self.sim.now, self.rng)
-            self.sim.schedule(delay + extra, lambda: self._hand_over(receiver, message))
 
     def _hand_over(self, receiver: int, message: object) -> None:
         if receiver in self._crashed:

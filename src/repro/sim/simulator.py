@@ -11,7 +11,7 @@ from __future__ import annotations
 from random import Random
 from typing import Callable
 
-from ..obs import NULL_METER, NULL_TRACER
+from ..obs import NULL_TRACER
 from .events import EventHandle, EventQueue
 
 
@@ -34,9 +34,6 @@ class Simulation:
         #: default makes tracing free; install a real Tracer *before*
         #: building parties/networks — they cache this reference.
         self.tracer = NULL_TRACER
-        #: Aggregating meter (see :mod:`repro.obs.metrics`) — the tracer's
-        #: counter/gauge/histogram twin, same install-before-build rule.
-        self.meter = NULL_METER
 
     # -- scheduling ---------------------------------------------------------
 
@@ -106,9 +103,6 @@ class Simulation:
                 time=self.now, party=0, protocol="sim", round=None, kind="sim.run",
                 payload={"events_processed": processed, "until": until},
             )
-        if self.meter.enabled:
-            self.meter.count("sim.events.processed", processed)
-            self.meter.gauge("sim.duration", self.now)
 
     @property
     def events_processed(self) -> int:

@@ -118,14 +118,11 @@ class ShardedDeployment:
         spec: ShardSpec,
         sim: Simulation | None = None,
         tracer=None,
-        meter=None,
     ) -> None:
         self.spec = spec
         self.sim = sim if sim is not None else Simulation(seed=spec.seed)
         if tracer is not None:
             self.sim.tracer = tracer
-        if meter is not None:
-            self.sim.meter = meter
         secret = tagged_hash("ICC/xnet/topology-secret", spec.seed.to_bytes(8, "big"))
         self.xnet = XNet(
             self.sim,
@@ -175,7 +172,7 @@ class ShardedDeployment:
             payload_verifier=batcher.verify_block,
         )
         cluster = embed_cluster(name, config, self.sim)
-        batcher.bind(cluster, tracer=cluster.tracer, meter=cluster.meter)
+        batcher.bind(cluster, tracer=cluster.tracer)
         batcher.on_complete(
             lambda rid, latency, name=name: self._on_complete(name, rid, latency)
         )
@@ -215,10 +212,6 @@ class ShardedDeployment:
     def _on_complete(self, name: str, rid: bytes, latency: float) -> None:
         if rid in self._gateway_rids[name]:
             self.cross_latencies.append(latency)
-            meter = self.sim.meter
-            if meter.enabled:
-                meter.count("shard.cross.committed")
-                meter.observe("shard.cross.latency", latency)
         elif rid in self.population.cross_rids.get(name, ()):
             # Origin-side hop of a cross-shard request: the commit that
             # feeds the stream, not a user-visible completion.

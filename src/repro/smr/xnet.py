@@ -21,7 +21,7 @@ inside one simulation:
   standing in for the IC's threshold signature on the stream state);
 * at destination **ingress** the certificate, wire version and strict
   sequence order are checked; failures are dropped and counted
-  (``shard.xnet.rejected`` / ``shard.xnet.reject``), successes submitted
+  (``XNet.rejected`` / ``shard.xnet.reject``), successes submitted
   into B's mempools still wrapped in their stream wire; and
 * every registered subnet's message pools get a composed
   ``payload_verifier`` (the same hook the load pipeline uses), so a block
@@ -320,9 +320,6 @@ class XNet:
                 payload={"source": source, "destination": destination,
                          "seq": seq, "bytes": len(body)},
             )
-        meter = self.sim.meter
-        if meter.enabled:
-            meter.count("shard.xnet.transfers")
         self.sim.schedule(self.transfer_delay, lambda: self.ingress(message))
 
     # -- ingress: certification + sequencing at the destination --------------
@@ -358,9 +355,6 @@ class XNet:
                          "destination": message.destination,
                          "seq": message.seq, "bytes": len(message.body)},
             )
-        meter = self.sim.meter
-        if meter.enabled:
-            meter.count("shard.xnet.delivered")
         if target.submit is not None:
             target.submit(message)
         else:
@@ -378,9 +372,6 @@ class XNet:
                 payload={"source": source, "destination": destination,
                          "seq": seq, "reason": reason},
             )
-        meter = self.sim.meter
-        if meter.enabled:
-            meter.count("shard.xnet.rejected")
         return False
 
     # -- block-admission certification (payload_verifier reuse) --------------

@@ -45,7 +45,7 @@ from ..core.messages import Block, Payload
 from ..crypto import api, schnorr
 from ..crypto.group import Group, group_for_profile
 from ..crypto.hashing import tagged_hash
-from ..obs import NULL_METER, NULL_TRACER
+from ..obs import NULL_TRACER
 
 #: Wire layout of a signed request (the ``commands`` bytes in a payload):
 #:
@@ -301,7 +301,7 @@ class RequestBatcher:
         self._block_auth_memo: dict[bytes, bool] = {}
         self._completion_hooks: list = []  # called with (request_id, latency)
 
-        # Counters (all exposed through LoadReport / the load metrics).
+        # Counters (all exposed through LoadReport).
         self.submitted = 0
         self.rejected = 0  # admission-control sheds
         self.auth_invalid = 0  # forged requests dropped at ingress
@@ -315,28 +315,23 @@ class RequestBatcher:
 
         self._sim = None
         self._tracer = NULL_TRACER
-        self._meter = NULL_METER
 
     # -- wiring ------------------------------------------------------------
 
-    def bind(self, cluster, *, tracer=None, meter=None) -> None:
+    def bind(self, cluster, *, tracer=None) -> None:
         """Attach to a built cluster: its first honest party is the
-        observer, its simulation the clock.  ``tracer``/``meter`` override
-        the simulation-level sinks — embedded clusters pass their own
-        namespaced views so per-shard load metrics stay namespaced."""
+        observer, its simulation the clock.  ``tracer`` overrides the
+        simulation-level tracer — embedded clusters pass their own
+        namespaced view so per-shard load events stay namespaced."""
         sim = cluster.sim
-        self.attach(
-            sim, cluster.honest_parties[0],
-            sim.tracer if tracer is None else tracer, sim.meter if meter is None else meter,
-        )
+        self.attach(sim, cluster.honest_parties[0], sim.tracer if tracer is None else tracer)
 
-    def attach(self, clock, observer, tracer, meter) -> None:
+    def attach(self, clock, observer, tracer) -> None:
         """Wire to one party: read time from ``clock``, observe commits on
-        ``observer`` (completion, latency), report to ``tracer``/``meter``.
-        A live party, which has no cluster object, calls this directly."""
+        ``observer`` (completion, latency), report to ``tracer``.  A live
+        party, which has no cluster object, calls this directly."""
         self._sim = clock
         self._tracer = tracer
-        self._meter = meter
         observer.commit_listeners.append(self._on_commit)
 
     def on_complete(self, hook) -> None:
@@ -365,8 +360,6 @@ class RequestBatcher:
         self.auth_batches += 1
         if report.stats.invalid:
             self.auth_invalid += report.stats.invalid
-            if self._meter.enabled:
-                self._meter.count("load.auth.invalid", report.stats.invalid)
         if self._tracer.enabled:
             self._emit(
                 "load.batch.auth",
@@ -389,12 +382,8 @@ class RequestBatcher:
             self._submitted_at[rid] = arrived
             accepted += 1
         self.submitted += accepted
-        if self._meter.enabled and accepted:
-            self._meter.count("load.submitted", accepted)
         if shed:
             self.rejected += shed
-            if self._meter.enabled:
-                self._meter.count("load.rejected", shed)
             if self._tracer.enabled:
                 self._emit(
                     "load.admission.reject", count=shed, queued=len(self._pending)
@@ -439,8 +428,6 @@ class RequestBatcher:
         payload = Payload(
             commands=tuple(commands), filler_bytes=self.spec.management_bytes
         )
-        if self._meter.enabled:
-            self._meter.observe("load.batch.commands", len(commands))
         if self._tracer.enabled and commands:
             self._emit(
                 "load.batch.sealed",
@@ -504,8 +491,6 @@ class RequestBatcher:
             self._committed.add(rid)
             self.committed_ids.append(rid)
             self.completed += 1
-            if self._meter.enabled:
-                self._meter.count("load.committed")
             self._pending.pop(rid, None)
             # A block can finalize here before this party's own ingress has
             # admitted its requests (live, epsilon=0): the id still counts as
@@ -515,8 +500,6 @@ class RequestBatcher:
                 continue
             latency = now - submitted
             self.latencies.append(latency)
-            if self._meter.enabled:
-                self._meter.observe("load.latency", latency)
             for hook in self._completion_hooks:
                 hook(rid, latency)
 

@@ -4,9 +4,9 @@ The pin the sharding subsystem stands on: two clusters embedded in ONE
 Simulation must produce exactly the finalized chains each would produce
 running standalone with the same seed — under fixed *and* random delay
 models (the latter proves the per-cluster RNG streams are isolated, not
-merely unused).  Plus: namespaced trace/metric streams stay separate,
-the simulation's own sinks are restored after embedding, and config
-validation rejects wrong protocol types.
+merely unused).  Plus: namespaced trace streams and per-cluster metrics
+stay separate, the simulation's own tracer is restored after embedding,
+and config validation rejects wrong protocol types.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import Cluster, ClusterConfig, build_cluster, embed_cluster
-from repro.obs import Meter, Tracer
+from repro.obs import Tracer
 from repro.sim.delays import FixedDelay, UniformDelay
 from repro.sim.simulator import Simulation
 
@@ -89,7 +89,6 @@ class TestNamespacedStreams:
     def test_traces_and_metrics_are_separated(self):
         sim = Simulation(seed=1)
         sim.tracer = Tracer()
-        sim.meter = Meter()
         a = embed_cluster("alpha", _config(11, FixedDelay(0.05)), sim)
         b = embed_cluster("beta", _config(22, FixedDelay(0.05)), sim)
         a.start()
@@ -106,20 +105,22 @@ class TestNamespacedStreams:
             sim.tracer.events("icc.block.committed")
         )
 
-        assert a.counter("net.messages") > 0
-        assert b.counter("net.messages") > 0
-        assert sim.meter.counter_value("alpha/net.messages") == a.counter(
-            "net.messages"
-        )
+        # Each cluster counts into its own Metrics, exactly what it counts
+        # standalone.
+        assert a.metrics is not b.metrics
+        standalone = build_cluster(_config(11, FixedDelay(0.05)))
+        standalone.start()
+        standalone.sim.run(until=60.0)
+        assert sum(a.metrics.msgs_sent.values()) > 0
+        assert a.metrics.msgs_sent == standalone.metrics.msgs_sent
+        assert a.metrics.commits == standalone.metrics.commits
 
     def test_sim_sinks_restored_after_embedding(self):
         sim = Simulation(seed=1)
-        tracer, meter = Tracer(), Meter()
+        tracer = Tracer()
         sim.tracer = tracer
-        sim.meter = meter
         embed_cluster("alpha", _config(11, FixedDelay(0.05)), sim)
         assert sim.tracer is tracer
-        assert sim.meter is meter
 
     def test_handle_delegation(self):
         sim = Simulation(seed=1)
@@ -140,10 +141,6 @@ class TestConfigValidation:
     def test_wrong_tracer_type(self):
         with pytest.raises(TypeError):
             ClusterConfig(n=4, t=1, tracer="trace.jsonl")
-
-    def test_wrong_meter_type(self):
-        with pytest.raises(TypeError):
-            ClusterConfig(n=4, t=1, meter=object())
 
     def test_bad_namespace(self):
         with pytest.raises(ValueError):

@@ -25,6 +25,7 @@ from repro.core.icc0 import ICC0Party
 from repro.core.icc1 import ICC1Party
 from repro.core.icc2 import ICC2Party
 from repro.experiments.properties import check_p2_on_cluster
+from repro.faults import LinkFault, Scenario, install_scenario
 from repro.gossip import GossipParams, build_overlay
 from repro.sim.delays import FixedDelay, UniformDelay
 
@@ -155,7 +156,10 @@ class TestDuplicationIdempotence:
                 party_class=party_cls,
             )
             cluster = build_cluster(config)
-            cluster.network.duplicate_prob = dup_prob
+            install_scenario(cluster, Scenario(
+                name="dup", seed=3,
+                events=(LinkFault(start=0.0, end=120.0, duplicate_prob=dup_prob),),
+            ))
             cluster.start()
             cluster.run_until_all_committed_round(7, timeout=120)
             cluster.check_safety()

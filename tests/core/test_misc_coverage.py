@@ -7,6 +7,7 @@ import pytest
 from repro.analysis import dissemination_bottleneck
 from repro.core import ClusterConfig, build_cluster
 from repro.core.icc1 import ICC1Party
+from repro.faults import LinkFault, Scenario, install_scenario
 from repro.gossip import GossipParams, build_overlay
 from repro.sim.delays import FixedDelay
 
@@ -65,7 +66,10 @@ class TestGossipUnderDuplication:
             ),
         )
         cluster = build_cluster(config)
-        cluster.network.duplicate_prob = 0.5
+        install_scenario(cluster, Scenario(
+            name="dup", seed=5,
+            events=(LinkFault(start=0.0, end=300.0, duplicate_prob=0.5),),
+        ))
         cluster.start()
         assert cluster.run_until_all_committed_round(6, timeout=300)
         cluster.check_safety()

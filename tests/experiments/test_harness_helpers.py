@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments.common import make_icc_config, mean, print_table
-from repro.obs.metrics import percentile
+from repro.sim.metrics import percentile
 
 
 class TestStats:

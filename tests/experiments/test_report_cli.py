@@ -16,7 +16,7 @@ from repro.analysis.critical_path import (
     wire_spans,
 )
 from repro.experiments import run_report
-from repro.obs import Meter, read_jsonl, read_jsonl_with_header
+from repro.obs import read_jsonl, read_jsonl_with_header
 
 
 def section(text: str, title: str) -> str:
@@ -42,13 +42,12 @@ class TestReportQuick:
         # The telescoping consistency check must pass (not just render).
         assert "OK" in text
         assert "VIOLATED" not in text
-        # Metric names from the registry surface in the tables.
-        assert "`net.messages`" in text
-        assert "`icc.blocks.committed`" in text
+        # The runs' Metrics counters surface in the Metrics table.
+        assert "| `blocks-proposed` |" in section(text, "## Metrics")
+        assert "| `rounds-finished` |" in section(text, "## Metrics")
         # Theory bounds table reports within-worst-case.
         assert "**no**" not in text
         # Artifacts persist in the trace dir for --load.
-        assert (trace_dir / "metrics.json").exists()
         assert (trace_dir / "results.json").exists()
         assert any(
             name.name.endswith(".jsonl") for name in trace_dir.iterdir()
@@ -86,17 +85,18 @@ class TestReportQuick:
 
 
 class TestReportInternals:
-    def test_merged_metrics_json_is_valid_meter(self, tmp_path, capsys):
+    def test_results_rows_carry_the_metrics_summary(self, tmp_path, capsys):
         trace_dir = tmp_path / "traces"
         main([
             "report", str(tmp_path / "r.md"), "--quick",
             "--trace-dir", str(trace_dir),
         ])
         capsys.readouterr()
-        meter = Meter.read_json(str(trace_dir / "metrics.json"))
-        assert meter.counter_value("net.messages") > 0
-        results = json.loads((trace_dir / "results.json").read_text())
-        assert results[0]["rounds_committed"] >= 1
+        [row] = json.loads((trace_dir / "results.json").read_text())
+        assert row["rounds_committed"] >= 1
+        assert row["summary"]["total_messages"] == row["messages_sent"] > 0
+        counted = row["summary"]["counters"]["blocks-proposed"]
+        assert f"| `blocks-proposed` | {counted} |" in (tmp_path / "r.md").read_text()
 
     def test_executor_returns_picklable_row(self):
         row = run_report.run_traced(
@@ -104,8 +104,7 @@ class TestReportInternals:
         )
         assert row["rounds_committed"] >= 3
         assert row["messages_sent"] > 0
-        restored = Meter.from_dict(row["meter"])
-        assert restored.counter_value("icc.blocks.committed") > 0
+        assert row["summary"]["total_commits_observed"] >= 3 * 4
         # Must survive the multiprocessing boundary.
         import pickle
 
@@ -187,7 +186,12 @@ class TestLiveRunDirectory:
         assert "## Clock alignment" in text
         assert "\nExact one-host alignment: reference party 1, host `" in text
         assert "## Wire transit" in text
-        assert "`net.messages`" in text  # merged-meter.json was found
+        # Every party's result-<i>.json counts, one column each.
+        metrics = section(text, "## Metrics")
+        assert "| field | party 1 | party 2 | party 3 | party 4 |" in metrics
+        for field in ("connects", "reconnects", "dup_connections", "frames_rejected"):
+            assert f"| `{field}` |" in metrics
+        assert not list(live_run.glob("*meter*"))
         consistency = next(
             line for line in text.splitlines() if line.startswith("Consistency:")
         )

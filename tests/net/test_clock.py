@@ -7,7 +7,7 @@ import asyncio
 import pytest
 
 from repro.net.clock import WallClock, host_id
-from repro.obs import NULL_METER, NULL_TRACER
+from repro.obs import NULL_TRACER
 
 
 def run(coro):
@@ -77,7 +77,6 @@ class TestWallClock:
         async def scenario():
             clock = WallClock(loop=asyncio.get_running_loop())
             assert clock.tracer is NULL_TRACER
-            assert clock.meter is NULL_METER
 
         run(scenario())
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import dataclasses
 import pathlib
+import re
 import tracemalloc
 
 import pytest
@@ -383,6 +384,25 @@ class TestOnlyFieldsTravel:
                     names = [node.module or ""]
                 if any(name.split(".")[0] in ("pickle", "cPickle", "marshal", "shelve", "dill") for name in names):
                     offenders.append(str(path.relative_to(package)))
+        assert offenders == []
+
+    def test_no_meter_under_repro(self):
+        """One metrics system: every count lives on the object that owns it
+        (``Metrics``, ``PoolStats``, ``RequestBatcher``, ``XNet``,
+        ``TcpNetwork``), so no second sink, ``meter=`` parameter or
+        ``.meter`` attribute may come back under ``src/repro`` or ``tools/``."""
+        package = pathlib.Path(repro.__file__).parent
+        tools = package.parents[1] / "tools"
+        meter = re.compile(r"(?:^|_)(?:meters?|METERS?)(?:_|$)|Meter|^register_metric$")
+        offenders = []
+        for path in sorted([*package.rglob("*.py"), *tools.glob("*.py")]):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                names = [
+                    getattr(node, field) for field in
+                    ("id", "attr", "name", "arg", "asname", "module")
+                    if isinstance(getattr(node, field, None), str)
+                ]
+                offenders += [f"{path.name}: {name}" for name in names if meter.search(name)]
         assert offenders == []
 
     def test_transport_is_callbacks_not_streams(self):

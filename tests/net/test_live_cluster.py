@@ -15,15 +15,9 @@ from repro.net.cluster import LiveCluster
 from repro.net.config import local_live_config
 from repro.net.live import summarize
 from repro.net.party import LiveParty, generate_load_requests
-from repro.obs.metrics import percentile
-from repro.obs import (
-    Meter,
-    Tracer,
-    read_jsonl_with_header,
-    trace_header,
-    write_jsonl,
-)
+from repro.obs import Tracer, read_jsonl_with_header, trace_header, write_jsonl
 from repro.sim.delays import FixedDelay
+from repro.sim.metrics import percentile
 
 
 def quick_config(**overrides):
@@ -117,7 +111,7 @@ class TestLiveCluster:
         assert block["heights_per_sec"] > 0
 
     def test_summary_percentiles_are_nearest_rank(self):
-        """One convention everywhere (`repro.obs.metrics.percentile`): the
+        """One convention everywhere (`repro.sim.metrics.percentile`): the
         median of six samples is the fourth, where `round(q·(len−1))` under
         banker's rounding used to report the third."""
         record = {
@@ -214,12 +208,9 @@ class TestTraceExport:
         through the headered JSONL layer event-for-event."""
         config = quick_config(seed=11)
         tracers = {i: Tracer(capacity=40) for i in range(1, 5)}
-        meters = {i: Meter() for i in range(1, 5)}
 
         async def scenario():
-            cluster = LiveCluster(
-                config, per_party=lambda i: (tracers[i], meters[i])
-            )
+            cluster = LiveCluster(config, per_party=tracers.get)
             async with cluster:
                 ok = await cluster.wait_for_height(
                     config.target_height, config.timeout

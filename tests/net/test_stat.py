@@ -71,16 +71,15 @@ class TestFetchStats:
             assert snap["connects"] >= 3  # dialled every other party
             assert snap["net_messages"] > 0
 
-    def test_superseded_connection_is_counted_without_a_meter(self):
+    def test_superseded_connection_is_counted(self):
         """``dup_connections`` is the transport's own counter, like
-        ``connects`` and ``reconnects``: a cluster built without a Meter (the
-        programmatic API) used to report 0 whatever happened."""
+        ``connects`` and ``reconnects``, so a cluster built through the
+        programmatic API reports it."""
 
         async def scenario():
             config = stat_config(load_requests=0)
             async with LiveCluster(config) as cluster:
                 sender, target = cluster.parties[0], cluster.parties[1]
-                assert not target.network.meter.enabled
                 await cluster.wait_for_height(1, 30.0)  # party 1's link to 2 is up
                 host, port = config.peer_table()[target.index]
                 _reader, writer = await asyncio.open_connection(host, port)
@@ -103,14 +102,12 @@ class TestFetchStats:
 
     def test_paused_link_is_reported(self):
         """``links_paused`` counts outbound links whose write buffer is
-        above the high-water mark — a transport counter, so a party without
-        a Meter reports it too."""
+        above the high-water mark — a transport counter."""
 
         async def scenario():
             config = stat_config(load_requests=0)
             async with LiveCluster(config) as cluster:
                 live = cluster.parties[0]
-                assert not live.network.meter.enabled
                 link = live.network._links[2]
                 deadline = asyncio.get_running_loop().time() + 10.0
                 while not link.connected:

@@ -30,8 +30,6 @@ from repro.net.transport import (
     TcpNetwork,
     _OutboundConnection,
 )
-from repro.obs import Meter
-
 from .wire import body, msg
 
 
@@ -54,12 +52,10 @@ async def until(predicate, timeout: float = 5.0) -> None:
 
 
 async def make_net(
-    index: int, peers: dict, *, cluster_id: str = "t", meter=None,
+    index: int, peers: dict, *, cluster_id: str = "t",
     backoff: tuple[float, float] = (0.01, 0.05),
 ) -> tuple[TcpNetwork, StubReceiver]:
     clock = WallClock(loop=asyncio.get_running_loop(), seed=index)
-    if meter is not None:
-        clock.meter = meter
     net = TcpNetwork(
         clock, index, peers, cluster_id=cluster_id,
         backoff_base=backoff[0], backoff_cap=backoff[1],
@@ -117,8 +113,7 @@ class TestDelivery:
 
         async def scenario():
             peers = peer_map(3)
-            meter = Meter()
-            net, _ = await make_net(1, peers, meter=meter)
+            net, _ = await make_net(1, peers)
             try:
                 message = msg(1)
                 net.broadcast(1, message)
@@ -128,16 +123,14 @@ class TestDelivery:
                 return (
                     sum(net.metrics.msgs_sent.values()),
                     sum(net.metrics.bytes_sent.values()),
-                    meter.counter_value("net.messages"),
                     size,
                 )
             finally:
                 await net.stop()
 
-        msgs, wire_bytes, metered, size = run(scenario())
+        msgs, wire_bytes, size = run(scenario())
         assert msgs == 3  # paper convention: a broadcast counts n messages
         assert wire_bytes == size * 2  # but only n-1 copies cross the wire
-        assert metered == 3
 
     def test_sender_must_be_local_party(self):
         async def scenario():
@@ -183,8 +176,7 @@ class TestReconnect:
     def test_reconnect_counted(self):
         async def scenario():
             peers = peer_map(2)
-            meter = Meter()
-            a, _ = await make_net(1, peers, meter=meter)
+            a, _ = await make_net(1, peers)
             b, rb = await make_net(2, peers)
             a.broadcast(1, msg(1))
             await until(lambda: rb.received == [msg(1)])
@@ -194,7 +186,7 @@ class TestReconnect:
             a.broadcast(1, msg(2))
             try:
                 await until(lambda: rb2.received == [msg(2)])
-                return meter.counter_value("live.reconnects")
+                return a.reconnects_total
             finally:
                 await a.stop()
                 await b2.stop()
@@ -477,20 +469,16 @@ class TestRedialBackoff:
 
             host, port = peers[2]
             server = await asyncio.start_server(impostor, host, port)
-            meter = Meter()
-            a, _ = await make_net(1, peers, meter=meter, backoff=self.production)
+            a, _ = await make_net(1, peers, backoff=self.production)
             try:
                 await until(lambda: a.frames_rejected >= 3)
-                return (
-                    len(connections), a._links[2].connects, a.frames_rejected,
-                    meter.counter_value("live.frames.rejected"),
-                )
+                return len(connections), a._links[2].connects, a.frames_rejected
             finally:
                 await a.stop()
                 server.close()
                 await server.wait_closed()
 
-        assert run(scenario()) == (3, 3, 3, 3)
+        assert run(scenario()) == (3, 3, 3)
 
 
 class TestInbound:
@@ -505,8 +493,7 @@ class TestInbound:
     def test_duplicate_connection_newest_wins(self):
         async def scenario():
             peers = peer_map(2)
-            meter = Meter()
-            b, rb = await make_net(2, peers, meter=meter)
+            b, rb = await make_net(2, peers)
             try:
                 r1, w1 = await self._raw_connect(b)
                 w1.write(message_frame(1, body(1)))
@@ -521,7 +508,7 @@ class TestInbound:
                 # its ACK for seq 1, then EOF.
                 tail = await asyncio.wait_for(r1.read(), 2.0)
                 w2.close()
-                return meter.counter_value("live.dup_connections"), tail
+                return b.dup_connections_total, tail
             finally:
                 await b.stop()
 
@@ -596,37 +583,31 @@ class TestInbound:
 
         async def scenario():
             peers = peer_map(2)
-            meter = Meter()
-            b, rb = await make_net(2, peers, meter=meter)
+            b, rb = await make_net(2, peers)
             try:
                 reader, writer = await self._raw_connect(b)
                 writer.write(message_frame(1, body(1)) + message_frame(2, b"\xffjunk"))
                 await writer.drain()
-                tail = await asyncio.wait_for(reader.read(), 2.0)
-                return (
-                    rb.received, b.frames_rejected,
-                    meter.counter_value("live.frames.rejected"), tail,
-                )
+                await asyncio.wait_for(reader.read(), 2.0)
+                return rb.received, b.frames_rejected
             finally:
                 await b.stop()
 
-        received, rejected, metered, _tail = run(scenario())
+        received, rejected = run(scenario())
         assert received == [msg(1)]
         assert rejected == 1
-        assert metered == 1
 
     def test_oversized_frame_closes_connection(self):
         async def scenario():
             peers = peer_map(2)
-            meter = Meter()
-            b, rb = await make_net(2, peers, meter=meter)
+            b, rb = await make_net(2, peers)
             try:
                 reader, writer = await self._raw_connect(b)
                 writer.write((b.max_frame + 1).to_bytes(4, "big"))
                 await writer.drain()
                 eof = await asyncio.wait_for(reader.read(1), 2.0)
-                await until(lambda: b.frames_rejected == 1)
-                return eof, meter.counter_value("live.frames.rejected")
+                await until(lambda: b.frames_rejected >= 1)
+                return eof, b.frames_rejected
             finally:
                 await b.stop()
 
@@ -660,8 +641,7 @@ class TestInbound:
 
         async def scenario():
             peers = peer_map(2)
-            meter = Meter()
-            b, rb = await make_net(2, peers, meter=meter)
+            b, rb = await make_net(2, peers)
             try:
                 host, port = peers[2]
                 reader, writer = await asyncio.open_connection(host, port)
@@ -669,15 +649,12 @@ class TestInbound:
                 writer.write(len(hello_v1).to_bytes(4, "big") + hello_v1)
                 await writer.drain()
                 eof = await asyncio.wait_for(reader.read(1), 2.0)
-                return (
-                    eof, b.frames_rejected,
-                    meter.counter_value("live.frames.rejected"), rb.received,
-                )
+                return eof, b.frames_rejected, rb.received
             finally:
                 await b.stop()
 
         assert codec.VERSION == 2
-        assert run(scenario()) == (b"", 1, 1, [])
+        assert run(scenario()) == (b"", 1, [])
 
     def test_message_before_hello_rejected(self):
         async def scenario():

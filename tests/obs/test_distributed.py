@@ -17,7 +17,6 @@ from repro.analysis.critical_path import wire_spans
 from repro.obs import (
     ClockAlignment,
     CollectError,
-    Meter,
     TraceEvent,
     collect_run,
     read_jsonl_with_header,
@@ -162,12 +161,8 @@ class TestHeaderAlignment:
 
 
 class TestCollectRun:
-    def test_merges_traces_meters_and_results(self, tmp_path):
+    def test_merges_traces_and_results(self, tmp_path):
         write_run(tmp_path, ping_pong())
-        meter = Meter()
-        meter.count("net.messages", 5)
-        meter.write_json(str(tmp_path / "meter-1.json"))
-        meter.write_json(str(tmp_path / "meter-2.json"))
         (tmp_path / "result-1.json").write_text(
             json.dumps({"index": 1, "run_id": "run-A", "height": 3})
         )
@@ -175,7 +170,6 @@ class TestCollectRun:
         assert collected.run_id == "run-A"
         assert collected.cluster_id == "c"
         assert collected.parties == [1, 2]
-        assert collected.meter.counter_value("net.messages") == 10
         assert collected.results[1]["height"] == 3
         assert [e.time for e in collected.events] == sorted(
             e.time for e in collected.events
@@ -188,7 +182,10 @@ class TestCollectRun:
         assert header["parties"] == [1, 2]
         assert (header["clock_epoch_s"], header["host"]) == (EPOCHS[1], HOST)
         assert len(events) == len(collected.events)
-        assert (tmp_path / "merged-meter.json").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "alignment.json", "merged-trace.jsonl", "result-1.json",
+            "trace-1.jsonl", "trace-2.jsonl",
+        ]
         alignment = json.loads((tmp_path / "alignment.json").read_text())
         assert alignment["reference"] == 1
         assert "2" in alignment["offsets_s"]

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.sim.metrics import Metrics, NullMetrics
+from repro.sim.metrics import Metrics
 
 
 class TestBroadcastConventions:
@@ -93,12 +93,3 @@ class TestSummaryAndNull:
         summary = m.summary(horizon=10.0)
         assert summary["n"] == 2
         assert summary["counters"]["things"] == 3
-
-    def test_null_metrics_swallow_everything(self):
-        m = NullMetrics()
-        m.on_broadcast(1, 100, "x")
-        m.on_send(1, 100, "x")
-        m.count("x")
-        m.on_commit(time=1.0, observer=1, round=1, proposer=1, payload_bytes=0)
-        m.on_round_entry(1, 1, 0.0)
-        assert not m.bytes_sent and not m.commits

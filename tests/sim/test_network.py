@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.faults import FaultInjector, LinkFault, Scenario
 from repro.sim.delays import FixedDelay
 from repro.sim.metrics import Metrics
 from repro.sim.network import Network, message_kind, wire_size
@@ -285,10 +286,18 @@ class TestAccounting:
         assert net.metrics.messages_in_round(4) == 3
 
 
+def duplicate_everything(net: Network) -> None:
+    """Duplicate every remote delivery, the way a fault scenario does."""
+    scenario = Scenario(
+        name="dup", seed=0, events=(LinkFault(start=0.0, end=10.0, duplicate_prob=1.0),)
+    )
+    FaultInjector(scenario, net).install()
+
+
 class TestDuplication:
     def test_duplicates_delivered(self):
         sim, net, parties = make_net()
-        net.duplicate_prob = 1.0
+        duplicate_everything(net)
         net.send(1, 2, b"dup")
         sim.run()
         assert len(parties[1].received) == 2
@@ -301,14 +310,14 @@ class TestDuplication:
 
     def test_self_delivery_never_duplicated(self):
         sim, net, parties = make_net()
-        net.duplicate_prob = 1.0
+        duplicate_everything(net)
         net.broadcast(1, b"x")
         sim.run()
         assert len(parties[0].received) == 1
 
     def test_duplicate_trails_original(self):
         sim, net, parties = make_net(delay=0.1)
-        net.duplicate_prob = 1.0
+        duplicate_everything(net)
         net.send(1, 2, b"x")
         sim.run()
         first, second = (t for t, _ in parties[1].received)

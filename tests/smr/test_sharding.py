@@ -6,7 +6,7 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments import sharding
-from repro.obs import Meter, Tracer
+from repro.obs import Tracer
 from repro.smr.sharding import ShardResult, ShardSpec, ShardedDeployment
 from repro.smr.xnet import (
     XNET_STREAM_VERSION,
@@ -62,11 +62,7 @@ class TestStreamCertificationAtIngress:
     counted, never delivered to the destination shard."""
 
     def _deployment(self):
-        sim_tracer, sim_meter = Tracer(), Meter()
-        dep = ShardedDeployment(
-            ShardSpec(shards=2, n=4, seed=3), tracer=sim_tracer, meter=sim_meter
-        )
-        return dep
+        return ShardedDeployment(ShardSpec(shards=2, n=4, seed=3), tracer=Tracer())
 
     def test_forged_cert_rejected(self):
         dep = self._deployment()
@@ -84,7 +80,6 @@ class TestStreamCertificationAtIngress:
         rejects = dep.sim.tracer.events("shard.xnet.reject")
         assert len(rejects) == 1
         assert rejects[0].payload["reason"] == "cert"
-        assert dep.sim.meter.counter_value("shard.xnet.rejected") == 1
 
     def test_wrong_version_rejected(self):
         dep = self._deployment()

@@ -31,12 +31,11 @@ class TestDocs:
 
     def test_live_transport_names_are_checked(self):
         """The checker must see the live.* registrations and hold
-        TRANSPORT.md to them — a rename in the registries without a doc
+        TRANSPORT.md to them — a rename in the registry without a doc
         update has to fail check_live_docs."""
         module = load_checker()
-        names = set(module.registered_metrics()) | set(module.registered_event_kinds())
-        live = {n for n in names if n.startswith("live.")}
-        assert {"live.connects", "live.peer.connect", "live.frame.rejected"} <= live
+        live = {n for n in module.registered_event_kinds() if n.startswith("live.")}
+        assert {"live.peer.connect", "live.frame.rejected", "live.stat.request"} <= live
 
     def test_cli_scan_sees_live_subcommands(self):
         module = load_checker()
@@ -139,6 +138,45 @@ class TestDocs:
         assert "README.md" in problems[0] and "BENCH_gone.json" in problems[0]
         assert "README.md" in problems[1] and "frobnicate" in problems[1]
         assert "README.md" in problems[2] and "REPRO_GONE" in problems[2]
+
+    def test_flags_a_command_does_not_declare_are_flagged(self, tmp_path, monkeypatch):
+        """A flag shown in a `python -m repro <cmd>` command line must be
+        declared by that command's own `add_arguments`: a removed flag, or
+        one only a sibling command of the same module declares, fails.
+        Prose outside code and the exempt history file do not."""
+        module = load_checker()
+        assert {"--config", "--index", "--trace"} <= module.cli_flags()["serve"]
+        src = tmp_path / "src" / "repro"
+        (src / "net").mkdir(parents=True)
+        (src / "__main__.py").write_text(
+            'serve = sub.add_parser("serve", help="...")\n'
+            '_mount(serve, "repro.net.live", "serve", always_exit=True)\n',
+            encoding="utf-8",
+        )
+        (src / "net" / "live.py").write_text(
+            "def add_serve_arguments(parser):\n"
+            '    parser.add_argument("--config", required=True)\n'
+            '    parser.add_argument(\n        "--trace", default=None)\n\n\n'
+            "def add_live_arguments(parser):\n"
+            '    parser.add_argument("--json")\n',
+            encoding="utf-8",
+        )
+        (tmp_path / "README.md").write_text(
+            "```\npython -m repro serve --config c.json \\\n    --meter m.json\n"
+            "python -m repro serve --help | grep --trace\n```\n"
+            "Run `python -m repro serve --config FILE\n[--trace PATH] [--json X]`;\n"
+            "in prose, python -m repro serve --frob is not a command line.\n",
+            encoding="utf-8",
+        )
+        (tmp_path / "ROADMAP.md").write_text(
+            "PR 9 added `python -m repro serve --meter PATH`.\n", encoding="utf-8"
+        )
+        monkeypatch.setattr(module, "REPO", tmp_path)
+        problems: list[str] = []
+        module.check_removed_names(problems)
+        assert [p.split("`")[1] for p in problems] == [
+            "python -m repro serve --json", "python -m repro serve --meter",
+        ]
 
     def test_experiment_outside_the_suite_is_flagged(self, tmp_path, monkeypatch):
         """A thirteenth experiment DESIGN.md tabulates but `run_all.suite`

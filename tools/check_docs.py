@@ -16,22 +16,21 @@ Checks every ``*.md`` file in the repo root and ``docs/``:
   ``src/repro/__main__.py`` is documented in the README (the parser is
   scanned textually — no import — so the check runs without the package
   installed);
-* every metric name registered in ``src/repro/obs/metrics.py`` is
-  documented in ``docs/OBSERVABILITY.md`` (same textual scan, no
-  import);
 * every event kind registered in ``src/repro/obs/registry.py`` is
   documented in ``docs/OBSERVABILITY.md``;
 * every concrete ``BENCH_<name>.json`` a checked file names exists, every
-  ``python -m repro <name>`` it shows is a registered subcommand, and every
+  ``python -m repro <name>`` it shows is a registered subcommand, every
+  ``--flag`` shown in such an invocation is declared by that subcommand's
+  ``add_arguments`` (textual scan of its ``add_argument`` calls), and every
   ``REPRO_*`` environment variable it shows appears somewhere under
   ``src/`` (ROADMAP.md records history and is exempt from this one check);
 * every ``repro.experiments.<module>`` named in DESIGN.md's experiment
   table is a module ``run_all.suite`` enumerates (textual scan), so an
   experiment with a private entry point cannot sit beside the suite;
-* every ``shard.*`` metric and event kind additionally appears in
+* every ``shard.*`` event kind additionally appears in
   ``docs/SHARDING.md`` (the sharding subsystem's own page must not
-  drift from the registries either);
-* every ``live.*`` metric and event kind additionally appears in
+  drift from the registry either);
+* every ``live.*`` event kind additionally appears in
   ``docs/TRANSPORT.md``, the live transport's reference page;
 * every tag of the wire codec's table (``src/repro/net/codec.py``, textual
   scan) has a row in ``docs/TRANSPORT.md``'s layout table naming the tag
@@ -143,36 +142,6 @@ def check_cli_docs(problems: list[str]) -> None:
             )
 
 
-#: ``register_metric("name", ...)`` declarations in the metrics module.
-METRIC_RE = re.compile(r"""register_metric\(\s*\n?\s*["']([a-z0-9_.]+)["']""")
-
-
-def registered_metrics() -> list[str]:
-    """Metric names registered in ``src/repro/obs/metrics.py``."""
-    metrics = REPO / "src" / "repro" / "obs" / "metrics.py"
-    if not metrics.is_file():
-        return []
-    return sorted(set(METRIC_RE.findall(metrics.read_text(encoding="utf-8"))))
-
-
-def check_metric_docs(problems: list[str]) -> None:
-    """Every registered metric must appear backticked in OBSERVABILITY.md."""
-    doc = REPO / "docs" / "OBSERVABILITY.md"
-    if not doc.is_file():
-        if registered_metrics():
-            problems.append(
-                "docs/OBSERVABILITY.md: missing (cannot check metric docs)"
-            )
-        return
-    text = doc.read_text(encoding="utf-8")
-    for name in registered_metrics():
-        if f"`{name}`" not in text:
-            problems.append(
-                f"docs/OBSERVABILITY.md: metric {name!r} is undocumented "
-                f"(no `{name}` mention found)"
-            )
-
-
 #: ``register("kind", ...)`` declarations in the event-kind registry.
 EVENT_RE = re.compile(r"""(?<!_)register\(\s*\n?\s*["']([a-z0-9_.]+)["']""")
 
@@ -204,13 +173,9 @@ def check_event_docs(problems: list[str]) -> None:
 
 
 def check_shard_docs(problems: list[str]) -> None:
-    """Every ``shard.*`` metric and event kind must appear backticked in
-    SHARDING.md, the sharding subsystem's own reference page."""
-    shard_names = [
-        name
-        for name in registered_metrics() + registered_event_kinds()
-        if name.startswith("shard.")
-    ]
+    """Every ``shard.*`` event kind must appear backticked in SHARDING.md,
+    the sharding subsystem's own reference page."""
+    shard_names = [name for name in registered_event_kinds() if name.startswith("shard.")]
     if not shard_names:
         return
     doc = REPO / "docs" / "SHARDING.md"
@@ -234,13 +199,58 @@ ENV_VAR_RE = re.compile(r"\bREPRO_[A-Z_]+\b")
 #: ROADMAP.md records history: it may name files and commands that are gone.
 HISTORY = {"ROADMAP.md"}
 
+#: ``name = sub.add_parser("cmd", ...)`` and ``_mount(name, "module"[, "cmd"])``
+#: in the CLI module.
+PARSER_VAR_RE = re.compile(r"""(\w+) = sub\.add_parser\(\s*["']([a-z0-9-]+)["']""")
+MOUNT_RE = re.compile(r"""_mount\((\w+), ["']([\w.]+)["'](?:, ["'](\w+)["'])?""")
+#: A quoted flag in an ``add_argument`` call.
+DECLARED_FLAG_RE = re.compile(r"""["'](--[a-z][a-z0-9-]*)["']""")
+#: An invocation and the rest of its command (up to a pipe or a shell
+#: separator), and the flags in that rest.
+SHOWN_FLAGS_RE = re.compile(r"python -m repro ([a-z][a-z0-9-]*)([^|;&)]*)")
+FLAG_RE = re.compile(r"(?<![\w-])(--[a-z][a-z0-9-]*)")
+
+
+def code_lines(text: str) -> list[str]:
+    """The command lines a page shows: each line of a fenced block (a
+    trailing backslash continues it) and each inline code span, which may
+    wrap across lines of prose."""
+    fenced = re.findall(r"```.*?```", text, flags=re.DOTALL)
+    lines = [line for block in fenced for line in block.replace("\\\n", " ").splitlines()]
+    prose = re.sub(r"```.*?```", "", text, flags=re.DOTALL)
+    return lines + [" ".join(span.split()) for span in re.findall(r"`([^`]+)`", prose)]
+
+
+def cli_flags() -> dict[str, set[str]]:
+    """The flags each subcommand declares: the quoted ``--`` names in the
+    ``add_arguments`` (or ``add_<cmd>_arguments``) its module hands the
+    subparser (textual scan, no import)."""
+    cli = REPO / "src" / "repro" / "__main__.py"
+    if not cli.is_file():
+        return {}
+    text = cli.read_text(encoding="utf-8")
+    commands = dict(PARSER_VAR_RE.findall(text))
+    flags: dict[str, set[str]] = {}
+    for var, module, command in MOUNT_RE.findall(text):
+        path = (REPO / "src").joinpath(*module.split(".")).with_suffix(".py")
+        function = f"add_{command}_arguments" if command else "add_arguments"
+        body = re.search(
+            rf"^def {function}\(.*?(?=^\S|\Z)", path.read_text(encoding="utf-8"),
+            re.MULTILINE | re.DOTALL,
+        )
+        if var in commands and body:
+            flags[commands[var]] = {"--help", *DECLARED_FLAG_RE.findall(body.group(0))}
+    return flags
+
 
 def check_removed_names(problems: list[str]) -> None:
     """A ``BENCH_<name>.json`` the docs name must exist, a ``python -m
-    repro <name>`` they show must be a registered subcommand and a
+    repro <name>`` they show must be a registered subcommand, a ``--flag``
+    in that invocation must be one the subcommand declares and a
     ``REPRO_*`` environment variable they show must appear under ``src/``:
     what the docs point a reader at cannot have been removed."""
     registered = set(cli_subcommands())
+    declared = cli_flags()
     source = "".join(
         module.read_text(encoding="utf-8") for module in (REPO / "src").rglob("*.py")
     )
@@ -264,6 +274,18 @@ def check_removed_names(problems: list[str]) -> None:
                 problems.append(
                     f"{path.relative_to(REPO)}: shows {name}, which nothing under "
                     f"src/ reads"
+                )
+        shown = {
+            (command, flag)
+            for line in code_lines(path.read_text(encoding="utf-8"))
+            for command, rest in SHOWN_FLAGS_RE.findall(line)
+            for flag in FLAG_RE.findall(rest)
+        }
+        for command, flag in sorted(shown):
+            if command in declared and flag not in declared[command]:
+                problems.append(
+                    f"{path.relative_to(REPO)}: shows `python -m repro {command} "
+                    f"{flag}`, which `{command}` does not declare"
                 )
 
 
@@ -339,13 +361,9 @@ def check_observability_cli_docs(problems: list[str]) -> None:
 
 
 def check_live_docs(problems: list[str]) -> None:
-    """Every ``live.*`` metric and event kind must appear backticked in
-    TRANSPORT.md, the live transport's own reference page."""
-    live_names = [
-        name
-        for name in registered_metrics() + registered_event_kinds()
-        if name.startswith("live.")
-    ]
+    """Every ``live.*`` event kind must appear backticked in TRANSPORT.md,
+    the live transport's own reference page."""
+    live_names = [name for name in registered_event_kinds() if name.startswith("live.")]
     if not live_names:
         return
     doc = REPO / "docs" / "TRANSPORT.md"
@@ -474,7 +492,6 @@ def run() -> list[str]:
         check_tables(path, problems)
     check_cli_docs(problems)
     check_observability_cli_docs(problems)
-    check_metric_docs(problems)
     check_event_docs(problems)
     check_shard_docs(problems)
     check_live_docs(problems)
