@@ -13,13 +13,17 @@ from random import Random
 
 import pytest
 
+from repro.core.messages import NotarizationShare
 from repro.crypto import schnorr, threshold
 from repro.crypto.api import verifiers_for
 from repro.crypto.group import test_group as make_test_group
 from repro.crypto.keyring import generate_keyrings
 from repro.erasure.merkle import MerkleTree
 from repro.erasure.reed_solomon import CodecParams, decode, encode
+from repro.sim.delays import UniformDelay
 from repro.sim.events import CalendarEventQueue, HeapEventQueue
+from repro.sim.metrics import Metrics
+from repro.sim.network import Network
 from repro.sim.simulator import Simulation
 from repro.workloads.batching import RealClientAuth, SignedRequest
 
@@ -176,6 +180,32 @@ class TestSimulatorMicro:
             return sim.events_processed
 
         assert benchmark(run_10k_events) == 10_000
+
+    def test_broadcast_fan_out_n13(self, benchmark):
+        # One notarization share to all 13 parties and drained: accounting,
+        # 12 delay samples, 13 scheduled copies, 13 pops and hand-overs.
+        class Sink:
+            def __init__(self, index):
+                self.index = index
+
+            def on_receive(self, message):
+                pass
+
+        share = NotarizationShare(7, 2, bytes(32), 3, b"share")
+
+        def fresh_network():
+            sim = Simulation(seed=1)
+            net = Network(sim, 13, UniformDelay(0.01, 0.05), Metrics(n=13))
+            for index in range(1, 14):
+                net.attach(Sink(index))
+            return (sim, net), {}
+
+        def one_broadcast(sim, net):
+            net.broadcast(3, share, round=7)
+            sim.run()
+            assert net.delivered_count == 13
+
+        benchmark.pedantic(one_broadcast, setup=fresh_network, rounds=2000)
 
 
 class TestEndToEndMicro:

@@ -6,7 +6,7 @@ covering synchrony, asynchrony, partial synchrony, intermittent synchrony
 and adversarial scheduling.
 """
 
-from .events import CalendarEventQueue, EventHandle, EventQueue, HeapEventQueue
+from .events import CalendarEventQueue, EventQueue, HeapEventQueue
 from .delays import (
     AdversarialDelay,
     DelayModel,
@@ -39,7 +39,6 @@ __all__ = [
     "wire_size",
     "Simulation",
     "CalendarEventQueue",
-    "EventHandle",
     "EventQueue",
     "HeapEventQueue",
 ]

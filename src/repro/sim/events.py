@@ -5,21 +5,23 @@ insertion order (a monotone sequence number), so two events scheduled for
 the same instant always fire in the order they were scheduled — this is
 what makes whole-simulation runs reproducible bit-for-bit.
 
-Two implementations share one contract (and one handle/counter substrate):
+Two implementations share one contract: ``schedule(time, action)`` returns
+the scheduled event itself (``time``, ``cancelled``, ``cancel()``), and
+``pop`` hands back the next live one.  Both store ``(time, seq, event)``
+tuples, so every heap comparison is a tuple comparison in C and the event
+object carries no ordering of its own.
 
 * :class:`CalendarEventQueue` — the default (exported as ``EventQueue``).
   A calendar queue: near-future events land in an array of fixed-width
-  time slots (each a tiny heap of C-comparable ``(time, seq, event)``
-  tuples), far-future events wait in an overflow heap, and the slot
-  window advances/rebuilds itself with a width adapted to the observed
-  event spacing.  Pushes into a slot are O(log k) for tiny k, and the
-  per-comparison cost is tuple comparison in C instead of a Python
-  ``__lt__``.
-* :class:`HeapEventQueue` — the original single binary heap of
-  :class:`_QueuedEvent` dataclasses, kept as the reference
-  implementation: the property tests in ``tests/sim/test_event_queue.py``
-  pin that both queues pop identical (time, seq) orders, and
-  ``benchmarks/test_micro.py`` times event dispatch under each.
+  time slots (each a tiny heap of entries), far-future events wait in an
+  overflow heap, and the slot window advances/rebuilds itself with a width
+  adapted to the observed event spacing.  Pushes into a slot are O(log k)
+  for tiny k.
+* :class:`HeapEventQueue` — one binary heap of the same entries, kept as
+  the reference implementation: the property tests in
+  ``tests/sim/test_event_queue.py`` pin that both queues pop identical
+  (time, seq) orders, and ``benchmarks/test_micro.py`` times event
+  dispatch under each.
 
 **Ordering correctness of the calendar queue** does not depend on float
 arithmetic being exact.  An event's bucket is a *monotone* function of its
@@ -32,18 +34,16 @@ higher bucket, so draining buckets in index order pops times in
 nondecreasing order even when rounding shifts an event one bucket over;
 equal times always compute the identical bucket, where the per-slot heap
 applies the exact (time, seq) tie-break.  Cancelled events are dropped
-lazily at the head, exactly like the legacy heap.
+lazily at the head, exactly like the reference heap.
 
 ``__len__`` is O(1) on both queues: a live-event counter is decremented on
-cancel and pop (the legacy implementation rescanned the whole heap on
-every call).
+cancel and pop.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
 from typing import Callable
 
 #: Number of slots in the calendar window.
@@ -53,63 +53,41 @@ _SLOTS = 64
 _WIDTH_FACTOR = 4.0
 
 
-@dataclass(order=True)
 class _QueuedEvent:
-    """One scheduled callback; orders by (time, seq) for the legacy heap."""
+    """One scheduled callback, and the handle ``schedule`` returns for it.
 
-    time: float
-    seq: int
-    action: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-    popped: bool = field(default=False, compare=False)
+    Both queues store it inside a ``(time, seq, event)`` tuple and order by
+    the tuple's first two fields, so the event itself needs no ordering.
+    ``_queue`` is the owning queue while the event is pending and ``None``
+    once it has been popped or cancelled, which is what keeps ``len()``
+    exact under double-cancel and cancel-after-fire.
+    """
 
+    __slots__ = ("time", "seq", "action", "cancelled", "_queue")
 
-class EventHandle:
-    """Returned by ``schedule``; allows cancellation."""
-
-    __slots__ = ("_queue", "_event")
-
-    def __init__(self, queue: "_QueueBase", event: _QueuedEvent) -> None:
-        self._queue = queue
-        self._event = event
+    def __init__(
+        self, queue: "_QueueBase", time: float, seq: int, action: Callable[[], None]
+    ) -> None:
+        self.time = time
+        self.seq = seq
+        self.action = action
+        self.cancelled = False
+        self._queue: _QueueBase | None = queue
 
     def cancel(self) -> None:
-        self._queue._cancel(self._event)
-
-    @property
-    def cancelled(self) -> bool:
-        return self._event.cancelled
-
-    @property
-    def time(self) -> float:
-        return self._event.time
+        queue = self._queue
+        if queue is not None:
+            queue._live -= 1
+            self._queue = None
+        self.cancelled = True
 
 
 class _QueueBase:
-    """Shared handle/sequence/live-count substrate for both queues."""
+    """Shared sequence/live-count substrate for both queues."""
 
     def __init__(self) -> None:
         self._counter = itertools.count()
         self._live = 0
-
-    def _new_event(self, time: float, action: Callable[[], None]) -> _QueuedEvent:
-        if time < 0:
-            raise ValueError("cannot schedule an event in negative time")
-        self._live += 1
-        return _QueuedEvent(time=time, seq=next(self._counter), action=action)
-
-    def _cancel(self, event: _QueuedEvent) -> None:
-        # O(1) len bookkeeping: only a still-pending event reduces the live
-        # count; double-cancel and cancel-after-fire are no-ops beyond the
-        # flag (matching the legacy heap's scan-based semantics).
-        if not event.cancelled and not event.popped:
-            self._live -= 1
-        event.cancelled = True
-
-    def _mark_popped(self, event: _QueuedEvent) -> _QueuedEvent:
-        event.popped = True
-        self._live -= 1
-        return event
 
     def __len__(self) -> int:
         return self._live
@@ -119,35 +97,41 @@ class _QueueBase:
 
 
 class HeapEventQueue(_QueueBase):
-    """The original implementation: one binary heap of event objects.
+    """One binary heap of ``(time, seq, event)`` entries.
 
-    Kept as the ordering reference for :class:`CalendarEventQueue` (and as
-    the baseline leg of the event-queue benchmark).  Semantics are
-    unchanged from the pre-calendar ``EventQueue``, except ``__len__`` is
-    O(1) now.
+    The ordering reference for :class:`CalendarEventQueue` (and the
+    baseline leg of the event-queue benchmark): the simplest queue that
+    satisfies the contract, with cancelled events dropped lazily at the
+    head.
     """
 
     def __init__(self) -> None:
         super().__init__()
-        self._heap: list[_QueuedEvent] = []
+        self._heap: list[tuple[float, int, _QueuedEvent]] = []
 
-    def schedule(self, time: float, action: Callable[[], None]) -> EventHandle:
-        event = self._new_event(time, action)
-        heapq.heappush(self._heap, event)
-        return EventHandle(self, event)
+    def schedule(self, time: float, action: Callable[[], None]) -> _QueuedEvent:
+        if time < 0:
+            raise ValueError("cannot schedule an event in negative time")
+        self._live += 1
+        seq = next(self._counter)
+        event = _QueuedEvent(self, time, seq, action)
+        heapq.heappush(self._heap, (time, seq, event))
+        return event
 
     def pop(self) -> _QueuedEvent | None:
         """Next non-cancelled event, or None when the queue is drained."""
         while self._heap:
-            event = heapq.heappop(self._heap)
+            event = heapq.heappop(self._heap)[2]
             if not event.cancelled:
-                return self._mark_popped(event)
+                event._queue = None
+                self._live -= 1
+                return event
         return None
 
     def peek_time(self) -> float | None:
-        while self._heap and self._heap[0].cancelled:
+        while self._heap and self._heap[0][2].cancelled:
             heapq.heappop(self._heap)
-        return self._heap[0].time if self._heap else None
+        return self._heap[0][0] if self._heap else None
 
 
 class CalendarEventQueue(_QueueBase):
@@ -180,9 +164,13 @@ class CalendarEventQueue(_QueueBase):
 
     # -- placement ---------------------------------------------------------
 
-    def schedule(self, time: float, action: Callable[[], None]) -> EventHandle:
-        event = self._new_event(time, action)
-        entry = (time, event.seq, event)
+    def schedule(self, time: float, action: Callable[[], None]) -> _QueuedEvent:
+        if time < 0:
+            raise ValueError("cannot schedule an event in negative time")
+        self._live += 1
+        seq = next(self._counter)
+        event = _QueuedEvent(self, time, seq, action)
+        entry = (time, seq, event)
         if time >= self._end:
             heapq.heappush(self._overflow, entry)
         elif time < self._start:
@@ -195,7 +183,7 @@ class CalendarEventQueue(_QueueBase):
                 i = self._cursor
             heapq.heappush(self._slots[i], entry)
             self._in_window += 1
-        return EventHandle(self, event)
+        return event
 
     def _rebuild(self) -> None:
         """Re-anchor the window over the overflow heap (slots are empty).
@@ -278,7 +266,10 @@ class CalendarEventQueue(_QueueBase):
             return None
         if heap is not self._early:
             self._in_window -= 1
-        return self._mark_popped(heapq.heappop(heap)[2])
+        event = heapq.heappop(heap)[2]
+        event._queue = None
+        self._live -= 1
+        return event
 
     def peek_time(self) -> float | None:
         heap = self._min_heap()
@@ -289,7 +280,6 @@ class CalendarEventQueue(_QueueBase):
 EventQueue = CalendarEventQueue
 
 __all__ = [
-    "EventHandle",
     "EventQueue",
     "CalendarEventQueue",
     "HeapEventQueue",

@@ -11,8 +11,15 @@ Matches the communication model of Section 3.1:
 * every message from an honest party to an honest party is eventually
   delivered (delay models uphold this; crashes model *corrupt* parties).
 
-Point-to-point ``send`` also exists because ICC2's reliable-broadcast
-subprotocol and the gossip sub-layer are not all-to-all.
+Point-to-point ``send`` and subset ``multicast`` also exist because ICC2's
+reliable-broadcast subprotocol and the gossip sub-layer are not all-to-all.
+
+All three account the transmission once and then run one per-copy loop,
+:meth:`Network._transmit`.  It reads the clock, the RNG, the delay sampler,
+the crashed set, the fault interceptor, the live partitions and the uplink
+once per transmission, and puts each copy straight on the simulation's
+event queue; :meth:`Network._hand_over` re-checks the crash when the copy
+lands.
 """
 
 from __future__ import annotations
@@ -36,8 +43,8 @@ class FaultInterceptor(Protocol):
     """What the network requires of an installed fault injector.
 
     ``intercept`` sees every remote delivery after its natural delay has
-    been computed and either returns ``None`` (deliver unchanged — the
-    fast path) or a replacement list of ``(delay, message)`` hops: empty
+    been computed and either returns ``None`` (deliver unchanged) or a
+    replacement list of ``(delay, message)`` hops: empty
     to drop the delivery, one entry to delay/corrupt it, several to
     duplicate it.  See :class:`repro.faults.inject.FaultInjector`.
     """
@@ -139,9 +146,8 @@ class Network:
         self._crashed: set[int] = set()
         self._partitions: list[tuple[frozenset[int], float]] = []
         self._delivered = 0
-        #: Optional fault interceptor (:class:`repro.faults.inject.FaultInjector`).
-        #: ``None`` keeps :meth:`_deliver` on the exact pre-fault-layer path —
-        #: the zero-overhead no-op mirror of the disabled tracer.
+        #: Optional fault interceptor (:class:`repro.faults.inject.FaultInjector`);
+        #: ``None`` costs one test per copy, like the disabled tracer.
         self._faults: FaultInterceptor | None = None
 
     # -- observability / randomness resolution --------------------------------
@@ -219,9 +225,7 @@ class Network:
                     f"cannot partition party {index}: outside 1..{self.n}"
                 )
         now = self.sim.now
-        # Healed partitions can never hold a future message — prune them so
-        # long fault schedules do not grow the scan in _partition_hold.
-        self._partitions = [(g, heal) for g, heal in self._partitions if heal > now]
+        self._live_partitions(now)
         if heal_time > now:
             self._partitions.append((frozenset(group), heal_time))
         tracer = self.tracer
@@ -232,19 +236,14 @@ class Network:
 
     def active_partitions(self) -> list[tuple[frozenset[int], float]]:
         """The partitions that can still hold messages back (for tests)."""
-        now = self.sim.now
-        return [(g, heal) for g, heal in self._partitions if heal > now]
+        return list(self._live_partitions(self.sim.now))
 
-    def _partition_hold(self, sender: int, receiver: int) -> float:
-        """Extra wait imposed by active partitions (0 when none)."""
-        hold = 0.0
-        now = self.sim.now
-        for group, heal in self._partitions:
-            if heal <= now:
-                continue
-            if (sender in group) != (receiver in group):
-                hold = max(hold, heal - now)
-        return hold
+    def _live_partitions(self, now: float) -> list[tuple[frozenset[int], float]]:
+        """Prune healed partitions — they can never hold a future message —
+        so one past partition does not keep every later copy on the scan."""
+        if self._partitions:
+            self._partitions = [(g, heal) for g, heal in self._partitions if heal > now]
+        return self._partitions
 
     # -- fault injection -------------------------------------------------------
 
@@ -260,7 +259,7 @@ class Network:
         self._faults = interceptor
 
     def clear_faults(self) -> None:
-        """Restore the exact zero-overhead no-fault delivery path."""
+        """Remove the fault interceptor: every copy lands as sampled."""
         self._faults = None
 
     # -- transmission -----------------------------------------------------------
@@ -279,80 +278,88 @@ class Network:
             self, self.sim.now, sender, message, round,
             "net.broadcast", self.n, "copies", self.n,
         )
-        for receiver in range(1, self.n + 1):
-            if receiver == sender:
-                self._deliver(sender, receiver, message)
-            else:
-                # Each copy serializes through the sender's uplink in turn.
-                self._deliver(
-                    sender, receiver, message,
-                    sent_at=self._transmission_done_at(sender, size),
-                )
+        self._transmit(sender, range(1, self.n + 1), message, size)
 
     def send(self, sender: int, receiver: int, message: object, round: int | None = None) -> None:
         """Point-to-point send (gossip, ICC2 fragments, Byzantine equivocation)."""
+        self._check_receiver(receiver)
         if sender in self._crashed:
             return
         size = account_transmission(
             self, self.sim.now, sender, message, round,
             "net.send", 1, "receiver", receiver,
         )
-        sent_at = None
-        if receiver != sender:
-            sent_at = self._transmission_done_at(sender, size)
-        self._deliver(sender, receiver, message, sent_at=sent_at)
+        self._transmit(sender, (receiver,), message, size)
 
     def multicast(self, sender: int, receivers: list[int], message: object, round: int | None = None) -> None:
         """Send the same message to a subset (used by the gossip overlay)."""
+        for receiver in receivers:
+            self._check_receiver(receiver)
         if sender in self._crashed:
             return
         size = account_transmission(
             self, self.sim.now, sender, message, round,
             "net.multicast", len(receivers), "receivers", len(receivers),
         )
+        self._transmit(sender, receivers, message, size)
+
+    def _check_receiver(self, receiver: int) -> None:
+        if not 1 <= receiver <= self.n:
+            raise ValueError(f"cannot send to party {receiver}: outside 1..{self.n}")
+
+    def _transmit(self, sender: int, receivers, message: object, size: int) -> None:
+        """Schedule one copy of an accounted transmission per receiver, in
+        order.  A self-copy lands now, with no sample and no interception.
+        A remote copy first queues behind the sender's earlier copies on
+        its uplink (charged even when the receiver is crashed), then, if
+        the receiver is up, draws its delay, waits out any separating
+        partition and its NIC time, and passes the fault interceptor."""
+        now = self.sim.now
+        schedule = self.sim.events.schedule
+        hand_over = self._hand_over
+        crashed = self._crashed
+        faults = self._faults
+        uplink_bps = self.uplink_bps
+        partitions = self._live_partitions(now)
+        rng = self.rng
+        sample_message = getattr(self.delay_model, "sample_message", None)
+        sample = self.delay_model.sample
         for receiver in receivers:
-            sent_at = None
-            if receiver != sender:
-                sent_at = self._transmission_done_at(sender, size)
-            self._deliver(sender, receiver, message, sent_at=sent_at)
-
-    def _transmission_done_at(self, sender: int, size: int) -> float:
-        """When the sender's NIC finishes pushing this message out."""
-        if self.uplink_bps is None:
-            return self.sim.now
-        start = max(self.sim.now, self._uplink_free_at.get(sender, 0.0))
-        done = start + size * 8.0 / self.uplink_bps
-        self._uplink_free_at[sender] = done
-        return done
-
-    def _deliver(
-        self, sender: int, receiver: int, message: object, sent_at: float | None = None
-    ) -> None:
-        if receiver in self._crashed:
-            return
-        if receiver == sender:
-            delay = 0.0
-        else:
-            sampler = getattr(self.delay_model, "sample_message", None)
-            if sampler is not None:
-                delay = sampler(sender, receiver, self.sim.now, message, self.rng)
+            if receiver == sender:
+                if receiver not in crashed:
+                    schedule(now, lambda r=receiver: hand_over(r, message))
+                continue
+            sent_at = now
+            if uplink_bps is not None:
+                # Each copy serializes through the sender's uplink in turn.
+                sent_at = max(now, self._uplink_free_at.get(sender, 0.0))
+                sent_at += size * 8.0 / uplink_bps
+                self._uplink_free_at[sender] = sent_at
+            if receiver in crashed:
+                continue
+            if sample_message is not None:
+                delay = sample_message(sender, receiver, now, message, rng)
             else:
-                delay = self.delay_model.sample(sender, receiver, self.sim.now, self.rng)
-            delay += self._partition_hold(sender, receiver)
-            if sent_at is not None:
-                delay += sent_at - self.sim.now  # NIC serialization time
-            if self._faults is not None:
-                plan = self._faults.intercept(sender, receiver, message, delay)
+                delay = sample(sender, receiver, now, rng)
+            hold = 0.0
+            for group, heal in partitions:
+                if (sender in group) != (receiver in group):
+                    hold = max(hold, heal - now)
+            delay += hold
+            delay += sent_at - now  # NIC serialization time
+            if faults is not None:
+                plan = faults.intercept(sender, receiver, message, delay)
                 if plan is not None:
                     # The interceptor replaced this delivery (drop / delay /
                     # corrupt / duplicate).
                     for hop_delay, hop_message in plan:
-                        self.sim.schedule(
-                            hop_delay,
-                            lambda m=hop_message: self._hand_over(receiver, m),
-                        )
-                    return
-        self.sim.schedule(delay, lambda: self._hand_over(receiver, message))
+                        if hop_delay < 0:
+                            raise ValueError(f"negative delay {hop_delay}")
+                        schedule(now + hop_delay, lambda r=receiver, m=hop_message: hand_over(r, m))
+                    continue
+            if delay < 0:
+                raise ValueError(f"negative delay {delay}")
+            schedule(now + delay, lambda r=receiver: hand_over(r, message))
 
     def _hand_over(self, receiver: int, message: object) -> None:
         if receiver in self._crashed:

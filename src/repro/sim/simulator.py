@@ -12,7 +12,7 @@ from random import Random
 from typing import Callable
 
 from ..obs import NULL_TRACER
-from .events import EventHandle, EventQueue
+from .events import EventQueue, _QueuedEvent
 
 
 class Simulation:
@@ -20,7 +20,7 @@ class Simulation:
 
     ``event_queue`` swaps the queue implementation (any object with the
     ``EventQueue`` contract — e.g. :class:`repro.sim.events.HeapEventQueue`
-    for the legacy single-heap baseline); pass it at construction, before
+    for the single-heap reference queue); pass it at construction, before
     anything is scheduled.  Both implementations pop the identical
     (time, seq) order, so runs are bit-identical either way.
     """
@@ -37,13 +37,13 @@ class Simulation:
 
     # -- scheduling ---------------------------------------------------------
 
-    def schedule(self, delay: float, action: Callable[[], None]) -> EventHandle:
+    def schedule(self, delay: float, action: Callable[[], None]) -> _QueuedEvent:
         """Run ``action`` after ``delay`` simulated seconds."""
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
         return self.events.schedule(self.now + delay, action)
 
-    def schedule_at(self, time: float, action: Callable[[], None]) -> EventHandle:
+    def schedule_at(self, time: float, action: Callable[[], None]) -> _QueuedEvent:
         """Run ``action`` at absolute simulated time ``time`` (>= now)."""
         if time < self.now:
             raise ValueError(f"cannot schedule in the past ({time} < {self.now})")
@@ -81,9 +81,11 @@ class Simulation:
                           livelock bugs in protocol code).
         * ``stop_when`` — predicate checked after every event.
         """
+        # Bound once: the loop below runs once per event.
+        peek_time, pop = self.events.peek_time, self.events.pop
         processed = 0
         while True:
-            next_time = self.events.peek_time()
+            next_time = peek_time()
             if next_time is None:
                 break
             if until is not None and next_time > until:
@@ -94,7 +96,12 @@ class Simulation:
                     f"simulation exceeded max_events={max_events}; "
                     "possible livelock in protocol logic"
                 )
-            self.step()
+            event = pop()
+            if event.time < self.now:  # pragma: no cover - defensive
+                raise RuntimeError("event queue went backwards in time")
+            self.now = event.time
+            self._events_processed += 1
+            event.action()
             processed += 1
             if stop_when is not None and stop_when():
                 break

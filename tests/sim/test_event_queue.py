@@ -34,7 +34,7 @@ class TestEdgeCases:
         q.schedule(1.0, _noop).cancel()
         later = q.schedule(2.0, _noop)
         assert q.peek_time() == 2.0
-        assert q.pop().seq == later._event.seq
+        assert q.pop() is later
         assert q.peek_time() is None
 
     def test_cancel_all_then_drain(self, queue_cls):

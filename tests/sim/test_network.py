@@ -71,6 +71,18 @@ class TestDelivery:
         assert len(parties[1].received) == 1
         assert len(parties[2].received) == 1
 
+    def test_out_of_range_receiver_rejected_before_accounting(self):
+        # Counting the copy and dropping it on arrival would hide the caller's bug.
+        sim, net, parties = make_net(n=3)
+        with pytest.raises(ValueError, match="outside 1..3"):
+            net.send(1, 99, b"x")
+        with pytest.raises(ValueError, match="outside 1..3"):
+            net.multicast(1, [0, 2], b"y")
+        sim.run()
+        assert net.metrics.msgs_sent[1] == 0
+        assert net.delivered_count == 0
+        assert all(not p.received for p in parties)
+
     def test_attach_validation(self):
         sim, net, parties = make_net()
         with pytest.raises(ValueError):
@@ -208,6 +220,9 @@ class TestPartition:
         net.add_partition({3}, heal_time=9.0)  # prunes the healed ones
         assert net.active_partitions() == [(frozenset({3}), 9.0)]
         assert net._partitions == [(frozenset({3}), 9.0)]
+        sim.schedule(7.0, lambda: net.broadcast(1, b"x"))  # after 9.0 heals
+        sim.run()
+        assert net._partitions == []  # a transmission prunes too
 
 
 class TestFaultInterceptor:
