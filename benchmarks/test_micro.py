@@ -208,6 +208,36 @@ class TestSimulatorMicro:
         benchmark.pedantic(one_broadcast, setup=fresh_network, rounds=2000)
 
 
+class TestPartyMicro:
+    def test_below_quorum_notarization_share_n13(self, benchmark):
+        # The commonest delivery at n = 13: a notarization share for the
+        # current round that leaves its block below the n - t quorum.  The
+        # pool verifies and stores it; the protocol pass does not run.
+        from repro.core import ClusterConfig, build_cluster
+        from repro.core import messages as msg
+        from repro.sim.delays import FixedDelay
+
+        config = ClusterConfig(
+            n=13, t=4, delta_bound=0.5, epsilon=0.01,
+            delay_model=FixedDelay(0.05), seed=1,
+        )
+        cluster = build_cluster(config)
+        party = cluster.party(1)
+        cluster.start()
+        cluster.sim.run(stop_when=lambda: party.round == 2 and not party.waiting_beacon)
+        signer = cluster.keyrings[1]
+        fresh = (i.to_bytes(32, "big") for i in itertools.count())
+
+        def unseen_share():
+            block_hash = next(fresh)
+            signed = msg.notarization_message(2, 3, block_hash)
+            share = NotarizationShare(2, 3, block_hash, 2, signer.sign_notary_share(signed))
+            return (share,), {}
+
+        benchmark.pedantic(party.on_receive, setup=unseen_share, rounds=2000)
+        assert party.pool.stats.invalid_dropped == 0
+
+
 class TestEndToEndMicro:
     def test_icc0_simulated_round_cost(self, benchmark):
         """Wall-clock cost of one simulated ICC0 round, 13 parties."""

@@ -10,10 +10,12 @@ An :class:`ICC0Party` runs two concurrent subprotocols:
   chain up to them.
 
 The paper's blocking ``wait for`` loops are realised as an event-driven
-state machine: :meth:`_progress` re-evaluates all enabled clauses whenever
-(i) a message enters the pool or (ii) a scheduled timer (a Δprop/Δntry
-boundary) fires.  Every clause below carries a comment naming the clause of
-Figure 1 / Figure 2 it implements.
+state machine: :meth:`_progress` re-evaluates all enabled clauses until none
+fires.  It runs when (i) a scheduled timer (a Δprop/Δntry boundary) fires,
+or (ii) an artifact enters the pool that can enable a clause
+(:meth:`_admit`): a share below its quorum cannot, so it only waits in the
+pool.  Every clause below carries a comment naming the clause of Figure 1 /
+Figure 2 it implements.
 
 Dissemination of blocks is funnelled through ``_disseminate_block`` so that
 ICC1 (gossip sub-layer) and ICC2 (erasure-coded reliable broadcast) can
@@ -23,6 +25,7 @@ override just that aspect — the consensus logic is shared.
 from __future__ import annotations
 
 import copy
+import math
 from typing import Callable
 
 from ..crypto.keyring import Keyring
@@ -106,6 +109,7 @@ class ICC0Party:
         self.my_rank = -1
         self._echoed: set[bytes] = set()
         self._wakes_scheduled: set[float] = set()
+        self._next_wake = math.inf  # earliest wake no pass has served yet
         self._beacon_computed = 0  # highest k with known R_k
         self._beacon_shared = 0  # highest k whose share we've broadcast
         self._stopped = False
@@ -128,9 +132,56 @@ class ICC0Party:
         self._progress()
 
     def on_receive(self, message: object) -> None:
-        """Network delivery: add to the pool, then re-evaluate the protocol."""
-        if self.pool.add(message):
+        """Network delivery: admit the message to the pool."""
+        self._admit(message)
+
+    def _admit(self, artifact: object) -> bool:
+        """Add an artifact received from outside to the pool and run the
+        protocol pass unless the artifact provably enables nothing; returns
+        whether the pool took it.
+
+        Between passes only the pool and the clock change, and the last pass
+        left every clause disabled.  A share changes one answer the clauses
+        read, whether its block (a beacon share: its round) holds a quorum;
+        :meth:`_can_enable` knows which clause reads it.  The clock enables
+        clauses (b) and (c) at wake instants: a wake due by now that no pass
+        has served yet (queued behind this delivery at the same instant, or
+        late on a wall clock) makes the pass run too, so every clause fires
+        when a pass after every artifact would fire it.
+        """
+        if not self.pool.add(artifact):
+            return False
+        if self._can_enable(artifact) or self._next_wake <= self.sim.now:
             self._progress()
+        return True
+
+    def _can_enable(self, artifact: object) -> bool:
+        """Whether ``artifact``, just added to the pool, can make a clause
+        fire."""
+        kind = type(artifact)
+        if kind is NotarizationShare:
+            # clause (a) combines round-k shares once the beacon is in
+            return (
+                artifact.round == self.round
+                and not self.waiting_beacon
+                and self.pool.notar_share_count(artifact.block_hash)
+                >= self.params.notarization_quorum
+            )
+        if kind is FinalizationShare:
+            # Figure 2 combines shares for a round k > k_max
+            return (
+                artifact.round > self.k_max
+                and self.pool.final_share_count(artifact.block_hash)
+                >= self.params.finalization_quorum
+            )
+        if kind is BeaconShare:
+            # the beacon is combined for one round at a time, in order
+            return (
+                artifact.round == self._beacon_computed + 1
+                and self.pool.beacon_share_count(artifact.round)
+                >= self.params.beacon_quorum
+            )
+        return True
 
     def _wake(self) -> None:
         self._progress()
@@ -203,6 +254,11 @@ class ICC0Party:
 
     def _progress(self) -> None:
         """Re-evaluate every enabled clause until quiescent."""
+        now = self.sim.now
+        if self._next_wake <= now:  # this pass serves every wake due by now
+            self._next_wake = min(
+                (at for at in self._wakes_scheduled if at > now), default=math.inf
+            )
         if self._stopped:
             self._run_finalization_watcher()
             return
@@ -245,6 +301,7 @@ class ICC0Party:
         self.disqualified = set()
         self._echoed = set()
         self._wakes_scheduled = set()
+        self._next_wake = math.inf
         self.metrics.on_round_entry(self.index, k, self.sim.now)
         if self.tracer.enabled:
             self._trace("icc.round.enter", round=k, rank=self.my_rank)
@@ -260,6 +317,7 @@ class ICC0Party:
         if at <= self.sim.now or at in self._wakes_scheduled:
             return
         self._wakes_scheduled.add(at)
+        self._next_wake = min(self._next_wake, at)
         self.sim.schedule_at(at, self._wake)
 
     # -- clause (a): finish the round -----------------------------------------

@@ -73,11 +73,9 @@ class ICC1Party(ICC0Party):
 
     def _on_gossip_artifact(self, artifact: object) -> None:
         """An artifact fully received via gossip enters the pool."""
-        if self.pool.add(artifact):
-            if self.tracer.enabled:
-                self._trace(
-                    "icc.artifact.gossip",
-                    round=getattr(artifact, "round", None),
-                    artifact=type(artifact).__name__,
-                )
-            self._progress()
+        if self._admit(artifact) and self.tracer.enabled:
+            self._trace(
+                "icc.artifact.gossip",
+                round=getattr(artifact, "round", None),
+                artifact=type(artifact).__name__,
+            )

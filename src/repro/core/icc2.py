@@ -88,5 +88,4 @@ class ICC2Party(ICC0Party):
                 "rbc.deliver", round=block.round, dealer=dealer, bytes=len(data)
             )
         self._rbc_handled.add(block.hash)
-        if self.pool.add(block):
-            self._progress()
+        self._admit(block)

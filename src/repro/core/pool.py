@@ -16,7 +16,9 @@ recursive through parents, the pool propagates state changes through a
 child index rather than re-scanning (a notarization arriving for a parent
 may make a whole subtree of buffered children valid).
 
-Every message is verified in ``add``, except that a share whose aggregate is
+``add`` dispatches on the message's exact type through one table
+(``_ADDERS``) and raises ``TypeError`` for any other type.  Every message is
+verified in ``add``, except that a share whose aggregate is
 already held (notarization, finalization or beacon value) is dropped unverified
 and counted as ``superseded``.  That is safe because a share is only ever read
 to build the aggregate that already exists.  An authenticator or share must
@@ -172,26 +174,15 @@ class MessagePool:
             )
 
     def _add(self, message: object) -> bool:
-        # Every artifact carries its round; anything else falls through to
-        # the TypeError below.
-        if getattr(message, "round", self._prune_floor) < self._prune_floor:
+        """Dispatch on the message's exact type (:data:`_ADDERS`); an artifact
+        below the prune floor is dropped first, unverified, as ``stale``."""
+        adder = _ADDERS.get(type(message))
+        if adder is None:
+            raise TypeError(f"pool cannot hold {type(message).__name__}")
+        if message.round < self._prune_floor:
             self.stats.stale += 1
             return False
-        if isinstance(message, Block):
-            return self._add_block(message)
-        if isinstance(message, Authenticator):
-            return self._add_authenticator(message)
-        if isinstance(message, NotarizationShare):
-            return self._add_notar_share(message)
-        if isinstance(message, Notarization):
-            return self._add_notarization(message)
-        if isinstance(message, FinalizationShare):
-            return self._add_final_share(message)
-        if isinstance(message, Finalization):
-            return self._add_finalization(message)
-        if isinstance(message, BeaconShare):
-            return self._add_beacon_share(message)
-        raise TypeError(f"pool cannot hold {type(message).__name__}")
+        return adder(self, message)
 
     def _add_block(self, block: Block) -> bool:
         if block.round < 1 or not 1 <= block.proposer <= self.n:
@@ -226,6 +217,8 @@ class MessagePool:
             lying = [i for i, s in shares.items() if not _names(s, block)]
             for signer in lying:
                 del shares[signer]
+            if not shares:
+                del by_block[block.hash]
             self.stats.invalid_dropped += len(lying)
             if lying and by_block is self._final_shares:
                 self._recount_final_activity()
@@ -261,7 +254,7 @@ class MessagePool:
         if h in self._notarizations:
             self.stats.superseded += 1
             return False
-        if share.signer in self._notar_shares[h]:
+        if share.signer in self._notar_shares.get(h, ()):
             self.stats.duplicates += 1
             return False
         block = self.blocks.get(h)
@@ -297,7 +290,7 @@ class MessagePool:
         if h in self._finalizations:
             self.stats.superseded += 1
             return False
-        if share.signer in self._final_shares[h]:
+        if share.signer in self._final_shares.get(h, ()):
             self.stats.duplicates += 1
             return False
         block = self.blocks.get(h)
@@ -337,8 +330,9 @@ class MessagePool:
         if share.round in self.beacon_values:
             self.stats.superseded += 1
             return False
+        stored = self._beacon_shares.get(share.round, ())
         buffered = self._buffered_beacon_shares.get(share.round, ())
-        if share.signer in self._beacon_shares[share.round] or share.signer in buffered:
+        if share.signer in stored or share.signer in buffered:
             self.stats.duplicates += 1
             return False
         previous = self.beacon_values.get(share.round - 1)
@@ -632,3 +626,17 @@ class MessagePool:
             + sum(len(v) for v in self._final_shares.values())
             + sum(len(v) for v in self._beacon_shares.values())
         )
+
+
+#: Each artifact type to the method that verifies and stores it.  Keyed by
+#: exact type: no message class is subclassed, and one that were would be
+#: refused rather than stored as its base.
+_ADDERS = {
+    Block: MessagePool._add_block,
+    Authenticator: MessagePool._add_authenticator,
+    NotarizationShare: MessagePool._add_notar_share,
+    Notarization: MessagePool._add_notarization,
+    FinalizationShare: MessagePool._add_final_share,
+    Finalization: MessagePool._add_finalization,
+    BeaconShare: MessagePool._add_beacon_share,
+}

@@ -197,6 +197,28 @@ class TestShareMustNameItsBlock:
         assert pool.stats.invalid_dropped == 1
 
 
+class TestDroppedSharesStoreNothing:
+    """A share the pool refuses leaves no trace in its share maps: no empty
+    per-block or per-round entry that only ``gc_depth`` would ever free."""
+
+    def test_share_maps_hold_no_empty_entry(self):
+        forge = Forge()
+        pool = forge.pool()
+        for i in range(200):
+            fresh = forge.block(parent=i.to_bytes(32, "big"))
+            for kind in ("notar", "final"):
+                assert pool.add(_forged(forge, kind, fresh, signer=2)) is False
+        assert pool.add(_forged(forge, "beacon", None, signer=2)) is False
+        named = forge.block(round=3)
+        for kind in ("notar", "final"):
+            assert pool.add(_lying(forge, kind, named, signer=4))
+        assert pool.add(named)  # drops both shares: they name another round
+        assert pool.stats.invalid_dropped == 403
+        assert pool.artifact_count() == 2  # root and ``named``
+        for shares in (pool._notar_shares, pool._final_shares, pool._beacon_shares):
+            assert all(shares.values())
+
+
 class TestSupersededSharesDropped:
     @pytest.mark.parametrize("kind", KINDS)
     def test_never_reaches_the_keyring(self, kind):
