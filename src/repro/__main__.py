@@ -17,9 +17,6 @@ Commands:
 * ``load``        — batched load harness: sweep offered load and chart the
   throughput-vs-latency saturation curve at n=13/31/100 — see
   ``docs/LOAD.md``;
-* ``shard``       — multi-subnet sharding harness: K embedded clusters over
-  certified xnet streams, aggregate-throughput-vs-K sweep — see
-  ``docs/SHARDING.md``;
 * ``serve``       — one live protocol party over real TCP (the per-process
   binary ``live`` spawns; config file names peers/ports/keys) — see
   ``docs/TRANSPORT.md``;
@@ -114,13 +111,6 @@ def main(argv: list[str] | None = None) -> None:
         help="batched load harness: throughput-vs-latency saturation sweep",
     )
     _mount(load, "repro.experiments.load")
-
-    shard = sub.add_parser(
-        "shard",
-        help="multi-subnet sharding harness: aggregate throughput vs K "
-             "over certified xnet streams",
-    )
-    _mount(shard, "repro.experiments.sharding")
 
     serve = sub.add_parser(
         "serve",

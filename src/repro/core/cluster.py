@@ -11,29 +11,20 @@ calls it once with a wall clock and a TCP transport
 (:meth:`repro.net.config.LiveConfig.cluster_config` maps the JSON file to
 the same config), so simulator, baselines and sockets run one wiring.
 
-A cluster is an **embeddable component**, not a process-wide singleton:
-nothing here touches module-level state, and several clusters can coexist
-in one process — or in one :class:`~repro.sim.simulator.Simulation` — at
-once.  :func:`embed_cluster` builds a cluster inside an existing
-Simulation: the cluster gets its own namespace prefix on every
-trace stream (``"<name>/..."``, via :func:`repro.obs.namespaced_tracer`),
-its own :class:`~repro.sim.metrics.Metrics` and its own seeded
-delay-sampling RNG stream, so K embedded clusters are observably
-separable and bit-identical to K standalone runs with the same seeds
-(pinned by ``tests/core/test_embedded_cluster.py``).  This is the
-substrate :mod:`repro.smr.sharding` composes into multi-subnet
-deployments.
+A cluster is one subnet, as the paper evaluates it: n parties in one
+:class:`~repro.sim.simulator.Simulation`, tracing through the
+Simulation's tracer and sampling delays from its RNG.  Nothing here
+touches module-level state.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field, replace
-from random import Random
+from dataclasses import dataclass, field as dc_field
 from typing import Callable, Sequence
 
 from ..crypto.keyring import Keyring, generate_keyrings
 from ..gossip import GossipParams, build_overlay
-from ..obs.tracer import TraceEvent, TracerLike, namespaced_tracer
+from ..obs.tracer import TracerLike
 from ..sim.delays import DelayModel, FixedDelay
 from ..sim.metrics import Metrics
 from ..sim.network import Network
@@ -85,8 +76,8 @@ def protocol_party(
 @dataclass
 class ClusterConfig:
     """Declarative description of one cluster: a whole simulated run, or
-    the protocol half of a live one (the observability and embedding fields
-    below are read by :func:`build_cluster` only)."""
+    the protocol half of a live one (``delay_model`` and ``tracer`` are
+    read by :func:`build_cluster` only)."""
 
     n: int
     t: int = 0
@@ -110,24 +101,18 @@ class ClusterConfig:
     corrupt: dict[int, PartyFactory | None] = dc_field(default_factory=dict)
     extra_party_kwargs: dict = dc_field(default_factory=dict)
     #: Optional :class:`repro.obs.Tracer`; installed on the Simulation
-    #: *before* any party is built (parties cache ``sim.tracer``).  With a
-    #: ``namespace`` the install is scoped to this cluster's build instead
-    #: of mutating the Simulation for good.
+    #: *before* any party is built (parties cache ``sim.tracer``).
     tracer: TracerLike | None = None
-    #: Embeddability: prefix every trace event's protocol label with
-    #: ``"<namespace>/"`` so several clusters can share one Simulation's
-    #: tracer with separable streams.  None (default) =
-    #: the classic standalone behaviour.
-    namespace: str | None = None
-    #: Embeddability: seed string for a cluster-private delay-sampling RNG
-    #: (``random.Random(rng_stream)``), so embedded clusters never consume
-    #: each other's ``sim.rng`` draws.  None = share ``sim.rng``.
-    rng_stream: str | None = None
 
     def __post_init__(self) -> None:
         if len(self.corrupt) > self.t:
             raise ValueError(
                 f"{len(self.corrupt)} corrupt parties declared but t={self.t}"
+            )
+        outside = sorted(i for i in self.corrupt if not 1 <= i <= self.n)
+        if outside:
+            raise ValueError(
+                f"corrupt party indices {outside} outside 1..{self.n}"
             )
         if self.protocol_delays is not None and not isinstance(
             self.protocol_delays, DelayPolicy
@@ -142,10 +127,6 @@ class ClusterConfig:
             raise TypeError(
                 "tracer must implement TracerLike (enabled + emit), got "
                 f"{type(self.tracer).__name__}"
-            )
-        if self.namespace is not None and ("/" in self.namespace or not self.namespace):
-            raise ValueError(
-                f"namespace must be non-empty and '/'-free: {self.namespace!r}"
             )
 
 
@@ -170,8 +151,6 @@ class Cluster:
         parties: list[ICC0Party],
         params: ProtocolParams,
         keyrings: list[Keyring],
-        tracer: TracerLike,
-        rng: Random | None = None,
     ) -> None:
         self.config = config
         self.sim = sim
@@ -179,15 +158,6 @@ class Cluster:
         self.parties = parties
         self.params = params
         self.keyrings = keyrings
-        #: How callers address one cluster among many in a shared Simulation.
-        self.name = (
-            config.namespace if config.namespace is not None else f"cluster{config.seed}"
-        )
-        #: The (namespaced, when embedded) tracer every party and the
-        #: network cached at build time.
-        self.tracer = tracer
-        #: The cluster-private delay stream (None: the cluster shares ``sim.rng``).
-        self.rng = rng
 
     @property
     def metrics(self) -> Metrics:
@@ -236,11 +206,6 @@ class Cluster:
 
     def max_committed_round(self) -> int:
         return max((p.k_max for p in self.honest_parties), default=0)
-
-    def events(self, kind: str | None = None) -> list[TraceEvent]:
-        """This cluster's slice of the trace (namespace-filtered when
-        embedded)."""
-        return self.tracer.events(kind)
 
 
 def derive_material(config: ClusterConfig) -> tuple[list[Keyring], ProtocolParams]:
@@ -300,75 +265,27 @@ def build_party(
 def build_cluster(config: ClusterConfig, sim: Simulation | None = None) -> Cluster:
     """Construct a fully wired cluster from a config (nothing runs yet).
 
-    Pass an existing ``sim`` to co-schedule several clusters in one
-    simulation (e.g. multiple subnets coupled by :mod:`repro.smr.xnet`);
-    with ``config.namespace`` set the build never mutates the shared
-    Simulation's tracer permanently — the namespaced view is installed
-    only while parties are constructed (they cache it) and the network
-    keeps an explicit override.  :func:`embed_cluster` is
-    the one-call wrapper for that mode.
+    ``sim`` defaults to a fresh ``Simulation(seed=config.seed)``; pass one
+    to run on a chosen event queue.  A given ``config.tracer`` is
+    installed on it before anything is built (parties cache
+    ``sim.tracer``).
     """
     if sim is None:
         sim = Simulation(seed=config.seed)
-    base_tracer = config.tracer if config.tracer is not None else sim.tracer
-    if config.namespace is not None:
-        cluster_tracer = namespaced_tracer(base_tracer, config.namespace)
-    else:
-        cluster_tracer = base_tracer
-    cluster_rng = Random(config.rng_stream) if config.rng_stream is not None else None
-    prev_tracer = sim.tracer
-    # Before Network/parties are built: they cache the tracer they see here.
-    sim.tracer = cluster_tracer
-    try:
-        delay_model = config.delay_model if config.delay_model is not None else FixedDelay(0.1)
-        metrics = Metrics(n=config.n)
-        network = Network(
-            sim,
-            config.n,
-            delay_model,
-            metrics,
-            tracer=cluster_tracer if config.namespace is not None else None,
-            rng=cluster_rng,
-        )
-        keyrings, params = derive_material(config)
-        parties: list[ICC0Party] = []
-        for i in range(1, config.n + 1):
-            party = build_party(config, i, keyrings[i - 1], params, sim, network)
-            parties.append(party)
-            network.attach(party)
-        for index, factory in config.corrupt.items():
-            if factory is None:
-                network.crash(index)
-    finally:
-        if config.namespace is not None:
-            # Scoped install: an embedded build leaves the shared
-            # Simulation's tracer exactly as it found it.
-            sim.tracer = prev_tracer
-    return Cluster(
-        config, sim, network, parties, params, keyrings,
-        tracer=cluster_tracer, rng=cluster_rng,
-    )
-
-
-def embed_cluster(name: str, config: ClusterConfig, sim: Simulation) -> Cluster:
-    """Build ``config`` as an embedded component of an existing ``sim``.
-
-    The cluster gets ``name`` as its trace namespace and (unless
-    the config pins one) a private delay-RNG stream derived from
-    ``(name, config.seed)`` — so the same config embedded next to any
-    number of siblings, or standalone in a fresh Simulation, finalizes
-    bit-identical chains.
-    """
-    config = replace(
-        config,
-        namespace=name,
-        rng_stream=(
-            config.rng_stream
-            if config.rng_stream is not None
-            else f"cluster/{name}/{config.seed}"
-        ),
-    )
-    return build_cluster(config, sim=sim)
+    if config.tracer is not None:
+        sim.tracer = config.tracer
+    delay_model = config.delay_model if config.delay_model is not None else FixedDelay(0.1)
+    network = Network(sim, config.n, delay_model)
+    keyrings, params = derive_material(config)
+    parties: list[ICC0Party] = []
+    for i in range(1, config.n + 1):
+        party = build_party(config, i, keyrings[i - 1], params, sim, network)
+        parties.append(party)
+        network.attach(party)
+    for index, factory in config.corrupt.items():
+        if factory is None:
+            network.crash(index)
+    return Cluster(config, sim, network, parties, params, keyrings)
 
 
 def run_happy_path(

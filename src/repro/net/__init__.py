@@ -27,7 +27,7 @@ On top of those two substitutions:
   to a socket (the ``python -m repro serve`` body);
 * :mod:`repro.net.cluster` — :class:`LiveCluster`, an embeddable
   n-party localhost cluster on one event loop (the programmatic API,
-  mirroring :func:`repro.core.cluster.embed_cluster` for the simulator);
+  the live counterpart of :func:`repro.core.cluster.build_cluster`);
 * :mod:`repro.net.live` — the ``python -m repro serve`` / ``python -m
   repro live`` entry points: spawn one OS process per party, drive
   client load through the batching pipeline, report wall-clock

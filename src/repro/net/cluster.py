@@ -1,7 +1,7 @@
 """An embeddable n-party live cluster on one event loop.
 
 :class:`LiveCluster` is the live-transport counterpart of
-:func:`repro.core.cluster.embed_cluster`: all n parties run inside one
+:func:`repro.core.cluster.build_cluster`: all n parties run inside one
 process on one asyncio loop — but every message still crosses a real
 TCP connection through each party's own :class:`~repro.net.transport
 .TcpNetwork` (n listening sockets, n·(n−1) directed connections, real

@@ -36,13 +36,11 @@ from .registry import EVENT_KINDS, EventKind, register
 from .tracer import (
     DEFAULT_CAPACITY,
     NULL_TRACER,
-    NamespacedTracer,
     NullTracer,
     TraceEvent,
     Tracer,
     TracerLike,
     UnknownEventKind,
-    namespaced_tracer,
     short_id,
 )
 
@@ -54,7 +52,6 @@ __all__ = [
     "EVENT_KINDS",
     "EventKind",
     "NULL_TRACER",
-    "NamespacedTracer",
     "NullTracer",
     "SCHEMA_VERSION",
     "TraceEvent",
@@ -63,7 +60,6 @@ __all__ = [
     "UnknownEventKind",
     "align_events",
     "collect_run",
-    "namespaced_tracer",
     "read_jsonl",
     "read_jsonl_with_header",
     "register",

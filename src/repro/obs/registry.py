@@ -337,36 +337,6 @@ register(
     ("count", "queued"),
 )
 
-# -- sharding / xnet streams ---------------------------------------------------
-
-register(
-    "shard.xnet.transfer", "repro.smr.xnet",
-    "A cross-subnet envelope finalized on `source` was sealed into a "
-    "certified stream message (per-stream sequence number `seq`) and "
-    "handed to the transfer fabric for `destination`.",
-    ("source", "destination", "seq", "bytes"),
-)
-register(
-    "shard.xnet.deliver", "repro.smr.xnet",
-    "A stream message passed ingress certification (certificate + "
-    "sequence check) and was submitted to the destination subnet.",
-    ("source", "destination", "seq", "bytes"),
-)
-register(
-    "shard.xnet.reject", "repro.smr.xnet",
-    "A stream message (or stream-carried block command) failed ingress "
-    "checks and was dropped; `reason` is one of cert/seq/version/"
-    "malformed/unknown-destination/block-cert.",
-    ("source", "destination", "seq", "reason"),
-)
-register(
-    "shard.run", "repro.smr.sharding",
-    "One ShardedDeployment run finished: `shards` clusters, aggregate "
-    "`committed` finalized requests, `transfers`/`rejected` stream "
-    "messages across the fabric.",
-    ("shards", "committed", "transfers", "rejected"),
-)
-
 # -- experiment runner --------------------------------------------------------
 
 register(

@@ -88,8 +88,8 @@ class UnknownEventKind(KeyError):
 class TracerLike(Protocol):
     """What a tracer must provide to be installed on a Simulation or
     passed as ``ClusterConfig.tracer``: an ``enabled`` flag that emit
-    sites guard on, and the keyword-only ``emit``.  :class:`Tracer`,
-    :class:`NullTracer` and :class:`NamespacedTracer` all satisfy it."""
+    sites guard on, and the keyword-only ``emit``.  :class:`Tracer` and
+    :class:`NullTracer` both satisfy it."""
 
     def emit(
         self,
@@ -235,69 +235,6 @@ class NullTracer:
 
     def clear(self) -> None:  # noqa: D102
         pass
-
-
-class NamespacedTracer:
-    """A namespaced view onto a shared tracer sink.
-
-    Embedded clusters (``repro.core.cluster.embed_cluster``) each get one of
-    these over the coordinating Simulation's tracer: every event they emit
-    has its ``protocol`` label rewritten to ``"<namespace>/<protocol>"``, so
-    K clusters sharing one ring buffer produce distinguishable, filterable
-    streams while every ``kind`` stays registry-valid.  Reads
-    (:meth:`events`, ``len``) are filtered down to this namespace.
-    """
-
-    def __init__(self, sink: TracerLike, namespace: str) -> None:
-        if "/" in namespace or not namespace:
-            raise ValueError(f"tracer namespace must be non-empty and '/'-free: {namespace!r}")
-        self.sink = sink
-        self.namespace = namespace
-        self._prefix = namespace + "/"
-
-    @property
-    def enabled(self) -> bool:
-        return bool(getattr(self.sink, "enabled", False))
-
-    def emit(
-        self,
-        *,
-        time: float,
-        party: int,
-        protocol: str,
-        round: int | None,
-        kind: str,
-        payload: Mapping | None = None,
-    ) -> None:
-        self.sink.emit(
-            time=time,
-            party=party,
-            protocol=self._prefix + protocol,
-            round=round,
-            kind=kind,
-            payload=payload,
-        )
-
-    def _mine(self, event: TraceEvent) -> bool:
-        return event.protocol.startswith(self._prefix)
-
-    def events(self, kind: str | None = None) -> list[TraceEvent]:
-        """This namespace's slice of the sink's buffer."""
-        return [e for e in self.sink.events(kind) if self._mine(e)]
-
-    def __len__(self) -> int:
-        return len(self.events())
-
-    def __iter__(self) -> Iterable[TraceEvent]:
-        return iter(self.events())
-
-
-def namespaced_tracer(sink: TracerLike, namespace: str) -> TracerLike:
-    """A namespaced view of ``sink`` — or ``sink`` itself when it is
-    disabled (no point wrapping a no-op; keeps the zero-cost guarantee)."""
-    if not getattr(sink, "enabled", False):
-        return sink
-    return NamespacedTracer(sink, namespace)
 
 
 #: The shared default tracer; everything points here unless a run installs

@@ -114,9 +114,6 @@ class Network:
         delay_model: DelayModel,
         metrics: Metrics | None = None,
         uplink_bps: float | None = None,
-        *,
-        tracer: object | None = None,
-        rng: object | None = None,
     ) -> None:
         """``uplink_bps`` (optional) models each node's finite upload
         bandwidth: transmissions serialize through the sender's NIC, so a
@@ -126,21 +123,14 @@ class Network:
         bottleneck effect [35] measures and the reason ICC1/ICC2 exist.
         None = infinite bandwidth (pure propagation-delay model).
 
-        ``tracer``/``rng`` (keyword-only) override the simulation-level
-        defaults for this network only.  Embedded clusters use them to keep
-        a namespaced trace stream and a private delay-sampling RNG, so K
-        networks sharing one Simulation stay independent of each other's
-        draws; ``None`` (the default) resolves to ``sim.tracer`` /
-        ``sim.rng`` live,
-        exactly the pre-override behaviour.
+        The network traces through ``sim.tracer`` and samples delays from
+        ``sim.rng``, both read when used.
         """
         self.sim = sim
         self.n = n
         self.delay_model = delay_model
         self.metrics = metrics if metrics is not None else Metrics(n=n)
         self.uplink_bps = uplink_bps
-        self._tracer_override = tracer
-        self._rng_override = rng
         self._uplink_free_at: dict[int, float] = {}
         self._parties: dict[int, Receiver] = {}
         self._crashed: set[int] = set()
@@ -154,13 +144,13 @@ class Network:
 
     @property
     def tracer(self):
-        """The tracer this network emits through (override or ``sim.tracer``)."""
-        return self._tracer_override if self._tracer_override is not None else self.sim.tracer
+        """The tracer this network emits through: ``sim.tracer``."""
+        return self.sim.tracer
 
     @property
     def rng(self):
-        """The RNG delay sampling draws from (override or ``sim.rng``)."""
-        return self._rng_override if self._rng_override is not None else self.sim.rng
+        """The RNG delay sampling draws from: ``sim.rng``."""
+        return self.sim.rng
 
     # -- topology management --------------------------------------------------
 

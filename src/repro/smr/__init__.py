@@ -8,39 +8,11 @@ from .machine import (
     TokenLedgerMachine,
 )
 from .replica import Checkpoint, Replica, attach_replicas, check_replica_agreement
-from .sharding import ShardResult, ShardSpec, ShardedDeployment
-from .xnet import (
-    XNET_STREAM_VERSION,
-    EnvelopeError,
-    StreamCertifier,
-    StreamMessage,
-    Subnet,
-    XNet,
-    is_envelope,
-    is_stream,
-    make_envelope,
-    parse_envelope,
-    strip_stream_envelope,
-)
 
 __all__ = [
     "ClientFrontend",
     "CommandHandle",
     "strip_client_envelope",
-    "EnvelopeError",
-    "ShardResult",
-    "ShardSpec",
-    "ShardedDeployment",
-    "StreamCertifier",
-    "StreamMessage",
-    "Subnet",
-    "XNET_STREAM_VERSION",
-    "XNet",
-    "is_envelope",
-    "is_stream",
-    "make_envelope",
-    "parse_envelope",
-    "strip_stream_envelope",
     "CommandError",
     "CounterStateMachine",
     "KVStateMachine",

@@ -27,13 +27,10 @@ def strip_client_envelope(command: bytes) -> bytes:
     """Return the application body of a client-submitted command.
 
     Handles every envelope format replicas may see: the frontend's
-    ``cli:`` envelope, the load pipeline's signed-request wire format
-    (:mod:`repro.workloads.batching`), and xnet stream wire
-    (:mod:`repro.smr.xnet` — cross-subnet commands arrive wrapped in
-    their certified stream message).  Envelopes nest (a ``cli:`` command
-    may carry stream wire), so stripping recurses until a bare body
-    remains.  Commands in no known format pass through unchanged, so
-    state machines can consume mixed streams.
+    ``cli:`` envelope and the load pipeline's signed-request wire format
+    (:mod:`repro.workloads.batching`).  A ``cli:`` body is stripped in
+    turn.  Commands in no known format pass through unchanged, so state
+    machines can consume mixed streams.
     """
     if command.startswith(_CLIENT_PREFIX) and len(command) >= _CLIENT_ENVELOPE_LEN:
         return strip_client_envelope(command[_CLIENT_ENVELOPE_LEN:])
@@ -41,10 +38,6 @@ def strip_client_envelope(command: bytes) -> bytes:
         from ..workloads.batching import strip_request_envelope
 
         return strip_request_envelope(command)
-    if command.startswith(b"xstr\x1f"):
-        from .xnet import strip_stream_envelope
-
-        return strip_client_envelope(strip_stream_envelope(command))
     return command
 
 

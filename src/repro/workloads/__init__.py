@@ -19,13 +19,10 @@ from .generators import (
     management_only_source,
 )
 from .population import ClientPopulation, PopulationSpec, ZipfSampler
-from .sharding import ShardLoadSpec, ShardPopulation
 
 __all__ = [
     "BatchSpec",
     "ClientPopulation",
-    "ShardLoadSpec",
-    "ShardPopulation",
     "FastClientAuth",
     "MempoolWorkload",
     "PopulationSpec",

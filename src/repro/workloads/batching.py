@@ -318,13 +318,11 @@ class RequestBatcher:
 
     # -- wiring ------------------------------------------------------------
 
-    def bind(self, cluster, *, tracer=None) -> None:
+    def bind(self, cluster) -> None:
         """Attach to a built cluster: its first honest party is the
-        observer, its simulation the clock.  ``tracer`` overrides the
-        simulation-level tracer — embedded clusters pass their own
-        namespaced view so per-shard load events stay namespaced."""
+        observer, its simulation the clock and tracer."""
         sim = cluster.sim
-        self.attach(sim, cluster.honest_parties[0], sim.tracer if tracer is None else tracer)
+        self.attach(sim, cluster.honest_parties[0], sim.tracer)
 
     def attach(self, clock, observer, tracer) -> None:
         """Wire to one party: read time from ``clock``, observe commits on

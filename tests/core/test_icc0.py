@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import ClusterConfig, Payload, build_cluster, run_happy_path
+from repro.adversary import SilentMixin, corrupt_class
+from repro.core import ClusterConfig, ICC0Party, Payload, build_cluster, run_happy_path
 from repro.sim.delays import FixedDelay, PartialSynchrony, UniformDelay
 
 
@@ -209,3 +210,17 @@ class TestEdgeCases:
     def test_corrupt_count_validation(self):
         with pytest.raises(ValueError):
             ClusterConfig(n=4, t=0, corrupt={1: None})
+        # An index outside 1..n names no party: it must not be dropped
+        # silently (a factory) or fail later in the network (a crash).
+        for index in (0, 5):
+            for factory in (corrupt_class(ICC0Party, SilentMixin), None):
+                with pytest.raises(ValueError, match="outside 1..4"):
+                    ClusterConfig(n=4, t=1, corrupt={index: factory})
+
+    def test_wrong_delay_policy_type(self):
+        with pytest.raises(TypeError):
+            ClusterConfig(n=4, t=1, protocol_delays=0.75)
+
+    def test_wrong_tracer_type(self):
+        with pytest.raises(TypeError):
+            ClusterConfig(n=4, t=1, tracer="trace.jsonl")

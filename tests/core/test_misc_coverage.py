@@ -1,4 +1,4 @@
-"""Assorted coverage: analysis helpers, evidence sizes, gossip duplication."""
+"""Assorted coverage: analysis helpers, gossip duplication."""
 
 from __future__ import annotations
 
@@ -34,22 +34,6 @@ class TestDisseminationModel:
         icc1 = dissemination_bottleneck(13, 4, 1, "ICC1")
         icc2 = dissemination_bottleneck(13, 4, 1, "ICC2")
         assert icc0 > icc1 > icc2
-
-
-class TestEvidenceSizes:
-    def test_wire_size(self):
-        from repro.core.evidence import EquivocationEvidence
-        from tests.core.test_pool import Forge
-        from repro.core.messages import Payload
-
-        forge = Forge()
-        a = forge.block(round=1, proposer=2, payload=Payload(commands=(b"x",)))
-        b = forge.block(round=1, proposer=2)
-        evidence = EquivocationEvidence(
-            round=1, proposer=2, first=forge.auth(a), second=forge.auth(b)
-        )
-        # Two authenticators + header: small, constant, transferable.
-        assert 150 < evidence.wire_size() < 250
 
 
 class TestGossipUnderDuplication:

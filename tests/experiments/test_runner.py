@@ -29,7 +29,6 @@ from repro.experiments import (
     round_complexity,
     run_all,
     runner,
-    sharding,
     table1,
     throughput_latency,
 )
@@ -52,7 +51,7 @@ TRIMMED = {
 }
 
 #: Point functions that build no ICC cluster, so a traced run writes no file.
-UNTRACED = {"robustness.run_pbft", "comparison.baseline_row", "sharding.run_deployment"}
+UNTRACED = {"robustness.run_pbft", "comparison.baseline_row"}
 
 
 def trimmed_suite(quick: bool = True) -> list[tuple[object, list[runner.RunSpec]]]:
@@ -69,11 +68,10 @@ def print_tables(groups, results) -> str:
 
 @pytest.fixture(scope="module")
 def both_ways(tmp_path_factory):
-    """The trimmed suite (plus one whole sharded deployment per worker)
-    executed traced at ``jobs=1`` and ``jobs=2``: ``{jobs: (results, dir)}``."""
+    """The trimmed suite executed traced at ``jobs=1`` and ``jobs=2``:
+    ``{jobs: (results, dir)}``."""
     groups = trimmed_suite()
     specs = [s for _, group in groups for s in group]
-    specs += sharding.specs(ks=(2,), xfrac=0.25)
     runs = {}
     for jobs in (1, 2):
         trace_dir = tmp_path_factory.mktemp(f"jobs{jobs}")

@@ -388,9 +388,9 @@ class TestOnlyFieldsTravel:
 
     def test_no_meter_under_repro(self):
         """One metrics system: every count lives on the object that owns it
-        (``Metrics``, ``PoolStats``, ``RequestBatcher``, ``XNet``,
-        ``TcpNetwork``), so no second sink, ``meter=`` parameter or
-        ``.meter`` attribute may come back under ``src/repro`` or ``tools/``."""
+        (``Metrics``, ``PoolStats``, ``RequestBatcher``, ``TcpNetwork``), so
+        no second sink, ``meter=`` parameter or ``.meter`` attribute may come
+        back under ``src/repro`` or ``tools/``."""
         package = pathlib.Path(repro.__file__).parent
         tools = package.parents[1] / "tools"
         meter = re.compile(r"(?:^|_)(?:meters?|METERS?)(?:_|$)|Meter|^register_metric$")

@@ -68,7 +68,6 @@ class TestCli:
     @pytest.mark.parametrize("argv", [
         ["bench"], ["profile"],
         ["load", "--bench"], ["load", "--check"], ["load", "--quick"],
-        ["shard", "--bench"], ["shard", "--check"], ["shard", "--quick"],
         ["live", "--bench"], ["report", "--suite"], ["report", "--live"],
     ], ids=" ".join)
     def test_second_measuring_stack_is_gone(self, argv, capsys):

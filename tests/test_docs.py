@@ -109,14 +109,21 @@ class TestDocs:
         ]
 
     def test_removed_snapshots_and_subcommands_are_flagged(self, tmp_path, monkeypatch):
-        """A snapshot file, subcommand or environment variable the docs still
-        point at after its removal must fail the check; patterns, the
-        benchmark's own manifest and the exempt history file must not."""
+        """A snapshot file, subcommand, environment variable or module the
+        docs still point at after its removal must fail the check; patterns,
+        the benchmark's own manifest, a name a package binds and the exempt
+        history file must not."""
         module = load_checker()
         cli = tmp_path / "src" / "repro" / "__main__.py"
         cli.parent.mkdir(parents=True)
         cli.write_text(
             'sub.add_parser("demo", help="...")\nKEPT = "REPRO_KEPT"\n', encoding="utf-8"
+        )
+        (cli.parent / "experiments").mkdir()
+        (cli.parent / "experiments" / "run_all.py").write_text("", encoding="utf-8")
+        (cli.parent / "pkg").mkdir()
+        (cli.parent / "pkg" / "__init__.py").write_text(
+            "from .impl import Name\n", encoding="utf-8"
         )
         (tmp_path / "BENCH_kept.json").write_text("{}\n", encoding="utf-8")
         (tmp_path / "README.md").write_text(
@@ -124,20 +131,23 @@ class TestDocs:
             "repro frobnicate` or `python -m repro demo`.  The six\n"
             "`BENCH_*.json` files and BENCHMARK.json are not names;\n"
             "`python -m repro.experiments.run_all` is not a subcommand.\n"
-            "Set `REPRO_GONE=1` or `REPRO_KEPT=1`.\n",
+            "Set `REPRO_GONE=1` or `REPRO_KEPT=1`.\n"
+            "See `repro.gone.module` and `repro.pkg.Name.method`.\n",
             encoding="utf-8",
         )
         (tmp_path / "ROADMAP.md").write_text(
-            "PR 9 added BENCH_old.json, `python -m repro bench` and REPRO_OLD.\n",
+            "PR 9 added BENCH_old.json, `python -m repro bench`, REPRO_OLD\n"
+            "and repro.old.module.\n",
             encoding="utf-8",
         )
         monkeypatch.setattr(module, "REPO", tmp_path)
         problems: list[str] = []
         module.check_removed_names(problems)
-        assert len(problems) == 3
+        assert len(problems) == 4
         assert "README.md" in problems[0] and "BENCH_gone.json" in problems[0]
         assert "README.md" in problems[1] and "frobnicate" in problems[1]
         assert "README.md" in problems[2] and "REPRO_GONE" in problems[2]
+        assert "README.md" in problems[3] and "repro.gone.module" in problems[3]
 
     def test_flags_a_command_does_not_declare_are_flagged(self, tmp_path, monkeypatch):
         """A flag shown in a `python -m repro <cmd>` command line must be

@@ -23,13 +23,11 @@ Checks every ``*.md`` file in the repo root and ``docs/``:
   ``--flag`` shown in such an invocation is declared by that subcommand's
   ``add_arguments`` (textual scan of its ``add_argument`` calls), and every
   ``REPRO_*`` environment variable it shows appears somewhere under
-  ``src/`` (ROADMAP.md records history and is exempt from this one check);
+  ``src/``, and every dotted ``repro.<a>.<b>…`` path it names resolves
+  (ROADMAP.md records history and is exempt from this one check);
 * every ``repro.experiments.<module>`` named in DESIGN.md's experiment
   table is a module ``run_all.suite`` enumerates (textual scan), so an
   experiment with a private entry point cannot sit beside the suite;
-* every ``shard.*`` event kind additionally appears in
-  ``docs/SHARDING.md`` (the sharding subsystem's own page must not
-  drift from the registry either);
 * every ``live.*`` event kind additionally appears in
   ``docs/TRANSPORT.md``, the live transport's reference page;
 * every tag of the wire codec's table (``src/repro/net/codec.py``, textual
@@ -53,6 +51,7 @@ this plus the test-suite; ``tests/test_docs.py`` runs it in-process.
 
 from __future__ import annotations
 
+import ast
 import pathlib
 import re
 import sys
@@ -172,30 +171,12 @@ def check_event_docs(problems: list[str]) -> None:
             )
 
 
-def check_shard_docs(problems: list[str]) -> None:
-    """Every ``shard.*`` event kind must appear backticked in SHARDING.md,
-    the sharding subsystem's own reference page."""
-    shard_names = [name for name in registered_event_kinds() if name.startswith("shard.")]
-    if not shard_names:
-        return
-    doc = REPO / "docs" / "SHARDING.md"
-    if not doc.is_file():
-        problems.append("docs/SHARDING.md: missing (cannot check shard.* docs)")
-        return
-    text = doc.read_text(encoding="utf-8")
-    for name in sorted(set(shard_names)):
-        if f"`{name}`" not in text:
-            problems.append(
-                f"docs/SHARDING.md: shard name {name!r} is undocumented "
-                f"(no `{name}` mention found)"
-            )
-
-
 #: A concrete snapshot file name (``BENCH_*.json`` and ``BENCH_{a,b}.json``
 #: are patterns, not names) and a CLI invocation, as they appear in prose.
 BENCH_FILE_RE = re.compile(r"\bBENCH_[A-Za-z0-9]+\.json\b")
 INVOCATION_RE = re.compile(r"python -m repro ([a-z][a-z0-9-]*)")
 ENV_VAR_RE = re.compile(r"\bREPRO_[A-Z_]+\b")
+DOTTED_RE = re.compile(r"\brepro(?:\.[A-Za-z_]\w*)+")
 #: ROADMAP.md records history: it may name files and commands that are gone.
 HISTORY = {"ROADMAP.md"}
 
@@ -243,12 +224,46 @@ def cli_flags() -> dict[str, set[str]]:
     return flags
 
 
+def package_names(package: pathlib.Path) -> set[str]:
+    """The names a package's ``__init__.py`` binds: imports, assignments,
+    functions and classes at module level (parsed, not imported)."""
+    init = package / "__init__.py"
+    if not init.is_file():
+        return set()
+    names: set[str] = set()
+    for node in ast.parse(init.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def resolves(dotted: str) -> bool:
+    """Whether ``repro.<a>.<b>…`` names something under ``src/repro``:
+    each component after a package is a submodule, a subpackage or a name
+    its ``__init__.py`` binds.  The walk stops at the first module or
+    bound name, since what follows is attributes."""
+    package = REPO / "src" / "repro"
+    for part in dotted.split(".")[1:]:
+        if (package / f"{part}.py").is_file() or part in package_names(package):
+            return True
+        package = package / part
+        if not package.is_dir():
+            return False
+    return True
+
+
 def check_removed_names(problems: list[str]) -> None:
     """A ``BENCH_<name>.json`` the docs name must exist, a ``python -m
     repro <name>`` they show must be a registered subcommand, a ``--flag``
-    in that invocation must be one the subcommand declares and a
-    ``REPRO_*`` environment variable they show must appear under ``src/``:
-    what the docs point a reader at cannot have been removed."""
+    in that invocation must be one the subcommand declares, a ``REPRO_*``
+    environment variable they show must appear under ``src/`` and a
+    ``repro.<a>.<b>…`` path they name must resolve: what the docs point a
+    reader at cannot have been removed."""
     registered = set(cli_subcommands())
     declared = cli_flags()
     source = "".join(
@@ -274,6 +289,12 @@ def check_removed_names(problems: list[str]) -> None:
                 problems.append(
                     f"{path.relative_to(REPO)}: shows {name}, which nothing under "
                     f"src/ reads"
+                )
+        for name in sorted(set(DOTTED_RE.findall(text))):
+            if not resolves(name):
+                problems.append(
+                    f"{path.relative_to(REPO)}: names {name}, which does not "
+                    f"resolve under src/repro"
                 )
         shown = {
             (command, flag)
@@ -493,7 +514,6 @@ def run() -> list[str]:
     check_cli_docs(problems)
     check_observability_cli_docs(problems)
     check_event_docs(problems)
-    check_shard_docs(problems)
     check_live_docs(problems)
     check_codec_docs(problems)
     check_removed_names(problems)
