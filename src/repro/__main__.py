@@ -6,14 +6,14 @@ Commands:
 * ``table1``      — reproduce Table 1 (``--full`` for 300 s windows);
 * ``experiments`` — the entire evaluation suite (``--quick``, ``--trace DIR``,
   ``--jobs N`` for the parallel runner);
-* ``trace``       — run a traced simulation (or load a JSONL export) and
-  print its summary and per-height critical paths — see
-  ``docs/OBSERVABILITY.md``;
 * ``chaos``       — seeded fault-scenario sweep with safety/liveness
   invariant checking across the ICC variants — see ``docs/FAULTS.md``;
 * ``report``      — metrics + critical-path report for a seeded run suite,
-  or (``--load``) for a run directory written earlier, a collected live
-  run included — see ``docs/OBSERVABILITY.md``;
+  or (``--load``) for a run directory written earlier — a live run, which
+  it collects, included — or for one JSONL trace export; ``--check``
+  fails unless heights finalized, the stage spans telescope and no wire
+  span runs backwards.  The one command that reads a trace — see
+  ``docs/OBSERVABILITY.md``;
 * ``load``        — batched load harness: sweep offered load and chart the
   throughput-vs-latency saturation curve at n=13/31/100 — see
   ``docs/LOAD.md``;
@@ -25,10 +25,6 @@ Commands:
   finalization (``--json PATH`` for the run summary, ``--check`` for the
   CI smoke leg, ``--trace-dir DIR`` to trace every process and collect
   the run) — see ``docs/TRANSPORT.md``;
-* ``collect``     — merge a live run's per-process traces: align the n
-  monotonic clocks, pair send/recv wire spans, write the merged trace +
-  alignment (``--report`` for the run report of that
-  directory, ``--check`` for CI) — see ``docs/OBSERVABILITY.md``;
 * ``top``         — poll a running live cluster's STAT endpoints and
   render a per-party metrics table (height, pool depth, backlog,
   reconnects, request percentiles) — see ``docs/OBSERVABILITY.md``;
@@ -89,11 +85,6 @@ def main(argv: list[str] | None = None) -> None:
     experiments = sub.add_parser("experiments", help="run the full evaluation")
     _mount(experiments, "repro.experiments.run_all")
 
-    trace = sub.add_parser(
-        "trace", help="trace a simulation and summarize the event stream"
-    )
-    _mount(trace, "repro.analysis.trace")
-
     chaos = sub.add_parser(
         "chaos",
         help="seeded fault-scenario sweep with invariant checking",
@@ -102,7 +93,8 @@ def main(argv: list[str] | None = None) -> None:
 
     report = sub.add_parser(
         "report",
-        help="metrics + critical-path report for a seeded run suite",
+        help="metrics + critical-path report for a seeded run suite, a "
+             "run directory or a trace export",
     )
     _mount(report, "repro.experiments.run_report")
 
@@ -125,14 +117,6 @@ def main(argv: list[str] | None = None) -> None:
              "process per party) — see docs/TRANSPORT.md",
     )
     _mount(live, "repro.net.live", "live", always_exit=True)
-
-    collect = sub.add_parser(
-        "collect",
-        help="merge one live run's per-process traces: clock alignment, "
-             "causal wire spans, merged trace — see "
-             "docs/OBSERVABILITY.md",
-    )
-    _mount(collect, "repro.obs.distributed")
 
     top = sub.add_parser(
         "top",

@@ -20,7 +20,7 @@ Stage boundaries are taken from the earliest matching event and clamped
 to be monotone, so the per-height stage durations *telescope*: their sum
 is exactly the finalization latency ``first(icc.finalization) -
 first(icc.round.enter)`` for that height.  :func:`latency_breakdown`
-reports the identity (``spans_telescope``); reports, ``repro collect
+reports the identity (``spans_telescope``); reports, ``repro report
 --check`` and the test-suite lean on it.  A collected live run's
 processes share one host clock, so its boundaries are as exact as a
 simulator's.
@@ -342,27 +342,3 @@ def consistency_line(breakdown: dict) -> str:
         f"{TICK:.0e}s)."
     )
 
-
-def format_paths(paths) -> str:
-    """Render paths as an aligned text table (one row per height)."""
-    if not paths:
-        return "no finalized heights in trace"
-    stages = [span.stage for span in paths[0].spans]
-    header = ["round", "block", *stages, "total"]
-    rows = [header]
-    for path in paths:
-        rows.append(
-            [
-                str(path.round),
-                (path.block or "-")[:8],
-                *(f"{span.duration:.4f}" for span in path.spans),
-                f"{path.total:.4f}",
-            ]
-        )
-    widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
-    lines = []
-    for i, row in enumerate(rows):
-        lines.append("  ".join(cell.rjust(widths[j]) for j, cell in enumerate(row)))
-        if i == 0:
-            lines.append("  ".join("-" * w for w in widths))
-    return "\n".join(lines)

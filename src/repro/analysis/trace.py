@@ -11,11 +11,7 @@ Everything operates on plain event lists, so analyses compose: filter a
 list first (by party, by protocol, by round window) and feed the slice to
 any function below.  Each function documents which event kinds it reads;
 all kinds are defined in :mod:`repro.obs.registry` and documented in
-``docs/OBSERVABILITY.md``.
-
-``python -m repro trace`` (:func:`add_arguments` / :func:`run`) prints
-:func:`summarize` and the critical paths of a fresh traced simulation or
-of a JSONL export.
+``docs/OBSERVABILITY.md``.  ``python -m repro report`` renders them.
 """
 
 from __future__ import annotations
@@ -24,9 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from ..obs.export import read_jsonl, write_jsonl
-from ..obs.tracer import TraceEvent, Tracer
-from .critical_path import critical_paths, format_paths
+from ..obs.tracer import TraceEvent
 
 #: Event kinds counted as network transmissions, with the payload field
 #: giving the number of point-to-point messages each event represents.
@@ -166,18 +160,11 @@ def adversary_timeline(events: Sequence[TraceEvent]) -> list[AdversaryActivation
 
 @dataclass
 class TraceSummary:
-    """Headline numbers for a trace, for the CLI and quick looks."""
+    """The counts a report's trace-health table shows for one trace."""
 
     events: int
-    kinds: dict[str, int]
-    parties: int
-    protocols: list[str]
-    duration: float
     rounds_entered: int
     blocks_committed: int
-    commit_latency_mean: float | None
-    messages_total: int
-    adversary_events: int
     #: Events the ring buffer discarded (from the trace.dropped summary
     #: record that Tracer.export_events appends on overflow).
     dropped: int = 0
@@ -185,124 +172,21 @@ class TraceSummary:
 
 def summarize(events: Sequence[TraceEvent]) -> TraceSummary:
     """Aggregate a trace into a :class:`TraceSummary`."""
-    kinds = Counter(event.kind for event in events)
-    parties = {event.party for event in events if event.party > 0}
-    protocols = sorted({event.protocol for event in events})
-    duration = max((event.time for event in events), default=0.0)
     committed_blocks = {
         event.payload.get("block") or event.payload.get("batch")
         for event in events
         if event.kind in ("icc.block.committed", "baseline.commit")
     }
-    latencies = commit_latencies(events)
     rounds = {
         event.round for event in events if event.kind == "icc.round.enter"
     }
     return TraceSummary(
         events=len(events),
-        kinds=dict(sorted(kinds.items())),
-        parties=len(parties),
-        protocols=protocols,
-        duration=duration,
         rounds_entered=len(rounds),
         blocks_committed=len(committed_blocks - {None}),
-        commit_latency_mean=(
-            sum(latencies.values()) / len(latencies) if latencies else None
-        ),
-        messages_total=sum(message_counts(events).values()),
-        adversary_events=sum(
-            count for kind, count in kinds.items() if kind in ADVERSARY_KINDS
-        ),
         dropped=sum(
             int(event.payload.get("dropped", 0))
             for event in events
             if event.kind == "trace.dropped"
         ),
     )
-
-
-def format_summary(summary: TraceSummary) -> str:
-    """Human-readable multi-line rendering of a :class:`TraceSummary`."""
-    lines = [
-        f"events          {summary.events}",
-        f"parties         {summary.parties}",
-        f"protocols       {', '.join(summary.protocols) or '-'}",
-        f"sim duration    {summary.duration:.3f}s",
-        f"rounds entered  {summary.rounds_entered}",
-        f"blocks committed {summary.blocks_committed}",
-    ]
-    if summary.commit_latency_mean is not None:
-        lines.append(f"commit latency  {summary.commit_latency_mean:.3f}s mean")
-    lines.append(f"messages        {summary.messages_total}")
-    if summary.dropped:
-        lines.append(f"DROPPED events  {summary.dropped} (ring buffer wrapped)")
-    if summary.adversary_events:
-        lines.append(f"adversary events {summary.adversary_events}")
-    lines.append("event kinds:")
-    for kind, count in summary.kinds.items():
-        lines.append(f"  {kind:28s} {count}")
-    return "\n".join(lines)
-
-
-# ----------------------------------------------------------------------- cli
-
-
-def add_arguments(parser) -> None:
-    """The ``python -m repro trace`` flags, declared once
-    (``repro.__main__`` hands its subparser here)."""
-    parser.add_argument(
-        "--protocol", choices=["icc0", "icc1", "icc2"], default="icc0"
-    )
-    parser.add_argument("--n", type=int, default=4)
-    parser.add_argument("--rounds", type=int, default=8)
-    parser.add_argument("--delta", type=float, default=0.05)
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument(
-        "--export", metavar="PATH", default=None, help="write events as JSONL"
-    )
-    parser.add_argument(
-        "--input", metavar="PATH", default=None,
-        help="summarize an existing JSONL export instead of running",
-    )
-
-
-def run(args) -> int:
-    """Trace one fixed-delay simulation (or load ``--input``) and print the
-    summary and the per-height critical paths.  The quorum is inferred from
-    the trace in both modes, so an export re-loads to the same tables."""
-    if args.input is not None:
-        events = read_jsonl(args.input)
-        print(f"loaded {len(events)} events from {args.input}")
-    else:
-        from ..experiments.common import make_icc_config, run_icc
-        from ..sim import FixedDelay
-
-        tracer = Tracer()
-        config = make_icc_config(
-            args.protocol,
-            n=args.n,
-            t=(args.n - 1) // 3,
-            delta_bound=args.delta * 6,
-            delay_model=FixedDelay(args.delta),
-            epsilon=args.delta / 5,
-            seed=args.seed,
-            max_rounds=args.rounds,
-        )
-        config.tracer = tracer
-        cluster = run_icc(config, duration=args.rounds * args.delta * 8)
-        events = tracer.export_events()
-        print(
-            f"{args.protocol.upper()} n={args.n} δ={args.delta * 1000:.0f} ms "
-            f"seed={args.seed}: {cluster.min_committed_round()} rounds committed, "
-            f"{len(events)} events traced"
-        )
-        if tracer.dropped:
-            print(f"warning: ring buffer dropped {tracer.dropped} events")
-    print()
-    print(format_summary(summarize(events)))
-    print()
-    print(format_paths(critical_paths(events)))
-    if args.export is not None:
-        count = write_jsonl(events, args.export)
-        print(f"\nwrote {count} events to {args.export}")
-    return 0

@@ -6,7 +6,13 @@ the per-run ``results.json`` in ``--trace-dir`` (a temporary directory
 otherwise), and renders that directory (:func:`load_run`,
 :func:`generate`) as one self-contained Markdown (or HTML) report.
 ``--load`` renders a directory written earlier, which may equally be one
-collected live TCP run (``repro live --trace-dir``).  Sections:
+live TCP run (``repro live --trace-dir``, collected here if need be), or
+one JSONL trace export.  This is the one command that reads a trace, and
+:func:`analyse` the one place a run's critical paths and latency
+breakdown are computed (``repro live`` prints its breakdown through it
+too).  ``--check`` then fails the command unless every run finalized a
+height, its stage spans telescope and no wire span was received before
+it was sent (:func:`check`).  Sections:
 
 * per-height **critical paths** (:mod:`repro.analysis.critical_path`)
   with the telescoping consistency check — stage durations must sum to
@@ -25,6 +31,7 @@ collected live TCP run (``repro live --trace-dir``).  Sections:
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import json
 import os
@@ -37,6 +44,7 @@ from ..analysis.critical_path import (
     consistency_line,
     critical_paths,
     latency_breakdown,
+    wire_spans,
 )
 from ..analysis.trace import message_counts, summarize
 from ..obs import ClockAlignment, collect_run, read_jsonl, read_jsonl_with_header
@@ -144,6 +152,32 @@ def analyse(traces, params) -> list[tuple]:
         paths = critical_paths(events, quorum=params["n"] - params["t"])
         analysed.append((label, paths, latency_breakdown(paths, events)))
     return analysed
+
+
+def check(traces, params) -> list[str]:
+    """What ``--check`` finds wrong with a loaded run, one line per failed
+    test of a run: no finalized height, stage spans that do not telescope
+    to the measured latency, a matched wire span received before it was
+    sent (which, on an exactly aligned timeline, only a wrong clock epoch
+    explains)."""
+    problems = []
+    for (label, events), (_, _, breakdown) in zip(traces, analyse(traces, params)):
+        acausal = sorted(
+            key for key, span in wire_spans(events).items() if span < 0
+        )
+        if acausal:
+            problems.append(
+                f"{label}: {len(acausal)} wire spans received before sent on "
+                f"the aligned timeline, first (src, dst, seq) = {acausal[0]}"
+            )
+        if not breakdown["heights"]:
+            problems.append(f"{label}: no finalized heights")
+        elif not breakdown["spans_telescope"]:
+            problems.append(
+                f"{label}: spans do not telescope (max residual "
+                f"{breakdown['max_residual_s']:.2e}s)"
+            )
+    return problems
 
 
 def _critical_path_section(analysed) -> list[str]:
@@ -459,7 +493,23 @@ def load_run(trace_dir: str) -> dict:
     --trace-dir`` suite describes itself in ``results.json``, a ``repro live
     --trace-dir`` run in ``cluster.json`` — and is rendered in its collected
     form (collected here first if need be): one run on one aligned timeline,
-    never the n unaligned per-party traces."""
+    never the n unaligned per-party traces.
+
+    ``trace_dir`` may also be one JSONL export, which says nothing of the
+    cluster: its n is the number of parties in it and its quorum n, the
+    fault-free quorum :func:`~repro.analysis.critical_path.critical_paths`
+    infers when given none."""
+
+    if os.path.isfile(trace_dir):
+        events = read_jsonl(trace_dir)
+        return dict(
+            traces=[(os.path.basename(trace_dir).removesuffix(".jsonl"), events)],
+            params={
+                "n": len({event.party for event in events if event.party > 0}),
+                "t": 0,
+                "runs": 1,
+            },
+        )
 
     def has(name: str) -> bool:
         return os.path.exists(os.path.join(trace_dir, name))
@@ -500,7 +550,7 @@ def load_run(trace_dir: str) -> dict:
     traces = [
         (name[: -len(".jsonl")], read_jsonl(os.path.join(trace_dir, name)))
         for name in sorted(os.listdir(trace_dir))
-        if name.endswith(".jsonl") and name != "runner.jsonl"
+        if name.endswith(".jsonl")
     ]
     return dict(
         traces=traces,
@@ -513,8 +563,8 @@ def load_run(trace_dir: str) -> dict:
     )
 
 
-def build_report(args) -> str:
-    """Run (or load) the suite and return the rendered Markdown."""
+def build_report(args) -> dict:
+    """Run (or load) the suite; returns what :func:`load_run` reads back."""
     given = {
         flag: getattr(args, flag)
         for flag in _DEFAULT
@@ -529,7 +579,7 @@ def build_report(args) -> str:
             )
         if args.trace_dir is None:
             raise SystemExit("--load requires --trace-dir")
-        return generate(**load_run(args.trace_dir))
+        return load_run(args.trace_dir)
 
     suite = dict(_DEFAULT, rounds=5) if args.quick else dict(_DEFAULT)
     if "n" in given:
@@ -548,7 +598,7 @@ def build_report(args) -> str:
         with open(os.path.join(trace_dir, "results.json"), "w") as fh:
             json.dump(results, fh, indent=2, sort_keys=True)
         # Render what was just written, the way --load will render it again.
-        return generate(**load_run(trace_dir))
+        return load_run(trace_dir)
 
 
 def add_arguments(parser) -> None:
@@ -563,7 +613,7 @@ def add_arguments(parser) -> None:
     parser.add_argument("--t", type=int, default=None)
     parser.add_argument("--delta", type=float, default=None)
     parser.add_argument("--rounds", type=int, default=None)
-    parser.add_argument("--runs", type=int, default=3,
+    parser.add_argument("--runs", type=_at_least_one, default=3,
                         help="number of seeded runs to aggregate")
     parser.add_argument("--seed", type=int, default=0, help="base seed")
     parser.add_argument("--jobs", type=int, default=None, metavar="N",
@@ -573,16 +623,35 @@ def add_arguments(parser) -> None:
                              "otherwise)")
     parser.add_argument("--load", action="store_true",
                         help="render the run directory --trace-dir (a report "
-                             "suite or a `repro live --trace-dir` run) as it "
-                             "is, no runs")
+                             "suite or a `repro live --trace-dir` run) or the "
+                             "one JSONL export it names as it is, no runs")
     parser.add_argument("--html", action="store_true",
                         help="write a self-contained HTML page instead")
+    parser.add_argument("--check", action="store_true",
+                        help="fail unless every run finalized a height, its "
+                             "stage spans telescope and no wire span was "
+                             "received before it was sent")
+
+
+def _at_least_one(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def run(args) -> int:
-    markdown = build_report(args)
+    loaded = build_report(args)
+    markdown = generate(**loaded)
     content = to_html(markdown) if args.html else markdown
     with open(args.output, "w") as fh:
         fh.write(content)
     print(f"wrote {args.output}")
-    return 0
+    if not args.check:
+        return 0
+    problems = check(loaded["traces"], loaded["params"])
+    for problem in problems:
+        print(f"report --check FAILED: {problem}")
+    if not problems:
+        print("report --check OK")
+    return 1 if problems else 0

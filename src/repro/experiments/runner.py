@@ -22,12 +22,7 @@ module makes that structure explicit, and it is the one way a sweep runs:
 Tracing: when ``trace_dir`` is given, every run exports its structured
 trace (see :mod:`repro.obs`) to ``{index:04d}-{label}.jsonl`` where
 ``index`` is the run's position in the spec list — assigned *before*
-execution, so file names do not depend on worker arrival order.  The
-runner additionally writes its own orchestration events
-(``runner.run_start`` / ``runner.run_end``) to ``runner.jsonl`` in the
-same directory; their ``time`` field is wall-clock seconds since
-:func:`execute` started (not simulation time) and is therefore not
-deterministic across machines.
+execution, so file names do not depend on worker arrival order.
 """
 
 from __future__ import annotations
@@ -35,11 +30,9 @@ from __future__ import annotations
 import importlib
 import multiprocessing
 import os
-from dataclasses import dataclass, field, replace
-from time import perf_counter
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Sequence
 
-from ..obs import Tracer, write_jsonl
 from .common import trace_scope
 
 
@@ -136,44 +129,11 @@ def _run_traced(run: RunSpec, trace_dir: str | None) -> Any:
         return run_spec(run)
 
 
-def _worker_run(run: RunSpec) -> tuple[int, Any, float]:
-    start = perf_counter()
-    result = _run_traced(run, _WORKER_TRACE_DIR)
-    return run.index, result, (perf_counter() - start) * 1000.0
+def _worker_run(run: RunSpec) -> tuple[int, Any]:
+    return run.index, _run_traced(run, _WORKER_TRACE_DIR)
 
 
 # ------------------------------------------------------------------- execute
-
-
-@dataclass
-class _RunnerTrace:
-    """Collects runner.run_start / runner.run_end orchestration events."""
-
-    jobs: int
-    tracer: Tracer = field(default_factory=Tracer)
-    origin: float = field(default_factory=perf_counter)
-
-    def _emit(self, kind: str, run: RunSpec, extra: dict | None = None) -> None:
-        payload = {"run": run.index, "kind": run.kind, "label": run.label, "jobs": self.jobs}
-        if extra:
-            payload.update(extra)
-        self.tracer.emit(
-            time=perf_counter() - self.origin,
-            party=0,
-            protocol="runner",
-            round=None,
-            kind=kind,
-            payload=payload,
-        )
-
-    def run_start(self, run: RunSpec) -> None:
-        self._emit("runner.run_start", run)
-
-    def run_end(self, run: RunSpec, wall_ms: float) -> None:
-        self._emit("runner.run_end", run, {"wall_ms": round(wall_ms, 3)})
-
-    def write(self, trace_dir: str) -> None:
-        write_jsonl(self.tracer.events(), os.path.join(trace_dir, "runner.jsonl"))
 
 
 def execute(
@@ -197,29 +157,16 @@ def execute(
     if trace_dir is not None:
         os.makedirs(trace_dir, exist_ok=True)
     jobs = min(jobs, len(specs))
-    trace = _RunnerTrace(jobs=jobs) if trace_dir is not None else None
 
     results: list[Any] = [None] * len(specs)
     if jobs == 1:
         for run in specs:
-            start = perf_counter()
-            if trace is not None:
-                trace.run_start(run)
             results[run.index] = _run_traced(run, trace_dir)
-            if trace is not None:
-                trace.run_end(run, (perf_counter() - start) * 1000.0)
     else:
         ctx = _pool_context()
         with ctx.Pool(processes=jobs, initializer=_worker_init, initargs=(trace_dir,)) as pool:
-            if trace is not None:
-                for run in specs:
-                    trace.run_start(run)
-            for index, result, wall_ms in pool.imap_unordered(_worker_run, specs):
+            for index, result in pool.imap_unordered(_worker_run, specs):
                 results[index] = result
-                if trace is not None:
-                    trace.run_end(specs[index], wall_ms)
-    if trace is not None:
-        trace.write(trace_dir)
     return results
 
 

@@ -14,10 +14,11 @@ into a temporary directory) every process traces into the run directory
 and the orchestrator automatically **collects** the run afterwards
 (:func:`repro.obs.collect_run`): timelines aligned exactly by the
 processes' clock epochs, traces merged, and the
-critical-path latency breakdown
-(:func:`repro.analysis.critical_path.latency_breakdown`, the same one the
-simulator's reports use) computed and embedded in the summary.  ``python
--m repro collect D`` re-runs that step standalone.
+critical-path latency breakdown computed by the report's own loader and
+analysis (:func:`repro.experiments.run_report.load_run` and
+:func:`~repro.experiments.run_report.analyse`) and embedded in the
+summary.  ``python -m repro report R.md --load --trace-dir D --check``
+renders and checks the same run.
 
 The quick in-process mode (``--inproc``, implied by ``--check``) runs
 the same protocol/transport stack on one event loop via
@@ -43,14 +44,9 @@ import sys
 import tempfile
 import time
 
-from ..analysis.critical_path import (
-    ICC_STAGES,
-    consistency_line,
-    critical_paths,
-    latency_breakdown,
-)
+from ..analysis.critical_path import ICC_STAGES, consistency_line
 from ..core.cluster import PROTOCOLS, prefix_consistent
-from ..obs import Tracer, collect_run, trace_header, write_jsonl
+from ..obs import Tracer, trace_header, write_jsonl
 from ..sim.metrics import percentile
 from .clock import host_id
 from .cluster import LiveCluster
@@ -207,7 +203,7 @@ async def _run_inproc(config: LiveConfig, workdir: str | None) -> list[dict]:
     """One in-process run.  Given a ``workdir`` each party gets its own
     tracer (its own timeline), mirroring separate processes, and the
     run is written there in the per-process layout ``_spawn_cluster``
-    leaves and ``repro collect`` expects."""
+    leaves and :func:`repro.obs.collect_run` expects."""
     async with LiveCluster(
         config, per_party=(lambda _: Tracer()) if workdir else None
     ) as cluster:
@@ -292,19 +288,19 @@ def _clear_run_artifacts(workdir: str) -> None:
             os.unlink(path)
 
 
-def _collect_breakdown(config: LiveConfig, workdir: str) -> dict | None:
-    """Collect the run directory; returns the latency breakdown (None if
-    collection failed, e.g. a party died before writing its trace)."""
+def _collect_breakdown(workdir: str) -> dict | None:
+    """Collect the run directory and analyse it as its report does;
+    returns the latency breakdown (None if collection failed, e.g. a party
+    died before writing its trace)."""
+    from ..experiments import run_report
+
     try:
-        collected = collect_run(workdir)
+        loaded = run_report.load_run(workdir)
     except Exception as exc:
         print(f"  collect     : FAILED ({exc})")
         return None
-    breakdown = latency_breakdown(
-        critical_paths(collected.events, quorum=config.n - config.t),
-        collected.events,
-    )
-    print(f"  collected   : {collected.merged_trace_path}")
+    [(_, _, breakdown)] = run_report.analyse(loaded["traces"], loaded["params"])
+    print(f"  collected   : {os.path.join(workdir, 'merged-trace.jsonl')}")
     print(f"  {consistency_line(breakdown)}")
     return breakdown
 
@@ -424,7 +420,7 @@ def live(args) -> int:
             )
         else:
             results = _spawn_cluster(config, workdir, trace=want_trace)
-        breakdown = _collect_breakdown(config, workdir) if want_trace else None
+        breakdown = _collect_breakdown(workdir) if want_trace else None
     live_block = summarize(config, results, breakdown)
     _print_summary(config, live_block)
     if args.json:

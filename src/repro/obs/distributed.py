@@ -28,10 +28,10 @@ one:
    onto the reference party's timeline and writes ``merged-trace.jsonl``
    and ``alignment.json``.  The merged trace is a
    normal trace: every existing analysis (critical paths, trace queries,
-   reports) runs on it unchanged.  ``python -m repro collect``
-   (:func:`add_arguments` / :func:`run`) is that step as a command; its
-   ``--check`` also holds the aligned timeline to causality — no matched
-   ``net.wire.recv`` may precede its ``net.wire.send``.
+   reports) runs on it unchanged.  ``python -m repro report --load
+   --trace-dir D`` collects ``D`` first if need be; its ``--check`` also
+   holds the aligned timeline to causality — no matched ``net.wire.recv``
+   may precede its ``net.wire.send``.
 """
 
 from __future__ import annotations
@@ -252,65 +252,3 @@ def collect_run(run_dir: str | pathlib.Path, *, write: bool = True) -> Collected
         collected.alignment_path = str(alignment_path)
     return collected
 
-
-# ----------------------------------------------------------------------- cli
-
-
-def add_arguments(parser) -> None:
-    """The ``python -m repro collect`` flags, declared once
-    (``repro.__main__`` hands its subparser here)."""
-    parser.add_argument(
-        "run_dir",
-        help="directory holding cluster.json and the trace-*.jsonl / "
-             "result-*.json of one `repro live --trace-dir` run",
-    )
-    parser.add_argument(
-        "--report", metavar="PATH", default=None,
-        help="also write the run report (markdown; what `repro report "
-             "--load --trace-dir RUN_DIR` renders)",
-    )
-    parser.add_argument(
-        "--check", action="store_true",
-        help="fail unless heights finalized, the per-height stage spans "
-             "telescope to the measured latency and no message is received "
-             "before it was sent",
-    )
-
-
-def run(args) -> int:
-    """Merge + align one run directory, then judge it the way its report
-    does: same loader, same quorum (``n - t`` of ``cluster.json``)."""
-    from ..analysis.critical_path import consistency_line, wire_spans
-    from ..experiments import run_report
-
-    collected = collect_run(args.run_dir)
-    loaded = run_report.load_run(args.run_dir)
-    [(_, _, breakdown)] = run_report.analyse(loaded["traces"], loaded["params"])
-    print(
-        f"collected run {collected.run_id!r}: {len(collected.parties)} parties, "
-        f"{len(collected.events)} events, {breakdown['heights']} finalized "
-        "heights"
-    )
-    print(f"merged trace: {collected.merged_trace_path}")
-    print(f"alignment:    {collected.alignment_path}")
-    print(consistency_line(breakdown))
-    if args.report:
-        pathlib.Path(args.report).write_text(
-            run_report.generate(**loaded), encoding="utf-8"
-        )
-        print(f"report:       {args.report}")
-    if not args.check:
-        return 0
-    acausal = sorted(
-        key for key, span in wire_spans(collected.events).items() if span < 0
-    )
-    if acausal:
-        print(
-            f"collect --check FAILED: {len(acausal)} wire spans received before "
-            f"sent on the aligned timeline, first (src, dst, seq) = {acausal[0]}"
-        )
-        return 1
-    if not breakdown["spans_telescope"]:
-        print("collect --check FAILED: spans do not telescope (or no heights)")
-        return 1
-    return 0

@@ -337,22 +337,6 @@ register(
     ("count", "queued"),
 )
 
-# -- experiment runner --------------------------------------------------------
-
-register(
-    "runner.run_start", "repro.experiments.runner",
-    "The experiment runner dispatched one RunSpec (`run` is the spec's "
-    "index in suite order, `jobs` the pool width; `time` is wall-clock "
-    "seconds since execute() started, not simulation time).",
-    ("run", "kind", "label", "jobs"),
-)
-register(
-    "runner.run_end", "repro.experiments.runner",
-    "One RunSpec finished; `wall_ms` is the run's wall-clock duration in "
-    "the executing process.",
-    ("run", "kind", "label", "jobs", "wall_ms"),
-)
-
 # -- adversary behaviours -----------------------------------------------------
 
 register(

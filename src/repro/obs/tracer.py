@@ -179,8 +179,7 @@ class Tracer:
         """Events for export: the buffer, plus a trailing ``trace.dropped``
         summary event when the ring evicted anything — so a truncated
         JSONL export is distinguishable from a complete one after reload
-        (``repro trace --input`` and the critical-path analysis surface
-        it)."""
+        (the trace-health table of ``repro report`` surfaces it)."""
         events = list(self._buffer)
         if self.dropped:
             last_time = events[-1].time if events else 0.0

@@ -11,7 +11,6 @@ from repro.analysis.critical_path import (
     TICK,
     baseline_paths,
     critical_paths,
-    format_paths,
     stage_means,
     stage_totals,
 )
@@ -155,15 +154,6 @@ class TestHelpers:
         for stage in ICC_STAGES:
             assert abs(means[stage] * len(paths) - totals[stage]) < 1e-9
         assert stage_means([]) == {}
-
-    def test_format_paths_renders_table(self):
-        tracer = run_traced("icc0")
-        paths = critical_paths(tracer.events(), quorum=QUORUM)
-        text = format_paths(paths)
-        for stage in ICC_STAGES:
-            assert stage in text
-        assert str(paths[0].round) in text
-        assert format_paths([]) == "no finalized heights in trace"
 
     def test_empty_trace_yields_no_paths(self):
         assert critical_paths([]) == []

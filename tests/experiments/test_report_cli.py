@@ -1,6 +1,6 @@
 """End-to-end tests for ``python -m repro report`` (run_report): suites it
-runs itself, and run directories it loads — a collected live run included,
-which ``python -m repro collect --report`` renders through the same code."""
+runs itself, and run directories it loads — a live run included, which it
+collects, renders and (``--check``) checks through the same code."""
 
 from __future__ import annotations
 
@@ -143,6 +143,20 @@ class TestLoadDescribesTheDirectory:
             critical_paths(events, quorum=5)
         )
 
+    @pytest.mark.parametrize("runs", ["0", "-1"])
+    def test_runs_below_one_is_a_usage_error(self, runs, tmp_path, capsys):
+        """``--runs 0`` used to run nothing and then crash reading the
+        ``results.json`` an empty suite never wrote."""
+        trace_dir = tmp_path / "d"
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "report", str(tmp_path / "r.md"), "--runs", runs,
+                "--trace-dir", str(trace_dir),
+            ])
+        assert exc.value.code == 2
+        assert "--runs: must be at least 1" in capsys.readouterr().err
+        assert not trace_dir.exists() and not (tmp_path / "r.md").exists()
+
     @pytest.mark.parametrize("flag", ["--protocol", "--n", "--t", "--delta", "--rounds"])
     def test_contradicting_flag_is_rejected(self, flag, tmp_path):
         value = "icc0" if flag == "--protocol" else "4"
@@ -171,13 +185,13 @@ def live_run(tmp_path_factory):
 
 
 class TestLiveRunDirectory:
-    def test_collect_and_report_write_the_same_report(self, live_run, tmp_path, capsys):
-        by_collect, by_report = tmp_path / "a.md", tmp_path / "b.md"
-        main(["collect", str(live_run), "--check", "--report", str(by_collect)])
-        main(["report", str(by_report), "--load", "--trace-dir", str(live_run)])
-        assert "(OK," in capsys.readouterr().out
-        text = by_report.read_text()
-        assert by_collect.read_text() == text
+    def test_report_load_checks_and_rerenders(self, live_run, tmp_path, capsys):
+        checked, again = tmp_path / "a.md", tmp_path / "b.md"
+        main(["report", str(checked), "--load", "--trace-dir", str(live_run), "--check"])
+        main(["report", str(again), "--load", "--trace-dir", str(live_run)])
+        assert "report --check OK" in capsys.readouterr().out
+        text = again.read_text()
+        assert checked.read_text() == text
         cluster = json.loads((live_run / "cluster.json").read_text())
         assert (cluster["protocol"], cluster["n"], cluster["t"]) == ("icc0", 4, 1)
         # One run on one aligned timeline, not one per unaligned party trace.
@@ -217,9 +231,13 @@ class TestLiveRunDirectory:
         assert spans and min(spans.values()) >= 0
 
     def test_same_stages_as_a_simulator_trace(self, live_run, tmp_path, capsys):
-        main(["trace", "--n", "4", "--rounds", "3", "--export", str(tmp_path / "t.jsonl")])
+        main([
+            "report", str(tmp_path / "r.md"), "--protocol", "icc0", "--n", "4",
+            "--rounds", "3", "--runs", "1", "--trace-dir", str(tmp_path / "sim"),
+        ])
         capsys.readouterr()
-        simulated = critical_paths(read_jsonl(str(tmp_path / "t.jsonl")))
+        [export] = (tmp_path / "sim").glob("*.jsonl")
+        simulated = critical_paths(read_jsonl(str(export)), quorum=3)
         loaded = run_report.load_run(str(live_run))
         [(_, events)] = loaded["traces"]
         live = critical_paths(events, quorum=3)

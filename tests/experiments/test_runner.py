@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import contextlib
 import io
-import json
 
 import pytest
 
@@ -131,8 +130,8 @@ def test_trace_files_deterministic_across_job_counts(tmp_path):
     runner.execute(specs, jobs=1, trace_dir=str(d1))
     runner.execute(specs, jobs=2, trace_dir=str(d2))
 
-    runs1 = sorted(p.name for p in d1.iterdir() if p.name != "runner.jsonl")
-    runs2 = sorted(p.name for p in d2.iterdir() if p.name != "runner.jsonl")
+    runs1 = sorted(p.name for p in d1.iterdir())
+    runs2 = sorted(p.name for p in d2.iterdir())
     # One file per run, named by spec index — independent of arrival order.
     assert runs1 == runs2 == ["0000-icc0-n7-seed1.jsonl", "0001-icc1-n7-seed1.jsonl"]
     for name in runs1:
@@ -146,8 +145,8 @@ def test_every_traced_spec_writes_its_index_named_file(both_ways):
     ``--jobs``, with identical bytes."""
     _, specs, runs = both_ways
     (_, d1), (_, d2) = runs[1], runs[2]
-    names = sorted(p.name for p in d1.iterdir() if p.name != "runner.jsonl")
-    assert names == sorted(p.name for p in d2.iterdir() if p.name != "runner.jsonl")
+    names = sorted(p.name for p in d1.iterdir())
+    assert names == sorted(p.name for p in d2.iterdir())
     expected = [f"{i:04d}" for i, s in enumerate(specs) if s.kind not in UNTRACED]
     assert [name.split("-")[0] for name in names] == expected
     by_kind = {s.kind: f"{i:04d}" for i, s in enumerate(specs)}
@@ -159,19 +158,6 @@ def test_every_traced_spec_writes_its_index_named_file(both_ways):
     for name in names:
         assert (d1 / name).stat().st_size > 0
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
-
-
-def test_runner_jsonl_covers_every_spec(both_ways):
-    _, specs, runs = both_ways
-    trace_dir = runs[2][1]
-    events = [json.loads(line) for line in (trace_dir / "runner.jsonl").read_text().splitlines()]
-    starts = {e["payload"]["run"] for e in events if e["kind"] == "runner.run_start"}
-    ends = {e["payload"]["run"] for e in events if e["kind"] == "runner.run_end"}
-    assert starts == ends == set(range(len(specs)))
-    for event in events:
-        assert event["payload"]["jobs"] == 2
-        if event["kind"] == "runner.run_end":
-            assert event["payload"]["wall_ms"] >= 0
 
 
 # -- run_all argument parsing (the --trace IndexError regression) -------------

@@ -66,8 +66,8 @@ class TestDeterminism:
         serial = runner.execute(suite, jobs=1, trace_dir=str(d1))
         parallel = runner.execute(suite, jobs=2, trace_dir=str(d2))
         assert serial == parallel
-        names1 = sorted(p.name for p in d1.iterdir() if p.name != "runner.jsonl")
-        names2 = sorted(p.name for p in d2.iterdir() if p.name != "runner.jsonl")
+        names1 = sorted(p.name for p in d1.iterdir())
+        names2 = sorted(p.name for p in d2.iterdir())
         assert names1 == names2 == [
             "0000-icc0-n7-seed101.jsonl", "0001-icc1-n7-seed101.jsonl",
         ]

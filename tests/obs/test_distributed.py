@@ -8,11 +8,11 @@ the host timeline exactly, whatever the link delays were.
 
 from __future__ import annotations
 
-import argparse
 import json
 
 import pytest
 
+from repro.__main__ import main
 from repro.analysis.critical_path import wire_spans
 from repro.obs import (
     ClockAlignment,
@@ -23,7 +23,6 @@ from repro.obs import (
     trace_header,
     write_jsonl,
 )
-from repro.obs import distributed
 from repro.obs.distributed import SCHEMA_VERSION, align_events
 
 #: Monotonic readings as a live party's ``WallClock.epoch`` would hold them.
@@ -263,23 +262,25 @@ class TestCollectRun:
 
 
 class TestCausalityCheck:
-    """``collect --check`` holds the aligned timeline to causality, which
-    only an exact alignment makes a sound check."""
+    """``report --load --check`` holds the aligned timeline to causality,
+    which only an exact alignment makes a sound check."""
 
     def check(self, run_dir, capsys) -> tuple[int, str]:
         (run_dir / "cluster.json").write_text(json.dumps(
             {"protocol": "icc0", "n": 2, "t": 0, "epsilon": 0.0}
         ))
-        status = distributed.run(
-            argparse.Namespace(run_dir=str(run_dir), report=None, check=True)
-        )
-        return status, capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "report", str(run_dir / "report.md"), "--load",
+                "--trace-dir", str(run_dir), "--check",
+            ])
+        return exc.value.code, capsys.readouterr().out
 
     def test_true_epochs_are_causal(self, tmp_path, capsys):
         status, out = self.check(write_run(tmp_path, ping_pong()), capsys)
         assert "received before sent" not in out
-        assert status == 1  # nothing finalized: the telescoping check fails
-        assert "spans do not telescope" in out
+        assert status == 1  # nothing finalized
+        assert "report --check FAILED: merged-trace: no finalized heights" in out
 
     def test_planted_wrong_epoch_is_named(self, tmp_path, capsys):
         """Party 2's header claims an epoch 10 ms early: its receipts of

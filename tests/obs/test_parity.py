@@ -153,8 +153,6 @@ class TestBreakdownAndTimeline:
         cluster = run_icc0(tracer=tracer)
         summary = summarize(tracer.events())
         assert summary.events == len(tracer)
-        assert summary.parties == 4
-        assert "ICC0" in summary.protocols
         assert summary.blocks_committed == len(cluster.party(1).output_log)
         assert summary.rounds_entered >= ROUNDS - 2
-        assert summary.adversary_events == 0
+        assert adversary_timeline(tracer.events()) == []

@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.__main__ import main
-from repro.analysis import ICC_STAGES
+from repro.analysis import critical_paths
+from repro.experiments import run_report
 
 
 class TestCli:
@@ -29,24 +30,41 @@ class TestCli:
         second = capsys.readouterr().out
         assert first == second
 
-    def test_trace_runs_and_summarizes(self, capsys):
-        main(["trace", "--n", "4", "--rounds", "5", "--delta", "0.05"])
-        out = capsys.readouterr().out
-        assert "events traced" in out
-        assert "icc.block.committed" in out
-        header = next(line for line in out.splitlines() if "propose_wait" in line)
-        assert header.split() == ["round", "block", *ICC_STAGES, "total"]
+    def test_report_quick_check_passes(self, capsys, tmp_path):
+        """``report --check`` on a fresh suite: heights finalized, stage
+        spans telescope, and (no wire spans in a simulator trace) nothing
+        received before it was sent."""
+        main(["report", str(tmp_path / "r.md"), "--quick", "--check"])
+        assert "report --check OK" in capsys.readouterr().out
 
-    def test_trace_export_and_reload(self, capsys, tmp_path):
-        path = str(tmp_path / "trace.jsonl")
-        main(["trace", "--n", "4", "--rounds", "5", "--export", path])
-        exported = capsys.readouterr().out
-        main(["trace", "--input", path])
-        reloaded = capsys.readouterr().out
-        assert f"wrote" in exported and path in exported
-        assert "loaded" in reloaded
-        # Same event stream -> identical summary block.
-        assert exported.split("\n\n")[1] == reloaded.split("\n\n")[1]
+    def test_one_export_loads_like_its_directory(self, capsys, tmp_path):
+        """``--load --trace-dir`` naming one JSONL export: its n is the
+        parties in it and its quorum n (an export does not say t), so a
+        t = 0 suite's export renders the critical paths its directory
+        does."""
+        trace_dir = tmp_path / "d"
+        main([
+            "report", str(tmp_path / "dir.md"), "--protocol", "icc0", "--n", "4",
+            "--t", "0", "--rounds", "5", "--runs", "1", "--trace-dir", str(trace_dir),
+        ])
+        [export] = trace_dir.glob("*.jsonl")
+        main([
+            "report", str(tmp_path / "one.md"), "--load", "--trace-dir", str(export),
+            "--check",
+        ])
+        assert "report --check OK" in capsys.readouterr().out
+        loaded = run_report.load_run(str(export))
+        assert loaded["params"] == {"n": 4, "t": 0, "runs": 1}
+        [(label, events)] = loaded["traces"]
+        assert label == export.stem
+        [(_, paths, _)] = run_report.analyse(loaded["traces"], loaded["params"])
+        assert paths == critical_paths(events)  # the quorum it infers alone
+        by_dir, by_export = (
+            (tmp_path / name).read_text().split("## Critical paths")[1].split("##")[0]
+            for name in ("dir.md", "one.md")
+        )
+        assert "| height | block | propose_wait |" in by_export
+        assert by_export == by_dir
 
     def test_load_flags_have_one_declaration(self, capsys, monkeypatch):
         """``python -m repro load`` and ``repro.experiments.load.main`` are
@@ -69,10 +87,13 @@ class TestCli:
         ["bench"], ["profile"],
         ["load", "--bench"], ["load", "--check"], ["load", "--quick"],
         ["live", "--bench"], ["report", "--suite"], ["report", "--live"],
+        ["trace"], ["trace", "--input", "t.jsonl"],
+        ["collect", "D"], ["collect", "D", "--check"],
     ], ids=" ".join)
     def test_second_measuring_stack_is_gone(self, argv, capsys):
-        """Performance is measured by ``python3 bench/run.py`` alone (and a
-        live run is reported by ``report --load``, like any other)."""
+        """Performance is measured by ``python3 bench/run.py`` alone, and a
+        trace is read by ``report`` alone (a live run by ``report --load``,
+        like any other)."""
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2  # argparse usage error

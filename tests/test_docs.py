@@ -149,6 +149,24 @@ class TestDocs:
         assert "README.md" in problems[2] and "REPRO_GONE" in problems[2]
         assert "README.md" in problems[3] and "repro.gone.module" in problems[3]
 
+    def test_retired_trace_readers_are_flagged(self, tmp_path, monkeypatch):
+        """Against the real CLI, a page still showing ``collect`` or
+        ``trace`` fails; the ``report`` line that replaces them passes."""
+        module = load_checker()
+        (tmp_path / "src").symlink_to(module.REPO / "src")
+        (tmp_path / "README.md").write_text(
+            "```\npython -m repro collect D --check\n"
+            "python -m repro trace --input t.jsonl\n"
+            "python -m repro report R.md --load --trace-dir D --check\n```\n",
+            encoding="utf-8",
+        )
+        monkeypatch.setattr(module, "REPO", tmp_path)
+        problems: list[str] = []
+        module.check_removed_names(problems)
+        assert [p.split("`")[1] for p in problems] == [
+            "python -m repro collect", "python -m repro trace",
+        ]
+
     def test_flags_a_command_does_not_declare_are_flagged(self, tmp_path, monkeypatch):
         """A flag shown in a `python -m repro <cmd>` command line must be
         declared by that command's own `add_arguments`: a removed flag, or

@@ -34,7 +34,7 @@ Checks every ``*.md`` file in the repo root and ``docs/``:
   scan) has a row in ``docs/TRANSPORT.md``'s layout table naming the tag
   and its type, so a kind cannot be added to the wire without its layout
   being written down;
-* the observability CLI surface (``trace``, ``collect``, ``top``) is
+* the observability CLI surface (``report``, ``top``) is
   shown as ``python -m repro <name>`` invocations in
   ``docs/OBSERVABILITY.md``, not just the README;
 * every ``ClusterConfig.<field>`` and every bare ``crypto_*`` knob named in
@@ -356,11 +356,11 @@ def check_experiment_docs(problems: list[str]) -> None:
 #: Observability CLI surface: these subcommands must be shown (as a
 #: ``python -m repro <name>`` invocation) in docs/OBSERVABILITY.md, the
 #: tracing/metrics reference page, not just in the README.
-OBSERVABILITY_CLIS = ("trace", "collect", "top")
+OBSERVABILITY_CLIS = ("report", "top")
 
 
 def check_observability_cli_docs(problems: list[str]) -> None:
-    """The trace/collect/top commands must be documented where the
+    """The report and top commands must be documented where the
     observability subsystem is documented."""
     registered = set(cli_subcommands())
     wanted = [name for name in OBSERVABILITY_CLIS if name in registered]
