@@ -11,7 +11,6 @@ from .cluster import (
     Cluster,
     ClusterConfig,
     build_cluster,
-    run_happy_path,
 )
 from .icc0 import ICC0Party, SafetyViolation, empty_payload_source
 from .messages import (
@@ -37,7 +36,6 @@ __all__ = [
     "Cluster",
     "ClusterConfig",
     "build_cluster",
-    "run_happy_path",
     "ICC0Party",
     "SafetyViolation",
     "empty_payload_source",

@@ -286,26 +286,3 @@ def build_cluster(config: ClusterConfig, sim: Simulation | None = None) -> Clust
         if factory is None:
             network.crash(index)
     return Cluster(config, sim, network, parties, params, keyrings)
-
-
-def run_happy_path(
-    n: int = 4,
-    rounds: int = 5,
-    delta: float = 0.1,
-    seed: int = 0,
-    **overrides,
-) -> Cluster:
-    """Convenience: run a fault-free cluster for a number of rounds."""
-    config = ClusterConfig(
-        n=n,
-        t=0,
-        delta_bound=delta * 2,
-        delay_model=FixedDelay(delta),
-        max_rounds=rounds + 2,
-        seed=seed,
-        **overrides,
-    )
-    cluster = build_cluster(config)
-    cluster.start()
-    cluster.run_until_all_committed_round(rounds)
-    return cluster

@@ -13,7 +13,7 @@ loop of those outran the random-linear-combination batch verifier that used
 to sit here at every batch size (docs/PERFORMANCE.md).  All verifiers of a
 suite are backed by one :class:`repro.crypto.fastpath.FastPath` context
 (fixed-base tables, membership/H2 caches), so call sites never see the
-fast/slow split; the per-item oracles in :mod:`repro.crypto.fastpath`
+fast/slow split; the per-item oracles in ``tests/crypto/test_fastpath.py``
 remain the reference semantics.
 
 The ``pk`` slot is whatever identifies the signer for that scheme: a bare
@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Protocol, Sequence, runtime_checkable
 
-from . import dleq, fastpath, multisig, schnorr, threshold, unique
+from . import dleq, fastpath, multisig, schnorr, threshold
 from .backend import CryptoBackend, active_backend
 from .dleq import DleqStatement
 from .group import Group
@@ -144,18 +144,6 @@ class DleqVerifier(_Verifier):
         return dleq._challenge(group, g1, a, g2, b, t1, t2) == c
 
 
-class UniqueVerifier(_Verifier):
-    """``pk`` is the signer's public key; H2(message) comes from the memo."""
-
-    def __init__(self, group: Group, ctx: fastpath.FastPath, dleq_verifier: DleqVerifier) -> None:
-        super().__init__(group, ctx)
-        self._dleq = dleq_verifier
-
-    def verify(self, pk: int, message: bytes, sig: unique.UniqueSignature) -> bool:
-        statement = DleqStatement(self.group.g, pk, self.ctx.message_point(message), sig.value)
-        return self._dleq.verify(statement, b"", sig.proof)
-
-
 class ThresholdShareVerifier(_Verifier):
     """``pk`` is the :class:`~repro.crypto.threshold.ThresholdPublicKey`."""
 
@@ -257,16 +245,18 @@ class MultisigShareSigner:
         return multisig.MultisigShare(index=self.index, signature=self._signer.sign(message, rng))
 
 
-class _DleqSigner:
-    """Shared core for the two H2-based schemes (unique / threshold share)."""
+class ThresholdShareSigner:
+    """Signs S_beacon shares: σ_i = H2(m)**sk_i with its DLEQ proof."""
 
-    def __init__(self, group: Group, secret: int, ctx: fastpath.FastPath | None = None) -> None:
-        self.group = group
-        self.ctx = ctx or fastpath.for_group(group)
-        self._secret = secret
-        self.public = self.ctx.power_g(secret)
+    def __init__(self, pk: threshold.ThresholdPublicKey, key: threshold.ThresholdKeyShare,
+                 ctx: fastpath.FastPath | None = None) -> None:
+        self.group = pk.group
+        self.ctx = ctx or fastpath.for_group(pk.group)
+        self.index = key.index
+        self._secret = key.secret
+        self.public = self.ctx.power_g(key.secret)
 
-    def _sign_value(self, message: bytes, rng) -> tuple[int, dleq.DleqProof]:
+    def sign(self, message: bytes, rng) -> threshold.SignatureShare:
         group, ctx = self.group, self.ctx
         h2 = ctx.message_point(message)
         value = group.power(h2, self._secret)
@@ -275,23 +265,7 @@ class _DleqSigner:
         t2 = group.power(h2, nonce)
         c = dleq._challenge(group, group.g, self.public, h2, value, t1, t2)
         s = (nonce + c * self._secret) % group.q
-        return value, dleq.DleqProof(challenge=c, response=s)
-
-
-class UniqueSigner(_DleqSigner):
-    def sign(self, message: bytes, rng) -> unique.UniqueSignature:
-        value, proof = self._sign_value(message, rng)
-        return unique.UniqueSignature(value=value, proof=proof)
-
-
-class ThresholdShareSigner(_DleqSigner):
-    def __init__(self, pk: threshold.ThresholdPublicKey, key: threshold.ThresholdKeyShare,
-                 ctx: fastpath.FastPath | None = None) -> None:
-        super().__init__(pk.group, key.secret, ctx)
-        self.index = key.index
-
-    def sign(self, message: bytes, rng) -> threshold.SignatureShare:
-        value, proof = self._sign_value(message, rng)
+        proof = dleq.DleqProof(challenge=c, response=s)
         return threshold.SignatureShare(index=self.index, value=value, proof=proof)
 
 
@@ -308,7 +282,6 @@ class VerifierSuite:
     ctx: fastpath.FastPath
     schnorr: SchnorrVerifier
     dleq: DleqVerifier
-    unique: UniqueVerifier
     threshold_share: ThresholdShareVerifier
     threshold: ThresholdSignatureVerifier
     multisig_share: MultisigShareVerifier
@@ -316,7 +289,7 @@ class VerifierSuite:
 
     @classmethod
     def over(cls, ctx: fastpath.FastPath) -> "VerifierSuite":
-        """The seven verifiers wired over ``ctx``; whoever holds the suite
+        """The six verifiers wired over ``ctx``; whoever holds the suite
         owns the context's tables and caches (a cluster's keyrings through
         :func:`repro.crypto.keyring.generate_keyrings`, or the process
         through :func:`verifiers_for`)."""
@@ -330,7 +303,6 @@ class VerifierSuite:
             ctx=ctx,
             schnorr=schnorr_v,
             dleq=dleq_v,
-            unique=UniqueVerifier(group, ctx, dleq_v),
             threshold_share=share_v,
             threshold=ThresholdSignatureVerifier(group, ctx, share_v),
             multisig_share=ms_share_v,
@@ -343,8 +315,8 @@ _SUITES: dict[tuple[int, int, int, CryptoBackend], VerifierSuite] = {}
 
 def verifiers_for(group: Group) -> VerifierSuite:
     """The process-wide :class:`VerifierSuite` for ``group``, for callers
-    with no cluster to own one (client authentication, key ceremonies,
-    tests).  It lives as long as the process does.
+    with no cluster to own one (client authentication, tests).  It lives
+    as long as the process does.
 
     Keyed per (group, active backend instance): under
     :func:`repro.crypto.backend.use_backend` a substituted backend gets a

@@ -5,8 +5,8 @@ discrete logarithm: given (g, A, h, B), the prover shows knowledge of x with
 A = g**x and B = h**x, without revealing x.  Made non-interactive via
 Fiat–Shamir.
 
-These proofs are the verification mechanism for the *unique signature*
-scheme in :mod:`repro.crypto.unique`: a signature share H2(m)**sk_i is
+These proofs are the verification mechanism for the threshold *unique
+signatures* of :mod:`repro.crypto.threshold`: a signature share H2(m)**sk_i is
 accompanied by a DLEQ proof against the share public key g**sk_i.  This is
 the pairing-free substitute for BLS share verification (DESIGN.md §2).
 

@@ -23,11 +23,10 @@ is multiplied into the beacon value (the argument is in
 ``g``, public keys, H2 points — is long-lived and answered from the cache;
 this is the invariant :meth:`Group.power` documents.
 
-The per-item functions (:func:`verify_schnorr_single`,
-:func:`verify_dleq_single`) are the correctness oracle: no caches, no
-tables, ``Group.is_element`` and the backend's plain ``powmod``.  The
-property tests in ``tests/crypto/test_fastpath.py`` pin the verifiers of
-:mod:`repro.crypto.api` to them verdict for verdict.
+The correctness oracle is the per-item check with no caches, no tables,
+``Group.is_element`` and the backend's plain ``powmod``; it lives in
+``tests/crypto/test_fastpath.py``, whose property tests pin the verifiers
+of :mod:`repro.crypto.api` to it verdict for verdict.
 
 Call sites should not use this module directly — go through the unified
 verifier API in :mod:`repro.crypto.api` (see docs/PERFORMANCE.md).
@@ -38,7 +37,6 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 
-from . import dleq, schnorr
 from .backend import DEFAULT_WINDOW, CryptoBackend, active_backend
 from .group import Group
 from .unique import message_point
@@ -241,40 +239,3 @@ def for_group(group: Group, backend: CryptoBackend | None = None) -> FastPath:
         ctx = _CONTEXTS[key] = FastPath(group, backend=backend)
     return ctx
 
-
-# ---------------------------------------------------------------------------
-# Per-item correctness oracles
-# ---------------------------------------------------------------------------
-#
-# These are the reference semantics of the verifiers in repro.crypto.api: no
-# caches, no precomputation, no shared state.  The verifiers must accept
-# exactly the items these accept (pinned by tests/crypto/test_fastpath.py).
-
-
-def verify_schnorr_single(
-    group: Group, public: int, message: bytes, signature: schnorr.SchnorrSignature
-) -> bool:
-    """Exact per-item Schnorr check: H(pk, g**s · pk**(-c), m) == c."""
-    c, s = signature.challenge, signature.response
-    if not (0 <= c < group.q and 0 <= s < group.q):
-        return False
-    if not group.is_element(public):
-        return False
-    commitment = group.mul(group.power_g(s), group.power(public, -c))
-    return schnorr._challenge(group, public, commitment, message) == c
-
-
-def verify_dleq_single(
-    group: Group, statement: dleq.DleqStatement, proof: dleq.DleqProof
-) -> bool:
-    """Exact per-item DLEQ check: H(g1, A, g2, B, g1**s·A**(-c), g2**s·B**(-c)) == c."""
-    c, s = proof.challenge, proof.response
-    if not (0 <= c < group.q and 0 <= s < group.q):
-        return False
-    g1, a, g2, b = statement
-    for x in (g1, a, g2, b):
-        if not group.is_element(x):
-            return False
-    t1 = group.mul(group.power(g1, s), group.power(a, -c))
-    t2 = group.mul(group.power(g2, s), group.power(b, -c))
-    return dleq._challenge(group, g1, a, g2, b, t1, t2) == c

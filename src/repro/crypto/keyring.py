@@ -456,7 +456,6 @@ def generate_keyrings(
     seed: int = 0,
     backend: str = "fast",
     group_profile: str = "test",
-    setup: str = "dealer",
 ) -> list[Keyring]:
     """Provision all n parties with correlated key material.
 
@@ -464,13 +463,11 @@ def generate_keyrings(
     (hash simulation).  Thresholds follow Section 3.2: S_notary and S_final
     are (t, n-t, n) schemes, S_beacon is (t, t+1, n).
 
-    ``setup`` chooses how the correlated S_beacon keys come to exist
-    (Section 3.1: "a trusted party or a secure distributed key generation
-    protocol"): ``"dealer"`` uses the trusted dealer of
-    :mod:`repro.crypto.threshold`; ``"dkg"`` runs the Pedersen/Feldman DKG
-    of :mod:`repro.crypto.dkg` (real backend only).  ``group_profile`` names
-    the group of :func:`~repro.crypto.group.group_for_profile`; both names
-    are checked on either backend.
+    The correlated keys come from a trusted dealer (Section 3.1's "trusted
+    party"): the keygen functions of :mod:`repro.crypto.threshold` and
+    :mod:`repro.crypto.multisig`.  ``group_profile`` names the group of
+    :func:`~repro.crypto.group.group_for_profile`; it is checked on either
+    backend.
 
     Every real-backend call derives its key material afresh from
     ``Random(seed)`` — a few milliseconds on the ``test`` group, tens on
@@ -488,13 +485,9 @@ def generate_keyrings(
     if t < 0 or (t > 0 and 3 * t >= n):
         # The protocol tolerates t < n/3; permit t == 0 for degenerate tests.
         raise ValueError(f"require t < n/3 (got n={n}, t={t})")
-    if setup not in ("dealer", "dkg"):
-        raise ValueError(f"unknown key setup {setup!r}")
     if group_profile not in GROUP_PROFILES:
         raise ValueError(f"unknown group profile {group_profile!r}")
     if backend == "fast":
-        if setup == "dkg":
-            raise ValueError("the dkg setup needs the real backend")
         master = tagged_hash("ICC/fast/master", seed.to_bytes(8, "big"), n.to_bytes(4, "big"))
         return [FastKeyring(index=i, n=n, t=t, master=master) for i in range(1, n + 1)]
     if backend != "real":
@@ -505,13 +498,7 @@ def generate_keyrings(
     auth_pairs = [schnorr.keygen(group, rng) for _ in range(n)]
     notary_pk, notary_keys = multisig.keygen(group, n - t, n, rng)
     final_pk, final_keys = multisig.keygen(group, n - t, n, rng)
-    if setup == "dealer":
-        beacon_pk, beacon_keys = threshold.keygen(group, t + 1, n, rng)
-    else:
-        from .dkg import run_dkg
-
-        result = run_dkg(group, t + 1, n, rng)
-        beacon_pk, beacon_keys = result.public, result.key_shares
+    beacon_pk, beacon_keys = threshold.keygen(group, t + 1, n, rng)
     shared = _SharedPublic(
         group=group,
         auth_publics=tuple(pair.public for pair in auth_pairs),

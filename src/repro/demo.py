@@ -7,10 +7,13 @@ function that reads them; ``repro.__main__`` mounts both.
 
 from __future__ import annotations
 
+from repro.experiments.runner import at_least
+
 
 def add_demo_arguments(parser) -> None:
-    parser.add_argument("--n", type=int, default=7)
-    parser.add_argument("--rounds", type=int, default=15)
+    parser.add_argument("--n", type=at_least(1), default=7)
+    # Round 2 is the first steady-state round the round time is read from.
+    parser.add_argument("--rounds", type=at_least(3), default=15)
     parser.add_argument("--delta", type=float, default=0.05)
     parser.add_argument("--seed", type=int, default=42)
 

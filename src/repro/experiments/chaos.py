@@ -192,7 +192,7 @@ def add_arguments(parser) -> None:
         help="first scenario seed (each seed fully determines its scenario)",
     )
     parser.add_argument(
-        "--count", type=int, default=1, metavar="K",
+        "--count", type=runner.at_least(1), default=1, metavar="K",
         help="number of consecutive scenario seeds to sweep",
     )
     parser.add_argument(
@@ -206,7 +206,7 @@ def add_arguments(parser) -> None:
         help="scales how many faults each scenario draws",
     )
     parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
+        "--jobs", type=runner.at_least(1), default=1, metavar="N",
         help="worker processes (results are identical at any job count)",
     )
     parser.add_argument(

@@ -189,7 +189,7 @@ def add_arguments(parser) -> None:
     """The ``python -m repro load`` flags, declared once (``repro.__main__``
     hands its subparser here)."""
     parser.add_argument(
-        "--ns", default=",".join(str(n) for n in DEFAULT_NS),
+        "--ns", type=_sizes, default=",".join(str(n) for n in DEFAULT_NS),
         help="comma-separated subnet sizes to sweep",
     )
     parser.add_argument(
@@ -205,15 +205,18 @@ def add_arguments(parser) -> None:
     parser.add_argument("--auth", choices=["fast", "real"], default="fast",
                         help="client authenticator backend")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
+    parser.add_argument("--jobs", type=runner.at_least(1), default=1, metavar="N",
                         help="worker processes (results identical at any N)")
 
 
+def _sizes(text: str) -> tuple[int, ...]:
+    return tuple(runner.at_least(1)(x) for x in text.split(",") if x.strip())
+
+
 def run(args) -> int:
-    ns = tuple(int(x) for x in args.ns.split(",") if x.strip())
     loads = tuple(float(x) for x in args.loads.split(",") if x.strip())
     suite = specs(
-        ns=ns,
+        ns=args.ns,
         loads=loads,
         duration=args.duration,
         seed=args.seed,

@@ -51,7 +51,7 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--jobs",
-        type=int,
+        type=runner.at_least(1),
         default=None,
         metavar="N",
         help="worker processes for the simulation suite (default: all cores)",

@@ -31,7 +31,6 @@ it was sent (:func:`check`).  Sections:
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import json
 import os
@@ -613,10 +612,10 @@ def add_arguments(parser) -> None:
     parser.add_argument("--t", type=int, default=None)
     parser.add_argument("--delta", type=float, default=None)
     parser.add_argument("--rounds", type=int, default=None)
-    parser.add_argument("--runs", type=_at_least_one, default=3,
+    parser.add_argument("--runs", type=runner.at_least(1), default=3,
                         help="number of seeded runs to aggregate")
     parser.add_argument("--seed", type=int, default=0, help="base seed")
-    parser.add_argument("--jobs", type=int, default=None, metavar="N",
+    parser.add_argument("--jobs", type=runner.at_least(1), default=None, metavar="N",
                         help="runner worker processes")
     parser.add_argument("--trace-dir", default=None, metavar="DIR",
                         help="keep traces + results.json here (temp dir "
@@ -631,13 +630,6 @@ def add_arguments(parser) -> None:
                         help="fail unless every run finalized a height, its "
                              "stage spans telescope and no wire span was "
                              "received before it was sent")
-
-
-def _at_least_one(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
 
 
 def run(args) -> int:

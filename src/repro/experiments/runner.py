@@ -27,6 +27,7 @@ execution, so file names do not depend on worker arrival order.
 
 from __future__ import annotations
 
+import argparse
 import importlib
 import multiprocessing
 import os
@@ -106,6 +107,20 @@ def run_spec(run: RunSpec) -> Any:
 
 def default_jobs() -> int:
     return os.cpu_count() or 1
+
+
+def at_least(minimum: int) -> Callable[[str], int]:
+    """The argparse ``type`` of a count flag (``--jobs``, ``--runs``,
+    ``--count``, a cluster size…): an integer no smaller than ``minimum``,
+    so a value below it is a usage error (exit 2), not a traceback."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return parse
 
 
 def _pool_context() -> multiprocessing.context.BaseContext:

@@ -8,7 +8,6 @@ and adversarial scheduling.
 
 from .events import CalendarEventQueue, EventQueue, HeapEventQueue
 from .delays import (
-    AdversarialDelay,
     DelayModel,
     FixedDelay,
     IntermittentSynchrony,
@@ -22,7 +21,6 @@ from .network import Network, Receiver, message_kind, wire_size
 from .simulator import Simulation
 
 __all__ = [
-    "AdversarialDelay",
     "DelayModel",
     "FixedDelay",
     "IntermittentSynchrony",

@@ -138,22 +138,6 @@ class IntermittentSynchrony:
 
 
 @dataclass
-class AdversarialDelay:
-    """Adversary-scheduled delays (for worst-case message complexity runs).
-
-    ``strategy(sender, receiver, now)`` returns the delay the adversary
-    wants; it is clamped to ``max_delay`` so that eventual delivery (the
-    standing assumption of the paper) is preserved.
-    """
-
-    strategy: Callable[[int, int, float], float]
-    max_delay: float = 60.0
-
-    def sample(self, sender: int, receiver: int, now: float, rng) -> float:
-        return max(0.0, min(self.strategy(sender, receiver, now), self.max_delay))
-
-
-@dataclass
 class MessageAwareDelay:
     """Adversarial scheduler that may inspect the message being delivered.
 

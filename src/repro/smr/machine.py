@@ -2,20 +2,14 @@
 
 State machine replication (the paper's motivating application, Section 1):
 every replica applies the same committed command sequence to a
-deterministic machine and therefore reaches the same state.  We provide a
-key-value machine (the classic example) plus a counter machine used in
-tests; both expose a state digest for cross-replica comparison and
-checkpointing.
+deterministic machine and therefore reaches the same state.  The machine
+here is a key-value store (the classic example); it exposes a state digest
+for cross-replica comparison and checkpointing.
 """
 
 from __future__ import annotations
 
 from ..crypto.hashing import tagged_hash
-
-
-class CommandError(ValueError):
-    """Raised for commands that do not parse; replicas must *agree* on
-    rejection, so parsing is strict and deterministic."""
 
 
 class KVStateMachine:
@@ -72,99 +66,4 @@ class KVStateMachine:
             self.applied.to_bytes(8, "big"),
             self.rejected.to_bytes(8, "big"),
             *(k + self.SEP + v for k, v in items),
-        )
-
-
-class TokenLedgerMachine:
-    """A token ledger: mint and transfer with deterministic validation.
-
-    The canonical "useful" replicated state machine: balances must never
-    go negative, and *every* replica must agree not only on successful
-    transfers but on which transfers were rejected — rejection is part of
-    the replicated state (the ``rejected`` counter feeds the digest).
-
-    Command format (ASCII fields, '\\x1f'-separated):
-    ``mint <account> <amount>``, ``xfer <src> <dst> <amount>``.
-    """
-
-    SEP = b"\x1f"
-
-    def __init__(self) -> None:
-        self.balances: dict[bytes, int] = {}
-        self.applied = 0
-        self.rejected = 0
-        self.total_supply = 0
-
-    @classmethod
-    def mint(cls, account: bytes, amount: int) -> bytes:
-        return cls.SEP.join((b"mint", account, str(amount).encode()))
-
-    @classmethod
-    def transfer(cls, source: bytes, destination: bytes, amount: int) -> bytes:
-        return cls.SEP.join((b"xfer", source, destination, str(amount).encode()))
-
-    @staticmethod
-    def _parse_amount(raw: bytes) -> int | None:
-        try:
-            amount = int(raw)
-        except ValueError:
-            return None
-        return amount if amount > 0 else None
-
-    def apply(self, command: bytes) -> None:
-        parts = command.split(self.SEP)
-        op = parts[0]
-        if op == b"mint" and len(parts) == 3:
-            amount = self._parse_amount(parts[2])
-            if amount is None:
-                self.rejected += 1
-                return
-            self.balances[parts[1]] = self.balances.get(parts[1], 0) + amount
-            self.total_supply += amount
-            self.applied += 1
-        elif op == b"xfer" and len(parts) == 4:
-            amount = self._parse_amount(parts[3])
-            source, destination = parts[1], parts[2]
-            if amount is None or self.balances.get(source, 0) < amount:
-                self.rejected += 1
-                return
-            self.balances[source] -= amount
-            if not self.balances[source]:
-                del self.balances[source]
-            self.balances[destination] = self.balances.get(destination, 0) + amount
-            self.applied += 1
-        else:
-            self.rejected += 1
-
-    def balance(self, account: bytes) -> int:
-        return self.balances.get(account, 0)
-
-    def digest(self) -> bytes:
-        items = sorted(self.balances.items())
-        return tagged_hash(
-            "ICC/smr/ledger-digest",
-            self.applied.to_bytes(8, "big"),
-            self.rejected.to_bytes(8, "big"),
-            self.total_supply.to_bytes(16, "big"),
-            *(k + b"=" + str(v).encode() for k, v in items),
-        )
-
-
-class CounterStateMachine:
-    """Minimal machine: commands are big-endian increments."""
-
-    def __init__(self) -> None:
-        self.value = 0
-        self.applied = 0
-
-    def apply(self, command: bytes) -> None:
-        if command:
-            self.value += int.from_bytes(command[:8], "big")
-        self.applied += 1
-
-    def digest(self) -> bytes:
-        return tagged_hash(
-            "ICC/smr/counter-digest",
-            self.value.to_bytes(16, "big"),
-            self.applied.to_bytes(8, "big"),
         )

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from ..core.icc0 import ICC0Party
 from ..core.messages import Block
+from ..workloads.batching import strip_request_envelope
 from .machine import KVStateMachine
 
 
@@ -26,7 +27,8 @@ class Checkpoint:
 
 
 class Replica:
-    """Applies a party's committed commands to a deterministic machine."""
+    """Applies a party's committed commands to a deterministic machine; a
+    load request (:mod:`repro.workloads.batching`) is applied as its body."""
 
     def __init__(
         self,
@@ -42,10 +44,8 @@ class Replica:
         party.commit_listeners.append(self._on_commit)
 
     def _on_commit(self, block: Block) -> None:
-        from .client import strip_client_envelope
-
         for command in block.payload.commands:
-            self.machine.apply(strip_client_envelope(command))
+            self.machine.apply(strip_request_envelope(command))
             self._commands_seen += 1
             if self._commands_seen % self.checkpoint_interval == 0:
                 self.checkpoints.append(

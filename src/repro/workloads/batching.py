@@ -62,8 +62,7 @@ from ..obs import NULL_TRACER
 #: ====== ======= ===========================================
 #:
 #: The first 12 bytes are the globally unique *request id* — the same
-#: ``command[:12]`` dedup convention the mempool workload and the client
-#: frontend already use.
+#: ``command[:12]`` dedup convention the mempool workload already uses.
 LOAD_MAGIC = b"ld"
 REQUEST_ID_LEN = 12
 _HEADER_LEN = 18

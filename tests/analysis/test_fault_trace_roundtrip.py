@@ -13,11 +13,7 @@ from __future__ import annotations
 import io
 
 from repro.analysis.critical_path import baseline_paths, critical_paths
-from repro.analysis.trace import (
-    adversary_timeline,
-    message_counts,
-    summarize,
-)
+from repro.analysis.trace import message_counts, summarize
 from repro.obs import EVENT_KINDS, TraceEvent, read_jsonl, write_jsonl
 
 #: Plausible JSON-safe sample values per declared payload field name.
@@ -77,7 +73,6 @@ class TestSyntheticFaultRoundTrip:
         assert summary.events == len(events)
         assert summary.blocks_committed == 0
         assert message_counts(events) == {}
-        assert adversary_timeline(events) == []
         assert critical_paths(events) == []
         assert baseline_paths(events) == []
 
@@ -119,6 +114,5 @@ class TestChaosTraceRoundTrip:
         for kind in {event.kind for event in events}:
             assert kind in EVENT_KINDS
         message_counts(events)
-        adversary_timeline(events)
         for path in critical_paths(events):
             assert abs(path.total - (path.finalized - path.entered)) <= 1e-9

@@ -8,8 +8,26 @@ import pathlib
 import pytest
 
 import repro
-from repro.core import ClusterConfig, build_cluster, run_happy_path
+from repro.core import ClusterConfig, build_cluster
 from repro.sim.delays import FixedDelay, UniformDelay
+
+
+def run_happy_path(n=4, rounds=5, delta=0.1, seed=0, **overrides):
+    """A fault-free t = 0 cluster on a fixed-delay network, run until every
+    party has committed ``rounds``."""
+    config = ClusterConfig(
+        n=n,
+        t=0,
+        delta_bound=delta * 2,
+        delay_model=FixedDelay(delta),
+        max_rounds=rounds + 2,
+        seed=seed,
+        **overrides,
+    )
+    cluster = build_cluster(config)
+    cluster.start()
+    cluster.run_until_all_committed_round(rounds)
+    return cluster
 
 
 class TestClusterHelpers:

@@ -5,8 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro.adversary import SilentMixin, corrupt_class
-from repro.core import ClusterConfig, ICC0Party, Payload, build_cluster, run_happy_path
+from repro.core import ClusterConfig, ICC0Party, Payload, build_cluster
 from repro.sim.delays import FixedDelay, PartialSynchrony, UniformDelay
+
+from .test_cluster_helpers import run_happy_path
 
 
 class TestHappyPath:

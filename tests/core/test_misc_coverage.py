@@ -57,15 +57,3 @@ class TestGossipUnderDuplication:
         cluster.start()
         assert cluster.run_until_all_committed_round(6, timeout=300)
         cluster.check_safety()
-
-
-class TestResharingTrafficModelled:
-    def test_table1_scale(self):
-        """The §5 resharing overhead is tiny next to consensus traffic —
-        consistent with treating it as background in Table 1."""
-        from repro.crypto.resharing import resharing_traffic_bytes
-        from repro.analysis import icc0_bytes_per_party_per_round
-
-        per_epoch = resharing_traffic_bytes(13)
-        per_round_all = icc0_bytes_per_party_per_round(13, 1024) * 13
-        assert per_epoch < per_round_all  # one epoch < one round of consensus

@@ -23,7 +23,7 @@ class TestProtocols:
     def test_verifiers_conform(self, group):
         suite = _suite(group)
         for verifier in (
-            suite.schnorr, suite.dleq, suite.unique, suite.threshold_share,
+            suite.schnorr, suite.dleq, suite.threshold_share,
             suite.threshold, suite.multisig_share, suite.multisig,
         ):
             assert isinstance(verifier, api.Verifier)
@@ -108,9 +108,6 @@ class TestApiIsOnlyVerifySurface:
         suite = _suite(group)
 
         secret = group.random_scalar(rng)
-        usig = unique.sign(group, secret, b"m", rng)
-        assert suite.unique.verify(group.power_g(secret), b"m", usig)
-
         h2 = message_point(group, b"m")
         proof = dleq.prove(group, secret, group.g, h2, rng)
         statement = DleqStatement(
@@ -142,12 +139,6 @@ class TestSignerBitIdentity:
         secret = 1234567
         a = schnorr.sign(group, secret, b"m", Random(7))
         b = api.SchnorrSigner(group, secret).sign(b"m", Random(7))
-        assert a == b
-
-    def test_unique(self, group):
-        secret = 7654321
-        a = unique.sign(group, secret, b"m", Random(9))
-        b = api.UniqueSigner(group, secret).sign(b"m", Random(9))
         assert a == b
 
     def test_threshold_share(self, group, rng):

@@ -1,9 +1,9 @@
 """Tests for the crypto fast path: verification and precomputation.
 
-The per-item oracles (``verify_schnorr_single`` / ``verify_dleq_single``)
-are the correctness reference; everything here pins the verifiers of
-``repro.crypto.api`` and the exponentiation shortcuts to them / to plain
-``pow``.
+The per-item oracles defined here (``verify_schnorr_single`` /
+``verify_dleq_single``) are the correctness reference; everything here pins
+the verifiers of ``repro.crypto.api`` and the exponentiation shortcuts to
+them / to plain ``pow``.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto import api, dleq, fastpath, schnorr, unique
+from repro.crypto import api, dleq, fastpath, schnorr
 from repro.crypto.backend import FixedBaseTable
 from repro.crypto.dleq import DleqStatement
 from repro.crypto.group import group_for_profile
@@ -73,6 +73,34 @@ class TestMultiExp:
 # ---------------------------------------------------------------------------
 # the fast verifiers vs the per-item oracle
 # ---------------------------------------------------------------------------
+#
+# The oracles are the reference semantics of the verifiers in
+# repro.crypto.api: no caches, no precomputation, no shared state.  The
+# verifiers must accept exactly the items these accept.
+
+
+def verify_schnorr_single(group, public, message, signature) -> bool:
+    """Exact per-item Schnorr check: H(pk, g**s · pk**(-c), m) == c."""
+    c, s = signature.challenge, signature.response
+    if not (0 <= c < group.q and 0 <= s < group.q):
+        return False
+    if not group.is_element(public):
+        return False
+    commitment = group.mul(group.power_g(s), group.power(public, -c))
+    return schnorr._challenge(group, public, commitment, message) == c
+
+
+def verify_dleq_single(group, statement, proof) -> bool:
+    """Exact per-item DLEQ check: H(g1, A, g2, B, g1**s·A**(-c), g2**s·B**(-c)) == c."""
+    c, s = proof.challenge, proof.response
+    if not (0 <= c < group.q and 0 <= s < group.q):
+        return False
+    g1, a, g2, b = statement
+    if not all(group.is_element(x) for x in statement):
+        return False
+    t1 = group.mul(group.power(g1, s), group.power(a, -c))
+    t2 = group.mul(group.power(g2, s), group.power(b, -c))
+    return dleq._challenge(group, g1, a, g2, b, t1, t2) == c
 
 
 def _suite(group):
@@ -94,11 +122,11 @@ def _dleq_items(group, rng, count, message=b"fp/dleq"):
     items = []
     for i in range(count):
         secret = group.random_scalar(rng)
-        sig = unique.sign(group, secret, message, rng)
+        h2 = message_point(group, message)
         statement = DleqStatement(
-            group.g, group.power_g(secret), message_point(group, message), sig.value
+            group.g, group.power_g(secret), h2, group.power(h2, secret)
         )
-        items.append((statement, b"", sig.proof))
+        items.append((statement, b"", dleq.prove(group, secret, group.g, h2, rng)))
     return items
 
 
@@ -135,7 +163,7 @@ class TestBatchSchnorr:
         items = _schnorr_items(group, rng, 5)
         pk, message, sig = items[2]
         items[2] = (pk, message, replace(sig, challenge=1))
-        oracle = [fastpath.verify_schnorr_single(group, *item) for item in items]
+        oracle = [verify_schnorr_single(group, *item) for item in items]
         assert _suite(group).schnorr.verify_batch(items) == oracle
         assert oracle == [True, True, False, True, True]
 
@@ -185,13 +213,13 @@ class TestBatchDleq:
         assert pow(g2, s, p) * pow(b, q - c, p) % p == t2
         statement, proof = DleqStatement(g, a, g2, b), dleq.DleqProof(c, s)
         assert not _suite(group).dleq.verify(statement, b"", proof)
-        assert not fastpath.verify_dleq_single(group, statement, proof)
+        assert not verify_dleq_single(group, statement, proof)
 
     def test_matches_oracle_exactly(self, group, rng):
         items = _dleq_items(group, rng, 5)
         statement, _, proof = items[0]
         items[0] = (statement, b"", dleq.DleqProof(proof.response, proof.challenge))
-        oracle = [fastpath.verify_dleq_single(group, s, pr) for s, _, pr in items]
+        oracle = [verify_dleq_single(group, s, pr) for s, _, pr in items]
         assert _suite(group).dleq.verify_batch(items) == oracle
         assert oracle == [False, True, True, True, True]
 
@@ -213,7 +241,7 @@ class TestBatchPropertyEquivalence:
         forged.append((pk, message2, sig))  # wrong message
         forged.append((pk, message, sig2))  # another signature's (c, s)
         items = [(pk, message, sig), (pk2, message2, sig2)] + forged
-        oracle = [fastpath.verify_schnorr_single(group, *item) for item in items]
+        oracle = [verify_schnorr_single(group, *item) for item in items]
         assert _suite(group).schnorr.verify_batch(items) == oracle
         assert oracle == [True, True] + [False] * len(forged)
 
@@ -233,7 +261,7 @@ class TestBatchPropertyEquivalence:
         forged.append((st1._replace(b=st1.b * omega % group.p), b"", proof))  # sigma off the subgroup
         forged.append((st1._replace(b=st2.b), b"", proof))  # sigma another member
         items = [(st1, b"", proof), (st2, b"", proof2)] + forged
-        oracle = [fastpath.verify_dleq_single(group, s, pr) for s, _, pr in items]
+        oracle = [verify_dleq_single(group, s, pr) for s, _, pr in items]
         assert _suite(group).dleq.verify_batch(items) == oracle
         assert oracle == [True, True] + [False] * len(forged)
 

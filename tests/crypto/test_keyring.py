@@ -14,12 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto import fastpath
 from repro.crypto.dleq import DleqStatement
 from repro.crypto.keyring import generate_keyrings
 from repro.crypto.unique import message_point
 
-from .test_fastpath import _scalar_forgeries
+from .test_fastpath import _scalar_forgeries, verify_dleq_single, verify_schnorr_single
 
 
 @pytest.fixture(params=["fast", "real"], scope="module")
@@ -123,29 +122,21 @@ class TestFactory:
             generate_keyrings(4, 1, backend="quantum")
 
     @pytest.mark.parametrize("backend", ["fast", "real"])
-    @pytest.mark.parametrize(
-        "bad, match",
-        [({"setup": "quantum"}, "key setup"), ({"group_profile": "nope"}, "group profile")],
-    )
-    def test_unknown_setup_or_profile_rejected_on_either_backend(self, backend, bad, match):
-        with pytest.raises(ValueError, match=match):
-            generate_keyrings(4, 1, backend=backend, **bad)
+    def test_unknown_profile_rejected_on_either_backend(self, backend):
+        with pytest.raises(ValueError, match="group profile"):
+            generate_keyrings(4, 1, backend=backend, group_profile="nope")
 
     @pytest.mark.parametrize(
-        "n, t, seed, profile, setup, digest",
+        "n, t, seed, profile, digest",
         [
-            (4, 1, 42, "test", "dealer", "470226edf13829ed420bd7282a107b39c81642ad48d20f6458b18ab0d1b6ec01"),
-            (4, 1, 42, "test", "dkg", "c8f2538dfa180613eed85c01192f871e86fe0e3347df5f25540895e8a8e26235"),
-            (7, 2, 1, "default", "dealer", "6b32e18a0548d52bf1c1f29eefe4f02fc6399660fbdfdab5fdc8e3a7388e9394"),
-            (7, 2, 1, "default", "dkg", "d4a2637e333ea5a9126b148167e1da8b527911f40dd476824349301e9a79e115"),
+            (4, 1, 42, "test", "470226edf13829ed420bd7282a107b39c81642ad48d20f6458b18ab0d1b6ec01"),
+            (7, 2, 1, "default", "6b32e18a0548d52bf1c1f29eefe4f02fc6399660fbdfdab5fdc8e3a7388e9394"),
         ],
     )
-    def test_derivation_pinned(self, n, t, seed, profile, setup, digest):
+    def test_derivation_pinned(self, n, t, seed, profile, digest):
         """Every public key and every party's secret material, bit for bit:
         ``Random(seed)`` is consumed in the same order by every version."""
-        rings = generate_keyrings(
-            n, t, seed=seed, backend="real", group_profile=profile, setup=setup
-        )
+        rings = generate_keyrings(n, t, seed=seed, backend="real", group_profile=profile)
         shared = rings[0]._shared
         beacon = shared.beacon_pk
         public = [
@@ -240,7 +231,7 @@ class TestRealKeyringAgainstTheOracle:
         forged.append(replace(share, signature=other.signature))  # another share's (c, s)
         cases = [(message, c) for c in [share, other] + forged] + [(b"other", share)]
         oracle = [
-            fastpath.verify_schnorr_single(
+            verify_schnorr_single(
                 shared.group, shared.notary_pk.public(c.index), m, c.signature
             )
             for m, c in cases
@@ -266,7 +257,7 @@ class TestRealKeyringAgainstTheOracle:
         forged.append(replace(share, value=other.value))  # another member
         cases = [(message, c) for c in [share, other] + forged] + [(b"other", share)]
         oracle = [
-            fastpath.verify_dleq_single(
+            verify_dleq_single(
                 group,
                 DleqStatement(
                     group.g, shared.beacon_pk.share_public(c.index), message_point(group, m), c.value

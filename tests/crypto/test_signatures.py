@@ -1,4 +1,4 @@
-"""Tests for Schnorr signatures, DLEQ proofs and unique signatures.
+"""Tests for Schnorr signatures and DLEQ proofs.
 
 Verification goes through :mod:`repro.crypto.api` (the only verification
 surface since the deprecated module-level ``verify`` wrappers were
@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto import dleq, schnorr, unique
+from repro.crypto import dleq, schnorr
 from repro.crypto.api import verifiers_for
 from repro.crypto.dleq import DleqStatement
 from repro.crypto.group import default_group
@@ -142,36 +142,3 @@ class TestDleq:
         proof = dleq.prove(group, x, group.g, g2, rng)
         statement = DleqStatement(0, group.power_g(x), g2, group.power(g2, x))
         assert not suite.dleq.verify(statement, b"", proof)
-
-
-class TestUniqueSignature:
-    def test_sign_verify(self, group, rng, suite):
-        keys = schnorr.keygen(group, rng)
-        sig = unique.sign(group, keys.secret, b"msg", rng)
-        assert suite.unique.verify(keys.public, b"msg", sig)
-
-    def test_value_is_unique(self, group, rng):
-        """The signature *value* is message+key determined (beacon property)."""
-        keys = schnorr.keygen(group, rng)
-        a = unique.sign(group, keys.secret, b"msg", rng)
-        b = unique.sign(group, keys.secret, b"msg", rng)
-        assert a.value == b.value
-        assert a.proof != b.proof  # proofs are randomized, values are not
-
-    def test_distinct_messages_distinct_values(self, group, rng):
-        keys = schnorr.keygen(group, rng)
-        a = unique.sign(group, keys.secret, b"m1", rng)
-        b = unique.sign(group, keys.secret, b"m2", rng)
-        assert a.value != b.value
-
-    def test_wrong_key_rejected(self, group, rng, suite):
-        keys = schnorr.keygen(group, rng)
-        other = schnorr.keygen(group, rng)
-        sig = unique.sign(group, keys.secret, b"msg", rng)
-        assert not suite.unique.verify(other.public, b"msg", sig)
-
-    def test_forged_value_rejected(self, group, rng, suite):
-        keys = schnorr.keygen(group, rng)
-        sig = unique.sign(group, keys.secret, b"msg", rng)
-        forged = unique.UniqueSignature(value=group.power_g(7), proof=sig.proof)
-        assert not suite.unique.verify(keys.public, b"msg", forged)

@@ -6,26 +6,122 @@ Two guarantees from the observability design:
   results (commit logs and every ``Metrics`` field) to the same run
   without one, because emitting never touches the RNG, clock or event
   queue.
-* **Equivalence** — the quantities ``repro.analysis.trace`` rebuilds
-  from the event stream equal what ``Metrics`` reported for the same
-  run: commit latencies, per-round message counts, total bytes.
+* **Equivalence** — the quantities rebuilt from the event stream (by
+  ``repro.analysis.trace`` and by the oracles below) equal what
+  ``Metrics`` reported for the same run: commit latencies, per-round
+  message counts, total bytes.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Mapping
+
 from repro.adversary import WithholdFinalizationMixin, corrupt_class
-from repro.analysis.trace import (
-    adversary_timeline,
-    bytes_sent,
-    commit_latencies,
-    message_counts,
-    summarize,
-)
+from repro.analysis.trace import message_counts, summarize
 from repro.baselines import HotStuffParty
 from repro.core import ClusterConfig, Payload, build_cluster
 from repro.core.icc0 import ICC0Party
-from repro.obs import Tracer
+from repro.obs import EVENT_KINDS, Tracer
 from repro.sim.delays import FixedDelay
+
+# ---------------------------------------------------------------------------
+# Trace-side oracles: each rebuilds one Metrics figure from the events alone.
+# ---------------------------------------------------------------------------
+
+#: Event kinds emitted only by adversarial (Byzantine) behaviours.
+ADVERSARY_KINDS = frozenset(kind for kind in EVENT_KINDS if kind.startswith("adv."))
+
+
+def _first_by_key(events, kind, key_field):
+    """Earliest event of ``kind`` per distinct ``payload[key_field]``."""
+    out = {}
+    for event in events:
+        if event.kind != kind:
+            continue
+        key = event.payload.get(key_field)
+        if key is None:
+            continue
+        if key not in out or event.time < out[key].time:
+            out[key] = event
+    return out
+
+
+def commit_latencies(events) -> dict[str, float]:
+    """Per-block commit latency: first commit time minus propose time.
+
+    Reads ``icc.block.proposed`` / ``icc.block.committed`` for the ICC
+    family and ``hotstuff.propose`` / ``pbft.propose`` /
+    ``tendermint.propose`` / ``baseline.commit`` for the baselines.  Blocks
+    that were proposed but never committed (or whose proposal was never
+    traced) are omitted — the convention ``Metrics`` uses when
+    ``proposed_at`` is missing.
+    """
+    proposed = {}
+    for kind, key_field in (
+        ("icc.block.proposed", "block"),
+        ("hotstuff.propose", "batch"),
+        ("pbft.propose", "batch"),
+        ("tendermint.propose", "batch"),
+    ):
+        proposed.update(_first_by_key(events, kind, key_field))
+    committed = {}
+    for kind, key_field in (
+        ("icc.block.committed", "block"),
+        ("baseline.commit", "batch"),
+    ):
+        committed.update(_first_by_key(events, kind, key_field))
+    return {
+        block: committed[block].time - proposed[block].time
+        for block in committed
+        if block in proposed
+    }
+
+
+def bytes_sent(events) -> int:
+    """Total wire bytes, matching the ``Metrics`` byte convention.
+
+    Broadcast charges ``(copies - 1) * bytes`` (no wire cost for
+    self-delivery), multicast ``receivers * bytes``, send ``bytes``.
+    """
+    total = 0
+    for event in events:
+        if event.kind == "net.broadcast":
+            total += (int(event.payload["copies"]) - 1) * int(event.payload["bytes"])
+        elif event.kind == "net.multicast":
+            total += int(event.payload["receivers"]) * int(event.payload["bytes"])
+        elif event.kind == "net.send":
+            total += int(event.payload["bytes"])
+    return total
+
+
+@dataclass(frozen=True)
+class AdversaryActivation:
+    """One adversarial action: when, who, what."""
+
+    time: float
+    party: int
+    kind: str
+    round: int | None
+    payload: Mapping
+
+
+def adversary_timeline(events) -> list[AdversaryActivation]:
+    """Chronological list of all ``adv.*`` events in the trace."""
+    timeline = [
+        AdversaryActivation(
+            time=event.time,
+            party=event.party,
+            kind=event.kind,
+            round=event.round,
+            payload=event.payload,
+        )
+        for event in events
+        if event.kind in ADVERSARY_KINDS
+    ]
+    timeline.sort(key=lambda a: (a.time, a.party, a.kind))
+    return timeline
+
 
 ROUNDS = 8
 DELTA = 0.05

@@ -7,7 +7,6 @@ from random import Random
 import pytest
 
 from repro.sim.delays import (
-    AdversarialDelay,
     FixedDelay,
     IntermittentSynchrony,
     MessageAwareDelay,
@@ -114,17 +113,24 @@ class TestIntermittentSynchrony:
 
 
 class TestAdversarial:
+    """``MessageAwareDelay`` is the adversarial scheduler: whatever the
+    strategy asks for is clamped into [0, max_delay] on both entry points,
+    so eventual delivery holds."""
+
     def test_strategy_applied(self):
-        d = AdversarialDelay(strategy=lambda s, r, now: 7.0)
+        d = MessageAwareDelay(strategy=lambda s, r, now, m: 7.0)
         assert d.sample(1, 2, 0.0, Random(1)) == 7.0
+        assert d.sample_message(1, 2, 0.0, "m", Random(1)) == 7.0
 
     def test_clamped_to_max(self):
-        d = AdversarialDelay(strategy=lambda s, r, now: 1e9, max_delay=30.0)
+        d = MessageAwareDelay(strategy=lambda s, r, now, m: 1e9, max_delay=30.0)
         assert d.sample(1, 2, 0.0, Random(1)) == 30.0
+        assert d.sample_message(1, 2, 0.0, "m", Random(1)) == 30.0
 
     def test_negative_clamped_to_zero(self):
-        d = AdversarialDelay(strategy=lambda s, r, now: -5.0)
+        d = MessageAwareDelay(strategy=lambda s, r, now, m: -5.0)
         assert d.sample(1, 2, 0.0, Random(1)) == 0.0
+        assert d.sample_message(1, 2, 0.0, "m", Random(1)) == 0.0
 
     def test_message_aware(self):
         d = MessageAwareDelay(

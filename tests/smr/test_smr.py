@@ -6,13 +6,7 @@ import pytest
 
 from repro.core import ClusterConfig, Payload, build_cluster
 from repro.sim.delays import FixedDelay, UniformDelay
-from repro.smr import (
-    CounterStateMachine,
-    KVStateMachine,
-    Replica,
-    attach_replicas,
-    check_replica_agreement,
-)
+from repro.smr import KVStateMachine, attach_replicas, check_replica_agreement
 
 
 class TestKVMachine:
@@ -62,12 +56,6 @@ class TestKVMachine:
         # Same final state but different applied-counter history is still
         # distinguishable; equalize histories first.
         assert sorted(a.state) == sorted(b.state)
-
-    def test_counter_machine(self):
-        m = CounterStateMachine()
-        m.apply((5).to_bytes(8, "big"))
-        m.apply((7).to_bytes(8, "big"))
-        assert m.value == 12
 
 
 def run_kv_cluster(n=4, t=1, rounds=20, seed=3, delay=None):

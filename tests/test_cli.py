@@ -98,6 +98,28 @@ class TestCli:
             main(argv)
         assert exc.value.code == 2  # argparse usage error
 
+    @pytest.mark.parametrize("command, minimum", [
+        ("experiments --quick --jobs 0", 1),
+        ("report --jobs 0", 1),
+        ("load --jobs 0", 1),
+        ("chaos --jobs 0", 1),
+        ("demo --rounds 1", 3),
+        ("demo --rounds 2", 3),
+        ("demo --n 0", 1),
+        ("load --ns 0", 1),
+        ("load --ns 4,0", 1),
+        ("chaos --count 0", 1),
+    ], ids=lambda value: value if isinstance(value, str) else None)
+    def test_count_below_its_minimum_is_a_usage_error(self, command, minimum, capsys):
+        """A count flag below its minimum used to raise from deep inside the
+        run (``jobs must be >= 1``, a division by zero, a ``ClusterConfig``
+        error) or, for ``chaos --count 0``, to pass vacuously."""
+        argv = command.split()
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"{argv[-2]}: must be at least {minimum}" in capsys.readouterr().err
+
     def test_live_check(self, capsys):
         """The CI smoke leg: a tiny in-process TCP cluster to height 5."""
         with pytest.raises(SystemExit) as exc:

@@ -167,6 +167,49 @@ class TestDocs:
             "python -m repro collect", "python -m repro trace",
         ]
 
+    def test_dotted_names_resolve_past_the_module(self, tmp_path, monkeypatch):
+        """Against the real source, the component after a module must be a
+        top-level name of it: a deleted class or module fails, a live class
+        and an attribute of it pass (what follows a name is not judged)."""
+        module = load_checker()
+        (tmp_path / "src").symlink_to(module.REPO / "src")
+        (tmp_path / "README.md").write_text(
+            "`repro.sim.delays.AdversarialDelay`, `repro.crypto.dkg`, "
+            "`repro.core.pool.prune`, `repro.sim.delays.MessageAwareDelay`, "
+            "`repro.core.pool.MessagePool.prune`, `repro.crypto.unique`\n",
+            encoding="utf-8",
+        )
+        monkeypatch.setattr(module, "REPO", tmp_path)
+        problems: list[str] = []
+        module.check_removed_names(problems)
+        assert [p.split()[2].rstrip(",") for p in problems] == [
+            "repro.core.pool.prune", "repro.crypto.dkg", "repro.sim.delays.AdversarialDelay",
+        ]
+
+    def test_file_references_must_name_a_definition(self, tmp_path, monkeypatch):
+        """A ``path.py::name`` reference that resolves from the repo root,
+        ``src/`` or ``src/repro/`` must name a def or class in that file; a
+        path that resolves nowhere is not judged."""
+        module = load_checker()
+        (tmp_path / "src").symlink_to(module.REPO / "src")
+        (tmp_path / "tools").symlink_to(module.REPO / "tools")
+        (tmp_path / "README.md").write_text(
+            "`experiments/properties.py::safety_trial`, "
+            "`experiments/properties.py::run_safety_sweep`, "
+            "`src/repro/sim/delays.py::AdversarialDelay`, "
+            "`tools/check_docs.py::resolves`, `tools/check_docs.py::gone`, "
+            "`elsewhere.py::anything`\n",
+            encoding="utf-8",
+        )
+        monkeypatch.setattr(module, "REPO", tmp_path)
+        problems: list[str] = []
+        module.check_removed_names(problems)
+        assert [p.split()[2].rstrip(",") for p in problems] == [
+            "experiments/properties.py::run_safety_sweep",
+            "src/repro/sim/delays.py::AdversarialDelay",
+            "tools/check_docs.py::gone",
+        ]
+
     def test_flags_a_command_does_not_declare_are_flagged(self, tmp_path, monkeypatch):
         """A flag shown in a `python -m repro <cmd>` command line must be
         declared by that command's own `add_arguments`: a removed flag, or

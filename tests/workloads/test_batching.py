@@ -1,13 +1,14 @@
 """Batching-layer correctness: wire codec, batch auth, forged requests."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core.cluster import ClusterConfig, build_cluster
 from repro.core.messages import Block, Payload
 from repro.crypto.backend import CryptoBackend
 from repro.sim.delays import FixedDelay
-from repro.smr.client import strip_client_envelope
-from repro.smr.replica import attach_replicas, check_replica_agreement
+from repro.smr.replica import Replica, attach_replicas, check_replica_agreement
 from repro.workloads.batching import (
     BatchSpec,
     FastClientAuth,
@@ -54,10 +55,16 @@ def test_wire_round_trip():
     assert parsed == request
     assert request.wire()[:12] == request.request_id
     assert strip_request_envelope(request.wire()) == request.body
-    # Replicas route load commands through the shared strip helper.
-    assert strip_client_envelope(request.wire()) == request.body
-    # Non-load commands pass through both helpers unchanged.
+    # Non-load commands pass through unchanged.
     assert strip_request_envelope(b"noop") == b"noop"
+    # A replica applies what the helper returns: a load request's body, and
+    # any other command as it is.
+    party = SimpleNamespace(commit_listeners=[])
+    replica = Replica(party)
+    [on_commit] = party.commit_listeners
+    on_commit(SimpleNamespace(round=1, payload=Payload(commands=(request.wire(), b"noop"))))
+    assert replica.machine.state == {b"k": b"v"}
+    assert (replica.machine.applied, replica.machine.rejected) == (2, 0)
 
 
 @pytest.mark.parametrize("scheme", ["fast", "real"])

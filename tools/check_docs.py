@@ -23,8 +23,11 @@ Checks every ``*.md`` file in the repo root and ``docs/``:
   ``--flag`` shown in such an invocation is declared by that subcommand's
   ``add_arguments`` (textual scan of its ``add_argument`` calls), and every
   ``REPRO_*`` environment variable it shows appears somewhere under
-  ``src/``, and every dotted ``repro.<a>.<b>…`` path it names resolves
-  (ROADMAP.md records history and is exempt from this one check);
+  ``src/``, every dotted ``repro.<a>.<b>…`` path it names resolves down
+  to the top-level name after a module, and every ``path.py::name`` whose
+  path resolves from the repo root, ``src/`` or ``src/repro/`` names a def
+  or class in that file (ROADMAP.md records history and is exempt from
+  this one check);
 * every ``repro.experiments.<module>`` named in DESIGN.md's experiment
   table is a module ``run_all.suite`` enumerates (textual scan), so an
   experiment with a private entry point cannot sit beside the suite;
@@ -224,17 +227,14 @@ def cli_flags() -> dict[str, set[str]]:
     return flags
 
 
-def package_names(package: pathlib.Path) -> set[str]:
-    """The names a package's ``__init__.py`` binds: imports, assignments,
-    functions and classes at module level (parsed, not imported)."""
-    init = package / "__init__.py"
-    if not init.is_file():
-        return set()
+def module_names(module: pathlib.Path) -> set[str]:
+    """The names a module binds at top level: imports, assignments,
+    functions and classes (parsed, not imported)."""
     names: set[str] = set()
-    for node in ast.parse(init.read_text(encoding="utf-8")).body:
+    for node in ast.parse(module.read_text(encoding="utf-8")).body:
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             names.update((a.asname or a.name).split(".")[0] for a in node.names)
-        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names.add(node.name)
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
@@ -242,14 +242,25 @@ def package_names(package: pathlib.Path) -> set[str]:
     return names
 
 
+def package_names(package: pathlib.Path) -> set[str]:
+    """The names a package's ``__init__.py`` binds."""
+    init = package / "__init__.py"
+    return module_names(init) if init.is_file() else set()
+
+
 def resolves(dotted: str) -> bool:
     """Whether ``repro.<a>.<b>…`` names something under ``src/repro``:
     each component after a package is a submodule, a subpackage or a name
-    its ``__init__.py`` binds.  The walk stops at the first module or
-    bound name, since what follows is attributes."""
+    its ``__init__.py`` binds, and the component after a module is a
+    top-level name of that module.  The walk stops at the first name bound
+    in a package or module, since what follows is attributes."""
     package = REPO / "src" / "repro"
-    for part in dotted.split(".")[1:]:
-        if (package / f"{part}.py").is_file() or part in package_names(package):
+    parts = dotted.split(".")[1:]
+    for i, part in enumerate(parts):
+        module = package / f"{part}.py"
+        if module.is_file():
+            return i + 1 == len(parts) or parts[i + 1] in module_names(module)
+        if part in package_names(package):
             return True
         package = package / part
         if not package.is_dir():
@@ -257,13 +268,38 @@ def resolves(dotted: str) -> bool:
     return True
 
 
+#: A ``path/to/file.py::name`` reference (pytest's node-id form).
+FILE_NAME_RE = re.compile(r"([\w./-]+\.py)::(\w+)")
+
+
+def defined_in(module: pathlib.Path) -> set[str]:
+    """The functions and classes defined anywhere in a module."""
+    return {
+        node.name
+        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    }
+
+
+def missing_definition(path: str, name: str) -> bool:
+    """Whether ``path::name`` points at a file that resolves from the repo
+    root, ``src/`` or ``src/repro/`` but defines no such function or
+    class.  A path that resolves nowhere is not judged."""
+    for root in (REPO, REPO / "src", REPO / "src" / "repro"):
+        module = root / path
+        if module.is_file():
+            return name not in defined_in(module)
+    return False
+
+
 def check_removed_names(problems: list[str]) -> None:
     """A ``BENCH_<name>.json`` the docs name must exist, a ``python -m
     repro <name>`` they show must be a registered subcommand, a ``--flag``
     in that invocation must be one the subcommand declares, a ``REPRO_*``
-    environment variable they show must appear under ``src/`` and a
-    ``repro.<a>.<b>…`` path they name must resolve: what the docs point a
-    reader at cannot have been removed."""
+    environment variable they show must appear under ``src/``, a
+    ``repro.<a>.<b>…`` path they name must resolve and a ``path.py::name``
+    must name a definition of that file: what the docs point a reader at
+    cannot have been removed."""
     registered = set(cli_subcommands())
     declared = cli_flags()
     source = "".join(
@@ -295,6 +331,12 @@ def check_removed_names(problems: list[str]) -> None:
                 problems.append(
                     f"{path.relative_to(REPO)}: names {name}, which does not "
                     f"resolve under src/repro"
+                )
+        for module, name in sorted(set(FILE_NAME_RE.findall(text))):
+            if missing_definition(module, name):
+                problems.append(
+                    f"{path.relative_to(REPO)}: names {module}::{name}, which "
+                    f"{module} does not define"
                 )
         shown = {
             (command, flag)
