@@ -2,8 +2,9 @@
 """A Byzantine fault-tolerant replicated key-value store on ICC1.
 
 The paper's motivating application (Section 1): state machine replication.
-Clients issue PUT commands at 50 req/s; every replica applies the
-committed command stream to a deterministic KV machine; checkpoints prove
+A client population issues signed PUTs at 50 req/s through the batched
+ingress (``repro.workloads``); every replica applies the committed
+requests' bodies to a deterministic KV machine; checkpoints prove
 all replicas walk through identical states — even with a crashed node and
 an equivocating proposer in the mix.
 
@@ -13,47 +14,27 @@ Run:  python examples/kv_store.py
 from __future__ import annotations
 
 from repro.adversary import EquivocatingProposerMixin, corrupt_class
-from repro.core import ClusterConfig, Payload, build_cluster
+from repro.core import ClusterConfig, build_cluster
 from repro.core.icc1 import ICC1Party
 from repro.gossip import GossipParams, build_overlay
 from repro.sim import WanDelay
-from repro.smr import KVStateMachine, attach_replicas, check_replica_agreement
+from repro.smr import attach_replicas, check_replica_agreement
+from repro.workloads import BatchSpec, ClientPopulation, PopulationSpec, RequestBatcher
 
 N = 10
 T = 3
 DURATION = 30.0
 
 
-class KVWorkload:
-    """Turns client PUTs into block payloads, deduplicating via the chain."""
-
-    def __init__(self) -> None:
-        self.sequence = 0
-        self.pending: dict[bytes, bytes] = {}
-
-    def install(self, cluster, rate: float, duration: float) -> None:
-        interval = 1.0 / rate
-        time = interval
-
-        def submit():
-            self.sequence += 1
-            key = b"user:%d" % (self.sequence % 25)
-            value = b"balance=%d" % (self.sequence * 10)
-            command = KVStateMachine.put(key, value)
-            self.pending[b"%d" % self.sequence] = command
-
-        while time < duration:
-            cluster.sim.schedule_at(time, submit)
-            time += interval
-
-    def payload_source(self, party, round, chain):
-        included = {c for b in chain for c in b.payload.commands}
-        fresh = [c for c in self.pending.values() if c not in included]
-        return Payload(commands=tuple(fresh[:100]))
-
-
 def main() -> None:
-    workload = KVWorkload()
+    # 100 clients PUT to 25 Zipf-popular keys; payload_bytes=0 leaves the
+    # values unpadded.
+    batcher = RequestBatcher(BatchSpec(batch_max=100), seed=7)
+    population = ClientPopulation(
+        PopulationSpec(clients=100, rate_per_second=50.0, key_space=25, payload_bytes=0),
+        batcher,
+        seed=7,
+    )
     equivocator = corrupt_class(ICC1Party, EquivocatingProposerMixin)
     config = ClusterConfig(
         n=N,
@@ -62,7 +43,8 @@ def main() -> None:
         epsilon=0.05,
         delay_model=WanDelay(),  # the paper's 6-110ms RTT WAN
         seed=7,
-        payload_source=workload.payload_source,
+        payload_source=batcher.payload_source,
+        payload_verifier=batcher.verify_block,
         party_class=ICC1Party,
         corrupt={1: None, 2: equivocator},  # one crash + one equivocator
         extra_party_kwargs=dict(
@@ -71,8 +53,9 @@ def main() -> None:
         ),
     )
     cluster = build_cluster(config)
+    batcher.bind(cluster)
     replicas = attach_replicas(cluster, checkpoint_interval=25)
-    workload.install(cluster, rate=50.0, duration=DURATION)
+    population.install(cluster, duration=DURATION)
     cluster.start()
     cluster.run_for(DURATION + 10.0)
 

@@ -12,7 +12,7 @@ from .cluster import (
     ClusterConfig,
     build_cluster,
 )
-from .icc0 import ICC0Party, SafetyViolation, empty_payload_source
+from .icc0 import ICC0Party, SafetyViolation, empty_payload_source, fixed_size_source
 from .messages import (
     Authenticator,
     BeaconShare,
@@ -39,6 +39,7 @@ __all__ = [
     "ICC0Party",
     "SafetyViolation",
     "empty_payload_source",
+    "fixed_size_source",
     "Authenticator",
     "BeaconShare",
     "Block",

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Callable, Sequence
 
 from ..crypto.keyring import Keyring, generate_keyrings
-from ..gossip import GossipParams, build_overlay
+from ..gossip import build_overlay
 from ..obs.tracer import TracerLike
 from ..sim.delays import DelayModel, FixedDelay
 from ..sim.metrics import Metrics
@@ -48,16 +48,12 @@ PROTOCOLS: dict[str, PartyFactory] = {
 
 
 def protocol_party(
-    protocol: str,
-    n: int,
-    seed: int = 0,
-    gossip_degree: int = 4,
-    gossip_params: GossipParams | None = None,
+    protocol: str, n: int, seed: int = 0, gossip_degree: int = 4
 ) -> tuple[PartyFactory, dict]:
     """``(party_class, extra_party_kwargs)`` for a protocol name (any case).
 
-    ICC1 additionally needs the seeded overlay every party must agree on
-    and its gossip parameters; the other two take no extra arguments.
+    ICC1 additionally needs the seeded overlay every party must agree on;
+    the other two take no extra arguments.
     """
     name = protocol.lower()
     if name not in PROTOCOLS:
@@ -67,9 +63,6 @@ def protocol_party(
     extra: dict = {}
     if name == "icc1":
         extra["overlay"] = build_overlay(n, gossip_degree, seed=seed)
-        extra["gossip_params"] = (
-            gossip_params if gossip_params is not None else GossipParams(degree=gossip_degree)
-        )
     return PROTOCOLS[name], extra
 
 

@@ -59,6 +59,15 @@ def empty_payload_source(party: "ICC0Party", round: int, chain: list[Block]) -> 
     return EMPTY_PAYLOAD
 
 
+def fixed_size_source(block_bytes: int) -> PayloadSource:
+    """getPayload producing constant-size blocks of filler and no commands."""
+
+    def source(party: "ICC0Party", round: int, chain: list[Block]) -> Payload:
+        return Payload(commands=(), filler_bytes=block_bytes)
+
+    return source
+
+
 class SafetyViolation(AssertionError):
     """Raised when a party observes two incompatible committed chains.
 

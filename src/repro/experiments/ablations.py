@@ -22,9 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..core import fixed_size_source
 from ..core.cluster import build_cluster
 from ..sim.delays import FixedDelay
-from ..workloads import fixed_size_source
 from . import runner
 from .common import make_icc_config, mean, print_table
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from ..core.cluster import Cluster, ClusterConfig, build_cluster, protocol_party
-from ..gossip import GossipParams
 from ..obs import Tracer, write_jsonl
 from ..sim.delays import DelayModel
 
@@ -87,14 +86,12 @@ def make_icc_config(
     seed: int = 0,
     max_rounds: int | None = None,
     payload_source=None,
+    payload_verifier=None,
     corrupt: dict | None = None,
     gossip_degree: int = 4,
-    gossip_params: GossipParams | None = None,
 ) -> ClusterConfig:
     """Build a ClusterConfig for any of the three ICC protocols."""
-    party_class, extra = protocol_party(
-        protocol, n, seed=seed, gossip_degree=gossip_degree, gossip_params=gossip_params
-    )
+    party_class, extra = protocol_party(protocol, n, seed=seed, gossip_degree=gossip_degree)
     kwargs = dict(
         n=n,
         t=t,
@@ -108,6 +105,8 @@ def make_icc_config(
     )
     if payload_source is not None:
         kwargs["payload_source"] = payload_source
+    if payload_verifier is not None:
+        kwargs["payload_verifier"] = payload_verifier
     if corrupt is not None:
         kwargs["corrupt"] = corrupt
     config = ClusterConfig(**kwargs)

@@ -21,8 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..core import fixed_size_source
 from ..sim.delays import FixedDelay
-from ..workloads import fixed_size_source
 from . import runner
 from .common import make_icc_config, print_table, run_icc
 

@@ -193,14 +193,14 @@ def add_arguments(parser) -> None:
         help="comma-separated subnet sizes to sweep",
     )
     parser.add_argument(
-        "--loads", default=",".join(f"{r:.0f}" for r in DEFAULT_LOADS),
-        help="comma-separated offered loads (requests/second)",
+        "--loads", type=_rates, default=",".join(f"{r:.0f}" for r in DEFAULT_LOADS),
+        help="comma-separated offered loads (requests/second, each at least 1)",
     )
     parser.add_argument("--duration", type=float, default=4.0,
                         help="arrival window per point (simulated seconds); "
                              "n=100 points cost minutes of wall clock per "
                              "simulated second on one core")
-    parser.add_argument("--batch-max", type=int, default=256,
+    parser.add_argument("--batch-max", type=runner.at_least(1), default=256,
                         help="load requests packed per block")
     parser.add_argument("--auth", choices=["fast", "real"], default="fast",
                         help="client authenticator backend")
@@ -213,11 +213,14 @@ def _sizes(text: str) -> tuple[int, ...]:
     return tuple(runner.at_least(1)(x) for x in text.split(",") if x.strip())
 
 
+def _rates(text: str) -> tuple[float, ...]:
+    return tuple(runner.at_least(1, float)(x) for x in text.split(",") if x.strip())
+
+
 def run(args) -> int:
-    loads = tuple(float(x) for x in args.loads.split(",") if x.strip())
     suite = specs(
         ns=args.ns,
-        loads=loads,
+        loads=args.loads,
         duration=args.duration,
         seed=args.seed,
         batch_max=args.batch_max,

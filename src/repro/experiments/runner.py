@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import math
 import multiprocessing
 import os
 from dataclasses import dataclass, replace
@@ -109,15 +110,19 @@ def default_jobs() -> int:
     return os.cpu_count() or 1
 
 
-def at_least(minimum: int) -> Callable[[str], int]:
+def at_least(minimum: int, number: type = int) -> Callable[[str], Any]:
     """The argparse ``type`` of a count flag (``--jobs``, ``--runs``,
-    ``--count``, a cluster size…): an integer no smaller than ``minimum``,
-    so a value below it is a usage error (exit 2), not a traceback."""
+    ``--count``, a cluster size…) or, with ``number=float``, of a rate: a
+    finite number no smaller than ``minimum``, so a value below it or no
+    number at all is a usage error (exit 2), not a traceback."""
 
-    def parse(text: str) -> int:
-        value = int(text)
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+    def parse(text: str):
+        try:
+            value = number(text)
+        except ValueError:
+            value = None
+        if value is None or not minimum <= value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {text}")
         return value
 
     return parse

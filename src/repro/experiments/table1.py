@@ -13,8 +13,10 @@ load + ⅓ failures  0.45 blocks/s, 4.39 Mb/s   0.16 blocks/s, 5.06 Mb/s
 =================  =========================  =====================
 
 Our reproduction runs ICC1 (the variant the IC deploys) over the WAN delay
-model with the same request workload (100 req/s × 1 KB) and ⅓ silent nodes
-in the failure scenario.  The protocol parametrization (Δbnd and the
+model with the same request workload (100 req/s × 1 KB, a
+:class:`~repro.workloads.ClientPopulation` feeding a
+:class:`~repro.workloads.RequestBatcher`) and ⅓ silent nodes in the
+failure scenario.  The protocol parametrization (Δbnd and the
 notarization governor ε) is calibrated once to the production block rates
 in the *no-load* scenario and then **held fixed** across scenarios, so the
 load and failure columns are genuine predictions.
@@ -22,8 +24,9 @@ load and failure columns are genuine predictions.
 Traffic caveat (also in EXPERIMENTS.md): the paper's Mb/s numbers include
 non-consensus traffic ("messages exchanged with the clients, the periodic
 cryptographic key resharing scheme, logs, metrics etc."), which a consensus
-simulation cannot reproduce; we report consensus-only egress and compare
-*deltas* between scenarios, which are consensus-dominated.
+simulation cannot reproduce; we report consensus egress plus the client
+ingress each node forwards (each request with its 50-byte signed envelope)
+and compare *deltas* between scenarios, which are consensus-dominated.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from dataclasses import dataclass
 from ..adversary import SilentMixin, corrupt_class
 from ..core.icc1 import ICC1Party
 from ..sim.delays import WanDelay
-from ..workloads import MempoolWorkload, WorkloadSpec, management_only_source
+from ..workloads import BatchSpec, ClientPopulation, PopulationSpec, RequestBatcher
 from . import runner
 from .common import make_icc_config, print_table
 
@@ -53,6 +56,25 @@ SUBNET_PARAMS = {
     13: dict(delta_bound=1.5, epsilon=0.86),
     40: dict(delta_bound=5.5, epsilon=2.20),
 }
+
+
+#: Proposer cap, above what any cell packs (the 40-node failure cell's
+#: slow rounds gather about 550 requests per block).
+BATCH_MAX = 10_000
+
+#: Ingress copies each node sends per request: an epidemic push over the
+#: degree-4 overlay crosses each edge about once, d/2 = 2 sends per node.
+INGRESS_COPIES = 2
+
+
+def ingress_bytes_per_node(batcher: RequestBatcher, observer) -> int:
+    """Client traffic each live node sends: every admitted request's wire
+    bytes, ``INGRESS_COPIES`` times.  An admitted request is either on the
+    chain the observer committed (the batcher is bound to it, so a commit
+    takes the request out of its queue) or still queued."""
+    admitted = [c for block in observer.output_log for c in block.payload.commands]
+    admitted.extend(batcher._pending.values())
+    return INGRESS_COPIES * sum(map(len, admitted))
 
 
 @dataclass(frozen=True)
@@ -78,14 +100,11 @@ def run_cell(
     with_load = scenario in ("with load", "load + failures")
     with_failures = scenario == "load + failures"
 
-    workload = None
-    if with_load:
-        workload = MempoolWorkload(
-            WorkloadSpec(rate_per_second=100.0, payload_bytes=1024), seed=seed
-        )
-        payload_source = workload.payload_source
-    else:
-        payload_source = management_only_source(management_bytes=256)
+    # Every cell runs the one request pipeline; without load nothing is
+    # admitted and each block carries the management bytes alone.
+    batcher = RequestBatcher(
+        BatchSpec(management_bytes=256, batch_max=BATCH_MAX), seed=seed
+    )
 
     corrupt: dict[int, type] = {}
     if with_failures:
@@ -101,25 +120,31 @@ def run_cell(
         epsilon=params["epsilon"],
         delay_model=WanDelay(),
         seed=seed,
-        payload_source=payload_source,
+        payload_source=batcher.payload_source,
+        payload_verifier=batcher.verify_block,
         corrupt=corrupt,
     )
     from ..core.cluster import build_cluster  # local import to avoid cycles
 
     cluster = build_cluster(config)
-    if workload is not None:
-        workload.install(cluster, duration=duration, ingress_degree=4)
+    batcher.bind(cluster)
+    if with_load:
+        population = ClientPopulation(
+            PopulationSpec(rate_per_second=100.0, payload_bytes=1024), batcher, seed=seed
+        )
+        population.install(cluster, duration=duration)
     cluster.start()
     cluster.run_for(duration, max_events=50_000_000)
     cluster.check_safety()
 
-    observer = cluster.honest_parties[0].index
-    blocks = cluster.metrics.blocks_per_second(observer, duration)
+    observer = cluster.honest_parties[0]
+    blocks = cluster.metrics.blocks_per_second(observer.index, duration)
     # Average egress over *participating* nodes (silent nodes send nothing,
     # matching how the paper reports per-node traffic of live nodes).
     live = [p.index for p in cluster.honest_parties]
     total_bytes = sum(cluster.metrics.bytes_sent[i] for i in live)
-    egress_mbps = total_bytes * 8.0 / len(live) / duration / 1e6
+    per_node = total_bytes / len(live) + ingress_bytes_per_node(batcher, observer)
+    egress_mbps = per_node * 8.0 / duration / 1e6
 
     paper_bps, paper_mbps = PAPER_TABLE1[(subnet, scenario)]
     return Table1Cell(

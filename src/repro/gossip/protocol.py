@@ -128,9 +128,9 @@ GOSSIP_MESSAGE_TYPES = (Advert, ArtifactRequest, ArtifactDelivery, Push)
 
 @dataclass(frozen=True)
 class GossipParams:
-    """Tuning knobs for the gossip sub-layer."""
+    """Tuning knobs for the gossip sub-layer (the overlay decides the
+    neighbours)."""
 
-    degree: int = 4
     push_threshold: int = 1024  # artifacts <= this many bytes are pushed
     request_timeout: float = 1.0  # retry a request after this long
     max_request_cycles: int = 25  # give up after this many full retry sweeps

@@ -1,5 +1,6 @@
-"""Workload generators for the evaluation scenarios of Section 5, plus the
-Chop Chop-style batched load pipeline (see docs/LOAD.md)."""
+"""Client load: a :class:`ClientPopulation` feeding a :class:`RequestBatcher`,
+the Chop Chop-style batched ingress every simulated load runs through
+(Table 1's 100 req/s × 1 KB, ``repro load``, the benchmark; docs/LOAD.md)."""
 
 from .batching import (
     BatchSpec,
@@ -12,29 +13,19 @@ from .batching import (
     parse_request,
     strip_request_envelope,
 )
-from .generators import (
-    MempoolWorkload,
-    WorkloadSpec,
-    fixed_size_source,
-    management_only_source,
-)
 from .population import ClientPopulation, PopulationSpec, ZipfSampler
 
 __all__ = [
     "BatchSpec",
     "ClientPopulation",
     "FastClientAuth",
-    "MempoolWorkload",
     "PopulationSpec",
     "RealClientAuth",
     "RequestBatcher",
     "SignedRequest",
-    "WorkloadSpec",
     "ZipfSampler",
     "client_auth",
-    "fixed_size_source",
     "is_load_command",
-    "management_only_source",
     "parse_request",
     "strip_request_envelope",
 ]

@@ -61,8 +61,8 @@ from ..obs import NULL_TRACER
 #: 18+A   ...     application body (a KV ``put`` command + padding)
 #: ====== ======= ===========================================
 #:
-#: The first 12 bytes are the globally unique *request id* — the same
-#: ``command[:12]`` dedup convention the mempool workload already uses.
+#: The first 12 bytes are the globally unique *request id*: admission and
+#: block packing deduplicate on ``command[:12]``.
 LOAD_MAGIC = b"ld"
 REQUEST_ID_LEN = 12
 _HEADER_LEN = 18
@@ -272,16 +272,21 @@ class BatchSpec:
     auth: str = "fast"
     #: Group profile for the real backend.
     group_profile: str = "test"
-    #: Per-block management overhead bytes (as in WorkloadSpec).
+    #: Per-block management overhead bytes, carried whether or not any
+    #: request is packed (Table 1's *without load* blocks are just this).
     management_bytes: int = 64
+
+    def __post_init__(self) -> None:
+        if self.batch_max < 1:
+            raise ValueError(f"batch_max must be at least 1, got {self.batch_max}")
 
 
 class RequestBatcher:
     """Shared ingress queue + batch authentication + block packing.
 
     One instance is shared by the whole cluster, modelling the IC's ingress
-    layer gossiping client messages to every party (the same shared-world
-    shortcut :class:`~repro.workloads.generators.MempoolWorkload` takes).
+    layer gossiping client messages to every party: a request admitted here
+    is in every party's mempool at once.
 
     Usage::
 

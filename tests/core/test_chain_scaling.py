@@ -7,9 +7,7 @@ here against the scan it replaced, kept in this file as the oracle:
   the committed floor; the oracle is the full scan over every finalized block
   and every stored finalization share, filtered to ``k > k_max``;
 * ``RequestBatcher.payload_source`` dedups against the uncommitted suffix of
-  the chain being extended; the oracle checks every id on the chain
-  (``MempoolWorkload.payload_source`` does the same against the proposer's
-  own committed round and is counted at 300 rounds below).
+  the chain being extended; the oracle checks every id on the chain.
 
 Equality is checked at every ``pool.add`` and every proposal of runs chosen
 to fork, prune and jump.  Flatness in chain length is checked by *counting*
@@ -27,10 +25,8 @@ from repro.sim.delays import FixedDelay, UniformDelay
 from repro.workloads import (
     BatchSpec,
     ClientPopulation,
-    MempoolWorkload,
     PopulationSpec,
     RequestBatcher,
-    WorkloadSpec,
 )
 from repro.workloads.batching import REQUEST_ID_LEN, is_load_command
 
@@ -324,45 +320,3 @@ class TestFlatInChainLength:
         blocks = len(cluster.party(1).output_log)
         held = sum(_elements(value) for value in vars(batcher).values())
         assert held <= 4 * (population.generated + blocks)
-
-    def test_mempool_workload_reads_only_the_uncommitted_suffix(self):
-        """Table 1's workload over 300 rounds: a proposal reads the blocks
-        above the proposer's committed round and the one it stops at, however
-        long the chain below them is; the workload holds nothing per block;
-        and no command is packed twice on the committed chain."""
-        rounds = 300
-        workload = MempoolWorkload(
-            WorkloadSpec(rate_per_second=100.0, payload_bytes=32, management_bytes=0),
-            seed=1,
-        )
-        read_per_call: list[tuple[int, int]] = []  # (height of the chain extended, commands read)
-
-        def payload_source(party, round, chain):
-            tally = [0]
-            payload = workload.payload_source(party, round, CountingChain(chain, tally))
-            suffix = [block for block in chain if block.round >= party.k_max]
-            assert len(suffix) <= 3
-            assert tally[0] == sum(len(block.payload.commands) for block in suffix)
-            read_per_call.append((len(chain), tally[0]))
-            return payload
-
-        cluster = build_cluster(
-            ClusterConfig(
-                n=4, t=1, delta_bound=1.0, epsilon=0.05, seed=1,
-                delay_model=FixedDelay(0.05), max_rounds=rounds + 2,
-                payload_source=payload_source,
-            )
-        )
-        workload.install(cluster, duration=0.09 * rounds)
-        cluster.start()
-        assert cluster.run_until_all_committed_round(rounds, timeout=600)
-        cluster.check_safety()
-
-        commands = cluster.party(1).output_commands()
-        assert len(commands) == len(set(commands)) == workload.submitted > 2000
-        window = 40
-        early = max(count for height, count in read_per_call if height < window)
-        late = max(count for height, count in read_per_call if height >= rounds - window)
-        assert 0 < late <= early
-        # Every command was committed and pruned: n empty mempools are all it holds.
-        assert sum(_elements(v) for v in vars(workload).values()) == len(cluster.parties)

@@ -24,7 +24,7 @@ def icc1_config(n=7, t=2, degree=4, rounds=10, seed=1, delta=0.05, **overrides):
         party_class=ICC1Party,
         extra_party_kwargs=dict(
             overlay=build_overlay(n, degree, seed=seed),
-            gossip_params=GossipParams(degree=degree, request_timeout=0.5),
+            gossip_params=GossipParams(request_timeout=0.5),
         ),
         **overrides,
     )

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core import ClusterConfig, build_cluster
 from repro.experiments import (
     comparison,
     dissemination,
@@ -20,6 +21,8 @@ from repro.experiments import (
     table1,
     throughput_latency,
 )
+from repro.sim.delays import FixedDelay
+from repro.workloads import BatchSpec, ClientPopulation, PopulationSpec, RequestBatcher
 
 
 class TestThroughputLatency:
@@ -117,3 +120,24 @@ class TestTable1:
         loaded = table1.run_cell(13, "with load", duration=30.0)
         failed = table1.run_cell(13, "load + failures", duration=30.0)
         assert failed.blocks_per_second < loaded.blocks_per_second * 0.75
+
+    def test_ingress_counts_admitted_requests_twice(self):
+        """Each admitted request, committed or still queued when the window
+        closes, is sent d/2 = 2 times by every live node."""
+        batcher = RequestBatcher(BatchSpec(), seed=6)
+        population = ClientPopulation(
+            PopulationSpec(rate_per_second=20.0, payload_bytes=100), batcher, seed=6
+        )
+        cluster = build_cluster(ClusterConfig(
+            n=4, t=1, delta_bound=0.3, epsilon=0.01, delay_model=FixedDelay(0.05),
+            seed=6, payload_source=batcher.payload_source,
+            payload_verifier=batcher.verify_block,
+        ))
+        batcher.bind(cluster)
+        population.install(cluster, duration=1.0)
+        cluster.start()
+        cluster.run_for(1.0)
+        assert batcher.completed > 0 and batcher.queue_depth > 0
+        wire = 18 + 32 + 100  # header, fast authenticator, body
+        ingress = table1.ingress_bytes_per_node(batcher, cluster.honest_parties[0])
+        assert ingress == 2 * batcher.submitted * wire == 2 * 19 * wire

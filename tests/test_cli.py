@@ -108,6 +108,9 @@ class TestCli:
         ("demo --n 0", 1),
         ("load --ns 0", 1),
         ("load --ns 4,0", 1),
+        ("load --loads abc", 1),
+        ("load --loads 60,0", 1),
+        ("load --batch-max 0", 1),
         ("chaos --count 0", 1),
     ], ids=lambda value: value if isinstance(value, str) else None)
     def test_count_below_its_minimum_is_a_usage_error(self, command, minimum, capsys):

@@ -271,3 +271,11 @@ def test_commit_before_local_admission_still_counts():
     assert committed_first.queue_depth == 0
     assert committed_first.duplicates == 4
     assert committed_first.latencies == []  # no local submit time to measure from
+
+
+@pytest.mark.parametrize("batch_max", [0, -1])
+def test_batch_max_below_one_is_rejected(batch_max):
+    """A cap below one used to pack one request per block anyway
+    (``payload_source`` appends before it checks the cap)."""
+    with pytest.raises(ValueError, match="batch_max must be at least 1"):
+        BatchSpec(batch_max=batch_max)

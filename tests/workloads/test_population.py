@@ -5,7 +5,6 @@ from random import Random
 from repro.core.cluster import ClusterConfig, build_cluster
 from repro.sim.delays import FixedDelay, UniformDelay
 from repro.workloads.batching import BatchSpec, RequestBatcher
-from repro.workloads.generators import MempoolWorkload, WorkloadSpec
 from repro.workloads.population import ClientPopulation, PopulationSpec, ZipfSampler
 
 
@@ -35,23 +34,6 @@ def test_install_leaves_sim_rng_untouched():
     cluster = _cluster(batcher)
     before = cluster.sim.rng.getstate()
     population.install(cluster, duration=2.0)
-    assert cluster.sim.rng.getstate() == before
-
-
-def test_mempool_workload_install_leaves_sim_rng_untouched():
-    """Same contract for the legacy MempoolWorkload (the PR-4-style fix:
-    its stream is seeded from the workload seed, not forked from sim.rng)."""
-    workload = MempoolWorkload(
-        WorkloadSpec(rate_per_second=100.0, payload_bytes=64, poisson=True),
-        seed=7,
-    )
-    config = ClusterConfig(
-        n=4, t=1, delta_bound=0.2, epsilon=0.001, seed=7,
-        delay_model=FixedDelay(0.05), payload_source=workload.payload_source,
-    )
-    cluster = build_cluster(config)
-    before = cluster.sim.rng.getstate()
-    workload.install(cluster, duration=2.0)
     assert cluster.sim.rng.getstate() == before
 
 

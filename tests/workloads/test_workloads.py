@@ -1,36 +1,46 @@
-"""Tests for workload generation and mempool payload sources."""
+"""Tests for the static payload sources and the client load pipeline end to
+end: a ClientPopulation feeding a RequestBatcher on a running cluster."""
 
 from __future__ import annotations
 
-import pytest
-
-from repro.core import ClusterConfig, build_cluster
+from repro.core import ClusterConfig, build_cluster, fixed_size_source
 from repro.sim.delays import FixedDelay
 from repro.workloads import (
-    MempoolWorkload,
-    WorkloadSpec,
-    fixed_size_source,
-    management_only_source,
+    BatchSpec,
+    ClientPopulation,
+    PopulationSpec,
+    RequestBatcher,
+    parse_request,
 )
 
 
-def make_cluster(workload, n=4, rounds=30, seed=2):
+def run_pipeline(population_spec, batch_spec=BatchSpec(), seed=2, duration=1.5, drain=18.5):
+    batcher = RequestBatcher(batch_spec, seed=seed)
+    population = ClientPopulation(population_spec, batcher, seed=seed)
     config = ClusterConfig(
-        n=n,
+        n=4,
         t=1,
         delta_bound=0.3,
         epsilon=0.01,
         delay_model=FixedDelay(0.05),
-        max_rounds=rounds,
         seed=seed,
-        payload_source=workload.payload_source,
+        payload_source=batcher.payload_source,
+        payload_verifier=batcher.verify_block,
     )
-    return build_cluster(config)
+    cluster = build_cluster(config)
+    batcher.bind(cluster)
+    population.install(cluster, duration=duration)
+    cluster.start()
+    cluster.run_for(duration + drain)
+    cluster.check_safety()
+    return cluster, batcher
 
 
 class TestStaticSources:
     def test_management_only(self):
-        source = management_only_source(management_bytes=128)
+        """Table 1's *without load* block: a batcher with nothing admitted
+        packs its management bytes alone."""
+        source = RequestBatcher(BatchSpec(management_bytes=128)).payload_source
         payload = source(None, 1, [])
         assert payload.wire_size() == 128 + 4
         assert not payload.commands
@@ -40,85 +50,45 @@ class TestStaticSources:
         assert source(None, 1, []).wire_size() == 10_004
 
 
-class TestMempoolWorkload:
+class TestClientPipeline:
     def test_all_requests_eventually_committed(self):
-        wl = MempoolWorkload(WorkloadSpec(rate_per_second=40, payload_bytes=64), seed=1)
-        cluster = make_cluster(wl)
-        wl.install(cluster, duration=1.5)
-        cluster.start()
-        cluster.run_for(20.0)
-        cluster.check_safety()
-        commands = cluster.party(1).output_commands()
-        assert len(commands) == wl.submitted
-        assert wl.submitted == 60
+        cluster, batcher = run_pipeline(PopulationSpec(rate_per_second=40, payload_bytes=64))
+        assert len(cluster.party(1).output_commands()) == batcher.submitted == 60
 
     def test_no_duplicates_across_blocks(self):
-        """Chain-aware getPayload never re-includes a command (Section 3.3)."""
-        wl = MempoolWorkload(WorkloadSpec(rate_per_second=40, payload_bytes=64), seed=1)
-        cluster = make_cluster(wl)
-        wl.install(cluster, duration=1.5)
-        cluster.start()
-        cluster.run_for(20.0)
+        """Chain-aware getPayload never re-includes a request (Section 3.3)."""
+        cluster, _ = run_pipeline(PopulationSpec(rate_per_second=40, payload_bytes=64))
         commands = cluster.party(1).output_commands()
-        assert len(commands) == len(set(commands))
+        assert commands and len(commands) == len(set(commands))
+
+    def test_committed_requests_leave_the_queue(self):
+        """Every committed request is pruned: the shared queue ends empty."""
+        _, batcher = run_pipeline(PopulationSpec(rate_per_second=40, payload_bytes=64), seed=7)
+        assert batcher.submitted > 0
+        assert batcher.queue_depth == 0
 
     def test_payload_bytes_respected(self):
-        wl = MempoolWorkload(WorkloadSpec(rate_per_second=10, payload_bytes=1024), seed=1)
-        cluster = make_cluster(wl)
-        wl.install(cluster, duration=1.0)
-        cluster.start()
-        cluster.run_for(10.0)
-        for block in cluster.party(1).output_log:
-            for command in block.payload.commands:
-                assert len(command) == 1024
+        cluster, _ = run_pipeline(
+            PopulationSpec(rate_per_second=10, payload_bytes=1024), duration=1.0, drain=9.0
+        )
+        bodies = [parse_request(c).body for c in cluster.party(1).output_commands()]
+        assert bodies and all(len(body) == 1024 for body in bodies)
 
     def test_poisson_arrivals(self):
-        wl = MempoolWorkload(
-            WorkloadSpec(rate_per_second=50, payload_bytes=32, poisson=True), seed=4
+        _, batcher = run_pipeline(
+            PopulationSpec(rate_per_second=50, payload_bytes=32, poisson=True),
+            seed=4, duration=2.0, drain=13.0,
         )
-        cluster = make_cluster(wl)
-        wl.install(cluster, duration=2.0)
-        cluster.start()
-        cluster.run_for(15.0)
         # Poisson(100) arrivals: loose sanity band.
-        assert 60 <= wl.submitted <= 150
+        assert 60 <= batcher.submitted <= 150
 
-    def test_max_block_commands_cap(self):
-        wl = MempoolWorkload(
-            WorkloadSpec(rate_per_second=200, payload_bytes=16, max_block_commands=5),
-            seed=5,
+    def test_batch_max_caps_every_block(self):
+        cluster, batcher = run_pipeline(
+            PopulationSpec(rate_per_second=200, payload_bytes=16),
+            BatchSpec(batch_max=5),
+            seed=5, duration=2.0, drain=13.0,
         )
-        cluster = make_cluster(wl)
-        wl.install(cluster, duration=2.0)
-        cluster.start()
-        cluster.run_for(15.0)
-        for block in cluster.party(1).output_log:
-            assert len(block.payload.commands) <= 5
+        sizes = [len(block.payload.commands) for block in cluster.party(1).output_log]
+        assert max(sizes) == 5
+        assert batcher.completed == sum(sizes)
 
-    def test_ingress_accounting(self):
-        wl = MempoolWorkload(WorkloadSpec(rate_per_second=20, payload_bytes=100), seed=6)
-        cluster = make_cluster(wl)
-        wl.install(cluster, duration=1.0, ingress_degree=4)
-        cluster.start()
-        cluster.run_for(5.0)
-        ingress_bytes = cluster.metrics.bytes_by_kind["ingress"]
-        # submitted requests × 4 parties × (degree/2) copies × 100 bytes
-        assert ingress_bytes == wl.submitted * 4 * 2 * 100
-        assert wl.submitted > 0
-
-    def test_zero_rate_is_noop(self):
-        wl = MempoolWorkload(WorkloadSpec(rate_per_second=0, payload_bytes=100))
-        cluster = make_cluster(wl)
-        wl.install(cluster, duration=10.0)
-        cluster.start()
-        cluster.run_for(5.0)
-        assert wl.submitted == 0
-
-    def test_pruning_bounds_mempool(self):
-        wl = MempoolWorkload(WorkloadSpec(rate_per_second=40, payload_bytes=64), seed=7)
-        cluster = make_cluster(wl)
-        wl.install(cluster, duration=1.5)
-        cluster.start()
-        cluster.run_for(20.0)
-        # All committed commands were pruned from every mempool.
-        assert all(not pending for pending in wl._pending.values())
