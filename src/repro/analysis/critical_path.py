@@ -1,7 +1,7 @@
 """Causal critical-path reconstruction from trace events.
 
 Given a trace (a list of :class:`repro.obs.TraceEvent` — from a simulator
-``Tracer``, a JSONL export, or the merged, clock-aligned trace
+``Tracer``, a JSONL export, or the merged one-host trace
 :func:`repro.obs.collect_run` writes for a live TCP cluster), rebuild the
 causal chain that gates each finalized height and attribute its latency
 to protocol stages:
@@ -278,8 +278,8 @@ def wire_spans(events) -> dict[tuple[int, int, int], float]:
     """Matched ``net.wire.send`` → ``net.wire.recv`` spans, keyed by
     ``(src, dst, seq)``: first send to first delivery, in seconds.
 
-    Only a live TCP trace has such events, and they must be *aligned*
-    (one timeline) — on which no span is negative.
+    Only a live TCP trace has such events, all read off one host clock
+    — on which no span is negative.
     """
     sends: dict[tuple[int, int, int], float] = {}
     spans: dict[tuple[int, int, int], float] = {}

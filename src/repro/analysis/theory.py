@@ -92,11 +92,6 @@ def round_duration_synchronous(delta: float, epsilon: float) -> float:
     return max(delta, epsilon) + delta
 
 
-def commit_latency_synchronous(delta: float) -> float:
-    """Propose→commit: 3δ for ICC0/ICC1 (Section 1)."""
-    return 3 * delta
-
-
 def round_duration_with_silent_parties(
     delta: float, epsilon: float, delta_bound: float, n: int, t_silent: int
 ) -> float:

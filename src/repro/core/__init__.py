@@ -27,7 +27,7 @@ from .messages import (
     ROOT_BLOCK,
     ROOT_HASH,
 )
-from .params import AdaptiveDelays, DelayPolicy, ProtocolParams, StandardDelays, max_faults
+from .params import ProtocolParams, StandardDelays, max_faults
 from .pool import MessagePool
 
 __all__ = [
@@ -52,8 +52,6 @@ __all__ = [
     "Payload",
     "ROOT_BLOCK",
     "ROOT_HASH",
-    "AdaptiveDelays",
-    "DelayPolicy",
     "ProtocolParams",
     "StandardDelays",
     "max_faults",

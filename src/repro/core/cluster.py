@@ -32,7 +32,7 @@ from ..sim.simulator import Simulation
 from .icc0 import ICC0Party, PayloadSource, empty_payload_source
 from .icc1 import ICC1Party
 from .icc2 import ICC2Party
-from .params import DelayPolicy, ProtocolParams, StandardDelays
+from .params import ProtocolParams, StandardDelays
 
 #: Builds one party; adversarial behaviours and the baselines provide
 #: alternatives.
@@ -82,9 +82,9 @@ class ClusterConfig:
     max_rounds: int | None = None
     gc_depth: int | None = None  # pool pruning depth; None keeps everything
     delay_model: DelayModel | None = None  # default FixedDelay(0.1)
-    #: Override the protocol delay functions (e.g. AdaptiveDelays); when
-    #: None, StandardDelays(delta_bound, epsilon) is used.
-    protocol_delays: DelayPolicy | None = None
+    #: Override the protocol delay functions (ablation A2's NoStagger);
+    #: when None, StandardDelays(delta_bound, epsilon) is used.
+    protocol_delays: StandardDelays | None = None
     payload_source: PayloadSource = empty_payload_source
     #: Optional payload batch-admission hook installed on every party's
     #: pool (see :attr:`repro.core.pool.MessagePool.payload_verifier`).
@@ -107,13 +107,6 @@ class ClusterConfig:
             raise ValueError(
                 f"corrupt party indices {outside} outside 1..{self.n}"
             )
-        if self.protocol_delays is not None and not isinstance(
-            self.protocol_delays, DelayPolicy
-        ):
-            raise TypeError(
-                "protocol_delays must implement DelayPolicy (prop/ntry), got "
-                f"{type(self.protocol_delays).__name__}"
-            )
         if self.tracer is not None and not (
             isinstance(self.tracer, TracerLike) and hasattr(self.tracer, "enabled")
         ):
@@ -135,6 +128,9 @@ def prefix_consistent(logs: Sequence[Sequence]) -> bool:
 
 class Cluster:
     """A built, ready-to-run simulation of n parties."""
+
+    #: The clock reading scenario time 0 is: simulated time starts at 0.
+    started_at = 0.0
 
     def __init__(
         self,

@@ -24,7 +24,6 @@ override just that aspect — the consensus logic is shared.
 
 from __future__ import annotations
 
-import copy
 import math
 from typing import Callable
 
@@ -94,9 +93,7 @@ class ICC0Party:
         self.index = index
         self.keys = keyring
         self.params = params
-        # Delay functions are per-party state: the adaptive-Δbnd variant
-        # maintains a *local* estimate, so each party gets its own copy.
-        self.delays = copy.copy(params.delays)
+        self.delays = params.delays
         self.sim = sim
         self.network = network
         self.metrics: Metrics = network.metrics
@@ -374,16 +371,6 @@ class ICC0Party:
         if set(self.notar_shared) <= {block.hash}:
             self._send_finalization_share(block)
 
-        # Feed the adaptive-Δbnd variant (Section 1: the protocol "can be
-        # modified to adaptively adjust to an unknown communication-delay
-        # bound").  The local congestion signal: supporting more than one
-        # block this round means Δntry(1) elapsed before the best proposal
-        # arrived — the delay estimate is too small.  A clean round (N has
-        # at most one block) lets the estimate decay.
-        feedback = getattr(self.delays, "on_round_result", None)
-        if feedback is not None:
-            feedback(len(self.notar_shared) <= 1)
-
         # done <- true: move on to round k+1.
         self.round = k + 1
         self.waiting_beacon = True
@@ -642,10 +629,6 @@ class ICC0Party:
             self.pool.prune(self.k_max - self.params.gc_depth)
 
     # ------------------------------------------------------------------- queries
-
-    @property
-    def committed_payloads(self) -> list[Payload]:
-        return [b.payload for b in self.output_log]
 
     @property
     def committed_hashes(self) -> list[bytes]:

@@ -9,29 +9,15 @@ functions over ranks r in [n]:
 
 Liveness needs 2δ + Δprop(0) <= Δntry(1) whenever the network delay during
 the round is bounded by δ.  The paper's recommended instantiation (eq. (2))
-is Δprop(r) = 2·Δbnd·r and Δntry(r) = 2·Δbnd·r + ε, which these classes
-implement; both are injectable so experiments can explore alternatives
-(including the adaptive-Δbnd variant discussed in Section 1).
+is Δprop(r) = 2·Δbnd·r and Δntry(r) = 2·Δbnd·r + ε, which
+:class:`StandardDelays` implements.  It is frozen, so every party of a
+cluster shares one instance; the one alternative the experiments run is
+ablation A2's subclass without the proposer stagger.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Protocol, runtime_checkable
-
-DelayFunction = Callable[[int], float]
-
-
-@runtime_checkable
-class DelayPolicy(Protocol):
-    """The protocol-delay interface parties consult each round: Δprop(r)
-    and Δntry(r) over ranks.  :class:`StandardDelays` and
-    :class:`AdaptiveDelays` both satisfy it; ``ClusterConfig.protocol_delays``
-    accepts any implementation (validated in ``__post_init__``)."""
-
-    def prop(self, rank: int) -> float: ...
-
-    def ntry(self, rank: int) -> float: ...
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -55,45 +41,6 @@ class StandardDelays:
 
 
 @dataclass
-class AdaptiveDelays:
-    """Delay functions that adapt to an unknown Δbnd (Section 1).
-
-    The paper notes ICC can "adaptively adjust to an unknown
-    communication-delay bound", with care.  The standard safe scheme is
-    exponential back-off on the bound: if a round fails to produce a
-    notarized leader block, the local estimate doubles (up to a cap), and
-    it decays multiplicatively on success.  This keeps liveness: once the
-    estimate exceeds the true Δbnd during a synchronous period, an
-    honest-leader round finalizes.
-    """
-
-    initial_bound: float
-    max_bound: float = 60.0
-    growth: float = 2.0
-    decay: float = 0.9
-    epsilon: float = 0.0
-    current_bound: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.current_bound = self.initial_bound
-
-    def prop(self, rank: int) -> float:
-        return 2.0 * self.current_bound * rank
-
-    def ntry(self, rank: int) -> float:
-        return 2.0 * self.current_bound * rank + self.epsilon
-
-    def on_round_result(self, leader_block_notarized: bool) -> None:
-        """Feed back whether the round's rank-0 block got notarized."""
-        if leader_block_notarized:
-            self.current_bound = max(
-                self.initial_bound, self.current_bound * self.decay
-            )
-        else:
-            self.current_bound = min(self.max_bound, self.current_bound * self.growth)
-
-
-@dataclass
 class ProtocolParams:
     """Everything an ICC party needs to know besides its keys.
 
@@ -103,7 +50,7 @@ class ProtocolParams:
 
     n: int
     t: int
-    delays: StandardDelays | AdaptiveDelays
+    delays: StandardDelays
     max_rounds: int | None = None  # stop participating after this round
     #: When set, parties prune pool artifacts older than k_max - gc_depth
     #: after each commit (the checkpointing/garbage-collection optimization

@@ -10,7 +10,7 @@ See DESIGN.md §2 for the BLS → DLEQ substitution rationale.
 from . import api, backend, fastpath
 from .backend import use_backend
 from .group import Group, default_group, generate_group, strong_group, test_group
-from .hashing import DIGEST_SIZE, hash_bytes, tagged_hash
+from .hashing import DIGEST_SIZE, tagged_hash
 from .keyring import FastKeyring, Keyring, RealKeyring, generate_keyrings
 
 __all__ = [
@@ -24,7 +24,6 @@ __all__ = [
     "strong_group",
     "test_group",
     "DIGEST_SIZE",
-    "hash_bytes",
     "tagged_hash",
     "Keyring",
     "FastKeyring",

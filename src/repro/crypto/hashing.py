@@ -11,15 +11,9 @@ beacon input).
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable
 
 #: Size of a hash output in bytes (used by the wire-size model as well).
 DIGEST_SIZE = 32
-
-
-def hash_bytes(data: bytes) -> bytes:
-    """Plain SHA-256 of ``data``."""
-    return hashlib.sha256(data).digest()
 
 
 #: tag -> a SHA-256 state that has absorbed ``sha256(tag) || sha256(tag)``.
@@ -50,11 +44,6 @@ def tagged_hash(tag: str, *parts: bytes) -> bytes:
 def hash_to_int(tag: str, *parts: bytes) -> int:
     """Hash ``parts`` into a non-negative integer < 2**256."""
     return int.from_bytes(tagged_hash(tag, *parts), "big")
-
-
-def hash_many(tag: str, items: Iterable[bytes]) -> bytes:
-    """Hash an iterable of byte strings with the same unambiguous encoding."""
-    return tagged_hash(tag, *items)
 
 
 def int_to_bytes(value: int) -> bytes:

@@ -58,11 +58,10 @@ def run_schedule(
     n: int = 7,
     seed: int = 31,
 ) -> IntermittentResult:
-    # The intermittent network is now expressed as a fault scenario: the
-    # delay model stays plain FixedDelay and a schedule of OutageFault
-    # windows (the complement of the synchronous windows) stretches
-    # deliveries exactly like delays.IntermittentSynchrony did —
-    # tests/faults/test_ports.py pins the bit-for-bit equivalence.
+    # The intermittent network is a fault scenario: the delay model stays
+    # plain FixedDelay and a schedule of OutageFault windows (the
+    # complement of the synchronous windows) stretches deliveries —
+    # tests/faults/test_ports.py pins it against a reference delay model.
     scenario = Scenario(
         name=f"intermittent-p{period:g}-s{sync_len:g}",
         events=outage_schedule(period, sync_len, duration),

@@ -29,7 +29,8 @@ from ..adversary import (
 )
 from ..core.cluster import build_cluster
 from ..core.icc0 import ICC0Party
-from ..sim.delays import FixedDelay, IntermittentSynchrony, UniformDelay
+from ..faults import Scenario, install_scenario, outage_schedule
+from ..sim.delays import FixedDelay, UniformDelay
 from . import runner
 from .common import make_icc_config, print_table
 
@@ -95,18 +96,21 @@ def safety_trial(trial: int, n: int = 10, rounds: int = 20) -> bool:
 
 
 def liveness_trial(trial: int, n: int = 7) -> bool:
-    """P3 under intermittent synchrony: commits resume in sync windows."""
-    delay = IntermittentSynchrony(base=FixedDelay(0.05), period=20.0, sync_len=5.0)
+    """P3 under intermittent synchrony: commits resume in sync windows
+    (5 s of every 20 s; outage windows fill the rest, as in E10)."""
     config = make_icc_config(
         "ICC0",
         n=n,
         t=(n - 1) // 3,
         delta_bound=0.2,
         epsilon=0.02,
-        delay_model=delay,
+        delay_model=FixedDelay(0.05),
         seed=200 + trial,
     )
     cluster = build_cluster(config)
+    install_scenario(cluster, Scenario(
+        name="intermittent", events=outage_schedule(20.0, 5.0, 100.0)
+    ))
     cluster.start()
     cluster.run_for(100.0, max_events=20_000_000)
     cluster.check_safety()

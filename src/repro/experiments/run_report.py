@@ -6,7 +6,7 @@ the per-run ``results.json`` in ``--trace-dir`` (a temporary directory
 otherwise), and renders that directory (:func:`load_run`,
 :func:`generate`) as one self-contained Markdown (or HTML) report.
 ``--load`` renders a directory written earlier, which may equally be one
-live TCP run (``repro live --trace-dir``, collected here if need be), or
+live TCP run (``repro live --trace-dir``, collected here), or
 one JSONL trace export.  This is the one command that reads a trace, and
 :func:`analyse` the one place a run's critical paths and latency
 breakdown are computed (``repro live`` prints its breakdown through it
@@ -24,9 +24,9 @@ it was sent (:func:`check`).  Sections:
   counters summed across runs, or, for a live run, the counts each party
   reported in its ``result-<i>.json``;
 * **trace health** — events captured and ring-buffer drops per run;
-* the **clock alignment** and the matched **wire transit** spans, when
-  the loaded run has an alignment / such events (a collected live run) —
-  decided from the input, never from a flag.
+* the matched **wire transit** spans, when the loaded run has such
+  events (a collected live run) — decided from the input, never from a
+  flag.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from ..analysis.critical_path import (
     wire_spans,
 )
 from ..analysis.trace import message_counts, summarize
-from ..obs import ClockAlignment, collect_run, read_jsonl, read_jsonl_with_header
+from ..obs import collect_run, read_jsonl
 from . import runner
 from .common import mean
 
@@ -128,22 +128,6 @@ def _fmt(value, digits: int = 4) -> str:
     return str(value)
 
 
-def _alignment_section(alignment: ClockAlignment) -> list[str]:
-    lines = [
-        "## Clock alignment",
-        "",
-        f"Exact one-host alignment: reference party {alignment.reference}, "
-        f"host `{alignment.host}`; each offset is that party's clock epoch "
-        "minus the reference's.",
-        "",
-    ]
-    lines += _md_table(
-        ["party", "offset (s)"],
-        [[p, f"{offset:.9f}"] for p, offset in sorted(alignment.offsets.items())],
-    )
-    return lines
-
-
 def analyse(traces, params) -> list[tuple]:
     """``(label, paths, breakdown)`` per run, at the quorum ``n - t``."""
     analysed = []
@@ -157,8 +141,8 @@ def check(traces, params) -> list[str]:
     """What ``--check`` finds wrong with a loaded run, one line per failed
     test of a run: no finalized height, stage spans that do not telescope
     to the measured latency, a matched wire span received before it was
-    sent (which, on an exactly aligned timeline, only a wrong clock epoch
-    explains)."""
+    sent (which, on the one host clock all parties read, only a broken
+    clock explains)."""
     problems = []
     for (label, events), (_, _, breakdown) in zip(traces, analyse(traces, params)):
         acausal = sorted(
@@ -167,7 +151,7 @@ def check(traces, params) -> list[str]:
         if acausal:
             problems.append(
                 f"{label}: {len(acausal)} wire spans received before sent on "
-                f"the aligned timeline, first (src, dst, seq) = {acausal[0]}"
+                f"the host timeline, first (src, dst, seq) = {acausal[0]}"
             )
         if not breakdown["heights"]:
             problems.append(f"{label}: no finalized heights")
@@ -352,12 +336,12 @@ def _health_section(traces) -> list[str]:
     return lines
 
 
-def generate(traces, params, results=None, alignment=None, party_results=None) -> str:
+def generate(traces, params, results=None, party_results=None) -> str:
     """Render the full Markdown report from loaded traces and records.
 
-    ``results`` are a report suite's ``results.json`` rows; ``alignment``
-    and ``party_results`` (the ``result-<i>.json`` records) belong to a
-    collected live run (None for simulator traces, which share one clock).
+    ``results`` are a report suite's ``results.json`` rows;
+    ``party_results`` (the ``result-<i>.json`` records) belong to a
+    collected live run.
     """
     lines = [
         "# Run report",
@@ -387,9 +371,6 @@ def generate(traces, params, results=None, alignment=None, party_results=None) -
             ],
         )
     lines.append("")
-    if alignment is not None:
-        lines += _alignment_section(alignment)
-        lines.append("")
     analysed = analyse(traces, params)
     lines += _critical_path_section(analysed)
     lines.append("")
@@ -491,8 +472,8 @@ def load_run(trace_dir: str) -> dict:
     is the source of everything the report states: a ``repro report
     --trace-dir`` suite describes itself in ``results.json``, a ``repro live
     --trace-dir`` run in ``cluster.json`` — and is rendered in its collected
-    form (collected here first if need be): one run on one aligned timeline,
-    never the n unaligned per-party traces.
+    form (collected here, which writes ``merged-trace.jsonl``): one run on
+    the host's timeline, never n separate per-party traces.
 
     ``trace_dir`` may also be one JSONL export, which says nothing of the
     cluster: its n is the number of parties in it and its quorum n, the
@@ -514,31 +495,19 @@ def load_run(trace_dir: str) -> dict:
         return os.path.exists(os.path.join(trace_dir, name))
 
     if has("cluster.json"):
-        if not has("merged-trace.jsonl"):
-            collect_run(trace_dir)
-        header, events = read_jsonl_with_header(
-            os.path.join(trace_dir, "merged-trace.jsonl")
-        )
+        collected = collect_run(trace_dir)
         cluster = _read_json(trace_dir, "cluster.json")
-        party_results = sorted(
-            (_read_json(trace_dir, name) for name in os.listdir(trace_dir)
-             if name.startswith("result-") and name.endswith(".json")),
-            key=lambda record: record["index"],
-        )
         return dict(
-            traces=[("merged-trace", events)],
-            party_results=party_results,
+            traces=[("merged-trace", collected.events)],
+            party_results=[collected.results[i] for i in sorted(collected.results)],
             params={
                 "protocol": cluster["protocol"],
                 "n": cluster["n"],
                 "t": cluster["t"],
                 "epsilon": cluster["epsilon"],
                 "runs": 1,
-                "run id": header["run_id"],
+                "run id": collected.run_id,
             },
-            alignment=ClockAlignment.from_dict(
-                _read_json(trace_dir, "alignment.json")
-            ),
         )
     if not has("results.json"):
         raise SystemExit(

@@ -311,9 +311,9 @@ class FaultInjector:
                 new_delay += skew.offset
                 touched = True
                 self._note_delay(message, receiver, skew.offset)
-        # Outage stretch: deliveries sent in (or landing in) an outage
-        # window arrive one natural delay after the window closes — the
-        # rule of delays.IntermittentSynchrony, expressed declaratively.
+        # Outage stretch: deliveries landing in an outage window arrive one
+        # natural delay after the window closes; those sent in one but
+        # landing after it, one natural delay after their natural arrival.
         if self._outages:
             landing = now + new_delay
             end_landing = self._outage_end(landing)

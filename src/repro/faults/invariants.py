@@ -115,6 +115,9 @@ def check_invariants(
         violations.append(Violation("safety", str(exc)))
 
     # -- bounded liveness after the last transient fault clears --------------
+    # Scenario times count from the cluster's start: simulated time 0, or
+    # the host-clock instant a live cluster started.
+    origin = cluster.started_at
     clear = scenario.clear_time()
     if round_time is None:
         round_time = cluster.config.delta_bound
@@ -127,9 +130,9 @@ def check_invariants(
                 continue  # crashed at end of run: excluded by design
             checked.append(party.index)
             after = [
-                record.time
+                record.time - origin
                 for record in party.metrics.commits_of(party.index)
-                if record.time >= clear
+                if record.time - origin >= clear
             ]
             if not after:
                 violations.append(Violation(

@@ -31,6 +31,7 @@ parallel runner relies on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from typing import Any, Iterator, Mapping
 
@@ -109,12 +110,11 @@ class OutageFault:
     """A full-network asynchronous stretch over ``[start, end)``.
 
     Any message sent during the window, or whose natural arrival lands in
-    it, is held so that it arrives one base delay after the window ends —
-    exactly the stretch rule of
-    :class:`repro.sim.delays.IntermittentSynchrony`, but declarative and
-    composable with the other fault types.  A schedule of outages is how
-    the intermittent-synchrony experiment (E10) is expressed as a
-    scenario; see :func:`outage_schedule`.
+    it, is held so that it arrives one base delay after the window ends
+    (a message sent inside the window whose natural arrival lies beyond
+    it arrives one base delay after that arrival).  A schedule of outages
+    is how intermittent synchrony is written — the experiments E8 (P3)
+    and E10 run one; see :func:`outage_schedule`.
     """
 
     start: float
@@ -260,6 +260,12 @@ class Scenario:
         crash_state: dict[int, list[tuple[float, bool]]] = {}
         byz: set[int] = set()
         for event in self.events:
+            # NaN passes every range check below (all its comparisons are
+            # false), so non-finite numbers are refused up front.
+            for f in fields(event):
+                value = getattr(event, f.name)
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise ScenarioError(f"{event.kind}: {f.name} is {value}, not finite")
             if isinstance(event, (CrashFault, RecoverFault)):
                 check_party(event.party, event.kind)
                 if event.at < 0:
@@ -377,13 +383,17 @@ def outage_schedule(
     """Outage windows realising intermittent synchrony over ``duration``.
 
     The network is synchronous for the first ``sync_len`` seconds of every
-    ``period`` and in outage for the rest — the complement of
-    :meth:`repro.sim.delays.IntermittentSynchrony.in_sync_window`, so a
-    scenario built from these windows reproduces that delay model exactly
-    (pinned by ``tests/faults/test_ports.py``).
+    ``period`` and in outage for the rest, so the synchronous windows are
+    the instants with ``time % period < sync_len``
+    (``tests/faults/test_ports.py`` pins the schedule against a reference
+    delay model that stretches deliveries by that rule).
+    ``sync_len == period`` is a network that is always synchronous: no
+    windows.
     """
     if not 0 < sync_len <= period:
         raise ScenarioError("need 0 < sync_len <= period")
+    if sync_len == period:
+        return ()
     windows = []
     start = sync_len
     while start < duration + period:

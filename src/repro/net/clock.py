@@ -8,13 +8,12 @@ top of an asyncio event loop, so the identical party objects run in real
 time.  The differences that matter (and that ``docs/TRANSPORT.md``
 documents):
 
-* ``now`` is **monotonic wall time in seconds since the clock was
-  created** (``loop.time() - epoch``), not virtual time.  It advances on
-  its own; nothing "runs" the clock.  ``loop.time()`` reads the host's
-  ``CLOCK_MONOTONIC``, which every process on the host shares, so two
-  parties' timelines differ by exactly the difference of their
-  :attr:`WallClock.epoch` values — :func:`host_id` names which clock that
-  is, and a trace header records both (:mod:`repro.obs.distributed`).
+* ``now`` is **the host's monotonic clock** (``loop.time()``, which
+  reads ``CLOCK_MONOTONIC``), not virtual time.  It advances on its own;
+  nothing "runs" the clock.  Every process on the host reads the same
+  clock, so all parties of a live run — one event loop or one process
+  each — stamp their traces on one timeline; :func:`host_id` names that
+  clock, and a trace header records it (:mod:`repro.obs.distributed`).
 * ``schedule``/``schedule_at`` map to ``loop.call_later`` — callbacks fire
   *at or after* the requested time, never exactly at it, and never
   reentrantly (asyncio only runs callbacks between await points).
@@ -65,15 +64,12 @@ class WallClock:
     """Simulation-compatible scheduling facade over an asyncio loop.
 
     Build it *inside* a running event loop (or pass ``loop`` explicitly).
-    ``now`` starts at 0.0 at construction so trace timestamps and metric
-    windows read like the simulator's (a run starts at t=0).
+    ``now`` is the loop's own clock, so it does not start at 0.0 as the
+    simulator's does: durations are differences of two readings.
     """
 
     def __init__(self, loop: asyncio.AbstractEventLoop | None = None, seed: int = 0) -> None:
         self.loop = loop if loop is not None else asyncio.get_event_loop()
-        #: The ``loop.time()`` reading ``now`` counts from: this party's
-        #: instant zero on the host's monotonic clock.
-        self.epoch = self.loop.time()
         self.rng = Random(seed)
         #: Same install-before-build rule as the simulator: parties cache
         #: this reference at construction.
@@ -83,8 +79,8 @@ class WallClock:
 
     @property
     def now(self) -> float:
-        """Seconds of monotonic wall time since this clock was created."""
-        return self.loop.time() - self.epoch
+        """The host's monotonic clock, in seconds."""
+        return self.loop.time()
 
     def schedule(self, delay: float, action: Callable[[], None]) -> asyncio.TimerHandle:
         """Run ``action`` after ``delay`` wall-clock seconds (>= 0)."""

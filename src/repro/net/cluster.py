@@ -38,8 +38,8 @@ class LiveCluster:
     def __init__(self, config: LiveConfig, *, tracer=None, per_party=None) -> None:
         """``tracer`` is shared by every party (handy for an embedded view
         of aggregate activity); ``per_party`` instead maps an index (1..n)
-        to a tracer, giving each party its own private timeline exactly as
-        separate processes would — what distributed-trace collection needs.
+        to a tracer, giving each party its own trace exactly as separate
+        processes would — what distributed-trace collection needs.
         ``per_party`` wins when both are given."""
         self.config = config
         self._tracer = tracer
@@ -53,6 +53,9 @@ class LiveCluster:
         if self._started:
             raise RuntimeError("cluster already started")
         loop = asyncio.get_running_loop()
+        #: The host-clock instant scenario time 0 is (parties' times are
+        #: host-clock readings; see repro.faults.check_invariants).
+        self.started_at = loop.time()
         self.parties = []
         for i in range(1, self.config.n + 1):
             tracer = self._per_party(i) if self._per_party is not None else self._tracer

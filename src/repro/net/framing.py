@@ -29,8 +29,8 @@ connection.  Anything else — unknown type byte, a body longer than
 :class:`FrameError`; the transport closes the connection and counts
 it in ``TcpNetwork.frames_rejected``.
 
-No frame carries a time: a party only ever reads its own clock, and
-traces from one host line up from their headers' clock epochs
+No frame carries a time: every party reads the host's monotonic clock,
+so traces from one host share one timeline
 (:mod:`repro.obs.distributed`).  A STAT frame may be sent *instead
 of* a HELLO by a monitoring client (``python -m repro top``); the
 acceptor answers with one STAT_REPLY carrying a JSON snapshot of the

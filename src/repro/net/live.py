@@ -12,9 +12,9 @@ results — optionally as a JSON document (``--json PATH``).
 With ``--trace-dir D`` (or ``--json`` / ``--check``, which imply tracing
 into a temporary directory) every process traces into the run directory
 and the orchestrator automatically **collects** the run afterwards
-(:func:`repro.obs.collect_run`): timelines aligned exactly by the
-processes' clock epochs, traces merged, and the
-critical-path latency breakdown computed by the report's own loader and
+(:func:`repro.obs.collect_run`): the traces, all stamped on the host's
+monotonic clock, merged by time, and the critical-path latency breakdown
+computed by the report's own loader and
 analysis (:func:`repro.experiments.run_report.load_run` and
 :func:`~repro.experiments.run_report.analyse`) and embedded in the
 summary.  ``python -m repro report R.md --load --trace-dir D --check``
@@ -23,7 +23,7 @@ renders and checks the same run.
 The quick in-process mode (``--inproc``, implied by ``--check``) runs
 the same protocol/transport stack on one event loop via
 :class:`~repro.net.cluster.LiveCluster` — fast enough for CI smoke runs.
-Even in-process, each party gets its *own* tracer (its own timeline)
+Even in-process, each party gets its *own* tracer and trace file
 and the run is written in the per-process layout, so there is one
 collection path for both modes.  Wall-clock
 performance of this stack is measured by the ``live_n4_sat`` and
@@ -90,15 +90,14 @@ async def _serve(config: LiveConfig, index: int, tracer) -> tuple[LiveParty, dic
 
 def _write_trace(config: LiveConfig, live: LiveParty, path: str) -> None:
     """Export one party's trace.  The header makes it self-identifying and
-    places its timeline: the collector refuses headerless traces, mixed
-    run_ids and mixed hosts, and aligns the rest by their clock epochs."""
+    names the host clock its times were read from: the collector refuses
+    headerless traces, mixed run_ids and mixed hosts, and merges the rest."""
     write_jsonl(
         live.clock.tracer.export_events(),
         path,
         header=trace_header(
             run_id=config.effective_run_id(),
             party=live.index,
-            clock_epoch_s=live.clock.epoch,
             host=host_id(),
             cluster_id=config.cluster_id,
         ),
@@ -201,7 +200,7 @@ def _fresh_run_id(config: LiveConfig) -> str:
 
 async def _run_inproc(config: LiveConfig, workdir: str | None) -> list[dict]:
     """One in-process run.  Given a ``workdir`` each party gets its own
-    tracer (its own timeline), mirroring separate processes, and the
+    tracer and trace file, mirroring separate processes, and the
     run is written there in the per-process layout ``_spawn_cluster``
     leaves and :func:`repro.obs.collect_run` expects."""
     async with LiveCluster(
@@ -280,10 +279,7 @@ def _spawn_cluster(
 def _clear_run_artifacts(workdir: str) -> None:
     """Remove a previous run's per-process/merged artifacts so a reused
     ``--trace-dir`` cannot mix two runs (the collector would refuse)."""
-    patterns = (
-        "trace-*.jsonl", "result-*.json", "merged-trace.jsonl", "alignment.json",
-    )
-    for pattern in patterns:
+    for pattern in ("trace-*.jsonl", "result-*.json", "merged-trace.jsonl"):
         for path in glob.glob(os.path.join(workdir, pattern)):
             os.unlink(path)
 
@@ -376,7 +372,7 @@ def add_live_arguments(parser) -> None:
     parser.add_argument(
         "--trace-dir", metavar="DIR", default=None,
         help="trace every process into DIR and collect the run afterwards "
-             "(exact clock alignment + merged trace + latency breakdown)",
+             "(merged trace + latency breakdown)",
     )
 
 

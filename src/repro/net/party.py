@@ -80,6 +80,8 @@ class LiveParty:
         self.config = config
         self.index = index
         self.clock = WallClock(loop=loop, seed=config.seed * 7919 + index)
+        #: Instant zero of ``wall_seconds``: when this party was built.
+        self.created_at = self.clock.now
         if tracer is not None:
             self.clock.tracer = tracer
         self.network = TcpNetwork(
@@ -210,7 +212,7 @@ class LiveParty:
             "request_p99_s": percentile(latencies, 0.99) if latencies else None,
             "net_messages": sum(self.network.metrics.msgs_sent.values()),
             "net_bytes": sum(self.network.metrics.bytes_sent.values()),
-            "wall_seconds": round(self.clock.now, 6),
+            "wall_seconds": round(self.clock.now - self.created_at, 6),
         }
 
     def result(self) -> dict:
@@ -221,7 +223,7 @@ class LiveParty:
             "run_id": self.run_id,
             "height": self.party.k_max,
             "committed": [h.hex() for h in self.party.committed_hashes],
-            "wall_seconds": round(self.clock.now, 6),
+            "wall_seconds": round(self.clock.now - self.created_at, 6),
             "requests_completed": self.batcher.completed if self.batcher else 0,
             "request_latencies": [round(v, 6) for v in latencies],
             "net_messages": sum(self.network.metrics.msgs_sent.values()),

@@ -424,13 +424,6 @@ class TcpNetwork:
                 link.run(), name=f"icc-net-out-{self.index}->{peer}"
             )
 
-    @property
-    def bound_port(self) -> int:
-        """The port the listener actually bound (resolves port 0)."""
-        if self._server is None or not self._server.sockets:
-            raise RuntimeError("transport is not listening")
-        return self._server.sockets[0].getsockname()[1]
-
     async def stop(self) -> None:
         """Tear everything down: listener, connections, dialer tasks."""
         self._closing = True

@@ -24,10 +24,8 @@ single branch per potential event when disabled.
 
 from .distributed import (
     SCHEMA_VERSION,
-    ClockAlignment,
     CollectError,
     CollectedRun,
-    align_events,
     collect_run,
     trace_header,
 )
@@ -45,7 +43,6 @@ from .tracer import (
 )
 
 __all__ = [
-    "ClockAlignment",
     "CollectError",
     "CollectedRun",
     "DEFAULT_CAPACITY",
@@ -58,7 +55,6 @@ __all__ = [
     "Tracer",
     "TracerLike",
     "UnknownEventKind",
-    "align_events",
     "collect_run",
     "read_jsonl",
     "read_jsonl_with_header",

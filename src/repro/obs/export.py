@@ -11,9 +11,9 @@ raw ``bytes`` are converted to hex defensively; emit sites should already
 pass JSON-safe values.
 
 Live runs prepend a **header line**: a JSON object carrying
-``{"trace_header": {"schema": 2, "run_id": ..., "party": ...,
-"cluster_id": ..., "clock_epoch_s": ..., "host": ...}}`` that makes a
-per-process export self-identifying and places its timeline
+``{"trace_header": {"schema": 3, "run_id": ..., "party": ...,
+"cluster_id": ..., "host": ...}}`` that makes a per-process export
+self-identifying and names the host clock its times were read from
 (see :mod:`repro.obs.distributed`).  :func:`read_jsonl` skips header
 lines transparently; :func:`read_jsonl_with_header` returns them.
 """

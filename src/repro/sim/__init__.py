@@ -1,18 +1,16 @@
 """Discrete-event simulation substrate.
 
 The testbed substitute for the Internet Computer deployment (DESIGN.md §2):
-a deterministic event-driven simulator with pluggable network delay models
-covering synchrony, asynchrony, partial synchrony, intermittent synchrony
-and adversarial scheduling.
+a deterministic event-driven simulator with pluggable, stationary network
+delay models (synchrony, WAN latencies and adversarial scheduling); time
+windows of asynchrony are :mod:`repro.faults` scenario events.
 """
 
 from .events import CalendarEventQueue, EventQueue, HeapEventQueue
 from .delays import (
     DelayModel,
     FixedDelay,
-    IntermittentSynchrony,
     MessageAwareDelay,
-    PartialSynchrony,
     UniformDelay,
     WanDelay,
 )
@@ -23,9 +21,7 @@ from .simulator import Simulation
 __all__ = [
     "DelayModel",
     "FixedDelay",
-    "IntermittentSynchrony",
     "MessageAwareDelay",
-    "PartialSynchrony",
     "UniformDelay",
     "WanDelay",
     "CommitRecord",

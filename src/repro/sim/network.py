@@ -312,7 +312,6 @@ class Network:
         uplink_bps = self.uplink_bps
         partitions = self._live_partitions(now)
         rng = self.rng
-        sample_message = getattr(self.delay_model, "sample_message", None)
         sample = self.delay_model.sample
         for receiver in receivers:
             if receiver == sender:
@@ -327,10 +326,7 @@ class Network:
                 self._uplink_free_at[sender] = sent_at
             if receiver in crashed:
                 continue
-            if sample_message is not None:
-                delay = sample_message(sender, receiver, now, message, rng)
-            else:
-                delay = sample(sender, receiver, now, rng)
+            delay = sample(sender, receiver, now, message, rng)
             hold = 0.0
             for group, heal in partitions:
                 if (sender in group) != (receiver in group):

@@ -5,12 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.beacon import leader_is_corrupt_probability, permutation_from_beacon
-from repro.core.params import (
-    AdaptiveDelays,
-    ProtocolParams,
-    StandardDelays,
-    max_faults,
-)
+from repro.core.params import ProtocolParams, StandardDelays, max_faults
 
 
 class TestPermutation:
@@ -78,32 +73,6 @@ class TestStandardDelays:
         for r in range(10):
             assert d.prop(r + 1) >= d.prop(r)
             assert d.ntry(r + 1) >= d.ntry(r)
-
-
-class TestAdaptiveDelays:
-    def test_grows_on_failure(self):
-        d = AdaptiveDelays(initial_bound=0.1, growth=2.0)
-        d.on_round_result(leader_block_notarized=False)
-        assert d.current_bound == 0.2
-
-    def test_caps_at_max(self):
-        d = AdaptiveDelays(initial_bound=1.0, max_bound=2.0, growth=10.0)
-        d.on_round_result(False)
-        assert d.current_bound == 2.0
-
-    def test_decays_on_success_but_not_below_initial(self):
-        d = AdaptiveDelays(initial_bound=0.1, growth=2.0, decay=0.5)
-        d.on_round_result(False)
-        d.on_round_result(True)
-        assert d.current_bound == 0.1
-        d.on_round_result(True)
-        assert d.current_bound == 0.1
-
-    def test_delay_functions_track_bound(self):
-        d = AdaptiveDelays(initial_bound=0.1, epsilon=0.01)
-        before = d.ntry(1)
-        d.on_round_result(False)
-        assert d.ntry(1) > before
 
 
 class TestProtocolParams:

@@ -1,10 +1,8 @@
-"""Tests for pool garbage collection and the adaptive-Δbnd variant."""
+"""Tests for pool garbage collection (``ClusterConfig.gc_depth``)."""
 
 from __future__ import annotations
 
-import pytest
-
-from repro.core import AdaptiveDelays, ClusterConfig, build_cluster
+from repro.core import ClusterConfig, build_cluster
 from repro.sim.delays import FixedDelay
 
 
@@ -67,49 +65,3 @@ class TestGarbageCollection:
         assert pool.artifact_count() < before
         assert not pool.notarized_blocks(3)
         assert pool.notarized_blocks(7)  # recent rounds retained
-
-
-class TestAdaptiveDelays:
-    def test_liveness_with_underestimated_bound(self):
-        """Start with Δbnd far below the real delay: the standard protocol
-        would keep letting non-leaders pre-empt; the adaptive variant grows
-        its local estimate until honest-leader rounds finalize."""
-        real_delta = 0.2
-        config = ClusterConfig(
-            n=4, t=1, delta_bound=0.01,  # ignored:
-            protocol_delays=AdaptiveDelays(initial_bound=0.01, epsilon=0.01),
-            delay_model=FixedDelay(real_delta), seed=3, max_rounds=40,
-        )
-        cluster = build_cluster(config)
-        cluster.start()
-        cluster.run_for(120.0)
-        cluster.check_safety()
-        assert cluster.min_committed_round() >= 10
-        # Local estimates grew (the decay floor keeps them oscillating near
-        # the smallest value that yields clean rounds, not necessarily all
-        # the way to the true δ).
-        assert all(p.delays.current_bound > 0.01 for p in cluster.parties)
-
-    def test_estimates_are_per_party(self):
-        config = ClusterConfig(
-            n=4, t=1, delta_bound=0.01,
-            protocol_delays=AdaptiveDelays(initial_bound=0.05, epsilon=0.01),
-            delay_model=FixedDelay(0.05), seed=4, max_rounds=10,
-        )
-        cluster = build_cluster(config)
-        parties = cluster.parties
-        assert parties[0].delays is not parties[1].delays
-
-    def test_adaptive_matches_standard_when_bound_correct(self):
-        delta = 0.05
-        config = ClusterConfig(
-            n=4, t=1, delta_bound=0.5,
-            protocol_delays=AdaptiveDelays(initial_bound=0.5, epsilon=0.01),
-            delay_model=FixedDelay(delta), seed=5, max_rounds=12,
-        )
-        cluster = build_cluster(config)
-        cluster.start()
-        cluster.run_until_all_committed_round(10, timeout=60)
-        durations = cluster.metrics.round_durations(1)
-        steady = [v for k, v in durations.items() if 2 <= k <= 10]
-        assert min(steady) == pytest.approx(2 * delta + 0.0, abs=0.02)

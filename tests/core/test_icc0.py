@@ -6,7 +6,8 @@ import pytest
 
 from repro.adversary import SilentMixin, corrupt_class
 from repro.core import ClusterConfig, ICC0Party, Payload, build_cluster
-from repro.sim.delays import FixedDelay, PartialSynchrony, UniformDelay
+from repro.faults import LinkFault, Scenario, install_scenario
+from repro.sim.delays import FixedDelay, UniformDelay
 
 from .test_cluster_helpers import run_happy_path
 
@@ -161,13 +162,16 @@ class TestJitteredNetwork:
 
 class TestPartialSynchrony:
     def test_commits_after_gst(self):
-        """Asynchronous until GST: safety always, liveness after GST."""
+        """Asynchronous until GST = 20 s (up to 8 s of extra delay per
+        message): safety always, liveness after GST."""
         config = ClusterConfig(
             n=4, t=1, delta_bound=0.5, epsilon=0.02, seed=5,
-            delay_model=PartialSynchrony(base=FixedDelay(0.05), gst=20.0, max_async=8.0),
-            max_rounds=40,
+            delay_model=FixedDelay(0.05), max_rounds=40,
         )
         cluster = build_cluster(config)
+        install_scenario(cluster, Scenario(
+            name="gst", events=(LinkFault(start=0.0, end=20.0, jitter=8.0),)
+        ))
         cluster.start()
         cluster.run_for(19.0)
         cluster.check_safety()
@@ -218,10 +222,6 @@ class TestEdgeCases:
             for factory in (corrupt_class(ICC0Party, SilentMixin), None):
                 with pytest.raises(ValueError, match="outside 1..4"):
                     ClusterConfig(n=4, t=1, corrupt={index: factory})
-
-    def test_wrong_delay_policy_type(self):
-        with pytest.raises(TypeError):
-            ClusterConfig(n=4, t=1, protocol_delays=0.75)
 
     def test_wrong_tracer_type(self):
         with pytest.raises(TypeError):

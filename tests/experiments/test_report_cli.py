@@ -194,11 +194,10 @@ class TestLiveRunDirectory:
         assert checked.read_text() == text
         cluster = json.loads((live_run / "cluster.json").read_text())
         assert (cluster["protocol"], cluster["n"], cluster["t"]) == ("icc0", 4, 1)
-        # One run on one aligned timeline, not one per unaligned party trace.
+        # One run on the host's timeline, not one per party trace.
         for row in ("| protocol | icc0 |", "| n | 4 |", "| t | 1 |", "| runs | 1 |"):
             assert row in text
-        assert "## Clock alignment" in text
-        assert "\nExact one-host alignment: reference party 1, host `" in text
+        assert "## Clock alignment" not in text
         assert "## Wire transit" in text
         # Every party's result-<i>.json counts, one column each.
         metrics = section(text, "## Metrics")
@@ -211,21 +210,20 @@ class TestLiveRunDirectory:
         )
         assert "(OK," in consistency and "±" not in consistency
 
-    def test_offsets_are_the_headers_epoch_differences(self, live_run):
-        """In-process parties share a loop, hence a clock: each alignment
-        offset is the difference of two header fields, bit for bit, and no
-        matched wire span runs backwards."""
+    def test_parties_share_one_host_timeline(self, live_run):
+        """Every party stamps the host's monotonic clock: the headers name
+        one host and carry no per-party epoch, no alignment file is
+        written, and no matched wire span of the raw timeline runs
+        backwards."""
         headers = {
             header["party"]: header
             for header, _ in map(read_jsonl_with_header,
                                  map(str, live_run.glob("trace-*.jsonl")))
         }
-        alignment = json.loads((live_run / "alignment.json").read_text())
-        reference = headers[alignment["reference"]]["clock_epoch_s"]
-        assert alignment["offsets_s"] == {
-            str(p): h["clock_epoch_s"] - reference for p, h in headers.items()
-        }
+        assert sorted(headers) == [1, 2, 3, 4]
         assert len({h["host"] for h in headers.values()}) == 1
+        assert not any("clock_epoch_s" in h for h in headers.values())
+        assert not (live_run / "alignment.json").exists()
         [(_, events)] = run_report.load_run(str(live_run))["traces"]
         spans = wire_spans(events)
         assert spans and min(spans.values()) >= 0

@@ -54,6 +54,8 @@ class FakeConfig:
 
 
 class FakeCluster:
+    started_at = 0.0  # scenario time 0, as in the simulator
+
     def __init__(self, parties, commits, crashed=(), safety_error=None):
         self.honest_parties = parties
         # The checker reads each party's own network and metrics: one

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -18,7 +19,6 @@ from repro.faults import (
     ScenarioError,
     outage_schedule,
 )
-from repro.sim.delays import FixedDelay, IntermittentSynchrony
 
 
 def scenario(*events) -> Scenario:
@@ -55,6 +55,28 @@ class TestValidation:
     ])
     def test_incoherent_event_rejected(self, bad):
         with pytest.raises(ScenarioError):
+            scenario(bad).validate(4)
+
+    @pytest.mark.parametrize("field, bad", [
+        ("at", CrashFault(at=math.nan, party=1)),
+        ("at", RecoverFault(at=math.inf, party=1)),
+        ("at", PartitionFault(at=math.nan, group=(1,), heal_at=2.0)),
+        ("heal_at", PartitionFault(at=1.0, group=(1,), heal_at=math.nan)),
+        ("start", LinkFault(start=math.nan, end=1.0)),
+        ("end", LinkFault(start=0.0, end=math.inf)),
+        ("drop_prob", LinkFault(start=0.0, end=1.0, drop_prob=math.nan)),
+        ("duplicate_prob", LinkFault(start=0.0, end=1.0, duplicate_prob=math.nan)),
+        ("corrupt_prob", LinkFault(start=0.0, end=1.0, corrupt_prob=math.nan)),
+        ("extra_delay", LinkFault(start=0.0, end=1.0, extra_delay=math.nan)),
+        ("jitter", LinkFault(start=0.0, end=1.0, jitter=math.inf)),
+        ("end", OutageFault(start=0.0, end=math.nan)),
+        ("start", ClockSkewFault(start=math.nan, end=1.0, party=1, offset=0.1)),
+        ("offset", ClockSkewFault(start=0.0, end=1.0, party=1, offset=math.nan)),
+    ])
+    def test_non_finite_number_rejected_naming_the_field(self, field, bad):
+        """NaN fails every range comparison, so it used to pass validation
+        and then either crash the event queue or leave the fault inert."""
+        with pytest.raises(ScenarioError, match=rf"^{bad.kind}: {field} is "):
             scenario(bad).validate(4)
 
     def test_crash_recover_must_alternate(self):
@@ -155,16 +177,19 @@ class TestOutageSchedule:
     def test_windows_complement_sync_windows(self):
         period, sync_len = 20.0, 5.0
         windows = outage_schedule(period, sync_len, 100.0)
-        model = IntermittentSynchrony(
-            base=FixedDelay(0.05), period=period, sync_len=sync_len
-        )
 
         def in_outage(t: float) -> bool:
             return any(start <= t < end for start, end in
                        ((w.start, w.end) for w in windows))
 
         for t in [0.0, 4.999, 5.0, 12.0, 19.999, 20.0, 24.999, 25.0, 97.0]:
-            assert in_outage(t) == (not model.in_sync_window(t)), t
+            assert in_outage(t) == (t % period >= sync_len), t
+
+    def test_always_synchronous_has_no_windows(self):
+        """``sync_len == period`` is a network that is never out: no
+        window, where a zero-length one used to fail validation."""
+        assert outage_schedule(10.0, 10.0, 100.0) == ()
+        scenario(*outage_schedule(10.0, 10.0, 100.0)).validate(4)
 
     def test_covers_the_full_duration(self):
         windows = outage_schedule(20.0, 5.0, 100.0)

@@ -15,31 +15,31 @@ def run(coro):
 
 
 class TestWallClock:
-    def test_now_starts_near_zero_and_advances(self):
+    def test_now_reads_the_loop_clock_and_advances(self):
         async def scenario():
-            clock = WallClock(loop=asyncio.get_running_loop())
+            loop = asyncio.get_running_loop()
+            clock = WallClock(loop=loop)
+            before = loop.time()
             first = clock.now
             await asyncio.sleep(0.01)
-            return first, clock.now
+            return before, first, clock.now, loop.time()
 
-        first, later = run(scenario())
-        assert first == pytest.approx(0.0, abs=0.005)
-        assert later > first
+        before, first, later, after = run(scenario())
+        assert before <= first < later <= after
 
-    def test_epoch_places_now_on_the_host_clock(self):
-        """Two clocks of one host differ by exactly their epochs: what
-        trace alignment relies on."""
+    def test_clocks_of_one_host_share_one_timeline(self):
+        """A clock built later reads the same instant as one built
+        earlier: what merging the parties' traces relies on."""
 
         async def scenario():
             loop = asyncio.get_running_loop()
             early = WallClock(loop=loop)
             await asyncio.sleep(0.01)
             late = WallClock(loop=loop)
-            return early.now, late.now, early.epoch, late.epoch, loop.time()
+            return early.now, late.now
 
-        early_now, late_now, early_epoch, late_epoch, host_now = run(scenario())
-        assert early_epoch < late_epoch < host_now
-        assert early_now - late_now == pytest.approx(late_epoch - early_epoch, abs=1e-3)
+        early_now, late_now = run(scenario())
+        assert early_now <= late_now < early_now + 1e-3
         assert host_id() == host_id() != ""
 
     def test_schedule_runs_action(self):

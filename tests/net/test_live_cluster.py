@@ -233,7 +233,7 @@ class TestTraceExport:
             }
             path = str(tmp_path / f"trace-{index}.jsonl")
             header = trace_header(
-                run_id="ring-run", party=index, clock_epoch_s=0.0, host="h",
+                run_id="ring-run", party=index, host="h",
                 cluster_id=config.cluster_id,
             )
             write_jsonl(exported, path, header=header)

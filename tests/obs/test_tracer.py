@@ -170,7 +170,7 @@ class TestWireKindsRoundTrip:
 
         buffer = io.StringIO()
         header = trace_header(
-            run_id="rt", party=1, clock_epoch_s=812.5, host="h", cluster_id="c"
+            run_id="rt", party=1, host="h", cluster_id="c"
         )
         assert write_jsonl(events, buffer, header=header) == len(events)
         buffer.seek(0)

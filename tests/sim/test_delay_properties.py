@@ -1,4 +1,5 @@
-"""Property-based tests for the delay models' contracts."""
+"""Property-based tests for the delay models' contracts, and for the two
+time-window regimes written as scenarios over them."""
 
 from __future__ import annotations
 
@@ -7,36 +8,30 @@ from random import Random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.delays import (
-    FixedDelay,
-    IntermittentSynchrony,
-    PartialSynchrony,
-    WanDelay,
-)
+from repro.faults import OutageFault, outage_schedule
+from repro.sim.delays import WanDelay
+from tests.sim.test_delays import arrival, in_sync_window
 
 times = st.floats(min_value=0.0, max_value=1000.0, allow_nan=False)
 pairs = st.tuples(st.integers(1, 40), st.integers(1, 40))
 
 
 class TestEventualDelivery:
-    @given(times, pairs, st.integers(0, 2**32 - 1))
+    @given(times)
     @settings(max_examples=100, deadline=None)
-    def test_partial_synchrony_delivers_by_gst_plus_base(self, now, pair, seed):
-        """No message is ever delayed past GST + one base delay."""
-        model = PartialSynchrony(base=FixedDelay(0.1), gst=500.0, max_async=1e6)
-        sender, receiver = pair
-        delay = model.sample(sender, receiver, now, Random(seed))
-        assert delay >= 0
-        assert now + delay <= max(now, 500.0) + 0.1 + 1e-6
+    def test_partial_synchrony_delivers_by_gst_plus_base(self, now):
+        """No message is ever delayed past GST + one base delay, even when
+        an outage holds everything until GST."""
+        landed = arrival(now, [OutageFault(start=0.0, end=500.0)])
+        assert landed >= now
+        assert landed <= max(now, 500.0) + 0.1 + 1e-6
 
-    @given(times, pairs, st.integers(0, 2**32 - 1))
+    @given(times)
     @settings(max_examples=100, deadline=None)
-    def test_intermittent_arrivals_land_in_sync_windows(self, now, pair, seed):
-        model = IntermittentSynchrony(base=FixedDelay(0.05), period=10.0, sync_len=3.0)
-        sender, receiver = pair
-        delay = model.sample(sender, receiver, now, Random(seed))
-        assert delay >= 0.05 - 1e-9
-        assert model.in_sync_window(now + delay)
+    def test_intermittent_arrivals_land_in_sync_windows(self, now):
+        landed = arrival(now, outage_schedule(10.0, 3.0, 1000.0), base=0.05)
+        assert landed - now >= 0.05 - 1e-9
+        assert in_sync_window(landed, 10.0, 3.0)
 
     @given(times, pairs, st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)
@@ -44,7 +39,7 @@ class TestEventualDelivery:
         model = WanDelay(jitter_sigma=0.2)
         sender, receiver = pair
         rng = Random(seed)
-        delay = model.sample(sender, receiver, now, rng)
+        delay = model.sample(sender, receiver, now, None, rng)
         if sender == receiver:
             assert delay == 0.0
         else:
@@ -58,6 +53,6 @@ class TestDeterminism:
         def draw():
             model = WanDelay(jitter_sigma=0.0)
             rng = Random(seed)
-            return [model.sample(1, j, 0.0, rng) for j in range(2, 10)]
+            return [model.sample(1, j, 0.0, None, rng) for j in range(2, 10)]
 
         assert draw() == draw()
