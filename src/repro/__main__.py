@@ -3,9 +3,10 @@
 Commands:
 
 * ``demo``        — the quickstart scenario (a few ICC0 rounds + stats);
-* ``table1``      — reproduce Table 1 (``--full`` for 300 s windows);
-* ``experiments`` — the entire evaluation suite (``--quick``, ``--trace DIR``,
-  ``--jobs N`` for the parallel runner);
+* ``experiments`` — the entire evaluation suite, Table 1 first (``--quick``
+  for 60 s Table 1 windows, ``--trace DIR``, ``--jobs N`` for the parallel
+  runner); after the tables it checks every paper claim and exits 1 naming
+  each one that fails;
 * ``chaos``       — seeded fault-scenario sweep with safety/liveness
   invariant checking across the ICC variants — see ``docs/FAULTS.md``;
 * ``report``      — metrics + critical-path report for a seeded run suite,
@@ -79,10 +80,9 @@ def main(argv: list[str] | None = None) -> None:
     demo = sub.add_parser("demo", help="run a small ICC0 deployment")
     _mount(demo, "repro.demo", "demo")
 
-    table1 = sub.add_parser("table1", help="reproduce Table 1")
-    _mount(table1, "repro.experiments.table1")
-
-    experiments = sub.add_parser("experiments", help="run the full evaluation")
+    experiments = sub.add_parser(
+        "experiments", help="run the full evaluation and check the paper's claims"
+    )
     _mount(experiments, "repro.experiments.run_all")
 
     chaos = sub.add_parser(

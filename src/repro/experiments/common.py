@@ -1,17 +1,21 @@
 """Shared helpers for the experiment harness.
 
 An experiment module is its point function(s) — keyword arguments in, a
-picklable result out — plus ``specs(**sweep)`` and ``tabulate(specs,
-results)`` (see :mod:`repro.experiments.runner`).  These helpers keep
-protocol construction, tracing and table printing uniform across them.
+picklable result out — plus ``specs(**sweep)``, ``tabulate(specs,
+results)`` (see :mod:`repro.experiments.runner`) and ``CLAIMS``, the
+paper's numbers as :class:`Claim` rows over what ``tabulate`` returns.
+These helpers keep protocol construction, tracing, table printing and
+claim checking uniform across them.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from ..core.cluster import Cluster, ClusterConfig, build_cluster, protocol_party
 from ..obs import Tracer, write_jsonl
@@ -143,3 +147,54 @@ def print_table(title: str, headers: Sequence[str], rows: Sequence[Sequence]) ->
 def mean(values: Sequence[float]) -> float:
     values = list(values)
     return sum(values) / len(values) if values else float("nan")
+
+
+# ----------------------------------------------------------------------- claims
+
+_OPS = {
+    "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge, "==": operator.eq,
+}
+
+
+@dataclass(frozen=True)
+class Claim:
+    """One number the paper states, checked on the rows its experiment's
+    ``tabulate`` returns: ``read(rows)`` lies within ``rel`` of ``value``
+    (``op="≈"``) or satisfies ``read(rows) <op> value``.  A reader that
+    finds no such row, or a NaN, fails the claim."""
+
+    id: str
+    section: str
+    read: Callable[[Any], float]
+    value: float
+    op: str = "≈"
+    rel: float = 0.0
+
+    @property
+    def paper(self) -> str:
+        if self.op == "≈":
+            return f"≈ {self.value:g} ± {self.rel:.0%}"
+        return f"{self.op} {self.value:g}"
+
+    def check(self, rows: Any) -> tuple[float, bool]:
+        """``(measured, holds)`` on one module's tabulated rows."""
+        try:
+            measured = float(self.read(rows))
+        except (LookupError, ArithmeticError, ValueError):
+            return math.nan, False
+        if self.op == "≈":
+            return measured, abs(measured - self.value) <= self.rel * abs(self.value)
+        return measured, _OPS[self.op](measured, self.value)
+
+
+def row(rows: Sequence, **fields) -> Any:
+    """The one row whose attributes equal ``fields`` (``ValueError`` when
+    none or several do)."""
+    [match] = [r for r in rows if all(getattr(r, k) == v for k, v in fields.items())]
+    return match
+
+
+def farthest(values: Sequence[float], target: float) -> float:
+    """The value farthest from ``target``: an ≈ claim read over a whole
+    sweep this way holds at every point of it."""
+    return max(values, key=lambda v: math.inf if math.isnan(v) else abs(v - target))

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from ..baselines import HotStuffParty, PBFTParty, TendermintParty
 from ..core.cluster import ClusterConfig, build_cluster
 from . import runner
-from .common import make_icc_config, mean, print_table, run_icc
+from .common import Claim, make_icc_config, mean, print_table, row, run_icc
 from ..sim.delays import FixedDelay
 
 PAPER_ROWS = {
@@ -168,3 +168,37 @@ def tabulate(specs: list[runner.RunSpec], results: list[ComparisonRow]) -> list[
         table_rows,
     )
     return results
+
+
+def _block_time(protocol: str):
+    return lambda rows: row(rows, protocol=protocol).block_time_in_delta
+
+
+def _latency(protocol: str):
+    return lambda rows: row(rows, protocol=protocol).latency_in_delta
+
+
+def _halves(rows: list[ComparisonRow]) -> float:
+    return _latency("HotStuff")(rows) / _latency("ICC0")(rows)
+
+
+#: δ = 50 ms, n = 7, 30 blocks per protocol.  HotStuff's latency is checked
+#: as 5.5–7.5 δ, Tendermint's block time as dominated by its Δbnd-scale
+#: timeout_commit (20δ here), and ICC as halving HotStuff's latency.
+CLAIMS = [
+    claim
+    for p, (block_time, latency) in {
+        "ICC0": (2, 3), "ICC1": (2, 3), "ICC2": (3, 4), "PBFT": (3, 3),
+    }.items()
+    for claim in (
+        Claim(f"E9.{p}.block-time", "§1.1", _block_time(p), block_time, rel=0.1),
+        Claim(f"E9.{p}.latency", "§1.1", _latency(p), latency, rel=0.1),
+    )
+] + [
+    Claim("E9.HotStuff.block-time", "§1.1", _block_time("HotStuff"), 2, rel=0.1),
+    Claim("E9.HotStuff.latency.low", "§1.1", _latency("HotStuff"), 5.5, ">="),
+    Claim("E9.HotStuff.latency.high", "§1.1", _latency("HotStuff"), 7.5, "<="),
+    Claim("E9.Tendermint.block-time", "§1.1", _block_time("Tendermint"), 10, ">"),
+    Claim("E9.Tendermint.latency", "§1.1", _latency("Tendermint"), 3, rel=0.1),
+    Claim("E9.ICC0-halves-HotStuff", "§1.1", _halves, 1.8, ">"),
+]

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from ..core import fixed_size_source
 from ..sim.delays import FixedDelay
 from . import runner
-from .common import make_icc_config, print_table, run_icc
+from .common import Claim, farthest, make_icc_config, print_table, row, run_icc
 
 
 @dataclass(frozen=True)
@@ -114,3 +114,38 @@ def tabulate(
         rows,
     )
     return results
+
+
+def _max(rs: list[DisseminationResult], protocol: str, size: int) -> float:
+    return row(rs, protocol=protocol, block_bytes=size).max_in_s
+
+
+def _maxima(rs: list[DisseminationResult], protocol: str) -> list[float]:
+    return [r.max_in_s for r in rs if r.protocol == protocol]
+
+
+def _ranked(rs: list[DisseminationResult], size: int) -> float:
+    """ICC0 > ICC2 > ICC1 at ``size`` holds when the smaller ratio exceeds 1."""
+    icc0, icc1, icc2 = (_max(rs, p, size) for p in ("ICC0", "ICC1", "ICC2"))
+    return min(icc0 / icc2, icc2 / icc1)
+
+
+#: n = 13, 8 rounds per block size.  ICC0's proposer sends the body to all
+#: n − 1 = 12 others; ICC1's degree-4 overlay caps it far below; ICC2 has
+#: every party send ≈ n/(t+1) = 2.6 S whatever S is.  At 10 KB ICC2 reads
+#: 4.1 S: share traffic is not yet negligible there (the paper's S =
+#: Ω(n·λ·log n) proviso), so ICC2's rows start at 100 KB.
+CLAIMS = [
+    Claim("E7.ICC0.max", "§1.1 [35]", lambda rs: farthest(_maxima(rs, "ICC0"), 12), 12, rel=0.1),
+    Claim("E7.ICC1.max", "§1.1 [35]", lambda rs: max(_maxima(rs, "ICC1")), 5, "<"),
+    *(
+        Claim(f"E7.S{kb}KB.ranking", "§1.1 [35]", lambda rs, kb=kb: _ranked(rs, kb * 1000), 1, ">")
+        for kb in (10, 100, 1000)
+    ),
+    Claim("E7.ICC2.S100KB.max", "§1", lambda rs: _max(rs, "ICC2", 100_000), 2.6, rel=0.25),
+    Claim("E7.ICC2.S1000KB.max", "§1", lambda rs: _max(rs, "ICC2", 1_000_000), 2.6, rel=0.25),
+    Claim(
+        "E7.ICC2.scale-invariant", "§1",
+        lambda rs: _max(rs, "ICC2", 100_000) / _max(rs, "ICC2", 1_000_000), 1.0, rel=0.2,
+    ),
+]

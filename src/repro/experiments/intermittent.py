@@ -24,7 +24,7 @@ from ..core.cluster import build_cluster
 from ..faults import Scenario, install_scenario, outage_schedule
 from ..sim.delays import FixedDelay
 from . import runner
-from .common import make_icc_config, print_table
+from .common import Claim, make_icc_config, print_table
 
 
 @dataclass(frozen=True)
@@ -137,3 +137,19 @@ def tabulate(
         f"({result.commits_per_second:.2f}/s — backlog flushed every sync window)"
     )
     return result
+
+
+def _steadiness(result: IntermittentResult) -> float:
+    commits = [w.commits_in_window for w in result.windows]
+    return min(commits) / max(commits)
+
+
+#: P1 keeps the tree growing through asynchrony, every synchronous window
+#: flushes the backlog, and so the commit rate is constant window to window.
+CLAIMS = [
+    Claim(
+        "E10.backlog-flushed", "§3.3",
+        lambda r: r.total_rounds_grown - r.total_rounds_committed, 4, "<=",
+    ),
+    Claim("E10.constant-throughput", "§3.3", _steadiness, 0.7, ">"),
+]

@@ -26,7 +26,7 @@ from ..core.cluster import Cluster, build_cluster
 from ..core.messages import Block, Notarization, NotarizationShare
 from ..sim.delays import FixedDelay, MessageAwareDelay
 from . import runner
-from .common import make_icc_config, mean, print_table, run_icc
+from .common import Claim, make_icc_config, mean, print_table, row, run_icc
 
 
 @dataclass(frozen=True)
@@ -153,3 +153,28 @@ def tabulate(specs: list[runner.RunSpec], results: list[ComplexityPoint]) -> dic
             ],
         )
     return {"synchronous": sync, "worst_case": worst}
+
+
+def _ratio(field: str, n: int, over_n: int, over_kind: str = "worst_case"):
+    """``field`` at ``n`` of the adversarial table over ``field`` at
+    ``over_n`` of ``over_kind``'s."""
+    return lambda t: getattr(row(t["worst_case"], n=n), field) / getattr(
+        row(t[over_kind], n=over_n), field
+    )
+
+
+def _spread(tables: dict) -> float:
+    per_n2 = [p.per_n2 for p in tables["synchronous"]]
+    return max(per_n2) / min(per_n2)
+
+
+#: 12 synchronous rounds at n = 4…40, 6 adversarial ones at n = 4…13.  O(n²):
+#: messages/n² is a small constant, flat in n; O(n³): messages/n³ converges
+#: while messages/n² grows.
+CLAIMS = [
+    Claim("E3.sync.flat", "§1", _spread, 1.25, "<"),
+    Claim("E3.sync.n13", "§1", lambda t: row(t["synchronous"], n=13).per_n2, 12, "<"),
+    Claim("E3.worst.per-n3", "§1", _ratio("per_n3", 13, 10), 1.0, rel=0.15),
+    Claim("E3.worst.per-n2", "§1", _ratio("per_n2", 13, 4), 2, ">"),
+    Claim("E3.worst-vs-sync", "§1", _ratio("messages_per_round", 10, 10, "synchronous"), 2, ">"),
+]

@@ -32,7 +32,7 @@ from ..core.icc0 import ICC0Party
 from ..faults import Scenario, install_scenario, outage_schedule
 from ..sim.delays import FixedDelay, UniformDelay
 from . import runner
-from .common import make_icc_config, print_table
+from .common import Claim, make_icc_config, print_table, row
 
 
 @dataclass(frozen=True)
@@ -158,3 +158,20 @@ def tabulate(specs: list[runner.RunSpec], passed: list[bool]) -> list[PropertyVe
         [(v.name, v.trials, v.passed, "OK" if v.ok else "FAIL") for v in verdicts],
     )
     return verdicts
+
+
+def _all_passed(kind: str):
+    """The sweep's trial count when every trial passed, else 0."""
+
+    def read(verdicts: list[PropertyVerdict]) -> int:
+        verdict = row(verdicts, name=VERDICTS[kind])
+        return verdict.trials if verdict.ok else 0
+
+    return read
+
+
+#: Each sweep runs its full trial count and every trial passes.
+CLAIMS = [
+    Claim("E8.P1P2", "§3.3", _all_passed("properties.safety_trial"), 10, ">="),
+    Claim("E8.P3", "§3.3", _all_passed("properties.liveness_trial"), 5, ">="),
+]

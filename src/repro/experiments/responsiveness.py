@@ -22,7 +22,7 @@ from ..baselines import TendermintParty
 from ..core.cluster import ClusterConfig, build_cluster
 from ..sim.delays import FixedDelay
 from . import runner
-from .common import make_icc_config, print_table, run_icc
+from .common import Claim, farthest, make_icc_config, print_table, row, run_icc
 
 DELTA_BOUND = 1.0  # the conservative bound both protocols must tolerate
 
@@ -112,3 +112,24 @@ def tabulate(
         rows,
     )
     return results
+
+
+def _in_delta(rs: list[ResponsivenessResult]) -> float:
+    return farthest([r.icc0_block_time / r.delta for r in rs], 2.0)
+
+
+def _gap_at_5ms(rs: list[ResponsivenessResult]) -> float:
+    r = row(rs, delta=0.005)
+    return r.tendermint_block_time / r.icc0_block_time
+
+
+#: At every δ of the sweep, 20 blocks each: ICC0 runs at network speed
+#: whatever Δbnd is, while every Tendermint height costs about Δbnd.
+CLAIMS = [
+    Claim("E6.ICC0.tracks-delta", "§1", _in_delta, 2.0, rel=0.1),
+    Claim(
+        "E6.Tendermint.pinned", "§1",
+        lambda rs: min(r.tendermint_block_time for r in rs) / DELTA_BOUND, 0.9, ">=",
+    ),
+    Claim("E6.gap-at-5ms", "§1", _gap_at_5ms, 50, ">"),
+]

@@ -29,7 +29,7 @@ from ..core.icc0 import ICC0Party
 from ..faults import ByzantineFault, Scenario, register_behavior, scenario_corrupt
 from ..sim.delays import FixedDelay
 from . import runner
-from .common import make_icc_config, print_table, run_icc
+from .common import Claim, make_icc_config, print_table, row, run_icc
 
 #: The attack's proposal lag — just under the PBFT view timeout below.
 ATTACK_LAG = 3.0
@@ -179,3 +179,21 @@ def tabulate(specs: list[runner.RunSpec], values: list[float]) -> list[Robustnes
         rows,
     )
     return results
+
+
+def _rate(rs: list[RobustnessResult], protocol: str, attack: bool) -> float:
+    scenario = "slow-leader attack" if attack else "fault-free"
+    return row(rs, protocol=protocol, scenario=scenario).blocks_per_second
+
+
+def _ratio(protocol: str, attack: bool, over: str, over_attack: bool):
+    return lambda rs: _rate(rs, protocol, attack) / _rate(rs, over, over_attack)
+
+
+#: 120 s runs at n = 10.  PBFT runs at the attacker's pace; ICC keeps a
+#: usable share of its throughput and stays well ahead of PBFT.
+CLAIMS = [
+    Claim("E5.PBFT.collapses", "§1.1 [15]", _ratio("PBFT", True, "PBFT", False), 0.10, "<"),
+    Claim("E5.ICC0.retains", "§1.1 [15]", _ratio("ICC0", True, "ICC0", False), 0.15, ">"),
+    Claim("E5.ICC0-vs-PBFT", "§1.1 [15]", _ratio("ICC0", True, "PBFT", True), 4, ">"),
+]

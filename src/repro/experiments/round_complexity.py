@@ -19,13 +19,14 @@ mean with n/(n-t), and its tail with the geometric law.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ..adversary import AggressiveByzantineMixin, WithholdFinalizationMixin, corrupt_class
 from ..core.icc0 import ICC0Party
 from ..sim.delays import FixedDelay
 from . import runner
-from .common import make_icc_config, mean, print_table, run_icc
+from .common import Claim, make_icc_config, mean, print_table, row, run_icc
 
 
 @dataclass(frozen=True)
@@ -125,3 +126,33 @@ def tabulate(
         rows,
     )
     return results
+
+
+def _excess_gap(rs: list[RoundComplexityResult]) -> float:
+    return max(r.mean_gap - r.expected_mean_gap for r in rs)
+
+
+def _growth(rs: list[RoundComplexityResult]) -> float:
+    return row(rs, n=25).mean_gap - row(rs, n=7).mean_gap
+
+
+def _every_round(rs: list[RoundComplexityResult]) -> bool:
+    return all(r.all_rounds_eventually_committed for r in rs)
+
+
+#: At every n of the sweep, 120 rounds each.  O(1) in expectation: the mean
+#: commit batch stays near n/(n−t) and does not grow with n; O(log n) w.h.p.:
+#: the largest batch stays within 4·log2(n) + 2; and eventually one block is
+#: committed for every round.
+CLAIMS = [
+    Claim("E4.mean-gap", "§1", _excess_gap, 0.5, "<="),
+    Claim("E4.gap-flat-in-n", "§1", _growth, 1.0, "<"),
+    *(
+        Claim(
+            f"E4.n{n}.max-gap", "§1",
+            lambda rs, n=n: row(rs, n=n).max_gap, 4 * math.log2(n) + 2, "<=",
+        )
+        for n in (7, 13, 25, 40)
+    ),
+    Claim("E4.every-round", "§1", _every_round, 1, "=="),
+]

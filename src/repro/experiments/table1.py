@@ -38,9 +38,10 @@ from ..core.icc1 import ICC1Party
 from ..sim.delays import WanDelay
 from ..workloads import BatchSpec, ClientPopulation, PopulationSpec, RequestBatcher
 from . import runner
-from .common import make_icc_config, print_table
+from .common import Claim, make_icc_config, print_table, row
 
-#: Paper's reported numbers, for side-by-side printing.
+#: Paper's reported numbers (blocks/s, Mb/s): printed side by side, and
+#: the block rates are claims.
 PAPER_TABLE1 = {
     (13, "without load"): (1.09, 1.64),
     (13, "with load"): (1.10, 4.72),
@@ -83,8 +84,6 @@ class Table1Cell:
     scenario: str
     blocks_per_second: float
     node_egress_mbps: float
-    paper_blocks_per_second: float
-    paper_node_egress_mbps: float
 
 
 def run_cell(
@@ -146,15 +145,7 @@ def run_cell(
     per_node = total_bytes / len(live) + ingress_bytes_per_node(batcher, observer)
     egress_mbps = per_node * 8.0 / duration / 1e6
 
-    paper_bps, paper_mbps = PAPER_TABLE1[(subnet, scenario)]
-    return Table1Cell(
-        subnet=subnet,
-        scenario=scenario,
-        blocks_per_second=blocks,
-        node_egress_mbps=egress_mbps,
-        paper_blocks_per_second=paper_bps,
-        paper_node_egress_mbps=paper_mbps,
-    )
+    return Table1Cell(subnet, scenario, blocks_per_second=blocks, node_egress_mbps=egress_mbps)
 
 
 SCENARIOS = ("without load", "with load", "load + failures")
@@ -186,9 +177,9 @@ def tabulate(specs: list[runner.RunSpec], cells: list[Table1Cell]) -> list[Table
             f"{c.subnet} node subnet",
             c.scenario,
             f"{c.blocks_per_second:.2f}",
-            f"{c.paper_blocks_per_second:.2f}",
+            f"{PAPER_TABLE1[(c.subnet, c.scenario)][0]:.2f}",
             f"{c.node_egress_mbps:.2f}",
-            f"{c.paper_node_egress_mbps:.2f}",
+            f"{PAPER_TABLE1[(c.subnet, c.scenario)][1]:.2f}",
         )
         for c in cells
     ]
@@ -200,13 +191,28 @@ def tabulate(specs: list[runner.RunSpec], cells: list[Table1Cell]) -> list[Table
     return cells
 
 
-def add_arguments(parser) -> None:
-    """The ``python -m repro table1`` flags (``repro.__main__`` hands its
-    subparser here)."""
-    parser.add_argument("--full", action="store_true", help="300 s windows")
+def _cell(subnet: int, scenario: str, field: str = "blocks_per_second"):
+    return lambda cells: getattr(row(cells, subnet=subnet, scenario=scenario), field)
 
 
-def run(args) -> int:
-    suite = specs(duration=300.0 if args.full else 60.0)
-    tabulate(suite, runner.execute(suite))
-    return 0
+#: Block rates land near the paper's though Δbnd and ε are calibrated on the
+#: no-load cells alone; traffic is consensus + ingress (see above), so load
+#: is checked as the egress it adds.
+CLAIMS = [
+    Claim(
+        f"T1.n{subnet}.{key}", "Table 1",
+        _cell(subnet, scenario), PAPER_TABLE1[(subnet, scenario)][0], rel=rel,
+    )
+    for subnet, scenario, key, rel in (
+        (13, "without load", "no-load", 0.25),
+        (13, "with load", "load", 0.25),
+        (13, "load + failures", "failures", 0.4),
+        (40, "without load", "no-load", 0.25),
+        (40, "with load", "load", 0.25),
+        (40, "load + failures", "failures", 0.5),
+    )
+] + [
+    Claim("T1.n13.load.egress", "Table 1", _cell(13, "with load", "node_egress_mbps"), 1.5, ">"),
+    Claim("T1.n13.failures.degraded", "Table 1", _cell(13, "load + failures"), 0.7, "<"),
+    Claim("T1.n40.failures.degraded", "Table 1", _cell(40, "load + failures"), 0.3, "<"),
+]

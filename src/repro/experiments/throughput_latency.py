@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from ..sim.delays import FixedDelay
 from . import runner
-from .common import make_icc_config, mean, print_table, run_icc
+from .common import Claim, farthest, make_icc_config, mean, print_table, run_icc
 
 #: Paper's steady-state figures, in multiples of δ.
 PAPER_NUMBERS = {
@@ -128,3 +128,33 @@ def tabulate(
         rows,
     )
     return results
+
+
+def _every_delta(protocol: str, field: str, paper: float):
+    return lambda rs: farthest([getattr(r, field) for r in rs if r.protocol == protocol], paper)
+
+
+def _claims(protocol: str, round_time: float, latency: float) -> list[Claim]:
+    e = "E2" if protocol == "ICC2" else "E1"
+    return [
+        Claim(
+            f"{e}.{protocol}.round-time", "§1",
+            _every_delta(protocol, "round_time_in_delta", round_time), round_time, rel=0.05,
+        ),
+        Claim(
+            f"{e}.{protocol}.latency", "§1",
+            _every_delta(protocol, "latency_in_delta", latency), latency, rel=0.05,
+        ),
+    ]
+
+
+def _scaling(rs: list[ThroughputLatencyResult]) -> float:
+    icc0 = {r.delta: r.round_time for r in rs if r.protocol == "ICC0"}
+    return icc0[0.2] / icc0[0.05]
+
+
+#: At every δ of the sweep, 30 rounds each; E1 is ICC0/ICC1, E2 is ICC2.  A
+#: round costs c·δ, not c·Δbnd: the round time at 200 ms over that at 50 ms.
+CLAIMS = [c for p, figures in PAPER_NUMBERS.items() for c in _claims(p, *figures)] + [
+    Claim("E1.delta-scaling", "§1", _scaling, 4.0, rel=0.1),
+]

@@ -1,7 +1,8 @@
 """Smoke tests for the experiment harness (small parameters).
 
-The full experiment runs live in benchmarks/; these tests confirm every
-experiment module executes end-to-end and produces sane shapes.
+The full experiment runs are `python -m repro experiments`, which checks
+every paper claim on them; these tests confirm every experiment module
+executes end-to-end and produces sane shapes.
 """
 
 from __future__ import annotations

@@ -57,12 +57,13 @@ def trimmed_suite(quick: bool = True) -> list[tuple[object, list[runner.RunSpec]
     return [(module, module.specs(**sweep)) for module, sweep in TRIMMED.items()]
 
 
-def print_tables(groups, results) -> str:
-    """What ``run_all.run`` prints for ``results``, as a string."""
+def print_tables(groups, results) -> tuple[str, list[str]]:
+    """What ``run_all.run`` prints for ``results``, as a string, and the
+    claims that fail on them."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        run_all.tabulate(groups, results)
-    return out.getvalue()
+        failed = run_all.check(groups, run_all.tabulate(groups, results))
+    return out.getvalue(), failed
 
 
 @pytest.fixture(scope="module")
@@ -113,13 +114,13 @@ def test_serial_and_parallel_results_identical(both_ways):
 
 def test_serial_and_parallel_tables_byte_identical(both_ways):
     groups, _, runs = both_ways
-    serial_out = print_tables(groups, runs[1][0])
-    assert serial_out == print_tables(groups, runs[2][0])
-    # All sixteen tables of the suite, in print order.
-    titles = [line.split(":")[0] for line in serial_out.splitlines() if line.startswith("== ")]
+    serial = print_tables(groups, runs[1][0])
+    assert serial == print_tables(groups, runs[2][0])
+    # All sixteen tables of the suite, in print order, then the claims.
+    titles = [line.split(":")[0] for line in serial[0].splitlines() if line.startswith("== ")]
     assert titles == [
         "== Table 1", "== E1/E2", "== E3a", "== E3b", "== E4", "== E5", "== E6", "== E7",
-        "== E9", "== E8", "== E10", "== E11", "== A1", "== A2", "== A3", "== A4",
+        "== E9", "== E8", "== E10", "== E11", "== A1", "== A2", "== A3", "== A4", "== Claims",
     ]
 
 
@@ -185,14 +186,17 @@ def test_run_all_rejects_non_integer_jobs(capsys):
 
 
 def test_run_all_prints_byte_identical_tables_at_any_job_count(capsys, monkeypatch, both_ways):
-    """End-to-end through run_all.main(): argparse -> execute -> tabulate,
-    on the trimmed sweeps (the full --quick suite takes a minute); the
-    code path is the real one, and its stdout at ``--jobs 2`` is what
-    tabulating the ``jobs=1`` results prints."""
+    """End-to-end through run_all.main(): argparse -> execute -> tabulate
+    -> claims, on the trimmed sweeps (the full --quick suite takes a
+    minute); the code path is the real one, and its stdout and exit status
+    at ``--jobs 2`` are what tabulating and checking the ``jobs=1`` results
+    give.  The trimmed sweeps lack rows the claims read, so some fail."""
     groups, _, runs = both_ways
     monkeypatch.setattr(run_all, "suite", trimmed_suite)
-    assert run_all.main(["--quick", "--jobs", "2"]) == 0
-    assert capsys.readouterr().out == print_tables(groups, runs[1][0])
+    status = run_all.main(["--quick", "--jobs", "2"])
+    out, failed = print_tables(groups, runs[1][0])
+    assert capsys.readouterr().out == out
+    assert failed and status == 1
 
 
 def test_run_all_suite_enumerates_all_ported_experiments():

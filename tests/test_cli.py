@@ -89,11 +89,13 @@ class TestCli:
         ["live", "--bench"], ["report", "--suite"], ["report", "--live"],
         ["trace"], ["trace", "--input", "t.jsonl"],
         ["collect", "D"], ["collect", "D", "--check"],
+        ["table1"], ["table1", "--full"],
     ], ids=" ".join)
     def test_second_measuring_stack_is_gone(self, argv, capsys):
-        """Performance is measured by ``python3 bench/run.py`` alone, and a
+        """Performance is measured by ``python3 bench/run.py`` alone, a
         trace is read by ``report`` alone (a live run by ``report --load``,
-        like any other)."""
+        like any other), and Table 1 is the first table of ``experiments``,
+        which checks its claims."""
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2  # argparse usage error

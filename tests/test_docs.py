@@ -273,3 +273,36 @@ class TestDocs:
         problems: list[str] = []
         module.check_experiment_docs(problems)
         assert len(problems) == 1 and "thirteenth" in problems[0]
+
+    def test_stale_copied_cell_is_flagged(self, tmp_path, monkeypatch):
+        """EXPERIMENTS.md's T1/E4/E9 tables copy the quick run's rows: a
+        cell that no longer matches names its table and row, while
+        thousands separators, bold and the wording around numbers pass."""
+        module = load_checker()
+        out = tmp_path / module.QUICK_STDOUT
+        out.parent.mkdir(parents=True)
+        out.write_text(
+            "\n== Table 1: block rate ==\n"
+            "subnet          scenario      blocks/s  Mb/s\n"
+            "--------------------------------------------\n"
+            "13 node subnet  without load  1.10      1234.50\n"
+            "40 node subnet  without load  0.43      0.21\n"
+            "\n== E4: rounds ==\nn  mean gap\n----------\n7  1.45\n"
+            "\n== E9: comparison ==\nprotocol  block time\n--------------------\n"
+            "ICC0      2.0 δ\n",
+            encoding="utf-8",
+        )
+        table = (
+            "## T1 — Table 1\n\n| subnet | scenario | blocks/s | Mb/s |\n|---|---|---|---|\n"
+            "| 13 | without load | **1.10** | 1 234.50 |\n| 40 | without load | {cell} | 0.21 |\n"
+            "\n## E4 — rounds\n\n| n | mean gap |\n|---|---|\n| 7 | 1.45 |\n"
+            "\n## E9 — comparison\n\n| protocol | block time |\n|---|---|\n| ICC0 | 2.0 δ |\n"
+        )
+        monkeypatch.setattr(module, "REPO", tmp_path)
+        for cell, expected in (("0.43", []), ("0.41", ["T1 row 2"])):
+            (tmp_path / "EXPERIMENTS.md").write_text(table.format(cell=cell), encoding="utf-8")
+            problems: list[str] = []
+            module.check_copied_tables(problems)
+            assert [p.split(" reads ")[0] for p in problems] == [
+                f"EXPERIMENTS.md: {where}" for where in expected
+            ]

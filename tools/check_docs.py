@@ -31,6 +31,10 @@ Checks every ``*.md`` file in the repo root and ``docs/``:
 * every ``repro.experiments.<module>`` named in DESIGN.md's experiment
   table is a module ``run_all.suite`` enumerates (textual scan), so an
   experiment with a private entry point cannot sit beside the suite;
+* EXPERIMENTS.md's T1, E4 and E9 tables are copies of the committed
+  ``experiments --quick`` output (``tests/experiments/quick_stdout.txt``):
+  row by row and cell by cell they hold the same numbers, thousands
+  separators aside, so a re-pinned run cannot leave them stale;
 * every ``live.*`` event kind additionally appears in
   ``docs/TRANSPORT.md``, the live transport's reference page;
 * every tag of the wire codec's table (``src/repro/net/codec.py``, textual
@@ -395,6 +399,47 @@ def check_experiment_docs(problems: list[str]) -> None:
             )
 
 
+#: EXPERIMENTS.md sections whose first table copies a table of the quick
+#: run's output, with the title that table prints under.
+COPIED_TABLES = {"T1": "Table 1:", "E4": "E4:", "E9": "E9:"}
+QUICK_STDOUT = "tests/experiments/quick_stdout.txt"
+NUMBER_RE = re.compile(r"\d+(?:\.\d+)?")
+THOUSANDS_RE = re.compile(r"(?<=\d)[ ,](?=\d{3}\b)")
+
+
+def table_after(lines: list[str], start: str, markdown: bool) -> list[list[list[str]]]:
+    """The numbers of each cell of each body row of the first table after
+    the line starting ``start``: a markdown table, or one ``print_table``
+    printed (cells two spaces apart, rows up to a blank line)."""
+    at = next((i for i, line in enumerate(lines) if line.startswith(start)), len(lines))
+    rows: list[str] = []
+    for line in lines[at + 1 :]:
+        if line.startswith("|") if markdown else line:
+            rows.append(line.strip().strip("|"))
+        elif rows or not markdown or line.startswith("## "):
+            break
+    cells = [re.split(r"\|" if markdown else r"\s{2,}", r.strip()) for r in rows[2:]]
+    return [[NUMBER_RE.findall(THOUSANDS_RE.sub("", c)) for c in row] for row in cells]
+
+
+def check_copied_tables(problems: list[str]) -> None:
+    """EXPERIMENTS.md's copied tables hold the numbers the quick run prints."""
+    doc, out = REPO / "EXPERIMENTS.md", REPO / QUICK_STDOUT
+    if not doc.is_file() or not out.is_file():
+        return
+    for section, title in COPIED_TABLES.items():
+        copied = table_after(doc.read_text(encoding="utf-8").splitlines(), f"## {section} ", True)
+        printed = table_after(out.read_text(encoding="utf-8").splitlines(), f"== {title}", False)
+        if not printed or len(copied) != len(printed):
+            problems.append(f"EXPERIMENTS.md: the {section} table is not a copy of {QUICK_STDOUT}")
+        for number, (ours, theirs) in enumerate(zip(copied, printed), 1):
+            if ours != theirs:
+                problems.append(
+                    f"EXPERIMENTS.md: {section} row {number} reads {ours}, "
+                    f"{QUICK_STDOUT} prints {theirs}"
+                )
+
+
 #: Observability CLI surface: these subcommands must be shown (as a
 #: ``python -m repro <name>`` invocation) in docs/OBSERVABILITY.md, the
 #: tracing/metrics reference page, not just in the README.
@@ -560,6 +605,7 @@ def run() -> list[str]:
     check_codec_docs(problems)
     check_removed_names(problems)
     check_experiment_docs(problems)
+    check_copied_tables(problems)
     check_config_docs(problems)
     check_cluster_names(problems)
     return problems
