@@ -120,7 +120,7 @@ class TestKeyringMicro:
         assert benchmark.pedantic(rings[0].verify_notary, setup=unseen, rounds=30)
 
     def test_verify_beacon_share_foreign(self, benchmark, rings):
-        # One exponentiation by q (sigma_i's membership), one Shamir walk,
+        # One exponentiation by q (sigma_i's membership), one Straus walk,
         # two table powers.
         fresh = (b"beacon/%d" % i for i in itertools.count())
 

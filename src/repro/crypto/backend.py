@@ -9,20 +9,23 @@ fixed-window (comb) :class:`FixedBaseTable` for a base the caller
 :class:`repro.crypto.fastpath.FastPath`).  The backend keeps no per-base
 state and never guesses which bases will come back: a 512-bit table needs
 ≥ 16 further uses to repay its build and an ephemeral base (a beacon share
-value, a commitment) gets a handful (docs/PERFORMANCE.md).
+value, a commitment) gets a handful (docs/PERFORMANCE.md).  The two-base
+product of a DLEQ check is the one exponentiation outside it:
+:func:`repro.crypto.fastpath.simultaneous_power` is plain ``*``/``%``.
 
 :func:`use_backend` scopes another instance to a ``with`` block.  That is
 the seam through which tests substitute a subclass — one that counts
-``powmod`` calls (``tests/crypto/test_work_once.py``), or a bare-``pow``
-oracle with no tables (``tests/crypto/test_backend.py``) that must give
-bit-identical results on every group operation and whole protocol runs.
+``powmod`` calls and their exponent widths
+(``tests/crypto/test_work_once.py``), or a bare-``pow`` oracle with no
+tables (``tests/crypto/test_backend.py``) that must give bit-identical
+results on every group operation and whole protocol runs.
 
 The backend surface is deliberately small:
 
-* ``powmod(base, exp, mod)``  — one-shot exponentiation;
+* ``powmod(base, exp, mod)``  — one-shot exponentiation (``exp`` ≥ 0);
 * ``invmod(a, mod)``          — modular inverse;
-* ``fixed_power(base, mod, max_bits)`` — a callable ``exp -> int`` for a
-  base the caller promises to reuse (the fast path's table slot).
+* ``fixed_power(base, mod, max_bits, window)`` — a callable ``exp -> int``
+  for a base the caller promises to reuse (the fast path's table slot).
 """
 
 from __future__ import annotations
@@ -30,8 +33,12 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Callable
 
-#: Fixed-base window width (bits per comb table row).
+#: Fixed-base window width (bits per comb table row) for public keys.
 DEFAULT_WINDOW = 5
+#: The byte-wide window: its digits are the bytes of ``exponent.to_bytes``.
+#: A 256-bit exponent is 32 table multiplications instead of 52, for a
+#: table of 32·256 elements (≈ 0.85 MB at 512 bits), so only ``g`` gets it.
+BYTE_WINDOW = 8
 
 
 class FixedBaseTable:
@@ -42,10 +49,12 @@ class FixedBaseTable:
     no squarings at exponentiation time.  Build cost is
     ⌈max_bits/w⌉·(2^w - 1) multiplications, which pays for itself after a
     handful of exponentiations; callers cache tables per long-lived base
-    (see :class:`repro.crypto.fastpath.FastPath`).
+    (see :class:`repro.crypto.fastpath.FastPath`).  At
+    :data:`BYTE_WINDOW` the digits come from one ``to_bytes`` call rather
+    than a shift and a mask per window.
     """
 
-    __slots__ = ("p", "window", "max_bits", "_mask", "_rows")
+    __slots__ = ("p", "window", "max_bits", "_mask", "_rows", "_nbytes")
 
     def __init__(self, p: int, base: int, max_bits: int, window: int = DEFAULT_WINDOW) -> None:
         self.p = p
@@ -62,6 +71,7 @@ class FixedBaseTable:
             for _ in range(window):
                 b = b * b % p
         self._rows = rows
+        self._nbytes = len(rows) if window == BYTE_WINDOW else 0
 
     def power(self, exponent: int) -> int:
         """base**exponent mod p for 0 <= exponent < 2^max_bits."""
@@ -69,6 +79,11 @@ class FixedBaseTable:
             raise ValueError("exponent exceeds table range")
         acc = 1
         p = self.p
+        if self._nbytes:
+            for row, d in zip(self._rows, exponent.to_bytes(self._nbytes, "little")):
+                if d:
+                    acc = acc * row[d] % p
+            return acc
         i = 0
         while exponent:
             d = exponent & self._mask
@@ -124,6 +139,7 @@ def use_backend(backend: CryptoBackend):
 
 __all__ = [
     "DEFAULT_WINDOW",
+    "BYTE_WINDOW",
     "FixedBaseTable",
     "CryptoBackend",
     "active_backend",

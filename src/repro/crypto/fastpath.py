@@ -6,9 +6,12 @@ discrete-log backend.  This module is the amortization layer:
 
 * **Fixed-base precomputation**: windowed (comb) tables for the generator
   ``g`` and long-lived public keys turn a full square-and-multiply
-  exponentiation into ~⌈|q|/w⌉ table-lookup multiplications.
-* **Shamir's trick** (:func:`simultaneous_power`) for the one two-base
-  product of a DLEQ check whose bases have no table.
+  exponentiation into ~⌈|q|/w⌉ table-lookup multiplications — byte-wide
+  windows for ``g`` (32 at |q| = 256), 5-bit ones for public keys (52),
+  whose tables are a quarter the size.
+* **Straus's method** (:func:`simultaneous_power`) for the one two-base
+  product of a DLEQ check whose bases have no table: joint 2-bit windows
+  over a 16-entry table.
 * **Memoized hash-to-group** for the per-message H2 points that threshold
   share verification re-derives constantly, and a bounded
   subgroup-membership cache so long-lived elements (public keys) pay the
@@ -37,7 +40,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 
-from .backend import DEFAULT_WINDOW, CryptoBackend, active_backend
+from .backend import BYTE_WINDOW, DEFAULT_WINDOW, CryptoBackend, active_backend
 from .group import Group
 from .unique import message_point
 
@@ -48,23 +51,31 @@ from .unique import message_point
 
 
 def simultaneous_power(p: int, b1: int, e1: int, b2: int, e2: int) -> int:
-    """b1^e1 · b2^e2 mod p via Shamir's trick (one shared squaring chain).
+    """b1^e1 · b2^e2 mod p via Straus's method over joint 2-bit windows.
 
     The two-base product g2**s · B**(-c) of a DLEQ check, where neither
-    base has a table; roughly halves the squarings of computing the two
-    powers separately.
+    base has a table.  One shared squaring chain, and per 2-bit window of
+    both exponents at most one multiplication by an entry of the table
+    b1^i · b2^j (0 <= i, j < 4): at 256 bits, 256 squarings and ≈ 120
+    multiplications where two separate powers take ≈ 512 and ≈ 256.
+    Plain ``*``/``%``, so it is no ``powmod`` of the backend.
     """
-    b12 = b1 * b2 % p
+    b1_2 = b1 * b1 % p
+    b2_2 = b2 * b2 % p
+    table = [
+        x * y % p
+        for y in (1, b2, b2_2, b2_2 * b2 % p)
+        for x in (1, b1, b1_2, b1_2 * b1 % p)
+    ]
     acc = 1
-    for bit in range(max(e1.bit_length(), e2.bit_length()) - 1, -1, -1):
+    shift = (max(e1.bit_length(), e2.bit_length()) + 1) & ~1
+    while shift:
+        shift -= 2
         acc = acc * acc % p
-        pick = ((e1 >> bit) & 1) | (((e2 >> bit) & 1) << 1)
-        if pick == 3:
-            acc = acc * b12 % p
-        elif pick == 1:
-            acc = acc * b1 % p
-        elif pick == 2:
-            acc = acc * b2 % p
+        acc = acc * acc % p
+        d = ((e1 >> shift) & 3) | ((e2 >> shift) & 3) << 2
+        if d:
+            acc = acc * table[d] % p
     return acc
 
 
@@ -116,7 +127,10 @@ class FastPath:
 
     Tables exist only for bases a caller declares long-lived — ``g`` here,
     public keys through :meth:`power_base`/:meth:`warm_bases`; everything
-    else is the backend's one-shot ``powmod``.
+    else is the backend's one-shot ``powmod``.  ``g``'s table is byte-wide
+    (:data:`~repro.crypto.backend.BYTE_WINDOW`); a public key's keeps
+    :data:`~repro.crypto.backend.DEFAULT_WINDOW`, since up to
+    ``table_cache`` of them live at once.
     """
 
     def __init__(
@@ -124,7 +138,6 @@ class FastPath:
         group: Group,
         *,
         backend: CryptoBackend | None = None,
-        window: int = DEFAULT_WINDOW,
         table_cache: int = 512,
         member_cache: int = 65536,
         h2_cache: int = 4096,
@@ -132,9 +145,8 @@ class FastPath:
         self.group = group
         self.backend = backend if backend is not None else active_backend()
         self.stats = FastPathStats()
-        self._window = window
         q_bits = group.q.bit_length()
-        self._power_g = self.backend.fixed_power(group.g, group.p, q_bits, window)
+        self._power_g = self.backend.fixed_power(group.g, group.p, q_bits, BYTE_WINDOW)
         self._tables: _BoundedCache = _BoundedCache(table_cache)
         self._members: _BoundedCache = _BoundedCache(member_cache)
         self._members.put(group.g, None)
@@ -172,7 +184,7 @@ class FastPath:
         power = self._tables.get(base)
         if power is None:
             power = self.backend.fixed_power(
-                base, self.group.p, self.group.q.bit_length(), self._window
+                base, self.group.p, self.group.q.bit_length(), DEFAULT_WINDOW
             )
             self._tables.put(base, power)
         else:
@@ -198,7 +210,7 @@ class FastPath:
             self._tables.put(
                 base,
                 self.backend.fixed_power(
-                    base, self.group.p, self.group.q.bit_length(), self._window
+                    base, self.group.p, self.group.q.bit_length(), DEFAULT_WINDOW
                 ),
             )
             built += 1

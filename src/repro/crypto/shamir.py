@@ -12,6 +12,7 @@ Lagrange coefficients, evaluated "in the exponent".
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, lcm
 
 from .field import PrimeField
 
@@ -57,6 +58,29 @@ def reconstruct(field: PrimeField, shares: list[Share]) -> int:
     return acc
 
 
-def lagrange_at_zero(field: PrimeField, indices: list[int]) -> list[int]:
-    """Expose the Lagrange coefficients for combination in the exponent."""
-    return field.lagrange_coefficients_at_zero(indices)
+def lagrange_at_zero(indices: list[int]) -> tuple[list[int], int]:
+    """The Lagrange coefficients at zero as exact integers (a_i, D).
+
+    λ_i = Π_{j≠i} x_j / Π_{j≠i} (x_j − x_i) = a_i / D over the rationals,
+    with D > 0 the least common denominator, so for distinct positive
+    indices every a_i and D are small: the product of at most h − 1
+    indices, not a scalar of Z_q.  Combination in the exponent raises each
+    share to a_i and the product once to D⁻¹ mod q
+    (:func:`repro.crypto.threshold.combine`).
+    """
+    if 0 in indices or len(set(indices)) != len(indices):
+        raise ValueError("interpolation points must be distinct and non-zero")
+    numerators, denominators = [], []
+    for i, xi in enumerate(indices):
+        num = den = 1
+        for j, xj in enumerate(indices):
+            if i != j:
+                num *= xj
+                den *= xj - xi
+        if den < 0:
+            num, den = -num, -den
+        g = gcd(num, den)
+        numerators.append(num // g)
+        denominators.append(den // g)
+    common = lcm(*denominators)
+    return [a * (common // d) for a, d in zip(numerators, denominators)], common

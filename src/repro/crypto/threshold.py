@@ -2,10 +2,10 @@
 
 A trusted dealer Shamir-shares a master secret key; each party can produce a
 *signature share* on a message, and any ``h`` valid shares combine (via
-Lagrange interpolation in the exponent) into the master signature
-H2(m)**master_sk.  The combined value is **unique** — independent of which h
-shares were used — which is exactly what the random beacon requires
-(Section 2.3).
+Lagrange interpolation in the exponent, one full-width power per
+combination) into the master signature H2(m)**master_sk.  The combined
+value is **unique** — independent of which h shares were used — which is
+exactly what the random beacon requires (Section 2.3).
 
 Share validity is proven with Chaum–Pedersen DLEQ proofs against the share
 public keys, replacing the pairing check of BLS (DESIGN.md §2).  A combined
@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from . import dleq, shamir
+from .backend import active_backend
 from .group import Group
 from .unique import message_point
 
@@ -110,6 +111,12 @@ def combine(pk: ThresholdPublicKey, message: bytes, shares: list[SignatureShare]
     Shares must be pre-verified (``verify_share``); invalid shares make the
     combination fail verification rather than raise here, matching how the
     protocol treats them (it only combines shares it has already validated).
+
+    With λ_i = a_i / D in small integers (:func:`shamir.lagrange_at_zero`)
+    the value is (Π σ_i^{a_i})^{D⁻¹ mod q}: h powers by exponents of a few
+    bits, one inverse for the σ_i whose a_i is negative, and one full-width
+    power where the per-share loop Π σ_i^{λ_i mod q} made h.  The two agree
+    because a verified σ_i lies in the order-q subgroup.
     """
     chosen = _dedupe_by_index(shares)[: pk.threshold]
     if len(chosen) < pk.threshold:
@@ -117,10 +124,17 @@ def combine(pk: ThresholdPublicKey, message: bytes, shares: list[SignatureShare]
             f"need {pk.threshold} distinct shares to combine, got {len(chosen)}"
         )
     group = pk.group
-    lams = shamir.lagrange_at_zero(group.scalar_field, [s.index for s in chosen])
-    value = 1
-    for lam, share in zip(lams, chosen):
-        value = group.mul(value, group.power(share.value, lam))
+    p = group.p
+    backend = active_backend()
+    exponents, denominator = shamir.lagrange_at_zero([s.index for s in chosen])
+    positive = negative = 1
+    for a, share in zip(exponents, chosen):
+        if a > 0:
+            positive = positive * backend.powmod(share.value, a, p) % p
+        else:
+            negative = negative * backend.powmod(share.value, -a, p) % p
+    value = positive * backend.invmod(negative, p) % p
+    value = backend.powmod(value, pow(denominator, -1, group.q), p)
     return ThresholdSignature(value=value, shares=tuple(chosen))
 
 

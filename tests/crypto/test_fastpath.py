@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto import api, dleq, fastpath, schnorr
-from repro.crypto.backend import FixedBaseTable
+from repro.crypto.backend import BYTE_WINDOW, FixedBaseTable
 from repro.crypto.dleq import DleqStatement
 from repro.crypto.group import group_for_profile
 from repro.crypto.unique import message_point
@@ -47,6 +47,33 @@ class TestFixedBaseTable:
             table.power(1 << 16)
 
 
+class TestByteWideTable:
+    """g's table at ``BYTE_WINDOW``: digits are the bytes of the exponent."""
+
+    @pytest.mark.parametrize("profile", ["test", "default"])
+    def test_matches_pow_at_every_byte_boundary(self, profile):
+        group = group_for_profile(profile)
+        bits = group.q.bit_length()
+        table = FixedBaseTable(group.p, group.g, bits, BYTE_WINDOW)
+        boundaries = [1 << (8 * k) for k in range(1, (bits + 7) // 8) if 8 * k < bits]
+        exponents = [0, 1, group.q - 1, (1 << bits) - 1]
+        exponents += [e + d for e in boundaries for d in (-1, 0, 1)]
+        for e in exponents:
+            assert table.power(e) == pow(group.g, e, group.p), e
+
+    @pytest.mark.parametrize("max_bits", [16, 96, 100])
+    def test_exponent_out_of_range(self, group, max_bits):
+        table = FixedBaseTable(group.p, group.g, max_bits, BYTE_WINDOW)
+        assert table.power((1 << max_bits) - 1) == pow(group.g, (1 << max_bits) - 1, group.p)
+        for e in (1 << max_bits, 1 << (max_bits + 8), 1 << 200):
+            with pytest.raises(ValueError):
+                table.power(e)
+
+    def test_fast_path_power_g_is_byte_wide(self, group):
+        power_g = fastpath.FastPath(group)._power_g
+        assert power_g.__self__.window == BYTE_WINDOW
+
+
 class TestMultiExp:
     def test_straus_matches_pow(self, group, rng):
         # Straus interleaving for two bases, at the exponents the DLEQ check
@@ -61,13 +88,27 @@ class TestMultiExp:
     def test_empty_product(self, group):
         assert fastpath.simultaneous_power(group.p, group.g, 0, group.power_g(7), 0) == 1
 
-    def test_shamir_matches_pow(self, group, rng):
+    def test_two_full_width_exponents_match_pow(self, group, rng):
         for _ in range(10):
             b1 = group.power_g(rng.randrange(1, group.q))
             b2 = group.power_g(rng.randrange(1, group.q))
             e1, e2 = rng.randrange(group.q), rng.randrange(group.q)
             expected = pow(b1, e1, group.p) * pow(b2, e2, group.p) % group.p
             assert fastpath.simultaneous_power(group.p, b1, e1, b2, e2) == expected
+
+    @pytest.mark.parametrize("profile", ["test", "default"])
+    def test_edge_exponents_match_pow(self, profile):
+        """Zero on either side, odd and unequal bit lengths (a window that
+        straddles the top of the shorter exponent), and q - 1."""
+        group = group_for_profile(profile)
+        p, q = group.p, group.q
+        b1, b2 = group.power_g(12345), group.power_g(67890)
+        widths = (1, 2, 3, 7, 8, 63, 64, 65, q.bit_length() - 1)
+        exponents = [0, 1, 2, 3, q - 1] + [(1 << w) - 1 for w in widths] + [1 << w for w in widths]
+        for e1 in exponents:
+            for e2 in exponents:
+                expected = pow(b1, e1, p) * pow(b2, e2, p) % p
+                assert fastpath.simultaneous_power(p, b1, e1, b2, e2) == expected, (e1, e2)
 
 
 # ---------------------------------------------------------------------------

@@ -85,6 +85,13 @@ class TestTwoSharings:
     def test_lagrange_helper_matches(self, rng):
         shares = deal(FIELD, 55, threshold=3, n=5, rng=rng)
         chosen = shares[1:4]
-        lams = lagrange_at_zero(FIELD, [s.index for s in chosen])
-        acc = sum(l * s.value for l, s in zip(lams, chosen)) % FIELD.modulus
-        assert acc == 55
+        exponents, denominator = lagrange_at_zero([s.index for s in chosen])
+        acc = sum(a * s.value for a, s in zip(exponents, chosen)) % FIELD.modulus
+        assert FIELD.div(acc, denominator) == 55
+        lams = FIELD.lagrange_coefficients_at_zero([s.index for s in chosen])
+        assert [FIELD.div(a, denominator) for a in exponents] == lams
+
+    def test_lagrange_helper_rejects_repeated_or_zero_points(self):
+        for indices in ([1, 2, 1], [0, 3]):
+            with pytest.raises(ValueError):
+                lagrange_at_zero(indices)

@@ -2,10 +2,18 @@
 
 from __future__ import annotations
 
-import pytest
+from random import Random
 
-from repro.crypto import threshold
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.crypto import dleq, threshold
 from repro.crypto.api import verifiers_for
+from repro.crypto.backend import CryptoBackend, use_backend
+from repro.crypto.group import group_for_profile
+
+from .test_backend import PowBackend
 
 
 @pytest.fixture(scope="module")
@@ -127,3 +135,45 @@ class TestCombine:
         sig = threshold.combine(pk, b"m", shares)
         stripped = threshold.ThresholdSignature(value=sig.value, shares=sig.shares[:2])
         assert not suite.threshold.verify(pk, b"m", stripped)
+
+
+def combine_per_share(group, shares) -> int:
+    """The oracle of ``threshold.combine``: the per-share Lagrange loop
+    Π σ_i^{λ_i mod q}, one full-width power per share."""
+    lams = group.scalar_field.lagrange_coefficients_at_zero([s.index for s in shares])
+    value = 1
+    for lam, share in zip(lams, shares):
+        value = group.mul(value, group.power(share.value, lam))
+    return value
+
+
+class TestCombineOracle:
+    """``combine`` raises small integer powers once to D⁻¹ mod q; on
+    subgroup members that is the per-share loop, bit for bit, for any index
+    subset, any order, duplicates included."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        profile=st.sampled_from(["test", "default"]),
+        indices=st.lists(st.integers(1, 40), min_size=1, max_size=14, unique=True),
+        repeats=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_combine_equals_per_share_loop(self, profile, indices, repeats, seed):
+        group, rng = group_for_profile(profile), Random(seed)
+        shares = [
+            threshold.SignatureShare(i, group.power_g(rng.randrange(1, group.q)), dleq.DleqProof(0, 0))
+            for i in indices
+        ]
+        pk = threshold.ThresholdPublicKey(
+            group=group, threshold=len(indices), n=40,
+            master_public=group.g, share_publics=(group.g,) * 40,
+        )
+        expected = combine_per_share(group, shares)
+        # A repeated index is dropped, so the first h distinct shares count.
+        offered = shares[:1] * repeats + shares + shares[::-1]
+        for backend in (CryptoBackend(), PowBackend()):
+            with use_backend(backend):
+                sig = threshold.combine(pk, b"oracle", offered)
+            assert sig.value == expected, backend.name
+            assert sig.shares == tuple(shares)

@@ -11,8 +11,11 @@ routes through the active backend.
 from __future__ import annotations
 
 import gc
+import itertools
+import math
 import weakref
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -33,16 +36,19 @@ from ..core.test_pool import Forge
 
 
 class CountingBackend(CryptoBackend):
-    """The comb strategy with a count of every exponentiation it is asked for."""
+    """The comb strategy with a count of every exponentiation it is asked
+    for, and the exponent's bit length of each ``powmod`` in call order."""
 
     name = "counting"
 
     def __init__(self) -> None:
         self.powmods = 0
         self.fixed_calls = 0
+        self.powmod_widths: list[int] = []
 
     def powmod(self, base, exponent, modulus):
         self.powmods += 1
+        self.powmod_widths.append(exponent.bit_length())
         return pow(base, exponent, modulus)
 
     def fixed_power(self, base, modulus, max_bits, window=DEFAULT_WINDOW):
@@ -243,11 +249,48 @@ class TestChallengeFormExponentiatesNothingUntrusted:
     ):
         share = warm[1].sign_beacon_share(b"m")
         before = counting.powmods
+        tables = counting.fixed_calls
         assert warm[0].verify_beacon_share(b"m", share)
         assert counting.powmods == before + 1
+        # The one powmod is sigma_i**q; g**s and A**(-c) come from the comb
+        # tables, and g2**s · sigma_i**(-c) is the Straus walk: no backend call.
+        assert counting.powmod_widths[-1] == warm[0]._shared.group.q.bit_length()
+        assert counting.fixed_calls == tables + 2
         # A second party of the cluster finds sigma_i in the shared cache.
         assert warm[2].verify_beacon_share(b"m", share)
         assert counting.powmods == before + 1
+
+
+class TestBeaconCombineCost:
+    def test_combine_of_t_plus_1_verified_shares_is_one_full_width_power(
+        self, warm, counting
+    ):
+        """Each share is raised to its small a_i of λ_i = a_i / D; only the
+        product's power D⁻¹ mod q is full-width, where the per-share loop
+        made t + 1 of them.  When every λ_i is an integer (12 of the 35
+        index triples, among them 1, 2, 3), D = 1 and that power is by 1."""
+        shares = [ring.sign_beacon_share(b"m") for ring in warm]
+        assert all(warm[0].verify_beacon_share(b"m", share) for share in shares)
+        full_width = {}
+        for chosen in itertools.combinations(shares, 3):  # t + 1 of n = 7
+            before = (counting.powmods, counting.fixed_calls)
+            signature = warm[0].combine_beacon(b"m", chosen)
+            widths = counting.powmod_widths[before[0]:]
+            assert counting.fixed_calls == before[1]
+            assert len(widths) == 3 + 1 and max(widths[:3]) <= 64
+            indices = [s.index for s in chosen]
+            integral = all(
+                Fraction(
+                    math.prod(x for x in indices if x != i),
+                    math.prod(x - i for x in indices if x != i),
+                ).denominator == 1
+                for i in indices
+            )
+            assert (widths[3] > 64) == (not integral)
+            full_width[tuple(indices)] = widths[3] > 64
+            assert warm[0].verify_beacon(b"m", signature)
+        assert full_width[(1, 2, 4)] and not full_width[(1, 2, 3)]
+        assert sum(full_width.values()) == 35 - 12
 
 
 _RINGS = generate_keyrings(4, 1, seed=11, backend="real")

@@ -275,10 +275,38 @@ class TestDocs:
         assert len(problems) == 1 and "thirteenth" in problems[0]
 
     def test_stale_copied_cell_is_flagged(self, tmp_path, monkeypatch):
-        """EXPERIMENTS.md's T1/E4/E9 tables copy the quick run's rows: a
+        """EXPERIMENTS.md's T1/E3/E4/E9 tables copy the quick run's rows: a
         cell that no longer matches names its table and row, while
         thousands separators, bold and the wording around numbers pass."""
         module = load_checker()
+        monkeypatch.setattr(module, "REPO", tmp_path)
+        self._write_quick_stdout(tmp_path, module)
+        for cell, expected in (("0.43", []), ("0.41", ["T1 row 2"])):
+            problems = self._check(tmp_path, module, cell=cell, e3b="30.00")
+            assert [p.split(" reads ")[0] for p in problems] == [
+                f"EXPERIMENTS.md: {where}" for where in expected
+            ]
+
+    def test_second_table_of_a_section_is_checked(self, tmp_path, monkeypatch):
+        """E3 holds two copied tables; ``E3/2`` addresses the second, so a
+        changed cell there is flagged, and a missing second table too."""
+        module = load_checker()
+        monkeypatch.setattr(module, "REPO", tmp_path)
+        self._write_quick_stdout(tmp_path, module)
+        problems = self._check(tmp_path, module, cell="0.43", e3b="31.00")
+        assert problems == [
+            "EXPERIMENTS.md: E3/2 row 1 reads [['13'], ['31.00']], "
+            f"{module.QUICK_STDOUT} prints [['13'], ['30.00']]"
+        ]
+        doc = tmp_path / "EXPERIMENTS.md"
+        text = doc.read_text(encoding="utf-8")
+        doc.write_text(text[: text.index("\nAdversarial")] + text[text.index("\n## E4"):], encoding="utf-8")
+        problems = []
+        module.check_copied_tables(problems)
+        assert problems == [f"EXPERIMENTS.md: the E3/2 table is not a copy of {module.QUICK_STDOUT}"]
+
+    @staticmethod
+    def _write_quick_stdout(tmp_path, module):
         out = tmp_path / module.QUICK_STDOUT
         out.parent.mkdir(parents=True)
         out.write_text(
@@ -287,22 +315,25 @@ class TestDocs:
             "--------------------------------------------\n"
             "13 node subnet  without load  1.10      1234.50\n"
             "40 node subnet  without load  0.43      0.21\n"
+            "\n== E3a: synchronous ==\nn  msgs/n^2\n----------\n4  8.00\n"
+            "\n== E3b: adversarial ==\nn   msgs/n^2\n-----------\n13  30.00\n"
             "\n== E4: rounds ==\nn  mean gap\n----------\n7  1.45\n"
             "\n== E9: comparison ==\nprotocol  block time\n--------------------\n"
             "ICC0      2.0 δ\n",
             encoding="utf-8",
         )
+
+    @staticmethod
+    def _check(tmp_path, module, cell, e3b):
         table = (
             "## T1 — Table 1\n\n| subnet | scenario | blocks/s | Mb/s |\n|---|---|---|---|\n"
             "| 13 | without load | **1.10** | 1 234.50 |\n| 40 | without load | {cell} | 0.21 |\n"
+            "\n## E3 — messages\n\nSynchronous:\n\n| n | msgs/n² |\n|---|---|\n| 4 | 8.00 |\n"
+            "\nAdversarial:\n\n| n | msgs/n² |\n|---|---|\n| 13 | {e3b} |\n"
             "\n## E4 — rounds\n\n| n | mean gap |\n|---|---|\n| 7 | 1.45 |\n"
             "\n## E9 — comparison\n\n| protocol | block time |\n|---|---|\n| ICC0 | 2.0 δ |\n"
         )
-        monkeypatch.setattr(module, "REPO", tmp_path)
-        for cell, expected in (("0.43", []), ("0.41", ["T1 row 2"])):
-            (tmp_path / "EXPERIMENTS.md").write_text(table.format(cell=cell), encoding="utf-8")
-            problems: list[str] = []
-            module.check_copied_tables(problems)
-            assert [p.split(" reads ")[0] for p in problems] == [
-                f"EXPERIMENTS.md: {where}" for where in expected
-            ]
+        (tmp_path / "EXPERIMENTS.md").write_text(table.format(cell=cell, e3b=e3b), encoding="utf-8")
+        problems: list[str] = []
+        module.check_copied_tables(problems)
+        return problems

@@ -31,10 +31,11 @@ Checks every ``*.md`` file in the repo root and ``docs/``:
 * every ``repro.experiments.<module>`` named in DESIGN.md's experiment
   table is a module ``run_all.suite`` enumerates (textual scan), so an
   experiment with a private entry point cannot sit beside the suite;
-* EXPERIMENTS.md's T1, E4 and E9 tables are copies of the committed
-  ``experiments --quick`` output (``tests/experiments/quick_stdout.txt``):
-  row by row and cell by cell they hold the same numbers, thousands
-  separators aside, so a re-pinned run cannot leave them stale;
+* EXPERIMENTS.md's T1, E3 (both), E4 and E9 tables are copies of the
+  committed ``experiments --quick`` output
+  (``tests/experiments/quick_stdout.txt``): row by row and cell by cell
+  they hold the same numbers, thousands separators aside, so a re-pinned
+  run cannot leave them stale;
 * every ``live.*`` event kind additionally appears in
   ``docs/TRANSPORT.md``, the live transport's reference page;
 * every tag of the wire codec's table (``src/repro/net/codec.py``, textual
@@ -399,23 +400,29 @@ def check_experiment_docs(problems: list[str]) -> None:
             )
 
 
-#: EXPERIMENTS.md sections whose first table copies a table of the quick
-#: run's output, with the title that table prints under.
-COPIED_TABLES = {"T1": "Table 1:", "E4": "E4:", "E9": "E9:"}
+#: EXPERIMENTS.md tables that copy a table of the quick run's output, with
+#: the title that table prints under: a section's first table, or its k-th
+#: as ``section/k``.
+COPIED_TABLES = {"T1": "Table 1:", "E3": "E3a:", "E3/2": "E3b:", "E4": "E4:", "E9": "E9:"}
 QUICK_STDOUT = "tests/experiments/quick_stdout.txt"
 NUMBER_RE = re.compile(r"\d+(?:\.\d+)?")
 THOUSANDS_RE = re.compile(r"(?<=\d)[ ,](?=\d{3}\b)")
 
 
-def table_after(lines: list[str], start: str, markdown: bool) -> list[list[list[str]]]:
-    """The numbers of each cell of each body row of the first table after
-    the line starting ``start``: a markdown table, or one ``print_table``
-    printed (cells two spaces apart, rows up to a blank line)."""
+def table_after(
+    lines: list[str], start: str, markdown: bool, nth: int = 1
+) -> list[list[list[str]]]:
+    """The numbers of each cell of each body row of the ``nth`` table after
+    the line starting ``start``: a markdown table (none past the next
+    ``## `` heading), or one ``print_table`` printed (cells two spaces
+    apart, rows up to a blank line)."""
     at = next((i for i, line in enumerate(lines) if line.startswith(start)), len(lines))
     rows: list[str] = []
     for line in lines[at + 1 :]:
         if line.startswith("|") if markdown else line:
             rows.append(line.strip().strip("|"))
+        elif rows and nth > 1:
+            nth, rows = nth - 1, []
         elif rows or not markdown or line.startswith("## "):
             break
     cells = [re.split(r"\|" if markdown else r"\s{2,}", r.strip()) for r in rows[2:]]
@@ -428,7 +435,10 @@ def check_copied_tables(problems: list[str]) -> None:
     if not doc.is_file() or not out.is_file():
         return
     for section, title in COPIED_TABLES.items():
-        copied = table_after(doc.read_text(encoding="utf-8").splitlines(), f"## {section} ", True)
+        heading, _, nth = section.partition("/")
+        copied = table_after(
+            doc.read_text(encoding="utf-8").splitlines(), f"## {heading} ", True, int(nth or 1)
+        )
         printed = table_after(out.read_text(encoding="utf-8").splitlines(), f"== {title}", False)
         if not printed or len(copied) != len(printed):
             problems.append(f"EXPERIMENTS.md: the {section} table is not a copy of {QUICK_STDOUT}")
