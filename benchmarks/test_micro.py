@@ -21,7 +21,6 @@ from repro.crypto.keyring import generate_keyrings
 from repro.erasure.merkle import MerkleTree
 from repro.erasure.reed_solomon import CodecParams, decode, encode
 from repro.sim.delays import UniformDelay
-from repro.sim.events import CalendarEventQueue, HeapEventQueue
 from repro.sim.metrics import Metrics
 from repro.sim.network import Network
 from repro.sim.simulator import Simulation
@@ -164,10 +163,9 @@ class TestErasureMicro:
 
 
 class TestSimulatorMicro:
-    @pytest.mark.parametrize("queue_cls", (CalendarEventQueue, HeapEventQueue))
-    def test_event_dispatch_rate(self, benchmark, queue_cls):
+    def test_event_dispatch_rate(self, benchmark):
         def run_10k_events():
-            sim = Simulation(event_queue=queue_cls())
+            sim = Simulation()
             remaining = [10_000]
 
             def tick():

@@ -1,17 +1,14 @@
-"""Erasure-coding substrate: GF(256), Reed–Solomon, Merkle commitments."""
+"""Erasure-coding substrate: GF(256), Reed–Solomon, Merkle commitments.
 
-from . import gf256
+The package re-exports only the Merkle names: ``gf256`` and
+``reed_solomon`` import numpy, which loads only when ICC2's reliable
+broadcast (or a direct ``repro.erasure.reed_solomon`` import) needs it.
+"""
+
 from .merkle import MerkleProof, MerkleTree, verify_inclusion
-from .reed_solomon import CodecParams, DecodeError, decode, encode, shard_length
 
 __all__ = [
-    "gf256",
     "MerkleProof",
     "MerkleTree",
     "verify_inclusion",
-    "CodecParams",
-    "DecodeError",
-    "decode",
-    "encode",
-    "shard_length",
 ]

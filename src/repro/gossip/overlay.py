@@ -4,12 +4,12 @@ The Internet Computer's peer-to-peer layer connects each node to a bounded
 set of peers.  We model the overlay as a random d-regular connected graph
 (via networkx, seeded for determinism).  The overlay determines which pairs
 of parties exchange gossip traffic; the underlying latency of each overlay
-link still comes from the simulator's delay model.
+link still comes from the simulator's delay model.  networkx is imported
+inside the two functions, so only a run that builds an overlay (ICC1) loads
+it.
 """
 
 from __future__ import annotations
-
-import networkx as nx
 
 
 def build_overlay(n: int, degree: int, seed: int = 0) -> dict[int, list[int]]:
@@ -20,6 +20,8 @@ def build_overlay(n: int, degree: int, seed: int = 0) -> dict[int, list[int]]:
     always connected for d >= 3, so this terminates immediately in
     practice).
     """
+    import networkx as nx
+
     if n < 2:
         return {1: []} if n == 1 else {}
     d = min(degree, n - 1)
@@ -42,6 +44,8 @@ def build_overlay(n: int, degree: int, seed: int = 0) -> dict[int, list[int]]:
 
 def overlay_diameter(adjacency: dict[int, list[int]]) -> int:
     """Diameter of the overlay — bounds gossip propagation hops."""
+    import networkx as nx
+
     graph = nx.Graph()
     graph.add_nodes_from(adjacency)
     for node, neighbors in adjacency.items():

@@ -39,7 +39,6 @@ from typing import Callable
 
 from ..crypto.hashing import DIGEST_SIZE
 from ..erasure.merkle import MerkleProof, MerkleTree, verify_inclusion
-from ..erasure.reed_solomon import CodecParams, DecodeError, decode, encode
 from ..sim.network import Network
 
 
@@ -122,6 +121,11 @@ class RbcEndpoint:
         self.network = network
         self.deliver = deliver
         self.fill_delay = fill_delay
+        # Reed–Solomon (numpy) loads with the first endpoint, not with this
+        # module, which the wire codec and the cluster builder import for
+        # every protocol.
+        from ..erasure.reed_solomon import CodecParams
+
         self.params = CodecParams(k=self.k, m=n)
         self._instances: dict[tuple[int, bytes], _Instance] = {}
 
@@ -129,6 +133,8 @@ class RbcEndpoint:
 
     def disperse(self, data: bytes) -> bytes:
         """Disperse ``data`` as dealer; returns the Merkle root."""
+        from ..erasure.reed_solomon import encode
+
         shards = encode(data, self.params)
         tree = MerkleTree(shards)
         root = tree.root
@@ -214,6 +220,8 @@ class RbcEndpoint:
             return
         if len(instance.fragments) < self.k:
             return
+        from ..erasure.reed_solomon import DecodeError, decode, encode
+
         shards = {f.index: f.data for f in instance.fragments.values()}
         try:
             data = decode(shards, self.params, instance.data_length)

@@ -6,7 +6,7 @@ delay models (synchrony, WAN latencies and adversarial scheduling); time
 windows of asynchrony are :mod:`repro.faults` scenario events.
 """
 
-from .events import CalendarEventQueue, EventQueue, HeapEventQueue
+from .events import EventQueue
 from .delays import (
     DelayModel,
     FixedDelay,
@@ -32,7 +32,5 @@ __all__ = [
     "message_kind",
     "wire_size",
     "Simulation",
-    "CalendarEventQueue",
     "EventQueue",
-    "HeapEventQueue",
 ]

@@ -16,19 +16,12 @@ from .events import EventQueue, _QueuedEvent
 
 
 class Simulation:
-    """Discrete-event simulation kernel with virtual time in seconds.
+    """Discrete-event simulation kernel with virtual time in seconds."""
 
-    ``event_queue`` swaps the queue implementation (any object with the
-    ``EventQueue`` contract — e.g. :class:`repro.sim.events.HeapEventQueue`
-    for the single-heap reference queue); pass it at construction, before
-    anything is scheduled.  Both implementations pop the identical
-    (time, seq) order, so runs are bit-identical either way.
-    """
-
-    def __init__(self, seed: int = 0, event_queue: EventQueue | None = None) -> None:
+    def __init__(self, seed: int = 0) -> None:
         self.rng = Random(seed)
         self.now: float = 0.0
-        self.events = event_queue if event_queue is not None else EventQueue()
+        self.events = EventQueue()
         self._events_processed = 0
         #: Structured-event tracer (see :mod:`repro.obs`).  The no-op
         #: default makes tracing free; install a real Tracer *before*

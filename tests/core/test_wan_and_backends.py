@@ -1,4 +1,4 @@
-"""Cross-cutting runs: WAN delays × protocols × crypto backends × event queues."""
+"""Cross-cutting runs: WAN delays × protocols × crypto backends."""
 
 from __future__ import annotations
 
@@ -9,9 +9,8 @@ from repro.core.icc1 import ICC1Party
 from repro.core.icc2 import ICC2Party
 from repro.crypto.backend import use_backend
 from repro.gossip import GossipParams, build_overlay
-from repro.sim import FixedDelay, Simulation
+from repro.sim import FixedDelay
 from repro.sim.delays import WanDelay
-from repro.sim.events import HeapEventQueue
 
 from ..crypto.test_backend import PowBackend
 
@@ -91,20 +90,19 @@ class TestRealCryptoBackend:
 
 
 class TestRunsIdenticalAcrossBackendsAndQueues:
-    """Which modexp backend computes the group operations and which event
-    queue orders the events are implementation choices: the same seeded
-    real-crypto cluster must commit the identical chain, to the identical
-    round, at the identical simulated instant, under all of them."""
+    """Which modexp backend computes the group operations is an
+    implementation choice: the same seeded real-crypto cluster must commit
+    the identical chain, to the identical round, at the identical simulated
+    instant, under each of them."""
 
     @staticmethod
-    def _fingerprint(event_queue=None):
+    def _fingerprint():
         config = ClusterConfig(
             n=4, t=1, delta_bound=0.3, epsilon=0.01,
             delay_model=FixedDelay(0.05), max_rounds=6, seed=0,
             crypto_backend="real",
         )
-        sim = Simulation(seed=config.seed, event_queue=event_queue)
-        cluster = build_cluster(config, sim=sim)
+        cluster = build_cluster(config)
         cluster.start()
         cluster.run_until_all_committed_round(5, timeout=120)
         cluster.check_safety()
@@ -115,12 +113,8 @@ class TestRunsIdenticalAcrossBackendsAndQueues:
         )
 
     def test_same_chain_round_and_clock(self):
-        runs = {
-            "heap-queue": self._fingerprint(event_queue=HeapEventQueue()),
-            "window": self._fingerprint(),
-        }
+        default = self._fingerprint()
         with use_backend(PowBackend()):
-            runs["pow"] = self._fingerprint()
-        reference = runs["pow"]
+            reference = self._fingerprint()
         assert len(reference[0]) >= 5 and reference[1] >= 5
-        assert all(run == reference for run in runs.values()), runs
+        assert default == reference
