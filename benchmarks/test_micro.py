@@ -235,6 +235,54 @@ class TestPartyMicro:
         benchmark.pedantic(party.on_receive, setup=unseen_share, rounds=2000)
         assert party.pool.stats.invalid_dropped == 0
 
+    def test_fast_share_check_n13(self, benchmark):
+        # One fresh notarization share through MessagePool.add at n = 13,
+        # fast backend: a block another share already introduced, so the
+        # statement comes from the pool's memo and the cost is the MAC check
+        # from the keyed prefix and the store.
+        from repro.core import messages as msg
+        from repro.core.pool import MessagePool
+
+        rings = generate_keyrings(13, 4, seed=1, backend="fast")
+        pool = MessagePool(rings[0])
+        fresh = (i.to_bytes(32, "big") for i in itertools.count())
+
+        def fresh_share():
+            block_hash = next(fresh)
+            signed = msg.notarization_message(2, 3, block_hash)
+            pool.add(NotarizationShare(2, 3, block_hash, 2, rings[1].sign_notary_share(signed)))
+            share = NotarizationShare(2, 3, block_hash, 5, rings[4].sign_notary_share(signed))
+            return (share,), {}
+
+        benchmark.pedantic(pool.add, setup=fresh_share, rounds=2000)
+        assert pool.stats.invalid_dropped == 0
+
+    def test_verify_block_pending_64(self, benchmark):
+        # A block of 64 requests this batcher admitted (real Schnorr client
+        # auth, live_n4_load's backend): none is checked a second time.
+        from repro.core.messages import ROOT_HASH, Block, Payload
+        from repro.workloads.batching import BatchSpec, RequestBatcher
+
+        batcher = RequestBatcher(BatchSpec(auth="real"), seed=1)
+        requests = [
+            SignedRequest(
+                client=i % 8, seq=i, key=i, body=b"micro/%d" % i,
+                auth=batcher.auth.sign(i % 8, i, i, b"micro/%d" % i),
+            )
+            for i in range(64)
+        ]
+        assert batcher.admit_batch([(r, 0.0) for r in requests]) == 64
+        commands = tuple(r.wire() for r in requests)
+        rounds = itertools.count(1)
+
+        def fresh_block():
+            block = Block(round=next(rounds), proposer=1, parent_hash=ROOT_HASH,
+                          payload=Payload(commands))
+            return (block,), {}
+
+        benchmark.pedantic(batcher.verify_block, setup=fresh_block, rounds=500)
+        assert batcher.auth_batches == 1  # admission's only
+
 
 class TestEndToEndMicro:
     def test_icc0_simulated_round_cost(self, benchmark):

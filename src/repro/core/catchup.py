@@ -39,7 +39,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..crypto.hashing import DIGEST_SIZE
-from . import messages as msg
 from .icc0 import ICC0Party
 from .messages import (
     Authenticator,
@@ -139,18 +138,11 @@ class CatchupMixin:
 
     # -- retain beacon signatures so we can serve sync responses -------------
 
-    def _advance_beacons(self) -> None:
-        before = self._beacon_computed
-        super()._advance_beacons()
-        for k in range(before + 1, self._beacon_computed + 1):
-            # Recombine is cheap relative to keeping every share; store the
-            # combined signature for the sync responder role.
-            previous = self.pool.beacon_value(k - 1)
-            shares = [s.share for s in self.pool.beacon_shares_for(k)]
-            if previous is not None and len(shares) >= self.params.beacon_quorum:
-                self._beacon_signatures[k] = self.keys.combine_beacon(
-                    msg.beacon_message(k, previous), shares
-                )
+    def _combine_beacon(self, k: int) -> object:
+        # Keep the combined signature (not the shares) for the sync
+        # responder role.
+        signature = self._beacon_signatures[k] = super()._combine_beacon(k)
+        return signature
 
     # -- lag detection ----------------------------------------------------------
 
@@ -256,7 +248,7 @@ class CatchupMixin:
             previous = self.pool.beacon_value(link.round - 1)
             if previous is None:
                 return  # chain does not connect to what we know; discard
-            signed = msg.beacon_message(link.round, previous)
+            signed = self.pool.beacon_statement(link.round, previous)
             if not self.keys.verify_beacon(signed, link.signature):
                 self.metrics.count("sync-bad-beacon")
                 return
@@ -283,7 +275,7 @@ class CatchupMixin:
                 self.pool.add(certificate.authenticator)
                 self.pool.add(certificate.notarization)
         # 3. Jump-commit the finalized tip.
-        signed = msg.finalization_message(tip.round, tip.proposer, tip.hash)
+        signed = self.pool.finalization_statement(tip.round, tip.proposer, tip.hash)
         if response.finalization.block_hash != tip.hash or not self.keys.verify_final(
             signed, response.finalization.aggregate
         ):

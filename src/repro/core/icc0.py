@@ -234,7 +234,7 @@ class ICC0Party:
         previous = self.pool.beacon_value(round - 1)
         if previous is None:  # pragma: no cover - callers guarantee this
             raise RuntimeError("cannot share a beacon without the previous value")
-        share = self.keys.sign_beacon_share(msg.beacon_message(round, previous))
+        share = self.keys.sign_beacon_share(self.pool.beacon_statement(round, previous))
         self._beacon_shared = round
         beacon_share = BeaconShare(round=round, signer=self.index, share=share)
         self.pool.add(beacon_share)
@@ -246,15 +246,19 @@ class ICC0Party:
             k = self._beacon_computed + 1
             if self.pool.beacon_share_count(k) < self.params.beacon_quorum:
                 return
-            previous = self.pool.beacon_value(k - 1)
-            shares = [s.share for s in self.pool.beacon_shares_for(k)]
-            combined = self.keys.combine_beacon(msg.beacon_message(k, previous), shares)
-            value = self.keys.beacon_value(combined)
+            value = self.keys.beacon_value(self._combine_beacon(k))
             self.pool.set_beacon_value(k, value)
             self._beacon_computed = k
             self.metrics.count("beacons-computed")
             if self.tracer.enabled:
                 self._trace("icc.beacon.computed", round=k)
+
+    def _combine_beacon(self, k: int) -> object:
+        """Combine the pool's round-``k`` beacon shares into the threshold
+        signature whose value is R_k (overridable seam)."""
+        previous = self.pool.beacon_value(k - 1)
+        shares = [s.share for s in self.pool.beacon_shares_for(k)]
+        return self.keys.combine_beacon(self.pool.beacon_statement(k, previous), shares)
 
     # ------------------------------------------------------------ the main loop
 
@@ -344,7 +348,7 @@ class ICC0Party:
             candidate = self.pool.combinable_notarization(k, quorum)
             if candidate is not None:
                 # "combine the notarization shares into a notarization"
-                signed = msg.notarization_message(k, candidate.proposer, candidate.hash)
+                signed = self.pool.notarization_statement(k, candidate.proposer, candidate.hash)
                 shares = [s.share for s in self.pool.notar_shares(candidate.hash)]
                 aggregate = self.keys.combine_notary(signed, shares)
                 notarization = Notarization(
@@ -379,7 +383,7 @@ class ICC0Party:
 
     def _send_finalization_share(self, block: Block) -> None:
         """Broadcast our S_final share on ``block`` (overridable seam)."""
-        signed = msg.finalization_message(block.round, block.proposer, block.hash)
+        signed = self.pool.finalization_statement(block.round, block.proposer, block.hash)
         share = self.keys.sign_final_share(signed)
         fshare = FinalizationShare(
             round=block.round,
@@ -509,7 +513,7 @@ class ICC0Party:
 
     def _send_notarization_share(self, block: Block) -> None:
         """Broadcast our S_notary share on ``block`` (overridable seam)."""
-        signed = msg.notarization_message(block.round, block.proposer, block.hash)
+        signed = self.pool.notarization_statement(block.round, block.proposer, block.hash)
         share = self.keys.sign_notary_share(signed)
         nshare = NotarizationShare(
             round=block.round,
@@ -551,7 +555,9 @@ class ICC0Party:
                 candidate = self.pool.combinable_finalization(k, quorum)
                 if candidate is not None:
                     # "combine the finalization shares into a finalization"
-                    signed = msg.finalization_message(k, candidate.proposer, candidate.hash)
+                    signed = self.pool.finalization_statement(
+                        k, candidate.proposer, candidate.hash
+                    )
                     shares = [s.share for s in self.pool.final_shares(candidate.hash)]
                     aggregate = self.keys.combine_final(signed, shares)
                     finalization = Finalization(

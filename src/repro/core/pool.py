@@ -42,6 +42,20 @@ by the owning party and never lowered, say what that is here:
   ``round`` is below it is discarded, and ``add`` drops a late one unverified,
   counted as ``stale``.  It drags the committed floor along: what cannot be
   stored cannot be finalization activity.
+
+Every share of one block signs the same statement of Section 3.4:
+(k, α, H(B)) for notarization and finalization shares, (k, R_{k-1}) for the
+beacon.  The pool hashes each statement once, not once per share: a memo
+keyed by exactly what the statement hashes, ``(kind, round, proposer,
+block_hash)`` or ``(kind, round, previous_value)``, serves the adders and,
+through :meth:`MessagePool.notarization_statement` and its two siblings, the
+owning party's signers and combiners.  The key holds the round and proposer
+a share *names*, so a share that lies about them is checked against the
+statement of what it names.  An adder stores an entry only after the share
+verified, and an entry goes when that kind's aggregate is stored (later
+shares are dropped as ``superseded`` before any statement is read), when its
+share is dropped as misnamed, and when the committed floor reaches its
+round.  So the memo holds the blocks in flight, not the chain.
 """
 
 from __future__ import annotations
@@ -89,6 +103,22 @@ def _names(
     return (artifact.block_hash, artifact.round, artifact.proposer) == (
         block.hash, block.round, block.proposer
     )
+
+
+#: The kinds of statement the memo holds (module docstring).
+NOTARY = "notarization"
+FINAL = "finalization"
+BEACON = "beacon"
+
+
+def _build_statement(key: tuple) -> bytes:
+    """The bytes the statement ``key`` names are signed over (Section 3.4)."""
+    kind = key[0]
+    if kind == NOTARY:
+        return msg.notarization_message(key[1], key[2], key[3])
+    if kind == FINAL:
+        return msg.finalization_message(key[1], key[2], key[3])
+    return msg.beacon_message(key[1], key[2])
 
 
 class MessagePool:
@@ -142,6 +172,9 @@ class MessagePool:
         # Shares for a round whose previous beacon value is still unknown,
         # by round then signer; verified when set_beacon_value reveals it.
         self._buffered_beacon_shares: dict[int, dict[int, BeaconShare]] = defaultdict(dict)
+
+        # The statement memo (module docstring): key -> signed bytes.
+        self._statements: dict[tuple, bytes] = {}
 
     # -- ingestion ---------------------------------------------------------
 
@@ -210,13 +243,14 @@ class MessagePool:
     def _drop_misnamed_shares(self, block: Block) -> None:
         """Shares that arrived before ``block`` were stored under its hash
         unchecked against it: drop those that claim another round or proposer."""
-        for by_block in (self._notar_shares, self._final_shares):
+        for kind, by_block in ((NOTARY, self._notar_shares), (FINAL, self._final_shares)):
             shares = by_block.get(block.hash)
             if not shares:
                 continue
             lying = [i for i, s in shares.items() if not _names(s, block)]
             for signer in lying:
-                del shares[signer]
+                share = shares.pop(signer)
+                self._statements.pop((kind, share.round, share.proposer, block.hash), None)
             if not shares:
                 del by_block[block.hash]
             self.stats.invalid_dropped += len(lying)
@@ -264,10 +298,12 @@ class MessagePool:
         if self._keys.share_index(share.share) != share.signer:
             self.stats.invalid_dropped += 1
             return False
-        signed = msg.notarization_message(share.round, share.proposer, h)
+        key = (NOTARY, share.round, share.proposer, h)
+        signed = self._memoized(key)
         if not self._keys.verify_notary_share(signed, share.share):
             self.stats.invalid_dropped += 1
             return False
+        self._statements[key] = signed
         self._notar_shares[h][share.signer] = share
         return True
 
@@ -275,12 +311,11 @@ class MessagePool:
         if notarization.block_hash in self._notarizations:
             self.stats.duplicates += 1
             return False
-        signed = msg.notarization_message(
-            notarization.round, notarization.proposer, notarization.block_hash
-        )
-        if not self._keys.verify_notary(signed, notarization.aggregate):
+        key = (NOTARY, notarization.round, notarization.proposer, notarization.block_hash)
+        if not self._keys.verify_notary(self._memoized(key), notarization.aggregate):
             self.stats.invalid_dropped += 1
             return False
+        self._statements.pop(key, None)
         self._notarizations[notarization.block_hash] = notarization
         self._try_notarize(notarization.block_hash)
         return True
@@ -300,10 +335,12 @@ class MessagePool:
         if self._keys.share_index(share.share) != share.signer:
             self.stats.invalid_dropped += 1
             return False
-        signed = msg.finalization_message(share.round, share.proposer, h)
+        key = (FINAL, share.round, share.proposer, h)
+        signed = self._memoized(key)
         if not self._keys.verify_final_share(signed, share.share):
             self.stats.invalid_dropped += 1
             return False
+        self._statements[key] = signed
         self._final_shares[h][share.signer] = share
         if share.round > self._committed_floor:
             self._final_activity.add(share.round)
@@ -313,12 +350,11 @@ class MessagePool:
         if finalization.block_hash in self._finalizations:
             self.stats.duplicates += 1
             return False
-        signed = msg.finalization_message(
-            finalization.round, finalization.proposer, finalization.block_hash
-        )
-        if not self._keys.verify_final(signed, finalization.aggregate):
+        key = (FINAL, finalization.round, finalization.proposer, finalization.block_hash)
+        if not self._keys.verify_final(self._memoized(key), finalization.aggregate):
             self.stats.invalid_dropped += 1
             return False
+        self._statements.pop(key, None)
         self._finalizations[finalization.block_hash] = finalization
         self._try_finalize(finalization.block_hash)
         return True
@@ -347,12 +383,47 @@ class MessagePool:
         if self._keys.share_index(share.share) != share.signer:
             self.stats.invalid_dropped += 1
             return False
-        signed = msg.beacon_message(share.round, previous)
+        key = (BEACON, share.round, previous)
+        signed = self._memoized(key)
         if not self._keys.verify_beacon_share(signed, share.share):
             self.stats.invalid_dropped += 1
             return False
+        self._statements[key] = signed
         self._beacon_shares[share.round][share.signer] = share
         return True
+
+    # -- signed statements (Section 3.4) ------------------------------------------
+
+    def _memoized(self, key: tuple) -> bytes:
+        """The statement ``key`` names: from the memo, or built and not stored."""
+        signed = self._statements.get(key)
+        return _build_statement(key) if signed is None else signed
+
+    def _statement(self, key: tuple, settled: bool) -> bytes:
+        """The statement ``key`` names, remembered unless its aggregate is
+        already stored (``settled``): then no share will read it again."""
+        signed = self._statements.get(key)
+        if signed is None:
+            signed = _build_statement(key)
+            if not settled:
+                self._statements[key] = signed
+        return signed
+
+    def notarization_statement(self, round: int, proposer: int, block_hash: bytes) -> bytes:
+        """(k, α, H(B)) as S_notary signs it, hashed once per block."""
+        return self._statement(
+            (NOTARY, round, proposer, block_hash), block_hash in self._notarizations
+        )
+
+    def finalization_statement(self, round: int, proposer: int, block_hash: bytes) -> bytes:
+        """(k, α, H(B)) as S_final signs it, hashed once per block."""
+        return self._statement(
+            (FINAL, round, proposer, block_hash), block_hash in self._finalizations
+        )
+
+    def beacon_statement(self, round: int, previous: bytes) -> bytes:
+        """(k, R_{k-1}) as S_beacon signs it, hashed once per round."""
+        return self._statement((BEACON, round, previous), round in self.beacon_values)
 
     # -- state propagation ----------------------------------------------------
 
@@ -470,6 +541,9 @@ class MessagePool:
         if round > self._committed_floor:
             self._committed_floor = round
             self._final_activity = {r for r in self._final_activity if r > round}
+            self._statements = {
+                key: signed for key, signed in self._statements.items() if key[1] > round
+            }
 
     def chain(self, h: bytes) -> list[Block]:
         """Blocks from root (exclusive) to the block with hash ``h``."""
@@ -511,6 +585,9 @@ class MessagePool:
         """Record R_round and verify any buffered shares for round+1."""
         if round in self.beacon_values:
             return
+        previous = self.beacon_values.get(round - 1)
+        if previous is not None:
+            self._statements.pop((BEACON, round, previous), None)
         self.beacon_values[round] = value
         for share in self._buffered_beacon_shares.pop(round + 1, {}).values():
             if not self._verify_and_store_beacon_share(share, value):
@@ -539,9 +616,10 @@ class MessagePool:
         signed_auth = msg.authenticator_message(block.round, block.proposer, block.hash)
         if not self._keys.verify_auth(block.proposer, signed_auth, auth.signature):
             return False
-        signed_notz = msg.notarization_message(block.round, block.proposer, block.hash)
-        if not self._keys.verify_notary(signed_notz, notarization.aggregate):
+        key = (NOTARY, block.round, block.proposer, block.hash)
+        if not self._keys.verify_notary(self._memoized(key), notarization.aggregate):
             return False
+        self._statements.pop(key, None)
         h = block.hash
         self._drop_misnamed_shares(block)
         self.blocks[h] = block

@@ -22,6 +22,24 @@ DIGEST_SIZE = 32
 _TAG_PREFIXES: dict[str, "hashlib._Hash"] = {}
 
 
+def _tag_prefix(tag: str) -> "hashlib._Hash":
+    tag_digest = hashlib.sha256(tag.encode("ascii")).digest()
+    prefix = _TAG_PREFIXES[tag] = hashlib.sha256(tag_digest + tag_digest)
+    return prefix
+
+
+def tagged_state(tag: str, *parts: bytes) -> "hashlib._Hash":
+    """A fresh SHA-256 state that has absorbed ``tag`` and ``parts`` as
+    :func:`tagged_hash` encodes them.  Feeding a copy of it each further part
+    the same way (its 8-byte big-endian length, then its bytes) and taking
+    the digest gives ``tagged_hash(tag, *parts, *more)``: a caller that
+    hashes many messages under one fixed prefix absorbs the prefix once."""
+    h = (_TAG_PREFIXES.get(tag) or _tag_prefix(tag)).copy()
+    for part in parts:
+        h.update(len(part).to_bytes(8, "big") + part)
+    return h
+
+
 def tagged_hash(tag: str, *parts: bytes) -> bytes:
     """Domain-separated hash of ``parts``.
 
@@ -30,11 +48,7 @@ def tagged_hash(tag: str, *parts: bytes) -> bytes:
     construction), so distinct ``(tag, parts)`` tuples can only collide if
     SHA-256 itself is broken.
     """
-    prefix = _TAG_PREFIXES.get(tag)
-    if prefix is None:
-        tag_digest = hashlib.sha256(tag.encode("ascii")).digest()
-        prefix = _TAG_PREFIXES[tag] = hashlib.sha256(tag_digest + tag_digest)
-    h = prefix.copy()
+    h = (_TAG_PREFIXES.get(tag) or _tag_prefix(tag)).copy()
     for part in parts:
         h.update(len(part).to_bytes(8, "big"))
         h.update(part)

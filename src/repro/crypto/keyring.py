@@ -35,7 +35,7 @@ from typing import Protocol, Sequence
 from . import api, dleq, multisig, schnorr, threshold
 from .fastpath import FastPath, _BoundedCache
 from .group import GROUP_PROFILES, Group, group_for_profile
-from .hashing import tagged_hash
+from .hashing import tagged_hash, tagged_state
 
 _MISS = object()
 
@@ -338,30 +338,62 @@ class FastAggregate:
     signatories: tuple[int, ...]
 
 
+#: The four schemes of Section 3.2, as the fast backend names them.
+FAST_SCHEMES = ("auth", "notary", "final", "beacon")
+
+#: The encoded length of a share's 4-byte index (see ``tagged_hash``).
+_INDEX_LENGTH = (4).to_bytes(8, "big")
+
+
 class FastKeyring:
-    """Hash-based simulation backend (see module docstring for caveats)."""
+    """Hash-based simulation backend (see module docstring for caveats).
+
+    A share's digest is ``tagged_hash("ICC/fast/share", master, scheme,
+    index, message)`` and an aggregate's ``tagged_hash("ICC/fast/agg",
+    master, scheme, message)``.  Each scheme's SHA-256 state for the fixed
+    ``(tag, master, scheme)`` prefix is absorbed once, at construction; a
+    share or aggregate copies it and feeds the rest, the same bytes and so
+    the same digest.
+    """
 
     def __init__(self, index: int, n: int, t: int, master: bytes) -> None:
         self.index = index
         self.n = n
         self.t = t
-        self._master = master
+        self._share_states = {
+            scheme: tagged_state("ICC/fast/share", master, scheme.encode())
+            for scheme in FAST_SCHEMES
+        }
+        self._agg_states = {
+            scheme: tagged_state("ICC/fast/agg", master, scheme.encode())
+            for scheme in FAST_SCHEMES
+        }
+
+    def _digest(self, scheme: str, index: int, message: bytes) -> bytes:
+        h = self._share_states[scheme].copy()
+        h.update(
+            _INDEX_LENGTH + index.to_bytes(4, "big") + len(message).to_bytes(8, "big") + message
+        )
+        return h.digest()
+
+    def _agg_digest(self, scheme: str, message: bytes) -> bytes:
+        h = self._agg_states[scheme].copy()
+        h.update(len(message).to_bytes(8, "big") + message)
+        return h.digest()
 
     def _share(self, scheme: str, index: int, message: bytes) -> FastShare:
-        digest = tagged_hash(
-            "ICC/fast/share", self._master, scheme.encode(), index.to_bytes(4, "big"), message
-        )
-        return FastShare(scheme=scheme, index=index, digest=digest)
+        return FastShare(scheme=scheme, index=index, digest=self._digest(scheme, index, message))
 
     def _verify_share(self, scheme: str, message: bytes, share: FastShare) -> bool:
         # A share from a peer (or an in-process Byzantine behaviour) may be
-        # any object, with fields of any type.
-        if not isinstance(share, FastShare) or share.scheme != scheme:
+        # any object, with fields of any type.  Exact class, as dataclass
+        # ``==`` would demand: an instance of a subclass is refused.
+        if type(share) is not FastShare or share.scheme != scheme:
             return False
         index = share.index
         if type(index) is not int or type(share.digest) is not bytes or not 1 <= index <= self.n:
             return False
-        return share == self._share(scheme, index, message)
+        return share.digest == self._digest(scheme, index, message)
 
     def _combine(self, scheme: str, h: int, message: bytes, shares) -> FastAggregate:
         indices: list[int] = []
@@ -374,8 +406,9 @@ class FastKeyring:
                 break
         if len(indices) < h:
             raise ValueError(f"need {h} distinct shares, got {len(indices)}")
-        digest = tagged_hash("ICC/fast/agg", self._master, scheme.encode(), message)
-        return FastAggregate(scheme=scheme, digest=digest, signatories=tuple(indices))
+        return FastAggregate(
+            scheme=scheme, digest=self._agg_digest(scheme, message), signatories=tuple(indices)
+        )
 
     def _verify_agg(self, scheme: str, h: int, message: bytes, agg: FastAggregate) -> bool:
         if not isinstance(agg, FastAggregate) or agg.scheme != scheme:
@@ -383,10 +416,13 @@ class FastKeyring:
         signatories = agg.signatories
         if type(signatories) is not tuple or not _ints(*signatories):
             return False
+        # Every signatory names a party, as the real backend's per-share
+        # check demands.
+        if not all(1 <= i <= self.n for i in signatories):
+            return False
         if type(agg.digest) is not bytes or len(set(signatories)) < h:
             return False
-        expected = tagged_hash("ICC/fast/agg", self._master, scheme.encode(), message)
-        return agg.digest == expected
+        return agg.digest == self._agg_digest(scheme, message)
 
     # S_auth: a per-signer MAC
     def sign_auth(self, message: bytes):

@@ -50,7 +50,7 @@ from ..core.messages import (
 from ..core.serialize import DeserializeError, decode_block_fields, encode_block_fields
 from ..crypto.dleq import DleqProof
 from ..crypto.hashing import DIGEST_SIZE
-from ..crypto.keyring import FastAggregate, FastShare
+from ..crypto.keyring import FAST_SCHEMES, FastAggregate, FastShare
 from ..crypto.multisig import MultisigShare, Multisignature
 from ..crypto.schnorr import SchnorrSignature
 from ..crypto.threshold import SignatureShare, ThresholdSignature
@@ -74,7 +74,7 @@ _MIN_INT = _U16.size
 _MIN_MULTISIG_SHARE = _U32.size + 2 * _MIN_INT
 _MIN_BEACON_SHARE = _U32.size + 3 * _MIN_INT
 
-_SCHEMES = ("auth", "notary", "final", "beacon")  # FastShare.scheme, coded 1..4
+_SCHEMES = FAST_SCHEMES  # FastShare.scheme, coded 1..4
 _PHASES = ("send", "echo", "fill")  # RbcMessage.phase, coded 1..3
 
 

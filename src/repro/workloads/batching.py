@@ -18,11 +18,11 @@ Network Limit* (see PAPERS.md and docs/LOAD.md):
   check itself is per request (a challenge-form Schnorr check is two table
   look-ups and a hash; see docs/PERFORMANCE.md), so a forged request costs
   the honest ones nothing and is the only ``False``.  Verification happens
-  twice per request: once at ingress admission (so forged requests never
-  occupy queue space or block capacity) and once per proposed *block* at
-  pool admission, memoized per block hash (so a Byzantine proposer cannot
-  smuggle forged requests into a batch — see ``payload_verifier`` in
-  :mod:`repro.core.pool`).
+  at ingress admission (so forged requests never occupy queue space or block
+  capacity) and at pool admission of each proposed *block*, memoized per
+  block hash (so a Byzantine proposer cannot smuggle forged requests into a
+  batch — see ``payload_verifier`` in :mod:`repro.core.pool`).  A block's
+  request whose exact bytes this batcher admitted is not checked twice.
 
 Two authenticator backends mirror the :mod:`repro.crypto.keyring` split:
 :class:`FastClientAuth` is a hash MAC simulation for large-scale load runs,
@@ -452,14 +452,23 @@ class RequestBatcher:
         carrying any forged or malformed load request is rejected wholesale
         (the honest proposers only pack ingress-verified requests, so honest
         blocks never fail).
+
+        A request is authenticated once: a command whose bytes equal this
+        batcher's pending entry for its id passed :meth:`admit_batch`'s
+        check, so it is not checked again.  One whose id is pending with
+        other bytes (a tampered authenticator or body) is checked like any
+        request this batcher never admitted.
         """
         verdict = self._block_auth_memo.get(block.hash)
         if verdict is not None:
             return verdict
+        pending = self._pending
         requests: list[SignedRequest] = []
         verdict = True
         for command in block.payload.commands:
             if not is_load_command(command):
+                continue
+            if pending.get(command[:REQUEST_ID_LEN]) == command:
                 continue
             request = parse_request(command)
             if request is None:
