@@ -181,7 +181,9 @@ class TestSimulatorMicro:
 
     def test_broadcast_fan_out_n13(self, benchmark):
         # One notarization share to all 13 parties and drained: accounting,
-        # 12 delay samples, 13 scheduled copies, 13 pops and hand-overs.
+        # 12 delay samples, then per copy one `(time, seq, deliver, message)`
+        # heap tuple (no closure, no handle), one pop and one call of the
+        # receiver's delivery entry.
         class Sink:
             def __init__(self, index):
                 self.index = index

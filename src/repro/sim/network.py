@@ -17,9 +17,10 @@ reliable-broadcast subprotocol and the gossip sub-layer are not all-to-all.
 All three account the transmission once and then run one per-copy loop,
 :meth:`Network._transmit`.  It reads the clock, the RNG, the delay sampler,
 the crashed set, the fault interceptor, the live partitions and the uplink
-once per transmission, and puts each copy straight on the simulation's
-event queue; :meth:`Network._hand_over` re-checks the crash when the copy
-lands.
+once per transmission, and puts each copy on the simulation's event queue
+as one ``(time, seq, deliver, message)`` entry.  ``deliver`` is the
+receiver's entry, built once by :meth:`Network.attach`; it re-checks the
+crash and looks up ``party.on_receive`` when the copy lands.
 """
 
 from __future__ import annotations
@@ -104,6 +105,11 @@ def account_transmission(
     return size
 
 
+def _unattached(message: object) -> None:
+    """The delivery entry of an index no party is attached to: the copy is
+    still an event, and it is dropped."""
+
+
 class Network:
     """Delay-model-driven message fabric for up to ``n`` parties."""
 
@@ -132,7 +138,8 @@ class Network:
         self.metrics = metrics if metrics is not None else Metrics(n=n)
         self.uplink_bps = uplink_bps
         self._uplink_free_at: dict[int, float] = {}
-        self._parties: dict[int, Receiver] = {}
+        #: Each receiver's delivery entry (see ``attach``), by index.
+        self._deliver: list = [_unattached] * (n + 1)
         self._crashed: set[int] = set()
         self._partitions: list[tuple[frozenset[int], float]] = []
         self._delivered = 0
@@ -157,9 +164,16 @@ class Network:
     def attach(self, party: Receiver) -> None:
         if not 1 <= party.index <= self.n:
             raise ValueError(f"party index {party.index} outside 1..{self.n}")
-        if party.index in self._parties:
+        if self._deliver[party.index] is not _unattached:
             raise ValueError(f"party {party.index} already attached")
-        self._parties[party.index] = party
+        index, crashed = party.index, self._crashed
+
+        def deliver(message: object) -> None:
+            if index not in crashed:
+                self._delivered += 1
+                party.on_receive(message)
+
+        self._deliver[index] = deliver
 
     def crash(self, index: int) -> None:
         """Silence a party (crash-failure corruption, or a node going
@@ -306,7 +320,7 @@ class Network:
         partition and its NIC time, and passes the fault interceptor."""
         now = self.sim.now
         schedule = self.sim.events.schedule
-        hand_over = self._hand_over
+        deliver = self._deliver
         crashed = self._crashed
         faults = self._faults
         uplink_bps = self.uplink_bps
@@ -316,7 +330,7 @@ class Network:
         for receiver in receivers:
             if receiver == sender:
                 if receiver not in crashed:
-                    schedule(now, lambda r=receiver: hand_over(r, message))
+                    schedule(now, deliver[receiver], message)
                 continue
             sent_at = now
             if uplink_bps is not None:
@@ -341,19 +355,11 @@ class Network:
                     for hop_delay, hop_message in plan:
                         if hop_delay < 0:
                             raise ValueError(f"negative delay {hop_delay}")
-                        schedule(now + hop_delay, lambda r=receiver, m=hop_message: hand_over(r, m))
+                        schedule(now + hop_delay, deliver[receiver], hop_message)
                     continue
             if delay < 0:
                 raise ValueError(f"negative delay {delay}")
-            schedule(now + delay, lambda r=receiver: hand_over(r, message))
-
-    def _hand_over(self, receiver: int, message: object) -> None:
-        if receiver in self._crashed:
-            return
-        party = self._parties.get(receiver)
-        if party is not None:
-            self._delivered += 1
-            party.on_receive(message)
+            schedule(now + delay, deliver[receiver], message)
 
     @property
     def delivered_count(self) -> int:

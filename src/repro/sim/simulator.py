@@ -8,11 +8,12 @@ randomness used anywhere in a run must derive from :attr:`Simulation.rng`
 
 from __future__ import annotations
 
+from math import inf
 from random import Random
 from typing import Callable
 
 from ..obs import NULL_TRACER
-from .events import EventQueue, _QueuedEvent
+from .events import EventQueue, Timer
 
 
 class Simulation:
@@ -30,17 +31,17 @@ class Simulation:
 
     # -- scheduling ---------------------------------------------------------
 
-    def schedule(self, delay: float, action: Callable[[], None]) -> _QueuedEvent:
+    def schedule(self, delay: float, action: Callable[[], None]) -> Timer:
         """Run ``action`` after ``delay`` simulated seconds."""
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
-        return self.events.schedule(self.now + delay, action)
+        return Timer(self.events, self.now + delay, action)
 
-    def schedule_at(self, time: float, action: Callable[[], None]) -> _QueuedEvent:
+    def schedule_at(self, time: float, action: Callable[[], None]) -> Timer:
         """Run ``action`` at absolute simulated time ``time`` (>= now)."""
         if time < self.now:
             raise ValueError(f"cannot schedule in the past ({time} < {self.now})")
-        return self.events.schedule(time, action)
+        return Timer(self.events, time, action)
 
     def fork_rng(self, label: str = "") -> Random:
         """Derive an independent RNG stream (for a party, workload, ...)."""
@@ -48,16 +49,16 @@ class Simulation:
 
     # -- running ------------------------------------------------------------
 
-    def step(self) -> bool:
-        """Process one event; returns False when the queue is empty."""
-        event = self.events.pop()
-        if event is None:
+    def step(self, until: float = inf) -> bool:
+        """Process the next event due by ``until``; False if there is none."""
+        entry = self.events.pop(until)
+        if entry is None:
             return False
-        if event.time < self.now:  # pragma: no cover - defensive
+        if entry[0] < self.now:  # pragma: no cover - defensive
             raise RuntimeError("event queue went backwards in time")
-        self.now = event.time
+        self.now = entry[0]
         self._events_processed += 1
-        event.action()
+        entry[2](entry[3])
         return True
 
     def run(
@@ -68,33 +69,28 @@ class Simulation:
     ) -> None:
         """Drain events until a bound is reached.
 
-        * ``until``     — stop once virtual time would exceed this value
-                          (the clock is advanced to ``until``).
+        * ``until``     — process every event due at or before this time,
+                          then advance the clock to it (also when the
+                          queue drains first; never backwards).
         * ``max_events``— hard cap on processed events (guards against
                           livelock bugs in protocol code).
         * ``stop_when`` — predicate checked after every event.
         """
-        # Bound once: the loop below runs once per event.
-        peek_time, pop = self.events.peek_time, self.events.pop
+        bound = inf if until is None else until
+        step = self.step
         processed = 0
         while True:
-            next_time = peek_time()
-            if next_time is None:
+            if processed == max_events:
+                next_time = self.events.peek_time()
+                if next_time is not None and next_time <= bound:
+                    raise RuntimeError(
+                        f"simulation exceeded max_events={max_events}; "
+                        "possible livelock in protocol logic"
+                    )
+            if not step(bound):
+                if until is not None and until > self.now:
+                    self.now = until
                 break
-            if until is not None and next_time > until:
-                self.now = until
-                break
-            if max_events is not None and processed >= max_events:
-                raise RuntimeError(
-                    f"simulation exceeded max_events={max_events}; "
-                    "possible livelock in protocol logic"
-                )
-            event = pop()
-            if event.time < self.now:  # pragma: no cover - defensive
-                raise RuntimeError("event queue went backwards in time")
-            self.now = event.time
-            self._events_processed += 1
-            event.action()
             processed += 1
             if stop_when is not None and stop_when():
                 break

@@ -1,9 +1,10 @@
 """Edge cases and an ordering property for the simulator's event queue.
 
-The queue is one binary heap of ``(time, seq)`` entries.  The property test
-runs random schedule/pop/cancel/peek programs and checks every observable
-against ``sorted`` over the live ``(time, seq)`` pairs.  Whole-run ordering
-is pinned separately by ``tests/sim/test_delivery_pins.py`` and the goldens.
+The queue is one binary heap of ``(time, seq, fn, arg)`` entries; only
+``Timer`` entries carry a cancellable handle.  The property test runs random
+schedule/timer/pop/cancel/peek programs and checks every observable against
+``sorted`` over the live ``(time, seq)`` pairs.  Whole-run ordering is
+pinned separately by ``tests/sim/test_delivery_pins.py`` and the goldens.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.sim import FixedDelay, Network, Simulation
 from repro.sim import events
-from repro.sim.events import EventQueue
+from repro.sim.events import EventQueue, Timer
 from tests.sim.test_network import Recorder
 
 #: The edge cases run on the queue and on the ``CalendarEventQueue`` name,
@@ -27,24 +28,29 @@ QUEUES = [
 ]
 
 
-def _noop() -> None:
+def _noop(_arg=None) -> None:
     pass
+
+
+def _drain(q: EventQueue) -> None:
+    while (entry := q.pop()) is not None:
+        entry[2](entry[3])
 
 
 class TestEdgeCases:
     @pytest.mark.parametrize("queue_cls", QUEUES)
     def test_cancel_then_peek(self, queue_cls):
         q = queue_cls()
-        q.schedule(1.0, _noop).cancel()
-        later = q.schedule(2.0, _noop)
+        Timer(q, 1.0, _noop).cancel()
+        later = Timer(q, 2.0, _noop)
         assert q.peek_time() == 2.0
-        assert q.pop() is later
+        assert q.pop()[3] is later
         assert q.peek_time() is None
 
     @pytest.mark.parametrize("queue_cls", QUEUES)
     def test_cancel_all_then_drain(self, queue_cls):
         q = queue_cls()
-        handles = [q.schedule(float(i % 5), _noop) for i in range(20)]
+        handles = [Timer(q, float(i % 5), _noop) for i in range(20)]
         for handle in handles:
             handle.cancel()
         assert len(q) == 0
@@ -55,23 +61,28 @@ class TestEdgeCases:
     @pytest.mark.parametrize("queue_cls", QUEUES)
     def test_len_is_live_count(self, queue_cls):
         q = queue_cls()
-        handles = [q.schedule(float(i), _noop) for i in range(10)]
-        assert len(q) == 10
+        handles = [Timer(q, float(i), _noop) for i in range(10)]
+        q.schedule(3.5, _noop, "copy")
+        assert len(q) == 11
         handles[3].cancel()
-        assert len(q) == 9
+        assert len(q) == 10
         handles[3].cancel()  # double-cancel is a no-op
-        assert len(q) == 9
+        assert len(q) == 10
         q.pop()
-        assert len(q) == 8
+        assert len(q) == 9
         # cancel after pop must not corrupt the count
         handles[0].cancel()
-        assert len(q) == 8
+        assert len(q) == 9
+        assert [q.pop()[0] for _ in range(3)] == [1.0, 2.0, 3.5]
+        assert len(q) == 6
 
     @pytest.mark.parametrize("queue_cls", QUEUES)
     def test_negative_time_rejected(self, queue_cls):
         q = queue_cls()
         with pytest.raises(ValueError):
             q.schedule(-0.5, _noop)
+        with pytest.raises(ValueError):
+            Timer(q, -0.5, _noop)
         assert len(q) == 0
 
     @pytest.mark.parametrize("queue_cls", QUEUES)
@@ -79,15 +90,17 @@ class TestEdgeCases:
         q = queue_cls()
         fired = []
         for i in range(50):
-            q.schedule(1.0, lambda i=i: fired.append(i))
-        while (e := q.pop()) is not None:
-            e.action()
+            if i % 3:
+                q.schedule(1.0, fired.append, i)
+            else:
+                Timer(q, 1.0, lambda i=i: fired.append(i))
+        _drain(q)
         assert fired == list(range(50))
 
     @pytest.mark.parametrize("queue_cls", QUEUES)
     def test_handle_cancelled_flag(self, queue_cls):
         q = queue_cls()
-        handle = q.schedule(1.0, _noop)
+        handle = Timer(q, 1.0, _noop)
         assert not handle.cancelled
         handle.cancel()
         assert handle.cancelled
@@ -98,10 +111,26 @@ class TestEdgeCases:
         q = EventQueue()
         for t in (10.0, 11.0, 12.0):
             q.schedule(t, _noop)
-        assert q.pop().time == 10.0
+        assert q.pop()[0] == 10.0
         q.schedule(0.25, _noop)
         assert q.peek_time() == 0.25
-        assert [q.pop().time for _ in range(3)] == [0.25, 11.0, 12.0]
+        assert [q.pop()[0] for _ in range(3)] == [0.25, 11.0, 12.0]
+
+    def test_pop_until_leaves_later_entries(self):
+        q = EventQueue()
+        Timer(q, 1.0, _noop).cancel()
+        q.schedule(2.0, _noop, "b")
+        q.schedule(1.5, _noop, "a")
+        assert q.pop(until=1.6)[3] == "a"
+        assert q.pop(until=1.6) is None
+        assert len(q) == 1
+        assert q.pop(until=2.0)[3] == "b"
+
+    def test_entry_is_one_tuple(self):
+        # A copy is `fn(arg)` at its time: no closure, no handle.
+        q = EventQueue()
+        seq = q.schedule(0.5, _noop, "message")
+        assert q.pop() == (0.5, seq, _noop, "message")
 
 
 class TestNonFiniteTime:
@@ -168,18 +197,23 @@ class TestEquivalence:
         for op, operand in steps:
             if op == "schedule":
                 # Coarse quantization forces ties; an occasional far-future
-                # jump spreads the heap.
+                # jump spreads the heap.  Odd operands queue a cancellable
+                # timer, even ones a bare entry.
                 time = (operand % 40) / 8.0 + (500.0 if operand % 11 == 0 else 0.0)
-                handle = q.schedule(time, _noop)
-                handles.append(handle)
-                live[handle.seq] = (handle.time, handle.seq)
-            elif op == "pop":
-                event = q.pop()
-                if not live:
-                    assert event is None
+                if operand % 2:
+                    handle = Timer(q, time, _noop)
+                    handles.append(handle)
+                    seq = handle.seq
                 else:
-                    assert (event.time, event.seq) == sorted(live.values())[0]
-                    del live[event.seq]
+                    seq = q.schedule(time, _noop)
+                live[seq] = (time, seq)
+            elif op == "pop":
+                entry = q.pop()
+                if not live:
+                    assert entry is None
+                else:
+                    assert entry[:2] == sorted(live.values())[0]
+                    del live[entry[1]]
             elif op == "cancel" and handles:
                 handle = handles[operand % len(handles)]
                 handle.cancel()
@@ -190,6 +224,6 @@ class TestEquivalence:
             assert len(q) == len(live)
             assert bool(q) == bool(live)
         drained = []
-        while (event := q.pop()) is not None:
-            drained.append((event.time, event.seq))
+        while (entry := q.pop()) is not None:
+            drained.append(entry[:2])
         assert drained == sorted(live.values())

@@ -4,19 +4,27 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sim.events import EventQueue
+from repro.sim.events import EventQueue, Timer
 from repro.sim.simulator import Simulation
+
+
+def _noop(_arg=None) -> None:
+    pass
+
+
+def _drain(q: EventQueue) -> None:
+    while (entry := q.pop()) is not None:
+        entry[2](entry[3])
 
 
 class TestEventQueue:
     def test_ordering_by_time(self):
         q = EventQueue()
         fired = []
-        q.schedule(2.0, lambda: fired.append("b"))
-        q.schedule(1.0, lambda: fired.append("a"))
-        q.schedule(3.0, lambda: fired.append("c"))
-        while (e := q.pop()) is not None:
-            e.action()
+        q.schedule(2.0, fired.append, "b")
+        q.schedule(1.0, fired.append, "a")
+        q.schedule(3.0, fired.append, "c")
+        _drain(q)
         assert fired == ["a", "b", "c"]
 
     def test_fifo_tiebreak(self):
@@ -24,15 +32,14 @@ class TestEventQueue:
         q = EventQueue()
         fired = []
         for i in range(10):
-            q.schedule(1.0, lambda i=i: fired.append(i))
-        while (e := q.pop()) is not None:
-            e.action()
+            q.schedule(1.0, fired.append, i)
+        _drain(q)
         assert fired == list(range(10))
 
     def test_cancellation(self):
         q = EventQueue()
         fired = []
-        handle = q.schedule(1.0, lambda: fired.append("x"))
+        handle = Timer(q, 1.0, lambda: fired.append("x"))
         handle.cancel()
         assert handle.cancelled
         assert q.pop() is None
@@ -41,20 +48,20 @@ class TestEventQueue:
     def test_negative_time_rejected(self):
         q = EventQueue()
         with pytest.raises(ValueError):
-            q.schedule(-1.0, lambda: None)
+            q.schedule(-1.0, _noop)
 
     def test_len_excludes_cancelled(self):
         q = EventQueue()
-        h = q.schedule(1.0, lambda: None)
-        q.schedule(2.0, lambda: None)
+        h = Timer(q, 1.0, lambda: None)
+        q.schedule(2.0, _noop)
         assert len(q) == 2
         h.cancel()
         assert len(q) == 1
 
     def test_peek_time_skips_cancelled(self):
         q = EventQueue()
-        h = q.schedule(1.0, lambda: None)
-        q.schedule(2.0, lambda: None)
+        h = Timer(q, 1.0, lambda: None)
+        q.schedule(2.0, _noop)
         h.cancel()
         assert q.peek_time() == 2.0
 
@@ -79,6 +86,46 @@ class TestSimulation:
         assert sim.now == 2.0  # clock advanced to the bound
         sim.run()
         assert fired == [1, 5]
+
+    @pytest.mark.parametrize(
+        "times", [(), (1.0,), (1.0, 5.0)], ids=["empty", "drains_first", "later_pending"]
+    )
+    def test_run_until_ends_at_bound(self, times):
+        sim = Simulation()
+        for t in times:
+            sim.schedule_at(t, lambda: None)
+        sim.run(until=2.0)
+        assert sim.now == 2.0
+        assert sim.events_processed == len([t for t in times if t <= 2.0])
+        assert len(sim.events) == len([t for t in times if t > 2.0])
+
+    def test_run_until_never_goes_back(self):
+        sim = Simulation()
+        sim.schedule(3.0, lambda: None)
+        sim.run()
+        sim.run(until=1.0)
+        assert sim.now == 3.0
+
+    def test_cancelled_timer_is_not_an_event(self):
+        sim = Simulation()
+        fired = []
+        sim.schedule(5.0, lambda: fired.append(5)).cancel()
+        sim.schedule(1.0, lambda: fired.append(1))
+        sim.run()
+        assert fired == [1]
+        assert sim.now == 1.0
+        assert sim.events_processed == 1
+
+    def test_step_is_one_event(self):
+        sim = Simulation()
+        fired = []
+        sim.schedule(1.0, lambda: fired.append(sim.now))
+        sim.schedule(2.0, lambda: fired.append(sim.now))
+        assert sim.step()
+        assert (fired, sim.now, sim.events_processed) == ([1.0], 1.0, 1)
+        assert not sim.step(until=1.5)
+        assert sim.step() and not sim.step()
+        assert (fired, sim.now, sim.events_processed) == ([1.0, 2.0], 2.0, 2)
 
     def test_nested_scheduling(self):
         sim = Simulation()

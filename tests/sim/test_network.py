@@ -90,6 +90,18 @@ class TestDelivery:
         with pytest.raises(ValueError):
             net.attach(Recorder(99, sim))  # out of range
 
+    def test_copy_to_unattached_index_is_a_dropped_event(self):
+        sim = Simulation(seed=1)
+        net = Network(sim, 3, FixedDelay(0.1), Metrics(n=3))
+        parties = [Recorder(i, sim) for i in (1, 2)]
+        for p in parties:
+            net.attach(p)
+        net.broadcast(1, b"x")
+        sim.run()
+        assert sim.events_processed == 3
+        assert net.delivered_count == 2
+        assert all(len(p.received) == 1 for p in parties)
+
 
 class TestCrash:
     def test_crashed_sender_sends_nothing(self):
