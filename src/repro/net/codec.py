@@ -59,8 +59,9 @@ from ..gossip.protocol import Advert, ArtifactDelivery, ArtifactRequest, Push
 from ..rbc.protocol import Fragment, RbcMessage
 
 #: Carried in HELLO; peers with different tables or frame layouts must not
-#: talk.  2: HELLO, MSG and ACK carry no timestamps.
-VERSION = 2
+#: talk.  2: HELLO, MSG and ACK carry no timestamps.  3: an ACK names the
+#: incarnation it acknowledges (it may travel on the reverse link).
+VERSION = 3
 
 
 class FrameError(ValueError):

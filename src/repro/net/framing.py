@@ -15,6 +15,7 @@ layout table and the rationale):
     type 0x02  MSG         payload = link sequence number (8 bytes, big-endian)
                                      || one protocol message (repro.net.codec)
     type 0x03  ACK         payload = cumulative sequence number (8 bytes)
+                                     || incarnation it acknowledges (8 bytes)
     type 0x04  STAT        payload = empty (the 1-byte type is the body)
     type 0x05  STAT_REPLY  payload = one JSON object (UTF-8)
 
@@ -22,12 +23,16 @@ A connection opens with exactly one HELLO (so the acceptor knows which
 party is talking, that it belongs to the same cluster and speaks the same
 codec version, and which *incarnation* of that party it is — a restarted
 process draws a new one, which is how the acceptor knows the peer's link
-sequence numbers begin again at 1), then carries MSG frames until it
-closes; the acceptor answers with ACK frames on the same (full-duplex)
-connection.  Anything else — unknown type byte, a body longer than
+sequence numbers begin again at 1), then carries MSG and ACK frames until
+it closes.  The acceptor ACKs the HELLO at once on the same (full-duplex)
+connection; it ACKs MSG frames in the same write as its own MSG frames to
+that peer, on the connection it dialled, and back on this one only in a
+loop turn that writes none there.  An ACK names the incarnation whose
+frames it covers, so a mark meant for a previous run of a restarted party
+is ignored.  Anything else — unknown type byte, a body longer than
 ``max_frame``, a zero-length body, a payload that fails to decode — is a
-:class:`FrameError`; the transport closes the connection and counts
-it in ``TcpNetwork.frames_rejected``.
+:class:`FrameError`; the transport closes the connection and counts it in
+``TcpNetwork.frames_rejected``.
 
 No frame carries a time: every party reads the host's monotonic clock,
 so traces from one host share one timeline
@@ -78,7 +83,9 @@ _TYPE_STAT_REPLY = 0x05
 
 _LENGTH = struct.Struct(">I")
 _HELLO = struct.Struct(">BBIQ")  # type, codec version, index, incarnation
-_SEQ = struct.Struct(">BQ")  # type, sequence number: a MSG's header, an ACK's body
+_MSG_HEADER = struct.Struct(">IBQ")  # length, type, sequence number
+_SEQ = struct.Struct(">BQ")  # type, sequence number: a MSG body's header
+_ACK = struct.Struct(">BQQ")  # type, sequence number, incarnation: an ACK's body
 
 
 class OversizedFrame(FrameError):
@@ -124,14 +131,15 @@ def message_frame(seq: int, body: bytes, max_frame: int = DEFAULT_MAX_FRAME) -> 
         raise FrameError(f"MSG sequence numbers start at 1, got {seq}")
     size = _SEQ.size + len(body)
     _check_size(size, max_frame)
-    return b"".join((_LENGTH.pack(size), _SEQ.pack(_TYPE_MSG, seq), body))
+    return _MSG_HEADER.pack(size, _TYPE_MSG, seq) + body
 
 
-def ack_frame(seq: int, max_frame: int = DEFAULT_MAX_FRAME) -> bytes:
-    """Cumulative acknowledgement: every MSG up to ``seq`` was delivered."""
+def ack_frame(seq: int, incarnation: int, max_frame: int = DEFAULT_MAX_FRAME) -> bytes:
+    """Cumulative acknowledgement: every MSG up to ``seq`` that the sender's
+    run ``incarnation`` numbered was delivered."""
     if seq < 0:
         raise FrameError(f"ACK sequence must be >= 0, got {seq}")
-    return encode_frame(_SEQ.pack(_TYPE_ACK, seq), max_frame)
+    return encode_frame(_ACK.pack(_TYPE_ACK, seq, incarnation), max_frame)
 
 
 def stat_frame(max_frame: int = DEFAULT_MAX_FRAME) -> bytes:
@@ -149,9 +157,9 @@ def stat_reply_frame(snapshot: dict, max_frame: int = DEFAULT_MAX_FRAME) -> byte
 
 def decode_payload(body: bytes) -> tuple[str, object]:
     """Decode one frame body into ``("hello", (index, cluster_id,
-    incarnation))``, ``("msg", (seq, message))``, ``("ack", seq)``,
-    ``("stat", None)`` or ``("stat_reply", snapshot)``; raises
-    :class:`FrameError` on malformed input."""
+    incarnation))``, ``("msg", (seq, message))``, ``("ack", (seq,
+    incarnation))``, ``("stat", None)`` or ``("stat_reply", snapshot)``;
+    raises :class:`FrameError` on malformed input."""
     if not body:
         raise FrameError("empty frame body")
     frame_type = body[0]
@@ -164,9 +172,9 @@ def decode_payload(body: bytes) -> tuple[str, object]:
         except FrameError as exc:
             raise FrameError(f"undecodable MSG payload: {exc}") from None
     if frame_type == _TYPE_ACK:
-        if len(body) != _SEQ.size:
+        if len(body) != _ACK.size:
             raise FrameError("malformed ACK frame")
-        return "ack", _SEQ.unpack(body)[1]
+        return "ack", _ACK.unpack(body)[1:]
     if frame_type == _TYPE_HELLO:
         if len(body) < _HELLO.size:
             raise FrameError("truncated HELLO frame")

@@ -17,25 +17,32 @@ Both ends of a connection are :class:`asyncio.Protocol` callbacks; the
 only task is one dialer per outbound link.  Outbound: a message is encoded
 once (:mod:`repro.net.codec`) however many links it goes to; each link
 frames it under its own sequence number and marks itself dirty, and once
-per loop turn every dirty link writes its unwritten frames in one
-``transport.write``.  A frame stays buffered until a cumulative ACK covers
-it — a write the kernel took proves nothing about delivery — and every
-(re)connection retransmits the unACKed tail.  Redials back off
+per loop turn every dirty link writes its unwritten frames — and the ACK it
+owes for what that peer sent us — in one ``transport.write``.  A frame
+stays buffered until a cumulative ACK covers it — a write the kernel took
+proves nothing about delivery — and every (re)connection retransmits the
+unACKed tail.  Redials back off
 (exponential, jittered, capped); only a connection whose HELLO the peer
 ACKed resets the backoff.  The receiver deduplicates by sequence number,
 so each link delivers in order and exactly once over an at-least-once wire.
 No frame carries a clock reading: a party reads only its own clock.
 
 Inbound: the acceptor requires a HELLO naming a configured peer of the
-same cluster before any message frame and ACKs once per chunk.  A
+same cluster before any message frame, and ACKs the HELLO at once on the
+same connection.  A chunk of MSG frames puts an ACK on the reverse
+link's next write instead; only a loop turn in which that link writes
+nothing (idle, disconnected, paused or closing) sends it back on this
+connection.  Every ACK names the incarnation of the frames it covers, and
+a link ignores one naming another run of its own party.  A
 duplicate connection from a peer supersedes the previous one (newest
 wins); the per-peer delivery mark survives the swap unless the HELLO names
 a new *incarnation* of the peer (its process restarted and numbers its
 frames from 1 again).  Malformed, oversized or undecodable frames, in
 either direction, close the connection and count in ``frames_rejected``.
 Flow control: a link above the kernel buffer's high-water mark writes
-nothing until it drains, and an acceptor whose ACKs are not being read
-stops reading, so no peer can make us buffer without bound.
+nothing until it drains, and an acceptor whose fallback ACKs are not being
+read stops reading, so no peer can make us buffer without bound.  A
+party's own messages come back to it in one callback per loop turn.
 
 Fault injection, crashes and partitions are **simulator-only** concepts
 (they manipulate virtual delivery the transport does not control); the
@@ -112,11 +119,11 @@ class _OutboundConnection(asyncio.Protocol):
         link = self.link
         try:
             for body in self.decoder.feed(data):
-                kind, seq = decode_payload(body)
+                kind, payload = decode_payload(body)
                 if kind != "ack":
                     raise FrameError(f"expected ACK on the outbound connection, got {kind}")
                 self.accepted = True
-                link.on_ack(seq)  # type: ignore[arg-type]
+                link.on_ack(*payload)  # type: ignore[misc]
         except FrameError as exc:
             link.net._reject_frame(link.peer, exc)
             self.transport.close()
@@ -140,7 +147,8 @@ class _PeerLink:
 
     Frames carry per-link sequence numbers and stay in ``unacked`` until
     the peer's cumulative ACK covers them; every (re)connection rewinds
-    the write cursor to the last ACK, retransmitting the tail.
+    the write cursor to the last ACK, retransmitting the tail.  The link
+    also carries our ACKs for what the peer sends us (``ack_conn``).
     """
 
     def __init__(self, net: "TcpNetwork", peer: int, host: str, port: int) -> None:
@@ -153,6 +161,10 @@ class _PeerLink:
         self.acked = 0
         self._wire_seq = 0  # highest seq written on the current connection
         self.conn: _OutboundConnection | None = None
+        #: The peer's inbound connection whose MSGs we owe an ACK: the next
+        #: flush appends it to this link's write, or sends it back there
+        #: when the link writes nothing.
+        self.ack_conn: _InboundConnection | None = None
         self.task: asyncio.Task | None = None
         self.connects = 0  # successful dials (>= 2 means it reconnected)
 
@@ -186,26 +198,35 @@ class _PeerLink:
         self.net._mark_dirty(self)
 
     def flush(self) -> None:
-        """Write every frame beyond the cursor in one ``transport.write``.
+        """Write every frame beyond the cursor, and the ACK owed to the
+        peer, in one ``transport.write``.
 
         ``unacked`` holds consecutive sequence numbers ending at
         ``next_seq - 1``, so the unwritten frames are its last ``pending``
         entries — nothing is scanned.  A paused or closing connection
         writes nothing; ``resume_writing`` or the next connect flushes.
+        An owed ACK that finds no frames to ride goes back on the inbound
+        connection it answers.
         """
+        owed, self.ack_conn = self.ack_conn, None
+        ack = b"" if owed is None else self.net._ack_frame(self.peer)
         conn = self.conn
-        if conn is None or conn.paused or conn.transport.is_closing():
-            return
-        last = self.next_seq - 1
-        pending = last - max(self._wire_seq, self.acked)
-        if not pending:
-            return
-        frames = [frame for _, frame in islice(reversed(self.unacked), pending)]
-        frames.reverse()
-        self._wire_seq = last
-        conn.transport.write(b"".join(frames))
+        if conn is not None and not conn.paused and not conn.transport.is_closing():
+            last = self.next_seq - 1
+            pending = last - max(self._wire_seq, self.acked)
+            if pending:
+                frames = [frame for _, frame in islice(reversed(self.unacked), pending)]
+                frames.reverse()
+                frames.append(ack)
+                self._wire_seq = last
+                conn.transport.write(b"".join(frames))
+                return
+        if owed is not None and not owed.transport.is_closing():
+            owed.transport.write(ack)
 
-    def on_ack(self, seq: int) -> None:
+    def on_ack(self, seq: int, incarnation: int) -> None:
+        if incarnation != self.net.incarnation:
+            return  # it covers frames a previous run of this party sent
         if seq > self.acked:
             # Never beyond what was sent: frames not yet framed would be
             # dropped from ``unacked`` the moment they were enqueued.
@@ -240,7 +261,8 @@ class _PeerLink:
 
 
 class _InboundConnection(asyncio.Protocol):
-    """One accepted connection: STAT replies, then HELLO, MSGs in, ACKs out."""
+    """One accepted connection: STAT replies, then HELLO, the peer's MSGs
+    and its ACKs for our link in; the HELLO's ACK and fallback ACKs out."""
 
     def __init__(self, net: "TcpNetwork") -> None:
         self.net = net
@@ -257,13 +279,13 @@ class _InboundConnection(asyncio.Protocol):
         # transport stopped its reads.
         net = self.net
         peer = self.peer
-        ack = False
+        hello = delivered = False
         try:
             for body in self.decoder.feed(data):
                 kind, payload = decode_payload(body)
                 if kind == "msg" and peer is not None:
                     seq, message = payload  # type: ignore[misc]
-                    ack = True
+                    delivered = True
                     if seq > net._delivered_seq[peer]:
                         net._delivered_seq[peer] = seq
                         tracer = net.tracer
@@ -275,6 +297,8 @@ class _InboundConnection(asyncio.Protocol):
                                          "kind": message_kind(message)},
                             )
                         net._hand_over(message)
+                elif kind == "ack" and peer is not None:
+                    net._links[peer].on_ack(*payload)  # type: ignore[misc]
                 elif kind == "stat":
                     # Monitoring probe (repro top): answer with a snapshot;
                     # no HELLO required, and the connection stays a plain
@@ -284,9 +308,7 @@ class _InboundConnection(asyncio.Protocol):
                     )
                 elif peer is None:
                     peer = self.peer = net._handshake(kind, payload)
-                    # ACK at once: the dialer's word that we accepted, on
-                    # which its backoff resets.
-                    ack = True
+                    hello = True
                 else:
                     raise FrameError(
                         f"unexpected {kind.upper()} frame on an open inbound connection"
@@ -295,11 +317,17 @@ class _InboundConnection(asyncio.Protocol):
             net._reject_frame(peer, exc)
             self.transport.close()
             return
-        if ack:
-            # One cumulative ACK per chunk releases the sender's retransmit
-            # buffer (ACKed even when every frame was a duplicate — the peer
-            # may have missed the earlier ACK).
-            self.transport.write(ack_frame(net._delivered_seq[peer]))
+        if hello:
+            # ACK at once: the dialer's word that we accepted, on which its
+            # backoff resets.
+            self.transport.write(net._ack_frame(peer))
+        elif delivered:
+            # One cumulative ACK releases the sender's retransmit buffer
+            # (owed even when every frame was a duplicate — the peer may
+            # have missed the earlier ACK); it rides this turn's flush.
+            link = net._links[peer]
+            link.ack_conn = self
+            net._mark_dirty(link)
 
     def pause_writing(self) -> None:
         # Our ACKs are not being read: read no more MSGs until they are,
@@ -354,8 +382,11 @@ class TcpNetwork:
         self.backoff_cap = backoff_cap
         self._party: Receiver | None = None
         self._links: dict[int, _PeerLink] = {}
-        #: Links with frames to write, flushed together once per loop turn.
+        #: Links with frames or an ACK to write, flushed together once per
+        #: loop turn.
         self._dirty: dict[_PeerLink, None] = {}
+        #: Own messages awaiting this turn's self-delivery callback.
+        self._own: list = []
         self._server: asyncio.AbstractServer | None = None
         #: Every open inbound connection; ``conn.peer`` is set once its HELLO
         #: is accepted and cleared when a newer connection supersedes it.
@@ -509,10 +540,25 @@ class TcpNetwork:
         for link in dirty:
             link.flush()
 
+    def _ack_frame(self, peer: int) -> bytes:
+        return ack_frame(
+            self._delivered_seq[peer], self._peer_incarnation[peer], self.max_frame
+        )
+
     def _loopback(self, message: object) -> None:
         """Self-delivery: scheduled, never reentrant (mirrors the simulator,
-        where a party's own messages arrive as a separate zero-delay event)."""
-        self.clock.loop.call_soon(self._hand_over, message)
+        where a party's own messages arrive as a separate zero-delay event).
+        One callback per turn hands over the turn's own messages in order; a
+        message sent while it runs waits for the next callback."""
+        own = self._own
+        if not own:
+            self.clock.loop.call_soon(self._deliver_own)
+        own.append(message)
+
+    def _deliver_own(self) -> None:
+        own, self._own = self._own, []
+        for message in own:
+            self._hand_over(message)
 
     def _hand_over(self, message: object) -> None:
         if self._closing:

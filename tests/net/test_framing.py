@@ -53,11 +53,12 @@ class TestEncode:
         assert decode_payload(framed) == ("hello", (7, "cluster-x", 2**64 - 1))
 
     def test_round_trip_ack(self):
-        """An ACK is its type and the cumulative sequence number: 9 bytes."""
-        frame = ack_frame(41)
-        assert len(frame) == 4 + 9
+        """An ACK is its type, the cumulative sequence number and the
+        incarnation it acknowledges: 17 bytes."""
+        frame = ack_frame(41, 2**64 - 1)
+        assert len(frame) == 4 + 17
         (framed,) = FrameDecoder().feed(frame)
-        assert decode_payload(framed) == ("ack", 41)
+        assert decode_payload(framed) == ("ack", (41, 2**64 - 1))
 
     def test_round_trip_stat(self):
         (framed,) = FrameDecoder().feed(stat_frame())
@@ -86,7 +87,7 @@ class TestEncode:
 
     def test_negative_ack_rejected(self):
         with pytest.raises(FrameError):
-            ack_frame(-1)
+            ack_frame(-1, 0)
 
     def test_oversized_message_rejected_at_encode(self):
         with pytest.raises(OversizedFrame):

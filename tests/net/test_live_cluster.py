@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import asyncio
 import warnings
+from collections import Counter
 
 import pytest
 
@@ -154,6 +155,54 @@ class TestTransportShape:
 
         tasks = asyncio.run(scenario())
         assert len(tasks) == 4 * 3
+
+    def test_socket_writes_per_height(self, monkeypatch):
+        """At n = 4, epsilon = 0 a height is 96 MSG frames, 8 per directed
+        link.  Each party's link writes a turn's frames in one write, and
+        the ACK for what that peer sent rides it: about 24 writes per
+        height, where an ACK written on the inbound connection made 48."""
+        writes = [0]
+        frames_per_round: Counter = Counter()
+
+        class CountingTransport:
+            def __init__(self, raw) -> None:
+                self._raw = raw
+
+            def write(self, data: bytes) -> None:
+                writes[0] += 1
+                self._raw.write(data)
+
+            def __getattr__(self, name):
+                return getattr(self._raw, name)
+
+        for cls in (transport._OutboundConnection, transport._InboundConnection):
+            def counted(self, raw, original=cls.connection_made):
+                original(self, raw)
+                self.transport = CountingTransport(raw)
+
+            monkeypatch.setattr(cls, "connection_made", counted)
+        enqueue = transport._PeerLink.enqueue
+
+        def framed(self, message, body) -> None:  # one MSG frame each
+            frames_per_round[message.round] += 1
+            enqueue(self, message, body)
+
+        monkeypatch.setattr(transport._PeerLink, "enqueue", framed)
+        config = quick_config(epsilon=0.0, delta_bound=1.0, target_height=40)
+
+        async def scenario():
+            async with LiveCluster(config) as cluster:
+                assert await cluster.wait_for_height(5, config.timeout)
+                start = (cluster.min_height(), writes[0])
+                assert await cluster.wait_for_height(start[0] + 20, config.timeout)
+                end = (cluster.min_height(), writes[0])
+                cluster.check_safety()
+                return start, end
+
+        (h0, w0), (h1, w1) = asyncio.run(scenario())
+        assert (w1 - w0) / (h1 - h0) <= 30
+        settled = range(h0 + 1, h1 - 1)  # every party is done sending for these
+        assert [frames_per_round[r] for r in settled] == [96] * len(settled)
 
 
 class TestOneConfigBuildsSimAndLive:

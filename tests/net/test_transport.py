@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import asyncio
 import struct
+from collections import defaultdict
 
 import pytest
 
@@ -28,6 +29,7 @@ from repro.net.transport import (
     BACKOFF_CAP,
     SimulatorOnlyFeature,
     TcpNetwork,
+    _InboundConnection,
     _OutboundConnection,
 )
 from .wire import body, msg
@@ -258,8 +260,7 @@ def spy_on_writes(monkeypatch, writes: list, kill_first: bool = False) -> None:
 
 def seqs_in(data: bytes) -> list[int]:
     """The sequence number of every MSG or ACK frame in ``data``."""
-    decoded = [decode_payload(f) for f in FrameDecoder().feed(data)]
-    return [payload if kind == "ack" else payload[0] for kind, payload in decoded]
+    return [decode_payload(f)[1][0] for f in FrameDecoder().feed(data)]
 
 
 class TestSendPath:
@@ -422,6 +423,179 @@ class TestFlowControl:
         assert run(scenario()) == (False, [], True)
 
 
+class TestAckPath:
+    """An ACK rides the write our own link to that peer makes anyway; only a
+    turn in which that link writes nothing sends it back on the inbound
+    connection it answers."""
+
+    @staticmethod
+    def spy_on_every_write(monkeypatch) -> dict:
+        """Every write after ``connection_made`` (so not an outbound
+        HELLO), keyed by ``("out" | "in", the writing party's index)``."""
+        writes: dict = defaultdict(list)
+        for cls, side in ((_OutboundConnection, "out"), (_InboundConnection, "in")):
+            def spied(self, transport, original=cls.connection_made, side=side):
+                original(self, transport)
+                net = self.link.net if side == "out" else self.net
+                self.transport = SpyTransport(transport, writes[side, net.index], False)
+
+            monkeypatch.setattr(cls, "connection_made", spied)
+        return writes
+
+    @staticmethod
+    def frames_in(data: bytes) -> list[tuple]:
+        """``("msg", seq)`` or ``("ack", seq, incarnation)`` per frame."""
+        decoded = [decode_payload(f) for f in FrameDecoder().feed(data)]
+        return [("msg", payload[0]) if kind == "msg" else (kind, *payload)
+                for kind, payload in decoded]
+
+    def test_ack_rides_the_reverse_links_write(self, monkeypatch):
+        """Party 2 answers party 1's message at once: one write on its own
+        link carries the answer and the ACK; its inbound connection writes
+        only the HELLO's ACK.  Party 1 has nothing to send back, so its ACK
+        for the answer goes back on the connection the answer came in on."""
+        writes = self.spy_on_every_write(monkeypatch)
+
+        async def scenario():
+            peers = peer_map(2)
+            a, ra = await make_net(1, peers)
+            b, rb = await make_net(2, peers)
+
+            def answer(message) -> None:
+                rb.received.append(message)
+                if message == msg(1):
+                    b.broadcast(2, msg(2))
+
+            rb.on_receive = answer
+            try:
+                await until(lambda: a._links[2].connected and b._links[1].connected)
+                await asyncio.sleep(0.02)  # connected and idle
+                a.broadcast(1, msg(1))
+                await until(lambda: ra.received == [msg(1), msg(2)])
+                await until(lambda: a._links[2].queued == 0 and b._links[1].queued == 0)
+                return a.incarnation, b.incarnation
+            finally:
+                await a.stop()
+                await b.stop()
+
+        inc_a, inc_b = run(scenario())
+        frames = {key: [self.frames_in(data) for data in datas]
+                  for key, datas in writes.items()}
+        assert frames["out", 1] == [[("msg", 1)]]
+        assert frames["out", 2] == [[("msg", 1), ("ack", 1, inc_a)]]
+        assert frames["in", 2] == [[("ack", 0, inc_a)]]  # the HELLO's
+        assert frames["in", 1] == [[("ack", 0, inc_b)], [("ack", 1, inc_b)]]
+
+    def test_receive_only_peer_drains_the_senders_buffer(self, monkeypatch):
+        """A peer that never sends back still releases the sender's
+        retransmit buffer: every ACK goes back on the inbound connection."""
+        writes = self.spy_on_every_write(monkeypatch)
+
+        async def scenario():
+            peers = peer_map(2)
+            a, _ = await make_net(1, peers)
+            b, rb = await make_net(2, peers)
+            try:
+                link = a._links[2]
+                await until(lambda: link.connected and b._links[1].connected)
+                for i in (1, 2, 3):
+                    a.broadcast(1, msg(i))
+                await until(lambda: len(rb.received) == 3)
+                await until(lambda: link.queued == 0)
+                return a.incarnation, link.acked
+            finally:
+                await a.stop()
+                await b.stop()
+
+        inc_a, acked = run(scenario())
+        assert acked == 3
+        assert writes["out", 2] == []
+        acks = [frame for data in writes["in", 2] for frame in self.frames_in(data)]
+        assert {frame[0] for frame in acks} == {"ack"}
+        assert acks[-1] == ("ack", 3, inc_a)
+
+    @pytest.mark.parametrize("connection", ["outbound", "inbound"])
+    def test_ack_naming_another_incarnation_is_ignored(self, connection):
+        """A mark meant for a previous run of this party (a restarted
+        process numbers from 1 again) must not empty its buffer, on either
+        connection an ACK can arrive on; nor is it a malformed frame."""
+
+        async def scenario():
+            peers = peer_map(2)
+            host, port = peers[2]
+            impostors: list = []
+
+            async def accept(reader, writer):
+                impostors.append(writer)
+                await reader.read()
+
+            server = None
+            if connection == "outbound":  # "party 2" accepts our dial
+                server = await asyncio.start_server(accept, host, port)
+            a, _ = await make_net(1, peers)
+            try:
+                link = a._links[2]
+                a.broadcast(1, msg(1))
+                a.broadcast(1, msg(2))
+                if connection == "outbound":
+                    await until(lambda: impostors)
+                    writer = impostors[0]
+                else:  # "party 2" dials us: HELLO, then ACKs
+                    _reader, writer = await asyncio.open_connection(*peers[1])
+                    writer.write(hello_frame(2, "t", incarnation=7))
+                writer.write(ack_frame(2, a.incarnation ^ 1))
+                await writer.drain()
+                await asyncio.sleep(0.05)
+                stale = (link.queued, link.acked, a.frames_rejected)
+                writer.write(ack_frame(2, a.incarnation))
+                await writer.drain()
+                await until(lambda: link.queued == 0)
+                writer.close()
+                return stale, link.acked, a.frames_rejected
+            finally:
+                await a.stop()
+                if server is not None:
+                    server.close()
+                    await server.wait_closed()
+
+        assert run(scenario()) == ((2, 0, 0), 2, 0)
+
+
+class TestLoopback:
+    def test_own_messages_come_back_in_one_callback(self):
+        """Three broadcasts from one callback reach the party in order
+        through one loop callback; a broadcast made while that callback
+        delivers waits for the next one, so delivery is never reentrant."""
+
+        async def scenario():
+            peers = peer_map(2)
+            net, receiver = await make_net(1, peers)  # peer down: frames queue
+            callbacks: list[list] = []
+            deliver = net._deliver_own
+
+            def counted() -> None:
+                callbacks.append([])
+                deliver()
+
+            def on_receive(message) -> None:
+                callbacks[-1].append(message)
+                if message == msg(1):
+                    net.broadcast(1, msg(4))
+
+            net._deliver_own = counted
+            receiver.on_receive = on_receive
+            try:
+                for i in (1, 2, 3):
+                    net.broadcast(1, msg(i))
+                await until(lambda: len(callbacks) == 2)
+                await asyncio.sleep(0.02)  # grace: nothing more comes back
+                return callbacks
+            finally:
+                await net.stop()
+
+        assert run(scenario()) == [[msg(1), msg(2), msg(3)], [msg(4)]]
+
+
 class TestRedialBackoff:
     """Production backoff (50 ms doubling to 2 s): the parent redialled a
     peer that accepted the TCP connection and then hung up at once, about
@@ -517,7 +691,7 @@ class TestInbound:
         # EOF, possibly after ACKs: every frame still on the superseded
         # connection must be an ACK for seq 1.
         for framed in FrameDecoder().feed(tail):
-            assert decode_payload(framed) == ("ack", 1)
+            assert decode_payload(framed) == ("ack", (1, 0))
 
     def test_retransmitted_duplicates_deduped(self):
         """The receiver delivers each link sequence number once — a
@@ -636,25 +810,31 @@ class TestInbound:
         assert received == []
 
     def test_version_1_hello_rejected(self):
-        """A peer still framing timestamps (codec version 1) is refused at
-        its HELLO and counted, before any MSG of its layout is misread."""
+        """A peer of an older frame layout (codec version 1 framed
+        timestamps, version 2 sent ACKs naming no incarnation) is refused
+        at its HELLO and counted, before any frame of its layout is
+        misread."""
+        hello_v1 = struct.pack(">BBIQQ", 0x01, 1, 1, 0, 123_456) + b"t"
+        hello_v2 = struct.pack(">BBIQ", 0x01, 2, 1, 0) + b"t"
 
         async def scenario():
             peers = peer_map(2)
             b, rb = await make_net(2, peers)
             try:
                 host, port = peers[2]
-                reader, writer = await asyncio.open_connection(host, port)
-                hello_v1 = struct.pack(">BBIQQ", 0x01, 1, 1, 0, 123_456) + b"t"
-                writer.write(len(hello_v1).to_bytes(4, "big") + hello_v1)
-                await writer.drain()
-                eof = await asyncio.wait_for(reader.read(1), 2.0)
-                return eof, b.frames_rejected, rb.received
+                eofs = []
+                for hello in (hello_v1, hello_v2):
+                    reader, writer = await asyncio.open_connection(host, port)
+                    writer.write(len(hello).to_bytes(4, "big") + hello)
+                    await writer.drain()
+                    eofs.append(await asyncio.wait_for(reader.read(1), 2.0))
+                    writer.close()
+                return eofs, b.frames_rejected, rb.received
             finally:
                 await b.stop()
 
-        assert codec.VERSION == 2
-        assert run(scenario()) == (b"", 1, [])
+        assert codec.VERSION == 3
+        assert run(scenario()) == ([b"", b""], 2, [])
 
     def test_message_before_hello_rejected(self):
         async def scenario():
