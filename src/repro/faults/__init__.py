@@ -30,7 +30,6 @@ from .inject import (
 from .invariants import InvariantReport, Violation, check_invariants
 from .scenario import (
     ByzantineFault,
-    ClockSkewFault,
     CrashFault,
     EVENT_TYPES,
     FaultEvent,
@@ -47,7 +46,6 @@ __all__ = [
     "BEHAVIORS",
     "ByzantineFault",
     "CHAOS_BEHAVIORS",
-    "ClockSkewFault",
     "CrashFault",
     "EVENT_TYPES",
     "FaultEvent",

@@ -24,7 +24,6 @@ from random import Random
 
 from .scenario import (
     ByzantineFault,
-    ClockSkewFault,
     CrashFault,
     LinkFault,
     OutageFault,
@@ -128,14 +127,14 @@ def generate_scenario(
         if end > start:
             events.append(OutageFault(start=start, end=end))
 
-    # ...or a skewed clock.
+    # ...or a skewed clock: everything one party sends runs late.
     if rng.random() < 0.4:
         start, end = window()
         if end > start:
-            events.append(ClockSkewFault(
+            events.append(LinkFault(
                 start=start, end=end,
-                party=rng.randint(1, n),
-                offset=round(rng.uniform(0.05, 0.3), 3),
+                sender=rng.randint(1, n),
+                extra_delay=round(rng.uniform(0.05, 0.3), 3),
             ))
 
     scenario = Scenario(name=f"chaos-{seed}", seed=seed, events=tuple(events))

@@ -2,17 +2,19 @@
 
 Two mechanisms, mirroring the two halves of the fault model:
 
-* **timed faults** (crash / recover / partition) are scheduled on the
-  simulator's event queue at install time and fire at their scenario
-  timestamps, driving the existing :class:`repro.sim.network.Network`
-  primitives;
-* **per-delivery faults** (link drop / duplication / corruption / latency,
-  outages, clock skew) are applied by a :class:`FaultInjector` installed
-  as the network's interceptor — every remote delivery passes through
-  :meth:`FaultInjector.intercept` *after* its natural delay is computed,
-  and the injector either returns ``None`` (deliver unchanged: the fast
-  path, bit-identical to a run with no scenario attached) or a
-  replacement delivery plan.
+* **process faults** (crash / recover) are scheduled on the simulator's
+  event queue at install time and fire at their scenario timestamps,
+  driving :meth:`repro.sim.network.Network.crash` and ``revive`` — the
+  only fault state the network keeps;
+* **link faults** (partitions, link drop / duplication / corruption /
+  latency, outages) are the decisions of a :class:`FaultInjector`
+  installed as the network's interceptor — every remote delivery passes
+  through :meth:`FaultInjector.intercept` *after* its natural delay is
+  computed, and the injector either returns ``None`` (deliver unchanged:
+  the fast path, bit-identical to a run with no scenario attached) or a
+  replacement delivery plan.  A partition is a timed event too, but all
+  it does when it fires is record the cut that ``intercept`` then holds
+  copies behind.
 
 Determinism: every probabilistic decision draws from the injector's own
 ``Random(f"faults/{seed}/{name}")`` stream — never from the simulation's
@@ -47,7 +49,6 @@ from ..adversary.behaviors import (
 from ..sim.network import Network, message_kind
 from .scenario import (
     ByzantineFault,
-    ClockSkewFault,
     CrashFault,
     LinkFault,
     OutageFault,
@@ -210,7 +211,9 @@ class FaultInjector:
         }
         events = scenario.events
         self._links = tuple(e for e in events if isinstance(e, LinkFault))
-        self._skews = tuple(e for e in events if isinstance(e, ClockSkewFault))
+        #: Live partitions as ``(group, heal_at)``; healed ones are pruned
+        #: whenever another fires.
+        self._partitions: list[tuple[frozenset[int], float]] = []
         self._outages = _merge_outages(
             [e for e in events if isinstance(e, OutageFault)]
         )
@@ -224,67 +227,47 @@ class FaultInjector:
             raise ValueError("scenario already installed")
         self._installed = True
         sim = self.sim
-        tracer = sim.tracer
-        if tracer.enabled:
-            tracer.emit(
-                time=sim.now, party=0, protocol="fault", round=None,
-                kind="fault.inject",
-                payload={
-                    "scenario": self.scenario.name,
-                    "seed": self.scenario.seed,
-                    "events": len(self.scenario.events),
-                },
-            )
+        self._trace("fault.inject", payload={
+            "scenario": self.scenario.name,
+            "seed": self.scenario.seed,
+            "events": len(self.scenario.events),
+        })
         for event in self.scenario.events:
-            if isinstance(event, CrashFault):
-                sim.schedule_at(event.at, lambda e=event: self._fire_crash(e))
-            elif isinstance(event, RecoverFault):
-                sim.schedule_at(event.at, lambda e=event: self._fire_recover(e))
-            elif isinstance(event, PartitionFault):
-                sim.schedule_at(event.at, lambda e=event: self._fire_partition(e))
+            if isinstance(event, (CrashFault, RecoverFault, PartitionFault)):
+                sim.schedule_at(event.at, lambda e=event: self._fire(e))
         if self.scenario.needs_interceptor():
             self.network.install_faults(self)
-            if tracer.enabled:
+            if sim.tracer.enabled:
                 # Outage markers are trace-only: pure no-ops for the
                 # simulation, so untraced runs carry zero extra events.
                 for start, end in self._outages:
-                    sim.schedule_at(start, lambda e=end: self._mark_outage(True, e))
-                    sim.schedule_at(end, lambda e=end: self._mark_outage(False, e))
+                    sim.schedule_at(start, lambda e=end: self._trace(
+                        "fault.outage.begin", payload={"until": e}))
+                    sim.schedule_at(end, lambda: self._trace("fault.outage.end"))
         return self
 
-    def _fire_crash(self, event: CrashFault) -> None:
-        tracer = self.sim.tracer
-        if tracer.enabled:
-            tracer.emit(time=self.sim.now, party=event.party, protocol="fault",
-                        round=None, kind="fault.crash")
-        self.network.crash(event.party)
-
-    def _fire_recover(self, event: RecoverFault) -> None:
-        tracer = self.sim.tracer
-        if tracer.enabled:
-            tracer.emit(time=self.sim.now, party=event.party, protocol="fault",
-                        round=None, kind="fault.recover")
-        self.network.revive(event.party)
-
-    def _fire_partition(self, event: PartitionFault) -> None:
-        tracer = self.sim.tracer
-        if tracer.enabled:
-            tracer.emit(time=self.sim.now, party=0, protocol="fault", round=None,
-                        kind="fault.partition",
-                        payload={"group": sorted(event.group),
-                                 "heal_time": event.heal_at})
-        self.network.add_partition(set(event.group), event.heal_at)
-
-    def _mark_outage(self, begin: bool, end: float) -> None:
-        tracer = self.sim.tracer
-        if not tracer.enabled:
+    def _fire(self, event: CrashFault | RecoverFault | PartitionFault) -> None:
+        """A timed fault's instant: crash or revive its party, or record the
+        cut that :meth:`intercept` holds copies behind."""
+        if isinstance(event, PartitionFault):
+            now = self.sim.now
+            self._trace("fault.partition", payload={
+                "group": sorted(event.group), "heal_time": event.heal_at,
+            })
+            self._partitions = [(g, heal) for g, heal in self._partitions if heal > now]
+            self._partitions.append((frozenset(event.group), event.heal_at))
             return
-        if begin:
-            tracer.emit(time=self.sim.now, party=0, protocol="fault", round=None,
-                        kind="fault.outage.begin", payload={"until": end})
+        self._trace(f"fault.{event.kind}", event.party)
+        if isinstance(event, CrashFault):
+            self.network.crash(event.party)
         else:
-            tracer.emit(time=self.sim.now, party=0, protocol="fault", round=None,
-                        kind="fault.outage.end")
+            self.network.revive(event.party)
+
+    def _trace(self, kind: str, party: int = 0, payload: dict | None = None) -> None:
+        tracer = self.sim.tracer
+        if tracer.enabled:
+            tracer.emit(time=self.sim.now, party=party, protocol="fault",
+                        round=None, kind=kind, payload=payload)
 
     # -- per-delivery interception --------------------------------------------
 
@@ -305,12 +288,15 @@ class FaultInjector:
         out = message
         touched = False
         duplicates = 0
-        # Clock skew: the sender's late clock delays its outbound traffic.
-        for skew in self._skews:
-            if skew.party == sender and skew.start <= now < skew.end:
-                new_delay += skew.offset
-                touched = True
-                self._note_delay(message, receiver, skew.offset)
+        # Partition hold: a copy across a live cut waits for its last heal.
+        # Eventual delivery is the model, not a fault, so nothing counts it.
+        hold = 0.0
+        for group, heal in self._partitions:
+            if (sender in group) != (receiver in group):
+                hold = max(hold, heal - now)
+        if hold > 0.0:
+            new_delay += hold
+            touched = True
         # Outage stretch: deliveries landing in an outage window arrive one
         # natural delay after the window closes; those sent in one but
         # landing after it, one natural delay after their natural arrival.
@@ -370,31 +356,23 @@ class FaultInjector:
             hops.append((new_delay + self.rng.uniform(0.0, new_delay), out))
         return hops
 
-    def _note(self, message: object, receiver: int, kind: str) -> None:
-        tracer = self.sim.tracer
-        if tracer.enabled:
-            tracer.emit(
-                time=self.sim.now, party=receiver, protocol="fault", round=None,
-                kind=kind,
-                payload={"kind": message_kind(message), "receiver": receiver},
-            )
+    def _note(self, message: object, receiver: int, kind: str, **fields) -> None:
+        if self.sim.tracer.enabled:
+            self._trace(kind, receiver, {
+                "kind": message_kind(message), "receiver": receiver, **fields,
+            })
 
     def _note_delay(self, message: object, receiver: int, extra: float) -> None:
         self.counters["delay"] += 1
-        tracer = self.sim.tracer
-        if tracer.enabled:
-            tracer.emit(
-                time=self.sim.now, party=receiver, protocol="fault", round=None,
-                kind="fault.delay",
-                payload={"kind": message_kind(message), "receiver": receiver,
-                         "extra": extra},
-            )
+        self._note(message, receiver, "fault.delay", extra=extra)
 
 
 def install_scenario(cluster, scenario: Scenario) -> FaultInjector:
     """Validate ``scenario`` against ``cluster`` and install it.
 
-    Call between ``build_cluster`` and ``cluster.start()`` so that timed
-    faults scheduled at t=0 precede protocol traffic.
+    Call between ``build_cluster`` and ``cluster.start()``.  A timed fault
+    at t = 0 fires when the simulation first runs, after the parties'
+    start-time sends; ``cluster.sim.run(until=0.0)`` before ``start()``
+    puts it ahead of them.
     """
     return FaultInjector(scenario, cluster.network).install()

@@ -18,11 +18,13 @@ The fault model (documented in ``docs/FAULTS.md``) distinguishes:
 * **network faults** — :class:`PartitionFault` (messages across the cut
   held until heal), :class:`LinkFault` (per-link probabilistic drop,
   duplication, payload corruption, latency and jitter inside a time
-  window), :class:`OutageFault` (a full-network asynchronous stretch:
-  deliveries land after the outage ends, realising the paper's
-  intermittent-synchrony assumption), and :class:`ClockSkewFault`
-  (a party whose clock runs late: its outbound traffic lags by the
-  offset).
+  window; a party whose clock runs late is ``LinkFault(sender=p,
+  extra_delay=offset)``: everything it sends lags by the offset), and
+  :class:`OutageFault` (a full-network asynchronous stretch: deliveries
+  land after the outage ends, realising the paper's intermittent-synchrony
+  assumption).  All three are decisions of one per-delivery interceptor
+  (:class:`repro.faults.inject.FaultInjector`); the network itself only
+  knows which parties are crashed.
 
 All timestamps are simulator seconds.  Events are frozen dataclasses so
 scenarios are hashable, picklable and comparable — the determinism the
@@ -61,7 +63,10 @@ class PartitionFault:
     """Partition ``group`` from the rest from ``at`` until ``heal_at``.
 
     Messages across the cut are held back and delivered at heal time, so
-    eventual delivery — the paper's standing assumption — holds.
+    eventual delivery — the paper's standing assumption — holds.  When
+    several live partitions separate a pair, a copy waits for the *last*
+    of them to heal.  A crashed party in ``group`` is still crashed: its
+    copies are dropped, not held, until it recovers.
     """
 
     at: float
@@ -89,7 +94,9 @@ class LinkFault:
       hash checks at the receiver must reject it (messages that carry no
       tamperable authenticated field are dropped instead — equivalent
       from the receiver's point of view);
-    * ``extra_delay`` + uniform ``jitter`` — a latency spike.
+    * ``extra_delay`` + uniform ``jitter`` — a latency spike (with
+      ``sender=p`` and no jitter, ``p``'s clock running ``extra_delay``
+      late: a late clock makes every locally-timed send late).
     """
 
     start: float
@@ -124,24 +131,6 @@ class OutageFault:
 
 
 @dataclass(frozen=True)
-class ClockSkewFault:
-    """``party``'s clock runs ``offset`` seconds late during the window.
-
-    Modelled at the network boundary: everything the party sends inside
-    ``[start, end)`` arrives ``offset`` seconds later than it would have
-    (a late clock makes every locally-timed action late).  The party's
-    *inbound* traffic is unaffected.
-    """
-
-    start: float
-    end: float
-    party: int
-    offset: float
-
-    kind = "clock-skew"
-
-
-@dataclass(frozen=True)
 class ByzantineFault:
     """Statically corrupt ``party`` with a named adversary behaviour.
 
@@ -173,7 +162,6 @@ EVENT_TYPES: dict[str, type] = {
         PartitionFault,
         LinkFault,
         OutageFault,
-        ClockSkewFault,
         ByzantineFault,
     )
 }
@@ -184,7 +172,6 @@ FaultEvent = (
     | PartitionFault
     | LinkFault
     | OutageFault
-    | ClockSkewFault
     | ByzantineFault
 )
 
@@ -199,7 +186,7 @@ def _settle_time(event: FaultEvent) -> float:
         return event.at
     if isinstance(event, PartitionFault):
         return event.heal_at
-    if isinstance(event, (LinkFault, OutageFault, ClockSkewFault)):
+    if isinstance(event, (LinkFault, OutageFault)):
         return event.end
     return 0.0  # ByzantineFault: standing corruption, tolerated by assumption
 
@@ -241,7 +228,7 @@ class Scenario:
     def needs_interceptor(self) -> bool:
         """True when any event requires the per-delivery network hook."""
         return any(
-            isinstance(e, (LinkFault, OutageFault, ClockSkewFault)) for e in self.events
+            isinstance(e, (PartitionFault, LinkFault, OutageFault)) for e in self.events
         )
 
     # -- validation -----------------------------------------------------------
@@ -274,6 +261,8 @@ class Scenario:
                     (event.at, isinstance(event, CrashFault))
                 )
             elif isinstance(event, PartitionFault):
+                if event.at < 0:
+                    raise ScenarioError(f"partition: negative time {event.at}")
                 if not event.group:
                     raise ScenarioError("partition: empty group")
                 for index in event.group:
@@ -282,7 +271,7 @@ class Scenario:
                     raise ScenarioError(
                         f"partition: heal_at {event.heal_at} not after {event.at}"
                     )
-            elif isinstance(event, (LinkFault, OutageFault, ClockSkewFault)):
+            elif isinstance(event, (LinkFault, OutageFault)):
                 if event.end <= event.start or event.start < 0:
                     raise ScenarioError(
                         f"{event.kind}: bad window [{event.start}, {event.end})"
@@ -296,10 +285,6 @@ class Scenario:
                     check_prob(event.corrupt_prob, "link corrupt_prob")
                     if event.extra_delay < 0 or event.jitter < 0:
                         raise ScenarioError("link: negative delay/jitter")
-                if isinstance(event, ClockSkewFault):
-                    check_party(event.party, "clock-skew")
-                    if event.offset < 0:
-                        raise ScenarioError("clock-skew: negative offset")
             elif isinstance(event, ByzantineFault):
                 check_party(event.party, "byzantine")
                 if event.party in byz:

@@ -44,10 +44,10 @@ nothing until it drains, and an acceptor whose fallback ACKs are not being
 read stops reading, so no peer can make us buffer without bound.  A
 party's own messages come back to it in one callback per loop turn.
 
-Fault injection, crashes and partitions are **simulator-only** concepts
-(they manipulate virtual delivery the transport does not control); the
-corresponding methods raise :class:`SimulatorOnlyFeature` — see
-``docs/FAULTS.md``.
+Fault injection (partitions included) and crashes are **simulator-only**
+concepts (they manipulate virtual delivery the transport does not
+control); ``install_faults``, ``crash`` and ``revive`` raise
+:class:`SimulatorOnlyFeature` — see ``docs/FAULTS.md``.
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ BACKOFF_CAP = 2.0
 
 
 class SimulatorOnlyFeature(RuntimeError):
-    """A simulator-only control (faults/crash/partition) was used on the
+    """A simulator-only control (fault injection, crash) was used on the
     live transport.  See docs/FAULTS.md — fault scenarios drive *virtual*
     delivery; over real sockets use OS-level tooling (kill the process,
     drop packets with tc/iptables) instead."""
@@ -487,45 +487,53 @@ class TcpNetwork:
         self._loopback(message)
 
     def send(self, sender: int, receiver: int, message: object, round: int | None = None) -> None:
-        """Point-to-point send (gossip, ICC2 fragments)."""
+        """Point-to-point send (gossip, ICC2 fragments).  The receiver is
+        checked before anything is encoded, counted or queued, as
+        :class:`repro.sim.network.Network` does."""
         self._require_local(sender)
+        link = self._link_to(receiver)
         body = codec.encode(message)
         account_transmission(
             self, self.clock.now, sender, message, round,
             "net.send", 1, "receiver", receiver,
         )
-        if receiver == sender:
-            self._loopback(message)
-            return
-        link = self._links.get(receiver)
         if link is None:
-            raise ValueError(f"unknown receiver {receiver}")
-        link.enqueue(message, body)
+            self._loopback(message)
+        else:
+            link.enqueue(message, body)
 
     def multicast(self, sender: int, receivers: Iterable[int], message: object,
                   round: int | None = None) -> None:
-        """Same message to a subset (the gossip overlay's fan-out)."""
+        """Same message to a subset (the gossip overlay's fan-out), every
+        receiver checked first, as in :meth:`send`."""
         self._require_local(sender)
-        receivers = list(receivers)
+        links = [self._link_to(receiver) for receiver in receivers]
         body = codec.encode(message)
         account_transmission(
             self, self.clock.now, sender, message, round,
-            "net.multicast", len(receivers), "receivers", len(receivers),
+            "net.multicast", len(links), "receivers", len(links),
         )
-        for receiver in receivers:
-            if receiver == sender:
-                self._loopback(message)
-                continue
-            link = self._links.get(receiver)
+        for link in links:
             if link is None:
-                raise ValueError(f"unknown receiver {receiver}")
-            link.enqueue(message, body)
+                self._loopback(message)
+            else:
+                link.enqueue(message, body)
 
     def _require_local(self, sender: int) -> None:
         if sender != self.index:
             raise ValueError(
                 f"transport for party {self.index} cannot send as party {sender}"
             )
+
+    def _link_to(self, receiver: int) -> _PeerLink | None:
+        """The link a copy for ``receiver`` goes out on; ``None`` for this
+        party itself."""
+        if receiver == self.index:
+            return None
+        link = self._links.get(receiver)
+        if link is None:
+            raise ValueError(f"unknown receiver {receiver}")
+        return link
 
     def _mark_dirty(self, link: _PeerLink) -> None:
         """Have ``link`` flush at the end of this loop turn: whatever the
@@ -672,11 +680,6 @@ class TcpNetwork:
             "fault drills"
         )
 
-    def clear_faults(self) -> None:
-        raise SimulatorOnlyFeature(
-            "fault injection is simulator-only: nothing to clear on TcpNetwork"
-        )
-
     def is_crashed(self, index: int) -> bool:
         """Nothing can be crashed through this object (:meth:`crash`
         raises), so the answer the invariant checker asks for is no."""
@@ -691,10 +694,4 @@ class TcpNetwork:
     def revive(self, index: int) -> None:
         raise SimulatorOnlyFeature(
             "revive() is simulator-only: restart the party process instead"
-        )
-
-    def add_partition(self, group: set[int], heal_time: float) -> None:
-        raise SimulatorOnlyFeature(
-            "partitions are simulator-only: use OS-level packet filtering "
-            "for live partition drills"
         )

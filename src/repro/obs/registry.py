@@ -87,11 +87,6 @@ register(
     "A crashed/offline party rejoined.",
     (),
 )
-register(
-    "net.partition", "repro.sim.network",
-    "A partition was installed between `group` and the rest until `heal_time`.",
-    ("group", "heal_time"),
-)
 
 # -- message pool -------------------------------------------------------------
 
@@ -275,8 +270,9 @@ register(
 )
 register(
     "fault.partition", "repro.faults.inject",
-    "A scheduled PartitionFault installed a partition between `group` "
-    "and the rest until `heal_time`.",
+    "A scheduled PartitionFault cut `group` off from the rest until "
+    "`heal_time`: the injector holds every copy across the cut until then "
+    "(a hold is not a `fault.delay`).",
     ("group", "heal_time"),
 )
 register(
@@ -297,8 +293,9 @@ register(
 )
 register(
     "fault.delay", "repro.faults.inject",
-    "A LinkFault, ClockSkewFault or OutageFault held one delivery of a "
-    "`kind` message to `receiver` for `extra` additional seconds.",
+    "A LinkFault (latency, jitter, or a sender's late clock) or an "
+    "OutageFault held one delivery of a `kind` message to `receiver` for "
+    "`extra` additional seconds.",
     ("kind", "receiver", "extra"),
 )
 register(

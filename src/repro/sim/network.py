@@ -16,11 +16,16 @@ reliable-broadcast subprotocol and the gossip sub-layer are not all-to-all.
 
 All three account the transmission once and then run one per-copy loop,
 :meth:`Network._transmit`.  It reads the clock, the RNG, the delay sampler,
-the crashed set, the fault interceptor, the live partitions and the uplink
-once per transmission, and puts each copy on the simulation's event queue
-as one ``(time, seq, deliver, message)`` entry.  ``deliver`` is the
-receiver's entry, built once by :meth:`Network.attach`; it re-checks the
-crash and looks up ``party.on_receive`` when the copy lands.
+the crashed set, the fault interceptor and the uplink once per
+transmission, and puts each copy on the simulation's event queue as one
+``(time, seq, deliver, message)`` entry.  ``deliver`` is the receiver's
+entry, built once by :meth:`Network.attach`; it re-checks the crash and
+looks up ``party.on_receive`` when the copy lands.
+
+The network decides only whether a party is up (:meth:`Network.crash`,
+:meth:`Network.revive`).  What a link does to a copy — hold it behind a
+partition, delay, drop, tamper with or duplicate it — is the installed
+fault interceptor's decision alone (:mod:`repro.faults.inject`).
 """
 
 from __future__ import annotations
@@ -46,8 +51,8 @@ class FaultInterceptor(Protocol):
     ``intercept`` sees every remote delivery after its natural delay has
     been computed and either returns ``None`` (deliver unchanged) or a
     replacement list of ``(delay, message)`` hops: empty
-    to drop the delivery, one entry to delay/corrupt it, several to
-    duplicate it.  See :class:`repro.faults.inject.FaultInjector`.
+    to drop the delivery, one entry to hold, delay or corrupt it, several
+    to duplicate it.  See :class:`repro.faults.inject.FaultInjector`.
     """
 
     def intercept(
@@ -141,7 +146,6 @@ class Network:
         #: Each receiver's delivery entry (see ``attach``), by index.
         self._deliver: list = [_unattached] * (n + 1)
         self._crashed: set[int] = set()
-        self._partitions: list[tuple[frozenset[int], float]] = []
         self._delivered = 0
         #: Optional fault interceptor (:class:`repro.faults.inject.FaultInjector`);
         #: ``None`` costs one test per copy, like the disabled tracer.
@@ -178,7 +182,7 @@ class Network:
     def crash(self, index: int) -> None:
         """Silence a party (crash-failure corruption, or a node going
         offline): it neither sends nor receives, and messages addressed to
-        it are *dropped* (unlike a partition, which holds them back).
+        it are *dropped*, not held back as behind a partition.
         Crashing an already-crashed party is a no-op."""
         if not 1 <= index <= self.n:
             raise ValueError(f"cannot crash party {index}: outside 1..{self.n}")
@@ -211,44 +215,6 @@ class Network:
     def is_crashed(self, index: int) -> bool:
         return index in self._crashed
 
-    def add_partition(self, group: set[int], heal_time: float) -> None:
-        """Until ``heal_time``, messages between ``group`` and the rest are
-        held back (and delivered at heal time — eventual delivery holds).
-
-        Partitions compose: when several active partitions separate a
-        sender/receiver pair (overlapping groups with different heal
-        times), the message is held until the *last* separating partition
-        heals.  A crashed node may appear in a group — crash semantics
-        win (its messages are dropped, not held) until it is revived,
-        after which the partition applies to it like anyone else.
-        A ``heal_time`` in the past is accepted as an explicit no-op.
-        """
-        for index in group:
-            if not 1 <= index <= self.n:
-                raise ValueError(
-                    f"cannot partition party {index}: outside 1..{self.n}"
-                )
-        now = self.sim.now
-        self._live_partitions(now)
-        if heal_time > now:
-            self._partitions.append((frozenset(group), heal_time))
-        tracer = self.tracer
-        if tracer.enabled:
-            tracer.emit(time=self.sim.now, party=0, protocol="net", round=None,
-                        kind="net.partition",
-                        payload={"group": sorted(group), "heal_time": heal_time})
-
-    def active_partitions(self) -> list[tuple[frozenset[int], float]]:
-        """The partitions that can still hold messages back (for tests)."""
-        return list(self._live_partitions(self.sim.now))
-
-    def _live_partitions(self, now: float) -> list[tuple[frozenset[int], float]]:
-        """Prune healed partitions — they can never hold a future message —
-        so one past partition does not keep every later copy on the scan."""
-        if self._partitions:
-            self._partitions = [(g, heal) for g, heal in self._partitions if heal > now]
-        return self._partitions
-
     # -- fault injection -------------------------------------------------------
 
     def install_faults(self, interceptor: FaultInterceptor) -> None:
@@ -261,10 +227,6 @@ class Network:
         if self._faults is not None:
             raise ValueError("a fault interceptor is already installed")
         self._faults = interceptor
-
-    def clear_faults(self) -> None:
-        """Remove the fault interceptor: every copy lands as sampled."""
-        self._faults = None
 
     # -- transmission -----------------------------------------------------------
 
@@ -316,15 +278,14 @@ class Network:
         order.  A self-copy lands now, with no sample and no interception.
         A remote copy first queues behind the sender's earlier copies on
         its uplink (charged even when the receiver is crashed), then, if
-        the receiver is up, draws its delay, waits out any separating
-        partition and its NIC time, and passes the fault interceptor."""
+        the receiver is up, draws its delay, adds its NIC time, and passes
+        the fault interceptor."""
         now = self.sim.now
         schedule = self.sim.events.schedule
         deliver = self._deliver
         crashed = self._crashed
         faults = self._faults
         uplink_bps = self.uplink_bps
-        partitions = self._live_partitions(now)
         rng = self.rng
         sample = self.delay_model.sample
         for receiver in receivers:
@@ -341,17 +302,12 @@ class Network:
             if receiver in crashed:
                 continue
             delay = sample(sender, receiver, now, message, rng)
-            hold = 0.0
-            for group, heal in partitions:
-                if (sender in group) != (receiver in group):
-                    hold = max(hold, heal - now)
-            delay += hold
             delay += sent_at - now  # NIC serialization time
             if faults is not None:
                 plan = faults.intercept(sender, receiver, message, delay)
                 if plan is not None:
-                    # The interceptor replaced this delivery (drop / delay /
-                    # corrupt / duplicate).
+                    # The interceptor replaced this delivery (hold / drop /
+                    # delay / corrupt / duplicate).
                     for hop_delay, hop_message in plan:
                         if hop_delay < 0:
                             raise ValueError(f"negative delay {hop_delay}")

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core import ClusterConfig, build_cluster
 from repro.core.catchup import CatchupParty
+from repro.faults import PartitionFault, Scenario, install_scenario
 from repro.sim.delays import FixedDelay
 
 
@@ -47,7 +48,10 @@ class TestPartitionRecovery:
         """Without pruning, the sync response reconnects the whole chain
         (no state-transfer gap needed)."""
         cluster = catchup_cluster()
-        cluster.network.add_partition({4}, heal_time=6.0)
+        install_scenario(cluster, Scenario(name="cut", events=(
+            PartitionFault(at=0.0, group=(4,), heal_at=6.0),
+        )))
+        cluster.sim.run(until=0.0)  # the cut is live for the start-time sends
         cluster.start()
         cluster.run_for(25.0)
         cluster.check_safety()

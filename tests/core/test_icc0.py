@@ -6,7 +6,7 @@ import pytest
 
 from repro.adversary import SilentMixin, corrupt_class
 from repro.core import ClusterConfig, ICC0Party, Payload, build_cluster
-from repro.faults import LinkFault, Scenario, install_scenario
+from repro.faults import LinkFault, PartitionFault, Scenario, install_scenario
 from repro.sim.delays import FixedDelay, UniformDelay
 
 from .test_cluster_helpers import run_happy_path
@@ -187,7 +187,10 @@ class TestPartialSynchrony:
             delay_model=FixedDelay(0.05), max_rounds=60,
         )
         cluster = build_cluster(config)
-        cluster.network.add_partition({4}, heal_time=10.0)
+        install_scenario(cluster, Scenario(name="cut", events=(
+            PartitionFault(at=0.0, group=(4,), heal_at=10.0),
+        )))
+        cluster.sim.run(until=0.0)  # the cut is live for the start-time sends
         cluster.start()
         cluster.run_for(9.0)
         assert cluster.party(4).k_max == 0  # cut off

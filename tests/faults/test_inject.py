@@ -9,7 +9,6 @@ import pytest
 from repro.faults import (
     BEHAVIORS,
     ByzantineFault,
-    ClockSkewFault,
     CrashFault,
     FaultInjector,
     LinkFault,
@@ -195,6 +194,40 @@ class TestTimedFaults:
         # Held until the heal at 4.0, plus the base 0.1 delay.
         assert parties[2].received == [(4.1, b"held")]
 
+    def test_partition_is_an_interceptor_decision(self):
+        sim, net, _ = make_net()
+        injector = install(net, PartitionFault(at=1.0, group=(1, 2), heal_at=4.0))
+        assert net._faults is injector
+        sim.run(until=1.5)
+        # Inside one group, and on the far side together: unchanged.
+        assert injector.intercept(1, 2, b"x", 0.1) is None
+        assert injector.intercept(3, 3, b"x", 0.1) is None
+        # Across the cut: held for the rest of the cut, both directions.
+        assert injector.intercept(1, 3, b"x", 0.1) == [(2.5 + 0.1, b"x")]
+        assert injector.intercept(3, 2, b"x", 0.1) == [(2.5 + 0.1, b"x")]
+        sim.run(until=4.0)
+        assert injector.intercept(1, 3, b"x", 0.1) is None  # healed
+
+    def test_a_hold_is_not_a_delay_fault(self):
+        from repro.obs import Tracer
+
+        sim, net, parties = make_net()
+        sim.tracer = Tracer()
+        injector = install(net, PartitionFault(at=0.0, group=(3,), heal_at=4.0))
+        sim.schedule(1.0, lambda: net.send(1, 3, b"held"))
+        sim.run()
+        assert parties[2].received == [(4.1, b"held")]
+        assert injector.counters["delay"] == 0
+        kinds = [e.kind for e in sim.tracer.events()]
+        assert "fault.partition" in kinds and "fault.delay" not in kinds
+
+    def test_partition_at_a_negative_time_is_a_scenario_error(self):
+        """Validated like a crash's time, not left to fail as a raw
+        ``ValueError`` when the injector schedules it."""
+        sim, net, _ = make_net()
+        with pytest.raises(ScenarioError, match="partition: negative time -1.0"):
+            install(net, PartitionFault(at=-1.0, group=(1,), heal_at=2.0))
+
     def test_no_interceptor_for_timed_only_scenarios(self):
         sim, net, parties = make_net()
         install(net, CrashFault(at=1.0, party=3), RecoverFault(at=2.0, party=3))
@@ -289,8 +322,9 @@ class TestLinkFaults:
 
 class TestSkewAndOutage:
     def test_skew_delays_outbound_only(self):
+        # A late clock is a link fault on everything its party sends.
         sim, net, parties = make_net(delay=0.1)
-        install(net, ClockSkewFault(start=0.0, end=10.0, party=1, offset=0.3))
+        install(net, LinkFault(start=0.0, end=10.0, sender=1, extra_delay=0.3))
         net.send(1, 3, b"out")   # skewed sender
         net.send(2, 3, b"ref")   # unaffected
         net.send(3, 1, b"in")    # inbound to the skewed party: unaffected

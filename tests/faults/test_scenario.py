@@ -9,7 +9,6 @@ import pytest
 
 from repro.faults import (
     ByzantineFault,
-    ClockSkewFault,
     CrashFault,
     LinkFault,
     OutageFault,
@@ -34,7 +33,7 @@ class TestValidation:
             PartitionFault(at=3.0, group=(2, 3), heal_at=4.0),
             LinkFault(start=0.0, end=5.0, drop_prob=0.5),
             OutageFault(start=1.0, end=2.0),
-            ClockSkewFault(start=0.0, end=1.0, party=4, offset=0.1),
+            LinkFault(start=0.0, end=1.0, sender=4, extra_delay=0.1),
         ).validate(4)
 
     @pytest.mark.parametrize("bad", [
@@ -50,7 +49,7 @@ class TestValidation:
         LinkFault(start=0.0, end=1.0, sender=12),
         LinkFault(start=0.0, end=1.0, extra_delay=-1.0),
         OutageFault(start=-1.0, end=1.0),
-        ClockSkewFault(start=0.0, end=1.0, party=1, offset=-0.5),
+        LinkFault(start=0.0, end=1.0, sender=1, extra_delay=-0.5),
         ByzantineFault(party=7, behavior="silent"),
     ])
     def test_incoherent_event_rejected(self, bad):
@@ -70,8 +69,7 @@ class TestValidation:
         ("extra_delay", LinkFault(start=0.0, end=1.0, extra_delay=math.nan)),
         ("jitter", LinkFault(start=0.0, end=1.0, jitter=math.inf)),
         ("end", OutageFault(start=0.0, end=math.nan)),
-        ("start", ClockSkewFault(start=math.nan, end=1.0, party=1, offset=0.1)),
-        ("offset", ClockSkewFault(start=0.0, end=1.0, party=1, offset=math.nan)),
+        ("start", LinkFault(start=math.nan, end=1.0, sender=1, extra_delay=0.1)),
     ])
     def test_non_finite_number_rejected_naming_the_field(self, field, bad):
         """NaN fails every range comparison, so it used to pass validation
@@ -126,7 +124,7 @@ class TestDerived:
         assert scenario(LinkFault(start=0.0, end=1.0)).needs_interceptor()
         assert scenario(OutageFault(start=0.0, end=1.0)).needs_interceptor()
         assert scenario(
-            ClockSkewFault(start=0.0, end=1.0, party=1, offset=0.1)
+            PartitionFault(at=0.0, group=(1,), heal_at=1.0)
         ).needs_interceptor()
 
     def test_byzantine_map_and_describe(self):
@@ -150,7 +148,7 @@ class TestSerialization:
             PartitionFault(at=3.0, group=(2, 3), heal_at=4.0),
             LinkFault(start=0.0, end=5.0, sender=1, drop_prob=0.5, jitter=0.1),
             OutageFault(start=1.0, end=2.0),
-            ClockSkewFault(start=0.0, end=1.0, party=4, offset=0.1),
+            LinkFault(start=0.0, end=1.0, sender=4, extra_delay=0.1),
         )
         # Through an actual JSON string, not just dicts.
         restored = Scenario.from_dict(json.loads(json.dumps(s.to_dict())))

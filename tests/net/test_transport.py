@@ -146,6 +146,27 @@ class TestDelivery:
 
         run(scenario())
 
+    def test_unknown_receiver_rejected_before_accounting(self):
+        """A receiver outside the cluster is refused before the message is
+        counted or a frame is queued for any receiver, as the simulator's
+        network does."""
+
+        async def scenario():
+            peers = peer_map(2)
+            net, _ = await make_net(1, peers)
+            try:
+                for _ in range(2):
+                    with pytest.raises(ValueError, match="unknown receiver 9"):
+                        net.send(1, 9, msg(1))
+                with pytest.raises(ValueError, match="unknown receiver 9"):
+                    net.multicast(1, [2, 9], msg(1))
+                return (net.metrics.msgs_sent[1], net.metrics.bytes_sent[1],
+                        net._links[2].next_seq)
+            finally:
+                await net.stop()
+
+        assert run(scenario()) == (0, 0, 1)
+
 
 class TestReconnect:
     def test_disconnect_mid_broadcast_queues_and_redelivers(self):
@@ -867,10 +888,6 @@ class TestSimulatorOnly:
                     net.crash(2)
                 with pytest.raises(SimulatorOnlyFeature):
                     net.revive(2)
-                with pytest.raises(SimulatorOnlyFeature):
-                    net.add_partition({1}, 5.0)
-                with pytest.raises(SimulatorOnlyFeature):
-                    net.clear_faults()
             finally:
                 await net.stop()
 

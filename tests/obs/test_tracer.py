@@ -88,8 +88,8 @@ class TestJsonlRoundTrip:
                        kind="icc.block.proposed",
                        payload={"block": "aa" * 8, "parent": "bb" * 8,
                                 "payload_bytes": 10, "rank": 0}),
-            TraceEvent(time=0.2, party=0, protocol="net", round=None,
-                       kind="net.partition",
+            TraceEvent(time=0.2, party=0, protocol="fault", round=None,
+                       kind="fault.partition",
                        payload={"group": [1, 2], "heal_time": 5.0}),
         ]
         buffer = io.StringIO()

@@ -17,7 +17,7 @@ import pytest
 
 from repro.core import ClusterConfig, build_cluster
 from repro.core.cluster import protocol_party
-from repro.faults import FaultInjector, LinkFault, Scenario
+from repro.faults import CrashFault, FaultInjector, LinkFault, PartitionFault, Scenario
 from repro.sim.delays import FixedDelay, MessageAwareDelay, UniformDelay, WanDelay
 from repro.sim.network import message_kind
 
@@ -64,9 +64,12 @@ def _uplink_with_a_crash(cluster) -> None:
 
 
 def _healing_partition_with_a_crash(cluster) -> None:
-    net, sim = cluster.network, cluster.sim
-    net.add_partition({1, 2}, heal_time=0.7)
-    sim.schedule(0.3, lambda: net.crash(2))
+    scenario = Scenario(name="pins", events=(
+        PartitionFault(at=0.0, group=(1, 2), heal_at=0.7),
+        CrashFault(at=0.3, party=2),
+    ))
+    FaultInjector(scenario, cluster.network).install()
+    cluster.sim.run(until=0.0)  # the cut is live for the start-time sends
 
 
 def _link_faults(cluster) -> None:

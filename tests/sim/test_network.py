@@ -4,7 +4,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro.faults import FaultInjector, LinkFault, Scenario
+from repro.faults import (
+    CrashFault,
+    FaultInjector,
+    LinkFault,
+    PartitionFault,
+    RecoverFault,
+    Scenario,
+    ScenarioError,
+)
 from repro.sim.delays import FixedDelay
 from repro.sim.metrics import Metrics
 from repro.sim.network import Network, message_kind, wire_size
@@ -167,9 +175,20 @@ class TestCrash:
 
 
 class TestPartition:
+    """A partition is a :class:`PartitionFault` the fault injector holds
+    copies behind; the network only delivers what the injector hands back."""
+
+    @staticmethod
+    def install(net, *events):
+        """Install ``events`` and fire those due at t = 0, as a cluster's
+        start-time sends see them."""
+        injector = FaultInjector(Scenario(name="cut", events=events), net).install()
+        net.sim.run(until=0.0)
+        return injector
+
     def test_messages_held_until_heal(self):
         sim, net, parties = make_net(delay=0.1)
-        net.add_partition({1}, heal_time=5.0)
+        self.install(net, PartitionFault(at=0.0, group=(1,), heal_at=5.0))
         net.broadcast(1, b"x")
         sim.run(until=4.0)
         assert len(parties[1].received) == 0
@@ -180,30 +199,37 @@ class TestPartition:
 
     def test_intra_partition_unaffected(self):
         sim, net, parties = make_net(delay=0.1)
-        net.add_partition({1, 2}, heal_time=5.0)
+        self.install(net, PartitionFault(at=0.0, group=(1, 2), heal_at=5.0))
         net.send(1, 2, b"x")
         sim.run(until=1.0)
         assert len(parties[1].received) == 1
 
     def test_expired_partition_noop(self):
         sim, net, parties = make_net(delay=0.1)
-        net.add_partition({1}, heal_time=0.0)
-        net.broadcast(1, b"x")
+        self.install(net, PartitionFault(at=0.0, group=(1,), heal_at=1.0))
+        sim.schedule(2.0, lambda: net.broadcast(1, b"x"))
         sim.run()
-        assert parties[1].received[0][0] == pytest.approx(0.1)
-        assert net.active_partitions() == []
+        assert parties[1].received[0][0] == pytest.approx(2.1)
+        # A cut that heals when it opens is refused, not a silent no-op.
+        with pytest.raises(ScenarioError, match="not after"):
+            Scenario(name="x", events=(
+                PartitionFault(at=1.0, group=(1,), heal_at=1.0),
+            )).validate(3)
 
     def test_partition_rejects_out_of_range_index(self):
         sim, net, _ = make_net(n=3)
-        with pytest.raises(ValueError, match="outside 1..3"):
-            net.add_partition({1, 9}, heal_time=5.0)
+        with pytest.raises(ScenarioError, match="outside 1..3"):
+            self.install(net, PartitionFault(at=0.0, group=(1, 9), heal_at=5.0))
 
     def test_overlapping_partitions_hold_until_last_heal(self):
         # Two partitions both separate 1 from 3 with different heal
         # times: the message must wait for the *last* separating cut.
         sim, net, parties = make_net(delay=0.1)
-        net.add_partition({1}, heal_time=2.0)
-        net.add_partition({1, 2}, heal_time=5.0)
+        self.install(
+            net,
+            PartitionFault(at=0.0, group=(1,), heal_at=2.0),
+            PartitionFault(at=0.0, group=(1, 2), heal_at=5.0),
+        )
         net.send(1, 3, b"x")
         sim.run(until=4.0)
         assert parties[2].received == []
@@ -214,10 +240,13 @@ class TestPartition:
         # While crashed, messages to the party are dropped (not held);
         # after revive the partition applies like anyone else.
         sim, net, parties = make_net(delay=0.1)
-        net.crash(3)
-        net.add_partition({3}, heal_time=5.0)
+        self.install(
+            net,
+            CrashFault(at=0.0, party=3),
+            PartitionFault(at=0.0, group=(3,), heal_at=5.0),
+            RecoverFault(at=1.0, party=3),
+        )
         net.broadcast(1, b"lost")          # dropped: 3 is down
-        sim.schedule(1.0, lambda: net.revive(3))
         sim.schedule(2.0, lambda: net.broadcast(1, b"held"))
         sim.run()
         assert [m for _, m in parties[2].received] == [b"held"]
@@ -225,16 +254,14 @@ class TestPartition:
 
     def test_healed_partitions_are_pruned(self):
         sim, net, _ = make_net()
-        net.add_partition({1}, heal_time=1.0)
-        net.add_partition({2}, heal_time=2.0)
-        sim.schedule(3.0, lambda: None)  # advance the clock past both heals
-        sim.run()
-        net.add_partition({3}, heal_time=9.0)  # prunes the healed ones
-        assert net.active_partitions() == [(frozenset({3}), 9.0)]
-        assert net._partitions == [(frozenset({3}), 9.0)]
-        sim.schedule(7.0, lambda: net.broadcast(1, b"x"))  # after 9.0 heals
-        sim.run()
-        assert net._partitions == []  # a transmission prunes too
+        injector = self.install(
+            net,
+            PartitionFault(at=0.0, group=(1,), heal_at=1.0),
+            PartitionFault(at=0.0, group=(2,), heal_at=2.0),
+            PartitionFault(at=3.0, group=(3,), heal_at=9.0),  # prunes the healed
+        )
+        sim.run(until=3.0)
+        assert injector._partitions == [(frozenset({3}), 9.0)]
 
 
 class TestFaultInterceptor:
@@ -284,8 +311,6 @@ class TestFaultInterceptor:
         net.install_faults(self.Tap())
         with pytest.raises(ValueError, match="already installed"):
             net.install_faults(self.Tap())
-        net.clear_faults()
-        net.install_faults(self.Tap())  # free again after clearing
 
 
 class TestAccounting:

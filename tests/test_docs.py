@@ -305,6 +305,41 @@ class TestDocs:
         module.check_copied_tables(problems)
         assert problems == [f"EXPERIMENTS.md: the E3/2 table is not a copy of {module.QUICK_STDOUT}"]
 
+    def test_stale_chaos_row_is_flagged(self, tmp_path, monkeypatch):
+        """FAULTS.md's chaos block shows the CI-pinned command and lines of
+        its pinned output: a moved number, or a block showing another
+        command, fails the check."""
+        module = load_checker()
+        monkeypatch.setattr(module, "REPO", tmp_path)
+        command, pinned = module.COPIED_OUTPUTS["docs/FAULTS.md"]
+        out = tmp_path / pinned
+        out.parent.mkdir(parents=True)
+        out.write_text(
+            "\n== Chaos sweep ==\nprotocol  faults fired  verdict\n"
+            "ICC0      delay×1680    OK     \n\nall 1 runs satisfied\n",
+            encoding="utf-8",
+        )
+        (tmp_path / "docs").mkdir()
+
+        def check(shown: str, row: str) -> list[str]:
+            (tmp_path / "docs" / "FAULTS.md").write_text(
+                f"```console\n$ {shown}\n== Chaos sweep ==\n{row}\n\n"
+                "all 1 runs satisfied\n```\n",
+                encoding="utf-8",
+            )
+            problems: list[str] = []
+            module.check_copied_outputs(problems)
+            return problems
+
+        assert check(command, "ICC0      delay×1680    OK") == []
+        assert check(command, "ICC0      delay×2112    OK") == [
+            f"docs/FAULTS.md: shows 'ICC0      delay×2112    OK', which {pinned} "
+            "does not hold"
+        ]
+        assert check("python -m repro chaos --seed 0 --count 2", "ICC0      delay×1680    OK") == [
+            f"docs/FAULTS.md: no console block shows `{command}`"
+        ]
+
     @staticmethod
     def _write_quick_stdout(tmp_path, module):
         out = tmp_path / module.QUICK_STDOUT

@@ -36,6 +36,10 @@ Checks every ``*.md`` file in the repo root and ``docs/``:
   (``tests/experiments/quick_stdout.txt``): row by row and cell by cell
   they hold the same numbers, thousands separators aside, so a re-pinned
   run cannot leave them stale;
+* docs/FAULTS.md's chaos console block shows the command CI pins
+  (``python -m repro chaos --seed 0 --count 4 --duration 30 --jobs 2``)
+  and only lines of its committed output
+  (``tests/faults/chaos_stdout.txt``), trailing blanks aside;
 * every ``live.*`` event kind additionally appears in
   ``docs/TRANSPORT.md``, the live transport's reference page;
 * every tag of the wire codec's table (``src/repro/net/codec.py``, textual
@@ -450,6 +454,34 @@ def check_copied_tables(problems: list[str]) -> None:
                 )
 
 
+#: Console blocks that show a pinned command's output: page -> (the
+#: command, the file that pins what it prints).
+COPIED_OUTPUTS = {
+    "docs/FAULTS.md": (
+        "python -m repro chaos --seed 0 --count 4 --duration 30 --jobs 2",
+        "tests/faults/chaos_stdout.txt",
+    ),
+}
+
+
+def check_copied_outputs(problems: list[str]) -> None:
+    """A console block starting ``$ <command>`` exists on the page, and
+    every line it shows below that is a line the pinned file holds."""
+    for page, (command, pinned) in COPIED_OUTPUTS.items():
+        doc, out = REPO / page, REPO / pinned
+        if not doc.is_file() or not out.is_file():
+            continue
+        printed = {line.rstrip() for line in out.read_text(encoding="utf-8").splitlines()}
+        blocks = re.findall(r"```console\n(.*?)```", doc.read_text(encoding="utf-8"), re.DOTALL)
+        block = next((b for b in blocks if b.startswith(f"$ {command}\n")), None)
+        if block is None:
+            problems.append(f"{page}: no console block shows `{command}`")
+            continue
+        for line in block.splitlines()[1:]:
+            if line.rstrip() not in printed:
+                problems.append(f"{page}: shows {line.strip()!r}, which {pinned} does not hold")
+
+
 #: Observability CLI surface: these subcommands must be shown (as a
 #: ``python -m repro <name>`` invocation) in docs/OBSERVABILITY.md, the
 #: tracing/metrics reference page, not just in the README.
@@ -616,6 +648,7 @@ def run() -> list[str]:
     check_removed_names(problems)
     check_experiment_docs(problems)
     check_copied_tables(problems)
+    check_copied_outputs(problems)
     check_config_docs(problems)
     check_cluster_names(problems)
     return problems
