@@ -16,6 +16,7 @@ import pytest
 from repro.core.messages import NotarizationShare
 from repro.crypto import schnorr, threshold
 from repro.crypto.api import verifiers_for
+from repro.crypto.backend import CryptoBackend
 from repro.crypto.group import test_group as make_test_group
 from repro.crypto.keyring import generate_keyrings
 from repro.erasure.merkle import MerkleTree
@@ -128,6 +129,24 @@ class TestKeyringMicro:
             return (message, rings[1].sign_beacon_share(message)), {}
 
         assert benchmark.pedantic(rings[0].verify_beacon_share, setup=unseen, rounds=30)
+
+    @pytest.fixture(scope="class")
+    def operands(self, rings):
+        group = rings[0]._shared.group
+        rng = Random(1)
+        base, other = (group.power_g(rng.randrange(1, group.q)) for _ in range(2))
+        return group.p, base, other, rng.randrange(group.q), rng.randrange(group.q)
+
+    def test_powers(self, benchmark, operands):
+        # A beacon share's sigma_i and commitment: two 256-bit powers of
+        # H2(m) from one squaring chain (two ``pow`` calls before).
+        p, base, _, e1, e2 = operands
+        benchmark(CryptoBackend().powers, base, (e1, e2), p)
+
+    def test_simultaneous_power(self, benchmark, operands):
+        # A DLEQ check's g2**s · B**(-c): the backend's two-base Straus walk.
+        p, base, other, e1, e2 = operands
+        benchmark(CryptoBackend().simultaneous_power, base, e1, other, e2, p)
 
     def test_client_auth_batch(self, benchmark):
         # ``live_n4_load``'s shape: one broker tick of 30 requests over 8

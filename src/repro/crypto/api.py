@@ -140,7 +140,7 @@ class DleqVerifier(_Verifier):
             ctx.power_g(s) if g1 == group.g else group.power(g1, s), ctx.power_base(a, -c)
         )
         # B is a checked subgroup member, so the negated exponent reduces mod q.
-        t2 = fastpath.simultaneous_power(group.p, g2, s, b, (-c) % group.q)
+        t2 = ctx.backend.simultaneous_power(g2, s, b, (-c) % group.q, group.p)
         return dleq._challenge(group, g1, a, g2, b, t1, t2) == c
 
 
@@ -259,10 +259,10 @@ class ThresholdShareSigner:
     def sign(self, message: bytes, rng) -> threshold.SignatureShare:
         group, ctx = self.group, self.ctx
         h2 = ctx.message_point(message)
-        value = group.power(h2, self._secret)
         nonce = group.scalar_field.random_nonzero(rng)
+        # σ_i and the commitment t2 are two powers of H2(m): one squaring chain.
+        value, t2 = ctx.backend.powers(h2, (self._secret, nonce), group.p)
         t1 = ctx.power_g(nonce)
-        t2 = group.power(h2, nonce)
         c = dleq._challenge(group, group.g, self.public, h2, value, t1, t2)
         s = (nonce + c * self._secret) % group.q
         proof = dleq.DleqProof(challenge=c, response=s)

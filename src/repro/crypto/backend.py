@@ -2,16 +2,17 @@
 
 Profiling (``sim_n7_real`` of ``bench/run.py``, docs/PERFORMANCE.md) shows
 that at realistic group sizes nearly all crypto wall-clock time is modular
-exponentiation.  Every exponentiation in this package goes through one
-:class:`CryptoBackend`: Python's ``pow`` for one-shot powers, and a
+exponentiation.  Every group exponentiation in this package goes through
+one :class:`CryptoBackend`: Python's ``pow`` for one-shot powers, a
 fixed-window (comb) :class:`FixedBaseTable` for a base the caller
 *declares* long-lived (the generator ``g`` and public keys, through
-:class:`repro.crypto.fastpath.FastPath`).  The backend keeps no per-base
-state and never guesses which bases will come back: a 512-bit table needs
-≥ 16 further uses to repay its build and an ephemeral base (a beacon share
-value, a commitment) gets a handful (docs/PERFORMANCE.md).  The two-base
-product of a DLEQ check is the one exponentiation outside it:
-:func:`repro.crypto.fastpath.simultaneous_power` is plain ``*``/``%``.
+:class:`repro.crypto.fastpath.FastPath`), one shared squaring chain for
+several powers of one base (a beacon share's σ_i and its DLEQ commitment),
+and a Straus walk for the two-base product of a DLEQ check.  The backend
+keeps no per-base state and never guesses which bases will come back: a
+512-bit table needs ≥ 16 further uses to repay its build and an ephemeral
+base (a beacon share value, a commitment) gets a handful
+(docs/PERFORMANCE.md).
 
 :func:`use_backend` scopes another instance to a ``with`` block.  That is
 the seam through which tests substitute a subclass — one that counts
@@ -25,13 +26,17 @@ The backend surface is deliberately small:
 * ``powmod(base, exp, mod)``  — one-shot exponentiation (``exp`` ≥ 0);
 * ``invmod(a, mod)``          — modular inverse;
 * ``fixed_power(base, mod, max_bits, window)`` — a callable ``exp -> int``
-  for a base the caller promises to reuse (the fast path's table slot).
+  for a base the caller promises to reuse (the fast path's table slot);
+* ``powers(base, exps, mod)`` — ``[base**e mod mod for e in exps]`` from
+  one squaring chain (every ``e`` ≥ 0);
+* ``simultaneous_power(b1, e1, b2, e2, mod)`` — b1**e1 · b2**e2 mod mod
+  (``e1``, ``e2`` ≥ 0).
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Callable
+from typing import Callable, Sequence
 
 #: Fixed-base window width (bits per comb table row) for public keys.
 DEFAULT_WINDOW = 5
@@ -39,6 +44,12 @@ DEFAULT_WINDOW = 5
 #: A 256-bit exponent is 32 table multiplications instead of 52, for a
 #: table of 32·256 elements (≈ 0.85 MB at 512 bits), so only ``g`` gets it.
 BYTE_WINDOW = 8
+
+#: A byte's two 4-bit digits, low first: :meth:`CryptoBackend.powers` reads
+#: an exponent's digits as the bytes of ``to_bytes`` mapped through this.
+_NIBBLES = tuple(bytes((v & 15, v >> 4)) for v in range(256))
+#: A byte's four 2-bit digits, high first: the Straus walk's windows.
+_WINDOWS = tuple(bytes((v >> 6, v >> 4 & 3, v >> 2 & 3, v & 3)) for v in range(256))
 
 
 class FixedBaseTable:
@@ -95,7 +106,8 @@ class FixedBaseTable:
 
 
 class CryptoBackend:
-    """``pow`` for one-shot powers, comb tables for declared long-lived bases."""
+    """``pow`` for one-shot powers, comb tables for declared long-lived
+    bases, shared squaring chains for several powers at once."""
 
     #: Stamped into benchmark reports; a substitute names itself.
     name = "window"
@@ -113,6 +125,80 @@ class CryptoBackend:
         """A fresh ``exp -> base**exp mod modulus`` for a long-lived base:
         the caller has promised to reuse it, so it gets a table at once."""
         return FixedBaseTable(modulus, base, max_bits, window).power
+
+    @staticmethod
+    def powers(base: int, exponents: Sequence[int], modulus: int) -> list[int]:
+        """``[base**e % modulus for e in exponents]`` from one squaring chain.
+
+        Yao's method over 4-bit digits: walking base^(16^k) up from k = 0,
+        bucket d of each exponent collects the chain elements at which its
+        k-th digit is d, and the power is Π_d bucket_d^d, a running product
+        from d = 15 down.  Two 256-bit exponents cost ≈ 252 squarings and
+        ≈ 150 multiplications, where two ``pow`` calls pay ≈ 2 × 300.
+        Plain ``*``/``%``, so it is no ``powmod``.
+        """
+        p = modulus
+        bits = max(exponents, default=0).bit_length()
+        nibbles = _NIBBLES.__getitem__
+        digits = [b"".join(map(nibbles, e.to_bytes((bits + 7) >> 3, "little"))) for e in exponents]
+        buckets = [[0] * 16 for _ in digits]
+        x = base % p
+        for k in range((bits + 3) >> 2):
+            if k:
+                x = x * x % p
+                x = x * x % p
+                x = x * x % p
+                x = x * x % p
+            for ds, bucket in zip(digits, buckets):
+                d = ds[k]
+                if d:
+                    b = bucket[d]
+                    bucket[d] = b * x % p if b else x
+        results = []
+        for bucket in buckets:
+            acc = run = 1
+            for b in bucket[:0:-1]:
+                if b:
+                    run = run * b % p
+                acc = acc * run % p
+            results.append(acc)
+        return results
+
+    @staticmethod
+    def simultaneous_power(b1: int, e1: int, b2: int, e2: int, modulus: int) -> int:
+        """b1**e1 · b2**e2 % modulus by Straus's method over joint 2-bit windows.
+
+        The two-base product g2**s · B**(-c) of a DLEQ check, where neither
+        base has a table.  One shared squaring chain, and per 2-bit window of
+        both exponents at most one multiplication by an entry of the table
+        b1^i · b2^j (0 <= i, j < 4): at 256 bits, 256 squarings and ≈ 120
+        multiplications where two separate powers take ≈ 512 and ≈ 256.
+        The joint digits i + 4j are the bytes of one string, built from the
+        exponents' ``to_bytes`` without a shift or mask per window.  Plain
+        ``*``/``%``, so it is no ``powmod``.
+        """
+        p = modulus
+        b1_2 = b1 * b1 % p
+        b2_2 = b2 * b2 % p
+        table = [
+            x * y % p
+            for y in (1, b2, b2_2, b2_2 * b2 % p)
+            for x in (1, b1, b1_2, b1_2 * b1 % p)
+        ]
+        width = (max(e1.bit_length(), e2.bit_length()) + 7) >> 3
+        windows = _WINDOWS.__getitem__
+        w1, w2 = (
+            int.from_bytes(b"".join(map(windows, e.to_bytes(width, "big"))), "big")
+            for e in (e1, e2)
+        )
+        digits = (w1 | w2 << 2).to_bytes(4 * width, "big").lstrip(b"\0")
+        acc = table[digits[0]] if digits else 1
+        for d in digits[1:]:
+            acc = acc * acc % p
+            acc = acc * acc % p
+            if d:
+                acc = acc * table[d] % p
+        return acc
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         return f"<{type(self).__name__} {self.name!r}>"

@@ -9,13 +9,15 @@ discrete-log backend.  This module is the amortization layer:
   exponentiation into ~⌈|q|/w⌉ table-lookup multiplications — byte-wide
   windows for ``g`` (32 at |q| = 256), 5-bit ones for public keys (52),
   whose tables are a quarter the size.
-* **Straus's method** (:func:`simultaneous_power`) for the one two-base
-  product of a DLEQ check whose bases have no table: joint 2-bit windows
-  over a 16-entry table.
 * **Memoized hash-to-group** for the per-message H2 points that threshold
   share verification re-derives constantly, and a bounded
   subgroup-membership cache so long-lived elements (public keys) pay the
   p^q membership exponentiation once.
+
+Bases with no table are the backend's to exponentiate
+(:mod:`repro.crypto.backend`): a beacon share's σ_i and its commitment
+from one squaring chain (``powers``), a DLEQ check's two-base product by
+Straus's walk (``simultaneous_power``).
 
 Signatures and proofs travel in challenge form (c, s), so a verifier
 recomputes the nonce commitments from bases it already trusts and compares
@@ -43,40 +45,6 @@ from dataclasses import dataclass
 from .backend import BYTE_WINDOW, DEFAULT_WINDOW, CryptoBackend, active_backend
 from .group import Group
 from .unique import message_point
-
-
-# ---------------------------------------------------------------------------
-# Exponentiation primitives
-# ---------------------------------------------------------------------------
-
-
-def simultaneous_power(p: int, b1: int, e1: int, b2: int, e2: int) -> int:
-    """b1^e1 · b2^e2 mod p via Straus's method over joint 2-bit windows.
-
-    The two-base product g2**s · B**(-c) of a DLEQ check, where neither
-    base has a table.  One shared squaring chain, and per 2-bit window of
-    both exponents at most one multiplication by an entry of the table
-    b1^i · b2^j (0 <= i, j < 4): at 256 bits, 256 squarings and ≈ 120
-    multiplications where two separate powers take ≈ 512 and ≈ 256.
-    Plain ``*``/``%``, so it is no ``powmod`` of the backend.
-    """
-    b1_2 = b1 * b1 % p
-    b2_2 = b2 * b2 % p
-    table = [
-        x * y % p
-        for y in (1, b2, b2_2, b2_2 * b2 % p)
-        for x in (1, b1, b1_2, b1_2 * b1 % p)
-    ]
-    acc = 1
-    shift = (max(e1.bit_length(), e2.bit_length()) + 1) & ~1
-    while shift:
-        shift -= 2
-        acc = acc * acc % p
-        acc = acc * acc % p
-        d = ((e1 >> shift) & 3) | ((e2 >> shift) & 3) << 2
-        if d:
-            acc = acc * table[d] % p
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -176,10 +144,10 @@ class FastPath:
     def power_base(self, base: int, exponent: int) -> int:
         """base**exponent via a cached per-base fixed-power callable.
 
-        Intended for long-lived bases (public keys, per-message H2 points);
-        the first call builds the backend's ``fixed_power`` (a comb table),
-        later calls amortize it.  The caller must guarantee ``base`` is a
-        subgroup member (exponent is reduced mod q).
+        Intended for long-lived bases (public keys); the first call builds
+        the backend's ``fixed_power`` (a comb table), later calls amortize
+        it.  The caller must guarantee ``base`` is a subgroup member
+        (exponent is reduced mod q).
         """
         power = self._tables.get(base)
         if power is None:

@@ -222,7 +222,9 @@ class FaultInjector:
     # -- installation ---------------------------------------------------------
 
     def install(self) -> "FaultInjector":
-        """Schedule timed faults and hook per-delivery interception."""
+        """Fire the timed faults already due (``at <= sim.now``, in scenario
+        order: one at t = 0 installed before ``start()`` precedes the
+        start-time sends), schedule the rest, hook per-delivery interception."""
         if self._installed:
             raise ValueError("scenario already installed")
         self._installed = True
@@ -234,7 +236,10 @@ class FaultInjector:
         })
         for event in self.scenario.events:
             if isinstance(event, (CrashFault, RecoverFault, PartitionFault)):
-                sim.schedule_at(event.at, lambda e=event: self._fire(e))
+                if event.at <= sim.now:
+                    self._fire(event)
+                else:
+                    sim.schedule_at(event.at, lambda e=event: self._fire(e))
         if self.scenario.needs_interceptor():
             self.network.install_faults(self)
             if sim.tracer.enabled:
@@ -371,8 +376,7 @@ def install_scenario(cluster, scenario: Scenario) -> FaultInjector:
     """Validate ``scenario`` against ``cluster`` and install it.
 
     Call between ``build_cluster`` and ``cluster.start()``.  A timed fault
-    at t = 0 fires when the simulation first runs, after the parties'
-    start-time sends; ``cluster.sim.run(until=0.0)`` before ``start()``
-    puts it ahead of them.
+    at t = 0 fires inside this call, so it precedes the parties' start-time
+    sends (see :meth:`FaultInjector.install`).
     """
     return FaultInjector(scenario, cluster.network).install()

@@ -51,7 +51,6 @@ class TestPartitionRecovery:
         install_scenario(cluster, Scenario(name="cut", events=(
             PartitionFault(at=0.0, group=(4,), heal_at=6.0),
         )))
-        cluster.sim.run(until=0.0)  # the cut is live for the start-time sends
         cluster.start()
         cluster.run_for(25.0)
         cluster.check_safety()

@@ -190,7 +190,6 @@ class TestPartialSynchrony:
         install_scenario(cluster, Scenario(name="cut", events=(
             PartitionFault(at=0.0, group=(4,), heal_at=10.0),
         )))
-        cluster.sim.run(until=0.0)  # the cut is live for the start-time sends
         cluster.start()
         cluster.run_for(9.0)
         assert cluster.party(4).k_max == 0  # cut off

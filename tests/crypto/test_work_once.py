@@ -25,7 +25,7 @@ from repro.core import ClusterConfig, build_cluster
 from repro.core import messages as msg
 from repro.core.messages import Finalization, Notarization
 from repro.core.pool import MessagePool
-from repro.crypto import api, fastpath, field
+from repro.crypto import api, fastpath, field, threshold
 from repro.crypto.backend import DEFAULT_WINDOW, CryptoBackend, use_backend
 from repro.crypto.keyring import generate_keyrings
 from repro.crypto.multisig import Multisignature
@@ -44,6 +44,8 @@ class CountingBackend(CryptoBackend):
     def __init__(self) -> None:
         self.powmods = 0
         self.fixed_calls = 0
+        self.powers_calls = 0
+        self.walks = 0
         self.powmod_widths: list[int] = []
 
     def powmod(self, base, exponent, modulus):
@@ -60,9 +62,17 @@ class CountingBackend(CryptoBackend):
 
         return counted
 
+    def powers(self, base, exponents, modulus):
+        self.powers_calls += 1
+        return super().powers(base, exponents, modulus)
+
+    def simultaneous_power(self, b1, e1, b2, e2, modulus):
+        self.walks += 1
+        return super().simultaneous_power(b1, e1, b2, e2, modulus)
+
     @property
     def exponentiations(self) -> int:
-        return self.powmods + self.fixed_calls
+        return self.powmods + self.fixed_calls + self.powers_calls + self.walks
 
 
 @pytest.fixture
@@ -249,16 +259,64 @@ class TestChallengeFormExponentiatesNothingUntrusted:
     ):
         share = warm[1].sign_beacon_share(b"m")
         before = counting.powmods
-        tables = counting.fixed_calls
+        tables, walks = counting.fixed_calls, counting.walks
         assert warm[0].verify_beacon_share(b"m", share)
         assert counting.powmods == before + 1
         # The one powmod is sigma_i**q; g**s and A**(-c) come from the comb
-        # tables, and g2**s · sigma_i**(-c) is the Straus walk: no backend call.
+        # tables, and g2**s · sigma_i**(-c) is one Straus walk of the backend.
         assert counting.powmod_widths[-1] == warm[0]._shared.group.q.bit_length()
         assert counting.fixed_calls == tables + 2
+        assert counting.walks == walks + 1
         # A second party of the cluster finds sigma_i in the shared cache.
         assert warm[2].verify_beacon_share(b"m", share)
         assert counting.powmods == before + 1
+
+
+class TestBeaconSignCost:
+    def test_sign_is_one_shared_chain_and_the_module_signers_share(self, warm, counting):
+        """sigma_i = H2(m)**sk_i and the commitment H2(m)**k come from one
+        ``powers`` call, g**k from g's table: no ``powmod``.  The share is
+        ``threshold.sign_share``'s under the same RNG, bit for bit."""
+        ring = warm[1]
+        ring._suite.ctx.message_point(b"m")  # H2(m): once per cluster per message
+        state = ring._rng.getstate()
+        before = (counting.powmods, counting.powers_calls, counting.fixed_calls, counting.walks)
+        share = ring.sign_beacon_share(b"m")
+        after = (counting.powmods, counting.powers_calls, counting.fixed_calls, counting.walks)
+        assert after == (before[0], before[1] + 1, before[2] + 1, before[3])
+        ring._rng.setstate(state)
+        reference = threshold.sign_share(ring._shared.beacon_pk, ring._beacon_key, b"m", ring._rng)
+        assert (share.index, share.value, share.proof) == (
+            reference.index, reference.value, reference.proof
+        )
+        assert ring.verify_beacon_share(b"m", share) and warm[0].verify_beacon_share(b"m", share)
+
+    def test_sim_n7_real_epoch_counts_per_height(self, counting):
+        """The counts docs/PERFORMANCE.md quotes: ``sim_n7_real``'s cluster
+        (n = 7, t = 2, 512-bit group, ε = 0.05, 50 ms links, seed 1) from
+        height 3 to 30.  Per height, each party signs one beacon share (one
+        ``powers``) and checks t = 2 foreign ones (one walk each); what is
+        left of the full-width powmods is sigma_i's membership, H2(m)'s
+        cofactor power and the beacon combine's power by D⁻¹ (20.4 per
+        height when the signer paid two powmods)."""
+        cluster = build_cluster(
+            ClusterConfig(
+                n=7, t=2, delta_bound=1.0, epsilon=0.05, delay_model=FixedDelay(0.05),
+                seed=1, crypto_backend="real", group_profile="default",
+            )
+        )
+        cluster.start()
+        assert cluster.run_until_all_committed_round(3, timeout=300)
+        height0, widths0 = cluster.min_committed_round(), len(counting.powmod_widths)
+        before = (counting.powers_calls, counting.walks, counting.fixed_calls)
+        assert cluster.run_until_all_committed_round(30, timeout=300)
+        heights = cluster.min_committed_round() - height0
+        full_width = sum(w > 64 for w in counting.powmod_widths[widths0:])
+        assert heights == 27
+        assert full_width / heights <= 7
+        assert (counting.powers_calls - before[0]) / heights == 7.0
+        assert (counting.walks - before[1]) / heights == 14.0
+        assert (counting.fixed_calls - before[2]) / heights == 174.0
 
 
 class TestBeaconCombineCost:

@@ -6,6 +6,8 @@ import dataclasses
 
 import pytest
 
+from repro.core import ClusterConfig, build_cluster
+from repro.core.messages import BeaconShare
 from repro.faults import (
     BEHAVIORS,
     ByzantineFault,
@@ -18,6 +20,7 @@ from repro.faults import (
     Scenario,
     ScenarioError,
     corrupt_message,
+    install_scenario,
     register_behavior,
     scenario_corrupt,
 )
@@ -385,3 +388,52 @@ class TestDeterminism:
             return sim.rng.random()
 
         assert sim_rng_state(False) == sim_rng_state(True)
+
+
+class TestDueAtInstall:
+    """A timed fault already due when the scenario is installed fires inside
+    ``install``: one at t = 0 installed before ``cluster.start()`` precedes
+    the parties' start-time sends (round 1's beacon shares)."""
+
+    @staticmethod
+    def cluster():
+        return build_cluster(ClusterConfig(
+            n=4, t=1, delta_bound=0.5, epsilon=0.02, seed=6,
+            delay_model=FixedDelay(0.05), max_rounds=4,
+        ))
+
+    def test_crash_at_zero_silences_the_start_time_sends(self):
+        cluster = self.cluster()
+        install_scenario(cluster, Scenario(name="t0", events=(CrashFault(at=0.0, party=4),)))
+        assert cluster.network.is_crashed(4)
+        cluster.start()
+        cluster.run_for(1.0)
+        assert cluster.metrics.msgs_sent[4] == 0
+        assert cluster.party(1).k_max > 0
+
+    def test_partition_at_zero_holds_the_start_time_sends(self):
+        cluster = self.cluster()
+        cut_off = cluster.party(4)
+        arrivals = []
+
+        def on_receive(message, receive=cut_off.on_receive):
+            if isinstance(message, BeaconShare) and message.signer != 4:
+                arrivals.append(cluster.sim.now)
+            receive(message)
+
+        cut_off.on_receive = on_receive
+        install_scenario(cluster, Scenario(name="t0", events=(
+            PartitionFault(at=0.0, group=(4,), heal_at=2.0),
+        )))
+        cluster.start()
+        cluster.run_for(3.0)
+        assert arrivals and min(arrivals) >= 2.0
+
+    def test_due_faults_fire_in_scenario_order(self):
+        sim, net, _ = make_net()
+        sim.run(until=1.0)
+        install(net, CrashFault(at=0.5, party=3), RecoverFault(at=1.0, party=3),
+                CrashFault(at=2.0, party=3))
+        assert not net.is_crashed(3)
+        sim.run(until=2.0)
+        assert net.is_crashed(3)

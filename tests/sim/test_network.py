@@ -180,11 +180,8 @@ class TestPartition:
 
     @staticmethod
     def install(net, *events):
-        """Install ``events`` and fire those due at t = 0, as a cluster's
-        start-time sends see them."""
-        injector = FaultInjector(Scenario(name="cut", events=events), net).install()
-        net.sim.run(until=0.0)
-        return injector
+        """Install ``events``; those due at t = 0 fire inside ``install``."""
+        return FaultInjector(Scenario(name="cut", events=events), net).install()
 
     def test_messages_held_until_heal(self):
         sim, net, parties = make_net(delay=0.1)
