@@ -16,7 +16,7 @@ from __future__ import annotations
 from repro.adversary import EquivocatingProposerMixin, corrupt_class
 from repro.core import ClusterConfig, build_cluster
 from repro.core.icc1 import ICC1Party
-from repro.gossip import GossipParams, build_overlay
+from repro.gossip import build_overlay
 from repro.sim import WanDelay
 from repro.smr import attach_replicas, check_replica_agreement
 from repro.workloads import BatchSpec, ClientPopulation, PopulationSpec, RequestBatcher
@@ -47,10 +47,7 @@ def main() -> None:
         payload_verifier=batcher.verify_block,
         party_class=ICC1Party,
         corrupt={1: None, 2: equivocator},  # one crash + one equivocator
-        extra_party_kwargs=dict(
-            overlay=build_overlay(N, 4, seed=7),
-            gossip_params=GossipParams(request_timeout=0.5),
-        ),
+        extra_party_kwargs=dict(overlay=build_overlay(N, 4, seed=7)),
     )
     cluster = build_cluster(config)
     batcher.bind(cluster)

@@ -8,8 +8,11 @@ communication substrate:
 * every "broadcast" becomes a gossip *publish* — small artifacts are pushed
   along the overlay, blocks are advertised by hash and pulled at most once
   per peer;
+* nothing echoes: a party never passes an artifact or its advert to a
+  neighbour it knows holds it (the one it came from, or one that advertised
+  it), so at degree d it sends each artifact to at most d − 1 neighbours;
 * block *echo* in clause (c) is cheap: a party that already holds the block
-  only re-adverts it, so no duplicate block bodies cross any link — this is
+  sends nothing more, so no duplicate block bodies cross any link — this is
   how ICC1 "coordinates well with the peer-to-peer gossip sub-layer"
   (Section 1).
 
@@ -20,7 +23,7 @@ that all leader-based protocols must address.
 
 from __future__ import annotations
 
-from ..gossip.protocol import GossipNode, GossipParams
+from ..gossip.protocol import GossipNode
 from .icc0 import ICC0Party
 from .messages import Authenticator, Block, Notarization
 
@@ -30,21 +33,10 @@ class ICC1Party(ICC0Party):
 
     protocol_name = "ICC1"
 
-    def __init__(
-        self,
-        *,
-        overlay: dict[int, list[int]],
-        gossip_params: GossipParams | None = None,
-        **kwargs,
-    ) -> None:
+    def __init__(self, *, overlay: dict[int, list[int]], **kwargs) -> None:
         super().__init__(**kwargs)
-        params = gossip_params if gossip_params is not None else GossipParams()
         self.gossip = GossipNode(
-            index=self.index,
-            network=self.network,
-            neighbors=overlay[self.index],
-            params=params,
-            deliver=self._on_gossip_artifact,
+            self.index, self.network, overlay[self.index], self._on_gossip_artifact
         )
 
     # -- substrate overrides -------------------------------------------------

@@ -131,13 +131,14 @@ def _ranked(rs: list[DisseminationResult], size: int) -> float:
 
 
 #: n = 13, 8 rounds per block size.  ICC0's proposer sends the body to all
-#: n − 1 = 12 others; ICC1's degree-4 overlay caps it far below; ICC2 has
+#: n − 1 = 12 others; ICC1's degree-4 overlay caps it at d·S = 4 S (no
+#: party sends a body back to a neighbour that has it); ICC2 has
 #: every party send ≈ n/(t+1) = 2.6 S whatever S is.  At 10 KB ICC2 reads
 #: 4.1 S: share traffic is not yet negligible there (the paper's S =
 #: Ω(n·λ·log n) proviso), so ICC2's rows start at 100 KB.
 CLAIMS = [
     Claim("E7.ICC0.max", "§1.1 [35]", lambda rs: farthest(_maxima(rs, "ICC0"), 12), 12, rel=0.1),
-    Claim("E7.ICC1.max", "§1.1 [35]", lambda rs: max(_maxima(rs, "ICC1")), 5, "<"),
+    Claim("E7.ICC1.max", "§1.1 [35]", lambda rs: max(_maxima(rs, "ICC1")), 4, "<"),
     *(
         Claim(f"E7.S{kb}KB.ranking", "§1.1 [35]", lambda rs, kb=kb: _ranked(rs, kb * 1000), 1, ">")
         for kb in (10, 100, 1000)

@@ -127,7 +127,7 @@ def check_invariants(
     if liveness_checked:
         for party in honest:
             if party.network.is_crashed(party.index):
-                continue  # crashed at end of run: excluded by design
+                continue  # crashed at end of run: not checked, by design
             checked.append(party.index)
             after = [
                 record.time - origin

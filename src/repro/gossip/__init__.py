@@ -7,7 +7,6 @@ from .protocol import (
     ArtifactRequest,
     GOSSIP_MESSAGE_TYPES,
     GossipNode,
-    GossipParams,
     Push,
     artifact_id,
 )
@@ -20,7 +19,6 @@ __all__ = [
     "ArtifactRequest",
     "GOSSIP_MESSAGE_TYPES",
     "GossipNode",
-    "GossipParams",
     "Push",
     "artifact_id",
 ]

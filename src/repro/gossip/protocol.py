@@ -12,6 +12,14 @@ disseminating large blocks").  It follows the Internet Computer's design:
   body from one advertiser, re-requesting from another advertiser on
   timeout (so a corrupt advertiser cannot suppress delivery).
 
+**No echoes.**  Every wire message names its ``sender``, and a node never
+sends an artifact or its advert to a neighbour it knows holds it: the one
+that pushed or delivered it, and every neighbour that advertised it first.
+So at degree d a party passes each artifact it receives to at most d − 1
+neighbours, not d.  A message whose ``sender`` is not a neighbour is
+dropped and counted (``gossip-foreign-sender``), so a peer cannot aim a
+reply at a stranger.
+
 The overlay graph comes from :mod:`repro.gossip.overlay`.  The gossip layer
 reduces the *leader's* egress for a block of size S from (n-1)·S to d·S;
 total network traffic stays O(n·S) but the bottleneck [35] moves away from
@@ -61,7 +69,7 @@ def artifact_id(artifact: object) -> bytes:
     raise TypeError(f"no gossip identity for {type(artifact).__name__}")
 
 
-# -- gossip wire messages -----------------------------------------------------
+# -- gossip wire messages: each names the party that sent it ----------------
 
 
 @dataclass(frozen=True)
@@ -83,7 +91,7 @@ class ArtifactRequest:
     """'Please send me artifact <id>' — sent to one advertiser."""
 
     artifact_id: bytes
-    requester: int
+    sender: int
 
     kind = "gossip-request"
 
@@ -93,10 +101,12 @@ class ArtifactRequest:
 
 @dataclass(frozen=True)
 class ArtifactDelivery:
-    """The artifact body, in response to a request."""
+    """The artifact body, in response to a request.  ``wire_size`` leaves
+    out the sender, which a real link knows from its connection."""
 
     artifact_id: bytes
     artifact: object = field(compare=False)
+    sender: int
 
     @property
     def kind(self) -> str:
@@ -108,44 +118,27 @@ class ArtifactDelivery:
 
 
 @dataclass(frozen=True)
-class Push:
+class Push(ArtifactDelivery):
     """A small artifact flooded directly (no advert round-trip)."""
-
-    artifact_id: bytes
-    artifact: object = field(compare=False)
 
     @property
     def kind(self) -> str:
         inner = getattr(self.artifact, "kind", type(self.artifact).__name__)
         return f"gossip-push:{inner}"
 
-    def wire_size(self) -> int:
-        return DIGEST_SIZE + artifact_wire_size(self.artifact)
-
 
 GOSSIP_MESSAGE_TYPES = (Advert, ArtifactRequest, ArtifactDelivery, Push)
 
-
-@dataclass(frozen=True)
-class GossipParams:
-    """Tuning knobs for the gossip sub-layer (the overlay decides the
-    neighbours)."""
-
-    push_threshold: int = 1024  # artifacts <= this many bytes are pushed
-    request_timeout: float = 1.0  # retry a request after this long
-    max_request_cycles: int = 25  # give up after this many full retry sweeps
-                                  # (re-armed by any fresh advert)
+PUSH_THRESHOLD = 1024  # artifacts of at most this many bytes are pushed
+REQUEST_TIMEOUT = 1.0  # ask the next advertiser after this long
+MAX_REQUEST_CYCLES = 25  # give up after this many sweeps (a fresh advert re-arms)
 
 
 class GossipNode:
     """One party's endpoint of the gossip sub-layer."""
 
     def __init__(
-        self,
-        index: int,
-        network: Network,
-        neighbors: list[int],
-        params: GossipParams,
+        self, index: int, network: Network, neighbors: list[int],
         deliver: Callable[[object], None],
     ) -> None:
         self.index = index
@@ -153,7 +146,7 @@ class GossipNode:
         self.sim = network.sim
         self.tracer = network.sim.tracer
         self.neighbors = list(neighbors)
-        self.params = params
+        self._neighbor_set = frozenset(neighbors)
         self.deliver = deliver
         self._have: dict[bytes, object] = {}
         self._advertisers: dict[bytes, list[int]] = {}
@@ -167,7 +160,7 @@ class GossipNode:
         aid = artifact_id(artifact)
         if aid in self._have:
             return
-        self._have[aid] = artifact
+        holders = self._hold(aid, artifact)
         if self.tracer.enabled:
             size = artifact_wire_size(artifact)
             self.tracer.emit(
@@ -177,58 +170,69 @@ class GossipNode:
                     "id": short_id(aid),
                     "kind": getattr(artifact, "kind", type(artifact).__name__),
                     "bytes": size,
-                    "push": size <= self.params.push_threshold,
+                    "push": size <= PUSH_THRESHOLD,
                 },
             )
-        self._propagate(aid, artifact, exclude=None)
+        self._propagate(aid, artifact, holders)
 
-    def _propagate(self, aid: bytes, artifact: object, exclude: int | None) -> None:
-        targets = [p for p in self.neighbors if p != exclude]
+    def _hold(self, aid: bytes, artifact: object) -> list[int]:
+        """Keep a newly obtained artifact, drop its pending-request state,
+        and return the neighbours that advertised it (they hold it)."""
+        self._have[aid] = artifact
+        self._requested.pop(aid, None)
+        self._retry_cycles.pop(aid, None)
+        return self._advertisers.pop(aid, [])
+
+    def _propagate(self, aid: bytes, artifact: object, holders: list[int]) -> None:
+        """Pass an artifact on to every neighbour not in ``holders``."""
+        targets = [p for p in self.neighbors if p not in holders]
         if not targets:
             return
         size = artifact_wire_size(artifact)
-        if size <= self.params.push_threshold:
-            message = Push(artifact_id=aid, artifact=artifact)
+        if size <= PUSH_THRESHOLD:
+            message = Push(aid, artifact, self.index)
         else:
-            message = Advert(artifact_id=aid, size=size, sender=self.index)
+            message = Advert(aid, size, self.index)
         self.network.multicast(self.index, targets, message)
 
     # -- network ingress ----------------------------------------------------------
 
     def on_network(self, message: object) -> bool:
-        """Handle a gossip wire message; returns False if not one."""
-        if isinstance(message, Push):
-            self._on_push(message)
-        elif isinstance(message, Advert):
-            self._on_advert(message)
-        elif isinstance(message, ArtifactRequest):
-            self._on_request(message)
-        elif isinstance(message, ArtifactDelivery):
-            self._on_delivery(message)
-        else:
+        """Handle a gossip wire message; returns False if not one.  One
+        whose sender is not a neighbour is dropped and counted."""
+        handler = _HANDLERS.get(type(message))
+        if handler is None:
             return False
+        if message.sender in self._neighbor_set:
+            handler(self, message)
+        else:
+            self.network.metrics.count("gossip-foreign-sender")
         return True
 
-    def _on_push(self, message: Push) -> None:
-        if message.artifact_id in self._have:
+    def _on_carrier(self, message: ArtifactDelivery) -> None:
+        """A pushed or delivered body: the first copy is delivered and
+        passed on to every neighbour but the sender and the advertisers."""
+        aid, artifact = message.artifact_id, message.artifact
+        if aid in self._have:
             return
-        self._have[message.artifact_id] = message.artifact
+        pushed = type(message) is Push
+        if not pushed and artifact_id(artifact) != aid:
+            return  # a requested body that is not what it claims; retries continue
+        holders = self._hold(aid, artifact)
+        holders.append(message.sender)
         if self.tracer.enabled:
-            self._trace_deliver(message.artifact_id, message.artifact, via="push")
-        self.deliver(message.artifact)
-        self._propagate(message.artifact_id, message.artifact, exclude=None)
-
-    def _trace_deliver(self, aid: bytes, artifact: object, via: str) -> None:
-        self.tracer.emit(
-            time=self.sim.now, party=self.index, protocol="gossip",
-            round=getattr(artifact, "round", None), kind="gossip.deliver",
-            payload={
-                "id": short_id(aid),
-                "kind": getattr(artifact, "kind", type(artifact).__name__),
-                "bytes": artifact_wire_size(artifact),
-                "via": via,
-            },
-        )
+            self.tracer.emit(
+                time=self.sim.now, party=self.index, protocol="gossip",
+                round=getattr(artifact, "round", None), kind="gossip.deliver",
+                payload={
+                    "id": short_id(aid),
+                    "kind": getattr(artifact, "kind", type(artifact).__name__),
+                    "bytes": artifact_wire_size(artifact),
+                    "via": "push" if pushed else "request",
+                },
+            )
+        self.deliver(artifact)
+        self._propagate(aid, artifact, holders)
 
     def _on_advert(self, advert: Advert) -> None:
         aid = advert.artifact_id
@@ -250,7 +254,7 @@ class GossipNode:
             # eventually-responsive peer is retried (eventual delivery).
             cycles = self._retry_cycles.get(aid, 0) + 1
             self._retry_cycles[aid] = cycles
-            if cycles > self.params.max_request_cycles:
+            if cycles > MAX_REQUEST_CYCLES:
                 # Stop burning events; a fresh advert re-arms the request.
                 self._requested.pop(aid, None)
                 if self.tracer.enabled:
@@ -273,30 +277,22 @@ class GossipNode:
                 payload={"id": short_id(aid), "target": target,
                          "cycle": self._retry_cycles.get(aid, 0)},
             )
-        self.network.send(
-            self.index, target, ArtifactRequest(artifact_id=aid, requester=self.index)
-        )
-        self.sim.schedule(self.params.request_timeout, lambda: self._request_from_next(aid))
+        self.network.send(self.index, target, ArtifactRequest(aid, self.index))
+        self.sim.schedule(REQUEST_TIMEOUT, lambda: self._request_from_next(aid))
 
     def _on_request(self, request: ArtifactRequest) -> None:
         artifact = self._have.get(request.artifact_id)
         if artifact is None:
             return  # we don't have it (yet); requester will retry elsewhere
         self.network.send(
-            self.index,
-            request.requester,
-            ArtifactDelivery(artifact_id=request.artifact_id, artifact=artifact),
+            self.index, request.sender,
+            ArtifactDelivery(request.artifact_id, artifact, self.index),
         )
 
-    def _on_delivery(self, delivery: ArtifactDelivery) -> None:
-        aid = delivery.artifact_id
-        if aid in self._have:
-            return
-        if artifact_id(delivery.artifact) != aid:
-            return  # malformed or malicious body; ignore, retries continue
-        self._have[aid] = delivery.artifact
-        self._requested.pop(aid, None)
-        if self.tracer.enabled:
-            self._trace_deliver(aid, delivery.artifact, via="request")
-        self.deliver(delivery.artifact)
-        self._propagate(aid, delivery.artifact, exclude=None)
+
+_HANDLERS = {
+    Push: GossipNode._on_carrier,
+    ArtifactDelivery: GossipNode._on_carrier,
+    Advert: GossipNode._on_advert,
+    ArtifactRequest: GossipNode._on_request,
+}

@@ -60,8 +60,9 @@ from ..rbc.protocol import Fragment, RbcMessage
 
 #: Carried in HELLO; peers with different tables or frame layouts must not
 #: talk.  2: HELLO, MSG and ACK carry no timestamps.  3: an ACK names the
-#: incarnation it acknowledges (it may travel on the reverse link).
-VERSION = 3
+#: incarnation it acknowledges (it may travel on the reverse link).  4: a
+#: gossip ``Push`` or ``ArtifactDelivery`` names its sender.
+VERSION = 4
 
 
 class FrameError(ValueError):
@@ -325,8 +326,8 @@ def _get_beacon_message(buf: bytes, pos: int) -> tuple[BeaconShare, int]:
 # -- gossip (ICC1) and reliable broadcast (ICC2) --------------------------------
 
 _ADVERT = struct.Struct(f">B{DIGEST_SIZE}sQI")  # tag, artifact id, size, sender
-_REQUEST = struct.Struct(f">B{DIGEST_SIZE}sI")  # tag, artifact id, requester
-_CARRIER = struct.Struct(f">B{DIGEST_SIZE}s")  # tag, artifact id; a core kind follows
+_REQUEST = struct.Struct(f">B{DIGEST_SIZE}sI")  # tag, artifact id, sender
+_CARRIER = struct.Struct(f">B{DIGEST_SIZE}sI")  # tag, artifact id, sender; a core kind follows
 #: tag, dealer, root, data length, phase, shard index, leaf index, sibling count
 _RBC = struct.Struct(f">BI{DIGEST_SIZE}sQBIIH")
 
@@ -341,31 +342,33 @@ def _get_advert(buf: bytes, pos: int) -> tuple[Advert, int]:
 
 
 def _put_request(tag: int, m: ArtifactRequest) -> bytes:
-    return _REQUEST.pack(tag, _digest(m.artifact_id), m.requester)
+    return _REQUEST.pack(tag, _digest(m.artifact_id), m.sender)
 
 
 def _get_request(buf: bytes, pos: int) -> tuple[ArtifactRequest, int]:
-    _, artifact_id, requester = _REQUEST.unpack_from(buf, pos)
-    return ArtifactRequest(artifact_id, _index(requester)), pos + _REQUEST.size
+    _, artifact_id, sender = _REQUEST.unpack_from(buf, pos)
+    return ArtifactRequest(artifact_id, _index(sender)), pos + _REQUEST.size
 
 
 def _carrier(cls: type):
-    """ArtifactDelivery, Push: an artifact id and the artifact, which must be
-    one of the seven core kinds (gossip does not nest)."""
+    """ArtifactDelivery, Push: an artifact id, the sender and the artifact,
+    which must be one of the seven core kinds (gossip does not nest)."""
 
     def put(tag: int, m) -> bytes:
         entry = _MESSAGE_ENCODERS.get(type(m.artifact))
         if entry is None or entry[0] > _LAST_CORE_TAG:
             raise TypeError(f"gossip cannot carry a {type(m.artifact).__name__}")
-        return _CARRIER.pack(tag, _digest(m.artifact_id)) + entry[1](entry[0], m.artifact)
+        return _CARRIER.pack(tag, _digest(m.artifact_id), m.sender) + entry[1](
+            entry[0], m.artifact
+        )
 
     def get(buf: bytes, pos: int):
-        _, artifact_id = _CARRIER.unpack_from(buf, pos)
+        _, artifact_id, sender = _CARRIER.unpack_from(buf, pos)
         pos += _CARRIER.size
         if not 1 <= buf[pos] <= _LAST_CORE_TAG:
             raise FrameError(f"gossip cannot carry tag 0x{buf[pos]:02x}")
         artifact, pos = _MESSAGE_DECODERS[buf[pos]](buf, pos)
-        return cls(artifact_id, artifact), pos
+        return cls(artifact_id, artifact, _index(sender)), pos
 
     return cls, put, get
 

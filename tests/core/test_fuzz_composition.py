@@ -26,7 +26,7 @@ from repro.core.icc1 import ICC1Party
 from repro.core.icc2 import ICC2Party
 from repro.experiments.properties import check_p2_on_cluster
 from repro.faults import LinkFault, Scenario, install_scenario
-from repro.gossip import GossipParams, build_overlay
+from repro.gossip import build_overlay
 from repro.sim.delays import FixedDelay, UniformDelay
 
 MIXINS = [
@@ -52,10 +52,7 @@ def fuzz_config(seed: int) -> ClusterConfig:
     base = classes[protocol]
     extra = {}
     if protocol == "ICC1":
-        extra = dict(
-            overlay=build_overlay(n, min(4, n - 1), seed=seed),
-            gossip_params=GossipParams(request_timeout=0.4),
-        )
+        extra = dict(overlay=build_overlay(n, min(4, n - 1), seed=seed))
     corrupt = {}
     indices = rng.sample(range(1, n + 1), t)
     for index in indices:
@@ -124,10 +121,7 @@ class TestCatchupComposition:
         catchup_cls = type(f"Catchup{base.__name__}", (CatchupMixin, base), {})
         extra = dict(lag_threshold=4, request_cooldown=1.0)
         if base is ICC1Party:
-            extra.update(
-                overlay=build_overlay(4, 3, seed=1),
-                gossip_params=GossipParams(request_timeout=0.4),
-            )
+            extra.update(overlay=build_overlay(4, 3, seed=1))
         config = ClusterConfig(
             n=4, t=1, delta_bound=0.5, epsilon=0.01,
             delay_model=FixedDelay(0.05), seed=1, gc_depth=5,

@@ -8,7 +8,7 @@ from repro.adversary import EquivocatingProposerMixin, SilentMixin, corrupt_clas
 from repro.core import ClusterConfig, Payload, build_cluster
 from repro.core.icc1 import ICC1Party
 from repro.core.icc2 import ICC2Party
-from repro.gossip import GossipParams, build_overlay
+from repro.gossip import build_overlay
 from repro.sim.delays import FixedDelay
 
 
@@ -22,10 +22,7 @@ def icc1_config(n=7, t=2, degree=4, rounds=10, seed=1, delta=0.05, **overrides):
         max_rounds=rounds,
         seed=seed,
         party_class=ICC1Party,
-        extra_party_kwargs=dict(
-            overlay=build_overlay(n, degree, seed=seed),
-            gossip_params=GossipParams(request_timeout=0.5),
-        ),
+        extra_party_kwargs=dict(overlay=build_overlay(n, degree, seed=seed)),
         **overrides,
     )
 

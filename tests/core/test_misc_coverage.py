@@ -8,7 +8,7 @@ from repro.analysis import dissemination_bottleneck
 from repro.core import ClusterConfig, build_cluster
 from repro.core.icc1 import ICC1Party
 from repro.faults import LinkFault, Scenario, install_scenario
-from repro.gossip import GossipParams, build_overlay
+from repro.gossip import build_overlay
 from repro.sim.delays import FixedDelay
 
 
@@ -44,10 +44,7 @@ class TestGossipUnderDuplication:
             n=n, t=2, delta_bound=0.3, epsilon=0.01,
             delay_model=FixedDelay(0.05), max_rounds=8, seed=5,
             party_class=ICC1Party,
-            extra_party_kwargs=dict(
-                overlay=build_overlay(n, 4, seed=5),
-                gossip_params=GossipParams(request_timeout=0.4),
-            ),
+            extra_party_kwargs=dict(overlay=build_overlay(n, 4, seed=5)),
         )
         cluster = build_cluster(config)
         install_scenario(cluster, Scenario(

@@ -8,7 +8,7 @@ from repro.core import ClusterConfig, build_cluster
 from repro.core.icc1 import ICC1Party
 from repro.core.icc2 import ICC2Party
 from repro.crypto.backend import use_backend
-from repro.gossip import GossipParams, build_overlay
+from repro.gossip import build_overlay
 from repro.sim import FixedDelay
 from repro.sim.delays import WanDelay
 
@@ -21,10 +21,7 @@ def wan_config(party="ICC0", n=7, seed=1, backend="fast", max_rounds=10, **overr
     classes = {"ICC0": ICC0Party, "ICC1": ICC1Party, "ICC2": ICC2Party}
     extra = {}
     if party == "ICC1":
-        extra = dict(
-            overlay=build_overlay(n, 4, seed=seed),
-            gossip_params=GossipParams(request_timeout=0.3),
-        )
+        extra = dict(overlay=build_overlay(n, 4, seed=seed))
     return ClusterConfig(
         n=n,
         t=(n - 1) // 3,

@@ -14,12 +14,12 @@ from repro.experiments.common import Claim, row
 
 #: Table 1 as ``experiments --quick`` measures it (blocks/s, Mb/s).
 QUICK_T1 = {
-    (13, "without load"): (1.10, 0.19),
-    (13, "with load"): (1.10, 2.69),
-    (13, "load + failures"): (0.52, 2.50),
-    (40, "without load"): (0.43, 0.21),
-    (40, "with load"): (0.43, 2.76),
-    (40, "load + failures"): (0.18, 2.60),
+    (13, "without load"): (1.10, 0.15),
+    (13, "with load"): (1.10, 2.65),
+    (13, "load + failures"): (0.52, 2.49),
+    (40, "without load"): (0.43, 0.16),
+    (40, "with load"): (0.43, 2.71),
+    (40, "load + failures"): (0.18, 2.59),
 }
 
 

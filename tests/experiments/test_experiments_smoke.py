@@ -122,6 +122,36 @@ class TestTable1:
         failed = table1.run_cell(13, "load + failures", duration=30.0)
         assert failed.blocks_per_second < loaded.blocks_per_second * 0.75
 
+    def test_gossip_copies_per_delivered_artifact(self, monkeypatch):
+        """On the 40-node no-load cell every party passes each artifact on
+        to its d - 1 = 3 other neighbours, never back to its sender: about
+        3.2 copies per delivery (about 4.2 when each copy echoed)."""
+        import repro.core.cluster as cluster_module
+
+        build = cluster_module.build_cluster
+        built, delivered = [], [0]
+
+        def counted(deliver):
+            def count(artifact):
+                delivered[0] += 1
+                deliver(artifact)
+
+            return count
+
+        def counting_build(config):
+            cluster = build(config)
+            for party in cluster.parties:
+                party.gossip.deliver = counted(party.gossip.deliver)
+            built.append(cluster)
+            return cluster
+
+        monkeypatch.setattr(cluster_module, "build_cluster", counting_build)
+        table1.run_cell(40, "without load", duration=20.0)
+        kinds = built[0].metrics.msgs_by_kind
+        copies = sum(v for k, v in kinds.items() if k.startswith(("gossip-push", "gossip-body")))
+        assert delivered[0] > 40_000
+        assert copies / delivered[0] <= 3.2
+
     def test_ingress_counts_admitted_requests_twice(self):
         """Each admitted request, committed or still queued when the window
         closes, is sent d/2 = 2 times by every live node."""

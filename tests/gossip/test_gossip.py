@@ -4,17 +4,22 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core import ClusterConfig, build_cluster
+from repro.core.cluster import protocol_party
+from repro.core.icc0 import fixed_size_source
 from repro.core.messages import Block, Payload, ROOT_HASH
+from repro.faults import FaultInjector, LinkFault, Scenario
+from repro.gossip import protocol
 from repro.gossip.overlay import build_overlay, overlay_diameter
 from repro.gossip.protocol import (
     Advert,
     ArtifactDelivery,
+    ArtifactRequest,
     GossipNode,
-    GossipParams,
     Push,
     artifact_id,
 )
-from repro.sim.delays import FixedDelay
+from repro.sim.delays import FixedDelay, UniformDelay
 from repro.sim.metrics import Metrics
 from repro.sim.network import Network
 from repro.sim.simulator import Simulation
@@ -63,19 +68,17 @@ class TestArtifactId:
 class GossipHarness:
     """n gossip nodes over a given overlay, recording deliveries."""
 
-    def __init__(self, n, degree, params=None, seed=0):
+    def __init__(self, n, degree, seed=0):
         self.sim = Simulation(seed=seed)
         self.network = Network(self.sim, n, FixedDelay(0.05), Metrics(n=n))
         self.delivered: dict[int, list[object]] = {i: [] for i in range(1, n + 1)}
-        overlay = build_overlay(n, degree, seed=seed)
+        self.overlay = build_overlay(n, degree, seed=seed)
         self.nodes = {}
-        params = params or GossipParams(request_timeout=0.3)
         for i in range(1, n + 1):
             node = GossipNode(
                 index=i,
                 network=self.network,
-                neighbors=overlay[i],
-                params=params,
+                neighbors=self.overlay[i],
                 deliver=lambda a, i=i: self.delivered[i].append(a),
             )
             self.nodes[i] = node
@@ -147,18 +150,19 @@ class TestAdvertPath:
         h.network.crash(2)
         h.network.send(2, 4, Advert(artifact_id=aid, size=10_000, sender=2))
         # crash(2) blocks the send; instead inject adverts directly:
-        h.nodes[4]._on_advert(Advert(artifact_id=aid, size=10_000, sender=2))
-        h.nodes[4]._on_advert(Advert(artifact_id=aid, size=10_000, sender=3))
+        h.nodes[4].on_network(Advert(artifact_id=aid, size=10_000, sender=2))
+        h.nodes[4].on_network(Advert(artifact_id=aid, size=10_000, sender=3))
         h.sim.run(until=5.0)
         assert h.delivered[4] == [big]
 
-    def test_gives_up_after_retry_budget(self):
-        params = GossipParams(request_timeout=0.1, max_request_cycles=3)
-        h = GossipHarness(n=4, degree=3, params=params)
+    def test_gives_up_after_retry_budget(self, monkeypatch):
+        monkeypatch.setattr(protocol, "REQUEST_TIMEOUT", 0.1)
+        monkeypatch.setattr(protocol, "MAX_REQUEST_CYCLES", 3)
+        h = GossipHarness(n=4, degree=3)
         big = make_block(filler=10_000)
         aid = artifact_id(big)
         h.network.crash(2)
-        h.nodes[4]._on_advert(Advert(artifact_id=aid, size=10_000, sender=2))
+        h.nodes[4].on_network(Advert(artifact_id=aid, size=10_000, sender=2))
         h.sim.run(until=30.0)
         assert h.delivered[4] == []
         assert not h.sim.events  # retry loop terminated
@@ -167,7 +171,142 @@ class TestAdvertPath:
         h = GossipHarness(n=4, degree=3)
         real = make_block(filler=10_000)
         fake = make_block(filler=10_001)
-        h.nodes[4]._on_delivery(
-            ArtifactDelivery(artifact_id=artifact_id(real), artifact=fake)
+        h.nodes[4].on_network(
+            ArtifactDelivery(artifact_id=artifact_id(real), artifact=fake, sender=3)
         )
         assert h.delivered[4] == []
+
+    def test_no_entry_survives_delivery(self):
+        """Once a body is held, its advertisers, asked set and retry count
+        are dead weight: every later advert stops at the held check."""
+        h = GossipHarness(n=8, degree=4)
+        h.nodes[1].publish(make_block(filler=50_000))
+        h.sim.run()
+        assert all(len(h.delivered[i]) == 1 for i in range(2, 9))
+        for node in h.nodes.values():
+            assert node._advertisers == node._requested == node._retry_cycles == {}
+
+
+class TestNoEcho:
+    def test_push_skips_its_sender(self):
+        """The publisher sends d copies, every other node d - 1."""
+        h = GossipHarness(n=10, degree=4)
+        h.nodes[1].publish(make_block())
+        h.sim.run()
+        pushes = sum(
+            count
+            for kind, count in h.network.metrics.msgs_by_kind.items()
+            if kind.startswith("gossip-push")
+        )
+        assert pushes == 4 + 9 * 3
+
+    def test_pulled_body_skips_sender_and_advertisers(self):
+        h = GossipHarness(n=4, degree=3)
+        big = make_block(filler=10_000)
+        aid = artifact_id(big)
+        sent = []
+        h.network.multicast = lambda sender, targets, message: sent.append(
+            (sender, tuple(targets), type(message))
+        )
+        h.nodes[4].on_network(Advert(aid, 10_000, sender=2))
+        h.nodes[4].on_network(ArtifactDelivery(aid, big, sender=3))
+        assert h.delivered[4] == [big]
+        assert sent == [(4, (1,), Advert)]
+
+
+def _foreign(kind, sender, aid, big):
+    return {
+        "push": Push(aid, big, sender),
+        "delivery": ArtifactDelivery(aid, big, sender),
+        "advert": Advert(aid, 10_000, sender),
+        "request": ArtifactRequest(aid, sender),
+    }[kind]
+
+
+class TestForeignSender:
+    """A gossip message must come from an overlay neighbour: anything else
+    is dropped and counted, and never answered."""
+
+    @pytest.mark.parametrize("kind", ["push", "delivery", "advert", "request"])
+    @pytest.mark.parametrize("stranger", ["non-neighbour", "no party"])
+    def test_dropped_and_counted(self, kind, stranger):
+        h = GossipHarness(n=10, degree=4)
+        node = h.nodes[1]
+        sender = 999 if stranger == "no party" else next(
+            i for i in range(2, 11) if i not in h.overlay[1]
+        )
+        big = make_block(filler=10_000)
+        aid = artifact_id(big)
+        if kind == "request":
+            node.publish(big)  # it holds the body a stranger asks for
+            h.sim.run()
+        sends = dict(h.network.metrics.msgs_sent)
+        assert node.on_network(_foreign(kind, sender, aid, big)) is True
+        h.sim.run()
+        assert h.network.metrics.counters["gossip-foreign-sender"] == 1
+        assert dict(h.network.metrics.msgs_sent) == sends
+        assert h.delivered[1] == []
+        if kind != "request":
+            assert aid not in node._have and not node._advertisers
+
+    def test_non_gossip_message_is_not_handled(self):
+        h = GossipHarness(n=4, degree=3)
+        assert h.nodes[1].on_network(make_block()) is False
+        assert not h.network.metrics.counters
+
+
+@pytest.mark.parametrize("n", [7, 13])
+@pytest.mark.parametrize("duplicate", [False, True], ids=["plain", "duplicating"])
+def test_icc1_never_echoes(n, duplicate):
+    """An ICC1 run over a degree-4 overlay, with 4 KB blocks (advertised
+    and pulled) and small shares (pushed): no party sends an artifact's
+    Push or Advert to a neighbour that pushed, delivered or advertised
+    that artifact to it before."""
+    party_class, extra = protocol_party("icc1", n, seed=n, gossip_degree=4)
+    cluster = build_cluster(ClusterConfig(
+        n=n, t=(n - 1) // 3, delta_bound=0.3, epsilon=0.01, seed=n,
+        delay_model=UniformDelay(0.01, 0.05), payload_source=fixed_size_source(4096),
+        party_class=party_class, extra_party_kwargs=extra,
+    ))
+    if duplicate:
+        scenario = Scenario(name="dup", seed=n, events=(
+            LinkFault(start=0.0, end=3.0, duplicate_prob=0.3),
+        ))
+        FaultInjector(scenario, cluster.network).install()
+    holders: dict[tuple[int, bytes], set[int]] = {}
+
+    def recording(party):
+        on_receive = party.on_receive
+
+        def record(message):
+            if isinstance(message, (Push, ArtifactDelivery, Advert)):
+                holders.setdefault((party.index, message.artifact_id), set()).add(message.sender)
+            on_receive(message)
+
+        return record
+
+    for party in cluster.parties:
+        party.on_receive = recording(party)
+    multicast, send = cluster.network.multicast, cluster.network.send
+
+    def check(sender, receivers, message):
+        if isinstance(message, (Push, Advert)):
+            known = holders.get((sender, message.artifact_id), set())
+            assert not known & set(receivers), (sender, receivers, message)
+
+    def checked_multicast(sender, receivers, message, round=None):
+        check(sender, receivers, message)
+        multicast(sender, receivers, message, round)
+
+    def checked_send(sender, receiver, message, round=None):
+        check(sender, (receiver,), message)
+        send(sender, receiver, message, round)
+
+    cluster.network.multicast = checked_multicast
+    cluster.network.send = checked_send
+    cluster.start()
+    cluster.run_for(3.0)
+    cluster.check_safety()
+    kinds = cluster.metrics.msgs_by_kind
+    assert kinds["gossip-advert"] > 0 and kinds["gossip-push:notarization-share"] > 0
+    assert min(p.k_max for p in cluster.parties) >= 5

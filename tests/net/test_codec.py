@@ -124,8 +124,8 @@ messages = st.one_of(
     core_kinds,
     st.builds(Advert, digests, rounds, indices),
     st.builds(ArtifactRequest, digests, indices),
-    st.builds(ArtifactDelivery, digests, core_kinds),
-    st.builds(Push, digests, core_kinds),
+    st.builds(ArtifactDelivery, digests, core_kinds, indices),
+    st.builds(Push, digests, core_kinds, indices),
     st.builds(RbcMessage, indices, digests, rounds, st.sampled_from(["send", "echo", "fill"]), fragments),
 )
 
@@ -149,8 +149,8 @@ CORPUS = [
     BeaconShare(8, 1, REAL[4]),
     Advert(H, 4096, 2),
     ArtifactRequest(H, 3),
-    ArtifactDelivery(H, BLOCK),
-    Push(H, NotarizationShare(7, 2, H, 3, FAST_SHARE)),
+    ArtifactDelivery(H, BLOCK, 4),
+    Push(H, NotarizationShare(7, 2, H, 3, FAST_SHARE), 1),
     RbcMessage(2, H, 1234, "echo", Fragment(1, b"shard-bytes", MerkleProof(1, (H, ROOT_HASH)))),
 ]
 
@@ -286,15 +286,28 @@ class TestHostileBytes:
             encode(dataclasses.replace(CORPUS[-1], phase="gossip"))
 
     def test_nested_gossip_rejected(self):
-        inner = encode(Push(H, BLOCK))
+        inner = encode(Push(H, BLOCK, 1))
+        sender = b"\x00\x00\x00\x01"
         with pytest.raises(FrameError, match="gossip cannot carry"):
-            decode(b"\x13" + H + inner)
+            decode(b"\x13" + H + sender + inner)
         with pytest.raises(FrameError, match="gossip cannot carry"):
-            decode(b"\x12" + H + encode(CORPUS[-1]))
+            decode(b"\x12" + H + sender + encode(CORPUS[-1]))
         with pytest.raises(TypeError, match="gossip cannot carry"):
-            encode(Push(H, Push(H, BLOCK)))
+            encode(Push(H, Push(H, BLOCK, 1), 1))
         with pytest.raises(TypeError, match="gossip cannot carry"):
-            encode(ArtifactDelivery(H, CORPUS[-1]))
+            encode(ArtifactDelivery(H, CORPUS[-1], 1))
+
+    @pytest.mark.parametrize("message", CORPUS[11:15], ids=lambda m: type(m).__name__)
+    def test_gossip_sender(self, message):
+        """Every gossip message carries its sender's index right after the
+        artifact id (an advert after the size too); index 0 is refused."""
+        at = 41 if isinstance(message, Advert) else 33
+        data = bytearray(encode(message))
+        assert int.from_bytes(data[at : at + 4], "big") == message.sender
+        assert decode(bytes(data)).sender == message.sender
+        data[at : at + 4] = b"\x00" * 4
+        with pytest.raises(FrameError, match="index 0"):
+            decode(bytes(data))
 
     def test_non_minimal_integer_rejected(self):
         data = encode(Authenticator(7, 2, H, SchnorrSignature(5, 6)))

@@ -832,11 +832,12 @@ class TestInbound:
 
     def test_version_1_hello_rejected(self):
         """A peer of an older frame layout (codec version 1 framed
-        timestamps, version 2 sent ACKs naming no incarnation) is refused
-        at its HELLO and counted, before any frame of its layout is
-        misread."""
+        timestamps, version 2 sent ACKs naming no incarnation, version 3
+        gossip bodies naming no sender) is refused at its HELLO and
+        counted, before any frame of its layout is misread."""
         hello_v1 = struct.pack(">BBIQQ", 0x01, 1, 1, 0, 123_456) + b"t"
         hello_v2 = struct.pack(">BBIQ", 0x01, 2, 1, 0) + b"t"
+        hello_v3 = struct.pack(">BBIQ", 0x01, 3, 1, 0) + b"t"
 
         async def scenario():
             peers = peer_map(2)
@@ -844,7 +845,7 @@ class TestInbound:
             try:
                 host, port = peers[2]
                 eofs = []
-                for hello in (hello_v1, hello_v2):
+                for hello in (hello_v1, hello_v2, hello_v3):
                     reader, writer = await asyncio.open_connection(host, port)
                     writer.write(len(hello).to_bytes(4, "big") + hello)
                     await writer.drain()
@@ -854,8 +855,8 @@ class TestInbound:
             finally:
                 await b.stop()
 
-        assert codec.VERSION == 3
-        assert run(scenario()) == ([b"", b""], 2, [])
+        assert codec.VERSION == 4
+        assert run(scenario()) == ([b"", b"", b""], 3, [])
 
     def test_message_before_hello_rejected(self):
         async def scenario():

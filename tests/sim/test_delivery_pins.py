@@ -69,7 +69,6 @@ def _healing_partition_with_a_crash(cluster) -> None:
         CrashFault(at=0.3, party=2),
     ))
     FaultInjector(scenario, cluster.network).install()
-    cluster.sim.run(until=0.0)  # the cut is live for the start-time sends
 
 
 def _link_faults(cluster) -> None:
@@ -104,7 +103,8 @@ CASES = {
 #: (hand-overs, sha256) per case.
 PINS = {
     "fixed": (1184, "c64298e111761836cffb21324e45121d56aa1ddfe4563b0875ace52f92effe4b"),
-    "icc1_multicast": (1205, "67a9102696855cc8b51139cbf71b2f5bb5ae5ffe2c4396348942c03f2d7baaf1"),
+    # Re-pinned when gossip stopped echoing a copy back to its sender.
+    "icc1_multicast": (864, "7bbb6326dcd7bee141ba1fe5463a38ee89b78bdacd2db8b295630ab36071d674"),
     "icc2_send": (1747, "19e47cea15c737d7429462eefda4fcacb610ed49928ab171358bccc7149ef516"),
     "link_faults": (2805, "f20e406dda020a527a698ba7d0c0cd6688b924c7db8711727d7f044b13d52601"),
     "message_aware": (1663, "557216c9cf27b594ae8d7881ccbee61505f80426669d541d1226e3fd4919736d"),

@@ -275,7 +275,7 @@ class TestDocs:
         assert len(problems) == 1 and "thirteenth" in problems[0]
 
     def test_stale_copied_cell_is_flagged(self, tmp_path, monkeypatch):
-        """EXPERIMENTS.md's T1/E3/E4/E9 tables copy the quick run's rows: a
+        """EXPERIMENTS.md's T1/E3/E4/E7/E9/E11 tables copy the quick run's rows: a
         cell that no longer matches names its table and row, while
         thousands separators, bold and the wording around numbers pass."""
         module = load_checker()
@@ -283,6 +283,22 @@ class TestDocs:
         self._write_quick_stdout(tmp_path, module)
         for cell, expected in (("0.43", []), ("0.41", ["T1 row 2"])):
             problems = self._check(tmp_path, module, cell=cell, e3b="30.00")
+            assert [p.split(" reads ")[0] for p in problems] == [
+                f"EXPERIMENTS.md: {where}" for where in expected
+            ]
+
+    def test_stale_e7_and_e11_cells_are_flagged(self, tmp_path, monkeypatch):
+        """E7 and E11 are full copies of their printed tables too: a drifted
+        cell in either names its table and row."""
+        module = load_checker()
+        monkeypatch.setattr(module, "REPO", tmp_path)
+        self._write_quick_stdout(tmp_path, module)
+        for e7, e11, expected in (
+            ("3.5", "1 961", []),
+            ("3.9", "1 961", ["E7 row 1"]),
+            ("3.5", "1 960", ["E11 row 1"]),
+        ):
+            problems = self._check(tmp_path, module, cell="0.43", e3b="30.00", e7=e7, e11=e11)
             assert [p.split(" reads ")[0] for p in problems] == [
                 f"EXPERIMENTS.md: {where}" for where in expected
             ]
@@ -354,12 +370,16 @@ class TestDocs:
             "\n== E3b: adversarial ==\nn   msgs/n^2\n-----------\n13  30.00\n"
             "\n== E4: rounds ==\nn  mean gap\n----------\n7  1.45\n"
             "\n== E9: comparison ==\nprotocol  block time\n--------------------\n"
-            "ICC0      2.0 δ\n",
+            "ICC0      2.0 δ\n"
+            "\n== E7: egress ==\nprotocol  block size S  max node egress\n"
+            "--------------------------------------\nICC1      10 KB         3.5 S\n"
+            "\n== E11: uplinks ==\nprotocol  round time  vs 1×S floor\n"
+            "-----------------------------------\nICC0      1961 ms     24.5×\n",
             encoding="utf-8",
         )
 
     @staticmethod
-    def _check(tmp_path, module, cell, e3b):
+    def _check(tmp_path, module, cell, e3b, e7="3.5", e11="1 961"):
         table = (
             "## T1 — Table 1\n\n| subnet | scenario | blocks/s | Mb/s |\n|---|---|---|---|\n"
             "| 13 | without load | **1.10** | 1 234.50 |\n| 40 | without load | {cell} | 0.21 |\n"
@@ -367,8 +387,12 @@ class TestDocs:
             "\nAdversarial:\n\n| n | msgs/n² |\n|---|---|\n| 13 | {e3b} |\n"
             "\n## E4 — rounds\n\n| n | mean gap |\n|---|---|\n| 7 | 1.45 |\n"
             "\n## E9 — comparison\n\n| protocol | block time |\n|---|---|\n| ICC0 | 2.0 δ |\n"
+            "\n## E7 — egress\n\n| protocol | S | max |\n|---|---|---|\n| ICC1 | 10 KB | {e7} S |\n"
+            "\n## E11 — uplinks\n\n| protocol | round time | × floor |\n|---|---|---|\n"
+            "| ICC0 | {e11} ms | 24.5× |\n"
         )
-        (tmp_path / "EXPERIMENTS.md").write_text(table.format(cell=cell, e3b=e3b), encoding="utf-8")
+        text = table.format(cell=cell, e3b=e3b, e7=e7, e11=e11)
+        (tmp_path / "EXPERIMENTS.md").write_text(text, encoding="utf-8")
         problems: list[str] = []
         module.check_copied_tables(problems)
         return problems

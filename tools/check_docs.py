@@ -407,7 +407,10 @@ def check_experiment_docs(problems: list[str]) -> None:
 #: EXPERIMENTS.md tables that copy a table of the quick run's output, with
 #: the title that table prints under: a section's first table, or its k-th
 #: as ``section/k``.
-COPIED_TABLES = {"T1": "Table 1:", "E3": "E3a:", "E3/2": "E3b:", "E4": "E4:", "E9": "E9:"}
+COPIED_TABLES = {
+    "T1": "Table 1:", "E3": "E3a:", "E3/2": "E3b:", "E4": "E4:", "E7": "E7:", "E9": "E9:",
+    "E11": "E11:",
+}
 QUICK_STDOUT = "tests/experiments/quick_stdout.txt"
 NUMBER_RE = re.compile(r"\d+(?:\.\d+)?")
 THOUSANDS_RE = re.compile(r"(?<=\d)[ ,](?=\d{3}\b)")
