@@ -124,23 +124,35 @@ class DleqVerifier(_Verifier):
     """``pk`` is the :class:`DleqStatement`; ``message`` is ignored.
 
     Of the four statement elements only B (a share value) is new to the
-    membership cache, and its proof is the one exponentiation of an element
-    a peer chose; :mod:`repro.crypto.dleq` says why it cannot go.
+    membership cache.  It is the one element a peer chose that is
+    exponentiated: B**(q-c) and, on first sight, B**q — its membership
+    proof, which :mod:`repro.crypto.dleq` says cannot go — are two reads of
+    one squaring chain of B.  g2**s is read off g2's chain, which a
+    threshold share check brings from the H2(m) chain cache.
     """
 
     def verify(self, pk: DleqStatement, message: bytes, sig: dleq.DleqProof) -> bool:
+        return self.check(pk, sig, None)
+
+    def check(self, pk: DleqStatement, sig: dleq.DleqProof, g2_chain: list[int] | None) -> bool:
+        """The verdict, with g2's squaring chain if the caller has it."""
         group, ctx = self.group, self.ctx
         c, s = sig.challenge, sig.response
         if not (0 <= c < group.q and 0 <= s < group.q):
             return False
         g1, a, g2, b = pk
-        if not all(map(ctx.is_member, (g1, a, g2, b))):
+        if not all(map(ctx.is_member, (g1, a, g2))):
             return False
+        b_c = ctx.member_power(b, group.q - c)  # B**(-c), as B**q == 1
+        if b_c is None:
+            return False
+        p = group.p
+        if g2_chain is None:
+            g2_chain = ctx.backend.chain(g2, group.q.bit_length(), p)
         t1 = group.mul(
             ctx.power_g(s) if g1 == group.g else group.power(g1, s), ctx.power_base(a, -c)
         )
-        # B is a checked subgroup member, so the negated exponent reduces mod q.
-        t2 = ctx.backend.simultaneous_power(g2, s, b, (-c) % group.q, group.p)
+        t2 = ctx.backend.chain_powers(g2_chain, (s,), p)[0] * b_c % p
         return dleq._challenge(group, g1, a, g2, b, t1, t2) == c
 
 
@@ -154,10 +166,11 @@ class ThresholdShareVerifier(_Verifier):
     def verify(self, pk, message: bytes, share: threshold.SignatureShare) -> bool:
         if not 1 <= share.index <= pk.n:
             return False
+        ctx = self.ctx
         statement = DleqStatement(
-            self.group.g, pk.share_public(share.index), self.ctx.message_point(message), share.value
+            self.group.g, pk.share_public(share.index), ctx.message_point(message), share.value
         )
-        return self._dleq.verify(statement, b"", share.proof)
+        return self._dleq.check(statement, share.proof, ctx.message_chain(message))
 
 
 class ThresholdSignatureVerifier(_Verifier):
@@ -260,8 +273,11 @@ class ThresholdShareSigner:
         group, ctx = self.group, self.ctx
         h2 = ctx.message_point(message)
         nonce = group.scalar_field.random_nonzero(rng)
-        # σ_i and the commitment t2 are two powers of H2(m): one squaring chain.
-        value, t2 = ctx.backend.powers(h2, (self._secret, nonce), group.p)
+        # σ_i and the commitment t2 are two reads of H2(m)'s squaring chain,
+        # which every check of a share of this message reads again.
+        value, t2 = ctx.backend.chain_powers(
+            ctx.message_chain(message), (self._secret, nonce), group.p
+        )
         t1 = ctx.power_g(nonce)
         c = dleq._challenge(group, group.g, self.public, h2, value, t1, t2)
         s = (nonce + c * self._secret) % group.q

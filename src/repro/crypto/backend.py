@@ -3,34 +3,36 @@
 Profiling (``sim_n7_real`` of ``bench/run.py``, docs/PERFORMANCE.md) shows
 that at realistic group sizes nearly all crypto wall-clock time is modular
 exponentiation.  Every group exponentiation in this package goes through
-one :class:`CryptoBackend`: Python's ``pow`` for one-shot powers, a
-fixed-window (comb) :class:`FixedBaseTable` for a base the caller
-*declares* long-lived (the generator ``g`` and public keys, through
-:class:`repro.crypto.fastpath.FastPath`), one shared squaring chain for
-several powers of one base (a beacon share's σ_i and its DLEQ commitment),
-and a Straus walk for the two-base product of a DLEQ check.  The backend
-keeps no per-base state and never guesses which bases will come back: a
-512-bit table needs ≥ 16 further uses to repay its build and an ephemeral
-base (a beacon share value, a commitment) gets a handful
-(docs/PERFORMANCE.md).
+one :class:`CryptoBackend`: Python's ``pow`` for one-shot powers, a Lim–Lee
+:class:`Comb` for a base the caller *declares* long-lived (the generator
+``g`` and public keys, through :class:`repro.crypto.fastpath.FastPath`),
+and, for a base that gets a handful of powers, its squaring chain, with
+each power read off it by Yao's method and no further squaring: H2(m)'s,
+which the fast path keeps for every beacon share of m, and σ_i's, read for
+its power and its membership proof in one check.  The backend keeps no
+per-base state and never guesses which bases will come back: a 512-bit
+public-key comb needs about five further uses to repay its build and an
+ephemeral base (a beacon share value) gets two (docs/PERFORMANCE.md).
 
 :func:`use_backend` scopes another instance to a ``with`` block.  That is
 the seam through which tests substitute a subclass — one that counts
 ``powmod`` calls and their exponent widths
 (``tests/crypto/test_work_once.py``), or a bare-``pow`` oracle with no
-tables (``tests/crypto/test_backend.py``) that must give bit-identical
-results on every group operation and whole protocol runs.
+tables and no chains (``tests/crypto/test_backend.py``) that must give
+bit-identical results on every group operation and whole protocol runs.
 
 The backend surface is deliberately small:
 
 * ``powmod(base, exp, mod)``  — one-shot exponentiation (``exp`` ≥ 0);
 * ``invmod(a, mod)``          — modular inverse;
-* ``fixed_power(base, mod, max_bits, window)`` — a callable ``exp -> int``
-  for a base the caller promises to reuse (the fast path's table slot);
-* ``powers(base, exps, mod)`` — ``[base**e mod mod for e in exps]`` from
-  one squaring chain (every ``e`` ≥ 0);
-* ``simultaneous_power(b1, e1, b2, e2, mod)`` — b1**e1 · b2**e2 mod mod
-  (``e1``, ``e2`` ≥ 0).
+* ``fixed_power(base, mod, max_bits, max_tables)`` — a callable
+  ``exp -> int`` for a base the caller promises to reuse (the fast path's
+  table slot), from a comb of at most ``max_tables`` tables (``None``: one
+  per column);
+* ``chain(base, max_bits, mod)`` — base's 4-bit-spaced squarings,
+  base**(16**k) for every 4-bit digit of a ``max_bits``-bit exponent;
+* ``chain_powers(chain, exps, mod)`` — ``[base**e mod mod for e in exps]``
+  from a stored chain, with no squaring (every ``e`` ≥ 0 and within it).
 """
 
 from __future__ import annotations
@@ -38,76 +40,93 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Callable, Sequence
 
-#: Fixed-base window width (bits per comb table row) for public keys.
-DEFAULT_WINDOW = 5
-#: The byte-wide window: its digits are the bytes of ``exponent.to_bytes``.
-#: A 256-bit exponent is 32 table multiplications instead of 52, for a
-#: table of 32·256 elements (≈ 0.85 MB at 512 bits), so only ``g`` gets it.
-BYTE_WINDOW = 8
-
-#: A byte's two 4-bit digits, low first: :meth:`CryptoBackend.powers` reads
-#: an exponent's digits as the bytes of ``to_bytes`` mapped through this.
+#: A byte's two 4-bit digits, low first: :meth:`CryptoBackend.chain_powers`
+#: reads an exponent's digits as the bytes of ``to_bytes`` mapped through this.
 _NIBBLES = tuple(bytes((v & 15, v >> 4)) for v in range(256))
-#: A byte's four 2-bit digits, high first: the Straus walk's windows.
-_WINDOWS = tuple(bytes((v >> 6, v >> 4 & 3, v >> 2 & 3, v & 3)) for v in range(256))
+#: The masks of the three swaps, by 7, 14 and 28 bits, that transpose the
+#: 8×8 bit matrix of every 64-bit word at once (Hacker's Delight,
+#: ``transpose8``).
+_TRANSPOSE = (0x00AA00AA00AA00AA, 0x0000CCCC0000CCCC, 0x00000000F0F0F0F0)
 
 
-class FixedBaseTable:
-    """Windowed (comb) precomputation for repeated powers of one base.
+class Comb:
+    """Lim–Lee fixed-base comb with 8 rows, for repeated powers of one base.
 
-    Stores base^(d·2^(w·i)) for every window index i and digit d, so
-    ``power(e)`` is one table multiplication per w-bit window of ``e`` —
-    no squarings at exponentiation time.  Build cost is
-    ⌈max_bits/w⌉·(2^w - 1) multiplications, which pays for itself after a
-    handful of exponentiations; callers cache tables per long-lived base
-    (see :class:`repro.crypto.fastpath.FastPath`).  At
-    :data:`BYTE_WINDOW` the digits come from one ``to_bytes`` call rather
-    than a shift and a mask per window.
+    Every 64-bit word m of the exponent is an 8 × 8 bit matrix: row i is
+    its byte i (bits 64m + 8i … 64m + 8i + 7), column c the bit c of each
+    row.  Column c's digit, the byte whose bit i is row i's bit c, comes
+    for every column of every word from one transpose of the exponent
+    (three masked swaps), read out with one ``to_bytes``.  Each word's
+    eight columns are cut into tables of ``spacing`` (1, 2, 4 or 8)
+    adjacent columns; a table holds base**(Σ_{i ∈ d} 2^(64m + 8i + first
+    column)) for every digit d, and ``power(e)`` walks the columns of a
+    table from the last: a square, then one multiplication per table whose
+    digit is not zero.  That is spacing − 1 squarings and at most one
+    multiplication per column.  At |q| = 256: ``spacing`` 8 (a public key)
+    is 7 squarings and ≤ 32 multiplications from 4 tables of 256 entries,
+    ``spacing`` 1 (``g``) is 32 multiplications from 32.  The geometry
+    follows ``max_bits``: a row above it is never built, so at |q| = 96 the
+    tables of the second word hold 4 rows, 16 entries.
     """
 
-    __slots__ = ("p", "window", "max_bits", "_mask", "_rows", "_nbytes")
+    __slots__ = ("p", "max_bits", "spacing", "_words", "_masks", "_tables")
 
-    def __init__(self, p: int, base: int, max_bits: int, window: int = DEFAULT_WINDOW) -> None:
+    def __init__(self, p: int, base: int, max_bits: int, spacing: int) -> None:
+        if spacing not in (1, 2, 4, 8):
+            raise ValueError("spacing must divide 8")
         self.p = p
-        self.window = window
         self.max_bits = max_bits
-        self._mask = (1 << window) - 1
-        rows: list[list[int]] = []
-        b = base % p
-        for _ in range((max_bits + window - 1) // window):
-            row = [1] * (self._mask + 1)
-            for d in range(1, self._mask + 1):
-                row[d] = row[d - 1] * b % p
-            rows.append(row)
-            for _ in range(window):
-                b = b * b % p
-        self._rows = rows
-        self._nbytes = len(rows) if window == BYTE_WINDOW else 0
+        self.spacing = spacing
+        self._words = words = max(1, (max_bits + 63) >> 6)
+        self._masks = tuple(sum(mask << (64 * m) for m in range(words)) for mask in _TRANSPOSE)
+        # base**(2**bit) for every bit below max_bits that starts a table's
+        # row: the multiples of spacing.
+        steps = [base % p]
+        for _ in range((max_bits - 1) // spacing):
+            x = steps[-1]
+            for _ in range(spacing):
+                x = x * x % p
+            steps.append(x)
+        tables = []
+        for word in range(words):
+            for column in range(0, 8, spacing):
+                table = [1]
+                for bit in range(64 * word + column, min(64 * word + 64, max_bits), 8):
+                    g = steps[bit // spacing]
+                    table += [t * g % p for t in table]
+                tables.append(table)
+        self._tables = tables
+
+    def digits(self, exponent: int) -> bytes:
+        """The column digits, byte 8m + c for column c of word m."""
+        if exponent >> self.max_bits:
+            raise ValueError("exponent exceeds table range")
+        m7, m14, m28 = self._masks
+        t = (exponent ^ (exponent >> 7)) & m7
+        exponent ^= t ^ (t << 7)
+        t = (exponent ^ (exponent >> 14)) & m14
+        exponent ^= t ^ (t << 14)
+        t = (exponent ^ (exponent >> 28)) & m28
+        exponent ^= t ^ (t << 28)
+        return exponent.to_bytes(8 * self._words, "little")
 
     def power(self, exponent: int) -> int:
         """base**exponent mod p for 0 <= exponent < 2^max_bits."""
-        if exponent >> self.max_bits:
-            raise ValueError("exponent exceeds table range")
+        digits = self.digits(exponent)
+        p, spacing, tables = self.p, self.spacing, self._tables
         acc = 1
-        p = self.p
-        if self._nbytes:
-            for row, d in zip(self._rows, exponent.to_bytes(self._nbytes, "little")):
+        for offset in range(spacing - 1, -1, -1):
+            for table, d in zip(tables, digits[offset::spacing]):
                 if d:
-                    acc = acc * row[d] % p
-            return acc
-        i = 0
-        while exponent:
-            d = exponent & self._mask
-            if d:
-                acc = acc * self._rows[i][d] % p
-            exponent >>= self.window
-            i += 1
+                    acc = acc * table[d] % p
+            if offset:
+                acc = acc * acc % p
         return acc
 
 
 class CryptoBackend:
-    """``pow`` for one-shot powers, comb tables for declared long-lived
-    bases, shared squaring chains for several powers at once."""
+    """``pow`` for one-shot powers, combs for declared long-lived bases,
+    squaring chains for a base with several powers."""
 
     #: Stamped into benchmark reports; a substitute names itself.
     name = "window"
@@ -121,41 +140,59 @@ class CryptoBackend:
         return pow(a, -1, modulus)
 
     def fixed_power(self, base: int, modulus: int, max_bits: int,
-                    window: int = DEFAULT_WINDOW) -> Callable[[int], int]:
+                    max_tables: int | None = None) -> Callable[[int], int]:
         """A fresh ``exp -> base**exp mod modulus`` for a long-lived base:
-        the caller has promised to reuse it, so it gets a table at once."""
-        return FixedBaseTable(modulus, base, max_bits, window).power
+        the caller has promised to reuse it, so it gets a comb at once, with
+        the fewest squarings per power whose tables number at most
+        ``max_tables`` (a table per column if ``None``)."""
+        spacing = 1
+        if max_tables is not None:
+            words = max(1, (max_bits + 63) >> 6)
+            while spacing < 8 and words * 8 // spacing > max_tables:
+                spacing *= 2
+        return Comb(modulus, base, max_bits, spacing).power
 
     @staticmethod
-    def powers(base: int, exponents: Sequence[int], modulus: int) -> list[int]:
-        """``[base**e % modulus for e in exponents]`` from one squaring chain.
+    def chain(base: int, max_bits: int, modulus: int) -> list[int]:
+        """base**(16**k) % modulus for k < ⌈max_bits/4⌉ (at least one):
+        4·(length − 1) squarings, after which
+        :meth:`chain_powers` reads any power of up to ``max_bits`` bits
+        off the list without another."""
+        p = modulus
+        x = base % p
+        chain = [x]
+        for _ in range(((max_bits + 3) >> 2) - 1):
+            x = x * x % p
+            x = x * x % p
+            x = x * x % p
+            x = x * x % p
+            chain.append(x)
+        return chain
 
-        Yao's method over 4-bit digits: walking base^(16^k) up from k = 0,
-        bucket d of each exponent collects the chain elements at which its
-        k-th digit is d, and the power is Π_d bucket_d^d, a running product
-        from d = 15 down.  Two 256-bit exponents cost ≈ 252 squarings and
-        ≈ 150 multiplications, where two ``pow`` calls pay ≈ 2 × 300.
-        Plain ``*``/``%``, so it is no ``powmod``.
+    @staticmethod
+    def chain_powers(chain: Sequence[int], exponents: Sequence[int], modulus: int) -> list[int]:
+        """``[base**e % modulus for e in exponents]`` from ``chain(base, …)``.
+
+        Yao's method over 4-bit digits: bucket d collects the chain elements
+        at which the exponent's digit is d, and the power is Π_d bucket_d^d,
+        a running product from d = 15 down.  A 256-bit exponent costs ≈ 45
+        bucket and ≤ 28 combining multiplications, no squaring.  Plain
+        ``*``/``%``, so it is no ``powmod``.  An exponent wider than the
+        chain, or negative, raises ``ValueError``.
         """
         p = modulus
-        bits = max(exponents, default=0).bit_length()
+        width = 4 * len(chain)
+        nbytes = (len(chain) + 1) >> 1
         nibbles = _NIBBLES.__getitem__
-        digits = [b"".join(map(nibbles, e.to_bytes((bits + 7) >> 3, "little"))) for e in exponents]
-        buckets = [[0] * 16 for _ in digits]
-        x = base % p
-        for k in range((bits + 3) >> 2):
-            if k:
-                x = x * x % p
-                x = x * x % p
-                x = x * x % p
-                x = x * x % p
-            for ds, bucket in zip(digits, buckets):
-                d = ds[k]
+        results = []
+        for e in exponents:
+            if e >> width:
+                raise ValueError("exponent exceeds chain range")
+            bucket = [0] * 16
+            for x, d in zip(chain, b"".join(map(nibbles, e.to_bytes(nbytes, "little")))):
                 if d:
                     b = bucket[d]
                     bucket[d] = b * x % p if b else x
-        results = []
-        for bucket in buckets:
             acc = run = 1
             for b in bucket[:0:-1]:
                 if b:
@@ -163,42 +200,6 @@ class CryptoBackend:
                 acc = acc * run % p
             results.append(acc)
         return results
-
-    @staticmethod
-    def simultaneous_power(b1: int, e1: int, b2: int, e2: int, modulus: int) -> int:
-        """b1**e1 · b2**e2 % modulus by Straus's method over joint 2-bit windows.
-
-        The two-base product g2**s · B**(-c) of a DLEQ check, where neither
-        base has a table.  One shared squaring chain, and per 2-bit window of
-        both exponents at most one multiplication by an entry of the table
-        b1^i · b2^j (0 <= i, j < 4): at 256 bits, 256 squarings and ≈ 120
-        multiplications where two separate powers take ≈ 512 and ≈ 256.
-        The joint digits i + 4j are the bytes of one string, built from the
-        exponents' ``to_bytes`` without a shift or mask per window.  Plain
-        ``*``/``%``, so it is no ``powmod``.
-        """
-        p = modulus
-        b1_2 = b1 * b1 % p
-        b2_2 = b2 * b2 % p
-        table = [
-            x * y % p
-            for y in (1, b2, b2_2, b2_2 * b2 % p)
-            for x in (1, b1, b1_2, b1_2 * b1 % p)
-        ]
-        width = (max(e1.bit_length(), e2.bit_length()) + 7) >> 3
-        windows = _WINDOWS.__getitem__
-        w1, w2 = (
-            int.from_bytes(b"".join(map(windows, e.to_bytes(width, "big"))), "big")
-            for e in (e1, e2)
-        )
-        digits = (w1 | w2 << 2).to_bytes(4 * width, "big").lstrip(b"\0")
-        acc = table[digits[0]] if digits else 1
-        for d in digits[1:]:
-            acc = acc * acc % p
-            acc = acc * acc % p
-            if d:
-                acc = acc * table[d] % p
-        return acc
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         return f"<{type(self).__name__} {self.name!r}>"
@@ -224,9 +225,7 @@ def use_backend(backend: CryptoBackend):
 
 
 __all__ = [
-    "DEFAULT_WINDOW",
-    "BYTE_WINDOW",
-    "FixedBaseTable",
+    "Comb",
     "CryptoBackend",
     "active_backend",
     "use_backend",

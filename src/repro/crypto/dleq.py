@@ -23,6 +23,12 @@ the recomputed t2 picks up ω**(q-c), which equals ω**j whenever
 c ≡ q - j (mod d), so each grind of the nonce passes with probability 1/d
 and two valid-looking shares of one party would carry different values —
 the uniqueness the beacon rests on (paper §2.3) would be gone.
+
+The check discharges that membership from its own work: it needs B**(q-c)
+for t2, reads it off one squaring chain of B, and on B's first sight reads
+B**q == 1 off the same chain (``FastPath.member_power``); only a B that
+passes enters the membership cache.  With B = σ_i·ω, B**q = ω**q ≠ 1 for
+any ω of order d > 1 dividing the cofactor, whatever the nonce.
 """
 
 from __future__ import annotations

@@ -4,20 +4,24 @@ Every notarization/finalization/beacon share costs modular exponentiations,
 and share verification dominates every experiment that runs the real
 discrete-log backend.  This module is the amortization layer:
 
-* **Fixed-base precomputation**: windowed (comb) tables for the generator
-  ``g`` and long-lived public keys turn a full square-and-multiply
-  exponentiation into ~⌈|q|/w⌉ table-lookup multiplications — byte-wide
-  windows for ``g`` (32 at |q| = 256), 5-bit ones for public keys (52),
-  whose tables are a quarter the size.
+* **Fixed-base precomputation**: Lim–Lee combs
+  (:class:`repro.crypto.backend.Comb`) for the generator ``g`` and
+  long-lived public keys turn a full square-and-multiply exponentiation
+  into at most one table multiplication per 8-bit column digit — for ``g``
+  with no squaring (32 multiplications at |q| = 256), for a public key
+  from at most four tables (at |q| = 256: 7 squarings, ≤ 32
+  multiplications, an eighth of ``g``'s entries).
 * **Memoized hash-to-group** for the per-message H2 points that threshold
-  share verification re-derives constantly, and a bounded
-  subgroup-membership cache so long-lived elements (public keys) pay the
+  share verification re-derives constantly, with H2(m)'s squaring chain
+  for the last few messages: the signer's σ_i and commitment and every
+  DLEQ check of a share of m read their powers of H2(m) off it.  A bounded
+  subgroup-membership cache lets long-lived elements (public keys) pay the
   p^q membership exponentiation once.
 
-Bases with no table are the backend's to exponentiate
-(:mod:`repro.crypto.backend`): a beacon share's σ_i and its commitment
-from one squaring chain (``powers``), a DLEQ check's two-base product by
-Straus's walk (``simultaneous_power``).
+The one element a peer chose that is exponentiated, a beacon share's σ_i,
+gets one squaring chain per check (:meth:`FastPath.member_power`): its
+power by q − c and, on first sight, its membership proof σ_i^q are two
+reads of it.
 
 Signatures and proofs travel in challenge form (c, s), so a verifier
 recomputes the nonce commitments from bases it already trusts and compares
@@ -42,7 +46,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 
-from .backend import BYTE_WINDOW, DEFAULT_WINDOW, CryptoBackend, active_backend
+from .backend import CryptoBackend, active_backend
 from .group import Group
 from .unique import message_point
 
@@ -82,6 +86,11 @@ class _BoundedCache(OrderedDict):
             self.popitem(last=False)
 
 
+#: H2(m) squaring chains kept at once: a party signs and checks the shares
+#: of one or two beacon messages at a time.
+_H2_CHAINS = 16
+
+
 class FastPath:
     """Caches and precomputed tables for the verification fast path.
 
@@ -93,12 +102,12 @@ class FastPath:
     cluster goes; :func:`for_group` keeps a process-wide one per group for
     callers with no cluster (client authentication, ceremonies, tests).
 
-    Tables exist only for bases a caller declares long-lived — ``g`` here,
-    public keys through :meth:`power_base`/:meth:`warm_bases`; everything
-    else is the backend's one-shot ``powmod``.  ``g``'s table is byte-wide
-    (:data:`~repro.crypto.backend.BYTE_WINDOW`); a public key's keeps
-    :data:`~repro.crypto.backend.DEFAULT_WINDOW`, since up to
-    ``table_cache`` of them live at once.
+    Combs exist only for bases a caller declares long-lived — ``g`` here,
+    public keys through :meth:`power_base`/:meth:`warm_bases`; H2(m) and
+    σ_i get squaring chains, and everything else is the backend's one-shot
+    ``powmod``.  ``g``'s comb has a table per column (no squarings); a
+    public key's has at most four, since up to ``table_cache`` of them live
+    at once, and pays the squarings between their columns.
     """
 
     def __init__(
@@ -113,13 +122,14 @@ class FastPath:
         self.group = group
         self.backend = backend if backend is not None else active_backend()
         self.stats = FastPathStats()
-        q_bits = group.q.bit_length()
-        self._power_g = self.backend.fixed_power(group.g, group.p, q_bits, BYTE_WINDOW)
+        self._q_bits = group.q.bit_length()
+        self._power_g = self.backend.fixed_power(group.g, group.p, self._q_bits)
         self._tables: _BoundedCache = _BoundedCache(table_cache)
         self._members: _BoundedCache = _BoundedCache(member_cache)
         self._members.put(group.g, None)
         self._members.put(1, None)
         self._h2: _BoundedCache = _BoundedCache(h2_cache)
+        self._h2_chains: _BoundedCache = _BoundedCache(_H2_CHAINS)
 
     # -- membership (cached Group.is_element) ------------------------------
 
@@ -135,6 +145,30 @@ class FastPath:
             return True
         return False
 
+    def member_power(self, a: int, exponent: int) -> int | None:
+        """a**exponent for an element a peer chose, or ``None`` if ``a`` is
+        not a subgroup member (0 <= exponent <= q).
+
+        One squaring chain of ``a`` gives the power and, for an ``a`` not in
+        the membership cache, the proof a**q == 1 as a second read of the
+        same chain; only a passing ``a`` enters the cache.
+        """
+        group, backend = self.group, self.backend
+        p = group.p
+        if self._members.touch(a):
+            self.stats.member_hits += 1
+            return backend.chain_powers(backend.chain(a, self._q_bits, p), (exponent,), p)[0]
+        self.stats.member_misses += 1
+        if not 1 <= a < p:
+            return None
+        power, order = backend.chain_powers(
+            backend.chain(a, self._q_bits, p), (exponent, group.q), p
+        )
+        if order != 1:
+            return None
+        self._members.put(a, None)
+        return power
+
     # -- fixed-base exponentiation ----------------------------------------
 
     def power_g(self, exponent: int) -> int:
@@ -145,15 +179,12 @@ class FastPath:
         """base**exponent via a cached per-base fixed-power callable.
 
         Intended for long-lived bases (public keys); the first call builds
-        the backend's ``fixed_power`` (a comb table), later calls amortize
-        it.  The caller must guarantee ``base`` is a subgroup member
+        the backend's ``fixed_power`` (a comb), later calls amortize it.  The caller must guarantee ``base`` is a subgroup member
         (exponent is reduced mod q).
         """
         power = self._tables.get(base)
         if power is None:
-            power = self.backend.fixed_power(
-                base, self.group.p, self.group.q.bit_length(), DEFAULT_WINDOW
-            )
+            power = self._key_comb(base)
             self._tables.put(base, power)
         else:
             self._tables.touch(base)
@@ -175,14 +206,14 @@ class FastPath:
                 break
             if self._tables.touch(base):
                 continue
-            self._tables.put(
-                base,
-                self.backend.fixed_power(
-                    base, self.group.p, self.group.q.bit_length(), DEFAULT_WINDOW
-                ),
-            )
+            self._tables.put(base, self._key_comb(base))
             built += 1
         return built
+
+    def _key_comb(self, base: int):
+        # At most four tables per key, since up to ``table_cache`` of them
+        # live at once: 7 squarings per power at |q| = 256, 3 at |q| = 96.
+        return self.backend.fixed_power(base, self.group.p, self._q_bits, 4)
 
     # -- memoized hash-to-group -------------------------------------------
 
@@ -198,6 +229,18 @@ class FastPath:
         self._h2.put(message, point)
         self._members.put(point, None)  # cofactor construction => member
         return point
+
+    def message_chain(self, message: bytes) -> list[int]:
+        """H2(m)'s squaring chain (the backend's ``chain``), kept for the
+        last few messages: the signer's σ_i and commitment and every DLEQ
+        check of a share of m read their powers of H2(m) off it."""
+        chain = self._h2_chains.get(message)
+        if chain is None:
+            chain = self.backend.chain(self.message_point(message), self._q_bits, self.group.p)
+            self._h2_chains.put(message, chain)
+        else:
+            self._h2_chains.touch(message)
+        return chain
 
 
 _CONTEXTS: dict[tuple[int, int, int, CryptoBackend], FastPath] = {}

@@ -12,6 +12,10 @@ disseminating large blocks").  It follows the Internet Computer's design:
   body from one advertiser, re-requesting from another advertiser on
   timeout (so a corrupt advertiser cannot suppress delivery).
 
+Every body, pushed or requested, must hash to the artifact id it travels
+under; one that does not is dropped unforwarded, so a mislabelled copy
+cannot take the real artifact's place in the seen-set.
+
 **No echoes.**  Every wire message names its ``sender``, and a node never
 sends an artifact or its advert to a neighbour it knows holds it: the one
 that pushed or delivered it, and every neighbour that advertised it first.
@@ -210,14 +214,15 @@ class GossipNode:
         return True
 
     def _on_carrier(self, message: ArtifactDelivery) -> None:
-        """A pushed or delivered body: the first copy is delivered and
-        passed on to every neighbour but the sender and the advertisers."""
+        """A pushed or delivered body: the first copy whose id checks out is
+        delivered and passed on to every neighbour but the sender and the
+        advertisers."""
         aid, artifact = message.artifact_id, message.artifact
         if aid in self._have:
             return
+        if artifact_id(artifact) != aid:
+            return  # a body that is not what it claims; a request's retries continue
         pushed = type(message) is Push
-        if not pushed and artifact_id(artifact) != aid:
-            return  # a requested body that is not what it claims; retries continue
         holders = self._hold(aid, artifact)
         holders.append(message.sender)
         if self.tracer.enabled:

@@ -93,11 +93,11 @@ class TestRunsIdenticalAcrossBackendsAndQueues:
     instant, under each of them."""
 
     @staticmethod
-    def _fingerprint():
+    def _fingerprint(group_profile="test"):
         config = ClusterConfig(
             n=4, t=1, delta_bound=0.3, epsilon=0.01,
             delay_model=FixedDelay(0.05), max_rounds=6, seed=0,
-            crypto_backend="real",
+            crypto_backend="real", group_profile=group_profile,
         )
         cluster = build_cluster(config)
         cluster.start()
@@ -113,5 +113,14 @@ class TestRunsIdenticalAcrossBackendsAndQueues:
         default = self._fingerprint()
         with use_backend(PowBackend()):
             reference = self._fingerprint()
+        assert len(reference[0]) >= 5 and reference[1] >= 5
+        assert default == reference
+
+    def test_same_chain_round_and_clock_on_the_512_bit_group(self):
+        """The 96-bit group stops at two 64-bit comb words and a 24-element
+        chain; the 512-bit one runs the geometry ``sim_n7_real`` runs."""
+        default = self._fingerprint("default")
+        with use_backend(PowBackend()):
+            reference = self._fingerprint("default")
         assert len(reference[0]) >= 5 and reference[1] >= 5
         assert default == reference

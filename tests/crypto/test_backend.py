@@ -15,24 +15,24 @@ from hypothesis import strategies as st
 
 from repro.crypto import schnorr
 from repro.crypto.api import verifiers_for
-from repro.crypto.backend import CryptoBackend, active_backend, use_backend
+from repro.crypto.backend import Comb, CryptoBackend, active_backend, use_backend
 from repro.crypto.group import group_for_profile
 
 
 class PowBackend(CryptoBackend):
-    """The correctness oracle: Python's ``pow`` everywhere, no tables, no
-    shared squaring chain and no Straus walk."""
+    """The correctness oracle: Python's ``pow`` everywhere, no comb, and a
+    "chain" whose powers are ``pow`` of its first element."""
 
     name = "pow"
 
-    def fixed_power(self, base, modulus, max_bits, window=None):
+    def fixed_power(self, base, modulus, max_bits, max_tables=None):
         return lambda exponent: pow(base, exponent, modulus)
 
-    def powers(self, base, exponents, modulus):
-        return [pow(base, e, modulus) for e in exponents]
+    def chain(self, base, max_bits, modulus):
+        return [pow(base, 1, modulus)]
 
-    def simultaneous_power(self, b1, e1, b2, e2, modulus):
-        return pow(b1, e1, modulus) * pow(b2, e2, modulus) % modulus
+    def chain_powers(self, chain, exponents, modulus):
+        return [pow(chain[0], e, modulus) for e in exponents]
 
 
 BACKENDS = (PowBackend(), CryptoBackend())
@@ -96,9 +96,10 @@ class TestBitIdentity:
 
     def test_fixed_power_matches_pow(self, group):
         for backend in BACKENDS:
-            power = backend.fixed_power(group.g, group.p, group.q.bit_length())
-            for e in (0, 1, 2, group.q - 1, group.q // 3):
-                assert power(e) == pow(group.g, e, group.p), backend.name
+            for max_tables in (None, 4):
+                power = backend.fixed_power(group.g, group.p, group.q.bit_length(), max_tables)
+                for e in (0, 1, 2, group.q - 1, group.q // 3):
+                    assert power(e) == pow(group.g, e, group.p), backend.name
 
 
 class TestCryptoBackend:
@@ -118,21 +119,48 @@ class TestCryptoBackend:
         assert b.powmod(base, -1, group.p) == pow(base, -1, group.p)
 
     def test_table_overflow_exponent_rejected(self, group):
-        power = CryptoBackend().fixed_power(group.g, group.p, 16)
-        with pytest.raises(ValueError):
-            power(1 << 20)
+        for max_tables in (None, 1):
+            power = CryptoBackend().fixed_power(group.g, group.p, 16, max_tables)
+            with pytest.raises(ValueError):
+                power(1 << 20)
+
+    def test_chain_overflow_exponent_rejected(self, group):
+        backend = CryptoBackend()
+        chain = backend.chain(group.g, 16, group.p)
+        assert len(chain) == 4
+        assert backend.chain_powers(chain, ((1 << 16) - 1,), group.p) == [
+            pow(group.g, (1 << 16) - 1, group.p)
+        ]
+        for e in (1 << 16, 1 << 20, -1):
+            with pytest.raises(ValueError):
+                backend.chain_powers(chain, (3, e), group.p)
+
+    def test_comb_spacing_must_divide_a_word_row(self, group):
+        for spacing in (0, 3, 16):
+            with pytest.raises(ValueError):
+                Comb(group.p, group.g, 16, spacing)
+
+    @pytest.mark.parametrize(
+        "max_bits, max_tables, spacing",
+        [(256, None, 1), (256, 32, 1), (256, 4, 8), (256, 1, 8), (96, 4, 4), (96, 8, 2),
+         (64, 4, 2), (160, 4, 8)],
+    )
+    def test_fixed_power_geometry_follows_the_width(self, group, max_bits, max_tables, spacing):
+        """The fewest squarings whose tables number at most ``max_tables``."""
+        comb = CryptoBackend().fixed_power(group.g, group.p, max_bits, max_tables).__self__
+        assert comb.spacing == spacing
 
 
 GROUPS = {profile: group_for_profile(profile) for profile in ("test", "default")}
 
 
 def exponents(q):
-    """0, 1 and q - 1, byte and nibble boundaries, any width up to q's (so
-    two draws have unequal bit lengths and the shorter one zero top bytes),
-    and uniform scalars."""
+    """0, 1, q - 1, q and 2^bits - 1, nibble (so byte and 64-bit word)
+    boundaries, any width up to q's (so two draws have unequal bit lengths
+    and the shorter one zero top bytes), and uniform scalars."""
     bits = q.bit_length()
-    edges = [0, 1, 2, 15, 16, 255, 256, q - 1, q // 2]
-    edges += [(1 << (8 * k)) + d for k in range(1, bits // 8) for d in (-1, 0)]
+    edges = [0, 1, 2, q - 1, q, q // 2, (1 << bits) - 1]
+    edges += [(1 << (4 * k)) + d for k in range(1, bits // 4) for d in (-1, 0)]
     return st.one_of(
         st.sampled_from(edges),
         st.integers(1, bits).flatmap(lambda width: st.integers(0, (1 << width) - 1)),
@@ -141,7 +169,8 @@ def exponents(q):
 
 
 class TestKernels:
-    """``powers`` and the Straus walk give exactly ``pow``'s values."""
+    """The chain, its bucket evaluation and the comb give exactly ``pow``'s
+    values."""
 
     backend = CryptoBackend()
 
@@ -151,35 +180,45 @@ class TestKernels:
         group = GROUPS[profile]
         base = group.power_g(data.draw(st.integers(1, group.q - 1)))
         exps = data.draw(st.lists(exponents(group.q), min_size=1, max_size=3))
-        assert self.backend.powers(base, exps, group.p) == [pow(base, e, group.p) for e in exps]
+        chain = self.backend.chain(base, group.q.bit_length(), group.p)
+        assert self.backend.chain_powers(chain, exps, group.p) == [
+            pow(base, e, group.p) for e in exps
+        ]
 
     @settings(max_examples=80, deadline=None)
-    @given(st.sampled_from(sorted(GROUPS)), st.data())
-    def test_walk_matches_pow(self, profile, data):
+    @given(st.sampled_from(sorted(GROUPS)), st.sampled_from((1, 2, 4, 8)), st.data())
+    def test_comb_matches_pow(self, profile, spacing, data):
         group = GROUPS[profile]
-        p = group.p
-        b1, b2 = (group.power_g(data.draw(st.integers(1, group.q - 1))) for _ in range(2))
-        e1, e2 = data.draw(exponents(group.q)), data.draw(exponents(group.q))
-        expected = pow(b1, e1, p) * pow(b2, e2, p) % p
-        assert self.backend.simultaneous_power(b1, e1, b2, e2, p) == expected
+        base = group.power_g(data.draw(st.integers(1, group.q - 1)))
+        max_bits = data.draw(st.sampled_from((group.q.bit_length(), 1, 8, 63, 64, 65, 100)))
+        power = Comb(group.p, base, max_bits, spacing).power
+        e = data.draw(exponents(group.q)) & ((1 << max_bits) - 1)
+        assert power(e) == pow(base, e, group.p)
 
     @pytest.mark.parametrize("profile", sorted(GROUPS))
     def test_powers_edge_calls(self, profile):
         group = GROUPS[profile]
         p, q = group.p, group.q
+        bits = q.bit_length()
         base = group.power_g(4242)
         calls = [
-            (0,), (1,), (q - 1,), (0, 0), (0, q - 1), (q - 1, 1),
-            (1 << (q.bit_length() - 1), 3),  # the short one is all zero top bytes
-            (255, 256, q - 1),  # three exponents of unequal lengths
+            (0,), (1,), (q - 1,), (q,), (0, 0), (0, q - 1), (q - 1, 1), (q - 3, q),
+            ((1 << bits) - 1,),  # every digit of the chain non-zero
+            (1 << (bits - 1), 3),  # the short one is all zero top bytes
+            (15, 16, 255, 256, q - 1),  # nibble and byte boundaries
             (q - 1, 0, 1),
         ]
+        chain = self.backend.chain(base, bits, p)
+        assert len(chain) == (bits + 3) // 4
         for exps in calls:
-            assert self.backend.powers(base, exps, p) == [pow(base, e, p) for e in exps], exps
-        assert self.backend.powers(base, (), p) == []
+            assert self.backend.chain_powers(chain, exps, p) == [pow(base, e, p) for e in exps], exps
+        assert self.backend.chain_powers(chain, (), p) == []
         # A base outside [0, p) is reduced first, as ``pow`` reduces it.
-        assert self.backend.powers(base + p, (5, q - 1), p) == [pow(base, e, p) for e in (5, q - 1)]
+        assert self.backend.chain(base + p, bits, p) == chain
+        # A chain of one element covers one 4-bit digit.
+        assert self.backend.chain(base, 0, p) == [base]
+        assert self.backend.chain_powers([base], (15,), p) == [pow(base, 15, p)]
 
     def test_pow_oracle_overrides_both_kernels(self):
-        assert PowBackend.powers is not CryptoBackend.powers
-        assert PowBackend.simultaneous_power is not CryptoBackend.simultaneous_power
+        for kernel in ("fixed_power", "chain", "chain_powers"):
+            assert getattr(PowBackend, kernel) is not getattr(CryptoBackend, kernel), kernel

@@ -15,10 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto import api, dleq, fastpath, schnorr
-from repro.crypto.backend import BYTE_WINDOW, CryptoBackend, FixedBaseTable
+from repro.crypto import api, dleq, fastpath, schnorr, threshold
+from repro.crypto.backend import Comb, CryptoBackend
 from repro.crypto.dleq import DleqStatement
 from repro.crypto.group import group_for_profile
+from repro.crypto.keyring import generate_keyrings
 from repro.crypto.unique import message_point
 
 
@@ -27,70 +28,94 @@ from repro.crypto.unique import message_point
 # ---------------------------------------------------------------------------
 
 
+#: The comb's spacings: columns per table, one more than its squarings.
+SPACINGS = (1, 2, 4, 8)
+
+
 class TestFixedBaseTable:
+    """The Lim–Lee comb at every spacing: a public key's (8), ``g``'s (1)
+    and the two between."""
+
     def test_matches_pow(self, group, rng):
-        table = FixedBaseTable(group.p, group.g, group.q.bit_length())
-        for _ in range(20):
-            e = rng.randrange(group.q)
-            assert table.power(e) == pow(group.g, e, group.p)
+        for spacing in SPACINGS:
+            comb = Comb(group.p, group.g, group.q.bit_length(), spacing)
+            for _ in range(20):
+                e = rng.randrange(group.q)
+                assert comb.power(e) == pow(group.g, e, group.p), spacing
 
     def test_zero_and_max(self, group):
         bits = group.q.bit_length()
-        table = FixedBaseTable(group.p, group.g, bits)
-        assert table.power(0) == 1
         top = (1 << bits) - 1
-        assert table.power(top) == pow(group.g, top, group.p)
+        for spacing in SPACINGS:
+            comb = Comb(group.p, group.g, bits, spacing)
+            assert comb.power(0) == 1
+            assert comb.power(top) == pow(group.g, top, group.p), spacing
 
     def test_exponent_out_of_range(self, group):
-        table = FixedBaseTable(group.p, group.g, 16)
-        with pytest.raises(ValueError):
-            table.power(1 << 16)
+        for spacing in SPACINGS:
+            comb = Comb(group.p, group.g, 16, spacing)
+            for e in (1 << 16, 1 << 64, -1):
+                with pytest.raises(ValueError):
+                    comb.power(e)
+
 
 
 class TestByteWideTable:
-    """g's table at ``BYTE_WINDOW``: digits are the bytes of the exponent."""
+    """g's comb at spacing 1: a table per column of every 64-bit word, so a
+    power is one multiplication per non-zero digit byte and no squaring."""
 
     @pytest.mark.parametrize("profile", ["test", "default"])
     def test_matches_pow_at_every_byte_boundary(self, profile):
         group = group_for_profile(profile)
         bits = group.q.bit_length()
-        table = FixedBaseTable(group.p, group.g, bits, BYTE_WINDOW)
         boundaries = [1 << (8 * k) for k in range(1, (bits + 7) // 8) if 8 * k < bits]
         exponents = [0, 1, group.q - 1, (1 << bits) - 1]
         exponents += [e + d for e in boundaries for d in (-1, 0, 1)]
-        for e in exponents:
-            assert table.power(e) == pow(group.g, e, group.p), e
+        for spacing in SPACINGS:
+            comb = Comb(group.p, group.g, bits, spacing)
+            for e in exponents:
+                assert comb.power(e) == pow(group.g, e, group.p), (spacing, e)
 
     @pytest.mark.parametrize("max_bits", [16, 96, 100])
     def test_exponent_out_of_range(self, group, max_bits):
-        table = FixedBaseTable(group.p, group.g, max_bits, BYTE_WINDOW)
-        assert table.power((1 << max_bits) - 1) == pow(group.g, (1 << max_bits) - 1, group.p)
+        comb = Comb(group.p, group.g, max_bits, 1)
+        assert comb.power((1 << max_bits) - 1) == pow(group.g, (1 << max_bits) - 1, group.p)
         for e in (1 << max_bits, 1 << (max_bits + 8), 1 << 200):
             with pytest.raises(ValueError):
-                table.power(e)
+                comb.power(e)
 
     def test_fast_path_power_g_is_byte_wide(self, group):
         power_g = fastpath.FastPath(group)._power_g
-        assert power_g.__self__.window == BYTE_WINDOW
+        assert power_g.__self__.spacing == 1
+        words = -(-group.q.bit_length() // 64)
+        assert len(power_g.__self__._tables) == 8 * words
 
 
-#: The two-base Straus walk of the backend, as the DLEQ check calls it.
-walk = CryptoBackend().simultaneous_power
+#: The DLEQ check's two-base product, each power read off its base's chain.
+backend = CryptoBackend()
+
+
+def two_base(b1, e1, b2, e2, group):
+    p, bits = group.p, group.q.bit_length()
+    (x,) = backend.chain_powers(backend.chain(b1, bits, p), (e1,), p)
+    (y,) = backend.chain_powers(backend.chain(b2, bits, p), (e2,), p)
+    return x * y % p
 
 
 class TestMultiExp:
-    def test_straus_matches_pow(self, group, rng):
-        # Straus interleaving for two bases, at the exponents the DLEQ check
-        # gives it: a response s and a negated challenge q - c.
+    def test_check_exponents_match_pow(self, group, rng):
+        # At the exponents the DLEQ check reads off the two chains: a
+        # response s and a negated challenge q - c, q itself included.
         for _ in range(8):
             b1 = group.power_g(rng.randrange(1, group.q))
             b2 = group.power_g(rng.randrange(1, group.q))
             s, c = rng.randrange(group.q), rng.getrandbits(64)
             expected = pow(b1, s, group.p) * pow(b2, group.q - c, group.p) % group.p
-            assert walk(b1, s, b2, group.q - c, group.p) == expected
+            assert two_base(b1, s, b2, group.q - c, group) == expected
+        assert two_base(b1, 0, b2, group.q, group) == 1
 
     def test_empty_product(self, group):
-        assert walk(group.g, 0, group.power_g(7), 0, group.p) == 1
+        assert two_base(group.g, 0, group.power_g(7), 0, group) == 1
 
     def test_two_full_width_exponents_match_pow(self, group, rng):
         for _ in range(10):
@@ -98,12 +123,11 @@ class TestMultiExp:
             b2 = group.power_g(rng.randrange(1, group.q))
             e1, e2 = rng.randrange(group.q), rng.randrange(group.q)
             expected = pow(b1, e1, group.p) * pow(b2, e2, group.p) % group.p
-            assert walk(b1, e1, b2, e2, group.p) == expected
+            assert two_base(b1, e1, b2, e2, group) == expected
 
     @pytest.mark.parametrize("profile", ["test", "default"])
     def test_edge_exponents_match_pow(self, profile):
-        """Zero on either side, odd and unequal bit lengths (a window that
-        straddles the top of the shorter exponent), and q - 1."""
+        """Zero on either side, odd and unequal bit lengths, and q - 1."""
         group = group_for_profile(profile)
         p, q = group.p, group.q
         b1, b2 = group.power_g(12345), group.power_g(67890)
@@ -112,7 +136,7 @@ class TestMultiExp:
         for e1 in exponents:
             for e2 in exponents:
                 expected = pow(b1, e1, p) * pow(b2, e2, p) % p
-                assert walk(b1, e1, b2, e2, p) == expected, (e1, e2)
+                assert two_base(b1, e1, b2, e2, group) == expected, (e1, e2)
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +283,36 @@ class TestBatchDleq:
         statement, proof = DleqStatement(g, a, g2, b), dleq.DleqProof(c, s)
         assert not _suite(group).dleq.verify(statement, b"", proof)
         assert not verify_dleq_single(group, statement, proof)
+
+    def test_ground_share_value_never_enters_the_membership_cache(self):
+        """The same attack on a beacon share, through a cluster's keyrings:
+        σ_i·(p - 1) on first sight is rejected by the check whose chain of B
+        proves membership, is never cached as a member, and is rejected
+        again — through the same verifier and at a second keyring."""
+        rings = generate_keyrings(4, 1, seed=5, backend="real")
+        shared, ctx = rings[0]._shared, rings[0]._suite.ctx
+        group, pk, message = shared.group, shared.beacon_pk, b"ground/beacon"
+        p, q, g = group.p, group.q, group.g
+        x = rings[1]._beacon_key.secret
+        g2 = ctx.message_point(message)
+        a, b = pk.share_public(2), group.power(g2, x) * (p - 1) % p
+        rng = Random(9)
+        while True:
+            k = group.random_scalar(rng)
+            c = dleq._challenge(group, g, a, g2, b, group.power_g(k), group.power(g2, k))
+            if (q - c) % 2 == 0:
+                break
+        forged = threshold.SignatureShare(2, b, dleq.DleqProof(c, (k + c * x) % q))
+        honest = rings[1].sign_beacon_share(message)
+        assert honest.value == b * (p - 1) % p
+        assert rings[3].verify_beacon_share(message, honest)  # A and H2(m) now cached
+        assert honest.value in ctx._members
+        misses = ctx.stats.member_misses
+        assert not rings[0].verify_beacon_share(message, forged)
+        assert b not in ctx._members and ctx.stats.member_misses == misses + 1
+        assert not rings[0]._suite.threshold_share.verify(pk, message, forged)
+        assert not rings[2].verify_beacon_share(message, forged)
+        assert b not in ctx._members and ctx.stats.member_misses == misses + 3
 
     def test_matches_oracle_exactly(self, group, rng):
         items = _dleq_items(group, rng, 5)

@@ -16,6 +16,7 @@ import math
 import weakref
 from dataclasses import replace
 from fractions import Fraction
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -26,8 +27,8 @@ from repro.core import messages as msg
 from repro.core.messages import Finalization, Notarization
 from repro.core.pool import MessagePool
 from repro.crypto import api, fastpath, field, threshold
-from repro.crypto.backend import DEFAULT_WINDOW, CryptoBackend, use_backend
-from repro.crypto.keyring import generate_keyrings
+from repro.crypto.backend import CryptoBackend, use_backend
+from repro.crypto.keyring import RealKeyring, generate_keyrings
 from repro.crypto.multisig import Multisignature
 from repro.sim import FixedDelay
 from repro.workloads.batching import RealClientAuth, SignedRequest
@@ -37,42 +38,50 @@ from ..core.test_pool import Forge
 
 class CountingBackend(CryptoBackend):
     """The comb strategy with a count of every exponentiation it is asked
-    for, and the exponent's bit length of each ``powmod`` in call order."""
+    for, the exponent's bit length of each ``powmod`` in call order, and the
+    multiplications of each public-key comb power (one per non-zero digit;
+    its squarings are spacing - 1)."""
 
     name = "counting"
 
     def __init__(self) -> None:
         self.powmods = 0
         self.fixed_calls = 0
-        self.powers_calls = 0
-        self.walks = 0
+        self.chains = 0
+        self.chain_calls = 0
+        self.chain_reads = 0
         self.powmod_widths: list[int] = []
+        self.key_mults: list[int] = []
 
     def powmod(self, base, exponent, modulus):
         self.powmods += 1
         self.powmod_widths.append(exponent.bit_length())
         return pow(base, exponent, modulus)
 
-    def fixed_power(self, base, modulus, max_bits, window=DEFAULT_WINDOW):
-        power = super().fixed_power(base, modulus, max_bits, window)
+    def fixed_power(self, base, modulus, max_bits, max_tables=None):
+        power = super().fixed_power(base, modulus, max_bits, max_tables)
+        comb = power.__self__
 
         def counted(exponent):
             self.fixed_calls += 1
+            if comb.spacing > 1:
+                self.key_mults.append(len(comb.digits(exponent).replace(b"\0", b"")))
             return power(exponent)
 
         return counted
 
-    def powers(self, base, exponents, modulus):
-        self.powers_calls += 1
-        return super().powers(base, exponents, modulus)
+    def chain(self, base, max_bits, modulus):
+        self.chains += 1
+        return super().chain(base, max_bits, modulus)
 
-    def simultaneous_power(self, b1, e1, b2, e2, modulus):
-        self.walks += 1
-        return super().simultaneous_power(b1, e1, b2, e2, modulus)
+    def chain_powers(self, chain, exponents, modulus):
+        self.chain_calls += 1
+        self.chain_reads += len(exponents)
+        return super().chain_powers(chain, exponents, modulus)
 
     @property
     def exponentiations(self) -> int:
-        return self.powmods + self.fixed_calls + self.powers_calls + self.walks
+        return self.powmods + self.fixed_calls + self.chains + self.chain_calls
 
 
 @pytest.fixture
@@ -257,33 +266,38 @@ class TestChallengeFormExponentiatesNothingUntrusted:
     def test_unseen_beacon_share_costs_the_membership_of_sigma_once_per_cluster(
         self, warm, counting
     ):
-        share = warm[1].sign_beacon_share(b"m")
-        before = counting.powmods
-        tables, walks = counting.fixed_calls, counting.walks
+        share = warm[1].sign_beacon_share(b"m")  # H2(m)'s chain: the signer's
+        before = (counting.powmods, counting.chains, counting.chain_reads)
+        tables = counting.fixed_calls
         assert warm[0].verify_beacon_share(b"m", share)
-        assert counting.powmods == before + 1
-        # The one powmod is sigma_i**q; g**s and A**(-c) come from the comb
-        # tables, and g2**s · sigma_i**(-c) is one Straus walk of the backend.
-        assert counting.powmod_widths[-1] == warm[0]._shared.group.q.bit_length()
+        # No powmod: g**s and A**(-c) come from the combs, g2**s is read off
+        # H2(m)'s cached chain, and sigma_i**(q-c) and its membership
+        # sigma_i**q are two reads of the one chain of sigma_i.
+        assert (counting.powmods, counting.chains, counting.chain_reads) == (
+            before[0], before[1] + 1, before[2] + 3
+        )
         assert counting.fixed_calls == tables + 2
-        assert counting.walks == walks + 1
-        # A second party of the cluster finds sigma_i in the shared cache.
+        # A second party of the cluster finds sigma_i in the shared cache:
+        # its chain again, but no membership read.
         assert warm[2].verify_beacon_share(b"m", share)
-        assert counting.powmods == before + 1
+        assert (counting.powmods, counting.chains, counting.chain_reads) == (
+            before[0], before[1] + 2, before[2] + 5
+        )
 
 
 class TestBeaconSignCost:
     def test_sign_is_one_shared_chain_and_the_module_signers_share(self, warm, counting):
-        """sigma_i = H2(m)**sk_i and the commitment H2(m)**k come from one
-        ``powers`` call, g**k from g's table: no ``powmod``.  The share is
-        ``threshold.sign_share``'s under the same RNG, bit for bit."""
+        """sigma_i = H2(m)**sk_i and the commitment H2(m)**k are two reads
+        of H2(m)'s cached chain, g**k from g's comb: no ``powmod`` and no
+        squaring.  The share is ``threshold.sign_share``'s under the same
+        RNG, bit for bit."""
         ring = warm[1]
-        ring._suite.ctx.message_point(b"m")  # H2(m): once per cluster per message
+        ring._suite.ctx.message_chain(b"m")  # H2(m)'s chain: once per cluster per message
         state = ring._rng.getstate()
-        before = (counting.powmods, counting.powers_calls, counting.fixed_calls, counting.walks)
+        before = (counting.powmods, counting.chains, counting.chain_reads, counting.fixed_calls)
         share = ring.sign_beacon_share(b"m")
-        after = (counting.powmods, counting.powers_calls, counting.fixed_calls, counting.walks)
-        assert after == (before[0], before[1] + 1, before[2] + 1, before[3])
+        after = (counting.powmods, counting.chains, counting.chain_reads, counting.fixed_calls)
+        assert after == (before[0], before[1], before[2] + 2, before[3] + 1)
         ring._rng.setstate(state)
         reference = threshold.sign_share(ring._shared.beacon_pk, ring._beacon_key, b"m", ring._rng)
         assert (share.index, share.value, share.proof) == (
@@ -294,11 +308,15 @@ class TestBeaconSignCost:
     def test_sim_n7_real_epoch_counts_per_height(self, counting):
         """The counts docs/PERFORMANCE.md quotes: ``sim_n7_real``'s cluster
         (n = 7, t = 2, 512-bit group, ε = 0.05, 50 ms links, seed 1) from
-        height 3 to 30.  Per height, each party signs one beacon share (one
-        ``powers``) and checks t = 2 foreign ones (one walk each); what is
-        left of the full-width powmods is sigma_i's membership, H2(m)'s
-        cofactor power and the beacon combine's power by D⁻¹ (20.4 per
-        height when the signer paid two powmods)."""
+        height 3 to 30.  Per height, H2(m) gets one chain for the cluster;
+        each party signs one beacon share (two reads of it) and checks t = 2
+        foreign ones (one chain of sigma_i each, read at q - c, and at q on
+        the cluster's first sight of sigma_i, and H2(m)'s chain read at s).
+        The full-width powmods left are H2(m)'s cofactor power and the
+        beacon combine's power by D⁻¹: 3.37 per height, where sigma_i's
+        membership added 3 more (6.4 with the Straus walk, 20.4 when the
+        signer paid two powmods).  A public key's comb power is 7 squarings
+        and at most 32 multiplications (52 table multiplications before)."""
         cluster = build_cluster(
             ClusterConfig(
                 n=7, t=2, delta_bound=1.0, epsilon=0.05, delay_model=FixedDelay(0.05),
@@ -308,15 +326,60 @@ class TestBeaconSignCost:
         cluster.start()
         assert cluster.run_until_all_committed_round(3, timeout=300)
         height0, widths0 = cluster.min_committed_round(), len(counting.powmod_widths)
-        before = (counting.powers_calls, counting.walks, counting.fixed_calls)
+        before = (counting.chains, counting.chain_calls, counting.chain_reads,
+                  counting.fixed_calls, len(counting.key_mults))
         assert cluster.run_until_all_committed_round(30, timeout=300)
         heights = cluster.min_committed_round() - height0
         full_width = sum(w > 64 for w in counting.powmod_widths[widths0:])
+        key_mults = counting.key_mults[before[4]:]
         assert heights == 27
-        assert full_width / heights <= 7
-        assert (counting.powers_calls - before[0]) / heights == 7.0
-        assert (counting.walks - before[1]) / heights == 14.0
-        assert (counting.fixed_calls - before[2]) / heights == 174.0
+        assert full_width == 91  # 3.37 per height
+        assert (counting.chains - before[0]) / heights == 15.0  # 1 H2(m) + 14 sigma_i
+        assert (counting.chain_calls - before[1]) / heights == 35.0  # 7 signs + 2 x 14 checks
+        assert (counting.chain_reads - before[2]) / heights == 45.0  # 14 + 14 + 14 + 3 memberships
+        assert (counting.fixed_calls - before[3]) / heights == 174.0
+        assert len(key_mults) / heights == 76.0
+        assert max(key_mults) <= 32
+
+
+    def test_one_party_with_a_context_of_its_own_per_round(self, counting):
+        """What a deployed party pays per round of beacon work, with no
+        cluster-mate to share H2(m)'s chain or a membership result: sign
+        its share (two reads of H2(m)'s chain), check t = 2 foreign shares
+        (a chain of each sigma_i, read at q - c and at q, and H2(m)'s chain
+        read at s), combine t + 1.  The one full-width powmod left is
+        H2(m)'s cofactor power; sigma_i's membership cost two more when it
+        was a powmod, and each check a Straus walk."""
+        rings = generate_keyrings(7, 2, seed=1, backend="real", group_profile="default")
+        mine = rings[0]
+        own_suite = api.VerifierSuite.over(fastpath.FastPath(mine._shared.group))
+        party = RealKeyring(
+            index=1, n=7, t=2, shared=replace(mine._shared, suite=own_suite),
+            auth_secret=mine._auth_secret, notary_key=mine._notary_key,
+            final_key=mine._final_key, beacon_key=mine._beacon_key, rng=Random(5),
+        )
+        rounds = [b"round/%d" % r for r in range(6)]
+        foreign = {m: [ring.sign_beacon_share(m) for ring in rings[1:3]] for m in rounds}
+
+        def round_of_beacon_work(m):
+            own = party.sign_beacon_share(m)
+            assert all(party.verify_beacon_share(m, share) for share in foreign[m])
+            party.combine_beacon(m, [own, *foreign[m]])
+
+        for m in rounds[:2]:  # the two share keys' combs are built once
+            round_of_beacon_work(m)
+        widths0 = len(counting.powmod_widths)
+        before = (counting.chains, counting.chain_reads, counting.fixed_calls)
+        for m in rounds[2:]:
+            round_of_beacon_work(m)
+        per_round = [
+            (after - start) / 4
+            for after, start in zip(
+                (counting.chains, counting.chain_reads, counting.fixed_calls), before
+            )
+        ]
+        full_width = sum(w > 64 for w in counting.powmod_widths[widths0:])
+        assert per_round == [3.0, 8.0, 5.0] and full_width / 4 == 1.0
 
 
 class TestBeaconCombineCost:

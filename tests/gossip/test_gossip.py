@@ -176,6 +176,18 @@ class TestAdvertPath:
         )
         assert h.delivered[4] == []
 
+    def test_mislabelled_push_does_not_shadow_the_real_artifact(self):
+        """A push is checked like a requested body: a fake under the real
+        artifact's id is dropped unforwarded, so the real one still arrives."""
+        h = GossipHarness(n=4, degree=3)
+        real, fake = make_block(), make_block(filler=1)
+        h.nodes[4].on_network(Push(artifact_id=artifact_id(real), artifact=fake, sender=2))
+        h.sim.run()
+        assert h.delivered[4] == [] and not h.network.metrics.msgs_sent
+        h.nodes[4].on_network(Push(artifact_id=artifact_id(real), artifact=real, sender=3))
+        h.sim.run()
+        assert h.delivered[4] == [real]
+
     def test_no_entry_survives_delivery(self):
         """Once a body is held, its advertisers, asked set and retry count
         are dead weight: every later advert stops at the held check."""
