@@ -14,8 +14,11 @@ state machine: :meth:`_progress` re-evaluates all enabled clauses until none
 fires.  It runs when (i) a scheduled timer (a Δprop/Δntry boundary) fires,
 or (ii) an artifact enters the pool that can enable a clause
 (:meth:`_admit`): a share below its quorum cannot, so it only waits in the
-pool.  Every clause below carries a comment naming the clause of Figure 1 /
-Figure 2 it implements.
+pool.  In case (ii) the pass runs once the current input is handled
+(``sim.defer``): at once in the simulator, where every delivery is its own
+event, and once per event-loop turn on a live party, for everything that
+turn delivered.  Every clause below carries a comment naming the clause of
+Figure 1 / Figure 2 it implements.
 
 Dissemination of blocks is funnelled through ``_disseminate_block`` so that
 ICC1 (gossip sub-layer) and ICC2 (erasure-coded reliable broadcast) can
@@ -116,6 +119,7 @@ class ICC0Party:
         self._echoed: set[bytes] = set()
         self._wakes_scheduled: set[float] = set()
         self._next_wake = math.inf  # earliest wake no pass has served yet
+        self._pass_pending = False  # a deferred pass is queued (_request_pass)
         self._beacon_computed = 0  # highest k with known R_k
         self._beacon_shared = 0  # highest k whose share we've broadcast
         self._stopped = False
@@ -142,9 +146,9 @@ class ICC0Party:
         self._admit(message)
 
     def _admit(self, artifact: object) -> bool:
-        """Add an artifact received from outside to the pool and run the
-        protocol pass unless the artifact provably enables nothing; returns
-        whether the pool took it.
+        """Add an artifact received from outside to the pool and ask for the
+        protocol pass (:meth:`_request_pass`) unless the artifact provably
+        enables nothing; returns whether the pool took it.
 
         Between passes only the pool and the clock change, and the last pass
         left every clause disabled.  A share changes one answer the clauses
@@ -153,13 +157,31 @@ class ICC0Party:
         clauses (b) and (c) at wake instants: a wake due by now that no pass
         has served yet (queued behind this delivery at the same instant, or
         late on a wall clock) makes the pass run too, so every clause fires
-        when a pass after every artifact would fire it.
+        when a pass after every artifact would fire it.  A live party's pass
+        waits for the end of the loop turn; what the turn's other messages
+        add to the pool by then only gives it more to fire on.
         """
         if not self.pool.add(artifact):
             return False
         if self._can_enable(artifact) or self._next_wake <= self.sim.now:
-            self._progress()
+            self._request_pass()
         return True
+
+    def _request_pass(self) -> None:
+        """Have :meth:`_progress` run once the current input is handled.
+
+        ``sim.defer`` runs it at once in the simulator, where every delivery
+        is an event of its own, and at the end of the loop turn on a wall
+        clock, after every message the turn's reads handed over.  The flag
+        keeps at most one pass pending.
+        """
+        if not self._pass_pending:
+            self._pass_pending = True
+            self.sim.defer(self._deferred_pass)
+
+    def _deferred_pass(self) -> None:
+        self._pass_pending = False
+        self._progress()
 
     def _can_enable(self, artifact: object) -> bool:
         """Whether ``artifact``, just added to the pool, can make a clause

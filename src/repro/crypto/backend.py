@@ -65,11 +65,16 @@ class Comb:
     multiplication per column.  At |q| = 256: ``spacing`` 8 (a public key)
     is 7 squarings and ≤ 32 multiplications from 4 tables of 256 entries,
     ``spacing`` 1 (``g``) is 32 multiplications from 32.  The geometry
-    follows ``max_bits``: a row above it is never built, so at |q| = 96 the
-    tables of the second word hold 4 rows, 16 entries.
+    follows ``max_bits``: a row above it is never built.  A top word of at
+    most 4 rows folds its tables in pairs: ``digits`` moves the rows of
+    every odd table into the empty rows 4–7 of the table before it, so the
+    pair is one table of 8-bit digits and the odd one's digits are zero.
+    At |q| = 96 a power of ``g`` is then ≤ 12 multiplications (8 + 4, where
+    8 + 8 tables of 4-bit digits made 16), and a public key's (``spacing``
+    4) 3 squarings and ≤ 12 multiplications.
     """
 
-    __slots__ = ("p", "max_bits", "spacing", "_words", "_masks", "_tables")
+    __slots__ = ("p", "max_bits", "spacing", "_words", "_masks", "_fold", "_tables")
 
     def __init__(self, p: int, base: int, max_bits: int, spacing: int) -> None:
         if spacing not in (1, 2, 4, 8):
@@ -79,6 +84,13 @@ class Comb:
         self.spacing = spacing
         self._words = words = max(1, (max_bits + 63) >> 6)
         self._masks = tuple(sum(mask << (64 * m) for m in range(words)) for mask in _TRANSPOSE)
+        top = 64 * (words - 1)  # first bit of the top word
+        # The bits of the top word's odd tables, when it folds (else 0).
+        odd_columns = sum(1 << c for c in range(8) if c // spacing % 2)
+        self._fold = fold = (
+            sum(odd_columns << (top + 8 * row) for row in range(4))
+            if spacing < 8 and max_bits <= top + 32 else 0
+        )
         # base**(2**bit) for every bit below max_bits that starts a table's
         # row: the multiples of spacing.
         steps = [base % p]
@@ -90,17 +102,32 @@ class Comb:
         tables = []
         for word in range(words):
             for column in range(0, 8, spacing):
+                bits = range(64 * word + column, min(64 * word + 64, max_bits), 8)
+                if fold and word == words - 1:
+                    if column // spacing % 2:
+                        tables.append([1])  # its rows are the table before's
+                        continue
+                    first = 64 * word + column
+                    bits = [first + 8 * row + shift for shift in (0, spacing)
+                            for row in range(4)]
                 table = [1]
-                for bit in range(64 * word + column, min(64 * word + 64, max_bits), 8):
-                    g = steps[bit // spacing]
-                    table += [t * g % p for t in table]
+                for bit in bits:
+                    if bit < max_bits:
+                        g = steps[bit // spacing]
+                        table += [t * g % p for t in table]
+                    else:  # a row the exponent never sets keeps the layout
+                        table += table
                 tables.append(table)
         self._tables = tables
 
     def digits(self, exponent: int) -> bytes:
-        """The column digits, byte 8m + c for column c of word m."""
+        """The column digits, byte 8m + c for column c of word m (a folded
+        top word's odd tables read 0: their rows are the table before's)."""
         if exponent >> self.max_bits:
             raise ValueError("exponent exceeds table range")
+        if self._fold:
+            odd = exponent & self._fold
+            exponent ^= odd ^ (odd << (32 - self.spacing))
         m7, m14, m28 = self._masks
         t = (exponent ^ (exponent >> 7)) & m7
         exponent ^= t ^ (t << 7)

@@ -302,18 +302,13 @@ class FaultInjector:
         if hold > 0.0:
             new_delay += hold
             touched = True
-        # Outage stretch: deliveries landing in an outage window arrive one
-        # natural delay after the window closes; those sent in one but
-        # landing after it, one natural delay after their natural arrival.
+        # Outage stretch: a delivery landing in an outage window, or sent in
+        # one, arrives one natural delay after that window closes — a copy
+        # sent before GST lands by GST + δ (the paper's partial synchrony).
         if self._outages:
-            landing = now + new_delay
-            end_landing = self._outage_end(landing)
-            if end_landing is not None:
-                target = end_landing
-            elif self._outage_end(now) is not None:
-                target = landing
-            else:
-                target = None
+            target = self._outage_end(now + new_delay)
+            if target is None:
+                target = self._outage_end(now)
             if target is not None:
                 stretched = (target - now) + new_delay
                 self._note_delay(message, receiver, stretched - new_delay)

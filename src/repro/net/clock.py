@@ -2,8 +2,8 @@
 
 The protocol parties never import the simulator *class* — they only call a
 handful of attributes on the ``sim`` object they are constructed with:
-``now``, ``schedule``, ``schedule_at``, ``fork_rng``, ``tracer``,
-``rng``.  :class:`WallClock` implements exactly that surface on
+``now``, ``schedule``, ``schedule_at``, ``defer``, ``fork_rng``,
+``tracer``, ``rng``.  :class:`WallClock` implements exactly that surface on
 top of an asyncio event loop, so the identical party objects run in real
 time.  The differences that matter (and that ``docs/TRANSPORT.md``
 documents):
@@ -17,6 +17,10 @@ documents):
 * ``schedule``/``schedule_at`` map to ``loop.call_later`` — callbacks fire
   *at or after* the requested time, never exactly at it, and never
   reentrantly (asyncio only runs callbacks between await points).
+* ``defer`` is ``loop.call_soon``: the simulator runs a deferred action at
+  once, inside the event that asked for it, while here it waits for the
+  end of the loop turn, so one protocol pass serves every message the
+  turn's socket reads handed over.
 * There is no ``run()`` / ``step()`` — the asyncio loop owns execution.
   Code that drives a run to a condition awaits on events instead
   (see :meth:`repro.net.party.LiveParty.wait_for_height`).
@@ -97,6 +101,12 @@ class WallClock:
         simply runs as soon as possible.
         """
         return self.loop.call_later(max(0.0, time - self.now), action)
+
+    def defer(self, action: Callable[[], None]) -> None:
+        """Run ``action`` once the loop turn's ready callbacks are done:
+        after every chunk the turn read, and before a flush queued behind
+        it, so what ``action`` sends leaves in that flush."""
+        self.loop.call_soon(action)
 
     def fork_rng(self, label: str = "") -> Random:
         """Derive an independent RNG stream (same contract as Simulation)."""

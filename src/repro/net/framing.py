@@ -52,7 +52,9 @@ handed to the party exactly once per link.
 A MSG frame's message is the bytes :func:`repro.net.codec.encode` made of
 it, and the caller passes them in already encoded: a broadcast is encoded
 once and framed once per link.  :func:`decode_payload` hands them to
-:func:`repro.net.codec.decode`, which returns an instance of one of the
+:func:`repro.net.codec.decode` (through the receiving party's
+:class:`DecodeMemo`, which answers a body it decoded recently with the
+same message), which returns an instance of one of the
 codec table's types — fields only, canonical, every count checked, nothing
 executed — or raises :class:`FrameError`.  What the codec leaves open
 (whether an index is within 1..n, a signature verifies, a hash names a known
@@ -66,6 +68,7 @@ from __future__ import annotations
 
 import json
 import struct
+from typing import Callable
 
 from . import codec
 from .codec import FrameError
@@ -155,11 +158,60 @@ def stat_reply_frame(snapshot: dict, max_frame: int = DEFAULT_MAX_FRAME) -> byte
     return encode_frame(body, max_frame)
 
 
-def decode_payload(body: bytes) -> tuple[str, object]:
+class DecodeMemo:
+    """The messages a party decoded last, by their codec bytes.
+
+    ICC0's echo sends a block and its authenticator byte for byte the same
+    from every peer, and most notarizations arrive more than once, so a
+    receiver decodes the same body several times within a few dozen MSG
+    frames.  :meth:`decode` answers a body it holds from the memo.  That is
+    exact: ``codec.decode`` is a pure function of the bytes, the codec is
+    canonical, and a decoded message is frozen.  A body that differs in
+    any byte is another key and is decoded afresh; one that fails to decode
+    is never stored.
+
+    The oldest entry goes first once more than ``max_entries`` bodies, or
+    more than 1 KiB per entry of their bytes, are held (a block at n = 4
+    with no load is ≈ 1 KB); a body above the byte bound is decoded and not
+    kept, so ICC2's large fragments cannot make the memo grow.
+    """
+
+    __slots__ = ("max_entries", "max_bytes", "_messages", "_bytes")
+
+    def __init__(self, max_entries: int) -> None:
+        self.max_entries = max_entries
+        self.max_bytes = 1024 * max_entries
+        self._messages: dict[bytes, object] = {}
+        self._bytes = 0
+
+    def decode(self, body: bytes, offset: int = 0) -> object:
+        """``codec.decode(body, offset)``, from the memo when it holds
+        ``body[offset:]``."""
+        key = body[offset:]
+        messages = self._messages
+        message = messages.get(key)
+        if message is None:
+            message = codec.decode(key)
+            size = len(key)
+            if size <= self.max_bytes:
+                messages[key] = message
+                self._bytes += size
+                while len(messages) > self.max_entries or self._bytes > self.max_bytes:
+                    oldest = next(iter(messages))
+                    del messages[oldest]
+                    self._bytes -= len(oldest)
+        return message
+
+
+def decode_payload(
+    body: bytes, decode: Callable[[bytes, int], object] = codec.decode
+) -> tuple[str, object]:
     """Decode one frame body into ``("hello", (index, cluster_id,
     incarnation))``, ``("msg", (seq, message))``, ``("ack", (seq,
     incarnation))``, ``("stat", None)`` or ``("stat_reply", snapshot)``;
-    raises :class:`FrameError` on malformed input."""
+    raises :class:`FrameError` on malformed input.  A MSG's message comes
+    from ``decode(body, offset)``: ``codec.decode``, or a party's
+    :meth:`DecodeMemo.decode`."""
     if not body:
         raise FrameError("empty frame body")
     frame_type = body[0]
@@ -168,7 +220,7 @@ def decode_payload(body: bytes) -> tuple[str, object]:
             raise FrameError("truncated MSG frame")
         _, seq = _SEQ.unpack_from(body)
         try:
-            return "msg", (seq, codec.decode(body, _SEQ.size))
+            return "msg", (seq, decode(body, _SEQ.size))
         except FrameError as exc:
             raise FrameError(f"undecodable MSG payload: {exc}") from None
     if frame_type == _TYPE_ACK:

@@ -64,6 +64,7 @@ from . import codec
 from .clock import WallClock
 from .framing import (
     DEFAULT_MAX_FRAME,
+    DecodeMemo,
     FrameDecoder,
     FrameError,
     ack_frame,
@@ -282,7 +283,7 @@ class _InboundConnection(asyncio.Protocol):
         hello = delivered = False
         try:
             for body in self.decoder.feed(data):
-                kind, payload = decode_payload(body)
+                kind, payload = decode_payload(body, net._decoded.decode)
                 if kind == "msg" and peer is not None:
                     seq, message = payload  # type: ignore[misc]
                     delivered = True
@@ -387,6 +388,12 @@ class TcpNetwork:
         self._dirty: dict[_PeerLink, None] = {}
         #: Own messages awaiting this turn's self-delivery callback.
         self._own: list = []
+        #: The messages this party decoded last, by body.  An echoed body
+        #: comes from each of the n − 1 peers within about a round, whose
+        #: distinct bodies grow with n (each party signs its own shares):
+        #: at n = 4 and 7, ε = 0, a repeat follows its first copy by p99
+        #: 20 and 28, at most 46 and 48, distinct bodies.
+        self._decoded = DecodeMemo(max_entries=16 * self.n)
         self._server: asyncio.AbstractServer | None = None
         #: Every open inbound connection; ``conn.peer`` is set once its HELLO
         #: is accepted and cleared when a newer connection supersedes it.

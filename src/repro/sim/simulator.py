@@ -43,6 +43,12 @@ class Simulation:
             raise ValueError(f"cannot schedule in the past ({time} < {self.now})")
         return Timer(self.events, time, action)
 
+    def defer(self, action: Callable[[], None]) -> None:
+        """Run ``action`` once the input being handled is done.  Every
+        simulated delivery and timer is an event of its own, so that is at
+        once (a wall clock waits for the end of its loop turn)."""
+        action()
+
     def fork_rng(self, label: str = "") -> Random:
         """Derive an independent RNG stream (for a party, workload, ...)."""
         return Random(f"{self.rng.getrandbits(64)}/{label}")

@@ -414,6 +414,34 @@ class TestBeaconCombineCost:
         assert sum(full_width.values()) == 35 - 12
 
 
+class TestPartialWordCombCost:
+    """At |q| = 96 the exponent's top 64-bit word holds 4 of its 8 rows, so
+    its comb tables fold in pairs into 8-bit digits: a power of ``g`` is ≤ 12
+    table multiplications (8 + 4; 8 + 8 unfolded, 12 with the byte-wide
+    table before the combs), a public key's 3 squarings and ≤ 12."""
+
+    @staticmethod
+    def _comb(power):
+        comb = power.__self__
+        tables = sum(len(table) > 1 for table in comb._tables)
+        worst = len(comb.digits((1 << comb.max_bits) - 1).replace(b"\0", b""))
+        return comb, tables, worst
+
+    def test_g_and_public_key_powers(self, group):
+        ctx = fastpath.FastPath(group, backend=CryptoBackend())
+        assert ctx._q_bits == 96
+        comb, tables, worst = self._comb(ctx._power_g)
+        assert (comb.spacing, tables, worst) == (1, 12, 12)
+        key = group.power_g(12345)
+        comb, tables, worst = self._comb(ctx._key_comb(key))
+        assert (comb.spacing, tables, worst) == (4, 3, 12)
+        rng = Random(5)
+        for exponent in [0, 1, group.q - 1] + [rng.randrange(group.q) for _ in range(64)]:
+            assert len(comb.digits(exponent).replace(b"\0", b"")) <= 12
+            assert comb.power(exponent) == pow(key, exponent, group.p)
+            assert ctx._power_g(exponent) == pow(group.g, exponent, group.p)
+
+
 _RINGS = generate_keyrings(4, 1, seed=11, backend="real")
 _M = b"equivalence"
 #: Valid shares of all four parties, each party's share over another message,

@@ -25,8 +25,10 @@ from repro.sim.delays import FixedDelay
 @dataclass
 class IntermittentSynchrony:
     """The reference: synchronous for ``sync_len`` s of every ``period`` s.
-    A delivery sent or landing outside a window is stretched so that it
-    lands one base delay after the next window opens."""
+    A delivery landing outside a window is stretched so that it lands one
+    base delay after the next window opens; one sent outside a window and
+    landing in one, one base delay after that window opened (the paper's
+    partial synchrony: a message sent before GST arrives by GST + δ)."""
 
     base: FixedDelay
     period: float
@@ -43,9 +45,11 @@ class IntermittentSynchrony:
 
     def sample(self, sender, receiver, now, message, rng) -> float:
         base_delay = self.base.sample(sender, receiver, now, message, rng)
-        if self.in_sync_window(now) and self.in_sync_window(now + base_delay):
-            return base_delay
-        return (self.next_window_start(now + base_delay) - now) + base_delay
+        if not self.in_sync_window(now + base_delay):
+            return (self.next_window_start(now + base_delay) - now) + base_delay
+        if not self.in_sync_window(now):
+            return (self.next_window_start(now) - now) + base_delay
+        return base_delay
 
 
 class TestIntermittentPort:

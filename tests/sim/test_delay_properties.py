@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from random import Random
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.faults import OutageFault, outage_schedule
@@ -18,6 +18,8 @@ pairs = st.tuples(st.integers(1, 40), st.integers(1, 40))
 
 class TestEventualDelivery:
     @given(times)
+    @example(499.95)  # sent within one base delay of GST: lands after it
+    @example(499.99)
     @settings(max_examples=100, deadline=None)
     def test_partial_synchrony_delivers_by_gst_plus_base(self, now):
         """No message is ever delayed past GST + one base delay, even when
