@@ -18,13 +18,15 @@ may make a whole subtree of buffered children valid).
 
 ``add`` dispatches on the message's exact type through one table
 (``_ADDERS``) and raises ``TypeError`` for any other type.  Every message is
-verified in ``add``, except that a share whose aggregate is
-already held (notarization, finalization or beacon value) is dropped unverified
-and counted as ``superseded``.  That is safe because a share is only ever read
-to build the aggregate that already exists.  An authenticator or share must
-also claim the round and proposer of the block whose hash it carries: one that
-does not is dropped as invalid, in ``add`` when the block is known and when the
-block arrives otherwise.
+verified in ``add``, except that a share whose aggregate is already held
+(notarization, finalization or beacon value), or a notarization or
+finalization share for a known block that already has n − t of its kind, is
+dropped unverified and counted as ``superseded``.  That is safe because a
+share is only ever read to build an aggregate, and an aggregate combines the
+first n − t shares.  An authenticator or share must also claim the round and
+proposer of the block whose hash it carries: one that does not is dropped as
+invalid, in ``add`` when the block is known and when the block arrives
+otherwise.
 
 The paper presents the pool as append-only and notes that a practical one
 discards what is no longer relevant (Section 3.1).  Two floors, both raised
@@ -283,28 +285,43 @@ class MessagePool:
         self._try_validate(auth.block_hash)
         return True
 
-    def _add_notar_share(self, share: NotarizationShare) -> bool:
+    def _dropped_unverified(self, share, aggregates: dict, by_block: dict) -> bool:
+        """The checks a notarization or finalization share meets before its
+        signature is read; True if they drop it.  Once the pool holds the
+        aggregate, or ``n - t`` shares for a block it knows, a share is
+        superseded: aggregates combine the first ``n - t`` shares, so no
+        later one is ever read."""
         h = share.block_hash
-        if h in self._notarizations:
+        stored = by_block.get(h, ())
+        if h in aggregates:
             self.stats.superseded += 1
-            return False
-        if share.signer in self._notar_shares.get(h, ()):
+            return True
+        if share.signer in stored:
             self.stats.duplicates += 1
-            return False
+            return True
         block = self.blocks.get(h)
-        if block is not None and not _names(share, block):
-            self.stats.invalid_dropped += 1
-            return False
+        if block is not None:
+            if not _names(share, block):
+                self.stats.invalid_dropped += 1
+                return True
+            if len(stored) >= self.n - self.t:
+                self.stats.superseded += 1
+                return True
         if self._keys.share_index(share.share) != share.signer:
             self.stats.invalid_dropped += 1
+            return True
+        return False
+
+    def _add_notar_share(self, share: NotarizationShare) -> bool:
+        if self._dropped_unverified(share, self._notarizations, self._notar_shares):
             return False
-        key = (NOTARY, share.round, share.proposer, h)
+        key = (NOTARY, share.round, share.proposer, share.block_hash)
         signed = self._memoized(key)
         if not self._keys.verify_notary_share(signed, share.share):
             self.stats.invalid_dropped += 1
             return False
         self._statements[key] = signed
-        self._notar_shares[h][share.signer] = share
+        self._notar_shares[share.block_hash][share.signer] = share
         return True
 
     def _add_notarization(self, notarization: Notarization) -> bool:
@@ -321,27 +338,15 @@ class MessagePool:
         return True
 
     def _add_final_share(self, share: FinalizationShare) -> bool:
-        h = share.block_hash
-        if h in self._finalizations:
-            self.stats.superseded += 1
+        if self._dropped_unverified(share, self._finalizations, self._final_shares):
             return False
-        if share.signer in self._final_shares.get(h, ()):
-            self.stats.duplicates += 1
-            return False
-        block = self.blocks.get(h)
-        if block is not None and not _names(share, block):
-            self.stats.invalid_dropped += 1
-            return False
-        if self._keys.share_index(share.share) != share.signer:
-            self.stats.invalid_dropped += 1
-            return False
-        key = (FINAL, share.round, share.proposer, h)
+        key = (FINAL, share.round, share.proposer, share.block_hash)
         signed = self._memoized(key)
         if not self._keys.verify_final_share(signed, share.share):
             self.stats.invalid_dropped += 1
             return False
         self._statements[key] = signed
-        self._final_shares[h][share.signer] = share
+        self._final_shares[share.block_hash][share.signer] = share
         if share.round > self._committed_floor:
             self._final_activity.add(share.round)
         return True

@@ -7,14 +7,13 @@ flavour (approach iii), and the random-beacon machinery built on the latter.
 See DESIGN.md §2 for the BLS → DLEQ substitution rationale.
 """
 
-from . import api, backend, fastpath
+from . import backend, fastpath
 from .backend import use_backend
 from .group import Group, default_group, generate_group, strong_group, test_group
 from .hashing import DIGEST_SIZE, tagged_hash
 from .keyring import FastKeyring, Keyring, RealKeyring, generate_keyrings
 
 __all__ = [
-    "api",
     "backend",
     "fastpath",
     "use_backend",

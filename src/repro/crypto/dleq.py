@@ -34,9 +34,12 @@ any ω of order d > 1 dividing the cofactor, whatever the nonce.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .group import Group
+
+if TYPE_CHECKING:
+    from .fastpath import FastPath
 
 
 class DleqStatement(NamedTuple):
@@ -72,13 +75,27 @@ def _challenge(group: Group, g1: int, a: int, g2: int, b: int, t1: int, t2: int)
     )
 
 
-def prove(group: Group, secret: int, g1: int, g2: int, rng) -> DleqProof:
-    """Prove that g1**secret and g2**secret share exponent ``secret``."""
-    a = group.power(g1, secret)
-    b = group.power(g2, secret)
-    nonce = group.scalar_field.random_nonzero(rng)
-    t1 = group.power(g1, nonce)
-    t2 = group.power(g2, nonce)
-    c = _challenge(group, g1, a, g2, b, t1, t2)
-    s = (nonce + c * secret) % group.q
-    return DleqProof(challenge=c, response=s)
+def check(ctx: FastPath, statement: DleqStatement, proof: DleqProof, g2_chain: list[int]) -> bool:
+    """Whether ``proof`` proves ``statement``, given g2's squaring chain.
+
+    g1**s and A**(-c) come from comb tables, g2**s is read off
+    ``g2_chain`` (a beacon share's check brings H2(m)'s from the context),
+    and B**(q-c) and, on B's first sight, its membership proof B**q are two
+    reads of one chain of B (:meth:`FastPath.member_power`).
+    """
+    group = ctx.group
+    c, s = proof.challenge, proof.response
+    if not (0 <= c < group.q and 0 <= s < group.q):
+        return False
+    g1, a, g2, b = statement
+    if not all(map(ctx.is_member, (g1, a, g2))):
+        return False
+    b_c = ctx.member_power(b, group.q - c)  # B**(-c), as B**q == 1
+    if b_c is None:
+        return False
+    p = group.p
+    t1 = group.mul(
+        ctx.power_g(s) if g1 == group.g else group.power(g1, s), ctx.power_base(a, -c)
+    )
+    t2 = ctx.backend.chain_powers(g2_chain, (s,), p)[0] * b_c % p
+    return _challenge(group, g1, a, g2, b, t1, t2) == c

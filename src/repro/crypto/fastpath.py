@@ -32,13 +32,12 @@ is multiplied into the beacon value (the argument is in
 ``g``, public keys, H2 points — is long-lived and answered from the cache;
 this is the invariant :meth:`Group.power` documents.
 
-The correctness oracle is the per-item check with no caches, no tables,
-``Group.is_element`` and the backend's plain ``powmod``; it lives in
-``tests/crypto/test_fastpath.py``, whose property tests pin the verifiers
-of :mod:`repro.crypto.api` to it verdict for verdict.
-
-Call sites should not use this module directly — go through the unified
-verifier API in :mod:`repro.crypto.api` (see docs/PERFORMANCE.md).
+The scheme modules sign and verify over a context (``schnorr.sign``,
+``threshold.verify_share``, ``dleq.check``, ...); whoever owns the context
+decides whose tables they read.  The correctness oracle is the per-item
+check with no caches, no tables, ``Group.is_element`` and the backend's
+plain ``powmod``; it lives in ``tests/crypto/test_fastpath.py``, whose
+property tests pin the scheme functions to it verdict for verdict.
 """
 
 from __future__ import annotations
@@ -86,6 +85,12 @@ class _BoundedCache(OrderedDict):
             self.popitem(last=False)
 
 
+#: Public-key comb tables kept at once.
+_TABLES = 512
+#: Elements whose subgroup membership is remembered.
+_MEMBERS = 65536
+#: H2(m) points kept at once.
+_H2_POINTS = 4096
 #: H2(m) squaring chains kept at once: a party signs and checks the shares
 #: of one or two beacon messages at a time.
 _H2_CHAINS = 16
@@ -94,41 +99,33 @@ _H2_CHAINS = 16
 class FastPath:
     """Caches and precomputed tables for the verification fast path.
 
-    One instance per *owner*, shared by every verifier and signer the owner
-    wires over it, so public-key tables, membership results and H2 points
-    amortize across parties, rounds and schemes for as long as the owner
-    lives.  A cluster owns one (:func:`repro.crypto.keyring.generate_keyrings`
-    builds it and hands it to its n keyrings), and its tables go when the
-    cluster goes; :func:`for_group` keeps a process-wide one per group for
+    One instance per *owner*, read by every signature the owner makes or
+    checks through the scheme functions, so public-key tables, membership
+    results and H2 points amortize across parties, rounds and schemes for
+    as long as the owner lives.  A cluster owns one
+    (:func:`repro.crypto.keyring.generate_keyrings` builds it and hands it
+    to its n keyrings), and its tables go when the cluster goes; :func:`for_group` keeps a process-wide one per group for
     callers with no cluster (client authentication, ceremonies, tests).
 
     Combs exist only for bases a caller declares long-lived — ``g`` here,
-    public keys through :meth:`power_base`/:meth:`warm_bases`; H2(m) and
-    σ_i get squaring chains, and everything else is the backend's one-shot
-    ``powmod``.  ``g``'s comb has a table per column (no squarings); a
-    public key's has at most four, since up to ``table_cache`` of them live
-    at once, and pays the squarings between their columns.
+    public keys through :meth:`power_base`; H2(m) and σ_i get squaring
+    chains, and everything else is the backend's one-shot ``powmod``.
+    ``g``'s comb has a table per column (no squarings); a public key's has
+    at most four, since up to ``_TABLES`` of them live at once, and pays
+    the squarings between their columns.
     """
 
-    def __init__(
-        self,
-        group: Group,
-        *,
-        backend: CryptoBackend | None = None,
-        table_cache: int = 512,
-        member_cache: int = 65536,
-        h2_cache: int = 4096,
-    ) -> None:
+    def __init__(self, group: Group, *, backend: CryptoBackend | None = None) -> None:
         self.group = group
         self.backend = backend if backend is not None else active_backend()
         self.stats = FastPathStats()
         self._q_bits = group.q.bit_length()
         self._power_g = self.backend.fixed_power(group.g, group.p, self._q_bits)
-        self._tables: _BoundedCache = _BoundedCache(table_cache)
-        self._members: _BoundedCache = _BoundedCache(member_cache)
+        self._tables: _BoundedCache = _BoundedCache(_TABLES)
+        self._members: _BoundedCache = _BoundedCache(_MEMBERS)
         self._members.put(group.g, None)
         self._members.put(1, None)
-        self._h2: _BoundedCache = _BoundedCache(h2_cache)
+        self._h2: _BoundedCache = _BoundedCache(_H2_POINTS)
         self._h2_chains: _BoundedCache = _BoundedCache(_H2_CHAINS)
 
     # -- membership (cached Group.is_element) ------------------------------
@@ -190,28 +187,8 @@ class FastPath:
             self._tables.touch(base)
         return power(exponent % self.group.q)
 
-    def warm_bases(self, bases) -> int:
-        """Pre-build fixed-base precomputations for long-lived bases.
-
-        Batch-auth hook for the load pipeline: client public keys are
-        known before traffic starts, so building their tables up front
-        moves the one-time cost out of the first verification batch (and
-        out of its latency measurement).  Bases beyond the table cache's
-        LRU capacity are skipped rather than evicting hot entries.
-        Returns the number of precomputations built.
-        """
-        built = 0
-        for base in bases:
-            if len(self._tables) >= self._tables.maxsize:
-                break
-            if self._tables.touch(base):
-                continue
-            self._tables.put(base, self._key_comb(base))
-            built += 1
-        return built
-
     def _key_comb(self, base: int):
-        # At most four tables per key, since up to ``table_cache`` of them
+        # At most four tables per key, since up to ``_TABLES`` of them
         # live at once: 7 squarings per power at |q| = 256, 3 at |q| = 96.
         return self.backend.fixed_power(base, self.group.p, self._q_bits, 4)
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from random import Random
 from typing import Protocol, Sequence
 
-from . import api, dleq, multisig, schnorr, threshold
+from . import dleq, multisig, schnorr, threshold
 from .fastpath import FastPath, _BoundedCache
 from .group import GROUP_PROFILES, Group, group_for_profile
 from .hashing import tagged_hash, tagged_state
@@ -80,16 +80,16 @@ class Keyring(Protocol):
 @dataclass
 class _SharedPublic:
     """Public material common to all parties (one per simulation), and the
-    verifier suite they share: its :class:`~repro.crypto.fastpath.FastPath`
-    (public-key tables, membership cache, H2 memo) belongs to this cluster
-    and is freed with it."""
+    :class:`~repro.crypto.fastpath.FastPath` they sign and verify over: its
+    public-key tables, membership cache and H2 memo belong to this cluster
+    and are freed with it."""
 
     group: Group
     auth_publics: tuple[int, ...]
     notary_pk: multisig.MultisigPublicKey
     final_pk: multisig.MultisigPublicKey
     beacon_pk: threshold.ThresholdPublicKey
-    suite: api.VerifierSuite
+    ctx: FastPath
 
 
 # Signature objects arrive from peers.  The wire codec fixes the type of every
@@ -146,8 +146,10 @@ def _is_beacon_signature(sig) -> bool:
 class RealKeyring:
     """Discrete-log instantiation of the :class:`Keyring` interface.
 
-    All signing and verification goes through :mod:`repro.crypto.api`, over
-    the suite the cluster's keyrings share (``shared.suite``).
+    Each scheme signs and verifies through its module's functions
+    (:mod:`~repro.crypto.schnorr`, :mod:`~repro.crypto.multisig`,
+    :mod:`~repro.crypto.threshold`), over the context the cluster's keyrings
+    share (``shared.ctx``); the nonces come from this party's ``rng``.
 
     Verdicts are memoized in a bounded LRU keyed by ``(kind, signer,
     message, sig)`` — protocol messages are fixed-width digests, signatures
@@ -194,12 +196,8 @@ class RealKeyring:
         self._final_key = final_key
         self._beacon_key = beacon_key
         self._rng = rng
-        suite = shared.suite
-        self._suite = suite
-        self._auth_signer = api.SchnorrSigner(shared.group, auth_secret, suite.ctx)
-        self._notary_signer = api.MultisigShareSigner(shared.notary_pk, notary_key, suite.ctx)
-        self._final_signer = api.MultisigShareSigner(shared.final_pk, final_key, suite.ctx)
-        self._beacon_signer = api.ThresholdShareSigner(shared.beacon_pk, beacon_key, suite.ctx)
+        self._ctx = shared.ctx
+        self._scalars = shared.group.scalar_field
         self._results = _BoundedCache(self.RESULT_CACHE_SIZE)
         self.cache_hits = 0
         self.cache_misses = 0
@@ -223,22 +221,29 @@ class RealKeyring:
         self._results.put(key, verdict)
         return verdict
 
+    def _nonce(self) -> int:
+        return self._scalars.random_nonzero(self._rng)
+
     def _verify_multisig_share(self, kind: str, pk, message: bytes, share) -> bool:
         return self._cached(
             kind, share.index, message, share,
-            lambda: self._suite.multisig_share.verify(pk, message, share),
+            lambda: multisig.verify_share(self._ctx, pk, message, share),
         )
 
     def _verify_aggregate(self, kind: str, pk, message: bytes, agg) -> bool:
-        """The verdict of ``suite.multisig.verify``, share by share through
-        the result cache (class docstring)."""
+        """An aggregate's verdict (:class:`~repro.crypto.multisig.Multisignature`),
+        share by share through the result cache (class docstring)."""
         if not _is_multisig(agg) or len(set(agg.signatories)) < pk.threshold:
             return False
         return all(self._verify_multisig_share(kind, pk, message, s) for s in agg.shares)
 
     # S_auth
     def sign_auth(self, message: bytes):
-        return self._signed("auth", message, self._auth_signer.sign(message, self._rng))
+        sig = schnorr.sign(
+            self._ctx, self._auth_secret, self._shared.auth_publics[self.index - 1],
+            message, self._nonce(),
+        )
+        return self._signed("auth", message, sig)
 
     def verify_auth(self, signer: int, message: bytes, sig) -> bool:
         if type(signer) is not int or not 1 <= signer <= self.n or not _is_schnorr(sig):
@@ -246,12 +251,15 @@ class RealKeyring:
         public = self._shared.auth_publics[signer - 1]
         return self._cached(
             "auth", signer, message, sig,
-            lambda: self._suite.schnorr.verify(public, message, sig),
+            lambda: schnorr.verify(self._ctx, public, message, sig),
         )
 
     # S_notary
     def sign_notary_share(self, message: bytes):
-        return self._signed("notary-share", message, self._notary_signer.sign(message, self._rng))
+        share = multisig.sign_share(
+            self._ctx, self._shared.notary_pk, self._notary_key, message, self._nonce()
+        )
+        return self._signed("notary-share", message, share)
 
     def verify_notary_share(self, message: bytes, share) -> bool:
         return _is_multisig_share(share) and self._verify_multisig_share(
@@ -266,7 +274,10 @@ class RealKeyring:
 
     # S_final
     def sign_final_share(self, message: bytes):
-        return self._signed("final-share", message, self._final_signer.sign(message, self._rng))
+        share = multisig.sign_share(
+            self._ctx, self._shared.final_pk, self._final_key, message, self._nonce()
+        )
+        return self._signed("final-share", message, share)
 
     def verify_final_share(self, message: bytes, share) -> bool:
         return _is_multisig_share(share) and self._verify_multisig_share(
@@ -281,14 +292,17 @@ class RealKeyring:
 
     # S_beacon
     def sign_beacon_share(self, message: bytes):
-        return self._signed("beacon-share", message, self._beacon_signer.sign(message, self._rng))
+        share = threshold.sign_share(
+            self._ctx, self._shared.beacon_pk, self._beacon_key, message, self._nonce()
+        )
+        return self._signed("beacon-share", message, share)
 
     def verify_beacon_share(self, message: bytes, share) -> bool:
         if not _is_beacon_share(share):
             return False
         return self._cached(
             "beacon-share", share.index, message, share,
-            lambda: self._suite.threshold_share.verify(self._shared.beacon_pk, message, share),
+            lambda: threshold.verify_share(self._ctx, self._shared.beacon_pk, message, share),
         )
 
     def combine_beacon(self, message: bytes, shares):
@@ -299,7 +313,7 @@ class RealKeyring:
             return False
         return self._cached(
             "beacon-agg", 0, message, sig,
-            lambda: self._suite.threshold.verify(self._shared.beacon_pk, message, sig),
+            lambda: threshold.verify(self._ctx, self._shared.beacon_pk, message, sig),
         )
 
     def beacon_value(self, sig) -> bytes:
@@ -509,12 +523,11 @@ def generate_keyrings(
     ``Random(seed)`` — a few milliseconds on the ``test`` group, tens on
     ``default`` (docs/PERFORMANCE.md) — so equal arguments give
     bit-identical keys.  Each call also builds one
-    :class:`~repro.crypto.fastpath.FastPath` and one verifier suite over it,
-    under the crypto backend active at the time, and hands them to all n
-    keyrings: the public-key tables, membership
-    cache and H2 memo are shared by the cluster's parties and freed with
-    them, not kept in the process-wide registry of
-    :func:`repro.crypto.api.verifiers_for`.
+    :class:`~repro.crypto.fastpath.FastPath`, under the crypto backend
+    active at the time, and hands it to all n keyrings: the public-key
+    tables, membership cache and H2 memo are shared by the cluster's parties
+    and freed with them, not kept in the process-wide registry of
+    :func:`repro.crypto.fastpath.for_group`.
     """
     if n < 1:
         raise ValueError("need at least one party")
@@ -541,7 +554,7 @@ def generate_keyrings(
         notary_pk=notary_pk,
         final_pk=final_pk,
         beacon_pk=beacon_pk,
-        suite=api.VerifierSuite.over(FastPath(group)),
+        ctx=FastPath(group),
     )
     return [
         RealKeyring(

@@ -16,9 +16,13 @@ approaches (i)/(ii)): each party simply has an independent key pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from . import schnorr
 from .group import Group
+
+if TYPE_CHECKING:
+    from .fastpath import FastPath
 
 
 @dataclass(frozen=True)
@@ -51,7 +55,12 @@ class MultisigShare:
 
 @dataclass(frozen=True)
 class Multisignature:
-    """Aggregate of >= h shares; ``signatories`` is the descriptor."""
+    """Aggregate of >= h shares; ``signatories`` is the descriptor.
+
+    It is valid iff it names at least h distinct signatories and every share
+    it carries passes :func:`verify_share`;
+    :class:`~repro.crypto.keyring.RealKeyring` checks it share by share.
+    """
 
     shares: tuple[MultisigShare, ...]
 
@@ -73,8 +82,21 @@ def keygen(group: Group, threshold: int, n: int, rng) -> tuple[MultisigPublicKey
     return pk, keys
 
 
-def sign_share(pk: MultisigPublicKey, key: MultisigKeyShare, message: bytes, rng) -> MultisigShare:
-    return MultisigShare(index=key.index, signature=schnorr.sign(pk.group, key.secret, message, rng))
+def sign_share(
+    ctx: FastPath, pk: MultisigPublicKey, key: MultisigKeyShare, message: bytes, nonce: int
+) -> MultisigShare:
+    """Party ``key.index``'s share: a Schnorr signature under its own key."""
+    signature = schnorr.sign(ctx, key.secret, pk.public(key.index), message, nonce)
+    return MultisigShare(index=key.index, signature=signature)
+
+
+def verify_share(
+    ctx: FastPath, pk: MultisigPublicKey, message: bytes, share: MultisigShare
+) -> bool:
+    """The share's signature, under the key of the party its index names."""
+    if not 1 <= share.index <= pk.n:
+        return False
+    return schnorr.verify(ctx, pk.public(share.index), message, share.signature)
 
 
 def combine(pk: MultisigPublicKey, message: bytes, shares: list[MultisigShare]) -> Multisignature:

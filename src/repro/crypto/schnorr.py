@@ -8,8 +8,12 @@ assumption in the random-oracle model.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .group import Group
+
+if TYPE_CHECKING:
+    from .fastpath import FastPath
 
 
 @dataclass(frozen=True)
@@ -20,7 +24,7 @@ class SchnorrSignature:
     The nonce commitment R = g**k is not carried: the verifier recomputes
     it as g**s · pk**(-c) from two bases it holds comb tables for and
     accepts iff it hashes back to ``c``, so nothing a peer chose is ever
-    exponentiated (see :class:`repro.crypto.api.SchnorrVerifier`).
+    exponentiated (see :func:`verify`).
     """
 
     challenge: int  # c, a scalar
@@ -54,18 +58,28 @@ def _challenge(group: Group, public: int, commitment: int, message: bytes) -> in
     )
 
 
-def sign(group: Group, secret: int, message: bytes, rng) -> SchnorrSignature:
-    """Sign ``message`` with the secret key.
+def sign(ctx: FastPath, secret: int, public: int, message: bytes, nonce: int) -> SchnorrSignature:
+    """Sign ``message`` with ``secret`` (whose public key is ``public``).
 
-    The nonce is drawn from ``rng``; for deterministic simulations callers
-    pass a seeded RNG, which also makes test failures reproducible.
+    The caller draws the nonce: a party from its seeded RNG, so simulations
+    are reproducible; a load client derives it from the key and message.
+    The commitment g**k is read off ``g``'s comb table.
     """
-    nonce = group.scalar_field.random_nonzero(rng)
-    commitment = group.power_g(nonce)
-    public = group.power_g(secret)
-    c = _challenge(group, public, commitment, message)
-    response = (nonce + c * secret) % group.q
-    return SchnorrSignature(challenge=c, response=response)
+    group = ctx.group
+    c = _challenge(group, public, ctx.power_g(nonce), message)
+    return SchnorrSignature(challenge=c, response=(nonce + c * secret) % group.q)
+
+
+def verify(ctx: FastPath, public: int, message: bytes, sig: SchnorrSignature) -> bool:
+    """Recompute R = g**s · pk**(-c) from the comb tables of ``g`` and the
+    public key and accept iff it hashes back to c: no exponentiation
+    outside the tables."""
+    group = ctx.group
+    c, s = sig.challenge, sig.response
+    if not (0 <= c < group.q and 0 <= s < group.q) or not ctx.is_member(public):
+        return False
+    commitment = group.mul(ctx.power_g(s), ctx.power_base(public, -c))
+    return _challenge(group, public, commitment, message) == c
 
 
 def signature_from_bytes(group: Group, data: bytes) -> SchnorrSignature:

@@ -17,11 +17,14 @@ constant-size BLS signature, matching the production system.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from typing import TYPE_CHECKING
 
 from . import dleq, shamir
 from .backend import active_backend
 from .group import Group
-from .unique import message_point
+
+if TYPE_CHECKING:
+    from .fastpath import FastPath
 
 
 @dataclass(frozen=True)
@@ -96,13 +99,46 @@ def keygen(
     return public, key_shares
 
 
-def sign_share(pk: ThresholdPublicKey, key: ThresholdKeyShare, message: bytes, rng) -> SignatureShare:
-    """Produce party ``key.index``'s signature share on ``message``."""
-    group = pk.group
-    h2 = message_point(group, message)
-    value = group.power(h2, key.secret)
-    proof = dleq.prove(group, key.secret, group.g, h2, rng)
+def sign_share(
+    ctx: FastPath, pk: ThresholdPublicKey, key: ThresholdKeyShare, message: bytes, nonce: int
+) -> SignatureShare:
+    """Party ``key.index``'s share σ_i = H2(m)**sk_i with its DLEQ proof,
+    under the caller's ``nonce``.
+
+    σ_i and the commitment t2 = H2(m)**k are two reads of H2(m)'s squaring
+    chain, which every check of a share of this message reads again; t1 =
+    g**k comes from ``g``'s comb.
+    """
+    group = ctx.group
+    h2 = ctx.message_point(message)
+    value, t2 = ctx.backend.chain_powers(ctx.message_chain(message), (key.secret, nonce), group.p)
+    t1 = ctx.power_g(nonce)
+    c = dleq._challenge(group, group.g, pk.share_public(key.index), h2, value, t1, t2)
+    proof = dleq.DleqProof(challenge=c, response=(nonce + c * key.secret) % group.q)
     return SignatureShare(index=key.index, value=value, proof=proof)
+
+
+def verify_share(
+    ctx: FastPath, pk: ThresholdPublicKey, message: bytes, share: SignatureShare
+) -> bool:
+    """The share's DLEQ proof against the share public key its index names."""
+    if not 1 <= share.index <= pk.n:
+        return False
+    statement = dleq.DleqStatement(
+        ctx.group.g, pk.share_public(share.index), ctx.message_point(message), share.value
+    )
+    return dleq.check(ctx, statement, share.proof, ctx.message_chain(message))
+
+
+def verify(ctx: FastPath, pk: ThresholdPublicKey, message: bytes, sig: ThresholdSignature) -> bool:
+    """A combined signature: the first h distinct shares it carries are
+    valid and recombine to the claimed value."""
+    chosen = _dedupe_by_index(list(sig.shares))[: pk.threshold]
+    if len(chosen) < pk.threshold:
+        return False
+    if not all(verify_share(ctx, pk, message, share) for share in chosen):
+        return False
+    return combine(pk, message, chosen).value == sig.value
 
 
 def combine(pk: ThresholdPublicKey, message: bytes, shares: list[SignatureShare]) -> ThresholdSignature:

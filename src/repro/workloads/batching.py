@@ -42,7 +42,7 @@ import hashlib
 from dataclasses import dataclass
 
 from ..core.messages import Block, Payload
-from ..crypto import api, schnorr
+from ..crypto import fastpath, schnorr
 from ..crypto.group import Group, group_for_profile
 from ..crypto.hashing import tagged_hash
 from ..obs import NULL_TRACER
@@ -159,10 +159,8 @@ class FastClientAuth:
             "ICC/load/fast-auth", self._master, signed_message(client, seq, key, body)
         )
 
-    def verify_batch(self, requests: list[SignedRequest]) -> api.BatchResult:
-        return api.BatchResult.of(
-            [r.auth == self.sign(r.client, r.seq, r.key, r.body) for r in requests]
-        )
+    def verify_batch(self, requests: list[SignedRequest]) -> list[bool]:
+        return [r.auth == self.sign(r.client, r.seq, r.key, r.body) for r in requests]
 
 
 class RealClientAuth:
@@ -172,16 +170,18 @@ class RealClientAuth:
     every party (and every worker process) agrees on the key of client *i*
     without a registration protocol.  Signing nonces are derived from the
     secret and message (deterministic Schnorr), keeping the whole load
-    pipeline free of RNG draws.  Verification is one
-    :meth:`repro.crypto.api.SchnorrVerifier.verify` per request, from the
-    comb tables of ``g`` and the client's key.
+    pipeline free of RNG draws.  Signing and verification are
+    :func:`repro.crypto.schnorr.sign` and :func:`repro.crypto.schnorr.verify`
+    over the process-wide context of the group
+    (:func:`repro.crypto.fastpath.for_group`): one check per request, from
+    the comb tables of ``g`` and the client's key.
     """
 
     scheme = "real"
 
     def __init__(self, seed: int = 0, group_profile: str = "test") -> None:
         self.group: Group = group_for_profile(group_profile)
-        self._suite = api.verifiers_for(self.group)
+        self._ctx = fastpath.for_group(self.group)
         self._master = tagged_hash("ICC/load/auth-master", seed.to_bytes(8, "big"))
         self._secrets: dict[int, int] = {}
         self._publics: dict[int, int] = {}
@@ -199,14 +199,9 @@ class RealClientAuth:
     def public(self, client: int) -> int:
         public = self._publics.get(client)
         if public is None:
-            public = self._suite.ctx.power_g(self._secret(client))
+            public = self._ctx.power_g(self._secret(client))
             self._publics[client] = public
         return public
-
-    def warm(self, clients: int) -> None:
-        """Pre-build fixed-base tables for the first ``clients`` keys (see
-        :meth:`repro.crypto.fastpath.FastPath.warm_bases`)."""
-        self._suite.ctx.warm_bases(self.public(c) for c in range(clients))
 
     def sign(self, client: int, seq: int, key: int, body: bytes) -> bytes:
         group = self.group
@@ -220,11 +215,7 @@ class RealClientAuth:
             ),
             "big",
         ) % (group.q - 1)
-        commitment = self._suite.ctx.power_g(nonce)
-        c = schnorr._challenge(group, self.public(client), commitment, message)
-        sig = schnorr.SchnorrSignature(
-            challenge=c, response=(nonce + c * secret) % group.q
-        )
+        sig = schnorr.sign(self._ctx, secret, self.public(client), message, nonce)
         return sig.to_bytes(group)
 
     def _decode(self, auth: bytes) -> schnorr.SchnorrSignature | None:
@@ -233,15 +224,16 @@ class RealClientAuth:
         except ValueError:
             return None
 
-    def verify_batch(self, requests: list[SignedRequest]) -> api.BatchResult:
-        verify = self._suite.schnorr.verify
+    def verify_batch(self, requests: list[SignedRequest]) -> list[bool]:
+        ctx = self._ctx
         results = []
         for r in requests:
             sig = self._decode(r.auth)
             results.append(
-                sig is not None and verify(self.public(r.client), r.signed_message(), sig)
+                sig is not None
+                and schnorr.verify(ctx, self.public(r.client), r.signed_message(), sig)
             )
-        return api.BatchResult.of(results)
+        return results
 
 
 def client_auth(scheme: str, seed: int = 0, group_profile: str = "test"):
@@ -358,19 +350,15 @@ class RequestBatcher:
         """
         if not batch:
             return 0
-        report = self.auth.verify_batch([r for r, _ in batch])
+        verdicts = self.auth.verify_batch([r for r, _ in batch])
         self.auth_batches += 1
-        if report.stats.invalid:
-            self.auth_invalid += report.stats.invalid
+        invalid = verdicts.count(False)
+        self.auth_invalid += invalid
         if self._tracer.enabled:
-            self._emit(
-                "load.batch.auth",
-                count=report.stats.count,
-                invalid=report.stats.invalid,
-            )
+            self._emit("load.batch.auth", count=len(verdicts), invalid=invalid)
         accepted = 0
         shed = 0
-        for (request, arrived), ok in zip(batch, report.results):
+        for (request, arrived), ok in zip(batch, verdicts):
             if not ok:
                 continue
             rid = request.request_id
@@ -476,14 +464,12 @@ class RequestBatcher:
                 break
             requests.append(request)
         if verdict and requests:
-            report = self.auth.verify_batch(requests)
+            verdicts = self.auth.verify_batch(requests)
             self.auth_batches += 1
-            verdict = report.stats.invalid == 0
+            verdict = all(verdicts)
             if self._tracer.enabled:
                 self._emit(
-                    "load.batch.auth",
-                    count=report.stats.count,
-                    invalid=report.stats.invalid,
+                    "load.batch.auth", count=len(verdicts), invalid=verdicts.count(False)
                 )
         self._block_auth_memo[block.hash] = verdict
         return verdict

@@ -2,8 +2,9 @@
 
 The contract (see ``repro.core.pool``'s docstring): every share is verified
 inside ``add`` — a forgery never enters the pool — except a share whose
-aggregate the pool already holds, or whose round is below the prune floor,
-which is dropped without touching the keyring.  Queries, ``artifact_count``
+aggregate the pool already holds, whose known block already has n − t shares
+of its kind, or whose round is below the prune floor, which is dropped
+without touching the keyring.  Queries, ``artifact_count``
 and ``prune`` are pure reads.
 """
 
@@ -241,6 +242,41 @@ class TestSupersededSharesDropped:
         assert keys.share_verifications == 0
         assert pool.stats.duplicates == pool.stats.invalid_dropped == 0
         assert _share_count(pool, kind, block) == 0
+
+    @pytest.mark.parametrize("kind", ("notar", "final"))
+    def test_share_past_the_quorum_of_a_known_block_never_reaches_the_keyring(self, kind):
+        """A live party combines once per loop turn, so shares can arrive
+        after the quorum and before the aggregate; the (n − t + 1)-th is
+        never read, as an aggregate combines the first n − t."""
+        forge = Forge()
+        pool, keys = _counting_pool(forge)
+        block = forge.block()
+        share = forge.notar_share if kind == "notar" else forge.final_share
+        assert pool.add(block)
+        for signer in (1, 2, 3):  # n - t = 3
+            assert pool.add(share(block, signer))
+        assert keys.share_verifications == 3
+        for resend in (1, 2):
+            assert pool.add(share(block, 4)) is False
+            assert pool.stats.superseded == resend
+        assert keys.share_verifications == 3
+        assert _share_count(pool, kind, block) == 3
+        assert pool.stats.duplicates == pool.stats.invalid_dropped == 0
+
+    @pytest.mark.parametrize("kind", ("notar", "final"))
+    def test_shares_past_the_quorum_of_an_unknown_block_are_kept(self, kind):
+        """Before its block arrives a stored share may yet be dropped as
+        misnamed, so every share of an unknown block is verified and kept."""
+        forge = Forge()
+        pool, keys = _counting_pool(forge)
+        block = forge.block()
+        share = forge.notar_share if kind == "notar" else forge.final_share
+        for signer in (1, 2, 3, 4):
+            assert pool.add(share(block, signer))
+        assert keys.share_verifications == 4
+        assert pool.add(block)
+        assert _share_count(pool, kind, block) == 4
+        assert pool.stats.superseded == 0
 
     def test_share_before_its_aggregate_is_verified_and_kept(self):
         forge = Forge()

@@ -1,154 +1,189 @@
-"""Tests for the unified verifier API (``repro.crypto.api``).
+"""Tests for the signing and verification surface of the scheme modules.
 
-Covers: Protocol conformance, batch == single for every scheme, the API
-being the *only* verification surface (the deprecated module-level
-``verify`` wrappers are gone), and the API signers producing
-bit-identical output to the module sign functions.
+Each scheme module signs and verifies with plain functions over a
+:class:`~repro.crypto.fastpath.FastPath`: ``schnorr.sign``/``verify``,
+``multisig.sign_share``/``verify_share``, ``threshold.sign_share``/
+``verify_share``/``verify`` and ``dleq.check``.  Covers: every scheme has
+that surface and no wrapper layer sits on top of it, each verifier's
+verdicts, and the production signers producing bit-identical output to the
+reference signers of ``tests/crypto/reference.py``.
 """
 
 from __future__ import annotations
 
+import importlib
+import inspect
 from random import Random
 
-from repro.crypto import api, dleq, multisig, schnorr, threshold, unique
+import pytest
+
+from repro.crypto import dleq, fastpath, multisig, schnorr, threshold
 from repro.crypto.dleq import DleqStatement
 from repro.crypto.unique import message_point
+from repro.workloads.batching import RealClientAuth, SignedRequest
+
+from .reference import (
+    dleq_prove,
+    multisig_sign_share,
+    multisig_verify,
+    schnorr_sign,
+    threshold_sign_share,
+)
 
 
-def _suite(group):
-    return api.verifiers_for(group)
+def _ctx(group):
+    return fastpath.for_group(group)
+
+
+def _nonce(group, seed):
+    return group.scalar_field.random_nonzero(Random(seed))
 
 
 class TestProtocols:
-    def test_verifiers_conform(self, group):
-        suite = _suite(group)
-        for verifier in (
-            suite.schnorr, suite.dleq, suite.threshold_share,
-            suite.threshold, suite.multisig_share, suite.multisig,
+    def test_verifiers_conform(self):
+        """Every scheme verifies through a module function whose first
+        argument is the context."""
+        for verify in (
+            schnorr.verify, multisig.verify_share, threshold.verify_share,
+            threshold.verify, dleq.check,
         ):
-            assert isinstance(verifier, api.Verifier)
+            assert list(inspect.signature(verify).parameters)[0] == "ctx", verify.__qualname__
 
     def test_signers_conform(self, group, rng):
-        signer = api.SchnorrSigner(group, group.random_scalar(rng))
-        assert isinstance(signer, api.Signer)
+        """Every signer takes the context first and the caller's nonce last."""
+        ctx = _ctx(group)
+        secret = group.random_scalar(rng)
+        sig = schnorr.sign(ctx, secret, group.power_g(secret), b"m", _nonce(group, 1))
+        assert schnorr.verify(ctx, group.power_g(secret), b"m", sig)
+        for sign in (schnorr.sign, multisig.sign_share, threshold.sign_share):
+            names = list(inspect.signature(sign).parameters)
+            assert (names[0], names[-1]) == ("ctx", "nonce"), sign.__qualname__
 
     def test_suite_is_cached(self, group):
-        assert _suite(group) is _suite(group)
+        assert _ctx(group) is _ctx(group)
 
 
 class TestSchnorrVerifier:
     def test_single_and_batch(self, group, rng):
-        suite = _suite(group)
+        ctx = _ctx(group)
         items = []
         for i in range(5):
             pair = schnorr.keygen(group, rng)
             message = b"api/%d" % i
-            items.append((pair.public, message, schnorr.sign(group, pair.secret, message, rng)))
-        assert all(suite.schnorr.verify(*item) for item in items)
-        assert suite.schnorr.verify_batch(items) == [True] * 5
+            items.append((pair.public, message, schnorr_sign(group, pair.secret, message, rng)))
+        assert [schnorr.verify(ctx, *item) for item in items] == [True] * 5
 
     def test_out_of_range_response_rejected(self, group, rng):
-        suite = _suite(group)
+        ctx = _ctx(group)
         pair = schnorr.keygen(group, rng)
-        sig = schnorr.sign(group, pair.secret, b"m", rng)
+        sig = schnorr_sign(group, pair.secret, b"m", rng)
         bad = schnorr.SchnorrSignature(sig.challenge, sig.response + group.q)
-        assert not suite.schnorr.verify(pair.public, b"m", bad)
+        assert not schnorr.verify(ctx, pair.public, b"m", bad)
         bad = schnorr.SchnorrSignature(sig.challenge + group.q, sig.response)
-        assert not suite.schnorr.verify(pair.public, b"m", bad)
+        assert not schnorr.verify(ctx, pair.public, b"m", bad)
 
-    def test_batch_report_counts(self, group, rng):
-        suite = _suite(group)
-        pair = schnorr.keygen(group, rng)
-        good = schnorr.sign(group, pair.secret, b"m", rng)
-        bad = schnorr.SchnorrSignature(good.challenge, (good.response + 1) % group.q)
-        report = api.BatchResult.of(
-            suite.schnorr.verify_batch([(pair.public, b"m", good), (pair.public, b"m", bad)])
-        )
-        assert report.results == [True, False]
-        assert report.stats.count == 2
-        assert report.stats.invalid == 1
-        assert not report.all_valid()
+    def test_batch_report_counts(self, group):
+        """A batch of client requests is one call and one verdict per
+        request, in order."""
+        auth = RealClientAuth(seed=3, group_profile="test")
+        requests = [
+            SignedRequest(client=c, seq=1, key=c, auth=auth.sign(c, 1, c, b"v"), body=b"v")
+            for c in range(2)
+        ]
+        requests[1] = SignedRequest(1, 1, 1, requests[1].auth, b"tampered")
+        assert auth.verify_batch(requests) == [True, False]
 
 
 class TestAggregateVerifiers:
     def test_threshold_signature(self, group, rng):
-        suite = _suite(group)
+        ctx = _ctx(group)
         pk, keys = threshold.keygen(group, threshold=3, n=5, rng=rng)
-        shares = [threshold.sign_share(pk, k, b"beacon", rng) for k in keys[:3]]
+        shares = [threshold_sign_share(pk, k, b"beacon", rng) for k in keys[:3]]
         sig = threshold.combine(pk, b"beacon", shares)
-        assert suite.threshold.verify(pk, b"beacon", sig)
+        assert threshold.verify(ctx, pk, b"beacon", sig)
         forged = threshold.ThresholdSignature(value=sig.value, shares=sig.shares[:2])
-        assert not suite.threshold.verify(pk, b"beacon", forged)
-        assert suite.threshold.verify_batch(
-            [(pk, b"beacon", sig), (pk, b"beacon", forged)]
-        ) == [True, False]
+        assert not threshold.verify(ctx, pk, b"beacon", forged)
 
     def test_multisignature(self, group, rng):
-        suite = _suite(group)
+        ctx = _ctx(group)
         pk, keys = multisig.keygen(group, threshold=3, n=4, rng=rng)
-        shares = [multisig.sign_share(pk, k, b"notarize", rng) for k in keys[:3]]
+        shares = [multisig_sign_share(pk, k, b"notarize", rng) for k in keys[:3]]
         sig = multisig.combine(pk, b"notarize", shares)
-        assert suite.multisig.verify(pk, b"notarize", sig)
+        assert multisig_verify(ctx, pk, b"notarize", sig)
         short = multisig.Multisignature(shares=sig.shares[:2])
-        assert not suite.multisig.verify(pk, b"notarize", short)
+        assert not multisig_verify(ctx, pk, b"notarize", short)
 
 
 class TestApiIsOnlyVerifySurface:
-    """The deprecated module-level ``verify`` wrappers are removed; the
-    scheme modules expose keygen/sign/combine only, and all verification
-    goes through :func:`repro.crypto.api.verifiers_for`."""
+    """The scheme modules are the surface: no wrapper module sits on top of
+    them, and the slow reference signers live in the tests."""
 
     def test_wrappers_are_gone(self):
-        for module in (schnorr, dleq, unique, threshold, multisig):
-            assert not hasattr(module, "verify"), module.__name__
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.crypto.api")
+        assert not hasattr(dleq, "prove")
         for module in (threshold, multisig):
-            assert not hasattr(module, "verify_share"), module.__name__
+            assert hasattr(module, "verify_share"), module.__name__
+        assert not hasattr(multisig, "verify")
+        assert not hasattr(fastpath.FastPath, "warm_bases")
 
     def test_api_covers_every_scheme(self, group, rng):
-        suite = _suite(group)
+        ctx = _ctx(group)
 
         secret = group.random_scalar(rng)
         h2 = message_point(group, b"m")
-        proof = dleq.prove(group, secret, group.g, h2, rng)
-        statement = DleqStatement(
-            group.g, group.power_g(secret), h2, group.power(h2, secret)
-        )
-        assert suite.dleq.verify(statement, b"", proof)
+        proof = dleq_prove(group, secret, group.g, h2, rng)
+        statement = DleqStatement(group.g, group.power_g(secret), h2, group.power(h2, secret))
+        assert dleq.check(ctx, statement, proof, ctx.message_chain(b"m"))
 
         tpk, tkeys = threshold.keygen(group, threshold=2, n=3, rng=rng)
-        tshare = threshold.sign_share(tpk, tkeys[0], b"m", rng)
-        assert suite.threshold_share.verify(tpk, b"m", tshare)
+        tshare = threshold_sign_share(tpk, tkeys[0], b"m", rng)
+        assert threshold.verify_share(ctx, tpk, b"m", tshare)
         tsig = threshold.combine(
-            tpk, b"m", [threshold.sign_share(tpk, k, b"m", rng) for k in tkeys[:2]]
+            tpk, b"m", [threshold_sign_share(tpk, k, b"m", rng) for k in tkeys[:2]]
         )
-        assert suite.threshold.verify(tpk, b"m", tsig)
+        assert threshold.verify(ctx, tpk, b"m", tsig)
 
         mpk, mkeys = multisig.keygen(group, threshold=2, n=3, rng=rng)
-        mshare = multisig.sign_share(mpk, mkeys[0], b"m", rng)
-        assert suite.multisig_share.verify(mpk, b"m", mshare)
+        mshare = multisig_sign_share(mpk, mkeys[0], b"m", rng)
+        assert multisig.verify_share(ctx, mpk, b"m", mshare)
         msig = multisig.combine(
-            mpk, b"m", [multisig.sign_share(mpk, k, b"m", rng) for k in mkeys[:2]]
+            mpk, b"m", [multisig_sign_share(mpk, k, b"m", rng) for k in mkeys[:2]]
         )
-        assert suite.multisig.verify(mpk, b"m", msig)
+        assert multisig_verify(ctx, mpk, b"m", msig)
 
 
 class TestSignerBitIdentity:
-    """API signers reproduce the module-level sign output draw-for-draw."""
+    """Production signers reproduce the reference signers draw for draw."""
 
     def test_schnorr(self, group):
         secret = 1234567
-        a = schnorr.sign(group, secret, b"m", Random(7))
-        b = api.SchnorrSigner(group, secret).sign(b"m", Random(7))
+        a = schnorr_sign(group, secret, b"m", Random(7))
+        b = schnorr.sign(_ctx(group), secret, group.power_g(secret), b"m", _nonce(group, 7))
         assert a == b
 
     def test_threshold_share(self, group, rng):
         pk, keys = threshold.keygen(group, threshold=2, n=3, rng=rng)
-        a = threshold.sign_share(pk, keys[1], b"m", Random(11))
-        b = api.ThresholdShareSigner(pk, keys[1]).sign(b"m", Random(11))
+        a = threshold_sign_share(pk, keys[1], b"m", Random(11))
+        b = threshold.sign_share(_ctx(group), pk, keys[1], b"m", _nonce(group, 11))
         assert a == b
 
     def test_multisig_share(self, group, rng):
         pk, keys = multisig.keygen(group, threshold=2, n=3, rng=rng)
-        a = multisig.sign_share(pk, keys[2], b"m", Random(13))
-        b = api.MultisigShareSigner(pk, keys[2]).sign(b"m", Random(13))
+        a = multisig_sign_share(pk, keys[2], b"m", Random(13))
+        b = multisig.sign_share(_ctx(group), pk, keys[2], b"m", _nonce(group, 13))
         assert a == b
+
+    def test_client_auth_signature_pinned(self):
+        """The load client's deterministic-nonce signature, pinned byte for
+        byte: it signs through ``schnorr.sign`` with a nonce derived from the
+        key and message, and neither may change what a client sends."""
+        message = (3, 5, 11, b"put\x1fk\x1fv")
+        assert RealClientAuth(seed=7).sign(*message).hex() == (
+            "487bd91d0ff1690304a38ddf0ddf989448db9d21e1fe6f9e"
+        )
+        assert RealClientAuth(seed=7, group_profile="default").sign(*message).hex() == (
+            "6886208b6d01dadd6c8e165a609f2f88d2efde116c9f8215"
+            "522b84d42bb75a3f73a5444c0cef24e87b8dbf9acb734564"
+            "7ee8b59f9fd55e02e45c4057e6d6b27b"
+        )

@@ -2,8 +2,8 @@
 
 The per-item oracles defined here (``verify_schnorr_single`` /
 ``verify_dleq_single``) are the correctness reference; everything here pins
-the verifiers of ``repro.crypto.api`` and the exponentiation shortcuts to
-them / to plain ``pow``.
+``schnorr.verify`` and ``dleq.check`` over a ``FastPath`` and the
+exponentiation shortcuts to them / to plain ``pow``.
 """
 
 from __future__ import annotations
@@ -15,12 +15,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto import api, dleq, fastpath, schnorr, threshold
+from repro.crypto import dleq, fastpath, schnorr, threshold
 from repro.crypto.backend import Comb, CryptoBackend
 from repro.crypto.dleq import DleqStatement
 from repro.crypto.group import group_for_profile
 from repro.crypto.keyring import generate_keyrings
 from repro.crypto.unique import message_point
+
+from .reference import dleq_prove, schnorr_sign
 
 
 # ---------------------------------------------------------------------------
@@ -143,9 +145,9 @@ class TestMultiExp:
 # the fast verifiers vs the per-item oracle
 # ---------------------------------------------------------------------------
 #
-# The oracles are the reference semantics of the verifiers in
-# repro.crypto.api: no caches, no precomputation, no shared state.  The
-# verifiers must accept exactly the items these accept.
+# The oracles are the reference semantics of schnorr.verify and dleq.check:
+# no caches, no precomputation, no shared state.  The fast checks must
+# accept exactly the items these accept.
 
 
 def verify_schnorr_single(group, public, message, signature) -> bool:
@@ -172,10 +174,25 @@ def verify_dleq_single(group, statement, proof) -> bool:
     return dleq._challenge(group, g1, a, g2, b, t1, t2) == c
 
 
-def _suite(group):
-    """Verifiers over a context of their own: no table or membership
-    verdict carries over from another test."""
-    return api.VerifierSuite.over(fastpath.FastPath(group))
+def _ctx(group):
+    """A context of its own: no table or membership verdict carries over
+    from another test."""
+    return fastpath.FastPath(group)
+
+
+def _check(ctx, statement, proof):
+    """``dleq.check`` with g2's squaring chain built for the statement."""
+    group = ctx.group
+    chain = ctx.backend.chain(statement.g2, group.q.bit_length(), group.p)
+    return dleq.check(ctx, statement, proof, chain)
+
+
+def _schnorr_verdicts(ctx, items):
+    return [schnorr.verify(ctx, *item) for item in items]
+
+
+def _dleq_verdicts(ctx, items):
+    return [_check(ctx, statement, proof) for statement, _, proof in items]
 
 
 def _schnorr_items(group, rng, count):
@@ -183,7 +200,7 @@ def _schnorr_items(group, rng, count):
     for i in range(count):
         pair = schnorr.keygen(group, rng)
         message = b"fp/%d" % i
-        items.append((pair.public, message, schnorr.sign(group, pair.secret, message, rng)))
+        items.append((pair.public, message, schnorr_sign(group, pair.secret, message, rng)))
     return items
 
 
@@ -195,7 +212,7 @@ def _dleq_items(group, rng, count, message=b"fp/dleq"):
         statement = DleqStatement(
             group.g, group.power_g(secret), h2, group.power(h2, secret)
         )
-        items.append((statement, b"", dleq.prove(group, secret, group.g, h2, rng)))
+        items.append((statement, b"", dleq_prove(group, secret, group.g, h2, rng)))
     return items
 
 
@@ -211,13 +228,13 @@ def _scalar_forgeries(q, c, s):
 
 class TestBatchSchnorr:
     def test_all_valid(self, group, rng):
-        assert _suite(group).schnorr.verify_batch(_schnorr_items(group, rng, 8)) == [True] * 8
+        assert _schnorr_verdicts(_ctx(group), _schnorr_items(group, rng, 8)) == [True] * 8
 
     def test_forged_item_pinpointed(self, group, rng):
         items = _schnorr_items(group, rng, 8)
         pk, message, sig = items[3]
         items[3] = (pk, message, replace(sig, response=(sig.response + 1) % group.q))
-        results = _suite(group).schnorr.verify_batch(items)
+        results = _schnorr_verdicts(_ctx(group), items)
         assert results == [True, True, True, False, True, True, True, True]
 
     def test_two_forgeries_both_isolated(self, group, rng):
@@ -225,7 +242,7 @@ class TestBatchSchnorr:
         for bad in (0, 5):
             pk, message, sig = items[bad]
             items[bad] = (pk, b"other-message", sig)
-        results = _suite(group).schnorr.verify_batch(items)
+        results = _schnorr_verdicts(_ctx(group), items)
         assert results == [False, True, True, True, True, False]
 
     def test_matches_oracle_exactly(self, group, rng):
@@ -233,34 +250,34 @@ class TestBatchSchnorr:
         pk, message, sig = items[2]
         items[2] = (pk, message, replace(sig, challenge=1))
         oracle = [verify_schnorr_single(group, *item) for item in items]
-        assert _suite(group).schnorr.verify_batch(items) == oracle
+        assert _schnorr_verdicts(_ctx(group), items) == oracle
         assert oracle == [True, True, False, True, True]
 
 
 class TestBatchDleq:
     def test_all_valid(self, group, rng):
-        assert _suite(group).dleq.verify_batch(_dleq_items(group, rng, 6)) == [True] * 6
+        assert _dleq_verdicts(_ctx(group), _dleq_items(group, rng, 6)) == [True] * 6
 
     def test_forged_item_pinpointed(self, group, rng):
         items = _dleq_items(group, rng, 6)
         statement, _, proof = items[4]
         items[4] = (statement, b"", replace(proof, response=(proof.response + 1) % group.q))
-        results = _suite(group).dleq.verify_batch(items)
+        results = _dleq_verdicts(_ctx(group), items)
         assert results == [True, True, True, True, False, True]
 
     def test_non_member_element_rejected(self, group, rng):
         # No statement element outside the prime-order subgroup may reach an
         # exponentiation whose exponent was reduced mod q; the item is
         # rejected and the rest of the batch is unaffected.
-        suite = _suite(group)
+        ctx = _ctx(group)
         non_member = group.p - 1  # order 2, not in the subgroup (q odd)
-        assert not suite.ctx.is_member(non_member)
+        assert not ctx.is_member(non_member)
         items = _dleq_items(group, rng, 4)
         statement, _, proof = items[1]
         items[1] = (statement._replace(a=non_member), b"", proof)
         statement, _, proof = items[2]
         items[2] = (statement._replace(b=statement.b * non_member % group.p), b"", proof)
-        assert suite.dleq.verify_batch(items) == [True, False, False, True]
+        assert _dleq_verdicts(ctx, items) == [True, False, False, True]
 
     def test_ground_share_value_off_the_subgroup_is_rejected(self, group, rng):
         """The attack ``repro.crypto.dleq`` describes, carried out: B = σ·ω
@@ -281,7 +298,7 @@ class TestBatchDleq:
         assert pow(g, s, p) * pow(a, q - c, p) % p == t1
         assert pow(g2, s, p) * pow(b, q - c, p) % p == t2
         statement, proof = DleqStatement(g, a, g2, b), dleq.DleqProof(c, s)
-        assert not _suite(group).dleq.verify(statement, b"", proof)
+        assert not _check(_ctx(group), statement, proof)
         assert not verify_dleq_single(group, statement, proof)
 
     def test_ground_share_value_never_enters_the_membership_cache(self):
@@ -290,7 +307,7 @@ class TestBatchDleq:
         proves membership, is never cached as a member, and is rejected
         again — through the same verifier and at a second keyring."""
         rings = generate_keyrings(4, 1, seed=5, backend="real")
-        shared, ctx = rings[0]._shared, rings[0]._suite.ctx
+        shared, ctx = rings[0]._shared, rings[0]._ctx
         group, pk, message = shared.group, shared.beacon_pk, b"ground/beacon"
         p, q, g = group.p, group.q, group.g
         x = rings[1]._beacon_key.secret
@@ -310,7 +327,7 @@ class TestBatchDleq:
         misses = ctx.stats.member_misses
         assert not rings[0].verify_beacon_share(message, forged)
         assert b not in ctx._members and ctx.stats.member_misses == misses + 1
-        assert not rings[0]._suite.threshold_share.verify(pk, message, forged)
+        assert not threshold.verify_share(ctx, pk, message, forged)
         assert not rings[2].verify_beacon_share(message, forged)
         assert b not in ctx._members and ctx.stats.member_misses == misses + 3
 
@@ -319,7 +336,7 @@ class TestBatchDleq:
         statement, _, proof = items[0]
         items[0] = (statement, b"", dleq.DleqProof(proof.response, proof.challenge))
         oracle = [verify_dleq_single(group, s, pr) for s, _, pr in items]
-        assert _suite(group).dleq.verify_batch(items) == oracle
+        assert _dleq_verdicts(_ctx(group), items) == oracle
         assert oracle == [False, True, True, True, True]
 
 
@@ -341,7 +358,7 @@ class TestBatchPropertyEquivalence:
         forged.append((pk, message, sig2))  # another signature's (c, s)
         items = [(pk, message, sig), (pk2, message2, sig2)] + forged
         oracle = [verify_schnorr_single(group, *item) for item in items]
-        assert _suite(group).schnorr.verify_batch(items) == oracle
+        assert _schnorr_verdicts(_ctx(group), items) == oracle
         assert oracle == [True, True] + [False] * len(forged)
 
     @settings(max_examples=12, deadline=None)
@@ -361,7 +378,7 @@ class TestBatchPropertyEquivalence:
         forged.append((st1._replace(b=st2.b), b"", proof))  # sigma another member
         items = [(st1, b"", proof), (st2, b"", proof2)] + forged
         oracle = [verify_dleq_single(group, s, pr) for s, _, pr in items]
-        assert _suite(group).dleq.verify_batch(items) == oracle
+        assert _dleq_verdicts(_ctx(group), items) == oracle
         assert oracle == [True, True] + [False] * len(forged)
 
 

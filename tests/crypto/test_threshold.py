@@ -8,17 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto import dleq, threshold
-from repro.crypto.api import verifiers_for
+from repro.crypto import dleq, fastpath, threshold
 from repro.crypto.backend import CryptoBackend, use_backend
 from repro.crypto.group import group_for_profile
 
+from .reference import threshold_sign_share
 from .test_backend import PowBackend
 
 
 @pytest.fixture(scope="module")
-def suite(group):
-    return verifiers_for(group)
+def ctx(group):
+    return fastpath.for_group(group)
 
 
 @pytest.fixture(scope="module")
@@ -48,45 +48,45 @@ class TestKeygen:
 
 
 class TestShares:
-    def test_share_sign_verify(self, setup, suite):
+    def test_share_sign_verify(self, setup, ctx):
         group, pk, keys, rng = setup
-        share = threshold.sign_share(pk, keys[0], b"message", rng)
-        assert suite.threshold_share.verify(pk, b"message", share)
+        share = threshold_sign_share(pk, keys[0], b"message", rng)
+        assert threshold.verify_share(ctx, pk, b"message", share)
 
-    def test_share_wrong_message_rejected(self, setup, suite):
+    def test_share_wrong_message_rejected(self, setup, ctx):
         group, pk, keys, rng = setup
-        share = threshold.sign_share(pk, keys[0], b"message", rng)
-        assert not suite.threshold_share.verify(pk, b"other", share)
+        share = threshold_sign_share(pk, keys[0], b"message", rng)
+        assert not threshold.verify_share(ctx, pk, b"other", share)
 
-    def test_share_wrong_index_rejected(self, setup, suite):
+    def test_share_wrong_index_rejected(self, setup, ctx):
         group, pk, keys, rng = setup
-        share = threshold.sign_share(pk, keys[0], b"m", rng)
+        share = threshold_sign_share(pk, keys[0], b"m", rng)
         forged = threshold.SignatureShare(index=2, value=share.value, proof=share.proof)
-        assert not suite.threshold_share.verify(pk, b"m", forged)
+        assert not threshold.verify_share(ctx, pk, b"m", forged)
 
-    def test_share_index_out_of_range_rejected(self, setup, suite):
+    def test_share_index_out_of_range_rejected(self, setup, ctx):
         group, pk, keys, rng = setup
-        share = threshold.sign_share(pk, keys[0], b"m", rng)
+        share = threshold_sign_share(pk, keys[0], b"m", rng)
         forged = threshold.SignatureShare(index=99, value=share.value, proof=share.proof)
-        assert not suite.threshold_share.verify(pk, b"m", forged)
+        assert not threshold.verify_share(ctx, pk, b"m", forged)
 
 
 class TestCombine:
-    def test_combine_and_verify(self, setup, suite):
+    def test_combine_and_verify(self, setup, ctx):
         group, pk, keys, rng = setup
-        shares = [threshold.sign_share(pk, k, b"m", rng) for k in keys[:3]]
+        shares = [threshold_sign_share(pk, k, b"m", rng) for k in keys[:3]]
         sig = threshold.combine(pk, b"m", shares)
-        assert suite.threshold.verify(pk, b"m", sig)
+        assert threshold.verify(ctx, pk, b"m", sig)
 
     def test_uniqueness_across_share_subsets(self, setup):
         """The combined value is identical for ANY valid share subset —
         the property the random beacon depends on (Section 2.3)."""
         group, pk, keys, rng = setup
         a = threshold.combine(
-            pk, b"m", [threshold.sign_share(pk, k, b"m", rng) for k in keys[:3]]
+            pk, b"m", [threshold_sign_share(pk, k, b"m", rng) for k in keys[:3]]
         )
         b = threshold.combine(
-            pk, b"m", [threshold.sign_share(pk, k, b"m", rng) for k in keys[4:7]]
+            pk, b"m", [threshold_sign_share(pk, k, b"m", rng) for k in keys[4:7]]
         )
         assert a.value == b.value
 
@@ -100,41 +100,41 @@ class TestCombine:
             group.scalar_field, [Share(k.index, k.secret) for k in keys[:3]]
         )
         sig = threshold.combine(
-            pk, b"m", [threshold.sign_share(pk, k, b"m", rng) for k in keys[:3]]
+            pk, b"m", [threshold_sign_share(pk, k, b"m", rng) for k in keys[:3]]
         )
         assert sig.value == group.power(message_point(group, b"m"), master)
 
     def test_too_few_shares_raises(self, setup):
         group, pk, keys, rng = setup
-        shares = [threshold.sign_share(pk, k, b"m", rng) for k in keys[:2]]
+        shares = [threshold_sign_share(pk, k, b"m", rng) for k in keys[:2]]
         with pytest.raises(ValueError):
             threshold.combine(pk, b"m", shares)
 
     def test_duplicate_shares_dont_count(self, setup):
         group, pk, keys, rng = setup
-        share = threshold.sign_share(pk, keys[0], b"m", rng)
+        share = threshold_sign_share(pk, keys[0], b"m", rng)
         with pytest.raises(ValueError):
             threshold.combine(pk, b"m", [share, share, share])
 
-    def test_forged_combined_rejected(self, setup, suite):
+    def test_forged_combined_rejected(self, setup, ctx):
         group, pk, keys, rng = setup
-        shares = [threshold.sign_share(pk, k, b"m", rng) for k in keys[:3]]
+        shares = [threshold_sign_share(pk, k, b"m", rng) for k in keys[:3]]
         sig = threshold.combine(pk, b"m", shares)
         forged = threshold.ThresholdSignature(value=group.power_g(5), shares=sig.shares)
-        assert not suite.threshold.verify(pk, b"m", forged)
+        assert not threshold.verify(ctx, pk, b"m", forged)
 
-    def test_combined_wrong_message_rejected(self, setup, suite):
+    def test_combined_wrong_message_rejected(self, setup, ctx):
         group, pk, keys, rng = setup
-        shares = [threshold.sign_share(pk, k, b"m", rng) for k in keys[:3]]
+        shares = [threshold_sign_share(pk, k, b"m", rng) for k in keys[:3]]
         sig = threshold.combine(pk, b"m", shares)
-        assert not suite.threshold.verify(pk, b"other", sig)
+        assert not threshold.verify(ctx, pk, b"other", sig)
 
-    def test_verify_rejects_insufficient_carried_shares(self, setup, suite):
+    def test_verify_rejects_insufficient_carried_shares(self, setup, ctx):
         group, pk, keys, rng = setup
-        shares = [threshold.sign_share(pk, k, b"m", rng) for k in keys[:3]]
+        shares = [threshold_sign_share(pk, k, b"m", rng) for k in keys[:3]]
         sig = threshold.combine(pk, b"m", shares)
         stripped = threshold.ThresholdSignature(value=sig.value, shares=sig.shares[:2])
-        assert not suite.threshold.verify(pk, b"m", stripped)
+        assert not threshold.verify(ctx, pk, b"m", stripped)
 
 
 def combine_per_share(group, shares) -> int:

@@ -26,7 +26,7 @@ from repro.core import ClusterConfig, build_cluster
 from repro.core import messages as msg
 from repro.core.messages import Finalization, Notarization
 from repro.core.pool import MessagePool
-from repro.crypto import api, fastpath, field, threshold
+from repro.crypto import fastpath, field
 from repro.crypto.backend import CryptoBackend, use_backend
 from repro.crypto.keyring import RealKeyring, generate_keyrings
 from repro.crypto.multisig import Multisignature
@@ -34,6 +34,7 @@ from repro.sim import FixedDelay
 from repro.workloads.batching import RealClientAuth, SignedRequest
 
 from ..core.test_pool import Forge
+from .reference import multisig_verify, threshold_sign_share
 
 
 class CountingBackend(CryptoBackend):
@@ -118,7 +119,7 @@ def _real_cluster(seed=1, max_rounds=5):
 
 
 def _context(cluster) -> fastpath.FastPath:
-    return cluster.parties[0].keys._suite.ctx
+    return cluster.parties[0].keys._ctx
 
 
 # -- (a) q is proved prime once per Group ----------------------------------
@@ -289,17 +290,17 @@ class TestBeaconSignCost:
     def test_sign_is_one_shared_chain_and_the_module_signers_share(self, warm, counting):
         """sigma_i = H2(m)**sk_i and the commitment H2(m)**k are two reads
         of H2(m)'s cached chain, g**k from g's comb: no ``powmod`` and no
-        squaring.  The share is ``threshold.sign_share``'s under the same
-        RNG, bit for bit."""
+        squaring.  The share is the reference signer's under the same RNG,
+        bit for bit."""
         ring = warm[1]
-        ring._suite.ctx.message_chain(b"m")  # H2(m)'s chain: once per cluster per message
+        ring._ctx.message_chain(b"m")  # H2(m)'s chain: once per cluster per message
         state = ring._rng.getstate()
         before = (counting.powmods, counting.chains, counting.chain_reads, counting.fixed_calls)
         share = ring.sign_beacon_share(b"m")
         after = (counting.powmods, counting.chains, counting.chain_reads, counting.fixed_calls)
         assert after == (before[0], before[1], before[2] + 2, before[3] + 1)
         ring._rng.setstate(state)
-        reference = threshold.sign_share(ring._shared.beacon_pk, ring._beacon_key, b"m", ring._rng)
+        reference = threshold_sign_share(ring._shared.beacon_pk, ring._beacon_key, b"m", ring._rng)
         assert (share.index, share.value, share.proof) == (
             reference.index, reference.value, reference.proof
         )
@@ -352,9 +353,9 @@ class TestBeaconSignCost:
         was a powmod, and each check a Straus walk."""
         rings = generate_keyrings(7, 2, seed=1, backend="real", group_profile="default")
         mine = rings[0]
-        own_suite = api.VerifierSuite.over(fastpath.FastPath(mine._shared.group))
+        own_ctx = fastpath.FastPath(mine._shared.group)
         party = RealKeyring(
-            index=1, n=7, t=2, shared=replace(mine._shared, suite=own_suite),
+            index=1, n=7, t=2, shared=replace(mine._shared, ctx=own_ctx),
             auth_secret=mine._auth_secret, notary_key=mine._notary_key,
             final_key=mine._final_key, beacon_key=mine._beacon_key, rng=Random(5),
         )
@@ -460,9 +461,9 @@ def test_aggregate_verdict_equals_the_suite_verifier(shares, message):
     must not depend on what the keyring has seen."""
     ring = _RINGS[0]
     aggregate = Multisignature(tuple(shares))
-    reference = api.verifiers_for(ring._shared.group).multisig
-    assert ring.verify_notary(message, aggregate) == reference.verify(
-        ring._shared.notary_pk, message, aggregate
+    reference = fastpath.for_group(ring._shared.group)
+    assert ring.verify_notary(message, aggregate) == multisig_verify(
+        reference, ring._shared.notary_pk, message, aggregate
     )
 
 
@@ -482,7 +483,7 @@ class TestClusterOwnsItsContext:
 
     def test_two_clusters_share_no_table(self):
         a, b = _real_cluster(seed=1), _real_cluster(seed=1)  # same keys
-        assert all(p.keys._suite.ctx is _context(a) for p in a.parties)
+        assert all(p.keys._ctx is _context(a) for p in a.parties)
         assert _context(a) is not _context(b)
         assert _context(a) not in fastpath._CONTEXTS.values()
         a.start()
@@ -501,7 +502,7 @@ class TestContextPerBackendInstance:
             with use_backend(backend):
                 ctx = fastpath.for_group(group)
                 assert ctx.backend is backend
-                assert api.verifiers_for(group).ctx is ctx
+                assert RealClientAuth(group_profile="test")._ctx is ctx
                 contexts.append(ctx)
         assert contexts[0] is not contexts[1]
 
@@ -513,7 +514,7 @@ class TestContextPerBackendInstance:
             for c in range(4)
         ]
         counting.powmods = counting.fixed_calls = 0
-        assert auth.verify_batch(requests).results == [True] * 4
+        assert auth.verify_batch(requests) == [True] * 4
         # One membership proof per fresh client key, then g**s and pk**(-c)
         # from the two comb tables per request.
         assert (counting.powmods, counting.fixed_calls) == (4, 8)

@@ -77,9 +77,7 @@ def test_batch_auth_accepts_valid_rejects_tampered(scheme):
     forged = SignedRequest(
         client=99, seq=1, key=0, auth=good[0].auth, body=b"put\x1fk\x1fevil"
     )
-    report = auth.verify_batch(good + [forged])
-    assert report.results == [True] * 6 + [False]
-    assert report.stats.invalid == 1
+    assert auth.verify_batch(good + [forged]) == [True] * 6 + [False]
 
 
 def test_batch_auth_isolates_a_tampered_body():
@@ -91,9 +89,7 @@ def test_batch_auth_isolates_a_tampered_body():
         auth=requests[5].auth, body=requests[5].body + b"!",
     )
     requests[5] = tampered
-    report = auth.verify_batch(requests)
-    assert [i for i, ok in enumerate(report.results) if not ok] == [5]
-    assert (report.stats.count, report.stats.invalid) == (8, 1)
+    assert [i for i, ok in enumerate(auth.verify_batch(requests)) if not ok] == [5]
 
 
 def test_client_commitment_membership_is_proved_once(monkeypatch):
@@ -121,10 +117,10 @@ def test_client_commitment_membership_is_proved_once(monkeypatch):
         return pow(base, exponent, modulus)
 
     monkeypatch.setattr(CryptoBackend, "powmod", staticmethod(powmod))
-    assert auth.verify_batch(requests).results == [True] * 5 + [False] * 4
+    assert auth.verify_batch(requests) == [True] * 5 + [False] * 4
     assert set(bases) <= {auth.public(c) for c in range(5)}
     del bases[:]
-    assert auth.verify_batch(requests).results == [True] * 5 + [False] * 4
+    assert auth.verify_batch(requests) == [True] * 5 + [False] * 4
     assert bases == []
 
 
@@ -233,17 +229,6 @@ def test_duplicate_submissions_are_distilled():
     assert batcher.admit_batch([(request, 0.2)]) == 0
     assert batcher.duplicates == 2
     assert batcher.submitted == 1
-
-
-def test_warm_bases_builds_tables():
-    auth = RealClientAuth(seed=13, group_profile="test")
-    ctx = auth._suite.ctx
-    publics = [auth.public(c) for c in range(4)]
-    for public in publics:
-        ctx._tables.pop(public, None)
-    built = ctx.warm_bases(publics)
-    assert built == 4
-    assert ctx.warm_bases(publics) == 0  # already cached
 
 
 def test_commit_before_local_admission_still_counts():
