@@ -95,6 +95,8 @@ class BaselineParty:
     """Base class: identity, quorum arithmetic, vote plumbing, commit log."""
 
     protocol_name = "baseline"
+    #: Stop after this many committed heights (None: run until stopped).
+    max_heights: int | None = None
 
     def __init__(
         self,
@@ -132,6 +134,9 @@ class BaselineParty:
     @property
     def committed_hashes(self) -> list[bytes]:
         return [b.digest for b in self.output_log]
+
+    def _done(self) -> bool:
+        return self.max_heights is not None and self.k_max >= self.max_heights
 
     # -- voting helpers -------------------------------------------------------
 

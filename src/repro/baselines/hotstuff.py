@@ -131,9 +131,6 @@ class HotStuffParty(BaselineParty):
             self._propose(self.cur_view)
         self._arm_timeout()
 
-    def _done(self) -> bool:
-        return self.max_heights is not None and self.k_max >= self.max_heights
-
     def _arm_timeout(self) -> None:
         self.sim.schedule(self.base_timeout / 2, self._check_timeout)
 
@@ -216,7 +213,7 @@ class HotStuffParty(BaselineParty):
         if isinstance(message, HSNode):
             self._on_proposal(message)
         elif isinstance(message, Vote) and message.protocol == "hotstuff":
-            self._on_vote(message)
+            self.enqueue_vote(message)
         elif isinstance(message, NewView):
             self._on_new_view(message)
 
@@ -253,7 +250,7 @@ class HotStuffParty(BaselineParty):
             self._last_vote = vote
             next_leader = self.leader_of(node.view + 1)
             if next_leader == self.index:
-                self._on_vote(vote)
+                self.enqueue_vote(vote)
             else:
                 self._send(next_leader, vote, round=node.height)
             self.cur_view = node.view + 1
@@ -298,9 +295,6 @@ class HotStuffParty(BaselineParty):
             if entry.height > self.k_max:
                 self.commit_batch(entry.batch)
         self._last_progress = self.sim.now
-
-    def _on_vote(self, vote: Vote) -> None:
-        self.enqueue_vote(vote)
 
     def _accept_vote(self, vote: Vote) -> None:
         self._ingest_vote(vote)

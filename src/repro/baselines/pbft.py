@@ -108,9 +108,6 @@ class PBFTParty(BaselineParty):
             self._request_view_change(self.view + 1)
         self._arm_timeout()
 
-    def _done(self) -> bool:
-        return self.max_heights is not None and self.k_max >= self.max_heights
-
     # ------------------------------------------------------------------ proposing
 
     def _propose_next(self) -> None:
@@ -144,7 +141,7 @@ class PBFTParty(BaselineParty):
         if isinstance(message, PrePrepare):
             self._on_preprepare(message)
         elif isinstance(message, Vote) and message.protocol == "pbft":
-            self._on_vote(message)
+            self.enqueue_vote(message)
         elif isinstance(message, ViewChange):
             self._on_view_change(message)
 
@@ -166,9 +163,6 @@ class PBFTParty(BaselineParty):
             vote = self.make_vote("pbft", "prepare", message.view, batch.height, batch.digest)
             self._broadcast(vote, round=batch.height)
         self._evaluate(message.view, batch.height, batch.digest)
-
-    def _on_vote(self, vote: Vote) -> None:
-        self.enqueue_vote(vote)
 
     def _accept_vote(self, vote: Vote) -> None:
         key = (vote.view, vote.height, vote.digest)

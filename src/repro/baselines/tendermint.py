@@ -86,9 +86,6 @@ class TendermintParty(BaselineParty):
     def start(self) -> None:
         self._enter_round(self.height, self.round)
 
-    def _done(self) -> bool:
-        return self.max_heights is not None and self.k_max >= self.max_heights
-
     def _enter_round(self, height: int, round: int) -> None:
         if self._done() or height != self.height:
             return
@@ -126,7 +123,7 @@ class TendermintParty(BaselineParty):
         if isinstance(message, TMProposal):
             self._on_proposal(message)
         elif isinstance(message, Vote) and message.protocol == "tendermint":
-            self._on_vote(message)
+            self.enqueue_vote(message)
 
     def _on_proposal(self, message: TMProposal) -> None:
         batch = message.batch
@@ -154,9 +151,6 @@ class TendermintParty(BaselineParty):
             self.timeout_step * message.round,
             lambda: self._on_timeout(message.height, message.round, "prevote"),
         )
-
-    def _on_vote(self, vote: Vote) -> None:
-        self.enqueue_vote(vote)
 
     def _accept_vote(self, vote: Vote) -> None:
         key = (vote.height, vote.view, vote.digest)

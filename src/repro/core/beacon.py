@@ -51,11 +51,6 @@ def permutation_from_beacon(round: int, beacon_value: bytes, n: int) -> RankAssi
     return RankAssignment(round=round, by_rank=tuple(order))
 
 
-def leader_is_corrupt_probability(n: int, t: int) -> float:
-    """P(rank-0 party is corrupt) = t/n < 1/3 — quoted throughout the paper."""
-    return t / n
-
-
 def trace_rank_assignment(
     tracer, *, time: float, party: int, protocol: str, assignment: RankAssignment
 ) -> None:

@@ -30,7 +30,7 @@ from .distributed import (
     trace_header,
 )
 from .export import read_jsonl, read_jsonl_with_header, write_jsonl
-from .registry import EVENT_KINDS, EventKind, register
+from .registry import EVENT_KINDS
 from .tracer import (
     DEFAULT_CAPACITY,
     NULL_TRACER,
@@ -47,7 +47,6 @@ __all__ = [
     "CollectedRun",
     "DEFAULT_CAPACITY",
     "EVENT_KINDS",
-    "EventKind",
     "NULL_TRACER",
     "NullTracer",
     "SCHEMA_VERSION",
@@ -58,7 +57,6 @@ __all__ = [
     "collect_run",
     "read_jsonl",
     "read_jsonl_with_header",
-    "register",
     "short_id",
     "trace_header",
     "write_jsonl",

@@ -1,23 +1,11 @@
 """The structured-event tracer: ring-buffered collector + zero-cost no-op.
 
-Design constraints (ISSUE: observability layer):
-
-* **Zero cost when disabled.**  The default tracer everywhere is
-  :data:`NULL_TRACER`, whose ``enabled`` is False; every emit site in
-  protocol code is guarded by ``if tracer.enabled:`` so the per-event
-  overhead of a disabled tracer is a single attribute load + branch, and
-  no payload dict is ever built.
-* **Bounded memory when enabled.**  :class:`Tracer` keeps events in a ring
-  buffer (``collections.deque(maxlen=...)``); long runs evict the oldest
-  events rather than growing without bound.  ``dropped`` reports how many
-  were evicted.
-* **No behavioural footprint.**  Emitting never touches the simulation
-  RNG, clock or event queue, so runs are bit-identical with tracing on or
-  off (pinned by ``tests/obs/test_parity.py``).
-
-Events carry ``(time, party, protocol, round, kind, payload)``; ``kind``
-must be registered in :mod:`repro.obs.registry`, which is the documented
-schema.
+Its three design constraints — zero cost when disabled, bounded memory
+when enabled, no behavioural footprint — are written once, in
+``docs/OBSERVABILITY.md`` (*Design*); ``tests/obs/test_parity.py`` pins
+the last.  Events carry ``(time, party, protocol, round, kind, payload)``;
+``kind`` must be a key of :data:`repro.obs.registry.EVENT_KINDS`, and
+``docs/OBSERVABILITY.md`` says what each kind means.
 """
 
 from __future__ import annotations

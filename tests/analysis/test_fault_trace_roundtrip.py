@@ -39,8 +39,7 @@ def fault_kinds() -> list[str]:
 def synthetic_events() -> list[TraceEvent]:
     events = []
     for i, kind in enumerate(fault_kinds()):
-        spec = EVENT_KINDS[kind]
-        payload = {field: _SAMPLES[field] for field in spec.fields}
+        payload = {field: _SAMPLES[field] for field in EVENT_KINDS[kind]}
         events.append(
             TraceEvent(
                 time=float(i),
@@ -78,7 +77,7 @@ class TestSyntheticFaultRoundTrip:
 
     def test_declared_fields_cover_all_samples(self):
         for kind in fault_kinds():
-            for field in EVENT_KINDS[kind].fields:
+            for field in EVENT_KINDS[kind]:
                 assert field in _SAMPLES, (
                     f"{kind} declares field {field!r}: add a sample value "
                     "so the round-trip test keeps covering it"

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.beacon import leader_is_corrupt_probability, permutation_from_beacon
+from repro.analysis.theory import corrupt_leader_probability
+from repro.core.beacon import permutation_from_beacon
 from repro.core.params import ProtocolParams, StandardDelays, max_faults
 
 
@@ -49,8 +50,8 @@ class TestPermutation:
             assert abs(count / trials - 1 / n) < 0.05
 
     def test_corrupt_leader_probability(self):
-        assert leader_is_corrupt_probability(13, 4) == pytest.approx(4 / 13)
-        assert leader_is_corrupt_probability(13, 4) < 1 / 3
+        assert corrupt_leader_probability(13, 4) == pytest.approx(4 / 13)
+        assert corrupt_leader_probability(13, 4) < 1 / 3
 
 
 class TestStandardDelays:

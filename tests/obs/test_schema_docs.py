@@ -1,9 +1,9 @@
 """Cross-check docs/OBSERVABILITY.md against the live event registry.
 
-The registry (``repro.obs.registry``) is the single source of truth for
-the schema; the docs page must document every registered kind, and must
-not document kinds that no longer exist.  Payload field names in the
-docs tables must match the registry's declarations.
+The registry (``repro.obs.registry``) holds each kind's name and payload
+fields; the docs page holds what each kind means.  The page must have a
+row for every registered kind, and none for kinds that no longer exist;
+each row must name every payload field and say what the event means.
 """
 
 from __future__ import annotations
@@ -43,12 +43,23 @@ class TestSchemaDocs:
     @pytest.mark.parametrize("kind", sorted(EVENT_KINDS))
     def test_payload_fields_are_documented(self, kind):
         """The doc row for each kind must mention every payload field."""
-        spec = EVENT_KINDS[kind]
+        fields = EVENT_KINDS[kind]
         text = DOCS.read_text(encoding="utf-8")
         row = next(
             (line for line in text.splitlines() if line.startswith(f"| `{kind}` |")),
             None,
         )
         assert row is not None, f"no table row for {kind}"
-        for field in spec.fields:
+        for field in fields:
             assert f"`{field}`" in row, f"{kind}: field {field!r} missing from docs row"
+
+    @pytest.mark.parametrize("kind", sorted(EVENT_KINDS))
+    def test_every_kind_has_a_meaning(self, kind):
+        """The row's last cell says what the event means: the registry
+        holds no description, so this page is the only place it is."""
+        lines = DOCS.read_text(encoding="utf-8").splitlines()
+        row = next((line for line in lines if line.startswith(f"| `{kind}` |")), None)
+        assert row is not None, f"no table row for {kind}"
+        cells = re.split(r"(?<!\\)\|", row.strip().strip("|"))
+        assert len(cells) == 3, f"{kind}: row has {len(cells)} cells, not Kind | Fields | Meaning"
+        assert cells[2].strip(), f"{kind}: empty Meaning cell"

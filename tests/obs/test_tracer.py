@@ -126,33 +126,25 @@ class TestJsonlRoundTrip:
         assert loaded.payload["seq"] == [1, 2, 3]
 
 
-class TestRegistry:
-    def test_every_kind_has_module_and_description(self):
-        for name, spec in EVENT_KINDS.items():
-            assert spec.name == name
-            assert spec.module.startswith("repro.")
-            assert spec.description
-
-
 class TestWireKindsRoundTrip:
     """Every registered ``net.*``/``live.*`` kind — including the causal
     wire-span pair and the STAT event — survives a headered JSONL export
     byte-for-byte."""
 
-    def sample_event(self, index, spec):
-        payload = {name: k for k, name in enumerate(spec.fields)}
+    def sample_event(self, index, kind):
+        payload = {name: k for k, name in enumerate(EVENT_KINDS[kind])}
         return TraceEvent(
             time=0.001 * index, party=1 + index % 4, protocol="net",
-            round=index % 3 or None, kind=spec.name, payload=payload,
+            round=index % 3 or None, kind=kind, payload=payload,
         )
 
     def test_all_wire_kinds_round_trip_with_header(self):
         specs = [
-            spec for name, spec in sorted(EVENT_KINDS.items())
+            name for name in sorted(EVENT_KINDS)
             if name.startswith(("net.", "live."))
         ]
         # The PR's new kinds must be part of this sweep, not just legacy.
-        names = {spec.name for spec in specs}
+        names = set(specs)
         assert {"net.wire.send", "net.wire.recv", "live.stat.request"} <= names
 
         tracer = Tracer()

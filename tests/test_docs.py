@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import importlib.util
 import pathlib
+import subprocess
+import sys
 
 CHECKER = pathlib.Path(__file__).resolve().parents[1] / "tools" / "check_docs.py"
 
@@ -355,6 +357,44 @@ class TestDocs:
         assert check("python -m repro chaos --seed 0 --count 2", "ICC0      delay×1680    OK") == [
             f"docs/FAULTS.md: no console block shows `{command}`"
         ]
+
+    def test_backticked_names_must_resolve(self, tmp_path, monkeypatch):
+        """Against the real source, a deleted name and a member the real
+        class lacks fail; a name the Removed table lists, a standard-library
+        path, a live member, a metric BENCHMARK.json names, a file name and
+        anything inside a fenced block pass."""
+        module = load_checker()
+        (tmp_path / "src").symlink_to(module.REPO / "src")
+        (tmp_path / "BENCHMARK.json").symlink_to(module.REPO / "BENCHMARK.json")
+        (tmp_path / "docs").mkdir()
+        (tmp_path / "docs" / "PERFORMANCE.md").write_text(
+            "## Removed\n\n| what | PR | restore from |\n|---|---|---|\n"
+            "| `batch_verify_schnorr`, the RLC verifier | 21 | `efa953b` |\n",
+            encoding="utf-8",
+        )
+        (tmp_path / "README.md").write_text(
+            "`FixedBaseTable` and `Network._hand_over` are gone; `Network.attach`,\n"
+            "`batch_verify_schnorr`, `asyncio.Protocol`, `core.on_receive_ms_per_height`,\n"
+            "`registry.py`, `python -m repro demo` and `EventQueue.pop(until)` are not.\n"
+            "```python\nFixedBaseTable(g)\n```\n",
+            encoding="utf-8",
+        )
+        monkeypatch.setattr(module, "REPO", tmp_path)
+        problems: list[str] = []
+        module.check_code_names(problems)
+        assert [p.split("`")[1] for p in problems] == ["FixedBaseTable", "Network._hand_over"]
+        assert all(p.startswith("README.md: ") for p in problems)
+
+    def test_checker_runs_as_ci_runs_it(self):
+        """CI runs the checker with no PYTHONPATH; ``-I`` also drops the
+        working directory and the user site, so a check that imported
+        ``repro`` would fail here, not only in CI."""
+        result = subprocess.run(
+            [sys.executable, "-I", str(CHECKER.relative_to(CHECKER.parents[1]))],
+            cwd=CHECKER.parents[1], capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.startswith("docs OK")
 
     @staticmethod
     def _write_quick_stdout(tmp_path, module):

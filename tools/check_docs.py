@@ -16,8 +16,6 @@ Checks every ``*.md`` file in the repo root and ``docs/``:
   ``src/repro/__main__.py`` is documented in the README (the parser is
   scanned textually — no import — so the check runs without the package
   installed);
-* every event kind registered in ``src/repro/obs/registry.py`` is
-  documented in ``docs/OBSERVABILITY.md``;
 * every concrete ``BENCH_<name>.json`` a checked file names exists, every
   ``python -m repro <name>`` it shows is a registered subcommand, every
   ``--flag`` shown in such an invocation is declared by that subcommand's
@@ -31,7 +29,7 @@ Checks every ``*.md`` file in the repo root and ``docs/``:
 * every ``repro.experiments.<module>`` named in DESIGN.md's experiment
   table is a module ``run_all.suite`` enumerates (textual scan), so an
   experiment with a private entry point cannot sit beside the suite;
-* EXPERIMENTS.md's T1, E3 (both), E4 and E9 tables are copies of the
+* EXPERIMENTS.md's T1, E3 (both), E4, E7, E9 and E11 tables are copies of the
   committed ``experiments --quick`` output
   (``tests/experiments/quick_stdout.txt``): row by row and cell by cell
   they hold the same numbers, thousands separators aside, so a re-pinned
@@ -55,15 +53,25 @@ Checks every ``*.md`` file in the repo root and ``docs/``:
 * every cluster class (``...Cluster...``) or builder (``build_*cluster``,
   ``embed_*cluster``) a checked file names is defined under ``src/repro``
   (textual scan; ROADMAP.md is exempt), so prose cannot keep pointing at an
-  assembly that was folded into ``build_cluster``.
+  assembly that was folded into ``build_cluster``;
+* every backticked name outside fenced blocks (one with ``_`` or ``.`` in
+  it, or a capital after its first letter) resolves against the repo's
+  Python, ``BENCHMARK.json``, the standard library or docs/PERFORMANCE.md's
+  *Removed* table (``check_code_names``; ROADMAP.md is exempt).  Event
+  kinds are held to docs/OBSERVABILITY.md by ``tests/obs/test_schema_docs.py``.
 
-Exit status 0 when clean, 1 with one line per problem otherwise.  CI runs
-this plus the test-suite; ``tests/test_docs.py`` runs it in-process.
+Exit status 0 when clean, 1 with one line per problem otherwise.  Nothing
+here imports ``repro``: CI runs this with no ``PYTHONPATH``, and
+``tests/test_docs.py`` runs it both in-process and as ``python -I``.
 """
 
 from __future__ import annotations
 
 import ast
+import builtins
+import functools
+import importlib
+import json
 import pathlib
 import re
 import sys
@@ -153,34 +161,16 @@ def check_cli_docs(problems: list[str]) -> None:
             )
 
 
-#: ``register("kind", ...)`` declarations in the event-kind registry.
-EVENT_RE = re.compile(r"""(?<!_)register\(\s*\n?\s*["']([a-z0-9_.]+)["']""")
+#: ``"kind": (fields...),`` entries of the event-kind table.
+EVENT_RE = re.compile(r"""^    ["']([a-z0-9_.]+)["']:""", re.MULTILINE)
 
 
 def registered_event_kinds() -> list[str]:
-    """Event-kind names registered in ``src/repro/obs/registry.py``."""
+    """Event kinds in ``src/repro/obs/registry.py``'s ``EVENT_KINDS``."""
     registry = REPO / "src" / "repro" / "obs" / "registry.py"
     if not registry.is_file():
         return []
     return sorted(set(EVENT_RE.findall(registry.read_text(encoding="utf-8"))))
-
-
-def check_event_docs(problems: list[str]) -> None:
-    """Every registered event kind must appear backticked in OBSERVABILITY.md."""
-    doc = REPO / "docs" / "OBSERVABILITY.md"
-    if not doc.is_file():
-        if registered_event_kinds():
-            problems.append(
-                "docs/OBSERVABILITY.md: missing (cannot check event-kind docs)"
-            )
-        return
-    text = doc.read_text(encoding="utf-8")
-    for name in registered_event_kinds():
-        if f"`{name}`" not in text:
-            problems.append(
-                f"docs/OBSERVABILITY.md: event kind {name!r} is undocumented "
-                f"(no `{name}` mention found)"
-            )
 
 
 #: A concrete snapshot file name (``BENCH_*.json`` and ``BENCH_{a,b}.json``
@@ -637,6 +627,144 @@ def check_cluster_names(problems: list[str]) -> None:
             )
 
 
+#: Where the repo's Python lives: what a backticked name may resolve to.
+CODE_DIRS = ("src", "bench", "tools", "tests", "benchmarks", "examples")
+#: A backticked name (dotted, perhaps called), and a word of a string.
+CODE_NAME_RE = re.compile(r"([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)(?:\(.*\))?")
+WORD_RE = re.compile(r"[A-Za-z_]\w*")
+#: The page whose ``## Removed`` table lists retired names.
+REMOVED_PAGE = "docs/PERFORMANCE.md"
+
+
+def code_index() -> tuple[set[str], dict[str, list]]:
+    """What the repo's Python names, read with ``ast`` (never imported):
+    every identifier, attribute, def, class, argument, keyword, imported
+    module and string literal (whole, and each word of it); and for each
+    class name, the ``(bases, members)`` of every class of that name, a
+    base that is not a plain or dotted name being None."""
+    names: set[str] = set()
+    classes: dict[str, list] = {}
+    for folder in CODE_DIRS:
+        for module in sorted((REPO / folder).rglob("*.py")):
+            for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
+                for field in ("id", "attr", "name", "arg", "asname", "module"):
+                    if isinstance(value := getattr(node, field, None), str):
+                        names.update(value.split("."))
+                if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    names.update([node.value, *WORD_RE.findall(node.value)])
+                if isinstance(node, ast.ClassDef):
+                    bases = [getattr(b, "id", getattr(b, "attr", None)) for b in node.bases]
+                    classes.setdefault(node.name, []).append((bases, own_members(node)))
+    return names, classes
+
+
+def own_members(node: ast.ClassDef) -> set[str]:
+    """A class's defs, class attributes, dataclass fields and ``self.x``."""
+    members = {getattr(item, "name", None) for item in node.body}
+    for item in node.body:
+        targets = getattr(item, "targets", [getattr(item, "target", None)])
+        members.update(target.id for target in targets if isinstance(target, ast.Name))
+    members.update(
+        sub.attr for sub in ast.walk(node)
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store)
+        and getattr(sub.value, "id", None) == "self"
+    )
+    return members
+
+
+def class_members(classes: dict[str, list], name: str, seen: tuple = ()) -> set[str] | None:
+    """Every member the classes called ``name`` and their bases define, or
+    None when one of them has a base the repo does not define (``object``
+    aside): then what the class has is not all written here."""
+    if name not in classes or name in seen:
+        return None
+    found: set[str] = set()
+    for bases, members in classes[name]:
+        found |= members
+        for base in bases:
+            inherited = set() if base == "object" else class_members(classes, base, (*seen, name))
+            if inherited is None:
+                return None
+            found |= inherited
+    return found
+
+
+def stdlib_path(dotted: str) -> bool:
+    """Whether ``dotted`` is an attribute path of an importable
+    standard-library module, or of a builtin."""
+    parts = dotted.split(".")
+    cut, target = 1, getattr(builtins, parts[0], None)
+    if parts[0] in sys.stdlib_module_names:
+        for cut in range(len(parts), 0, -1):
+            try:
+                target = importlib.import_module(".".join(parts[:cut]))
+                break
+            except ImportError:
+                continue
+    if target is None:
+        return False
+    try:
+        functools.reduce(getattr, parts[cut:], target)
+    except AttributeError:
+        return False
+    return True
+
+
+def json_strings(value: object) -> set[str]:
+    """Every key and string in a parsed JSON document."""
+    if isinstance(value, dict):
+        value = [*value, *value.values()]
+    if isinstance(value, list):
+        return set().union(*map(json_strings, value))
+    return {value} if isinstance(value, str) else set()
+
+
+def code_spans(text: str) -> list[str]:
+    """The backticked spans outside fenced blocks that look like code: a
+    name with ``_`` or ``.`` in it, or a capital after its first letter."""
+    prose = re.sub(r"```.*?```", "", text, flags=re.DOTALL)
+    matches = (CODE_NAME_RE.fullmatch(span.strip()) for span in re.findall(r"`([^`]+)`", prose))
+    names = [m.group(1) for m in matches if m]
+    return [n for n in names if "_" in n or "." in n or any(c.isupper() for c in n[1:])]
+
+
+def removed_names() -> set[str]:
+    """The names the first column of the ``## Removed`` table lists."""
+    page = REPO / REMOVED_PAGE
+    lines = page.read_text(encoding="utf-8").splitlines() if page.is_file() else []
+    at = next((i for i, line in enumerate(lines) if line.strip() == "## Removed"), len(lines))
+    rows = [line for line in lines[at + 1 :] if line.startswith("|")][2:]
+    return {name for row in rows for name in code_spans(row.split("|")[1])}
+
+
+def check_code_names(problems: list[str]) -> None:
+    """A backticked name in the docs must resolve: for ``Class.member`` of a
+    class the repo defines in full, a member of it or of its bases;
+    otherwise its last component or the whole name among what the repo's
+    Python and BENCHMARK.json name, or a standard-library attribute path.
+    A name the *Removed* table lists passes."""
+    names, classes = code_index()
+    manifest = REPO / "BENCHMARK.json"
+    if manifest.is_file():
+        names |= json_strings(json.loads(manifest.read_text(encoding="utf-8")))
+    removed = removed_names()
+    for path in doc_files():
+        if path.name in HISTORY:
+            continue
+        for name in sorted(set(code_spans(path.read_text(encoding="utf-8")))):
+            parts = name.split(".")
+            members = class_members(classes, parts[0]) if len(parts) > 1 else None
+            if members is not None:
+                ok = parts[1] in members
+            else:
+                ok = parts[-1] in names or name in names or stdlib_path(name)
+            if not (ok or name in removed):
+                problems.append(
+                    f"{path.relative_to(REPO)}: names `{name}`, which nothing in the "
+                    f"repo defines (deleted code goes in {REMOVED_PAGE}'s Removed table)"
+                )
+
+
 def run() -> list[str]:
     problems: list[str] = []
     for path in doc_files():
@@ -645,7 +773,6 @@ def run() -> list[str]:
         check_tables(path, problems)
     check_cli_docs(problems)
     check_observability_cli_docs(problems)
-    check_event_docs(problems)
     check_live_docs(problems)
     check_codec_docs(problems)
     check_removed_names(problems)
@@ -654,6 +781,7 @@ def run() -> list[str]:
     check_copied_outputs(problems)
     check_config_docs(problems)
     check_cluster_names(problems)
+    check_code_names(problems)
     return problems
 
 
