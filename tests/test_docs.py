@@ -36,20 +36,21 @@ class TestDocs:
         TRANSPORT.md to them — a rename in the registry without a doc
         update has to fail check_live_docs."""
         module = load_checker()
-        live = {n for n in module.registered_event_kinds() if n.startswith("live.")}
+        live = {n for n in module.code_index().kinds if n.startswith("live.")}
         assert {"live.peer.connect", "live.frame.rejected", "live.stat.request"} <= live
 
     def test_cli_scan_sees_live_subcommands(self):
         module = load_checker()
-        assert {"serve", "live"} <= set(module.cli_subcommands())
+        assert {"serve", "live"} <= set(module.code_index().cli)
 
     def test_codec_scan_sees_the_whole_table(self, tmp_path, monkeypatch):
-        """The textual scan and the imported table agree row for row, and a
+        """The parsed table and the imported one agree row for row, and a
         tag whose layout is not written down fails the check."""
         from repro.net.codec import _TABLE
 
         module = load_checker()
-        assert module.codec_table() == [
+        index = module.code_index()
+        assert index.codec == [
             (f"0x{tag:02x}", cls.__name__) for tag, (cls, _, _) in _TABLE.items()
         ]
         (tmp_path / "docs").mkdir()
@@ -57,8 +58,8 @@ class TestDocs:
             "| `0x01` | `Block` | fields |\n`0x02` and `Authenticator` in prose only\n",
             encoding="utf-8",
         )
-        table = module.codec_table()
-        monkeypatch.setattr(module, "codec_table", lambda: table[:2])
+        monkeypatch.setattr(index, "codec", index.codec[:2])
+        monkeypatch.setattr(module, "code_index", lambda: index)
         monkeypatch.setattr(module, "REPO", tmp_path)
         problems: list[str] = []
         module.check_codec_docs(problems)
@@ -68,7 +69,8 @@ class TestDocs:
         """A removed ClusterConfig option named in prose must fail the
         check; a live field must not."""
         module = load_checker()
-        assert "crypto_backend" in module.config_fields()["ClusterConfig"]
+        assert "crypto_backend" in module.code_index().fields["ClusterConfig"]
+        (tmp_path / "src").symlink_to(module.REPO / "src")
         (tmp_path / "README.md").write_text(
             "Tune `crypto_flush_deadline` or ClusterConfig.crypto_batch;\n"
             "`ClusterConfig.extra_party_kwargs` and `crypto_backend` exist.\n",
@@ -76,7 +78,7 @@ class TestDocs:
         )
         monkeypatch.setattr(module, "REPO", tmp_path)
         problems: list[str] = []
-        module.check_config_docs(problems)
+        module.check_names(problems)
         assert len(problems) == 2
         assert "ClusterConfig.crypto_batch" in problems[0]
         assert "crypto_flush_deadline" in problems[1]
@@ -105,7 +107,7 @@ class TestDocs:
         )
         monkeypatch.setattr(module, "REPO", tmp_path)
         problems: list[str] = []
-        module.check_cluster_names(problems)
+        module.check_names(problems)
         assert [p.split(" names ")[1].split(",")[0] for p in problems] == [
             "ClusterWrapper", "GhostClusterConfig", "build_ghost_cluster",
         ]
@@ -144,7 +146,7 @@ class TestDocs:
         )
         monkeypatch.setattr(module, "REPO", tmp_path)
         problems: list[str] = []
-        module.check_removed_names(problems)
+        module.check_names(problems)
         assert len(problems) == 4
         assert "README.md" in problems[0] and "BENCH_gone.json" in problems[0]
         assert "README.md" in problems[1] and "frobnicate" in problems[1]
@@ -164,7 +166,7 @@ class TestDocs:
         )
         monkeypatch.setattr(module, "REPO", tmp_path)
         problems: list[str] = []
-        module.check_removed_names(problems)
+        module.check_names(problems)
         assert [p.split("`")[1] for p in problems] == [
             "python -m repro collect", "python -m repro trace",
         ]
@@ -183,7 +185,7 @@ class TestDocs:
         )
         monkeypatch.setattr(module, "REPO", tmp_path)
         problems: list[str] = []
-        module.check_removed_names(problems)
+        module.check_names(problems)
         assert [p.split()[2].rstrip(",") for p in problems] == [
             "repro.core.pool.prune", "repro.crypto.dkg", "repro.sim.delays.AdversarialDelay",
         ]
@@ -205,7 +207,7 @@ class TestDocs:
         )
         monkeypatch.setattr(module, "REPO", tmp_path)
         problems: list[str] = []
-        module.check_removed_names(problems)
+        module.check_names(problems)
         assert [p.split()[2].rstrip(",") for p in problems] == [
             "experiments/properties.py::run_safety_sweep",
             "src/repro/sim/delays.py::AdversarialDelay",
@@ -218,7 +220,7 @@ class TestDocs:
         one only a sibling command of the same module declares, fails.
         Prose outside code and the exempt history file do not."""
         module = load_checker()
-        assert {"--config", "--index", "--trace"} <= module.cli_flags()["serve"]
+        assert {"--config", "--index", "--trace"} <= module.code_index().cli["serve"]
         src = tmp_path / "src" / "repro"
         (src / "net").mkdir(parents=True)
         (src / "__main__.py").write_text(
@@ -246,7 +248,7 @@ class TestDocs:
         )
         monkeypatch.setattr(module, "REPO", tmp_path)
         problems: list[str] = []
-        module.check_removed_names(problems)
+        module.check_names(problems)
         assert [p.split("`")[1] for p in problems] == [
             "python -m repro serve --json", "python -m repro serve --meter",
         ]
@@ -255,7 +257,8 @@ class TestDocs:
         """A thirteenth experiment DESIGN.md tabulates but `run_all.suite`
         does not enumerate (a private `main()` beside the runner) fails."""
         module = load_checker()
-        assert module.suite_modules()[0] == "table1" and len(module.suite_modules()) == 12
+        suite = module.code_index().suite
+        assert suite[0] == "table1" and len(suite) == 12
         run_all = tmp_path / "src" / "repro" / "experiments" / "run_all.py"
         run_all.parent.mkdir(parents=True)
         run_all.write_text(
@@ -381,9 +384,33 @@ class TestDocs:
         )
         monkeypatch.setattr(module, "REPO", tmp_path)
         problems: list[str] = []
-        module.check_code_names(problems)
+        module.check_names(problems)
         assert [p.split("`")[1] for p in problems] == ["FixedBaseTable", "Network._hand_over"]
         assert all(p.startswith("README.md: ") for p in problems)
+
+    def test_a_name_only_prose_mentions_is_flagged(self, tmp_path, monkeypatch):
+        """A deleted name that a docstring and an error message still
+        mention is not defined by them: it fails, while the def that
+        replaced it and a string the code uses whole pass."""
+        module = load_checker()
+        source = tmp_path / "src" / "repro" / "pool.py"
+        source.parent.mkdir(parents=True)
+        source.write_text(
+            '"""The pool; `prune_below` replaced gone_helper."""\n\n'
+            "def prune_below(floor):\n"
+            '    """Unlike gone_helper, keeps the floor."""\n'
+            '    if floor < 0:\n        raise ValueError("gone_helper took no floor")\n'
+            '    return "pool.pruned_total"\n',
+            encoding="utf-8",
+        )
+        (tmp_path / "README.md").write_text(
+            "Call `gone_helper` or `prune_below`; it counts `pool.pruned_total`.\n",
+            encoding="utf-8",
+        )
+        monkeypatch.setattr(module, "REPO", tmp_path)
+        problems: list[str] = []
+        module.check_names(problems)
+        assert [p.split("`")[1] for p in problems] == ["gone_helper"]
 
     def test_checker_runs_as_ci_runs_it(self):
         """CI runs the checker with no PYTHONPATH; ``-I`` also drops the

@@ -1,68 +1,70 @@
 #!/usr/bin/env python
-"""Documentation checks: relative links resolve, markdown is well-formed.
+"""Documentation checks: what the markdown points at exists, and it is well-formed.
 
 Run from anywhere::
 
     python tools/check_docs.py
 
-Checks every ``*.md`` file in the repo root and ``docs/``:
+Every ``*.md`` file in the repo root and ``docs/`` but the generated dumps
+in ``SKIP`` is held to these rules, one function each:
 
-* relative links and images point at files/directories that exist
-  (external ``http(s)``/``mailto`` targets and pure ``#anchor`` links are
+* ``check_links``: relative links and images point at files or directories
+  that exist (``http(s)``/``mailto`` targets and pure ``#anchor`` links are
   skipped; ``path#anchor`` links are checked for the path part);
-* code fences are balanced (every ``````` opener has a closer);
-* no tab characters inside markdown tables (they break column alignment);
-* every ``python -m repro`` subcommand registered in
-  ``src/repro/__main__.py`` is documented in the README (the parser is
-  scanned textually — no import — so the check runs without the package
-  installed);
-* every concrete ``BENCH_<name>.json`` a checked file names exists, every
-  ``python -m repro <name>`` it shows is a registered subcommand, every
-  ``--flag`` shown in such an invocation is declared by that subcommand's
-  ``add_arguments`` (textual scan of its ``add_argument`` calls), and every
-  ``REPRO_*`` environment variable it shows appears somewhere under
-  ``src/``, every dotted ``repro.<a>.<b>…`` path it names resolves down
-  to the top-level name after a module, and every ``path.py::name`` whose
-  path resolves from the repo root, ``src/`` or ``src/repro/`` names a def
-  or class in that file (ROADMAP.md records history and is exempt from
-  this one check);
-* every ``repro.experiments.<module>`` named in DESIGN.md's experiment
-  table is a module ``run_all.suite`` enumerates (textual scan), so an
-  experiment with a private entry point cannot sit beside the suite;
-* EXPERIMENTS.md's T1, E3 (both), E4, E7, E9 and E11 tables are copies of the
-  committed ``experiments --quick`` output
-  (``tests/experiments/quick_stdout.txt``): row by row and cell by cell
-  they hold the same numbers, thousands separators aside, so a re-pinned
-  run cannot leave them stale;
-* docs/FAULTS.md's chaos console block shows the command CI pins
-  (``python -m repro chaos --seed 0 --count 4 --duration 30 --jobs 2``)
-  and only lines of its committed output
+* ``check_fences``: code fences are balanced (every ``````` opener has a
+  closer);
+* ``check_tables``: no tab characters inside markdown tables (they break
+  column alignment);
+* ``check_shown_commands``: README.md shows ``python -m repro <cmd>`` for
+  every registered subcommand, and docs/OBSERVABILITY.md for the
+  observability ones (``report``, ``top``);
+* ``check_live_docs``: every ``live.*`` event kind is backticked in
+  docs/TRANSPORT.md, the live transport's reference page;
+* ``check_codec_docs``: every tag of the wire codec's table has a row in
+  docs/TRANSPORT.md's layout table naming the tag and its type, so a kind
+  cannot be on the wire without its layout being written down;
+* ``check_experiment_docs``: every ``repro.experiments.<module>`` named in
+  DESIGN.md's experiment table is a module ``run_all.suite`` enumerates, so
+  an experiment with a private entry point cannot sit beside the suite;
+* ``check_copied_tables``: EXPERIMENTS.md's T1, E3 (both), E4, E7, E9 and
+  E11 tables hold, row by row and cell by cell, the numbers the committed
+  ``experiments --quick`` output (``tests/experiments/quick_stdout.txt``)
+  prints, thousands separators aside;
+* ``check_copied_outputs``: docs/FAULTS.md's chaos console block shows the
+  command CI pins and only lines of its committed output
   (``tests/faults/chaos_stdout.txt``), trailing blanks aside;
-* every ``live.*`` event kind additionally appears in
-  ``docs/TRANSPORT.md``, the live transport's reference page;
-* every tag of the wire codec's table (``src/repro/net/codec.py``, textual
-  scan) has a row in ``docs/TRANSPORT.md``'s layout table naming the tag
-  and its type, so a kind cannot be added to the wire without its layout
-  being written down;
-* the observability CLI surface (``report``, ``top``) is
-  shown as ``python -m repro <name>`` invocations in
-  ``docs/OBSERVABILITY.md``, not just the README;
-* every ``ClusterConfig.<field>`` and every bare ``crypto_*`` knob named in
-  any checked markdown file is a field of that dataclass (textual scan of
-  the class body), so a removed option cannot linger in prose;
-* every cluster class (``...Cluster...``) or builder (``build_*cluster``,
-  ``embed_*cluster``) a checked file names is defined under ``src/repro``
-  (textual scan; ROADMAP.md is exempt), so prose cannot keep pointing at an
-  assembly that was folded into ``build_cluster``;
-* every backticked name outside fenced blocks (one with ``_`` or ``.`` in
-  it, or a capital after its first letter) resolves against the repo's
-  Python, ``BENCHMARK.json``, the standard library or docs/PERFORMANCE.md's
-  *Removed* table (``check_code_names``; ROADMAP.md is exempt).  Event
-  kinds are held to docs/OBSERVABILITY.md by ``tests/obs/test_schema_docs.py``.
+* ``check_names``: every name a page points at resolves (``unresolved``
+  judges each), unless docs/PERFORMANCE.md's *Removed* table lists it.
+  ROADMAP.md records history and is held only to the ``ClusterConfig``
+  shape.  The shapes (``page_tokens`` finds them), each judged by one rule:
 
-Exit status 0 when clean, 1 with one line per problem otherwise.  Nothing
-here imports ``repro``: CI runs this with no ``PYTHONPATH``, and
-``tests/test_docs.py`` runs it both in-process and as ``python -I``.
+  - a concrete ``BENCH_<name>.json`` exists at the repo root;
+  - ``python -m repro <cmd>`` is a registered subcommand, and a ``--flag``
+    a fenced line or inline code span shows in that command line is one
+    its ``add_arguments`` (or ``add_<cmd>_arguments``) declares;
+  - a ``REPRO_*`` environment variable is a name or string under ``src/``;
+  - ``repro.<a>.<b>…`` walks ``src/repro``'s packages and modules to a
+    top-level name, and the component after a class the repo defines in
+    full is a member of it;
+  - ``path.py::name``, where the path is a file from the repo root,
+    ``src/`` or ``src/repro/``, names a def or class in that file;
+  - ``ClusterConfig.<field>`` and a bare ``crypto_*`` are fields of that
+    dataclass, so a removed option cannot linger in prose;
+  - a cluster class (``...Cluster...``) or builder (``build_*cluster``,
+    ``embed_*cluster``) is defined under ``src/repro``;
+  - any other backticked name outside fenced blocks that looks like code
+    (``_`` or ``.`` in it, or a capital after its first letter): for
+    ``Class.member`` of a class the repo defines in full, a member of it or
+    of its bases; otherwise its last component or the whole name is a name
+    ``read_code`` found, a key or string of BENCHMARK.json, or a
+    standard-library attribute path.
+
+Event kinds are held to docs/OBSERVABILITY.md by
+``tests/obs/test_schema_docs.py``.  ``read_code`` reads the repo's Python
+once per run, with ``ast``; nothing here imports ``repro``: CI runs this
+with no ``PYTHONPATH``, and ``tests/test_docs.py`` runs it both in-process
+and as ``python -I``.  Exit status 0 when clean, 1 with one line per
+problem otherwise.
 """
 
 from __future__ import annotations
@@ -85,6 +87,7 @@ SKIP = {"PAPERS.md", "SNIPPETS.md", "ISSUE.md", "CHANGES.md"}
 #: Inline links/images: [text](target) — target group without title part.
 LINK_RE = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 EXTERNAL = ("http://", "https://", "mailto:")
+FENCED_RE = re.compile(r"```.*?```", re.DOTALL)
 
 
 def doc_files() -> list[pathlib.Path]:
@@ -95,23 +98,13 @@ def doc_files() -> list[pathlib.Path]:
     return [f for f in files if f.name not in SKIP]
 
 
-def strip_code(text: str) -> str:
-    """Remove fenced code blocks and inline code so links inside them are ignored."""
-    text = re.sub(r"```.*?```", "", text, flags=re.DOTALL)
-    return re.sub(r"`[^`\n]*`", "", text)
-
-
 def check_links(path: pathlib.Path, problems: list[str]) -> None:
-    for target in LINK_RE.findall(strip_code(path.read_text(encoding="utf-8"))):
-        if target.startswith(EXTERNAL):
+    prose = re.sub(r"`[^`\n]*`", "", FENCED_RE.sub("", path.read_text(encoding="utf-8")))
+    for target in LINK_RE.findall(prose):
+        target_path = target.split("#", 1)[0]  # empty for a same-page anchor
+        if target.startswith(EXTERNAL) or not target_path:
             continue
-        if target.startswith("#"):
-            continue  # same-page anchor
-        target_path = target.split("#", 1)[0]
-        if not target_path:
-            continue
-        resolved = (path.parent / target_path).resolve()
-        if not resolved.exists():
+        if not (path.parent / target_path).resolve().exists():
             problems.append(f"{path.relative_to(REPO)}: broken link -> {target}")
 
 
@@ -133,235 +126,277 @@ def check_tables(path: pathlib.Path, problems: list[str]) -> None:
             )
 
 
-#: ``sub.add_parser("name", ...)`` registrations in the CLI module.
-SUBCOMMAND_RE = re.compile(r"""\.add_parser\(\s*["']([a-z0-9-]+)["']""")
+#: Where the repo's Python lives: what a name in the docs may resolve to.
+CODE_DIRS = ("src", "bench", "tools", "tests", "benchmarks", "examples")
+#: A flag, as an ``add_argument`` call declares it and a command line shows it.
+FLAG_RE = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
 
 
-def cli_subcommands() -> list[str]:
-    """Subcommand names registered in ``src/repro/__main__.py``."""
-    cli = REPO / "src" / "repro" / "__main__.py"
-    if not cli.is_file():
-        return []
-    return sorted(set(SUBCOMMAND_RE.findall(cli.read_text(encoding="utf-8"))))
+class Code:
+    """What the repo's Python holds, as ``read_code`` finds it."""
+
+    def __init__(self) -> None:
+        #: Folder -> every identifier, attribute, def, class, argument,
+        #: keyword and imported module in it, every file name, and every
+        #: string constant of its non-test code (whole: the words of a
+        #: docstring or a message are not names); BENCHMARK.json -> its keys
+        #: and strings.
+        self.names: dict[str, set[str]] = {}
+        #: All of ``names``.
+        self.known: set[str] = set()
+        #: Class name -> ``(bases, members)`` of every class of that name, a
+        #: base that is not a plain or dotted name being None.
+        self.classes: dict[str, list] = {}
+        #: Class name -> the annotated fields of the classes of that name.
+        self.fields: dict[str, set[str]] = {}
+        #: File (path from the repo root) -> the functions and classes in it.
+        self.defs: dict[str, set[str]] = {}
+        #: Package or module under ``src`` (dotted) -> what it binds at top
+        #: level.
+        self.top: dict[str, dict[str, ast.AST]] = {}
+        #: CLI subcommand -> the flags its ``add_arguments`` declares (None
+        #: when no module is mounted on it).
+        self.cli: dict[str, set[str] | None] = {}
+        #: The experiment modules ``run_all.suite`` enumerates, in order.
+        self.suite: list[str] = []
+        #: ``(tag, type name)`` of every row of the wire codec's ``_TABLE``.
+        self.codec: list[tuple[str, str]] = []
+        #: The trace registry's event kinds.
+        self.kinds: list[str] = []
 
 
-def check_cli_docs(problems: list[str]) -> None:
-    """Every CLI subcommand must appear as ``python -m repro <name>`` in README."""
-    readme = REPO / "README.md"
-    if not readme.is_file():
-        problems.append("README.md: missing (cannot check CLI subcommand docs)")
-        return
-    # Collapse whitespace so invocations wrapped across lines still match.
-    text = re.sub(r"\s+", " ", readme.read_text(encoding="utf-8"))
-    for name in cli_subcommands():
-        if f"python -m repro {name}" not in text:
-            problems.append(
-                f"README.md: CLI subcommand {name!r} is undocumented "
-                f"(no `python -m repro {name}` invocation found)"
-            )
+def code_index() -> Code:
+    """The index of ``REPO``'s Python: every check reads this one."""
+    return read_code(REPO)
 
 
-#: ``"kind": (fields...),`` entries of the event-kind table.
-EVENT_RE = re.compile(r"""^    ["']([a-z0-9_.]+)["']:""", re.MULTILINE)
+@functools.lru_cache(maxsize=1)
+def read_code(root: pathlib.Path) -> Code:
+    """Parse every ``.py`` file under ``CODE_DIRS`` once (never import it).
+    The last root's index is kept, so a run parses each file once."""
+    code, cli_tree = Code(), ast.Module(body=[], type_ignores=[])
+    for folder in CODE_DIRS:
+        names = code.names.setdefault(folder, set())
+        for path in sorted((root / folder).rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            strings = folder != "tests" and not path.name.startswith("test_")
+            defs = code.defs.setdefault(path.relative_to(root).as_posix(), set())
+            names.add(path.name)
+            read_tree(code, tree, names, defs, strings)
+            if folder == "src":
+                module = ".".join(path.relative_to(root / "src").with_suffix("").parts)
+                module = module.removesuffix(".__init__")
+                code.top.setdefault(module, {}).update(bindings(tree))
+                for i in range(1, module.count(".") + 1):
+                    code.top.setdefault(module.rsplit(".", i)[0], {})
+                cli_tree = tree if module == "repro.__main__" else cli_tree
+    code.cli = read_cli(cli_tree, code.top)
+    suite = code.top.get("repro.experiments.run_all", {}).get("suite")
+    calls = ast.walk(suite) if suite else []
+    code.suite = [node.func.value.id for node in calls if callee(node) == "specs"]
+    table = code.top.get("repro.net.codec", {}).get("_TABLE")
+    if isinstance(table, ast.Dict):
+        code.codec = [
+            (f"0x{key.value:02x}", (row.elts if isinstance(row, ast.Tuple) else row.args)[0].id)
+            for key, row in zip(table.keys, table.values)
+        ]
+    kinds = code.top.get("repro.obs.registry", {}).get("EVENT_KINDS")
+    code.kinds = [key.value for key in kinds.keys] if isinstance(kinds, ast.Dict) else []
+    manifest = root / "BENCHMARK.json"
+    if manifest.is_file():
+        code.names[manifest.name] = json_strings(json.loads(manifest.read_text(encoding="utf-8")))
+    code.known = set().union(*code.names.values())
+    return code
 
 
-def registered_event_kinds() -> list[str]:
-    """Event kinds in ``src/repro/obs/registry.py``'s ``EVENT_KINDS``."""
-    registry = REPO / "src" / "repro" / "obs" / "registry.py"
-    if not registry.is_file():
-        return []
-    return sorted(set(EVENT_RE.findall(registry.read_text(encoding="utf-8"))))
+#: The fields that hold a name: ``Name.id``, ``Attribute.attr``, the
+#: ``name`` of a def, class or import, ``arg``, ``asname`` and
+#: ``ImportFrom.module``.
+NAME_FIELDS = {"id", "attr", "name", "arg", "asname", "module"}
 
 
-#: A concrete snapshot file name (``BENCH_*.json`` and ``BENCH_{a,b}.json``
-#: are patterns, not names) and a CLI invocation, as they appear in prose.
-BENCH_FILE_RE = re.compile(r"\bBENCH_[A-Za-z0-9]+\.json\b")
-INVOCATION_RE = re.compile(r"python -m repro ([a-z][a-z0-9-]*)")
-ENV_VAR_RE = re.compile(r"\bREPRO_[A-Z_]+\b")
-DOTTED_RE = re.compile(r"\brepro(?:\.[A-Za-z_]\w*)+")
-#: ROADMAP.md records history: it may name files and commands that are gone.
-HISTORY = {"ROADMAP.md"}
-
-#: ``name = sub.add_parser("cmd", ...)`` and ``_mount(name, "module"[, "cmd"])``
-#: in the CLI module.
-PARSER_VAR_RE = re.compile(r"""(\w+) = sub\.add_parser\(\s*["']([a-z0-9-]+)["']""")
-MOUNT_RE = re.compile(r"""_mount\((\w+), ["']([\w.]+)["'](?:, ["'](\w+)["'])?""")
-#: A quoted flag in an ``add_argument`` call.
-DECLARED_FLAG_RE = re.compile(r"""["'](--[a-z][a-z0-9-]*)["']""")
-#: An invocation and the rest of its command (up to a pipe or a shell
-#: separator), and the flags in that rest.
-SHOWN_FLAGS_RE = re.compile(r"python -m repro ([a-z][a-z0-9-]*)([^|;&)]*)")
-FLAG_RE = re.compile(r"(?<![\w-])(--[a-z][a-z0-9-]*)")
-
-
-def code_lines(text: str) -> list[str]:
-    """The command lines a page shows: each line of a fenced block (a
-    trailing backslash continues it) and each inline code span, which may
-    wrap across lines of prose."""
-    fenced = re.findall(r"```.*?```", text, flags=re.DOTALL)
-    lines = [line for block in fenced for line in block.replace("\\\n", " ").splitlines()]
-    prose = re.sub(r"```.*?```", "", text, flags=re.DOTALL)
-    return lines + [" ".join(span.split()) for span in re.findall(r"`([^`]+)`", prose)]
-
-
-def cli_flags() -> dict[str, set[str]]:
-    """The flags each subcommand declares: the quoted ``--`` names in the
-    ``add_arguments`` (or ``add_<cmd>_arguments``) its module hands the
-    subparser (textual scan, no import)."""
-    cli = REPO / "src" / "repro" / "__main__.py"
-    if not cli.is_file():
-        return {}
-    text = cli.read_text(encoding="utf-8")
-    commands = dict(PARSER_VAR_RE.findall(text))
-    flags: dict[str, set[str]] = {}
-    for var, module, command in MOUNT_RE.findall(text):
-        path = (REPO / "src").joinpath(*module.split(".")).with_suffix(".py")
-        function = f"add_{command}_arguments" if command else "add_arguments"
-        body = re.search(
-            rf"^def {function}\(.*?(?=^\S|\Z)", path.read_text(encoding="utf-8"),
-            re.MULTILINE | re.DOTALL,
+def read_tree(code: Code, tree: ast.Module, names: set, defs: set, strings: bool) -> None:
+    """Add a file's names, string constants (when ``strings``), defs and
+    classes to ``code``; a class's members are its defs, class attributes,
+    dataclass fields and every ``self.x`` stored inside it."""
+    classes, stores, todo = [], [], [tree]
+    while todo:
+        node = todo.pop()
+        kind = type(node)
+        if kind is ast.ClassDef:
+            classes.append(node)
+        if kind in (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef):
+            defs.add(node.name)
+        elif kind is ast.Attribute and type(node.ctx) is ast.Store:
+            if getattr(node.value, "id", None) == "self":
+                stores.append((node.lineno, node.attr))
+        for field in node._fields:
+            value = getattr(node, field, None)
+            if type(value) is list:
+                todo.extend(item for item in value if isinstance(item, ast.AST))
+            elif isinstance(value, ast.AST):
+                todo.append(value)
+            elif type(value) is str and field in NAME_FIELDS:
+                names.update(value.split("."))
+            elif type(value) is str and strings and field == "value":
+                names.add(value)
+    for node in classes:
+        members = {getattr(item, "name", None) for item in node.body}
+        for item in node.body:
+            targets = getattr(item, "targets", [getattr(item, "target", None)])
+            members.update(target.id for target in targets if isinstance(target, ast.Name))
+        members.update(a for line, a in stores if node.lineno <= line <= node.end_lineno)
+        bases = [getattr(b, "id", getattr(b, "attr", None)) for b in node.bases]
+        code.classes.setdefault(node.name, []).append((bases, members))
+        code.fields.setdefault(node.name, set()).update(
+            item.target.id for item in node.body
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
         )
-        if var in commands and body:
-            flags[commands[var]] = {"--help", *DECLARED_FLAG_RE.findall(body.group(0))}
-    return flags
 
 
-def module_names(module: pathlib.Path) -> set[str]:
-    """The names a module binds at top level: imports, assignments,
-    functions and classes (parsed, not imported)."""
-    names: set[str] = set()
-    for node in ast.parse(module.read_text(encoding="utf-8")).body:
+def bindings(tree: ast.Module) -> dict[str, ast.AST]:
+    """What a module binds at top level: a def or class to itself, an
+    assigned name to its value, an imported name to the import."""
+    bound: dict[str, ast.AST] = {}
+    for node in tree.body:
         if isinstance(node, (ast.Import, ast.ImportFrom)):
-            names.update((a.asname or a.name).split(".")[0] for a in node.names)
+            bound.update({(a.asname or a.name).split(".")[0]: node for a in node.names})
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            names.add(node.name)
+            bound[node.name] = node
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names.update(t.id for t in targets if isinstance(t, ast.Name))
-    return names
+            bound.update({t.id: node.value for t in targets if isinstance(t, ast.Name)})
+    return bound
 
 
-def package_names(package: pathlib.Path) -> set[str]:
-    """The names a package's ``__init__.py`` binds."""
-    init = package / "__init__.py"
-    return module_names(init) if init.is_file() else set()
+def read_cli(tree: ast.Module, top: dict[str, dict[str, ast.AST]]) -> dict[str, set[str] | None]:
+    """The subcommands ``sub.add_parser("cmd", ...)`` registers in the CLI
+    module, each with the flags of the ``add_arguments`` (or
+    ``add_<cmd>_arguments``) that ``_mount(parser, "module"[, "cmd"])``
+    hands its parser."""
+    cli: dict[str, set[str] | None] = {}
+    parsers: dict[str, str] = {}
+    mounts = []
+    for node in ast.walk(tree):
+        if callee(node) == "add_parser":
+            cli[node.args[0].value] = None
+        if isinstance(node, ast.Assign) and callee(node.value) == "add_parser":
+            parsers[node.targets[0].id] = node.value.args[0].value
+        if callee(node) == "_mount":
+            mounts.append([getattr(a, "id", getattr(a, "value", None)) for a in node.args])
+    for parser, module, *command in mounts:
+        function = f"add_{command[0]}_arguments" if command else "add_arguments"
+        declared = top.get(module, {}).get(function)
+        if parser in parsers and declared:
+            cli[parsers[parser]] = {"--help"} | {
+                node.value for node in ast.walk(declared)
+                if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and FLAG_RE.fullmatch(node.value)
+            }
+    return cli
 
 
-def resolves(dotted: str) -> bool:
-    """Whether ``repro.<a>.<b>…`` names something under ``src/repro``:
-    each component after a package is a submodule, a subpackage or a name
-    its ``__init__.py`` binds, and the component after a module is a
-    top-level name of that module.  The walk stops at the first name bound
-    in a package or module, since what follows is attributes."""
-    package = REPO / "src" / "repro"
-    parts = dotted.split(".")[1:]
-    for i, part in enumerate(parts):
-        module = package / f"{part}.py"
-        if module.is_file():
-            return i + 1 == len(parts) or parts[i + 1] in module_names(module)
-        if part in package_names(package):
-            return True
-        package = package / part
-        if not package.is_dir():
-            return False
+def callee(node: ast.AST) -> str | None:
+    """The name a call calls: ``f`` of ``f(...)`` and of ``x.f(...)``."""
+    func = getattr(node, "func", None)
+    return getattr(func, "attr", getattr(func, "id", None))
+
+
+def class_members(classes: dict[str, list], name: str, seen: tuple = ()) -> set[str] | None:
+    """Every member the classes called ``name`` and their bases define, or
+    None when one of them has a base the repo does not define (``object``
+    aside): then what the class has is not all written here."""
+    if name not in classes or name in seen:
+        return None
+    found: set[str] = set()
+    for bases, members in classes[name]:
+        found |= members
+        for base in bases:
+            inherited = set() if base == "object" else class_members(classes, base, (*seen, name))
+            if inherited is None:
+                return None
+            found |= inherited
+    return found
+
+
+def stdlib_path(dotted: str) -> bool:
+    """Whether ``dotted`` is an attribute path of an importable
+    standard-library module, or of a builtin."""
+    parts = dotted.split(".")
+    cut, target = 1, getattr(builtins, parts[0], None)
+    if parts[0] in sys.stdlib_module_names:
+        for cut in range(len(parts), 0, -1):
+            try:
+                target = importlib.import_module(".".join(parts[:cut]))
+                break
+            except ImportError:
+                continue
+    if target is None:
+        return False
+    try:
+        functools.reduce(getattr, parts[cut:], target)
+    except AttributeError:
+        return False
     return True
 
 
-#: A ``path/to/file.py::name`` reference (pytest's node-id form).
-FILE_NAME_RE = re.compile(r"([\w./-]+\.py)::(\w+)")
+def json_strings(value: object) -> set[str]:
+    """Every key and string in a parsed JSON document."""
+    if isinstance(value, dict):
+        value = [*value, *value.values()]
+    if isinstance(value, list):
+        return set().union(*map(json_strings, value))
+    return {value} if isinstance(value, str) else set()
 
 
-def defined_in(module: pathlib.Path) -> set[str]:
-    """The functions and classes defined anywhere in a module."""
-    return {
-        node.name
-        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8")))
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-    }
+#: Pages that must show ``python -m repro <cmd>`` for these subcommands
+#: (None: every registered one), where they are registered.
+SHOWN_COMMANDS = {"README.md": None, "docs/OBSERVABILITY.md": ("report", "top")}
 
 
-def missing_definition(path: str, name: str) -> bool:
-    """Whether ``path::name`` points at a file that resolves from the repo
-    root, ``src/`` or ``src/repro/`` but defines no such function or
-    class.  A path that resolves nowhere is not judged."""
-    for root in (REPO, REPO / "src", REPO / "src" / "repro"):
-        module = root / path
-        if module.is_file():
-            return name not in defined_in(module)
-    return False
-
-
-def check_removed_names(problems: list[str]) -> None:
-    """A ``BENCH_<name>.json`` the docs name must exist, a ``python -m
-    repro <name>`` they show must be a registered subcommand, a ``--flag``
-    in that invocation must be one the subcommand declares, a ``REPRO_*``
-    environment variable they show must appear under ``src/``, a
-    ``repro.<a>.<b>…`` path they name must resolve and a ``path.py::name``
-    must name a definition of that file: what the docs point a reader at
-    cannot have been removed."""
-    registered = set(cli_subcommands())
-    declared = cli_flags()
-    source = "".join(
-        module.read_text(encoding="utf-8") for module in (REPO / "src").rglob("*.py")
-    )
-    for path in doc_files():
-        if path.name in HISTORY:
-            continue
+def check_shown_commands(problems: list[str]) -> None:
+    """A subcommand is documented where a reader looks for it."""
+    registered = code_index().cli
+    for page, wanted in SHOWN_COMMANDS.items():
+        doc = REPO / page
         # Collapse whitespace so invocations wrapped across lines still match.
-        text = re.sub(r"\s+", " ", path.read_text(encoding="utf-8"))
-        for name in sorted(set(BENCH_FILE_RE.findall(text))):
-            if not (REPO / name).is_file():
+        text = " ".join(doc.read_text(encoding="utf-8").split()) if doc.is_file() else ""
+        for name in sorted(set(wanted or registered) & set(registered)):
+            if f"python -m repro {name}" not in text:
                 problems.append(
-                    f"{path.relative_to(REPO)}: names {name}, which does not exist"
+                    f"{page}: CLI subcommand {name!r} is undocumented "
+                    f"(no `python -m repro {name}` invocation found)"
                 )
-        for name in sorted(set(INVOCATION_RE.findall(text)) - registered):
+
+
+def check_live_docs(problems: list[str]) -> None:
+    """Every ``live.*`` event kind must appear backticked in TRANSPORT.md."""
+    doc = REPO / "docs" / "TRANSPORT.md"
+    text = doc.read_text(encoding="utf-8") if doc.is_file() else ""
+    for name in sorted(name for name in code_index().kinds if name.startswith("live.")):
+        if f"`{name}`" not in text:
             problems.append(
-                f"{path.relative_to(REPO)}: shows `python -m repro {name}`, "
-                f"which is not a registered subcommand"
+                f"docs/TRANSPORT.md: live transport name {name!r} is "
+                f"undocumented (no `{name}` mention found)"
             )
-        for name in sorted(set(ENV_VAR_RE.findall(text))):
-            if name not in source:
-                problems.append(
-                    f"{path.relative_to(REPO)}: shows {name}, which nothing under "
-                    f"src/ reads"
-                )
-        for name in sorted(set(DOTTED_RE.findall(text))):
-            if not resolves(name):
-                problems.append(
-                    f"{path.relative_to(REPO)}: names {name}, which does not "
-                    f"resolve under src/repro"
-                )
-        for module, name in sorted(set(FILE_NAME_RE.findall(text))):
-            if missing_definition(module, name):
-                problems.append(
-                    f"{path.relative_to(REPO)}: names {module}::{name}, which "
-                    f"{module} does not define"
-                )
-        shown = {
-            (command, flag)
-            for line in code_lines(path.read_text(encoding="utf-8"))
-            for command, rest in SHOWN_FLAGS_RE.findall(line)
-            for flag in FLAG_RE.findall(rest)
-        }
-        for command, flag in sorted(shown):
-            if command in declared and flag not in declared[command]:
-                problems.append(
-                    f"{path.relative_to(REPO)}: shows `python -m repro {command} "
-                    f"{flag}`, which `{command}` does not declare"
-                )
 
 
-#: ``(module, module.specs(`` entries of ``run_all.suite``.
-SUITE_ENTRY_RE = re.compile(r"\(\s*(\w+),\s*\1\.specs\(")
+def check_codec_docs(problems: list[str]) -> None:
+    """Every codec tag has a row naming it and its type in TRANSPORT.md."""
+    table = code_index().codec
+    doc = REPO / "docs" / "TRANSPORT.md"
+    if not table or not doc.is_file():
+        return
+    rows = [line for line in doc.read_text(encoding="utf-8").splitlines() if line.startswith("|")]
+    for tag, name in table:
+        if not any(f"`{tag}`" in row and f"`{name}`" in row for row in rows):
+            problems.append(
+                f"docs/TRANSPORT.md: wire codec tag {tag} ({name}) has no row in "
+                f"the layout table (no table line with `{tag}` and `{name}`)"
+            )
+
+
 EXPERIMENT_MODULE_RE = re.compile(r"`repro\.experiments\.(\w+)`")
-
-
-def suite_modules() -> list[str]:
-    """Experiment modules ``run_all.suite`` enumerates, in table order."""
-    module = REPO / "src" / "repro" / "experiments" / "run_all.py"
-    if not module.is_file():
-        return []
-    return SUITE_ENTRY_RE.findall(module.read_text(encoding="utf-8"))
 
 
 def design_experiment_modules(text: str) -> list[str]:
@@ -382,7 +417,7 @@ def design_experiment_modules(text: str) -> list[str]:
 def check_experiment_docs(problems: list[str]) -> None:
     """Every experiment DESIGN.md tabulates runs through the one suite."""
     doc = REPO / "DESIGN.md"
-    enumerated = suite_modules()
+    enumerated = code_index().suite
     if not doc.is_file() or not enumerated:
         return
     for name in design_experiment_modules(doc.read_text(encoding="utf-8")):
@@ -475,257 +510,49 @@ def check_copied_outputs(problems: list[str]) -> None:
                 problems.append(f"{page}: shows {line.strip()!r}, which {pinned} does not hold")
 
 
-#: Observability CLI surface: these subcommands must be shown (as a
-#: ``python -m repro <name>`` invocation) in docs/OBSERVABILITY.md, the
-#: tracing/metrics reference page, not just in the README.
-OBSERVABILITY_CLIS = ("report", "top")
-
-
-def check_observability_cli_docs(problems: list[str]) -> None:
-    """The report and top commands must be documented where the
-    observability subsystem is documented."""
-    registered = set(cli_subcommands())
-    wanted = [name for name in OBSERVABILITY_CLIS if name in registered]
-    if not wanted:
-        return
-    doc = REPO / "docs" / "OBSERVABILITY.md"
-    if not doc.is_file():
-        problems.append(
-            "docs/OBSERVABILITY.md: missing (cannot check observability CLIs)"
-        )
-        return
-    text = re.sub(r"\s+", " ", doc.read_text(encoding="utf-8"))
-    for name in wanted:
-        if f"python -m repro {name}" not in text:
-            problems.append(
-                f"docs/OBSERVABILITY.md: observability CLI {name!r} is "
-                f"undocumented (no `python -m repro {name}` invocation found)"
-            )
-
-
-def check_live_docs(problems: list[str]) -> None:
-    """Every ``live.*`` event kind must appear backticked in TRANSPORT.md,
-    the live transport's own reference page."""
-    live_names = [name for name in registered_event_kinds() if name.startswith("live.")]
-    if not live_names:
-        return
-    doc = REPO / "docs" / "TRANSPORT.md"
-    if not doc.is_file():
-        problems.append("docs/TRANSPORT.md: missing (cannot check live.* docs)")
-        return
-    text = doc.read_text(encoding="utf-8")
-    for name in sorted(set(live_names)):
-        if f"`{name}`" not in text:
-            problems.append(
-                f"docs/TRANSPORT.md: live transport name {name!r} is "
-                f"undocumented (no `{name}` mention found)"
-            )
-
-
-#: Rows of the wire codec's table: ``    0x01: (Block, ...`` or
-#: ``    0x02: _certificate(Authenticator, ...``.
-CODEC_ROW_RE = re.compile(
-    r"^    (0x[0-9a-f]{2}): \(?(?:_\w+\()?([A-Z]\w+)", re.MULTILINE
-)
-
-
-def codec_table() -> list[tuple[str, str]]:
-    """``(tag, type name)`` of every row of ``repro.net.codec._TABLE``
-    (textual scan, no import)."""
-    module = REPO / "src" / "repro" / "net" / "codec.py"
-    if not module.is_file():
-        return []
-    return CODEC_ROW_RE.findall(module.read_text(encoding="utf-8"))
-
-
-def check_codec_docs(problems: list[str]) -> None:
-    """A kind cannot be on the wire without its byte layout written down:
-    every codec tag has a row naming it and its type in TRANSPORT.md."""
-    table = codec_table()
-    doc = REPO / "docs" / "TRANSPORT.md"
-    if not table or not doc.is_file():
-        return
-    rows = [line for line in doc.read_text(encoding="utf-8").splitlines() if line.startswith("|")]
-    for tag, name in table:
-        if not any(f"`{tag}`" in row and f"`{name}`" in row for row in rows):
-            problems.append(
-                f"docs/TRANSPORT.md: wire codec tag {tag} ({name}) has no row in "
-                f"the layout table (no table line with `{tag}` and `{name}`)"
-            )
-
-
-#: The cluster config dataclass and the module that defines it.
-CONFIG_CLASSES = {
-    "ClusterConfig": REPO / "src" / "repro" / "core" / "cluster.py",
+#: The shapes of name found anywhere on a page (whitespace collapsed), in
+#: the order their problems are reported.  ``BENCH_*.json`` and
+#: ``BENCH_{a,b}.json`` are patterns, not names.
+TEXT_SHAPES = {
+    "bench": re.compile(r"\bBENCH_[A-Za-z0-9]+\.json\b"),
+    "command": re.compile(r"python -m repro [a-z][a-z0-9-]*"),
+    "env": re.compile(r"\bREPRO_[A-Z_]+\b"),
+    "dotted": re.compile(r"\brepro(?:\.[A-Za-z_]\w*)+"),
+    "file": re.compile(r"[\w./-]+\.py::\w+"),
+    "config": re.compile(
+        r"\b\w*ClusterConfig\.[a-z_][a-z0-9_]*|(?<![\w./])crypto_[a-z0-9_]+\b(?![./])"
+    ),
+    "cluster": re.compile(r"\b(?:\w*Cluster\w*|(?:build|embed)_\w*cluster)\b"),
 }
-#: Annotated field lines directly inside a class body.
-FIELD_RE = re.compile(r"^    ([a-z_][a-z0-9_]*):", re.MULTILINE)
-#: ``ClusterConfig.field`` mentions.
-CONFIG_ATTR_RE = re.compile(r"\b(\w*ClusterConfig)\.([a-z_][a-z0-9_]*)")
-#: Bare ``crypto_*`` option names (not path or module components).
-CRYPTO_KNOB_RE = re.compile(r"(?<![\w./])crypto_[a-z0-9_]+\b(?![./])")
-
-
-def config_fields() -> dict[str, set[str]]:
-    """Field names of each cluster config dataclass (textual scan)."""
-    fields: dict[str, set[str]] = {}
-    for name, module in CONFIG_CLASSES.items():
-        if not module.is_file():
-            continue
-        match = re.search(
-            rf"^class {name}\b.*?(?=^\S)", module.read_text(encoding="utf-8"),
-            re.MULTILINE | re.DOTALL,
-        )
-        if match:
-            fields[name] = set(FIELD_RE.findall(match.group(0)))
-    return fields
-
-
-def check_config_docs(problems: list[str]) -> None:
-    """Config options named in the docs must exist on the dataclasses."""
-    fields = config_fields()
-    if not fields:
-        return
-    known = set().union(*fields.values())
-    for path in doc_files():
-        # Prose only: drop fenced and indented code blocks (module trees,
-        # shell transcripts), where crypto_* words are file names.
-        text = re.sub(r"```.*?```", "", path.read_text(encoding="utf-8"), flags=re.DOTALL)
-        text = re.sub(r"^ {4,}.*$", "", text, flags=re.MULTILINE)
-        for owner, attr in CONFIG_ATTR_RE.findall(text):
-            if owner in fields and attr not in fields[owner]:
-                problems.append(
-                    f"{path.relative_to(REPO)}: {owner}.{attr} is not a field of {owner}"
-                )
-        for knob in sorted(set(CRYPTO_KNOB_RE.findall(text)) - known):
-            problems.append(
-                f"{path.relative_to(REPO)}: option {knob!r} is not a field of "
-                f"{' or '.join(sorted(fields))}"
-            )
-
-
-#: A cluster class or a cluster builder, as prose and code samples name one.
-CLUSTER_NAME_RE = re.compile(r"\b(\w*Cluster\w*|(?:build|embed)_\w*cluster)\b")
-DEFINITION_RE = re.compile(r"^\s*(?:class|def) (\w+)", re.MULTILINE)
-
-
-def check_cluster_names(problems: list[str]) -> None:
-    """A cluster class or builder the docs name must be defined under
-    ``src/repro``: there is one assembly, and a page that still shows a
-    second one (or a wrapper around the first) points at nothing."""
-    defined: set[str] = set()
-    for module in (REPO / "src" / "repro").rglob("*.py"):
-        defined.update(DEFINITION_RE.findall(module.read_text(encoding="utf-8")))
-    for path in doc_files():
-        if path.name in HISTORY:
-            continue
-        text = path.read_text(encoding="utf-8")
-        for name in sorted(set(CLUSTER_NAME_RE.findall(text)) - defined):
-            problems.append(
-                f"{path.relative_to(REPO)}: names {name}, which is not defined "
-                f"under src/repro"
-            )
-
-
-#: Where the repo's Python lives: what a backticked name may resolve to.
-CODE_DIRS = ("src", "bench", "tools", "tests", "benchmarks", "examples")
-#: A backticked name (dotted, perhaps called), and a word of a string.
+#: A shown invocation and the rest of its command (up to a pipe or a shell
+#: separator), and a backticked name (dotted, perhaps called).
+SHOWN_COMMAND_RE = re.compile(r"python -m repro ([a-z][a-z0-9-]*)([^|;&)]*)")
 CODE_NAME_RE = re.compile(r"([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)(?:\(.*\))?")
-WORD_RE = re.compile(r"[A-Za-z_]\w*")
+#: ROADMAP.md records history: it may name files and commands that are gone.
+HISTORY = {"ROADMAP.md"}
 #: The page whose ``## Removed`` table lists retired names.
 REMOVED_PAGE = "docs/PERFORMANCE.md"
 
 
-def code_index() -> tuple[set[str], dict[str, list]]:
-    """What the repo's Python names, read with ``ast`` (never imported):
-    every identifier, attribute, def, class, argument, keyword, imported
-    module and string literal (whole, and each word of it); and for each
-    class name, the ``(bases, members)`` of every class of that name, a
-    base that is not a plain or dotted name being None."""
-    names: set[str] = set()
-    classes: dict[str, list] = {}
-    for folder in CODE_DIRS:
-        for module in sorted((REPO / folder).rglob("*.py")):
-            for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
-                for field in ("id", "attr", "name", "arg", "asname", "module"):
-                    if isinstance(value := getattr(node, field, None), str):
-                        names.update(value.split("."))
-                if isinstance(node, ast.Constant) and isinstance(node.value, str):
-                    names.update([node.value, *WORD_RE.findall(node.value)])
-                if isinstance(node, ast.ClassDef):
-                    bases = [getattr(b, "id", getattr(b, "attr", None)) for b in node.bases]
-                    classes.setdefault(node.name, []).append((bases, own_members(node)))
-    return names, classes
-
-
-def own_members(node: ast.ClassDef) -> set[str]:
-    """A class's defs, class attributes, dataclass fields and ``self.x``."""
-    members = {getattr(item, "name", None) for item in node.body}
-    for item in node.body:
-        targets = getattr(item, "targets", [getattr(item, "target", None)])
-        members.update(target.id for target in targets if isinstance(target, ast.Name))
-    members.update(
-        sub.attr for sub in ast.walk(node)
-        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store)
-        and getattr(sub.value, "id", None) == "self"
-    )
-    return members
-
-
-def class_members(classes: dict[str, list], name: str, seen: tuple = ()) -> set[str] | None:
-    """Every member the classes called ``name`` and their bases define, or
-    None when one of them has a base the repo does not define (``object``
-    aside): then what the class has is not all written here."""
-    if name not in classes or name in seen:
-        return None
-    found: set[str] = set()
-    for bases, members in classes[name]:
-        found |= members
-        for base in bases:
-            inherited = set() if base == "object" else class_members(classes, base, (*seen, name))
-            if inherited is None:
-                return None
-            found |= inherited
+def page_tokens(text: str) -> dict[str, list[str]]:
+    """Each shape's names on a page: ``TEXT_SHAPES`` anywhere; ``flag``, a
+    ``python -m repro <cmd> <flag>`` per flag a fenced line (a trailing
+    backslash continues it) or an inline code span shows; ``code``, every
+    backticked name outside fenced blocks that looks like code."""
+    spans = [" ".join(span.split()) for span in re.findall(r"`([^`]+)`", FENCED_RE.sub("", text))]
+    blocks = FENCED_RE.findall(text)
+    fenced = [line for block in blocks for line in block.replace("\\\n", " ").splitlines()]
+    flat = " ".join(text.split())
+    found = {shape: pattern.findall(flat) for shape, pattern in TEXT_SHAPES.items()}
+    found["flag"] = [
+        f"python -m repro {command} {flag}"
+        for line in fenced + spans
+        for command, rest in SHOWN_COMMAND_RE.findall(line)
+        for flag in FLAG_RE.findall(rest)
+    ]
+    names = [m.group(1) for m in map(CODE_NAME_RE.fullmatch, spans) if m]
+    found["code"] = [n for n in names if "_" in n or "." in n or any(c.isupper() for c in n[1:])]
     return found
-
-
-def stdlib_path(dotted: str) -> bool:
-    """Whether ``dotted`` is an attribute path of an importable
-    standard-library module, or of a builtin."""
-    parts = dotted.split(".")
-    cut, target = 1, getattr(builtins, parts[0], None)
-    if parts[0] in sys.stdlib_module_names:
-        for cut in range(len(parts), 0, -1):
-            try:
-                target = importlib.import_module(".".join(parts[:cut]))
-                break
-            except ImportError:
-                continue
-    if target is None:
-        return False
-    try:
-        functools.reduce(getattr, parts[cut:], target)
-    except AttributeError:
-        return False
-    return True
-
-
-def json_strings(value: object) -> set[str]:
-    """Every key and string in a parsed JSON document."""
-    if isinstance(value, dict):
-        value = [*value, *value.values()]
-    if isinstance(value, list):
-        return set().union(*map(json_strings, value))
-    return {value} if isinstance(value, str) else set()
-
-
-def code_spans(text: str) -> list[str]:
-    """The backticked spans outside fenced blocks that look like code: a
-    name with ``_`` or ``.`` in it, or a capital after its first letter."""
-    prose = re.sub(r"```.*?```", "", text, flags=re.DOTALL)
-    matches = (CODE_NAME_RE.fullmatch(span.strip()) for span in re.findall(r"`([^`]+)`", prose))
-    names = [m.group(1) for m in matches if m]
-    return [n for n in names if "_" in n or "." in n or any(c.isupper() for c in n[1:])]
 
 
 def removed_names() -> set[str]:
@@ -734,35 +561,74 @@ def removed_names() -> set[str]:
     lines = page.read_text(encoding="utf-8").splitlines() if page.is_file() else []
     at = next((i for i, line in enumerate(lines) if line.strip() == "## Removed"), len(lines))
     rows = [line for line in lines[at + 1 :] if line.startswith("|")][2:]
-    return {name for row in rows for name in code_spans(row.split("|")[1])}
+    return {name for row in rows for name in page_tokens(row.split("|")[1])["code"]}
 
 
-def check_code_names(problems: list[str]) -> None:
-    """A backticked name in the docs must resolve: for ``Class.member`` of a
-    class the repo defines in full, a member of it or of its bases;
-    otherwise its last component or the whole name among what the repo's
-    Python and BENCHMARK.json name, or a standard-library attribute path.
-    A name the *Removed* table lists passes."""
-    names, classes = code_index()
-    manifest = REPO / "BENCHMARK.json"
-    if manifest.is_file():
-        names |= json_strings(json.loads(manifest.read_text(encoding="utf-8")))
-    removed = removed_names()
-    for path in doc_files():
-        if path.name in HISTORY:
+def resolves(code: Code, dotted: str) -> bool:
+    """Whether ``repro.<a>.<b>…`` walks down ``src``'s packages and modules
+    to its end or to a name one binds at top level, and, when that name is
+    a class the repo defines in full, the next component is a member."""
+    parts = dotted.split(".")
+    for i in range(1, len(parts)):
+        if ".".join(parts[: i + 1]) in code.top:
             continue
-        for name in sorted(set(code_spans(path.read_text(encoding="utf-8")))):
-            parts = name.split(".")
-            members = class_members(classes, parts[0]) if len(parts) > 1 else None
-            if members is not None:
-                ok = parts[1] in members
-            else:
-                ok = parts[-1] in names or name in names or stdlib_path(name)
-            if not (ok or name in removed):
-                problems.append(
-                    f"{path.relative_to(REPO)}: names `{name}`, which nothing in the "
-                    f"repo defines (deleted code goes in {REMOVED_PAGE}'s Removed table)"
-                )
+        members = class_members(code.classes, parts[i]) if i + 1 < len(parts) else None
+        bound = parts[i] in code.top.get(".".join(parts[:i]), {})
+        return bound and (members is None or parts[i + 1] in members)
+    return True
+
+
+def unresolved(code: Code, shape: str, token: str) -> str | None:
+    """Why ``token``, a name of ``shape`` a page shows, points at nothing
+    (the rule of each shape is in the module docstring), or None."""
+    command, _, flag = token.removeprefix("python -m repro ").partition(" ")
+    owner, _, attr = token.rpartition(".")
+    if shape == "bench":
+        ok, why = (REPO / token).is_file(), "does not exist"
+    elif shape == "command":
+        ok, why = command in code.cli, "is not a registered subcommand"
+    elif shape == "flag":
+        ok = not code.cli.get(command) or flag in code.cli[command]
+        why = f"`{command}` does not declare"
+    elif shape == "env":
+        ok, why = token in code.names["src"], "nothing under src/ reads"
+    elif shape == "dotted":
+        ok, why = resolves(code, token), "does not resolve under src/repro"
+    elif shape == "file":
+        path, _, name = token.partition("::")
+        files = [f"{r}{path}" for r in ("", "src/", "src/repro/") if (REPO / r / path).is_file()]
+        ok, why = not files or name in code.defs.get(files[0], ()), f"{path} does not define"
+    elif shape == "config":
+        ok = owner not in ("", "ClusterConfig") or attr in code.fields.get("ClusterConfig", ())
+        why = "is not a field of ClusterConfig"
+    elif shape == "cluster":
+        ok = any(token in defs for f, defs in code.defs.items() if f.startswith("src/repro/"))
+        why = "is not defined under src/repro"
+    else:
+        parts = token.split(".")
+        members = class_members(code.classes, parts[0]) if len(parts) > 1 else None
+        if members is not None:
+            ok = parts[1] in members
+        else:
+            ok = parts[-1] in code.known or token in code.known or stdlib_path(token)
+        why = f"nothing in the repo defines (deleted code goes in {REMOVED_PAGE}'s Removed table)"
+    shown = f"`{token}`" if shape in ("command", "flag", "code") else token
+    return None if ok else f"names {shown}, which {why}"
+
+
+def check_names(problems: list[str]) -> None:
+    """Every name a page points at resolves, each by the rule of its shape;
+    a name an earlier shape judged is not judged again as ``code``."""
+    code, removed = code_index(), removed_names()
+    for path in doc_files():
+        judged: set[str] = set()
+        for shape, found in page_tokens(path.read_text(encoding="utf-8")).items():
+            if path.name in HISTORY and shape != "config":
+                continue
+            for token in sorted(set(found) - judged - removed):
+                if why := unresolved(code, shape, token):
+                    problems.append(f"{path.relative_to(REPO)}: {why}")
+            judged.update(found)
 
 
 def run() -> list[str]:
@@ -771,17 +637,13 @@ def run() -> list[str]:
         check_links(path, problems)
         check_fences(path, problems)
         check_tables(path, problems)
-    check_cli_docs(problems)
-    check_observability_cli_docs(problems)
+    check_shown_commands(problems)
     check_live_docs(problems)
     check_codec_docs(problems)
-    check_removed_names(problems)
     check_experiment_docs(problems)
     check_copied_tables(problems)
     check_copied_outputs(problems)
-    check_config_docs(problems)
-    check_cluster_names(problems)
-    check_code_names(problems)
+    check_names(problems)
     return problems
 
 
