@@ -243,8 +243,8 @@ class CatchupMixin:
             return
         # 1. Verify and adopt the beacon chain sequentially.
         for link in response.beacon_chain:
-            if self.pool.beacon_value(link.round) is not None:
-                continue
+            if link.round <= self._beacon_computed:
+                continue  # R_k already known (or pruned with its round)
             previous = self.pool.beacon_value(link.round - 1)
             if previous is None:
                 return  # chain does not connect to what we know; discard

@@ -32,7 +32,7 @@ from ..sim.simulator import Simulation
 from .icc0 import ICC0Party, PayloadSource, empty_payload_source
 from .icc1 import ICC1Party
 from .icc2 import ICC2Party
-from .params import ProtocolParams, StandardDelays
+from .params import DEFAULT_GC_DEPTH, ProtocolParams, StandardDelays
 
 #: Builds one party; adversarial behaviours and the baselines provide
 #: alternatives.
@@ -80,7 +80,9 @@ class ClusterConfig:
     crypto_backend: str = "fast"
     group_profile: str = "test"
     max_rounds: int | None = None
-    gc_depth: int | None = None  # pool pruning depth; None keeps everything
+    #: Pool pruning depth (:attr:`ProtocolParams.gc_depth`): finite by
+    #: default; None keeps all history.
+    gc_depth: int | None = DEFAULT_GC_DEPTH
     delay_model: DelayModel | None = None  # default FixedDelay(0.1)
     #: Override the protocol delay functions (ablation A2's NoStagger);
     #: when None, StandardDelays(delta_bound, epsilon) is used.
@@ -116,14 +118,47 @@ class ClusterConfig:
             )
 
 
-def prefix_consistent(logs: Sequence[Sequence]) -> bool:
+def numbered(log: Sequence, gaps: Sequence[tuple[int, int]] = ()) -> dict[int, object]:
+    """Height -> entry of one committed log.  Entries count from height 1,
+    and each declared state-transfer gap ``(first, last)`` — the heights a
+    party jumped past when it caught up over pruned history
+    (:class:`~repro.core.catchup.CatchupMixin`) — is skipped."""
+    skip = {first: last for first, last in gaps}
+    out: dict[int, object] = {}
+    height = 1
+    for entry in log:
+        while height in skip:
+            height = skip[height] + 1
+        out[height] = entry
+        height += 1
+    return out
+
+
+def prefix_consistent(logs: Sequence[dict[int, object]]) -> bool:
     """The paper's safety property over a set of output logs.
 
     "if one party has output a sequence s and another has output s',
-    then s must be a prefix of s', or vice versa" (Section 1).
+    then s must be a prefix of s', or vice versa" (Section 1).  Each log is
+    :func:`numbered` by height, and two logs must hold the same entry at
+    every height both hold: for logs without gaps that is the prefix
+    relation, and a party that state-transferred past some heights is held
+    to the rest.
     """
-    reference = max(logs, key=len, default=[])
-    return all(log == reference[: len(log)] for log in logs)
+    seen: dict[int, object] = {}
+    return all(
+        seen.setdefault(height, entry) == entry
+        for log in logs
+        for height, entry in log.items()
+    )
+
+
+def committed_logs(parties) -> list[dict[int, object]]:
+    """Every party's committed hashes, :func:`numbered` past its declared
+    state-transfer gaps (a party without catch-up declares none)."""
+    return [
+        numbered(p.committed_hashes, getattr(p, "state_transfer_gaps", ()))
+        for p in parties
+    ]
 
 
 class Cluster:
@@ -187,7 +222,7 @@ class Cluster:
 
     def check_safety(self) -> None:
         """Assert the prefix property over all honest parties' outputs."""
-        if not prefix_consistent([p.committed_hashes for p in self.honest_parties]):
+        if not prefix_consistent(committed_logs(self.honest_parties)):
             raise AssertionError("safety violated: committed logs diverge")
 
     def min_committed_round(self) -> int:

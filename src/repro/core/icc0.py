@@ -650,9 +650,10 @@ class ICC0Party:
         self._committed_tip = block.hash
         self.k_max = k
         self.pool.set_committed_floor(k)
-        # Garbage collection (Section 3.1 notes real implementations prune;
-        # laggards farther back than gc_depth need state transfer, which is
-        # out of the protocol's scope).
+        # Garbage collection (Section 3.1 notes real implementations prune):
+        # the sweep costs what it removes, so it runs after every commit.
+        # Laggards farther back than gc_depth need state transfer
+        # (repro.core.catchup).
         if self.params.gc_depth is not None:
             self.pool.prune(self.k_max - self.params.gc_depth)
 

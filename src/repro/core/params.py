@@ -19,6 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+#: Rounds of history a party's pool keeps below its committed round ``k_max``
+#: unless a config says otherwise.  Figures 1–2 read only rounds above
+#: ``k_max``; the window serves echoes to parties a few rounds behind and
+#: state sync (``repro.core.catchup``) to those farther back.
+DEFAULT_GC_DEPTH = 64
+
 
 @dataclass(frozen=True)
 class StandardDelays:
@@ -52,10 +58,11 @@ class ProtocolParams:
     t: int
     delays: StandardDelays
     max_rounds: int | None = None  # stop participating after this round
-    #: When set, parties prune pool artifacts older than k_max - gc_depth
-    #: after each commit (the checkpointing/garbage-collection optimization
-    #: the paper defers to implementations).  None = keep everything.
-    gc_depth: int | None = None
+    #: Parties prune pool artifacts of rounds below k_max - gc_depth after
+    #: each commit (the garbage collection Section 3.1 leaves to
+    #: implementations).  None keeps everything, for runs that study
+    #: unbounded history.
+    gc_depth: int | None = DEFAULT_GC_DEPTH
 
     def __post_init__(self) -> None:
         if self.n < 1:

@@ -21,12 +21,13 @@ may make a whole subtree of buffered children valid).
 verified in ``add``, except that a share whose aggregate is already held
 (notarization, finalization or beacon value), or a notarization or
 finalization share for a known block that already has n − t of its kind, is
-dropped unverified and counted as ``superseded``.  That is safe because a
-share is only ever read to build an aggregate, and an aggregate combines the
-first n − t shares.  An authenticator or share must also claim the round and
-proposer of the block whose hash it carries: one that does not is dropped as
-invalid, in ``add`` when the block is known and when the block arrives
-otherwise.
+dropped unverified and counted as ``superseded``; so is a beacon share for a
+round that already holds t + 1 verified ones.  That is safe because a share
+is only ever read to build an aggregate, and an aggregate combines the first
+n − t (beacon: t + 1) shares.  An authenticator or share must also claim the
+round and proposer of the block whose hash it carries: one that does not is
+dropped as invalid, in ``add`` when the block is known and when the block
+arrives otherwise.
 
 The paper presents the pool as append-only and notes that a practical one
 discards what is no longer relevant (Section 3.1).  Two floors, both raised
@@ -39,11 +40,14 @@ by the owning party and never lowered, say what that is here:
   :meth:`MessagePool.rounds_with_final_activity` reads it: the finalization
   watcher's cost does not depend on the length of the chain.  Nothing is
   discarded at this floor.
-* the **prune floor** (:meth:`MessagePool.prune`, only with
-  ``ProtocolParams.gc_depth``) is where storage ends: every artifact whose own
-  ``round`` is below it is discarded, and ``add`` drops a late one unverified,
-  counted as ``stale``.  It drags the committed floor along: what cannot be
-  stored cannot be finalization activity.
+* the **prune floor** (:meth:`MessagePool.prune`, raised after each commit
+  to ``k_max - ProtocolParams.gc_depth``) is where storage ends: every
+  artifact whose own ``round`` is below it is discarded, with the beacon
+  values of those rounds, and ``add`` drops a late one unverified, counted
+  as ``stale``.  It drags the committed floor along: what cannot be stored
+  cannot be finalization activity.  A sweep reads an index from claimed
+  round to the hashes stored under it, so it visits only the rounds it
+  crosses, not the pool.
 
 Every share of one block signs the same statement of Section 3.4:
 (k, α, H(B)) for notarization and finalization shares, (k, R_{k-1}) for the
@@ -94,7 +98,8 @@ class PoolStats:
 
 
 def _names(
-    artifact: Authenticator | NotarizationShare | FinalizationShare, block: Block
+    artifact: Authenticator | Notarization | NotarizationShare | FinalizationShare,
+    block: Block,
 ) -> bool:
     """Whether ``artifact`` is *about* ``block``.  The signature covers the
     round and proposer the artifact claims, so one that claims another round
@@ -161,6 +166,9 @@ class MessagePool:
         self._finalizations: dict[bytes, Finalization] = {}
         self._notar_shares: dict[bytes, dict[int, NotarizationShare]] = defaultdict(dict)
         self._final_shares: dict[bytes, dict[int, FinalizationShare]] = defaultdict(dict)
+        # Claimed round -> the hashes an authenticator, aggregate or share
+        # claiming it is stored under: what a prune sweep reads.
+        self._hashes_by_round: dict[int, set[bytes]] = defaultdict(set)
 
         # The two floors (module docstring), and the rounds above the
         # committed one that have a finalized block or a finalization share.
@@ -282,6 +290,7 @@ class MessagePool:
             return False
         self._authentic.add(auth.block_hash)
         self._authenticators[auth.block_hash] = auth
+        self._hashes_by_round[auth.round].add(auth.block_hash)
         self._try_validate(auth.block_hash)
         return True
 
@@ -322,6 +331,7 @@ class MessagePool:
             return False
         self._statements[key] = signed
         self._notar_shares[share.block_hash][share.signer] = share
+        self._hashes_by_round[share.round].add(share.block_hash)
         return True
 
     def _add_notarization(self, notarization: Notarization) -> bool:
@@ -334,6 +344,7 @@ class MessagePool:
             return False
         self._statements.pop(key, None)
         self._notarizations[notarization.block_hash] = notarization
+        self._hashes_by_round[notarization.round].add(notarization.block_hash)
         self._try_notarize(notarization.block_hash)
         return True
 
@@ -347,6 +358,7 @@ class MessagePool:
             return False
         self._statements[key] = signed
         self._final_shares[share.block_hash][share.signer] = share
+        self._hashes_by_round[share.round].add(share.block_hash)
         if share.round > self._committed_floor:
             self._final_activity.add(share.round)
         return True
@@ -361,6 +373,7 @@ class MessagePool:
             return False
         self._statements.pop(key, None)
         self._finalizations[finalization.block_hash] = finalization
+        self._hashes_by_round[finalization.round].add(finalization.block_hash)
         self._try_finalize(finalization.block_hash)
         return True
 
@@ -375,6 +388,9 @@ class MessagePool:
         buffered = self._buffered_beacon_shares.get(share.round, ())
         if share.signer in stored or share.signer in buffered:
             self.stats.duplicates += 1
+            return False
+        if len(stored) > self.t:
+            self.stats.superseded += 1  # R_k combines the t + 1 already held
             return False
         previous = self.beacon_values.get(share.round - 1)
         if previous is None:
@@ -595,7 +611,9 @@ class MessagePool:
             self._statements.pop((BEACON, round, previous), None)
         self.beacon_values[round] = value
         for share in self._buffered_beacon_shares.pop(round + 1, {}).values():
-            if not self._verify_and_store_beacon_share(share, value):
+            if self.beacon_share_count(round + 1) > self.t:
+                self.stats.superseded += 1
+            elif not self._verify_and_store_beacon_share(share, value):
                 self._report_invalid(share)
 
     def beacon_value(self, round: int) -> bytes | None:
@@ -616,7 +634,7 @@ class MessagePool:
         """
         if block.round < 1 or not 1 <= block.proposer <= self.n:
             return False
-        if not _names(auth, block) or notarization.block_hash != block.hash:
+        if not (_names(auth, block) and _names(notarization, block)):
             return False
         signed_auth = msg.authenticator_message(block.round, block.proposer, block.hash)
         if not self._keys.verify_auth(block.proposer, signed_auth, auth.signature):
@@ -635,6 +653,7 @@ class MessagePool:
         self._valid.add(h)
         self._notarizations[h] = notarization
         self._notarized.add(h)
+        self._hashes_by_round[block.round].add(h)
         for child in self._children.get(h, ()):
             self._try_validate(child)
         return True
@@ -649,54 +668,68 @@ class MessagePool:
         predicates for live rounds never consult pruned rounds (a new block's
         parent is at its own round - 1).  Reclaiming goes by each artifact's
         own ``round``, not through its block, so shares and aggregates whose
-        block never arrived, or left in an earlier sweep, go too.  Returns the
-        number of blocks removed.
+        block never arrived go too.  The sweep visits the rounds between the
+        old floor and the new one, and in each only the hashes stored under
+        it.  Returns the number of blocks removed.
         """
-        if before_round <= self._prune_floor:
+        floor = self._prune_floor
+        if before_round <= floor:
             return 0  # already swept, and add has dropped every late arrival
         self._prune_floor = before_round
-        doomed = [
-            h
-            for round in [r for r in self._blocks_by_round if r < before_round]
-            for h in self._blocks_by_round.pop(round)
-        ]
-        for h in doomed:
-            block = self.blocks.pop(h)
-            self._children.pop(h, None)
-            siblings = self._children.get(block.parent_hash)
-            if siblings is not None:
-                siblings.discard(h)
-                if not siblings:
-                    del self._children[block.parent_hash]
-            self._valid.discard(h)
-            self._notarized.discard(h)
-            self._finalized.discard(h)
-        for h in [h for h, a in self._authenticators.items() if a.round < before_round]:
-            del self._authenticators[h]
-            self._authentic.discard(h)
-        for aggregates in (self._notarizations, self._finalizations):
-            for h in [h for h, a in aggregates.items() if a.round < before_round]:
-                del aggregates[h]
-        for by_block in (self._notar_shares, self._final_shares):
-            for h, shares in list(by_block.items()):
-                for signer in [i for i, s in shares.items() if s.round < before_round]:
-                    del shares[signer]
-                if not shares:
-                    del by_block[h]
-        for by_round in (self._beacon_shares, self._buffered_beacon_shares):
-            for round in [r for r in by_round if r < before_round]:
-                del by_round[round]
+        removed = 0
+        for round in range(floor, before_round):
+            for h in self._blocks_by_round.pop(round, ()):
+                self._drop_block(h)
+                removed += 1
+            for h in self._hashes_by_round.pop(round, ()):
+                self._drop_artifacts(h, before_round)
+            for by_round in (
+                self._beacon_shares, self._buffered_beacon_shares, self.beacon_values
+            ):
+                by_round.pop(round, None)
         self.set_committed_floor(before_round - 1)  # nothing is stored below: no activity
-        if self._tracer.enabled and doomed:
+        if self._tracer.enabled and removed:
             self._tracer.emit(
                 time=self._trace_sim.now if self._trace_sim is not None else 0.0,
                 party=self._trace_party,
                 protocol=self._trace_protocol,
                 round=None,
                 kind="pool.prune",
-                payload={"before_round": before_round, "removed": len(doomed)},
+                payload={"before_round": before_round, "removed": removed},
             )
-        return len(doomed)
+        return removed
+
+    def _drop_block(self, h: bytes) -> None:
+        block = self.blocks.pop(h)
+        self._children.pop(h, None)
+        siblings = self._children.get(block.parent_hash)
+        if siblings is not None:
+            siblings.discard(h)
+            if not siblings:
+                del self._children[block.parent_hash]
+        self._valid.discard(h)
+        self._notarized.discard(h)
+        self._finalized.discard(h)
+
+    def _drop_artifacts(self, h: bytes, before_round: int) -> None:
+        """Discard what is stored under ``h`` and claims a round below
+        ``before_round``; what claims a later round stays."""
+        auth = self._authenticators.get(h)
+        if auth is not None and auth.round < before_round:
+            del self._authenticators[h]
+            self._authentic.discard(h)
+        for aggregates in (self._notarizations, self._finalizations):
+            aggregate = aggregates.get(h)
+            if aggregate is not None and aggregate.round < before_round:
+                del aggregates[h]
+        for by_block in (self._notar_shares, self._final_shares):
+            shares = by_block.get(h)
+            if shares is None:
+                continue
+            for signer in [i for i, s in shares.items() if s.round < before_round]:
+                del shares[signer]
+            if not shares:
+                del by_block[h]
 
     def artifact_count(self) -> int:
         """Rough pool size (for memory-boundedness tests)."""

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import asyncio
 
-from ..core.cluster import prefix_consistent
+from ..core.cluster import committed_logs, prefix_consistent
 from .config import LiveConfig
 from .party import LiveParty
 
@@ -100,7 +100,7 @@ class LiveCluster:
 
     def check_safety(self) -> None:
         """Assert the paper's prefix property across all parties' outputs."""
-        if not prefix_consistent([p.committed_hashes for p in self.honest_parties]):
+        if not prefix_consistent(committed_logs(self.honest_parties)):
             raise AssertionError("safety violated: committed logs diverge")
 
     def results(self) -> list[dict]:

@@ -45,7 +45,7 @@ import tempfile
 import time
 
 from ..analysis.critical_path import ICC_STAGES, consistency_line
-from ..core.cluster import PROTOCOLS, prefix_consistent
+from ..core.cluster import PROTOCOLS, numbered, prefix_consistent
 from ..obs import Tracer, trace_header, write_jsonl
 from ..sim.metrics import percentile
 from .clock import host_id
@@ -153,7 +153,7 @@ def summarize(
     min_height = min(heights, default=0)
     live_ok = bool(results) and all(r.get("reached_target") for r in results)
     safety_ok = bool(results) and prefix_consistent(
-        [r["committed"] for r in results]
+        [numbered(r["committed"]) for r in results]
     )
     wall = max((r["wall_seconds"] for r in results), default=0.0)
     latencies = results[0].get("request_latencies", []) if results else []

@@ -272,12 +272,14 @@ class TestFlatInChainLength:
         """The `sim_n4_long` shape run to H=400: what one watcher pass and one
         proposal read in heights 361..400 is no more than in heights 1..40."""
         batcher = RequestBatcher(BatchSpec(batch_max=512), seed=1)
-        ids_per_call: list[tuple[int, int]] = []  # (height of the chain extended, ids read)
+        ids_per_call: list[tuple[int, int]] = []  # (round of the proposal, ids read)
 
         def payload_source(party, round, chain):
             tally = [0]
             payload = batcher.payload_source(party, round, CountingChain(chain, tally))
-            ids_per_call.append((len(chain), tally[0]))
+            # Keyed on the round: ``chain`` is only what the pool still holds,
+            # at most gc_depth blocks, so its length is not the height.
+            ids_per_call.append((round - 1, tally[0]))
             return payload
 
         cluster = build_cluster(

@@ -26,7 +26,7 @@ class TestGarbageCollection:
     def test_unbounded_without_gc(self):
         config = ClusterConfig(
             n=4, t=1, delta_bound=0.5, epsilon=0.005,
-            delay_model=FixedDelay(0.02), seed=1, max_rounds=60,
+            delay_model=FixedDelay(0.02), seed=1, max_rounds=60, gc_depth=None,
         )
         cluster = build_cluster(config)
         cluster.start()

@@ -38,13 +38,17 @@ def build_chain_messages(forge: Forge, depth: int):
 
 
 def stored_rounds(pool) -> list[int]:
-    """The own round of every artifact the pool holds (root aside)."""
+    """The own round of every artifact the pool holds (root aside), and
+    every round its per-round indexes and beacon values hold."""
     rounds = [b.round for h, b in pool.blocks.items() if h != ROOT_HASH]
     for by_hash in (pool._authenticators, pool._notarizations, pool._finalizations):
         rounds.extend(a.round for a in by_hash.values())
     for by_hash in (pool._notar_shares, pool._final_shares):
         rounds.extend(s.round for shares in by_hash.values() for s in shares.values())
-    for by_round in (pool._blocks_by_round, pool._beacon_shares, pool._buffered_beacon_shares):
+    for by_round in (
+        pool._blocks_by_round, pool._hashes_by_round, pool._beacon_shares,
+        pool._buffered_beacon_shares, pool.beacon_values,
+    ):
         rounds.extend(by_round)
     return rounds
 
@@ -160,7 +164,9 @@ class TestPruneProperties:
         pool = forge.pool()
         for message in shuffled[:cut]:
             pool.add(message)
+        kept = sorted(round for round in stored_rounds(pool) if round >= cutoff)
         pool.prune(cutoff)
+        assert sorted(stored_rounds(pool)) == kept  # exactly what is below goes
         for message in shuffled[cut:]:
             stored = pool.add(message)
             assert not (stored and message.round < cutoff)

@@ -3,12 +3,14 @@
 The contract (see ``repro.core.pool``'s docstring): every share is verified
 inside ``add`` — a forgery never enters the pool — except a share whose
 aggregate the pool already holds, whose known block already has n − t shares
-of its kind, or whose round is below the prune floor, which is dropped
-without touching the keyring.  Queries, ``artifact_count``
+of its kind, whose round already holds t + 1 beacon shares, or whose round
+is below the prune floor, which is dropped without touching the keyring.  Queries, ``artifact_count``
 and ``prune`` are pure reads.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import pytest
 
@@ -197,6 +199,18 @@ class TestShareMustNameItsBlock:
         assert pool.final_share_count(block.hash) == 0
         assert pool.stats.invalid_dropped == 1
 
+    def test_anchor_notarization_must_name_its_block(self):
+        """The anchor's aggregate is checked against the block's statement, so
+        a notarization relabelled with another round would verify, and be
+        stored, and pruned, by a round it does not belong to."""
+        forge = Forge()
+        pool = forge.pool()
+        block = forge.block()
+        relabelled = dataclasses.replace(forge.notarization(block), round=9)
+        assert not pool.install_anchor(block, forge.auth(block), relabelled)
+        assert block.hash not in pool.blocks
+        assert pool.install_anchor(block, forge.auth(block), forge.notarization(block))
+
 
 class TestDroppedSharesStoreNothing:
     """A share the pool refuses leaves no trace in its share maps: no empty
@@ -278,6 +292,33 @@ class TestSupersededSharesDropped:
         assert _share_count(pool, kind, block) == 4
         assert pool.stats.superseded == 0
 
+    def test_beacon_share_past_t_plus_one_never_reaches_the_keyring(self):
+        """R_k combines t + 1 shares: once a round holds them, the (t + 2)-th
+        is dropped unverified, before the pass computes R_k (a live party
+        combines once per loop turn)."""
+        forge = Forge()
+        pool, keys = _counting_pool(forge)
+        for signer in (1, 2):  # t + 1 = 2
+            assert pool.add(forge.beacon_share(1, signer))
+        assert keys.share_verifications == 2
+        for resend in (1, 2):
+            assert pool.add(forge.beacon_share(1, 3)) is False
+            assert pool.stats.superseded == resend
+        assert keys.share_verifications == 2
+        assert pool.beacon_share_count(1) == 2
+        assert pool.stats.duplicates == pool.stats.invalid_dropped == 0
+
+    def test_buffered_beacon_shares_past_t_plus_one_never_reach_the_keyring(self):
+        forge = Forge()
+        pool, keys = _counting_pool(forge)
+        value1 = b"\x22" * 32
+        for signer in (1, 2, 3, 4):
+            assert pool.add(forge.beacon_share(2, signer, previous=value1))
+        pool.set_beacon_value(1, value1)
+        assert keys.share_verifications == 2
+        assert {s.signer for s in pool.beacon_shares_for(2)} == {1, 2}
+        assert pool.stats.superseded == 2
+
     def test_share_before_its_aggregate_is_verified_and_kept(self):
         forge = Forge()
         pool, keys = _counting_pool(forge)
@@ -344,9 +385,10 @@ class TestBufferedBeaconShares:
         tracer = Tracer()
         pool.bind_tracing(tracer, Simulation(), party=1, protocol="test")
         value1 = b"\x22" * 32
+        # The garbage share first: past t + 1 valid ones it would be superseded.
+        assert pool.add(forge.beacon_share(2, 3, previous=b"\x33" * 32))
         for signer in (1, 2):
             assert pool.add(forge.beacon_share(2, signer, previous=value1))
-        assert pool.add(forge.beacon_share(2, 3, previous=b"\x33" * 32))  # garbage
         assert pool.stats.buffered_beacon_shares == 3
         assert keys.share_verifications == 0  # R_1 unknown: nothing to check against
         pool.set_beacon_value(1, value1)

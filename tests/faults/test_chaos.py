@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
+from repro.core import build_cluster
+from repro.core.messages import Block, Payload
 from repro.experiments import chaos, runner
-from repro.faults import generate_scenario
+from repro.faults import check_invariants, generate_scenario
 from repro.__main__ import main as cli_main
 
 
@@ -52,6 +56,66 @@ class TestInvariantsHold:
         assert result.ok, result.violations
         assert result.liveness_checked
         assert result.min_committed > 0
+
+
+class TestStateTransferGap:
+    """Chaos scenario 3 at ``gc_depth=8``: party 4 recovers after its peers
+    pruned the rounds it missed, so it state-transfers past them and its log
+    has a gap.  The safety check compares logs per height, skipping each
+    party's declared gaps: the run is safe, and a planted conflict is not."""
+
+    GAPS = {"ICC0": [(41, 46)], "ICC1": [(30, 33)], "ICC2": [(28, 32)]}
+
+    def run(self, monkeypatch, protocol):
+        built = []
+
+        def shallow(config):
+            built.append(build_cluster(replace(config, gc_depth=8)))
+            return built[-1]
+
+        monkeypatch.setattr(chaos, "build_cluster", shallow)
+        result = chaos.run_scenario(protocol=protocol, scenario_seed=3, duration=30.0)
+        return result, built[0]
+
+    @pytest.mark.parametrize("protocol", ["ICC0", "ICC1", "ICC2"])
+    def test_jump_past_pruned_history_is_safe(self, monkeypatch, protocol):
+        result, cluster = self.run(monkeypatch, protocol)
+        assert result.ok, result.violations
+        jumped = cluster.party(4)
+        assert jumped.state_transfer_gaps == self.GAPS[protocol]
+        (first, last), = jumped.state_transfer_gaps
+        assert len(jumped.output_log) == jumped.k_max - (last - first + 1)
+        cluster.check_safety()
+
+    def test_planted_conflicts_still_fail(self, monkeypatch):
+        _, cluster = self.run(monkeypatch, "ICC0")
+        scenario = generate_scenario(3, n=7, t=2, duration=30.0)
+        assert check_invariants(cluster, scenario, 30.0).ok
+
+        def plant(party, round):
+            log = party.output_log
+            at = next(i for i, block in enumerate(log) if block.round == round)
+            original = log[at]
+            log[at] = Block(
+                round=round, proposer=original.proposer,
+                parent_hash=original.parent_hash,
+                payload=Payload(commands=(b"planted",)),
+            )
+            return lambda: log.__setitem__(at, original)
+
+        # After the jumper's gap, inside it (the others hold that height), and
+        # a hole a party does not declare.
+        for party, round in ((4, 50), (1, 43)):
+            undo = plant(cluster.party(party), round)
+            report = check_invariants(cluster, scenario, 30.0)
+            assert not report.safety_ok, (party, round)
+            with pytest.raises(AssertionError, match="diverge"):
+                cluster.check_safety()
+            undo()
+        cluster.check_safety()
+        del cluster.party(1).output_log[42]
+        with pytest.raises(AssertionError, match="diverge"):
+            cluster.check_safety()
 
 
 class TestDeterminism:

@@ -4,9 +4,12 @@
 
 Runs the benchmark's own `sim_n4_long` epoch (`bench/workloads.py`, same
 cluster, same open-loop load, same reference clock) with the target height H
-replaced, and prints the median heights/s per H.  Code whose per-message work
-does not depend on history gives the same figure at every H; a term that is
-O(chain) makes it fall as H grows.  See docs/PERFORMANCE.md, "Cost per height
+replaced, and prints the median heights/s per H beside the observer's pool
+size at the end (`core.pool_artifacts`).  Code whose per-message work does not
+depend on history gives the same rate at every H, and a bounded pool
+(`gc_depth`) the same size; a term that is O(chain) makes the rate fall, and
+state kept for ever makes the size grow, as H grows.  Exits 1 if any epoch
+reports an error.  See docs/PERFORMANCE.md, "Cost per height
 vs chain length", for the table this produced before and after PR 17.
 """
 
@@ -38,13 +41,15 @@ def main() -> int:
     failed = False
     for target in (int(h) for h in args.heights.split(",")):
         spec = replace(base, target=target, load_s=target * per_height_s)
-        rates = []
+        rates, artifacts = [], []
         for seed in range(1, args.seeds + 1):
             gc.collect()
             epoch = run_sim_epoch(spec, seed, None, kernel)
             failed |= bool(epoch["errors"])
             rates.append(epoch["heights"] / epoch["wall_s"])
+            artifacts.append(epoch["counts"]["core.pool_artifacts"])
         print(f"H={target:5d}  heights_per_s median {statistics.median(rates):7.1f}  "
+              f"pool_artifacts median {statistics.median(artifacts):7.0f}  "
               f"runs {' '.join(f'{r:.1f}' for r in rates)}")
     return 1 if failed else 0
 
