@@ -355,3 +355,31 @@ class TestEndToEndMicro:
             return cluster.min_committed_round()
 
         assert benchmark(ten_rounds) >= 9
+
+    def test_live_cluster_connect_n4(self, benchmark):
+        """Wall-clock from ``LiveCluster.start()`` until every party of an
+        n = 4 localhost cluster counts its 2(n−1) connects, then stop (a
+        fresh loop and fresh ports per round, allocated untimed)."""
+        import asyncio
+
+        from repro.net import LiveCluster
+        from repro.net.config import local_live_config
+
+        def fresh_config():
+            return (local_live_config(4, t=1, seed=1, cluster_id="micro-connect"),), {}
+
+        def connect(config) -> int:
+            links = 2 * (config.n - 1)
+
+            async def scenario() -> int:
+                loop = asyncio.get_running_loop()
+                async with LiveCluster(config) as cluster:
+                    deadline = loop.time() + 10.0
+                    while any(live.network.connects_total < links for live in cluster.parties):
+                        assert loop.time() < deadline, "cluster never fully connected"
+                        await asyncio.sleep(0.0005)
+                    return sum(live.network.reconnects_total for live in cluster.parties)
+
+            return asyncio.run(scenario())
+
+        assert benchmark.pedantic(connect, setup=fresh_config, rounds=50) == 0

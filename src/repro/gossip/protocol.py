@@ -41,36 +41,36 @@ from ..sim.network import Network, wire_size as artifact_wire_size
 from ..core import messages as msg
 
 
+#: The id of each artifact kind, by exact type: one dict lookup per call.
+_IDS: dict[type, Callable[[object], bytes]] = {
+    msg.Block: lambda a: tagged_hash("gossip/id/block", a.hash),
+    msg.Authenticator: lambda a: tagged_hash("gossip/id/auth", a.block_hash),
+    msg.Notarization: lambda a: tagged_hash("gossip/id/notarization", a.block_hash),
+    msg.Finalization: lambda a: tagged_hash("gossip/id/finalization", a.block_hash),
+    msg.NotarizationShare: lambda a: tagged_hash(
+        "gossip/id/notar-share", a.block_hash, a.signer.to_bytes(4, "big")
+    ),
+    msg.FinalizationShare: lambda a: tagged_hash(
+        "gossip/id/final-share", a.block_hash, a.signer.to_bytes(4, "big")
+    ),
+    msg.BeaconShare: lambda a: tagged_hash(
+        "gossip/id/beacon-share", a.round.to_bytes(8, "big"), a.signer.to_bytes(4, "big")
+    ),
+}
+
+
 def artifact_id(artifact: object) -> bytes:
     """Content-derived identity used for gossip dedup.
 
     Semantically-equivalent artifacts (e.g. two notarizations of the same
     block combined from different share subsets) share an id, so the gossip
-    layer never transports redundant aggregates.
+    layer never transports redundant aggregates.  Dispatch is on the exact
+    type (:data:`_IDS`), as the pool's is.
     """
-    if isinstance(artifact, msg.Block):
-        return tagged_hash("gossip/id/block", artifact.hash)
-    if isinstance(artifact, msg.Authenticator):
-        return tagged_hash("gossip/id/auth", artifact.block_hash)
-    if isinstance(artifact, msg.Notarization):
-        return tagged_hash("gossip/id/notarization", artifact.block_hash)
-    if isinstance(artifact, msg.Finalization):
-        return tagged_hash("gossip/id/finalization", artifact.block_hash)
-    if isinstance(artifact, msg.NotarizationShare):
-        return tagged_hash(
-            "gossip/id/notar-share", artifact.block_hash, artifact.signer.to_bytes(4, "big")
-        )
-    if isinstance(artifact, msg.FinalizationShare):
-        return tagged_hash(
-            "gossip/id/final-share", artifact.block_hash, artifact.signer.to_bytes(4, "big")
-        )
-    if isinstance(artifact, msg.BeaconShare):
-        return tagged_hash(
-            "gossip/id/beacon-share",
-            artifact.round.to_bytes(8, "big"),
-            artifact.signer.to_bytes(4, "big"),
-        )
-    raise TypeError(f"no gossip identity for {type(artifact).__name__}")
+    identify = _IDS.get(type(artifact))
+    if identify is None:
+        raise TypeError(f"no gossip identity for {type(artifact).__name__}")
+    return identify(artifact)
 
 
 # -- gossip wire messages: each names the party that sent it ----------------

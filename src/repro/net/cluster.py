@@ -12,8 +12,16 @@ framing, real kernel buffers).  It exists for two callers:
 * tests and the ``repro live --check`` quick leg, which need a live
   cluster without the cost and signal-handling of n OS processes.
 
+Because it hosts every party, it can do two things separate processes
+cannot: :meth:`LiveCluster.start` binds all n listeners before any party
+dials, so every first dial connects and no link waits out a reconnect
+backoff; and the client load is signed once, by the first party's
+derivation, and that one immutable request set is handed to every party
+(each still checks every request it admits).
+
 ``python -m repro live`` proper spawns one ``repro serve`` process per
-party instead; the protocol and transport code paths are identical.
+party instead; the protocol and transport code paths are identical, but a
+peer that is not up yet is found by redialling.
 
 Usage::
 
@@ -57,9 +65,14 @@ class LiveCluster:
         #: host-clock readings; see repro.faults.check_invariants).
         self.started_at = loop.time()
         self.parties = []
+        requests = None  # the first party derives the ingress, the rest share it
         for i in range(1, self.config.n + 1):
             tracer = self._per_party(i) if self._per_party is not None else self._tracer
-            self.parties.append(LiveParty(self.config, i, loop=loop, tracer=tracer))
+            live = LiveParty(self.config, i, loop=loop, tracer=tracer, requests=requests)
+            requests = live.requests
+            self.parties.append(live)
+        for live in self.parties:
+            await live.network.listen()
         for live in self.parties:
             await live.start()
         self._started = True

@@ -9,15 +9,18 @@ and the ``network`` a :class:`~repro.net.transport.TcpNetwork`.  Nothing
 under :mod:`repro.core` is imported in a modified form; the party class
 cannot tell which world it is in.
 
-Client load rides the PR 6 batching pipeline unchanged: each process
-builds a :class:`~repro.workloads.batching.RequestBatcher`, derives the
-*same* deterministic signed-request set from the shared config seed
-(every party would admit the identical ingress — the shared-ingress
-shortcut the simulator's load harness also takes), and wires
-``payload_source`` / ``payload_verifier`` through that
-:class:`~repro.core.cluster.ClusterConfig`.  Chain-level dedup in
-``payload_source`` keeps a request from being packed twice even though
-every party holds a copy.
+Client load rides the PR 6 batching pipeline unchanged: each party
+builds a :class:`~repro.workloads.batching.RequestBatcher`, admits the
+*same* deterministic signed-request set — the shared-ingress shortcut the
+simulator's load harness also takes — and wires ``payload_source`` /
+``payload_verifier`` through that
+:class:`~repro.core.cluster.ClusterConfig`.  A ``repro serve`` process
+derives the set from the shared config seed; the parties of one
+:class:`~repro.net.cluster.LiveCluster` share the one set the first of them
+derived, so each request is signed once, as its client would, and checked
+by every party that admits it.  Chain-level dedup in ``payload_source``
+keeps a request from being packed twice even though every party holds a
+copy.
 """
 
 from __future__ import annotations
@@ -33,8 +36,11 @@ from .config import LiveConfig
 from .transport import TcpNetwork
 
 
-def generate_load_requests(config: LiveConfig, batcher: RequestBatcher) -> list[SignedRequest]:
-    """The deterministic request set every party derives from the seed.
+def generate_load_requests(
+    config: LiveConfig, batcher: RequestBatcher
+) -> tuple[SignedRequest, ...]:
+    """The deterministic request set of ``config``, derived from its seed
+    and signed by ``batcher.auth``.
 
     Request ids depend only on ``(client, seq)``, so even if an auth
     scheme signed non-deterministically the parties would still agree on
@@ -52,7 +58,7 @@ def generate_load_requests(config: LiveConfig, batcher: RequestBatcher) -> list[
         requests.append(
             SignedRequest(client=client, seq=seq, key=key, auth=auth, body=body)
         )
-    return requests
+    return tuple(requests)
 
 
 class LiveParty:
@@ -74,7 +80,10 @@ class LiveParty:
         *,
         loop: asyncio.AbstractEventLoop | None = None,
         tracer=None,
+        requests: tuple[SignedRequest, ...] | None = None,
     ) -> None:
+        """``requests`` is the cluster's signed ingress, as another party of
+        the same config derived it; ``None`` derives it here."""
         if not 1 <= index <= config.n:
             raise ValueError(f"index {index} out of range 1..{config.n}")
         self.config = config
@@ -94,7 +103,9 @@ class LiveParty:
 
         # -- client load (optional, the PR 6 pipeline) -----------------------
         self.batcher: RequestBatcher | None = None
-        self._load_queue: list[SignedRequest] = []
+        #: The signed ingress this party admits, in order (shared by every
+        #: party of a LiveCluster).
+        self.requests: tuple[SignedRequest, ...] = ()
         self._load_cursor = 0  # next request of the queue to admit
         self._load_start = 0.0  # instant of the first pump: chunk 0 is due here
         cluster_config = config.cluster_config()
@@ -107,7 +118,9 @@ class LiveParty:
                 ),
                 seed=config.seed,
             )
-            self._load_queue = generate_load_requests(config, self.batcher)
+            if requests is None:
+                requests = generate_load_requests(config, self.batcher)
+            self.requests = requests
             cluster_config.payload_source = self.batcher.payload_source
             cluster_config.payload_verifier = self.batcher.verify_block
 
@@ -130,17 +143,21 @@ class LiveParty:
     # -- lifecycle ------------------------------------------------------------
 
     async def start(self) -> None:
-        """Bind the listener, start dialling peers, start the protocol.
+        """Bind the listener unless already bound, start dialling peers,
+        start the protocol.
 
-        There is no startup barrier: the party starts immediately and its
-        round-1 messages sit in the per-peer outbound queues until each
-        peer comes up (reconnect/backoff is the barrier).  ICC tolerates
-        that asynchrony by design.
+        The protocol waits for no peer: its round-1 messages sit in the
+        per-peer outbound queues until each link connects.  A peer that is
+        not listening yet refuses the dial, and the link redials after a
+        backoff — between processes that backoff is the only barrier.
+        :class:`~repro.net.cluster.LiveCluster` binds every party's
+        listener before any party starts, so its first dials connect.  ICC
+        tolerates either by design.
         """
         await self.network.start()
         self.network.attach(self.party)
         self.party.start()
-        if self._load_queue:
+        if self.requests:
             self._pump_load()
         self._started = True
 
@@ -156,11 +173,11 @@ class LiveParty:
         now = self.clock.now
         if self._load_cursor == 0:
             self._load_start = now
-        chunk = self._load_queue[self._load_cursor : self._load_cursor + batch]
+        chunk = self.requests[self._load_cursor : self._load_cursor + batch]
         self._load_cursor += batch
         if chunk and self.batcher is not None:
             self.batcher.admit_batch([(request, now) for request in chunk])
-        if self._load_cursor < len(self._load_queue):
+        if self._load_cursor < len(self.requests):
             due = self._load_start + (self._load_cursor // batch) * self.config.load_tick
             self._load_handle = self.clock.schedule_at(due, self._pump_load)
         else:

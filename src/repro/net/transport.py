@@ -23,8 +23,10 @@ stays buffered until a cumulative ACK covers it — a write the kernel took
 proves nothing about delivery — and every (re)connection retransmits the
 unACKed tail.  Redials back off
 (exponential, jittered, capped); only a connection whose HELLO the peer
-ACKed resets the backoff.  The receiver deduplicates by sequence number,
-so each link delivers in order and exactly once over an at-least-once wire.
+ACKed resets the backoff.  ``listen`` binds without dialling, so a host of
+several parties binds them all first and no first dial meets a refusal.
+The receiver deduplicates by sequence number, so each link delivers in
+order and exactly once over an at-least-once wire.
 No frame carries a clock reading: a party reads only its own clock.
 
 Inbound: the acceptor requires a HELLO naming a configured peer of the
@@ -444,15 +446,23 @@ class TcpNetwork:
             raise ValueError(f"party {self.index} already attached")
         self._party = party
 
-    async def start(self) -> None:
-        """Bind the listening socket and start one dialer per peer."""
+    async def listen(self) -> None:
+        """Bind the listening socket: peers' dials succeed from here on."""
         if self._server is not None:
-            raise RuntimeError("transport already started")
-        loop = self.clock.loop
+            raise RuntimeError("transport already listening")
         host, port = self.peers[self.index]
-        self._server = await loop.create_server(
+        self._server = await self.clock.loop.create_server(
             lambda: _InboundConnection(self), host, port
         )
+
+    async def start(self) -> None:
+        """Start one dialer per peer, binding the listener first unless
+        :meth:`listen` already has."""
+        if self._links:
+            raise RuntimeError("transport already started")
+        if self._server is None:
+            await self.listen()
+        loop = self.clock.loop
         for peer, (peer_host, peer_port) in sorted(self.peers.items()):
             if peer == self.index:
                 continue

@@ -7,6 +7,7 @@ import pytest
 from repro.core import ClusterConfig, build_cluster
 from repro.core.cluster import protocol_party
 from repro.core.icc0 import fixed_size_source
+from repro.core import messages as msg
 from repro.core.messages import Block, Payload, ROOT_HASH
 from repro.faults import FaultInjector, LinkFault, Scenario
 from repro.gossip import protocol
@@ -63,6 +64,30 @@ class TestArtifactId:
     def test_unknown_type_rejected(self):
         with pytest.raises(TypeError):
             artifact_id("not an artifact")
+
+    def test_ids_pinned_per_kind(self):
+        # One artifact of each of the seven kinds, ids as the isinstance
+        # ladder computed them before dispatch became a dict lookup.
+        block = make_block()
+        h = block.hash
+        pinned = [
+            (block, "edbd517ad3a7e03efab9f807514b9e0bc15555c5926b946018f54aae296fcbc4"),
+            (msg.Authenticator(1, 1, h, None),
+             "a4e5ec0b49f1b56cc72a575f2e016f0f0b3e113f4af2f8246eee426dffcd2e9e"),
+            (msg.NotarizationShare(1, 1, h, 2, None),
+             "727095af32978383e2d586b5e557600bddb739c83081c76ff743439ede49d095"),
+            (msg.Notarization(1, 1, h, None),
+             "118482184d72302ae091c2188302f9a13d49721ca857e5356d02b5aab009430c"),
+            (msg.FinalizationShare(1, 1, h, 3, None),
+             "b5dc9974000771db6e7abde297b37cb9521f303e5bba854d578b64c94f356185"),
+            (msg.Finalization(1, 1, h, None),
+             "b3151ea554ababdfe34f19d338e61918ae82254c4e6887e92a9590f6931b5e4e"),
+            (msg.BeaconShare(1, 4, None),
+             "7eab8c596e3a2af1441cdbda72a92051260047502a17d0c4121946ff2ff0f294"),
+        ]
+        assert len({type(a) for a, _ in pinned}) == 7
+        for artifact, expected in pinned:
+            assert artifact_id(artifact).hex() == expected, type(artifact).__name__
 
 
 class GossipHarness:

@@ -205,6 +205,82 @@ class TestTransportShape:
         assert [frames_per_round[r] for r in settled] == [96] * len(settled)
 
 
+class TestStartup:
+    """What co-hosting every party buys at start: no refused dial and one
+    signing of the client load."""
+
+    def test_every_listener_bound_before_the_first_dial(self):
+        """Each of the n(n−1) links connects on its first dial: every party
+        counts 2(n−1) connects and no reconnect.  A party dialling a peer
+        that had not bound yet was refused and waited out a backoff."""
+        config = quick_config()
+        dials: Counter = Counter()
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            create_connection = loop.create_connection
+
+            async def counted(*args, **kwargs):
+                dials[asyncio.current_task().get_name()] += 1
+                return await create_connection(*args, **kwargs)
+
+            loop.create_connection = counted
+            async with LiveCluster(config) as cluster:
+                deadline = loop.time() + config.timeout
+                links = 2 * (config.n - 1)
+                while any(live.network.connects_total < links for live in cluster.parties):
+                    assert loop.time() < deadline, "cluster never fully connected"
+                    await asyncio.sleep(0.001)
+                # Read before stop(): a party still running redials a
+                # peer that stop() already closed.
+                return [
+                    (live.network.connects_total, live.network.reconnects_total)
+                    for live in cluster.parties
+                ], Counter(dials)
+
+        counts, dials = asyncio.run(scenario())
+        assert counts == [(2 * (config.n - 1), 0)] * config.n
+        assert len(dials) == config.n * (config.n - 1)
+        assert set(dials.values()) == {1}, dials
+
+    def test_ingress_signed_once_per_cluster(self, monkeypatch):
+        """The n parties of one cluster admit one request set, signed once
+        (n times at one signing per party), and a lone party — what
+        ``repro serve`` builds — derives the same bytes."""
+        from repro.workloads.batching import RealClientAuth
+
+        config = quick_config(load_requests=24, load_batch=8, client_auth="real")
+        signed = [0]
+        sign = RealClientAuth.sign
+
+        def counted(self, *args):
+            signed[0] += 1
+            return sign(self, *args)
+
+        monkeypatch.setattr(RealClientAuth, "sign", counted)
+
+        def wire(requests):
+            return [(r.request_id, r.auth, r.body) for r in requests]
+
+        async def scenario():
+            async with LiveCluster(config) as cluster:
+                signed_by_cluster = signed[0]
+                shared = [live.requests for live in cluster.parties]
+                # Run a height before stop(): a dial the kernel accepts just
+                # as a listener closes is a transport asyncio never closes.
+                assert await cluster.wait_for_height(1, config.timeout)
+            lone = LiveParty(config, 3, loop=asyncio.get_running_loop())
+            await lone.network.stop()
+            return signed_by_cluster, shared, lone.requests
+
+        signed_by_cluster, shared, lone = asyncio.run(scenario())
+        assert signed_by_cluster == config.load_requests
+        assert len(shared[0]) == config.load_requests
+        assert all(requests is shared[0] for requests in shared)
+        assert isinstance(shared[0], tuple)
+        assert wire(lone) == wire(shared[0])
+
+
 class TestOneConfigBuildsSimAndLive:
     """``LiveConfig.cluster_config()`` is the config of both worlds: the
     simulator builds a cluster from it, every live party its own party."""

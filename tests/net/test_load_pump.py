@@ -51,7 +51,7 @@ def pumped(admit_cost, requests=22, start=3.25):
         )
         live = LiveParty(config, 1, loop=asyncio.get_running_loop())
         try:
-            offered = [r.request_id for r in live._load_queue]
+            offered = [r.request_id for r in live.requests]
             clock = live.clock = SteppedClock(start)
             chunks = []
 
